@@ -58,11 +58,13 @@ bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 	$(GO) run ./cmd/benchtab -experiment agg -benchjson $(BENCH_JSON) -quiet
 
-# The previous PR's executor benchmark: serial slice-scan vs indexed vs
-# parallel indexed Yannakakis over identical plans (writes its own
-# fixed artifact so the exec trajectory stays comparable).
+# The executor benchmark: serial vs parallel indexed Yannakakis over
+# identical plans, with parallel == serial byte for byte enforced in
+# the experiment. Ungated; the committed BENCH_PR5.json (which also
+# timed the since-removed slice-scan kernel) stays as history, so the
+# fresh run is written outside the tree.
 bench-exec:
-	$(GO) run ./cmd/benchtab -experiment exec -benchjson BENCH_PR5.json -quiet
+	$(GO) run ./cmd/benchtab -experiment exec -benchjson /tmp/BENCH_exec_fresh.json -quiet
 
 # This PR's benchmark: aggregate pushdown vs materialise-then-fold on
 # high-output star queries, including the differential wall and the
@@ -79,9 +81,8 @@ bench-gate:
 		-benchjson /tmp/BENCH_query_fresh.json \
 		-compare $(BENCH_BASELINE) -tolerance 0.25 -calibrate query-cold -quiet
 
-# This PR's benchmark: the memory-diet harness — columnar kernels vs
-# the frozen pre-columnar rowref executor, allocs/op and bytes/op cold
-# vs warm, with byte-identity and the 2x allocation-reduction wall
+# The memory-diet harness: the indexed executor vs the naive join
+# oracle, allocs/op and bytes/op cold vs warm, with answer identity
 # enforced inside the experiment. Writes $(BENCH_MEM_JSON).
 bench-mem:
 	$(GO) run ./cmd/benchtab -experiment mem -benchjson $(BENCH_MEM_JSON) -quiet
@@ -89,13 +90,13 @@ bench-mem:
 # The memory-regression gate CI runs on every PR: a fresh mem run must
 # not regress warm indexed allocs/op, bytes/op, or (calibrated) ns/op
 # >25% against the committed $(BENCH_MEM_JSON). Allocation counts are
-# machine-independent; the rowref entries calibrate machine speed out
-# of the timing ratios only.
+# machine-independent; the naive entries (untuned code) calibrate
+# machine speed out of the timing ratios only.
 bench-mem-gate:
 	$(GO) run ./cmd/benchtab -experiment mem \
 		-benchjson /tmp/BENCH_mem_fresh.json \
 		-compare $(BENCH_MEM_JSON) -tolerance 0.25 \
-		-gate mem-indexed/ -calibrate mem-rowref/ -quiet
+		-gate mem-indexed/ -calibrate mem-naive/ -quiet
 
 # This PR's benchmark: the disk-backed store tier — cold solve+append
 # traffic (fsync every append) vs a same-process warm pass vs a full
@@ -141,13 +142,14 @@ bench-incr-gate:
 		-compare $(BENCH_INCR_JSON) -tolerance 0.50 \
 		-gate incr-maint/ -calibrate incr-rebuild/ -quiet
 
-# The crash-recovery wall: kill -9 a child process mid-append and
-# mid-snapshot-save, then assert the reopened log serves an intact
-# contiguous prefix (torn tails truncated, never served corrupt), plus
-# the torn-tail/bit-flip recovery table and the concurrent-save race.
+# The crash-recovery wall: kill -9 a child process mid-append, then
+# assert the reopened log serves an intact contiguous prefix (torn
+# tails truncated, never served corrupt), plus the torn-tail/bit-flip
+# recovery table and the service-level warm restart (same directory
+# and a byte copy of it).
 crash-recovery:
 	$(GO) test -race -count=1 \
-		-run 'TestCrashRecovery|TestSnapshotConcurrentSaves|TestLogTornTail|TestLogBitFlip|TestDiskBackedServiceWarmRestart' \
+		-run 'TestCrashRecovery|TestLogTornTail|TestLogBitFlip|TestDiskBackedServiceWarmRestart' \
 		./internal/store ./internal/service
 
 # The two-process warm-restart wall: boot a real htdserve with
@@ -171,7 +173,7 @@ load-gate:
 	./scripts/load_gate.sh $(LOAD_JSON)
 
 stress:
-	$(GO) test -race -count=2 -run 'TestStoreStress|TestCoalescing|TestBatchDuplicates|TestSnapshot|TestServeCache|TestShardedConcurrency|TestFlight' ./internal/store ./internal/service ./cmd/htdserve
+	$(GO) test -race -count=2 -run 'TestStoreStress|TestCoalescing|TestBatchDuplicates|TestServeCache|TestShardedConcurrency|TestFlight' ./internal/store ./internal/service ./cmd/htdserve
 
 differential:
 	$(GO) test -race -count=1 -run 'TestDifferential|TestConcurrentIdentical|TestEval|TestServeQuery' ./internal/query ./internal/join ./cmd/htdserve
@@ -179,11 +181,13 @@ differential:
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzDecomposeCheckHD -fuzztime=10s .
 	$(GO) test -run=NONE -fuzz=FuzzParseQuery -fuzztime=10s ./internal/join
+	$(GO) test -run=NONE -fuzz=FuzzLogReplay -fuzztime=10s ./internal/store
 
 # The nightly workflow's long-form fuzz: 5 minutes per target.
 fuzz-long:
 	$(GO) test -run=NONE -fuzz=FuzzDecomposeCheckHD -fuzztime=5m .
 	$(GO) test -run=NONE -fuzz=FuzzParseQuery -fuzztime=5m ./internal/join
+	$(GO) test -run=NONE -fuzz=FuzzLogReplay -fuzztime=5m ./internal/store
 
 # Fails on broken intra-repo links (and missing anchors) in committed
 # Markdown files; mirrors the CI docs job.

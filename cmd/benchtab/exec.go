@@ -22,20 +22,20 @@ type execInstance struct {
 	d    *htd.Decomposition
 }
 
-// execExperiment measures the three executor configurations per
+// execExperiment measures the two executor configurations per
 // workload bucket over identical pre-computed plans:
 //
-//   - serial: the legacy slice-scan kernel (PR 4's executor) — every
-//     semijoin re-scans tuple slices with formatted string keys;
-//   - indexed: the hash-indexed kernel, serial — build-once indexes on
-//     the shared variables of each join-tree edge;
-//   - parallel: the indexed kernel with a worker pool — sibling
+//   - indexed: the hash-indexed executor, serial — build-once indexes
+//     on the shared variables of each join-tree edge;
+//   - parallel: the same executor with a worker pool — sibling
 //     subtrees and large final-join probe loops run concurrently.
 //
 // Plans are decomposed once up front, so the numbers isolate execution;
-// every kernel's rows are checked byte-identical before anything is
-// reported. With -benchjson the measurements are written as the
-// benchmark JSON artifact (BENCH_PR5.json in CI).
+// the parallel rows are checked byte-identical to the serial ones
+// before anything is reported. (The serial executor's byte-identity
+// with the slice-scan reference is a unit test, TestKernelsByteIdentical
+// in internal/join.) With -benchjson the measurements are written as a
+// benchmark JSON artifact.
 func execExperiment(ctx context.Context, cfg harness.Config, jsonPath string) (*harness.Table, error) {
 	type bucket struct {
 		name string
@@ -63,7 +63,6 @@ func execExperiment(ctx context.Context, cfg harness.Config, jsonPath string) (*
 		name string
 		opts join.EvalOptions
 	}{
-		{"serial", join.EvalOptions{Kernel: join.KernelScan}},
 		{"indexed", join.EvalOptions{}},
 		{"parallel", join.EvalOptions{Parallelism: parallelism}},
 	}
@@ -75,12 +74,12 @@ func execExperiment(ctx context.Context, cfg harness.Config, jsonPath string) (*
 		Timestamp:   time.Now().UTC().Format(time.RFC3339),
 	}
 	t := &harness.Table{
-		Title: "Executor: serial slice-scan vs indexed vs parallel indexed Yannakakis",
+		Title: "Executor: serial vs parallel indexed Yannakakis",
 		Headers: []string{"Bucket", "N", "rows",
-			"serial-ms", "indexed-ms", "parallel-ms", "idx-speedup", "par-speedup"},
+			"indexed-ms", "parallel-ms", "par-speedup"},
 	}
 
-	var totalMS [3]float64
+	var totalMS [2]float64
 	totalN := 0
 	for _, b := range buckets {
 		instances := b.gen()
@@ -96,7 +95,7 @@ func execExperiment(ctx context.Context, cfg harness.Config, jsonPath string) (*
 			instances[i].d = d
 		}
 
-		var ms [3]float64
+		var ms [2]float64
 		var rows int64
 		var reference []*join.Relation
 		for ki, k := range kernels {
@@ -116,12 +115,12 @@ func execExperiment(ctx context.Context, cfg harness.Config, jsonPath string) (*
 				reference = results
 				rows = kernelRows
 			} else {
-				// The wall: every kernel must reproduce the scan kernel's
-				// answer byte for byte, tuple order included.
+				// The wall: the parallel executor must reproduce the
+				// serial answer byte for byte, tuple order included.
 				for i := range results {
 					if !reflect.DeepEqual(results[i].Attrs, reference[i].Attrs) ||
 						!reflect.DeepEqual(results[i].Rows(), reference[i].Rows()) {
-						return nil, fmt.Errorf("bucket %s %s: kernel %s diverged from the scan kernel",
+						return nil, fmt.Errorf("bucket %s %s: kernel %s diverged from the serial executor",
 							b.name, instances[i].name, k.name)
 					}
 				}
@@ -133,10 +132,9 @@ func execExperiment(ctx context.Context, cfg harness.Config, jsonPath string) (*
 		for ki := range kernels {
 			totalMS[ki] += ms[ki]
 			notes := map[string]string{
-				"serial":  "legacy slice-scan kernel (PR 4 executor): per-op string keys, serial passes",
-				"indexed": "hash-indexed kernel, serial: build-once byte-key indexes per join-tree edge",
-				"parallel": fmt.Sprintf("indexed kernel, %d workers: concurrent sibling subtrees + partitioned final joins; %.2fx vs serial",
-					parallelism, ms[0]/ms[2]),
+				"indexed": "hash-indexed executor, serial: build-once indexes per join-tree edge",
+				"parallel": fmt.Sprintf("indexed executor, %d workers: concurrent sibling subtrees + partitioned final joins; %.2fx vs serial",
+					parallelism, ms[0]/ms[1]),
 			}[kernels[ki].name]
 			out.Benchmarks = append(out.Benchmarks, benchEntry{
 				Name:    "exec-" + kernels[ki].name + "/" + b.name,
@@ -147,27 +145,27 @@ func execExperiment(ctx context.Context, cfg harness.Config, jsonPath string) (*
 			})
 		}
 		t.AddRow(b.name, n, rows,
-			fmt.Sprintf("%.1f", ms[0]), fmt.Sprintf("%.1f", ms[1]), fmt.Sprintf("%.1f", ms[2]),
-			fmt.Sprintf("%.2fx", ms[0]/ms[1]), fmt.Sprintf("%.2fx", ms[0]/ms[2]))
+			fmt.Sprintf("%.1f", ms[0]), fmt.Sprintf("%.1f", ms[1]),
+			fmt.Sprintf("%.2fx", ms[0]/ms[1]))
 	}
 
-	if totalN > 0 && totalMS[2] > 0 {
+	if totalN > 0 && totalMS[1] > 0 {
 		out.Benchmarks = append(out.Benchmarks, benchEntry{
 			Name:    "exec-speedup/suite",
-			NsPerOp: totalMS[2] * 1e6 / float64(totalN),
-			Ops:     totalN, Solved: totalN, WallMS: totalMS[2],
+			NsPerOp: totalMS[1] * 1e6 / float64(totalN),
+			Ops:     totalN, Solved: totalN, WallMS: totalMS[1],
 			Workers: parallelism, Rounds: 1,
-			Notes: fmt.Sprintf("suite exec time: serial %.1fms, indexed %.1fms, parallel %.1fms = %.2fx indexed, %.2fx parallel over serial",
-				totalMS[0], totalMS[1], totalMS[2], totalMS[0]/totalMS[1], totalMS[0]/totalMS[2]),
+			Notes: fmt.Sprintf("suite exec time: indexed %.1fms, parallel %.1fms = %.2fx parallel over serial",
+				totalMS[0], totalMS[1], totalMS[0]/totalMS[1]),
 		})
 		t.AddRow("suite total", totalN, "-",
-			fmt.Sprintf("%.1f", totalMS[0]), fmt.Sprintf("%.1f", totalMS[1]), fmt.Sprintf("%.1f", totalMS[2]),
-			fmt.Sprintf("%.2fx", totalMS[0]/totalMS[1]), fmt.Sprintf("%.2fx", totalMS[0]/totalMS[2]))
+			fmt.Sprintf("%.1f", totalMS[0]), fmt.Sprintf("%.1f", totalMS[1]),
+			fmt.Sprintf("%.2fx", totalMS[0]/totalMS[1]))
 	}
 	t.Notes = append(t.Notes,
-		"identical pre-computed minimum-width plans for all kernels; times are execution only",
-		"serial: the pre-PR5 slice-scan executor; indexed: hash-index kernel; parallel: indexed + worker pool",
-		"rows are verified byte-identical across all three kernels before anything is reported")
+		"identical pre-computed minimum-width plans for both configurations; times are execution only",
+		"indexed: the hash-indexed executor, serial; parallel: the same executor on a worker pool",
+		"parallel rows are verified byte-identical to the serial rows before anything is reported")
 
 	if jsonPath != "" {
 		if err := writeBenchJSON(jsonPath, out); err != nil {

@@ -17,14 +17,14 @@
 // repeat traffic and request coalescing); the query experiment drives
 // the end-to-end conjunctive-query pipeline (Yannakakis over
 // store-cached decompositions) with cold-plan vs warm-plan traffic;
-// the exec experiment races the three executor kernels (legacy
-// slice-scan, hash-indexed, parallel indexed) over identical plans;
+// the exec experiment races the serial and parallel indexed executor
+// over identical plans;
 // the agg experiment compares aggregate pushdown against
 // materialise-then-fold on high-output star queries (BENCH_PR6.json);
-// the mem experiment is the memory-diet harness — columnar kernels vs
-// the frozen pre-columnar rowref executor, recording allocs/op,
-// bytes/op, GC pauses, and peak RSS, with byte-identity and a 2x
-// allocation-reduction wall enforced in-experiment (BENCH_PR8.json);
+// the mem experiment is the memory-diet harness — the indexed executor
+// vs the naive join oracle, recording allocs/op, bytes/op, GC pauses,
+// and peak RSS, with answer identity enforced in-experiment
+// (BENCH_PR8.json);
 // the persist experiment measures the disk-backed store tier — cold
 // solve-and-append traffic vs a same-process warm pass vs a full
 // process restart over the same -store-dir, with zero solver runs

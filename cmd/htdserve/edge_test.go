@@ -9,7 +9,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -21,7 +20,7 @@ import (
 
 // newEdgeServer builds a test server with full control over the service
 // config (tenant wall) and the handler's body cap.
-func newEdgeServer(t *testing.T, cfg htd.ServiceConfig, snapshotPath string, maxBody int64) (*httptest.Server, *htd.Service) {
+func newEdgeServer(t *testing.T, cfg htd.ServiceConfig, maxBody int64) (*httptest.Server, *htd.Service) {
 	t.Helper()
 	if cfg.MaxConcurrent == 0 {
 		cfg.MaxConcurrent = 4
@@ -33,7 +32,7 @@ func newEdgeServer(t *testing.T, cfg htd.ServiceConfig, snapshotPath string, max
 		cfg.DefaultTimeout = 30 * time.Second
 	}
 	svc := htd.NewService(cfg)
-	ts := httptest.NewServer(newHandler(svc, 4, snapshotPath, maxBody))
+	ts := httptest.NewServer(newHandler(svc, 4, maxBody))
 	t.Cleanup(func() {
 		ts.Close()
 		svc.Close()
@@ -64,11 +63,10 @@ func postRaw(t *testing.T, url, body string, header map[string]string) *http.Res
 // endpoint that reads a body, while an in-budget malformed body keeps
 // its 400.
 func TestOversizedBody413(t *testing.T) {
-	snapshotPath := filepath.Join(t.TempDir(), "snap.json")
-	ts, _ := newEdgeServer(t, htd.ServiceConfig{TokenBudget: 2}, snapshotPath, 512)
+	ts, _ := newEdgeServer(t, htd.ServiceConfig{TokenBudget: 2}, 512)
 
 	huge := `{"hypergraph":"` + strings.Repeat("a", 2048) + `","k":1}`
-	for _, ep := range []string{"/decompose", "/query", "/cache/load", "/cache/save"} {
+	for _, ep := range []string{"/decompose", "/query"} {
 		resp := postRaw(t, ts.URL+ep, huge, nil)
 		if resp.StatusCode != http.StatusRequestEntityTooLarge {
 			t.Errorf("%s oversized body: status %d, want 413", ep, resp.StatusCode)
@@ -87,7 +85,7 @@ func TestOversizedBody413(t *testing.T) {
 // satellite: a /batch line beyond the 16 MiB line cap must not end the
 // stream silently — the last NDJSON object names bufio.ErrTooLong.
 func TestBatchLineTooLongEmitsErrorLine(t *testing.T) {
-	ts, _ := newEdgeServer(t, htd.ServiceConfig{TokenBudget: 2}, "", 0)
+	ts, _ := newEdgeServer(t, htd.ServiceConfig{TokenBudget: 2}, 0)
 
 	body := `{"hypergraph":"r1(x,y).","k":1}` + "\n" +
 		strings.Repeat("x", maxBatchLine+16) + "\n"
@@ -174,7 +172,7 @@ func TestStreamStopsAfterWriteFailure(t *testing.T) {
 // a real client opens /batch, receives one result, disconnects — job
 // submission must stop and the handler's goroutines must drain.
 func TestBatchClientDisconnectStopsSubmission(t *testing.T) {
-	ts, svc := newEdgeServer(t, htd.ServiceConfig{TokenBudget: 2}, "", 0)
+	ts, svc := newEdgeServer(t, htd.ServiceConfig{TokenBudget: 2}, 0)
 	baseline := runtime.NumGoroutine()
 
 	pr, pw := io.Pipe()
@@ -233,7 +231,7 @@ func TestTenant429WithRetryAfter(t *testing.T) {
 	ts, _ := newEdgeServer(t, htd.ServiceConfig{
 		TokenBudget: 2,
 		Tenants:     htd.TenantConfig{Rate: 0.001, Burst: 1},
-	}, "", 0)
+	}, 0)
 
 	job := `{"hypergraph":"r1(x,y), r2(y,z), r3(z,x).","k":2}`
 	hdr := map[string]string{"X-Tenant": "greedy"}
@@ -276,7 +274,7 @@ func TestTenant429WithRetryAfter(t *testing.T) {
 // carry a per-tenant section with admission counters and latency
 // quantiles.
 func TestStatsReportsTenants(t *testing.T) {
-	ts, _ := newEdgeServer(t, htd.ServiceConfig{TokenBudget: 2}, "", 0)
+	ts, _ := newEdgeServer(t, htd.ServiceConfig{TokenBudget: 2}, 0)
 
 	job := `{"hypergraph":"r1(x,y), r2(y,z), r3(z,x).","k":2}`
 	for _, tenantName := range []string{"alice", "alice", "bob"} {
@@ -314,7 +312,7 @@ func TestStatsReportsTenants(t *testing.T) {
 // TestTenantHeaderTooLong pins the header bound: X-Tenant ids become
 // stats map keys, so an oversized header is rejected up front.
 func TestTenantHeaderTooLong(t *testing.T) {
-	ts, _ := newEdgeServer(t, htd.ServiceConfig{TokenBudget: 2}, "", 0)
+	ts, _ := newEdgeServer(t, htd.ServiceConfig{TokenBudget: 2}, 0)
 	hdr := map[string]string{"X-Tenant": strings.Repeat("t", maxTenantIDLen+1)}
 	for _, ep := range []string{"/decompose", "/batch", "/query", "/querybatch"} {
 		if resp := postRaw(t, ts.URL+ep, `{"hypergraph":"r1(x,y).","k":1}`, hdr); resp.StatusCode != http.StatusBadRequest {

@@ -2,13 +2,12 @@
 // htd.Service: a shared worker-token budget, admission control with
 // per-job timeouts, and a unified sharded cross-request store (width
 // bounds, cached witness decompositions, negative-memo tables) with
-// request coalescing and snapshot persistence.
+// request coalescing and optional disk persistence (-store-dir).
 //
 // Usage:
 //
 //	htdserve -addr :8080 [-budget 8] [-max-concurrent 8] [-timeout 30s]
-//	         [-store-dir cache.d] [-store-fsync 100ms]
-//	         [-snapshot cache.json] [-store-shards 16]
+//	         [-store-dir cache.d] [-store-fsync 100ms] [-store-shards 16]
 //	         [-tenant-rate 50] [-tenant-inflight 4] [-fair-share]
 //	         [-pprof-addr localhost:6060]
 //
@@ -43,8 +42,6 @@
 //	GET  /healthz      liveness probe
 //	GET  /stats        service counters (jobs, tokens, store, solver)
 //	GET  /cache        store introspection: counters + cached entries
-//	POST /cache/save   persist the store as a snapshot file
-//	POST /cache/load   merge a snapshot file into the store
 //	POST /cache/purge  drop all cached entries
 //
 // Datasets: PUT /data/{name} uploads a database once; queries then
@@ -56,23 +53,18 @@
 // query to a recent version (-dataset-retain controls how many stay
 // pinnable). Datasets are tenant-namespaced by X-Tenant.
 //
-// Persistence, two ways:
-//
-// With -store-dir, the cross-request store itself is disk-backed: the
-// in-memory sharded store becomes the LRU working set over a crash-safe
-// append-only log in that directory, every result is persisted as it is
-// computed, and a restart (graceful or kill -9) serves the whole cached
-// history warm with zero solver runs — no snapshot step involved.
+// Persistence: with -store-dir, the cross-request store is
+// disk-backed: the in-memory sharded store becomes the LRU working set
+// over a crash-safe append-only log in that directory, every result is
+// persisted as it is computed, and a restart (graceful or kill -9)
+// serves the whole cached history warm with zero solver runs.
 // -store-fsync trades durability for append latency: 0 (the default)
 // fsyncs every append, larger values fsync on that cadence and can lose
-// at most the unsynced tail on a crash.
-//
-// With -snapshot, the server preloads the snapshot on boot (if the file
-// exists) and saves it again on graceful shutdown, so restarts stay
-// warm: repeat submissions are answered from the restored cache without
-// a solver run. Unlike -store-dir this persists only at shutdown — a
-// crash loses everything since the last save. The two compose: snapshot
-// files remain the portable export/import format either way.
+// at most the unsynced tail on a crash. The closed directory is the
+// export format: to move a warm cache, stop the server (shutdown
+// flushes and fsyncs the log) and copy the directory. Without
+// -store-dir the plan cache lives in memory only; datasets are
+// memory-only either way.
 //
 // Try it:
 //
@@ -103,7 +95,6 @@ func main() {
 		storeShards = flag.Int("store-shards", 0, "lock stripes of the cross-request store (0 = 16)")
 		memoGraphs  = flag.Int("memo-graphs", 0, "hypergraphs cached in the store (0 = 32)")
 		memoEntry   = flag.Int("memo-entries", 0, "memoised states per (hypergraph, width) table (0 = 1<<20)")
-		snapshot    = flag.String("snapshot", "", "snapshot file: preloaded on boot, saved on graceful shutdown")
 		storeDir    = flag.String("store-dir", "", "disk-backed store directory: every result persists as computed, restarts serve warm")
 		storeFsync  = flag.Duration("store-fsync", 0, "disk store fsync cadence (0 = every append)")
 
@@ -159,26 +150,9 @@ func main() {
 				*storeDir, st.Disk.Entries, st.Disk.Segments, st.Disk.Bytes)
 		}
 	}
-	if *snapshot != "" {
-		snap, err := htd.LoadSnapshotFile(*snapshot)
-		switch {
-		case errors.Is(err, os.ErrNotExist):
-			fmt.Fprintf(os.Stderr, "htdserve: no snapshot at %s yet, starting cold\n", *snapshot)
-		case err != nil:
-			fmt.Fprintf(os.Stderr, "htdserve: snapshot %s: %v\n", *snapshot, err)
-			os.Exit(1)
-		default:
-			n, err := svc.Store().Import(snap)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "htdserve: import snapshot: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "htdserve: warm start, %d cached entries restored\n", n)
-		}
-	}
 	// The batch limit mirrors the service's effective concurrency so
 	// /batch feeds it at full rate without tripping admission control.
-	handler := newHandler(svc, svc.Config().MaxConcurrent, *snapshot, *maxBody)
+	handler := newHandler(svc, svc.Config().MaxConcurrent, *maxBody)
 	httpSrv := &http.Server{
 		Addr:              *addr,
 		Handler:           handler,
@@ -204,9 +178,9 @@ func main() {
 	}
 
 	// shutdown is the single exit path: drain in-flight HTTP requests,
-	// close the service, and persist the snapshot. Both the signal arm
-	// and the listener-error arm run it, so a crashed listener saves the
-	// warm cache exactly like a graceful SIGTERM does.
+	// then close the service. Both the signal arm and the listener-error
+	// arm run it, so a crashed listener flushes the disk store exactly
+	// like a graceful SIGTERM does.
 	shutdown := func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
@@ -216,16 +190,6 @@ func main() {
 		if pprofSrv != nil {
 			if err := pprofSrv.Shutdown(ctx); err != nil {
 				fmt.Fprintf(os.Stderr, "htdserve: pprof shutdown: %v\n", err)
-			}
-		}
-		if *snapshot != "" {
-			// The shutdown save goes through the handler's serialised
-			// saver: a still-running POST /cache/save and this save must
-			// not race each other's rename onto the same path.
-			if n, err := handler.saveSnapshot(*snapshot); err != nil {
-				fmt.Fprintf(os.Stderr, "htdserve: save snapshot: %v\n", err)
-			} else {
-				fmt.Fprintf(os.Stderr, "htdserve: snapshot saved to %s (%d entries)\n", *snapshot, n)
 			}
 		}
 		// Close drains in-flight jobs, then flushes and closes the disk

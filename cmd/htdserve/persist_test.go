@@ -4,82 +4,11 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
-	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	htd "repro"
 )
-
-// TestConcurrentCacheSaveAndShutdownSave hammers POST /cache/save from
-// many goroutines while the shutdown-style save runs through the same
-// serialised saver. Every save must succeed, and the file must end up
-// a complete, valid snapshot — the exact race the saveMu guards: two
-// unserialised renames onto one path letting a stale save clobber a
-// fresh one.
-func TestConcurrentCacheSaveAndShutdownSave(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "cache.snapshot")
-	svc := htd.NewService(htd.ServiceConfig{TokenBudget: 2, MaxConcurrent: 4})
-	defer svc.Close()
-	handler := newHandler(svc, 4, path, 0)
-	ts := httptest.NewServer(handler)
-	defer ts.Close()
-
-	// Seed the store so snapshots have content.
-	_, out := postJSON(t, ts.URL+"/decompose",
-		`{"hypergraph":"r1(x,y), r2(y,z), r3(z,x).","k":2}`)
-	if !out.OK {
-		t.Fatalf("seed decompose failed: %+v", out)
-	}
-
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 10; i++ {
-				resp, err := http.Post(ts.URL+"/cache/save", "application/json", strings.NewReader("{}"))
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				var body struct {
-					Saved int    `json:"saved"`
-					Error string `json:"error"`
-				}
-				json.NewDecoder(resp.Body).Decode(&body)
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					t.Errorf("cache/save: %d %s", resp.StatusCode, body.Error)
-					return
-				}
-			}
-		}()
-	}
-	// The shutdown path concurrently, through the same saver.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 10; i++ {
-			if _, err := handler.saveSnapshot(path); err != nil {
-				t.Errorf("shutdown-style save: %v", err)
-				return
-			}
-		}
-	}()
-	wg.Wait()
-
-	snap, err := htd.LoadSnapshotFile(path)
-	if err != nil {
-		t.Fatalf("final snapshot corrupt after concurrent saves: %v", err)
-	}
-	if len(snap.Entries) != 1 {
-		t.Fatalf("snapshot has %d entries, want 1", len(snap.Entries))
-	}
-}
 
 // TestServeDiskStoreWarmRestart: an htdserve handler stack over a
 // -store-dir service, torn down and rebuilt on the same directory,
@@ -95,7 +24,7 @@ func TestServeDiskStoreWarmRestart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return httptest.NewServer(newHandler(svc, 4, "", 0)), svc
+		return httptest.NewServer(newHandler(svc, 4, 0)), svc
 	}
 	const job = `{"hypergraph":"r1(x,y), r2(y,z), r3(z,x), r4(x,z).","k":2}`
 

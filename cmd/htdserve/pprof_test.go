@@ -39,7 +39,7 @@ func TestPprofMuxServesEndpoints(t *testing.T) {
 func TestServingHandlerNeverRoutesPprof(t *testing.T) {
 	svc := htd.NewService(htd.ServiceConfig{})
 	defer svc.Close()
-	srv := httptest.NewServer(newHandler(svc, 4, "", 0))
+	srv := httptest.NewServer(newHandler(svc, 4, 0))
 	defer srv.Close()
 	for _, path := range []string{"/debug/pprof/", "/debug/pprof/heap", "/debug/pprof/profile"} {
 		resp, err := http.Get(srv.URL + path)

@@ -7,13 +7,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
-	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -146,12 +143,6 @@ func bodyErrStatus(err error) int {
 type server struct {
 	svc *htd.Service
 	mux *http.ServeMux
-	// saveMu serialises snapshot saves. Every save — POST /cache/save
-	// and the shutdown save — must go through saveSnapshot: two
-	// unserialised SaveSnapshotFile calls to the same path are each
-	// atomic (temp file + rename), but whichever rename lands last wins,
-	// so a slow handler save could clobber the fresher shutdown save.
-	saveMu sync.Mutex
 	// planner answers /query and /querybatch over svc; it shares the
 	// service's plan cache with /decompose traffic (a decomposed
 	// hypergraph is a warm plan for a structurally identical query).
@@ -160,11 +151,8 @@ type server struct {
 	// once, so a large batch queues inside the handler instead of
 	// tripping the service's admission control.
 	batchLimit int
-	// snapshotPath is the default file for /cache/save and /cache/load
-	// (the -snapshot flag); requests may override it per call.
-	snapshotPath string
 	// maxBody bounds every single-shot request body (decompose, query,
-	// cache file requests); one oversized POST must never balloon
+	// dataset uploads); one oversized POST must never balloon
 	// server memory. Batch bodies are streamed and bounded per line
 	// instead (maxBatchLine).
 	maxBody int64
@@ -179,7 +167,7 @@ const maxBatchLine = 16 * 1024 * 1024
 // arbitrarily large.
 const maxTenantIDLen = 128
 
-func newHandler(svc *htd.Service, batchLimit int, snapshotPath string, maxBody int64) *server {
+func newHandler(svc *htd.Service, batchLimit int, maxBody int64) *server {
 	if batchLimit < 1 {
 		batchLimit = 1
 	}
@@ -187,12 +175,11 @@ func newHandler(svc *htd.Service, batchLimit int, snapshotPath string, maxBody i
 		maxBody = 8 * 1024 * 1024
 	}
 	s := &server{
-		svc:          svc,
-		planner:      htd.NewQueryPlanner(svc),
-		batchLimit:   batchLimit,
-		snapshotPath: snapshotPath,
-		maxBody:      maxBody,
-		started:      time.Now(),
+		svc:        svc,
+		planner:    htd.NewQueryPlanner(svc),
+		batchLimit: batchLimit,
+		maxBody:    maxBody,
+		started:    time.Now(),
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /decompose", s.handleDecompose)
@@ -207,26 +194,12 @@ func newHandler(svc *htd.Service, batchLimit int, snapshotPath string, maxBody i
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /stats", s.handleStats)
 	mux.HandleFunc("GET /cache", s.handleCache)
-	mux.HandleFunc("POST /cache/save", s.handleCacheSave)
-	mux.HandleFunc("POST /cache/load", s.handleCacheLoad)
 	mux.HandleFunc("POST /cache/purge", s.handleCachePurge)
 	s.mux = mux
 	return s
 }
 
 func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
-
-// saveSnapshot exports the store and writes it to path, serialised
-// against every other save (see saveMu). It returns the entry count.
-func (s *server) saveSnapshot(path string) (int, error) {
-	s.saveMu.Lock()
-	defer s.saveMu.Unlock()
-	snap := s.svc.Store().Export()
-	if err := htd.SaveSnapshotFile(path, snap); err != nil {
-		return 0, err
-	}
-	return len(snap.Entries), nil
-}
 
 // parseRequest turns an API request into a service request.
 func parseRequest(a apiRequest) (htd.ServiceRequest, error) {
@@ -737,48 +710,6 @@ func (s *server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// cacheFileRequest is the JSON body of /cache/save and /cache/load; an
-// empty path falls back to the server's -snapshot flag.
-type cacheFileRequest struct {
-	Path string `json:"path,omitempty"`
-}
-
-// snapshotTarget resolves the snapshot file for a save/load request.
-// Per-request paths are confined to the directory of the -snapshot
-// flag: these are operational endpoints, and an HTTP body must never be
-// able to read or overwrite arbitrary files the server can reach. The
-// body is capped at maxBody (a path request has no business being
-// megabytes long); overflow surfaces as *http.MaxBytesError so callers
-// map it to 413.
-func (s *server) snapshotTarget(w http.ResponseWriter, r *http.Request) (string, error) {
-	var req cacheFileRequest
-	if r.Body != nil {
-		r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
-		// An empty body is fine; anything present must be valid JSON.
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil && err != io.EOF {
-			return "", fmt.Errorf("invalid JSON: %w", err)
-		}
-	}
-	if s.snapshotPath == "" {
-		return "", errors.New("snapshot endpoints disabled: start htdserve with -snapshot")
-	}
-	if req.Path == "" {
-		return s.snapshotPath, nil
-	}
-	dir, err := filepath.Abs(filepath.Dir(s.snapshotPath))
-	if err != nil {
-		return "", err
-	}
-	path, err := filepath.Abs(req.Path)
-	if err != nil {
-		return "", fmt.Errorf("invalid path: %w", err)
-	}
-	if filepath.Dir(path) != dir {
-		return "", fmt.Errorf("path must stay in the -snapshot directory %s", dir)
-	}
-	return path, nil
-}
-
 // handleCache lists the store: backend counters plus up to ?max cached
 // entries (default 100) with bounds, witness width and memo summaries.
 func (s *server) handleCache(w http.ResponseWriter, r *http.Request) {
@@ -802,39 +733,6 @@ func (s *server) handleCache(w http.ResponseWriter, r *http.Request) {
 		"store":   st.Stats(),
 		"entries": entries,
 	})
-}
-
-func (s *server) handleCacheSave(w http.ResponseWriter, r *http.Request) {
-	path, err := s.snapshotTarget(w, r)
-	if err != nil {
-		httpError(w, bodyErrStatus(err), err.Error())
-		return
-	}
-	n, err := s.saveSnapshot(path)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"saved": n, "path": path})
-}
-
-func (s *server) handleCacheLoad(w http.ResponseWriter, r *http.Request) {
-	path, err := s.snapshotTarget(w, r)
-	if err != nil {
-		httpError(w, bodyErrStatus(err), err.Error())
-		return
-	}
-	snap, err := htd.LoadSnapshotFile(path)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	n, err := s.svc.Store().Import(snap)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"restored": n, "path": path})
 }
 
 func (s *server) handleCachePurge(w http.ResponseWriter, r *http.Request) {

@@ -8,8 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -20,18 +18,13 @@ import (
 
 func newTestServer(t *testing.T) (*httptest.Server, *htd.Service) {
 	t.Helper()
-	return newTestServerSnapshot(t, "")
-}
-
-func newTestServerSnapshot(t *testing.T, snapshotPath string) (*httptest.Server, *htd.Service) {
-	t.Helper()
 	svc := htd.NewService(htd.ServiceConfig{
 		TokenBudget:    2,
 		MaxConcurrent:  4,
 		MaxQueue:       64,
 		DefaultTimeout: 30 * time.Second,
 	})
-	ts := httptest.NewServer(newHandler(svc, 4, snapshotPath, 0))
+	ts := httptest.NewServer(newHandler(svc, 4, 0))
 	t.Cleanup(func() {
 		ts.Close()
 		svc.Close()
@@ -297,12 +290,10 @@ func TestServeHealthzAndStats(t *testing.T) {
 }
 
 // TestServeCacheEndpoints drives the store over HTTP: a repeat request
-// is a cache hit, GET /cache lists the entry, save/purge/load round the
-// state through a snapshot file, and a second server warm-starts from
-// it.
+// is a cache hit, GET /cache lists the entry, and POST /cache/purge
+// makes the next request cold again.
 func TestServeCacheEndpoints(t *testing.T) {
-	snapPath := filepath.Join(t.TempDir(), "cache.json")
-	ts, _ := newTestServerSnapshot(t, snapPath)
+	ts, _ := newTestServer(t)
 	body := `{"hypergraph":"r1(x,y), r2(y,z), r3(z,x).","k":2}`
 
 	// First request solves; the repeat must be a validated cache hit.
@@ -321,71 +312,29 @@ func TestServeCacheEndpoints(t *testing.T) {
 	}
 	defer cresp.Body.Close()
 	var cache struct {
-		Store   htd.StoreStats       `json:"store"`
-		Entries []htd.StoreEntryInfo `json:"entries"`
+		Store   map[string]json.RawMessage `json:"store"`
+		Entries []htd.StoreEntryInfo       `json:"entries"`
 	}
 	if err := json.NewDecoder(cresp.Body).Decode(&cache); err != nil {
 		t.Fatal(err)
 	}
-	if cache.Store.Entries != 1 || len(cache.Entries) != 1 {
+	if string(cache.Store["entries"]) != "1" || len(cache.Entries) != 1 {
 		t.Fatalf("cache listing: %+v", cache)
 	}
 	if !cache.Entries[0].HasTree || cache.Entries[0].Bounds.UB != 2 {
 		t.Fatalf("cached entry: %+v", cache.Entries[0])
 	}
+	if _, ok := cache.Store["restored"]; ok {
+		t.Fatal(`/cache still reports the import-only "restored" counter`)
+	}
 
-	// Save, purge (cold again), then load (warm again).
-	resp, save := postJSON(t, ts.URL+"/cache/save", `{}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("save: status %d %+v", resp.StatusCode, save)
-	}
-	if _, err := os.Stat(snapPath); err != nil {
-		t.Fatalf("snapshot file not written: %v", err)
-	}
+	// Purge makes the same request cold again.
 	if resp, _ := postJSON(t, ts.URL+"/cache/purge", ``); resp.StatusCode != http.StatusOK {
 		t.Fatalf("purge: status %d", resp.StatusCode)
 	}
 	_, cold := postJSON(t, ts.URL+"/decompose", body)
-	if cold.CacheHit {
+	if !cold.OK || cold.CacheHit {
 		t.Fatalf("request after purge cannot be a cache hit: %+v", cold)
-	}
-	if resp, _ := postJSON(t, ts.URL+"/cache/load", `{}`); resp.StatusCode != http.StatusOK {
-		t.Fatalf("load: status %d", resp.StatusCode)
-	}
-
-	// A fresh server warm-starts from the same snapshot file.
-	ts2, svc2 := newTestServerSnapshot(t, snapPath)
-	if resp, _ := postJSON(t, ts2.URL+"/cache/load", ``); resp.StatusCode != http.StatusOK {
-		t.Fatalf("warm load: status %d", resp.StatusCode)
-	}
-	_, warm := postJSON(t, ts2.URL+"/decompose", body)
-	if !warm.OK || !warm.CacheHit {
-		t.Fatalf("warm-started server should answer from the snapshot: %+v", warm)
-	}
-	if st := svc2.Stats(); st.SolverRuns != 0 {
-		t.Fatalf("warm-started server ran %d solvers, want 0", st.SolverRuns)
-	}
-
-	// Save/load on a server started without -snapshot is a 400.
-	ts3, _ := newTestServer(t)
-	if resp, _ := postJSON(t, ts3.URL+"/cache/save", ``); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("pathless save: status %d, want 400", resp.StatusCode)
-	}
-	// Loading a missing file (in the allowed directory) is a 400, not a
-	// crash.
-	missing := `{"path":"` + filepath.Join(filepath.Dir(snapPath), "nope.json") + `"}`
-	if resp, _ := postJSON(t, ts.URL+"/cache/load", missing); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("missing-file load: status %d, want 400", resp.StatusCode)
-	}
-	// Paths outside the -snapshot directory are rejected: the HTTP body
-	// must not choose arbitrary filesystem targets.
-	for _, escape := range []string{
-		`{"path":"` + filepath.Join(t.TempDir(), "elsewhere.json") + `"}`,
-		`{"path":"` + filepath.Join(filepath.Dir(snapPath), "..", "escape.json") + `"}`,
-	} {
-		if resp, _ := postJSON(t, ts.URL+"/cache/save", escape); resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("out-of-directory save %s: status %d, want 400", escape, resp.StatusCode)
-		}
 	}
 }
 

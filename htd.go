@@ -155,8 +155,9 @@ func DecomposeOptimalResult(ctx context.Context, h *Hypergraph, opts RaceOptions
 // budget, pass admission control with per-job timeouts, and read
 // through a unified cross-request store keyed by hypergraph content
 // hash — cached results are returned re-validated without a solver run,
-// concurrent identical requests coalesce onto one solver, and the store
-// snapshots to disk for warm restarts. Create one with NewService; see
+// concurrent identical requests coalesce onto one solver, and with
+// ServiceConfig.StoreDir (OpenService) the store persists to disk for
+// warm restarts. Create one with NewService or OpenService; see
 // ServiceConfig for sizing and ServiceConfig.Store for custom backends.
 type Service = service.Service
 
@@ -202,8 +203,9 @@ func NewService(cfg ServiceConfig) *Service { return service.New(cfg) }
 // tiered store in that directory — the in-memory sharded backend as the
 // LRU working set over a crash-safe append-only log — and a restart on
 // the same directory serves the whole cached history warm, with zero
-// solver runs for repeat submissions and no snapshot file. The service
-// owns that backend and flushes and closes it on Close.
+// solver runs for repeat submissions. The closed directory is also the
+// export format: a byte copy of it warm-starts a service elsewhere. The
+// service owns that backend and flushes and closes it on Close.
 func OpenService(cfg ServiceConfig) (*Service, error) { return service.Open(cfg) }
 
 // TenantWall is the multi-tenant admission layer in front of a
@@ -252,12 +254,6 @@ type StoreStats = store.Stats
 // StoreEntryInfo describes one cached hypergraph (Backend.Info).
 type StoreEntryInfo = store.EntryInfo
 
-// StoreSnapshot is the versioned, portable form of a store's contents:
-// bounds, witness trees, and refutation summaries. Obtain one with
-// Service.Store().Export(), persist it with SaveSnapshotFile, and feed
-// it to a fresh service with Store().Import() for a warm restart.
-type StoreSnapshot = store.Snapshot
-
 // NewShardedStore returns the default in-memory store backend: entries
 // striped over independently locked shards with O(1) LRU eviction.
 func NewShardedStore(cfg StoreConfig) StoreBackend { return store.NewSharded(cfg) }
@@ -286,14 +282,6 @@ type DiskStoreStats = store.DiskStats
 // log directory is replayed on open, truncating a torn tail left by a
 // crash — at most the unsynced suffix is lost, never earlier records.
 func OpenTieredStore(cfg TieredStoreConfig) (*TieredStore, error) { return store.OpenTiered(cfg) }
-
-// SaveSnapshotFile writes a store snapshot as versioned JSON (atomic
-// temp-file + rename).
-func SaveSnapshotFile(path string, s StoreSnapshot) error { return store.WriteFile(path, s) }
-
-// LoadSnapshotFile reads and validates a snapshot written by
-// SaveSnapshotFile, rejecting mismatched schema versions.
-func LoadSnapshotFile(path string) (StoreSnapshot, error) { return store.ReadFile(path) }
 
 // CQ is a conjunctive query: a conjunction of atoms over shared
 // variables. Its hypergraph (CQ.Hypergraph) is what gets decomposed.

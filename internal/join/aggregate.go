@@ -776,43 +776,12 @@ func Aggregate(q Query, db Database, d *decomp.Decomp, spec AggSpec) (AggResult,
 // aggregate states count against MaxRows through the group cardinality
 // (a grouped answer larger than the budget aborts with ErrRowBudget —
 // but a huge *answer set* folded into a few groups does not, which is
-// the whole point of pushing aggregates down). opts.Kernel is ignored:
-// aggregates always run on the indexed executor.
+// the whole point of pushing aggregates down).
 func AggregateCtx(ctx context.Context, q Query, db Database, d *decomp.Decomp, spec AggSpec, opts EvalOptions) (AggResult, error) {
 	if err := spec.Validate(q); err != nil {
 		return AggResult{}, err
 	}
-	ectx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	e := &executor{
-		g:      &guard{ctx: ectx, maxRows: opts.MaxRows},
-		cancel: cancel,
-		tokens: opts.Tokens,
-	}
-	if opts.Parallelism > 1 {
-		e.sem = make(chan struct{}, opts.Parallelism-1)
-	}
-	e.workers.Store(1)
-	e.maxWorkers.Store(1)
-
-	res, err := e.aggregate(q, db, d, spec)
-	if opts.Stats != nil {
-		*opts.Stats = ExecStats{
-			IndexBuilds:   e.indexBuilds.Load(),
-			IndexReuses:   e.indexReuses.Load(),
-			IndexProbes:   e.indexProbes.Load(),
-			Semijoins:     e.semijoins.Load(),
-			Joins:         e.joins.Load(),
-			ParallelTasks: e.parallelTasks.Load(),
-			InlineTasks:   e.inlineTasks.Load(),
-			MaxWorkers:    e.maxWorkers.Load(),
-		}
-	}
-	if err != nil {
-		if first := e.firstErr(); first != nil {
-			return AggResult{}, first
-		}
-		return AggResult{}, err
-	}
-	return res, nil
+	return runExecutor(ctx, opts, func(e *executor) (AggResult, error) {
+		return e.aggregate(q, db, d, spec)
+	})
 }

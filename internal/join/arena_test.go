@@ -188,9 +188,8 @@ func TestExecChunkBoundaryJoin(t *testing.T) {
 		q, db := explodingInstance(rows)
 		d := decomposeFor(t, q)
 		var want *Relation
-		for _, name := range []string{"scan", "indexed", "parallel", "parallel-tokens", "parallel-0tokens"} {
-			opts := execOptsMatrix()[name]
-			got, err := EvaluateCtx(context.Background(), q, db, d, opts)
+		for _, name := range []string{scanRef, "indexed", "parallel", "parallel-tokens", "parallel-0tokens"} {
+			got, err := evalAs(context.Background(), name, q, db, d, execOptsMatrix()[name])
 			if err != nil {
 				t.Fatalf("rows=%d %s: %v", rows, name, err)
 			}
@@ -200,7 +199,7 @@ func TestExecChunkBoundaryJoin(t *testing.T) {
 			if want == nil {
 				want = got
 			} else if !reflect.DeepEqual(got.Rows(), want.Rows()) {
-				t.Fatalf("rows=%d %s: diverged from the scan kernel", rows, name)
+				t.Fatalf("rows=%d %s: diverged from the scan reference", rows, name)
 			}
 		}
 	}
@@ -250,59 +249,4 @@ func TestExecCancelMidColumnarJoin(t *testing.T) {
 		t.Fatalf("%d tokens still outstanding after cancellation", n)
 	}
 	leakCheck(t, baseline)
-}
-
-// TestRowRefMatchesColumnarKernels is the pre-columnar differential:
-// the frozen row-layout executor must agree byte for byte — order
-// included — with every columnar configuration, on random instances
-// and on a chunk-spanning one.
-func TestRowRefMatchesColumnarKernels(t *testing.T) {
-	for seed := 0; seed < 20; seed++ {
-		rng := rand.New(rand.NewSource(int64(seed)))
-		q, db := randomInstanceForExec(rng, 2+rng.Intn(3), 30, 12)
-		d := decomposeFor(t, q)
-		rdb := NewRowDatabase(db)
-		want, err := EvaluateRowRef(context.Background(), q, rdb, d, 0)
-		if err != nil {
-			t.Fatalf("seed %d rowref: %v", seed, err)
-		}
-		for name, opts := range execOptsMatrix() {
-			got, err := EvaluateCtx(context.Background(), q, db, d, opts)
-			if err != nil {
-				t.Fatalf("seed %d %s: %v", seed, name, err)
-			}
-			if !reflect.DeepEqual(got.Attrs, want.Attrs) {
-				t.Fatalf("seed %d %s: attrs %v, want %v", seed, name, got.Attrs, want.Attrs)
-			}
-			if !reflect.DeepEqual(got.Rows(), want.Tuples) {
-				t.Fatalf("seed %d %s: rows diverged from the pre-columnar reference (%d vs %d)",
-					seed, name, got.Size(), len(want.Tuples))
-			}
-		}
-	}
-	// One instance whose final join spans chunks.
-	q, db := explodingInstance(20) // 8000 answers, two chunks
-	d := decomposeFor(t, q)
-	want, err := EvaluateRowRef(context.Background(), q, NewRowDatabase(db), d, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := EvaluateCtx(context.Background(), q, db, d, EvalOptions{Parallelism: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Rows(), want.Tuples) {
-		t.Fatal("chunk-spanning answer diverged from the pre-columnar reference")
-	}
-}
-
-// TestRowRefBudget: the reference executor honours ErrRowBudget too,
-// so the mem experiment can sweep it with the same limits.
-func TestRowRefBudget(t *testing.T) {
-	q, db := explodingInstance(120)
-	d := decomposeFor(t, q)
-	_, err := EvaluateRowRef(context.Background(), q, NewRowDatabase(db), d, 100)
-	if !errors.Is(err, ErrRowBudget) {
-		t.Fatalf("got %v, want ErrRowBudget", err)
-	}
 }

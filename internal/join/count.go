@@ -23,8 +23,7 @@ func Count(q Query, db Database, d *decomp.Decomp) (int64, error) {
 
 // CountCtx is Count under a context and per-query limits: the reduction
 // passes and the counting DP honour ctx cancellation, opts.MaxRows and
-// the shared token budget exactly like EvaluateCtx. opts.Kernel is
-// ignored; counting always runs on the indexed executor.
+// the shared token budget exactly like EvaluateCtx.
 func CountCtx(ctx context.Context, q Query, db Database, d *decomp.Decomp, opts EvalOptions) (int64, error) {
 	res, err := AggregateCtx(ctx, q, db, d, AggSpec{Kind: AggCount}, opts)
 	if err != nil {

@@ -10,22 +10,6 @@ import (
 	"repro/internal/decomp"
 )
 
-// Kernel selects the relational kernel backing an evaluation.
-type Kernel int
-
-const (
-	// KernelIndexed (the default) evaluates over build-once hash indexes
-	// keyed on the shared variables of each join-tree edge, optionally in
-	// parallel (EvalOptions.Parallelism). Its output is byte-identical to
-	// the scan kernel's.
-	KernelIndexed Kernel = iota
-	// KernelScan is the legacy slice-scan kernel: every semijoin and join
-	// re-scans tuple slices with formatted string keys. Kept as the
-	// benchmark baseline and as an independent implementation for
-	// differential tests.
-	KernelScan
-)
-
 // TokenSource supplies the extra-worker tokens a parallel evaluation's
 // spawned subtree tasks draw from. It mirrors logk.TokenSource
 // structurally (service.TokenBudget satisfies both), so query execution
@@ -44,10 +28,10 @@ type TokenSource interface {
 // pointing EvalOptions.Stats at a zero value.
 type ExecStats struct {
 	// IndexBuilds and IndexProbes count hash indexes built and tuples
-	// probed against them (KernelIndexed only). IndexReuses counts the
-	// builds avoided because a base relation arrived with a maintained
-	// index for the probed column set (dataset snapshots, cached inline
-	// databases) — the unchanged-data fast path.
+	// probed against them. IndexReuses counts the builds avoided
+	// because a base relation arrived with a maintained index for the
+	// probed column set (dataset snapshots, cached inline databases) —
+	// the unchanged-data fast path.
 	IndexBuilds int64
 	IndexReuses int64
 	IndexProbes int64
@@ -65,8 +49,8 @@ type ExecStats struct {
 
 // pollEvery is the probe-loop cancellation granularity: long scans check
 // the context every pollEvery iterations, so a single huge semijoin or
-// join cannot blow past the query deadline the way the scan kernel's
-// between-ops checks allow.
+// join cannot blow past the query deadline, as checks made only
+// between operations would allow.
 const pollEvery = 1024
 
 // parallelJoinMinRows is the probe-side size beyond which a final-pass
@@ -101,8 +85,10 @@ type executor struct {
 	maxWorkers    atomic.Int64
 }
 
-// evaluateIndexed is the KernelIndexed entry point behind EvaluateCtx.
-func evaluateIndexed(ctx context.Context, q Query, db Database, d *decomp.Decomp, opts EvalOptions) (*Relation, error) {
+// runExecutor runs f on a fresh executor configured by opts — the
+// shared set-up behind EvaluateCtx and AggregateCtx — and reports the
+// effort counters to opts.Stats, aborted runs included.
+func runExecutor[T any](ctx context.Context, opts EvalOptions, f func(*executor) (T, error)) (T, error) {
 	ectx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	e := &executor{
@@ -116,7 +102,7 @@ func evaluateIndexed(ctx context.Context, q Query, db Database, d *decomp.Decomp
 	e.workers.Store(1)
 	e.maxWorkers.Store(1)
 
-	res, err := e.run(q, db, d)
+	res, err := f(e)
 	if opts.Stats != nil {
 		*opts.Stats = ExecStats{
 			IndexBuilds:   e.indexBuilds.Load(),
@@ -133,9 +119,10 @@ func evaluateIndexed(ctx context.Context, q Query, db Database, d *decomp.Decomp
 		// Prefer the first recorded failure: sibling tasks that died of
 		// the executor-internal cancellation it triggered are symptoms.
 		if first := e.firstErr(); first != nil {
-			return nil, first
+			err = first
 		}
-		return nil, err
+		var zero T
+		return zero, err
 	}
 	return res, nil
 }
@@ -322,8 +309,8 @@ func (e *executor) semijoinStack(r *Relation, shared []string, stack []*hashInde
 
 // semijoinProbe filters r to the tuples whose key on shared hits ix (a
 // prebuilt index of the other relation on the same attributes). The
-// probe loop polls the context every pollEvery tuples — the fix for the
-// scan kernel's "budgets checked only between ops" gap.
+// probe loop polls the context every pollEvery tuples, so a deadline
+// lands mid-operation rather than after it.
 func (e *executor) semijoinProbe(r *Relation, shared []string, ix *hashIndex) (*Relation, error) {
 	e.semijoins.Add(1)
 	rIdx, err := r.attrIndex(shared)
@@ -344,7 +331,7 @@ func (e *executor) semijoinProbe(r *Relation, shared []string, ix *hashIndex) (*
 }
 
 // join returns the natural join r ⋈ s via a hash index of s on the
-// shared attributes. Output row order matches the scan kernel exactly:
+// shared attributes. Output row order matches Relation.Join exactly:
 // probe tuples in r order, matches in s insertion order. Large probe
 // sides are partitioned across workers and the partitions concatenated
 // in order, so the parallel result stays byte-identical. The row budget
@@ -613,7 +600,7 @@ func (e *executor) down(n *bagNode) error {
 // collect is the final bottom-up join pass: each child's subtree result
 // materialises concurrently (a per-subtree partition of the answer's
 // provenance), then the node joins them left to right — the same merge
-// order as the scan kernel, so rows come out byte-identical.
+// order as the scan reference, so rows come out byte-identical.
 func (e *executor) collect(n *bagNode) (*Relation, error) {
 	subs := make([]*Relation, len(n.children))
 	if err := e.forEach(len(n.children), func(i int) error {

@@ -16,11 +16,12 @@ import (
 )
 
 // execOptsMatrix is every executor configuration the differential tests
-// sweep: the legacy scan baseline, the serial indexed kernel, and the
-// parallel indexed kernel with and without a token budget.
+// sweep: the test-only scan reference (scanref_test.go; run it through
+// evalAs), the serial indexed kernel, and the parallel indexed kernel
+// with and without a token budget.
 func execOptsMatrix() map[string]EvalOptions {
 	return map[string]EvalOptions{
-		"scan":             {Kernel: KernelScan},
+		scanRef:            {},
 		"indexed":          {},
 		"parallel":         {Parallelism: 4},
 		"parallel-tokens":  {Parallelism: 4, Tokens: newCountingTokens(3)},
@@ -121,20 +122,20 @@ func decomposeFor(t *testing.T, q Query) *decomp.Decomp {
 }
 
 // TestKernelsByteIdentical: the indexed kernel — serial and parallel —
-// must produce not just the same row set as the legacy scan kernel but
-// the very same tuple order, byte for byte.
+// must produce not just the same row set as the scan reference but the
+// very same tuple order, byte for byte.
 func TestKernelsByteIdentical(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		q, db := randomInstanceForExec(r, 3+int(seed%4), 40, 6)
 		d := decomposeFor(t, q)
 
-		want, err := EvaluateCtx(context.Background(), q, db, d, EvalOptions{Kernel: KernelScan})
+		want, err := evaluateScan(context.Background(), q, db, d, 0)
 		if err != nil {
 			t.Fatalf("seed %d scan: %v", seed, err)
 		}
 		for name, opts := range execOptsMatrix() {
-			if name == "scan" {
+			if name == scanRef {
 				continue
 			}
 			var stats ExecStats
@@ -147,7 +148,7 @@ func TestKernelsByteIdentical(t *testing.T) {
 				t.Fatalf("seed %d %s: attrs %v, want %v", seed, name, got.Attrs, want.Attrs)
 			}
 			if !reflect.DeepEqual(got.Rows(), want.Rows()) {
-				t.Fatalf("seed %d %s: tuple order diverged from the scan kernel (%d vs %d rows)",
+				t.Fatalf("seed %d %s: tuple order diverged from the scan reference (%d vs %d rows)",
 					seed, name, got.Size(), want.Size())
 			}
 			if stats.Joins == 0 && stats.Semijoins == 0 && len(q.Atoms) > 1 {
@@ -177,7 +178,7 @@ func TestExecEmptyRelation(t *testing.T) {
 	}
 	d := decomposeFor(t, q)
 	for name, opts := range execOptsMatrix() {
-		got, err := EvaluateCtx(context.Background(), q, db, d, opts)
+		got, err := evalAs(context.Background(), name, q, db, d, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -204,7 +205,7 @@ func TestExecDuplicateRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, opts := range execOptsMatrix() {
-		got, err := EvaluateCtx(context.Background(), q, db, d, opts)
+		got, err := evalAs(context.Background(), name, q, db, d, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -224,7 +225,7 @@ func TestExecSingleAtom(t *testing.T) {
 	db := Database{"R": NewRelation("a", "b").Add(1, 2).Add(1, 2).Add(3, 4)}
 	d := decomposeFor(t, q)
 	for name, opts := range execOptsMatrix() {
-		got, err := EvaluateCtx(context.Background(), q, db, d, opts)
+		got, err := evalAs(context.Background(), name, q, db, d, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -371,7 +372,7 @@ func TestExecRowBudgetSkewedKey(t *testing.T) {
 
 // TestSemijoinPollsInsideProbeLoop: a deadline expiring in the middle of
 // one huge semijoin must abort that operation from within its probe
-// loop — the scan kernel would only notice after finishing the scan.
+// loop — the scan reference would only notice after finishing the scan.
 func TestSemijoinPollsInsideProbeLoop(t *testing.T) {
 	// One semijoin with a large probe side; the deadline lands mid-scan.
 	big := NewRelation("a", "b")

@@ -58,7 +58,7 @@ func rowsEqualOn(r *Relation, rCols []int, i int, s *Relation, sCols []int, j in
 
 // buildIndex indexes r on attrs. Bucket row offsets keep r's row
 // order, so probes that emit matches bucket-by-bucket produce the same
-// row order as the scan kernel's insertion-order buckets — the
+// row order as Relation.Join's insertion-order buckets — the
 // byte-identity contract. The guard's poll keeps a huge build
 // responsive to cancellation.
 func buildIndex(r *Relation, attrs []string, g *guard) (*hashIndex, error) {

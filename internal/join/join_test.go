@@ -148,7 +148,7 @@ func TestEvaluateTriangle(t *testing.T) {
 func TestIsBoolean(t *testing.T) {
 	q, db := triangleFixture()
 	d := decompose(t, q, 2)
-	ok, err := IsBoolean(q, db, d)
+	ok, err := isBoolean(q, db, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestIsBoolean(t *testing.T) {
 	}
 	// Remove all T tuples: unsatisfiable.
 	db2 := Database{"R": db["R"], "S": db["S"], "T": NewRelation("c1", "c2")}
-	ok, err = IsBoolean(q, db2, d)
+	ok, err = isBoolean(q, db2, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,15 +301,15 @@ func TestBuildJoinTreeEdgeCountMismatch(t *testing.T) {
 	d := decompose(t, q, 2)
 
 	short := Query{Atoms: q.Atoms[:2]}
-	if _, err := BuildJoinTree(short, db, d); err == nil {
-		t.Fatal("BuildJoinTree should reject a decomposition with more edges than the query has atoms")
+	if _, err := buildJoinTree(short, db, d, nil); err == nil {
+		t.Fatal("buildJoinTree should reject a decomposition with more edges than the query has atoms")
 	} else if !strings.Contains(err.Error(), "3 edges, query has 2 atoms") {
 		t.Fatalf("unhelpful mismatch error: %v", err)
 	}
 
 	long := Query{Atoms: append(append([]Atom(nil), q.Atoms...), Atom{Relation: "R", Vars: []string{"x", "w"}})}
-	if _, err := BuildJoinTree(long, db, d); err == nil {
-		t.Fatal("BuildJoinTree should reject a decomposition with fewer edges than the query has atoms")
+	if _, err := buildJoinTree(long, db, d, nil); err == nil {
+		t.Fatal("buildJoinTree should reject a decomposition with fewer edges than the query has atoms")
 	}
 
 	// Evaluate and EvaluateCtx surface the same guard.

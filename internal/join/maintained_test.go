@@ -47,7 +47,7 @@ func plainDB(db Database) Database {
 // batch, evaluating over the maintained snapshot views (layered
 // indexes, reused across queries) must produce rows byte-identical to
 // a from-scratch evaluation on the materialised state — serial,
-// parallel, and against the scan kernel.
+// parallel, and against the scan reference.
 func TestMaintainedDeltaByteIdentical(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		r := rand.New(rand.NewSource(100 + seed))
@@ -84,9 +84,9 @@ func TestMaintainedDeltaByteIdentical(t *testing.T) {
 			for name, opts := range map[string]EvalOptions{
 				"indexed":  {},
 				"parallel": {Parallelism: 4},
-				"scan":     {Kernel: KernelScan},
+				scanRef:    {},
 			} {
-				got, err := EvaluateCtx(context.Background(), q, views, d, opts)
+				got, err := evalAs(context.Background(), name, q, views, d, opts)
 				if err != nil {
 					t.Fatalf("seed %d round %d %s: %v", seed, round, name, err)
 				}

@@ -210,7 +210,7 @@ func sharedAttrs(r, s *Relation) []string {
 
 // appendRowKey appends the little-endian encoding of the key columns
 // of row i to dst — the single no-copy key encoder behind every
-// string-keyed map left in the package (scan-kernel buckets, aggregate
+// string-keyed map left in the package (Relation.Join buckets, aggregate
 // cell maps); lookups use the string(buf) no-copy form. The
 // open-addressing tables of index.go compare column values directly
 // and need no keys at all.
@@ -257,46 +257,11 @@ func (r *Relation) Project(attrs ...string) (*Relation, error) {
 	return out, nil
 }
 
-// Semijoin returns the tuples of r that join with at least one tuple of
-// s on their shared attributes (r ⋉ s). With no shared attributes, r is
-// returned unchanged when s is non-empty and emptied when s is empty
-// (consistent with r ⋉ s = π_r(r ⋈ s)).
-func (r *Relation) Semijoin(s *Relation) (*Relation, error) {
-	shared := sharedAttrs(r, s)
-	if len(shared) == 0 {
-		if s.Size() > 0 {
-			return r.alias(), nil
-		}
-		return NewRelation(r.Attrs...), nil
-	}
-	rIdx, err := r.attrIndex(shared)
-	if err != nil {
-		return nil, err
-	}
-	sIdx, err := s.attrIndex(shared)
-	if err != nil {
-		return nil, err
-	}
-	keys := make(map[string]struct{}, s.n)
-	buf := make([]byte, 0, 8*len(shared))
-	for j := 0; j < s.n; j++ {
-		buf = appendRowKey(buf[:0], s, j, sIdx)
-		keys[string(buf)] = struct{}{}
-	}
-	out := NewRelation(r.Attrs...)
-	for i := 0; i < r.n; i++ {
-		buf = appendRowKey(buf[:0], r, i, rIdx)
-		if _, ok := keys[string(buf)]; ok {
-			out.appendFrom(r, i)
-		}
-	}
-	return out, nil
-}
-
 // joinSchema derives a natural join's output schema: r's attrs followed
 // by s's non-shared attrs, with sExtra holding the positions of those
-// extra columns in s. Both kernels share it — the byte-identity
-// guarantee between them depends on identical schema construction.
+// extra columns in s. The executor and Relation.Join share it — the
+// byte-identity guarantee between them depends on identical schema
+// construction.
 func joinSchema(r, s *Relation, shared []string) (outAttrs []string, sExtra []int) {
 	sExtra = make([]int, 0, len(s.Attrs))
 	outAttrs = append([]string(nil), r.Attrs...)
@@ -318,9 +283,9 @@ func joinSchema(r, s *Relation, shared []string) (outAttrs []string, sExtra []in
 
 // Join returns the natural join r ⋈ s: a hash join bucketing s by its
 // shared-key encoding, probe tuples in r order, matches in s insertion
-// order. This is the scan kernel's join, deliberately implemented on
-// string-keyed buckets as an independent cross-check of the
-// open-addressing indexed kernel (index.go).
+// order. It backs EvaluateNaive and the test-only scan reference, and
+// is deliberately implemented on string-keyed buckets as an independent
+// cross-check of the executor's open-addressing indexes (index.go).
 func (r *Relation) Join(s *Relation) (*Relation, error) {
 	shared := sharedAttrs(r, s)
 	rIdx, err := r.attrIndex(shared)

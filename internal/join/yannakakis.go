@@ -18,22 +18,18 @@ type bagNode struct {
 // per-query row budget.
 var ErrRowBudget = errors.New("join: row budget exceeded")
 
-// EvalOptions configures one evaluation. The zero value means the
-// indexed kernel, serial, with no limits.
+// EvalOptions configures one evaluation. The zero value means serial,
+// with no limits.
 type EvalOptions struct {
 	// MaxRows caps the size of every intermediate and final relation;
 	// exceeding it aborts the evaluation with ErrRowBudget. 0 = no cap.
-	// The indexed kernel additionally enforces the cap inside join probe
-	// loops, so a single exploding operation aborts at the budget.
+	// The cap is also enforced inside join probe loops, so a single
+	// exploding operation aborts at the budget.
 	MaxRows int
-	// Kernel selects the relational kernel: KernelIndexed (default,
-	// build-once hash indexes) or KernelScan (the legacy slice-scan
-	// baseline).
-	Kernel Kernel
 	// Parallelism caps concurrent executor workers, including the
-	// calling goroutine (KernelIndexed only): sibling subtrees of the
-	// three Yannakakis passes, bag builds, and large final-join probe
-	// loops run on the pool. ≤ 1 means serial.
+	// calling goroutine: sibling subtrees of the three Yannakakis
+	// passes, bag builds, and large final-join probe loops run on the
+	// pool. ≤ 1 means serial.
 	Parallelism int
 	// Tokens, when set, gates every spawned worker on a shared budget
 	// (e.g. the decomposition service's) so query execution and solver
@@ -45,8 +41,7 @@ type EvalOptions struct {
 }
 
 // guard is checked after every relational operation of a budgeted
-// evaluation — and, in the indexed kernel, inside long probe loops via
-// poll — so a runaway join cannot pin a serving goroutine past its
+// evaluation — and inside long probe loops via poll — so a runaway join cannot pin a serving goroutine past its
 // deadline. A nil guard checks nothing.
 type guard struct {
 	ctx     context.Context
@@ -85,91 +80,12 @@ func (g *guard) poll(i int) error {
 	return g.ctx.Err()
 }
 
-// BuildJoinTree materialises the join tree of query q over database db
-// guided by the hypertree decomposition d of q's hypergraph:
-//
-//   - the bag relation of node u is the join of the λ(u) atom relations
-//     projected onto χ(u);
-//   - every atom e is additionally enforced at some node whose bag
-//     covers e (HD condition 1 guarantees one exists).
-//
-// The intermediate relation at each node has at most ∏_{e∈λ(u)} |rel(e)|
-// ≤ N^width tuples — the classic width-bounded evaluation guarantee.
-func BuildJoinTree(q Query, db Database, d *decomp.Decomp) (*bagNode, error) {
-	return buildJoinTree(q, db, d, nil)
-}
-
-func buildJoinTree(q Query, db Database, d *decomp.Decomp, g *guard) (*bagNode, error) {
-	h := d.H
-	coverOf, err := assignAtomCovers(q, d)
-	if err != nil {
-		return nil, err
-	}
-
-	var build func(n *decomp.Node) (*bagNode, error)
-	build = func(n *decomp.Node) (*bagNode, error) {
-		// Join the λ(u) atom relations.
-		var acc *Relation
-		for _, e := range n.Lambda {
-			r, err := atomRelation(db, q.Atoms[e])
-			if err != nil {
-				return nil, err
-			}
-			if acc == nil {
-				acc = r
-			} else {
-				acc, err = acc.Join(r)
-				if err != nil {
-					return nil, err
-				}
-			}
-			if err := g.check(acc); err != nil {
-				return nil, err
-			}
-		}
-		if acc == nil {
-			return nil, fmt.Errorf("join: node with empty λ-label")
-		}
-		// Project to χ(u).
-		var bagAttrs []string
-		n.Bag.ForEach(func(v int) { bagAttrs = append(bagAttrs, h.VertexName(v)) })
-		proj, err := acc.Project(bagAttrs...)
-		if err != nil {
-			return nil, err
-		}
-		// Enforce atoms assigned to this node.
-		for _, e := range coverOf[n] {
-			r, err := atomRelation(db, q.Atoms[e])
-			if err != nil {
-				return nil, err
-			}
-			proj, err = proj.Semijoin(r)
-			if err != nil {
-				return nil, err
-			}
-		}
-		if err := g.check(proj); err != nil {
-			return nil, err
-		}
-		bn := &bagNode{rel: proj}
-		for _, c := range n.Children {
-			cb, err := build(c)
-			if err != nil {
-				return nil, err
-			}
-			bn.children = append(bn.children, cb)
-		}
-		return bn, nil
-	}
-	return build(d.Root)
-}
-
 // assignAtomCovers validates the decomposition against the query and
 // maps each decomposition node to the atoms it must enforce: every atom
 // is assigned to the first node (in Walk order) whose bag covers it (HD
-// condition 1 guarantees one exists). Both kernels share this plan
-// shaping — identical host selection is part of what keeps their
-// outputs byte-identical.
+// condition 1 guarantees one exists). The test-only scan reference
+// shares this plan shaping — identical host selection is part of what
+// keeps its output byte-identical to the executor's.
 func assignAtomCovers(q Query, d *decomp.Decomp) (map[*decomp.Node][]int, error) {
 	h := d.H
 	if h.NumEdges() != len(q.Atoms) {
@@ -194,83 +110,9 @@ func assignAtomCovers(q Query, d *decomp.Decomp) (map[*decomp.Node][]int, error)
 	return coverOf, nil
 }
 
-// Yannakakis runs the classic three-pass algorithm on a join tree:
-// bottom-up semijoin reduction, top-down semijoin reduction, then a
-// bottom-up join producing the full result. The output relation ranges
-// over the union of all bag attributes (= all query variables).
-func Yannakakis(root *bagNode) (*Relation, error) {
-	return yannakakis(root, nil)
-}
-
-func yannakakis(root *bagNode, g *guard) (*Relation, error) {
-	// Pass 1: bottom-up semijoins.
-	var up func(n *bagNode) error
-	up = func(n *bagNode) error {
-		for _, c := range n.children {
-			if err := up(c); err != nil {
-				return err
-			}
-			red, err := n.rel.Semijoin(c.rel)
-			if err != nil {
-				return err
-			}
-			n.rel = red
-		}
-		return g.check(n.rel)
-	}
-	if err := up(root); err != nil {
-		return nil, err
-	}
-	// Pass 2: top-down semijoins.
-	var down func(n *bagNode) error
-	down = func(n *bagNode) error {
-		for _, c := range n.children {
-			red, err := c.rel.Semijoin(n.rel)
-			if err != nil {
-				return err
-			}
-			c.rel = red
-			if err := g.check(c.rel); err != nil {
-				return err
-			}
-			if err := down(c); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := down(root); err != nil {
-		return nil, err
-	}
-	// Pass 3: bottom-up joins.
-	var collect func(n *bagNode) (*Relation, error)
-	collect = func(n *bagNode) (*Relation, error) {
-		acc := n.rel
-		for _, c := range n.children {
-			sub, err := collect(c)
-			if err != nil {
-				return nil, err
-			}
-			acc, err = acc.Join(sub)
-			if err != nil {
-				return nil, err
-			}
-			if err := g.check(acc); err != nil {
-				return nil, err
-			}
-		}
-		return acc, nil
-	}
-	res, err := collect(root)
-	if err != nil {
-		return nil, err
-	}
-	return res.Dedup(), nil
-}
-
 // Evaluate answers the full conjunctive query using the decomposition:
-// join tree materialisation followed by Yannakakis, on the indexed
-// kernel. The result is the set of all satisfying assignments to the
+// bag materialisation followed by Yannakakis' three passes over hash
+// indexes. The result is the set of all satisfying assignments to the
 // query's variables.
 func Evaluate(q Query, db Database, d *decomp.Decomp) (*Relation, error) {
 	return EvaluateCtx(context.Background(), q, db, d, EvalOptions{})
@@ -279,48 +121,11 @@ func Evaluate(q Query, db Database, d *decomp.Decomp) (*Relation, error) {
 // EvaluateCtx is Evaluate under a context, per-query limits, and an
 // executor configuration: the evaluation is aborted when the context is
 // cancelled (deadline = the query's time budget) or when any
-// intermediate or final relation exceeds opts.MaxRows (ErrRowBudget).
-// The default indexed kernel checks both inside its probe loops; the
-// legacy scan kernel (opts.Kernel = KernelScan) only between relational
-// operations. Both kernels produce byte-identical rows, at any
-// parallelism.
+// intermediate or final relation exceeds opts.MaxRows (ErrRowBudget),
+// both checked inside the probe loops. The rows are byte-identical at
+// any parallelism.
 func EvaluateCtx(ctx context.Context, q Query, db Database, d *decomp.Decomp, opts EvalOptions) (*Relation, error) {
-	if opts.Kernel == KernelScan {
-		g := &guard{ctx: ctx, maxRows: opts.MaxRows}
-		tree, err := buildJoinTree(q, db, d, g)
-		if err != nil {
-			return nil, err
-		}
-		return yannakakis(tree, g)
-	}
-	return evaluateIndexed(ctx, q, db, d, opts)
-}
-
-// IsBoolean reports whether the query has at least one answer, with
-// early-exit semantics on the final pass (the Boolean CQ case the paper
-// mentions is solvable in linear time from an HD).
-func IsBoolean(q Query, db Database, d *decomp.Decomp) (bool, error) {
-	tree, err := BuildJoinTree(q, db, d)
-	if err != nil {
-		return false, err
-	}
-	// Bottom-up semijoin reduction alone decides non-emptiness.
-	var up func(n *bagNode) error
-	up = func(n *bagNode) error {
-		for _, c := range n.children {
-			if err := up(c); err != nil {
-				return err
-			}
-			red, err := n.rel.Semijoin(c.rel)
-			if err != nil {
-				return err
-			}
-			n.rel = red
-		}
-		return nil
-	}
-	if err := up(tree); err != nil {
-		return false, err
-	}
-	return tree.rel.Size() > 0, nil
+	return runExecutor(ctx, opts, func(e *executor) (*Relation, error) {
+		return e.run(q, db, d)
+	})
 }

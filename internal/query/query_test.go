@@ -21,6 +21,12 @@ func newTestPlanner(t *testing.T) (*Planner, *service.Service) {
 		MaxConcurrent:  4,
 		MaxQueue:       256,
 		DefaultTimeout: time.Minute,
+		// The walls below assert that every repeat query is a plan-cache
+		// hit. That holds only while the cache holds the whole working
+		// set: 50 random seeds yield 40 distinct structures, and under a
+		// smaller LRU cap a repeat races the evictions its concurrent
+		// neighbours cause.
+		MemoMaxGraphs: 256,
 	})
 	t.Cleanup(func() { svc.Close() })
 	return NewPlanner(svc), svc
@@ -127,6 +133,9 @@ func TestDifferentialRandomQueries(t *testing.T) {
 	}
 	if st.ExecIndexBuilds == 0 || st.ExecIndexProbes == 0 {
 		t.Fatalf("executor counters not aggregated: %+v", st)
+	}
+	if ev := svc.Store().Stats().Evictions; ev != 0 {
+		t.Fatalf("plan cache evicted %d entries; the repeat-hit wall needs the whole working set cached", ev)
 	}
 	sst := svc.Stats()
 	if sst.SolverRuns > int64(queries) {

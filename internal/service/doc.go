@@ -16,8 +16,8 @@
 //     request returns the cached, re-validated HD without running a
 //     solver — and concurrent identical requests are coalesced onto a
 //     single solver run (singleflight), including duplicates inside one
-//     Batch. The store is pluggable (Config.Store) and snapshotable,
-//     so a serving process restarts warm.
+//     Batch. The store is pluggable (Config.Store) and, with
+//     Config.StoreDir, disk-backed, so a serving process restarts warm.
 //
 // The package is exposed publicly as htd.Service.
 package service

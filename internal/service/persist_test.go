@@ -2,6 +2,8 @@ package service
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/decomp"
@@ -11,7 +13,9 @@ import (
 // TestDiskBackedServiceWarmRestart is the service-level warm-restart
 // contract: submit through a StoreDir-backed service, close it, reopen
 // on the same directory, and every repeat submission must be a cache
-// hit — zero solver runs, the witness re-validated from disk.
+// hit — zero solver runs, the witness re-validated from disk. The
+// closed directory is also the export format: a byte copy of it,
+// opened as another service's StoreDir, is just as warm.
 func TestDiskBackedServiceWarmRestart(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
@@ -36,7 +40,15 @@ func TestDiskBackedServiceWarmRestart(t *testing.T) {
 	if cold.SolverRuns != int64(len(graphs))+1 {
 		t.Fatalf("cold SolverRuns=%d, want %d", cold.SolverRuns, len(graphs)+1)
 	}
+	// An optimal job pins the exact width, for the copied directory.
+	if r := svc.Submit(ctx, Request{H: cycle(12), K: 4, Mode: ModeOptimal}); r.Err != nil || r.Width != 2 {
+		t.Fatalf("cold optimal: width=%d err=%v", r.Width, r.Err)
+	}
 	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	copyDir := filepath.Join(t.TempDir(), "copy")
+	if err := os.CopyFS(copyDir, os.DirFS(dir)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -66,6 +78,35 @@ func TestDiskBackedServiceWarmRestart(t *testing.T) {
 	}
 	if warm.PositiveHits != int64(len(graphs)) || warm.NegativeHits != 1 {
 		t.Fatalf("warm hits: +%d -%d, want +%d -1", warm.PositiveHits, warm.NegativeHits, len(graphs))
+	}
+
+	// The copied directory warm-starts a second service just the same.
+	cp, err := Open(Config{StoreDir: copyDir})
+	if err != nil {
+		t.Fatalf("open copy: %v", err)
+	}
+	defer cp.Close()
+	for name, n := range graphs {
+		r := cp.Submit(ctx, Request{H: cycle(n), K: 2})
+		if r.Err != nil || !r.OK || !r.CacheHit {
+			t.Fatalf("%s on the copy: ok=%v hit=%v err=%v", name, r.OK, r.CacheHit, r.Err)
+		}
+		if r.Decomp == nil || decomp.CheckHD(r.Decomp) != nil || decomp.CheckWidth(r.Decomp, 2) != nil {
+			t.Fatalf("%s witness from the copy invalid", name)
+		}
+	}
+	if r := cp.Submit(ctx, Request{H: grid(3), K: 1}); r.Err != nil || r.OK || !r.CacheHit {
+		t.Fatalf("grid refutation on the copy: ok=%v hit=%v err=%v", r.OK, r.CacheHit, r.Err)
+	}
+	opt := cp.Submit(ctx, Request{H: cycle(12), K: 4, Mode: ModeOptimal})
+	if opt.Err != nil || !opt.OK || opt.Width != 2 || !opt.CacheHit {
+		t.Fatalf("optimal on the copy: %+v", opt)
+	}
+	if err := decomp.CheckHD(opt.Decomp); err != nil {
+		t.Fatalf("optimal witness from the copy invalid: %v", err)
+	}
+	if runs := cp.Stats().SolverRuns; runs != 0 {
+		t.Fatalf("copied directory ran %d solvers, want 0", runs)
 	}
 }
 

@@ -80,9 +80,10 @@ type Config struct {
 	// StoreDir, when set (and Store is nil), makes Open build a
 	// disk-backed tiered store: the sharded in-memory backend above
 	// becomes the LRU working set over a crash-safe append-only log in
-	// this directory, so a restart serves its whole history warm with
-	// no snapshot file. The service owns the backend and closes it on
-	// Close. New ignores this field — a disk store can fail to open, so
+	// this directory, so a restart serves its whole history warm. The
+	// closed directory is also the export format: copy it to move a warm
+	// cache. The service owns the backend and closes it on Close. New
+	// ignores this field — a disk store can fail to open, so
 	// it is Open's job.
 	StoreDir string
 	// StoreFsync is the disk store's durability cadence: 0 fsyncs every
@@ -336,7 +337,7 @@ func New(cfg Config) *Service {
 // the LRU working set over a crash-safe append-only log), owned by the
 // service and closed by Close. A restart pointed at the same directory
 // serves the entire cached history warm — zero solver runs for repeat
-// submissions — with no snapshot file involved.
+// submissions; so does a byte copy of the closed directory.
 func Open(cfg Config) (*Service, error) {
 	cfg = cfg.withDefaults()
 	owns := false
@@ -363,8 +364,8 @@ func Open(cfg Config) (*Service, error) {
 // Budget exposes the shared token pool (read-only use: sizing, stats).
 func (s *Service) Budget() *TokenBudget { return s.budget }
 
-// Store exposes the cross-request storage backend, for snapshots
-// (Export/Import), purges, and introspection.
+// Store exposes the cross-request storage backend, for purges and
+// introspection.
 func (s *Service) Store() store.Backend { return s.store }
 
 // Tenants exposes the per-tenant admission wall, for layered callers

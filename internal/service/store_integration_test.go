@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"os"
 	"path/filepath"
 	"strconv"
 	"sync"
@@ -195,32 +196,36 @@ func TestCoalescedFollowerNotPoisonedByLeaderFailure(t *testing.T) {
 	}
 }
 
-// TestSnapshotWarmRestart: a snapshot saved from one service warms a
+// TestSnapshotWarmRestart: a snapshot taken from one service warms a
 // freshly started one — repeat submissions are answered from the
-// restored store without a single solver run.
+// restored store without a single solver run. The snapshot is a byte
+// copy of the first service's closed StoreDir, the one portable export
+// format.
 func TestSnapshotWarmRestart(t *testing.T) {
 	ctx := context.Background()
 	h := cycle(12)
 
-	svc1 := New(Config{TokenBudget: 2, MaxConcurrent: 4})
-	if res := svc1.Submit(ctx, Request{H: h, K: 4, Mode: ModeOptimal}); res.Err != nil || res.Width != 2 {
-		t.Fatalf("warmup: width=%d err=%v", res.Width, res.Err)
-	}
-	path := filepath.Join(t.TempDir(), "snapshot.json")
-	if err := store.WriteFile(path, svc1.Store().Export()); err != nil {
-		t.Fatal(err)
-	}
-	svc1.Close()
-
-	snap, err := store.ReadFile(path)
+	dir := t.TempDir()
+	svc1, err := Open(Config{TokenBudget: 2, MaxConcurrent: 4, StoreDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc2 := New(Config{TokenBudget: 2, MaxConcurrent: 4})
-	defer svc2.Close()
-	if n, err := svc2.Store().Import(snap); err != nil || n == 0 {
-		t.Fatalf("import: n=%d err=%v", n, err)
+	if res := svc1.Submit(ctx, Request{H: h, K: 4, Mode: ModeOptimal}); res.Err != nil || res.Width != 2 {
+		t.Fatalf("warmup: width=%d err=%v", res.Width, res.Err)
 	}
+	if err := svc1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snap := filepath.Join(t.TempDir(), "snapshot")
+	if err := os.CopyFS(snap, os.DirFS(dir)); err != nil {
+		t.Fatal(err)
+	}
+
+	svc2, err := Open(Config{TokenBudget: 2, MaxConcurrent: 4, StoreDir: snap})
+	if err != nil {
+		t.Fatalf("open snapshot: %v", err)
+	}
+	defer svc2.Close()
 
 	// The restarted service answers both problems from the snapshot.
 	opt := svc2.Submit(ctx, Request{H: h, K: 4, Mode: ModeOptimal})
@@ -284,15 +289,20 @@ func TestOptimalTimeoutBanksPartialBounds(t *testing.T) {
 }
 
 // TestStoreStress is the CI store-stress workload: concurrent Submit,
-// Batch (with duplicates) and snapshot save/load over identical and
-// renamed hypergraphs, run under -race. Correctness of every answer is
-// checked; the store must neither wedge nor serve a wrong or invalid
-// result while snapshots are taken mid-traffic.
+// Batch (with duplicates) and disk-log Compact + Sync over identical
+// and renamed hypergraphs, on a StoreDir-backed service, run under
+// -race. Correctness of every answer is checked; the store must neither
+// wedge nor serve a wrong or invalid result while the log is compacted
+// mid-traffic, and a reopen must serve what the traffic left behind.
 func TestStoreStress(t *testing.T) {
-	svc := New(Config{TokenBudget: 4, MaxConcurrent: 8, MaxQueue: 1024, MemoMaxGraphs: 8})
-	defer svc.Close()
-	ctx := context.Background()
 	dir := t.TempDir()
+	svc, err := Open(Config{StoreDir: dir, TokenBudget: 4, MaxConcurrent: 8, MaxQueue: 1024, MemoMaxGraphs: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	tiered := svc.Store().(*store.Tiered)
+	ctx := context.Background()
 
 	type job struct {
 		h      *hypergraph.Hypergraph
@@ -348,19 +358,12 @@ func TestStoreStress(t *testing.T) {
 							errs <- "batch: wrong answer at slot " + strconv.Itoa(bi)
 						}
 					}
-				case 2: // snapshot save/load mid-traffic
-					path := filepath.Join(dir, "stress-"+strconv.Itoa(w)+".json")
-					if err := store.WriteFile(path, svc.Store().Export()); err != nil {
-						errs <- "save: " + err.Error()
-						continue
+				case 2: // log compaction and fsync mid-traffic
+					if err := tiered.Compact(); err != nil {
+						errs <- "compact: " + err.Error()
 					}
-					snap, err := store.ReadFile(path)
-					if err != nil {
-						errs <- "load: " + err.Error()
-						continue
-					}
-					if _, err := svc.Store().Import(snap); err != nil {
-						errs <- "import: " + err.Error()
+					if err := tiered.Sync(); err != nil {
+						errs <- "sync: " + err.Error()
 					}
 					svc.Store().Info(4)
 					svc.Stats()
@@ -379,5 +382,37 @@ func TestStoreStress(t *testing.T) {
 	}
 	if st.TokensInUse != 0 {
 		t.Fatalf("tokens leaked: %d", st.TokensInUse)
+	}
+	if d := svc.Store().Stats().Disk; d == nil || d.Compactions == 0 || d.Errors != 0 {
+		t.Fatalf("disk tier under stress: %+v", d)
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// What the traffic left behind survives the compactions: a reopen
+	// answers every decide job (all of which the traffic submitted) from
+	// disk without a solver run.
+	re, err := Open(Config{StoreDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	for _, j := range jobs {
+		if j.mode != ModeDecide {
+			continue
+		}
+		res := re.Submit(ctx, Request{H: j.h, K: j.k, Mode: j.mode})
+		if res.Err != nil || res.OK != j.wantOK || !res.CacheHit {
+			t.Fatalf("reopen k=%d mode=%v: ok=%v hit=%v err=%v", j.k, j.mode, res.OK, res.CacheHit, res.Err)
+		}
+		if res.OK {
+			if err := decomp.CheckHD(res.Decomp); err != nil {
+				t.Fatalf("reopen witness invalid: %v", err)
+			}
+		}
+	}
+	if runs := re.Stats().SolverRuns; runs != 0 {
+		t.Fatalf("reopen after stress ran %d solvers, want 0", runs)
 	}
 }

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"strings"
-	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -17,10 +15,7 @@ import (
 // and verify what the survivor recovers. Child entry points are gated
 // on an environment variable so a normal `go test` run skips them.
 
-const (
-	crashDirEnv  = "STORE_CRASH_DIR"
-	crashSnapEnv = "STORE_CRASH_SNAP"
-)
+const crashDirEnv = "STORE_CRASH_DIR"
 
 // TestCrashChildAppend is the child body for the kill-mid-append test:
 // it appends records forever (per-append fsync so every acknowledged
@@ -115,114 +110,5 @@ func TestCrashRecoveryKillMidAppend(t *testing.T) {
 			t.Fatalf("round %d: close after recovery: %v", round, err)
 		}
 		t.Logf("round %d: recovered %d entries", round, n)
-	}
-}
-
-// TestCrashChildSnapshot is the child body for the kill-mid-save test:
-// it overwrites one snapshot path in a tight loop until killed. Each
-// iteration writes i+1 entries so the parent can tell snapshots apart.
-func TestCrashChildSnapshot(t *testing.T) {
-	path := os.Getenv(crashSnapEnv)
-	if path == "" {
-		t.Skip("child entry point; driven by TestCrashRecoveryKillMidSnapshotSave")
-	}
-	for i := 0; ; i++ {
-		snap := Snapshot{Version: SnapshotVersion}
-		for j := 0; j <= i%50; j++ {
-			snap.Entries = append(snap.Entries, SnapshotEntry{
-				Hash: fmt.Sprintf("h%06d", j), Bounds: Bounds{LB: 2, UB: 5},
-			})
-		}
-		if err := WriteFile(path, snap); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestCrashRecoveryKillMidSnapshotSave: SIGKILL a process mid-
-// WriteFile; the snapshot at path must always parse and validate —
-// the temp-file + fsync + rename discipline never exposes a torn file
-// under the real name.
-func TestCrashRecoveryKillMidSnapshotSave(t *testing.T) {
-	if testing.Short() {
-		t.Skip("re-execs the test binary")
-	}
-	for round := 0; round < 3; round++ {
-		dir := t.TempDir()
-		path := filepath.Join(dir, "cache.snapshot")
-		cmd := exec.Command(os.Args[0], "-test.run", "^TestCrashChildSnapshot$", "-test.v")
-		cmd.Env = append(os.Environ(), crashSnapEnv+"="+path)
-		var out strings.Builder
-		cmd.Stdout, cmd.Stderr = &out, &out
-		if err := cmd.Start(); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(time.Duration(30+round*40) * time.Millisecond)
-		cmd.Process.Kill()
-		err := cmd.Wait()
-		if ee, ok := err.(*exec.ExitError); !ok || ee.Sys().(syscall.WaitStatus).Signal() != syscall.SIGKILL {
-			t.Fatalf("round %d: child exited (%v) before the kill; output:\n%s", round, err, out.String())
-		}
-
-		snap, err := ReadFile(path)
-		if err != nil {
-			if os.IsNotExist(err) {
-				t.Logf("round %d: killed before the first save landed", round)
-				continue
-			}
-			t.Fatalf("round %d: snapshot torn by the kill: %v", round, err)
-		}
-		for j, e := range snap.Entries {
-			if e.Hash != fmt.Sprintf("h%06d", j) {
-				t.Fatalf("round %d: entry %d is %q — mixed snapshot generations", round, j, e.Hash)
-			}
-		}
-		t.Logf("round %d: snapshot intact with %d entries", round, len(snap.Entries))
-	}
-}
-
-// TestSnapshotConcurrentSaves: many goroutines saving different
-// snapshots to the same path must end with some complete snapshot —
-// never a mix of two writers — and leave no temp litter.
-func TestSnapshotConcurrentSaves(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "cache.snapshot")
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 20; i++ {
-				snap := Snapshot{Version: SnapshotVersion}
-				for j := 0; j <= g; j++ {
-					snap.Entries = append(snap.Entries, SnapshotEntry{
-						Hash: fmt.Sprintf("g%d-%d", g, j), Bounds: Bounds{LB: 2},
-					})
-				}
-				if err := WriteFile(path, snap); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	snap, err := ReadFile(path)
-	if err != nil {
-		t.Fatalf("final snapshot unreadable after concurrent saves: %v", err)
-	}
-	// All entries must come from ONE writer (atomic replacement, no
-	// interleaving).
-	writer := ""
-	for _, e := range snap.Entries {
-		w := strings.SplitN(e.Hash, "-", 2)[0]
-		if writer == "" {
-			writer = w
-		} else if w != writer {
-			t.Fatalf("snapshot mixes writers %s and %s", writer, w)
-		}
-	}
-	if left, _ := filepath.Glob(filepath.Join(dir, "*.tmp-*")); len(left) != 0 {
-		t.Fatalf("temp files leaked: %v", left)
 	}
 }

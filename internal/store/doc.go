@@ -27,8 +27,9 @@
 //     truth, so every result persists as it is computed and a restart
 //     (graceful or kill -9) serves the whole history warm.
 //
-// Snapshot additionally gives any backend versioned save/load as a
-// portable export/import format. Request coalescing (Flight) lives
-// here too: N concurrent identical requests run one solver and share
-// the result.
+// The log is the only persistence format, and its closed directory is
+// the export format: records are merges, so OpenLog replays any set of
+// segments, and a byte copy of a closed directory warm-starts another
+// process. Request coalescing (Flight) lives here too: N concurrent
+// identical requests run one solver and share the result.
 package store

@@ -768,33 +768,6 @@ func (l *Log) Purge() error {
 	return nil
 }
 
-// Export captures the live disk state as a portable Snapshot.
-func (l *Log) Export() Snapshot {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	snap := Snapshot{Version: SnapshotVersion}
-	hashes := make([]string, 0, len(l.index))
-	for h := range l.index {
-		hashes = append(hashes, h)
-	}
-	sort.Strings(hashes)
-	for _, hash := range hashes {
-		e := l.index[hash]
-		se := SnapshotEntry{Hash: hash, Bounds: e.bounds,
-			Refuted: append([]WidthSummary(nil), e.refuted...)}
-		if e.treeSeg != nil {
-			if rec, err := l.readRecord(e.treeSeg, e.treeOff); err == nil {
-				se.Tree = rec.Tree
-			}
-		}
-		if !se.Bounds.Known() && se.Tree == nil && len(se.Refuted) == 0 {
-			continue
-		}
-		snap.Entries = append(snap.Entries, se)
-	}
-	return snap
-}
-
 // Stats snapshots the disk counters.
 func (l *Log) Stats() DiskStats {
 	l.mu.Lock()
@@ -838,4 +811,18 @@ func (l *Log) Close() error {
 		return fmt.Errorf("store: final fsync failed; unsynced tail may be lost")
 	}
 	return nil
+}
+
+// syncDir fsyncs a directory so a just-created, renamed, or removed
+// entry inside it survives a crash.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	if err := d.Sync(); err != nil {
+		return err
+	}
+	return d.Close()
 }

@@ -66,7 +66,6 @@ type Sharded struct {
 	boundsHits atomic.Int64
 	treeHits   atomic.Int64
 	evictions  atomic.Int64
-	restored   atomic.Int64
 }
 
 // shard is one stripe: a map for lookup plus an intrusive LRU list
@@ -80,12 +79,11 @@ type shard struct {
 
 // entry is everything the store knows about one hypergraph.
 type entry struct {
-	hash     string
-	bounds   Bounds
-	tree     *Tree
-	treeW    int
-	memos    map[int]*Table
-	restored []WidthSummary // snapshot summaries with no live table
+	hash   string
+	bounds Bounds
+	tree   *Tree
+	treeW  int
+	memos  map[int]*Table
 
 	prev, next *entry
 }
@@ -257,7 +255,6 @@ func (s *Sharded) Stats() Stats {
 		BoundsHits: s.boundsHits.Load(),
 		TreeHits:   s.treeHits.Load(),
 		Evictions:  s.evictions.Load(),
-		Restored:   s.restored.Load(),
 	}
 	for i := range s.shards {
 		sh := &s.shards[i]
@@ -306,11 +303,6 @@ func (e *entry) info() EntryInfo {
 	for k, t := range e.memos {
 		in.Memos = append(in.Memos, WidthSummary{K: k, States: t.Entries()})
 	}
-	for _, ws := range e.restored {
-		if _, live := e.memos[ws.K]; !live {
-			in.Memos = append(in.Memos, ws)
-		}
-	}
 	sort.Slice(in.Memos, func(a, b int) bool { return in.Memos[a].K < in.Memos[b].K })
 	return in
 }
@@ -324,83 +316,4 @@ func (s *Sharded) Purge() {
 		sh.head, sh.tail = nil, nil
 		sh.mu.Unlock()
 	}
-}
-
-// Export implements Backend.
-func (s *Sharded) Export() Snapshot {
-	snap := Snapshot{Version: SnapshotVersion}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for e := sh.head; e != nil; e = e.next {
-			if !e.bounds.Known() && e.tree == nil && len(e.memos) == 0 {
-				continue
-			}
-			in := e.info()
-			snap.Entries = append(snap.Entries, SnapshotEntry{
-				Hash:    e.hash,
-				Bounds:  e.bounds,
-				Tree:    e.tree,
-				Refuted: in.Memos,
-			})
-		}
-		sh.mu.Unlock()
-	}
-	return snap
-}
-
-// Import implements Backend. The returned count is the number of
-// snapshot entries still live in the store after the merge — importing
-// a snapshot larger than the LRU cap reports what actually survived,
-// not the file's size.
-func (s *Sharded) Import(snap Snapshot) (int, error) {
-	if err := snap.Validate(); err != nil {
-		return 0, err
-	}
-	for _, se := range snap.Entries {
-		if se.Hash == "" {
-			continue
-		}
-		sh := s.shardFor(se.Hash)
-		sh.mu.Lock()
-		e := sh.get(se.Hash, true, &s.evictions)
-		e.bounds.Merge(se.Bounds)
-		if w := se.Tree.Width(); w > 0 && (e.tree == nil || w < e.treeW) {
-			e.tree, e.treeW = se.Tree, w
-			e.bounds.Merge(Bounds{UB: w})
-		}
-	summaries:
-		for _, ws := range se.Refuted {
-			if _, live := e.memos[ws.K]; live {
-				continue
-			}
-			for i := range e.restored {
-				if e.restored[i].K == ws.K {
-					if ws.States > e.restored[i].States {
-						e.restored[i].States = ws.States
-					}
-					continue summaries
-				}
-			}
-			e.restored = append(e.restored, ws)
-		}
-		sh.mu.Unlock()
-	}
-	// Second pass: count survivors (later entries may have LRU-evicted
-	// earlier ones when the snapshot exceeds the cap).
-	n := 0
-	for _, se := range snap.Entries {
-		if se.Hash == "" {
-			continue
-		}
-		sh := s.shardFor(se.Hash)
-		sh.mu.Lock()
-		_, live := sh.entries[se.Hash]
-		sh.mu.Unlock()
-		if live {
-			n++
-		}
-	}
-	s.restored.Add(int64(n))
-	return n, nil
 }

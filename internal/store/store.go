@@ -37,7 +37,7 @@ func (b *Bounds) Merge(nw Bounds) bool {
 
 // Memo is one (hypergraph, width) negative-memo table as handed to the
 // solvers: the logk.MemoBackend adapter plus a size probe for stats and
-// snapshot summaries. Implementations must be safe for concurrent use.
+// the persisted refutation summaries. Implementations must be safe for concurrent use.
 type Memo interface {
 	logk.MemoBackend
 	// Entries returns the number of memoised dead states.
@@ -80,12 +80,6 @@ type Backend interface {
 	Info(max int) []EntryInfo
 	// Purge drops every entry.
 	Purge()
-	// Export captures bounds, witness trees, and refutation summaries as
-	// a portable Snapshot.
-	Export() Snapshot
-	// Import merges a Snapshot (same rules as MergeBounds /
-	// PutDecomposition) and returns how many entries were restored.
-	Import(snap Snapshot) (int, error)
 }
 
 // Stats is a snapshot of backend counters.
@@ -100,7 +94,6 @@ type Stats struct {
 	BoundsHits   int64 `json:"bounds_hits"`   // Bounds calls that found knowledge
 	TreeHits     int64 `json:"tree_hits"`     // Decomposition calls that found a tree
 	Evictions    int64 `json:"evictions"`     // entries dropped by the LRU cap
-	Restored     int64 `json:"restored"`      // entries merged in by Import
 
 	// Disk is the disk tier's counters, nil for purely in-memory
 	// backends. For a Tiered backend the top-level fields above describe
@@ -120,8 +113,8 @@ type EntryInfo struct {
 }
 
 // WidthSummary summarises one per-width negative-memo table: how many
-// dead states it holds (the table contents themselves are not part of
-// snapshots — only this summary is).
+// dead states it holds (the table contents themselves are never
+// persisted — only this summary is).
 type WidthSummary struct {
 	K      int   `json:"k"`
 	States int64 `json:"states"`

@@ -340,39 +340,45 @@ func TestFlightFollowerHonorsContext(t *testing.T) {
 	}
 }
 
-// TestSnapshotRoundTrip: export → file → import restores bounds, trees
-// and refutation summaries into a fresh backend.
+// TestSnapshotRoundTrip: a snapshot — a byte copy of a closed log
+// directory — restores bounds, a CheckHD-valid tree and refutation
+// summaries into a fresh backend with a different memory front.
 func TestSnapshotRoundTrip(t *testing.T) {
 	h := cycle(8)
 	d := testDecomp(t, h)
 	hash := h.ContentHash()
 
-	s := NewSharded(Config{Shards: 2, MaxGraphs: 8})
+	dir := t.TempDir()
+	s, err := OpenTiered(TieredConfig{Mem: Config{Shards: 2, MaxGraphs: 8}, Log: LogConfig{Dir: dir}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	s.MergeBounds(hash, Bounds{LB: 2})
 	s.PutDecomposition(hash, EncodeTree(d))
 	m, _ := s.Memo(hash, 1)
 	m.Insert("dead-state")
 	s.MergeBounds("other", Bounds{LB: 4, UB: 6})
-
-	path := filepath.Join(t.TempDir(), "snap.json")
-	if err := WriteFile(path, s.Export()); err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := ReadFile(path)
+
+	snap := filepath.Join(t.TempDir(), "snapshot")
+	if err := os.CopyFS(snap, os.DirFS(dir)); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := OpenTiered(TieredConfig{Mem: Config{Shards: 4, MaxGraphs: 8}, Log: LogConfig{Dir: snap}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Version != SnapshotVersion || len(snap.Entries) != 2 {
-		t.Fatalf("snapshot: version=%d entries=%d", snap.Version, len(snap.Entries))
-	}
-
-	fresh := NewSharded(Config{Shards: 4, MaxGraphs: 8})
-	n, err := fresh.Import(snap)
-	if err != nil || n != 2 {
-		t.Fatalf("import: n=%d err=%v", n, err)
+	defer fresh.Close()
+	if n := fresh.Log().Len(); n != 2 {
+		t.Fatalf("snapshot holds %d entries, want 2", n)
 	}
 	if b, ok := fresh.Bounds(hash); !ok || b.LB != 2 || b.UB != 2 {
 		t.Fatalf("restored bounds: %+v ok=%v", b, ok)
+	}
+	if b, ok := fresh.Bounds("other"); !ok || b.LB != 4 || b.UB != 6 {
+		t.Fatalf("restored bounds of other: %+v ok=%v", b, ok)
 	}
 	tree, ok := fresh.Decomposition(hash)
 	if !ok {
@@ -398,30 +404,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("refutation summary not restored")
-	}
-	if st := fresh.Stats(); st.Restored != 2 {
-		t.Fatalf("Restored=%d, want 2", st.Restored)
-	}
-}
-
-// TestSnapshotVersionReject: a snapshot from a different schema version
-// must be refused, both by Import and by ReadFile.
-func TestSnapshotVersionReject(t *testing.T) {
-	s := NewSharded(Config{})
-	if _, err := s.Import(Snapshot{Version: 99}); err == nil {
-		t.Fatal("version 99 must be rejected")
-	}
-	path := filepath.Join(t.TempDir(), "bad.json")
-	snap := s.Export()
-	if err := WriteFile(path, snap); err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt the version on disk.
-	if err := os.WriteFile(path, []byte(`{"version": 99, "entries": []}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadFile(path); err == nil {
-		t.Fatal("ReadFile must reject a mismatched version")
 	}
 }
 
@@ -450,13 +432,8 @@ func TestShardedConcurrency(t *testing.T) {
 					s.PutDecomposition(h, &Tree{Lambda: []int{0, 1}, Bag: []int{0}})
 					s.Decomposition(h)
 				case 4:
-					if i%40 == 4 {
-						snap := s.Export()
-						s.Import(snap)
-					} else {
-						s.Stats()
-						s.Info(4)
-					}
+					s.Stats()
+					s.Info(4)
 				}
 			}
 		}(g)

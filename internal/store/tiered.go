@@ -22,12 +22,11 @@ type TieredConfig struct {
 // front is LRU-capped; the disk tier never evicts, so an entry pushed
 // out of memory by hotter traffic is still a cache hit — it is read
 // back from disk and re-promoted. A process restart reopens the log
-// and serves the entire history warm, with no snapshot file involved.
+// and serves the entire history warm.
 //
 // Negative-memo tables live in memory only (they are large and
 // regenerate quickly); their per-width summaries are flushed to the
-// log on Sync, Compact, Export, and Close, mirroring what snapshots
-// persist.
+// log on Sync, Compact, and Close.
 //
 // Disk append failures are counted (Stats().Disk.Errors) but do not
 // fail reads or lose the in-memory state: availability degrades to
@@ -119,7 +118,7 @@ func (t *Tiered) Stats() Stats {
 
 // Info implements Backend: entries come from the disk index (the full
 // durable state, sorted by hash for deterministic listings), with live
-// memo-table summaries overlaid from the memory front.
+// memo-table summaries merged in from the memory front.
 func (t *Tiered) Info(max int) []EntryInfo {
 	hashes := t.log.Hashes()
 	memInfo := make(map[string]EntryInfo)
@@ -136,11 +135,13 @@ func (t *Tiered) Info(max int) []EntryInfo {
 		if w, ok := t.log.TreeWidth(hash); ok {
 			in.HasTree, in.TreeWidth = true, w
 		}
+		// Durable summaries merged with live ones: an entry promoted
+		// by a read has no memo tables yet, and must not hide what the
+		// log already holds.
+		in.Memos = t.log.Refuted(hash)
 		if mi, ok := memInfo[hash]; ok {
-			in.Memos = mi.Memos
+			mergeSummaries(&in.Memos, mi.Memos)
 			delete(memInfo, hash)
-		} else {
-			in.Memos = t.log.Refuted(hash)
 		}
 		out = append(out, in)
 	}
@@ -166,49 +167,13 @@ func (t *Tiered) Purge() {
 }
 
 // flushSummaries appends the memory front's live memo summaries to the
-// log, so restarts keep the refutation bookkeeping snapshots persist.
+// log, so restarts keep the refutation bookkeeping.
 func (t *Tiered) flushSummaries() {
 	for _, in := range t.mem.Info(0) {
 		if len(in.Memos) > 0 {
 			t.log.MergeRefuted(in.Hash, in.Memos)
 		}
 	}
-}
-
-// Export implements Backend: summaries are flushed first, then the
-// disk index (the full durable state) becomes the snapshot.
-func (t *Tiered) Export() Snapshot {
-	t.flushSummaries()
-	return t.log.Export()
-}
-
-// Import implements Backend: entries are merged into both tiers; the
-// count is the number of snapshot entries now represented on disk
-// (the disk tier never evicts, so everything non-empty survives).
-func (t *Tiered) Import(snap Snapshot) (int, error) {
-	if err := snap.Validate(); err != nil {
-		return 0, err
-	}
-	n := 0
-	for _, se := range snap.Entries {
-		if se.Hash == "" {
-			continue
-		}
-		if se.Bounds.Known() {
-			t.MergeBounds(se.Hash, se.Bounds)
-		}
-		if se.Tree.Width() > 0 {
-			t.PutDecomposition(se.Hash, se.Tree)
-		}
-		if len(se.Refuted) > 0 {
-			t.log.MergeRefuted(se.Hash, se.Refuted)
-		}
-		if _, ok := t.log.Bounds(se.Hash); ok || len(se.Refuted) > 0 {
-			n++
-		}
-	}
-	t.mem.restored.Add(int64(n))
-	return n, nil
 }
 
 // Sync flushes memo summaries and fsyncs the log's unsynced tail.

@@ -2,6 +2,8 @@ package store
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 )
@@ -16,7 +18,7 @@ func openTiered(t *testing.T, dir string, mem Config) *Tiered {
 }
 
 // TestTieredWarmRestart is the tentpole contract: everything written
-// before Close is served after a reopen, with no snapshot file.
+// before Close is served after a reopen.
 func TestTieredWarmRestart(t *testing.T) {
 	dir := t.TempDir()
 	ts := openTiered(t, dir, Config{})
@@ -114,33 +116,50 @@ func TestTieredSummariesFlushOnClose(t *testing.T) {
 	}
 }
 
+// TestTieredExportImport: the export format is the closed log
+// directory itself. A byte copy of it, opened elsewhere, serves the
+// source's bounds, trees and refutation summaries, and keeps accepting
+// durable appends of its own without touching the source.
 func TestTieredExportImport(t *testing.T) {
-	src := openTiered(t, t.TempDir(), Config{})
-	defer src.Close()
+	srcDir := t.TempDir()
+	src := openTiered(t, srcDir, Config{})
 	src.MergeBounds("g1", Bounds{LB: 3})
 	src.PutDecomposition("g1", testTree(4))
 	src.PutDecomposition("g2", testTree(2))
-	snap := src.Export()
-	if len(snap.Entries) != 2 {
-		t.Fatalf("exported %d entries, want 2", len(snap.Entries))
+	m, _ := src.Memo("g1", 2)
+	m.Insert("dead-state")
+	if err := src.Close(); err != nil {
+		t.Fatal(err)
 	}
 
-	dst := openTiered(t, t.TempDir(), Config{})
-	n, err := dst.Import(snap)
-	if err != nil || n != 2 {
-		t.Fatalf("import n=%d err=%v", n, err)
+	dstDir := filepath.Join(t.TempDir(), "copy")
+	if err := os.CopyFS(dstDir, os.DirFS(srcDir)); err != nil {
+		t.Fatal(err)
 	}
+	dst := openTiered(t, dstDir, Config{})
+	if b, ok := dst.Bounds("g1"); !ok || b.LB != 3 || b.UB != 4 {
+		t.Fatalf("copied g1 bounds %+v ok=%v", b, ok)
+	}
+	if tr, ok := dst.Decomposition("g2"); !ok || tr.Width() != 2 {
+		t.Fatalf("copied g2 tree missing (ok=%v)", ok)
+	}
+	if got := dst.Log().Refuted("g1"); len(got) != 1 || got[0] != (WidthSummary{K: 2, States: 1}) {
+		t.Fatalf("copied g1 refutation summaries %+v", got)
+	}
+	dst.MergeBounds("g3", Bounds{LB: 5})
 	if err := dst.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// The import is durable on the destination's own disk.
-	dst = openTiered(t, dst.log.cfg.Dir, Config{})
+
+	dst = openTiered(t, dstDir, Config{})
 	defer dst.Close()
-	if b, ok := dst.Bounds("g1"); !ok || b.LB != 3 || b.UB != 4 {
-		t.Fatalf("imported g1 bounds %+v ok=%v after restart", b, ok)
+	if b, ok := dst.Bounds("g3"); !ok || b.LB != 5 {
+		t.Fatalf("append on the copy lost after reopen: %+v ok=%v", b, ok)
 	}
-	if tr, ok := dst.Decomposition("g2"); !ok || tr.Width() != 2 {
-		t.Fatalf("imported g2 tree missing after restart (ok=%v)", ok)
+	src = openTiered(t, srcDir, Config{})
+	defer src.Close()
+	if _, ok := src.Bounds("g3"); ok {
+		t.Fatal("append on the copy leaked into the source directory")
 	}
 }
 

@@ -13,10 +13,10 @@ import (
 // the id space, a Tree encoded from a decomposition of H is valid for
 // every hypergraph with the same content hash — including one built
 // from renamed relations, or one parsed in a different process after a
-// snapshot reload. Bind materialises it back into a decomp.Decomp over
-// a concrete hypergraph; callers re-validate with decomp.CheckHD before
-// trusting the result, so a corrupted snapshot can never leak an
-// invalid decomposition to a client.
+// log replay. Bind materialises it back into a decomp.Decomp over a
+// concrete hypergraph; callers re-validate with decomp.CheckHD before
+// trusting the result, so a corrupted record can never leak an invalid
+// decomposition to a client.
 type Tree struct {
 	Lambda   []int   `json:"lambda"`
 	Bag      []int   `json:"bag"`
@@ -82,8 +82,8 @@ func encodeNode(n *decomp.Node) (*Tree, bool) {
 }
 
 // Bind materialises the tree as a decomposition of h. Edge and vertex
-// ids are range-checked so a corrupted or mismatched snapshot entry
-// fails loudly here instead of panicking inside a validity checker.
+// ids are range-checked so a corrupted or mismatched record fails
+// loudly here instead of panicking inside a validity checker.
 func (t *Tree) Bind(h *hypergraph.Hypergraph) (*decomp.Decomp, error) {
 	if t == nil {
 		return nil, fmt.Errorf("store: nil tree")

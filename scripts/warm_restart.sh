@@ -2,7 +2,7 @@
 # warm_restart.sh — the two-process crash-safe warm-restart wall.
 #
 # Boots a real htdserve with -store-dir, feeds it decompositions, kills
-# the process dead (kill -9, no graceful shutdown, no snapshot save),
+# the process dead (kill -9, no graceful shutdown, no final flush),
 # boots a second process on the same directory, and asserts the
 # disk-backed store's whole contract:
 #
@@ -66,7 +66,7 @@ echo "warm_restart: boot #1 (cold) on $ADDR, store in $WORK/store"
 boot
 submit_all cold >"$WORK/cold.out"
 
-echo "warm_restart: kill -9 $SRV_PID (no graceful shutdown, no snapshot)"
+echo "warm_restart: kill -9 $SRV_PID (no graceful shutdown)"
 kill -9 "$SRV_PID"
 wait "$SRV_PID" 2>/dev/null || true
 
