@@ -3,10 +3,10 @@
 //
 // The space is totally ordered (all size-1 subsets in lexicographic order,
 // then all size-2 subsets, and so on), and ranks in [0, Total()) can be
-// unranked directly via binomial combinadics. This gives exact, contiguous
-// partitioning of the search space across parallel workers with no
-// coordination — the property the paper's Appendix D.1 relies on for
-// linear scaling of the separator search.
+// unranked directly via binomial combinadics. An iterator can therefore
+// start at any rank, which lets parallel workers (Appendix D.1 of the
+// paper) search any rank range they claim without enumerating what
+// comes before it.
 package comb
 
 import "math"
@@ -171,22 +171,4 @@ func (it *Iter) Next() []int {
 	}
 	it.next++
 	return it.cur
-}
-
-// Split partitions the full space into n contiguous, near-equal rank
-// ranges and returns one iterator per non-empty range.
-func Split(s Space, n int) []*Iter {
-	if n < 1 {
-		n = 1
-	}
-	total := s.Total()
-	iters := make([]*Iter, 0, n)
-	for i := 0; i < n; i++ {
-		lo := total * int64(i) / int64(n)
-		hi := total * int64(i+1) / int64(n)
-		if lo < hi {
-			iters = append(iters, NewIter(s, lo, hi))
-		}
-	}
-	return iters
 }

@@ -127,11 +127,23 @@ func TestRankUnrankRoundTrip(t *testing.T) {
 	}
 }
 
+// chunks cuts [0, total) into contiguous rank ranges of at most size
+// ranks each, the way a parallel split claims them.
+func chunks(total, size int64) [][2]int64 {
+	var out [][2]int64
+	for lo := int64(0); lo < total; lo += size {
+		out = append(out, [2]int64{lo, min(lo+size, total)})
+	}
+	return out
+}
+
 func TestSplitCoversSpaceExactly(t *testing.T) {
 	s := Space{M: 8, K: 3}
-	for _, workers := range []int{1, 2, 3, 5, 16, 1000} {
+	for _, workers := range []int64{1, 2, 3, 5, 16, 1000} {
+		size := (s.Total() + workers - 1) / workers
 		var all [][]int
-		for _, it := range Split(s, workers) {
+		for _, r := range chunks(s.Total(), size) {
+			it := NewIter(s, r[0], r[1])
 			for c := it.Next(); c != nil; c = it.Next() {
 				all = append(all, append([]int(nil), c...))
 			}
@@ -191,16 +203,23 @@ func TestQuickRankUnrankBijection(t *testing.T) {
 }
 
 func TestQuickSplitPreservesOrderWithinRange(t *testing.T) {
-	prop := func(mRaw, kRaw, wRaw uint8) bool {
-		m := int(mRaw%15) + 1
-		k := int(kRaw%4) + 1
-		w := int(wRaw%7) + 1
-		s := Space{M: m, K: k}
+	prop := func(mRaw, kRaw, cRaw uint8) bool {
+		s := Space{M: int(mRaw%15) + 1, K: int(kRaw%4) + 1}
+		size := int64(cRaw%50) + 1
+		buf := make([]int, 0, s.K)
 		count := int64(0)
-		for _, it := range Split(s, w) {
+		for _, r := range chunks(s.Total(), size) {
+			it := NewIter(s, r[0], r[1])
 			for c := it.Next(); c != nil; c = it.Next() {
+				// Each range yields its ranks in order, so the subsets seen
+				// so far are exactly ranks 0..count-1.
+				if !reflect.DeepEqual(c, s.Unrank(count, buf)) {
+					return false
+				}
 				count++
-				_ = c
+			}
+			if count != r[1] {
+				return false
 			}
 		}
 		return count == s.Total()

@@ -19,6 +19,8 @@ type Splitter struct {
 
 	// root item -> output component index, reset per call
 	rootComp []int32
+	// root item -> items counted so far, reset per call
+	size []int32
 	// scratch: item has a vertex outside u
 	hasOutside []bool
 
@@ -65,64 +67,13 @@ func (s *Splitter) union(a, b int32) {
 // component. Each returned component is itself a Graph over the same
 // base hypergraph.
 func (s *Splitter) Components(g *Graph, u *bitset.Set) []*Graph {
-	nItems := g.Size()
-	if cap(s.parent) < nItems {
-		s.parent = make([]int32, nItems)
-		s.rank = make([]int8, nItems)
-		s.rootComp = make([]int32, nItems)
-		s.hasOutside = make([]bool, nItems)
-	}
-	s.parent = s.parent[:nItems]
-	s.rank = s.rank[:nItems]
-	s.rootComp = s.rootComp[:nItems]
-	for i := range s.parent {
-		s.parent[i] = int32(i)
-		s.rank[i] = 0
-		s.rootComp[i] = -1
-	}
-	s.epoch++
-	if s.epoch == 0 { // wrapped; reset stamps
-		for i := range s.vStamp {
-			s.vStamp[i] = 0
-		}
-		s.epoch = 1
-	}
-
-	itemVerts := func(i int) *bitset.Set {
-		if i < len(g.Edges) {
-			return s.h.Edge(g.Edges[i])
-		}
-		return g.Specials[i-len(g.Edges)].Vertices
-	}
-
-	if cap(s.hasOutside) < nItems {
-		s.hasOutside = make([]bool, nItems)
-	}
-	hasOutside := s.hasOutside[:nItems]
-	for i := range hasOutside {
-		hasOutside[i] = false
-	}
-	for i := 0; i < nItems; i++ {
-		vs := itemVerts(i)
-		vs.ForEach(func(v int) {
-			if u.Test(v) {
-				return
-			}
-			hasOutside[i] = true
-			if s.vStamp[v] == s.epoch {
-				s.union(int32(i), s.vOwner[v])
-			} else {
-				s.vStamp[v] = s.epoch
-				s.vOwner[v] = int32(i)
-			}
-		})
-	}
+	s.label(g, u)
 
 	// Group items by union-find root, preserving order (edges first,
 	// ascending; then specials) so component edge lists stay sorted.
 	var comps []*Graph
-	for i := 0; i < nItems; i++ {
-		if !hasOutside[i] {
+	for i := range s.hasOutside {
+		if !s.hasOutside[i] {
 			continue
 		}
 		r := s.find(int32(i))
@@ -132,13 +83,118 @@ func (s *Splitter) Components(g *Graph, u *bitset.Set) []*Graph {
 			s.rootComp[r] = ci
 			comps = append(comps, &Graph{H: g.H})
 		}
-		if i < len(g.Edges) {
-			comps[ci].Edges = append(comps[ci].Edges, g.Edges[i])
-		} else {
-			comps[ci].Specials = append(comps[ci].Specials, g.Specials[i-len(g.Edges)])
-		}
+		comps[ci].appendItem(g, i)
 	}
 	return comps
+}
+
+// Balanced reports whether every [u]-component of g holds at most half
+// of g's items, i.e. LargestComponent(Components(g, u), g.Size()) < 0.
+// It only counts component sizes and allocates nothing, so the solvers'
+// balancedness pre-checks can call it for every candidate.
+func (s *Splitter) Balanced(g *Graph, u *bitset.Set) bool {
+	return s.oversizedRoot(g, u) < 0
+}
+
+// Oversized returns the [u]-component of g holding more than half of
+// g's items, or nil when there is none. It builds only that component,
+// which equals the one Components would return at index
+// LargestComponent(Components(g, u), g.Size()).
+func (s *Splitter) Oversized(g *Graph, u *bitset.Set) *Graph {
+	root := s.oversizedRoot(g, u)
+	if root < 0 {
+		return nil
+	}
+	c := &Graph{H: g.H, Edges: make([]int, 0, s.size[root])}
+	for i := range s.hasOutside {
+		if s.hasOutside[i] && s.find(int32(i)) == root {
+			c.appendItem(g, i)
+		}
+	}
+	return c
+}
+
+// oversizedRoot runs the union-find pass and returns the root item of
+// the component holding more than half of g's items, or -1. The count
+// left in s.size[root] is a lower bound on that component's size.
+func (s *Splitter) oversizedRoot(g *Graph, u *bitset.Set) int32 {
+	s.label(g, u)
+	half := int32(len(s.hasOutside)) / 2
+	for i := range s.hasOutside {
+		if !s.hasOutside[i] {
+			continue
+		}
+		r := s.find(int32(i))
+		s.size[r]++
+		if s.size[r] > half {
+			return r
+		}
+	}
+	return -1
+}
+
+// label runs the union-find pass shared by Components, Balanced and
+// Oversized: afterwards hasOutside[i] tells whether item i (edges first,
+// then specials) has a vertex outside u, and find(i) names its
+// component. rootComp is reset to -1 and size to 0 for every item.
+func (s *Splitter) label(g *Graph, u *bitset.Set) {
+	nItems := g.Size()
+	if cap(s.parent) < nItems {
+		s.parent = make([]int32, nItems)
+		s.rank = make([]int8, nItems)
+		s.rootComp = make([]int32, nItems)
+		s.size = make([]int32, nItems)
+		s.hasOutside = make([]bool, nItems)
+	}
+	s.parent = s.parent[:nItems]
+	s.rank = s.rank[:nItems]
+	s.rootComp = s.rootComp[:nItems]
+	s.size = s.size[:nItems]
+	s.hasOutside = s.hasOutside[:nItems]
+	for i := range s.parent {
+		s.parent[i] = int32(i)
+		s.rank[i] = 0
+		s.rootComp[i] = -1
+		s.size[i] = 0
+		s.hasOutside[i] = false
+	}
+	s.epoch++
+	if s.epoch == 0 { // wrapped; reset stamps
+		for i := range s.vStamp {
+			s.vStamp[i] = 0
+		}
+		s.epoch = 1
+	}
+
+	for i := 0; i < nItems; i++ {
+		var vs *bitset.Set
+		if i < len(g.Edges) {
+			vs = s.h.Edge(g.Edges[i])
+		} else {
+			vs = g.Specials[i-len(g.Edges)].Vertices
+		}
+		vs.ForEach(func(v int) {
+			if u.Test(v) {
+				return
+			}
+			s.hasOutside[i] = true
+			if s.vStamp[v] == s.epoch {
+				s.union(int32(i), s.vOwner[v])
+			} else {
+				s.vStamp[v] = s.epoch
+				s.vOwner[v] = int32(i)
+			}
+		})
+	}
+}
+
+// appendItem adds item i of g (edges first, then specials) to c.
+func (c *Graph) appendItem(g *Graph, i int) {
+	if i < len(g.Edges) {
+		c.Edges = append(c.Edges, g.Edges[i])
+	} else {
+		c.Specials = append(c.Specials, g.Specials[i-len(g.Edges)])
+	}
 }
 
 // LargestComponent returns the index of a component with size strictly

@@ -394,3 +394,116 @@ func BenchmarkComponentsCycle64(b *testing.B) {
 		sp.Components(g, u)
 	}
 }
+
+// randomExtGraph draws an extended subhypergraph of a random hypergraph:
+// a random subset of its edges plus up to three specials over random
+// vertex sets, and a separator u that mixes random vertices with whole
+// items, so some items fall entirely inside u.
+func randomExtGraph(r *rand.Rand) (*Graph, *bitset.Set) {
+	h := randomHypergraph(r, 12, 14)
+	var edges []int
+	for e := 0; e < h.NumEdges(); e++ {
+		if r.Intn(4) != 0 {
+			edges = append(edges, e)
+		}
+	}
+	var specials []Special
+	for i, n := 0, r.Intn(4); i < n; i++ {
+		vs := h.NewVertexSet()
+		for vs.IsEmpty() {
+			for v := 0; v < h.NumVertices(); v++ {
+				if r.Intn(3) == 0 {
+					vs.Set(v)
+				}
+			}
+		}
+		specials = append(specials, Special{ID: i + 1, Vertices: vs})
+	}
+	g := NewGraph(h, edges, specials)
+	u := h.NewVertexSet()
+	for v := 0; v < h.NumVertices(); v++ {
+		if r.Intn(4) == 0 {
+			u.Set(v)
+		}
+	}
+	for _, e := range g.Edges {
+		if r.Intn(5) == 0 {
+			u.InPlaceUnion(h.Edge(e))
+		}
+	}
+	for _, sp := range g.Specials {
+		if r.Intn(3) == 0 {
+			u.InPlaceUnion(sp.Vertices)
+		}
+	}
+	return g, u
+}
+
+// checkSizeKernel compares Balanced and Oversized against the
+// Components + LargestComponent reference on one (g, u).
+func checkSizeKernel(t *testing.T, sp *Splitter, g *Graph, u *bitset.Set) {
+	t.Helper()
+	comps := sp.Components(g, u)
+	want := LargestComponent(comps, g.Size())
+	if got := sp.Balanced(g, u); got != (want < 0) {
+		t.Fatalf("Balanced = %v, LargestComponent = %d\ng=%v specials=%d u=%v", got, want, g.Edges, len(g.Specials), u)
+	}
+	over := sp.Oversized(g, u)
+	if want < 0 {
+		if over != nil {
+			t.Fatalf("Oversized = %v, want nil", over.Edges)
+		}
+		return
+	}
+	ref := comps[want]
+	if over == nil || len(over.Edges) != len(ref.Edges) || len(over.Specials) != len(ref.Specials) {
+		t.Fatalf("Oversized = %+v, want %+v", over, ref)
+	}
+	for i := range ref.Edges {
+		if over.Edges[i] != ref.Edges[i] {
+			t.Fatalf("Oversized edges = %v, want %v", over.Edges, ref.Edges)
+		}
+	}
+	for i := range ref.Specials {
+		if over.Specials[i].ID != ref.Specials[i].ID {
+			t.Fatalf("Oversized special %d has ID %d, want %d", i, over.Specials[i].ID, ref.Specials[i].ID)
+		}
+	}
+}
+
+// TestBalancedOversizedMatchComponents: the size-only kernel agrees with
+// the Components reference, including a component at exactly half the
+// items (balanced) and one item more (oversized).
+func TestBalancedOversizedMatchComponents(t *testing.T) {
+	h := cycle(8)
+	sp := NewSplitter(h)
+	// u = e0 ∪ e5 leaves [u]-components {e1..e4} and {e6, e7}.
+	half := h.Union([]int{0, 5})
+	checkSizeKernel(t, sp, Root(h), half)
+	if !sp.Balanced(Root(h), half) {
+		t.Fatal("a component of 4 of 8 items is balanced")
+	}
+	g7 := NewGraph(h, []int{1, 2, 3, 4, 6, 7}, []Special{{ID: 1, Vertices: h.Edge(0)}})
+	if sp.Balanced(g7, half) {
+		t.Fatal("a component of 4 of 7 items is not balanced")
+	}
+	checkSizeKernel(t, sp, g7, half)
+
+	r := rand.New(rand.NewSource(7))
+	for i := 0; i < 2000; i++ {
+		g, u := randomExtGraph(r)
+		checkSizeKernel(t, NewSplitter(g.H), g, u)
+	}
+}
+
+// TestBalancedAllocatesNothing: the pre-check kernel reuses the
+// Splitter's scratch and allocates nothing once warm.
+func TestBalancedAllocatesNothing(t *testing.T) {
+	h := cycle(64)
+	g := NewGraph(h, h.AllEdgeIDs()[1:], []Special{{ID: 1, Vertices: h.Edge(0)}})
+	sp := NewSplitter(h)
+	u := h.Union([]int{0, 16, 32, 48})
+	if n := testing.AllocsPerRun(100, func() { sp.Balanced(g, u) }); n != 0 {
+		t.Fatalf("Balanced allocates %.1f times per call, want 0", n)
+	}
+}

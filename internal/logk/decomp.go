@@ -3,7 +3,6 @@ package logk
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/bitset"
 	"repro/internal/comb"
@@ -12,25 +11,21 @@ import (
 	"repro/internal/ext"
 )
 
-// callState is shared by the (possibly parallel) workers of one decomp
-// call. Its parent cache exploits that the [λp]-components of H' depend
-// only on ∪λp — not on the current child candidate — so each distinct
-// parent candidate is analysed once per call instead of once per
-// (λc, λp) pair. The cache is sharded by the union's hash: reads take a
-// shard RLock and use the no-allocation string(buf) map-lookup form,
-// keeping the multi-million-iteration parent loops cheap.
+// callState is one worker's private state for the ChildLoop of one
+// decomp call. Its parent cache exploits that the [λp]-components of H'
+// depend only on ∪λp — not on the current child candidate — so each
+// distinct parent candidate is analysed once per worker and call instead
+// of once per (λc, λp) pair. The cache is never shared, so it takes no
+// lock, and one ∪λp always maps to one *parentInfo, which keeps the
+// pointer-keyed failure dedup in parentLoop sound. Lookups use the
+// no-allocation string(buf) map-lookup form, keeping the
+// multi-million-iteration parent loops cheap.
 type callState struct {
-	shards [64]parentShard
-}
-
-type parentShard struct {
-	mu sync.RWMutex
-	m  map[string]*parentInfo
+	parents map[string]*parentInfo
 }
 
 // parentInfo is the cached analysis of one ∪λp: the oversized
-// [λp]-component if any (with its vertex set and forbidden union
-// precomputed, so the shared object is safe to read concurrently).
+// [λp]-component if any, with its vertex set.
 type parentInfo struct {
 	compDown *ext.Graph
 	vDown    *bitset.Set
@@ -92,9 +87,9 @@ func (s *Solver) decomp(ctx context.Context, w *worker, g *ext.Graph, conn *bits
 	return node, ok, err
 }
 
-// childRange enumerates one rank range of the λ(c) candidate space
+// childRange enumerates ranks [lo, hi) of the λ(c) candidate space
 // (ChildLoop, lines 11-21) and returns the first success.
-func (s *Solver) childRange(ctx context.Context, w *worker, cs *callState, g *ext.Graph, conn *bitset.Set, allowed []int, depth int, it *comb.Iter) (*decomp.Node, bool, error) {
+func (s *Solver) childRange(ctx context.Context, w *worker, cs *callState, g *ext.Graph, conn *bitset.Set, allowed []int, depth int, lo, hi int64) (*decomp.Node, bool, error) {
 	// isNew[i] marks allowed edges that belong to g.Edges; a candidate
 	// must contain at least one of them (progress condition).
 	fr := w.frame(depth)
@@ -106,6 +101,7 @@ func (s *Solver) childRange(ctx context.Context, w *worker, cs *callState, g *ex
 		isNew[i] = g.ContainsEdge(e)
 	}
 
+	it := comb.NewIter(comb.Space{M: len(allowed), K: s.Opts.K}, lo, hi)
 	lambdaC := make([]int, 0, s.Opts.K)
 	unionC := s.H.NewVertexSet()
 	count := 0
@@ -152,12 +148,9 @@ func (s *Solver) childRange(ctx context.Context, w *worker, cs *callState, g *ex
 // tryChild evaluates one λ(c) candidate: the balancedness pre-check, the
 // root-of-fragment case, and the ParentLoop.
 func (s *Solver) tryChild(ctx context.Context, w *worker, cs *callState, g *ext.Graph, conn *bitset.Set, allowed []int, lambdaC []int, unionC *bitset.Set, depth int) (*decomp.Node, bool, error) {
-	total := g.Size()
-
 	// Balancedness pre-check (lines 12-14): if ∪λc does not balance H',
 	// then neither does any χc ⊆ ∪λc derived from it.
-	compsC := w.split.Components(g, unionC)
-	if ext.LargestComponent(compsC, total) >= 0 {
+	if !w.split.Balanced(g, unionC) {
 		return nil, false, nil
 	}
 
@@ -167,6 +160,7 @@ func (s *Solver) tryChild(ctx context.Context, w *worker, cs *callState, g *ext.
 	// avoid their forbidden vertices (see ext.Special.Forbidden).
 	if conn.SubsetOf(unionC) && !intersectsForbidden(unionC, g.ForbiddenUnion()) {
 		chiC := unionC.Intersect(g.Vertices())
+		compsC := w.split.Components(g, unionC)
 		children := make([]*decomp.Node, 0, len(compsC))
 		ok := true
 		for _, y := range compsC {
@@ -196,40 +190,24 @@ func (s *Solver) tryChild(ctx context.Context, w *worker, cs *callState, g *ext.
 	return s.parentLoop(ctx, w, cs, g, conn, allowed, lambdaC, unionC, depth)
 }
 
-// parentFor returns the cached analysis of one parent candidate ∪λp,
-// computing and publishing it on first use.
-func (s *Solver) parentFor(w *worker, cs *callState, g *ext.Graph, unionP *bitset.Set, total int) *parentInfo {
-	var sh *parentShard
+// parentFor returns the worker's cached analysis of one parent
+// candidate ∪λp, computing it on first use.
+func (s *Solver) parentFor(w *worker, cs *callState, g *ext.Graph, unionP *bitset.Set) *parentInfo {
 	if !s.Opts.NoCache {
 		w.keyBuf = unionP.AppendKey(w.keyBuf[:0])
-		sh = &cs.shards[unionP.Hash()&63]
-		sh.mu.RLock()
-		pi := sh.m[string(w.keyBuf)] // no-alloc lookup form
-		sh.mu.RUnlock()
-		if pi != nil {
+		if pi := cs.parents[string(w.keyBuf)]; pi != nil { // no-alloc lookup form
 			return pi
 		}
 	}
-	compsP := w.split.Components(g, unionP)
-	pi := &parentInfo{}
-	if di := ext.LargestComponent(compsP, total); di >= 0 {
-		pi.compDown = compsP[di]
+	pi := &parentInfo{compDown: w.split.Oversized(g, unionP)}
+	if pi.compDown != nil {
 		pi.vDown = pi.compDown.Vertices()
-		pi.compDown.ForbiddenUnion() // precompute for lock-free sharing
 	}
 	if !s.Opts.NoCache {
-		sh.mu.Lock()
-		if sh.m == nil {
-			sh.m = make(map[string]*parentInfo)
+		if cs.parents == nil {
+			cs.parents = make(map[string]*parentInfo)
 		}
-		// Keep one canonical object so the per-λc failure dedup
-		// (pointer-keyed) works across cache races.
-		if prev := sh.m[string(w.keyBuf)]; prev != nil {
-			pi = prev
-		} else {
-			sh.m[string(w.keyBuf)] = pi
-		}
-		sh.mu.Unlock()
+		cs.parents[string(w.keyBuf)] = pi
 	}
 	return pi
 }
@@ -263,7 +241,6 @@ func (s *Solver) parentLoop(ctx context.Context, w *worker, cs *callState, g *ex
 	it := comb.NewIter(space, 0, space.Total())
 	lambdaP := make([]int, 0, s.Opts.K)
 	unionP := s.H.NewVertexSet()
-	total := g.Size()
 	count := 0
 
 	// Distinct downward components whose recursion already failed for
@@ -297,7 +274,7 @@ func (s *Solver) parentLoop(ctx context.Context, w *worker, cs *callState, g *ex
 			unionP.InPlaceUnion(s.H.Edge(e))
 		}
 
-		pi := s.parentFor(w, cs, g, unionP, total)
+		pi := s.parentFor(w, cs, g, unionP)
 		if pi.compDown == nil {
 			// No oversized [λp]-component: p cannot sit above a balanced
 			// separator child (the root case is handled in tryChild).
@@ -339,15 +316,17 @@ func (s *Solver) tryParent(ctx context.Context, w *worker, g *ext.Graph, conn *b
 
 	// Connectivity check (line 29): the interface vertices lying in the
 	// downward component must be covered by λp.
-	if !conn.Intersect(vDown).SubsetOf(unionP) {
+	if conn.IntersectsDiff(vDown, unionP) {
+		return nil, false, false, nil
+	}
+	// Connectivity check (line 31): vDown ∩ ∪λp ⊆ χc. With χc = ∪λc ∩
+	// vDown (line 28) this is vDown ∩ ∪λp ⊆ ∪λc, checked before χc is
+	// built.
+	if vDown.IntersectsDiff(unionP, unionC) {
 		return nil, false, false, nil
 	}
 	// χ(c) per normal form condition 3 (line 28).
 	chiC := unionC.Intersect(vDown)
-	// Connectivity check (line 31).
-	if !vDown.Intersect(unionP).SubsetOf(chiC) {
-		return nil, false, false, nil
-	}
 
 	// [χc]-components inside compDown (line 33). By Corollary 3.8 these
 	// coincide with the [λc]-components there, so the balancedness

@@ -2,7 +2,8 @@ package logk
 
 import (
 	"context"
-	"errors"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/bitset"
 	"repro/internal/comb"
@@ -14,75 +15,116 @@ import (
 // across goroutines; below it, coordination overhead dominates.
 const minParallelSpace = 64
 
+// claimChunk is how many consecutive ranks a worker claims from a
+// split's shared cursor at a time. Small chunks keep every worker close
+// to the front of the candidate order, so a split finds about the same
+// first success a sequential search would; each claim costs one atomic
+// add and one unrank.
+const claimChunk = 16
+
+// rangeFunc searches ranks [lo, hi) of a candidate space and reports the
+// first success. One worker calls its rangeFunc for each chunk it
+// claims, in increasing rank order.
+type rangeFunc func(ctx context.Context, lo, hi int64) (*decomp.Node, bool, error)
+
 // searchChild runs the ChildLoop over the full candidate space, splitting
-// it across workers when tokens are available (Appendix D.1: the search
-// space for balanced separators is partitioned uniformly over the
-// available cores, with no communication until first success).
+// it across workers when tokens are available (Appendix D.1: the workers
+// share the search space for balanced separators and communicate only
+// through a shared cursor and the first success).
 func (s *Solver) searchChild(ctx context.Context, w *worker, g *ext.Graph, conn *bitset.Set, allowed []int, depth int) (*decomp.Node, bool, error) {
-	space := comb.Space{M: len(allowed), K: s.Opts.K}
-	total := space.Total()
-	cs := &callState{}
-
-	extra := 0
-	if s.Opts.Workers > 1 && total >= minParallelSpace {
-		extra = s.tokens.TryAcquire(s.Opts.Workers - 1)
+	total := comb.Space{M: len(allowed), K: s.Opts.K}.Total()
+	newRange := func(w *worker) rangeFunc {
+		cs := &callState{}
+		return func(ctx context.Context, lo, hi int64) (*decomp.Node, bool, error) {
+			return s.childRange(ctx, w, cs, g, conn, allowed, depth, lo, hi)
+		}
 	}
-	if extra == 0 {
-		it := comb.NewIter(space, 0, total)
-		return s.childRange(ctx, w, cs, g, conn, allowed, depth, it)
+	if total < minParallelSpace {
+		return newRange(w)(ctx, 0, total)
 	}
-	defer s.tokens.Release(extra)
-	s.stats.tokenGrabs.Add(1)
-
-	// Force g's lazy caches before sharing it across goroutines.
+	// Force g's lazy caches before it may be shared across goroutines.
 	g.Vertices()
 	g.ForbiddenUnion()
+	return s.splitSearch(ctx, w, total, claimChunk, newRange)
+}
 
-	iters := comb.Split(space, extra+1)
+// splitSearch searches ranks [0, total) with the caller's worker plus as
+// many helpers as the token source grants (at most Workers-1, and no more
+// than there are further chunks). Every worker, the caller included, gets
+// its own rangeFunc from newRange and claims chunks of the given size
+// from one atomic cursor, so all of them move through the candidate
+// order front to back. The first success or error cancels the split's
+// context, which stops every worker, the caller included. A helper
+// returns its token as soon as it stops claiming, so a nested split
+// inside the caller's last chunk can take it.
+//
+// The outcome matches a sequential search of the whole space: a success
+// if any worker found one; otherwise the outer context's error if it
+// ended; otherwise the first worker error; otherwise (nil, false, nil),
+// which means every rank was searched with no error and the state may
+// be memoised as dead.
+func (s *Solver) splitSearch(ctx context.Context, w *worker, total, chunk int64, newRange func(*worker) rangeFunc) (*decomp.Node, bool, error) {
+	extra := 0
+	if want := min(int64(s.Opts.Workers-1), (total-1)/chunk); want > 0 {
+		extra = s.tokens.TryAcquire(int(want))
+	}
+	if extra == 0 {
+		return newRange(w)(ctx, 0, total)
+	}
+	s.stats.tokenGrabs.Add(1)
+
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-
-	type result struct {
-		node *decomp.Node
-		ok   bool
-		err  error
+	var (
+		cursor   atomic.Int64
+		mu       sync.Mutex
+		found    *decomp.Node
+		firstErr error
+	)
+	run := func(w *worker) {
+		search := newRange(w)
+		for cctx.Err() == nil {
+			lo := cursor.Add(chunk) - chunk
+			if lo >= total {
+				return
+			}
+			node, ok, err := search(cctx, lo, min(lo+chunk, total))
+			if !ok && err == nil {
+				continue
+			}
+			mu.Lock()
+			if ok && found == nil {
+				found = node
+			}
+			if err != nil && firstErr == nil {
+				firstErr = err
+			}
+			mu.Unlock()
+			cancel()
+			return
+		}
 	}
-	results := make(chan result, len(iters)-1)
-	for _, it := range iters[1:] {
-		go func(it *comb.Iter) {
+
+	var wg sync.WaitGroup
+	wg.Add(extra)
+	for i := 0; i < extra; i++ {
+		go func() {
+			defer wg.Done()
+			defer s.tokens.Release(1)
 			nw := s.getWorker()
 			defer s.putWorker(nw)
-			node, ok, err := s.childRange(cctx, nw, cs, g, conn, allowed, depth, it)
-			results <- result{node, ok, err}
-		}(it)
+			run(nw)
+		}()
 	}
+	run(w)
+	wg.Wait()
 
-	node, ok, err := s.childRange(cctx, w, cs, g, conn, allowed, depth, iters[0])
-	if ok {
-		cancel() // siblings are redundant now
-	}
-	var firstErr error = err
-	foundNode, found := node, ok
-	for range iters[1:] {
-		r := <-results
-		if r.ok && !found {
-			found = true
-			foundNode = r.node
-			cancel()
-		}
-		if r.err != nil && firstErr == nil {
-			firstErr = r.err
-		}
-	}
-	if found {
-		return foundNode, true, nil
+	if found != nil {
+		return found, true, nil
 	}
 	// Distinguish "our cancel" from a real deadline/cancellation above us.
 	if outerErr := ctx.Err(); outerErr != nil {
 		return nil, false, outerErr
 	}
-	if firstErr != nil && !errors.Is(firstErr, context.Canceled) {
-		return nil, false, firstErr
-	}
-	return nil, false, nil
+	return nil, false, firstErr
 }
