@@ -1,28 +1,24 @@
 # Local targets mirror .github/workflows/ci.yml one to one, so a green
 # `make ci` means a green CI run (`make lint` needs staticcheck on PATH;
 # the nightly workflow additionally runs `make fuzz-long`).
+#
+# Service performance is measured end to end by perfbench/ against a
+# live htdserve (`bash perfbench/run.sh`, see perfbench/README.md);
+# `make perfbench-smoke` runs it as a correctness wall. The executor's
+# and the dataset layer's allocation budgets are `go test` tests
+# (TestExecutorAllocBudget, TestMaintenanceAllocBudget in
+# internal/join), so `make race` runs them. cmd/benchtab keeps the
+# paper's experiments and the persistence gate.
 
 GO ?= go
-# Benchmark artifact produced by `make bench-agg` and uploaded by CI;
-# bump per PR so artifacts stay comparable across the perf trajectory.
-BENCH_JSON ?= BENCH_PR6.json
-# Committed baseline the bench-regression gate compares against.
-BENCH_BASELINE ?= BENCH_PR4.json
 # Load-wall report produced by `make load-gate` and uploaded nightly.
 LOAD_JSON ?= BENCH_PR7.json
-# Memory-diet artifact produced by `make bench-mem` and gated by
-# `make bench-mem-gate` (the columnar-storage PR's baseline).
-BENCH_MEM_JSON ?= BENCH_PR8.json
 # Disk-store persistence artifact produced by `make bench-persist` and
 # gated by `make bench-persist-gate` (the disk-backed store tier PR's
 # baseline: cold solve+append vs warm restart with zero solver runs).
 BENCH_PERSIST_JSON ?= BENCH_PR9.json
-# Incremental-maintenance artifact produced by `make bench-incr` and
-# gated by `make bench-incr-gate` (the versioned-dataset PR's
-# baseline).
-BENCH_INCR_JSON ?= BENCH_PR10.json
 
-.PHONY: all build fmt fmt-check vet lint test race bench bench-exec bench-agg bench-gate bench-mem bench-mem-gate bench-persist bench-persist-gate bench-incr bench-incr-gate crash-recovery warm-restart pprof-capture load-gate stress differential fuzz fuzz-long docs-check serve ci
+.PHONY: all build fmt fmt-check vet lint test race bench perfbench-smoke bench-persist bench-persist-gate crash-recovery warm-restart pprof-capture load-gate stress differential fuzz fuzz-long docs-check serve ci
 
 all: build
 
@@ -56,53 +52,21 @@ race:
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
-	$(GO) run ./cmd/benchtab -experiment agg -benchjson $(BENCH_JSON) -quiet
 
-# The executor benchmark: serial vs parallel indexed Yannakakis over
-# identical plans, with parallel == serial byte for byte enforced in
-# the experiment. Ungated; the committed BENCH_PR5.json (which also
-# timed the since-removed slice-scan kernel) stays as history, so the
-# fresh run is written outside the tree.
-bench-exec:
-	$(GO) run ./cmd/benchtab -experiment exec -benchjson /tmp/BENCH_exec_fresh.json -quiet
+# The end-to-end correctness wall: the perfbench module's own vet and
+# generator tests, then every perfbench workload for a short fixed
+# op list against a live htdserve. Every answer is checked (digests
+# against an in-process replay, witness re-validation, /stats deltas,
+# warm index reuse) and any failed check exits non-zero. No bounds are
+# applied to the timings.
+perfbench-smoke:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+	bash perfbench/run.sh --workload all --seed 1 --seconds 2 --trace 0
 
-# This PR's benchmark: aggregate pushdown vs materialise-then-fold on
-# high-output star queries, including the differential wall and the
-# row-budget flip inside the experiment (writes $(BENCH_JSON)).
-bench-agg:
-	$(GO) run ./cmd/benchtab -experiment agg -benchjson $(BENCH_JSON) -quiet
-
-# The bench-regression gate CI runs on every PR: a fresh query
-# experiment must not regress the warm-plan suite >25% against the
-# committed $(BENCH_BASELINE); the cold entries calibrate out the
-# machine-speed difference between this host and the baseline's.
-bench-gate:
-	$(GO) run ./cmd/benchtab -experiment query \
-		-benchjson /tmp/BENCH_query_fresh.json \
-		-compare $(BENCH_BASELINE) -tolerance 0.25 -calibrate query-cold -quiet
-
-# The memory-diet harness: the indexed executor vs the naive join
-# oracle, allocs/op and bytes/op cold vs warm, with answer identity
-# enforced inside the experiment. Writes $(BENCH_MEM_JSON).
-bench-mem:
-	$(GO) run ./cmd/benchtab -experiment mem -benchjson $(BENCH_MEM_JSON) -quiet
-
-# The memory-regression gate CI runs on every PR: a fresh mem run must
-# not regress warm indexed allocs/op, bytes/op, or (calibrated) ns/op
-# >25% against the committed $(BENCH_MEM_JSON). Allocation counts are
-# machine-independent; the naive entries (untuned code) calibrate
-# machine speed out of the timing ratios only.
-bench-mem-gate:
-	$(GO) run ./cmd/benchtab -experiment mem \
-		-benchjson /tmp/BENCH_mem_fresh.json \
-		-compare $(BENCH_MEM_JSON) -tolerance 0.25 \
-		-gate mem-indexed/ -calibrate mem-naive/ -quiet
-
-# This PR's benchmark: the disk-backed store tier — cold solve+append
-# traffic (fsync every append) vs a same-process warm pass vs a full
-# service reopen on the same directory, with zero solver runs enforced
-# on the reopened service inside the experiment. Writes
-# $(BENCH_PERSIST_JSON).
+# The disk-backed store tier benchmark: cold solve+append traffic
+# (fsync every append) vs a same-process warm pass vs a full service
+# reopen on the same directory, with zero solver runs enforced on the
+# reopened service inside the experiment. Writes $(BENCH_PERSIST_JSON).
 bench-persist:
 	$(GO) run ./cmd/benchtab -experiment persist -benchjson $(BENCH_PERSIST_JSON) -quiet
 
@@ -110,37 +74,14 @@ bench-persist:
 # not regress the warm or reopen suite aggregates >50% against the
 # committed $(BENCH_PERSIST_JSON); the cold entries calibrate out
 # machine speed. (The warm/reopen passes are sub-millisecond, hence
-# the wider tolerance than the other gates; the hard zero-solver-runs
-# wall is enforced inside the experiment itself, not by the ratio.)
+# the wide tolerance; the hard zero-solver-runs wall is enforced
+# inside the experiment itself, not by the ratio.)
 bench-persist-gate:
 	$(GO) run ./cmd/benchtab -experiment persist \
 		-benchjson /tmp/BENCH_persist_fresh.json \
 		-compare $(BENCH_PERSIST_JSON) -tolerance 0.50 \
 		-gate persist-warm/suite,persist-reopen/suite \
 		-calibrate persist-cold/ -quiet
-
-# This PR's benchmark: incremental dataset maintenance — per delta
-# batch, O(delta) layered index maintenance vs a full index rebuild vs
-# a full re-upload (re-parse + re-index), over delta sizes 1/100/10k
-# plus a mixed insert+delete bucket, with byte-identity, the
-# maintenance-beats-rebuild wall, and the unchanged-data fast paths
-# (zero index builds warm, parse-cache coalescing) enforced inside the
-# experiment. Writes $(BENCH_INCR_JSON).
-bench-incr:
-	$(GO) run ./cmd/benchtab -experiment incr -benchjson $(BENCH_INCR_JSON) -quiet
-
-# The incremental-maintenance gate CI runs on every PR: a fresh incr
-# run must not regress the maint suite's (calibrated) ns/op or its
-# machine-independent allocs/op >50% against the committed
-# $(BENCH_INCR_JSON); the rebuild entries calibrate machine speed out
-# of the timing ratios. (Per-batch times are sub-10ms and noisy, hence
-# the wide tolerance; the hard maint-beats-rebuild and identity walls
-# run inside the experiment itself.)
-bench-incr-gate:
-	$(GO) run ./cmd/benchtab -experiment incr \
-		-benchjson /tmp/BENCH_incr_fresh.json \
-		-compare $(BENCH_INCR_JSON) -tolerance 0.50 \
-		-gate incr-maint/ -calibrate incr-rebuild/ -quiet
 
 # The crash-recovery wall: kill -9 a child process mid-append, then
 # assert the reopened log serves an intact contiguous prefix (torn
@@ -201,4 +142,4 @@ docs-check:
 serve:
 	$(GO) run ./cmd/htdserve
 
-ci: fmt-check vet lint build race bench bench-gate bench-mem-gate bench-persist-gate bench-incr-gate crash-recovery warm-restart stress differential fuzz docs-check
+ci: fmt-check vet lint build race bench perfbench-smoke bench-persist-gate crash-recovery warm-restart stress differential fuzz docs-check

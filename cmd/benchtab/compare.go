@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -24,10 +25,11 @@ func readBenchJSON(path string) (benchFile, error) {
 // compareBench diffs a fresh benchmark run against a committed baseline
 // artifact: every baseline entry whose name starts with one of the gate
 // prefixes must exist in the fresh run and must not regress its
-// per-operation time by more than tol (0.25 = 25% slower). It returns a
-// human-readable report and the list of violations (empty = gate
-// passes). Entries outside the gate prefixes are reported for context
-// but never fail the comparison.
+// per-operation time by more than tol (0.25 = 25% slower). A prefix
+// that matches no baseline entry is itself a violation: the gate would
+// check nothing. It returns a human-readable report and the list of
+// violations (empty = gate passes). Entries outside the gate prefixes
+// are reported for context but never fail the comparison.
 //
 // Baselines are committed artifacts measured on whatever machine cut
 // the PR, while the fresh run executes on an arbitrary (CI) host, so
@@ -51,6 +53,12 @@ func compareBench(fresh, baseline benchFile, prefixes []string, tol float64, cal
 
 	var rep strings.Builder
 	var failures []string
+	for _, p := range prefixes {
+		if p == "" || !slices.ContainsFunc(baseline.Benchmarks, func(b benchEntry) bool { return strings.HasPrefix(b.Name, p) }) {
+			failures = append(failures, fmt.Sprintf(
+				"gate prefix %q matched no baseline entries; the gate would check nothing", p))
+		}
+	}
 	speed := 1.0
 	if calibrate != "" {
 		var ratios []float64
@@ -111,26 +119,9 @@ func compareBench(fresh, baseline benchFile, prefixes []string, tol float64, cal
 			} else {
 				mark = "✓"
 			}
-			// Allocation counters need no machine-speed calibration: the
-			// same code does the same allocations on any host, so a fresh
-			// run exceeding the committed baseline is a real regression.
-			if base.AllocsPerOp > 0 && f.AllocsPerOp/base.AllocsPerOp > 1+tol {
-				failures = append(failures, fmt.Sprintf("%s: %.0f allocs/op vs baseline %.0f allocs/op = %.2fx (limit %.2fx)",
-					name, f.AllocsPerOp, base.AllocsPerOp, f.AllocsPerOp/base.AllocsPerOp, 1+tol))
-				mark = "✗"
-			}
-			if base.BytesPerOp > 0 && f.BytesPerOp/base.BytesPerOp > 1+tol {
-				failures = append(failures, fmt.Sprintf("%s: %.0f B/op vs baseline %.0f B/op = %.2fx (limit %.2fx)",
-					name, f.BytesPerOp, base.BytesPerOp, f.BytesPerOp/base.BytesPerOp, 1+tol))
-				mark = "✗"
-			}
 		}
 		fmt.Fprintf(&rep, "%s %-32s baseline %12.0f ns/op   fresh %12.0f ns/op   %5.2fx\n",
 			mark, name, base.NsPerOp, f.NsPerOp, ratio)
-		if base.AllocsPerOp > 0 && f.AllocsPerOp > 0 {
-			fmt.Fprintf(&rep, "  %-32s baseline %12.0f allocs/op fresh %12.0f allocs/op %5.2fx\n",
-				"", base.AllocsPerOp, f.AllocsPerOp, f.AllocsPerOp/base.AllocsPerOp)
-		}
 	}
 	return rep.String(), failures
 }

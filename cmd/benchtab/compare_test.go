@@ -11,7 +11,8 @@ func bench(name string, ns float64) benchEntry {
 
 // TestCompareBenchGate: gated entries fail past the tolerance, ungated
 // entries never do, and a gated entry missing from the fresh run is a
-// violation (a renamed benchmark must not silently disable the gate).
+// violation (a renamed benchmark must not silently disable the gate),
+// as is a gate prefix that matches no baseline entry at all.
 func TestCompareBenchGate(t *testing.T) {
 	baseline := benchFile{Experiment: "query", Benchmarks: []benchEntry{
 		bench("query-warm/a", 100),
@@ -51,6 +52,17 @@ func TestCompareBenchGate(t *testing.T) {
 	_, failures = compareBench(fresh, baseline, []string{"query-warm", "query-cold"}, 0.25, "")
 	if len(failures) != 2 {
 		t.Fatalf("expected 2 violations with the cold gate on, got %v", failures)
+	}
+
+	// A prefix naming no baseline entry (a retired experiment, a typo)
+	// fails loudly instead of passing with nothing checked; so does an
+	// empty prefix, which is what an unset -gate splits into.
+	fresh.Benchmarks = baseline.Benchmarks
+	for _, prefixes := range [][]string{{"query-warmup"}, {"query-warm", "no-such-entry"}, {""}} {
+		_, failures = compareBench(fresh, baseline, prefixes, 0.25, "")
+		if len(failures) != 1 || !strings.Contains(failures[0], "matched no baseline entries") {
+			t.Fatalf("gate %q: want one unmatched-prefix violation, got %v", prefixes, failures)
+		}
 	}
 }
 

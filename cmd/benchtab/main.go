@@ -9,44 +9,29 @@
 //	benchtab -experiment figure3 -csv scatter.csv
 //
 // Experiments: table1 table2 table3 table4 table5 figure1 figure3
-// ablation depth ghd race store query exec agg mem persist incr all
+// ablation depth ghd race persist all
 //
 // The race experiment compares the serial k = 1..kmax width ladder
-// against the optimal-width racing service pipeline; the store
-// experiment measures the unified decomposition store (cold-vs-warm
-// repeat traffic and request coalescing); the query experiment drives
-// the end-to-end conjunctive-query pipeline (Yannakakis over
-// store-cached decompositions) with cold-plan vs warm-plan traffic;
-// the exec experiment races the serial and parallel indexed executor
-// over identical plans;
-// the agg experiment compares aggregate pushdown against
-// materialise-then-fold on high-output star queries (BENCH_PR6.json);
-// the mem experiment is the memory-diet harness — the indexed executor
-// vs the naive join oracle, recording allocs/op, bytes/op, GC pauses,
-// and peak RSS, with answer identity enforced in-experiment
-// (BENCH_PR8.json);
-// the persist experiment measures the disk-backed store tier — cold
+// against the optimal-width racing service pipeline; the persist
+// experiment measures the disk-backed store tier — cold
 // solve-and-append traffic vs a same-process warm pass vs a full
 // process restart over the same -store-dir, with zero solver runs
-// enforced on the restarted service (BENCH_PR9.json);
-// the incr experiment measures incremental dataset maintenance — per
-// delta batch, O(delta) layered index maintenance vs a full index
-// rebuild vs a full re-upload, across delta sizes 1/100/10k, plus the
-// unchanged-data fast paths (warm dataset query with zero index
-// builds, parse-cache coalescing), with byte-identity and a
-// maintenance-beats-rebuild wall enforced in-experiment
-// (BENCH_PR10.json).
-// With -benchjson any of them writes its measurements as a JSON
-// benchmark artifact (BENCH_PR5.json in CI) so the perf trajectory is
-// tracked across PRs.
+// enforced on the restarted service (BENCH_PR9.json). With -benchjson
+// either writes its measurements as a JSON benchmark artifact.
+//
+// The service's query, executor, aggregate and dataset layers are
+// measured end to end by perfbench/ (see perfbench/README.md) against a
+// live htdserve; their allocation budgets are `go test` tests in
+// internal/join.
 //
 // With -compare the fresh -benchjson artifact is additionally diffed
 // against a committed baseline and the process exits non-zero when any
-// gated entry (-gate prefixes, default the warm-plan suite) regressed
-// its ns/op by more than -tolerance — the CI bench-regression gate:
+// gated entry (-gate prefixes, required) regressed its ns/op by more
+// than -tolerance, or when a -gate prefix matches no baseline entry:
 //
-//	benchtab -experiment query -benchjson fresh.json \
-//	    -compare BENCH_PR4.json -tolerance 0.25 -calibrate query-cold
+//	benchtab -experiment persist -benchjson fresh.json \
+//	    -compare BENCH_PR9.json -tolerance 0.50 \
+//	    -gate persist-warm/suite,persist-reopen/suite -calibrate persist-cold/
 //
 // -calibrate divides the median fresh/baseline ratio of the named
 // entries (machine speed) out of every gated ratio, so a committed
@@ -75,13 +60,13 @@ func main() {
 		kmax       = flag.Int("kmax", 6, "maximum width to try")
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "workers for parallel methods")
 		csvPath    = flag.String("csv", "", "write figure3 scatter CSV here")
-		benchJSON  = flag.String("benchjson", "", "write race-experiment benchmark JSON here")
+		benchJSON  = flag.String("benchjson", "", "write the race or persist experiment's benchmark JSON here")
 		rounds     = flag.Int("rounds", 3, "traffic rounds for the race experiment")
 		quiet      = flag.Bool("quiet", false, "suppress progress output")
 		compare    = flag.String("compare", "", "baseline benchmark JSON to gate the fresh -benchjson run against")
 		tolerance  = flag.Float64("tolerance", 0.25, "max fractional ns/op regression for gated entries")
-		gate       = flag.String("gate", "query-warmup", "comma-separated entry-name prefixes the -compare gate enforces (default: the warm-plan suite aggregate; per-bucket entries are sub-ms and too noisy to gate)")
-		calibrate  = flag.String("calibrate", "", "entry-name prefix whose median fresh/baseline ratio is divided out as machine speed (e.g. query-cold)")
+		gate       = flag.String("gate", "", "comma-separated entry-name prefixes the -compare gate enforces; each must match a baseline entry")
+		calibrate  = flag.String("calibrate", "", "entry-name prefix whose median fresh/baseline ratio is divided out as machine speed (e.g. persist-cold/)")
 	)
 	flag.Parse()
 
@@ -177,44 +162,8 @@ func main() {
 				return err
 			}
 			fmt.Print(tab.Render())
-		case "store":
-			tab, err := storeExperiment(ctx, cfg, *benchJSON)
-			if err != nil {
-				return err
-			}
-			fmt.Print(tab.Render())
-		case "query":
-			tab, err := queryExperiment(ctx, cfg, *benchJSON)
-			if err != nil {
-				return err
-			}
-			fmt.Print(tab.Render())
-		case "exec":
-			tab, err := execExperiment(ctx, cfg, *benchJSON)
-			if err != nil {
-				return err
-			}
-			fmt.Print(tab.Render())
-		case "agg":
-			tab, err := aggExperiment(ctx, cfg, *benchJSON)
-			if err != nil {
-				return err
-			}
-			fmt.Print(tab.Render())
-		case "mem":
-			tab, err := memExperiment(ctx, cfg, *rounds, *benchJSON)
-			if err != nil {
-				return err
-			}
-			fmt.Print(tab.Render())
 		case "persist":
 			tab, err := persistExperiment(ctx, cfg, *benchJSON)
-			if err != nil {
-				return err
-			}
-			fmt.Print(tab.Render())
-		case "incr":
-			tab, err := incrExperiment(ctx, cfg, *benchJSON)
 			if err != nil {
 				return err
 			}
@@ -244,7 +193,7 @@ func main() {
 	names := []string{*experiment}
 	if *experiment == "all" {
 		names = []string{"table1", "table2", "table3", "table4", "table5",
-			"figure1", "figure3", "ablation", "depth", "ghd", "race", "store", "query", "exec", "agg", "mem", "persist", "incr"}
+			"figure1", "figure3", "ablation", "depth", "ghd", "race", "persist"}
 	}
 	for _, n := range names {
 		if err := run(strings.TrimSpace(n)); err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"sync"
 	"time"
 
 	htd "repro"
@@ -201,4 +202,33 @@ func persistExperiment(ctx context.Context, cfg harness.Config, jsonPath string)
 		t.Notes = append(t.Notes, "benchmark JSON written to "+jsonPath)
 	}
 	return t, nil
+}
+
+// submitAll submits every instance concurrently as a ModeOptimal job
+// and reports wall time and the number solved.
+func submitAll(ctx context.Context, svc *htd.Service, ins []hyperbench.Instance, cfg harness.Config) (ms float64, solved int, err error) {
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	start := time.Now()
+	for _, in := range ins {
+		wg.Add(1)
+		go func(in hyperbench.Instance) {
+			defer wg.Done()
+			res := svc.Submit(ctx, htd.ServiceRequest{
+				H: in.H, K: cfg.KMax, Mode: htd.ModeOptimal,
+				Workers: cfg.Workers,
+				Hybrid:  htd.HybridWeightedCount, HybridThreshold: 40,
+			})
+			if res.Err == nil && res.OK {
+				mu.Lock()
+				solved++
+				mu.Unlock()
+			}
+		}(in)
+	}
+	wg.Wait()
+	if ctx.Err() != nil {
+		return 0, 0, ctx.Err()
+	}
+	return float64(time.Since(start)) / float64(time.Millisecond), solved, nil
 }

@@ -14,24 +14,19 @@ import (
 	"repro/internal/logk"
 )
 
-// benchEntry is one measurement in the benchmark JSON artifact. The
-// mem experiment additionally records allocation counters; those are
-// machine-independent (the allocator does the same work everywhere),
-// so compareBench gates them without speed calibration.
+// benchEntry is one measurement in the benchmark JSON artifact.
 type benchEntry struct {
-	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	Ops         int     `json:"ops"`
-	Solved      int     `json:"solved"`
-	WallMS      float64 `json:"wall_ms"`
-	Workers     int     `json:"workers"`
-	Rounds      int     `json:"rounds"`
-	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
-	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
-	Notes       string  `json:"notes,omitempty"`
+	Name    string  `json:"name"`
+	NsPerOp float64 `json:"ns_per_op"`
+	Ops     int     `json:"ops"`
+	Solved  int     `json:"solved"`
+	WallMS  float64 `json:"wall_ms"`
+	Workers int     `json:"workers"`
+	Rounds  int     `json:"rounds"`
+	Notes   string  `json:"notes,omitempty"`
 }
 
-// benchFile is the benchmark-artifact schema (BENCH_PR3.json): a flat
+// benchFile is the benchmark-artifact schema (BENCH_PR9.json): a flat
 // benchmark list plus enough context to compare runs across machines.
 type benchFile struct {
 	Experiment  string       `json:"experiment"`

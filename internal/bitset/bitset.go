@@ -226,23 +226,6 @@ func (s *Set) Next(i int) int {
 	}
 }
 
-// Hash returns an FNV-1a style hash of the set contents, suitable for use
-// as a map key component. Sets with equal contents hash equally.
-func (s *Set) Hash() uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for _, w := range s.words {
-		for b := 0; b < 8; b++ {
-			h ^= (w >> (8 * uint(b))) & 0xff
-			h *= prime
-		}
-	}
-	return h
-}
-
 // AppendKey appends a canonical binary encoding of s to dst. Two sets of
 // the same capacity produce equal encodings iff they are equal.
 func (s *Set) AppendKey(dst []byte) []byte {

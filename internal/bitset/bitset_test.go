@@ -181,18 +181,6 @@ func TestNext(t *testing.T) {
 	}
 }
 
-func TestHashEqualSets(t *testing.T) {
-	a := FromSlice(128, []int{1, 64, 127})
-	b := FromSlice(128, []int{127, 1, 64})
-	if a.Hash() != b.Hash() {
-		t.Fatal("equal sets must hash equally")
-	}
-	b.Set(2)
-	if a.Hash() == b.Hash() {
-		t.Fatal("hash collision between trivially different sets (suspicious)")
-	}
-}
-
 func TestAppendKeyRoundTrip(t *testing.T) {
 	a := FromSlice(128, []int{0, 77})
 	b := FromSlice(128, []int{0, 77})

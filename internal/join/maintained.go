@@ -250,15 +250,6 @@ func (m *MRel) Delete(rows [][]int) (deleted, missed int, err error) {
 	return deleted, missed, nil
 }
 
-// ForceRebuild drops every maintained layer so the next Commit builds
-// each registered set from scratch — the full-rebuild baseline the
-// incr benchmark measures delta maintenance against.
-func (m *MRel) ForceRebuild() {
-	for _, st := range m.sets {
-		st.layers = nil
-	}
-}
-
 // adoptCaptured promotes column sets the executor captured into the
 // current view's IndexSet (sets some query had to build) to registered
 // maintained sets, so the next delta extends them instead of the next
