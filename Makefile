@@ -5,20 +5,17 @@
 # Service performance is measured end to end by perfbench/ against a
 # live htdserve (`bash perfbench/run.sh`, see perfbench/README.md);
 # `make perfbench-smoke` runs it as a correctness wall. The executor's
-# and the dataset layer's allocation budgets are `go test` tests
-# (TestExecutorAllocBudget, TestMaintenanceAllocBudget in
-# internal/join), so `make race` runs them. cmd/benchtab keeps the
-# paper's experiments and the persistence gate.
+# and the dataset layer's allocation budgets and the disk tier's I/O
+# budget are `go test` tests (TestExecutorAllocBudget,
+# TestMaintenanceAllocBudget in internal/join; TestDiskTierIOBudget in
+# internal/service), so `make race` runs them. cmd/benchtab keeps the
+# paper's experiments.
 
 GO ?= go
 # Load-wall report produced by `make load-gate` and uploaded nightly.
 LOAD_JSON ?= BENCH_PR7.json
-# Disk-store persistence artifact produced by `make bench-persist` and
-# gated by `make bench-persist-gate` (the disk-backed store tier PR's
-# baseline: cold solve+append vs warm restart with zero solver runs).
-BENCH_PERSIST_JSON ?= BENCH_PR9.json
 
-.PHONY: all build fmt fmt-check vet lint test race bench perfbench-smoke bench-persist bench-persist-gate crash-recovery warm-restart pprof-capture load-gate stress differential fuzz fuzz-long docs-check serve ci
+.PHONY: all build fmt fmt-check vet lint test race bench perfbench-smoke crash-recovery warm-restart pprof-capture load-gate stress differential fuzz fuzz-long docs-check serve ci
 
 all: build
 
@@ -63,34 +60,15 @@ perfbench-smoke:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 	bash perfbench/run.sh --workload all --seed 1 --seconds 2 --trace 0
 
-# The disk-backed store tier benchmark: cold solve+append traffic
-# (fsync every append) vs a same-process warm pass vs a full service
-# reopen on the same directory, with zero solver runs enforced on the
-# reopened service inside the experiment. Writes $(BENCH_PERSIST_JSON).
-bench-persist:
-	$(GO) run ./cmd/benchtab -experiment persist -benchjson $(BENCH_PERSIST_JSON) -quiet
-
-# The persistence gate CI runs on every PR: a fresh persist run must
-# not regress the warm or reopen suite aggregates >50% against the
-# committed $(BENCH_PERSIST_JSON); the cold entries calibrate out
-# machine speed. (The warm/reopen passes are sub-millisecond, hence
-# the wide tolerance; the hard zero-solver-runs wall is enforced
-# inside the experiment itself, not by the ratio.)
-bench-persist-gate:
-	$(GO) run ./cmd/benchtab -experiment persist \
-		-benchjson /tmp/BENCH_persist_fresh.json \
-		-compare $(BENCH_PERSIST_JSON) -tolerance 0.50 \
-		-gate persist-warm/suite,persist-reopen/suite \
-		-calibrate persist-cold/ -quiet
-
 # The crash-recovery wall: kill -9 a child process mid-append, then
 # assert the reopened log serves an intact contiguous prefix (torn
 # tails truncated, never served corrupt), plus the torn-tail/bit-flip
-# recovery table and the service-level warm restart (same directory
-# and a byte copy of it).
+# recovery table, the service-level warm restart (same directory and a
+# byte copy of it) and the disk tier's exact I/O budget across a
+# reopen.
 crash-recovery:
 	$(GO) test -race -count=1 \
-		-run 'TestCrashRecovery|TestLogTornTail|TestLogBitFlip|TestDiskBackedServiceWarmRestart' \
+		-run 'TestCrashRecovery|TestLogTornTail|TestLogBitFlip|TestDiskBackedServiceWarmRestart|TestDiskTierIOBudget' \
 		./internal/store ./internal/service
 
 # The two-process warm-restart wall: boot a real htdserve with
@@ -142,4 +120,4 @@ docs-check:
 serve:
 	$(GO) run ./cmd/htdserve
 
-ci: fmt-check vet lint build race bench perfbench-smoke bench-persist-gate crash-recovery warm-restart stress differential fuzz docs-check
+ci: fmt-check vet lint build race bench perfbench-smoke crash-recovery warm-restart stress differential fuzz docs-check

@@ -9,33 +9,16 @@
 //	benchtab -experiment figure3 -csv scatter.csv
 //
 // Experiments: table1 table2 table3 table4 table5 figure1 figure3
-// ablation depth ghd race persist all
+// ablation depth ghd race all
 //
 // The race experiment compares the serial k = 1..kmax width ladder
-// against the optimal-width racing service pipeline; the persist
-// experiment measures the disk-backed store tier — cold
-// solve-and-append traffic vs a same-process warm pass vs a full
-// process restart over the same -store-dir, with zero solver runs
-// enforced on the restarted service (BENCH_PR9.json). With -benchjson
-// either writes its measurements as a JSON benchmark artifact.
+// against the optimal-width racing service pipeline.
 //
-// The service's query, executor, aggregate and dataset layers are
-// measured end to end by perfbench/ (see perfbench/README.md) against a
-// live htdserve; their allocation budgets are `go test` tests in
-// internal/join.
-//
-// With -compare the fresh -benchjson artifact is additionally diffed
-// against a committed baseline and the process exits non-zero when any
-// gated entry (-gate prefixes, required) regressed its ns/op by more
-// than -tolerance, or when a -gate prefix matches no baseline entry:
-//
-//	benchtab -experiment persist -benchjson fresh.json \
-//	    -compare BENCH_PR9.json -tolerance 0.50 \
-//	    -gate persist-warm/suite,persist-reopen/suite -calibrate persist-cold/
-//
-// -calibrate divides the median fresh/baseline ratio of the named
-// entries (machine speed) out of every gated ratio, so a committed
-// baseline from one host gates code, not hardware, on another.
+// The service's layers are measured end to end by perfbench/ (see
+// perfbench/README.md) against a live htdserve. Their allocation and
+// disk-I/O budgets are `go test` tests: TestExecutorAllocBudget and
+// TestMaintenanceAllocBudget in internal/join, TestDiskTierIOBudget in
+// internal/service.
 package main
 
 import (
@@ -60,13 +43,8 @@ func main() {
 		kmax       = flag.Int("kmax", 6, "maximum width to try")
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "workers for parallel methods")
 		csvPath    = flag.String("csv", "", "write figure3 scatter CSV here")
-		benchJSON  = flag.String("benchjson", "", "write the race or persist experiment's benchmark JSON here")
 		rounds     = flag.Int("rounds", 3, "traffic rounds for the race experiment")
 		quiet      = flag.Bool("quiet", false, "suppress progress output")
-		compare    = flag.String("compare", "", "baseline benchmark JSON to gate the fresh -benchjson run against")
-		tolerance  = flag.Float64("tolerance", 0.25, "max fractional ns/op regression for gated entries")
-		gate       = flag.String("gate", "", "comma-separated entry-name prefixes the -compare gate enforces; each must match a baseline entry")
-		calibrate  = flag.String("calibrate", "", "entry-name prefix whose median fresh/baseline ratio is divided out as machine speed (e.g. persist-cold/)")
 	)
 	flag.Parse()
 
@@ -157,13 +135,7 @@ func main() {
 			acfg.Suite = medium
 			fmt.Print(harness.AblationExperiment(ctx, acfg).Render())
 		case "race":
-			tab, err := raceExperiment(ctx, cfg, *rounds, *benchJSON)
-			if err != nil {
-				return err
-			}
-			fmt.Print(tab.Render())
-		case "persist":
-			tab, err := persistExperiment(ctx, cfg, *benchJSON)
+			tab, err := raceExperiment(ctx, cfg, *rounds)
 			if err != nil {
 				return err
 			}
@@ -193,40 +165,13 @@ func main() {
 	names := []string{*experiment}
 	if *experiment == "all" {
 		names = []string{"table1", "table2", "table3", "table4", "table5",
-			"figure1", "figure3", "ablation", "depth", "ghd", "race", "persist"}
+			"figure1", "figure3", "ablation", "depth", "ghd", "race"}
 	}
 	for _, n := range names {
 		if err := run(strings.TrimSpace(n)); err != nil {
 			fmt.Fprintln(os.Stderr, "benchtab:", err)
 			os.Exit(1)
 		}
-	}
-
-	if *compare != "" {
-		if *benchJSON == "" {
-			fmt.Fprintln(os.Stderr, "benchtab: -compare requires -benchjson (the fresh run to gate)")
-			os.Exit(2)
-		}
-		fresh, err := readBenchJSON(*benchJSON)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab:", err)
-			os.Exit(2)
-		}
-		baseline, err := readBenchJSON(*compare)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab:", err)
-			os.Exit(2)
-		}
-		report, failures := compareBench(fresh, baseline, strings.Split(*gate, ","), *tolerance, *calibrate)
-		fmt.Print(report)
-		if len(failures) > 0 {
-			fmt.Fprintf(os.Stderr, "benchtab: bench-regression gate FAILED (%d violations):\n", len(failures))
-			for _, f := range failures {
-				fmt.Fprintln(os.Stderr, "  -", f)
-			}
-			os.Exit(1)
-		}
-		fmt.Println("bench-regression gate passed")
 	}
 }
 

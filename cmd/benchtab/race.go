@@ -2,9 +2,7 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
@@ -13,28 +11,6 @@ import (
 	"repro/internal/hyperbench"
 	"repro/internal/logk"
 )
-
-// benchEntry is one measurement in the benchmark JSON artifact.
-type benchEntry struct {
-	Name    string  `json:"name"`
-	NsPerOp float64 `json:"ns_per_op"`
-	Ops     int     `json:"ops"`
-	Solved  int     `json:"solved"`
-	WallMS  float64 `json:"wall_ms"`
-	Workers int     `json:"workers"`
-	Rounds  int     `json:"rounds"`
-	Notes   string  `json:"notes,omitempty"`
-}
-
-// benchFile is the benchmark-artifact schema (BENCH_PR9.json): a flat
-// benchmark list plus enough context to compare runs across machines.
-type benchFile struct {
-	Experiment  string       `json:"experiment"`
-	GeneratedBy string       `json:"generated_by"`
-	KMax        int          `json:"kmax"`
-	Timestamp   string       `json:"timestamp"`
-	Benchmarks  []benchEntry `json:"benchmarks"`
-}
 
 // raceExperiment compares, per HyperBench-sim size bucket, the serial
 // width ladder (the pre-racer pipeline: decide k = 1, 2, … with the
@@ -45,7 +21,7 @@ type benchFile struct {
 // passes over the bucket, modelling repeat traffic: the service banks
 // refutations as width bounds, so later rounds start from tight bounds
 // while the serial ladder re-proves everything from scratch.
-func raceExperiment(ctx context.Context, cfg harness.Config, rounds int, jsonPath string) (*harness.Table, error) {
+func raceExperiment(ctx context.Context, cfg harness.Config, rounds int) (*harness.Table, error) {
 	if rounds < 1 {
 		rounds = 1
 	}
@@ -68,12 +44,6 @@ func raceExperiment(ctx context.Context, cfg harness.Config, rounds int, jsonPat
 		}
 	}
 
-	out := benchFile{
-		Experiment:  "race",
-		GeneratedBy: "cmd/benchtab",
-		KMax:        cfg.KMax,
-		Timestamp:   time.Now().UTC().Format(time.RFC3339),
-	}
 	t := &harness.Table{
 		Title: "Race: serial width ladder vs racing service pipeline",
 		Headers: []string{"Bucket", "N", "Rounds",
@@ -89,22 +59,6 @@ func raceExperiment(ctx context.Context, cfg harness.Config, rounds int, jsonPat
 		if err != nil {
 			return nil, err
 		}
-		ops := rounds * len(br.instances)
-		out.Benchmarks = append(out.Benchmarks,
-			benchEntry{
-				Name:    "serial-ladder/" + br.bucket,
-				NsPerOp: serialMS * 1e6 / float64(ops),
-				Ops:     ops, Solved: serialSolved, WallMS: serialMS,
-				Workers: cfg.Workers, Rounds: rounds,
-				Notes: "library ladder k=1..kmax, hybrid solver, no cross-request state",
-			},
-			benchEntry{
-				Name:    "race-service/" + br.bucket,
-				NsPerOp: raceMS * 1e6 / float64(ops),
-				Ops:     ops, Solved: raceSolved, WallMS: raceMS,
-				Workers: cfg.Workers, Rounds: rounds,
-				Notes: "ModeOptimal jobs, concurrent submissions, shared memo+bounds caches",
-			})
 		t.AddRow(br.bucket, len(br.instances), rounds,
 			fmt.Sprintf("%.1f", serialMS), serialSolved,
 			fmt.Sprintf("%.1f", raceMS), raceSolved,
@@ -113,24 +67,7 @@ func raceExperiment(ctx context.Context, cfg harness.Config, rounds int, jsonPat
 	t.Notes = append(t.Notes,
 		"serial: one decide per width per instance, sequential (the pre-racer pipeline)",
 		"race: optimal-mode service jobs under concurrent load; later rounds reuse banked bounds")
-
-	if jsonPath != "" {
-		if err := writeBenchJSON(jsonPath, out); err != nil {
-			return nil, err
-		}
-		t.Notes = append(t.Notes, "benchmark JSON written to "+jsonPath)
-	}
 	return t, nil
-}
-
-// writeBenchJSON serialises a benchmark artifact the same way for every
-// experiment (indented, trailing newline).
-func writeBenchJSON(path string, f benchFile) error {
-	data, err := json.MarshalIndent(f, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // serialLadder times the pre-racer optimal pipeline: for each instance,

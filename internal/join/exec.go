@@ -12,7 +12,7 @@ import (
 
 // TokenSource supplies the extra-worker tokens a parallel evaluation's
 // spawned subtree tasks draw from. It mirrors logk.TokenSource
-// structurally (service.TokenBudget satisfies both), so query execution
+// structurally (logk.TokenPool satisfies both), so query execution
 // and decomposition jobs can share one process-wide budget without this
 // package importing the solver. Implementations must be safe for
 // concurrent use.

@@ -1,16 +1,17 @@
 package logk
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 )
 
 // TokenSource supplies the extra-worker tokens that parallel search
 // splits draw from (Appendix D.1). A Solver created without one gets a
-// private source sized to Options.Workers-1; a serving layer can instead
-// inject a budget shared across many concurrent Solvers so the process
-// never oversubscribes its cores. Implementations must be safe for
-// concurrent use.
+// private TokenPool sized to Options.Workers-1; a serving layer can
+// instead inject a pool shared across many concurrent Solvers so the
+// process never oversubscribes its cores. Implementations must be safe
+// for concurrent use.
 type TokenSource interface {
 	// TryAcquire takes up to max tokens without blocking and returns how
 	// many it got (0..max).
@@ -34,17 +35,80 @@ type MemoBackend interface {
 	Insert(key string)
 }
 
-// NewTokenPool returns a standalone TokenSource holding n tokens. It is
-// the same pool a Solver creates privately; exporting a constructor lets
-// callers that run several Solvers side by side (width-probe racing, ad
-// hoc batch drivers) share one pool without depending on the service
-// layer's budget type.
-func NewTokenPool(n int) TokenSource {
+// TokenPool is a lock-free pool of extra-worker tokens, the
+// TokenSource every Solver draws from. A Solver created without
+// Options.Tokens gets a private pool; a serving layer shares one pool
+// across every job it runs, so the total number of extra search
+// goroutines across all concurrent decompositions never exceeds Size.
+type TokenPool struct {
+	size  int64
+	avail atomic.Int64
+
+	// highWater tracks the maximum number of tokens simultaneously lent
+	// out, so tests and /stats can verify the bound is respected.
+	highWater atomic.Int64
+}
+
+// NewTokenPool returns a pool of n tokens (negative n clamps to 0).
+// Callers that run several Solvers side by side (width-probe racing,
+// ad hoc batch drivers, a serving layer) share one pool.
+func NewTokenPool(n int) *TokenPool {
 	if n < 0 {
 		n = 0
 	}
-	return newChanTokens(n)
+	p := &TokenPool{size: int64(n)}
+	p.avail.Store(int64(n))
+	return p
 }
+
+// TryAcquire implements TokenSource.
+func (p *TokenPool) TryAcquire(max int) int {
+	if max <= 0 {
+		return 0
+	}
+	for {
+		cur := p.avail.Load()
+		if cur <= 0 {
+			return 0
+		}
+		n := int64(max)
+		if n > cur {
+			n = cur
+		}
+		if !p.avail.CompareAndSwap(cur, cur-n) {
+			continue
+		}
+		inUse := p.size - (cur - n)
+		for {
+			hw := p.highWater.Load()
+			if inUse <= hw || p.highWater.CompareAndSwap(hw, inUse) {
+				break
+			}
+		}
+		return int(n)
+	}
+}
+
+// Release implements TokenSource. Returning more tokens than were lent
+// out is a caller bug and panics.
+func (p *TokenPool) Release(n int) {
+	if n <= 0 {
+		return
+	}
+	if now := p.avail.Add(int64(n)); now > p.size {
+		panic(fmt.Sprintf("logk: token pool over-released (%d tokens available, size %d)", now, p.size))
+	}
+}
+
+// Size returns the total number of tokens in the pool.
+func (p *TokenPool) Size() int { return int(p.size) }
+
+// InUse returns the number of tokens currently lent out.
+func (p *TokenPool) InUse() int { return int(p.size - p.avail.Load()) }
+
+// HighWater returns the maximum number of tokens ever simultaneously
+// lent out.
+func (p *TokenPool) HighWater() int { return int(p.highWater.Load()) }
 
 // GatedTokens wraps a TokenSource with a shut-off gate, the probe
 // cancellation hook used by width-bound racing: when a sibling probe's
@@ -84,39 +148,6 @@ func (g *GatedTokens) Close() { g.closed.Store(true) }
 
 // Closed reports whether the gate has been shut.
 func (g *GatedTokens) Closed() bool { return g.closed.Load() }
-
-// chanTokens is the default TokenSource: a private channel-based pool,
-// matching the pre-injection Solver behaviour.
-type chanTokens struct {
-	ch chan struct{}
-}
-
-func newChanTokens(n int) *chanTokens {
-	t := &chanTokens{ch: make(chan struct{}, n)}
-	for i := 0; i < n; i++ {
-		t.ch <- struct{}{}
-	}
-	return t
-}
-
-func (t *chanTokens) TryAcquire(max int) int {
-	got := 0
-	for got < max {
-		select {
-		case <-t.ch:
-			got++
-		default:
-			return got
-		}
-	}
-	return got
-}
-
-func (t *chanTokens) Release(n int) {
-	for i := 0; i < n; i++ {
-		t.ch <- struct{}{}
-	}
-}
 
 // ShardedMemo is the default MemoBackend: 64 RWMutex-guarded map shards
 // selected by an FNV hash of the key, with the no-allocation string(buf)

@@ -155,7 +155,7 @@ func New(h *hypergraph.Hypergraph, opts Options) *Solver {
 	s := &Solver{H: h, Opts: opts}
 	s.tokens = opts.Tokens
 	if s.tokens == nil {
-		s.tokens = newChanTokens(opts.Workers - 1)
+		s.tokens = NewTokenPool(opts.Workers - 1)
 	}
 	s.memo = opts.Memo
 	if s.memo == nil {

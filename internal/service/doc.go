@@ -2,9 +2,10 @@
 // rather than one Solver at a time. It owns the resources that
 // individual logk.Solver instances would otherwise fight over:
 //
-//   - a global worker-token budget (TokenBudget): every job's parallel
-//     search splits draw from one pool, so total search parallelism is
-//     bounded regardless of how many requests are in flight;
+//   - a global worker-token budget (Config.TokenBudget, one
+//     logk.TokenPool): every job's parallel search splits draw from one
+//     pool, so total search parallelism is bounded regardless of how
+//     many requests are in flight;
 //   - a job scheduler with admission control: at most MaxConcurrent
 //     jobs decompose at once, at most MaxQueue more wait, the rest are
 //     rejected immediately with ErrOverloaded; every job gets its own

@@ -4,9 +4,12 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"repro/internal/decomp"
+	"repro/internal/hyperbench"
+	"repro/internal/logk"
 	"repro/internal/store"
 )
 
@@ -136,5 +139,118 @@ func TestOpenPrefersInjectedStore(t *testing.T) {
 func TestOpenBadStoreDir(t *testing.T) {
 	if _, err := Open(Config{StoreDir: "/dev/null/not-a-dir"}); err == nil {
 		t.Fatal("Open with an impossible StoreDir must fail")
+	}
+}
+
+// TestDiskTierIOBudget is the disk tier's exact I/O budget. The traffic
+// is the HyperBench-sim suite's moderate instances (scale 1, seed 2022,
+// |E| <= 50, known hw 1..4), each submitted concurrently as a
+// ModeOptimal job against a StoreDir-backed service that fsyncs every
+// append. Four passes run over it: cold, warm in the same process,
+// after a reopen on the same directory, and once more after the reopen.
+// Each pass pins the disk appends, fsyncs, witness tree loads, solver
+// runs and positive hits exactly, so a disk tier that re-solves,
+// re-appends, or re-reads a witness it already promoted into the memory
+// front fails here on any machine, however fast or slow.
+func TestDiskTierIOBudget(t *testing.T) {
+	var ins []hyperbench.Instance
+	for _, in := range hyperbench.Suite(hyperbench.Config{Scale: 1, Seed: 2022}) {
+		if in.Edges() <= 50 && in.KnownHW >= 1 && in.KnownHW <= 4 {
+			ins = append(ins, in)
+		}
+	}
+	const n = 14
+	if len(ins) != n {
+		t.Fatalf("traffic has %d instances, want %d", len(ins), n)
+	}
+	dir := t.TempDir()
+	ctx := context.Background()
+	open := func() *Service {
+		t.Helper()
+		svc, err := Open(Config{StoreDir: dir, MemoMaxGraphs: 2 * n, MaxConcurrent: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return svc
+	}
+	// pass submits every instance concurrently and returns the widths,
+	// failing on any unsolved job or invalid witness.
+	pass := func(name string, svc *Service) []int {
+		t.Helper()
+		widths := make([]int, n)
+		errs := make([]string, n)
+		var wg sync.WaitGroup
+		for i, in := range ins {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				r := svc.Submit(ctx, Request{
+					H: in.H, K: 6, Mode: ModeOptimal,
+					Hybrid: logk.HybridWeightedCount, HybridThreshold: 40,
+				})
+				switch {
+				case r.Err != nil || !r.OK:
+					errs[i] = "unsolved"
+				case decomp.CheckHD(r.Decomp) != nil || decomp.CheckWidth(r.Decomp, r.Width) != nil:
+					errs[i] = "invalid witness"
+				}
+				widths[i] = r.Width
+			}()
+		}
+		wg.Wait()
+		for i, e := range errs {
+			if e != "" {
+				t.Fatalf("%s pass, %s: %s", name, ins[i].Name, e)
+			}
+		}
+		return widths
+	}
+	disk := func(svc *Service) store.DiskStats { return *svc.Store().Stats().Disk }
+
+	svc := open()
+	cold := pass("cold", svc)
+	coldDisk, coldSt := disk(svc), svc.Stats()
+	if coldSt.SolverRuns != n || coldDisk.Appends != 2*n || coldDisk.Syncs != 2*n {
+		t.Fatalf("cold: SolverRuns=%d Appends=%d Syncs=%d, want %d, %d, %d",
+			coldSt.SolverRuns, coldDisk.Appends, coldDisk.Syncs, n, 2*n, 2*n)
+	}
+
+	pass("warm", svc)
+	warmDisk, warmSt := disk(svc), svc.Stats()
+	if d := warmDisk.Appends - coldDisk.Appends; d != 0 {
+		t.Fatalf("warm pass appended %d records, want 0", d)
+	}
+	if d := warmDisk.TreeLoads - coldDisk.TreeLoads; d != 0 {
+		t.Fatalf("warm pass loaded %d trees from disk, want 0", d)
+	}
+	if d := warmSt.SolverRuns - coldSt.SolverRuns; d != 0 {
+		t.Fatalf("warm pass ran %d solvers, want 0", d)
+	}
+	if warmSt.PositiveHits != n {
+		t.Fatalf("warm PositiveHits=%d, want %d", warmSt.PositiveHits, n)
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	svc = open()
+	defer svc.Close()
+	reopened := pass("reopen", svc)
+	for i := range ins {
+		if reopened[i] != cold[i] {
+			t.Fatalf("%s: width %d after reopen, %d cold", ins[i].Name, reopened[i], cold[i])
+		}
+	}
+	reDisk, reSt := disk(svc), svc.Stats()
+	if reSt.SolverRuns != 0 || reDisk.Appends != 0 || reDisk.TreeLoads != n || reSt.PositiveHits != n {
+		t.Fatalf("reopen: SolverRuns=%d Appends=%d TreeLoads=%d PositiveHits=%d, want 0, 0, %d, %d",
+			reSt.SolverRuns, reDisk.Appends, reDisk.TreeLoads, reSt.PositiveHits, n, n)
+	}
+
+	// The reopen pass promoted every witness into the memory front, so
+	// repeat traffic reads nothing more from disk.
+	pass("second reopen", svc)
+	if d := disk(svc).TreeLoads - reDisk.TreeLoads; d != 0 {
+		t.Fatalf("second pass after reopen loaded %d trees from disk, want 0", d)
 	}
 }

@@ -154,11 +154,6 @@ type Request struct {
 	// as in logk.Options.
 	Hybrid          logk.HybridMetric
 	HybridThreshold float64
-	// NoSharedMemo opts this job out of all cross-request state: the
-	// negative-memo tables, the width bounds, the positive result
-	// cache, and request coalescing. The job always runs its own
-	// solver (with a private memo).
-	NoSharedMemo bool
 	// Tenant attributes the job to a caller for per-tenant admission
 	// control and latency accounting; empty means tenant.Default.
 	Tenant string
@@ -267,7 +262,7 @@ type Stats struct {
 // share it freely between goroutines, and Close it when done.
 type Service struct {
 	cfg      Config
-	budget   *TokenBudget
+	budget   *logk.TokenPool
 	store    store.Backend
 	flight   *store.Flight
 	tenants  *tenant.Wall
@@ -320,7 +315,7 @@ func New(cfg Config) *Service {
 	}
 	s := &Service{
 		cfg:      cfg,
-		budget:   NewTokenBudget(cfg.TokenBudget),
+		budget:   logk.NewTokenPool(cfg.TokenBudget),
 		store:    cfg.Store,
 		flight:   store.NewFlight(),
 		tenants:  tenant.NewWall(cfg.Tenants),
@@ -362,7 +357,7 @@ func Open(cfg Config) (*Service, error) {
 }
 
 // Budget exposes the shared token pool (read-only use: sizing, stats).
-func (s *Service) Budget() *TokenBudget { return s.budget }
+func (s *Service) Budget() *logk.TokenPool { return s.budget }
 
 // Store exposes the cross-request storage backend, for purges and
 // introspection.
@@ -440,9 +435,6 @@ func (s *Service) Submit(ctx context.Context, req Request) Result {
 // dispatch routes an accepted, tenant-admitted job: read-through cache
 // lookup, coalescing, then global admission and the solver.
 func (s *Service) dispatch(ctx context.Context, req Request) Result {
-	if req.NoSharedMemo {
-		return s.admitAndRun(ctx, req, "")
-	}
 	hash := req.H.ContentHash()
 	if res, ok := s.lookup(req, hash); ok {
 		s.completed.Add(1)
@@ -592,7 +584,6 @@ func (s *Service) adoptShared(ctx context.Context, res Result, req Request, hash
 }
 
 // admitAndRun takes the job through admission control and executes it.
-// An empty hash means the job opted out of cross-request state.
 func (s *Service) admitAndRun(ctx context.Context, req Request, hash string) Result {
 	// Admission: take a run slot without waiting if one is free, join
 	// the bounded queue otherwise, reject when the queue is full. The
@@ -653,21 +644,16 @@ func (s *Service) run(ctx context.Context, req Request, hash string) Result {
 		return s.runOptimal(ctx, req, workers, hash)
 	}
 
-	opts := logk.Options{
+	memo, existed := s.store.Memo(hash, req.K)
+	res := Result{CacheShared: existed}
+	solver := logk.New(req.H, logk.Options{
 		K:               req.K,
 		Workers:         workers,
 		Hybrid:          req.Hybrid,
 		HybridThreshold: req.HybridThreshold,
 		Tokens:          s.budget,
-	}
-	var res Result
-	if hash != "" {
-		table, existed := s.store.Memo(hash, req.K)
-		opts.Memo = table
-		res.CacheShared = existed
-	}
-
-	solver := logk.New(req.H, opts)
+		Memo:            memo,
+	})
 	s.solverRuns.Add(1)
 	start := time.Now()
 	d, ok, err := solver.Decompose(ctx)
@@ -680,7 +666,7 @@ func (s *Service) run(ctx context.Context, req Request, hash string) Result {
 	// Bank what this definitive answer proves at the width level: a
 	// witness caps UB (and is cached for repeat submissions), an
 	// exhausted search raises LB to K+1.
-	if hash != "" && err == nil {
+	if err == nil {
 		if ok {
 			if t := store.EncodeTree(d); t != nil {
 				s.store.PutDecomposition(hash, t)
@@ -714,20 +700,18 @@ func (s *Service) runOptimal(ctx context.Context, req Request, workers int, hash
 		Tokens:          s.budget,
 	}
 	var res Result
-	if hash != "" {
-		cfg.MemoFor = func(k int) logk.MemoBackend {
-			table, existed := s.store.Memo(hash, k)
-			if existed {
-				res.CacheShared = true
-			}
-			return table
+	cfg.MemoFor = func(k int) logk.MemoBackend {
+		table, existed := s.store.Memo(hash, k)
+		if existed {
+			res.CacheShared = true
 		}
-		if b, ok := s.store.Bounds(hash); ok {
-			cfg.LowerBound = b.LB
-			cfg.UpperBoundHint = b.UB
-			res.BoundsShared = true
-			s.boundsReuses.Add(1)
-		}
+		return table
+	}
+	if b, ok := s.store.Bounds(hash); ok {
+		cfg.LowerBound = b.LB
+		cfg.UpperBoundHint = b.UB
+		res.BoundsShared = true
+		s.boundsReuses.Add(1)
 	}
 
 	s.solverRuns.Add(1)
@@ -766,12 +750,10 @@ func (s *Service) runOptimal(ctx context.Context, req Request, workers int, hash
 	// Bank what this job proved, even partially on timeout: the lower
 	// bound is sound regardless, the witnessed width (and its witness
 	// decomposition) only when found.
-	if hash != "" {
-		s.store.MergeBounds(hash, store.Bounds{LB: rr.LowerBound, UB: rr.BestWidth})
-		if rr.Decomp != nil {
-			if t := store.EncodeTree(rr.Decomp); t != nil {
-				s.store.PutDecomposition(hash, t)
-			}
+	s.store.MergeBounds(hash, store.Bounds{LB: rr.LowerBound, UB: rr.BestWidth})
+	if rr.Decomp != nil {
+		if t := store.EncodeTree(rr.Decomp); t != nil {
+			s.store.PutDecomposition(hash, t)
 		}
 	}
 

@@ -493,21 +493,22 @@ func TestBoundsMergeThroughService(t *testing.T) {
 
 // TestAdmissionControl: with one slot and a one-deep queue, once a slow
 // job runs and another waits, further submissions must be rejected
-// immediately with ErrOverloaded.
+// immediately with ErrOverloaded. Every submission is a structurally
+// distinct hypergraph, so none can coalesce onto another's flight or
+// hit a cached answer: each one reaches admission on its own.
 func TestAdmissionControl(t *testing.T) {
 	svc := New(Config{TokenBudget: 1, MaxConcurrent: 1, MaxQueue: 1})
 	defer svc.Close()
 
-	// Heavy instance: the search cannot finish before we cancel it.
-	slow := grid(8)
+	// Heavy instances: neither search can finish before we cancel it.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
+	for _, m := range []int{8, 9} {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			svc.Submit(ctx, Request{H: slow, K: 4, NoSharedMemo: true})
+			svc.Submit(ctx, Request{H: grid(m), K: 4})
 		}()
 	}
 	// Wait until one job holds the slot and the other fills the queue.
@@ -525,7 +526,7 @@ func TestAdmissionControl(t *testing.T) {
 
 	const flood = 5
 	for i := 0; i < flood; i++ {
-		if res := svc.Submit(ctx, Request{H: slow, K: 4, NoSharedMemo: true}); res.Err != ErrOverloaded {
+		if res := svc.Submit(ctx, Request{H: cycle(i + 3), K: 4}); res.Err != ErrOverloaded {
 			t.Fatalf("flood submission %d: err=%v, want ErrOverloaded", i, res.Err)
 		}
 	}
@@ -540,7 +541,7 @@ func TestAdmissionControl(t *testing.T) {
 		burstWG.Add(1)
 		go func() {
 			defer burstWG.Done()
-			if svc.Submit(ctx, Request{H: slow, K: 4, NoSharedMemo: true}).Err == ErrOverloaded {
+			if svc.Submit(ctx, Request{H: cycle(flood + i + 3), K: 4}).Err == ErrOverloaded {
 				rejected.Add(1)
 			}
 		}()
@@ -664,9 +665,16 @@ func TestStoreEviction(t *testing.T) {
 	}
 }
 
-// TestTokenBudgetUnit exercises the budget directly.
+// TestTokenBudgetUnit exercises the service's token budget directly: the
+// pool it builds from Config.TokenBudget grants at most that many tokens,
+// tracks use and high water, and panics on over-release.
 func TestTokenBudgetUnit(t *testing.T) {
-	b := NewTokenBudget(4)
+	svc := New(Config{TokenBudget: 4, MaxConcurrent: 1})
+	defer svc.Close()
+	b := svc.Budget()
+	if b.Size() != 4 {
+		t.Fatalf("Size = %d, want 4", b.Size())
+	}
 	if got := b.TryAcquire(10); got != 4 {
 		t.Fatalf("TryAcquire(10) = %d, want 4", got)
 	}
