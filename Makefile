@@ -93,10 +93,10 @@ load-gate:
 
 # Store/service concurrency under the race detector, then the solver's
 # parallel split (shared cursor, first-success cancel, early lease
-# return) at several GOMAXPROCS values.
+# return) and the solver cross-check at several GOMAXPROCS values.
 stress:
 	$(GO) test -race -count=2 -run 'TestStoreStress|TestCoalescing|TestBatchDuplicates|TestServeCache|TestShardedConcurrency|TestFlight' ./internal/store ./internal/service ./cmd/htdserve
-	$(GO) test -race -count=3 -cpu=1,2,4 -run 'TestParallel|TestNoCacheEquivalence|TestCancelledContext|TestRace' ./internal/logk ./internal/race
+	$(GO) test -race -count=3 -cpu=1,2,4 -run 'TestParallel|TestNoCacheEquivalence|TestCancelledContext|TestCrossValidationSolvers|TestRace' ./internal/logk ./internal/race
 
 differential:
 	$(GO) test -race -count=1 -run 'TestDifferential|TestConcurrentIdentical|TestEval|TestServeQuery' ./internal/query ./internal/join ./cmd/htdserve

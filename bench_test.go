@@ -150,7 +150,7 @@ func BenchmarkFigure3SolvedScatter(b *testing.B) {
 	methods := []harness.Method{
 		harness.MethodDetK(),
 		harness.MethodOpt(),
-		harness.MethodLogKHybrid(cfg.Workers, logk.HybridWeightedCount, 40),
+		harness.MethodLogKHybrid(cfg.Workers, logk.PaperHybrid, logk.PaperHybridThreshold),
 	}
 	for i := 0; i < b.N; i++ {
 		r := harness.Runner{Timeout: cfg.Timeout, KMax: cfg.KMax}
@@ -256,7 +256,7 @@ func BenchmarkHybridCycle64K2(b *testing.B) {
 	in := cycleBench(64)
 	for i := 0; i < b.N; i++ {
 		_, ok, err := Decompose(context.Background(), in,
-			Options{K: 2, Workers: 8, Hybrid: HybridWeightedCount, HybridThreshold: 40})
+			Options{K: 2, Workers: 8, Hybrid: logk.PaperHybrid, HybridThreshold: logk.PaperHybridThreshold})
 		if err != nil || !ok {
 			b.Fatalf("ok=%v err=%v", ok, err)
 		}

@@ -32,6 +32,7 @@ import (
 
 	"repro/internal/harness"
 	"repro/internal/hyperbench"
+	"repro/internal/logk"
 )
 
 func main() {
@@ -110,7 +111,7 @@ func main() {
 			r := harness.Runner{Timeout: cfg.Timeout, KMax: cfg.KMax}
 			methods := []harness.Method{
 				harness.MethodDetK(), harness.MethodOpt(),
-				harness.MethodLogKHybrid(cfg.Workers, 2 /* WeightedCount */, 40),
+				harness.MethodLogKHybrid(cfg.Workers, logk.PaperHybrid, logk.PaperHybridThreshold),
 			}
 			results := r.RunAll(ctx, methods, cfg.Suite, cfg.Progress)
 			if err := firstErr(results); err != nil {

@@ -81,7 +81,7 @@ func serialLadder(ctx context.Context, ins []hyperbench.Instance, cfg harness.Co
 				runCtx, cancel := context.WithTimeout(ctx, cfg.Timeout)
 				s := logk.New(in.H, logk.Options{
 					K: k, Workers: cfg.Workers,
-					Hybrid: logk.HybridWeightedCount, HybridThreshold: 40,
+					Hybrid: logk.PaperHybrid, HybridThreshold: logk.PaperHybridThreshold,
 				})
 				_, ok, derr := s.Decompose(runCtx)
 				cancel()
@@ -126,7 +126,7 @@ func raceService(ctx context.Context, ins []hyperbench.Instance, cfg harness.Con
 				res := svc.Submit(ctx, htd.ServiceRequest{
 					H: in.H, K: cfg.KMax, Mode: htd.ModeOptimal,
 					Workers: cfg.Workers,
-					Hybrid:  htd.HybridWeightedCount, HybridThreshold: 40,
+					Hybrid:  logk.PaperHybrid, HybridThreshold: logk.PaperHybridThreshold,
 				})
 				if res.Err == nil && res.OK {
 					mu.Lock()

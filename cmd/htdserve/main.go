@@ -7,7 +7,7 @@
 // Usage:
 //
 //	htdserve -addr :8080 [-budget 8] [-max-concurrent 8] [-timeout 30s]
-//	         [-store-dir cache.d] [-store-fsync 100ms] [-store-shards 16]
+//	         [-store-dir cache.d] [-store-fsync 100ms]
 //	         [-tenant-rate 50] [-tenant-inflight 4] [-fair-share]
 //	         [-pprof-addr localhost:6060]
 //
@@ -87,16 +87,14 @@ import (
 
 func main() {
 	var (
-		addr        = flag.String("addr", ":8080", "listen address")
-		budget      = flag.Int("budget", 0, "global extra-worker token budget (0 = GOMAXPROCS-1)")
-		maxConc     = flag.Int("max-concurrent", 0, "max jobs decomposing at once (0 = GOMAXPROCS)")
-		maxQueue    = flag.Int("max-queue", 0, "max jobs waiting before rejection (0 = 64)")
-		timeout     = flag.Duration("timeout", 30*time.Second, "default per-job timeout (0 = none)")
-		storeShards = flag.Int("store-shards", 0, "lock stripes of the cross-request store (0 = 16)")
-		memoGraphs  = flag.Int("memo-graphs", 0, "hypergraphs cached in the store (0 = 32)")
-		memoEntry   = flag.Int("memo-entries", 0, "memoised states per (hypergraph, width) table (0 = 1<<20)")
-		storeDir    = flag.String("store-dir", "", "disk-backed store directory: every result persists as computed, restarts serve warm")
-		storeFsync  = flag.Duration("store-fsync", 0, "disk store fsync cadence (0 = every append)")
+		addr       = flag.String("addr", ":8080", "listen address")
+		budget     = flag.Int("budget", 0, "global extra-worker token budget (0 = GOMAXPROCS-1)")
+		maxConc    = flag.Int("max-concurrent", 0, "max jobs decomposing at once (0 = GOMAXPROCS)")
+		maxQueue   = flag.Int("max-queue", 0, "max jobs waiting before rejection (0 = 64)")
+		timeout    = flag.Duration("timeout", 30*time.Second, "default per-job timeout (0 = none)")
+		memoGraphs = flag.Int("memo-graphs", 0, "hypergraphs cached in the store (0 = 32)")
+		storeDir   = flag.String("store-dir", "", "disk-backed store directory: every result persists as computed, restarts serve warm")
+		storeFsync = flag.Duration("store-fsync", 0, "disk store fsync cadence (0 = every append)")
 
 		tenantRate     = flag.Float64("tenant-rate", 0, "per-tenant admissions per second (0 = unlimited)")
 		tenantBurst    = flag.Float64("tenant-burst", 0, "per-tenant burst size (0 = max(rate, 1))")
@@ -119,9 +117,7 @@ func main() {
 		MaxConcurrent:  *maxConc,
 		MaxQueue:       *maxQueue,
 		DefaultTimeout: *timeout,
-		StoreShards:    *storeShards,
 		MemoMaxGraphs:  *memoGraphs,
-		MemoMaxEntries: *memoEntry,
 		StoreDir:       *storeDir,
 		StoreFsync:     *storeFsync,
 		Tenants: htd.TenantConfig{

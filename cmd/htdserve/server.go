@@ -489,8 +489,8 @@ type queryAPIResponse struct {
 	ExecMS        float64 `json:"exec_ms"`
 	// Parallelism is the executor worker cap the query ran with; Exec
 	// carries the executor's effort counters for this query.
-	Parallelism int            `json:"parallelism,omitempty"`
-	Exec        *execStatsWire `json:"exec,omitempty"`
+	Parallelism int                 `json:"parallelism,omitempty"`
+	Exec        *htd.QueryExecStats `json:"exec,omitempty"`
 	// DatasetVersion is the dataset version the query read (dataset
 	// requests only): the snapshot that answered it.
 	DatasetVersion uint64 `json:"dataset_version,omitempty"`
@@ -519,18 +519,6 @@ type aggWire struct {
 	// Value is the scalar answer of a no-GROUP-BY aggregate; absent for
 	// grouped aggregates and for MIN/MAX over an empty answer set.
 	Value *int64 `json:"value,omitempty"`
-}
-
-// execStatsWire is the JSON shape of one query's executor counters.
-type execStatsWire struct {
-	IndexBuilds   int64 `json:"index_builds"`
-	IndexReuses   int64 `json:"index_reuses"`
-	IndexProbes   int64 `json:"index_probes"`
-	Semijoins     int64 `json:"semijoins"`
-	Joins         int64 `json:"joins"`
-	ParallelTasks int64 `json:"parallel_tasks"`
-	InlineTasks   int64 `json:"inline_tasks"`
-	MaxWorkers    int64 `json:"max_workers"`
 }
 
 // runQuery answers one parsed query request and shapes the result for
@@ -618,16 +606,7 @@ func (s *server) runQuery(ctx context.Context, a queryAPIRequest, tenant string)
 		ExecMS:         float64(res.ExecElapsed) / float64(time.Millisecond),
 		Parallelism:    res.Parallelism,
 		DatasetVersion: res.DatasetVersion,
-		Exec: &execStatsWire{
-			IndexBuilds:   res.Exec.IndexBuilds,
-			IndexReuses:   res.Exec.IndexReuses,
-			IndexProbes:   res.Exec.IndexProbes,
-			Semijoins:     res.Exec.Semijoins,
-			Joins:         res.Exec.Joins,
-			ParallelTasks: res.Exec.ParallelTasks,
-			InlineTasks:   res.Exec.InlineTasks,
-			MaxWorkers:    res.Exec.MaxWorkers,
-		},
+		Exec:           &res.Exec,
 	}
 	if res.Agg != nil {
 		resp.Aggregate = &aggWire{

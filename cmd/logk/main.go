@@ -138,7 +138,7 @@ func solve(ctx context.Context, h *hypergraph.Hypergraph, method string, k, maxK
 		return d, k, ok, &st, err
 	case "hybrid":
 		s := logk.New(h, logk.Options{K: k, Workers: workers,
-			Hybrid: logk.HybridWeightedCount, HybridThreshold: 40})
+			Hybrid: logk.PaperHybrid, HybridThreshold: logk.PaperHybridThreshold})
 		d, ok, err := s.Decompose(ctx)
 		st := s.Stats()
 		return d, k, ok, &st, err

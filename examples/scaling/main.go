@@ -48,7 +48,7 @@ func main() {
 			start := time.Now()
 			for kk := 1; kk <= *k; kk++ {
 				s := logk.New(h, logk.Options{K: kk, Workers: workers,
-					Hybrid: logk.HybridWeightedCount, HybridThreshold: 40})
+					Hybrid: logk.PaperHybrid, HybridThreshold: logk.PaperHybridThreshold})
 				_, ok, err := s.Decompose(context.Background())
 				if err != nil {
 					log.Fatalf("workers=%d k=%d: %v", workers, kk, err)
@@ -64,7 +64,7 @@ func main() {
 			start = time.Now()
 			res, err := race.New(h, race.Config{
 				KMax: *k, MaxProbes: *k, Workers: workers,
-				Hybrid: logk.HybridWeightedCount, HybridThreshold: 40,
+				Hybrid: logk.PaperHybrid, HybridThreshold: logk.PaperHybridThreshold,
 			}).Solve(context.Background())
 			if err != nil {
 				log.Fatalf("racer workers=%d: %v", workers, err)

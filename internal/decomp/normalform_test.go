@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/bitset"
 	"repro/internal/ext"
 )
 
@@ -61,23 +60,4 @@ func TestNormalFormWithSpecials(t *testing.T) {
 	if err := CheckNormalForm(d, g); err != nil {
 		t.Fatalf("paper fragment rejected: %v", err)
 	}
-}
-
-func TestGMLOutput(t *testing.T) {
-	h := cycle10()
-	d := paperHD(h)
-	gml := d.GML()
-	for _, want := range []string{"graph [", "node [", "edge [", "R01"} {
-		if !strings.Contains(gml, want) {
-			t.Fatalf("GML missing %q:\n%s", want, gml)
-		}
-	}
-	// 8 nodes, 7 edges.
-	if got := strings.Count(gml, "node ["); got != 8 {
-		t.Fatalf("GML has %d nodes, want 8", got)
-	}
-	if got := strings.Count(gml, "edge ["); got != 7 {
-		t.Fatalf("GML has %d edges, want 7", got)
-	}
-	_ = bitset.New // keep import if unused elsewhere
 }

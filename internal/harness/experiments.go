@@ -72,7 +72,7 @@ func Table1(ctx context.Context, cfg Config) (*Table, []Result) {
 	methods := []Method{
 		MethodDetK(),
 		MethodOpt(),
-		MethodLogKHybrid(cfg.Workers, logk.HybridWeightedCount, 40),
+		MethodLogKHybrid(cfg.Workers, logk.PaperHybrid, logk.PaperHybridThreshold),
 		MethodRacer(cfg.Workers, 0),
 	}
 	results := cfg.runner().RunAll(ctx, methods, cfg.Suite, cfg.Progress)
@@ -176,7 +176,7 @@ func Figure1(ctx context.Context, cfg Config, coreCounts []int) (*Table, map[str
 				return logk.New(h, logk.Options{K: k, Workers: n, NoCache: true})
 			},
 		})
-		run("log-k(Hybrid)", n, MethodLogKHybrid(n, logk.HybridWeightedCount, 40))
+		run("log-k(Hybrid)", n, MethodLogKHybrid(n, logk.PaperHybrid, logk.PaperHybridThreshold))
 	}
 	run("NewDetKDecomp", 1, MethodDetK())
 
@@ -284,7 +284,7 @@ func Table3(ctx context.Context, cfg Config) (*Table, []Result) {
 	methods := []Method{
 		MethodDetK(),
 		MethodOpt(),
-		MethodLogKHybrid(cfg.Workers, logk.HybridWeightedCount, 40),
+		MethodLogKHybrid(cfg.Workers, logk.PaperHybrid, logk.PaperHybridThreshold),
 		MethodRacer(cfg.Workers, 0),
 	}
 	results := cfg.runner().RunAll(ctx, methods, cfg.Suite, cfg.Progress)
@@ -532,7 +532,7 @@ func AblationExperiment(ctx context.Context, cfg Config) *Table {
 // instances the GHD width never beats the HD width.
 func GHDComparison(ctx context.Context, cfg Config) (*Table, error) {
 	r := cfg.runner()
-	hd := MethodLogKHybrid(cfg.Workers, logk.HybridWeightedCount, 40)
+	hd := MethodLogKHybrid(cfg.Workers, logk.PaperHybrid, logk.PaperHybridThreshold)
 	ghd := MethodBalancedGo()
 
 	hdSolved, ghdSolved, both, lower := 0, 0, 0, 0

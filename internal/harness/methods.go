@@ -82,8 +82,8 @@ func MethodRacer(workers, maxProbes int) Method {
 				KMax:            kMax,
 				MaxProbes:       maxProbes,
 				Workers:         workers,
-				Hybrid:          logk.HybridWeightedCount,
-				HybridThreshold: 40,
+				Hybrid:          logk.PaperHybrid,
+				HybridThreshold: logk.PaperHybridThreshold,
 			}).Solve(ctx)
 		},
 	}

@@ -87,9 +87,6 @@ type Runner struct {
 	Timeout time.Duration
 	// KMax bounds the width search (the paper used widths 1..10).
 	KMax int
-	// SkipValidation turns off HD re-validation (benchmarks of raw solver
-	// speed only; experiments keep it on).
-	SkipValidation bool
 }
 
 // Run evaluates one method on one instance.
@@ -128,11 +125,9 @@ func (r *Runner) runParam(ctx context.Context, m Method, in hyperbench.Instance)
 			res.Err = err
 			return res
 		case ok:
-			if !r.SkipValidation {
-				if verr := validate(d, k, m.GHD); verr != nil {
-					res.Err = fmt.Errorf("harness: %s on %s k=%d: %w", m.Name, in.Name, k, verr)
-					return res
-				}
+			if verr := validate(d, k, m.GHD); verr != nil {
+				res.Err = fmt.Errorf("harness: %s on %s k=%d: %w", m.Name, in.Name, k, verr)
+				return res
 			}
 			res.Bounds[k] = Yes
 			// hw ≤ k implies hw ≤ k' for all larger k'.
@@ -165,11 +160,9 @@ func (r *Runner) runOptimal(ctx context.Context, m Method, in hyperbench.Instanc
 	case err != nil:
 		res.Err = err
 	case ok:
-		if !r.SkipValidation {
-			if verr := validate(d, w, m.GHD); verr != nil {
-				res.Err = fmt.Errorf("harness: %s on %s: %w", m.Name, in.Name, verr)
-				return res
-			}
+		if verr := validate(d, w, m.GHD); verr != nil {
+			res.Err = fmt.Errorf("harness: %s on %s: %w", m.Name, in.Name, verr)
+			return res
 		}
 		res.Width = w
 		res.Solved = true
@@ -213,9 +206,7 @@ func (r *Runner) runRace(ctx context.Context, m Method, in hyperbench.Instance) 
 	// validates before recording Yes.
 	witnessValid := false
 	if rr.BestWidth > 0 && rr.Decomp != nil {
-		if r.SkipValidation {
-			witnessValid = true
-		} else if verr := validate(rr.Decomp, rr.BestWidth, m.GHD); verr != nil {
+		if verr := validate(rr.Decomp, rr.BestWidth, m.GHD); verr != nil {
 			res.Err = fmt.Errorf("harness: %s on %s: %w", m.Name, in.Name, verr)
 		} else {
 			witnessValid = true

@@ -32,19 +32,19 @@ type ExecStats struct {
 	// because a base relation arrived with a maintained index for the
 	// probed column set (dataset snapshots, cached inline databases) —
 	// the unchanged-data fast path.
-	IndexBuilds int64
-	IndexReuses int64
-	IndexProbes int64
+	IndexBuilds int64 `json:"index_builds"`
+	IndexReuses int64 `json:"index_reuses"`
+	IndexProbes int64 `json:"index_probes"`
 	// Semijoins and Joins count relational operations executed.
-	Semijoins int64
-	Joins     int64
+	Semijoins int64 `json:"semijoins"`
+	Joins     int64 `json:"joins"`
 	// ParallelTasks counts subtree/partition tasks run on spawned
 	// workers; InlineTasks those run on the task that scheduled them.
-	ParallelTasks int64
-	InlineTasks   int64
+	ParallelTasks int64 `json:"parallel_tasks"`
+	InlineTasks   int64 `json:"inline_tasks"`
 	// MaxWorkers is the maximum number of workers (including the
 	// caller's goroutine) observed running concurrently.
-	MaxWorkers int64
+	MaxWorkers int64 `json:"max_workers"`
 }
 
 // pollEvery is the probe-loop cancellation granularity: long scans check

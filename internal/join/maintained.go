@@ -175,7 +175,7 @@ func (m *MRel) View() *Relation { return m.view }
 func (m *MRel) LiveSize() int { return m.base.n - m.deadN }
 
 // Layers returns the maintained layer count across all registered
-// column sets — observability for dataset stats and the incr bench.
+// column sets; tests use it to check the maxIndexLayers collapse.
 func (m *MRel) Layers() (sets, layers int) {
 	for _, st := range m.sets {
 		layers += len(st.layers)

@@ -59,6 +59,14 @@ func (m HybridMetric) String() string {
 	return fmt.Sprintf("HybridMetric(%d)", int(m))
 }
 
+// PaperHybrid and PaperHybridThreshold are the paper's headline hybrid
+// configuration (§5.2): WeightedCount, with the threshold scaled to the
+// HyperBench-sim suite. The paper uses 200–600 on full-size HyperBench.
+const (
+	PaperHybrid          = HybridWeightedCount
+	PaperHybridThreshold = 40
+)
+
 // Options configures a Solver.
 type Options struct {
 	// K is the width bound (required, ≥ 1).
@@ -69,8 +77,8 @@ type Options struct {
 
 	// Hybrid selects the metric for switching to det-k-decomp; threshold
 	// is the switch point: subproblems with metric < HybridThreshold are
-	// handed over (the paper's best configuration is WeightedCount with
-	// thresholds around 400).
+	// handed over (the paper's best configuration is PaperHybrid at
+	// PaperHybridThreshold).
 	Hybrid          HybridMetric
 	HybridThreshold float64
 

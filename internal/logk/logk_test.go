@@ -318,10 +318,10 @@ func randomHypergraph(r *rand.Rand, maxV, maxE int) *hypergraph.Hypergraph {
 }
 
 // TestCrossValidationSolvers is the central correctness test: on random
-// small hypergraphs, the optimised log-k-decomp, the basic Algorithm 1,
-// and det-k-decomp must agree on the decision hw(H) ≤ k for all k, every
-// produced HD must validate, and hw(H) = 1 must coincide with GYO
-// α-acyclicity.
+// small hypergraphs, the optimised log-k-decomp (sequential, parallel,
+// hybrid and uncached), the basic Algorithm 1, and det-k-decomp must
+// agree on the decision hw(H) ≤ k for all k, every produced HD must
+// validate, and hw(H) = 1 must coincide with GYO α-acyclicity.
 func TestCrossValidationSolvers(t *testing.T) {
 	ctx := context.Background()
 	rounds := 60
@@ -351,7 +351,22 @@ func TestCrossValidationSolvers(t *testing.T) {
 				t.Fatalf("seed %d k=%d: decisions disagree: logk=%v basic=%v detk=%v\n%s",
 					seed, k, okOpt, okBas, okDet, h)
 			}
-			for name, d := range map[string]*decomp.Decomp{"logk": dOpt, "basic": dBas, "detk": dDet} {
+			hds := map[string]*decomp.Decomp{"logk": dOpt, "basic": dBas, "detk": dDet}
+			for name, o := range map[string]Options{
+				"logk-par":     {K: k, Workers: 8},
+				"logk-hyb":     {K: k, Hybrid: HybridWeightedCount, HybridThreshold: 10},
+				"logk-nocache": {K: k, NoCache: true},
+			} {
+				d, ok, err := New(h, o).Decompose(ctx)
+				if err != nil {
+					t.Fatalf("seed %d k=%d: %s err: %v", seed, k, name, err)
+				}
+				if ok != okOpt {
+					t.Fatalf("seed %d k=%d: %s=%v but logk=%v\n%s", seed, k, name, ok, okOpt, h)
+				}
+				hds[name] = d
+			}
+			for name, d := range hds {
 				if d == nil {
 					continue
 				}

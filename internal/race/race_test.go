@@ -2,6 +2,7 @@ package race
 
 import (
 	"context"
+	"math/rand"
 	"strconv"
 	"sync/atomic"
 	"testing"
@@ -66,10 +67,32 @@ func grid(m int) *hypergraph.Hypergraph {
 	return b.Build()
 }
 
+// randomHypergraph builds a small random hypergraph: 2..maxV vertices,
+// 1..maxE edges of arity 1..3.
+func randomHypergraph(r *rand.Rand, maxV, maxE int) *hypergraph.Hypergraph {
+	nv := 2 + r.Intn(maxV-1)
+	ne := 1 + r.Intn(maxE)
+	var b hypergraph.Builder
+	for e := 0; e < ne; e++ {
+		arity := 1 + r.Intn(min(3, nv))
+		seen := map[int]bool{}
+		var names []string
+		for len(names) < arity {
+			if v := r.Intn(nv); !seen[v] {
+				seen[v] = true
+				names = append(names, "v"+strconv.Itoa(v))
+			}
+		}
+		b.MustAddEdge("", names...)
+	}
+	return b.Build()
+}
+
 // TestRaceMatchesSerialOptimum is the core correctness test: on
-// instances with known widths the racer must agree with the serial
-// optimal solver and produce a CheckHD-valid witness of exactly that
-// width, across probe-count and worker configurations.
+// instances with known widths, and on seeded random hypergraphs, the
+// racer must agree with the serial optimal solver and produce a
+// CheckHD-valid witness of exactly that width, across probe-count and
+// worker configurations.
 func TestRaceMatchesSerialOptimum(t *testing.T) {
 	cases := []struct {
 		name string
@@ -118,6 +141,32 @@ func TestRaceMatchesSerialOptimum(t *testing.T) {
 				if res.LowerBoundFrom != wantSrc {
 					t.Fatalf("%s probes=%d: provenance %v, want %v", tc.name, probes, res.LowerBoundFrom, wantSrc)
 				}
+			}
+		}
+	}
+
+	// Seeded random hypergraphs: the racer must find a witness exactly
+	// when the serial solver does within KMax, at the same width.
+	for seed := 0; seed < 200; seed++ {
+		h := randomHypergraph(rand.New(rand.NewSource(int64(seed))), 9, 9)
+		wantW, _, wantOK, err := opt.New(h, 3).Solve(ctx)
+		if err != nil {
+			t.Fatalf("seed %d: serial oracle: %v", seed, err)
+		}
+		res, err := New(h, Config{KMax: 3, MaxProbes: 3, Workers: 4}).Solve(ctx)
+		if err != nil {
+			t.Fatalf("seed %d: racer: %v", seed, err)
+		}
+		if res.Found != wantOK || (wantOK && res.Width != wantW) {
+			t.Fatalf("seed %d: racer found=%v width=%d, serial found=%v width=%d\n%s",
+				seed, res.Found, res.Width, wantOK, wantW, h)
+		}
+		if res.Found {
+			if err := decomp.CheckHD(res.Decomp); err != nil {
+				t.Fatalf("seed %d: invalid witness: %v\n%s", seed, err, h)
+			}
+			if err := decomp.CheckWidth(res.Decomp, wantW); err != nil {
+				t.Fatalf("seed %d: witness too wide: %v", seed, err)
 			}
 		}
 	}

@@ -60,23 +60,14 @@ type Config struct {
 	// DefaultTimeout applies to jobs that set none, and caps per-job
 	// overrides. 0 means no timeout.
 	DefaultTimeout time.Duration
-	// DefaultWorkers caps one job's search parallelism when the request
-	// sets none. Default TokenBudget+1 (one job can use the whole pool).
-	DefaultWorkers int
 	// Store injects a cross-request storage backend; nil builds an
-	// in-memory sharded backend sized by StoreShards, MemoMaxGraphs and
-	// MemoMaxEntries. Custom backends are the seam for disk or remote
-	// storage.
+	// in-memory sharded backend capped at MemoMaxGraphs, with the store
+	// package's other defaults. Custom backends are the seam for disk or
+	// remote storage.
 	Store store.Backend
-	// StoreShards is the stripe count of the default sharded backend
-	// (more shards = less lock contention). Default 16.
-	StoreShards int
 	// MemoMaxGraphs bounds distinct hypergraphs cached in the default
 	// store (LRU-evicted beyond it). Default 32.
 	MemoMaxGraphs int
-	// MemoMaxEntries bounds memoised states per (hypergraph, width)
-	// table; inserts beyond it are dropped. Default 1<<20.
-	MemoMaxEntries int
 	// StoreDir, when set (and Store is nil), makes Open build a
 	// disk-backed tiered store: the sharded in-memory backend above
 	// becomes the LRU working set over a crash-safe append-only log in
@@ -115,17 +106,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 64
 	}
-	if c.DefaultWorkers <= 0 {
-		c.DefaultWorkers = c.TokenBudget + 1
-	}
-	if c.StoreShards <= 0 {
-		c.StoreShards = 16
-	}
 	if c.MemoMaxGraphs <= 0 {
 		c.MemoMaxGraphs = 32
-	}
-	if c.MemoMaxEntries <= 0 {
-		c.MemoMaxEntries = 1 << 20
 	}
 	return c
 }
@@ -143,9 +125,8 @@ type Request struct {
 	// MaxProbes bounds concurrent width probes in ModeOptimal (0 picks
 	// the racer default).
 	MaxProbes int
-	// Workers caps this job's search parallelism; 0 uses the service
-	// default. Actual parallelism is further bounded by the shared
-	// token budget.
+	// Workers lowers this job's search parallelism; 0 (or anything
+	// above TokenBudget+1) lets one job use the whole shared token pool.
 	Workers int
 	// Timeout tightens the service's DefaultTimeout for this job; ≤ 0
 	// inherits it, and values beyond it are clamped to it.
@@ -307,11 +288,7 @@ type Service struct {
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	if cfg.Store == nil {
-		cfg.Store = store.NewSharded(store.Config{
-			Shards:        cfg.StoreShards,
-			MaxGraphs:     cfg.MemoMaxGraphs,
-			MemoMaxStates: int64(cfg.MemoMaxEntries),
-		})
+		cfg.Store = store.NewSharded(store.Config{MaxGraphs: cfg.MemoMaxGraphs})
 	}
 	s := &Service{
 		cfg:      cfg,
@@ -338,11 +315,7 @@ func Open(cfg Config) (*Service, error) {
 	owns := false
 	if cfg.Store == nil && cfg.StoreDir != "" {
 		ts, err := store.OpenTiered(store.TieredConfig{
-			Mem: store.Config{
-				Shards:        cfg.StoreShards,
-				MaxGraphs:     cfg.MemoMaxGraphs,
-				MemoMaxStates: int64(cfg.MemoMaxEntries),
-			},
+			Mem: store.Config{MaxGraphs: cfg.MemoMaxGraphs},
 			Log: store.LogConfig{Dir: cfg.StoreDir, Fsync: cfg.StoreFsync},
 		})
 		if err != nil {
@@ -632,12 +605,9 @@ func (s *Service) run(ctx context.Context, req Request, hash string) Result {
 		defer cancel()
 	}
 
-	workers := req.Workers
-	if workers <= 0 {
-		workers = s.cfg.DefaultWorkers
-	}
-	if max := s.budget.Size() + 1; workers > max {
-		workers = max
+	workers := s.budget.Size() + 1
+	if req.Workers > 0 && req.Workers < workers {
+		workers = req.Workers
 	}
 
 	if req.Mode == ModeOptimal {
