@@ -15,7 +15,7 @@ GO ?= go
 # Load-wall report produced by `make load-gate` and uploaded nightly.
 LOAD_JSON ?= BENCH_PR7.json
 
-.PHONY: all build fmt fmt-check vet lint test race bench perfbench-smoke crash-recovery warm-restart pprof-capture load-gate stress differential fuzz fuzz-long docs-check serve ci
+.PHONY: all build fmt fmt-check vet lint test race bench perfbench-smoke crash-recovery warm-restart pprof-capture load-gate stress differential walls-check fuzz fuzz-long docs-check serve ci
 
 all: build
 
@@ -95,11 +95,17 @@ load-gate:
 # parallel split (shared cursor, first-success cancel, early lease
 # return) and the solver cross-check at several GOMAXPROCS values.
 stress:
-	$(GO) test -race -count=2 -run 'TestStoreStress|TestCoalescing|TestBatchDuplicates|TestServeCache|TestShardedConcurrency|TestFlight' ./internal/store ./internal/service ./cmd/htdserve
+	$(GO) test -race -count=2 -run 'TestStoreStress|TestCoalescing|TestBatchDuplicates|TestServeCache|TestMemoryConcurrency|TestFlight' ./internal/store ./internal/service ./cmd/htdserve
 	$(GO) test -race -count=3 -cpu=1,2,4 -run 'TestParallel|TestNoCacheEquivalence|TestCancelledContext|TestCrossValidationSolvers|TestRace' ./internal/logk ./internal/race
 
 differential:
 	$(GO) test -race -count=1 -run 'TestDifferential|TestConcurrentIdentical|TestEval|TestServeQuery' ./internal/query ./internal/join ./cmd/htdserve
+
+# A wall cannot silently lose a test: every alternative of the -run
+# regexes in stress, crash-recovery and differential must match a test
+# that `go test -list` finds in that command's packages.
+walls-check:
+	./scripts/check_walls.sh
 
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzDecomposeCheckHD -fuzztime=10s .
@@ -120,4 +126,4 @@ docs-check:
 serve:
 	$(GO) run ./cmd/htdserve
 
-ci: fmt-check vet lint build race bench perfbench-smoke crash-recovery warm-restart stress differential fuzz docs-check
+ci: fmt-check vet lint build walls-check race bench perfbench-smoke crash-recovery warm-restart stress differential fuzz docs-check

@@ -1,8 +1,9 @@
 // Command htdserve serves hypertree decompositions over HTTP, backed by
 // htd.Service: a shared worker-token budget, admission control with
-// per-job timeouts, and a unified sharded cross-request store (width
-// bounds, cached witness decompositions, negative-memo tables) with
-// request coalescing and optional disk persistence (-store-dir).
+// per-job timeouts, and a unified cross-request store (width bounds,
+// cached witness decompositions, negative-memo tables; an exact LRU
+// under one lock) with request coalescing and optional disk persistence
+// (-store-dir).
 //
 // Usage:
 //
@@ -54,7 +55,7 @@
 // pinnable). Datasets are tenant-namespaced by X-Tenant.
 //
 // Persistence: with -store-dir, the cross-request store is
-// disk-backed: the in-memory sharded store becomes the LRU working set
+// disk-backed: the in-memory LRU store becomes the working set
 // over a crash-safe append-only log in that directory, every result is
 // persisted as it is computed, and a restart (graceful or kill -9)
 // serves the whole cached history warm with zero solver runs.

@@ -41,7 +41,7 @@ func TestWireKeysGolden(t *testing.T) {
 		"Submitted", "Completed", "Failed", "Rejected", "Running", "Waiting",
 		"TokenBudget", "TokensInUse", "TokensHighWater",
 		"SolverRuns", "PositiveHits", "NegativeHits", "Coalesced",
-		"StoreEntries", "StoreTrees", "StoreEvictions", "StoreShards",
+		"StoreEntries", "StoreTrees", "StoreEvictions",
 		"MemoGraphs", "MemoEntries", "CacheReuses",
 		"OptimalJobs", "ProbesLaunched", "ProbesCancelled", "BoundsGraphs", "BoundsReuses",
 		"CancelledByWidth", "Solver", "Tenants",

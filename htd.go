@@ -154,11 +154,13 @@ func DecomposeOptimalResult(ctx context.Context, h *Hypergraph, opts RaceOptions
 // submitted from any number of goroutines share one global worker-token
 // budget, pass admission control with per-job timeouts, and read
 // through a unified cross-request store keyed by hypergraph content
-// hash — cached results are returned re-validated without a solver run,
-// concurrent identical requests coalesce onto one solver, and with
-// ServiceConfig.StoreDir (OpenService) the store persists to disk for
-// warm restarts. Create one with NewService or OpenService; see
-// ServiceConfig for sizing and ServiceConfig.Store for custom backends.
+// hash (an exact LRU of ServiceConfig.MemoMaxGraphs hypergraphs under
+// one lock) — cached results are returned re-validated without a
+// solver run, concurrent identical requests coalesce onto one solver,
+// and with ServiceConfig.StoreDir (OpenService) the store persists to
+// disk for warm restarts. Create one with NewService or OpenService;
+// see ServiceConfig for sizing and ServiceConfig.Store for custom
+// backends.
 type Service = service.Service
 
 // ServiceConfig sizes a Service; the zero value picks sensible defaults.
@@ -200,8 +202,8 @@ func NewService(cfg ServiceConfig) *Service { return service.New(cfg) }
 
 // OpenService is NewService honouring ServiceConfig.StoreDir: when set
 // (and no Store is injected) the service persists through a disk-backed
-// tiered store in that directory — the in-memory sharded backend as the
-// LRU working set over a crash-safe append-only log — and a restart on
+// tiered store in that directory — the in-memory LRU backend as the
+// working set over a crash-safe append-only log — and a restart on
 // the same directory serves the whole cached history warm, with zero
 // solver runs for repeat submissions. The closed directory is also the
 // export format: a byte copy of it warm-starts a service elsewhere. The
@@ -242,11 +244,10 @@ const DefaultTenant = tenant.Default
 // Service: width bounds, cached witness decompositions, and per-width
 // negative-memo tables, all keyed by hypergraph content hash. Inject a
 // custom implementation via ServiceConfig.Store; the default is an
-// in-memory sharded backend (NewShardedStore).
+// in-memory LRU backend holding ServiceConfig.MemoMaxGraphs entries,
+// or with ServiceConfig.StoreDir (see OpenService) that LRU over a disk
+// log.
 type StoreBackend = store.Backend
-
-// StoreConfig sizes the default sharded store backend.
-type StoreConfig = store.Config
 
 // StoreStats is a snapshot of a store backend's counters.
 type StoreStats = store.Stats
@@ -254,34 +255,9 @@ type StoreStats = store.Stats
 // StoreEntryInfo describes one cached hypergraph (Backend.Info).
 type StoreEntryInfo = store.EntryInfo
 
-// NewShardedStore returns the default in-memory store backend: entries
-// striped over independently locked shards with O(1) LRU eviction.
-func NewShardedStore(cfg StoreConfig) StoreBackend { return store.NewSharded(cfg) }
-
-// TieredStore is the disk-backed store backend: a sharded in-memory
-// front (the LRU working set, with promotion on disk hits) over a
-// crash-safe append-only record log (the full durable state; it never
-// evicts). Build one with OpenTieredStore and inject it via
-// ServiceConfig.Store, or let OpenService build it from
-// ServiceConfig.StoreDir. Close it when done (or let the owning
-// service); Closing flushes memo summaries and fsyncs the tail.
-type TieredStore = store.Tiered
-
-// TieredStoreConfig sizes a TieredStore: the memory front and the log.
-type TieredStoreConfig = store.TieredConfig
-
-// StoreLogConfig configures the append-only log under a TieredStore:
-// directory, segment size, fsync cadence, compaction threshold.
-type StoreLogConfig = store.LogConfig
-
 // DiskStoreStats is the disk tier's corner of StoreStats (StoreStats.
 // Disk, nil for purely in-memory backends).
 type DiskStoreStats = store.DiskStats
-
-// OpenTieredStore opens (or creates) a disk-backed tiered store. The
-// log directory is replayed on open, truncating a torn tail left by a
-// crash — at most the unsynced suffix is lost, never earlier records.
-func OpenTieredStore(cfg TieredStoreConfig) (*TieredStore, error) { return store.OpenTiered(cfg) }
 
 // CQ is a conjunctive query: a conjunction of atoms over shared
 // variables. Its hypergraph (CQ.Hypergraph) is what gets decomposed.

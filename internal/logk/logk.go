@@ -126,6 +126,16 @@ type Stats struct {
 	MemoHits      int64 // negative-memo hits
 }
 
+// Add folds o into s: the counters sum, MaxDepth takes the maximum.
+func (s *Stats) Add(o Stats) {
+	s.Candidates += o.Candidates
+	s.ParentCands += o.ParentCands
+	s.MaxDepth = max(s.MaxDepth, o.MaxDepth)
+	s.HybridCalls += o.HybridCalls
+	s.TokensGrabbed += o.TokensGrabbed
+	s.MemoHits += o.MemoHits
+}
+
 // Solver runs the optimised log-k-decomp. Safe for one Decompose call at
 // a time; create a new Solver per concurrent decomposition.
 type Solver struct {

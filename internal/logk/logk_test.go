@@ -411,3 +411,18 @@ func TestBalancedSeparatorProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestStatsAdd: Add sums every counter and keeps the deeper MaxDepth,
+// whichever side holds it.
+func TestStatsAdd(t *testing.T) {
+	s := Stats{Candidates: 1, ParentCands: 2, MaxDepth: 5, HybridCalls: 3, TokensGrabbed: 4, MemoHits: 6}
+	s.Add(Stats{Candidates: 10, ParentCands: 20, MaxDepth: 3, HybridCalls: 30, TokensGrabbed: 40, MemoHits: 60})
+	want := Stats{Candidates: 11, ParentCands: 22, MaxDepth: 5, HybridCalls: 33, TokensGrabbed: 44, MemoHits: 66}
+	if s != want {
+		t.Fatalf("after Add: %+v, want %+v", s, want)
+	}
+	s.Add(Stats{MaxDepth: 9})
+	if want.MaxDepth = 9; s != want {
+		t.Fatalf("deeper MaxDepth not kept: %+v, want %+v", s, want)
+	}
+}

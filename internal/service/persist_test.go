@@ -116,7 +116,7 @@ func TestDiskBackedServiceWarmRestart(t *testing.T) {
 // TestOpenPrefersInjectedStore: an explicit Config.Store wins over
 // StoreDir, and the service does not close a backend it was handed.
 func TestOpenPrefersInjectedStore(t *testing.T) {
-	mem := store.NewSharded(store.Config{})
+	mem := store.NewMemory(32)
 	svc, err := Open(Config{Store: mem, StoreDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)

@@ -61,15 +61,15 @@ type Config struct {
 	// overrides. 0 means no timeout.
 	DefaultTimeout time.Duration
 	// Store injects a cross-request storage backend; nil builds an
-	// in-memory sharded backend capped at MemoMaxGraphs, with the store
-	// package's other defaults. Custom backends are the seam for disk or
-	// remote storage.
+	// in-memory backend capped at MemoMaxGraphs. Custom backends are the
+	// seam for disk or remote storage.
 	Store store.Backend
-	// MemoMaxGraphs bounds distinct hypergraphs cached in the default
-	// store (LRU-evicted beyond it). Default 32.
+	// MemoMaxGraphs bounds distinct hypergraphs cached in memory by the
+	// default store, in-memory or disk-backed (LRU-evicted beyond it).
+	// Default 32.
 	MemoMaxGraphs int
 	// StoreDir, when set (and Store is nil), makes Open build a
-	// disk-backed tiered store: the sharded in-memory backend above
+	// disk-backed tiered store: the in-memory backend above
 	// becomes the LRU working set over a crash-safe append-only log in
 	// this directory, so a restart serves its whole history warm. The
 	// closed directory is also the export format: copy it to move a warm
@@ -214,7 +214,6 @@ type Stats struct {
 	StoreEntries   int64 // hypergraphs cached in the store
 	StoreTrees     int64 // cached witness decompositions
 	StoreEvictions int64 // entries dropped by the store's LRU cap
-	StoreShards    int64 // stripe count of the store backend
 
 	MemoGraphs  int64 // per-width negative-memo tables cached
 	MemoEntries int64 // memoised dead states across all tables
@@ -288,7 +287,7 @@ type Service struct {
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	if cfg.Store == nil {
-		cfg.Store = store.NewSharded(store.Config{MaxGraphs: cfg.MemoMaxGraphs})
+		cfg.Store = store.NewMemory(cfg.MemoMaxGraphs)
 	}
 	s := &Service{
 		cfg:      cfg,
@@ -305,7 +304,7 @@ func New(cfg Config) *Service {
 
 // Open returns a Service like New, additionally honouring
 // Config.StoreDir: with no injected Store and a StoreDir set, it opens
-// a disk-backed tiered backend there (the sharded in-memory store as
+// a disk-backed tiered backend there (the in-memory store as
 // the LRU working set over a crash-safe append-only log), owned by the
 // service and closed by Close. A restart pointed at the same directory
 // serves the entire cached history warm — zero solver runs for repeat
@@ -315,8 +314,8 @@ func Open(cfg Config) (*Service, error) {
 	owns := false
 	if cfg.Store == nil && cfg.StoreDir != "" {
 		ts, err := store.OpenTiered(store.TieredConfig{
-			Mem: store.Config{MaxGraphs: cfg.MemoMaxGraphs},
-			Log: store.LogConfig{Dir: cfg.StoreDir, Fsync: cfg.StoreFsync},
+			MaxGraphs: cfg.MemoMaxGraphs,
+			Log:       store.LogConfig{Dir: cfg.StoreDir, Fsync: cfg.StoreFsync},
 		})
 		if err != nil {
 			return nil, err
@@ -701,14 +700,7 @@ func (s *Service) runOptimal(ctx context.Context, req Request, workers int, hash
 
 	cancelledByWidth := make(map[int]int64)
 	for _, p := range rr.Probes {
-		res.Stats.Candidates += p.Stats.Candidates
-		res.Stats.ParentCands += p.Stats.ParentCands
-		res.Stats.HybridCalls += p.Stats.HybridCalls
-		res.Stats.TokensGrabbed += p.Stats.TokensGrabbed
-		res.Stats.MemoHits += p.Stats.MemoHits
-		if p.Stats.MaxDepth > res.Stats.MaxDepth {
-			res.Stats.MaxDepth = p.Stats.MaxDepth
-		}
+		res.Stats.Add(p.Stats)
 		if p.Outcome == race.Cancelled {
 			cancelledByWidth[p.K]++
 		}
@@ -739,14 +731,7 @@ func (s *Service) runOptimal(ctx context.Context, req Request, workers int, hash
 // per-width cancellation counts) into the service-wide aggregates.
 func (s *Service) addSolverStats(st logk.Stats, cancelledByWidth map[int]int64) {
 	s.agg.Lock()
-	s.agg.stats.Candidates += st.Candidates
-	s.agg.stats.ParentCands += st.ParentCands
-	s.agg.stats.HybridCalls += st.HybridCalls
-	s.agg.stats.TokensGrabbed += st.TokensGrabbed
-	s.agg.stats.MemoHits += st.MemoHits
-	if st.MaxDepth > s.agg.stats.MaxDepth {
-		s.agg.stats.MaxDepth = st.MaxDepth
-	}
+	s.agg.stats.Add(st)
 	for k, n := range cancelledByWidth {
 		s.agg.cancelledByWidth[k] += n
 	}
@@ -813,7 +798,6 @@ func (s *Service) Stats() Stats {
 		StoreEntries:     sst.Entries,
 		StoreTrees:       sst.Trees,
 		StoreEvictions:   sst.Evictions,
-		StoreShards:      int64(sst.Shards),
 		MemoGraphs:       sst.MemoTables,
 		MemoEntries:      sst.MemoStates,
 		CacheReuses:      sst.MemoReuses + positive + negative,

@@ -47,7 +47,7 @@ func (b *barrierBackend) Bounds(hash string) (store.Bounds, bool) {
 // solver; the other N-1 share its result.
 func TestCoalescingExactlyOneSolver(t *testing.T) {
 	const n = 8
-	bb := newBarrierBackend(store.NewSharded(store.Config{}), n)
+	bb := newBarrierBackend(store.NewMemory(32), n)
 	svc := New(Config{TokenBudget: 2, MaxConcurrent: 4, Store: bb})
 	defer svc.Close()
 
@@ -91,7 +91,7 @@ func TestCoalescingExactlyOneSolver(t *testing.T) {
 // its slot.
 func TestBatchDuplicatesCoalesce(t *testing.T) {
 	const n = 6
-	bb := newBarrierBackend(store.NewSharded(store.Config{}), n)
+	bb := newBarrierBackend(store.NewMemory(32), n)
 	svc := New(Config{TokenBudget: 2, MaxConcurrent: n, Store: bb})
 	defer svc.Close()
 
@@ -121,7 +121,7 @@ func TestBatchDuplicatesCoalesce(t *testing.T) {
 // onto its own hypergraph, not a foreign one.
 func TestCoalescedFollowerReboundDecomp(t *testing.T) {
 	const n = 2
-	bb := newBarrierBackend(store.NewSharded(store.Config{}), n)
+	bb := newBarrierBackend(store.NewMemory(32), n)
 	svc := New(Config{TokenBudget: 2, MaxConcurrent: 4, Store: bb})
 	defer svc.Close()
 
@@ -166,7 +166,7 @@ func TestCoalescedFollowerNotPoisonedByLeaderFailure(t *testing.T) {
 	h := cycle(24)
 	for round := 0; round < 8; round++ {
 		const n = 2
-		bb := newBarrierBackend(store.NewSharded(store.Config{}), n)
+		bb := newBarrierBackend(store.NewMemory(32), n)
 		svc := New(Config{TokenBudget: 2, MaxConcurrent: 4, Store: bb})
 
 		var doomed, healthy Result

@@ -16,14 +16,15 @@
 // All of it sits behind the small pluggable Backend interface. Three
 // implementations ship:
 //
-//   - Sharded — in-memory: entries striped over independently locked
-//     shards with O(1) LRU eviction;
+//   - Memory — in-memory: one mutex over a map and an intrusive LRU
+//     list, holding exactly its cap of entries with O(1) eviction of
+//     the least recently used;
 //   - Log — disk-backed and crash-safe: an append-only record log
 //     (length-prefixed, CRC-32C-checksummed records, fsync cadence
 //     configurable down to every append) with segment rotation,
 //     background compaction, and torn-tail recovery on open;
 //   - Tiered — the composition serving processes actually run: a
-//     Sharded front as the LRU working set over a Log as the durable
+//     Memory front as the LRU working set over a Log as the durable
 //     truth, so every result persists as it is computed and a restart
 //     (graceful or kill -9) serves the whole history warm.
 //

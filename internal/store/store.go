@@ -46,8 +46,8 @@ type Memo interface {
 
 // Backend is the pluggable storage contract every consumer of
 // cross-request state programs against. The in-memory implementation is
-// Sharded; future disk or remote backends plug in here without touching
-// the service layer.
+// Memory, the disk-backed one Tiered; other backends plug in here
+// without touching the service layer.
 //
 // All methods must be safe for concurrent use. Handles returned by Memo
 // and Decomposition stay valid after the entry is evicted — eviction
@@ -76,7 +76,7 @@ type Backend interface {
 	// Stats returns a snapshot of the backend's counters.
 	Stats() Stats
 	// Info lists up to max cached entries (0 = all) for introspection
-	// endpoints, most informative first within each shard.
+	// endpoints, most recently used first.
 	Info(max int) []EntryInfo
 	// Purge drops every entry.
 	Purge()
@@ -84,7 +84,6 @@ type Backend interface {
 
 // Stats is a snapshot of backend counters.
 type Stats struct {
-	Shards       int   `json:"shards"`        // stripe count (1 for unsharded backends)
 	Entries      int64 `json:"entries"`       // cached hypergraphs
 	Trees        int64 `json:"trees"`         // cached witness decompositions
 	BoundsGraphs int64 `json:"bounds_graphs"` // entries with non-trivial bounds

@@ -2,6 +2,8 @@ package store
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -23,11 +25,34 @@ func cycle(n int) *hypergraph.Hypergraph {
 	return b.Build()
 }
 
+// backends is the Backend contract's table of implementations: every
+// contract test runs once per row, on a fresh backend of capacity 8.
+var backends = []struct {
+	name string
+	open func(t *testing.T) Backend
+}{
+	{"memory", func(t *testing.T) Backend { return NewMemory(8) }},
+	{"tiered", func(t *testing.T) Backend {
+		ts := openTiered(t, t.TempDir(), 8)
+		t.Cleanup(func() { ts.Close() })
+		return ts
+	}},
+}
+
+// forEachBackend runs one contract case against every Backend.
+func forEachBackend(t *testing.T, test func(t *testing.T, s Backend)) {
+	for _, b := range backends {
+		t.Run(b.name, func(t *testing.T) { test(t, b.open(t)) })
+	}
+}
+
 // TestBoundsMergeSemantics: the lower bound only ever rises, the
 // witnessed upper bound only ever falls, trivial bounds are a no-op.
 func TestBoundsMergeSemantics(t *testing.T) {
-	s := NewSharded(Config{Shards: 1, MaxGraphs: 8})
+	forEachBackend(t, testBoundsMergeSemantics)
+}
 
+func testBoundsMergeSemantics(t *testing.T, s Backend) {
 	s.MergeBounds("g1", Bounds{LB: 2})
 	s.MergeBounds("g1", Bounds{LB: 3, UB: 5})
 	s.MergeBounds("g1", Bounds{LB: 2, UB: 4}) // lb cannot regress, ub improves
@@ -45,8 +70,8 @@ func TestBoundsMergeSemantics(t *testing.T) {
 	if _, ok := s.Bounds("g2"); ok {
 		t.Fatal("LB=1 is trivial and must not be cached")
 	}
-	if st := s.Stats(); st.Entries != 1 {
-		t.Fatalf("entries=%d, want 1", st.Entries)
+	if st := s.Stats(); st.Entries != 1 || (st.Disk != nil && st.Disk.Entries != 1) {
+		t.Fatalf("entries=%d disk=%+v, want 1", st.Entries, st.Disk)
 	}
 
 	var b Bounds
@@ -64,7 +89,7 @@ func TestBoundsMergeSemantics(t *testing.T) {
 // insert that triggers eviction drops the least recently used entry,
 // never the one just read.
 func TestEvictionSparesJustReadEntry(t *testing.T) {
-	s := NewSharded(Config{Shards: 1, MaxGraphs: 3})
+	s := NewMemory(3)
 	s.MergeBounds("a", Bounds{LB: 2})
 	s.MergeBounds("b", Bounds{LB: 2})
 	s.MergeBounds("c", Bounds{LB: 2})
@@ -86,22 +111,71 @@ func TestEvictionSparesJustReadEntry(t *testing.T) {
 	}
 }
 
-// TestShardedCapHolds: the total entry cap holds regardless of shard
-// count, and the configured shard count never exceeds the cap.
-func TestShardedCapHolds(t *testing.T) {
-	s := NewSharded(Config{Shards: 16, MaxGraphs: 2})
-	for i := 0; i < 64; i++ {
-		s.MergeBounds("h"+strconv.Itoa(i), Bounds{LB: 2})
+// TestMemoryExactLRU: the store holds exactly its cap of content
+// hashes — no entry is evicted before the cap is reached, however the
+// hashes fall — and once full each insert evicts exactly one entry, the
+// least recently used across the whole store.
+func TestMemoryExactLRU(t *testing.T) {
+	const maxGraphs = 32
+	hash := func(i int) string {
+		sum := sha256.Sum256([]byte(strconv.Itoa(i)))
+		return hex.EncodeToString(sum[:])
 	}
-	if st := s.Stats(); st.Entries > 2 {
-		t.Fatalf("cap 2 exceeded: %d entries over %d shards", st.Entries, st.Shards)
+	s := NewMemory(maxGraphs)
+	for i := 0; i < maxGraphs; i++ {
+		s.MergeBounds(hash(i), Bounds{LB: 2})
+	}
+	if st := s.Stats(); st.Entries != maxGraphs || st.Evictions != 0 {
+		t.Fatalf("after %d inserts: entries=%d evictions=%d, want %d/0",
+			maxGraphs, st.Entries, st.Evictions, maxGraphs)
+	}
+
+	// Touch the oldest entry: hash(1) becomes the least recently used.
+	if _, ok := s.Bounds(hash(0)); !ok {
+		t.Fatal("first entry missing before the cap was exceeded")
+	}
+	s.MergeBounds(hash(maxGraphs), Bounds{LB: 2})
+	if st := s.Stats(); st.Entries != maxGraphs || st.Evictions != 1 {
+		t.Fatalf("after one more insert: entries=%d evictions=%d, want %d/1",
+			st.Entries, st.Evictions, maxGraphs)
+	}
+	if _, ok := s.Bounds(hash(1)); ok {
+		t.Fatal("least recently used entry survived the eviction")
+	}
+	for _, i := range []int{0, 2, maxGraphs - 1, maxGraphs} {
+		if _, ok := s.Bounds(hash(i)); !ok {
+			t.Fatalf("entry %d evicted; only entry 1 should have been", i)
+		}
+	}
+	if in := s.Info(1); len(in) != 1 || in[0].Hash != hash(maxGraphs) {
+		t.Fatalf("Info(1) = %+v, want the most recently used entry first", in)
+	}
+
+	// The cap holds under sustained churn: every further insert evicts one.
+	for i := maxGraphs + 1; i < 4*maxGraphs; i++ {
+		s.MergeBounds(hash(i), Bounds{LB: 2})
+	}
+	if st := s.Stats(); st.Entries != maxGraphs || st.Evictions != 3*maxGraphs {
+		t.Fatalf("after churn: entries=%d evictions=%d, want %d/%d",
+			st.Entries, st.Evictions, maxGraphs, 3*maxGraphs)
 	}
 }
 
 // TestMemoTables: per-width tables are created once, shared afterwards,
 // implement logk.MemoBackend, and honor their state cap.
 func TestMemoTables(t *testing.T) {
-	s := NewSharded(Config{Shards: 1, MaxGraphs: 4, MemoMaxStates: 2})
+	forEachBackend(t, testMemoTables)
+
+	capped := NewTable(2)
+	capped.Insert("s1")
+	capped.Insert("s2")
+	capped.Insert("s3") // beyond cap: dropped
+	if !capped.Lookup([]byte("s1")) || capped.Lookup([]byte("s3")) || capped.Entries() != 2 {
+		t.Fatalf("capped table: entries=%d, lookups disagree with capped inserts", capped.Entries())
+	}
+}
+
+func testMemoTables(t *testing.T, s Backend) {
 	m1, existed := s.Memo("g", 2)
 	if existed {
 		t.Fatal("first Memo call cannot find an existing table")
@@ -118,9 +192,8 @@ func TestMemoTables(t *testing.T) {
 	mb.Insert("s1")
 	mb.Insert("s1") // duplicate: not counted twice
 	mb.Insert("s2")
-	mb.Insert("s3") // beyond cap: dropped
 	if !mb.Lookup([]byte("s1")) || mb.Lookup([]byte("s3")) {
-		t.Fatal("lookup disagrees with capped inserts")
+		t.Fatal("lookup disagrees with inserts")
 	}
 	if m1.Entries() != 2 {
 		t.Fatalf("entries=%d, want 2", m1.Entries())
@@ -196,11 +269,16 @@ func TestTreeBindRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestPutDecompositionOnlyImproves: a wider tree never replaces a
-// narrower cached one, and caching a witness merges its width into UB.
+// TestPutDecompositionOnlyImproves: a wider or equal tree never
+// replaces a narrower cached one, caching a witness merges its width
+// into UB, and dropping the witness keeps the bounds.
 func TestPutDecompositionOnlyImproves(t *testing.T) {
-	s := NewSharded(Config{Shards: 1, MaxGraphs: 4})
+	forEachBackend(t, testPutDecompositionOnlyImproves)
+}
+
+func testPutDecompositionOnlyImproves(t *testing.T, s Backend) {
 	narrow := &Tree{Lambda: []int{0, 1}, Bag: []int{0}}
+	equal := &Tree{Lambda: []int{1, 2}, Bag: []int{1}}
 	wide := &Tree{Lambda: []int{0, 1, 2}, Bag: []int{0}}
 
 	s.PutDecomposition("g", wide)
@@ -211,6 +289,10 @@ func TestPutDecompositionOnlyImproves(t *testing.T) {
 	s.PutDecomposition("g", wide)
 	if got, _ := s.Decomposition("g"); got != narrow {
 		t.Fatal("wider tree must not replace a narrower one")
+	}
+	s.PutDecomposition("g", equal)
+	if got, _ := s.Decomposition("g"); got != narrow {
+		t.Fatal("an equally wide tree must not replace the cached one")
 	}
 	if b, _ := s.Bounds("g"); b.UB != 2 {
 		t.Fatalf("UB=%d, want 2 (width of the cached witness)", b.UB)
@@ -223,6 +305,33 @@ func TestPutDecompositionOnlyImproves(t *testing.T) {
 	if b, ok := s.Bounds("g"); !ok || b.UB != 2 {
 		t.Fatalf("bounds must survive a tree drop: %+v ok=%v", b, ok)
 	}
+}
+
+// TestBackendPurge: Purge forgets every entry — bounds, witnesses and
+// memo tables.
+func TestBackendPurge(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, s Backend) {
+		s.MergeBounds("a", Bounds{LB: 2})
+		s.PutDecomposition("b", &Tree{Lambda: []int{0, 1}, Bag: []int{0}})
+		s.Memo("c", 2)
+		s.Purge()
+		if _, ok := s.Bounds("a"); ok {
+			t.Fatal("bounds survived Purge")
+		}
+		if _, ok := s.Decomposition("b"); ok {
+			t.Fatal("witness survived Purge")
+		}
+		if in := s.Info(0); len(in) != 0 {
+			t.Fatalf("Info after Purge: %+v", in)
+		}
+		st := s.Stats()
+		if st.Entries != 0 || st.MemoTables != 0 || (st.Disk != nil && st.Disk.Entries != 0) {
+			t.Fatalf("stats after Purge: %+v disk=%+v", st, st.Disk)
+		}
+		if _, existed := s.Memo("c", 2); existed {
+			t.Fatal("memo table survived Purge")
+		}
+	})
 }
 
 // TestFlightCoalesces: concurrent Do calls on one key run the function
@@ -349,7 +458,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	hash := h.ContentHash()
 
 	dir := t.TempDir()
-	s, err := OpenTiered(TieredConfig{Mem: Config{Shards: 2, MaxGraphs: 8}, Log: LogConfig{Dir: dir}})
+	s, err := OpenTiered(TieredConfig{MaxGraphs: 8, Log: LogConfig{Dir: dir}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +475,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := os.CopyFS(snap, os.DirFS(dir)); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := OpenTiered(TieredConfig{Mem: Config{Shards: 4, MaxGraphs: 8}, Log: LogConfig{Dir: snap}})
+	fresh, err := OpenTiered(TieredConfig{MaxGraphs: 8, Log: LogConfig{Dir: snap}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,10 +516,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestShardedConcurrency hammers one backend from many goroutines (run
+// TestMemoryConcurrency hammers one backend from many goroutines (run
 // under -race in CI's store-stress job).
-func TestShardedConcurrency(t *testing.T) {
-	s := NewSharded(Config{Shards: 4, MaxGraphs: 16})
+func TestMemoryConcurrency(t *testing.T) {
+	s := NewMemory(16)
 	hashes := []string{"a", "b", "c", "d", "e", "f"}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

@@ -6,6 +6,10 @@ import (
 	"repro/internal/logk"
 )
 
+// memoMaxStates caps memoised dead states per (hash, width) table the
+// Memory backend hands out; inserts beyond it are dropped.
+const memoMaxStates = 1 << 20
+
 // Table is the in-memory Memo implementation: a sharded negative-memo
 // map (logk.ShardedMemo) with an advisory entry cap so a pathological
 // workload cannot grow one table without bound. It is the adapter that

@@ -4,17 +4,17 @@ import (
 	"sync"
 )
 
-// TieredConfig sizes a Tiered backend: an in-memory Sharded front over
+// TieredConfig sizes a Tiered backend: an in-memory Memory front over
 // a disk Log.
 type TieredConfig struct {
-	// Mem sizes the memory front (the read-through / write-behind LRU
-	// working set). The zero value picks the Sharded defaults.
-	Mem Config
+	// MaxGraphs caps the memory front (the read-through / write-behind
+	// LRU working set); see NewMemory.
+	MaxGraphs int
 	// Log configures the disk tier; Log.Dir is required.
 	Log LogConfig
 }
 
-// Tiered is the disk-backed Backend: the Sharded in-memory store is
+// Tiered is the disk-backed Backend: the Memory in-memory store is
 // the front (every read is answered from memory when possible, every
 // promotion lands there), the append-only Log is the truth (every
 // bounds / tree / drop mutation is appended before the call returns,
@@ -32,7 +32,7 @@ type TieredConfig struct {
 // fail reads or lose the in-memory state: availability degrades to
 // the in-memory contract, not to an outage.
 type Tiered struct {
-	mem *Sharded
+	mem *Memory
 	log *Log
 
 	closeMu  sync.Mutex
@@ -47,7 +47,7 @@ func OpenTiered(cfg TieredConfig) (*Tiered, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Tiered{mem: NewSharded(cfg.Mem), log: l}, nil
+	return &Tiered{mem: NewMemory(cfg.MaxGraphs), log: l}, nil
 }
 
 // Log exposes the disk tier for maintenance (Compact, Sync) and tests.

@@ -8,9 +8,9 @@ import (
 	"testing"
 )
 
-func openTiered(t *testing.T, dir string, mem Config) *Tiered {
+func openTiered(t *testing.T, dir string, maxGraphs int) *Tiered {
 	t.Helper()
-	ts, err := OpenTiered(TieredConfig{Mem: mem, Log: LogConfig{Dir: dir}})
+	ts, err := OpenTiered(TieredConfig{MaxGraphs: maxGraphs, Log: LogConfig{Dir: dir}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +21,7 @@ func openTiered(t *testing.T, dir string, mem Config) *Tiered {
 // before Close is served after a reopen.
 func TestTieredWarmRestart(t *testing.T) {
 	dir := t.TempDir()
-	ts := openTiered(t, dir, Config{})
+	ts := openTiered(t, dir, 32)
 	ts.MergeBounds("g1", Bounds{LB: 3})
 	ts.PutDecomposition("g1", testTree(4))
 	ts.PutDecomposition("g2", testTree(2))
@@ -30,7 +30,7 @@ func TestTieredWarmRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ts = openTiered(t, dir, Config{})
+	ts = openTiered(t, dir, 32)
 	defer ts.Close()
 	if b, ok := ts.Bounds("g1"); !ok || b.LB != 3 || b.UB != 4 {
 		t.Fatalf("g1 bounds %+v ok=%v after restart", b, ok)
@@ -62,7 +62,7 @@ func TestTieredWarmRestart(t *testing.T) {
 // hit.
 func TestTieredEvictionFallsBackToDisk(t *testing.T) {
 	dir := t.TempDir()
-	ts := openTiered(t, dir, Config{Shards: 1, MaxGraphs: 8})
+	ts := openTiered(t, dir, 8)
 	defer ts.Close()
 	for i := 0; i < 40; i++ {
 		hash := fmt.Sprintf("g%03d", i)
@@ -90,7 +90,7 @@ func TestTieredEvictionFallsBackToDisk(t *testing.T) {
 // their per-width summaries survive restarts via the flush-on-close.
 func TestTieredSummariesFlushOnClose(t *testing.T) {
 	dir := t.TempDir()
-	ts := openTiered(t, dir, Config{})
+	ts := openTiered(t, dir, 32)
 	ts.MergeBounds("g", Bounds{LB: 3})
 	m, _ := ts.Memo("g", 2)
 	m.Insert("dead-a")
@@ -99,7 +99,7 @@ func TestTieredSummariesFlushOnClose(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ts = openTiered(t, dir, Config{})
+	ts = openTiered(t, dir, 32)
 	defer ts.Close()
 	infos := ts.Info(0)
 	if len(infos) != 1 || infos[0].Hash != "g" {
@@ -122,7 +122,7 @@ func TestTieredSummariesFlushOnClose(t *testing.T) {
 // durable appends of its own without touching the source.
 func TestTieredExportImport(t *testing.T) {
 	srcDir := t.TempDir()
-	src := openTiered(t, srcDir, Config{})
+	src := openTiered(t, srcDir, 32)
 	src.MergeBounds("g1", Bounds{LB: 3})
 	src.PutDecomposition("g1", testTree(4))
 	src.PutDecomposition("g2", testTree(2))
@@ -136,7 +136,7 @@ func TestTieredExportImport(t *testing.T) {
 	if err := os.CopyFS(dstDir, os.DirFS(srcDir)); err != nil {
 		t.Fatal(err)
 	}
-	dst := openTiered(t, dstDir, Config{})
+	dst := openTiered(t, dstDir, 32)
 	if b, ok := dst.Bounds("g1"); !ok || b.LB != 3 || b.UB != 4 {
 		t.Fatalf("copied g1 bounds %+v ok=%v", b, ok)
 	}
@@ -151,12 +151,12 @@ func TestTieredExportImport(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dst = openTiered(t, dstDir, Config{})
+	dst = openTiered(t, dstDir, 32)
 	defer dst.Close()
 	if b, ok := dst.Bounds("g3"); !ok || b.LB != 5 {
 		t.Fatalf("append on the copy lost after reopen: %+v ok=%v", b, ok)
 	}
-	src = openTiered(t, srcDir, Config{})
+	src = openTiered(t, srcDir, 32)
 	defer src.Close()
 	if _, ok := src.Bounds("g3"); ok {
 		t.Fatal("append on the copy leaked into the source directory")
@@ -165,7 +165,7 @@ func TestTieredExportImport(t *testing.T) {
 
 func TestTieredPurge(t *testing.T) {
 	dir := t.TempDir()
-	ts := openTiered(t, dir, Config{})
+	ts := openTiered(t, dir, 32)
 	ts.MergeBounds("g", Bounds{LB: 3})
 	ts.PutDecomposition("g", testTree(4))
 	ts.Purge()
@@ -175,7 +175,7 @@ func TestTieredPurge(t *testing.T) {
 	if err := ts.Close(); err != nil {
 		t.Fatal(err)
 	}
-	ts = openTiered(t, dir, Config{})
+	ts = openTiered(t, dir, 32)
 	defer ts.Close()
 	if _, ok := ts.Bounds("g"); ok {
 		t.Fatal("purged entry resurrected by restart")
@@ -185,7 +185,7 @@ func TestTieredPurge(t *testing.T) {
 // TestTieredStats: the top level describes the memory front, Disk the
 // log underneath.
 func TestTieredStats(t *testing.T) {
-	ts := openTiered(t, t.TempDir(), Config{})
+	ts := openTiered(t, t.TempDir(), 32)
 	defer ts.Close()
 	ts.MergeBounds("g", Bounds{LB: 3})
 	ts.PutDecomposition("g", testTree(4))
@@ -202,7 +202,7 @@ func TestTieredStats(t *testing.T) {
 }
 
 func TestTieredConcurrency(t *testing.T) {
-	ts := openTiered(t, t.TempDir(), Config{Shards: 2, MaxGraphs: 16})
+	ts := openTiered(t, t.TempDir(), 16)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
