@@ -7,8 +7,9 @@
 # `make perfbench-smoke` runs it as a correctness wall. The executor's
 # and the dataset layer's allocation budgets and the disk tier's I/O
 # budget are `go test` tests (TestExecutorAllocBudget,
-# TestMaintenanceAllocBudget in internal/join; TestDiskTierIOBudget in
-# internal/service), so `make race` runs them. cmd/benchtab keeps the
+# TestMaintenanceAllocBudget in internal/join; TestCanonicalAllocBudget
+# in internal/query; TestDiskTierIOBudget in internal/service), so
+# `make race` runs them. cmd/benchtab keeps the
 # paper's experiments.
 
 GO ?= go
@@ -99,7 +100,7 @@ stress:
 	$(GO) test -race -count=3 -cpu=1,2,4 -run 'TestParallel|TestNoCacheEquivalence|TestCancelledContext|TestCrossValidationSolvers|TestRace' ./internal/logk ./internal/race
 
 differential:
-	$(GO) test -race -count=1 -run 'TestDifferential|TestConcurrentIdentical|TestEval|TestServeQuery' ./internal/query ./internal/join ./cmd/htdserve
+	$(GO) test -race -count=1 -run 'TestDifferential|TestConcurrentIdentical|TestEval|TestServeQuery|TestExecDuplicateRows|TestCanonical' ./internal/query ./internal/join ./cmd/htdserve
 
 # A wall cannot silently lose a test: every alternative of the -run
 # regexes in stress, crash-recovery and differential must match a test
@@ -110,12 +111,14 @@ walls-check:
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzDecomposeCheckHD -fuzztime=10s .
 	$(GO) test -run=NONE -fuzz=FuzzParseQuery -fuzztime=10s ./internal/join
+	$(GO) test -run=NONE -fuzz=FuzzEvalDocument -fuzztime=10s ./internal/join
 	$(GO) test -run=NONE -fuzz=FuzzLogReplay -fuzztime=10s ./internal/store
 
 # The nightly workflow's long-form fuzz: 5 minutes per target.
 fuzz-long:
 	$(GO) test -run=NONE -fuzz=FuzzDecomposeCheckHD -fuzztime=5m .
 	$(GO) test -run=NONE -fuzz=FuzzParseQuery -fuzztime=5m ./internal/join
+	$(GO) test -run=NONE -fuzz=FuzzEvalDocument -fuzztime=5m ./internal/join
 	$(GO) test -run=NONE -fuzz=FuzzLogReplay -fuzztime=5m ./internal/store
 
 # Fails on broken intra-repo links (and missing anchors) in committed

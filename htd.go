@@ -471,9 +471,10 @@ func EvalQuery(ctx context.Context, svc *Service, req QueryRequest) (QueryResult
 // the decomposition pipeline against.
 func EvalQueryNaive(q CQ, db Database) (*Relation, error) { return join.EvaluateNaive(q, db) }
 
-// CanonicalRows projects a full-query result onto sorted attributes and
-// sorts the tuples, the form in which two evaluations of the same query
-// are comparable (and repeat HTTP answers byte-identical).
+// CanonicalRows returns a full-query result with its columns in sorted
+// attribute order and its distinct tuples sorted, the form in which two
+// evaluations of the same query are comparable (and repeat HTTP answers
+// byte-identical).
 func CanonicalRows(rel *Relation) (*Relation, error) { return query.Canonical(rel) }
 
 // Validate checks the four HD conditions (including the special

@@ -446,18 +446,8 @@ func keySlots(union, cellVars []string, rel *Relation, liftVars []string) (carri
 // bounded by the answer's group count), then a bottom-up fold of keyed
 // partial aggregates. No answer row is ever materialised.
 func (e *executor) aggregate(q Query, db Database, d *decomp.Decomp, spec AggSpec) (AggResult, error) {
-	coverOf, err := assignAtomCovers(q, d)
+	root, err := e.reduce(q, db, d)
 	if err != nil {
-		return AggResult{}, err
-	}
-	root, err := e.build(q, db, d, coverOf, d.Root)
-	if err != nil {
-		return AggResult{}, err
-	}
-	if err := e.up(root); err != nil {
-		return AggResult{}, err
-	}
-	if err := e.down(root); err != nil {
 		return AggResult{}, err
 	}
 
@@ -609,10 +599,12 @@ func (e *executor) liftChild(n, c *bagNode, st aggState, spec AggSpec, watched [
 	}
 
 	shared := sharedAttrs(c.rel, n.rel)
-	ix, err := e.index(c.rel, shared)
+	// c.rel is a bag relation, so its stack is one fresh index.
+	stack, err := e.probeStack(c.rel, shared)
 	if err != nil {
 		return nil, nil, nil, err
 	}
+	ix := stack[0]
 	contrib := make([]map[string]aggCell, len(ix.first))
 	kbuf := make([]byte, 0, 8*len(liftedVars))
 	for j := 0; j < c.rel.Size(); j++ {

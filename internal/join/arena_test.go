@@ -53,7 +53,7 @@ func TestArenaZeroRowRelation(t *testing.T) {
 	if d := r.Dedup(); d.Size() != 0 {
 		t.Fatalf("dedup of empty relation has %d rows", d.Size())
 	}
-	r.SortRows() // must not panic on zero chunks
+	r.Canonical() // must not panic on zero chunks
 }
 
 func TestArenaSingleAttribute(t *testing.T) {
@@ -156,26 +156,57 @@ func TestArenaAppendAllWidths(t *testing.T) {
 	}
 }
 
-// TestArenaSortRowsChunkSpan checks canonicalisation over a relation
-// spanning several chunks against a reference sort of the
-// materialised rows.
-func TestArenaSortRowsChunkSpan(t *testing.T) {
+// TestCanonical checks Relation.Canonical against a reference built
+// from the string-keyed operators: Project onto the sorted attributes,
+// Sorted, adjacent duplicates removed. The input must stay untouched.
+func TestCanonical(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	r := NewRelation("a", "b")
-	n := 2*chunkSize + 123
-	for i := 0; i < n; i++ {
-		r.Add(rng.Intn(100), rng.Intn(100))
+	span := NewRelation("a", "b")
+	for i := 0; i < 2*chunkSize+123; i++ {
+		span.Add(rng.Intn(100), rng.Intn(100)) // ~8k rows over 10k keys: duplicates
 	}
-	want := r.Rows()
-	sort.Slice(want, func(i, j int) bool {
-		if want[i][0] != want[j][0] {
-			return want[i][0] < want[j][0]
-		}
-		return want[i][1] < want[j][1]
-	})
-	r.SortRows()
-	if got := r.Rows(); !reflect.DeepEqual(got, want) {
-		t.Fatal("SortRows diverged from reference sort across chunk boundaries")
+	unsorted := NewRelation("z", "a", "m")
+	for i := 0; i < 300; i++ {
+		unsorted.Add(rng.Intn(4), rng.Intn(3), rng.Intn(5))
+	}
+	wide := NewRelation("w", "n")
+	for _, v := range []int{5, math.MaxInt32 + 7, -1, math.MinInt32 - 3, 5, math.MaxInt32 + 7, 0} {
+		wide.Add(v, v%3)
+	}
+	for _, c := range []struct {
+		name string
+		r    *Relation
+	}{
+		{"chunk-span-duplicates", span},
+		{"attrs-out-of-order", unsorted},
+		{"promoted-int64", wide},
+		{"empty", NewRelation("b", "a")},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			before := c.r.Rows()
+			attrs := append([]string(nil), c.r.Attrs...)
+			sort.Strings(attrs)
+			p, err := c.r.Project(attrs...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want [][]int
+			for _, row := range p.Sorted() {
+				if len(want) == 0 || !reflect.DeepEqual(want[len(want)-1], row) {
+					want = append(want, row)
+				}
+			}
+			got := c.r.Canonical()
+			if !reflect.DeepEqual(got.Attrs, attrs) {
+				t.Fatalf("attrs %v, want %v", got.Attrs, attrs)
+			}
+			if !reflect.DeepEqual(got.Rows(), want) {
+				t.Fatalf("%d rows diverge from the %d-row reference", got.Size(), len(want))
+			}
+			if !reflect.DeepEqual(c.r.Rows(), before) {
+				t.Fatal("Canonical mutated its input")
+			}
+		})
 	}
 }
 

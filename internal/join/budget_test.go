@@ -139,7 +139,8 @@ func starInstances(arms, n, centers, domain int) []budgetInstance {
 // TestExecutorAllocBudget is the executor's allocation budget: serial
 // EvaluateCtx over minimum-width plans of 8-atom chains and 6-arm
 // stars, in allocs/op and bytes/op per instance. Before measuring, each
-// answer must equal EvaluateNaive's as a row set.
+// answer must equal EvaluateNaive's as a row set and in size, so a
+// duplicate answer row fails too.
 func TestExecutorAllocBudget(t *testing.T) {
 	ctx := context.Background()
 	for _, b := range []struct {
@@ -147,8 +148,8 @@ func TestExecutorAllocBudget(t *testing.T) {
 		instances []budgetInstance
 		budget    allocSample
 	}{
-		{"chain8", chainInstances(8, 5, 4000, 8000), allocSample{1223.6, 4480546}},
-		{"star6", starInstances(6, 6, 800, 400), allocSample{941.3, 7374369}},
+		{"chain8", chainInstances(8, 5, 4000, 8000), allocSample{1223.6, 4233944}},
+		{"star6", starInstances(6, 6, 800, 400), allocSample{906.0, 5287531}},
 	} {
 		t.Run(b.name, func(t *testing.T) {
 			plans := make([]*decomp.Decomp, len(b.instances))
@@ -162,7 +163,7 @@ func TestExecutorAllocBudget(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(sortedRowSet(t, got), sortedRowSet(t, want)) {
+				if got.Size() != want.Size() || !reflect.DeepEqual(sortedRowSet(t, got), sortedRowSet(t, want)) {
 					t.Fatalf("instance %d: answer differs from EvaluateNaive (%d vs %d rows)",
 						i, got.Size(), want.Size())
 				}

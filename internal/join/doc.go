@@ -7,9 +7,10 @@
 // hypertree width evaluate in polynomial time by reduction to an
 // acyclic instance.
 //
-// Contract: Evaluate/EvaluateCtx return the canonical answer relation
-// (columns sorted by variable name, rows deduplicated and sorted) so
-// results are byte-identical across serial and parallel execution;
+// Contract: Evaluate/EvaluateCtx return the answer set — no row
+// twice — in a row order byte-identical across serial and parallel
+// execution, and Relation.Canonical puts it in canonical form (columns
+// sorted by variable name, rows sorted);
 // AggregateCtx folds COUNT / COUNT DISTINCT / SUM / MIN / MAX —
 // optionally GROUP BY a variable subset — during the bottom-up pass,
 // touching per-bag state bounded by the group count instead of the

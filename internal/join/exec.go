@@ -220,42 +220,45 @@ func (e *executor) forEach(n int, f func(int) error) error {
 	return e.firstErr()
 }
 
-// index builds (and counts) a hash index of r on attrs. Reuse is the
+// probeStack resolves the index layers to probe s on shared. A
+// server-resident base relation (one carrying an IndexSet) yields its
+// maintained stack for the column set — counted as a reuse, no build
+// at all — or, on a miss, a fresh index captured back into the
+// IndexSet so later queries at the same dataset version, and the next
+// mutation's delta maintenance, inherit it. Any other relation gets
+// one fresh index. Reuse across probes of an operator output is the
 // caller's job where it exists — the top-down pass keeps a per-node
 // cache of its parent's indexes (see down) rather than the executor
 // caching globally, so indexes on superseded intermediates don't pin
 // their tuple storage for the whole evaluation.
-func (e *executor) index(r *Relation, attrs []string) (*hashIndex, error) {
-	e.indexBuilds.Add(1)
-	return buildIndex(r, attrs, e.g)
-}
-
-// indexStack resolves the index layers to probe s on: a maintained
-// stack when s carries one for the shared column set (counted as a
-// reuse — no build at all), otherwise a fresh single index that is
-// captured back into s's IndexSet so later queries at the same dataset
-// version — and the next mutation's delta maintenance — inherit it.
-// Only base relations with an IndexSet take this path; operator
-// outputs keep the plain build-once route of index().
-func (e *executor) indexStack(s *Relation, shared []string) ([]*hashIndex, error) {
+//
+// A multi-layer stack covers disjoint ascending row ranges, so probing
+// its layers in order enumerates matches in the row order of one full
+// index.
+func (e *executor) probeStack(s *Relation, shared []string) ([]*hashIndex, error) {
 	cols, err := s.attrIndex(shared)
 	if err != nil {
 		return nil, err
 	}
-	if stack := s.indexes.lookup(cols); stack != nil {
-		e.indexReuses.Add(1)
-		return stack, nil
+	if s.indexes != nil {
+		if stack := s.indexes.lookup(cols); stack != nil {
+			e.indexReuses.Add(1)
+			return stack, nil
+		}
 	}
 	ix, err := buildIndexCols(s, cols, 0, s.n, e.g)
 	if err != nil {
 		return nil, err
 	}
 	e.indexBuilds.Add(1)
-	return s.indexes.store(cols, []*hashIndex{ix}), nil
+	if s.indexes != nil {
+		return s.indexes.store(cols, []*hashIndex{ix}), nil
+	}
+	return []*hashIndex{ix}, nil
 }
 
-// semijoin returns r ⋉ s by probing a hash index of s on the shared
-// attributes.
+// semijoin returns r ⋉ s by probing the index layers of s on the
+// shared attributes.
 func (e *executor) semijoin(r, s *Relation) (*Relation, error) {
 	shared := sharedAttrs(r, s)
 	if len(shared) == 0 {
@@ -265,27 +268,18 @@ func (e *executor) semijoin(r, s *Relation) (*Relation, error) {
 		}
 		return NewRelation(r.Attrs...), nil
 	}
-	if s.indexes != nil {
-		stack, err := e.indexStack(s, shared)
-		if err != nil {
-			return nil, err
-		}
-		return e.semijoinStack(r, shared, stack)
-	}
-	ix, err := e.index(s, shared)
+	stack, err := e.probeStack(s, shared)
 	if err != nil {
 		return nil, err
 	}
-	return e.semijoinProbe(r, shared, ix)
+	return e.semijoinProbe(r, shared, stack)
 }
 
-// semijoinStack is semijoinProbe over a maintained layer stack: a
-// probe tuple survives when any layer holds its key. Single-layer
-// stacks (the common case) take the plain probe path.
-func (e *executor) semijoinStack(r *Relation, shared []string, stack []*hashIndex) (*Relation, error) {
-	if len(stack) == 1 {
-		return e.semijoinProbe(r, shared, stack[0])
-	}
+// semijoinProbe filters r to the tuples whose key on shared hits any
+// layer of stack (prebuilt index layers of the other relation on the
+// same attributes). The probe loop polls the context every pollEvery
+// tuples, so a deadline lands mid-operation rather than after it.
+func (e *executor) semijoinProbe(r *Relation, shared []string, stack []*hashIndex) (*Relation, error) {
 	e.semijoins.Add(1)
 	rIdx, err := r.attrIndex(shared)
 	if err != nil {
@@ -307,29 +301,6 @@ func (e *executor) semijoinStack(r *Relation, shared []string, stack []*hashInde
 	return out, nil
 }
 
-// semijoinProbe filters r to the tuples whose key on shared hits ix (a
-// prebuilt index of the other relation on the same attributes). The
-// probe loop polls the context every pollEvery tuples, so a deadline
-// lands mid-operation rather than after it.
-func (e *executor) semijoinProbe(r *Relation, shared []string, ix *hashIndex) (*Relation, error) {
-	e.semijoins.Add(1)
-	rIdx, err := r.attrIndex(shared)
-	if err != nil {
-		return nil, err
-	}
-	out := NewRelation(r.Attrs...)
-	for i := 0; i < r.Size(); i++ {
-		if err := e.g.poll(i); err != nil {
-			return nil, err
-		}
-		if _, ok := ix.lookupRow(r, rIdx, i); ok {
-			out.appendFrom(r, i)
-		}
-	}
-	e.indexProbes.Add(int64(r.Size()))
-	return out, nil
-}
-
 // join returns the natural join r ⋈ s via a hash index of s on the
 // shared attributes. Output row order matches Relation.Join exactly:
 // probe tuples in r order, matches in s insertion order. Large probe
@@ -343,18 +314,8 @@ func (e *executor) join(r, s *Relation) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	// ix is the first (usually only) index layer; rest holds further
-	// maintained delta layers, in ascending row-range order, so the
-	// per-key match order equals a single full index's row order.
-	var ix *hashIndex
-	var rest []*hashIndex
-	if s.indexes != nil {
-		stack, serr := e.indexStack(s, shared)
-		if serr != nil {
-			return nil, serr
-		}
-		ix, rest = stack[0], stack[1:]
-	} else if ix, err = e.index(s, shared); err != nil {
+	stack, err := e.probeStack(s, shared)
+	if err != nil {
 		return nil, err
 	}
 	outAttrs, sExtra := joinSchema(r, s, shared)
@@ -378,16 +339,8 @@ func (e *executor) join(r, s *Relation) (*Relation, error) {
 			if err := e.g.poll(i - lo); err != nil {
 				return err
 			}
-			for _, j := range ix.probeRow(r, rIdx, i) {
-				part.appendJoined(r, i, s, int(j), sExtra)
-				if part.n-flushed >= pollEvery {
-					if err := flush(); err != nil {
-						return err
-					}
-				}
-			}
-			for _, ly := range rest {
-				for _, j := range ly.probeRow(r, rIdx, i) {
+			for _, ix := range stack {
+				for _, j := range ix.probeRow(r, rIdx, i) {
 					part.appendJoined(r, i, s, int(j), sExtra)
 					if part.n-flushed >= pollEvery {
 						if err := flush(); err != nil {
@@ -444,15 +397,27 @@ func (e *executor) join(r, s *Relation) (*Relation, error) {
 	return out, nil
 }
 
-// run evaluates the query: indexed bag materialisation, the two semijoin
-// passes, and the final join pass, with sibling subtrees concurrent in
-// every phase.
+// run evaluates the query: the semijoin reduction, then the final join
+// pass. The answer needs no deduplication: every bag is a set (build
+// projects through projectFast), semijoins only filter, and the
+// natural join of two sets is a set — each output row restricts to
+// exactly one row of either input.
 func (e *executor) run(q Query, db Database, d *decomp.Decomp) (*Relation, error) {
+	root, err := e.reduce(q, db, d)
+	if err != nil {
+		return nil, err
+	}
+	return e.collect(root)
+}
+
+// reduce materialises the bag relations and runs the two semijoin
+// passes, with sibling subtrees concurrent in every phase — the shared
+// front half of run and aggregate.
+func (e *executor) reduce(q Query, db Database, d *decomp.Decomp) (*bagNode, error) {
 	coverOf, err := assignAtomCovers(q, d)
 	if err != nil {
 		return nil, err
 	}
-
 	root, err := e.build(q, db, d, coverOf, d.Root)
 	if err != nil {
 		return nil, err
@@ -463,11 +428,7 @@ func (e *executor) run(q Query, db Database, d *decomp.Decomp) (*Relation, error
 	if err := e.down(root); err != nil {
 		return nil, err
 	}
-	res, err := e.collect(root)
-	if err != nil {
-		return nil, err
-	}
-	return dedupFast(res, e.g)
+	return root, nil
 }
 
 // build materialises the bag relation of n (join of the λ(u) atom
@@ -558,20 +519,20 @@ func (e *executor) down(n *bagNode) error {
 		return nil
 	}
 	var mu sync.Mutex
-	parentIx := map[string]*hashIndex{}
-	indexOn := func(shared []string) (*hashIndex, error) {
+	parentIx := map[string][]*hashIndex{}
+	indexOn := func(shared []string) ([]*hashIndex, error) {
 		key := strings.Join(shared, "\x00")
 		mu.Lock()
 		defer mu.Unlock()
-		if ix, ok := parentIx[key]; ok {
-			return ix, nil
+		if stack, ok := parentIx[key]; ok {
+			return stack, nil
 		}
-		ix, err := e.index(n.rel, shared)
+		stack, err := e.probeStack(n.rel, shared)
 		if err != nil {
 			return nil, err
 		}
-		parentIx[key] = ix
-		return ix, nil
+		parentIx[key] = stack
+		return stack, nil
 	}
 	return e.forEach(len(n.children), func(i int) error {
 		c := n.children[i]
@@ -581,9 +542,9 @@ func (e *executor) down(n *bagNode) error {
 		if len(shared) == 0 {
 			red, err = e.semijoin(c.rel, n.rel)
 		} else {
-			var ix *hashIndex
-			if ix, err = indexOn(shared); err == nil {
-				red, err = e.semijoinProbe(c.rel, shared, ix)
+			var stack []*hashIndex
+			if stack, err = indexOn(shared); err == nil {
+				red, err = e.semijoinProbe(c.rel, shared, stack)
 			}
 		}
 		if err != nil {

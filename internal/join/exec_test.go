@@ -189,32 +189,81 @@ func TestExecEmptyRelation(t *testing.T) {
 }
 
 // TestExecDuplicateRows: duplicate input tuples must not produce
-// duplicate answers (the final dedup), in every kernel.
+// duplicate answers, in every kernel. The executor deduplicates only at
+// bag projection; the answer is a set because bags are sets, semijoins
+// only filter, and the natural join of two sets is a set. Besides a
+// fixed instance, seeded ones stress each step of that argument: base
+// relations repeating tuples, a cycle whose width-2 plan joins two
+// atoms in one λ-label, and a disconnected atom that makes the final
+// join a cross product.
 func TestExecDuplicateRows(t *testing.T) {
-	q := Query{Atoms: []Atom{
-		{Relation: "R", Vars: []string{"x", "y"}},
-		{Relation: "S", Vars: []string{"y", "z"}},
-	}}
-	db := Database{
-		"R": NewRelation("a", "b").Add(1, 2).Add(1, 2).Add(1, 2).Add(3, 2),
-		"S": NewRelation("a", "b").Add(2, 9).Add(2, 9),
-	}
-	d := decomposeFor(t, q)
-	want, err := EvaluateNaive(q, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, opts := range execOptsMatrix() {
-		got, err := evalAs(context.Background(), name, q, db, d, opts)
+	check := func(t *testing.T, q Query, db Database) {
+		t.Helper()
+		d := decomposeFor(t, q)
+		want, err := EvaluateNaive(q, db)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got.Sorted(), want.Sorted()) {
-			t.Fatalf("%s: %v, want %v", name, got.Sorted(), want.Sorted())
+		for name, opts := range execOptsMatrix() {
+			got, err := evalAs(context.Background(), name, q, db, d, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if got.Size() != want.Size() {
+				t.Fatalf("%s: %d rows, want %d (duplicate answers)", name, got.Size(), want.Size())
+			}
+			if !reflect.DeepEqual(got.Sorted(), want.Sorted()) {
+				t.Fatalf("%s: %v, want %v", name, got.Sorted(), want.Sorted())
+			}
 		}
-		if got.Size() != 2 {
-			t.Fatalf("%s: %d rows, want 2 (dedup failed)", name, got.Size())
+	}
+	t.Run("fixed", func(t *testing.T) {
+		q := Query{Atoms: []Atom{
+			{Relation: "R", Vars: []string{"x", "y"}},
+			{Relation: "S", Vars: []string{"y", "z"}},
+		}}
+		db := Database{
+			"R": NewRelation("a", "b").Add(1, 2).Add(1, 2).Add(1, 2).Add(3, 2),
+			"S": NewRelation("a", "b").Add(2, 9).Add(2, 9),
 		}
+		check(t, q, db)
+	})
+	// dupRelation draws n pairs over [0, domain) and appends a second
+	// copy of about a third of them.
+	dupRelation := func(r *rand.Rand, n, domain int) *Relation {
+		rel := NewRelation("a", "b")
+		for i := 0; i < n; i++ {
+			a, b := r.Intn(domain), r.Intn(domain)
+			rel.Add(a, b)
+			if r.Intn(3) == 0 {
+				rel.Add(a, b)
+			}
+		}
+		return rel
+	}
+	for seed := int64(0); seed < 8; seed++ {
+		t.Run("seed"+strconv.FormatInt(seed, 10), func(t *testing.T) {
+			r := rand.New(rand.NewSource(seed))
+			cycle := 3 + int(seed%3)
+			var q Query
+			db := Database{"U": dupRelation(r, 5, 3)}
+			for i := 0; i < cycle; i++ {
+				name := "C" + strconv.Itoa(i)
+				db[name] = dupRelation(r, 20, 4)
+				q.Atoms = append(q.Atoms, Atom{Relation: name,
+					Vars: []string{"x" + strconv.Itoa(i), "x" + strconv.Itoa((i+1)%cycle)}})
+			}
+			q.Atoms = append(q.Atoms, Atom{Relation: "U", Vars: []string{"u", "v"}})
+			multi := false
+			decomposeFor(t, q).Root.Walk(func(n *decomp.Node) bool {
+				multi = multi || len(n.Lambda) > 1
+				return true
+			})
+			if !multi {
+				t.Fatal("plan has no multi-atom λ-label")
+			}
+			check(t, q, db)
+		})
 	}
 }
 

@@ -1,20 +1,17 @@
 package join
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"repro/internal/opt"
 )
 
-// FuzzParseQuery fuzzes the query/database text format end to end:
-// ParseDocument must never panic, and for every document it accepts,
-// format → parse must reproduce the document exactly (the parser and
-// formatter agree on the grammar). The seed corpus is the testdata
-// documents plus hand-picked degenerate shapes; CI runs a short -fuzz
-// smoke alongside FuzzDecomposeCheckHD, and plain `go test` replays the
-// seeds as regression tests.
-func FuzzParseQuery(f *testing.F) {
+// addDocumentSeeds adds the testdata/*.cq documents to f's seed corpus.
+func addDocumentSeeds(f *testing.F) {
 	seeds, err := filepath.Glob(filepath.Join("testdata", "*.cq"))
 	if err != nil {
 		f.Fatal(err)
@@ -29,6 +26,17 @@ func FuzzParseQuery(f *testing.F) {
 		}
 		f.Add(string(src))
 	}
+}
+
+// FuzzParseQuery fuzzes the query/database text format end to end:
+// ParseDocument must never panic, and for every document it accepts,
+// format → parse must reproduce the document exactly (the parser and
+// formatter agree on the grammar). The seed corpus is the testdata
+// documents plus hand-picked degenerate shapes; CI runs a short -fuzz
+// smoke alongside FuzzDecomposeCheckHD, and plain `go test` replays the
+// seeds as regression tests.
+func FuzzParseQuery(f *testing.F) {
+	addDocumentSeeds(f)
 	f.Add("query R(x).\nrel R(a)\nend\n")
 	f.Add("query R(x,y), R(y,x).\nrel R(a,b)\n1 2\nend\n")
 	f.Add("query Q(x) :- R(x), S(x).\n% no relations at all\n")
@@ -93,6 +101,68 @@ func FuzzParseQuery(f *testing.F) {
 		// Formatting is a fixed point: format(parse(format(d))) == format(d).
 		if out2 := FormatDocument(doc2); out2 != out {
 			t.Fatalf("formatting is not canonical:\n%q\nvs\n%q", out, out2)
+		}
+	})
+}
+
+// FuzzEvalDocument fuzzes the executor against the naive join on parsed
+// documents of at most 6 atoms and 200 tuples per relation: planned by
+// opt at width up to the atom count, the executor's answer must have
+// exactly EvaluateNaive's size — the executor deduplicates only at bag
+// projection, so a duplicate answer row fails here — and the same
+// canonical form. The seed corpus is FuzzParseQuery's testdata
+// documents plus shapes with repeated tuples, a two-atom λ-label and a
+// cross product.
+func FuzzEvalDocument(f *testing.F) {
+	addDocumentSeeds(f)
+	f.Add("query R(x,y), S(y,z).\nrel R(a,b)\n1 2\n1 2\n3 2\nend\nrel S(a,b)\n2 9\n2 9\nend\n")
+	f.Add("query R(x,y), R(y,z), R(z,x).\nrel R(a,b)\n1 2\n2 3\n3 1\n1 2\n2 1\nend\n")
+	f.Add("query R(x), S(y), R(z).\nrel R(a)\n1\n1\n2\nend\nrel S(a)\n7\n7\nend\n")
+
+	f.Fuzz(func(t *testing.T, src string) {
+		doc, err := ParseDocument(src)
+		if err != nil || len(doc.Query.Atoms) > 6 {
+			return
+		}
+		for _, rel := range doc.DB {
+			if rel.Size() > 200 {
+				return
+			}
+		}
+		// EvaluateNaive's left-to-right intermediates are bounded by the
+		// product of the atoms' relation sizes; capping it keeps the
+		// oracle fast on cross products.
+		work := 1
+		for _, a := range doc.Query.Atoms {
+			if rel, ok := doc.DB[a.Relation]; ok {
+				work *= max(rel.Size(), 1)
+			}
+			if work > 1<<16 {
+				return
+			}
+		}
+		want, err := EvaluateNaive(doc.Query, doc.DB)
+		if err != nil {
+			return // missing relation, arity mismatch, repeated variable
+		}
+		h, err := doc.Query.Hypergraph()
+		if err != nil {
+			t.Fatalf("naive evaluation accepted a query without a hypergraph: %v", err)
+		}
+		_, d, ok, err := opt.New(h, len(doc.Query.Atoms)).Solve(context.Background())
+		if err != nil || !ok {
+			t.Fatalf("no plan of width <= %d (ok=%v err=%v)", len(doc.Query.Atoms), ok, err)
+		}
+		got, err := Evaluate(doc.Query, doc.DB, d)
+		if err != nil {
+			t.Fatalf("executor: %v", err)
+		}
+		if got.Size() != want.Size() {
+			t.Fatalf("executor returned %d rows, EvaluateNaive %d", got.Size(), want.Size())
+		}
+		g, w := got.Canonical(), want.Canonical()
+		if !reflect.DeepEqual(g.Attrs, w.Attrs) || !reflect.DeepEqual(g.Rows(), w.Rows()) {
+			t.Fatalf("canonical forms differ:\n%v\nvs\n%v", g, w)
 		}
 	})
 }

@@ -56,24 +56,13 @@ func rowsEqualOn(r *Relation, rCols []int, i int, s *Relation, sCols []int, j in
 	return true
 }
 
-// buildIndex indexes r on attrs. Bucket row offsets keep r's row
-// order, so probes that emit matches bucket-by-bucket produce the same
-// row order as Relation.Join's insertion-order buckets — the
-// byte-identity contract. The guard's poll keeps a huge build
-// responsive to cancellation.
-func buildIndex(r *Relation, attrs []string, g *guard) (*hashIndex, error) {
-	cols, err := r.attrIndex(attrs)
-	if err != nil {
-		return nil, err
-	}
-	return buildIndexCols(r, cols, 0, r.n, g)
-}
-
 // buildIndexCols indexes rows [lo, hi) of r on column positions cols.
-// perm holds absolute row ids, so a layer stack over disjoint
-// ascending ranges enumerates matches in overall row order — the
-// property that keeps maintained indexes byte-identical to a single
-// full rebuild. A nil guard skips cancellation polling (maintenance
+// Bucket row offsets keep r's row order, so probes that emit matches
+// bucket-by-bucket produce Relation.Join's row order — the
+// byte-identity contract. perm holds absolute row ids, so a layer
+// stack over disjoint ascending ranges enumerates matches in overall
+// row order — the property that keeps maintained indexes
+// byte-identical to a single full rebuild. A nil guard skips cancellation polling (maintenance
 // builds run under the dataset lock, not a query deadline).
 func buildIndexCols(r *Relation, cols []int, lo, hi int, g *guard) (*hashIndex, error) {
 	n := hi - lo
@@ -203,17 +192,9 @@ func (ix *hashIndex) bucketOf(row int) int32 {
 	return b
 }
 
-// dedupFast removes duplicate tuples preserving first-occurrence
-// order, like Relation.Dedup but deduplicating on an open-addressing
-// seen-table (values compared against the rows already emitted) — no
-// key strings. The result is a fresh relation.
-func dedupFast(r *Relation, g *guard) (*Relation, error) {
-	return projectIdx(r, NewRelation(r.Attrs...), identCols(len(r.cols)), g)
-}
-
-// projectFast is Relation.Project with the same open-addressing
-// deduplication and guard polling; first-occurrence order is
-// preserved, like the scan path.
+// projectFast is Relation.Project deduplicating through projectIdx,
+// with guard polling; first-occurrence order is preserved, like the
+// scan path.
 func projectFast(r *Relation, attrs []string, g *guard) (*Relation, error) {
 	idx, err := r.attrIndex(attrs)
 	if err != nil {

@@ -33,7 +33,7 @@ import (
 // maxIndexLayers, bounding probe fan-out.
 //
 // Column sets are discovered, not declared: the executor's
-// capture-on-miss (exec.go indexStack) records each set it had to
+// capture-on-miss (exec.go probeStack) records each set it had to
 // build into the view's IndexSet, and the next commit adopts those
 // sets for delta maintenance. The all-columns "rowset" set is always
 // maintained — it is the mutation path's own point-lookup structure
@@ -153,11 +153,12 @@ type MRel struct {
 }
 
 // NewMRel takes ownership of r's tuples as a maintained relation.
-// Duplicates collapse — datasets are sets, and single-copy live rows
-// are what make delete-by-value O(1) — and the first version's view
-// and rowset index are built immediately.
+// Duplicates collapse (first occurrence wins) — datasets are sets, and
+// single-copy live rows are what make delete-by-value O(1) — and the
+// first version's view and rowset index are built immediately.
 func NewMRel(r *Relation) *MRel {
-	base := r.Dedup()
+	// A nil guard never fails.
+	base, _ := projectIdx(r, NewRelation(r.Attrs...), identCols(len(r.cols)), nil)
 	m := &MRel{
 		base: base,
 		dead: make([]bool, base.Size()),

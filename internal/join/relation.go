@@ -1,7 +1,9 @@
 package join
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -13,8 +15,11 @@ import (
 // with at(), so an intermediate relation costs a handful of slab
 // allocations rather than one slice header per tuple, and frees as one
 // unit. Values are ints (dictionary-encode externally if needed).
-// Tuples are not deduplicated on construction; operations that could
-// produce duplicates dedupe.
+// Tuples are not deduplicated on construction, so a relation built
+// with Add may hold duplicates. Project, Dedup and Canonical return
+// sets; Join adds no duplicates (the natural join of two sets is a
+// set), which is why the executor's answer is a set once build has
+// projected every bag.
 //
 // Relations are append-only while being built and immutable once an
 // operator has consumed them — no operator mutates an input — which is
@@ -347,35 +352,44 @@ func (r *Relation) Sorted() [][]int {
 	return out
 }
 
-// SortRows reorders the rows into lexicographic order, rebuilding the
-// columns — the canonicalisation step of the query layer. The sort
-// permutes row offsets first, then moves each value exactly once; the
-// sorted rows are value-for-value the same tuples, which is why
-// canonical forms stay byte-identical across storage layouts.
-func (r *Relation) SortRows() {
+// Canonical returns r's tuple set in canonical form: columns in sorted
+// attribute order, rows in lexicographic order, each distinct row once.
+// Any two relations holding the same tuples over the same attributes —
+// whatever their column order, row order or duplicates — have equal
+// canonical forms, which is what makes repeat answers byte-identical
+// and differential comparisons exact. It sorts row offsets once, then
+// copies each kept row once, skipping rows equal to their predecessor.
+func (r *Relation) Canonical() *Relation {
+	attrs := append([]string(nil), r.Attrs...)
+	sort.Strings(attrs)
+	src := make([]*vec, len(attrs))
+	for k, a := range attrs {
+		src[k] = &r.cols[r.pos[a]]
+	}
+	order := func(i, j int32) int {
+		for _, v := range src {
+			if c := cmp.Compare(v.at(int(i)), v.at(int(j))); c != 0 {
+				return c
+			}
+		}
+		return 0
+	}
 	ord := make([]int32, r.n)
 	for i := range ord {
 		ord[i] = int32(i)
 	}
-	sort.Slice(ord, func(a, b int) bool {
-		i, j := int(ord[a]), int(ord[b])
-		for c := range r.cols {
-			vi, vj := r.cols[c].at(i), r.cols[c].at(j)
-			if vi != vj {
-				return vi < vj
-			}
+	slices.SortFunc(ord, order)
+	out := newRelation(attrs)
+	for k, i := range ord {
+		if k > 0 && order(ord[k-1], i) == 0 {
+			continue
 		}
-		return false
-	})
-	mem := &arena{}
-	cols := make([]vec, len(r.cols))
-	for c := range r.cols {
-		src := &r.cols[c]
-		for k, i := range ord {
-			cols[c].push(mem, k, src.at(int(i)))
+		for c, v := range src {
+			out.cols[c].push(out.mem, out.n, v.at(int(i)))
 		}
+		out.n++
 	}
-	r.cols, r.mem = cols, mem
+	return out
 }
 
 // String renders the relation for debugging.

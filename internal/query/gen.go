@@ -1,6 +1,7 @@
 package query
 
 import (
+	"fmt"
 	"math/rand"
 	"strconv"
 
@@ -107,17 +108,22 @@ func RandomInstance(r *rand.Rand, cfg GenConfig) (join.Query, join.Database) {
 		for j := range attrs {
 			attrs[j] = "c" + strconv.Itoa(j)
 		}
+		// Skipping repeated draws keeps the naive baseline's
+		// intermediates bounded by the domain size, not the raw tuple
+		// count.
 		rel := join.NewRelation(attrs...)
+		seen := map[string]bool{}
 		for n := r.Intn(cfg.MaxTuples + 1); n > 0; n-- {
 			row := make([]int, arity)
 			for j := range row {
 				row[j] = r.Intn(cfg.Domain)
 			}
-			rel.Add(row...)
+			if key := fmt.Sprint(row); !seen[key] {
+				seen[key] = true
+				rel.Add(row...)
+			}
 		}
-		// Dedup keeps the naive baseline's intermediates bounded by the
-		// domain size, not the raw tuple count.
-		db["R"+strconv.Itoa(i)] = rel.Dedup()
+		db["R"+strconv.Itoa(i)] = rel
 	}
 	return q, db
 }

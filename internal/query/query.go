@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -379,20 +378,14 @@ func checkAtoms(q join.Query, db join.Database) error {
 	return nil
 }
 
-// Canonical projects a full-query result onto its attributes in sorted
-// order and sorts the tuples. Two evaluations of the same query —
+// Canonical returns a full-query result's tuple set in canonical form:
+// columns in sorted attribute order, rows sorted, each once (see
+// join.Relation.Canonical). Two evaluations of the same query —
 // whatever plan, whatever tuple order the passes produced — have equal
 // canonical forms, which is what makes repeat HTTP answers
 // byte-identical and differential comparisons exact.
 func Canonical(rel *join.Relation) (*join.Relation, error) {
-	attrs := append([]string(nil), rel.Attrs...)
-	sort.Strings(attrs)
-	out, err := rel.Project(attrs...)
-	if err != nil {
-		return nil, err
-	}
-	out.SortRows()
-	return out, nil
+	return rel.Canonical(), nil
 }
 
 // Stats returns a snapshot of the planner counters.

@@ -443,3 +443,27 @@ func TestRandomInstanceDeterministic(t *testing.T) {
 		t.Fatalf("MaxAtoms=1 should clamp to 2 atoms, got %d", len(q.Atoms))
 	}
 }
+
+// TestCanonicalAllocBudget is Canonical's allocation budget over a
+// fixed 1,408-row, 4-column relation with duplicates and its attributes
+// out of sorted order (several hundred rows repeat). Canonical sorts row
+// offsets and copies each kept row once, so its allocations do not grow
+// with the row count; one key or row slice per distinct row would add
+// hundreds.
+func TestCanonicalAllocBudget(t *testing.T) {
+	const budget, tolerance = 15, 1.25
+	r := rand.New(rand.NewSource(21))
+	rel := join.NewRelation("d", "b", "a", "c")
+	for i := 0; i < 1408; i++ {
+		rel.Add(r.Intn(6), r.Intn(6), r.Intn(6), r.Intn(6))
+	}
+	var err error
+	got := testing.AllocsPerRun(20, func() { _, err = Canonical(rel) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("canonical: %.1f allocs/op (budget %d at %.2fx)", got, budget, tolerance)
+	if got > tolerance*budget {
+		t.Errorf("canonical: %.1f allocs/op exceeds %.2fx the budget's %d", got, tolerance, budget)
+	}
+}
