@@ -94,10 +94,11 @@ load-gate:
 
 # Store/service concurrency under the race detector, then the solver's
 # parallel split (shared cursor, first-success cancel, early lease
-# return) and the solver cross-check at several GOMAXPROCS values.
+# return), the solver cross-check and the child-pool budget at several
+# GOMAXPROCS values.
 stress:
 	$(GO) test -race -count=2 -run 'TestStoreStress|TestCoalescing|TestBatchDuplicates|TestServeCache|TestMemoryConcurrency|TestFlight' ./internal/store ./internal/service ./cmd/htdserve
-	$(GO) test -race -count=3 -cpu=1,2,4 -run 'TestParallel|TestNoCacheEquivalence|TestCancelledContext|TestCrossValidationSolvers|TestRace' ./internal/logk ./internal/race
+	$(GO) test -race -count=3 -cpu=1,2,4 -run 'TestParallel|TestNoCacheEquivalence|TestCancelledContext|TestCrossValidationSolvers|TestRace|TestChildPool' ./internal/logk ./internal/race
 
 differential:
 	$(GO) test -race -count=1 -run 'TestDifferential|TestConcurrentIdentical|TestEval|TestServeQuery|TestExecDuplicateRows|TestCanonical' ./internal/query ./internal/join ./cmd/htdserve

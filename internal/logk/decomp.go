@@ -87,21 +87,22 @@ func (s *Solver) decomp(ctx context.Context, w *worker, g *ext.Graph, conn *bits
 	return node, ok, err
 }
 
-// childRange enumerates ranks [lo, hi) of the λ(c) candidate space
-// (ChildLoop, lines 11-21) and returns the first success.
-func (s *Solver) childRange(ctx context.Context, w *worker, cs *callState, g *ext.Graph, conn *bitset.Set, allowed []int, depth int, lo, hi int64) (*decomp.Node, bool, error) {
-	// isNew[i] marks allowed edges that belong to g.Edges; a candidate
-	// must contain at least one of them (progress condition).
+// childRange enumerates ranks [lo, hi) of the λ(c) candidate space over
+// pool, the child pool built by searchChild (ChildLoop, lines 11-21), and
+// returns the first success. Recursions get allowed.
+func (s *Solver) childRange(ctx context.Context, w *worker, cs *callState, g *ext.Graph, conn *bitset.Set, pool, allowed []int, depth int, lo, hi int64) (*decomp.Node, bool, error) {
+	// isNew[i] marks pool edges that belong to g.Edges; a candidate must
+	// contain at least one of them (progress condition).
 	fr := w.frame(depth)
-	if cap(fr.childNew) < len(allowed) {
-		fr.childNew = make([]bool, len(allowed))
+	if cap(fr.childNew) < len(pool) {
+		fr.childNew = make([]bool, len(pool))
 	}
-	isNew := fr.childNew[:len(allowed)]
-	for i, e := range allowed {
+	isNew := fr.childNew[:len(pool)]
+	for i, e := range pool {
 		isNew[i] = g.ContainsEdge(e)
 	}
 
-	it := comb.NewIter(comb.Space{M: len(allowed), K: s.Opts.K}, lo, hi)
+	it := comb.NewIter(comb.Space{M: len(pool), K: s.Opts.K}, lo, hi)
 	lambdaC := make([]int, 0, s.Opts.K)
 	unionC := s.H.NewVertexSet()
 	count := 0
@@ -127,7 +128,7 @@ func (s *Solver) childRange(ctx context.Context, w *worker, cs *callState, g *ex
 		lambdaC = lambdaC[:0]
 		unionC.Reset()
 		for _, i := range idxs {
-			e := allowed[i]
+			e := pool[i]
 			lambdaC = append(lambdaC, e)
 			unionC.InPlaceUnion(s.H.Edge(e))
 		}

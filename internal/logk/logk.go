@@ -4,12 +4,15 @@
 // HD on success, with recursion depth logarithmic in |E(H)|
 // (Theorem 4.1).
 //
-// Three variants are provided:
+// Two variants are provided:
 //
 //   - Solver (this file, decomp.go, parallel.go): the optimised
 //     Algorithm 2 with all Appendix C improvements, parallel search-space
 //     splitting (Appendix D.1) and optional hybridisation with
-//     det-k-decomp (Appendix D.2);
+//     det-k-decomp (Appendix D.2). Beyond the paper's parent-pool
+//     restriction (λ(p) only from edges meeting ∪λ(c), Theorem C.1), it
+//     draws λ(c) only from the allowed edges that meet V(H′) (see
+//     searchChild);
 //   - BasicSolver (basic.go): a faithful transliteration of the basic
 //     Algorithm 1, used as a correctness oracle and ablation baseline.
 //
@@ -118,8 +121,8 @@ type Options struct {
 // Stats reports search effort, populated during Decompose. Counters are
 // aggregated across workers.
 type Stats struct {
-	Candidates    int64 // λ(c) candidates evaluated
-	ParentCands   int64 // λ(p) candidates evaluated
+	Candidates    int64 // λ(c) ranks enumerated, incl. those skipped for lacking a new edge
+	ParentCands   int64 // λ(p) ranks enumerated, incl. those skipped for lacking a new edge
 	MaxDepth      int64 // deepest Decomp recursion observed
 	HybridCalls   int64 // subproblems delegated to det-k-decomp
 	TokensGrabbed int64 // parallel search-space splits performed
@@ -237,6 +240,7 @@ type worker struct {
 
 // frameScratch is reusable loop scratch for one recursion depth.
 type frameScratch struct {
+	childPool  []int
 	childNew   []bool
 	parentPool []int
 	parentNew  []bool

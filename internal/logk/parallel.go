@@ -2,6 +2,7 @@ package logk
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -27,23 +28,62 @@ const claimChunk = 16
 // claims, in increasing rank order.
 type rangeFunc func(ctx context.Context, lo, hi int64) (*decomp.Node, bool, error)
 
-// searchChild runs the ChildLoop over the full candidate space, splitting
-// it across workers when tokens are available (Appendix D.1: the workers
-// share the search space for balanced separators and communicate only
-// through a shared cursor and the first success).
+// searchChild runs the ChildLoop over the λ(c) candidate space,
+// splitting it across workers when tokens are available (Appendix D.1:
+// the workers share the search space for balanced separators and
+// communicate only through a shared cursor and the first success).
+//
+// λ(c) is drawn only from the child pool: the edges of allowed that
+// meet V(H′), in allowed order. Every recursion still gets the full
+// allowed, so memo keys and the allowed-edges restriction keep their
+// meaning. Dropping the edges disjoint from V(H′) loses no answer:
+//
+//  1. Every test of λ(c) reads ∪λ(c) only through V(H′) or a subset of
+//     it: Balanced and Components over H′, conn ⊆ ∪λ(c) (conn ⊆ V(H′),
+//     checked below), χ(c) = ∪λ(c) ∩ V(H′) or ∩ vDown, and the line-31
+//     test vDown ∩ ∪λ(p) ⊆ ∪λ(c). A label and its restriction to the
+//     pool therefore pass or fail them alike and recurse identically.
+//  2. The forbidden-vertex tests ask that ∪λ(c) avoid a set, so they can
+//     only pass more often when λ(c) shrinks.
+//  3. Every "new" edge (one of g.Edges) is non-empty and lies inside
+//     V(H′), so it is in the pool. A successful label with its disjoint
+//     edges dropped is thus still non-empty, of size ≤ k, holds a new
+//     edge, and is in this enumeration.
+//  4. The parent pool (edges meeting ∪λ(c), parentLoop) shrinks with
+//     ∪λ(c); it stays complete by Theorem C.1 applied to the reduced
+//     label.
+//
+// The premise conn ⊆ V(H′) holds by construction: the root's conn is
+// empty; connY and connX are a component's vertices intersected with χc;
+// and compUp keeps its parent's conn, whose vertices outside vDown lie
+// in items compUp keeps, while those inside vDown are in ∪λ(p) (line 29)
+// and hence in χc (line 31), the vertex set of compUp's new special.
 func (s *Solver) searchChild(ctx context.Context, w *worker, g *ext.Graph, conn *bitset.Set, allowed []int, depth int) (*decomp.Node, bool, error) {
-	total := comb.Space{M: len(allowed), K: s.Opts.K}.Total()
+	verts := g.Vertices()
+	if !conn.SubsetOf(verts) {
+		return nil, false, fmt.Errorf("logk: internal error: interface has vertices outside the subproblem at depth %d", depth)
+	}
+	fr := w.frame(depth)
+	pool := fr.childPool[:0]
+	for _, e := range allowed {
+		if s.H.Edge(e).Intersects(verts) {
+			pool = append(pool, e)
+		}
+	}
+	fr.childPool = pool
+
+	total := comb.Space{M: len(pool), K: s.Opts.K}.Total()
 	newRange := func(w *worker) rangeFunc {
 		cs := &callState{}
 		return func(ctx context.Context, lo, hi int64) (*decomp.Node, bool, error) {
-			return s.childRange(ctx, w, cs, g, conn, allowed, depth, lo, hi)
+			return s.childRange(ctx, w, cs, g, conn, pool, allowed, depth, lo, hi)
 		}
 	}
 	if total < minParallelSpace {
 		return newRange(w)(ctx, 0, total)
 	}
-	// Force g's lazy caches before it may be shared across goroutines.
-	g.Vertices()
+	// Force g's remaining lazy cache before it may be shared across
+	// goroutines.
 	g.ForbiddenUnion()
 	return s.splitSearch(ctx, w, total, claimChunk, newRange)
 }
