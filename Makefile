@@ -92,16 +92,20 @@ pprof-capture:
 load-gate:
 	./scripts/load_gate.sh $(LOAD_JSON)
 
-# Store/service concurrency under the race detector, then the solver's
-# parallel split (shared cursor, first-success cancel, early lease
+# Store/service concurrency under the race detector (including the
+# service's counter conservation under a concurrent mix of outcomes),
+# then the solver's parallel split (shared cursor, first-success cancel, early lease
 # return), the solver cross-check and the child-pool budget at several
 # GOMAXPROCS values.
 stress:
-	$(GO) test -race -count=2 -run 'TestStoreStress|TestCoalescing|TestBatchDuplicates|TestServeCache|TestMemoryConcurrency|TestFlight' ./internal/store ./internal/service ./cmd/htdserve
+	$(GO) test -race -count=2 -run 'TestStoreStress|TestCoalescing|TestBatchDuplicates|TestServeCache|TestMemoryConcurrency|TestFlight|TestStatsConservation' ./internal/store ./internal/service ./cmd/htdserve
 	$(GO) test -race -count=3 -cpu=1,2,4 -run 'TestParallel|TestNoCacheEquivalence|TestCancelledContext|TestCrossValidationSolvers|TestRace|TestChildPool' ./internal/logk ./internal/race
 
+# The query differential suite under the race detector, plus the
+# counters' walls: the planner's counter conservation, the dataset
+# registry's monotone totals and the pinned /stats values.
 differential:
-	$(GO) test -race -count=1 -run 'TestDifferential|TestConcurrentIdentical|TestEval|TestServeQuery|TestExecDuplicateRows|TestCanonical' ./internal/query ./internal/join ./cmd/htdserve
+	$(GO) test -race -count=1 -run 'TestDifferential|TestConcurrentIdentical|TestEval|TestServeQuery|TestExecDuplicateRows|TestCanonical|TestStatsConservation|TestRegistryTotalsMonotone|TestStatsValuesGolden' ./internal/query ./internal/join ./internal/dataset ./cmd/htdserve
 
 # A wall cannot silently lose a test: every alternative of the -run
 # regexes in stress, crash-recovery and differential must match a test

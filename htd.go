@@ -50,9 +50,6 @@ type Hypergraph = hypergraph.Hypergraph
 // Builder accumulates named edges and produces a Hypergraph.
 type Builder = hypergraph.Builder
 
-// Stats summarises structural properties of a hypergraph.
-type HypergraphStats = hypergraph.Stats
-
 // Decomposition is a rooted (generalized) hypertree decomposition.
 type Decomposition = decomp.Decomp
 
@@ -175,9 +172,6 @@ type ServiceResult = service.Result
 // ServiceStats is a snapshot of Service-wide counters.
 type ServiceStats = service.Stats
 
-// ServiceMode selects what a Service job computes.
-type ServiceMode = service.Mode
-
 // Service job modes.
 const (
 	// ModeDecide answers hw(H) ≤ K (the default).
@@ -210,17 +204,12 @@ func NewService(cfg ServiceConfig) *Service { return service.New(cfg) }
 // service owns that backend and flushes and closes it on Close.
 func OpenService(cfg ServiceConfig) (*Service, error) { return service.Open(cfg) }
 
-// TenantWall is the multi-tenant admission layer in front of a
-// Service's global admission control: per-tenant token-bucket rate
-// limits, in-flight caps and bounded wait queues, an optional
-// fair-share spare pool that reflows unused per-tenant budget, and
-// always-on per-tenant counters with streaming p50/p99 latency.
-// Configure it via ServiceConfig.Tenants; reach it with
-// Service.Tenants().
-type TenantWall = tenant.Wall
-
-// TenantConfig sizes a TenantWall. The zero value enforces nothing but
-// still accounts per-tenant counters and latency.
+// TenantConfig sizes the multi-tenant admission wall in front of a
+// Service's global admission control (ServiceConfig.Tenants):
+// per-tenant token-bucket rate limits, in-flight caps and bounded wait
+// queues, and an optional fair-share spare pool that reflows unused
+// per-tenant budget. The zero value enforces nothing but still
+// accounts per-tenant counters and streaming p50/p99 latency.
 type TenantConfig = tenant.Config
 
 // TenantStats is one tenant's admission snapshot (ServiceStats.Tenants).
@@ -236,35 +225,16 @@ type TenantLimitError = tenant.LimitError
 // whichever gate rejected.
 var ErrTenantLimited = tenant.ErrLimited
 
-// DefaultTenant is the tenant id attributed to requests that name none
-// (for htdserve: requests without an X-Tenant header).
-const DefaultTenant = tenant.Default
-
-// StoreBackend is the pluggable cross-request storage contract behind a
-// Service: width bounds, cached witness decompositions, and per-width
-// negative-memo tables, all keyed by hypergraph content hash. Inject a
-// custom implementation via ServiceConfig.Store; the default is an
-// in-memory LRU backend holding ServiceConfig.MemoMaxGraphs entries,
-// or with ServiceConfig.StoreDir (see OpenService) that LRU over a disk
-// log.
-type StoreBackend = store.Backend
-
-// StoreStats is a snapshot of a store backend's counters.
-type StoreStats = store.Stats
-
 // StoreEntryInfo describes one cached hypergraph (Backend.Info).
 type StoreEntryInfo = store.EntryInfo
 
-// DiskStoreStats is the disk tier's corner of StoreStats (StoreStats.
-// Disk, nil for purely in-memory backends).
+// DiskStoreStats is the disk tier's corner of a store backend's
+// counters (the Disk field, nil for purely in-memory backends).
 type DiskStoreStats = store.DiskStats
 
 // CQ is a conjunctive query: a conjunction of atoms over shared
 // variables. Its hypergraph (CQ.Hypergraph) is what gets decomposed.
 type CQ = join.Query
-
-// CQAtom is one query atom R(x, y, ...).
-type CQAtom = join.Atom
 
 // Relation is a set of integer tuples over named attributes — the
 // storage unit of the in-memory relational engine.
@@ -274,8 +244,7 @@ type Relation = join.Relation
 type Database = join.Database
 
 // CQDocument is a self-contained query instance: a CQ plus the database
-// it runs over, as read and written by the line-oriented text format
-// (ParseCQDocument / FormatCQDocument).
+// it runs over, as read and written by the line-oriented text format.
 type CQDocument = join.Document
 
 // ErrRowBudget is wrapped by query evaluations that exceed their
@@ -292,18 +261,6 @@ func NewRelation(attrs ...string) *Relation { return join.NewRelation(attrs...) 
 // ParseCQ reads a conjunctive query in Datalog-ish syntax:
 // "R(x,y), S(y,z), T(z,x)." with an optional ignored head.
 func ParseCQ(src string) (CQ, error) { return join.ParseQuery(src) }
-
-// FormatCQ renders a query in the syntax ParseCQ reads.
-func FormatCQ(q CQ) string { return join.FormatQuery(q) }
-
-// ParseCQDocument reads a query+database document: one `query` line and
-// `rel name(col,...)` blocks of integer tuples closed by `end`. The
-// format round-trips through FormatCQDocument.
-func ParseCQDocument(src string) (CQDocument, error) { return join.ParseDocument(src) }
-
-// FormatCQDocument renders a document in the format ParseCQDocument
-// reads, with relations in sorted name order.
-func FormatCQDocument(doc CQDocument) string { return join.FormatDocument(doc) }
 
 // ParseRelations reads a database alone: rel blocks with no query line
 // (the wire form of the HTTP /query "database" field).
@@ -341,20 +298,15 @@ type QueryExecStats = join.ExecStats
 // NewQueryPlanner returns a planner executing queries over svc.
 func NewQueryPlanner(svc *Service) *QueryPlanner { return query.NewPlanner(svc) }
 
-// DatasetRegistry is the named-dataset registry behind a Service
-// (Service.Datasets()): tenant-namespaced, server-resident, versioned
-// databases whose relations carry delta-maintained hash indexes.
-// Upload once with Put, query many times by name (QueryRequest.Dataset)
-// — repeat queries skip parsing and index building — and mutate with
-// tuple deltas that advance the version in O(delta) instead of
-// rebuilding. Prefer this over shipping databases inline with every
-// request; the inline QueryRequest.DB path remains supported for
-// self-contained one-shot queries.
-type DatasetRegistry = dataset.Registry
-
-// DatasetConfig bounds a DatasetRegistry (ServiceConfig.Datasets):
-// dataset count, per-dataset tuples, retained pinnable versions, and
-// the inline-database parse cache size.
+// DatasetConfig bounds the named-dataset registry behind a Service
+// (ServiceConfig.Datasets; reach it with Service.Datasets()): dataset
+// count, per-dataset tuples, retained pinnable versions, and the
+// inline-database parse cache size. Datasets are tenant-namespaced,
+// server-resident, versioned databases whose relations carry
+// delta-maintained hash indexes: upload once, query many times by name
+// (QueryRequest.Dataset) — repeat queries skip parsing and index
+// building — and mutate with tuple deltas that advance the version in
+// O(delta) instead of rebuilding.
 type DatasetConfig = dataset.Config
 
 // Dataset is one named, versioned database. Mutation batches advance
@@ -363,32 +315,16 @@ type DatasetConfig = dataset.Config
 // version while writers advance.
 type Dataset = dataset.Dataset
 
-// DatasetSnapshot is one immutable published dataset version.
-type DatasetSnapshot = dataset.Snapshot
-
 // DatasetMutation is one delta line of a mutation batch: insert or
 // delete of a tuple batch against one relation (POST /data/{name}/mutate).
 type DatasetMutation = dataset.Mutation
 
-// DatasetMutationResult reports one committed mutation batch: the new
-// version and insert/dedup/delete/miss counts.
-type DatasetMutationResult = dataset.MutationResult
-
-// DatasetInfo is the metadata view of a dataset (GET /data/{name}).
-type DatasetInfo = dataset.Info
-
-// DatasetRelInfo describes one relation of a dataset version.
-type DatasetRelInfo = dataset.RelInfo
-
 // DatasetStats aggregates registry-wide counters (for /stats).
 type DatasetStats = dataset.Stats
 
-// DatasetParseCache is the single-flight, content-addressed cache of
-// parsed inline databases (DatasetRegistry.ParseCache()): concurrent
-// identical inline uploads pay one parse and share captured indexes.
-type DatasetParseCache = dataset.ParseCache
-
-// DatasetParseCacheStats counts parse-cache outcomes.
+// DatasetParseCacheStats counts the outcomes of the registry's
+// inline-database parse cache: concurrent identical inline uploads pay
+// one parse and share captured indexes.
 type DatasetParseCacheStats = dataset.ParseCacheStats
 
 // Dataset sentinel errors.
@@ -408,12 +344,8 @@ var (
 // MaintainedRelation is a relation under incremental maintenance: set
 // semantics, tombstoned deletes with compaction at commit, and hash
 // indexes maintained as layered deltas instead of rebuilt. Datasets
-// hold one per relation; reach them through DatasetRegistry.
+// hold one per relation.
 type MaintainedRelation = join.MRel
-
-// NewMaintainedRelation puts a relation under incremental maintenance
-// (deduplicating it — relations under maintenance are sets).
-func NewMaintainedRelation(r *Relation) *MaintainedRelation { return join.NewMRel(r) }
 
 // AggregateSpec is one aggregate head over a conjunctive query's
 // answers: COUNT, COUNT DISTINCT over a projection, or SUM/MIN/MAX of
@@ -422,10 +354,7 @@ func NewMaintainedRelation(r *Relation) *MaintainedRelation { return join.NewMRe
 // join tree instead of materialising rows.
 type AggregateSpec = join.AggSpec
 
-// AggregateKind selects the aggregate operation of an AggregateSpec.
-type AggregateKind = join.AggKind
-
-// Aggregate kinds.
+// Aggregate kinds, the operations of an AggregateSpec.
 const (
 	AggCount         = join.AggCount
 	AggCountDistinct = join.AggCountDistinct

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/join"
 )
@@ -110,9 +109,11 @@ type Dataset struct {
 	snaps     []Snapshot // ascending versions, current last, ≤ retain
 	retain    int
 	maxTuples int
+	queries   int64 // snapshots handed out by Registry.Resolve
 	mutations int64
-
-	queries atomic.Int64
+	// dropped marks a dataset Drop removed and whose counters it folded
+	// into the registry's totals; it resolves and mutates as not found.
+	dropped bool
 }
 
 // Registry is the tenant-namespaced dataset registry one service owns.
@@ -122,6 +123,9 @@ type Registry struct {
 
 	mu    sync.Mutex
 	byKey map[string]*Dataset
+	// dropped sums the counters of dropped datasets, so the registry's
+	// totals never go backwards.
+	dropped Stats
 }
 
 // NewRegistry returns an empty registry.
@@ -212,9 +216,17 @@ func (g *Registry) Drop(tenant, name string) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	k := key(tenant, name)
-	_, ok := g.byKey[k]
+	d, ok := g.byKey[k]
+	if !ok {
+		return false
+	}
 	delete(g.byKey, k)
-	return ok
+	d.mu.Lock()
+	d.dropped = true
+	g.dropped.Queries += d.queries
+	g.dropped.Mutations += d.mutations
+	d.mu.Unlock()
+	return true
 }
 
 // List returns tenant's datasets, name-sorted.
@@ -242,15 +254,20 @@ func (g *Registry) Resolve(tenant, name string, version uint64) (Snapshot, error
 	if !ok {
 		return Snapshot{}, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	snap, err := d.At(version)
-	if err != nil {
-		return Snapshot{}, err
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.dropped {
+		return Snapshot{}, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	d.queries.Add(1)
-	return snap, nil
+	snap, err := d.atLocked(version)
+	if err == nil {
+		d.queries++
+	}
+	return snap, err
 }
 
-// Stats aggregates registry-wide counters for /stats.
+// Stats aggregates registry-wide counters for /stats. Queries and
+// Mutations include those of dropped datasets, so they never decrease.
 type Stats struct {
 	Datasets  int   `json:"datasets"`
 	Queries   int64 `json:"queries"`
@@ -260,15 +277,16 @@ type Stats struct {
 // Stats returns registry-wide totals.
 func (g *Registry) Stats() Stats {
 	g.mu.Lock()
+	st := g.dropped
+	st.Datasets = len(g.byKey)
 	ds := make([]*Dataset, 0, len(g.byKey))
 	for _, d := range g.byKey {
 		ds = append(ds, d)
 	}
 	g.mu.Unlock()
-	st := Stats{Datasets: len(ds)}
 	for _, d := range ds {
-		st.Queries += d.queries.Load()
 		d.mu.Lock()
+		st.Queries += d.queries
 		st.Mutations += d.mutations
 		d.mu.Unlock()
 	}
@@ -298,6 +316,11 @@ func (d *Dataset) snapshotDB() join.Database {
 func (d *Dataset) At(version uint64) (Snapshot, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	return d.atLocked(version)
+}
+
+// atLocked is At with d.mu held.
+func (d *Dataset) atLocked(version uint64) (Snapshot, error) {
 	if len(d.snaps) == 0 {
 		return Snapshot{}, fmt.Errorf("%w: %q has no published version", ErrNotFound, d.name)
 	}
@@ -323,6 +346,9 @@ func (d *Dataset) At(version uint64) (Snapshot, error) {
 func (d *Dataset) Mutate(batch []Mutation) (MutationResult, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if d.dropped {
+		return MutationResult{}, fmt.Errorf("%w: %q", ErrNotFound, d.name)
+	}
 
 	adds := 0
 	live := 0
@@ -398,7 +424,7 @@ func (d *Dataset) Info() Info {
 		Name:      d.name,
 		Version:   d.version,
 		Relations: make(map[string]RelInfo, len(d.rels)),
-		Queries:   d.queries.Load(),
+		Queries:   d.queries,
 		Mutations: d.mutations,
 	}
 	for name, m := range d.rels {

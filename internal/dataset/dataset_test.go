@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/join"
@@ -343,5 +345,81 @@ func TestParseCacheConcurrentIdentical(t *testing.T) {
 	}
 	if st.Misses > n/2 {
 		t.Fatalf("%d misses across %d concurrent identical parses — no sharing", st.Misses, n)
+	}
+}
+
+// TestRegistryTotalsMonotone: the registry's query and mutation totals
+// count every resolve and mutation ever served, so dropping a dataset
+// leaves them where they were, and a handle taken before the drop can
+// neither mutate nor be counted afterwards.
+func TestRegistryTotalsMonotone(t *testing.T) {
+	g := newTestRegistry()
+	if _, err := g.Put("", "d", mustDB(t, twoRelText)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := g.Resolve("", "d", 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d, _ := g.Get("", "d")
+	if _, err := d.Mutate([]Mutation{{Op: "insert", Rel: "R", Rows: [][]int{{5, 6}}}}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := g.Stats(), (Stats{Datasets: 1, Queries: 3, Mutations: 1}); got != want {
+		t.Fatalf("before Drop: %+v, want %+v", got, want)
+	}
+
+	if !g.Drop("", "d") {
+		t.Fatal("Drop reported missing")
+	}
+	if got, want := g.Stats(), (Stats{Datasets: 0, Queries: 3, Mutations: 1}); got != want {
+		t.Fatalf("after Drop: %+v, want %+v", got, want)
+	}
+	if _, err := d.Mutate([]Mutation{{Op: "insert", Rel: "R", Rows: [][]int{{7, 8}}}}); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Mutate through a dropped handle = %v, want ErrNotFound", err)
+	}
+	if got := g.Stats(); got.Mutations != 1 {
+		t.Fatalf("a refused mutation was counted: %+v", got)
+	}
+
+	// A new dataset under the old name counts on top of the totals.
+	if _, err := g.Put("", "d", mustDB(t, twoRelText)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Resolve("", "d", 0); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := g.Stats(), (Stats{Datasets: 1, Queries: 4, Mutations: 1}); got != want {
+		t.Fatalf("after re-Put: %+v, want %+v", got, want)
+	}
+
+	// Readers and writers racing a Drop: every resolve and mutation
+	// that succeeded is in the totals, once.
+	var reads, writes atomic.Int64
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 200; j++ {
+				if _, err := g.Resolve("", "d", 0); err == nil {
+					reads.Add(1)
+				}
+				if d, ok := g.Get("", "d"); ok {
+					if _, err := d.Mutate([]Mutation{{Op: "insert", Rel: "R", Rows: [][]int{{i, j}}}}); err == nil {
+						writes.Add(1)
+					}
+				}
+			}
+		}()
+	}
+	for reads.Load() < 50 {
+		runtime.Gosched()
+	}
+	g.Drop("", "d")
+	wg.Wait()
+	if got, want := g.Stats(), (Stats{Queries: 4 + reads.Load(), Mutations: 1 + writes.Load()}); got != want {
+		t.Fatalf("after a racing Drop: %+v, want %+v", got, want)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/join"
 	"repro/internal/store"
@@ -29,14 +28,11 @@ import (
 type ParseCache struct {
 	flight *store.Flight
 
-	mu  sync.Mutex
-	cap int
-	m   map[string]join.Database
-	use []string // LRU order, most recent last
-
-	hits      atomic.Int64
-	misses    atomic.Int64
-	coalesced atomic.Int64
+	mu    sync.Mutex
+	cap   int
+	m     map[string]join.Database
+	use   []string // LRU order, most recent last
+	stats ParseCacheStats
 }
 
 // ParseCacheStats counts cache outcomes: Hits served from the LRU,
@@ -72,7 +68,6 @@ func (p *ParseCache) Parse(ctx context.Context, text string) (join.Database, err
 	key := hex.EncodeToString(sum[:])
 
 	if db := p.lookup(key); db != nil {
-		p.hits.Add(1)
 		return db, nil
 	}
 
@@ -90,11 +85,13 @@ func (p *ParseCache) Parse(ctx context.Context, text string) (join.Database, err
 	if err != nil {
 		return nil, err
 	}
+	p.mu.Lock()
 	if leader {
-		p.misses.Add(1)
+		p.stats.Misses++
 	} else {
-		p.coalesced.Add(1)
+		p.stats.Coalesced++
 	}
+	p.mu.Unlock()
 	out, ok := val.(parseOutcome)
 	if !ok {
 		// The leader panicked mid-parse and the flight released us with
@@ -104,7 +101,8 @@ func (p *ParseCache) Parse(ctx context.Context, text string) (join.Database, err
 	return out.db, out.err
 }
 
-// lookup returns the cached database for key, refreshing its LRU slot.
+// lookup returns the cached database for key, refreshing its LRU slot
+// and counting the hit.
 func (p *ParseCache) lookup(key string) join.Database {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -112,6 +110,7 @@ func (p *ParseCache) lookup(key string) join.Database {
 	if !ok {
 		return nil
 	}
+	p.stats.Hits++
 	for i, k := range p.use {
 		if k == key {
 			p.use = append(append(p.use[:i:i], p.use[i+1:]...), key)
@@ -140,9 +139,7 @@ func (p *ParseCache) insert(key string, db join.Database) {
 
 // Stats returns the cache's outcome counters.
 func (p *ParseCache) Stats() ParseCacheStats {
-	return ParseCacheStats{
-		Hits:      p.hits.Load(),
-		Misses:    p.misses.Load(),
-		Coalesced: p.coalesced.Load(),
-	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.stats
 }

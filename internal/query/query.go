@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
+	"sync"
 	"time"
 
 	"repro/internal/join"
@@ -130,24 +130,8 @@ type Stats struct {
 type Planner struct {
 	svc *service.Service
 
-	queries        atomic.Int64
-	answered       atomic.Int64
-	planCacheHits  atomic.Int64
-	planCoalesced  atomic.Int64
-	planFailures   atomic.Int64
-	execFailures   atomic.Int64
-	tenantLimited  atomic.Int64
-	rowsReturned   atomic.Int64
-	aggQueries     atomic.Int64
-	aggGroups      atomic.Int64
-	datasetQueries atomic.Int64
-
-	execParallelQueries atomic.Int64
-	execIndexBuilds     atomic.Int64
-	execIndexReuses     atomic.Int64
-	execIndexProbes     atomic.Int64
-	execParallelTasks   atomic.Int64
-	execInlineTasks     atomic.Int64
+	mu    sync.Mutex
+	stats Stats // counted once per query, by record
 }
 
 // NewPlanner returns a Planner executing queries over svc.
@@ -155,35 +139,94 @@ func NewPlanner(svc *service.Service) *Planner {
 	return &Planner{svc: svc}
 }
 
+// outcome is where a query ended, as Stats counts it.
+type outcome int
+
+const (
+	answered outcome = iota
+	planFailed
+	execFailed
+	tenantLimited
+)
+
 // Eval answers one conjunctive query: validate, admit through the
 // per-tenant wall, plan (through the service's plan cache), execute
 // Yannakakis, canonicalise the rows.
 func (p *Planner) Eval(ctx context.Context, req Request) (Result, error) {
-	p.queries.Add(1)
-	if err := validate(req); err != nil {
-		p.planFailures.Add(1)
-		return Result{}, err
-	}
-	// One lease covers planning and execution, so the tenant is
-	// rate-charged once per query and the wall's latency histogram sees
-	// the query end to end. The inner Submit is marked pre-admitted.
-	lease, err := p.svc.Tenants().Admit(ctx, req.Tenant)
-	if err != nil {
-		if errors.Is(err, tenant.ErrLimited) {
-			p.tenantLimited.Add(1)
-		} else {
-			p.planFailures.Add(1)
+	var res Result
+	out, err := planFailed, validate(req)
+	if err == nil {
+		// One lease covers planning and execution, so the tenant is
+		// rate-charged once per query and the wall's latency histogram
+		// sees the query end to end. The inner Submit is marked
+		// pre-admitted.
+		var lease *tenant.Lease
+		if lease, err = p.svc.Tenants().Admit(ctx, req.Tenant); errors.Is(err, tenant.ErrLimited) {
+			out = tenantLimited
+		} else if err == nil {
+			res, out, err = p.eval(ctx, req)
+			lease.Done(err != nil)
 		}
+	}
+	p.record(res, out)
+	if err != nil {
 		return Result{}, err
 	}
-	res, err := p.eval(ctx, req)
-	lease.Done(err != nil)
-	return res, err
+	return res, nil
 }
 
-// eval is Eval past the tenant wall.
-func (p *Planner) eval(ctx context.Context, req Request) (Result, error) {
-	var dsVersion uint64
+// record counts one query: its outcome, and whatever of the dataset
+// resolve, the plan and the execution it got through, as res reports
+// them. A failed execution still reports its effort in res.Exec, so
+// aborted queries — often the most expensive ones the server ran —
+// show in /stats.
+func (p *Planner) record(res Result, out outcome) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	st := &p.stats
+	st.Queries++
+	switch out {
+	case answered:
+		st.Answered++
+	case planFailed:
+		st.PlanFailures++
+	case execFailed:
+		st.ExecFailures++
+	case tenantLimited:
+		st.TenantLimited++
+	}
+	if res.DatasetVersion > 0 {
+		st.DatasetQueries++
+	}
+	if res.PlanCacheHit {
+		st.PlanCacheHits++
+	}
+	if res.PlanCoalesced {
+		st.PlanCoalesced++
+	}
+	if res.Parallelism > 1 {
+		st.ExecParallelQueries++
+	}
+	st.ExecIndexBuilds += res.Exec.IndexBuilds
+	st.ExecIndexReuses += res.Exec.IndexReuses
+	st.ExecIndexProbes += res.Exec.IndexProbes
+	st.ExecParallelTasks += res.Exec.ParallelTasks
+	st.ExecInlineTasks += res.Exec.InlineTasks
+	if res.Rows != nil {
+		st.RowsReturned += int64(res.Rows.Size())
+	}
+	if res.Agg != nil {
+		st.AggQueries++
+		st.AggGroups += int64(len(res.Agg.Groups))
+	}
+}
+
+// eval is Eval past the tenant wall. On failure it still returns as
+// much of the Result as the query got through (the resolved dataset
+// version, the plan's provenance, the executor's effort) and says
+// which stage failed.
+func (p *Planner) eval(ctx context.Context, req Request) (Result, outcome, error) {
+	var res Result
 	if req.Dataset != "" {
 		// Resolve the named dataset to an immutable snapshot. The
 		// snapshot is pinned for the whole query: mutations committed
@@ -191,21 +234,17 @@ func (p *Planner) eval(ctx context.Context, req Request) (Result, error) {
 		// rows (or maintained indexes) this query reads.
 		snap, err := p.svc.Datasets().Resolve(req.Tenant, req.Dataset, req.AtVersion)
 		if err != nil {
-			p.planFailures.Add(1)
-			return Result{}, fmt.Errorf("query: dataset %q: %w", req.Dataset, err)
+			return res, planFailed, fmt.Errorf("query: dataset %q: %w", req.Dataset, err)
 		}
 		req.DB = snap.DB
-		dsVersion = snap.Version
-		p.datasetQueries.Add(1)
+		res.DatasetVersion = snap.Version
 		if err := checkAtoms(req.Query, req.DB); err != nil {
-			p.planFailures.Add(1)
-			return Result{}, err
+			return res, planFailed, err
 		}
 	}
 	h, err := req.Query.Hypergraph()
 	if err != nil {
-		p.planFailures.Add(1)
-		return Result{}, err
+		return res, planFailed, err
 	}
 	maxW := req.MaxWidth
 	if maxW <= 0 || maxW > h.NumEdges() {
@@ -224,7 +263,7 @@ func (p *Planner) eval(ctx context.Context, req Request) (Result, error) {
 	// exact bounds plus the witness tree in the store, so the identical
 	// query planned again is answered from the cache without a solver.
 	planStart := time.Now()
-	res := p.svc.Submit(ctx, service.Request{
+	plan := p.svc.Submit(ctx, service.Request{
 		H:              h,
 		Mode:           service.ModeOptimal,
 		K:              maxW,
@@ -233,99 +272,50 @@ func (p *Planner) eval(ctx context.Context, req Request) (Result, error) {
 		Tenant:         req.Tenant,
 		TenantAdmitted: true,
 	})
-	planElapsed := time.Since(planStart)
-	if res.Err != nil {
-		p.planFailures.Add(1)
-		return Result{}, fmt.Errorf("query: planning failed: %w", res.Err)
+	res.PlanElapsed = time.Since(planStart)
+	if plan.Err != nil {
+		return res, planFailed, fmt.Errorf("query: planning failed: %w", plan.Err)
 	}
-	if !res.OK {
-		p.planFailures.Add(1)
-		return Result{}, fmt.Errorf("%w: hypertree width exceeds %d (proven lower bound %d)",
-			ErrNoPlan, maxW, res.LowerBound)
+	if !plan.OK {
+		return res, planFailed, fmt.Errorf("%w: hypertree width exceeds %d (proven lower bound %d)",
+			ErrNoPlan, maxW, plan.LowerBound)
 	}
-	if res.CacheHit {
-		p.planCacheHits.Add(1)
-	}
-	if res.Coalesced {
-		p.planCoalesced.Add(1)
-	}
+	res.Width = plan.Decomp.Width()
+	res.PlanCacheHit = plan.CacheHit
+	res.PlanCoalesced = plan.Coalesced
 
 	// Execute on the indexed kernel. Spawned executor workers lease
 	// tokens from the same budget the solvers draw on, so a burst of
 	// parallel queries and a burst of cold decompositions share the
 	// host instead of fighting over it.
-	par := req.Parallelism
-	if par < 1 {
-		par = 1
-	}
+	res.Parallelism = max(req.Parallelism, 1)
 	execStart := time.Now()
-	var exec join.ExecStats
 	opts := join.EvalOptions{
 		MaxRows:     req.MaxRows,
-		Parallelism: par,
+		Parallelism: res.Parallelism,
 		Tokens:      p.svc.Budget(),
-		Stats:       &exec,
+		Stats:       &res.Exec, // filled even when execution fails
 	}
-	var rel *join.Relation
-	var agg join.AggResult
 	if req.Aggregate != nil {
 		// Aggregate pushdown: the same plan, the same budgeted kernel,
 		// but per-bag partial aggregates instead of a materialised result
 		// — MaxRows then bounds the number of groups, not the (possibly
 		// enormous) number of answers.
-		agg, err = join.AggregateCtx(ctx, req.Query, req.DB, res.Decomp, *req.Aggregate, opts)
+		var agg join.AggResult
+		if agg, err = join.AggregateCtx(ctx, req.Query, req.DB, plan.Decomp, *req.Aggregate, opts); err == nil {
+			res.Agg = &agg
+		}
 	} else {
-		rel, err = join.EvaluateCtx(ctx, req.Query, req.DB, res.Decomp, opts)
+		var rel *join.Relation
+		if rel, err = join.EvaluateCtx(ctx, req.Query, req.DB, plan.Decomp, opts); err == nil {
+			res.Rows, err = Canonical(rel)
+		}
 	}
-	// The executor fills exec even on failure; aggregate before the
-	// error check so aborted queries — often the most expensive ones the
-	// server ran — still show their effort in /stats.
-	if par > 1 {
-		p.execParallelQueries.Add(1)
-	}
-	p.execIndexBuilds.Add(exec.IndexBuilds)
-	p.execIndexReuses.Add(exec.IndexReuses)
-	p.execIndexProbes.Add(exec.IndexProbes)
-	p.execParallelTasks.Add(exec.ParallelTasks)
-	p.execInlineTasks.Add(exec.InlineTasks)
 	if err != nil {
-		p.execFailures.Add(1)
-		return Result{}, fmt.Errorf("query: execution failed: %w", err)
+		return res, execFailed, fmt.Errorf("query: execution failed: %w", err)
 	}
-	if req.Aggregate != nil {
-		p.answered.Add(1)
-		p.aggQueries.Add(1)
-		p.aggGroups.Add(int64(len(agg.Groups)))
-		return Result{
-			Agg:            &agg,
-			Width:          res.Decomp.Width(),
-			PlanCacheHit:   res.CacheHit,
-			PlanCoalesced:  res.Coalesced,
-			PlanElapsed:    planElapsed,
-			ExecElapsed:    time.Since(execStart),
-			Parallelism:    par,
-			DatasetVersion: dsVersion,
-			Exec:           exec,
-		}, nil
-	}
-	rows, err := Canonical(rel)
-	if err != nil {
-		p.execFailures.Add(1)
-		return Result{}, err
-	}
-	p.answered.Add(1)
-	p.rowsReturned.Add(int64(rows.Size()))
-	return Result{
-		Rows:           rows,
-		Width:          res.Decomp.Width(),
-		PlanCacheHit:   res.CacheHit,
-		PlanCoalesced:  res.Coalesced,
-		PlanElapsed:    planElapsed,
-		ExecElapsed:    time.Since(execStart),
-		Parallelism:    par,
-		DatasetVersion: dsVersion,
-		Exec:           exec,
-	}, nil
+	res.ExecElapsed = time.Since(execStart)
+	return res, answered, nil
 }
 
 // validate rejects malformed requests before any planning effort —
@@ -390,23 +380,7 @@ func Canonical(rel *join.Relation) (*join.Relation, error) {
 
 // Stats returns a snapshot of the planner counters.
 func (p *Planner) Stats() Stats {
-	return Stats{
-		Queries:             p.queries.Load(),
-		Answered:            p.answered.Load(),
-		PlanCacheHits:       p.planCacheHits.Load(),
-		PlanCoalesced:       p.planCoalesced.Load(),
-		PlanFailures:        p.planFailures.Load(),
-		ExecFailures:        p.execFailures.Load(),
-		TenantLimited:       p.tenantLimited.Load(),
-		RowsReturned:        p.rowsReturned.Load(),
-		AggQueries:          p.aggQueries.Load(),
-		AggGroups:           p.aggGroups.Load(),
-		DatasetQueries:      p.datasetQueries.Load(),
-		ExecParallelQueries: p.execParallelQueries.Load(),
-		ExecIndexBuilds:     p.execIndexBuilds.Load(),
-		ExecIndexReuses:     p.execIndexReuses.Load(),
-		ExecIndexProbes:     p.execIndexProbes.Load(),
-		ExecParallelTasks:   p.execParallelTasks.Load(),
-		ExecInlineTasks:     p.execInlineTasks.Load(),
-	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.stats
 }

@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/join"
 	"repro/internal/service"
+	"repro/internal/tenant"
 )
 
 func newTestPlanner(t *testing.T) (*Planner, *service.Service) {
@@ -465,5 +467,102 @@ func TestCanonicalAllocBudget(t *testing.T) {
 	t.Logf("canonical: %.1f allocs/op (budget %d at %.2fx)", got, budget, tolerance)
 	if got > tolerance*budget {
 		t.Errorf("canonical: %.1f allocs/op exceeds %.2fx the budget's %d", got, tolerance, budget)
+	}
+}
+
+// TestStatsConservation: under a concurrent mix of row and aggregate
+// queries, inline and dataset queries, row-budget failures, invalid
+// requests and tenant rate rejections, every query is counted under
+// exactly one outcome, and the counters equal what the callers were
+// handed.
+func TestStatsConservation(t *testing.T) {
+	svc := service.New(service.Config{
+		TokenBudget:    1,
+		MaxConcurrent:  2,
+		MaxQueue:       256,
+		DefaultTimeout: time.Minute,
+		MemoMaxGraphs:  64,
+		// Two tenants of 320 queries each: a burst of 200 plus 100/s
+		// runs dry within the test's fraction of a second.
+		Tenants: tenant.Config{Rate: 100, Burst: 200},
+	})
+	t.Cleanup(func() { svc.Close() })
+	p := NewPlanner(svc)
+
+	const goroutines, queries = 16, 40
+	var mu sync.Mutex
+	var got Stats
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		r := rand.New(rand.NewSource(int64(g)))
+		q, db := RandomInstance(r, GenConfig{})
+		ten, name := strconv.Itoa(g%2), "d"+strconv.Itoa(g)
+		if _, err := svc.Datasets().Put(ten, name, db); err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < queries; j++ {
+				req := Request{Query: q, DB: db, Tenant: ten}
+				switch j % 5 {
+				case 1:
+					req.Aggregate = &join.AggSpec{Kind: join.AggCount}
+				case 2:
+					req.MaxRows = 1
+				case 3:
+					req.Parallelism = -1
+				case 4:
+					req.DB, req.Dataset = nil, name
+				}
+				res, err := p.Eval(context.Background(), req)
+				mu.Lock()
+				switch {
+				case err == nil:
+					got.Answered++
+					if res.Rows != nil {
+						got.RowsReturned += int64(res.Rows.Size())
+					} else {
+						got.AggQueries++
+					}
+					if req.Dataset != "" {
+						got.DatasetQueries++
+					}
+				case errors.Is(err, tenant.ErrLimited):
+					got.TenantLimited++
+				case errors.Is(err, join.ErrRowBudget):
+					got.ExecFailures++
+				default:
+					got.PlanFailures++
+				}
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+
+	st := p.Stats()
+	t.Logf("%d queries: answered %d, plan failures %d, exec failures %d, tenant-limited %d; %d rows, %d aggregates",
+		st.Queries, got.Answered, got.PlanFailures, got.ExecFailures, got.TenantLimited, got.RowsReturned, got.AggQueries)
+	if st.Queries != goroutines*queries || st.Queries != st.Answered+st.PlanFailures+st.ExecFailures+st.TenantLimited {
+		t.Fatalf("Queries %d != Answered %d + PlanFailures %d + ExecFailures %d + TenantLimited %d (want %d queries)",
+			st.Queries, st.Answered, st.PlanFailures, st.ExecFailures, st.TenantLimited, goroutines*queries)
+	}
+	for _, c := range []struct {
+		name      string
+		stat, got int64
+	}{
+		{"Answered", st.Answered, got.Answered},
+		{"PlanFailures", st.PlanFailures, got.PlanFailures},
+		{"ExecFailures", st.ExecFailures, got.ExecFailures},
+		{"TenantLimited", st.TenantLimited, got.TenantLimited},
+		{"RowsReturned", st.RowsReturned, got.RowsReturned},
+		{"AggQueries", st.AggQueries, got.AggQueries},
+		{"DatasetQueries", st.DatasetQueries, got.DatasetQueries},
+		{"registry queries", svc.Datasets().Stats().Queries, got.DatasetQueries},
+	} {
+		if c.stat != c.got {
+			t.Errorf("%s = %d, callers were handed %d", c.name, c.stat, c.got)
+		}
 	}
 }

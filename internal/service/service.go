@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"maps"
 	"runtime"
 	"strconv"
 	"sync"
@@ -191,6 +192,12 @@ type Result struct {
 	ProbesCancelled int
 	// BoundsShared reports that the job started from cached bounds.
 	BoundsShared bool
+
+	// ran marks the job that ran a solver, and cancelledByWidth counts
+	// its probes cancelled per width. Like Stats, both stay zero for
+	// cache hits and coalesced followers; Submit counts them once.
+	ran              bool
+	cancelledByWidth map[int]int64
 }
 
 // Stats is a snapshot of service-wide counters.
@@ -253,32 +260,18 @@ type Service struct {
 	// Config.Store): Close closes it, flushing the disk tier.
 	ownsStore bool
 
-	mu     sync.Mutex // guards closed + jobs Add
+	mu     sync.Mutex // guards closed, jobs Add and stats
 	closed bool
 	jobs   sync.WaitGroup
+	// stats holds the job counters. Submit counts a job once when it
+	// accepts it and once when it returns (record); Stats adds the
+	// gauges below and the store's and tenants' snapshots.
+	stats Stats
 
-	submitted atomic.Int64
-	completed atomic.Int64
-	failed    atomic.Int64
-	rejected  atomic.Int64
-	running   atomic.Int64
-	waiting   atomic.Int64
-
-	solverRuns   atomic.Int64
-	positiveHits atomic.Int64
-	negativeHits atomic.Int64
-	coalesced    atomic.Int64
-
-	optimalJobs     atomic.Int64
-	probesLaunched  atomic.Int64
-	probesCancelled atomic.Int64
-	boundsReuses    atomic.Int64
-
-	agg struct {
-		sync.Mutex
-		stats            logk.Stats
-		cancelledByWidth map[int]int64
-	}
+	// running and waiting are live gauges; waiting is also MaxQueue's
+	// add-then-test admission gate.
+	running atomic.Int64
+	waiting atomic.Int64
 }
 
 // New returns a Service with the given configuration. It never fails:
@@ -298,7 +291,7 @@ func New(cfg Config) *Service {
 		datasets: dataset.NewRegistry(cfg.Datasets),
 		slots:    make(chan struct{}, cfg.MaxConcurrent),
 	}
-	s.agg.cancelledByWidth = make(map[int]int64)
+	s.stats.CancelledByWidth = make(map[int]int64)
 	return s
 }
 
@@ -379,29 +372,66 @@ func (s *Service) Submit(ctx context.Context, req Request) Result {
 		return Result{Err: ErrClosed}
 	}
 	s.jobs.Add(1)
+	s.stats.Submitted++
 	s.mu.Unlock()
 	defer s.jobs.Done()
-	s.submitted.Add(1)
 
 	// The tenant wall sits in front of the global admission below: a
 	// caller over its own rate, in-flight or queue budget is rejected
 	// here before it can consume any shared slot, queue space, or
 	// solver effort — one hot tenant's overflow cannot starve the rest.
-	if !req.TenantAdmitted {
-		lease, err := s.tenants.Admit(ctx, req.Tenant)
-		if err != nil {
-			if errors.Is(err, tenant.ErrLimited) {
-				s.rejected.Add(1)
-			} else {
-				s.failed.Add(1)
-			}
-			return Result{Err: err}
-		}
-		res := s.dispatch(ctx, req)
+	var res Result
+	if req.TenantAdmitted {
+		res = s.dispatch(ctx, req)
+	} else if lease, err := s.tenants.Admit(ctx, req.Tenant); err != nil {
+		res = Result{Err: err}
+	} else {
+		res = s.dispatch(ctx, req)
 		lease.Done(res.Err != nil)
-		return res
 	}
-	return s.dispatch(ctx, req)
+	s.record(req, res)
+	return res
+}
+
+// record counts one accepted job's outcome, derived from the Result
+// its caller gets. Cache hits and the solve's effort count only for
+// the job that did the work: a coalesced follower carries no effort
+// (adoptShared zeroes it) and counts only as coalesced.
+func (s *Service) record(req Request, res Result) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st := &s.stats
+	switch {
+	case res.Err == nil:
+		st.Completed++
+	case errors.Is(res.Err, ErrOverloaded), errors.Is(res.Err, tenant.ErrLimited):
+		st.Rejected++
+	default:
+		st.Failed++
+	}
+	switch {
+	case res.Coalesced:
+		st.Coalesced++
+	case res.CacheHit && res.OK:
+		st.PositiveHits++
+	case res.CacheHit:
+		st.NegativeHits++
+	}
+	if res.BoundsShared && !res.Coalesced {
+		st.BoundsReuses++
+	}
+	if res.ran {
+		st.SolverRuns++
+	}
+	if req.Mode == ModeOptimal && (res.ran || res.CacheHit || res.Coalesced) {
+		st.OptimalJobs++
+	}
+	st.ProbesLaunched += int64(res.ProbesLaunched)
+	st.ProbesCancelled += int64(res.ProbesCancelled)
+	for k, n := range res.cancelledByWidth {
+		st.CancelledByWidth[k] += n
+	}
+	st.Solver.Add(res.Stats)
 }
 
 // dispatch routes an accepted, tenant-admitted job: read-through cache
@@ -409,7 +439,6 @@ func (s *Service) Submit(ctx context.Context, req Request) Result {
 func (s *Service) dispatch(ctx context.Context, req Request) Result {
 	hash := req.H.ContentHash()
 	if res, ok := s.lookup(req, hash); ok {
-		s.completed.Add(1)
 		return res
 	}
 	v, leader, err := s.flight.Do(ctx, flightKey(hash, req), func() any {
@@ -425,17 +454,10 @@ func (s *Service) dispatch(ctx context.Context, req Request) Result {
 	})
 	if err != nil {
 		// The follower's own context expired while waiting.
-		s.failed.Add(1)
 		return Result{Err: err}
 	}
 	if leader {
-		res := v.(Result)
-		if res.CacheHit {
-			// The in-flight re-check answered; run/runOptimal never
-			// executed, so the completion is counted here.
-			s.completed.Add(1)
-		}
-		return res
+		return v.(Result)
 	}
 	res, ok := v.(Result)
 	if !ok || (res.Err != nil && ctx.Err() == nil) {
@@ -460,9 +482,6 @@ func (s *Service) lookup(req Request, hash string) (Result, bool) {
 	if req.Mode == ModeOptimal {
 		if b.LB > req.K {
 			// Every width up to the ceiling is already refuted.
-			s.negativeHits.Add(1)
-			s.optimalJobs.Add(1)
-			s.boundsReuses.Add(1)
 			return Result{
 				CacheHit: true, CacheShared: true, BoundsShared: true,
 				LowerBound: b.LB, LowerBoundFrom: race.BoundInitial.String(),
@@ -470,9 +489,6 @@ func (s *Service) lookup(req Request, hash string) (Result, bool) {
 		}
 		if b.Exact() && b.UB <= req.K {
 			if d, w, ok := s.cachedWitness(req.H, hash, b.UB); ok {
-				s.positiveHits.Add(1)
-				s.optimalJobs.Add(1)
-				s.boundsReuses.Add(1)
 				return Result{
 					OK: true, Decomp: d, Width: w,
 					CacheHit: true, CacheShared: true, BoundsShared: true,
@@ -484,12 +500,10 @@ func (s *Service) lookup(req Request, hash string) (Result, bool) {
 	}
 	// ModeDecide.
 	if b.LB > req.K {
-		s.negativeHits.Add(1)
 		return Result{CacheHit: true, CacheShared: true}, true
 	}
 	if b.UB > 0 && b.UB <= req.K {
 		if d, _, ok := s.cachedWitness(req.H, hash, req.K); ok {
-			s.positiveHits.Add(1)
 			return Result{OK: true, Decomp: d, CacheHit: true, CacheShared: true}, true
 		}
 	}
@@ -540,18 +554,8 @@ func (s *Service) adoptShared(ctx context.Context, res Result, req Request, hash
 	res.ProbesLaunched = 0
 	res.ProbesCancelled = 0
 	res.Elapsed = 0
-	s.coalesced.Add(1)
-	if req.Mode == ModeOptimal {
-		s.optimalJobs.Add(1)
-	}
-	switch {
-	case errors.Is(res.Err, ErrOverloaded):
-		s.rejected.Add(1)
-	case res.Err != nil:
-		s.failed.Add(1)
-	default:
-		s.completed.Add(1)
-	}
+	res.ran = false
+	res.cancelledByWidth = nil
 	return res
 }
 
@@ -566,7 +570,6 @@ func (s *Service) admitAndRun(ctx context.Context, req Request, hash string) Res
 	default:
 		if s.waiting.Add(1) > int64(s.cfg.MaxQueue) {
 			s.waiting.Add(-1)
-			s.rejected.Add(1)
 			return Result{Err: ErrOverloaded}
 		}
 		select {
@@ -574,7 +577,6 @@ func (s *Service) admitAndRun(ctx context.Context, req Request, hash string) Res
 			s.waiting.Add(-1)
 		case <-ctx.Done():
 			s.waiting.Add(-1)
-			s.failed.Add(1)
 			return Result{Err: ctx.Err()}
 		}
 	}
@@ -614,7 +616,7 @@ func (s *Service) run(ctx context.Context, req Request, hash string) Result {
 	}
 
 	memo, existed := s.store.Memo(hash, req.K)
-	res := Result{CacheShared: existed}
+	res := Result{CacheShared: existed, ran: true}
 	solver := logk.New(req.H, logk.Options{
 		K:               req.K,
 		Workers:         workers,
@@ -623,14 +625,11 @@ func (s *Service) run(ctx context.Context, req Request, hash string) Result {
 		Tokens:          s.budget,
 		Memo:            memo,
 	})
-	s.solverRuns.Add(1)
 	start := time.Now()
 	d, ok, err := solver.Decompose(ctx)
 	res.Elapsed = time.Since(start)
 	res.Decomp, res.OK, res.Err = d, ok, err
 	res.Stats = solver.Stats()
-
-	s.addSolverStats(res.Stats, nil)
 
 	// Bank what this definitive answer proves at the width level: a
 	// witness caps UB (and is cached for repeat submissions), an
@@ -644,12 +643,6 @@ func (s *Service) run(ctx context.Context, req Request, hash string) Result {
 			s.store.MergeBounds(hash, store.Bounds{LB: req.K + 1})
 		}
 	}
-
-	if err != nil {
-		s.failed.Add(1)
-	} else {
-		s.completed.Add(1)
-	}
 	return res
 }
 
@@ -659,7 +652,6 @@ func (s *Service) run(ctx context.Context, req Request, hash string) Result {
 // in the store's bounds — so later jobs on the same structure start
 // from tighter bounds whether they decide or optimise.
 func (s *Service) runOptimal(ctx context.Context, req Request, workers int, hash string) Result {
-	s.optimalJobs.Add(1)
 	cfg := race.Config{
 		KMax:            req.K,
 		MaxProbes:       req.MaxProbes,
@@ -668,7 +660,7 @@ func (s *Service) runOptimal(ctx context.Context, req Request, workers int, hash
 		HybridThreshold: req.HybridThreshold,
 		Tokens:          s.budget,
 	}
-	var res Result
+	res := Result{ran: true, cancelledByWidth: make(map[int]int64)}
 	cfg.MemoFor = func(k int) logk.MemoBackend {
 		table, existed := s.store.Memo(hash, k)
 		if existed {
@@ -680,10 +672,8 @@ func (s *Service) runOptimal(ctx context.Context, req Request, workers int, hash
 		cfg.LowerBound = b.LB
 		cfg.UpperBoundHint = b.UB
 		res.BoundsShared = true
-		s.boundsReuses.Add(1)
 	}
 
-	s.solverRuns.Add(1)
 	start := time.Now()
 	rr, err := race.New(req.H, cfg).Solve(ctx)
 	res.Elapsed = time.Since(start)
@@ -698,16 +688,12 @@ func (s *Service) runOptimal(ctx context.Context, req Request, workers int, hash
 		res.Decomp = rr.Decomp
 	}
 
-	cancelledByWidth := make(map[int]int64)
 	for _, p := range rr.Probes {
 		res.Stats.Add(p.Stats)
 		if p.Outcome == race.Cancelled {
-			cancelledByWidth[p.K]++
+			res.cancelledByWidth[p.K]++
 		}
 	}
-	s.probesLaunched.Add(int64(len(rr.Probes)))
-	s.probesCancelled.Add(int64(rr.Cancelled))
-	s.addSolverStats(res.Stats, cancelledByWidth)
 
 	// Bank what this job proved, even partially on timeout: the lower
 	// bound is sound regardless, the witnessed width (and its witness
@@ -718,24 +704,7 @@ func (s *Service) runOptimal(ctx context.Context, req Request, workers int, hash
 			s.store.PutDecomposition(hash, t)
 		}
 	}
-
-	if err != nil {
-		s.failed.Add(1)
-	} else {
-		s.completed.Add(1)
-	}
 	return res
-}
-
-// addSolverStats merges one job's solver counters (and optionally its
-// per-width cancellation counts) into the service-wide aggregates.
-func (s *Service) addSolverStats(st logk.Stats, cancelledByWidth map[int]int64) {
-	s.agg.Lock()
-	s.agg.stats.Add(st)
-	for k, n := range cancelledByWidth {
-		s.agg.cancelledByWidth[k] += n
-	}
-	s.agg.Unlock()
 }
 
 // Batch runs all requests and returns results in request order. It
@@ -772,44 +741,24 @@ func (s *Service) Batch(ctx context.Context, reqs []Request) []Result {
 // Stats returns a snapshot of the service counters.
 func (s *Service) Stats() Stats {
 	sst := s.store.Stats()
-	s.agg.Lock()
-	solver := s.agg.stats
-	cancelled := make(map[int]int64, len(s.agg.cancelledByWidth))
-	for k, n := range s.agg.cancelledByWidth {
-		cancelled[k] = n
-	}
-	s.agg.Unlock()
-	positive := s.positiveHits.Load()
-	negative := s.negativeHits.Load()
-	return Stats{
-		Submitted:        s.submitted.Load(),
-		Completed:        s.completed.Load(),
-		Failed:           s.failed.Load(),
-		Rejected:         s.rejected.Load(),
-		Running:          s.running.Load(),
-		Waiting:          s.waiting.Load(),
-		TokenBudget:      int64(s.budget.Size()),
-		TokensInUse:      int64(s.budget.InUse()),
-		TokensHighWater:  int64(s.budget.HighWater()),
-		SolverRuns:       s.solverRuns.Load(),
-		PositiveHits:     positive,
-		NegativeHits:     negative,
-		Coalesced:        s.coalesced.Load(),
-		StoreEntries:     sst.Entries,
-		StoreTrees:       sst.Trees,
-		StoreEvictions:   sst.Evictions,
-		MemoGraphs:       sst.MemoTables,
-		MemoEntries:      sst.MemoStates,
-		CacheReuses:      sst.MemoReuses + positive + negative,
-		OptimalJobs:      s.optimalJobs.Load(),
-		ProbesLaunched:   s.probesLaunched.Load(),
-		ProbesCancelled:  s.probesCancelled.Load(),
-		BoundsGraphs:     sst.BoundsGraphs,
-		BoundsReuses:     s.boundsReuses.Load(),
-		CancelledByWidth: cancelled,
-		Solver:           solver,
-		Tenants:          s.tenants.Stats(),
-	}
+	s.mu.Lock()
+	st := s.stats
+	st.CancelledByWidth = maps.Clone(s.stats.CancelledByWidth)
+	s.mu.Unlock()
+	st.Running = s.running.Load()
+	st.Waiting = s.waiting.Load()
+	st.TokenBudget = int64(s.budget.Size())
+	st.TokensInUse = int64(s.budget.InUse())
+	st.TokensHighWater = int64(s.budget.HighWater())
+	st.StoreEntries = sst.Entries
+	st.StoreTrees = sst.Trees
+	st.StoreEvictions = sst.Evictions
+	st.MemoGraphs = sst.MemoTables
+	st.MemoEntries = sst.MemoStates
+	st.CacheReuses = sst.MemoReuses + st.PositiveHits + st.NegativeHits
+	st.BoundsGraphs = sst.BoundsGraphs
+	st.Tenants = s.tenants.Stats()
+	return st
 }
 
 // Close rejects future submissions and waits for in-flight jobs to

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/decomp"
 	"repro/internal/hypergraph"
 	"repro/internal/logk"
+	"repro/internal/tenant"
 )
 
 func cycle(n int) *hypergraph.Hypergraph {
@@ -691,4 +693,101 @@ func TestTokenBudgetUnit(t *testing.T) {
 		}
 	}()
 	b.Release(1)
+}
+
+// TestStatsConservation: under a concurrent mix of every outcome —
+// decide and optimal jobs, repeats that hit the cache or coalesce,
+// MaxQueue overflow, tenant rate rejections and 1 ms timeouts — the
+// service counters equal the outcomes the callers were handed, and
+// every submitted job ends completed, failed or rejected.
+func TestStatsConservation(t *testing.T) {
+	svc := New(Config{
+		TokenBudget:   1,
+		MaxConcurrent: 1,
+		MaxQueue:      6,
+		// Two tenants of 320 jobs each: a burst of 200 plus 100/s runs
+		// dry within the test's fraction of a second.
+		Tenants: tenant.Config{Rate: 100, Burst: 200},
+	})
+	defer svc.Close()
+
+	const goroutines, jobs = 16, 40
+	var mu sync.Mutex
+	var got Stats
+	var limited int64 // rejections by the tenant wall
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for j := 0; j < jobs; j++ {
+				req := Request{H: cycle(4 + (g+j)%6), K: 1 + j%2, Tenant: strconv.Itoa(g % 2)}
+				switch (g + j) % 5 {
+				case 1:
+					req.Mode, req.K = ModeOptimal, 3
+				case 3:
+					req.H, req.K, req.Timeout = grid(5), 3, time.Millisecond
+				}
+				res := svc.Submit(context.Background(), req)
+				mu.Lock()
+				switch {
+				case res.Err == nil:
+					got.Completed++
+				case errors.Is(res.Err, ErrOverloaded):
+					got.Rejected++
+				case errors.Is(res.Err, tenant.ErrLimited):
+					got.Rejected++
+					limited++
+				default:
+					got.Failed++
+				}
+				switch {
+				case res.Coalesced:
+					got.Coalesced++
+				case res.CacheHit && res.OK:
+					got.PositiveHits++
+				case res.CacheHit:
+					got.NegativeHits++
+				}
+				mu.Unlock()
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	st := svc.Stats()
+	t.Logf("submitted %d: completed %d, failed %d, rejected %d (%d by the tenant wall); positive %d, negative %d, coalesced %d",
+		st.Submitted, got.Completed, got.Failed, got.Rejected, limited, got.PositiveHits, got.NegativeHits, got.Coalesced)
+	if st.Submitted != goroutines*jobs || st.Submitted != st.Completed+st.Failed+st.Rejected {
+		t.Fatalf("Submitted %d != Completed %d + Failed %d + Rejected %d (want %d jobs)",
+			st.Submitted, st.Completed, st.Failed, st.Rejected, goroutines*jobs)
+	}
+	for _, c := range []struct {
+		name      string
+		stat, got int64
+	}{
+		{"Completed", st.Completed, got.Completed},
+		{"Failed", st.Failed, got.Failed},
+		{"Rejected", st.Rejected, got.Rejected},
+		{"PositiveHits", st.PositiveHits, got.PositiveHits},
+		{"NegativeHits", st.NegativeHits, got.NegativeHits},
+		{"Coalesced", st.Coalesced, got.Coalesced},
+	} {
+		if c.stat != c.got {
+			t.Errorf("%s = %d, callers were handed %d", c.name, c.stat, c.got)
+		}
+	}
+	var ts tenant.Stats
+	for _, s := range st.Tenants {
+		ts.Admitted += s.Admitted
+		ts.RateRejected += s.RateRejected
+		ts.Completed += s.Completed
+		ts.Failed += s.Failed
+	}
+	if ts.RateRejected != limited || ts.Admitted+ts.RateRejected != st.Submitted || ts.Completed+ts.Failed != ts.Admitted {
+		t.Errorf("tenant wall %+v disagrees with %d submitted, %d rate-limited", ts, st.Submitted, limited)
+	}
+	if st.Running != 0 || st.Waiting != 0 {
+		t.Errorf("idle service reports Running %d, Waiting %d", st.Running, st.Waiting)
+	}
 }

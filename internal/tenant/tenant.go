@@ -137,12 +137,9 @@ type state struct {
 	waiters  []chan struct{}
 	lastSeen time.Time
 
-	admitted     int64
-	rateRejected int64
-	loadRejected int64
-	completed    int64
-	failed       int64
-	hist         Histogram
+	// stats holds the counters; Wall.Stats fills in the gauges.
+	stats Stats
+	hist  Histogram
 }
 
 // Wall is the multi-tenant admission layer. One Wall fronts one
@@ -202,7 +199,7 @@ func (w *Wall) Admit(ctx context.Context, id string) (*Lease, error) {
 		case w.cfg.FairShare && w.spare >= 1:
 			w.spare--
 		default:
-			st.rateRejected++
+			st.stats.RateRejected++
 			retry := w.retryAfterLocked(st)
 			w.mu.Unlock()
 			return nil, &LimitError{Tenant: id, Reason: ReasonRate, RetryAfter: retry}
@@ -212,7 +209,7 @@ func (w *Wall) Admit(ctx context.Context, id string) (*Lease, error) {
 	// Gate 2: the concurrency cap, with a bounded FIFO wait queue.
 	if w.cfg.MaxInFlight > 0 && st.inFlight >= w.cfg.MaxInFlight {
 		if st.queued >= w.cfg.MaxQueue {
-			st.loadRejected++
+			st.stats.LoadRejected++
 			retry := w.retryAfterLocked(st)
 			w.mu.Unlock()
 			return nil, &LimitError{Tenant: id, Reason: ReasonLoad, RetryAfter: retry}
@@ -232,14 +229,14 @@ func (w *Wall) Admit(ctx context.Context, id string) (*Lease, error) {
 				// cancelling. Pass it on (or free it) before leaving.
 				w.releaseSlotLocked(st)
 			}
-			st.failed++
+			st.stats.Failed++
 			w.mu.Unlock()
 			return nil, ctx.Err()
 		}
 	} else {
 		st.inFlight++
 	}
-	st.admitted++
+	st.stats.Admitted++
 	w.mu.Unlock()
 	return &Lease{w: w, st: st, start: now}, nil
 }
@@ -256,9 +253,9 @@ func (l *Lease) Done(failed bool) {
 		l.w.mu.Lock()
 		l.w.releaseSlotLocked(l.st)
 		if failed {
-			l.st.failed++
+			l.st.stats.Failed++
 		} else {
-			l.st.completed++
+			l.st.stats.Completed++
 		}
 		l.w.mu.Unlock()
 	})
@@ -384,18 +381,13 @@ func (w *Wall) Stats() map[string]Stats {
 	w.refillLocked(w.cfg.Now())
 	out := make(map[string]Stats, len(w.tenants))
 	for id, st := range w.tenants {
-		out[id] = Stats{
-			Admitted:     st.admitted,
-			RateRejected: st.rateRejected,
-			LoadRejected: st.loadRejected,
-			Completed:    st.completed,
-			Failed:       st.failed,
-			InFlight:     int64(st.inFlight),
-			Queued:       int64(st.queued),
-			Tokens:       st.tokens,
-			P50Millis:    float64(st.hist.Quantile(0.50)) / float64(time.Millisecond),
-			P99Millis:    float64(st.hist.Quantile(0.99)) / float64(time.Millisecond),
-		}
+		s := st.stats
+		s.InFlight = int64(st.inFlight)
+		s.Queued = int64(st.queued)
+		s.Tokens = st.tokens
+		s.P50Millis = float64(st.hist.Quantile(0.50)) / float64(time.Millisecond)
+		s.P99Millis = float64(st.hist.Quantile(0.99)) / float64(time.Millisecond)
+		out[id] = s
 	}
 	return out
 }
