@@ -93,13 +93,14 @@ load-gate:
 	./scripts/load_gate.sh $(LOAD_JSON)
 
 # Store/service concurrency under the race detector (including the
-# service's counter conservation under a concurrent mix of outcomes),
-# then the solver's parallel split (shared cursor, first-success cancel, early lease
-# return), the solver cross-check and the child-pool budget at several
-# GOMAXPROCS values.
+# service's counter conservation under a concurrent mix of outcomes and
+# /decompose's decide-mode hybrid default), then the solver's parallel
+# split (shared cursor, first-success cancel, early lease return), the
+# solver cross-check, the child-pool budget and det-k-decomp's
+# enumeration allocation budget at several GOMAXPROCS values.
 stress:
-	$(GO) test -race -count=2 -run 'TestStoreStress|TestCoalescing|TestBatchDuplicates|TestServeCache|TestMemoryConcurrency|TestFlight|TestStatsConservation' ./internal/store ./internal/service ./cmd/htdserve
-	$(GO) test -race -count=3 -cpu=1,2,4 -run 'TestParallel|TestNoCacheEquivalence|TestCancelledContext|TestCrossValidationSolvers|TestRace|TestChildPool' ./internal/logk ./internal/race
+	$(GO) test -race -count=2 -run 'TestStoreStress|TestCoalescing|TestBatchDuplicates|TestServeCache|TestMemoryConcurrency|TestFlight|TestStatsConservation|TestDecomposeHybridDefault' ./internal/store ./internal/service ./cmd/htdserve
+	$(GO) test -race -count=3 -cpu=1,2,4 -run 'TestParallel|TestNoCacheEquivalence|TestCancelledContext|TestCrossValidationSolvers|TestRace|TestChildPool|TestDetKAllocBudget' ./internal/logk ./internal/race ./internal/detk
 
 # The query differential suite under the race detector, plus the
 # counters' walls: the planner's counter conservation, the dataset

@@ -38,7 +38,10 @@ type apiRequest struct {
 	// (it cannot exceed the server's -timeout).
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// Hybrid selects det-k-decomp hybridisation: "none", "edges" or
-	// "weighted"; HybridThreshold is the switch point.
+	// "weighted"; HybridThreshold is the switch point. A decide job that
+	// names no metric runs the paper's hybrid (htd.PaperHybrid, at
+	// htd.PaperHybridThreshold unless HybridThreshold is set); optimal
+	// jobs default to "none", as their trees are served as query plans.
 	Hybrid          string  `json:"hybrid,omitempty"`
 	HybridThreshold float64 `json:"hybrid_threshold,omitempty"`
 	// Render asks for the indented tree rendering in the response.
@@ -234,7 +237,14 @@ func parseRequest(a apiRequest) (htd.ServiceRequest, error) {
 		return req, fmt.Errorf("unknown mode %q (want decide or optimal)", a.Mode)
 	}
 	switch a.Hybrid {
-	case "", "none":
+	case "":
+		if req.Mode == htd.ModeDecide {
+			req.Hybrid = htd.PaperHybrid
+			if req.HybridThreshold == 0 {
+				req.HybridThreshold = htd.PaperHybridThreshold
+			}
+		}
+	case "none":
 	case "edges":
 		req.Hybrid = htd.HybridEdgeCount
 	case "weighted":

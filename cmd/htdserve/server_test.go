@@ -96,18 +96,71 @@ func TestServeDecomposeEndToEnd(t *testing.T) {
 	}
 }
 
-func TestServeOptimalMode(t *testing.T) {
-	ts, _ := newTestServer(t)
-
-	// Optimal mode on a width-3 prism (cylinder): exact width, valid
-	// tree, proven lower bound with probe provenance.
+// prism8 is the 8-prism C_8 × K_2 (hw 3) in HyperBench syntax.
+func prism8() string {
 	var b strings.Builder
 	for i := 0; i < 8; i++ {
 		j := (i + 1) % 8
 		fmt.Fprintf(&b, "ra%d(a%d,a%d), rb%d(b%d,b%d), rr%d(a%d,b%d), ", i, i, j, i, i, j, i, i, i)
 	}
+	return strings.TrimSuffix(strings.TrimSpace(b.String()), ",") + "."
+}
+
+// TestDecomposeHybridDefault: a decide job that names no hybrid metric
+// runs the paper's hybrid, while "hybrid":"none" and optimal mode stay
+// on pure log-k-decomp. All three agree on the answer. Each request gets
+// a fresh server so no answer comes from the plan cache.
+func TestDecomposeHybridDefault(t *testing.T) {
+	prism := prism8()
+
+	for _, k := range []int{2, 3} {
+		var answers []apiResponse
+		for _, extra := range []map[string]any{
+			{},
+			{"hybrid": "none"},
+			{"mode": "optimal"},
+		} {
+			req := map[string]any{"hypergraph": prism, "k": k}
+			for key, v := range extra {
+				req[key] = v
+			}
+			body, _ := json.Marshal(req)
+			ts, _ := newTestServer(t)
+			resp, out := postJSON(t, ts.URL+"/decompose", string(body))
+			if resp.StatusCode != http.StatusOK || out.Error != "" || out.CacheHit || out.Stats == nil {
+				t.Fatalf("k=%d %v: status %d %+v", k, extra, resp.StatusCode, out)
+			}
+			hybrid := len(extra) == 0
+			if got := out.Stats.HybridCalls; hybrid != (got >= 1) {
+				t.Fatalf("k=%d %v: HybridCalls=%d, want hybrid=%v", k, extra, got, hybrid)
+			}
+			answers = append(answers, out)
+		}
+		for _, a := range answers[1:] {
+			if a.OK != answers[0].OK || a.Width != answers[0].Width {
+				t.Fatalf("k=%d: answers disagree: ok/width %v/%d vs %v/%d",
+					k, answers[0].OK, answers[0].Width, a.OK, a.Width)
+			}
+		}
+		if want := k == 3; answers[0].OK != want || (want && answers[0].Width != 3) {
+			t.Fatalf("k=%d: ok=%v width=%d, want ok=%v width 3", k, answers[0].OK, answers[0].Width, want)
+		}
+	}
+
+	// A request's own threshold applies to the default metric.
+	req, err := parseRequest(apiRequest{Hypergraph: prism, K: 3, HybridThreshold: 10})
+	if err != nil || req.Hybrid != htd.PaperHybrid || req.HybridThreshold != 10 {
+		t.Fatalf("threshold override: %v %v %v", req.Hybrid, req.HybridThreshold, err)
+	}
+}
+
+func TestServeOptimalMode(t *testing.T) {
+	ts, _ := newTestServer(t)
+
+	// Optimal mode on a width-3 prism (cylinder): exact width, valid
+	// tree, proven lower bound with probe provenance.
 	body, _ := json.Marshal(map[string]any{
-		"hypergraph": strings.TrimSuffix(strings.TrimSpace(b.String()), ",") + ".",
+		"hypergraph": prism8(),
 		"k":          6,
 		"mode":       "optimal",
 	})

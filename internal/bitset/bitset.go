@@ -120,6 +120,14 @@ func (s *Set) InPlaceDiff(o *Set) {
 	}
 }
 
+// UnionOf overwrites s with a ∪ b in one pass (same capacity required).
+func (s *Set) UnionOf(a, b *Set) {
+	aw, bw := a.words[:len(s.words)], b.words[:len(s.words)]
+	for i := range s.words {
+		s.words[i] = aw[i] | bw[i]
+	}
+}
+
 // Union returns s ∪ o as a new set.
 func (s *Set) Union(o *Set) *Set {
 	c := s.Clone()
@@ -167,6 +175,18 @@ func (s *Set) IntersectsDiff(o, u *Set) bool {
 func (s *Set) SubsetOf(o *Set) bool {
 	for i, w := range s.words {
 		if w&^o.words[i] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// SubsetOfUnion reports whether every element of s is in a ∪ b, without
+// materialising the union.
+func (s *Set) SubsetOfUnion(a, b *Set) bool {
+	aw, bw := a.words[:len(s.words)], b.words[:len(s.words)]
+	for i, w := range s.words {
+		if w&^(aw[i]|bw[i]) != 0 {
 			return false
 		}
 	}

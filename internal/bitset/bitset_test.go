@@ -269,6 +269,15 @@ func TestQuickSetAlgebra(t *testing.T) {
 		if a.IntersectsDiff(b, c) != !a.Intersect(b).Diff(c).IsEmpty() {
 			return false
 		}
+		// UnionOf and SubsetOfUnion agree with the materialised union.
+		u := New(a.Cap())
+		u.UnionOf(b, c)
+		if !u.Equal(b.Union(c)) || a.SubsetOfUnion(b, c) != a.SubsetOf(u) {
+			return false
+		}
+		if !a.Intersect(b).SubsetOfUnion(b, c) {
+			return false
+		}
 		return true
 	}
 	if err := quick.Check(prop, cfg); err != nil {

@@ -35,6 +35,8 @@ type Solver struct {
 	split    *ext.Splitter
 	negCache map[string]struct{}
 	posCache map[string]*decomp.Node
+	keyBuf   []byte   // cache-key scratch, reused by every rec call
+	frames   []*frame // per-depth search scratch, see frame
 
 	// Stats are populated during Decompose for instrumentation.
 	Stats Stats
@@ -107,16 +109,17 @@ func (s *Solver) rec(g *ext.Graph, conn *bitset.Set, depth int) (*decomp.Node, b
 		return decomp.NewNode(g.Edges, bag), true, nil
 	}
 
-	key := string(g.KeyStrict(conn, nil))
-	if _, bad := s.negCache[key]; bad {
+	s.keyBuf = g.KeyStrict(conn, s.keyBuf[:0])
+	if _, bad := s.negCache[string(s.keyBuf)]; bad {
 		s.Stats.CacheHits++
 		return nil, false, nil
 	}
-	if n, ok := s.posCache[key]; ok {
+	if n, ok := s.posCache[string(s.keyBuf)]; ok {
 		s.Stats.CacheHits++
 		return cloneNode(n), true, nil
 	}
 	s.Stats.CacheMiss++
+	key := string(s.keyBuf) // materialise before the search reuses the buffer
 
 	node, ok, err := s.search(g, conn, depth)
 	if err != nil {
@@ -130,68 +133,119 @@ func (s *Solver) rec(g *ext.Graph, conn *bitset.Set, depth int) (*decomp.Node, b
 	return nil, false, nil
 }
 
-// search enumerates λ-labels for the next node below conn.
+// frame is the state of one search call: the subproblem, its candidate
+// pool and the label being enumerated, with scratch sets for the label's
+// covers and bag. A search call at recursion depth d uses frames[d]. The
+// calls live at one time have distinct depths, so their frames never
+// overlap, and the next call at the same depth reuses the scratch: the
+// enumeration itself allocates nothing.
+type frame struct {
+	g     *ext.Graph
+	conn  *bitset.Set
+	depth int
+
+	pool   []int
+	lambda []int
+	// covers[i] is ∪ of the first i edges of lambda, so extending λ by
+	// one edge overwrites the next slot instead of cloning a cover.
+	covers    []*bitset.Set
+	scope     *bitset.Set // V(g) ∪ conn
+	chi       *bitset.Set // the bag of the label in tryLambda
+	childConn *bitset.Set // the interface passed down to a component
+	children  []*decomp.Node
+}
+
+// frame returns the scratch for the search call at the given depth,
+// growing the stack as needed.
+func (s *Solver) frame(depth int) *frame {
+	for len(s.frames) <= depth {
+		f := &frame{
+			lambda:    make([]int, 0, s.K),
+			covers:    make([]*bitset.Set, s.K+1),
+			scope:     s.H.NewVertexSet(),
+			chi:       s.H.NewVertexSet(),
+			childConn: s.H.NewVertexSet(),
+		}
+		for i := range f.covers {
+			f.covers[i] = s.H.NewVertexSet()
+		}
+		s.frames = append(s.frames, f)
+	}
+	return s.frames[depth]
+}
+
+// search enumerates λ-labels for the next node below conn, in
+// lexicographic order of pool positions, each label before its
+// extensions.
 func (s *Solver) search(g *ext.Graph, conn *bitset.Set, depth int) (*decomp.Node, bool, error) {
+	if s.K < 1 {
+		return nil, false, nil
+	}
+	f := s.frame(depth)
+	f.g, f.conn, f.depth = g, conn, depth
 	// Candidate pool: edges of H touching V(g) ∪ conn. Edges disjoint
 	// from the subproblem contribute nothing to the bag. Every λ chosen
 	// here roots the fragment covering g, hence sits above the leaf of
 	// every special of g — so edges touching the specials' forbidden
 	// vertices are excluded (see ext.Special.Forbidden).
-	scope := g.Vertices().Union(conn)
+	f.scope.UnionOf(g.Vertices(), conn)
 	forbidden := g.ForbiddenUnion()
-	var pool []int
+	f.pool = f.pool[:0]
 	for e := 0; e < s.H.NumEdges(); e++ {
-		if !s.H.Edge(e).Intersects(scope) {
+		if !s.H.Edge(e).Intersects(f.scope) {
 			continue
 		}
 		if forbidden != nil && s.H.Edge(e).Intersects(forbidden) {
 			continue
 		}
-		pool = append(pool, e)
+		f.pool = append(f.pool, e)
 	}
-	lambda := make([]int, 0, s.K)
-	cover := s.H.NewVertexSet()
-
-	var try func(startIdx int) (*decomp.Node, bool, error)
-	try = func(startIdx int) (*decomp.Node, bool, error) {
-		if len(lambda) > 0 {
-			s.Stats.Candidates++
-			s.ctxCheck++
-			if s.ctxCheck&0x3FF == 0 {
-				if err := s.ctx.Err(); err != nil {
-					return nil, false, err
-				}
-			}
-			if node, ok, err := s.tryLambda(g, conn, cover, lambda, depth); err != nil || ok {
-				return node, ok, err
-			}
-		}
-		if len(lambda) == s.K {
-			return nil, false, nil
-		}
-		for i := startIdx; i < len(pool); i++ {
-			e := pool[i]
-			lambda = append(lambda, e)
-			saved := cover.Clone()
-			cover.InPlaceUnion(s.H.Edge(e))
-			node, ok, err := try(i + 1)
-			lambda = lambda[:len(lambda)-1]
-			cover.CopyFrom(saved)
-			if err != nil || ok {
-				return node, ok, err
-			}
-		}
-		return nil, false, nil
-	}
-	return try(0)
+	f.lambda = f.lambda[:0]
+	return s.extend(f, 0)
 }
 
-// tryLambda checks one candidate λ-label and recurses on success.
-func (s *Solver) tryLambda(g *ext.Graph, conn *bitset.Set, cover *bitset.Set, lambda []int, depth int) (*decomp.Node, bool, error) {
-	// Connector must be fully covered (connectedness with the parent).
-	if !conn.SubsetOf(cover) {
-		return nil, false, nil
+// extend enumerates the labels that add one edge of f.pool[startIdx:]
+// to f.lambda, each followed by its own extensions. A label whose cover
+// misses a connector vertex cannot be a node (connectedness with the
+// parent), so its cover is only written when the label is extended.
+func (s *Solver) extend(f *frame, startIdx int) (*decomp.Node, bool, error) {
+	cover, next := f.covers[len(f.lambda)], f.covers[len(f.lambda)+1]
+	last := len(f.lambda)+1 == s.K
+	for i := startIdx; i < len(f.pool); i++ {
+		e := f.pool[i]
+		s.Stats.Candidates++
+		s.ctxCheck++
+		if s.ctxCheck&0x3FF == 0 {
+			if err := s.ctx.Err(); err != nil {
+				return nil, false, err
+			}
+		}
+		covered := f.conn.SubsetOfUnion(cover, s.H.Edge(e))
+		if !covered && last {
+			continue
+		}
+		next.UnionOf(cover, s.H.Edge(e))
+		f.lambda = append(f.lambda, e)
+		if covered {
+			if node, ok, err := s.tryLambda(f, next); err != nil || ok {
+				return node, ok, err
+			}
+		}
+		if !last {
+			if node, ok, err := s.extend(f, i+1); err != nil || ok {
+				return node, ok, err
+			}
+		}
+		f.lambda = f.lambda[:len(f.lambda)-1]
 	}
+	return nil, false, nil
+}
+
+// tryLambda checks the label f.lambda, whose cover holds the connector,
+// and recurses into the components of its bag on success. The bag is
+// built in f.chi and cloned only when the node is built.
+func (s *Solver) tryLambda(f *frame, cover *bitset.Set) (*decomp.Node, bool, error) {
+	g := f.g
 	// Progress: some edge of the component must be fully covered
 	// (normal-form condition 2).
 	progress := false
@@ -205,24 +259,32 @@ func (s *Solver) tryLambda(g *ext.Graph, conn *bitset.Set, cover *bitset.Set, la
 		return nil, false, nil
 	}
 	// Bag per Gottlob & Samer: χ(u) = ∪λ ∩ (V(C) ∪ Conn).
-	chi := cover.Intersect(g.Vertices().Union(conn))
+	chi := f.chi
+	chi.CopyFrom(cover)
+	chi.InPlaceIntersect(f.scope)
 
-	comps := s.split.Components(g, chi)
-	children := make([]*decomp.Node, 0, len(comps)+len(g.Specials))
-	for _, c := range comps {
-		childConn := c.Vertices().Intersect(chi)
-		child, ok, err := s.rec(c, childConn, depth+1)
+	f.children = f.children[:0]
+	for _, c := range s.split.Components(g, chi) {
+		// The child's interface V(c) ∩ χ(u); the child only reads it
+		// until it returns.
+		f.childConn.Reset()
+		s.H.UnionInto(f.childConn, c.Edges)
+		for _, sp := range c.Specials {
+			f.childConn.InPlaceUnion(sp.Vertices)
+		}
+		f.childConn.InPlaceIntersect(chi)
+		child, ok, err := s.rec(c, f.childConn, f.depth+1)
 		if err != nil || !ok {
 			return nil, ok, err
 		}
-		children = append(children, child)
+		f.children = append(f.children, child)
 	}
 	// Specials covered by this bag get dedicated leaves.
 	for _, sp := range g.SpecialsCoveredBy(chi) {
-		children = append(children, decomp.NewSpecialLeaf(sp.ID, sp.Vertices))
+		f.children = append(f.children, decomp.NewSpecialLeaf(sp.ID, sp.Vertices))
 	}
-	node := decomp.NewNode(lambda, chi)
-	node.Children = children
+	node := decomp.NewNode(f.lambda, chi.Clone())
+	node.Children = append([]*decomp.Node(nil), f.children...)
 	return node, true, nil
 }
 

@@ -4,11 +4,13 @@ import (
 	"context"
 	"math/rand"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/bitset"
 	"repro/internal/decomp"
 	"repro/internal/ext"
+	"repro/internal/hyperbench"
 	"repro/internal/hypergraph"
 )
 
@@ -159,4 +161,54 @@ func min(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// TestDetKAllocBudget pins the enumeration kernel's allocation budget on
+// a det-k-decomp refutation: the λ-label count is exact (the search and
+// its order are fixed), while the covers, the bag scope, the bag and
+// the child interfaces live in per-depth frames instead of being
+// allocated per label (cloning the cover per label cost about 246k
+// allocations here). The witness at k = 3 must still be a valid HD.
+func TestDetKAllocBudget(t *testing.T) {
+	var h *hypergraph.Hypergraph
+	for _, in := range hyperbench.Suite(hyperbench.Config{Scale: 3, Seed: 1}) {
+		if strings.HasPrefix(in.Name, "syn-cylinder-10#") {
+			h = in.H
+			break
+		}
+	}
+	if h == nil {
+		t.Fatal("syn-cylinder-10 missing from HyperBench-sim {Scale: 3, Seed: 1}")
+	}
+	ctx := context.Background()
+
+	const (
+		wantLabels = 205467
+		maxAllocs  = 10000
+	)
+	var s *Solver
+	allocs := testing.AllocsPerRun(1, func() {
+		s = New(h, 2)
+		if _, ok, err := s.Decompose(ctx); err != nil || ok {
+			t.Fatalf("k=2: ok=%v err=%v, want refutation", ok, err)
+		}
+	})
+	t.Logf("k=2 refutation: %d λ-labels, %.0f allocations", s.Stats.Candidates, allocs)
+	if s.Stats.Candidates != wantLabels {
+		t.Errorf("k=2 enumerated %d λ-labels, want exactly %d", s.Stats.Candidates, wantLabels)
+	}
+	if allocs > maxAllocs {
+		t.Errorf("k=2 refutation allocated %.0f times, budget %d", allocs, maxAllocs)
+	}
+
+	d, ok, err := New(h, 3).Decompose(ctx)
+	if err != nil || !ok {
+		t.Fatalf("k=3: ok=%v err=%v, want a witness", ok, err)
+	}
+	if err := decomp.CheckHD(d); err != nil {
+		t.Fatalf("k=3 witness invalid: %v", err)
+	}
+	if err := decomp.CheckWidth(d, 3); err != nil {
+		t.Fatal(err)
+	}
 }

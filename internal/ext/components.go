@@ -69,21 +69,46 @@ func (s *Splitter) union(a, b int32) {
 func (s *Splitter) Components(g *Graph, u *bitset.Set) []*Graph {
 	s.label(g, u)
 
-	// Group items by union-find root, preserving order (edges first,
-	// ascending; then specials) so component edge lists stay sorted.
-	var comps []*Graph
+	// Number the components by first item and count their edges, so the
+	// components and their edge lists are carved out of one block each.
+	n, nEdges := 0, 0
 	for i := range s.hasOutside {
 		if !s.hasOutside[i] {
 			continue
 		}
 		r := s.find(int32(i))
-		ci := s.rootComp[r]
-		if ci < 0 {
-			ci = int32(len(comps))
-			s.rootComp[r] = ci
-			comps = append(comps, &Graph{H: g.H})
+		if s.rootComp[r] < 0 {
+			s.rootComp[r] = int32(n)
+			n++
 		}
-		comps[ci].appendItem(g, i)
+		if i < len(g.Edges) {
+			s.size[r]++
+			nEdges++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+
+	// Fill them in item order (edges first, ascending; then specials)
+	// so component edge lists stay sorted.
+	graphs := make([]Graph, n)
+	comps := make([]*Graph, n)
+	edges := make([]int, nEdges)
+	for i := range s.hasOutside {
+		if !s.hasOutside[i] {
+			continue
+		}
+		r := s.find(int32(i))
+		c := &graphs[s.rootComp[r]]
+		if c.H == nil {
+			c.H = g.H
+			comps[s.rootComp[r]] = c
+			if k := int(s.size[r]); k > 0 {
+				c.Edges, edges = edges[:0:k], edges[k:]
+			}
+		}
+		c.appendItem(g, i)
 	}
 	return comps
 }

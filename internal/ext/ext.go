@@ -11,6 +11,7 @@
 package ext
 
 import (
+	"encoding/binary"
 	"sort"
 
 	"repro/internal/bitset"
@@ -190,11 +191,7 @@ func (g *Graph) KeyStrict(conn *bitset.Set, dst []byte) []byte {
 // key is safe for negative memoisation (positive results embed special
 // IDs and must not be shared this way).
 func (g *Graph) MemoKey(conn *bitset.Set, allowed []int, dst []byte) []byte {
-	eb := g.H.NewEdgeSet()
-	for _, e := range g.Edges {
-		eb.Set(e)
-	}
-	dst = eb.AppendKey(dst)
+	dst = g.appendEdgeKey(dst, g.Edges)
 	spKeys := make([]string, len(g.Specials))
 	for i, s := range g.Specials {
 		k := s.Vertices.AppendKey(nil)
@@ -210,20 +207,32 @@ func (g *Graph) MemoKey(conn *bitset.Set, allowed []int, dst []byte) []byte {
 	}
 	dst = append(dst, 0xFF)
 	dst = conn.AppendKey(dst)
-	ab := g.H.NewEdgeSet()
-	for _, e := range allowed {
-		ab.Set(e)
+	return g.appendEdgeKey(dst, allowed)
+}
+
+// appendEdgeKey appends the bitset.Set.AppendKey encoding of the edge
+// set ids (capacity NumEdges) to dst. The words live on the stack for up
+// to 256 edges, so building a key allocates nothing beyond dst's growth.
+func (g *Graph) appendEdgeKey(dst []byte, ids []int) []byte {
+	var stack [4]uint64
+	n := (g.H.NumEdges() + 63) / 64
+	var words []uint64
+	if n <= len(stack) {
+		words = stack[:n]
+	} else {
+		words = make([]uint64, n)
 	}
-	dst = ab.AppendKey(dst)
+	for _, e := range ids {
+		words[e/64] |= 1 << (uint(e) % 64)
+	}
+	for _, w := range words {
+		dst = binary.LittleEndian.AppendUint64(dst, w)
+	}
 	return dst
 }
 
 func (g *Graph) keyCommon(dst []byte, withIDs bool) []byte {
-	eb := g.H.NewEdgeSet()
-	for _, e := range g.Edges {
-		eb.Set(e)
-	}
-	dst = eb.AppendKey(dst)
+	dst = g.appendEdgeKey(dst, g.Edges)
 	spKeys := make([]string, len(g.Specials))
 	for i, s := range g.Specials {
 		k := s.Vertices.AppendKey(nil)

@@ -507,3 +507,45 @@ func TestBalancedAllocatesNothing(t *testing.T) {
 		t.Fatalf("Balanced allocates %.1f times per call, want 0", n)
 	}
 }
+
+// TestEdgeKeyMatchesBitset: the keys encode edge sets exactly as
+// bitset.Set.AppendKey does, on both sides of the 256-edge stack buffer,
+// and building them into a large enough buffer allocates nothing.
+func TestEdgeKeyMatchesBitset(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for _, n := range []int{10, 256, 300} {
+		h := cycle(n)
+		for round := 0; round < 20; round++ {
+			var edges []int
+			for e := 0; e < n; e++ {
+				if r.Intn(3) == 0 {
+					edges = append(edges, e)
+				}
+			}
+			g := NewGraph(h, edges, nil)
+			conn := h.NewVertexSet()
+			want := h.NewEdgeSet()
+			for _, e := range edges {
+				want.Set(e)
+			}
+			if got := g.appendEdgeKey(nil, edges); string(got) != string(want.AppendKey(nil)) {
+				t.Fatalf("n=%d: edge key %x, want %x", n, got, want.AppendKey(nil))
+			}
+			wantStrict := append(want.AppendKey(nil), 0xFF)
+			wantStrict = conn.AppendKey(wantStrict)
+			if got := g.KeyStrict(conn, nil); string(got) != string(wantStrict) {
+				t.Fatalf("n=%d: KeyStrict %x, want %x", n, got, wantStrict)
+			}
+		}
+	}
+	h := cycle(100)
+	g := Root(h)
+	conn := h.NewVertexSet()
+	buf := make([]byte, 0, 1024)
+	if a := testing.AllocsPerRun(100, func() {
+		buf = g.KeyStrict(conn, buf[:0])
+		buf = g.MemoKey(conn, g.Edges, buf[:0])
+	}); a != 0 {
+		t.Fatalf("building keys allocated %.0f times, want 0", a)
+	}
+}

@@ -64,7 +64,10 @@ func (s *Solver) decomp(ctx context.Context, w *worker, g *ext.Graph, conn *bits
 		if w.detk == nil {
 			w.detk = detk.New(s.H, s.Opts.K)
 		}
-		return w.detk.DecomposeExt(ctx, g, conn)
+		before := w.detk.Stats.Candidates
+		node, ok, err := w.detk.DecomposeExt(ctx, g, conn)
+		s.stats.candidates.Add(w.detk.Stats.Candidates - before)
+		return node, ok, err
 	}
 
 	// Negative memo: a content-identical state that previously exhausted

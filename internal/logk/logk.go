@@ -121,7 +121,10 @@ type Options struct {
 // Stats reports search effort, populated during Decompose. Counters are
 // aggregated across workers.
 type Stats struct {
-	Candidates    int64 // λ(c) ranks enumerated, incl. those skipped for lacking a new edge
+	// Candidates counts λ(c) ranks enumerated, incl. those skipped for
+	// lacking a new edge, plus the λ-labels det-k-decomp tries on hybrid
+	// hand-offs.
+	Candidates    int64
 	ParentCands   int64 // λ(p) ranks enumerated, incl. those skipped for lacking a new edge
 	MaxDepth      int64 // deepest Decomp recursion observed
 	HybridCalls   int64 // subproblems delegated to det-k-decomp

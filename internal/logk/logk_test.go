@@ -317,9 +317,52 @@ func randomHypergraph(r *rand.Rand, maxV, maxE int) *hypergraph.Hypergraph {
 	return b.Build()
 }
 
+// TestHybridStatsCountDetK: a hybrid hand-off's search effort shows in
+// Candidates. Where the hand-off happens at the root, the whole search
+// is det-k-decomp's, so Candidates must equal the λ-labels a standalone
+// det-k-decomp run enumerates on the same instance.
+func TestHybridStatsCountDetK(t *testing.T) {
+	ctx := context.Background()
+	var prism hypergraph.Builder
+	for i := 0; i < 6; i++ {
+		j := (i + 1) % 6
+		a, b := "a"+strconv.Itoa(i), "b"+strconv.Itoa(i)
+		prism.MustAddEdge("", a, "a"+strconv.Itoa(j))
+		prism.MustAddEdge("", b, "b"+strconv.Itoa(j))
+		prism.MustAddEdge("", a, b)
+	}
+	triangle, prism6 := cycle(3), prism.Build()
+	for _, tc := range []struct {
+		name string
+		h    *hypergraph.Hypergraph
+		k    int
+	}{
+		{"triangle", triangle, 1}, {"triangle", triangle, 2},
+		{"prism-6", prism6, 2}, {"prism-6", prism6, 3},
+	} {
+		s := New(tc.h, Options{K: tc.k, Hybrid: PaperHybrid, HybridThreshold: PaperHybridThreshold})
+		_, ok, err := s.Decompose(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dk := detk.New(tc.h, tc.k)
+		_, okDet, err := dk.Decompose(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := s.Stats()
+		if ok != okDet || st.HybridCalls != 1 {
+			t.Fatalf("%s k=%d: ok=%v detk=%v HybridCalls=%d, want one root hand-off", tc.name, tc.k, ok, okDet, st.HybridCalls)
+		}
+		if st.Candidates == 0 || st.Candidates != dk.Stats.Candidates {
+			t.Fatalf("%s k=%d: Candidates=%d, want det-k-decomp's %d", tc.name, tc.k, st.Candidates, dk.Stats.Candidates)
+		}
+	}
+}
+
 // TestCrossValidationSolvers is the central correctness test: on random
 // small hypergraphs, the optimised log-k-decomp (sequential, parallel,
-// hybrid and uncached), the basic Algorithm 1, and det-k-decomp must
+// hybrid, the paper's parallel hybrid and uncached), the basic Algorithm 1, and det-k-decomp must
 // agree on the decision hw(H) ≤ k for all k, every produced HD must
 // validate, and hw(H) = 1 must coincide with GYO α-acyclicity.
 func TestCrossValidationSolvers(t *testing.T) {
@@ -356,6 +399,7 @@ func TestCrossValidationSolvers(t *testing.T) {
 				"logk-par":     {K: k, Workers: 8},
 				"logk-hyb":     {K: k, Hybrid: HybridWeightedCount, HybridThreshold: 10},
 				"logk-nocache": {K: k, NoCache: true},
+				"logk-paper":   {K: k, Workers: 8, Hybrid: PaperHybrid, HybridThreshold: PaperHybridThreshold},
 			} {
 				d, ok, err := New(h, o).Decompose(ctx)
 				if err != nil {
