@@ -95,7 +95,10 @@ load-gate:
 # Store/service concurrency under the race detector (including the
 # service's counter conservation under a concurrent mix of outcomes and
 # /decompose's decide-mode hybrid default), then the solver's parallel
-# split (shared cursor, first-success cancel, early lease return), the
+# split (shared cursor, first-success cancel, early lease return, no
+# tokens once cancelled, per-worker counts folded without loss:
+# TestParallelSplitCancelledTakesNoTokens, TestParallelStatsConservation),
+# the racer (drained results banked: TestRaceBooksDrainedResults), the
 # solver cross-check, the child-pool budget and det-k-decomp's
 # enumeration allocation budget at several GOMAXPROCS values.
 stress:

@@ -250,10 +250,6 @@ type Relation = join.Relation
 // Database maps relation names to their data.
 type Database = join.Database
 
-// CQDocument is a self-contained query instance: a CQ plus the database
-// it runs over, as read and written by the line-oriented text format.
-type CQDocument = join.Document
-
 // ErrRowBudget is wrapped by query evaluations that exceed their
 // per-query row budget (QueryRequest.MaxRows).
 var ErrRowBudget = join.ErrRowBudget
@@ -347,12 +343,6 @@ var (
 	// exceeded.
 	ErrDatasetLimit = dataset.ErrLimit
 )
-
-// MaintainedRelation is a relation under incremental maintenance: set
-// semantics, tombstoned deletes with compaction at commit, and hash
-// indexes maintained as layered deltas instead of rebuilt. Datasets
-// hold one per relation.
-type MaintainedRelation = join.MRel
 
 // AggregateSpec is one aggregate head over a conjunctive query's
 // answers: COUNT, COUNT DISTINCT over a projection, or SUM/MIN/MAX of

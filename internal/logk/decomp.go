@@ -39,7 +39,7 @@ func (s *Solver) decomp(ctx context.Context, w *worker, g *ext.Graph, conn *bits
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
 	}
-	s.noteDepth(depth)
+	w.stats.MaxDepth = max(w.stats.MaxDepth, int64(depth))
 
 	// Base cases (lines 5-10).
 	if len(g.Edges) <= s.Opts.K && len(g.Specials) == 0 {
@@ -60,13 +60,13 @@ func (s *Solver) decomp(ctx context.Context, w *worker, g *ext.Graph, conn *bits
 
 	// Hybrid switch (Appendix D.2): small subproblems go to det-k-decomp.
 	if s.Opts.Hybrid != HybridNone && s.metricValue(g) < s.Opts.HybridThreshold {
-		s.stats.hybridCalls.Add(1)
+		w.stats.HybridCalls++
 		if w.detk == nil {
 			w.detk = detk.New(s.H, s.Opts.K)
 		}
 		before := w.detk.Stats.Candidates
 		node, ok, err := w.detk.DecomposeExt(ctx, g, conn)
-		s.stats.candidates.Add(w.detk.Stats.Candidates - before)
+		w.stats.Candidates += w.detk.Stats.Candidates - before
 		return node, ok, err
 	}
 
@@ -76,7 +76,7 @@ func (s *Solver) decomp(ctx context.Context, w *worker, g *ext.Graph, conn *bits
 	if !s.Opts.NoCache {
 		w.memoBuf = g.MemoKey(conn, allowed, w.memoBuf[:0])
 		if s.memo.Lookup(w.memoBuf) {
-			s.stats.memoHits.Add(1)
+			w.stats.MemoHits++
 			return nil, false, nil
 		}
 		memoKey = string(w.memoBuf) // materialise before recursion reuses the buffer
@@ -114,7 +114,7 @@ func (s *Solver) childRange(ctx context.Context, w *worker, cs *callState, g *ex
 		count++
 		if count&0x3F == 0 {
 			if err := ctx.Err(); err != nil {
-				s.stats.candidates.Add(int64(count))
+				w.stats.Candidates += int64(count)
 				return nil, false, err
 			}
 		}
@@ -137,15 +137,15 @@ func (s *Solver) childRange(ctx context.Context, w *worker, cs *callState, g *ex
 		}
 		node, ok, err := s.tryChild(ctx, w, cs, g, conn, allowed, lambdaC, unionC, depth)
 		if err != nil {
-			s.stats.candidates.Add(int64(count))
+			w.stats.Candidates += int64(count)
 			return nil, false, err
 		}
 		if ok {
-			s.stats.candidates.Add(int64(count))
+			w.stats.Candidates += int64(count)
 			return node, true, nil
 		}
 	}
-	s.stats.candidates.Add(int64(count))
+	w.stats.Candidates += int64(count)
 	return nil, false, nil
 }
 
@@ -256,7 +256,7 @@ func (s *Solver) parentLoop(ctx context.Context, w *worker, cs *callState, g *ex
 		count++
 		if count&0x3F == 0 {
 			if err := ctx.Err(); err != nil {
-				s.stats.parentCands.Add(int64(count))
+				w.stats.ParentCands += int64(count)
 				return nil, false, err
 			}
 		}
@@ -289,18 +289,18 @@ func (s *Solver) parentLoop(ctx context.Context, w *worker, cs *callState, g *ex
 		}
 		node, ok, rejectedComp, err := s.tryParent(ctx, w, g, conn, allowed, lambdaC, unionC, unionP, pi, depth)
 		if err != nil {
-			s.stats.parentCands.Add(int64(count))
+			w.stats.ParentCands += int64(count)
 			return nil, false, err
 		}
 		if ok {
-			s.stats.parentCands.Add(int64(count))
+			w.stats.ParentCands += int64(count)
 			return node, true, nil
 		}
 		if rejectedComp {
 			failed[pi.compDown] = true
 		}
 	}
-	s.stats.parentCands.Add(int64(count))
+	w.stats.ParentCands += int64(count)
 	return nil, false, nil
 }
 

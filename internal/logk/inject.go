@@ -110,45 +110,6 @@ func (p *TokenPool) InUse() int { return int(p.size - p.avail.Load()) }
 // lent out.
 func (p *TokenPool) HighWater() int { return int(p.highWater.Load()) }
 
-// GatedTokens wraps a TokenSource with a shut-off gate, the probe
-// cancellation hook used by width-bound racing: when a sibling probe's
-// result makes this probe moot, closing the gate makes the probe stop
-// acquiring new search workers immediately — before its context
-// cancellation has propagated into the inner search loops — so the freed
-// parallelism flows to the surviving probes instead of a walking-dead
-// search. Releases always pass through, so no token is ever stranded.
-type GatedTokens struct {
-	src    TokenSource
-	closed atomic.Bool
-}
-
-// NewGatedTokens wraps src; a nil src yields an always-empty source.
-func NewGatedTokens(src TokenSource) *GatedTokens {
-	return &GatedTokens{src: src}
-}
-
-// TryAcquire implements TokenSource; it grants nothing once closed.
-func (g *GatedTokens) TryAcquire(max int) int {
-	if g.src == nil || g.closed.Load() {
-		return 0
-	}
-	return g.src.TryAcquire(max)
-}
-
-// Release implements TokenSource.
-func (g *GatedTokens) Release(n int) {
-	if g.src != nil {
-		g.src.Release(n)
-	}
-}
-
-// Close shuts the gate. It is safe to call concurrently with acquires
-// and more than once.
-func (g *GatedTokens) Close() { g.closed.Store(true) }
-
-// Closed reports whether the gate has been shut.
-func (g *GatedTokens) Closed() bool { return g.closed.Load() }
-
 // ShardedMemo is the default MemoBackend: 64 RWMutex-guarded map shards
 // selected by an FNV hash of the key, with the no-allocation string(buf)
 // lookup form on the read path. The zero value is ready to use. It is

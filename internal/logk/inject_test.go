@@ -1,9 +1,6 @@
 package logk
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 func TestNewTokenPoolBounds(t *testing.T) {
 	p := NewTokenPool(3)
@@ -33,54 +30,4 @@ func TestNewTokenPoolBounds(t *testing.T) {
 		}
 	}()
 	p.Release(1)
-}
-
-func TestGatedTokensShutOff(t *testing.T) {
-	pool := NewTokenPool(4)
-	g := NewGatedTokens(pool)
-	if got := g.TryAcquire(2); got != 2 {
-		t.Fatalf("open gate TryAcquire = %d, want 2", got)
-	}
-	g.Close()
-	if !g.Closed() {
-		t.Fatal("gate should report closed")
-	}
-	if got := g.TryAcquire(2); got != 0 {
-		t.Fatal("closed gate must not grant tokens")
-	}
-	// Releases pass through even when closed, so tokens return to the
-	// shared pool for surviving probes.
-	g.Release(2)
-	if got := pool.TryAcquire(4); got != 4 {
-		t.Fatalf("pool should hold all 4 tokens again, got %d", got)
-	}
-	pool.Release(4)
-}
-
-func TestGatedTokensNilSource(t *testing.T) {
-	g := NewGatedTokens(nil)
-	if got := g.TryAcquire(3); got != 0 {
-		t.Fatalf("nil-source gate granted %d tokens", got)
-	}
-	g.Release(1) // must not panic
-	g.Close()
-}
-
-func TestGatedTokensConcurrentClose(t *testing.T) {
-	pool := NewTokenPool(8)
-	g := NewGatedTokens(pool)
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			n := g.TryAcquire(2)
-			g.Release(n)
-		}()
-	}
-	g.Close()
-	wg.Wait()
-	if got := pool.TryAcquire(8); got != 8 {
-		t.Fatalf("tokens leaked through concurrent close: recovered %d of 8", got)
-	}
 }

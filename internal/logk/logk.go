@@ -118,8 +118,8 @@ type Options struct {
 	Memo MemoBackend
 }
 
-// Stats reports search effort, populated during Decompose. Counters are
-// aggregated across workers.
+// Stats reports search effort, populated during Decompose. Each worker
+// counts into its own Stats, folded in as each worker finishes.
 type Stats struct {
 	// Candidates counts λ(c) ranks enumerated, incl. those skipped for
 	// lacking a new edge, plus the λ-labels det-k-decomp tries on hybrid
@@ -156,14 +156,8 @@ type Solver struct {
 	// ShardedMemo; Options.Memo swaps in a shared backend.
 	memo MemoBackend
 
-	stats struct {
-		candidates  atomic.Int64
-		parentCands atomic.Int64
-		maxDepth    atomic.Int64
-		hybridCalls atomic.Int64
-		tokenGrabs  atomic.Int64
-		memoHits    atomic.Int64
-	}
+	mu    sync.Mutex // guards stats
+	stats Stats      // the counts of every finished worker
 
 	workerPool sync.Pool
 }
@@ -189,16 +183,13 @@ func New(h *hypergraph.Hypergraph, opts Options) *Solver {
 	return s
 }
 
-// Stats returns a snapshot of the effort counters.
+// Stats returns the effort counters of every finished worker: a
+// helper's counts land when its share of a split ends, the caller's
+// when Decompose returns. Read it after Decompose for the full totals.
 func (s *Solver) Stats() Stats {
-	return Stats{
-		Candidates:    s.stats.candidates.Load(),
-		ParentCands:   s.stats.parentCands.Load(),
-		MaxDepth:      s.stats.maxDepth.Load(),
-		HybridCalls:   s.stats.hybridCalls.Load(),
-		TokensGrabbed: s.stats.tokenGrabs.Load(),
-		MemoHits:      s.stats.memoHits.Load(),
-	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.stats
 }
 
 // Decompose checks hw(H) ≤ K and returns a valid HD of width ≤ K when it
@@ -226,6 +217,10 @@ func (s *Solver) Decide(ctx context.Context) (bool, error) {
 type worker struct {
 	split *ext.Splitter
 	detk  *detk.Solver // lazily created, hybrid mode only
+
+	// stats is this worker's share of the effort counters, folded into
+	// the Solver's by putWorker.
+	stats Stats
 
 	// keyBuf is filled and consumed within a single parentFor call (no
 	// recursion in between), so one per worker suffices.
@@ -262,21 +257,19 @@ func (s *Solver) makeWorker() *worker {
 	return &worker{split: ext.NewSplitter(s.H)}
 }
 
-func (s *Solver) getWorker() *worker  { return s.workerPool.Get().(*worker) }
-func (s *Solver) putWorker(w *worker) { s.workerPool.Put(w) }
+func (s *Solver) getWorker() *worker { return s.workerPool.Get().(*worker) }
+
+// putWorker folds w's counts into the Solver's and pools w.
+func (s *Solver) putWorker(w *worker) {
+	s.mu.Lock()
+	s.stats.Add(w.stats)
+	s.mu.Unlock()
+	w.stats = Stats{}
+	s.workerPool.Put(w)
+}
 
 func (s *Solver) nextSpecialID() int {
 	return int(s.specialID.Add(1))
-}
-
-func (s *Solver) noteDepth(depth int) {
-	d := int64(depth)
-	for {
-		cur := s.stats.maxDepth.Load()
-		if cur >= d || s.stats.maxDepth.CompareAndSwap(cur, d) {
-			return
-		}
-	}
 }
 
 // metricValue computes the hybrid complexity metric for a subproblem.

@@ -90,13 +90,15 @@ func (s *Solver) searchChild(ctx context.Context, w *worker, g *ext.Graph, conn 
 
 // splitSearch searches ranks [0, total) with the caller's worker plus as
 // many helpers as the token source grants (at most Workers-1, and no more
-// than there are further chunks). Every worker, the caller included, gets
-// its own rangeFunc from newRange and claims chunks of the given size
-// from one atomic cursor, so all of them move through the candidate
-// order front to back. The first success or error cancels the split's
-// context, which stops every worker, the caller included. A helper
-// returns its token as soon as it stops claiming, so a nested split
-// inside the caller's last chunk can take it.
+// than there are further chunks). Once ctx is done it asks for none, so
+// a cancelled search leaves the tokens to other searches. Every worker,
+// the caller included, gets its own rangeFunc from newRange and claims
+// chunks of the given size from one atomic cursor, so all of them move
+// through the candidate order front to back. The first success or error
+// cancels the split's context, which stops every worker, the caller
+// included. A helper returns its token as soon as it stops claiming, so a
+// nested split inside the caller's last chunk can take it, and folds its
+// counts into the Solver's as its goroutine ends.
 //
 // The outcome matches a sequential search of the whole space: a success
 // if any worker found one; otherwise the outer context's error if it
@@ -105,13 +107,13 @@ func (s *Solver) searchChild(ctx context.Context, w *worker, g *ext.Graph, conn 
 // be memoised as dead.
 func (s *Solver) splitSearch(ctx context.Context, w *worker, total, chunk int64, newRange func(*worker) rangeFunc) (*decomp.Node, bool, error) {
 	extra := 0
-	if want := min(int64(s.Opts.Workers-1), (total-1)/chunk); want > 0 {
+	if want := min(int64(s.Opts.Workers-1), (total-1)/chunk); want > 0 && ctx.Err() == nil {
 		extra = s.tokens.TryAcquire(int(want))
 	}
 	if extra == 0 {
 		return newRange(w)(ctx, 0, total)
 	}
-	s.stats.tokenGrabs.Add(1)
+	w.stats.TokensGrabbed++
 
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()

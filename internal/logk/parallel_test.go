@@ -4,19 +4,22 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"repro/internal/comb"
 	"repro/internal/decomp"
+	"repro/internal/hyperbench"
 )
 
-// recordingTokens is a TokenSource that signals every release on
-// returned.
+// recordingTokens is a TokenSource that counts the acquires that
+// granted a token and signals every release on returned.
 type recordingTokens struct {
 	mu       sync.Mutex
 	free     int
+	grants   int
 	returned chan struct{} // buffered; a release never blocks on it
 }
 
@@ -29,6 +32,9 @@ func (r *recordingTokens) TryAcquire(max int) int {
 	defer r.mu.Unlock()
 	n := min(max, r.free)
 	r.free -= n
+	if n > 0 {
+		r.grants++
+	}
 	return n
 }
 
@@ -46,6 +52,12 @@ func (r *recordingTokens) freeTokens() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.free
+}
+
+func (r *recordingTokens) grantCount() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.grants
 }
 
 // TestParallelSplitClaimsEveryRankOnce: for random spaces, chunk sizes
@@ -163,5 +175,77 @@ func TestParallelSplitReleasesLeaseEarly(t *testing.T) {
 	}
 	if free := rec.freeTokens(); free != 1 {
 		t.Fatalf("%d tokens free after the split, want 1", free)
+	}
+}
+
+// TestParallelSplitCancelledTakesNoTokens: a split whose context is
+// already done asks for no helpers, so cancelling a search's context is
+// enough to stop it taking tokens.
+func TestParallelSplitCancelledTakesNoTokens(t *testing.T) {
+	rec := newRecordingTokens(1)
+	s := New(cycle(3), Options{K: 1, Workers: 2, Tokens: rec})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	newRange := func(*worker) rangeFunc {
+		return func(ctx context.Context, lo, hi int64) (*decomp.Node, bool, error) {
+			return nil, false, ctx.Err()
+		}
+	}
+	_, ok, err := s.splitSearch(ctx, s.getWorker(), 4, 1, newRange)
+	if ok || !errors.Is(err, context.Canceled) {
+		t.Fatalf("splitSearch = %v, %v; want context.Canceled", ok, err)
+	}
+	if n := rec.grantCount(); n != 0 {
+		t.Fatalf("a cancelled split took tokens %d times, want 0", n)
+	}
+}
+
+// countingMemo is a ShardedMemo that counts the lookups that hit.
+type countingMemo struct {
+	ShardedMemo
+	hits atomic.Int64
+}
+
+func (m *countingMemo) Lookup(key []byte) bool {
+	hit := m.ShardedMemo.Lookup(key)
+	if hit {
+		m.hits.Add(1)
+	}
+	return hit
+}
+
+// countingPool is a TokenPool that counts the acquires that granted at
+// least one token.
+type countingPool struct {
+	*TokenPool
+	grants atomic.Int64
+}
+
+func (p *countingPool) TryAcquire(max int) int {
+	n := p.TokenPool.TryAcquire(max)
+	if n > 0 {
+		p.grants.Add(1)
+	}
+	return n
+}
+
+// TestParallelStatsConservation: with four workers counting into their
+// own Stats, the folded totals equal what the memo and the token source
+// saw, so no helper's counts are lost.
+func TestParallelStatsConservation(t *testing.T) {
+	h := suiteInstance(t, hyperbench.Config{Scale: 3, Seed: 1}, "syn-cylinder-18")
+	memo := &countingMemo{}
+	tokens := &countingPool{TokenPool: NewTokenPool(3)}
+	s := New(h, Options{K: 2, Workers: 4, Memo: memo, Tokens: tokens})
+	if _, ok, err := s.Decompose(context.Background()); ok || err != nil {
+		t.Fatalf("k=2: ok=%v err=%v, want a refutation", ok, err)
+	}
+	st := s.Stats()
+	t.Logf("k=2, 4 workers: %d memo hits, %d token grabs", st.MemoHits, st.TokensGrabbed)
+	if st.MemoHits == 0 || st.MemoHits != memo.hits.Load() {
+		t.Errorf("MemoHits = %d, memo saw %d hits; want equal and > 0", st.MemoHits, memo.hits.Load())
+	}
+	if st.TokensGrabbed == 0 || st.TokensGrabbed != tokens.grants.Load() {
+		t.Errorf("TokensGrabbed = %d, token source granted %d times; want equal and > 0", st.TokensGrabbed, tokens.grants.Load())
 	}
 }

@@ -18,11 +18,15 @@
 //
 // The race is over when the bounds meet: lb = ub with a witness at ub.
 //
-// Cancellation is two-stage: the moot probe's context is cancelled, and
-// its token gate (logk.GatedTokens) is closed so it stops acquiring new
-// search workers immediately, returning its parallelism to the
-// surviving probes. All probes can share one logk.TokenSource and
-// per-width logk.MemoBackend tables, which is how the service layer
-// races many jobs against a single machine-wide worker budget and feeds
-// every refutation into its cross-request negative-memo cache.
+// A moot probe is stopped by cancelling its context and nothing else.
+// Every context inside the probe derives from that one, and a search
+// split asks for worker tokens only while its context is live, so from
+// the moment of cancellation the probe takes no new search workers and
+// its parallelism flows to the surviving probes. Every finished probe,
+// including one that lands while the race winds down, is booked in one
+// place, so its witness or refutation is kept in the Result. All probes
+// can share one logk.TokenSource and per-width logk.MemoBackend tables,
+// which is how the service layer races many jobs against a single
+// machine-wide worker budget and feeds every refutation into its
+// cross-request negative-memo cache.
 package race

@@ -178,7 +178,6 @@ type probeDone struct {
 // probeHandle is the race loop's grip on a live probe.
 type probeHandle struct {
 	cancel context.CancelFunc
-	gate   *logk.GatedTokens
 	moot   bool
 }
 
@@ -205,18 +204,17 @@ func (r *Racer) Solve(ctx context.Context) (Result, error) {
 	done := make(chan probeDone)
 	launch := func(k int) {
 		pctx, cancel := context.WithCancel(ctx)
-		gate := logk.NewGatedTokens(r.cfg.Tokens)
 		opts := logk.Options{
 			K:               k,
 			Workers:         r.cfg.Workers,
 			Hybrid:          r.cfg.Hybrid,
 			HybridThreshold: r.cfg.HybridThreshold,
-			Tokens:          gate,
+			Tokens:          r.cfg.Tokens,
 		}
 		if r.cfg.MemoFor != nil {
 			opts.Memo = r.cfg.MemoFor(k)
 		}
-		running[k] = &probeHandle{cancel: cancel, gate: gate}
+		running[k] = &probeHandle{cancel: cancel}
 		go func() {
 			solver := logk.New(r.h, opts)
 			start := time.Now()
@@ -225,34 +223,25 @@ func (r *Racer) Solve(ctx context.Context) (Result, error) {
 				stats: solver.Stats(), elapsed: time.Since(start)}
 		}()
 	}
-	// kill marks a live probe moot and starts winding it down: the token
-	// gate closes first so it stops grabbing workers, then its context
-	// is cancelled. The probe still reports on the done channel.
+	// kill marks a live probe moot and cancels its context. Every context
+	// inside the probe derives from it, so a split of the probe that
+	// starts after kill returns takes no token. The probe still reports
+	// on done.
 	kill := func(k int) {
-		h := running[k]
-		if h == nil || h.moot {
-			return
+		if h := running[k]; h != nil && !h.moot {
+			h.moot = true
+			h.cancel()
 		}
-		h.moot = true
-		h.gate.Close()
-		h.cancel()
 	}
-	// drain cancels everything still live and waits it out, so shared
-	// tokens are back in the pool before Solve returns.
-	drain := func() {
-		for k := range running {
-			kill(k)
-		}
-		for len(running) > 0 {
-			pd := <-done
-			h := running[pd.k]
-			delete(running, pd.k)
-			res.recordDrained(pd, h)
-		}
+	// finish takes a probe's result off done and books it.
+	finish := func() (probeDone, Outcome) {
+		pd := <-done
+		h := running[pd.k]
+		delete(running, pd.k)
+		return pd, res.book(pd, h.moot)
 	}
 
 	probed := map[int]bool{} // widths launched at any point
-	var raceErr error
 	for {
 		// Fill free probe slots with the most informative unknown widths.
 		for len(running) < r.cfg.MaxProbes {
@@ -267,56 +256,26 @@ func (r *Racer) Solve(ctx context.Context) (Result, error) {
 			break // bounds met (or lb passed KMax): the race is decided
 		}
 
-		pd := <-done
-		h := running[pd.k]
-		delete(running, pd.k)
-		report := ProbeReport{K: pd.k, Elapsed: pd.elapsed, Stats: pd.stats}
-
-		switch {
-		case pd.err != nil:
-			if h.moot {
-				// Killed as moot; its abort is bookkeeping, not failure.
-				report.Outcome = Cancelled
-				res.Cancelled++
-				res.Probes = append(res.Probes, report)
-				continue
-			}
+		pd, outcome := finish()
+		if outcome == Failed {
 			// A real deadline/cancellation (or solver failure): the race
-			// cannot decide optimality any more. Bank partial bounds.
-			report.Outcome = Failed
-			res.Probes = append(res.Probes, report)
-			raceErr = pd.err
-			drain()
-			return res, raceErr
-		case pd.ok:
-			report.Outcome = Found
-			res.Probes = append(res.Probes, report)
-			// The witness width can undercut the probe's bound.
-			w := pd.d.Width()
-			if w > pd.k {
-				w = pd.k // defensive; Width() never exceeds K for valid HDs
-			}
-			if w < ub {
-				ub = w
-				res.Decomp = pd.d
-				res.BestWidth = w
-			}
+			// cannot decide optimality any more. Cancel everything still
+			// live and wait it out, so shared tokens are back in the pool
+			// and every result is banked before Solve returns.
 			for k := range running {
-				if k >= ub {
-					kill(k)
-				}
+				kill(k)
 			}
-		default:
-			report.Outcome = Refuted
-			res.Probes = append(res.Probes, report)
-			if pd.k+1 > res.LowerBound {
-				res.LowerBound = pd.k + 1
-				res.LowerBoundFrom = BoundProbe
+			for len(running) > 0 {
+				finish()
 			}
-			for k := range running {
-				if k < res.LowerBound {
-					kill(k)
-				}
+			return res, pd.err
+		}
+		if res.Decomp != nil {
+			ub = res.BestWidth
+		}
+		for k := range running {
+			if k < res.LowerBound || k >= ub {
+				kill(k)
 			}
 		}
 	}
@@ -331,18 +290,21 @@ func (r *Racer) Solve(ctx context.Context) (Result, error) {
 	return res, nil
 }
 
-// recordDrained books a probe result that arrives while the race is
-// shutting down.
-func (res *Result) recordDrained(pd probeDone, h *probeHandle) {
+// book records one finished probe. An error reads Cancelled when the
+// probe was moot and Failed otherwise; a witness narrower than any so far
+// becomes BestWidth and Decomp; a refutation of width k raises LowerBound
+// to k+1.
+func (res *Result) book(pd probeDone, moot bool) Outcome {
 	report := ProbeReport{K: pd.k, Elapsed: pd.elapsed, Stats: pd.stats}
 	switch {
-	case pd.err != nil || (h != nil && h.moot):
+	case pd.err != nil && moot:
 		report.Outcome = Cancelled
 		res.Cancelled++
+	case pd.err != nil:
+		report.Outcome = Failed
 	case pd.ok:
 		report.Outcome = Found
-		w := pd.d.Width()
-		if res.BestWidth == 0 || w < res.BestWidth {
+		if w := pd.d.Width(); res.Decomp == nil || w < res.BestWidth {
 			res.BestWidth = w
 			res.Decomp = pd.d
 		}
@@ -354,6 +316,7 @@ func (res *Result) recordDrained(pd probeDone, h *probeHandle) {
 		}
 	}
 	res.Probes = append(res.Probes, report)
+	return report.Outcome
 }
 
 // nextWidth picks the next width to probe, or ok=false when every

@@ -357,3 +357,36 @@ func TestOptimalWrapper(t *testing.T) {
 		t.Fatalf("clique(5) at KMax 2: ok=%v err=%v", ok, err)
 	}
 }
+
+// TestRaceBooksDrainedResults: a probe that finishes after it was made
+// moot keeps its result. Its refutation raises the lower bound and its
+// witness is banked; only an error reads as cancelled, and an error from
+// a live probe reads as failed.
+func TestRaceBooksDrainedResults(t *testing.T) {
+	d, ok, err := logk.New(cycle(6), logk.Options{K: 2}).Decompose(context.Background())
+	if err != nil || !ok {
+		t.Fatalf("cycle(6) at k=2: ok=%v err=%v", ok, err)
+	}
+	res := Result{LowerBound: 1}
+	if got := res.book(probeDone{k: 2}, true); got != Refuted {
+		t.Fatalf("moot refutation booked %v, want refuted", got)
+	}
+	if res.LowerBound != 3 || res.LowerBoundFrom != BoundProbe {
+		t.Fatalf("after refuting 2: lower bound %d from %v, want 3 from probe", res.LowerBound, res.LowerBoundFrom)
+	}
+	if got := res.book(probeDone{k: 4, d: d, ok: true}, true); got != Found {
+		t.Fatalf("moot witness booked %v, want found", got)
+	}
+	if res.BestWidth != 2 || res.Decomp != d {
+		t.Fatalf("after the witness: best width %d, decomp kept %v; want 2, true", res.BestWidth, res.Decomp == d)
+	}
+	if got := res.book(probeDone{k: 3, err: context.Canceled}, true); got != Cancelled {
+		t.Fatalf("moot error booked %v, want cancelled", got)
+	}
+	if got := res.book(probeDone{k: 3, err: context.DeadlineExceeded}, false); got != Failed {
+		t.Fatalf("live error booked %v, want failed", got)
+	}
+	if res.Cancelled != 1 || len(res.Probes) != 4 {
+		t.Fatalf("Cancelled=%d, %d probe reports; want 1 and 4", res.Cancelled, len(res.Probes))
+	}
+}

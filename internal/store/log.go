@@ -141,9 +141,8 @@ type Log struct {
 	closed         bool
 	liveBytes      int64
 
-	appends, syncs, compactions   int64
-	truncated, corrupt, treeLoads int64
-	errs                          int64
+	// stats holds the counters; Stats fills in the gauges.
+	stats DiskStats
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -242,9 +241,9 @@ func (l *Log) replay(sg *segment, last bool) error {
 			if err := sg.f.Truncate(off); err != nil {
 				return err
 			}
-			l.truncated += size - off
+			l.stats.TruncatedTail += size - off
 		} else {
-			l.corrupt++
+			l.stats.CorruptRecords++
 		}
 	}
 	sg.size = off
@@ -353,11 +352,11 @@ func (l *Log) syncLocked() {
 		return
 	}
 	if err := l.active().f.Sync(); err != nil {
-		l.errs++
+		l.stats.Errors++
 		return
 	}
 	l.dirty = false
-	l.syncs++
+	l.stats.Syncs++
 }
 
 // append frames, writes, and (per cadence) fsyncs one record into the
@@ -385,20 +384,20 @@ func (l *Log) append(rec logRecord) (sg *segment, off, frameLen int64, err error
 	sg = l.active()
 	off = sg.size
 	if _, werr := sg.f.WriteAt(buf, off); werr != nil {
-		l.errs++
+		l.stats.Errors++
 		if terr := sg.f.Truncate(off); terr != nil {
 			l.broken = true
 		}
 		return nil, 0, 0, werr
 	}
 	sg.size += int64(len(buf))
-	l.appends++
+	l.stats.Appends++
 	if l.cfg.Fsync == 0 {
 		if serr := sg.f.Sync(); serr != nil {
-			l.errs++
+			l.stats.Errors++
 			return nil, 0, 0, serr
 		}
-		l.syncs++
+		l.stats.Syncs++
 	} else {
 		l.dirty = true
 	}
@@ -418,7 +417,7 @@ func (l *Log) maybeRotate() {
 	}
 	l.syncLocked()
 	if err := l.addSegment(l.active().id + 1); err != nil {
-		l.errs++
+		l.stats.Errors++
 		return
 	}
 	total := l.totalBytes()
@@ -494,12 +493,12 @@ func (l *Log) Tree(hash string) (*Tree, bool, error) {
 	}
 	rec, err := l.readRecord(e.treeSeg, e.treeOff)
 	if err != nil || rec.Tree == nil {
-		l.corrupt++
+		l.stats.CorruptRecords++
 		l.liveBytes -= e.tBytes
 		e.treeSeg, e.treeOff, e.treeW, e.tBytes = nil, 0, 0, 0
 		return nil, false, err
 	}
-	l.treeLoads++
+	l.stats.TreeLoads++
 	return rec.Tree, true, nil
 }
 
@@ -652,12 +651,12 @@ func (l *Log) Compact() error {
 	l.syncLocked()
 	nOld := len(l.segs)
 	if err := l.addSegment(l.active().id + 1); err != nil {
-		l.errs++
+		l.stats.Errors++
 		return err
 	}
 	l.inCompact = true
 	defer func() { l.inCompact = false }()
-	appendsBefore := l.appends
+	appendsBefore := l.stats.Appends
 
 	hashes := make([]string, 0, len(l.index))
 	for h := range l.index {
@@ -681,7 +680,7 @@ func (l *Log) Compact() error {
 		if e.treeSeg != nil {
 			rec, err := l.readRecord(e.treeSeg, e.treeOff)
 			if err != nil || rec.Tree == nil {
-				l.corrupt++
+				l.stats.CorruptRecords++
 				e.treeSeg, e.treeOff, e.treeW, e.tBytes = nil, 0, 0, 0
 			} else {
 				sg, off, n, err := l.append(logRecord{T: recTree, Hash: hash, Tree: rec.Tree})
@@ -704,13 +703,13 @@ func (l *Log) Compact() error {
 		}
 	}
 	// Compaction writes are maintenance, not traffic.
-	l.appends = appendsBefore
+	l.stats.Appends = appendsBefore
 	if err := l.active().f.Sync(); err != nil {
-		l.errs++
+		l.stats.Errors++
 		return err
 	}
 	l.dirty = false
-	l.syncs++
+	l.stats.Syncs++
 
 	// The compacted state is durable; the originals are now redundant.
 	old := l.segs[:nOld]
@@ -718,14 +717,14 @@ func (l *Log) Compact() error {
 	for _, sg := range old {
 		sg.f.Close()
 		if err := os.Remove(sg.path); err != nil {
-			l.errs++
+			l.stats.Errors++
 		}
 	}
 	if err := syncDir(l.cfg.Dir); err != nil {
-		l.errs++
+		l.stats.Errors++
 	}
 	l.liveBytes = live
-	l.compactions++
+	l.stats.Compactions++
 	return nil
 }
 
@@ -736,9 +735,9 @@ func (l *Log) Sync() error {
 	if l.closed {
 		return nil
 	}
-	before := l.errs
+	before := l.stats.Errors
 	l.syncLocked()
-	if l.errs > before {
+	if l.stats.Errors > before {
 		return fmt.Errorf("store: fsync failed")
 	}
 	return nil
@@ -755,7 +754,7 @@ func (l *Log) Purge() error {
 	for _, sg := range l.segs {
 		sg.f.Close()
 		if err := os.Remove(sg.path); err != nil {
-			l.errs++
+			l.stats.Errors++
 		}
 	}
 	l.segs = nil
@@ -772,19 +771,11 @@ func (l *Log) Purge() error {
 func (l *Log) Stats() DiskStats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	st := DiskStats{
-		Entries:        int64(len(l.index)),
-		Segments:       int64(len(l.segs)),
-		Bytes:          l.totalBytes(),
-		LiveBytes:      l.liveBytes,
-		Appends:        l.appends,
-		Syncs:          l.syncs,
-		Compactions:    l.compactions,
-		TruncatedTail:  l.truncated,
-		CorruptRecords: l.corrupt,
-		TreeLoads:      l.treeLoads,
-		Errors:         l.errs,
-	}
+	st := l.stats
+	st.Entries = int64(len(l.index))
+	st.Segments = int64(len(l.segs))
+	st.Bytes = l.totalBytes()
+	st.LiveBytes = l.liveBytes
 	for _, e := range l.index {
 		if e.treeSeg != nil {
 			st.Trees++
