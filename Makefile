@@ -107,9 +107,11 @@ stress:
 
 # The query differential suite under the race detector, plus the
 # counters' walls: the planner's counter conservation, the dataset
-# registry's monotone totals and the pinned /stats values.
+# registry's monotone totals and the pinned /stats values; and bag
+# build's walls: its work counts, aggregate pushdown over bags in any
+# column order, and deduplicated cached inline databases.
 differential:
-	$(GO) test -race -count=1 -run 'TestDifferential|TestConcurrentIdentical|TestEval|TestServeQuery|TestExecDuplicateRows|TestCanonical|TestStatsConservation|TestRegistryTotalsMonotone|TestStatsValuesGolden' ./internal/query ./internal/join ./internal/dataset ./cmd/htdserve
+	$(GO) test -race -count=1 -run 'TestDifferential|TestConcurrentIdentical|TestEval|TestServeQuery|TestExecDuplicateRows|TestCanonical|TestStatsConservation|TestRegistryTotalsMonotone|TestStatsValuesGolden|TestAggregateBagColumnOrder|TestBagBuildSkipsNoOpWork|TestServeQueryInlineDuplicateTuples' ./internal/query ./internal/join ./internal/dataset ./cmd/htdserve
 
 # A wall cannot silently lose a test: every alternative of the -run
 # regexes in stress, crash-recovery and differential must match a test

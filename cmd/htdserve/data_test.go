@@ -278,3 +278,41 @@ func TestServeQueryInlineParseCache(t *testing.T) {
 	}
 	_ = htd.DatasetParseCacheStats(st)
 }
+
+// TestServeQueryInlineDuplicateTuples: an inline database whose
+// relations repeat tuples answers over their distinct tuples, both as
+// a parse-cache miss and as a hit, for a row query and for a count.
+// The parse cache must deduplicate before it marks the relations
+// index-carrying: the executor skips the dedup projection of bags
+// joined from such relations alone.
+func TestServeQueryInlineDuplicateTuples(t *testing.T) {
+	ts, svc := newTestServer(t)
+	const r = `rel R(c1,c2)\n1 2\n1 2\n3 2\nend\n`
+	const s = `rel S(c1,c2)\n2 5\n2 6\n2 5\nend\n`
+	// R has 2 distinct tuples and S 2, all on y = 2: 4 answers.
+	const answers = 4
+	for _, tc := range []struct{ name, db, head string }{
+		{"rows", r + s, ""},
+		{"count", s + r, `,"aggregate":"count"`},
+	} {
+		body := `{"query":"R(x,y), S(y,z).","database":"` + tc.db + `"` + tc.head + `}`
+		for _, pass := range []string{"miss", "hit"} {
+			before := svc.Datasets().ParseCache().Stats()
+			resp, out, raw := postQuery(t, ts.URL+"/query", body)
+			if resp.StatusCode != http.StatusOK || !out.OK {
+				t.Fatalf("%s %s: status=%d %s", tc.name, pass, resp.StatusCode, raw)
+			}
+			after := svc.Datasets().ParseCache().Stats()
+			if wantMiss := pass == "miss"; (after.Misses > before.Misses) != wantMiss || (after.Hits > before.Hits) == wantMiss {
+				t.Fatalf("%s %s: parse cache went %+v -> %+v", tc.name, pass, before, after)
+			}
+			got := out.RowCount
+			if out.Aggregate != nil && out.Aggregate.Value != nil {
+				got = int(*out.Aggregate.Value)
+			}
+			if got != answers {
+				t.Fatalf("%s %s: %d answers, want %d distinct (%s)", tc.name, pass, got, answers, raw)
+			}
+		}
+	}
+}

@@ -16,9 +16,10 @@ import (
 // content-addressed (hash of the database text) with two pieces:
 //
 //   - a small LRU of parsed databases, so repeat inline uploads of the
-//     same text skip parsing entirely; cached relations carry an
-//     IndexSet, so index builds are captured once and reused across
-//     queries — the same machinery dataset snapshots use;
+//     same text skip parsing entirely; cached relations are
+//     deduplicated and carry an IndexSet, so index builds are captured
+//     once and reused across queries — the same machinery dataset
+//     snapshots use;
 //   - a single-flight (mirroring the plan cache's solve coalescing):
 //     concurrent identical uploads elect one parser, the rest share
 //     its result.
@@ -76,8 +77,12 @@ func (p *ParseCache) Parse(ctx context.Context, text string) (join.Database, err
 		if perr != nil {
 			return parseOutcome{err: perr}
 		}
-		for _, rel := range db {
+		// A relation carrying an IndexSet must be a set (see
+		// EnableIndexReuse), so repeated tuples go before it gets one.
+		for name, rel := range db {
+			rel = rel.Dedup()
 			rel.EnableIndexReuse()
+			db[name] = rel
 		}
 		p.insert(key, db)
 		return parseOutcome{db: db}

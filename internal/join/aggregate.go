@@ -450,7 +450,12 @@ func (e *executor) aggregate(q Query, db Database, d *decomp.Decomp, spec AggSpe
 	if err != nil {
 		return AggResult{}, err
 	}
+	return e.aggregateTree(root, spec)
+}
 
+// aggregateTree folds the partial aggregates of a reduced join tree
+// bottom-up into the answer — aggregate's back half.
+func (e *executor) aggregateTree(root *bagNode, spec AggSpec) (AggResult, error) {
 	watched := spec.watched()
 	st, err := e.aggNode(root, spec, watched, nil)
 	if err != nil {
@@ -488,7 +493,11 @@ func (e *executor) aggNode(n *bagNode, spec AggSpec, watched []string, parent *R
 		state.cells[i] = map[string]aggCell{"": {count: 1}}
 	}
 	for ci, c := range n.children {
-		contribIx, contrib, liftedVars, err := e.liftChild(n, c, childStates[ci], spec, watched)
+		// One shared-attribute list orders the key on both sides: the
+		// child is indexed and the parent probes in this order, whatever
+		// order either bag lists its columns in.
+		shared := sharedAttrs(n.rel, c.rel)
+		contribIx, contrib, liftedVars, err := e.liftChild(n, c, shared, childStates[ci], spec, watched)
 		if err != nil {
 			return aggState{}, err
 		}
@@ -511,7 +520,7 @@ func (e *executor) aggNode(n *bagNode, spec AggSpec, watched []string, parent *R
 			}
 		}
 
-		nIdx, err := n.rel.attrIndex(sharedAttrs(n.rel, c.rel))
+		nIdx, err := n.rel.attrIndex(shared)
 		if err != nil {
 			return aggState{}, err
 		}
@@ -560,11 +569,11 @@ func (e *executor) aggNode(n *bagNode, spec AggSpec, watched []string, parent *R
 // the watched variables (and the operand) that leave scope at this edge
 // — the variables in the child's bag but not the parent's — and
 // alternative child tuples with one lifted key sum. The result is a
-// hash index of the child on the shared attributes plus one keyed cell
-// map (over liftedVars) per index bucket; the parent looks its join
-// key up in the index and reads the bucket's map — no join-key strings
-// are built on either side.
-func (e *executor) liftChild(n, c *bagNode, st aggState, spec AggSpec, watched []string) (*hashIndex, []map[string]aggCell, []string, error) {
+// hash index of the child on shared (key columns in that order) plus
+// one keyed cell map (over liftedVars) per index bucket; the parent
+// looks its join key up in the index and reads the bucket's map — no
+// join-key strings are built on either side.
+func (e *executor) liftChild(n, c *bagNode, shared []string, st aggState, spec AggSpec, watched []string) (*hashIndex, []map[string]aggCell, []string, error) {
 	parentHas := map[string]bool{}
 	for _, a := range n.rel.Attrs {
 		parentHas[a] = true
@@ -598,13 +607,17 @@ func (e *executor) liftChild(n, c *bagNode, st aggState, spec AggSpec, watched [
 		}
 	}
 
-	shared := sharedAttrs(c.rel, n.rel)
-	// c.rel is a bag relation, so its stack is one fresh index.
-	stack, err := e.probeStack(c.rel, shared)
+	// One fresh index over all of c.rel: bucketOf needs a single index
+	// covering every row, which a maintained multi-layer stack is not.
+	keyCols, err := c.rel.attrIndex(shared)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	ix := stack[0]
+	ix, err := buildIndexCols(c.rel, keyCols, 0, c.rel.Size(), e.g)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	e.indexBuilds.Add(1)
 	contrib := make([]map[string]aggCell, len(ix.first))
 	kbuf := make([]byte, 0, 8*len(liftedVars))
 	for j := 0; j < c.rel.Size(); j++ {

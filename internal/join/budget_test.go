@@ -148,8 +148,8 @@ func TestExecutorAllocBudget(t *testing.T) {
 		instances []budgetInstance
 		budget    allocSample
 	}{
-		{"chain8", chainInstances(8, 5, 4000, 8000), allocSample{1223.6, 4233944}},
-		{"star6", starInstances(6, 6, 800, 400), allocSample{906.0, 5287531}},
+		{"chain8", chainInstances(8, 5, 4000, 8000), allocSample{916.2, 2646350}},
+		{"star6", starInstances(6, 6, 800, 400), allocSample{684.0, 4603723}},
 	} {
 		t.Run(b.name, func(t *testing.T) {
 			plans := make([]*decomp.Decomp, len(b.instances))

@@ -3,6 +3,7 @@ package join
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -399,9 +400,11 @@ func (e *executor) join(r, s *Relation) (*Relation, error) {
 
 // run evaluates the query: the semijoin reduction, then the final join
 // pass. The answer needs no deduplication: every bag is a set (build
-// projects through projectFast), semijoins only filter, and the
-// natural join of two sets is a set — each output row restricts to
-// exactly one row of either input.
+// projects through projectFast unless the λ-join already is one),
+// semijoins only filter, and the natural join of two sets is a set —
+// each output row restricts to exactly one row of either input. A
+// single-bag answer may be a base relation's own view, sharing its
+// storage; like every operator input, it is read-only.
 func (e *executor) run(q Query, db Database, d *decomp.Decomp) (*Relation, error) {
 	root, err := e.reduce(q, db, d)
 	if err != nil {
@@ -431,16 +434,30 @@ func (e *executor) reduce(q Query, db Database, d *decomp.Decomp) (*bagNode, err
 	return root, nil
 }
 
-// build materialises the bag relation of n (join of the λ(u) atom
-// relations, projected to χ(u), with covering atoms enforced) and
-// recurses into the children concurrently.
+// build materialises the bag relation of n and recurses into the
+// children concurrently. The bag is the join of the λ(u) atom
+// relations, projected to χ(u), with the atoms hosted at n enforced by
+// semijoins — but only the work whose result is not already known runs:
+//
+//   - the dedup projection is skipped when the λ-join is already a set
+//     over exactly χ(u): χ(u) equals vars(λ(u)) and every λ relation is
+//     a set (it carries an IndexSet; see Relation.indexes). A
+//     single-atom bag is then the atom's renamed base view and keeps its
+//     maintained indexes for the passes that probe it. The bag's columns
+//     are in λ-join order rather than χ's vertex order in that case;
+//   - hosted atoms in λ(u) itself are not semijoined in: every bag
+//     tuple restricts a tuple s of ⋈λ(u), and s restricted to vars(e)
+//     lies in R_e, so the semijoin would remove nothing — with or
+//     without duplicate base rows.
 func (e *executor) build(q Query, db Database, d *decomp.Decomp, coverOf map[*decomp.Node][]int, n *decomp.Node) (*bagNode, error) {
 	var acc *Relation
+	lambdaSets := true
 	for _, eid := range n.Lambda {
 		r, err := atomRelation(db, q.Atoms[eid])
 		if err != nil {
 			return nil, err
 		}
+		lambdaSets = lambdaSets && r.indexes != nil
 		if acc == nil {
 			acc = r
 		} else {
@@ -458,11 +475,17 @@ func (e *executor) build(q Query, db Database, d *decomp.Decomp, coverOf map[*de
 	}
 	var bagAttrs []string
 	n.Bag.ForEach(func(v int) { bagAttrs = append(bagAttrs, d.H.VertexName(v)) })
-	proj, err := projectFast(acc, bagAttrs, e.g)
-	if err != nil {
-		return nil, err
+	proj := acc
+	if !lambdaSets || !hasExactly(acc, bagAttrs) {
+		var err error
+		if proj, err = projectFast(acc, bagAttrs, e.g); err != nil {
+			return nil, err
+		}
 	}
 	for _, eid := range coverOf[n] {
+		if slices.Contains(n.Lambda, eid) {
+			continue
+		}
 		r, err := atomRelation(db, q.Atoms[eid])
 		if err != nil {
 			return nil, err
@@ -487,6 +510,20 @@ func (e *executor) build(q Query, db Database, d *decomp.Decomp, coverOf map[*de
 		return nil, err
 	}
 	return bn, nil
+}
+
+// hasExactly reports whether r's attributes are exactly attrs (a list
+// without repeats), compared as sets.
+func hasExactly(r *Relation, attrs []string) bool {
+	if len(r.Attrs) != len(attrs) {
+		return false
+	}
+	for _, a := range attrs {
+		if _, ok := r.pos[a]; !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // up is the bottom-up semijoin pass: children's subtrees reduce

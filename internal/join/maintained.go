@@ -123,6 +123,11 @@ func (s *IndexSet) entries() []indexEntry {
 // server-resident base relation whose per-query index builds should be
 // captured and shared. The dataset layer calls this on cached inline
 // databases; MRel views get their IndexSet from the commit path.
+//
+// r must be a set — no repeated tuple — because the executor treats
+// every relation carrying an IndexSet as one and skips the dedup
+// projection of bags built from such relations alone. MRel views are
+// sets (inserts dedupe); other callers deduplicate first (Dedup).
 func (r *Relation) EnableIndexReuse() {
 	if r.indexes == nil {
 		r.indexes = newIndexSet(maxIndexSets)

@@ -18,8 +18,8 @@ import (
 // Tuples are not deduplicated on construction, so a relation built
 // with Add may hold duplicates. Project, Dedup and Canonical return
 // sets; Join adds no duplicates (the natural join of two sets is a
-// set), which is why the executor's answer is a set once build has
-// projected every bag.
+// set), which is why the executor's answer is a set once every bag is
+// one (build projects a bag unless its λ-join already is a set).
 //
 // Relations are append-only while being built and immutable once an
 // operator has consumed them — no operator mutates an input — which is
@@ -34,9 +34,12 @@ type Relation struct {
 	n    int
 	mem  *arena
 	// indexes, when non-nil, marks a server-resident base relation
-	// (a dataset snapshot view) carrying maintained hash indexes the
-	// executor reuses instead of rebuilding per query (maintained.go).
-	// Ephemeral relations — every operator output — leave it nil.
+	// (a dataset snapshot view or a cached inline database) carrying
+	// maintained hash indexes the executor reuses instead of rebuilding
+	// per query (maintained.go). Invariant: a relation carrying an
+	// IndexSet is a set, which lets build skip the dedup projection of
+	// a bag joined from such relations alone. Ephemeral relations —
+	// every operator output — leave it nil.
 	indexes *IndexSet
 }
 

@@ -59,11 +59,13 @@ func buildJoinTree(q Query, db Database, d *decomp.Decomp, g *guard) (*bagNode, 
 	build = func(n *decomp.Node) (*bagNode, error) {
 		// Join the λ(u) atom relations.
 		var acc *Relation
+		lambdaSets := true
 		for _, e := range n.Lambda {
 			r, err := atomRelation(db, q.Atoms[e])
 			if err != nil {
 				return nil, err
 			}
+			lambdaSets = lambdaSets && r.indexes != nil
 			if acc == nil {
 				acc = r
 			} else {
@@ -79,12 +81,17 @@ func buildJoinTree(q Query, db Database, d *decomp.Decomp, g *guard) (*bagNode, 
 		if acc == nil {
 			return nil, fmt.Errorf("join: node with empty λ-label")
 		}
-		// Project to χ(u).
+		// Project to χ(u), unless — the executor's rule — the λ-join
+		// already is a set over exactly χ(u); the bag then keeps the
+		// λ-join's column order.
 		var bagAttrs []string
 		n.Bag.ForEach(func(v int) { bagAttrs = append(bagAttrs, h.VertexName(v)) })
-		proj, err := acc.Project(bagAttrs...)
-		if err != nil {
-			return nil, err
+		proj := acc
+		if !lambdaSets || !hasExactly(acc, bagAttrs) {
+			var err error
+			if proj, err = acc.Project(bagAttrs...); err != nil {
+				return nil, err
+			}
 		}
 		// Enforce atoms assigned to this node.
 		for _, e := range coverOf[n] {
