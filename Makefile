@@ -99,11 +99,13 @@ load-gate:
 # tokens once cancelled, per-worker counts folded without loss:
 # TestParallelSplitCancelledTakesNoTokens, TestParallelStatsConservation),
 # the racer (drained results banked: TestRaceBooksDrainedResults), the
-# solver cross-check, the child-pool budget and det-k-decomp's
-# enumeration allocation budget at several GOMAXPROCS values.
+# solver cross-check, the child-pool budget, det-k-decomp's enumeration
+# allocation budget, its one split per refuted bag per search call
+# (TestDetKRefutesBagOnce) and its golden answers and witnesses
+# (TestDetKSameDecompositions) at several GOMAXPROCS values.
 stress:
 	$(GO) test -race -count=2 -run 'TestStoreStress|TestCoalescing|TestBatchDuplicates|TestServeCache|TestMemoryConcurrency|TestFlight|TestStatsConservation|TestDecomposeHybridDefault' ./internal/store ./internal/service ./cmd/htdserve
-	$(GO) test -race -count=3 -cpu=1,2,4 -run 'TestParallel|TestNoCacheEquivalence|TestCancelledContext|TestCrossValidationSolvers|TestRace|TestChildPool|TestDetKAllocBudget' ./internal/logk ./internal/race ./internal/detk
+	$(GO) test -race -count=3 -cpu=1,2,4 -run 'TestParallel|TestNoCacheEquivalence|TestCancelledContext|TestCrossValidationSolvers|TestRace|TestChildPool|TestDetKAllocBudget|TestDetKRefutesBagOnce|TestDetKSameDecompositions' ./internal/logk ./internal/race ./internal/detk
 
 # The query differential suite under the race detector, plus the
 # counters' walls: the planner's counter conservation, the dataset

@@ -246,6 +246,30 @@ func (s *Set) Next(i int) int {
 	}
 }
 
+// NextDiff returns the smallest element >= i of s \ o, or -1 if none
+// exists, without materialising the difference (same capacity
+// required). Iterating with it visits only the elements outside o.
+func (s *Set) NextDiff(o *Set, i int) int {
+	if i < 0 {
+		i = 0
+	}
+	if i >= s.n {
+		return -1
+	}
+	wi := i / wordBits
+	w := (s.words[wi] &^ o.words[wi]) >> (uint(i) % wordBits) << (uint(i) % wordBits)
+	for {
+		if w != 0 {
+			return wi*wordBits + bits.TrailingZeros64(w)
+		}
+		wi++
+		if wi >= len(s.words) {
+			return -1
+		}
+		w = s.words[wi] &^ o.words[wi]
+	}
+}
+
 // AppendKey appends a canonical binary encoding of s to dst. Two sets of
 // the same capacity produce equal encodings iff they are equal.
 func (s *Set) AppendKey(dst []byte) []byte {

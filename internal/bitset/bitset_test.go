@@ -181,6 +181,19 @@ func TestNext(t *testing.T) {
 	}
 }
 
+func TestNextDiff(t *testing.T) {
+	s := FromSlice(200, []int{5, 6, 64, 130, 199})
+	o := FromSlice(200, []int{6, 64, 65, 199})
+	cases := []struct{ from, want int }{
+		{-5, 5}, {5, 5}, {6, 130}, {64, 130}, {130, 130}, {131, -1}, {500, -1},
+	}
+	for _, c := range cases {
+		if got := s.NextDiff(o, c.from); got != c.want {
+			t.Errorf("NextDiff(%d) = %d, want %d", c.from, got, c.want)
+		}
+	}
+}
+
 func TestAppendKeyRoundTrip(t *testing.T) {
 	a := FromSlice(128, []int{0, 77})
 	b := FromSlice(128, []int{0, 77})
@@ -310,6 +323,28 @@ func TestQuickNextIteratesAll(t *testing.T) {
 			got = append(got, i)
 		}
 		want := tr.a.Elements()
+		if len(got) != len(want) {
+			return false
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestQuickNextDiffIteratesDiff(t *testing.T) {
+	prop := func(tr setTriple) bool {
+		var got []int
+		for i := tr.a.NextDiff(tr.b, 0); i >= 0; i = tr.a.NextDiff(tr.b, i+1) {
+			got = append(got, i)
+		}
+		want := tr.a.Diff(tr.b).Elements()
 		if len(got) != len(want) {
 			return false
 		}

@@ -11,6 +11,16 @@
 // successful (component, connector) states — the caching that the paper
 // identifies as the obstacle to parallelising it.
 //
+// One search call does only the work a label needs, without changing
+// which label it accepts. All its labels share the component and the
+// connector, so a bag it has refuted once is never split again in that
+// call (Stats.Splits counts the splits). The last edge of a label must
+// cover the connector, so it is drawn from the edges containing the
+// first connector vertex the other edges miss; labels that cannot cover
+// the connector are never formed (Stats.Candidates counts the formed
+// ones). The components of a bag are carved into storage of the search
+// frame; once the label is done, the caches hold only their keys.
+//
 // This implementation is extended to handle extended subhypergraphs
 // (special edges), which the original does not need but the hybrid mode
 // of log-k-decomp does: a special edge is covered by attaching a
@@ -47,7 +57,8 @@ type Solver struct {
 
 // Stats reports search effort counters.
 type Stats struct {
-	Candidates int64 // λ-labels tried
+	Candidates int64 // λ-labels formed
+	Splits     int64 // bags split into [χ]-components
 	CacheHits  int64
 	CacheMiss  int64
 	MaxDepth   int
@@ -144,7 +155,9 @@ type frame struct {
 	conn  *bitset.Set
 	depth int
 
-	pool   []int
+	pool []int
+	// pos[e] is edge e's position in pool, or -1 when e is not in it.
+	pos    []int32
 	lambda []int
 	// covers[i] is ∪ of the first i edges of lambda, so extending λ by
 	// one edge overwrites the next slot instead of cloning a cover.
@@ -153,6 +166,15 @@ type frame struct {
 	chi       *bitset.Set // the bag of the label in tryLambda
 	childConn *bitset.Set // the interface passed down to a component
 	children  []*decomp.Node
+	// comps holds the [χ]-components of the label in tryLambda. A
+	// component lives until that tryLambda returns: the child frames
+	// only read it, and the caches keep only key strings and cloned
+	// nodes.
+	comps ext.ComponentBuf
+	// refuted holds the keys of the bags this search call has refuted,
+	// and chiKey is the key of chi.
+	refuted map[string]struct{}
+	chiKey  []byte
 }
 
 // frame returns the scratch for the search call at the given depth,
@@ -160,11 +182,13 @@ type frame struct {
 func (s *Solver) frame(depth int) *frame {
 	for len(s.frames) <= depth {
 		f := &frame{
+			pos:       make([]int32, s.H.NumEdges()),
 			lambda:    make([]int, 0, s.K),
 			covers:    make([]*bitset.Set, s.K+1),
 			scope:     s.H.NewVertexSet(),
 			chi:       s.H.NewVertexSet(),
 			childConn: s.H.NewVertexSet(),
+			refuted:   make(map[string]struct{}),
 		}
 		for i := range f.covers {
 			f.covers[i] = s.H.NewVertexSet()
@@ -183,21 +207,29 @@ func (s *Solver) search(g *ext.Graph, conn *bitset.Set, depth int) (*decomp.Node
 	}
 	f := s.frame(depth)
 	f.g, f.conn, f.depth = g, conn, depth
+	clear(f.refuted)
 	// Candidate pool: edges of H touching V(g) ∪ conn. Edges disjoint
 	// from the subproblem contribute nothing to the bag. Every λ chosen
 	// here roots the fragment covering g, hence sits above the leaf of
 	// every special of g — so edges touching the specials' forbidden
 	// vertices are excluded (see ext.Special.Forbidden).
-	f.scope.UnionOf(g.Vertices(), conn)
+	f.scope.Reset()
+	s.H.UnionInto(f.scope, g.Edges)
+	for _, sp := range g.Specials {
+		f.scope.InPlaceUnion(sp.Vertices)
+	}
+	f.scope.InPlaceUnion(conn)
 	forbidden := g.ForbiddenUnion()
 	f.pool = f.pool[:0]
 	for e := 0; e < s.H.NumEdges(); e++ {
+		f.pos[e] = -1
 		if !s.H.Edge(e).Intersects(f.scope) {
 			continue
 		}
 		if forbidden != nil && s.H.Edge(e).Intersects(forbidden) {
 			continue
 		}
+		f.pos[e] = int32(len(f.pool))
 		f.pool = append(f.pool, e)
 	}
 	f.lambda = f.lambda[:0]
@@ -207,38 +239,82 @@ func (s *Solver) search(g *ext.Graph, conn *bitset.Set, depth int) (*decomp.Node
 // extend enumerates the labels that add one edge of f.pool[startIdx:]
 // to f.lambda, each followed by its own extensions. A label whose cover
 // misses a connector vertex cannot be a node (connectedness with the
-// parent), so its cover is only written when the label is extended.
+// parent), so it is only formed to be extended, and the last edge of a
+// label comes from extendLast.
 func (s *Solver) extend(f *frame, startIdx int) (*decomp.Node, bool, error) {
 	cover, next := f.covers[len(f.lambda)], f.covers[len(f.lambda)+1]
-	last := len(f.lambda)+1 == s.K
+	if len(f.lambda)+1 == s.K {
+		return s.extendLast(f, startIdx, cover, next)
+	}
 	for i := startIdx; i < len(f.pool); i++ {
-		e := f.pool[i]
-		s.Stats.Candidates++
-		s.ctxCheck++
-		if s.ctxCheck&0x3FF == 0 {
-			if err := s.ctx.Err(); err != nil {
-				return nil, false, err
-			}
+		if err := s.countLabel(); err != nil {
+			return nil, false, err
 		}
-		covered := f.conn.SubsetOfUnion(cover, s.H.Edge(e))
-		if !covered && last {
-			continue
-		}
-		next.UnionOf(cover, s.H.Edge(e))
-		f.lambda = append(f.lambda, e)
-		if covered {
+		next.UnionOf(cover, s.H.Edge(f.pool[i]))
+		f.lambda = append(f.lambda, f.pool[i])
+		if f.conn.SubsetOf(next) {
 			if node, ok, err := s.tryLambda(f, next); err != nil || ok {
 				return node, ok, err
 			}
 		}
-		if !last {
-			if node, ok, err := s.extend(f, i+1); err != nil || ok {
-				return node, ok, err
-			}
+		if node, ok, err := s.extend(f, i+1); err != nil || ok {
+			return node, ok, err
 		}
 		f.lambda = f.lambda[:len(f.lambda)-1]
 	}
 	return nil, false, nil
+}
+
+// extendLast enumerates the labels that complete f.lambda with one edge
+// of f.pool[startIdx:], which must cover the connector. When cover
+// misses a connector vertex v, only edges containing v can do that, so
+// it walks v's incidence list instead of the pool. Both are in ascending
+// edge order, so the labels come in the order of a pool scan.
+func (s *Solver) extendLast(f *frame, startIdx int, cover, next *bitset.Set) (*decomp.Node, bool, error) {
+	if v := f.conn.NextDiff(cover, 0); v >= 0 {
+		for _, e := range s.H.IncidentEdges(v) {
+			if int(f.pos[e]) < startIdx {
+				continue
+			}
+			if node, ok, err := s.tryLast(f, e, cover, next); err != nil || ok {
+				return node, ok, err
+			}
+		}
+		return nil, false, nil
+	}
+	for _, e := range f.pool[startIdx:] {
+		if node, ok, err := s.tryLast(f, e, cover, next); err != nil || ok {
+			return node, ok, err
+		}
+	}
+	return nil, false, nil
+}
+
+// tryLast forms the label f.lambda + e and tries it when its cover
+// holds the connector.
+func (s *Solver) tryLast(f *frame, e int, cover, next *bitset.Set) (*decomp.Node, bool, error) {
+	if err := s.countLabel(); err != nil {
+		return nil, false, err
+	}
+	if !f.conn.SubsetOfUnion(cover, s.H.Edge(e)) {
+		return nil, false, nil
+	}
+	next.UnionOf(cover, s.H.Edge(e))
+	f.lambda = append(f.lambda, e)
+	node, ok, err := s.tryLambda(f, next)
+	f.lambda = f.lambda[:len(f.lambda)-1]
+	return node, ok, err
+}
+
+// countLabel counts one formed λ-label and polls the context every 1024
+// labels.
+func (s *Solver) countLabel() error {
+	s.Stats.Candidates++
+	s.ctxCheck++
+	if s.ctxCheck&0x3FF == 0 {
+		return s.ctx.Err()
+	}
+	return nil
 }
 
 // tryLambda checks the label f.lambda, whose cover holds the connector,
@@ -262,9 +338,17 @@ func (s *Solver) tryLambda(f *frame, cover *bitset.Set) (*decomp.Node, bool, err
 	chi := f.chi
 	chi.CopyFrom(cover)
 	chi.InPlaceIntersect(f.scope)
+	// Every label of this search call shares (g, conn), and the
+	// components, their interfaces and the covered specials depend only
+	// on χ(u): a bag refuted once fails the same way again.
+	f.chiKey = chi.AppendKey(f.chiKey[:0])
+	if _, bad := f.refuted[string(f.chiKey)]; bad {
+		return nil, false, nil
+	}
 
+	s.Stats.Splits++
 	f.children = f.children[:0]
-	for _, c := range s.split.Components(g, chi) {
+	for _, c := range s.split.ComponentsInto(g, chi, &f.comps) {
 		// The child's interface V(c) ∩ χ(u); the child only reads it
 		// until it returns.
 		f.childConn.Reset()
@@ -274,8 +358,12 @@ func (s *Solver) tryLambda(f *frame, cover *bitset.Set) (*decomp.Node, bool, err
 		}
 		f.childConn.InPlaceIntersect(chi)
 		child, ok, err := s.rec(c, f.childConn, f.depth+1)
-		if err != nil || !ok {
-			return nil, ok, err
+		if err != nil {
+			return nil, false, err
+		}
+		if !ok {
+			f.refuted[string(f.chiKey)] = struct{}{}
+			return nil, false, nil
 		}
 		f.children = append(f.children, child)
 	}

@@ -165,26 +165,20 @@ func min(a, b int) int {
 
 // TestDetKAllocBudget pins the enumeration kernel's allocation budget on
 // a det-k-decomp refutation: the λ-label count is exact (the search and
-// its order are fixed), while the covers, the bag scope, the bag and
-// the child interfaces live in per-depth frames instead of being
-// allocated per label (cloning the cover per label cost about 246k
-// allocations here). The witness at k = 3 must still be a valid HD.
+// its order are fixed), while the covers, the bag scope, the bag, the
+// child interfaces and the [χ]-components live in per-depth frames
+// instead of being allocated per label (cloning the cover per label cost
+// about 246k allocations here). A label's last edge is drawn only from
+// the edges holding a connector vertex the other edges miss, so labels
+// that leave that vertex uncovered are not counted. The witness at
+// k = 3 must still be a valid HD.
 func TestDetKAllocBudget(t *testing.T) {
-	var h *hypergraph.Hypergraph
-	for _, in := range hyperbench.Suite(hyperbench.Config{Scale: 3, Seed: 1}) {
-		if strings.HasPrefix(in.Name, "syn-cylinder-10#") {
-			h = in.H
-			break
-		}
-	}
-	if h == nil {
-		t.Fatal("syn-cylinder-10 missing from HyperBench-sim {Scale: 3, Seed: 1}")
-	}
+	h := scale3Instance(t, "syn-cylinder-10#")
 	ctx := context.Background()
 
 	const (
-		wantLabels = 205467
-		maxAllocs  = 10000
+		wantLabels = 29423
+		maxAllocs  = 2816
 	)
 	var s *Solver
 	allocs := testing.AllocsPerRun(1, func() {
@@ -210,5 +204,84 @@ func TestDetKAllocBudget(t *testing.T) {
 	}
 	if err := decomp.CheckWidth(d, 3); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// scale3Instance returns the first instance of HyperBench-sim
+// {Scale: 3, Seed: 1} whose name starts with prefix.
+func scale3Instance(t testing.TB, prefix string) *hypergraph.Hypergraph {
+	for _, in := range hyperbench.Suite(hyperbench.Config{Scale: 3, Seed: 1}) {
+		if strings.HasPrefix(in.Name, prefix) {
+			return in.H
+		}
+	}
+	t.Fatalf("%s missing from HyperBench-sim {Scale: 3, Seed: 1}", prefix)
+	return nil
+}
+
+// TestDetKRefutesBagOnce pins how many bags det-k-decomp splits into
+// [χ]-components on three k = 2 refutations. All labels of one search
+// call share the subproblem and its connector, so a bag refuted once is
+// never split again in that call; without that check the counts are
+// 295, 750 and 1,635.
+func TestDetKRefutesBagOnce(t *testing.T) {
+	for _, c := range []struct {
+		prefix     string
+		wantSplits int64
+	}{
+		{"app-clique-5#", 105},
+		{"app-clique-6#", 260},
+		{"app-cliquechain-3-5#", 971},
+	} {
+		s := New(scale3Instance(t, c.prefix), 2)
+		if _, ok, err := s.Decompose(context.Background()); err != nil || ok {
+			t.Fatalf("%s k=2: ok=%v err=%v, want refutation", c.prefix, ok, err)
+		}
+		t.Logf("%s k=2: %d splits, %d λ-labels", c.prefix, s.Stats.Splits, s.Stats.Candidates)
+		if s.Stats.Splits != c.wantSplits {
+			t.Errorf("%s k=2 split %d bags, want exactly %d", c.prefix, s.Stats.Splits, c.wantSplits)
+		}
+	}
+}
+
+// permuted returns h with its edges in shuffled order, the vertices of
+// each edge shuffled and the vertex ids renumbered by first appearance:
+// an isomorphic copy det-k-decomp searches in a different order.
+func permuted(r *rand.Rand, h *hypergraph.Hypergraph) *hypergraph.Hypergraph {
+	var b hypergraph.Builder
+	for _, e := range r.Perm(h.NumEdges()) {
+		vs := h.EdgeVertices(e)
+		r.Shuffle(len(vs), func(x, y int) { vs[x], vs[y] = vs[y], vs[x] })
+		names := make([]string, len(vs))
+		for i, v := range vs {
+			names[i] = h.VertexName(v)
+		}
+		b.MustAddEdge(h.EdgeName(e), names...)
+	}
+	return b.Build()
+}
+
+// BenchmarkDetKRefute sizes det-k-decomp on the k = 2 refutations that
+// dominate cold /decompose traffic: 10 seeded permutations each of four
+// HyperBench-sim {Scale: 3, Seed: 1} classes. Compare two commits with
+// alternating `go test -run=NONE -bench=DetKRefute -count=5` runs.
+func BenchmarkDetKRefute(b *testing.B) {
+	for _, prefix := range []string{"syn-cylinder-10#", "app-cliquechain-3-5#", "syn-cylinder-8#", "app-clique-5#"} {
+		h := scale3Instance(b, prefix)
+		r := rand.New(rand.NewSource(1))
+		perms := make([]*hypergraph.Hypergraph, 10)
+		for i := range perms {
+			perms[i] = permuted(r, h)
+		}
+		b.Run(strings.TrimSuffix(prefix, "#"), func(b *testing.B) {
+			ctx := context.Background()
+			for i := 0; i < b.N; i++ {
+				for _, p := range perms {
+					if _, ok, err := New(p, 2).Decompose(ctx); err != nil || ok {
+						b.Fatalf("k=2: ok=%v err=%v, want refutation", ok, err)
+					}
+				}
+			}
+		})
 	}
 }

@@ -19,8 +19,14 @@ type Splitter struct {
 
 	// root item -> output component index, reset per call
 	rootComp []int32
-	// root item -> items counted so far, reset per call
+	// root item -> items counted so far (Balanced, Oversized), or
+	// component index -> edges counted so far (ComponentsInto); reset
+	// per call
 	size []int32
+	// component index -> specials counted so far, reset per call
+	spSize []int32
+	// item -> its component index, written by ComponentsInto
+	itemComp []int32
 	// scratch: item has a vertex outside u
 	hasOutside []bool
 
@@ -47,11 +53,9 @@ func (s *Splitter) find(i int32) int32 {
 	return i
 }
 
-func (s *Splitter) union(a, b int32) {
-	ra, rb := s.find(a), s.find(b)
-	if ra == rb {
-		return
-	}
+// link merges the sets of the distinct roots ra and rb and returns the
+// root of the merged set.
+func (s *Splitter) link(ra, rb int32) int32 {
 	if s.rank[ra] < s.rank[rb] {
 		ra, rb = rb, ra
 	}
@@ -59,56 +63,86 @@ func (s *Splitter) union(a, b int32) {
 	if s.rank[ra] == s.rank[rb] {
 		s.rank[ra]++
 	}
+	return ra
+}
+
+// ComponentBuf is storage that ComponentsInto carves components out
+// of. A buffer grows to the largest split it has held and is then reused,
+// so splitting into it allocates nothing. Each call overwrites the
+// graphs of the previous call on the same buffer: a component graph from
+// a buffer lives only until that buffer's next ComponentsInto call, and
+// nothing may keep it (or its Edges and Specials) past that point.
+type ComponentBuf struct {
+	graphs   []Graph
+	comps    []*Graph
+	edges    []int
+	specials []Special
 }
 
 // Components returns the [u]-components of g (Definition 3.2): the
 // maximal subsets of E′ ∪ Sp connected transitively through shared
 // vertices outside u. Items entirely inside u (f ⊆ u) belong to no
 // component. Each returned component is itself a Graph over the same
-// base hypergraph.
+// base hypergraph, in storage of its own.
 func (s *Splitter) Components(g *Graph, u *bitset.Set) []*Graph {
+	return s.ComponentsInto(g, u, new(ComponentBuf))
+}
+
+// ComponentsInto is Components with the components carved out of buf;
+// see ComponentBuf for how long they live.
+func (s *Splitter) ComponentsInto(g *Graph, u *bitset.Set, buf *ComponentBuf) []*Graph {
 	s.label(g, u)
 
-	// Number the components by first item and count their edges, so the
-	// components and their edge lists are carved out of one block each.
-	n, nEdges := 0, 0
+	// Number the components by first item and count their edges and
+	// specials, so each component's lists are carved out of one block.
+	n, nEdges, nSpecials := int32(0), 0, 0
 	for i := range s.hasOutside {
 		if !s.hasOutside[i] {
 			continue
 		}
 		r := s.find(int32(i))
-		if s.rootComp[r] < 0 {
-			s.rootComp[r] = int32(n)
+		c := s.rootComp[r]
+		if c < 0 {
+			c, s.rootComp[r] = n, n
 			n++
 		}
+		s.itemComp[i] = c
 		if i < len(g.Edges) {
-			s.size[r]++
+			s.size[c]++
 			nEdges++
+		} else {
+			s.spSize[c]++
+			nSpecials++
 		}
 	}
 	if n == 0 {
 		return nil
 	}
 
+	if cap(buf.graphs) < int(n) {
+		buf.graphs = make([]Graph, n)
+		buf.comps = make([]*Graph, n)
+	}
+	if cap(buf.edges) < nEdges {
+		buf.edges = make([]int, nEdges)
+	}
+	if cap(buf.specials) < nSpecials {
+		buf.specials = make([]Special, nSpecials)
+	}
+	graphs, comps := buf.graphs[:n], buf.comps[:n]
+	edges, specials := buf.edges[:nEdges], buf.specials[:nSpecials]
+	for c := range graphs {
+		k, l := s.size[c], s.spSize[c]
+		graphs[c] = Graph{H: g.H, Edges: edges[:0:k], Specials: specials[:0:l]}
+		edges, specials = edges[k:], specials[l:]
+		comps[c] = &graphs[c]
+	}
 	// Fill them in item order (edges first, ascending; then specials)
 	// so component edge lists stay sorted.
-	graphs := make([]Graph, n)
-	comps := make([]*Graph, n)
-	edges := make([]int, nEdges)
 	for i := range s.hasOutside {
-		if !s.hasOutside[i] {
-			continue
+		if s.hasOutside[i] {
+			graphs[s.itemComp[i]].appendItem(g, i)
 		}
-		r := s.find(int32(i))
-		c := &graphs[s.rootComp[r]]
-		if c.H == nil {
-			c.H = g.H
-			comps[s.rootComp[r]] = c
-			if k := int(s.size[r]); k > 0 {
-				c.Edges, edges = edges[:0:k], edges[k:]
-			}
-		}
-		c.appendItem(g, i)
 	}
 	return comps
 }
@@ -161,7 +195,8 @@ func (s *Splitter) oversizedRoot(g *Graph, u *bitset.Set) int32 {
 // label runs the union-find pass shared by Components, Balanced and
 // Oversized: afterwards hasOutside[i] tells whether item i (edges first,
 // then specials) has a vertex outside u, and find(i) names its
-// component. rootComp is reset to -1 and size to 0 for every item.
+// component. rootComp is reset to -1 and size and spSize to 0 for every
+// item.
 func (s *Splitter) label(g *Graph, u *bitset.Set) {
 	nItems := g.Size()
 	if cap(s.parent) < nItems {
@@ -169,19 +204,23 @@ func (s *Splitter) label(g *Graph, u *bitset.Set) {
 		s.rank = make([]int8, nItems)
 		s.rootComp = make([]int32, nItems)
 		s.size = make([]int32, nItems)
+		s.spSize = make([]int32, nItems)
+		s.itemComp = make([]int32, nItems)
 		s.hasOutside = make([]bool, nItems)
 	}
 	s.parent = s.parent[:nItems]
 	s.rank = s.rank[:nItems]
 	s.rootComp = s.rootComp[:nItems]
 	s.size = s.size[:nItems]
+	s.spSize = s.spSize[:nItems]
+	s.itemComp = s.itemComp[:nItems]
 	s.hasOutside = s.hasOutside[:nItems]
 	for i := range s.parent {
 		s.parent[i] = int32(i)
 		s.rank[i] = 0
 		s.rootComp[i] = -1
 		s.size[i] = 0
-		s.hasOutside[i] = false
+		s.spSize[i] = 0
 	}
 	s.epoch++
 	if s.epoch == 0 { // wrapped; reset stamps
@@ -198,18 +237,18 @@ func (s *Splitter) label(g *Graph, u *bitset.Set) {
 		} else {
 			vs = g.Specials[i-len(g.Edges)].Vertices
 		}
-		vs.ForEach(func(v int) {
-			if u.Test(v) {
-				return
-			}
-			s.hasOutside[i] = true
-			if s.vStamp[v] == s.epoch {
-				s.union(int32(i), s.vOwner[v])
-			} else {
+		// Item i is still a singleton when visited; ri tracks its root
+		// as it merges with the earlier owners of its vertices.
+		v := vs.NextDiff(u, 0)
+		s.hasOutside[i] = v >= 0
+		for ri := int32(i); v >= 0; v = vs.NextDiff(u, v+1) {
+			if s.vStamp[v] != s.epoch {
 				s.vStamp[v] = s.epoch
 				s.vOwner[v] = int32(i)
+			} else if ro := s.find(s.vOwner[v]); ro != ri {
+				ri = s.link(ri, ro)
 			}
-		})
+		}
 	}
 }
 

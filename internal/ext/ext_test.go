@@ -3,6 +3,7 @@ package ext
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -381,6 +382,55 @@ func TestSplitterReuse(t *testing.T) {
 		if len(c1) != 1 || len(c2) != 2 {
 			t.Fatalf("iteration %d: got %d and %d components", i, len(c1), len(c2))
 		}
+	}
+}
+
+// TestComponentsIntoMatchesComponents: splitting into one reused buffer
+// gives the components Components gives, and a graph carved from the
+// buffer carries no cached vertex set over from its previous use.
+func TestComponentsIntoMatchesComponents(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	var buf ComponentBuf
+	for i := 0; i < 2000; i++ {
+		g, u := randomExtGraph(r)
+		sp := NewSplitter(g.H)
+		want := sp.Components(g, u)
+		got := sp.ComponentsInto(g, u, &buf)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d components, want %d", i, len(got), len(want))
+		}
+		for j, c := range got {
+			w := want[j]
+			if !slices.Equal(c.Edges, w.Edges) || len(c.Specials) != len(w.Specials) {
+				t.Fatalf("trial %d component %d: edges %v specials %d, want %v and %d",
+					i, j, c.Edges, len(c.Specials), w.Edges, len(w.Specials))
+			}
+			for k := range w.Specials {
+				if c.Specials[k].ID != w.Specials[k].ID {
+					t.Fatalf("trial %d component %d: special %d has ID %d, want %d",
+						i, j, k, c.Specials[k].ID, w.Specials[k].ID)
+				}
+			}
+			if !c.Vertices().Equal(w.Vertices()) {
+				t.Fatalf("trial %d component %d: V = %v, want %v", i, j, c.Vertices(), w.Vertices())
+			}
+		}
+	}
+}
+
+// TestComponentsIntoAllocatesNothing: once the buffer has grown,
+// splitting into it allocates nothing, specials included.
+func TestComponentsIntoAllocatesNothing(t *testing.T) {
+	h := cycle(64)
+	g := NewGraph(h, h.AllEdgeIDs()[1:], []Special{{ID: 1, Vertices: h.Edge(0)}})
+	sp := NewSplitter(h)
+	u := h.Union([]int{8, 16, 32, 48})
+	var buf ComponentBuf
+	if n := len(sp.ComponentsInto(g, u, &buf)); n != 4 {
+		t.Fatalf("%d components, want 4", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { sp.ComponentsInto(g, u, &buf) }); n != 0 {
+		t.Fatalf("ComponentsInto allocates %.1f times per call, want 0", n)
 	}
 }
 
