@@ -94,7 +94,7 @@ load-gate:
 
 # Store/service concurrency under the race detector (including the
 # service's counter conservation under a concurrent mix of outcomes and
-# /decompose's decide-mode hybrid default), then the solver's parallel
+# the one solver configuration every job runs), then the solver's parallel
 # split (shared cursor, first-success cancel, early lease return, no
 # tokens once cancelled, per-worker counts folded without loss:
 # TestParallelSplitCancelledTakesNoTokens, TestParallelStatsConservation),
@@ -104,16 +104,19 @@ load-gate:
 # (TestDetKRefutesBagOnce) and its golden answers and witnesses
 # (TestDetKSameDecompositions) at several GOMAXPROCS values.
 stress:
-	$(GO) test -race -count=2 -run 'TestStoreStress|TestCoalescing|TestBatchDuplicates|TestServeCache|TestMemoryConcurrency|TestFlight|TestStatsConservation|TestDecomposeHybridDefault' ./internal/store ./internal/service ./cmd/htdserve
+	$(GO) test -race -count=2 -run 'TestStoreStress|TestCoalescing|TestBatchDuplicates|TestServeCache|TestMemoryConcurrency|TestFlight|TestStatsConservation|TestOneSolverConfiguration' ./internal/store ./internal/service ./cmd/htdserve
 	$(GO) test -race -count=3 -cpu=1,2,4 -run 'TestParallel|TestNoCacheEquivalence|TestCancelledContext|TestCrossValidationSolvers|TestRace|TestChildPool|TestDetKAllocBudget|TestDetKRefutesBagOnce|TestDetKSameDecompositions' ./internal/logk ./internal/race ./internal/detk
 
 # The query differential suite under the race detector, plus the
 # counters' walls: the planner's counter conservation, the dataset
-# registry's monotone totals and the pinned /stats values; and bag
-# build's walls: its work counts, aggregate pushdown over bags in any
-# column order, and deduplicated cached inline databases.
+# registry's monotone totals and the pinned /stats values; bag build's
+# walls: its work counts, aggregate pushdown over bags in any column
+# order, answer columns independent of IndexSets, and deduplicated
+# cached inline databases; and the execution tree's walls: contracted
+# plans independent of the solver, and contraction's properties on
+# random racer HDs.
 differential:
-	$(GO) test -race -count=1 -run 'TestDifferential|TestConcurrentIdentical|TestEval|TestServeQuery|TestExecDuplicateRows|TestCanonical|TestStatsConservation|TestRegistryTotalsMonotone|TestStatsValuesGolden|TestAggregateBagColumnOrder|TestBagBuildSkipsNoOpWork|TestServeQueryInlineDuplicateTuples' ./internal/query ./internal/join ./internal/dataset ./cmd/htdserve
+	$(GO) test -race -count=1 -run 'TestDifferential|TestConcurrentIdentical|TestEval|TestServeQuery|TestExecDuplicateRows|TestCanonical|TestStatsConservation|TestRegistryTotalsMonotone|TestStatsValuesGolden|TestAggregateBagColumnOrder|TestBagBuildSkipsNoOpWork|TestExecColumnsIndependentOfIndexSets|TestContractionSolverIndependent|TestContractionProperties|TestServeQueryInlineDuplicateTuples' ./internal/query ./internal/join ./internal/dataset ./cmd/htdserve
 
 # A wall cannot silently lose a test: every alternative of the -run
 # regexes in stress, crash-recovery and differential must match a test

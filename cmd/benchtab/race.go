@@ -126,7 +126,6 @@ func raceService(ctx context.Context, ins []hyperbench.Instance, cfg harness.Con
 				res := svc.Submit(ctx, htd.ServiceRequest{
 					H: in.H, K: cfg.KMax, Mode: htd.ModeOptimal,
 					Workers: cfg.Workers,
-					Hybrid:  logk.PaperHybrid, HybridThreshold: logk.PaperHybridThreshold,
 				})
 				if res.Err == nil && res.OK {
 					mu.Lock()

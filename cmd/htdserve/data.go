@@ -62,12 +62,7 @@ func (s *server) admitWrite(w http.ResponseWriter, r *http.Request, tenant strin
 // (the same text format the inline /query "database" field uses). A
 // replacement continues the version counter and evicts every prior
 // pinnable version.
-func (s *server) handleDataPut(w http.ResponseWriter, r *http.Request) {
-	tenant, err := tenantID(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
+func (s *server) handleDataPut(w http.ResponseWriter, r *http.Request, tenant string) {
 	release, ok := s.admitWrite(w, r, tenant)
 	if !ok {
 		return
@@ -104,12 +99,7 @@ func (s *server) handleDataPut(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *server) handleDataGet(w http.ResponseWriter, r *http.Request) {
-	tenant, err := tenantID(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
+func (s *server) handleDataGet(w http.ResponseWriter, r *http.Request, tenant string) {
 	d, ok := s.svc.Datasets().Get(tenant, r.PathValue("name"))
 	if !ok {
 		httpError(w, http.StatusNotFound, htd.ErrDatasetNotFound.Error())
@@ -118,12 +108,7 @@ func (s *server) handleDataGet(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, d.Info())
 }
 
-func (s *server) handleDataDelete(w http.ResponseWriter, r *http.Request) {
-	tenant, err := tenantID(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
+func (s *server) handleDataDelete(w http.ResponseWriter, r *http.Request, tenant string) {
 	if !s.svc.Datasets().Drop(tenant, r.PathValue("name")) {
 		httpError(w, http.StatusNotFound, htd.ErrDatasetNotFound.Error())
 		return
@@ -131,12 +116,7 @@ func (s *server) handleDataDelete(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"dropped": r.PathValue("name")})
 }
 
-func (s *server) handleDataList(w http.ResponseWriter, r *http.Request) {
-	tenant, err := tenantID(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
+func (s *server) handleDataList(w http.ResponseWriter, r *http.Request, tenant string) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"datasets": s.svc.Datasets().List(tenant),
 	})
@@ -148,12 +128,7 @@ func (s *server) handleDataList(w http.ResponseWriter, r *http.Request) {
 // applies: a bad line leaves the dataset untouched. In-flight queries
 // keep reading the snapshot they resolved; only queries arriving after
 // the commit see the new version.
-func (s *server) handleDataMutate(w http.ResponseWriter, r *http.Request) {
-	tenant, err := tenantID(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
+func (s *server) handleDataMutate(w http.ResponseWriter, r *http.Request, tenant string) {
 	release, ok := s.admitWrite(w, r, tenant)
 	if !ok {
 		return

@@ -18,7 +18,10 @@ import (
 )
 
 // apiRequest is the JSON body of POST /decompose and one NDJSON line of
-// POST /batch.
+// POST /batch. It selects the problem, not the solver: every job runs
+// the service's one configuration, the paper's hybrid. Like any field
+// it does not know, the decoder ignores a "hybrid" or
+// "hybrid_threshold" an older client still sends.
 type apiRequest struct {
 	// Hypergraph in HyperBench syntax: name(v1,v2,...) terms separated
 	// by commas.
@@ -37,13 +40,6 @@ type apiRequest struct {
 	// TimeoutMS tightens the server's per-job timeout in milliseconds
 	// (it cannot exceed the server's -timeout).
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// Hybrid selects det-k-decomp hybridisation: "none", "edges" or
-	// "weighted"; HybridThreshold is the switch point. A decide job that
-	// names no metric runs the paper's hybrid (htd.PaperHybrid, at
-	// htd.PaperHybridThreshold unless HybridThreshold is set); optimal
-	// jobs default to "none", as their trees are served as query plans.
-	Hybrid          string  `json:"hybrid,omitempty"`
-	HybridThreshold float64 `json:"hybrid_threshold,omitempty"`
 	// Render asks for the indented tree rendering in the response.
 	Render bool `json:"render,omitempty"`
 }
@@ -93,14 +89,18 @@ type apiResponse struct {
 // request itself was invalid.
 var errBadRequest = errors.New("bad request")
 
-// tenantID extracts the caller's tenant from the X-Tenant header. An
-// absent or blank header means the default tenant (mapped downstream).
-func tenantID(r *http.Request) (string, error) {
-	t := strings.TrimSpace(r.Header.Get("X-Tenant"))
-	if len(t) > maxTenantIDLen {
-		return "", fmt.Errorf("X-Tenant exceeds %d bytes", maxTenantIDLen)
+// tenanted resolves the caller's tenant from the X-Tenant header before
+// h runs. An absent or blank header means the default tenant (mapped
+// downstream); one over maxTenantIDLen bytes is a 400.
+func tenanted(h func(w http.ResponseWriter, r *http.Request, tenant string)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		t := strings.TrimSpace(r.Header.Get("X-Tenant"))
+		if len(t) > maxTenantIDLen {
+			httpError(w, http.StatusBadRequest, fmt.Sprintf("X-Tenant exceeds %d bytes", maxTenantIDLen))
+			return
+		}
+		h(w, r, t)
 	}
-	return t, nil
 }
 
 // setRetryAfter adds the Retry-After header (whole seconds, rounded
@@ -185,15 +185,15 @@ func newHandler(svc *htd.Service, batchLimit int, maxBody int64) *server {
 		started:    time.Now(),
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /decompose", s.handleDecompose)
-	mux.HandleFunc("POST /batch", s.handleBatch)
-	mux.HandleFunc("POST /query", s.handleQuery)
-	mux.HandleFunc("POST /querybatch", s.handleQueryBatch)
-	mux.HandleFunc("GET /data", s.handleDataList)
-	mux.HandleFunc("PUT /data/{name}", s.handleDataPut)
-	mux.HandleFunc("GET /data/{name}", s.handleDataGet)
-	mux.HandleFunc("DELETE /data/{name}", s.handleDataDelete)
-	mux.HandleFunc("POST /data/{name}/mutate", s.handleDataMutate)
+	mux.HandleFunc("POST /decompose", tenanted(s.handleDecompose))
+	mux.HandleFunc("POST /batch", tenanted(s.handleBatch))
+	mux.HandleFunc("POST /query", tenanted(s.handleQuery))
+	mux.HandleFunc("POST /querybatch", tenanted(s.handleQueryBatch))
+	mux.HandleFunc("GET /data", tenanted(s.handleDataList))
+	mux.HandleFunc("PUT /data/{name}", tenanted(s.handleDataPut))
+	mux.HandleFunc("GET /data/{name}", tenanted(s.handleDataGet))
+	mux.HandleFunc("DELETE /data/{name}", tenanted(s.handleDataDelete))
+	mux.HandleFunc("POST /data/{name}/mutate", tenanted(s.handleDataMutate))
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /stats", s.handleStats)
 	mux.HandleFunc("GET /cache", s.handleCache)
@@ -221,12 +221,11 @@ func parseRequest(a apiRequest) (htd.ServiceRequest, error) {
 		return req, fmt.Errorf("parse hypergraph: %w", err)
 	}
 	req = htd.ServiceRequest{
-		H:               h,
-		K:               a.K,
-		MaxProbes:       a.MaxProbes,
-		Workers:         a.Workers,
-		Timeout:         time.Duration(a.TimeoutMS) * time.Millisecond,
-		HybridThreshold: a.HybridThreshold,
+		H:         h,
+		K:         a.K,
+		MaxProbes: a.MaxProbes,
+		Workers:   a.Workers,
+		Timeout:   time.Duration(a.TimeoutMS) * time.Millisecond,
 	}
 	switch a.Mode {
 	case "", "decide":
@@ -235,22 +234,6 @@ func parseRequest(a apiRequest) (htd.ServiceRequest, error) {
 		req.Mode = htd.ModeOptimal
 	default:
 		return req, fmt.Errorf("unknown mode %q (want decide or optimal)", a.Mode)
-	}
-	switch a.Hybrid {
-	case "":
-		if req.Mode == htd.ModeDecide {
-			req.Hybrid = htd.PaperHybrid
-			if req.HybridThreshold == 0 {
-				req.HybridThreshold = htd.PaperHybridThreshold
-			}
-		}
-	case "none":
-	case "edges":
-		req.Hybrid = htd.HybridEdgeCount
-	case "weighted":
-		req.Hybrid = htd.HybridWeightedCount
-	default:
-		return req, fmt.Errorf("unknown hybrid metric %q (want none, edges or weighted)", a.Hybrid)
 	}
 	return req, nil
 }
@@ -306,12 +289,7 @@ func toAPINode(d *htd.Decomposition, n *htd.Node) *apiNode {
 	return out
 }
 
-func (s *server) handleDecompose(w http.ResponseWriter, r *http.Request) {
-	tenant, err := tenantID(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
+func (s *server) handleDecompose(w http.ResponseWriter, r *http.Request, tenant string) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
 	var a apiRequest
 	if err := json.NewDecoder(r.Body).Decode(&a); err != nil {
@@ -319,19 +297,7 @@ func (s *server) handleDecompose(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := s.runJob(r.Context(), a, tenant)
-	status := http.StatusOK
-	switch {
-	case errors.Is(resp.err, errBadRequest):
-		status = http.StatusBadRequest
-	case errors.Is(resp.err, htd.ErrTenantLimited):
-		status = http.StatusTooManyRequests
-		setRetryAfter(w, resp.err)
-	case errors.Is(resp.err, htd.ErrOverloaded):
-		status = http.StatusTooManyRequests
-	case errors.Is(resp.err, htd.ErrServiceClosed):
-		status = http.StatusServiceUnavailable
-	}
-	writeJSON(w, status, resp)
+	writeJSON(w, errStatus(w, resp.err), resp)
 }
 
 // streamNDJSON reads NDJSON request lines and streams NDJSON responses
@@ -416,12 +382,7 @@ func (s *server) streamNDJSON(w http.ResponseWriter, r *http.Request, handle fun
 
 // handleBatch streams decomposition jobs: NDJSON apiRequest lines in,
 // apiResponse lines out, input order preserved.
-func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	tenant, err := tenantID(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
+func (s *server) handleBatch(w http.ResponseWriter, r *http.Request, tenant string) {
 	s.streamNDJSON(w, r, func(line []byte) any {
 		var a apiRequest
 		if err := json.Unmarshal(line, &a); err != nil {
@@ -459,7 +420,8 @@ type queryAPIRequest struct {
 	// MaxRows caps every intermediate and final relation; exceeding it
 	// aborts the query. 0 = no cap.
 	MaxRows int `json:"max_rows,omitempty"`
-	// TimeoutMS bounds the whole query (planning + execution).
+	// TimeoutMS bounds the whole query (planning + execution). Unset,
+	// the server's -timeout applies; set, it can only tighten it.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// Parallelism caps the executor's concurrent workers for this query
 	// (sibling subtrees and large final-join partitions); spawned
@@ -639,34 +601,32 @@ func (s *server) runQuery(ctx context.Context, a queryAPIRequest, tenant string)
 	return resp
 }
 
-func (s *server) queryStatus(resp *queryAPIResponse) int {
+// errStatus maps the error of a single-shot /decompose or /query
+// response to its status code, adding Retry-After to a tenant-limited
+// rejection. Errors not mapped here are answers (timeouts, no plan,
+// row budget) and keep 200.
+func errStatus(w http.ResponseWriter, err error) int {
 	switch {
-	case errors.Is(resp.err, errBadRequest):
+	case errors.Is(err, errBadRequest), errors.Is(err, htd.ErrDatasetFutureVersion):
 		return http.StatusBadRequest
-	case errors.Is(resp.err, htd.ErrDatasetNotFound):
+	case errors.Is(err, htd.ErrDatasetNotFound):
 		return http.StatusNotFound
-	case errors.Is(resp.err, htd.ErrDatasetVersionGone):
+	case errors.Is(err, htd.ErrDatasetVersionGone):
 		// 410, not 404: the version existed and is gone for good —
 		// clients should re-resolve to the current version, not retry.
 		return http.StatusGone
-	case errors.Is(resp.err, htd.ErrDatasetFutureVersion):
-		return http.StatusBadRequest
-	case errors.Is(resp.err, htd.ErrTenantLimited):
+	case errors.Is(err, htd.ErrTenantLimited):
+		setRetryAfter(w, err)
 		return http.StatusTooManyRequests
-	case errors.Is(resp.err, htd.ErrOverloaded):
+	case errors.Is(err, htd.ErrOverloaded):
 		return http.StatusTooManyRequests
-	case errors.Is(resp.err, htd.ErrServiceClosed):
+	case errors.Is(err, htd.ErrServiceClosed):
 		return http.StatusServiceUnavailable
 	}
 	return http.StatusOK
 }
 
-func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	tenant, err := tenantID(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
+func (s *server) handleQuery(w http.ResponseWriter, r *http.Request, tenant string) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
 	var a queryAPIRequest
 	if err := json.NewDecoder(r.Body).Decode(&a); err != nil {
@@ -674,22 +634,14 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := s.runQuery(r.Context(), a, tenant)
-	if errors.Is(resp.err, htd.ErrTenantLimited) {
-		setRetryAfter(w, resp.err)
-	}
-	writeJSON(w, s.queryStatus(resp), resp)
+	writeJSON(w, errStatus(w, resp.err), resp)
 }
 
 // handleQueryBatch streams query jobs: NDJSON queryAPIRequest lines in,
 // queryAPIResponse lines out, input order preserved. Duplicate queries
 // inside one batch plan once: the first line's solve is coalesced with
 // or cached for the rest.
-func (s *server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
-	tenant, err := tenantID(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
+func (s *server) handleQueryBatch(w http.ResponseWriter, r *http.Request, tenant string) {
 	s.streamNDJSON(w, r, func(line []byte) any {
 		var a queryAPIRequest
 		if err := json.Unmarshal(line, &a); err != nil {

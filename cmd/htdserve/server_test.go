@@ -106,13 +106,26 @@ func prism8() string {
 	return strings.TrimSuffix(strings.TrimSpace(b.String()), ",") + "."
 }
 
-// TestDecomposeHybridDefault: a decide job that names no hybrid metric
-// runs the paper's hybrid, while "hybrid":"none" and optimal mode stay
-// on pure log-k-decomp. All three agree on the answer. Each request gets
-// a fresh server so no answer comes from the plan cache.
-func TestDecomposeHybridDefault(t *testing.T) {
+// TestOneSolverConfiguration: every job runs the paper's hybrid. A
+// decide job, an optimal job and a cold /query plan each raise /stats'
+// Solver.HybridCalls, and a body that still sends the retired
+// "hybrid":"none" gets the same solver. The decompose answers agree.
+// Each request gets a fresh server so none comes from the plan cache.
+func TestOneSolverConfiguration(t *testing.T) {
+	hybridCalls := func(t *testing.T, url string) int64 {
+		t.Helper()
+		resp, err := http.Get(url + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var st htd.ServiceStats
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		return st.Solver.HybridCalls
+	}
 	prism := prism8()
-
 	for _, k := range []int{2, 3} {
 		var answers []apiResponse
 		for _, extra := range []map[string]any{
@@ -130,9 +143,11 @@ func TestDecomposeHybridDefault(t *testing.T) {
 			if resp.StatusCode != http.StatusOK || out.Error != "" || out.CacheHit || out.Stats == nil {
 				t.Fatalf("k=%d %v: status %d %+v", k, extra, resp.StatusCode, out)
 			}
-			hybrid := len(extra) == 0
-			if got := out.Stats.HybridCalls; hybrid != (got >= 1) {
-				t.Fatalf("k=%d %v: HybridCalls=%d, want hybrid=%v", k, extra, got, hybrid)
+			if out.Stats.HybridCalls < 1 {
+				t.Fatalf("k=%d %v: job ran no hybrid hand-off: %+v", k, extra, out.Stats)
+			}
+			if got := hybridCalls(t, ts.URL); got < 1 {
+				t.Fatalf("k=%d %v: /stats Solver.HybridCalls=%d", k, extra, got)
 			}
 			answers = append(answers, out)
 		}
@@ -147,10 +162,12 @@ func TestDecomposeHybridDefault(t *testing.T) {
 		}
 	}
 
-	// A request's own threshold applies to the default metric.
-	req, err := parseRequest(apiRequest{Hypergraph: prism, K: 3, HybridThreshold: 10})
-	if err != nil || req.Hybrid != htd.PaperHybrid || req.HybridThreshold != 10 {
-		t.Fatalf("threshold override: %v %v %v", req.Hybrid, req.HybridThreshold, err)
+	ts, _ := newTestServer(t)
+	if resp, out, raw := postQuery(t, ts.URL+"/query", triangleQueryBody); resp.StatusCode != http.StatusOK || out.PlanCacheHit {
+		t.Fatalf("cold /query: status %d %s", resp.StatusCode, raw)
+	}
+	if got := hybridCalls(t, ts.URL); got < 1 {
+		t.Fatalf("cold /query plan: /stats Solver.HybridCalls=%d", got)
 	}
 }
 
@@ -458,6 +475,29 @@ func rawRows(t *testing.T, raw []byte) []byte {
 		t.Fatal(err)
 	}
 	return probe.Rows
+}
+
+// TestServeQueryInheritsServerTimeout: a /query that sends no
+// timeout_ms still runs under the server's -timeout, execution
+// included. The plan is cached first, so only execution — a 2-path
+// whose 4M answers share one join key — can run out of time.
+func TestServeQueryInheritsServerTimeout(t *testing.T) {
+	ts, _ := newEdgeServer(t, htd.ServiceConfig{DefaultTimeout: 20 * time.Millisecond}, 0)
+	const q = `"query":"R(x,y), S(y,z).","omit_rows":true`
+	warm := `{` + q + `,"database":"rel R(c1,c2)\n1 0\nend\nrel S(c1,c2)\n0 1\nend\n"}`
+	if resp, out, raw := postQuery(t, ts.URL+"/query", warm); resp.StatusCode != http.StatusOK || !out.OK {
+		t.Fatalf("warm-up: status %d %s", resp.StatusCode, raw)
+	}
+	var r, s strings.Builder
+	for i := 0; i < 2000; i++ {
+		fmt.Fprintf(&r, "%d 0\\n", i)
+		fmt.Fprintf(&s, "0 %d\\n", i)
+	}
+	slow := `{` + q + `,"database":"rel R(c1,c2)\n` + r.String() + `end\nrel S(c1,c2)\n` + s.String() + `end\n"}`
+	_, out, raw := postQuery(t, ts.URL+"/query", slow)
+	if out.OK || !out.TimedOut || !strings.Contains(out.Error, "execution failed") {
+		t.Fatalf("slow /query without timeout_ms: %s", raw)
+	}
 }
 
 // TestServeQueryGolden pins the full /query contract on the triangle

@@ -79,7 +79,7 @@ func TestStatsValuesGolden(t *testing.T) {
 		"query.PlanFailures": 1, "query.ExecFailures": 0, "query.TenantLimited": 0,
 		"query.RowsReturned": 6, "query.AggQueries": 1, "query.AggGroups": 1, "query.DatasetQueries": 3,
 		"query.ExecParallelQueries": 0, "query.ExecIndexBuilds": 4, "query.ExecIndexReuses": 4,
-		"query.ExecIndexProbes": 32, "query.ExecParallelTasks": 0, "query.ExecInlineTasks": 0,
+		"query.ExecIndexProbes": 24, "query.ExecParallelTasks": 0, "query.ExecInlineTasks": 0,
 
 		"datasets.datasets": 1, "datasets.queries": 3, "datasets.mutations": 1,
 		"parse_cache.hits": 1, "parse_cache.misses": 1, "parse_cache.coalesced": 0,

@@ -70,13 +70,6 @@ const (
 	HybridWeightedCount = logk.HybridWeightedCount
 )
 
-// PaperHybrid at PaperHybridThreshold is the paper's headline hybrid
-// configuration (§5.2), which htdserve runs for decide jobs by default.
-const (
-	PaperHybrid          = logk.PaperHybrid
-	PaperHybridThreshold = logk.PaperHybridThreshold
-)
-
 // SolverStats reports search-effort counters of a log-k-decomp run.
 type SolverStats = logk.Stats
 

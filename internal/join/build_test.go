@@ -180,3 +180,41 @@ func TestAggregateBagColumnOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestExecColumnsIndependentOfIndexSets: the answer's columns must not
+// depend on whether the relations carry an IndexSet. On the one-node
+// plan λ{R1,R3}, build skips the projection over indexed relations and
+// keeps the λ-join's column order (z, y, x), while over plain ones it
+// projects to χ order (x, z, y); both answers must be laid out alike,
+// row for row.
+func TestExecColumnsIndependentOfIndexSets(t *testing.T) {
+	q := Query{Atoms: []Atom{
+		{Relation: "R0", Vars: []string{"x", "z"}},
+		{Relation: "R1", Vars: []string{"z", "y"}},
+		{Relation: "R3", Vars: []string{"y", "x"}},
+	}}
+	plain := Database{
+		"R0": NewRelation("a", "b").Add(1, 3).Add(2, 3).Add(1, 4),
+		"R1": NewRelation("a", "b").Add(3, 5).Add(4, 5).Add(3, 6),
+		"R3": NewRelation("a", "b").Add(5, 1).Add(6, 2).Add(5, 2),
+	}
+	d := handPlan(t, q, [][]int{{1, 2}}, []int{-1})
+	want, err := EvaluateCtx(context.Background(), q, plain, d, EvalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Size() == 0 {
+		t.Fatal("empty answer: the instance checks nothing")
+	}
+	_, views := mrelDB(plain)
+	for name, db := range map[string]Database{"indexed": indexedDB(plain), "maintained": views} {
+		got, err := EvaluateCtx(context.Background(), q, db, d, EvalOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Attrs, want.Attrs) || !reflect.DeepEqual(got.Rows(), want.Rows()) {
+			t.Errorf("%s: answer %v %v, over plain relations %v %v",
+				name, got.Attrs, got.Rows(), want.Attrs, want.Rows())
+		}
+	}
+}

@@ -405,23 +405,48 @@ func (e *executor) join(r, s *Relation) (*Relation, error) {
 // each output row restricts to exactly one row of either input. A
 // single-bag answer may be a base relation's own view, sharing its
 // storage; like every operator input, it is read-only.
+//
+// The answer's columns are laid out as if every bag were projected to
+// χ order (answerAttrs), so whether build skipped a projection — which
+// depends on whether the relations carry an IndexSet — never shows in
+// the answer. Row order does not depend on column order.
 func (e *executor) run(q Query, db Database, d *decomp.Decomp) (*Relation, error) {
 	root, err := e.reduce(q, db, d)
 	if err != nil {
 		return nil, err
 	}
-	return e.collect(root)
-}
-
-// reduce materialises the bag relations and runs the two semijoin
-// passes, with sibling subtrees concurrent in every phase — the shared
-// front half of run and aggregate.
-func (e *executor) reduce(q Query, db Database, d *decomp.Decomp) (*bagNode, error) {
-	coverOf, err := assignAtomCovers(q, d)
+	ans, err := e.collect(root)
 	if err != nil {
 		return nil, err
 	}
-	root, err := e.build(q, db, d, coverOf, d.Root)
+	return ans.permuted(answerAttrs(root, make([]string, 0, len(ans.Attrs)))), nil
+}
+
+// answerAttrs appends the attributes of n's subtree in preorder, each
+// bag's in χ order and each attribute at its first occurrence: the
+// column order collect's joins produce when every bag is projected.
+func answerAttrs(n *bagNode, out []string) []string {
+	for _, a := range n.chi {
+		if !slices.Contains(out, a) {
+			out = append(out, a)
+		}
+	}
+	for _, c := range n.children {
+		out = answerAttrs(c, out)
+	}
+	return out
+}
+
+// reduce materialises the bag relations of the execution tree
+// (execTree) and runs the two semijoin passes, with sibling subtrees
+// concurrent in every phase — the shared front half of run and
+// aggregate.
+func (e *executor) reduce(q Query, db Database, d *decomp.Decomp) (*bagNode, error) {
+	tree, coverOf, err := execTree(q, d)
+	if err != nil {
+		return nil, err
+	}
+	root, err := e.build(q, db, d, coverOf, tree)
 	if err != nil {
 		return nil, err
 	}
@@ -444,7 +469,8 @@ func (e *executor) reduce(q Query, db Database, d *decomp.Decomp) (*bagNode, err
 //     a set (it carries an IndexSet; see Relation.indexes). A
 //     single-atom bag is then the atom's renamed base view and keeps its
 //     maintained indexes for the passes that probe it. The bag's columns
-//     are in λ-join order rather than χ's vertex order in that case;
+//     are in λ-join order rather than χ's vertex order in that case
+//     (run lays the answer out in χ order regardless);
 //   - hosted atoms in λ(u) itself are not semijoined in: every bag
 //     tuple restricts a tuple s of ⋈λ(u), and s restricted to vars(e)
 //     lies in R_e, so the semijoin would remove nothing — with or
@@ -498,7 +524,7 @@ func (e *executor) build(q Query, db Database, d *decomp.Decomp, coverOf map[*de
 	if err := e.g.check(proj); err != nil {
 		return nil, err
 	}
-	bn := &bagNode{rel: proj, children: make([]*bagNode, len(n.Children))}
+	bn := &bagNode{rel: proj, chi: bagAttrs, children: make([]*bagNode, len(n.Children))}
 	if err := e.forEach(len(n.Children), func(i int) error {
 		cb, err := e.build(q, db, d, coverOf, n.Children[i])
 		if err != nil {

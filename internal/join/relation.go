@@ -142,6 +142,20 @@ func (r *Relation) renamed(attrs []string) *Relation {
 	return out
 }
 
+// permuted returns r with its columns in attrs order, a permutation of
+// r.Attrs: r itself when already so, else a view sharing r's storage
+// but not its maintained indexes, which are keyed by column position.
+func (r *Relation) permuted(attrs []string) *Relation {
+	if slices.Equal(r.Attrs, attrs) {
+		return r
+	}
+	cols := make([]vec, len(attrs))
+	for i, a := range attrs {
+		cols[i] = r.cols[r.pos[a]]
+	}
+	return (&Relation{cols: cols, n: r.n, mem: r.mem}).renamed(attrs)
+}
+
 // appendFrom appends row i of src (same schema) to r.
 func (r *Relation) appendFrom(src *Relation, i int) {
 	for c := range r.cols {

@@ -10,9 +10,11 @@ import (
 // The scan reference: Yannakakis over tuple slices, where every
 // semijoin and join re-scans its inputs with string-keyed buckets. It
 // is an independent implementation of the indexed executor's plan —
-// same atom hosts (assignAtomCovers), same join schema (joinSchema),
-// same probe order — so the indexed kernel must reproduce its rows in
-// the very same order, byte for byte. Test-only: the indexed kernel is
+// same execution tree and atom hosts (execTree), same join schema
+// (joinSchema), same probe order — so the indexed kernel must
+// reproduce its rows in the very same order, byte for byte. It projects
+// every bag to χ order, the answer layout the executor keeps whether or
+// not it skipped a projection. Test-only: the indexed kernel is
 // the one production evaluator; EvaluateNaive is the semantic oracle.
 
 // scanRef names the scan reference in execOptsMatrix.
@@ -39,7 +41,8 @@ func evaluateScan(ctx context.Context, q Query, db Database, d *decomp.Decomp, m
 }
 
 // buildJoinTree materialises the join tree of query q over database db
-// guided by the hypertree decomposition d of q's hypergraph:
+// guided by the execution tree derived from the hypertree decomposition
+// d of q's hypergraph:
 //
 //   - the bag relation of node u is the join of the λ(u) atom relations
 //     projected onto χ(u);
@@ -50,7 +53,7 @@ func evaluateScan(ctx context.Context, q Query, db Database, d *decomp.Decomp, m
 // ≤ N^width tuples — the classic width-bounded evaluation guarantee.
 func buildJoinTree(q Query, db Database, d *decomp.Decomp, g *guard) (*bagNode, error) {
 	h := d.H
-	coverOf, err := assignAtomCovers(q, d)
+	root, coverOf, err := execTree(q, d)
 	if err != nil {
 		return nil, err
 	}
@@ -59,13 +62,11 @@ func buildJoinTree(q Query, db Database, d *decomp.Decomp, g *guard) (*bagNode, 
 	build = func(n *decomp.Node) (*bagNode, error) {
 		// Join the λ(u) atom relations.
 		var acc *Relation
-		lambdaSets := true
 		for _, e := range n.Lambda {
 			r, err := atomRelation(db, q.Atoms[e])
 			if err != nil {
 				return nil, err
 			}
-			lambdaSets = lambdaSets && r.indexes != nil
 			if acc == nil {
 				acc = r
 			} else {
@@ -81,17 +82,12 @@ func buildJoinTree(q Query, db Database, d *decomp.Decomp, g *guard) (*bagNode, 
 		if acc == nil {
 			return nil, fmt.Errorf("join: node with empty λ-label")
 		}
-		// Project to χ(u), unless — the executor's rule — the λ-join
-		// already is a set over exactly χ(u); the bag then keeps the
-		// λ-join's column order.
+		// Project to χ(u).
 		var bagAttrs []string
 		n.Bag.ForEach(func(v int) { bagAttrs = append(bagAttrs, h.VertexName(v)) })
-		proj := acc
-		if !lambdaSets || !hasExactly(acc, bagAttrs) {
-			var err error
-			if proj, err = acc.Project(bagAttrs...); err != nil {
-				return nil, err
-			}
+		proj, err := acc.Project(bagAttrs...)
+		if err != nil {
+			return nil, err
 		}
 		// Enforce atoms assigned to this node.
 		for _, e := range coverOf[n] {
@@ -117,7 +113,7 @@ func buildJoinTree(q Query, db Database, d *decomp.Decomp, g *guard) (*bagNode, 
 		}
 		return bn, nil
 	}
-	return build(d.Root)
+	return build(root)
 }
 
 // semijoinUp is the bottom-up semijoin pass: every node is reduced

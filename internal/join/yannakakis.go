@@ -8,9 +8,11 @@ import (
 	"repro/internal/decomp"
 )
 
-// bagNode is one node of the join tree derived from an HD.
+// bagNode is one node of the join tree derived from an HD: its bag
+// relation and χ's attributes in vertex order.
 type bagNode struct {
 	rel      *Relation
+	chi      []string
 	children []*bagNode
 }
 
@@ -80,22 +82,25 @@ func (g *guard) poll(i int) error {
 	return g.ctx.Err()
 }
 
-// assignAtomCovers validates the decomposition against the query and
-// maps each decomposition node to the atoms it must enforce: every atom
-// is assigned to the first node (in Walk order) whose bag covers it (HD
-// condition 1 guarantees one exists). The test-only scan reference
-// shares this plan shaping — identical host selection is part of what
-// keeps its output byte-identical to the executor's.
-func assignAtomCovers(q Query, d *decomp.Decomp) (map[*decomp.Node][]int, error) {
+// execTree derives the tree Yannakakis runs on from the HD d: every
+// tree edge {u, v} with χ(u) ⊆ χ(v) is contracted into v (contract),
+// as u's bag would cost a build and semijoin rounds yet filter nothing
+// v's does not. The result keeps edge coverage and connectedness, so
+// it is a join tree with the same answer, but not always an HD, so it
+// never leaves the package. Every atom is hosted at the first node (in
+// Walk order) whose bag covers it. The test-only scan reference shares
+// this plan shaping, part of what keeps its rows byte-identical.
+func execTree(q Query, d *decomp.Decomp) (*decomp.Node, map[*decomp.Node][]int, error) {
 	h := d.H
 	if h.NumEdges() != len(q.Atoms) {
-		return nil, fmt.Errorf("join: decomposition hypergraph has %d edges, query has %d atoms",
+		return nil, nil, fmt.Errorf("join: decomposition hypergraph has %d edges, query has %d atoms",
 			h.NumEdges(), len(q.Atoms))
 	}
+	root := contract(d.Root)
 	coverOf := map[*decomp.Node][]int{}
 	for e := range q.Atoms {
 		var host *decomp.Node
-		d.Root.Walk(func(n *decomp.Node) bool {
+		root.Walk(func(n *decomp.Node) bool {
 			if h.Edge(e).SubsetOf(n.Bag) {
 				host = n
 				return false
@@ -103,11 +108,40 @@ func assignAtomCovers(q Query, d *decomp.Decomp) (map[*decomp.Node][]int, error)
 			return true
 		})
 		if host == nil {
-			return nil, fmt.Errorf("join: atom %d not covered by any bag (invalid HD?)", e)
+			return nil, nil, fmt.Errorf("join: atom %d not covered by any bag (invalid HD?)", e)
 		}
 		coverOf[host] = append(coverOf[host], e)
 	}
-	return coverOf, nil
+	return root, coverOf, nil
+}
+
+// contract returns n's subtree with every edge between comparable bags
+// contracted into the larger bag, whose λ and χ the merged node keeps;
+// a contracted child's children take its place, in order. Only changed
+// nodes are copied: the HD, often a cached plan, is never mutated.
+func contract(n *decomp.Node) *decomp.Node {
+	var kids []*decomp.Node // nil while n's children are unchanged
+	lambda, bag := n.Lambda, n.Bag
+	for i, c := range n.Children {
+		cc := contract(c)
+		merge := cc.Bag.SubsetOf(bag)
+		if !merge && bag.SubsetOf(cc.Bag) {
+			lambda, bag, merge = cc.Lambda, cc.Bag, true
+		}
+		if kids == nil && (merge || cc != c) {
+			kids = append(make([]*decomp.Node, 0, len(n.Children)+len(cc.Children)), n.Children[:i]...)
+		}
+		switch {
+		case merge:
+			kids = append(kids, cc.Children...)
+		case kids != nil:
+			kids = append(kids, cc)
+		}
+	}
+	if kids == nil {
+		return n
+	}
+	return &decomp.Node{Lambda: lambda, SpecialID: decomp.NoSpecial, Bag: bag, Children: kids}
 }
 
 // Evaluate answers the full conjunctive query using the decomposition:

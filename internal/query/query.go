@@ -43,8 +43,9 @@ type Request struct {
 	// MaxRows caps every intermediate and final relation of the
 	// execution; exceeding it aborts with join.ErrRowBudget. 0 = no cap.
 	MaxRows int
-	// Timeout bounds the whole query — planning and execution. 0 = no
-	// per-query deadline (the service's default still caps the solve).
+	// Timeout bounds the whole query — planning and execution — by the
+	// service's rule (service.Service.WithTimeout): 0 inherits the
+	// service's DefaultTimeout, and larger values are clamped to it.
 	Timeout time.Duration
 	// Parallelism caps the executor's concurrent workers (including the
 	// query's own goroutine): sibling subtrees of the Yannakakis passes
@@ -252,11 +253,8 @@ func (p *Planner) eval(ctx context.Context, req Request) (Result, outcome, error
 		// ceiling above the atom count only wastes width probes.
 		maxW = h.NumEdges()
 	}
-	if req.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, req.Timeout)
-		defer cancel()
-	}
+	ctx, cancel := p.svc.WithTimeout(ctx, req.Timeout)
+	defer cancel()
 
 	// Plan: a ModeOptimal job yields the minimum-width decomposition —
 	// the plan with the tightest N^width execution guarantee — and banks

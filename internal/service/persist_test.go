@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/decomp"
 	"repro/internal/hyperbench"
-	"repro/internal/logk"
 	"repro/internal/store"
 )
 
@@ -184,10 +183,7 @@ func TestDiskTierIOBudget(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				r := svc.Submit(ctx, Request{
-					H: in.H, K: 6, Mode: ModeOptimal,
-					Hybrid: logk.HybridWeightedCount, HybridThreshold: 40,
-				})
+				r := svc.Submit(ctx, Request{H: in.H, K: 6, Mode: ModeOptimal})
 				switch {
 				case r.Err != nil || !r.OK:
 					errs[i] = "unsolved"

@@ -58,8 +58,8 @@ type Config struct {
 	// MaxQueue bounds jobs waiting for a slot; beyond it Submit fails
 	// fast with ErrOverloaded. Default 64.
 	MaxQueue int
-	// DefaultTimeout applies to jobs that set none, and caps per-job
-	// overrides. 0 means no timeout.
+	// DefaultTimeout applies to jobs and queries that set none, and caps
+	// their overrides (WithTimeout). 0 means no timeout.
 	DefaultTimeout time.Duration
 	// Store injects a cross-request storage backend; nil builds an
 	// in-memory backend capped at MemoMaxGraphs. Custom backends are the
@@ -129,13 +129,9 @@ type Request struct {
 	// Workers lowers this job's search parallelism; 0 (or anything
 	// above TokenBudget+1) lets one job use the whole shared token pool.
 	Workers int
-	// Timeout tightens the service's DefaultTimeout for this job; ≤ 0
-	// inherits it, and values beyond it are clamped to it.
+	// Timeout tightens the service's DefaultTimeout for this job, by
+	// the rule of WithTimeout.
 	Timeout time.Duration
-	// Hybrid and HybridThreshold configure det-k-decomp hybridisation,
-	// as in logk.Options.
-	Hybrid          logk.HybridMetric
-	HybridThreshold float64
 	// Tenant attributes the job to a caller for per-tenant admission
 	// control and latency accounting; empty means tenant.Default.
 	Tenant string
@@ -343,8 +339,8 @@ func (s *Service) Config() Config { return s.cfg }
 
 // flightKey identifies interchangeable requests: same structure, same
 // problem. Two requests with equal keys produce equivalent results even
-// if their solver tuning (workers, hybridisation) differs — the
-// leader's tuning wins for a coalesced group.
+// if their solver tuning (workers) differs — the leader's tuning wins
+// for a coalesced group.
 func flightKey(hash string, req Request) string {
 	return hash + "/" + req.Mode.String() + "/" + strconv.Itoa(req.K)
 }
@@ -587,24 +583,29 @@ func (s *Service) admitAndRun(ctx context.Context, req Request, hash string) Res
 	return s.run(ctx, req, hash)
 }
 
-// run executes an admitted job on the caller's goroutine.
-func (s *Service) run(ctx context.Context, req Request, hash string) Result {
-	// Per-request timeouts can only tighten the operator's default:
-	// unset (or negative) inherits it, larger values are clamped to it.
-	// Otherwise any caller could opt out of the server-wide deadline
-	// and pin a run slot indefinitely.
-	timeout := req.Timeout
+// WithTimeout returns ctx under the deadline a request asking for
+// timeout runs with: unset (≤ 0) inherits the service's
+// DefaultTimeout, and larger values are clamped to it, so a request
+// can only tighten the operator's deadline — otherwise any caller
+// could opt out of it and pin a run slot indefinitely. Decomposition
+// jobs and whole queries (planning and execution) both run under it.
+func (s *Service) WithTimeout(ctx context.Context, timeout time.Duration) (context.Context, context.CancelFunc) {
+	if timeout <= 0 || (s.cfg.DefaultTimeout > 0 && timeout > s.cfg.DefaultTimeout) {
+		timeout = s.cfg.DefaultTimeout
+	}
 	if timeout <= 0 {
-		timeout = s.cfg.DefaultTimeout
+		return ctx, func() {}
 	}
-	if s.cfg.DefaultTimeout > 0 && timeout > s.cfg.DefaultTimeout {
-		timeout = s.cfg.DefaultTimeout
-	}
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
+	return context.WithTimeout(ctx, timeout)
+}
+
+// run executes an admitted job on the caller's goroutine. Every job
+// runs the paper's headline configuration, log-k-decomp hybridised with
+// det-k-decomp (logk.PaperHybrid at logk.PaperHybridThreshold): decide
+// and optimal jobs alike, hence every query plan too.
+func (s *Service) run(ctx context.Context, req Request, hash string) Result {
+	ctx, cancel := s.WithTimeout(ctx, req.Timeout)
+	defer cancel()
 
 	workers := s.budget.Size() + 1
 	if req.Workers > 0 && req.Workers < workers {
@@ -620,8 +621,8 @@ func (s *Service) run(ctx context.Context, req Request, hash string) Result {
 	solver := logk.New(req.H, logk.Options{
 		K:               req.K,
 		Workers:         workers,
-		Hybrid:          req.Hybrid,
-		HybridThreshold: req.HybridThreshold,
+		Hybrid:          logk.PaperHybrid,
+		HybridThreshold: logk.PaperHybridThreshold,
 		Tokens:          s.budget,
 		Memo:            memo,
 	})
@@ -656,8 +657,8 @@ func (s *Service) runOptimal(ctx context.Context, req Request, workers int, hash
 		KMax:            req.K,
 		MaxProbes:       req.MaxProbes,
 		Workers:         workers,
-		Hybrid:          req.Hybrid,
-		HybridThreshold: req.HybridThreshold,
+		Hybrid:          logk.PaperHybrid,
+		HybridThreshold: logk.PaperHybridThreshold,
 		Tokens:          s.budget,
 	}
 	res := Result{ran: true, cancelledByWidth: make(map[int]int64)}
