@@ -93,8 +93,10 @@ load-gate:
 	./scripts/load_gate.sh $(LOAD_JSON)
 
 # Store/service concurrency under the race detector (including the
-# service's counter conservation under a concurrent mix of outcomes and
-# the one solver configuration every job runs), then the solver's parallel
+# service's counter conservation under a concurrent mix of outcomes,
+# the one solver configuration every job runs, and identical queries
+# sharing one bag cache: TestBagCacheConcurrent with the other bag-cache
+# tests), then the solver's parallel
 # split (shared cursor, first-success cancel, early lease return, no
 # tokens once cancelled, per-worker counts folded without loss:
 # TestParallelSplitCancelledTakesNoTokens, TestParallelStatsConservation),
@@ -104,7 +106,7 @@ load-gate:
 # (TestDetKRefutesBagOnce) and its golden answers and witnesses
 # (TestDetKSameDecompositions) at several GOMAXPROCS values.
 stress:
-	$(GO) test -race -count=2 -run 'TestStoreStress|TestCoalescing|TestBatchDuplicates|TestServeCache|TestMemoryConcurrency|TestFlight|TestStatsConservation|TestOneSolverConfiguration' ./internal/store ./internal/service ./cmd/htdserve
+	$(GO) test -race -count=2 -run 'TestStoreStress|TestCoalescing|TestBatchDuplicates|TestServeCache|TestMemoryConcurrency|TestFlight|TestStatsConservation|TestOneSolverConfiguration|TestBagCache' ./internal/store ./internal/service ./cmd/htdserve ./internal/join ./internal/dataset
 	$(GO) test -race -count=3 -cpu=1,2,4 -run 'TestParallel|TestNoCacheEquivalence|TestCancelledContext|TestCrossValidationSolvers|TestRace|TestChildPool|TestDetKAllocBudget|TestDetKRefutesBagOnce|TestDetKSameDecompositions' ./internal/logk ./internal/race ./internal/detk
 
 # The query differential suite under the race detector, plus the
@@ -114,9 +116,10 @@ stress:
 # order, answer columns independent of IndexSets, and deduplicated
 # cached inline databases; and the execution tree's walls: contracted
 # plans independent of the solver, and contraction's properties on
-# random racer HDs.
+# random racer HDs; and the bag cache's walls: warm hits, the row
+# budget on a hit, concurrent identical queries and the snapshot scope.
 differential:
-	$(GO) test -race -count=1 -run 'TestDifferential|TestConcurrentIdentical|TestEval|TestServeQuery|TestExecDuplicateRows|TestCanonical|TestStatsConservation|TestRegistryTotalsMonotone|TestStatsValuesGolden|TestAggregateBagColumnOrder|TestBagBuildSkipsNoOpWork|TestExecColumnsIndependentOfIndexSets|TestContractionSolverIndependent|TestContractionProperties|TestServeQueryInlineDuplicateTuples' ./internal/query ./internal/join ./internal/dataset ./cmd/htdserve
+	$(GO) test -race -count=1 -run 'TestDifferential|TestConcurrentIdentical|TestEval|TestServeQuery|TestExecDuplicateRows|TestCanonical|TestStatsConservation|TestRegistryTotalsMonotone|TestStatsValuesGolden|TestAggregateBagColumnOrder|TestBagBuildSkipsNoOpWork|TestExecColumnsIndependentOfIndexSets|TestContractionSolverIndependent|TestContractionProperties|TestServeQueryInlineDuplicateTuples|TestBagCache' ./internal/query ./internal/join ./internal/dataset ./cmd/htdserve
 
 # A wall cannot silently lose a test: every alternative of the -run
 # regexes in stress, crash-recovery and differential must match a test
@@ -129,6 +132,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzParseQuery -fuzztime=10s ./internal/join
 	$(GO) test -run=NONE -fuzz=FuzzEvalDocument -fuzztime=10s ./internal/join
 	$(GO) test -run=NONE -fuzz=FuzzLogReplay -fuzztime=10s ./internal/store
+	$(GO) test -run=NONE -fuzz=FuzzMutateBatch -fuzztime=10s ./internal/dataset
 
 # The nightly workflow's long-form fuzz: 5 minutes per target.
 fuzz-long:
@@ -136,6 +140,7 @@ fuzz-long:
 	$(GO) test -run=NONE -fuzz=FuzzParseQuery -fuzztime=5m ./internal/join
 	$(GO) test -run=NONE -fuzz=FuzzEvalDocument -fuzztime=5m ./internal/join
 	$(GO) test -run=NONE -fuzz=FuzzLogReplay -fuzztime=5m ./internal/store
+	$(GO) test -run=NONE -fuzz=FuzzMutateBatch -fuzztime=5m ./internal/dataset
 
 # Fails on broken intra-repo links (and missing anchors) in committed
 # Markdown files; mirrors the CI docs job.

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -142,17 +141,10 @@ func (s *server) handleDataMutate(w http.ResponseWriter, r *http.Request, tenant
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
-	var batch []htd.DatasetMutation
-	dec := json.NewDecoder(r.Body)
-	for {
-		var m htd.DatasetMutation
-		if err := dec.Decode(&m); err == io.EOF {
-			break
-		} else if err != nil {
-			httpError(w, bodyErrStatus(err), "invalid mutation line: "+err.Error())
-			return
-		}
-		batch = append(batch, m)
+	batch, err := htd.DecodeDatasetBatch(r.Body)
+	if err != nil {
+		httpError(w, bodyErrStatus(err), err.Error())
+		return
 	}
 	res, err := d.Mutate(batch)
 	if err != nil {

@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -314,5 +316,49 @@ func TestServeQueryInlineDuplicateTuples(t *testing.T) {
 				t.Fatalf("%s %s: %d answers, want %d distinct (%s)", tc.name, pass, got, answers, raw)
 			}
 		}
+	}
+}
+
+// TestServeQueryDatasetPastRowCeiling: the server's row ceiling bounds
+// what a query's joins create and its answer, not the data a dataset
+// holds. With no max_rows, a dataset whose relations exceed the
+// ceiling still answers counts — over one relation and over a join
+// whose semijoins keep all of it — and a selective join; only a row
+// query whose answer exceeds the ceiling gets the row-budget answer.
+func TestServeQueryDatasetPastRowCeiling(t *testing.T) {
+	const ceiling = 100
+	ts, _ := newEdgeServer(t, htd.ServiceConfig{MaxRows: ceiling}, 0)
+	var data strings.Builder
+	for _, rel := range []string{"R", "T"} {
+		fmt.Fprintf(&data, "rel %s(c1,c2)\n", rel)
+		for i := 0; i < 10*ceiling; i++ {
+			fmt.Fprintf(&data, "%d %d\n", i, i)
+		}
+		data.WriteString("end\n")
+	}
+	data.WriteString("rel S(c1,c2)\n7 70\nend\n")
+	if resp, up := doData(t, http.MethodPut, ts.URL+"/data/big", "", data.String()); resp.StatusCode != http.StatusOK {
+		t.Fatalf("put: status=%d %v", resp.StatusCode, up)
+	}
+	for _, tc := range []struct{ query, aggregate string }{
+		{"R(x,y).", "count"},
+		{"R(x,y), T(y,z).", "count"},
+		{"R(x,y), S(y,z).", ""},
+	} {
+		body := fmt.Sprintf(`{"query":%q,"dataset":"big","aggregate":%q}`, tc.query, tc.aggregate)
+		resp, out, raw := postQuery(t, ts.URL+"/query", body)
+		if resp.StatusCode != http.StatusOK || !out.OK {
+			t.Fatalf("%s %s: status %d: %s", tc.query, tc.aggregate, resp.StatusCode, raw)
+		}
+		if tc.aggregate != "" && (out.Aggregate == nil || out.Aggregate.Value == nil || *out.Aggregate.Value != 10*ceiling) {
+			t.Fatalf("%s %s: %s, want %d", tc.query, tc.aggregate, raw, 10*ceiling)
+		}
+		if tc.aggregate == "" && !reflect.DeepEqual(out.Rows, [][]int{{7, 7, 70}}) {
+			t.Fatalf("%s: rows %v, want [[7 7 70]]", tc.query, out.Rows)
+		}
+	}
+	resp, out, raw := postQuery(t, ts.URL+"/query", `{"query":"R(x,y).","dataset":"big"}`)
+	if resp.StatusCode != http.StatusOK || out.OK || !strings.Contains(out.Error, fmt.Sprintf("budget is %d", ceiling)) {
+		t.Fatalf("row query past the ceiling: status %d: %s", resp.StatusCode, raw)
 	}
 }

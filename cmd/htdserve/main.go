@@ -8,6 +8,7 @@
 // Usage:
 //
 //	htdserve -addr :8080 [-budget 8] [-max-concurrent 8] [-timeout 30s]
+//	         [-max-rows 250000]
 //	         [-store-dir cache.d] [-store-fsync 100ms]
 //	         [-tenant-rate 50] [-tenant-inflight 4] [-fair-share]
 //	         [-pprof-addr localhost:6060]
@@ -93,6 +94,7 @@ func main() {
 		maxConc    = flag.Int("max-concurrent", 0, "max jobs decomposing at once (0 = GOMAXPROCS)")
 		maxQueue   = flag.Int("max-queue", 0, "max jobs waiting before rejection (0 = 64)")
 		timeout    = flag.Duration("timeout", 30*time.Second, "default per-job timeout (0 = none)")
+		maxRows    = flag.Int("max-rows", 0, "row ceiling of the relations a query creates and its answer; a request's max_rows can only tighten it (0 = 250000, -1 = none)")
 		memoGraphs = flag.Int("memo-graphs", 0, "hypergraphs cached in the store (0 = 32)")
 		storeDir   = flag.String("store-dir", "", "disk-backed store directory: every result persists as computed, restarts serve warm")
 		storeFsync = flag.Duration("store-fsync", 0, "disk store fsync cadence (0 = every append)")
@@ -118,6 +120,7 @@ func main() {
 		MaxConcurrent:  *maxConc,
 		MaxQueue:       *maxQueue,
 		DefaultTimeout: *timeout,
+		MaxRows:        *maxRows,
 		MemoMaxGraphs:  *memoGraphs,
 		StoreDir:       *storeDir,
 		StoreFsync:     *storeFsync,

@@ -417,8 +417,9 @@ type queryAPIRequest struct {
 	// MaxWidth is the plan's width ceiling (0 = number of atoms, so a
 	// plan always exists).
 	MaxWidth int `json:"max_width,omitempty"`
-	// MaxRows caps every intermediate and final relation; exceeding it
-	// aborts the query. 0 = no cap.
+	// MaxRows caps every join result and the answer (not the relations
+	// the query reads); exceeding it aborts the query. Unset, the
+	// server's -max-rows applies; set, it can only tighten it.
 	MaxRows int `json:"max_rows,omitempty"`
 	// TimeoutMS bounds the whole query (planning + execution). Unset,
 	// the server's -timeout applies; set, it can only tighten it.

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -480,9 +481,10 @@ func rawRows(t *testing.T, raw []byte) []byte {
 // TestServeQueryInheritsServerTimeout: a /query that sends no
 // timeout_ms still runs under the server's -timeout, execution
 // included. The plan is cached first, so only execution — a 2-path
-// whose 4M answers share one join key — can run out of time.
+// whose 4M answers share one join key — can run out of time; the
+// server runs without a row ceiling, which would stop it first.
 func TestServeQueryInheritsServerTimeout(t *testing.T) {
-	ts, _ := newEdgeServer(t, htd.ServiceConfig{DefaultTimeout: 20 * time.Millisecond}, 0)
+	ts, _ := newEdgeServer(t, htd.ServiceConfig{DefaultTimeout: 20 * time.Millisecond, MaxRows: -1}, 0)
 	const q = `"query":"R(x,y), S(y,z).","omit_rows":true`
 	warm := `{` + q + `,"database":"rel R(c1,c2)\n1 0\nend\nrel S(c1,c2)\n0 1\nend\n"}`
 	if resp, out, raw := postQuery(t, ts.URL+"/query", warm); resp.StatusCode != http.StatusOK || !out.OK {
@@ -497,6 +499,52 @@ func TestServeQueryInheritsServerTimeout(t *testing.T) {
 	_, out, raw := postQuery(t, ts.URL+"/query", slow)
 	if out.OK || !out.TimedOut || !strings.Contains(out.Error, "execution failed") {
 		t.Fatalf("slow /query without timeout_ms: %s", raw)
+	}
+}
+
+// TestServeQueryRowCeiling: a cross product near the body cap, sent
+// with no max_rows, stops at the server's default row ceiling — a
+// definitive 200 with ok:false and the row-budget error — after a
+// bounded amount of allocation. Its answer of over 10^9 rows would
+// otherwise be materialised until the process ran out of memory (the
+// 2 s server timeout only keeps a server without a ceiling from doing
+// so here).
+func TestServeQueryRowCeiling(t *testing.T) {
+	const maxBody = 1 << 20
+	ts, _ := newEdgeServer(t, htd.ServiceConfig{DefaultTimeout: 2 * time.Second}, maxBody)
+	var r, s strings.Builder
+	n := 0
+	head := `{"query":"R(a,b), S(c,d).","omit_rows":true,"database":"rel R(c1,c2)\n`
+	for ; len(head)+r.Len()+s.Len() < maxBody-200; n++ {
+		fmt.Fprintf(&r, "%d %d\\n", n, n)
+		fmt.Fprintf(&s, "%d %d\\n", n, n)
+	}
+	body := head + r.String() + `end\nrel S(c1,c2)\n` + s.String() + `end\n"}`
+	if len(body) > maxBody {
+		t.Fatalf("body of %d bytes is over the %d-byte cap", len(body), maxBody)
+	}
+
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	resp, out, raw := postQuery(t, ts.URL+"/query", body)
+	runtime.ReadMemStats(&m1)
+	if resp.StatusCode != http.StatusOK || out.OK || !strings.Contains(out.Error, "row budget") {
+		t.Fatalf("cross product without max_rows: status %d: %.300s", resp.StatusCode, raw)
+	}
+	const allocBound = 64 << 20
+	alloc := m1.TotalAlloc - m0.TotalAlloc
+	t.Logf("%d-byte body, %d rows per relation: %s; allocated %.1f MB", len(body), n, out.Error, float64(alloc)/(1<<20))
+	if alloc > allocBound {
+		t.Fatalf("allocated %d bytes, bound %d", alloc, allocBound)
+	}
+	// A request's max_rows can tighten the ceiling, never raise it.
+	for _, tc := range []struct{ maxRows, budget int }{{1000, 1000}, {10 * htd.DefaultMaxRows, htd.DefaultMaxRows}} {
+		capped := strings.Replace(body, `"omit_rows":true`, fmt.Sprintf(`"omit_rows":true,"max_rows":%d`, tc.maxRows), 1)
+		_, out, raw := postQuery(t, ts.URL+"/query", capped)
+		if out.OK || !strings.Contains(out.Error, fmt.Sprintf("budget is %d", tc.budget)) {
+			t.Fatalf("max_rows %d: want the row-budget error at %d: %.300s", tc.maxRows, tc.budget, raw)
+		}
 	}
 }
 

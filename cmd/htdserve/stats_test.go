@@ -33,6 +33,7 @@ func TestStatsValuesGolden(t *testing.T) {
 		{http.MethodPost, "/decompose", `{` + cycle5 + `,"k":1}`, http.StatusOK}, // refuted width
 		{http.MethodPost, "/decompose", `{` + cycle5 + `,"k":1}`, http.StatusOK}, // negative hit
 		{http.MethodPost, "/query", dsQuery + `}`, http.StatusOK},                // cold plan
+		// The same triangle at the same version reads the cached bag.
 		{http.MethodPost, "/query", dsQuery + `,"aggregate":"count"}`, http.StatusOK},
 		{http.MethodPost, "/query", `{"query":"R(x,y","dataset":"tri"}`, http.StatusBadRequest},
 		{http.MethodPost, "/query", `{"query":"R(x,y), U(y,z).","dataset":"tri"}`, http.StatusBadRequest},
@@ -78,8 +79,9 @@ func TestStatsValuesGolden(t *testing.T) {
 		"query.Queries": 5, "query.Answered": 4, "query.PlanCacheHits": 3, "query.PlanCoalesced": 0,
 		"query.PlanFailures": 1, "query.ExecFailures": 0, "query.TenantLimited": 0,
 		"query.RowsReturned": 6, "query.AggQueries": 1, "query.AggGroups": 1, "query.DatasetQueries": 3,
-		"query.ExecParallelQueries": 0, "query.ExecIndexBuilds": 4, "query.ExecIndexReuses": 4,
-		"query.ExecIndexProbes": 24, "query.ExecParallelTasks": 0, "query.ExecInlineTasks": 0,
+		"query.ExecParallelQueries": 0, "query.ExecIndexBuilds": 4, "query.ExecIndexReuses": 3,
+		"query.ExecIndexProbes": 21, "query.ExecBagReuses": 1, "query.ExecParallelTasks": 0,
+		"query.ExecInlineTasks": 0,
 
 		"datasets.datasets": 1, "datasets.queries": 3, "datasets.mutations": 1,
 		"parse_cache.hits": 1, "parse_cache.misses": 1, "parse_cache.coalesced": 0,

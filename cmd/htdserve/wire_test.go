@@ -24,7 +24,7 @@ func TestWireKeysGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkKeys(t, "query exec", query["exec"], []string{
-		"index_builds", "index_reuses", "index_probes", "semijoins",
+		"index_builds", "index_reuses", "index_probes", "bag_reuses", "semijoins",
 		"joins", "parallel_tasks", "inline_tasks", "max_workers",
 	})
 
@@ -54,7 +54,7 @@ func TestWireKeysGolden(t *testing.T) {
 		"Queries", "Answered", "PlanCacheHits", "PlanCoalesced", "PlanFailures",
 		"ExecFailures", "TenantLimited", "RowsReturned", "AggQueries", "AggGroups",
 		"DatasetQueries", "ExecParallelQueries", "ExecIndexBuilds", "ExecIndexReuses",
-		"ExecIndexProbes", "ExecParallelTasks", "ExecInlineTasks",
+		"ExecIndexProbes", "ExecBagReuses", "ExecParallelTasks", "ExecInlineTasks",
 	})
 	checkKeys(t, "stats datasets", top["datasets"], []string{"datasets", "queries", "mutations"})
 	checkKeys(t, "stats parse_cache", top["parse_cache"], []string{"hits", "misses", "coalesced"})

@@ -163,6 +163,10 @@ type Service = service.Service
 // ServiceConfig sizes a Service; the zero value picks sensible defaults.
 type ServiceConfig = service.Config
 
+// DefaultMaxRows is the query row ceiling a ServiceConfig with MaxRows 0
+// applies.
+const DefaultMaxRows = service.DefaultMaxRows
+
 // ServiceRequest is one decomposition job for a Service.
 type ServiceRequest = service.Request
 
@@ -314,6 +318,9 @@ type Dataset = dataset.Dataset
 // DatasetMutation is one delta line of a mutation batch: insert or
 // delete of a tuple batch against one relation (POST /data/{name}/mutate).
 type DatasetMutation = dataset.Mutation
+
+// DecodeDatasetBatch reads a mutation batch in its NDJSON wire form.
+func DecodeDatasetBatch(r io.Reader) ([]DatasetMutation, error) { return dataset.DecodeBatch(r) }
 
 // DatasetStats aggregates registry-wide counters (for /stats).
 type DatasetStats = dataset.Stats

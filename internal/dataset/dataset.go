@@ -1,8 +1,10 @@
 package dataset
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"sync"
 
@@ -61,6 +63,24 @@ type Mutation struct {
 	Rows [][]int `json:"rows"`
 }
 
+// DecodeBatch reads one mutation batch in its wire form: NDJSON
+// Mutation lines (any JSON whitespace between values). The error of a
+// malformed line wraps the reader's or the decoder's own, so a caller
+// can tell an oversized body from bad JSON.
+func DecodeBatch(r io.Reader) ([]Mutation, error) {
+	var batch []Mutation
+	dec := json.NewDecoder(r)
+	for {
+		var m Mutation
+		if err := dec.Decode(&m); err == io.EOF {
+			return batch, nil
+		} else if err != nil {
+			return nil, fmt.Errorf("invalid mutation line: %w", err)
+		}
+		batch = append(batch, m)
+	}
+}
+
 // MutationResult reports one committed batch. Deduped counts inserts
 // skipped because the tuple was already live (relations are sets);
 // Missed counts deletes of tuples that were not live — a no-op, not an
@@ -75,10 +95,14 @@ type MutationResult struct {
 }
 
 // Snapshot is one immutable published version: queries evaluate over
-// DB while writers advance the dataset past it.
+// DB while writers advance the dataset past it. Bags is the version's
+// own bag cache (join.EvalOptions.Bags): it keeps at most as many rows
+// as the version has live tuples, and is retired when the next version
+// is published, so pinned reads of older versions run uncached.
 type Snapshot struct {
 	Version uint64
 	DB      join.Database
+	Bags    *join.BagCache
 }
 
 // RelInfo describes one relation of a dataset version.
@@ -196,8 +220,11 @@ func (g *Registry) Put(tenant, name string, db join.Database) (uint64, error) {
 	for rname, rel := range db {
 		d.rels[rname] = join.NewMRel(rel)
 	}
+	for _, s := range d.snaps {
+		s.Bags.Retire()
+	}
 	d.version++
-	d.snaps = []Snapshot{{Version: d.version, DB: d.snapshotDB()}}
+	d.snaps = []Snapshot{d.publishLocked()}
 	return d.version, nil
 }
 
@@ -300,14 +327,15 @@ func (d *Dataset) Version() uint64 {
 	return d.version
 }
 
-// snapshotDB builds the version's database from the current views.
+// publishLocked builds the current version's snapshot from the current
+// views, with an empty bag cache bounded by its live tuple count.
 // Caller holds d.mu.
-func (d *Dataset) snapshotDB() join.Database {
+func (d *Dataset) publishLocked() Snapshot {
 	db := make(join.Database, len(d.rels))
 	for name, m := range d.rels {
 		db[name] = m.View()
 	}
-	return db
+	return Snapshot{Version: d.version, DB: db, Bags: join.NewBagCache(db)}
 }
 
 // At resolves version (0 = current) to its snapshot. Evicted versions
@@ -406,10 +434,14 @@ func (d *Dataset) Mutate(batch []Mutation) (MutationResult, error) {
 			res.Compacted = true
 		}
 	}
+	if n := len(d.snaps); n > 0 {
+		// A concurrent first Put may not have published yet.
+		d.snaps[n-1].Bags.Retire()
+	}
 	d.version++
 	d.mutations++
 	res.Version = d.version
-	d.snaps = append(d.snaps, Snapshot{Version: d.version, DB: d.snapshotDB()})
+	d.snaps = append(d.snaps, d.publishLocked())
 	if len(d.snaps) > d.retain {
 		d.snaps = d.snaps[len(d.snaps)-d.retain:]
 	}

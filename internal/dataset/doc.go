@@ -16,6 +16,10 @@
 //   - Bounded pinning: the last Config.Retain versions stay
 //     resolvable; pinning an evicted or future version is a clear
 //     error (ErrVersionGone / ErrFutureVersion), never wrong rows.
+//   - One bag cache per snapshot: each published version owns a
+//     join.BagCache for the executor, empty at publication, holding at
+//     most the version's live tuple count in rows, and retired (emptied
+//     for good) when the next version is published.
 //   - Incremental ≡ from-scratch: evaluating any query over a snapshot
 //     equals evaluating it over a database freshly built from the
 //     snapshot's materialised rows — byte-identical; the differential

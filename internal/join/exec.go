@@ -30,12 +30,18 @@ type TokenSource interface {
 type ExecStats struct {
 	// IndexBuilds and IndexProbes count hash indexes built and tuples
 	// probed against them. IndexReuses counts the builds avoided
-	// because a base relation arrived with a maintained index for the
-	// probed column set (dataset snapshots, cached inline databases) —
-	// the unchanged-data fast path.
+	// because a server-resident relation arrived with an index for the
+	// probed column set — a base relation's maintained index (dataset
+	// snapshots, cached inline databases) or one captured on a cached
+	// bag (BagCache) — the unchanged-data fast path. A four-cycle
+	// query's only reuse on a warm snapshot is its cached child bag's
+	// index: both bags are cache hits, so no base relation is probed.
 	IndexBuilds int64 `json:"index_builds"`
 	IndexReuses int64 `json:"index_reuses"`
 	IndexProbes int64 `json:"index_probes"`
+	// BagReuses counts bags served from EvalOptions.Bags instead of
+	// joining their λ-atoms again.
+	BagReuses int64 `json:"bag_reuses"`
 	// Semijoins and Joins count relational operations executed.
 	Semijoins int64 `json:"semijoins"`
 	Joins     int64 `json:"joins"`
@@ -71,6 +77,7 @@ type executor struct {
 	// process-wide budget.
 	sem    chan struct{}
 	tokens TokenSource
+	bags   *BagCache
 
 	mu  sync.Mutex
 	err error // first failure; later (usually cancellation) errors are noise
@@ -78,6 +85,7 @@ type executor struct {
 	indexBuilds   atomic.Int64
 	indexReuses   atomic.Int64
 	indexProbes   atomic.Int64
+	bagReuses     atomic.Int64
 	semijoins     atomic.Int64
 	joins         atomic.Int64
 	parallelTasks atomic.Int64
@@ -96,6 +104,7 @@ func runExecutor[T any](ctx context.Context, opts EvalOptions, f func(*executor)
 		g:      &guard{ctx: ectx, maxRows: opts.MaxRows},
 		cancel: cancel,
 		tokens: opts.Tokens,
+		bags:   opts.Bags,
 	}
 	if opts.Parallelism > 1 {
 		e.sem = make(chan struct{}, opts.Parallelism-1)
@@ -109,6 +118,7 @@ func runExecutor[T any](ctx context.Context, opts EvalOptions, f func(*executor)
 			IndexBuilds:   e.indexBuilds.Load(),
 			IndexReuses:   e.indexReuses.Load(),
 			IndexProbes:   e.indexProbes.Load(),
+			BagReuses:     e.bagReuses.Load(),
 			Semijoins:     e.semijoins.Load(),
 			Joins:         e.joins.Load(),
 			ParallelTasks: e.parallelTasks.Load(),
@@ -222,16 +232,17 @@ func (e *executor) forEach(n int, f func(int) error) error {
 }
 
 // probeStack resolves the index layers to probe s on shared. A
-// server-resident base relation (one carrying an IndexSet) yields its
-// maintained stack for the column set — counted as a reuse, no build
-// at all — or, on a miss, a fresh index captured back into the
-// IndexSet so later queries at the same dataset version, and the next
-// mutation's delta maintenance, inherit it. Any other relation gets
-// one fresh index. Reuse across probes of an operator output is the
-// caller's job where it exists — the top-down pass keeps a per-node
-// cache of its parent's indexes (see down) rather than the executor
-// caching globally, so indexes on superseded intermediates don't pin
-// their tuple storage for the whole evaluation.
+// server-resident relation (one carrying an IndexSet: a base relation
+// or a cached bag) yields its stack for the column set — counted as a
+// reuse, no build at all — or, on a miss, a fresh index captured back
+// into the IndexSet so later queries at the same dataset version, and
+// for a base relation the next mutation's delta maintenance, inherit
+// it. Any other relation gets one fresh index. Reuse across probes of
+// an operator output is the caller's job where it exists — the
+// top-down pass keeps a per-node cache of its parent's indexes (see
+// down) rather than the executor caching globally, so indexes on
+// superseded intermediates don't pin their tuple storage for the whole
+// evaluation.
 //
 // A multi-layer stack covers disjoint ascending row ranges, so probing
 // its layers in order enumerates matches in the row order of one full
@@ -419,6 +430,10 @@ func (e *executor) run(q Query, db Database, d *decomp.Decomp) (*Relation, error
 	if err != nil {
 		return nil, err
 	}
+	// The answer counts even when no join made it (a one-bag plan).
+	if err := e.g.checkRows(ans.Size()); err != nil {
+		return nil, err
+	}
 	return ans.permuted(answerAttrs(root, make([]string, 0, len(ans.Attrs)))), nil
 }
 
@@ -461,52 +476,17 @@ func (e *executor) reduce(q Query, db Database, d *decomp.Decomp) (*bagNode, err
 
 // build materialises the bag relation of n and recurses into the
 // children concurrently. The bag is the join of the λ(u) atom
-// relations, projected to χ(u), with the atoms hosted at n enforced by
-// semijoins — but only the work whose result is not already known runs:
-//
-//   - the dedup projection is skipped when the λ-join is already a set
-//     over exactly χ(u): χ(u) equals vars(λ(u)) and every λ relation is
-//     a set (it carries an IndexSet; see Relation.indexes). A
-//     single-atom bag is then the atom's renamed base view and keeps its
-//     maintained indexes for the passes that probe it. The bag's columns
-//     are in λ-join order rather than χ's vertex order in that case
-//     (run lays the answer out in χ order regardless);
-//   - hosted atoms in λ(u) itself are not semijoined in: every bag
-//     tuple restricts a tuple s of ⋈λ(u), and s restricted to vars(e)
-//     lies in R_e, so the semijoin would remove nothing — with or
-//     without duplicate base rows.
+// relations, projected to χ(u) (lambdaBag, through the bag cache), with
+// the atoms hosted at n enforced by semijoins — but hosted atoms in
+// λ(u) itself are not semijoined in: every bag tuple restricts a tuple
+// s of ⋈λ(u), and s restricted to vars(e) lies in R_e, so the semijoin
+// would remove nothing — with or without duplicate base rows.
 func (e *executor) build(q Query, db Database, d *decomp.Decomp, coverOf map[*decomp.Node][]int, n *decomp.Node) (*bagNode, error) {
-	var acc *Relation
-	lambdaSets := true
-	for _, eid := range n.Lambda {
-		r, err := atomRelation(db, q.Atoms[eid])
-		if err != nil {
-			return nil, err
-		}
-		lambdaSets = lambdaSets && r.indexes != nil
-		if acc == nil {
-			acc = r
-		} else {
-			acc, err = e.join(acc, r)
-			if err != nil {
-				return nil, err
-			}
-		}
-		if err := e.g.check(acc); err != nil {
-			return nil, err
-		}
-	}
-	if acc == nil {
-		return nil, fmt.Errorf("join: node with empty λ-label")
-	}
 	var bagAttrs []string
 	n.Bag.ForEach(func(v int) { bagAttrs = append(bagAttrs, d.H.VertexName(v)) })
-	proj := acc
-	if !lambdaSets || !hasExactly(acc, bagAttrs) {
-		var err error
-		if proj, err = projectFast(acc, bagAttrs, e.g); err != nil {
-			return nil, err
-		}
+	proj, err := e.lambdaBag(q, db, n.Lambda, bagAttrs)
+	if err != nil {
+		return nil, err
 	}
 	for _, eid := range coverOf[n] {
 		if slices.Contains(n.Lambda, eid) {
@@ -521,7 +501,7 @@ func (e *executor) build(q Query, db Database, d *decomp.Decomp, coverOf map[*de
 			return nil, err
 		}
 	}
-	if err := e.g.check(proj); err != nil {
+	if err := e.g.alive(); err != nil {
 		return nil, err
 	}
 	bn := &bagNode{rel: proj, chi: bagAttrs, children: make([]*bagNode, len(n.Children))}
@@ -536,6 +516,75 @@ func (e *executor) build(q Query, db Database, d *decomp.Decomp, coverOf map[*de
 		return nil, err
 	}
 	return bn, nil
+}
+
+// lambdaBag returns π_χ(⋈λ). A λ of two or more atoms goes through the
+// bag cache when the evaluation has one: a hit first enforces the row
+// budget against the cold build's largest join result, and a miss
+// stores its result with a fresh IndexSet, so the passes capture the
+// bag's indexes for later queries the way they do a base view's.
+func (e *executor) lambdaBag(q Query, db Database, lambda []int, chi []string) (*Relation, error) {
+	if e.bags == nil || len(lambda) < 2 {
+		rel, _, err := e.joinLambda(q, db, lambda, chi)
+		return rel, err
+	}
+	key := bagKey(q, lambda, chi)
+	if b := e.bags.lookup(key); b != nil {
+		if err := e.g.checkRows(b.peak); err != nil {
+			return nil, err
+		}
+		e.bagReuses.Add(1)
+		return b.rel, nil
+	}
+	rel, peak, err := e.joinLambda(q, db, lambda, chi)
+	if err != nil {
+		return nil, err
+	}
+	// rel is a fresh operator output (λ has two atoms) and a set, which
+	// is what carrying an IndexSet requires.
+	rel.indexes = newIndexSet(maxIndexSets)
+	return e.bags.store(key, &cachedBag{rel: rel, peak: peak}).rel, nil
+}
+
+// joinLambda joins the λ atom relations left to right and projects the
+// result to χ, returning it with the largest join result's size. The
+// dedup projection is skipped when the λ-join is already a set over
+// exactly χ: χ equals vars(λ) and every λ relation is a set (it carries
+// an IndexSet; see Relation.indexes). A single-atom bag is then the
+// atom's renamed base view and keeps its maintained indexes for the
+// passes that probe it. The bag's columns are in λ-join order rather
+// than χ's vertex order in that case (run lays the answer out in χ
+// order regardless).
+func (e *executor) joinLambda(q Query, db Database, lambda []int, chi []string) (*Relation, int, error) {
+	var acc *Relation
+	peak := 0
+	lambdaSets := true
+	for _, eid := range lambda {
+		r, err := atomRelation(db, q.Atoms[eid])
+		if err != nil {
+			return nil, 0, err
+		}
+		lambdaSets = lambdaSets && r.indexes != nil
+		if acc == nil {
+			acc = r
+			continue
+		}
+		if acc, err = e.join(acc, r); err != nil {
+			return nil, 0, err
+		}
+		if err := e.g.check(acc); err != nil {
+			return nil, 0, err
+		}
+		peak = max(peak, acc.Size())
+	}
+	if acc == nil {
+		return nil, 0, fmt.Errorf("join: node with empty λ-label")
+	}
+	if lambdaSets && hasExactly(acc, chi) {
+		return acc, peak, nil
+	}
+	proj, err := projectFast(acc, chi, e.g)
+	return proj, peak, err
 }
 
 // hasExactly reports whether r's attributes are exactly attrs (a list
@@ -569,7 +618,7 @@ func (e *executor) up(n *bagNode) error {
 			n.rel = red
 		}
 	}
-	return e.g.check(n.rel)
+	return e.g.alive()
 }
 
 // down is the top-down semijoin pass: each child filters against its
@@ -614,7 +663,7 @@ func (e *executor) down(n *bagNode) error {
 			return err
 		}
 		c.rel = red
-		if err := e.g.check(c.rel); err != nil {
+		if err := e.g.alive(); err != nil {
 			return err
 		}
 		return e.down(c)

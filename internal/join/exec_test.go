@@ -457,3 +457,52 @@ func TestExecRowBudgetInsideJoinLoop(t *testing.T) {
 		t.Fatalf("budget abort took %v — the in-loop check is gone", elapsed)
 	}
 }
+
+// TestRowBudgetCountsJoinsOnly: MaxRows counts join results and the
+// answer, not the relations a query reads nor their projections and
+// semijoin reductions. Over a 1,000-row R under MaxRows 100, a
+// selective join and a count over R — alone or semijoined with a
+// 1,000-row T that keeps all of it — answer on every configuration,
+// plain and with IndexSets; row queries whose answer is R-sized fail.
+func TestRowBudgetCountsJoinsOnly(t *testing.T) {
+	r, s, tt := NewRelation("a", "b"), NewRelation("a", "b"), NewRelation("a", "b")
+	for i := 0; i < 1000; i++ {
+		r.Add(i, i)
+		tt.Add(i, i)
+	}
+	s.Add(7, 70)
+	plain := Database{"R": r, "S": s, "T": tt}
+	for _, tc := range []struct {
+		query       string
+		rows, count int // rows < 0: the row form exceeds the budget
+	}{
+		{"R(x,y).", -1, 1000},
+		{"R(x,y), S(y,z).", 1, 1},
+		{"R(x,y), T(y,z).", -1, 1000},
+	} {
+		q, err := ParseQuery(tc.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := decomposeFor(t, q)
+		for dbName, db := range map[string]Database{"plain": plain, "indexed": indexedDB(plain)} {
+			for name, opts := range execOptsMatrix() {
+				opts.MaxRows = 100
+				got, err := evalAs(context.Background(), name, q, db, d, opts)
+				switch {
+				case tc.rows < 0 && !errors.Is(err, ErrRowBudget):
+					t.Errorf("%s %s %s: rows %v, want ErrRowBudget", tc.query, dbName, name, err)
+				case tc.rows >= 0 && (err != nil || got.Size() != tc.rows):
+					t.Errorf("%s %s %s: %v, want %d rows", tc.query, dbName, name, err, tc.rows)
+				}
+				if name == scanRef {
+					continue
+				}
+				agg, err := AggregateCtx(context.Background(), q, db, d, AggSpec{Kind: AggCount}, opts)
+				if v, ok := agg.Value(); err != nil || !ok || v != int64(tc.count) {
+					t.Errorf("%s %s %s: count %v (%v), want %d", tc.query, dbName, name, v, err, tc.count)
+				}
+			}
+		}
+	}
+}

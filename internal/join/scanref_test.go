@@ -30,7 +30,8 @@ func evalAs(ctx context.Context, name string, q Query, db Database, d *decomp.De
 }
 
 // evaluateScan answers q over db through d on the scan reference,
-// checking ctx and the row budget between relational operations.
+// checking ctx between relational operations and the row budget
+// against every join result and the answer, as the executor does.
 func evaluateScan(ctx context.Context, q Query, db Database, d *decomp.Decomp, maxRows int) (*Relation, error) {
 	g := &guard{ctx: ctx, maxRows: maxRows}
 	tree, err := buildJoinTree(q, db, d, g)
@@ -69,11 +70,10 @@ func buildJoinTree(q Query, db Database, d *decomp.Decomp, g *guard) (*bagNode, 
 			}
 			if acc == nil {
 				acc = r
-			} else {
-				acc, err = acc.Join(r)
-				if err != nil {
-					return nil, err
-				}
+				continue
+			}
+			if acc, err = acc.Join(r); err != nil {
+				return nil, err
 			}
 			if err := g.check(acc); err != nil {
 				return nil, err
@@ -100,7 +100,7 @@ func buildJoinTree(q Query, db Database, d *decomp.Decomp, g *guard) (*bagNode, 
 				return nil, err
 			}
 		}
-		if err := g.check(proj); err != nil {
+		if err := g.alive(); err != nil {
 			return nil, err
 		}
 		bn := &bagNode{rel: proj}
@@ -129,7 +129,7 @@ func semijoinUp(n *bagNode, g *guard) error {
 		}
 		n.rel = red
 	}
-	return g.check(n.rel)
+	return g.alive()
 }
 
 // yannakakis runs the classic three-pass algorithm on a join tree:
@@ -149,7 +149,7 @@ func yannakakis(root *bagNode, g *guard) (*Relation, error) {
 				return err
 			}
 			c.rel = red
-			if err := g.check(c.rel); err != nil {
+			if err := g.alive(); err != nil {
 				return err
 			}
 			if err := down(c); err != nil {
@@ -182,6 +182,9 @@ func yannakakis(root *bagNode, g *guard) (*Relation, error) {
 	}
 	res, err := collect(root)
 	if err != nil {
+		return nil, err
+	}
+	if err := g.checkRows(res.Size()); err != nil {
 		return nil, err
 	}
 	return res.Dedup(), nil

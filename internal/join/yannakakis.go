@@ -23,10 +23,15 @@ var ErrRowBudget = errors.New("join: row budget exceeded")
 // EvalOptions configures one evaluation. The zero value means serial,
 // with no limits.
 type EvalOptions struct {
-	// MaxRows caps the size of every intermediate and final relation;
-	// exceeding it aborts the evaluation with ErrRowBudget. 0 = no cap.
-	// The cap is also enforced inside join probe loops, so a single
-	// exploding operation aborts at the budget.
+	// MaxRows caps the size of every join result — each λ-join
+	// intermediate of a bag build and each join of the final pass — and
+	// of the answer; exceeding it aborts the evaluation with
+	// ErrRowBudget. 0 = no cap. Projections and semijoins never outgrow
+	// their input, and the relations the query reads are the data
+	// itself, so neither is counted: a query over relations larger than
+	// the cap still answers when its joins stay within it. The cap is
+	// also enforced inside join probe loops, so a single exploding
+	// operation aborts at the budget.
 	MaxRows int
 	// Parallelism caps concurrent executor workers, including the
 	// calling goroutine: sibling subtrees of the three Yannakakis
@@ -40,6 +45,11 @@ type EvalOptions struct {
 	Tokens TokenSource
 	// Stats, when non-nil, receives the executor's effort counters.
 	Stats *ExecStats
+	// Bags, when set, caches the bags of nodes whose λ holds two or
+	// more atoms across evaluations. It must belong to the database
+	// being evaluated and to nothing else (a dataset snapshot owns
+	// one); nil evaluates every bag afresh.
+	Bags *BagCache
 }
 
 // guard is checked after every relational operation of a budgeted
@@ -58,6 +68,15 @@ func (g *guard) check(r *Relation) error {
 		return err
 	}
 	return g.checkRows(r.Size())
+}
+
+// alive is the between-operations cancellation check for a relation the
+// row budget does not count.
+func (g *guard) alive() error {
+	if g == nil {
+		return nil
+	}
+	return g.ctx.Err()
 }
 
 // checkRows enforces the row budget against a running row count.

@@ -133,9 +133,10 @@ func randomBatch(r *rand.Rand, db join.Database, m mirrorDB, domain int) []datas
 // dataset-reference evaluation (delta-maintained indexes, snapshot
 // reads) must byte-equal both an inline evaluation over the
 // materialised from-scratch state and the naive cross-join baseline —
-// rows and aggregates, serial and parallel alternating. Old versions
-// stay pinnable within the retention window and answer with their own
-// rows.
+// rows and aggregates, serial and parallel alternating. Each version's
+// row query runs twice, so the repeat reads the version's bag cache.
+// Old versions stay pinnable within the retention window and answer
+// with their own rows.
 func TestDifferentialIncremental(t *testing.T) {
 	const (
 		seeds  = 50
@@ -215,6 +216,17 @@ func TestDifferentialIncremental(t *testing.T) {
 						round, join.FormatQuery(q), incr.Rows.Size(), want.Size())
 					return
 				}
+				// The repeat reads the version's bag cache on the row path.
+				again, err := p.Eval(ctx, Request{Query: q, Dataset: name, Parallelism: 4 - par})
+				if err != nil {
+					fail("round %d repeat eval: %v", round, err)
+					return
+				}
+				if !reflect.DeepEqual(again.Rows.Rows(), want.Rows()) {
+					fail("round %d: repeat rows diverge from from-scratch naive\nquery: %s\nrepeat %d rows, want %d",
+						round, join.FormatQuery(q), again.Rows.Size(), want.Size())
+					return
+				}
 				// The inline evaluation over the materialised state must
 				// agree too (it exercises the planner path end to end).
 				scratchRes, err := p.Eval(ctx, Request{Query: q, DB: scratch, Parallelism: 4 - par})
@@ -284,6 +296,9 @@ func TestDifferentialIncremental(t *testing.T) {
 	}
 	if st.ExecIndexReuses == 0 {
 		t.Fatalf("incremental evaluations never reused a maintained index: %+v", st)
+	}
+	if st.ExecBagReuses == 0 {
+		t.Fatalf("incremental evaluations never reused a cached bag: %+v", st)
 	}
 	if rst := reg.Stats(); rst.Mutations != seeds*rounds {
 		t.Fatalf("registry counted %d mutations, want %d", rst.Mutations, seeds*rounds)

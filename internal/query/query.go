@@ -40,8 +40,11 @@ type Request struct {
 	// number of atoms (a plan then always exists: hw ≤ |atoms|); values
 	// above the atom count are clamped to it.
 	MaxWidth int
-	// MaxRows caps every intermediate and final relation of the
-	// execution; exceeding it aborts with join.ErrRowBudget. 0 = no cap.
+	// MaxRows caps every join result and the answer of the execution
+	// (join.EvalOptions.MaxRows); exceeding it aborts with
+	// join.ErrRowBudget. It follows the service's rule
+	// (service.Service.RowCap): 0 inherits the service's MaxRows
+	// ceiling, and larger values are clamped to it.
 	MaxRows int
 	// Timeout bounds the whole query — planning and execution — by the
 	// service's rule (service.Service.WithTimeout): 0 inherits the
@@ -122,6 +125,7 @@ type Stats struct {
 	ExecIndexBuilds     int64 // hash indexes built
 	ExecIndexReuses     int64 // hash index builds skipped via maintained/captured indexes
 	ExecIndexProbes     int64 // tuples probed against an index
+	ExecBagReuses       int64 // bags served from a dataset snapshot's bag cache
 	ExecParallelTasks   int64 // subtree/partition tasks run on spawned workers
 	ExecInlineTasks     int64 // tasks run inline on the scheduling worker
 }
@@ -211,6 +215,7 @@ func (p *Planner) record(res Result, out outcome) {
 	st.ExecIndexBuilds += res.Exec.IndexBuilds
 	st.ExecIndexReuses += res.Exec.IndexReuses
 	st.ExecIndexProbes += res.Exec.IndexProbes
+	st.ExecBagReuses += res.Exec.BagReuses
 	st.ExecParallelTasks += res.Exec.ParallelTasks
 	st.ExecInlineTasks += res.Exec.InlineTasks
 	if res.Rows != nil {
@@ -228,6 +233,7 @@ func (p *Planner) record(res Result, out outcome) {
 // which stage failed.
 func (p *Planner) eval(ctx context.Context, req Request) (Result, outcome, error) {
 	var res Result
+	var bags *join.BagCache
 	if req.Dataset != "" {
 		// Resolve the named dataset to an immutable snapshot. The
 		// snapshot is pinned for the whole query: mutations committed
@@ -238,6 +244,7 @@ func (p *Planner) eval(ctx context.Context, req Request) (Result, outcome, error
 			return res, planFailed, fmt.Errorf("query: dataset %q: %w", req.Dataset, err)
 		}
 		req.DB = snap.DB
+		bags = snap.Bags
 		res.DatasetVersion = snap.Version
 		if err := checkAtoms(req.Query, req.DB); err != nil {
 			return res, planFailed, err
@@ -289,10 +296,11 @@ func (p *Planner) eval(ctx context.Context, req Request) (Result, outcome, error
 	res.Parallelism = max(req.Parallelism, 1)
 	execStart := time.Now()
 	opts := join.EvalOptions{
-		MaxRows:     req.MaxRows,
+		MaxRows:     p.svc.RowCap(req.MaxRows),
 		Parallelism: res.Parallelism,
 		Tokens:      p.svc.Budget(),
 		Stats:       &res.Exec, // filled even when execution fails
+		Bags:        bags,
 	}
 	if req.Aggregate != nil {
 		// Aggregate pushdown: the same plan, the same budgeted kernel,

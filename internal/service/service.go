@@ -88,6 +88,13 @@ type Config struct {
 	// tenant.Config knobs (rate, burst, in-flight, queue, fair-share)
 	// to turn individual gates on.
 	Tenants tenant.Config
+	// MaxRows is the operator's row ceiling for queries: it is the
+	// join.EvalOptions.MaxRows of every query, which caps each relation
+	// the execution creates and the answer, but not the server-resident
+	// relations it reads. Like DefaultTimeout, it applies to queries
+	// that set no cap and bounds those that set a larger one (RowCap).
+	// 0 means DefaultMaxRows; negative means no ceiling.
+	MaxRows int
 	// Datasets sizes the named-dataset registry (server-resident
 	// versioned databases with delta-maintained indexes). The zero
 	// value picks the dataset package's defaults.
@@ -110,8 +117,22 @@ func (c Config) withDefaults() Config {
 	if c.MemoMaxGraphs <= 0 {
 		c.MemoMaxGraphs = 32
 	}
+	if c.MaxRows == 0 {
+		c.MaxRows = DefaultMaxRows
+	}
 	return c
 }
+
+// DefaultMaxRows is Config.MaxRows' default. The largest answer and the
+// largest λ-join of perfbench's query workloads are about 5,000 rows
+// each, 50 times below it. On a 2-vCPU x86-64 VM, a 240,100-row answer
+// (4 MB of JSON) allocates about 50 MB in 0.08 s, and a cross product
+// stopped at the ceiling about 22 MB. Without a ceiling, a query inside
+// htdserve's 8 MiB body cap can ask for some 6×10^10 rows and exhaust
+// the process's memory. The relations a dataset holds are not counted
+// (join.EvalOptions.MaxRows), so datasets larger than the ceiling still
+// answer aggregates and selective joins.
+const DefaultMaxRows = 250_000
 
 // Request is one decomposition job.
 type Request struct {
@@ -597,6 +618,19 @@ func (s *Service) WithTimeout(ctx context.Context, timeout time.Duration) (conte
 		return ctx, func() {}
 	}
 	return context.WithTimeout(ctx, timeout)
+}
+
+// RowCap returns the row cap a query asking for maxRows runs with, by
+// WithTimeout's rule: unset (≤ 0) inherits Config.MaxRows, and larger
+// values are clamped to it, so a request can only tighten the
+// operator's ceiling — otherwise any caller could opt out of it and
+// materialise an answer that exhausts the process's memory.
+func (s *Service) RowCap(maxRows int) int {
+	ceiling := max(s.cfg.MaxRows, 0) // negative: no ceiling
+	if maxRows <= 0 || (ceiling > 0 && maxRows > ceiling) {
+		return ceiling
+	}
+	return maxRows
 }
 
 // run executes an admitted job on the caller's goroutine. Every job
