@@ -8,8 +8,8 @@
 # and the dataset layer's allocation budgets and the disk tier's I/O
 # budget are `go test` tests (TestExecutorAllocBudget,
 # TestMaintenanceAllocBudget in internal/join; TestCanonicalAllocBudget
-# in internal/query; TestDiskTierIOBudget in internal/service), so
-# `make race` runs them. cmd/benchtab keeps the
+# in internal/query; TestQueryEncodeAllocBudget in cmd/htdserve;
+# TestDiskTierIOBudget in internal/service), so `make race` runs them. cmd/benchtab keeps the
 # paper's experiments.
 
 GO ?= go
@@ -133,6 +133,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzEvalDocument -fuzztime=10s ./internal/join
 	$(GO) test -run=NONE -fuzz=FuzzLogReplay -fuzztime=10s ./internal/store
 	$(GO) test -run=NONE -fuzz=FuzzMutateBatch -fuzztime=10s ./internal/dataset
+	$(GO) test -run=NONE -fuzz=FuzzAnswerEncode -fuzztime=10s ./internal/join
 
 # The nightly workflow's long-form fuzz: 5 minutes per target.
 fuzz-long:
@@ -141,6 +142,7 @@ fuzz-long:
 	$(GO) test -run=NONE -fuzz=FuzzEvalDocument -fuzztime=5m ./internal/join
 	$(GO) test -run=NONE -fuzz=FuzzLogReplay -fuzztime=5m ./internal/store
 	$(GO) test -run=NONE -fuzz=FuzzMutateBatch -fuzztime=5m ./internal/dataset
+	$(GO) test -run=NONE -fuzz=FuzzAnswerEncode -fuzztime=5m ./internal/join
 
 # Fails on broken intra-repo links (and missing anchors) in committed
 # Markdown files; mirrors the CI docs job.

@@ -152,11 +152,11 @@ func TestStreamStopsAfterWriteFailure(t *testing.T) {
 
 	var handled atomic.Int64
 	w := &failingWriter{header: make(http.Header)}
-	s.streamNDJSON(w, req, func(line []byte) any {
+	streamNDJSON(s, w, req, func(line []byte) map[string]bool {
 		handled.Add(1)
 		time.Sleep(time.Millisecond)
 		return map[string]bool{"ok": true}
-	})
+	}, writeJSONLine)
 
 	// The first failed write marks the client dead; only lines already
 	// in flight (≈ batchLimit + the pending buffer) may still run.

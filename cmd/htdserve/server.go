@@ -7,10 +7,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -303,7 +305,7 @@ func (s *server) handleDecompose(w http.ResponseWriter, r *http.Request, tenant 
 // streamNDJSON reads NDJSON request lines and streams NDJSON responses
 // in input order, each line flushed as soon as its job finishes. At
 // most batchLimit jobs run at once; handle turns one line into one
-// response object.
+// response, and write writes that response as one NDJSON line.
 //
 // A failed response write marks the client dead: the scanner stops
 // accepting lines, so a disconnected batch client stops consuming
@@ -312,7 +314,8 @@ func (s *server) handleDecompose(w http.ResponseWriter, r *http.Request, tenant 
 // object — in particular a line beyond the maxBatchLine cap names
 // bufio.ErrTooLong, so clients can tell "input rejected" from
 // "connection died".
-func (s *server) streamNDJSON(w http.ResponseWriter, r *http.Request, handle func([]byte) any) {
+func streamNDJSON[T any](s *server, w http.ResponseWriter, r *http.Request,
+	handle func([]byte) T, write func(io.Writer, T) error) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	// The stream writes responses while the request body is still being
 	// read; on HTTP/1.x that concurrency needs full-duplex mode, or the
@@ -320,13 +323,12 @@ func (s *server) streamNDJSON(w http.ResponseWriter, r *http.Request, handle fun
 	// sending. Writers that can't do it (HTTP/2 allows it natively) just
 	// keep their default behaviour.
 	http.NewResponseController(w).EnableFullDuplex()
-	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
 
 	// pending preserves input order; the writer drains one result
 	// channel at a time while jobs run concurrently behind it.
 	var clientDead atomic.Bool
-	pending := make(chan chan any, s.batchLimit)
+	pending := make(chan chan T, s.batchLimit)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -337,7 +339,7 @@ func (s *server) streamNDJSON(w http.ResponseWriter, r *http.Request, handle fun
 				// stop encoding to a dead connection.
 				continue
 			}
-			if err := enc.Encode(v); err != nil {
+			if err := write(w, v); err != nil {
 				clientDead.Store(true)
 				continue
 			}
@@ -358,7 +360,7 @@ func (s *server) streamNDJSON(w http.ResponseWriter, r *http.Request, handle fun
 		if len(line) == 0 {
 			continue
 		}
-		ch := make(chan any, 1)
+		ch := make(chan T, 1)
 		pending <- ch
 		sem <- struct{}{}
 		go func(line []byte) {
@@ -376,20 +378,20 @@ func (s *server) streamNDJSON(w http.ResponseWriter, r *http.Request, handle fun
 			msg = fmt.Sprintf("batch aborted: %v (one line exceeds the %d-byte batch line limit)",
 				bufio.ErrTooLong, maxBatchLine)
 		}
-		enc.Encode(map[string]any{"ok": false, "error": msg})
+		writeJSONLine(w, map[string]any{"ok": false, "error": msg})
 	}
 }
 
 // handleBatch streams decomposition jobs: NDJSON apiRequest lines in,
 // apiResponse lines out, input order preserved.
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request, tenant string) {
-	s.streamNDJSON(w, r, func(line []byte) any {
+	streamNDJSON(s, w, r, func(line []byte) *apiResponse {
 		var a apiRequest
 		if err := json.Unmarshal(line, &a); err != nil {
 			return &apiResponse{Error: "invalid JSON: " + err.Error()}
 		}
 		return s.runJob(r.Context(), a, tenant)
-	})
+	}, writeJSONLine)
 }
 
 // queryAPIRequest is the JSON body of POST /query and one NDJSON line
@@ -449,7 +451,9 @@ type queryAPIResponse struct {
 	OK bool `json:"ok"`
 	// Vars and Rows are the canonical answer: attributes in sorted
 	// variable order, tuples sorted — a repeat of an identical query
-	// returns byte-identical rows.
+	// returns byte-identical rows. Rows is the field a reader decodes;
+	// the server leaves it nil and writeQueryResponse writes the rows
+	// from answer in its place.
 	Vars     []string `json:"vars,omitempty"`
 	Rows     [][]int  `json:"rows,omitempty"`
 	RowCount int      `json:"row_count"`
@@ -478,6 +482,9 @@ type queryAPIResponse struct {
 
 	// err keeps the underlying error for status-code mapping.
 	err error
+	// answer is the canonical answer whose rows go on the wire; nil
+	// for errors, aggregates and omit_rows.
+	answer *htd.Relation
 }
 
 // aggWire is the JSON shape of an aggregate answer: the canonical spec
@@ -597,7 +604,7 @@ func (s *server) runQuery(ctx context.Context, a queryAPIRequest, tenant string)
 	resp.RowCount = res.Rows.Size()
 	if !a.OmitRows {
 		resp.Vars = res.Rows.Attrs
-		resp.Rows = res.Rows.Rows()
+		resp.answer = res.Rows
 	}
 	return resp
 }
@@ -635,7 +642,46 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request, tenant stri
 		return
 	}
 	resp := s.runQuery(r.Context(), a, tenant)
-	writeJSON(w, errStatus(w, resp.err), resp)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(errStatus(w, resp.err))
+	writeQueryResponse(w, resp)
+}
+
+// respBufs pools writeQueryResponse's buffers; one that grew past
+// maxRespBuf (a single very wide row) is dropped rather than kept.
+var respBufs = sync.Pool{New: func() any { b := make([]byte, 0, 64<<10); return &b }}
+
+const maxRespBuf = 256 << 10
+
+// writeQueryResponse writes resp as one line, the bytes encoding/json
+// writes for resp with Rows holding the answer's rows — the one writer
+// of /query and /querybatch responses. The rows go from the answer's
+// columns straight to w through a pooled buffer of bounded size, so
+// the encode's memory does not grow with the answer.
+func writeQueryResponse(w io.Writer, resp *queryAPIResponse) error {
+	head, err := json.Marshal(resp)
+	if err != nil {
+		return err
+	}
+	bp := respBufs.Get().(*[]byte)
+	buf := (*bp)[:0]
+	if resp.answer != nil && resp.answer.Size() > 0 {
+		// "rows" goes just before "row_count", which is never omitted.
+		// encoding/json escapes every quote inside a string, so the
+		// first `,"row_count":` is that key.
+		i := bytes.Index(head, []byte(`,"row_count":`))
+		buf = append(append(buf, head[:i]...), `,"rows":`...)
+		buf, err = resp.answer.WriteJSON(w, buf)
+		head = head[i:]
+	}
+	if err == nil {
+		_, err = w.Write(append(append(buf, head...), '\n'))
+	}
+	if cap(buf) <= maxRespBuf {
+		*bp = buf[:0]
+		respBufs.Put(bp)
+	}
+	return err
 }
 
 // handleQueryBatch streams query jobs: NDJSON queryAPIRequest lines in,
@@ -643,13 +689,13 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request, tenant stri
 // inside one batch plan once: the first line's solve is coalesced with
 // or cached for the rest.
 func (s *server) handleQueryBatch(w http.ResponseWriter, r *http.Request, tenant string) {
-	s.streamNDJSON(w, r, func(line []byte) any {
+	streamNDJSON(s, w, r, func(line []byte) *queryAPIResponse {
 		var a queryAPIRequest
 		if err := json.Unmarshal(line, &a); err != nil {
 			return &queryAPIResponse{Error: "invalid JSON: " + err.Error()}
 		}
 		return s.runQuery(r.Context(), a, tenant)
-	})
+	}, writeQueryResponse)
 }
 
 // handleCache lists the store: backend counters plus up to ?max cached
@@ -715,6 +761,11 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)
+}
+
+// writeJSONLine writes v as one line of JSON.
+func writeJSONLine[T any](w io.Writer, v T) error {
+	return json.NewEncoder(w).Encode(v)
 }
 
 func httpError(w http.ResponseWriter, status int, msg string) {

@@ -1,5 +1,7 @@
 package join
 
+import "math"
+
 // Columnar storage primitives: fixed-size column chunks carved from
 // arena slabs. A Relation's values live in per-column chunk lists
 // (vec); all chunks of one relation come from the relation's own
@@ -136,6 +138,81 @@ func (v *vec) extend(a *arena, n int, src *vec, srcN int) {
 	}
 	for i := 0; i < srcN; i++ {
 		v.push(a, n+i, src.at(i))
+	}
+}
+
+// minMax returns the least and greatest of v's first n values (0, 0
+// when n is 0).
+func (v *vec) minMax(n int) (lo, hi int64) {
+	if n == 0 {
+		return 0, 0
+	}
+	if v.wide {
+		return chunksMinMax(v.c64, n)
+	}
+	return chunksMinMax(v.c32, n)
+}
+
+func chunksMinMax[T int32 | int64](chunks [][]T, n int) (lo, hi int64) {
+	l, h := chunks[0][0], chunks[0][0]
+	for ci := 0; n > 0; ci++ {
+		c := chunks[ci][:min(n, chunkSize)]
+		for _, x := range c {
+			l, h = min(l, x), max(h, x)
+		}
+		n -= len(c)
+	}
+	return int64(l), int64(h)
+}
+
+// pack ORs each of v's first len(keys) values, offset by lo, into its
+// row's key at bit shift: Canonical's packed row keys.
+func (v *vec) pack(keys []uint64, lo int64, shift uint) {
+	if v.wide {
+		packChunks(keys, v.c64, lo, shift)
+	} else {
+		packChunks(keys, v.c32, lo, shift)
+	}
+}
+
+func packChunks[T int32 | int64](keys []uint64, chunks [][]T, lo int64, shift uint) {
+	for ci := 0; len(keys) > 0; ci++ {
+		c := chunks[ci][:min(len(keys), chunkSize)]
+		k := keys[:len(c)]
+		for j, x := range c {
+			k[j] |= (uint64(x) - uint64(lo)) << shift
+		}
+		keys = keys[len(c):]
+	}
+}
+
+// unpack fills the empty v with one value per key — the width bits at
+// shift, plus lo — in 32-bit chunks when [lo, hi] allows, as push
+// would have chosen for the same values.
+func (v *vec) unpack(a *arena, keys []uint64, lo, hi int64, shift, width uint) {
+	mask := uint64(1)<<width - 1
+	nc := (len(keys) + chunkMask) >> chunkShift
+	if lo >= math.MinInt32 && hi <= math.MaxInt32 {
+		for range nc {
+			v.c32 = append(v.c32, a.chunk32())
+		}
+		unpackChunks(v.c32, keys, lo, shift, mask)
+		return
+	}
+	for range nc {
+		v.c64 = append(v.c64, a.chunk64())
+	}
+	v.wide = true
+	unpackChunks(v.c64, keys, lo, shift, mask)
+}
+
+func unpackChunks[T int32 | int64](chunks [][]T, keys []uint64, lo int64, shift uint, mask uint64) {
+	for _, c := range chunks {
+		k := keys[:min(len(keys), chunkSize)]
+		for j, key := range k {
+			c[j] = T(key>>shift&mask + uint64(lo))
+		}
+		keys = keys[len(k):]
 	}
 }
 

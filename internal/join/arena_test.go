@@ -156,9 +156,40 @@ func TestArenaAppendAllWidths(t *testing.T) {
 	}
 }
 
-// TestCanonical checks Relation.Canonical against a reference built
-// from the string-keyed operators: Project onto the sorted attributes,
-// Sorted, adjacent duplicates removed. The input must stay untouched.
+// canonicalReference is Canonical rebuilt from the string-keyed
+// operators: Project onto the sorted attributes, Sorted, adjacent
+// duplicates removed.
+func canonicalReference(t testing.TB, r *Relation) ([]string, [][]int) {
+	attrs := append([]string(nil), r.Attrs...)
+	sort.Strings(attrs)
+	p, err := r.Project(attrs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want [][]int
+	for _, row := range p.Sorted() {
+		if len(want) == 0 || !reflect.DeepEqual(want[len(want)-1], row) {
+			want = append(want, row)
+		}
+	}
+	return attrs, want
+}
+
+// packsOneWord reports whether Canonical sorts r as packed row keys
+// rather than with its comparator.
+func packsOneWord(r *Relation) bool {
+	attrs := append([]string(nil), r.Attrs...)
+	sort.Strings(attrs)
+	src := make([]*vec, len(attrs))
+	for k, a := range attrs {
+		src[k] = &r.cols[r.pos[a]]
+	}
+	return canonicalPacked(attrs, src, r.n) != nil
+}
+
+// TestCanonical checks Relation.Canonical against canonicalReference,
+// on both sides of the one-word boundary of its packed row keys: the
+// path taken is asserted too. The input must stay untouched.
 func TestCanonical(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	span := NewRelation("a", "b")
@@ -173,28 +204,72 @@ func TestCanonical(t *testing.T) {
 	for _, v := range []int{5, math.MaxInt32 + 7, -1, math.MinInt32 - 3, 5, math.MaxInt32 + 7, 0} {
 		wide.Add(v, v%3)
 	}
+	// spanning returns rows over attrs whose column k spans exactly
+	// bits[k] bits above base[k]: both ends of each span occur.
+	spanning := func(attrs []string, base []int, bits []uint, rows int) *Relation {
+		r := NewRelation(attrs...)
+		row := make([]int, len(attrs))
+		for i := 0; i < rows; i++ {
+			for k := range row {
+				top, off := uint64(1)<<bits[k]-1, uint64(0)
+				switch {
+				case i == 1:
+					off = top
+				case i > 1 && top > 0:
+					off = rng.Uint64() % top
+					if i%3 == 0 {
+						off %= 4 // repeat values, so rows repeat
+					}
+				}
+				row[k] = int(uint64(base[k]) + off)
+			}
+			r.AddRow(row)
+		}
+		return r
+	}
+	limits := NewRelation("m")
+	for _, v := range []int{math.MaxInt64, 0, math.MinInt64, -1, math.MaxInt64, 1} {
+		limits.Add(v)
+	}
+	limitsPair := NewRelation("p", "m")
+	for i, v := range []int{math.MaxInt64, 0, math.MinInt64, -1, math.MaxInt64, 1} {
+		limitsPair.Add(i%2, v)
+	}
+	constant := NewRelation("c", "b", "a")
+	for i := 0; i < 50; i++ {
+		constant.Add(-3, i%7, 7)
+	}
+	noAttrs := NewRelation()
+	for i := 0; i < 4; i++ {
+		noAttrs.Add()
+	}
 	for _, c := range []struct {
-		name string
-		r    *Relation
+		name   string
+		r      *Relation
+		packed bool
 	}{
-		{"chunk-span-duplicates", span},
-		{"attrs-out-of-order", unsorted},
-		{"promoted-int64", wide},
-		{"empty", NewRelation("b", "a")},
+		{"chunk-span-duplicates", span, true},
+		{"attrs-out-of-order", unsorted, true},
+		{"promoted-int64", wide, true},
+		{"empty", NewRelation("b", "a"), true},
+		{"widths-sum-64", spanning([]string{"b", "a"}, []int{-5, math.MinInt32 + 9}, []uint{32, 32}, 500), true},
+		{"widths-sum-64-one-column", spanning([]string{"a", "z"}, []int{math.MinInt64, 4}, []uint{64, 0}, 300), true},
+		{"widths-sum-65", spanning([]string{"b", "a"}, []int{-5, math.MinInt32 + 9}, []uint{33, 32}, 500), false},
+		{"three-columns-of-2^31", spanning([]string{"c", "a", "b"}, []int{0, -1 << 30, 1 << 40}, []uint{31, 31, 31}, 500), false},
+		{"min-and-max-int64", limits, true},
+		{"min-and-max-int64-beside-a-column", limitsPair, false},
+		{"all-equal-columns", constant, true},
+		{"one-row", NewRelation("y", "x").Add(math.MinInt64+1, 42), true},
+		{"no-attributes", noAttrs, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			before := c.r.Rows()
-			attrs := append([]string(nil), c.r.Attrs...)
-			sort.Strings(attrs)
-			p, err := c.r.Project(attrs...)
-			if err != nil {
-				t.Fatal(err)
+			attrs, want := canonicalReference(t, c.r)
+			if c.r.Size() > 0 && len(c.r.Attrs) == 0 && len(want) != 1 {
+				t.Fatalf("reference kept %d rows of a relation with no attributes, want 1", len(want))
 			}
-			var want [][]int
-			for _, row := range p.Sorted() {
-				if len(want) == 0 || !reflect.DeepEqual(want[len(want)-1], row) {
-					want = append(want, row)
-				}
+			if got := packsOneWord(c.r); got != c.packed {
+				t.Fatalf("packed row keys = %v, want %v", got, c.packed)
 			}
 			got := c.r.Canonical()
 			if !reflect.DeepEqual(got.Attrs, attrs) {
@@ -205,6 +280,29 @@ func TestCanonical(t *testing.T) {
 			}
 			if !reflect.DeepEqual(c.r.Rows(), before) {
 				t.Fatal("Canonical mutated its input")
+			}
+		})
+	}
+}
+
+// BenchmarkCanonical canonicalises a 4,947 × 3 answer, the size of a
+// path-rows answer, in two shapes: "packed", whose rows fit one word
+// and sort as packed keys, and "wide", whose three columns each span
+// 2⁴⁰ and so take the comparator.
+func BenchmarkCanonical(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		span int64
+	}{{"packed", 5000}, {"wide", 1 << 40}} {
+		rng := rand.New(rand.NewSource(31))
+		r := NewRelation("z", "x", "y")
+		for i := 0; i < 4947; i++ {
+			r.Add(int(rng.Int63n(c.span)), int(rng.Int63n(c.span)), int(rng.Int63n(c.span)))
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				r.Canonical()
 			}
 		})
 	}

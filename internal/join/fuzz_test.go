@@ -1,7 +1,11 @@
 package join
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -163,6 +167,90 @@ func FuzzEvalDocument(f *testing.F) {
 		g, w := got.Canonical(), want.Canonical()
 		if !reflect.DeepEqual(g.Attrs, w.Attrs) || !reflect.DeepEqual(g.Rows(), w.Rows()) {
 			t.Fatalf("canonical forms differ:\n%v\nvs\n%v", g, w)
+		}
+	})
+}
+
+// fuzzExtremes are the values a FuzzAnswerEncode tag byte can pick
+// outright: the int64 and int32 limits and their neighbours.
+var fuzzExtremes = []int{
+	math.MinInt64, math.MinInt64 + 1, math.MaxInt64, math.MaxInt64 - 1,
+	math.MinInt32 - 1, math.MinInt32, math.MaxInt32, math.MaxInt32 + 1, -1, 0,
+}
+
+// fuzzValue decodes one value from data: a tag byte picks a small
+// value, an int32 or int64 from the next bytes (zero-padded), or one of
+// fuzzExtremes.
+func fuzzValue(data []byte) (int, []byte) {
+	if len(data) == 0 {
+		return 0, nil
+	}
+	tag, data := data[0], data[1:]
+	word := func(n int) (uint64, []byte) {
+		var b [8]byte
+		k := copy(b[:n], data)
+		return binary.LittleEndian.Uint64(b[:]), data[k:]
+	}
+	switch tag % 4 {
+	case 0:
+		return int(tag>>2) - 32, data
+	case 1:
+		w, rest := word(4)
+		return int(int32(uint32(w))), rest
+	case 2:
+		w, rest := word(8)
+		return int(int64(w)), rest
+	}
+	return fuzzExtremes[int(tag>>2)%len(fuzzExtremes)], data
+}
+
+// FuzzAnswerEncode turns bytes into a relation of 0–4 columns and
+// arbitrary int64 values (the first byte picks the column count, each
+// value is fuzzValue's) and checks the answer path's two halves:
+// Canonical equals canonicalReference, and WriteJSON writes exactly
+// encoding/json's bytes for Canonical().Rows().
+func FuzzAnswerEncode(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 1, 2, 3})
+	f.Add([]byte{1, 3, 7, 3, 11, 0, 0, 4, 8})
+	f.Add([]byte{2, 3, 3, 2, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 7, 3, 3, 2})
+	f.Add([]byte{3, 1, 0, 0, 0, 0x80, 5, 9, 2, 1, 2, 3, 4, 5, 6, 7, 8, 1, 0, 0, 0, 0x80, 5, 9})
+	f.Add([]byte{4, 0, 4, 8, 12, 0, 4, 8, 12, 19, 23, 27, 31, 0, 4, 8, 12})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		attrs := []string{"d", "b", "c", "a"}
+		if len(data) > 0 {
+			attrs, data = attrs[:data[0]%5], data[1:]
+		} else {
+			attrs = nil
+		}
+		r := NewRelation(attrs...)
+		row := make([]int, len(attrs))
+		for len(data) > 0 {
+			if len(attrs) == 0 {
+				data = data[1:] // one byte per row of no attributes
+			}
+			for k := range row {
+				row[k], data = fuzzValue(data)
+			}
+			r.AddRow(row)
+		}
+		wantAttrs, want := canonicalReference(t, r)
+		got := r.Canonical()
+		if !reflect.DeepEqual(got.Attrs, wantAttrs) || !reflect.DeepEqual(got.Rows(), want) {
+			t.Fatalf("Canonical %v %v, reference %v %v", got.Attrs, got.Rows(), wantAttrs, want)
+		}
+		var out bytes.Buffer
+		buf, err := got.WriteJSON(&out, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.Write(buf)
+		wantJSON, err := json.Marshal(got.Rows())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), wantJSON) {
+			t.Fatalf("WriteJSON wrote\n%s\nencoding/json\n%s", out.Bytes(), wantJSON)
 		}
 	})
 }

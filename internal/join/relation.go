@@ -3,8 +3,11 @@ package join
 import (
 	"cmp"
 	"fmt"
+	"io"
+	"math/bits"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -115,6 +118,48 @@ func (r *Relation) Rows() [][]int {
 		out[i] = r.AppendRow(flat[i*w:i*w:(i+1)*w], i)
 	}
 	return out
+}
+
+// jsonFlushBytes is the buffer fill at which WriteJSON writes out.
+const jsonFlushBytes = 32 << 10
+
+// WriteJSON writes the JSON array of r's rows — the bytes
+// encoding/json writes for r.Rows(), null for no rows — appending to
+// buf and writing buf to w whenever it holds jsonFlushBytes, so the
+// buffer stays bounded whatever the row count. It returns buf holding
+// the bytes not yet written, for the caller to append to and write.
+func (r *Relation) WriteJSON(w io.Writer, buf []byte) ([]byte, error) {
+	if r.n == 0 {
+		return append(buf, "null"...), nil
+	}
+	buf = append(buf, '[')
+	for base := 0; base < r.n; base += chunkSize {
+		ci := base >> chunkShift
+		for j := range min(chunkSize, r.n-base) {
+			if base+j > 0 {
+				buf = append(buf, ',')
+			}
+			buf = append(buf, '[')
+			for c := range r.cols {
+				if c > 0 {
+					buf = append(buf, ',')
+				}
+				if v := &r.cols[c]; v.wide {
+					buf = strconv.AppendInt(buf, v.c64[ci][j], 10)
+				} else {
+					buf = strconv.AppendInt(buf, int64(v.c32[ci][j]), 10)
+				}
+			}
+			buf = append(buf, ']')
+			if len(buf) >= jsonFlushBytes {
+				if _, err := w.Write(buf); err != nil {
+					return buf[:0], err
+				}
+				buf = buf[:0]
+			}
+		}
+	}
+	return append(buf, ']'), nil
 }
 
 // alias returns an O(1) view sharing r's storage, safe because
@@ -375,14 +420,25 @@ func (r *Relation) Sorted() [][]int {
 // Any two relations holding the same tuples over the same attributes —
 // whatever their column order, row order or duplicates — have equal
 // canonical forms, which is what makes repeat answers byte-identical
-// and differential comparisons exact. It sorts row offsets once, then
-// copies each kept row once, skipping rows equal to their predecessor.
+// and differential comparisons exact.
+//
+// When a row fits one machine word — each column offset by its minimum
+// and given just the bits of its span, first attribute most
+// significant — the rows become uint64 keys whose order is row order:
+// Canonical sorts the keys, drops adjacent equal ones and unpacks each
+// kept key straight into the output columns. Wider rows (values near
+// both int64 limits, or several columns each spanning 2³¹) sort row
+// offsets with a column-by-column comparator instead, then copy each
+// kept row once.
 func (r *Relation) Canonical() *Relation {
 	attrs := append([]string(nil), r.Attrs...)
 	sort.Strings(attrs)
 	src := make([]*vec, len(attrs))
 	for k, a := range attrs {
 		src[k] = &r.cols[r.pos[a]]
+	}
+	if out := canonicalPacked(attrs, src, r.n); out != nil {
+		return out
 	}
 	order := func(i, j int32) int {
 		for _, v := range src {
@@ -406,6 +462,46 @@ func (r *Relation) Canonical() *Relation {
 			out.cols[c].push(out.mem, out.n, v.at(int(i)))
 		}
 		out.n++
+	}
+	return out
+}
+
+// canonicalPacked is Canonical over the first n rows of the columns
+// src when their bit widths sum to at most 64, and nil otherwise.
+func canonicalPacked(attrs []string, src []*vec, n int) *Relation {
+	type packed struct {
+		lo, hi       int64
+		width, shift uint
+	}
+	var small [8]packed // a wider answer's columns go on the heap
+	cols := small[:0]
+	if len(src) > len(small) {
+		cols = make([]packed, 0, len(src))
+	}
+	total := uint(0)
+	for _, v := range src {
+		lo, hi := v.minMax(n)
+		// The span is exact in uint64 even where hi-lo overflows int64.
+		width := uint(bits.Len64(uint64(hi) - uint64(lo)))
+		if total += width; total > 64 {
+			return nil
+		}
+		cols = append(cols, packed{lo: lo, hi: hi, width: width})
+	}
+	keys := make([]uint64, n)
+	for c, v := range src {
+		total -= cols[c].width
+		cols[c].shift = total
+		if cols[c].width > 0 {
+			v.pack(keys, cols[c].lo, total)
+		}
+	}
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+	out := newRelation(attrs)
+	out.n = len(keys)
+	for c, p := range cols {
+		out.cols[c].unpack(out.mem, keys, p.lo, p.hi, p.shift, p.width)
 	}
 	return out
 }
