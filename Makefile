@@ -116,10 +116,12 @@ stress:
 # order, answer columns independent of IndexSets, and deduplicated
 # cached inline databases; and the execution tree's walls: contracted
 # plans independent of the solver, and contraction's properties on
-# random racer HDs; and the bag cache's walls: warm hits, the row
-# budget on a hit, concurrent identical queries and the snapshot scope.
+# random racer HDs; the bag cache's walls: warm hits, the row budget on
+# a hit, concurrent identical queries and the snapshot scope; and the
+# executor's abort walls: a cancellation at any context check returns
+# context.Canceled, and the row budget fires inside the join loop.
 differential:
-	$(GO) test -race -count=1 -run 'TestDifferential|TestConcurrentIdentical|TestEval|TestServeQuery|TestExecDuplicateRows|TestCanonical|TestStatsConservation|TestRegistryTotalsMonotone|TestStatsValuesGolden|TestAggregateBagColumnOrder|TestBagBuildSkipsNoOpWork|TestExecColumnsIndependentOfIndexSets|TestContractionSolverIndependent|TestContractionProperties|TestServeQueryInlineDuplicateTuples|TestBagCache' ./internal/query ./internal/join ./internal/dataset ./cmd/htdserve
+	$(GO) test -race -count=1 -run 'TestDifferential|TestConcurrentIdentical|TestEval|TestServeQuery|TestExecDuplicateRows|TestCanonical|TestStatsConservation|TestRegistryTotalsMonotone|TestStatsValuesGolden|TestAggregateBagColumnOrder|TestBagBuildSkipsNoOpWork|TestExecColumnsIndependentOfIndexSets|TestContractionSolverIndependent|TestContractionProperties|TestServeQueryInlineDuplicateTuples|TestBagCache|TestExecCancel|TestExecRowBudgetInsideJoinLoop' ./internal/query ./internal/join ./internal/dataset ./cmd/htdserve
 
 # A wall cannot silently lose a test: every alternative of the -run
 # regexes in stress, crash-recovery and differential must match a test

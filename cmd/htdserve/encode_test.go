@@ -20,7 +20,7 @@ func encodeFixture(rows int) *queryAPIResponse {
 	rel = rel.Canonical()
 	return &queryAPIResponse{
 		OK: true, Vars: rel.Attrs, RowCount: rel.Size(), Width: 2,
-		Parallelism: 1, Exec: &htd.QueryExecStats{}, answer: rel,
+		Exec: &htd.QueryExecStats{}, answer: rel,
 	}
 }
 

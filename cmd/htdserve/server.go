@@ -426,11 +426,6 @@ type queryAPIRequest struct {
 	// TimeoutMS bounds the whole query (planning + execution). Unset,
 	// the server's -timeout applies; set, it can only tighten it.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// Parallelism caps the executor's concurrent workers for this query
-	// (sibling subtrees and large final-join partitions); spawned
-	// workers lease tokens from the server's shared budget. 0 or 1 =
-	// serial. Rows are byte-identical at any setting.
-	Parallelism int `json:"parallelism,omitempty"`
 	// Workers caps solver parallelism for cold plans (0 = service
 	// default).
 	Workers int `json:"workers,omitempty"`
@@ -464,10 +459,8 @@ type queryAPIResponse struct {
 	PlanCoalesced bool    `json:"plan_coalesced,omitempty"`
 	PlanMS        float64 `json:"plan_ms"`
 	ExecMS        float64 `json:"exec_ms"`
-	// Parallelism is the executor worker cap the query ran with; Exec
-	// carries the executor's effort counters for this query.
-	Parallelism int                 `json:"parallelism,omitempty"`
-	Exec        *htd.QueryExecStats `json:"exec,omitempty"`
+	// Exec carries the executor's effort counters for this query.
+	Exec *htd.QueryExecStats `json:"exec,omitempty"`
 	// DatasetVersion is the dataset version the query read (dataset
 	// requests only): the snapshot that answered it.
 	DatasetVersion uint64 `json:"dataset_version,omitempty"`
@@ -510,9 +503,6 @@ func (s *server) runQuery(ctx context.Context, a queryAPIRequest, tenant string)
 	if a.TimeoutMS < 0 {
 		return &queryAPIResponse{Error: "\"timeout_ms\" must be >= 0", err: errBadRequest}
 	}
-	if a.Parallelism < 0 {
-		return &queryAPIResponse{Error: "\"parallelism\" must be >= 0", err: errBadRequest}
-	}
 	q, err := htd.ParseCQ(a.Query)
 	if err != nil {
 		return &queryAPIResponse{Error: "parse query: " + err.Error(), err: errBadRequest}
@@ -542,17 +532,16 @@ func (s *server) runQuery(ctx context.Context, a queryAPIRequest, tenant string)
 		spec = &parsed
 	}
 	res, err := s.planner.Eval(ctx, htd.QueryRequest{
-		Query:       q,
-		Dataset:     a.Dataset,
-		AtVersion:   a.AtVersion,
-		DB:          db,
-		MaxWidth:    a.MaxWidth,
-		MaxRows:     a.MaxRows,
-		Timeout:     time.Duration(a.TimeoutMS) * time.Millisecond,
-		Parallelism: a.Parallelism,
-		Workers:     a.Workers,
-		Aggregate:   spec,
-		Tenant:      tenant,
+		Query:     q,
+		Dataset:   a.Dataset,
+		AtVersion: a.AtVersion,
+		DB:        db,
+		MaxWidth:  a.MaxWidth,
+		MaxRows:   a.MaxRows,
+		Timeout:   time.Duration(a.TimeoutMS) * time.Millisecond,
+		Workers:   a.Workers,
+		Aggregate: spec,
+		Tenant:    tenant,
 	})
 	if err != nil {
 		resp := &queryAPIResponse{Error: err.Error(), err: err}
@@ -584,7 +573,6 @@ func (s *server) runQuery(ctx context.Context, a queryAPIRequest, tenant string)
 		PlanCoalesced:  res.PlanCoalesced,
 		PlanMS:         float64(res.PlanElapsed) / float64(time.Millisecond),
 		ExecMS:         float64(res.ExecElapsed) / float64(time.Millisecond),
-		Parallelism:    res.Parallelism,
 		DatasetVersion: res.DatasetVersion,
 		Exec:           &res.Exec,
 	}

@@ -25,7 +25,7 @@ func TestWireKeysGolden(t *testing.T) {
 	}
 	checkKeys(t, "query exec", query["exec"], []string{
 		"index_builds", "index_reuses", "index_probes", "bag_reuses", "semijoins",
-		"joins", "parallel_tasks", "inline_tasks", "max_workers",
+		"joins",
 	})
 
 	sresp, err := http.Get(ts.URL + "/stats")
@@ -53,8 +53,8 @@ func TestWireKeysGolden(t *testing.T) {
 	checkKeys(t, "stats query", top["query"], []string{
 		"Queries", "Answered", "PlanCacheHits", "PlanCoalesced", "PlanFailures",
 		"ExecFailures", "TenantLimited", "RowsReturned", "AggQueries", "AggGroups",
-		"DatasetQueries", "ExecParallelQueries", "ExecIndexBuilds", "ExecIndexReuses",
-		"ExecIndexProbes", "ExecBagReuses", "ExecParallelTasks", "ExecInlineTasks",
+		"DatasetQueries", "ExecIndexBuilds", "ExecIndexReuses",
+		"ExecIndexProbes", "ExecBagReuses",
 	})
 	checkKeys(t, "stats datasets", top["datasets"], []string{"datasets", "queries", "mutations"})
 	checkKeys(t, "stats parse_cache", top["parse_cache"], []string{"hits", "misses", "coalesced"})

@@ -274,10 +274,9 @@ func ParseRelations(src string) (Database, error) { return join.ParseRelations(s
 // with NewQueryPlanner and share it between goroutines.
 type QueryPlanner = query.Planner
 
-// QueryRequest is one conjunctive query to answer. Set Parallelism > 1
-// to run the executor's sibling subtrees and large final-join probe
-// loops on a worker pool drawn from the service's shared token budget
-// (answers stay byte-identical to serial execution).
+// QueryRequest is one conjunctive query to answer, over an inline
+// database or a named dataset, as rows or as an aggregate, under
+// optional row, width and time limits.
 type QueryRequest = query.Request
 
 // QueryResult is the outcome of one answered query: canonical rows,
@@ -286,13 +285,13 @@ type QueryRequest = query.Request
 type QueryResult = query.Result
 
 // QueryStats is a snapshot of a QueryPlanner's counters, including the
-// aggregated executor effort (indexes built, tuples probed, parallel
-// vs inline tasks).
+// executor effort (indexes built and reused, tuples probed, bags
+// reused) summed over every execution, aborted ones included.
 type QueryStats = query.Stats
 
-// QueryExecStats is one query's executor effort: hash indexes built,
-// tuples probed, relational operations run, and how much of the work
-// ran on spawned workers (QueryResult.Exec).
+// QueryExecStats is one query's executor effort: hash indexes built and
+// reused, tuples probed, bags reused and relational operations run
+// (QueryResult.Exec).
 type QueryExecStats = join.ExecStats
 
 // NewQueryPlanner returns a planner executing queries over svc.

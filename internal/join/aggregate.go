@@ -27,7 +27,13 @@ import (
 type AggKind int
 
 const (
-	// AggCount counts distinct full answers (per group).
+	// AggCount counts distinct full answers (per group) without
+	// materialising them, by dynamic programming over the join tree:
+	// after the semijoin reduction, each bag tuple's extension count is
+	// the product over children of the summed counts of joining child
+	// tuples. This is the tractable counting the paper cites as an HD
+	// application (Pichler & Skritek [23]): time is polynomial in the
+	// size of the bag relations, hence in N^width.
 	AggCount AggKind = iota
 	// AggCountDistinct counts distinct assignments to the Over
 	// projection (per group).
@@ -470,20 +476,12 @@ func (e *executor) aggregateTree(root *bagNode, spec AggSpec) (AggResult, error)
 // node's state is lifted into the parent, which happens in the caller
 // via liftChild.
 func (e *executor) aggNode(n *bagNode, spec AggSpec, watched []string, parent *Relation) (aggState, error) {
-	// Children's subtree states compute concurrently (the same sibling
-	// parallelism as the executor's relational passes); combination is
-	// exact integer arithmetic, so the fold is deterministic at any
-	// parallelism.
 	childStates := make([]aggState, len(n.children))
-	if err := e.forEach(len(n.children), func(i int) error {
-		st, err := e.aggNode(n.children[i], spec, watched, n.rel)
-		if err != nil {
-			return err
+	for i, c := range n.children {
+		var err error
+		if childStates[i], err = e.aggNode(c, spec, watched, n.rel); err != nil {
+			return aggState{}, err
 		}
-		childStates[i] = st
-		return nil
-	}); err != nil {
-		return aggState{}, err
 	}
 
 	// Start every bag tuple at the multiplicative unit: one extension
@@ -617,7 +615,7 @@ func (e *executor) liftChild(n, c *bagNode, shared []string, st aggState, spec A
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	e.indexBuilds.Add(1)
+	e.stats.IndexBuilds++
 	contrib := make([]map[string]aggCell, len(ix.first))
 	kbuf := make([]byte, 0, 8*len(liftedVars))
 	for j := 0; j < c.rel.Size(); j++ {
@@ -652,7 +650,7 @@ func (e *executor) liftChild(n, c *bagNode, shared []string, st aggState, spec A
 			spec.addInto(m, string(kbuf), lifted)
 		}
 	}
-	e.indexProbes.Add(int64(c.rel.Size()))
+	e.stats.IndexProbes += int64(c.rel.Size())
 	return ix, contrib, liftedVars, nil
 }
 
@@ -768,16 +766,11 @@ func (e *executor) aggFold(root *bagNode, spec AggSpec, watched []string, st agg
 	return out, nil
 }
 
-// Aggregate answers an aggregate head over the full conjunctive query
-// by pushdown over the decomposition's join tree, with default options.
-func Aggregate(q Query, db Database, d *decomp.Decomp, spec AggSpec) (AggResult, error) {
-	return AggregateCtx(context.Background(), q, db, d, spec, EvalOptions{})
-}
-
-// AggregateCtx is Aggregate under a context and per-query limits,
-// running on the budgeted indexed kernel: bag materialisation and the
-// two semijoin passes honour ctx cancellation, the row budget and the
-// shared token budget exactly like EvaluateCtx, and the partial
+// AggregateCtx answers an aggregate head over the full conjunctive query
+// by pushdown over the decomposition's join tree, under a context and
+// per-query limits, on the budgeted indexed kernel: bag materialisation
+// and the two semijoin passes honour ctx cancellation and the row
+// budget exactly like EvaluateCtx, and the partial
 // aggregate states count against MaxRows through the group cardinality
 // (a grouped answer larger than the budget aborts with ErrRowBudget —
 // but a huge *answer set* folded into a few groups does not, which is

@@ -47,7 +47,7 @@ func aggSpecs(q Query) []AggSpec {
 }
 
 // checkAggAgainstNaive asserts the pushdown answer equals the naive
-// materialise-then-fold answer for one spec, serial and parallel.
+// materialise-then-fold answer for one spec.
 func checkAggAgainstNaive(t *testing.T, q Query, db Database, spec AggSpec) {
 	t.Helper()
 	d := decompose(t, q, len(q.Atoms))
@@ -59,15 +59,13 @@ func checkAggAgainstNaive(t *testing.T, q Query, db Database, spec AggSpec) {
 	if err != nil {
 		t.Fatalf("%s: naive fold: %v", FormatAggregate(spec), err)
 	}
-	for _, par := range []int{0, 4} {
-		got, err := AggregateCtx(context.Background(), q, db, d, spec, EvalOptions{Parallelism: par})
-		if err != nil {
-			t.Fatalf("%s (par=%d): pushdown: %v", FormatAggregate(spec), par, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s (par=%d): pushdown %+v, naive %+v\nquery: %s",
-				FormatAggregate(spec), par, got, want, FormatQuery(q))
-		}
+	got, err := AggregateCtx(context.Background(), q, db, d, spec, EvalOptions{})
+	if err != nil {
+		t.Fatalf("%s: pushdown: %v", FormatAggregate(spec), err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("%s: pushdown %+v, naive %+v\nquery: %s",
+			FormatAggregate(spec), got, want, FormatQuery(q))
 	}
 }
 
@@ -111,7 +109,7 @@ func TestAggregateTable(t *testing.T) {
 			[][]int{{1}, {4}}, []int64{3, 2}},
 	}
 	for _, c := range cases {
-		got, err := Aggregate(q, db, d, c.spec)
+		got, err := AggregateCtx(context.Background(), q, db, d, c.spec, EvalOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", FormatAggregate(c.spec), err)
 		}
@@ -139,14 +137,14 @@ func TestAggregateEmptyAnswerSet(t *testing.T) {
 		checkAggAgainstNaive(t, q, db, spec)
 	}
 	d := decompose(t, q, 2)
-	res, err := Aggregate(q, db, d, AggSpec{Kind: AggCount})
+	res, err := AggregateCtx(context.Background(), q, db, d, AggSpec{Kind: AggCount}, EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v, ok := res.Value(); !ok || v != 0 {
 		t.Fatalf("scalar count over empty: value=%d ok=%v, want 0 true", v, ok)
 	}
-	res, err = Aggregate(q, db, d, AggSpec{Kind: AggMin, Var: "x"})
+	res, err = AggregateCtx(context.Background(), q, db, d, AggSpec{Kind: AggMin, Var: "x"}, EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +170,7 @@ func TestAggregateSingleAtom(t *testing.T) {
 		checkAggAgainstNaive(t, q, db, spec)
 	}
 	d := decompose(t, q, 1)
-	res, err := Aggregate(q, db, d, AggSpec{Kind: AggCount})
+	res, err := AggregateCtx(context.Background(), q, db, d, AggSpec{Kind: AggCount}, EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,8 +197,8 @@ func TestAggregateDuplicateRows(t *testing.T) {
 
 // TestAggregateAgainstNaiveRandom is the join-level differential wall:
 // on seeded random instances (shapes shared with the query-level wall),
-// every aggregate kind must match the naive fold, serial and parallel,
-// across decomposition widths.
+// every aggregate kind must match the naive fold across decomposition
+// widths.
 func TestAggregateAgainstNaiveRandom(t *testing.T) {
 	for seed := 0; seed < 12; seed++ {
 		r := rand.New(rand.NewSource(int64(seed)))
@@ -268,15 +266,15 @@ func randomAggInstance(r *rand.Rand) (Query, Database) {
 	return q, db
 }
 
-// TestCountCancellation is the bugfix regression: Count used to run an
-// un-budgeted recursion that ignored its caller entirely; it must now
-// stop on a cancelled context.
+// TestCountCancellation is the bugfix regression: counting used to run
+// an un-budgeted recursion that ignored its caller entirely; it must
+// now stop on a cancelled context.
 func TestCountCancellation(t *testing.T) {
 	q, db := triangleFixture()
 	d := decompose(t, q, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := CountCtx(ctx, q, db, d, EvalOptions{}); !errors.Is(err, context.Canceled) {
+	if _, err := AggregateCtx(ctx, q, db, d, AggSpec{Kind: AggCount}, EvalOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled count: got %v, want context.Canceled", err)
 	}
 	if _, err := AggregateCtx(ctx, q, db, d, AggSpec{Kind: AggSum, Var: "x"}, EvalOptions{}); !errors.Is(err, context.Canceled) {

@@ -23,8 +23,7 @@ const (
 const slabChunks = 16
 
 // arena hands out column chunks carved from geometrically growing
-// slabs. It is not goroutine-safe: parallel join partitions each build
-// into their own relation (own arena) and concatenate afterwards.
+// slabs. It is not goroutine-safe.
 type arena struct {
 	free32 []int32
 	free64 []int64
@@ -110,35 +109,6 @@ func (v *vec) widen(a *arena) {
 		v.c64[ci] = w
 	}
 	v.c32, v.wide = nil, true
-}
-
-// extend appends the first srcN rows of src to v, which currently has
-// n rows. Chunk-aligned same-width appends copy whole chunks; anything
-// else goes value-wise through push (which handles width promotion).
-func (v *vec) extend(a *arena, n int, src *vec, srcN int) {
-	if srcN == 0 {
-		return
-	}
-	if n&chunkMask == 0 && v.wide == src.wide {
-		nc := (srcN + chunkMask) >> chunkShift
-		if v.wide {
-			for _, c := range src.c64[:nc] {
-				w := a.chunk64()
-				copy(w, c)
-				v.c64 = append(v.c64, w)
-			}
-		} else {
-			for _, c := range src.c32[:nc] {
-				w := a.chunk32()
-				copy(w, c)
-				v.c32 = append(v.c32, w)
-			}
-		}
-		return
-	}
-	for i := 0; i < srcN; i++ {
-		v.push(a, n+i, src.at(i))
-	}
 }
 
 // minMax returns the least and greatest of v's first n values (0, 0

@@ -33,7 +33,7 @@ func bagCacheDB(seed int64) Database {
 // a second evaluation with the same bag cache serves every bag whose λ
 // holds two atoms from the cache — one for the triangle, two each for
 // the bowtie and the four-cycle — and so runs fewer joins, while every
-// answer equals EvaluateNaive's, serial and parallel. The warm index
+// answer equals EvaluateNaive's. The warm index
 // reuses are pinned too: the four-cycle's only one is its cached child
 // bag's index, which the cold run's up pass captured.
 func TestBagCacheWarm(t *testing.T) {
@@ -51,40 +51,36 @@ func TestBagCacheWarm(t *testing.T) {
 				t.Fatal(err)
 			}
 			d := racerPlan(t, q, logk.PaperHybrid)
-			for _, par := range []int{1, 4} {
-				db := bagCacheDB(5)
-				want, err := EvaluateNaive(q, db)
+			db := bagCacheDB(5)
+			want, err := EvaluateNaive(q, db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bags := NewBagCache(db)
+			var cold, warm ExecStats
+			for run, st := range []*ExecStats{&cold, &warm} {
+				got, err := EvaluateCtx(context.Background(), q, db, d, EvalOptions{Stats: st, Bags: bags})
 				if err != nil {
 					t.Fatal(err)
 				}
-				bags := NewBagCache(db)
-				var cold, warm ExecStats
-				for run, st := range []*ExecStats{&cold, &warm} {
-					got, err := EvaluateCtx(context.Background(), q, db, d,
-						EvalOptions{Parallelism: par, Stats: st, Bags: bags})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(sortedRowSet(t, got), sortedRowSet(t, want)) {
-						t.Fatalf("parallelism %d run %d: %d rows, naive %d", par, run, got.Size(), want.Size())
-					}
+				if !reflect.DeepEqual(sortedRowSet(t, got), sortedRowSet(t, want)) {
+					t.Fatalf("run %d: %d rows, naive %d", run, got.Size(), want.Size())
 				}
-				if cold.BagReuses != 0 || warm.BagReuses != tc.reuses {
-					t.Errorf("parallelism %d: bag reuses cold %d warm %d, want 0 and %d",
-						par, cold.BagReuses, warm.BagReuses, tc.reuses)
-				}
-				if warm.IndexReuses != tc.indexReuses {
-					t.Errorf("parallelism %d: warm run reused %d indexes, want %d", par, warm.IndexReuses, tc.indexReuses)
-				}
-				if warm.Joins >= cold.Joins {
-					t.Errorf("parallelism %d: warm run joined %d times, cold %d", par, warm.Joins, cold.Joins)
-				}
-				n, rows := bags.Usage()
-				if int64(n) != tc.reuses {
-					t.Errorf("parallelism %d: %d cached bags, want %d", par, n, tc.reuses)
-				}
-				t.Logf("parallelism %d: %d answer rows, %d cached bags of %d rows", par, want.Size(), n, rows)
 			}
+			if cold.BagReuses != 0 || warm.BagReuses != tc.reuses {
+				t.Errorf("bag reuses cold %d warm %d, want 0 and %d", cold.BagReuses, warm.BagReuses, tc.reuses)
+			}
+			if warm.IndexReuses != tc.indexReuses {
+				t.Errorf("warm run reused %d indexes, want %d", warm.IndexReuses, tc.indexReuses)
+			}
+			if warm.Joins >= cold.Joins {
+				t.Errorf("warm run joined %d times, cold %d", warm.Joins, cold.Joins)
+			}
+			n, rows := bags.Usage()
+			if int64(n) != tc.reuses {
+				t.Errorf("%d cached bags, want %d", n, tc.reuses)
+			}
+			t.Logf("%d answer rows, %d cached bags of %d rows", want.Size(), n, rows)
 		})
 	}
 }
@@ -172,7 +168,7 @@ func TestBagCacheConcurrent(t *testing.T) {
 			if g == 12 {
 				bags.Retire()
 			}
-			got, err := EvaluateCtx(context.Background(), q, db, d, EvalOptions{Parallelism: 1 + g%3, Bags: bags})
+			got, err := EvaluateCtx(context.Background(), q, db, d, EvalOptions{Bags: bags})
 			if err == nil && !reflect.DeepEqual(sortedRowSet(t, got), wantRows) {
 				err = errors.New("answer differs from EvaluateNaive")
 			}

@@ -10,13 +10,21 @@ import (
 	"repro/internal/logk"
 )
 
-func TestCountTriangle(t *testing.T) {
-	q, db := triangleFixture()
-	d := decompose(t, q, 2)
-	got, err := Count(q, db, d)
+// countAnswers is q's scalar COUNT, answered by AggregateCtx.
+func countAnswers(t *testing.T, q Query, db Database, d *decomp.Decomp) int64 {
+	t.Helper()
+	res, err := AggregateCtx(context.Background(), q, db, d, AggSpec{Kind: AggCount}, EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	n, _ := res.Value()
+	return n
+}
+
+func TestCountTriangle(t *testing.T) {
+	q, db := triangleFixture()
+	d := decompose(t, q, 2)
+	got := countAnswers(t, q, db, d)
 	want, err := EvaluateNaive(q, db)
 	if err != nil {
 		t.Fatal(err)
@@ -30,10 +38,7 @@ func TestCountEmptyResult(t *testing.T) {
 	q, db := triangleFixture()
 	db["T"] = NewRelation("c1", "c2") // unsatisfiable
 	d := decompose(t, q, 2)
-	got, err := Count(q, db, d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := countAnswers(t, q, db, d)
 	if got != 0 {
 		t.Fatalf("Count = %d, want 0", got)
 	}
@@ -50,10 +55,7 @@ func TestCountCrossProduct(t *testing.T) {
 		"S": NewRelation("a", "b").Add(5, 6).Add(7, 8).Add(9, 10),
 	}
 	d := decompose(t, q, 1)
-	got, err := Count(q, db, d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := countAnswers(t, q, db, d)
 	if got != 6 {
 		t.Fatalf("Count = %d, want 6", got)
 	}
@@ -100,10 +102,7 @@ func TestCountAgainstNaiveRandom(t *testing.T) {
 		if d == nil {
 			t.Fatalf("seed %d: width > 4", seed)
 		}
-		got, err := Count(q, db, d)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := countAnswers(t, q, db, d)
 		want, err := EvaluateNaive(q, db)
 		if err != nil {
 			t.Fatal(err)

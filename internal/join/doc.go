@@ -8,9 +8,8 @@
 // acyclic instance.
 //
 // Contract: Evaluate/EvaluateCtx return the answer set — no row
-// twice — in a row order byte-identical across serial and parallel
-// execution, and Relation.Canonical puts it in canonical form (columns
-// sorted by variable name, rows sorted);
+// twice — in a deterministic row order, and Relation.Canonical puts
+// it in canonical form (columns sorted by variable name, rows sorted);
 // AggregateCtx folds COUNT / COUNT DISTINCT / SUM / MIN / MAX —
 // optionally GROUP BY a variable subset — during the bottom-up pass,
 // touching per-bag state bounded by the group count instead of the

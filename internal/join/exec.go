@@ -5,23 +5,14 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/decomp"
 )
 
-// TokenSource supplies the extra-worker tokens a parallel evaluation's
-// spawned subtree tasks draw from. It mirrors logk.TokenSource
-// structurally (logk.TokenPool satisfies both), so query execution
-// and decomposition jobs can share one process-wide budget without this
-// package importing the solver. Implementations must be safe for
-// concurrent use.
+// TokenSource is ignored by the executor; it stays declared only for
+// perfbench's traced replica of the query path (perfbench/replay.go).
 type TokenSource interface {
-	// TryAcquire takes up to max tokens without blocking and returns how
-	// many it got (0..max).
 	TryAcquire(max int) int
-	// Release returns n previously acquired tokens.
 	Release(n int)
 }
 
@@ -45,13 +36,6 @@ type ExecStats struct {
 	// Semijoins and Joins count relational operations executed.
 	Semijoins int64 `json:"semijoins"`
 	Joins     int64 `json:"joins"`
-	// ParallelTasks counts subtree/partition tasks run on spawned
-	// workers; InlineTasks those run on the task that scheduled them.
-	ParallelTasks int64 `json:"parallel_tasks"`
-	InlineTasks   int64 `json:"inline_tasks"`
-	// MaxWorkers is the maximum number of workers (including the
-	// caller's goroutine) observed running concurrently.
-	MaxWorkers int64 `json:"max_workers"`
 }
 
 // pollEvery is the probe-loop cancellation granularity: long scans check
@@ -60,175 +44,25 @@ type ExecStats struct {
 // between operations would allow.
 const pollEvery = 1024
 
-// parallelJoinMinRows is the probe-side size beyond which a final-pass
-// join partitions its probe loop across workers.
-const parallelJoinMinRows = 4096
-
-// executor runs one indexed evaluation: bag materialisation and the
-// three Yannakakis passes over hash indexes, with sibling subtrees (and
-// large final-join probe loops) running concurrently on a bounded worker
-// pool. All workers are joined before any entry point returns, so an
-// aborted evaluation leaks no goroutines.
+// executor runs one indexed evaluation, serially: bag materialisation
+// and the three Yannakakis passes over hash indexes. stats counts its
+// effort as it goes.
 type executor struct {
-	g      *guard
-	cancel context.CancelFunc
-	// sem bounds spawned workers to Parallelism-1 (nil = serial);
-	// tokens, when set, additionally gates each spawn on the shared
-	// process-wide budget.
-	sem    chan struct{}
-	tokens TokenSource
-	bags   *BagCache
-
-	mu  sync.Mutex
-	err error // first failure; later (usually cancellation) errors are noise
-
-	indexBuilds   atomic.Int64
-	indexReuses   atomic.Int64
-	indexProbes   atomic.Int64
-	bagReuses     atomic.Int64
-	semijoins     atomic.Int64
-	joins         atomic.Int64
-	parallelTasks atomic.Int64
-	inlineTasks   atomic.Int64
-	workers       atomic.Int64
-	maxWorkers    atomic.Int64
+	g     *guard
+	bags  *BagCache
+	stats ExecStats
 }
 
 // runExecutor runs f on a fresh executor configured by opts — the
 // shared set-up behind EvaluateCtx and AggregateCtx — and reports the
 // effort counters to opts.Stats, aborted runs included.
 func runExecutor[T any](ctx context.Context, opts EvalOptions, f func(*executor) (T, error)) (T, error) {
-	ectx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	e := &executor{
-		g:      &guard{ctx: ectx, maxRows: opts.MaxRows},
-		cancel: cancel,
-		tokens: opts.Tokens,
-		bags:   opts.Bags,
-	}
-	if opts.Parallelism > 1 {
-		e.sem = make(chan struct{}, opts.Parallelism-1)
-	}
-	e.workers.Store(1)
-	e.maxWorkers.Store(1)
-
+	e := &executor{g: &guard{ctx: ctx, maxRows: opts.MaxRows}, bags: opts.Bags}
 	res, err := f(e)
 	if opts.Stats != nil {
-		*opts.Stats = ExecStats{
-			IndexBuilds:   e.indexBuilds.Load(),
-			IndexReuses:   e.indexReuses.Load(),
-			IndexProbes:   e.indexProbes.Load(),
-			BagReuses:     e.bagReuses.Load(),
-			Semijoins:     e.semijoins.Load(),
-			Joins:         e.joins.Load(),
-			ParallelTasks: e.parallelTasks.Load(),
-			InlineTasks:   e.inlineTasks.Load(),
-			MaxWorkers:    e.maxWorkers.Load(),
-		}
+		*opts.Stats = e.stats
 	}
-	if err != nil {
-		// Prefer the first recorded failure: sibling tasks that died of
-		// the executor-internal cancellation it triggered are symptoms.
-		if first := e.firstErr(); first != nil {
-			err = first
-		}
-		var zero T
-		return zero, err
-	}
-	return res, nil
-}
-
-// fail records the evaluation's first error and cancels the executor's
-// context so every other branch winds down promptly.
-func (e *executor) fail(err error) {
-	e.mu.Lock()
-	if e.err == nil {
-		e.err = err
-		e.cancel()
-	}
-	e.mu.Unlock()
-}
-
-func (e *executor) firstErr() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.err
-}
-
-// trySpawn reserves a worker slot (and a shared-budget token when one is
-// configured). It never blocks: when the pool is exhausted the caller
-// runs the task inline instead, so progress is guaranteed even with a
-// zero-token budget.
-func (e *executor) trySpawn() bool {
-	if e.sem == nil {
-		return false
-	}
-	select {
-	case e.sem <- struct{}{}:
-	default:
-		return false
-	}
-	if e.tokens != nil && e.tokens.TryAcquire(1) == 0 {
-		<-e.sem
-		return false
-	}
-	cur := e.workers.Add(1)
-	for {
-		hw := e.maxWorkers.Load()
-		if cur <= hw || e.maxWorkers.CompareAndSwap(hw, cur) {
-			break
-		}
-	}
-	return true
-}
-
-func (e *executor) releaseWorker() {
-	e.workers.Add(-1)
-	if e.tokens != nil {
-		e.tokens.Release(1)
-	}
-	<-e.sem
-}
-
-// forEach runs f(0..n-1): items beyond the first run on spawned workers
-// when slots and tokens are available, inline otherwise, and item 0 on
-// the calling task. It waits for every spawned item before returning, so
-// callers never race their results, and returns the executor's first
-// recorded error when any item failed.
-func (e *executor) forEach(n int, f func(int) error) error {
-	if n == 0 {
-		return nil
-	}
-	run := func(i int, parallel bool) {
-		if parallel {
-			e.parallelTasks.Add(1)
-		} else {
-			e.inlineTasks.Add(1)
-		}
-		if err := e.g.ctx.Err(); err != nil {
-			e.fail(err)
-			return
-		}
-		if err := f(i); err != nil {
-			e.fail(err)
-		}
-	}
-	var wg sync.WaitGroup
-	for i := 1; i < n; i++ {
-		if e.trySpawn() {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				defer e.releaseWorker()
-				run(i, true)
-			}(i)
-		} else {
-			run(i, false)
-		}
-	}
-	run(0, false)
-	wg.Wait()
-	return e.firstErr()
+	return res, err
 }
 
 // probeStack resolves the index layers to probe s on shared. A
@@ -254,7 +88,7 @@ func (e *executor) probeStack(s *Relation, shared []string) ([]*hashIndex, error
 	}
 	if s.indexes != nil {
 		if stack := s.indexes.lookup(cols); stack != nil {
-			e.indexReuses.Add(1)
+			e.stats.IndexReuses++
 			return stack, nil
 		}
 	}
@@ -262,7 +96,7 @@ func (e *executor) probeStack(s *Relation, shared []string) ([]*hashIndex, error
 	if err != nil {
 		return nil, err
 	}
-	e.indexBuilds.Add(1)
+	e.stats.IndexBuilds++
 	if s.indexes != nil {
 		return s.indexes.store(cols, []*hashIndex{ix}), nil
 	}
@@ -274,7 +108,7 @@ func (e *executor) probeStack(s *Relation, shared []string) ([]*hashIndex, error
 func (e *executor) semijoin(r, s *Relation) (*Relation, error) {
 	shared := sharedAttrs(r, s)
 	if len(shared) == 0 {
-		e.semijoins.Add(1)
+		e.stats.Semijoins++
 		if s.Size() > 0 {
 			return r.alias(), nil
 		}
@@ -292,7 +126,7 @@ func (e *executor) semijoin(r, s *Relation) (*Relation, error) {
 // same attributes). The probe loop polls the context every pollEvery
 // tuples, so a deadline lands mid-operation rather than after it.
 func (e *executor) semijoinProbe(r *Relation, shared []string, stack []*hashIndex) (*Relation, error) {
-	e.semijoins.Add(1)
+	e.stats.Semijoins++
 	rIdx, err := r.attrIndex(shared)
 	if err != nil {
 		return nil, err
@@ -309,18 +143,16 @@ func (e *executor) semijoinProbe(r *Relation, shared []string, stack []*hashInde
 			}
 		}
 	}
-	e.indexProbes.Add(int64(r.Size()))
+	e.stats.IndexProbes += int64(r.Size())
 	return out, nil
 }
 
 // join returns the natural join r ⋈ s via a hash index of s on the
 // shared attributes. Output row order matches Relation.Join exactly:
-// probe tuples in r order, matches in s insertion order. Large probe
-// sides are partitioned across workers and the partitions concatenated
-// in order, so the parallel result stays byte-identical. The row budget
+// probe tuples in r order, matches in s insertion order. The row budget
 // is enforced inside the probe loop, not just on the finished relation.
 func (e *executor) join(r, s *Relation) (*Relation, error) {
-	e.joins.Add(1)
+	e.stats.Joins++
 	shared := sharedAttrs(r, s)
 	rIdx, err := r.attrIndex(shared)
 	if err != nil {
@@ -331,80 +163,29 @@ func (e *executor) join(r, s *Relation) (*Relation, error) {
 		return nil, err
 	}
 	outAttrs, sExtra := joinSchema(r, s, shared)
-
-	// produced tracks rows across all partitions so a single exploding
-	// join aborts at the budget instead of materialising past it. The
-	// check runs inside the per-key match loop too: one skewed join key
-	// whose bucket alone exceeds the budget must abort mid-bucket, not
-	// after materialising it.
-	var produced atomic.Int64
-	probeRange := func(lo, hi int, part *Relation) error {
-		flushed := 0
-		flush := func() error {
-			if err := e.g.checkRows(int(produced.Add(int64(part.n - flushed)))); err != nil {
-				return err
-			}
-			flushed = part.n
-			return e.g.ctx.Err()
+	e.stats.IndexProbes += int64(r.Size())
+	out := newRelation(outAttrs)
+	for i := 0; i < r.Size(); i++ {
+		if err := e.g.poll(i); err != nil {
+			return nil, err
 		}
-		for i := lo; i < hi; i++ {
-			if err := e.g.poll(i - lo); err != nil {
-				return err
-			}
-			for _, ix := range stack {
-				for _, j := range ix.probeRow(r, rIdx, i) {
-					part.appendJoined(r, i, s, int(j), sExtra)
-					if part.n-flushed >= pollEvery {
-						if err := flush(); err != nil {
-							return err
-						}
+		for _, ix := range stack {
+			for _, j := range ix.probeRow(r, rIdx, i) {
+				out.appendJoined(r, i, s, int(j), sExtra)
+				// Every pollEvery output rows the budget and the context
+				// are checked too: one skewed join key whose bucket alone
+				// exceeds the budget must abort mid-bucket, not after
+				// materialising it.
+				if out.n&(pollEvery-1) == 0 {
+					if err := e.g.checkRows(out.n); err != nil {
+						return nil, err
+					}
+					if err := e.g.poll(out.n); err != nil {
+						return nil, err
 					}
 				}
 			}
 		}
-		if part.n > flushed {
-			return flush()
-		}
-		return nil
-	}
-
-	e.indexProbes.Add(int64(r.Size()))
-	if e.sem != nil && r.Size() >= parallelJoinMinRows {
-		chunks := cap(e.sem) + 1
-		if max := r.Size() / parallelJoinMinRows; chunks > max {
-			chunks = max
-		}
-		size := (r.Size() + chunks - 1) / chunks
-		parts := make([]*Relation, chunks)
-		err := e.forEach(chunks, func(c int) error {
-			lo := c * size
-			hi := lo + size
-			if hi > r.Size() {
-				hi = r.Size()
-			}
-			// Each partition materialises into its own relation (own
-			// arena), so workers never contend on an allocator; the ordered
-			// concatenation below keeps partition order, hence
-			// byte-identity at any parallelism.
-			part := newRelation(outAttrs)
-			if err := probeRange(lo, hi, part); err != nil {
-				return err
-			}
-			parts[c] = part
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		out := parts[0]
-		for _, p := range parts[1:] {
-			out.appendAll(p)
-		}
-		return out, nil
-	}
-	out := newRelation(outAttrs)
-	if err := probeRange(0, r.Size(), out); err != nil {
-		return nil, err
 	}
 	return out, nil
 }
@@ -453,9 +234,8 @@ func answerAttrs(n *bagNode, out []string) []string {
 }
 
 // reduce materialises the bag relations of the execution tree
-// (execTree) and runs the two semijoin passes, with sibling subtrees
-// concurrent in every phase — the shared front half of run and
-// aggregate.
+// (execTree) and runs the two semijoin passes — the shared front half
+// of run and aggregate.
 func (e *executor) reduce(q Query, db Database, d *decomp.Decomp) (*bagNode, error) {
 	tree, coverOf, err := execTree(q, d)
 	if err != nil {
@@ -475,7 +255,7 @@ func (e *executor) reduce(q Query, db Database, d *decomp.Decomp) (*bagNode, err
 }
 
 // build materialises the bag relation of n and recurses into the
-// children concurrently. The bag is the join of the λ(u) atom
+// children. The bag is the join of the λ(u) atom
 // relations, projected to χ(u) (lambdaBag, through the bag cache), with
 // the atoms hosted at n enforced by semijoins — but hosted atoms in
 // λ(u) itself are not semijoined in: every bag tuple restricts a tuple
@@ -505,15 +285,10 @@ func (e *executor) build(q Query, db Database, d *decomp.Decomp, coverOf map[*de
 		return nil, err
 	}
 	bn := &bagNode{rel: proj, chi: bagAttrs, children: make([]*bagNode, len(n.Children))}
-	if err := e.forEach(len(n.Children), func(i int) error {
-		cb, err := e.build(q, db, d, coverOf, n.Children[i])
-		if err != nil {
-			return err
+	for i, c := range n.Children {
+		if bn.children[i], err = e.build(q, db, d, coverOf, c); err != nil {
+			return nil, err
 		}
-		bn.children[i] = cb
-		return nil
-	}); err != nil {
-		return nil, err
 	}
 	return bn, nil
 }
@@ -533,7 +308,7 @@ func (e *executor) lambdaBag(q Query, db Database, lambda []int, chi []string) (
 		if err := e.g.checkRows(b.peak); err != nil {
 			return nil, err
 		}
-		e.bagReuses.Add(1)
+		e.stats.BagReuses++
 		return b.rel, nil
 	}
 	rel, peak, err := e.joinLambda(q, db, lambda, chi)
@@ -601,61 +376,43 @@ func hasExactly(r *Relation, attrs []string) bool {
 	return true
 }
 
-// up is the bottom-up semijoin pass: children's subtrees reduce
-// concurrently, then the node filters against each reduced child.
+// up is the bottom-up semijoin pass: each child's subtree reduces, then
+// the node filters against the reduced child.
 func (e *executor) up(n *bagNode) error {
-	if len(n.children) > 0 {
-		if err := e.forEach(len(n.children), func(i int) error {
-			return e.up(n.children[i])
-		}); err != nil {
+	for _, c := range n.children {
+		if err := e.up(c); err != nil {
 			return err
 		}
-		for _, c := range n.children {
-			red, err := e.semijoin(n.rel, c.rel)
-			if err != nil {
-				return err
-			}
-			n.rel = red
+		red, err := e.semijoin(n.rel, c.rel)
+		if err != nil {
+			return err
 		}
+		n.rel = red
 	}
 	return e.g.alive()
 }
 
 // down is the top-down semijoin pass: each child filters against its
-// (already final) parent and recurses; siblings run concurrently. The
-// parent is indexed once per distinct shared-column set and the index
-// shared by all children probing it — scoped to this node, so it is
-// collectable as soon as the pass moves on.
+// (already final) parent and recurses. The parent is indexed once per
+// distinct shared-column set and the index shared by all children
+// probing it — scoped to this node, so it is collectable as soon as the
+// pass moves on.
 func (e *executor) down(n *bagNode) error {
-	if len(n.children) == 0 {
-		return nil
-	}
-	var mu sync.Mutex
 	parentIx := map[string][]*hashIndex{}
-	indexOn := func(shared []string) ([]*hashIndex, error) {
-		key := strings.Join(shared, "\x00")
-		mu.Lock()
-		defer mu.Unlock()
-		if stack, ok := parentIx[key]; ok {
-			return stack, nil
-		}
-		stack, err := e.probeStack(n.rel, shared)
-		if err != nil {
-			return nil, err
-		}
-		parentIx[key] = stack
-		return stack, nil
-	}
-	return e.forEach(len(n.children), func(i int) error {
-		c := n.children[i]
+	for _, c := range n.children {
 		shared := sharedAttrs(c.rel, n.rel)
 		var red *Relation
 		var err error
 		if len(shared) == 0 {
 			red, err = e.semijoin(c.rel, n.rel)
 		} else {
-			var stack []*hashIndex
-			if stack, err = indexOn(shared); err == nil {
+			key := strings.Join(shared, "\x00")
+			stack, ok := parentIx[key]
+			if !ok {
+				stack, err = e.probeStack(n.rel, shared)
+				parentIx[key] = stack
+			}
+			if err == nil {
 				red, err = e.semijoinProbe(c.rel, shared, stack)
 			}
 		}
@@ -666,31 +423,25 @@ func (e *executor) down(n *bagNode) error {
 		if err := e.g.alive(); err != nil {
 			return err
 		}
-		return e.down(c)
-	})
+		if err := e.down(c); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // collect is the final bottom-up join pass: each child's subtree result
-// materialises concurrently (a per-subtree partition of the answer's
-// provenance), then the node joins them left to right — the same merge
-// order as the scan reference, so rows come out byte-identical.
+// materialises, then the node joins it in, children left to right — the
+// same merge order as the scan reference, so rows come out
+// byte-identical.
 func (e *executor) collect(n *bagNode) (*Relation, error) {
-	subs := make([]*Relation, len(n.children))
-	if err := e.forEach(len(n.children), func(i int) error {
-		sub, err := e.collect(n.children[i])
-		if err != nil {
-			return err
-		}
-		subs[i] = sub
-		return nil
-	}); err != nil {
-		return nil, err
-	}
 	acc := n.rel
-	for _, sub := range subs {
-		var err error
-		acc, err = e.join(acc, sub)
+	for _, c := range n.children {
+		sub, err := e.collect(c)
 		if err != nil {
+			return nil, err
+		}
+		if acc, err = e.join(acc, sub); err != nil {
 			return nil, err
 		}
 		if err := e.g.check(acc); err != nil {

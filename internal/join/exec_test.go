@@ -3,11 +3,10 @@ package join
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"strconv"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,54 +16,12 @@ import (
 
 // execOptsMatrix is every executor configuration the differential tests
 // sweep: the test-only scan reference (scanref_test.go; run it through
-// evalAs), the serial indexed kernel, and the parallel indexed kernel
-// with and without a token budget.
+// evalAs) and the indexed kernel.
 func execOptsMatrix() map[string]EvalOptions {
 	return map[string]EvalOptions{
-		scanRef:            {},
-		"indexed":          {},
-		"parallel":         {Parallelism: 4},
-		"parallel-tokens":  {Parallelism: 4, Tokens: newCountingTokens(3)},
-		"parallel-0tokens": {Parallelism: 4, Tokens: newCountingTokens(0)},
+		scanRef:   {},
+		"indexed": {},
 	}
-}
-
-// countingTokens is a TokenSource that tracks outstanding leases, the
-// counter check that no worker leaks a token (or a goroutine holding
-// one) past the end of an evaluation.
-type countingTokens struct {
-	avail       atomic.Int64
-	outstanding atomic.Int64
-	acquires    atomic.Int64
-}
-
-func newCountingTokens(n int) *countingTokens {
-	t := &countingTokens{}
-	t.avail.Store(int64(n))
-	return t
-}
-
-func (t *countingTokens) TryAcquire(max int) int {
-	for {
-		cur := t.avail.Load()
-		if cur <= 0 {
-			return 0
-		}
-		n := int64(max)
-		if n > cur {
-			n = cur
-		}
-		if t.avail.CompareAndSwap(cur, cur-n) {
-			t.outstanding.Add(n)
-			t.acquires.Add(n)
-			return int(n)
-		}
-	}
-}
-
-func (t *countingTokens) Release(n int) {
-	t.avail.Add(int64(n))
-	t.outstanding.Add(-int64(n))
 }
 
 // randomInstanceForExec builds a random connected CQ + database, sized
@@ -121,9 +78,9 @@ func decomposeFor(t *testing.T, q Query) *decomp.Decomp {
 	return nil
 }
 
-// TestKernelsByteIdentical: the indexed kernel — serial and parallel —
-// must produce not just the same row set as the scan reference but the
-// very same tuple order, byte for byte.
+// TestKernelsByteIdentical: the indexed kernel must produce not just
+// the same row set as the scan reference but the very same tuple order,
+// byte for byte.
 func TestKernelsByteIdentical(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -153,11 +110,6 @@ func TestKernelsByteIdentical(t *testing.T) {
 			}
 			if stats.Joins == 0 && stats.Semijoins == 0 && len(q.Atoms) > 1 {
 				t.Fatalf("seed %d %s: executor stats not populated: %+v", seed, name, stats)
-			}
-			if tok, ok := opts.Tokens.(*countingTokens); ok {
-				if n := tok.outstanding.Load(); n != 0 {
-					t.Fatalf("seed %d %s: %d tokens still outstanding after evaluation", seed, name, n)
-				}
 			}
 		}
 	}
@@ -288,9 +240,9 @@ func TestExecSingleAtom(t *testing.T) {
 	}
 }
 
-// explodingInstance is a 3-atom query whose full answer has
-// rows^2 tuples — enough work that budgets and cancellations fire while
-// the parallel passes are genuinely in flight.
+// explodingInstance is a 3-atom query R(x,y) ⋈ S(y,z) ⋈ T(y,w) whose
+// full answer has rows³ tuples — enough work that budgets and
+// cancellations fire while the final join is genuinely in flight.
 func explodingInstance(rows int) (Query, Database) {
 	q := Query{Atoms: []Atom{
 		{Relation: "R", Vars: []string{"x", "y"}},
@@ -308,66 +260,107 @@ func explodingInstance(rows int) (Query, Database) {
 	return q, Database{"R": r, "S": s, "T": tt}
 }
 
-// leakCheck asserts the goroutine count returns to its baseline — the
-// executor must join every worker before returning, even on abort.
-func leakCheck(t *testing.T, baseline int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if n := runtime.NumGoroutine(); n <= baseline {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutine leak: %d running, baseline %d", runtime.NumGoroutine(), baseline)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestExecRowBudgetMidParallel: ErrRowBudget fires inside the parallel
-// final-join probe loops, every worker is joined, and no token stays
-// leased.
+// TestExecRowBudgetMidParallel: ErrRowBudget fires inside the
+// final-join probe loops.
 func TestExecRowBudgetMidParallel(t *testing.T) {
-	q, db := explodingInstance(300) // 90 000 answers
+	q, db := explodingInstance(300) // 27M answers
 	d := decomposeFor(t, q)
-	tok := newCountingTokens(3)
-	baseline := runtime.NumGoroutine()
-	var stats ExecStats
-	_, err := EvaluateCtx(context.Background(), q, db, d, EvalOptions{
-		MaxRows: 1000, Parallelism: 4, Tokens: tok, Stats: &stats,
-	})
+	_, err := EvaluateCtx(context.Background(), q, db, d, EvalOptions{MaxRows: 1000})
 	if !errors.Is(err, ErrRowBudget) {
 		t.Fatalf("got %v, want ErrRowBudget", err)
 	}
-	if n := tok.outstanding.Load(); n != 0 {
-		t.Fatalf("%d tokens still outstanding after abort", n)
-	}
-	leakCheck(t, baseline)
 }
 
-// TestExecCancelMidParallel: a context cancelled while the parallel
-// passes run aborts the evaluation promptly without leaking goroutines
-// or tokens.
-func TestExecCancelMidParallel(t *testing.T) {
-	q, db := explodingInstance(600) // 360 000 answers: enough to outlive the cancel
-	d := decomposeFor(t, q)
-	tok := newCountingTokens(3)
-	baseline := runtime.NumGoroutine()
+// cancelAtCall is a context whose Err reports context.Canceled from its
+// k-th call on: a cancellation that lands at a chosen context check,
+// with no timer and no race. calls counts every Err call.
+type cancelAtCall struct {
+	context.Context
+	k, calls int
+}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(2 * time.Millisecond)
-		cancel()
-	}()
-	_, err := EvaluateCtx(ctx, q, db, d, EvalOptions{Parallelism: 4, Tokens: tok})
-	<-ctx.Done()
-	if err != nil && !errors.Is(err, context.Canceled) {
-		t.Fatalf("got %v, want context.Canceled or nil (if the run won the race)", err)
+func (c *cancelAtCall) Err() error {
+	c.calls++
+	if c.calls >= c.k {
+		return context.Canceled
 	}
-	if n := tok.outstanding.Load(); n != 0 {
-		t.Fatalf("%d tokens still outstanding after cancellation", n)
+	return nil
+}
+
+// TestExecCancelAtEveryCheck: wherever a cancellation lands, the
+// evaluation returns context.Canceled, never nil. A count over
+// explodingInstance(600) finishes, so it is cancelled at each of the
+// context checks its uncancelled run makes.
+func TestExecCancelAtEveryCheck(t *testing.T) {
+	cancelCountAtEveryCheck(t, EvalOptions{})
+}
+
+// TestExecCancelMidColumnarJoin: a cancellation landing while the
+// columnar join loop writes its answer returns context.Canceled. The
+// row query over explodingInstance(600) would materialise 216M answers,
+// so it is cancelled at fixed checks, most of which only the probe
+// loops' polls reach: an executor that checked the context between
+// operations only would run on into the MaxRows safety net and fail
+// with ErrRowBudget instead.
+func TestExecCancelMidColumnarJoin(t *testing.T) {
+	cancelRowsAtChecks(t, EvalOptions{})
+}
+
+// TestExecCancelMidParallel: options that still ask for parallelism
+// (Parallelism and Tokens, set by perfbench's replica) change nothing —
+// the count and the row query are cancelled at the same checks as
+// without them, and the executor never touches the token source.
+func TestExecCancelMidParallel(t *testing.T) {
+	tok := &untouchedTokens{}
+	opts := EvalOptions{Parallelism: 4, Tokens: tok}
+	cancelCountAtEveryCheck(t, opts)
+	cancelRowsAtChecks(t, opts)
+	if tok.calls != 0 {
+		t.Fatalf("executor called the ignored token source %d times", tok.calls)
 	}
-	leakCheck(t, baseline)
+}
+
+// untouchedTokens is a TokenSource that counts the calls it gets.
+type untouchedTokens struct{ calls int }
+
+func (t *untouchedTokens) TryAcquire(max int) int { t.calls++; return max }
+func (t *untouchedTokens) Release(int)            { t.calls++ }
+
+// cancelCountAtEveryCheck runs a count over explodingInstance(600)
+// once uncancelled, then cancelled at each context check that run made,
+// and requires context.Canceled every time.
+func cancelCountAtEveryCheck(t *testing.T, opts EvalOptions) {
+	t.Helper()
+	q, db := explodingInstance(600)
+	d := decomposeFor(t, q)
+	count := AggSpec{Kind: AggCount}
+	full := &cancelAtCall{Context: context.Background(), k: math.MaxInt}
+	res, err := AggregateCtx(full, q, db, d, count, opts)
+	if v, _ := res.Value(); err != nil || v != 600*600*600 {
+		t.Fatalf("uncancelled count: %d, %v", v, err)
+	}
+	for k := 1; k <= full.calls; k++ {
+		ctx := &cancelAtCall{Context: context.Background(), k: k}
+		if _, err := AggregateCtx(ctx, q, db, d, count, opts); !errors.Is(err, context.Canceled) {
+			t.Fatalf("count cancelled at check %d of %d: got %v, want context.Canceled", k, full.calls, err)
+		}
+	}
+}
+
+// cancelRowsAtChecks cancels the row query over explodingInstance(600)
+// at fixed context checks 1 to 1024, under a MaxRows of 2^21 as a
+// safety net, and requires context.Canceled every time.
+func cancelRowsAtChecks(t *testing.T, opts EvalOptions) {
+	t.Helper()
+	q, db := explodingInstance(600)
+	d := decomposeFor(t, q)
+	opts.MaxRows = 1 << 21
+	for _, k := range []int{1, 2, 3, 5, 8, 16, 64, 256, 1024} {
+		ctx := &cancelAtCall{Context: context.Background(), k: k}
+		if _, err := EvaluateCtx(ctx, q, db, d, opts); !errors.Is(err, context.Canceled) {
+			t.Fatalf("rows cancelled at check %d: got %v, want context.Canceled", k, err)
+		}
+	}
 }
 
 // TestDownPassIndexesParentOnce: in the top-down pass, children sharing
@@ -379,11 +372,11 @@ func TestDownPassIndexesParentOnce(t *testing.T) {
 		child := NewRelation("a", "b").Add(1, 10+i).Add(3, 20+i)
 		parent.children = append(parent.children, &bagNode{rel: child})
 	}
-	e := &executor{g: &guard{ctx: context.Background()}, cancel: func() {}}
+	e := &executor{g: &guard{ctx: context.Background()}}
 	if err := e.down(parent); err != nil {
 		t.Fatal(err)
 	}
-	if n := e.indexBuilds.Load(); n != 1 {
+	if n := e.stats.IndexBuilds; n != 1 {
 		t.Fatalf("IndexBuilds = %d, want 1 (four children share the parent's index)", n)
 	}
 	for i, c := range parent.children {
@@ -434,7 +427,7 @@ func TestSemijoinPollsInsideProbeLoop(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already expired: the in-loop poll must fire on iteration 0
-	e := &executor{g: &guard{ctx: ctx}, cancel: func() {}}
+	e := &executor{g: &guard{ctx: ctx}}
 	if _, err := e.semijoin(big, small); !errors.Is(err, context.Canceled) {
 		t.Fatalf("in-loop poll did not fire: %v", err)
 	}

@@ -46,8 +46,8 @@ func plainDB(db Database) Database {
 // TestMaintainedDeltaByteIdentical: after every random insert/delete
 // batch, evaluating over the maintained snapshot views (layered
 // indexes, reused across queries) must produce rows byte-identical to
-// a from-scratch evaluation on the materialised state — serial,
-// parallel, and against the scan reference.
+// a from-scratch evaluation on the materialised state, on the indexed
+// kernel and the scan reference.
 func TestMaintainedDeltaByteIdentical(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		r := rand.New(rand.NewSource(100 + seed))
@@ -81,11 +81,7 @@ func TestMaintainedDeltaByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for name, opts := range map[string]EvalOptions{
-				"indexed":  {},
-				"parallel": {Parallelism: 4},
-				scanRef:    {},
-			} {
+			for name, opts := range execOptsMatrix() {
 				got, err := evalAs(context.Background(), name, q, views, d, opts)
 				if err != nil {
 					t.Fatalf("seed %d round %d %s: %v", seed, round, name, err)
@@ -285,7 +281,7 @@ func TestMaintainedSnapshotIsolationRace(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 10; i++ {
-		got, err := EvaluateCtx(context.Background(), q, views, d, EvalOptions{Parallelism: 4})
+		got, err := EvaluateCtx(context.Background(), q, views, d, EvalOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -234,15 +234,6 @@ func (out *Relation) appendJoined(r *Relation, i int, s *Relation, j int, sExtra
 	out.n++
 }
 
-// appendAll concatenates src (same schema) onto r — the ordered merge
-// of parallel join partitions.
-func (r *Relation) appendAll(src *Relation) {
-	for c := range r.cols {
-		r.cols[c].extend(r.mem, r.n, &src.cols[c], src.n)
-	}
-	r.n += src.n
-}
-
 // attrIndex returns the position of each requested attribute.
 func (r *Relation) attrIndex(attrs []string) ([]int, error) {
 	idx := make([]int, len(attrs))

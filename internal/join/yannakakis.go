@@ -20,8 +20,8 @@ type bagNode struct {
 // per-query row budget.
 var ErrRowBudget = errors.New("join: row budget exceeded")
 
-// EvalOptions configures one evaluation. The zero value means serial,
-// with no limits.
+// EvalOptions configures one evaluation. The zero value means no
+// limits.
 type EvalOptions struct {
 	// MaxRows caps the size of every join result — each λ-join
 	// intermediate of a bag build and each join of the final pass — and
@@ -33,15 +33,10 @@ type EvalOptions struct {
 	// also enforced inside join probe loops, so a single exploding
 	// operation aborts at the budget.
 	MaxRows int
-	// Parallelism caps concurrent executor workers, including the
-	// calling goroutine: sibling subtrees of the three Yannakakis
-	// passes, bag builds, and large final-join probe loops run on the
-	// pool. ≤ 1 means serial.
+	// Parallelism is ignored (the executor is serial); it stays only for
+	// perfbench's traced replica of the query path (perfbench/replay.go).
 	Parallelism int
-	// Tokens, when set, gates every spawned worker on a shared budget
-	// (e.g. the decomposition service's) so query execution and solver
-	// parallelism never oversubscribe the host together. A spawn that
-	// gets no token runs inline instead — tokens throttle, never block.
+	// Tokens is ignored; it stays only for that replica, like Parallelism.
 	Tokens TokenSource
 	// Stats, when non-nil, receives the executor's effort counters.
 	Stats *ExecStats
@@ -175,8 +170,7 @@ func Evaluate(q Query, db Database, d *decomp.Decomp) (*Relation, error) {
 // executor configuration: the evaluation is aborted when the context is
 // cancelled (deadline = the query's time budget) or when any
 // intermediate or final relation exceeds opts.MaxRows (ErrRowBudget),
-// both checked inside the probe loops. The rows are byte-identical at
-// any parallelism.
+// both checked inside the probe loops.
 func EvaluateCtx(ctx context.Context, q Query, db Database, d *decomp.Decomp, opts EvalOptions) (*Relation, error) {
 	return runExecutor(ctx, opts, func(e *executor) (*Relation, error) {
 		return e.run(q, db, d)

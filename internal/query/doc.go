@@ -3,10 +3,8 @@
 // obtains a minimum-width hypertree decomposition through the
 // decomposition service (read-through to the cross-request store: a
 // repeat query is a plan-cache hit that runs no solver), and executes
-// Yannakakis' algorithm over the bags on the hash-indexed kernel —
-// optionally in parallel, sibling subtrees running on workers leased
-// from the service's shared token budget — under a per-query row budget
-// and context cancellation. A Request carrying an Aggregate spec skips
+// Yannakakis' algorithm over the bags on the hash-indexed kernel under
+// a per-query row budget and context cancellation. A Request carrying an Aggregate spec skips
 // answer materialisation entirely: the aggregate is folded down the
 // join tree and the Result returns groups and values, never rows.
 //

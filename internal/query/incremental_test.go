@@ -133,7 +133,7 @@ func randomBatch(r *rand.Rand, db join.Database, m mirrorDB, domain int) []datas
 // dataset-reference evaluation (delta-maintained indexes, snapshot
 // reads) must byte-equal both an inline evaluation over the
 // materialised from-scratch state and the naive cross-join baseline —
-// rows and aggregates, serial and parallel alternating. Each version's
+// rows and aggregates. Each version's
 // row query runs twice, so the repeat reads the version's bag cache.
 // Old versions stay pinnable within the retention window and answer
 // with their own rows.
@@ -201,8 +201,7 @@ func TestDifferentialIncremental(t *testing.T) {
 				}
 				wantByVersion[res.Version] = want
 
-				par := (seed + round) % 2 * 4
-				incr, err := p.Eval(ctx, Request{Query: q, Dataset: name, Parallelism: par})
+				incr, err := p.Eval(ctx, Request{Query: q, Dataset: name})
 				if err != nil {
 					fail("round %d incremental eval: %v", round, err)
 					return
@@ -217,7 +216,7 @@ func TestDifferentialIncremental(t *testing.T) {
 					return
 				}
 				// The repeat reads the version's bag cache on the row path.
-				again, err := p.Eval(ctx, Request{Query: q, Dataset: name, Parallelism: 4 - par})
+				again, err := p.Eval(ctx, Request{Query: q, Dataset: name})
 				if err != nil {
 					fail("round %d repeat eval: %v", round, err)
 					return
@@ -229,7 +228,7 @@ func TestDifferentialIncremental(t *testing.T) {
 				}
 				// The inline evaluation over the materialised state must
 				// agree too (it exercises the planner path end to end).
-				scratchRes, err := p.Eval(ctx, Request{Query: q, DB: scratch, Parallelism: 4 - par})
+				scratchRes, err := p.Eval(ctx, Request{Query: q, DB: scratch})
 				if err != nil {
 					fail("round %d scratch eval: %v", round, err)
 					return
@@ -242,7 +241,7 @@ func TestDifferentialIncremental(t *testing.T) {
 				// Aggregate form: pushdown over the maintained snapshot vs
 				// the naive fold over the materialised rows.
 				spec := aggSweep(q)[round%2]
-				aggIncr, err := p.Eval(ctx, Request{Query: q, Dataset: name, Aggregate: &spec, Parallelism: par})
+				aggIncr, err := p.Eval(ctx, Request{Query: q, Dataset: name, Aggregate: &spec})
 				if err != nil {
 					fail("round %d incremental agg: %v", round, err)
 					return

@@ -50,13 +50,6 @@ type Request struct {
 	// service's rule (service.Service.WithTimeout): 0 inherits the
 	// service's DefaultTimeout, and larger values are clamped to it.
 	Timeout time.Duration
-	// Parallelism caps the executor's concurrent workers (including the
-	// query's own goroutine): sibling subtrees of the Yannakakis passes
-	// and large final-join probe loops run on the pool, with every
-	// spawned worker drawing a token from the service's shared budget so
-	// query execution and decomposition jobs never oversubscribe the
-	// host together. 0 or 1 = serial indexed execution; < 0 is invalid.
-	Parallelism int
 	// Workers caps the solver's parallelism for cold plans (0 = service
 	// default).
 	Workers int
@@ -96,13 +89,11 @@ type Result struct {
 	// decomposition (or cache lookup) and the Yannakakis execution.
 	PlanElapsed time.Duration
 	ExecElapsed time.Duration
-	// Parallelism is the executor worker cap the query ran with (≥ 1).
-	Parallelism int
 	// DatasetVersion is the dataset version the query actually read
 	// (the snapshot it resolved); 0 for inline-DB requests.
 	DatasetVersion uint64
-	// Exec reports the executor's per-query effort: indexes built,
-	// tuples probed, and how much of the work ran on spawned workers.
+	// Exec reports the executor's per-query effort: indexes built and
+	// reused, tuples probed, bags reused, operations run.
 	Exec join.ExecStats
 }
 
@@ -120,14 +111,12 @@ type Stats struct {
 	AggGroups      int64 // total groups returned across aggregate queries
 	DatasetQueries int64 // queries that ran over a named dataset snapshot
 
-	// Executor counters, aggregated over all answered queries.
-	ExecParallelQueries int64 // queries executed with Parallelism > 1
-	ExecIndexBuilds     int64 // hash indexes built
-	ExecIndexReuses     int64 // hash index builds skipped via maintained/captured indexes
-	ExecIndexProbes     int64 // tuples probed against an index
-	ExecBagReuses       int64 // bags served from a dataset snapshot's bag cache
-	ExecParallelTasks   int64 // subtree/partition tasks run on spawned workers
-	ExecInlineTasks     int64 // tasks run inline on the scheduling worker
+	// Executor counters, summed over every execution, aborted ones
+	// included (see record).
+	ExecIndexBuilds int64 // hash indexes built
+	ExecIndexReuses int64 // hash index builds skipped via maintained/captured indexes
+	ExecIndexProbes int64 // tuples probed against an index
+	ExecBagReuses   int64 // bags served from a dataset snapshot's bag cache
 }
 
 // Planner answers conjunctive queries through a decomposition service.
@@ -209,15 +198,10 @@ func (p *Planner) record(res Result, out outcome) {
 	if res.PlanCoalesced {
 		st.PlanCoalesced++
 	}
-	if res.Parallelism > 1 {
-		st.ExecParallelQueries++
-	}
 	st.ExecIndexBuilds += res.Exec.IndexBuilds
 	st.ExecIndexReuses += res.Exec.IndexReuses
 	st.ExecIndexProbes += res.Exec.IndexProbes
 	st.ExecBagReuses += res.Exec.BagReuses
-	st.ExecParallelTasks += res.Exec.ParallelTasks
-	st.ExecInlineTasks += res.Exec.InlineTasks
 	if res.Rows != nil {
 		st.RowsReturned += int64(res.Rows.Size())
 	}
@@ -289,18 +273,11 @@ func (p *Planner) eval(ctx context.Context, req Request) (Result, outcome, error
 	res.PlanCacheHit = plan.CacheHit
 	res.PlanCoalesced = plan.Coalesced
 
-	// Execute on the indexed kernel. Spawned executor workers lease
-	// tokens from the same budget the solvers draw on, so a burst of
-	// parallel queries and a burst of cold decompositions share the
-	// host instead of fighting over it.
-	res.Parallelism = max(req.Parallelism, 1)
 	execStart := time.Now()
 	opts := join.EvalOptions{
-		MaxRows:     p.svc.RowCap(req.MaxRows),
-		Parallelism: res.Parallelism,
-		Tokens:      p.svc.Budget(),
-		Stats:       &res.Exec, // filled even when execution fails
-		Bags:        bags,
+		MaxRows: p.svc.RowCap(req.MaxRows),
+		Stats:   &res.Exec, // filled even when execution fails
+		Bags:    bags,
 	}
 	if req.Aggregate != nil {
 		// Aggregate pushdown: the same plan, the same budgeted kernel,
@@ -334,9 +311,6 @@ func validate(req Request) error {
 	}
 	if req.MaxRows < 0 {
 		return errors.New("query: MaxRows must be >= 0")
-	}
-	if req.Parallelism < 0 {
-		return errors.New("query: Parallelism must be >= 0")
 	}
 	if req.Dataset != "" {
 		if req.DB != nil {

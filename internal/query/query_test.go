@@ -76,11 +76,7 @@ func TestDifferentialRandomQueries(t *testing.T) {
 				return
 			}
 
-			// Even seeds execute serially, odd seeds on the parallel
-			// indexed executor; the repeat below flips the mode, so every
-			// seed also checks parallel and serial answers byte-equal.
-			par := seed % 2 * 4
-			res, err := p.Eval(ctx, Request{Query: q, DB: db, Parallelism: par})
+			res, err := p.Eval(ctx, Request{Query: q, DB: db})
 			if err != nil {
 				errs <- err
 				return
@@ -98,18 +94,17 @@ func TestDifferentialRandomQueries(t *testing.T) {
 				t.Errorf("seed %d: implausible plan width %d for %d atoms", seed, res.Width, len(q.Atoms))
 			}
 
-			// The identical query again — in the opposite execution mode:
-			// same rows, and the plan must come from the cache (or a
-			// concurrent structurally identical query's run) — never a
-			// fresh solve of an already-solved structure.
-			again, err := p.Eval(ctx, Request{Query: q, DB: db, Parallelism: 4 - par})
+			// The identical query again: same rows, and the plan must come
+			// from the cache (or a concurrent structurally identical
+			// query's run) — never a fresh solve of an already-solved
+			// structure.
+			again, err := p.Eval(ctx, Request{Query: q, DB: db})
 			if err != nil {
 				errs <- err
 				return
 			}
 			if !reflect.DeepEqual(again.Rows.Rows(), res.Rows.Rows()) {
-				t.Errorf("seed %d: repeat query (parallelism %d vs %d) returned different rows",
-					seed, 4-par, par)
+				t.Errorf("seed %d: repeat query returned different rows", seed)
 			}
 			if !again.PlanCacheHit && !again.PlanCoalesced {
 				t.Errorf("seed %d: repeat query neither hit the plan cache nor coalesced", seed)
@@ -128,10 +123,6 @@ func TestDifferentialRandomQueries(t *testing.T) {
 	}
 	if st.PlanCacheHits+st.PlanCoalesced < queries {
 		t.Fatalf("at least the %d repeats must reuse plans: %+v", queries, st)
-	}
-	// Every seed ran exactly one of its two evaluations in parallel mode.
-	if st.ExecParallelQueries != queries {
-		t.Fatalf("ExecParallelQueries = %d, want %d", st.ExecParallelQueries, queries)
 	}
 	if st.ExecIndexBuilds == 0 || st.ExecIndexProbes == 0 {
 		t.Fatalf("executor counters not aggregated: %+v", st)
@@ -174,9 +165,8 @@ func aggSweep(q join.Query) []join.AggSpec {
 // seeded random instances as the row wall, every pushdown aggregate
 // answered through the planner must exactly equal the naive
 // materialise-then-fold of the independently computed cross-join
-// baseline — serial and parallel (seeds alternate, and each spec runs
-// in both modes via the repeat), with the repeat required to reuse the
-// plan.
+// baseline, with a repeat of each spec required to agree and to reuse
+// the plan.
 func TestDifferentialAggregates(t *testing.T) {
 	const queries = 50
 	p, svc := newTestPlanner(t)
@@ -199,14 +189,13 @@ func TestDifferentialAggregates(t *testing.T) {
 				errs <- err
 				return
 			}
-			par := seed % 2 * 4
 			for _, spec := range aggSweep(q) {
 				want, err := join.AggregateRows(rows, spec)
 				if err != nil {
 					errs <- fmt.Errorf("seed %d %s: naive fold: %w", seed, join.FormatAggregate(spec), err)
 					return
 				}
-				res, err := p.Eval(ctx, Request{Query: q, DB: db, Parallelism: par, Aggregate: &spec})
+				res, err := p.Eval(ctx, Request{Query: q, DB: db, Aggregate: &spec})
 				if err != nil {
 					errs <- fmt.Errorf("seed %d %s: %w", seed, join.FormatAggregate(spec), err)
 					return
@@ -220,15 +209,15 @@ func TestDifferentialAggregates(t *testing.T) {
 						seed, join.FormatAggregate(spec), res.Agg, want, join.FormatQuery(q))
 					return
 				}
-				// The opposite execution mode must agree byte for byte and
-				// reuse the plan the first run banked.
-				again, err := p.Eval(ctx, Request{Query: q, DB: db, Parallelism: 4 - par, Aggregate: &spec})
+				// The repeat must agree byte for byte and reuse the plan the
+				// first run banked.
+				again, err := p.Eval(ctx, Request{Query: q, DB: db, Aggregate: &spec})
 				if err != nil {
 					errs <- fmt.Errorf("seed %d %s repeat: %w", seed, join.FormatAggregate(spec), err)
 					return
 				}
 				if !reflect.DeepEqual(again.Agg, res.Agg) {
-					t.Errorf("seed %d %s: parallel and serial aggregates disagree", seed, join.FormatAggregate(spec))
+					t.Errorf("seed %d %s: repeat aggregate disagrees", seed, join.FormatAggregate(spec))
 				}
 				if !again.PlanCacheHit && !again.PlanCoalesced {
 					t.Errorf("seed %d %s: aggregate repeat did not reuse the plan", seed, join.FormatAggregate(spec))
@@ -511,7 +500,7 @@ func TestStatsConservation(t *testing.T) {
 				case 2:
 					req.MaxRows = 1
 				case 3:
-					req.Parallelism = -1
+					req.MaxRows = -1
 				case 4:
 					req.DB, req.Dataset = nil, name
 				}

@@ -338,7 +338,8 @@ func Open(cfg Config) (*Service, error) {
 	return s, nil
 }
 
-// Budget exposes the shared token pool (read-only use: sizing, stats).
+// Budget exposes the shared token pool. No production code reads it; it
+// stays only for perfbench's traced replica of the query path.
 func (s *Service) Budget() *logk.TokenPool { return s.budget }
 
 // Store exposes the cross-request storage backend, for purges and
