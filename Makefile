@@ -129,22 +129,32 @@ differential:
 walls-check:
 	./scripts/check_walls.sh
 
+# Every fuzz target, as package:Function. `make fuzz` (the CI smoke)
+# and `make fuzz-long` (nightly) run each of them in turn, and
+# `make walls-check` fails when a Fuzz function is missing here or a
+# listed one no longer exists.
+FUZZ_TARGETS = \
+	.:FuzzDecomposeCheckHD \
+	./internal/join:FuzzParseQuery \
+	./internal/join:FuzzEvalDocument \
+	./internal/store:FuzzLogReplay \
+	./internal/dataset:FuzzMutateBatch \
+	./internal/join:FuzzAnswerEncode
+
+# $(call fuzz-each,TIME) fuzzes every target for TIME.
+define fuzz-each
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		echo "$(GO) test -run=NONE -fuzz=^$${t#*:}\$$ -fuzztime=$(1) $${t%%:*}"; \
+		$(GO) test -run=NONE -fuzz="^$${t#*:}\$$" -fuzztime=$(1) "$${t%%:*}"; \
+	done
+endef
+
 fuzz:
-	$(GO) test -run=NONE -fuzz=FuzzDecomposeCheckHD -fuzztime=10s .
-	$(GO) test -run=NONE -fuzz=FuzzParseQuery -fuzztime=10s ./internal/join
-	$(GO) test -run=NONE -fuzz=FuzzEvalDocument -fuzztime=10s ./internal/join
-	$(GO) test -run=NONE -fuzz=FuzzLogReplay -fuzztime=10s ./internal/store
-	$(GO) test -run=NONE -fuzz=FuzzMutateBatch -fuzztime=10s ./internal/dataset
-	$(GO) test -run=NONE -fuzz=FuzzAnswerEncode -fuzztime=10s ./internal/join
+	$(call fuzz-each,10s)
 
 # The nightly workflow's long-form fuzz: 5 minutes per target.
 fuzz-long:
-	$(GO) test -run=NONE -fuzz=FuzzDecomposeCheckHD -fuzztime=5m .
-	$(GO) test -run=NONE -fuzz=FuzzParseQuery -fuzztime=5m ./internal/join
-	$(GO) test -run=NONE -fuzz=FuzzEvalDocument -fuzztime=5m ./internal/join
-	$(GO) test -run=NONE -fuzz=FuzzLogReplay -fuzztime=5m ./internal/store
-	$(GO) test -run=NONE -fuzz=FuzzMutateBatch -fuzztime=5m ./internal/dataset
-	$(GO) test -run=NONE -fuzz=FuzzAnswerEncode -fuzztime=5m ./internal/join
+	$(call fuzz-each,5m)
 
 # Fails on broken intra-repo links (and missing anchors) in committed
 # Markdown files; mirrors the CI docs job.

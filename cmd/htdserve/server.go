@@ -206,6 +206,16 @@ func newHandler(svc *htd.Service, batchLimit int, maxBody int64) *server {
 
 func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
+// requestTimeout converts a request's timeout_ms. It rejects negative
+// values and saturates instead of overflowing, so that any value past
+// the server's -timeout is clamped to it by the service.
+func requestTimeout(ms int64) (time.Duration, error) {
+	if ms < 0 {
+		return 0, errors.New("\"timeout_ms\" must be >= 0")
+	}
+	return time.Duration(min(ms, math.MaxInt64/int64(time.Millisecond))) * time.Millisecond, nil
+}
+
 // parseRequest turns an API request into a service request.
 func parseRequest(a apiRequest) (htd.ServiceRequest, error) {
 	var req htd.ServiceRequest
@@ -215,8 +225,9 @@ func parseRequest(a apiRequest) (htd.ServiceRequest, error) {
 	if a.K < 1 {
 		return req, errors.New("\"k\" must be >= 1")
 	}
-	if a.TimeoutMS < 0 {
-		return req, errors.New("\"timeout_ms\" must be >= 0")
+	timeout, err := requestTimeout(a.TimeoutMS)
+	if err != nil {
+		return req, err
 	}
 	h, err := htd.ParseString(a.Hypergraph)
 	if err != nil {
@@ -227,7 +238,7 @@ func parseRequest(a apiRequest) (htd.ServiceRequest, error) {
 		K:         a.K,
 		MaxProbes: a.MaxProbes,
 		Workers:   a.Workers,
-		Timeout:   time.Duration(a.TimeoutMS) * time.Millisecond,
+		Timeout:   timeout,
 	}
 	switch a.Mode {
 	case "", "decide":
@@ -500,8 +511,9 @@ func (s *server) runQuery(ctx context.Context, a queryAPIRequest, tenant string)
 	if strings.TrimSpace(a.Query) == "" {
 		return &queryAPIResponse{Error: "missing \"query\"", err: errBadRequest}
 	}
-	if a.TimeoutMS < 0 {
-		return &queryAPIResponse{Error: "\"timeout_ms\" must be >= 0", err: errBadRequest}
+	timeout, err := requestTimeout(a.TimeoutMS)
+	if err != nil {
+		return &queryAPIResponse{Error: err.Error(), err: errBadRequest}
 	}
 	q, err := htd.ParseCQ(a.Query)
 	if err != nil {
@@ -538,7 +550,7 @@ func (s *server) runQuery(ctx context.Context, a queryAPIRequest, tenant string)
 		DB:        db,
 		MaxWidth:  a.MaxWidth,
 		MaxRows:   a.MaxRows,
-		Timeout:   time.Duration(a.TimeoutMS) * time.Millisecond,
+		Timeout:   timeout,
 		Workers:   a.Workers,
 		Aggregate: spec,
 		Tenant:    tenant,

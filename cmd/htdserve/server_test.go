@@ -110,8 +110,10 @@ func prism8() string {
 // TestOneSolverConfiguration: every job runs the paper's hybrid. A
 // decide job, an optimal job and a cold /query plan each raise /stats'
 // Solver.HybridCalls, and a body that still sends the retired
-// "hybrid":"none" gets the same solver. The decompose answers agree.
-// Each request gets a fresh server so none comes from the plan cache.
+// "hybrid":"none" gets the same solver. The decompose answers agree,
+// also with a timeout_ms too large to convert to nanoseconds, which the
+// server clamps to its -timeout. Each request gets a fresh server so
+// none comes from the plan cache.
 func TestOneSolverConfiguration(t *testing.T) {
 	hybridCalls := func(t *testing.T, url string) int64 {
 		t.Helper()
@@ -133,6 +135,8 @@ func TestOneSolverConfiguration(t *testing.T) {
 			{},
 			{"hybrid": "none"},
 			{"mode": "optimal"},
+			{"timeout_ms": int64(76480200929599801)},
+			{"timeout_ms": int64(18446744073710)},
 		} {
 			req := map[string]any{"hypergraph": prism, "k": k}
 			for key, v := range extra {
@@ -660,8 +664,10 @@ func TestServeQueryModes(t *testing.T) {
 // TestServeQueryIgnoresParallelism: the executor is serial, so
 // "parallelism" is an unknown field the decoder ignores — any value,
 // negative included, answers 200 with the rows of the same request
-// without it and echoes no "parallelism" key. Each answer carries its
-// executor counters, and /stats sums them.
+// without it and echoes no "parallelism" key. So does a timeout_ms too
+// large to convert to nanoseconds, which the server clamps to its
+// -timeout. Each answer carries its executor counters, and /stats sums
+// them.
 func TestServeQueryIgnoresParallelism(t *testing.T) {
 	ts, _ := newTestServer(t)
 
@@ -669,7 +675,9 @@ func TestServeQueryIgnoresParallelism(t *testing.T) {
 	if !plain.OK || plain.Exec == nil || plain.Exec.Semijoins == 0 {
 		t.Fatalf("query without parallelism: %+v", plain)
 	}
-	for _, field := range []string{`"parallelism":4`, `"parallelism":-1`} {
+	fields := []string{`"parallelism":4`, `"parallelism":-1`,
+		`"timeout_ms":76480200929599801`, `"timeout_ms":18446744073710`}
+	for _, field := range fields {
 		body := strings.TrimSuffix(triangleQueryBody, "}") + "," + field + "}"
 		resp, out, raw := postQuery(t, ts.URL+"/query", body)
 		if resp.StatusCode != http.StatusOK || !out.OK {
@@ -702,7 +710,7 @@ func TestServeQueryIgnoresParallelism(t *testing.T) {
 	if err := json.NewDecoder(sresp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Query.Answered != 3 || st.Query.ExecIndexBuilds == 0 {
+	if st.Query.Answered != int64(1+len(fields)) || st.Query.ExecIndexBuilds == 0 {
 		t.Fatalf("executor counters not summed in /stats: %+v", st.Query)
 	}
 }

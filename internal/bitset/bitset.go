@@ -31,18 +31,6 @@ func New(n int) *Set {
 	return &Set{words: make([]uint64, (n+wordBits-1)/wordBits), n: n}
 }
 
-// FromSlice returns a set of capacity n containing the given elements.
-func FromSlice(n int, elems []int) *Set {
-	s := New(n)
-	for _, e := range elems {
-		s.Set(e)
-	}
-	return s
-}
-
-// Cap reports the capacity of the set (the n passed to New).
-func (s *Set) Cap() int { return s.n }
-
 // Set adds element i.
 func (s *Set) Set(i int) {
 	s.words[i/wordBits] |= 1 << (uint(i) % wordBits)
@@ -142,13 +130,6 @@ func (s *Set) Intersect(o *Set) *Set {
 	return c
 }
 
-// Diff returns s \ o as a new set.
-func (s *Set) Diff(o *Set) *Set {
-	c := s.Clone()
-	c.InPlaceDiff(o)
-	return c
-}
-
 // Intersects reports whether s ∩ o is non-empty.
 func (s *Set) Intersects(o *Set) bool {
 	for i, w := range o.words {
@@ -222,28 +203,6 @@ func (s *Set) Elements() []int {
 	out := make([]int, 0, s.Len())
 	s.ForEach(func(i int) { out = append(out, i) })
 	return out
-}
-
-// Next returns the smallest element >= i, or -1 if none exists.
-func (s *Set) Next(i int) int {
-	if i < 0 {
-		i = 0
-	}
-	if i >= s.n {
-		return -1
-	}
-	wi := i / wordBits
-	w := s.words[wi] >> (uint(i) % wordBits) << (uint(i) % wordBits)
-	for {
-		if w != 0 {
-			return wi*wordBits + bits.TrailingZeros64(w)
-		}
-		wi++
-		if wi >= len(s.words) {
-			return -1
-		}
-		w = s.words[wi]
-	}
 }
 
 // NextDiff returns the smallest element >= i of s \ o, or -1 if none

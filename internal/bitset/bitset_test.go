@@ -8,6 +8,22 @@ import (
 	"testing/quick"
 )
 
+// fromSlice returns a set of capacity n containing elems.
+func fromSlice(n int, elems []int) *Set {
+	s := New(n)
+	for _, e := range elems {
+		s.Set(e)
+	}
+	return s
+}
+
+// diff returns a \ b as a new set.
+func diff(a, b *Set) *Set {
+	d := a.Clone()
+	d.InPlaceDiff(b)
+	return d
+}
+
 func TestNewEmpty(t *testing.T) {
 	s := New(100)
 	if !s.IsEmpty() {
@@ -16,8 +32,8 @@ func TestNewEmpty(t *testing.T) {
 	if s.Len() != 0 {
 		t.Fatalf("Len = %d, want 0", s.Len())
 	}
-	if s.Cap() != 100 {
-		t.Fatalf("Cap = %d, want 100", s.Cap())
+	if s.n != 100 {
+		t.Fatalf("capacity = %d, want 100", s.n)
 	}
 }
 
@@ -66,7 +82,7 @@ func TestTestOutOfRange(t *testing.T) {
 
 func TestFromSliceAndElements(t *testing.T) {
 	in := []int{5, 3, 99, 64}
-	s := FromSlice(100, in)
+	s := fromSlice(100, in)
 	got := s.Elements()
 	want := []int{3, 5, 64, 99}
 	if !reflect.DeepEqual(got, want) {
@@ -75,7 +91,7 @@ func TestFromSliceAndElements(t *testing.T) {
 }
 
 func TestCloneIndependence(t *testing.T) {
-	s := FromSlice(70, []int{1, 65})
+	s := fromSlice(70, []int{1, 65})
 	c := s.Clone()
 	c.Set(2)
 	if s.Test(2) {
@@ -88,8 +104,8 @@ func TestCloneIndependence(t *testing.T) {
 }
 
 func TestUnionIntersectDiff(t *testing.T) {
-	a := FromSlice(128, []int{1, 2, 3, 100})
-	b := FromSlice(128, []int{3, 4, 100, 127})
+	a := fromSlice(128, []int{1, 2, 3, 100})
+	b := fromSlice(128, []int{3, 4, 100, 127})
 
 	if got := a.Union(b).Elements(); !reflect.DeepEqual(got, []int{1, 2, 3, 4, 100, 127}) {
 		t.Fatalf("Union = %v", got)
@@ -97,14 +113,14 @@ func TestUnionIntersectDiff(t *testing.T) {
 	if got := a.Intersect(b).Elements(); !reflect.DeepEqual(got, []int{3, 100}) {
 		t.Fatalf("Intersect = %v", got)
 	}
-	if got := a.Diff(b).Elements(); !reflect.DeepEqual(got, []int{1, 2}) {
+	if got := diff(a, b).Elements(); !reflect.DeepEqual(got, []int{1, 2}) {
 		t.Fatalf("Diff = %v", got)
 	}
 }
 
 func TestInPlaceOpsMatchPure(t *testing.T) {
-	a := FromSlice(200, []int{0, 50, 150, 199})
-	b := FromSlice(200, []int{50, 51, 199})
+	a := fromSlice(200, []int{0, 50, 150, 199})
+	b := fromSlice(200, []int{50, 51, 199})
 
 	u := a.Clone()
 	u.InPlaceUnion(b)
@@ -118,15 +134,15 @@ func TestInPlaceOpsMatchPure(t *testing.T) {
 	}
 	d := a.Clone()
 	d.InPlaceDiff(b)
-	if !d.Equal(a.Diff(b)) {
+	if got := d.Elements(); !reflect.DeepEqual(got, []int{0, 150}) {
 		t.Fatal("InPlaceDiff mismatch")
 	}
 }
 
 func TestIntersects(t *testing.T) {
-	a := FromSlice(128, []int{10, 70})
-	b := FromSlice(128, []int{70})
-	c := FromSlice(128, []int{11, 71})
+	a := fromSlice(128, []int{10, 70})
+	b := fromSlice(128, []int{70})
+	c := fromSlice(128, []int{11, 71})
 	if !a.Intersects(b) {
 		t.Fatal("a should intersect b")
 	}
@@ -136,9 +152,9 @@ func TestIntersects(t *testing.T) {
 }
 
 func TestIntersectsDiff(t *testing.T) {
-	a := FromSlice(64, []int{1, 2, 3})
-	b := FromSlice(64, []int{3, 4})
-	u := FromSlice(64, []int{3})
+	a := fromSlice(64, []int{1, 2, 3})
+	b := fromSlice(64, []int{3, 4})
+	u := fromSlice(64, []int{3})
 	// a ∩ b = {3}, and 3 ∈ u, so no shared element outside u.
 	if a.IntersectsDiff(b, u) {
 		t.Fatal("IntersectsDiff should be false when overlap ⊆ u")
@@ -150,8 +166,8 @@ func TestIntersectsDiff(t *testing.T) {
 }
 
 func TestSubsetOf(t *testing.T) {
-	a := FromSlice(64, []int{1, 2})
-	b := FromSlice(64, []int{1, 2, 3})
+	a := fromSlice(64, []int{1, 2})
+	b := fromSlice(64, []int{1, 2, 3})
 	if !a.SubsetOf(b) {
 		t.Fatal("{1,2} ⊆ {1,2,3}")
 	}
@@ -170,20 +186,21 @@ func TestEqualDifferentCapacity(t *testing.T) {
 }
 
 func TestNext(t *testing.T) {
-	s := FromSlice(200, []int{5, 64, 130})
+	// Next over s is NextDiff against the empty set.
+	s, empty := fromSlice(200, []int{5, 64, 130}), New(200)
 	cases := []struct{ from, want int }{
 		{-5, 5}, {0, 5}, {5, 5}, {6, 64}, {64, 64}, {65, 130}, {131, -1}, {500, -1},
 	}
 	for _, c := range cases {
-		if got := s.Next(c.from); got != c.want {
+		if got := s.NextDiff(empty, c.from); got != c.want {
 			t.Errorf("Next(%d) = %d, want %d", c.from, got, c.want)
 		}
 	}
 }
 
 func TestNextDiff(t *testing.T) {
-	s := FromSlice(200, []int{5, 6, 64, 130, 199})
-	o := FromSlice(200, []int{6, 64, 65, 199})
+	s := fromSlice(200, []int{5, 6, 64, 130, 199})
+	o := fromSlice(200, []int{6, 64, 65, 199})
 	cases := []struct{ from, want int }{
 		{-5, 5}, {5, 5}, {6, 130}, {64, 130}, {130, 130}, {131, -1}, {500, -1},
 	}
@@ -195,9 +212,9 @@ func TestNextDiff(t *testing.T) {
 }
 
 func TestAppendKeyRoundTrip(t *testing.T) {
-	a := FromSlice(128, []int{0, 77})
-	b := FromSlice(128, []int{0, 77})
-	c := FromSlice(128, []int{0, 78})
+	a := fromSlice(128, []int{0, 77})
+	b := fromSlice(128, []int{0, 77})
+	c := fromSlice(128, []int{0, 78})
 	ka := string(a.AppendKey(nil))
 	kb := string(b.AppendKey(nil))
 	kc := string(c.AppendKey(nil))
@@ -210,7 +227,7 @@ func TestAppendKeyRoundTrip(t *testing.T) {
 }
 
 func TestString(t *testing.T) {
-	if got := FromSlice(10, []int{3, 1}).String(); got != "{1,3}" {
+	if got := fromSlice(10, []int{3, 1}).String(); got != "{1,3}" {
 		t.Fatalf("String = %q", got)
 	}
 	if got := New(10).String(); got != "{}" {
@@ -219,12 +236,12 @@ func TestString(t *testing.T) {
 }
 
 func TestResetAndCopyFrom(t *testing.T) {
-	a := FromSlice(64, []int{1, 2})
+	a := fromSlice(64, []int{1, 2})
 	a.Reset()
 	if !a.IsEmpty() {
 		t.Fatal("Reset did not empty the set")
 	}
-	b := FromSlice(64, []int{7})
+	b := fromSlice(64, []int{7})
 	a.CopyFrom(b)
 	if !a.Equal(b) {
 		t.Fatal("CopyFrom mismatch")
@@ -267,7 +284,7 @@ func TestQuickSetAlgebra(t *testing.T) {
 		if !lhs.Equal(rhs) {
 			return false
 		}
-		if !a.Diff(b).Union(a.Intersect(b)).Equal(a) {
+		if !diff(a, b).Union(a.Intersect(b)).Equal(a) {
 			return false
 		}
 		// |A ∪ B| = |A| + |B| - |A ∩ B|
@@ -279,11 +296,11 @@ func TestQuickSetAlgebra(t *testing.T) {
 			return false
 		}
 		// IntersectsDiff(b, c) == !((a∩b)\c).IsEmpty()
-		if a.IntersectsDiff(b, c) != !a.Intersect(b).Diff(c).IsEmpty() {
+		if a.IntersectsDiff(b, c) != !diff(a.Intersect(b), c).IsEmpty() {
 			return false
 		}
 		// UnionOf and SubsetOfUnion agree with the materialised union.
-		u := New(a.Cap())
+		u := New(a.n)
 		u.UnionOf(b, c)
 		if !u.Equal(b.Union(c)) || a.SubsetOfUnion(b, c) != a.SubsetOf(u) {
 			return false
@@ -319,7 +336,8 @@ func TestQuickElementsSortedUnique(t *testing.T) {
 func TestQuickNextIteratesAll(t *testing.T) {
 	prop := func(tr setTriple) bool {
 		var got []int
-		for i := tr.a.Next(0); i >= 0; i = tr.a.Next(i + 1) {
+		empty := New(tr.a.n)
+		for i := tr.a.NextDiff(empty, 0); i >= 0; i = tr.a.NextDiff(empty, i+1) {
 			got = append(got, i)
 		}
 		want := tr.a.Elements()
@@ -344,7 +362,7 @@ func TestQuickNextDiffIteratesDiff(t *testing.T) {
 		for i := tr.a.NextDiff(tr.b, 0); i >= 0; i = tr.a.NextDiff(tr.b, i+1) {
 			got = append(got, i)
 		}
-		want := tr.a.Diff(tr.b).Elements()
+		want := diff(tr.a, tr.b).Elements()
 		if len(got) != len(want) {
 			return false
 		}

@@ -89,24 +89,6 @@ func (s Space) Unrank(r int64, dst []int) []int {
 	return dst
 }
 
-// Rank is the inverse of Unrank: it returns the global rank of the given
-// strictly increasing subset. It is used in tests to verify the bijection.
-func (s Space) Rank(subset []int) int64 {
-	size := len(subset)
-	var r int64
-	for sz := 1; sz < size; sz++ {
-		r += Binomial(s.M, sz)
-	}
-	prev := 0
-	for pos, v := range subset {
-		for w := prev; w < v; w++ {
-			r += Binomial(s.M-1-w, size-1-pos)
-		}
-		prev = v + 1
-	}
-	return r
-}
-
 // Iter walks a contiguous rank range of a Space. After the first Unrank,
 // successive subsets are produced by the classic next-combination step,
 // which is O(size) amortised — far cheaper than unranking every rank.

@@ -9,6 +9,24 @@ import (
 	"testing/quick"
 )
 
+// Rank is the inverse of Unrank: it returns the global rank of the given
+// strictly increasing subset. The tests check the bijection with it.
+func (s Space) Rank(subset []int) int64 {
+	size := len(subset)
+	var r int64
+	for sz := 1; sz < size; sz++ {
+		r += Binomial(s.M, sz)
+	}
+	prev := 0
+	for pos, v := range subset {
+		for w := prev; w < v; w++ {
+			r += Binomial(s.M-1-w, size-1-pos)
+		}
+		prev = v + 1
+	}
+	return r
+}
+
 func TestBinomialSmall(t *testing.T) {
 	cases := []struct {
 		n, k int

@@ -79,7 +79,7 @@ func TestBagCacheSnapshotScope(t *testing.T) {
 		return fmt.Sprintf("%d bags, %d rows", bags, rows)
 	}
 	current := func() Snapshot {
-		snap, err := d.At(0)
+		snap, err := g.Resolve("", "d", 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +108,7 @@ func TestBagCacheSnapshotScope(t *testing.T) {
 	if got := usage(s1); got != "0 bags, 0 rows" {
 		t.Fatalf("retired v1 cache holds %s", got)
 	}
-	pinned, err := d.At(1)
+	pinned, err := g.Resolve("", "d", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func FuzzMutateBatch(f *testing.F) {
 			t.Fatal(err)
 		}
 		d, _ := g.Get("", "d")
-		before, err := d.At(0)
+		before, err := g.Resolve("", "d", 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,13 +228,13 @@ func FuzzMutateBatch(f *testing.F) {
 		if err == nil {
 			res, err = d.Mutate(batch)
 		}
-		after, atErr := d.At(0)
+		after, atErr := g.Resolve("", "d", 0)
 		if atErr != nil {
 			t.Fatal(atErr)
 		}
 		if err != nil {
-			if d.Version() != 1 || after.Version != 1 || after.Bags != before.Bags || !reflect.DeepEqual(after.DB, before.DB) {
-				t.Fatalf("rejected batch (%v) moved the dataset to v%d", err, d.Version())
+			if d.Info().Version != 1 || after.Version != 1 || after.Bags != before.Bags || !reflect.DeepEqual(after.DB, before.DB) {
+				t.Fatalf("rejected batch (%v) moved the dataset to v%d", err, d.Info().Version)
 			}
 			for name, rel := range before.DB {
 				if after.DB[name] != rel {
@@ -246,8 +246,8 @@ func FuzzMutateBatch(f *testing.F) {
 			}
 			return
 		}
-		if res.Version != 2 || d.Version() != 2 || after.Version != 2 {
-			t.Fatalf("accepted batch: result v%d, dataset v%d, snapshot v%d; want 2", res.Version, d.Version(), after.Version)
+		if res.Version != 2 || d.Info().Version != 2 || after.Version != 2 {
+			t.Fatalf("accepted batch: result v%d, dataset v%d, snapshot v%d; want 2", res.Version, d.Info().Version, after.Version)
 		}
 		for _, m := range batch {
 			for _, row := range m.Rows {

@@ -320,13 +320,6 @@ func (g *Registry) Stats() Stats {
 	return st
 }
 
-// Version returns the dataset's current version.
-func (d *Dataset) Version() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.version
-}
-
 // publishLocked builds the current version's snapshot from the current
 // views, with an empty bag cache bounded by its live tuple count.
 // Caller holds d.mu.
@@ -338,16 +331,9 @@ func (d *Dataset) publishLocked() Snapshot {
 	return Snapshot{Version: d.version, DB: db, Bags: join.NewBagCache(db)}
 }
 
-// At resolves version (0 = current) to its snapshot. Evicted versions
-// return ErrVersionGone, unproduced ones ErrFutureVersion — never a
-// silently different version's rows.
-func (d *Dataset) At(version uint64) (Snapshot, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.atLocked(version)
-}
-
-// atLocked is At with d.mu held.
+// atLocked resolves version (0 = current) to its snapshot. Evicted
+// versions return ErrVersionGone, unproduced ones ErrFutureVersion —
+// never a silently different version's rows. Caller holds d.mu.
 func (d *Dataset) atLocked(version uint64) (Snapshot, error) {
 	if len(d.snaps) == 0 {
 		return Snapshot{}, fmt.Errorf("%w: %q has no published version", ErrNotFound, d.name)

@@ -74,7 +74,7 @@ func TestMutateVersionsAndCounts(t *testing.T) {
 	if res != want {
 		t.Fatalf("Mutate = %+v, want %+v", res, want)
 	}
-	snap, err := d.At(0)
+	snap, err := g.Resolve("", "d", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestDeleteNeverInserted(t *testing.T) {
 	if res.Missed != 1 || res.Deleted != 0 || res.Version != 2 {
 		t.Fatalf("Mutate = %+v", res)
 	}
-	snap, _ := d.At(0)
+	snap, _ := g.Resolve("", "d", 0)
 	if snap.DB["R"].Size() != 2 {
 		t.Fatal("missed delete changed rows")
 	}
@@ -121,7 +121,7 @@ func TestInsertDeleteSameBatch(t *testing.T) {
 	if res.Inserted != 1 || res.Deleted != 1 {
 		t.Fatalf("Mutate = %+v", res)
 	}
-	snap, _ := d.At(0)
+	snap, _ := g.Resolve("", "d", 0)
 	if got := snap.DB["R"].Sorted(); !reflect.DeepEqual(got, [][]int{{1, 2}, {3, 4}}) {
 		t.Fatalf("R = %v, want original rows", got)
 	}
@@ -132,7 +132,7 @@ func TestInsertDeleteSameBatch(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	snap, _ = d.At(0)
+	snap, _ = g.Resolve("", "d", 0)
 	if got := snap.DB["R"].Sorted(); !reflect.DeepEqual(got, [][]int{{1, 2}, {3, 4}}) {
 		t.Fatalf("R after delete+reinsert = %v", got)
 	}
@@ -147,14 +147,14 @@ func TestEmptyRelationTransitions(t *testing.T) {
 	if _, err := d.Mutate([]Mutation{{Op: "delete", Rel: "S", Rows: [][]int{{2, 5}, {4, 6}}}}); err != nil {
 		t.Fatal(err)
 	}
-	snap, _ := d.At(0)
+	snap, _ := g.Resolve("", "d", 0)
 	if snap.DB["S"].Size() != 0 || snap.DB["S"].Rows() != nil {
 		t.Fatalf("S not empty: %v", snap.DB["S"].Rows())
 	}
 	if _, err := d.Mutate([]Mutation{{Op: "insert", Rel: "S", Rows: [][]int{{8, 9}}}}); err != nil {
 		t.Fatal(err)
 	}
-	snap, _ = d.At(0)
+	snap, _ = g.Resolve("", "d", 0)
 	if got := snap.DB["S"].Sorted(); !reflect.DeepEqual(got, [][]int{{8, 9}}) {
 		t.Fatalf("S refilled = %v", got)
 	}
@@ -172,13 +172,13 @@ func TestVersionPinningErrors(t *testing.T) {
 		}
 	}
 	// Versions now 1..6; retain 3 keeps 4, 5, 6.
-	if _, err := d.At(2); !errors.Is(err, ErrVersionGone) {
+	if _, err := g.Resolve("", "d", 2); !errors.Is(err, ErrVersionGone) {
 		t.Fatalf("At(evicted) = %v, want ErrVersionGone", err)
 	}
-	if _, err := d.At(99); !errors.Is(err, ErrFutureVersion) {
+	if _, err := g.Resolve("", "d", 99); !errors.Is(err, ErrFutureVersion) {
 		t.Fatalf("At(future) = %v, want ErrFutureVersion", err)
 	}
-	snap, err := d.At(5)
+	snap, err := g.Resolve("", "d", 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestVersionPinningErrors(t *testing.T) {
 	}
 	// Replacement evicts every pinnable version.
 	g.Put("", "d", mustDB(t, twoRelText))
-	if _, err := d.At(5); !errors.Is(err, ErrVersionGone) {
+	if _, err := g.Resolve("", "d", 5); !errors.Is(err, ErrVersionGone) {
 		t.Fatalf("At(pre-replacement) = %v, want ErrVersionGone", err)
 	}
 }
@@ -199,7 +199,7 @@ func TestMutationRacesPinnedQuery(t *testing.T) {
 	g := newTestRegistry()
 	g.Put("", "d", mustDB(t, twoRelText))
 	d, _ := g.Get("", "d")
-	snap, err := d.At(0)
+	snap, err := g.Resolve("", "d", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestMutationRacesPinnedQuery(t *testing.T) {
 		}
 	}
 	wg.Wait()
-	if v := d.Version(); v != 51 {
+	if v := d.Info().Version; v != 51 {
 		t.Fatalf("version = %d, want 51", v)
 	}
 }
@@ -243,10 +243,10 @@ func TestMutateValidationLeavesStateUntouched(t *testing.T) {
 			t.Fatalf("case %d: invalid batch accepted", i)
 		}
 	}
-	if v := d.Version(); v != 1 {
+	if v := d.Info().Version; v != 1 {
 		t.Fatalf("version advanced to %d on invalid batches", v)
 	}
-	snap, _ := d.At(0)
+	snap, _ := g.Resolve("", "d", 0)
 	if snap.DB["R"].Size() != 2 {
 		t.Fatal("invalid batch mutated rows")
 	}

@@ -11,6 +11,15 @@ import (
 
 // cycle10 builds the hypergraph of Appendix B: a cycle R1(x1,x2), ...,
 // R10(x10,x1). Edge Ri has id i-1; vertex xj has id j-1.
+// setOf returns a vertex set of capacity n holding elems.
+func setOf(n int, elems []int) *bitset.Set {
+	s := bitset.New(n)
+	for _, e := range elems {
+		s.Set(e)
+	}
+	return s
+}
+
 func cycle10() *hypergraph.Hypergraph {
 	var b hypergraph.Builder
 	names := func(i int) string { return "x" + string(rune('0'+i/10)) + string(rune('0'+i%10)) }
@@ -28,7 +37,7 @@ func paperHD(h *hypergraph.Hypergraph) *Decomp {
 	var prev *Node
 	var root *Node
 	for i := 1; i <= 8; i++ {
-		bag := bitset.FromSlice(n, []int{0, i, i + 1})
+		bag := setOf(n, []int{0, i, i + 1})
 		node := NewNode([]int{0, i}, bag)
 		if prev == nil {
 			root = node
@@ -107,8 +116,8 @@ func TestSpecialConditionViolationDetected(t *testing.T) {
 	var b hypergraph.Builder
 	b.MustAddEdge("R1", "a", "b")
 	h := b.Build()
-	root := NewNode([]int{0}, bitset.FromSlice(2, []int{0}))
-	child := NewNode([]int{0}, bitset.FromSlice(2, []int{0, 1}))
+	root := NewNode([]int{0}, setOf(2, []int{0}))
+	child := NewNode([]int{0}, setOf(2, []int{0, 1}))
 	root.Children = []*Node{child}
 	d := &Decomp{H: h, Root: root}
 	if err := CheckGHD(d); err != nil {
@@ -122,7 +131,7 @@ func TestSpecialConditionViolationDetected(t *testing.T) {
 func TestUnresolvedSpecialLeafRejected(t *testing.T) {
 	h := cycle10()
 	d := paperHD(h)
-	leaf := NewSpecialLeaf(1, bitset.FromSlice(h.NumVertices(), []int{0}))
+	leaf := NewSpecialLeaf(1, setOf(h.NumVertices(), []int{0}))
 	d.Root.Children = append(d.Root.Children, leaf)
 	if err := CheckHD(d); err == nil || !strings.Contains(err.Error(), "special leaf") {
 		t.Fatalf("expected special-leaf error, got %v", err)
@@ -134,13 +143,13 @@ func TestUnresolvedSpecialLeafRejected(t *testing.T) {
 // which is an HD of the extended subhypergraph ⟨{R3,R4,R5}, {s1}, {x1,x3}⟩.
 func fragment12(h *hypergraph.Hypergraph) (*Decomp, *ext.Graph, *bitset.Set) {
 	n := h.NumVertices()
-	s1 := ext.Special{ID: 1, Vertices: bitset.FromSlice(n, []int{0, 5, 6})}
-	g := ext.NewGraph(h, []int{2, 3, 4}, []ext.Special{s1})
-	conn := bitset.FromSlice(n, []int{0, 2})
+	s1 := ext.Special{ID: 1, Vertices: setOf(n, []int{0, 5, 6})}
+	g := &ext.Graph{H: h, Edges: []int{2, 3, 4}, Specials: []ext.Special{s1}}
+	conn := setOf(n, []int{0, 2})
 
-	n1 := NewNode([]int{0, 2}, bitset.FromSlice(n, []int{0, 2, 3}))
-	n2 := NewNode([]int{0, 3}, bitset.FromSlice(n, []int{0, 3, 4}))
-	n3 := NewNode([]int{0, 4}, bitset.FromSlice(n, []int{0, 4, 5}))
+	n1 := NewNode([]int{0, 2}, setOf(n, []int{0, 2, 3}))
+	n2 := NewNode([]int{0, 3}, setOf(n, []int{0, 3, 4}))
+	n3 := NewNode([]int{0, 4}, setOf(n, []int{0, 4, 5}))
 	leaf := NewSpecialLeaf(1, s1.Vertices)
 	n1.Children = []*Node{n2}
 	n2.Children = []*Node{n3}
@@ -159,7 +168,7 @@ func TestCheckExtendedAcceptsPaperFragment(t *testing.T) {
 func TestCheckExtendedConnViolation(t *testing.T) {
 	h := cycle10()
 	d, g, _ := fragment12(h)
-	badConn := bitset.FromSlice(h.NumVertices(), []int{7}) // x8 not in root bag
+	badConn := setOf(h.NumVertices(), []int{7}) // x8 not in root bag
 	if err := CheckExtended(d, g, badConn); err == nil || !strings.Contains(err.Error(), "Conn") {
 		t.Fatalf("expected Conn error, got %v", err)
 	}
@@ -179,7 +188,7 @@ func TestCheckExtendedSpecialMustBeLeaf(t *testing.T) {
 	h := cycle10()
 	d, g, conn := fragment12(h)
 	leaf := d.Root.Children[0].Children[0].Children[0]
-	leaf.Children = []*Node{NewNode([]int{0}, bitset.FromSlice(h.NumVertices(), []int{0}))}
+	leaf.Children = []*Node{NewNode([]int{0}, setOf(h.NumVertices(), []int{0}))}
 	if err := CheckExtended(d, g, conn); err == nil || !strings.Contains(err.Error(), "not a leaf") {
 		t.Fatalf("expected not-a-leaf error, got %v", err)
 	}

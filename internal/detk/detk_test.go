@@ -72,14 +72,23 @@ func TestCacheIsUsed(t *testing.T) {
 	}
 }
 
+// setOf returns a vertex set of capacity n holding elems.
+func setOf(n int, elems []int) *bitset.Set {
+	s := bitset.New(n)
+	for _, e := range elems {
+		s.Set(e)
+	}
+	return s
+}
+
 func TestDecomposeExtWithSpecial(t *testing.T) {
 	// The extended subhypergraph of Call 1.2 from Appendix B:
 	// E' = {R3,R4,R5}, Sp = {s1 = {x1,x6,x7}}, Conn = {x1,x3}.
 	h := cycle(10)
 	n := h.NumVertices()
-	s1 := ext.Special{ID: 77, Vertices: bitset.FromSlice(n, []int{0, 5, 6})}
-	g := ext.NewGraph(h, []int{2, 3, 4}, []ext.Special{s1})
-	conn := bitset.FromSlice(n, []int{0, 2})
+	s1 := ext.Special{ID: 77, Vertices: setOf(n, []int{0, 5, 6})}
+	g := &ext.Graph{H: h, Edges: []int{2, 3, 4}, Specials: []ext.Special{s1}}
+	conn := setOf(n, []int{0, 2})
 
 	s := New(h, 2)
 	node, ok, err := s.DecomposeExt(context.Background(), g, conn)
@@ -96,10 +105,10 @@ func TestDecomposeExtTwoSpecialsNoEdges(t *testing.T) {
 	// No edges and two specials is unsatisfiable (negative base case).
 	h := cycle(6)
 	n := h.NumVertices()
-	g := ext.NewGraph(h, nil, []ext.Special{
-		{ID: 1, Vertices: bitset.FromSlice(n, []int{0, 1})},
-		{ID: 2, Vertices: bitset.FromSlice(n, []int{3, 4})},
-	})
+	g := &ext.Graph{H: h, Specials: []ext.Special{
+		{ID: 1, Vertices: setOf(n, []int{0, 1})},
+		{ID: 2, Vertices: setOf(n, []int{3, 4})},
+	}}
 	_, ok, err := New(h, 3).DecomposeExt(context.Background(), g, h.NewVertexSet())
 	if err != nil || ok {
 		t.Fatalf("ok=%v err=%v, want clean rejection", ok, err)

@@ -272,9 +272,3 @@ func LargestComponent(comps []*Graph, total int) int {
 	}
 	return -1
 }
-
-// AllBalanced reports whether every component has size at most half of
-// total (2*|C| ≤ total) — the balancedness condition of Definition 3.9.
-func AllBalanced(comps []*Graph, total int) bool {
-	return LargestComponent(comps, total) == -1
-}

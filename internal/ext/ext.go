@@ -49,13 +49,6 @@ type Graph struct {
 	fbDone    bool
 }
 
-// NewGraph builds a Graph over h. The edge slice is copied and sorted.
-func NewGraph(h *hypergraph.Hypergraph, edges []int, specials []Special) *Graph {
-	e := append([]int(nil), edges...)
-	sort.Ints(e)
-	return &Graph{H: h, Edges: e, Specials: specials}
-}
-
 // Root returns the extended subhypergraph ⟨E(H), ∅⟩ whose HDs coincide
 // with the HDs of H itself.
 func Root(h *hypergraph.Hypergraph) *Graph {
@@ -164,24 +157,25 @@ func DiffSortedInts(a, b []int) []int {
 	return out
 }
 
-// Key appends a canonical encoding of (g, conn) to dst, for memoisation.
-// Specials are identified by vertex-set content (not ID), so structurally
-// identical states reached through different fragment histories share a
-// cache entry. Use KeyStrict when cached results embed special IDs.
-func (g *Graph) Key(conn *bitset.Set, dst []byte) []byte {
-	dst = g.keyCommon(dst, false)
-	dst = conn.AppendKey(dst)
-	return dst
-}
-
-// KeyStrict is Key but additionally distinguishes special edges by ID.
-// Solvers that cache constructed fragments (which embed special-leaf IDs)
-// must use this key, or a cache hit could graft a fragment referring to
-// specials of a different recursion branch.
+// KeyStrict appends a canonical encoding of (g, conn) to dst, for
+// memoisation. It distinguishes special edges by vertex content and by
+// ID: solvers that cache constructed fragments (which embed special-leaf
+// IDs) must use this key, or a cache hit could graft a fragment
+// referring to specials of a different recursion branch.
 func (g *Graph) KeyStrict(conn *bitset.Set, dst []byte) []byte {
-	dst = g.keyCommon(dst, true)
-	dst = conn.AppendKey(dst)
-	return dst
+	dst = g.appendEdgeKey(dst, g.Edges)
+	spKeys := make([]string, len(g.Specials))
+	for i, s := range g.Specials {
+		k := s.Vertices.AppendKey(nil)
+		id := s.ID
+		spKeys[i] = string(append(k, byte(id), byte(id>>8), byte(id>>16), byte(id>>24)))
+	}
+	sort.Strings(spKeys)
+	for _, k := range spKeys {
+		dst = append(dst, k...)
+	}
+	dst = append(dst, 0xFF)
+	return conn.AppendKey(dst)
 }
 
 // MemoKey appends a purely content-based encoding of (g, conn, allowed)
@@ -228,24 +222,5 @@ func (g *Graph) appendEdgeKey(dst []byte, ids []int) []byte {
 	for _, w := range words {
 		dst = binary.LittleEndian.AppendUint64(dst, w)
 	}
-	return dst
-}
-
-func (g *Graph) keyCommon(dst []byte, withIDs bool) []byte {
-	dst = g.appendEdgeKey(dst, g.Edges)
-	spKeys := make([]string, len(g.Specials))
-	for i, s := range g.Specials {
-		k := s.Vertices.AppendKey(nil)
-		if withIDs {
-			id := s.ID
-			k = append(k, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
-		}
-		spKeys[i] = string(k)
-	}
-	sort.Strings(spKeys)
-	for _, k := range spKeys {
-		dst = append(dst, k...)
-	}
-	dst = append(dst, 0xFF)
 	return dst
 }

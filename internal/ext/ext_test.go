@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -17,6 +18,22 @@ func cycle(n int) *hypergraph.Hypergraph {
 		b.MustAddEdge("", vname(i), vname((i+1)%n))
 	}
 	return b.Build()
+}
+
+// newGraph builds a Graph over h from a copy of edges, sorted.
+func newGraph(h *hypergraph.Hypergraph, edges []int, specials []Special) *Graph {
+	e := append([]int(nil), edges...)
+	sort.Ints(e)
+	return &Graph{H: h, Edges: e, Specials: specials}
+}
+
+// setOf returns a vertex set of capacity n holding elems.
+func setOf(n int, elems []int) *bitset.Set {
+	s := bitset.New(n)
+	for _, e := range elems {
+		s.Set(e)
+	}
+	return s
 }
 
 func vname(i int) string {
@@ -82,8 +99,8 @@ func TestComponentsWithSpecials(t *testing.T) {
 			cIdx = v
 		}
 	}
-	s1 := Special{ID: 100, Vertices: bitset.FromSlice(h.NumVertices(), []int{cIdx})}
-	g := NewGraph(h, []int{0, 1, 2}, []Special{s1})
+	s1 := Special{ID: 100, Vertices: setOf(h.NumVertices(), []int{cIdx})}
+	g := newGraph(h, []int{0, 1, 2}, []Special{s1})
 
 	sp := NewSplitter(h)
 	// Separate at "b": e1 joins nothing across b; e2 and the special share c.
@@ -93,7 +110,7 @@ func TestComponentsWithSpecials(t *testing.T) {
 			bIdx = v
 		}
 	}
-	u := bitset.FromSlice(h.NumVertices(), []int{bIdx})
+	u := setOf(h.NumVertices(), []int{bIdx})
 	comps := sp.Components(g, u)
 	if len(comps) != 3 {
 		t.Fatalf("got %d components, want 3", len(comps))
@@ -112,10 +129,10 @@ func TestComponentsWithSpecials(t *testing.T) {
 
 func TestSpecialsCoveredBy(t *testing.T) {
 	h := cycle(4)
-	s1 := Special{ID: 1, Vertices: bitset.FromSlice(h.NumVertices(), []int{0, 1})}
-	s2 := Special{ID: 2, Vertices: bitset.FromSlice(h.NumVertices(), []int{2, 3})}
-	g := NewGraph(h, nil, []Special{s1, s2})
-	u := bitset.FromSlice(h.NumVertices(), []int{0, 1, 2})
+	s1 := Special{ID: 1, Vertices: setOf(h.NumVertices(), []int{0, 1})}
+	s2 := Special{ID: 2, Vertices: setOf(h.NumVertices(), []int{2, 3})}
+	g := newGraph(h, nil, []Special{s1, s2})
+	u := setOf(h.NumVertices(), []int{0, 1, 2})
 	cov := g.SpecialsCoveredBy(u)
 	if len(cov) != 1 || cov[0].ID != 1 {
 		t.Fatalf("covered = %v", cov)
@@ -124,9 +141,9 @@ func TestSpecialsCoveredBy(t *testing.T) {
 
 func TestSubtractAndWithSpecial(t *testing.T) {
 	h := cycle(6)
-	s1 := Special{ID: 7, Vertices: bitset.FromSlice(h.NumVertices(), []int{0})}
-	g := NewGraph(h, []int{0, 1, 2, 3}, []Special{s1})
-	d := NewGraph(h, []int{1, 3}, []Special{s1})
+	s1 := Special{ID: 7, Vertices: setOf(h.NumVertices(), []int{0})}
+	g := newGraph(h, []int{0, 1, 2, 3}, []Special{s1})
+	d := newGraph(h, []int{1, 3}, []Special{s1})
 	r := g.Subtract(d)
 	if !reflect.DeepEqual(r.Edges, []int{0, 2}) {
 		t.Fatalf("Subtract edges = %v", r.Edges)
@@ -134,7 +151,7 @@ func TestSubtractAndWithSpecial(t *testing.T) {
 	if len(r.Specials) != 0 {
 		t.Fatalf("Subtract specials = %v", r.Specials)
 	}
-	r2 := r.WithSpecial(Special{ID: 9, Vertices: bitset.FromSlice(h.NumVertices(), []int{5})})
+	r2 := r.WithSpecial(Special{ID: 9, Vertices: setOf(h.NumVertices(), []int{5})})
 	if len(r2.Specials) != 1 || r2.Specials[0].ID != 9 {
 		t.Fatal("WithSpecial failed")
 	}
@@ -145,7 +162,7 @@ func TestSubtractAndWithSpecial(t *testing.T) {
 
 func TestContainsEdge(t *testing.T) {
 	h := cycle(6)
-	g := NewGraph(h, []int{1, 3, 5}, nil)
+	g := newGraph(h, []int{1, 3, 5}, nil)
 	for _, e := range []int{1, 3, 5} {
 		if !g.ContainsEdge(e) {
 			t.Fatalf("ContainsEdge(%d) = false", e)
@@ -161,37 +178,37 @@ func TestContainsEdge(t *testing.T) {
 func TestKeyDistinguishesStates(t *testing.T) {
 	h := cycle(6)
 	conn := h.NewVertexSet()
-	g1 := NewGraph(h, []int{0, 1}, nil)
-	g2 := NewGraph(h, []int{0, 2}, nil)
-	if string(g1.Key(conn, nil)) == string(g2.Key(conn, nil)) {
+	g1 := newGraph(h, []int{0, 1}, nil)
+	g2 := newGraph(h, []int{0, 2}, nil)
+	if string(g1.MemoKey(conn, nil, nil)) == string(g2.MemoKey(conn, nil, nil)) {
 		t.Fatal("different edge sets share a key")
 	}
 	// Same specials content under different IDs must share a key.
-	sA := Special{ID: 1, Vertices: bitset.FromSlice(h.NumVertices(), []int{2, 3})}
-	sB := Special{ID: 42, Vertices: bitset.FromSlice(h.NumVertices(), []int{2, 3})}
-	gA := NewGraph(h, []int{0}, []Special{sA})
-	gB := NewGraph(h, []int{0}, []Special{sB})
-	if string(gA.Key(conn, nil)) != string(gB.Key(conn, nil)) {
+	sA := Special{ID: 1, Vertices: setOf(h.NumVertices(), []int{2, 3})}
+	sB := Special{ID: 42, Vertices: setOf(h.NumVertices(), []int{2, 3})}
+	gA := newGraph(h, []int{0}, []Special{sA})
+	gB := newGraph(h, []int{0}, []Special{sB})
+	if string(gA.MemoKey(conn, nil, nil)) != string(gB.MemoKey(conn, nil, nil)) {
 		t.Fatal("structurally identical graphs have different keys")
 	}
-	conn2 := bitset.FromSlice(h.NumVertices(), []int{0})
-	if string(gA.Key(conn, nil)) == string(gA.Key(conn2, nil)) {
+	conn2 := setOf(h.NumVertices(), []int{0})
+	if string(gA.MemoKey(conn, nil, nil)) == string(gA.MemoKey(conn2, nil, nil)) {
 		t.Fatal("different Conn sets share a key")
 	}
 }
 
 func TestLargestComponentAndBalance(t *testing.T) {
 	h := cycle(8)
-	a := NewGraph(h, []int{0, 1, 2, 3, 4}, nil)
-	b := NewGraph(h, []int{5}, nil)
+	a := newGraph(h, []int{0, 1, 2, 3, 4}, nil)
+	b := newGraph(h, []int{5}, nil)
 	comps := []*Graph{b, a}
 	if got := LargestComponent(comps, 8); got != 1 {
 		t.Fatalf("LargestComponent = %d, want 1", got)
 	}
-	if AllBalanced(comps, 8) {
+	if LargestComponent(comps, 8) == -1 {
 		t.Fatal("component of size 5 of 8 is unbalanced")
 	}
-	if !AllBalanced(comps, 10) {
+	if LargestComponent(comps, 10) != -1 {
 		t.Fatal("size 5 of 10 is balanced (≤ half)")
 	}
 }
@@ -255,9 +272,7 @@ func TestQuickComponentsPartition(t *testing.T) {
 		// Pairwise disjoint outside u.
 		for i := 0; i < len(comps); i++ {
 			for j := i + 1; j < len(comps); j++ {
-				vi := comps[i].Vertices().Diff(u)
-				vj := comps[j].Vertices().Diff(u)
-				if vi.Intersects(vj) {
+				if comps[i].Vertices().IntersectsDiff(comps[j].Vertices(), u) {
 					return false
 				}
 			}
@@ -339,7 +354,7 @@ func TestQuickComponentsRestrictSeparator(t *testing.T) {
 		if len(sub) == 0 {
 			return true
 		}
-		d := NewGraph(h, sub, nil)
+		d := newGraph(h, sub, nil)
 		u := h.NewVertexSet()
 		for v := 0; v < h.NumVertices(); v++ {
 			if r.Intn(3) == 0 {
@@ -422,7 +437,7 @@ func TestComponentsIntoMatchesComponents(t *testing.T) {
 // splitting into it allocates nothing, specials included.
 func TestComponentsIntoAllocatesNothing(t *testing.T) {
 	h := cycle(64)
-	g := NewGraph(h, h.AllEdgeIDs()[1:], []Special{{ID: 1, Vertices: h.Edge(0)}})
+	g := newGraph(h, h.AllEdgeIDs()[1:], []Special{{ID: 1, Vertices: h.Edge(0)}})
 	sp := NewSplitter(h)
 	u := h.Union([]int{8, 16, 32, 48})
 	var buf ComponentBuf
@@ -469,7 +484,7 @@ func randomExtGraph(r *rand.Rand) (*Graph, *bitset.Set) {
 		}
 		specials = append(specials, Special{ID: i + 1, Vertices: vs})
 	}
-	g := NewGraph(h, edges, specials)
+	g := newGraph(h, edges, specials)
 	u := h.NewVertexSet()
 	for v := 0; v < h.NumVertices(); v++ {
 		if r.Intn(4) == 0 {
@@ -533,7 +548,7 @@ func TestBalancedOversizedMatchComponents(t *testing.T) {
 	if !sp.Balanced(Root(h), half) {
 		t.Fatal("a component of 4 of 8 items is balanced")
 	}
-	g7 := NewGraph(h, []int{1, 2, 3, 4, 6, 7}, []Special{{ID: 1, Vertices: h.Edge(0)}})
+	g7 := newGraph(h, []int{1, 2, 3, 4, 6, 7}, []Special{{ID: 1, Vertices: h.Edge(0)}})
 	if sp.Balanced(g7, half) {
 		t.Fatal("a component of 4 of 7 items is not balanced")
 	}
@@ -550,7 +565,7 @@ func TestBalancedOversizedMatchComponents(t *testing.T) {
 // Splitter's scratch and allocates nothing once warm.
 func TestBalancedAllocatesNothing(t *testing.T) {
 	h := cycle(64)
-	g := NewGraph(h, h.AllEdgeIDs()[1:], []Special{{ID: 1, Vertices: h.Edge(0)}})
+	g := newGraph(h, h.AllEdgeIDs()[1:], []Special{{ID: 1, Vertices: h.Edge(0)}})
 	sp := NewSplitter(h)
 	u := h.Union([]int{0, 16, 32, 48})
 	if n := testing.AllocsPerRun(100, func() { sp.Balanced(g, u) }); n != 0 {
@@ -572,9 +587,9 @@ func TestEdgeKeyMatchesBitset(t *testing.T) {
 					edges = append(edges, e)
 				}
 			}
-			g := NewGraph(h, edges, nil)
+			g := newGraph(h, edges, nil)
 			conn := h.NewVertexSet()
-			want := h.NewEdgeSet()
+			want := bitset.New(h.NumEdges())
 			for _, e := range edges {
 				want.Set(e)
 			}

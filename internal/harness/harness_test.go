@@ -304,11 +304,10 @@ func TestAblationSmoke(t *testing.T) {
 }
 
 func TestMethodLogKName(t *testing.T) {
-	if MethodLogK(2).Name != "log-k-decomp" {
+	if MethodLogKHybrid(2, logk.HybridWeightedCount, 0).Name != "log-k-decomp Hybrid" {
 		t.Fatal("unexpected method name")
 	}
 	if shortName("log-k-decomp Hybrid") != "Hyb" {
 		t.Fatal("short name mapping broken")
 	}
-	_ = logk.HybridWeightedCount
 }

@@ -35,16 +35,6 @@ func MethodOpt() Method {
 	}
 }
 
-// MethodLogK is plain log-k-decomp with the given worker count.
-func MethodLogK(workers int) Method {
-	return Method{
-		Name: "log-k-decomp",
-		NewParam: func(h *hypergraph.Hypergraph, k int) WidthSolver {
-			return logk.New(h, logk.Options{K: k, Workers: workers})
-		},
-	}
-}
-
 // MethodLogKHybrid is the paper's headline configuration: log-k-decomp
 // with det-k-decomp hybridisation (§5.2, Appendix D.2).
 func MethodLogKHybrid(workers int, metric logk.HybridMetric, threshold float64) Method {

@@ -14,7 +14,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"sort"
 	"strings"
 	"sync/atomic"
 
@@ -135,9 +134,6 @@ func (h *Hypergraph) IncidentEdges(v int) []int { return h.incidence[v] }
 
 // NewVertexSet returns an empty bitset with capacity NumVertices.
 func (h *Hypergraph) NewVertexSet() *bitset.Set { return bitset.New(h.NumVertices()) }
-
-// NewEdgeSet returns an empty bitset with capacity NumEdges.
-func (h *Hypergraph) NewEdgeSet() *bitset.Set { return bitset.New(h.NumEdges()) }
 
 // UnionInto adds the vertices of every edge in ids to dst and returns dst.
 func (h *Hypergraph) UnionInto(dst *bitset.Set, ids []int) *bitset.Set {
@@ -338,29 +334,4 @@ func (h *Hypergraph) isConnected() bool {
 		})
 	}
 	return count == m
-}
-
-// SortedEdgeIDsByDegree returns edge ids ordered by descending total
-// vertex degree (the sum over the edge's vertices of how many edges
-// contain them). Separator searches that try "central" edges first tend
-// to find balanced separators sooner.
-func (h *Hypergraph) SortedEdgeIDsByDegree() []int {
-	type ed struct{ id, weight int }
-	eds := make([]ed, h.NumEdges())
-	for i := range eds {
-		w := 0
-		h.edges[i].ForEach(func(v int) { w += len(h.incidence[v]) })
-		eds[i] = ed{i, w}
-	}
-	sort.Slice(eds, func(a, b int) bool {
-		if eds[a].weight != eds[b].weight {
-			return eds[a].weight > eds[b].weight
-		}
-		return eds[a].id < eds[b].id
-	})
-	out := make([]int, len(eds))
-	for i, e := range eds {
-		out[i] = e.id
-	}
-	return out
 }

@@ -193,21 +193,6 @@ func TestComputeStats(t *testing.T) {
 	}
 }
 
-func TestSortedEdgeIDsByDegree(t *testing.T) {
-	var b Builder
-	b.MustAddEdge("hub", "a", "b", "c")
-	b.MustAddEdge("leaf1", "a", "x")
-	b.MustAddEdge("leaf2", "b", "y")
-	h := b.Build()
-	ids := h.SortedEdgeIDsByDegree()
-	if ids[0] != 0 {
-		t.Fatalf("hub edge should come first, got order %v", ids)
-	}
-	if len(ids) != 3 {
-		t.Fatalf("want all 3 edges, got %v", ids)
-	}
-}
-
 func TestIsAcyclic(t *testing.T) {
 	// A path is acyclic.
 	var b Builder

@@ -89,7 +89,7 @@ func TestArenaChunkBoundaryRows(t *testing.T) {
 			if i < 0 {
 				continue
 			}
-			if row := r.Row(i); row[0] != i || row[1] != -i {
+			if row := r.AppendRow(nil, i); row[0] != i || row[1] != -i {
 				t.Fatalf("n=%d: Row(%d) = %v", n, i, row)
 			}
 		}
@@ -114,7 +114,7 @@ func TestArenaWidePromotion(t *testing.T) {
 		}
 		r.Add(big).Add(-big).Add(math.MinInt32)
 		for i := 0; i < at; i++ {
-			if got := r.Row(i)[0]; got != i {
+			if got := r.AppendRow(nil, i)[0]; got != i {
 				t.Fatalf("promote@%d: narrow value %d read back as %d", at, i, got)
 			}
 		}

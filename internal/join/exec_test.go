@@ -380,7 +380,7 @@ func TestDownPassIndexesParentOnce(t *testing.T) {
 		t.Fatalf("IndexBuilds = %d, want 1 (four children share the parent's index)", n)
 	}
 	for i, c := range parent.children {
-		if c.rel.Size() != 1 || c.rel.Row(0)[0] != 1 {
+		if c.rel.Size() != 1 || c.rel.AppendRow(nil, 0)[0] != 1 {
 			t.Fatalf("child %d not reduced against the parent: %v", i, c.rel.Rows())
 		}
 	}

@@ -180,15 +180,6 @@ func (m *MRel) View() *Relation { return m.view }
 // LiveSize returns the live tuple count including uncommitted deltas.
 func (m *MRel) LiveSize() int { return m.base.n - m.deadN }
 
-// Layers returns the maintained layer count across all registered
-// column sets; tests use it to check the maxIndexLayers collapse.
-func (m *MRel) Layers() (sets, layers int) {
-	for _, st := range m.sets {
-		layers += len(st.layers)
-	}
-	return len(m.sets), layers
-}
-
 // liveRow returns the row id of the live copy of vals, -1 when absent.
 // Committed rows resolve through the rowset layers, rows appended by
 // the in-flight batch through the tail map.

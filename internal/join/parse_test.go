@@ -116,7 +116,7 @@ func TestParseDocumentTriangle(t *testing.T) {
 	if r == nil || !reflect.DeepEqual(r.Attrs, []string{"c1", "c2"}) || r.Size() != 3 {
 		t.Fatalf("R = %+v", r)
 	}
-	if !reflect.DeepEqual(r.Row(2), []int{4, 2}) {
+	if !reflect.DeepEqual(r.AppendRow(nil, 2), []int{4, 2}) {
 		t.Fatalf("R tuple order not preserved: %v", r.Rows())
 	}
 }

@@ -89,11 +89,6 @@ func (r *Relation) Size() int { return r.n }
 // at returns column c of row i.
 func (r *Relation) at(i, c int) int { return r.cols[c].at(i) }
 
-// Row materialises row i as a fresh slice.
-func (r *Relation) Row(i int) []int {
-	return r.AppendRow(make([]int, 0, len(r.cols)), i)
-}
-
 // AppendRow appends row i's values to dst and returns it.
 func (r *Relation) AppendRow(dst []int, i int) []int {
 	for c := range r.cols {

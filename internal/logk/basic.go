@@ -84,12 +84,6 @@ RootLoop:
 	return nil, false, nil // exhausted search space (line 10)
 }
 
-// Decide runs Decompose and discards the decomposition.
-func (b *BasicSolver) Decide(ctx context.Context) (bool, error) {
-	_, ok, err := b.Decompose(ctx)
-	return ok, err
-}
-
 func (b *BasicSolver) tick() error {
 	b.steps++
 	if b.steps&0xFF == 0 {

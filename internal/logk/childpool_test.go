@@ -79,7 +79,7 @@ func TestChildPoolCandidateBudget(t *testing.T) {
 func TestChildPoolRejectsInterfaceOutsideSubproblem(t *testing.T) {
 	h := path(6)
 	s := New(h, Options{K: 1})
-	g := ext.NewGraph(h, []int{0, 1, 2}, nil) // V(g) = {x0, ..., x3}
+	g := &ext.Graph{H: h, Edges: []int{0, 1, 2}} // V(g) = {x0, ..., x3}
 	x5, _ := h.VertexID("x5")
 	conn := h.NewVertexSet()
 	conn.Set(x5)

@@ -153,18 +153,6 @@ func (s *ShardedMemo) Add(key string) bool {
 	return !exists
 }
 
-// Len returns the number of memoised states.
-func (s *ShardedMemo) Len() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		n += len(sh.m)
-		sh.mu.RUnlock()
-	}
-	return n
-}
-
 // fnvShard hashes a key buffer to a shard index.
 func fnvShard(b []byte) int {
 	h := uint32(2166136261)

@@ -207,12 +207,6 @@ func (s *Solver) Decompose(ctx context.Context) (*decomp.Decomp, bool, error) {
 	return &decomp.Decomp{H: s.H, Root: node}, true, nil
 }
 
-// Decide is Decompose without materialising the decomposition.
-func (s *Solver) Decide(ctx context.Context) (bool, error) {
-	_, ok, err := s.Decompose(ctx)
-	return ok, err
-}
-
 // worker carries per-goroutine scratch state.
 type worker struct {
 	split *ext.Splitter

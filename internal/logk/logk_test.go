@@ -258,7 +258,7 @@ func TestAblationTogglesStillCorrect(t *testing.T) {
 		sNeg := New(cycle(5), Options{K: o.K, NoAllowedRestriction: o.NoAllowedRestriction,
 			NoParentPoolRestriction: o.NoParentPoolRestriction, NoNegativeBaseCase: o.NoNegativeBaseCase})
 		sNeg.Opts.K = 1
-		if ok, err := sNeg.Decide(context.Background()); err != nil || ok {
+		if _, ok, err := sNeg.Decompose(context.Background()); err != nil || ok {
 			t.Fatalf("variant %d: k=1 on cycle should reject (ok=%v err=%v)", i, ok, err)
 		}
 	}
@@ -287,7 +287,7 @@ func TestBasicSolverOnPaperExample(t *testing.T) {
 	if err := decomp.CheckWidth(d, 2); err != nil {
 		t.Fatal(err)
 	}
-	if ok, err := NewBasic(h, 1).Decide(context.Background()); err != nil || ok {
+	if _, ok, err := NewBasic(h, 1).Decompose(context.Background()); err != nil || ok {
 		t.Fatalf("basic solver should reject k=1 on a cycle (ok=%v err=%v)", ok, err)
 	}
 }

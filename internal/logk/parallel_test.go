@@ -3,6 +3,7 @@ package logk
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -73,7 +74,7 @@ func TestParallelSplitClaimsEveryRankOnce(t *testing.T) {
 		total := space.Total()
 
 		var mu sync.Mutex
-		claimed := make([]int, total)
+		claimed := make(map[string]int, total)
 		ordered := true
 		newRange := func(*worker) rangeFunc {
 			next := int64(0)
@@ -84,7 +85,7 @@ func TestParallelSplitClaimsEveryRankOnce(t *testing.T) {
 				ordered = ordered && lo >= next
 				next = hi
 				for c := it.Next(); c != nil; c = it.Next() {
-					claimed[space.Rank(c)]++
+					claimed[fmt.Sprint(c)]++
 				}
 				return nil, false, nil
 			}
@@ -92,6 +93,9 @@ func TestParallelSplitClaimsEveryRankOnce(t *testing.T) {
 		w := s.getWorker()
 		node, ok, err := s.splitSearch(context.Background(), w, total, chunk, newRange)
 		if node != nil || ok || err != nil || !ordered {
+			return false
+		}
+		if int64(len(claimed)) != total {
 			return false
 		}
 		for _, n := range claimed {

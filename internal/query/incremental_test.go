@@ -259,7 +259,7 @@ func TestDifferentialIncremental(t *testing.T) {
 
 			// Pinned reads: every retained version answers with its own
 			// rows; versions past the retention window are a clear error.
-			current := d.Version()
+			current := d.Info().Version
 			for v := uint64(1); v <= current; v++ {
 				res, err := p.Eval(ctx, Request{Query: q, Dataset: name, AtVersion: v})
 				if err != nil {

@@ -256,15 +256,27 @@ func TestRaceDeadlineReturnsPartialBounds(t *testing.T) {
 	}
 }
 
+// countingMemo is a logk.ShardedMemo that counts the keys it added.
+type countingMemo struct {
+	logk.ShardedMemo
+	added atomic.Int64
+}
+
+func (m *countingMemo) Insert(key string) {
+	if m.Add(key) {
+		m.added.Add(1)
+	}
+}
+
 // TestRaceSharedMemoInjection: refutations performed by a race must
 // land in the injected per-width memo backends, and a second race
 // seeded with those tables must hit them.
 func TestRaceSharedMemoInjection(t *testing.T) {
 	h := cycle(16) // hw 2
-	tables := map[int]*logk.ShardedMemo{}
+	tables := map[int]*countingMemo{}
 	memoFor := func(k int) logk.MemoBackend {
 		if tables[k] == nil {
-			tables[k] = new(logk.ShardedMemo)
+			tables[k] = new(countingMemo)
 		}
 		return tables[k]
 	}
@@ -273,7 +285,7 @@ func TestRaceSharedMemoInjection(t *testing.T) {
 	if err != nil || !res.Found || res.Width != 2 {
 		t.Fatalf("first race: err=%v found=%v width=%d", err, res.Found, res.Width)
 	}
-	if tables[1] == nil || tables[1].Len() == 0 {
+	if tables[1] == nil || tables[1].added.Load() == 0 {
 		t.Fatal("refuting width 1 should have populated the width-1 memo table")
 	}
 	second, err := New(h, Config{KMax: 4, MaxProbes: 1, MemoFor: memoFor}).Solve(ctx)

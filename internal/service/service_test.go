@@ -207,7 +207,7 @@ func TestMemoSharingUnderConcurrency(t *testing.T) {
 	}
 	// Verify expectations against direct cache-free solvers first.
 	for i, j := range jobs {
-		ok, err := logk.New(j.h, logk.Options{K: j.k, NoCache: true}).Decide(ctx)
+		_, ok, err := logk.New(j.h, logk.Options{K: j.k, NoCache: true}).Decompose(ctx)
 		if err != nil || ok != j.want {
 			t.Fatalf("job template %d: direct ok=%v err=%v want=%v", i, ok, err, j.want)
 		}

@@ -72,7 +72,7 @@ func TestCrashRecoveryKillMidAppend(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d: recovery open: %v", round, err)
 		}
-		n := l.Len()
+		n := len(l.Hashes())
 		if n == 0 {
 			t.Fatalf("round %d: child wrote nothing before the kill", round)
 		}

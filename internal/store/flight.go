@@ -80,13 +80,6 @@ func (f *Flight) Do(ctx context.Context, key string, fn func() any) (val any, le
 	return c.val, true, nil
 }
 
-// InFlight returns the number of keys currently being computed.
-func (f *Flight) InFlight() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.calls)
-}
-
 // Waiting returns the number of followers currently blocked on a
 // leader's result.
 func (f *Flight) Waiting() int { return int(f.waiting.Load()) }

@@ -629,13 +629,6 @@ func (l *Log) Hashes() []string {
 	return out
 }
 
-// Len returns the number of indexed hashes.
-func (l *Log) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.index)
-}
-
 // Compact rewrites every live entry into a fresh segment and removes
 // the older ones. Crash safety: the compacted segment has a higher id
 // than everything it replaces, and records are merges — replaying

@@ -77,7 +77,7 @@ func TestLogRoundTrip(t *testing.T) {
 	if b, ok := l.Bounds("g2"); !ok || b.UB != 2 {
 		t.Fatalf("g2 bounds %+v ok=%v, want UB=2", b, ok)
 	}
-	if n := l.Len(); n != 2 {
+	if n := len(l.Hashes()); n != 2 {
 		t.Fatalf("len=%d, want 2", n)
 	}
 }
@@ -166,7 +166,7 @@ func TestLogRotationAndCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if n := l.Len(); n != 9 {
+	if n := len(l.Hashes()); n != 9 {
 		t.Fatalf("len=%d after reopen, want 9", n)
 	}
 	if tr, ok, _ := l.Tree("g3"); !ok || tr.Width() != 2 {
@@ -365,7 +365,7 @@ func TestLogPurge(t *testing.T) {
 	if err := l.Purge(); err != nil {
 		t.Fatal(err)
 	}
-	if l.Len() != 0 {
+	if len(l.Hashes()) != 0 {
 		t.Fatal("purge left entries")
 	}
 	l.PutTree("h", testTree(3))

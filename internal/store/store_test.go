@@ -17,6 +17,18 @@ import (
 	"repro/internal/logk"
 )
 
+// Nodes returns the number of nodes, 0 for a nil tree.
+func (t *Tree) Nodes() int {
+	if t == nil {
+		return 0
+	}
+	n := 1
+	for _, c := range t.Children {
+		n += c.Nodes()
+	}
+	return n
+}
+
 func cycle(n int) *hypergraph.Hypergraph {
 	var b hypergraph.Builder
 	for i := 0; i < n; i++ {
@@ -413,7 +425,10 @@ func TestFlightLeaderPanicUnwedges(t *testing.T) {
 	if v := <-followerDone; v != nil {
 		t.Fatalf("follower of a panicked leader got %v, want nil", v)
 	}
-	if f.InFlight() != 0 {
+	f.mu.Lock()
+	inFlight := len(f.calls)
+	f.mu.Unlock()
+	if inFlight != 0 {
 		t.Fatal("panicked key still registered")
 	}
 	if _, leader, _ := f.Do(context.Background(), "k", func() any { return 1 }); !leader {
@@ -480,7 +495,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fresh.Close()
-	if n := fresh.Log().Len(); n != 2 {
+	if n := len(fresh.log.Hashes()); n != 2 {
 		t.Fatalf("snapshot holds %d entries, want 2", n)
 	}
 	if b, ok := fresh.Bounds(hash); !ok || b.LB != 2 || b.UB != 2 {

@@ -50,9 +50,6 @@ func OpenTiered(cfg TieredConfig) (*Tiered, error) {
 	return &Tiered{mem: NewMemory(cfg.MaxGraphs), log: l}, nil
 }
 
-// Log exposes the disk tier for maintenance (Compact, Sync) and tests.
-func (t *Tiered) Log() *Log { return t.log }
-
 // Bounds implements Backend: memory first, disk on miss (with
 // promotion into the memory front).
 func (t *Tiered) Bounds(hash string) (Bounds, bool) {

@@ -143,7 +143,7 @@ func TestTieredExportImport(t *testing.T) {
 	if tr, ok := dst.Decomposition("g2"); !ok || tr.Width() != 2 {
 		t.Fatalf("copied g2 tree missing (ok=%v)", ok)
 	}
-	if got := dst.Log().Refuted("g1"); len(got) != 1 || got[0] != (WidthSummary{K: 2, States: 1}) {
+	if got := dst.log.Refuted("g1"); len(got) != 1 || got[0] != (WidthSummary{K: 2, States: 1}) {
 		t.Fatalf("copied g1 refutation summaries %+v", got)
 	}
 	dst.MergeBounds("g3", Bounds{LB: 5})

@@ -37,18 +37,6 @@ func (t *Tree) Width() int {
 	return w
 }
 
-// Nodes returns the number of nodes, 0 for a nil tree.
-func (t *Tree) Nodes() int {
-	if t == nil {
-		return 0
-	}
-	n := 1
-	for _, c := range t.Children {
-		n += c.Nodes()
-	}
-	return n
-}
-
 // EncodeTree converts a finished decomposition into its portable form.
 // Decompositions with placeholder special leaves (an internal solver
 // state, never returned to callers) cannot be encoded and yield nil.

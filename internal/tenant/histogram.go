@@ -54,9 +54,6 @@ func (h *Histogram) Record(d time.Duration) {
 	h.total.Add(1)
 }
 
-// Count returns the number of recorded observations.
-func (h *Histogram) Count() int64 { return h.total.Load() }
-
 // Quantile returns the q-quantile (q in [0,1]) of the recorded
 // observations, or 0 when none were recorded. Concurrent Records may
 // skew a racing snapshot by the samples in flight; the estimate is

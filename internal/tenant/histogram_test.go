@@ -11,7 +11,7 @@ func TestHistogramEmpty(t *testing.T) {
 	if got := h.Quantile(0.5); got != 0 {
 		t.Fatalf("empty histogram p50 = %v, want 0", got)
 	}
-	if h.Count() != 0 {
+	if h.total.Load() != 0 {
 		t.Fatal("empty histogram has a count")
 	}
 }
@@ -24,8 +24,8 @@ func TestHistogramQuantileBounds(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		h.Record(100 * time.Millisecond)
 	}
-	if h.Count() != 100 {
-		t.Fatalf("count = %d, want 100", h.Count())
+	if h.total.Load() != 100 {
+		t.Fatalf("count = %d, want 100", h.total.Load())
 	}
 	// 1ms lands in [800µs, 1.6ms); the p50 estimate must stay inside
 	// that bucket.
@@ -51,8 +51,8 @@ func TestHistogramExtremes(t *testing.T) {
 	h.Record(-time.Second)         // clamped into bucket 0
 	h.Record(0)                    // bucket 0
 	h.Record(400 * 24 * time.Hour) // beyond the range: overflow bucket
-	if h.Count() != 3 {
-		t.Fatalf("count = %d, want 3", h.Count())
+	if h.total.Load() != 3 {
+		t.Fatalf("count = %d, want 3", h.total.Load())
 	}
 	if p01 := h.Quantile(0.01); p01 >= histBase {
 		t.Fatalf("low quantile %v escaped bucket 0", p01)
@@ -75,8 +75,8 @@ func TestHistogramConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if h.Count() != 8000 {
-		t.Fatalf("count = %d, want 8000", h.Count())
+	if h.total.Load() != 8000 {
+		t.Fatalf("count = %d, want 8000", h.total.Load())
 	}
 	if p50 := h.Quantile(0.5); p50 <= 0 || p50 > 16*time.Millisecond {
 		t.Fatalf("p50 = %v out of plausible range", p50)

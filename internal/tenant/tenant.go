@@ -163,9 +163,6 @@ func NewWall(cfg Config) *Wall {
 	}
 }
 
-// Config returns the effective configuration, with defaults resolved.
-func (w *Wall) Config() Config { return w.cfg }
-
 // Lease is one admitted request. Exactly one Done call releases the
 // tenant's in-flight slot and records outcome and latency; extra calls
 // and calls on a nil Lease are no-ops.
@@ -390,13 +387,4 @@ func (w *Wall) Stats() map[string]Stats {
 		out[id] = s
 	}
 	return out
-}
-
-// Spare returns the spare pool's current balance (after a refresh);
-// tests assert reflow against it.
-func (w *Wall) Spare() float64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.refillLocked(w.cfg.Now())
-	return w.spare
 }

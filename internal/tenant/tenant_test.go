@@ -108,7 +108,11 @@ func TestFairShareSpillKeepsIsolation(t *testing.T) {
 	}
 	// One second: each bucket 1+2 caps at 2, spilling 1 each → spare 2.
 	clk.Advance(time.Second)
-	if spare := w.Spare(); spare != 2 {
+	w.mu.Lock()
+	w.refillLocked(clk.Now())
+	spare := w.spare
+	w.mu.Unlock()
+	if spare != 2 {
 		t.Fatalf("spare = %v, want 2 (1 spilled per full bucket)", spare)
 	}
 	// Greedy takes its own 2 plus the whole spare pool...

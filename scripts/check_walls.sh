@@ -8,6 +8,11 @@
 # packages with `go test -list`, and fails when any alternative of its
 # -run regex matches none of them.
 #
+# It also holds the Makefile's FUZZ_TARGETS to the fuzz functions that
+# exist: every Fuzz function `go test -list` finds in the module must be
+# listed, so `make fuzz` and `make fuzz-long` run it, and every listed
+# package:Function must exist.
+#
 # Usage: scripts/check_walls.sh   (from the repo root; `make walls-check`)
 set -eu
 
@@ -34,7 +39,35 @@ while IFS= read -r cmd; do
 done <<EOF
 $cmds
 EOF
+
+# FUZZ_TARGETS as the Makefile expands it, one package:Function a line.
+listed="$(printf 'print-fuzz-targets:\n\t@echo $(FUZZ_TARGETS)\n' |
+  make -s -f Makefile -f - print-fuzz-targets | tr -s ' ' '\n')"
+# Every Fuzz function of the module, as ./package:Function ("." is the
+# root package).
+module="$(go list -m)"
+found="$(go test -list '^Fuzz' ./... | awk -v mod="$module" '
+  /^Fuzz/ { names[++n] = $1; next }
+  /^ok/ {
+    pkg = $2
+    if (pkg == mod) pkg = "."; else pkg = "./" substr(pkg, length(mod) + 2)
+    for (i = 1; i <= n; i++) print pkg ":" names[i]
+    n = 0
+  }')"
+for t in $found; do
+  if ! printf '%s\n' "$listed" | grep -qxF -- "$t"; then
+    echo "check_walls: fuzz target $t is missing from FUZZ_TARGETS"
+    status=1
+  fi
+done
+for t in $listed; do
+  if ! printf '%s\n' "$found" | grep -qxF -- "$t"; then
+    echo "check_walls: FUZZ_TARGETS entry $t names no fuzz function"
+    status=1
+  fi
+done
+
 if [ "$status" -eq 0 ]; then
-  echo "check_walls: every -run alternative matches a test"
+  echo "check_walls: every -run alternative matches a test, and FUZZ_TARGETS lists every fuzz function"
 fi
 exit "$status"
