@@ -7,7 +7,7 @@
 # `make perfbench-smoke` runs it as a correctness wall. The executor's
 # and the dataset layer's allocation budgets and the disk tier's I/O
 # budget are `go test` tests (TestExecutorAllocBudget,
-# TestMaintenanceAllocBudget in internal/join; TestCanonicalAllocBudget
+# TestAggregateAllocBudget, TestMaintenanceAllocBudget in internal/join; TestCanonicalAllocBudget
 # in internal/query; TestQueryEncodeAllocBudget in cmd/htdserve;
 # TestDiskTierIOBudget in internal/service), so `make race` runs them. cmd/benchtab keeps the
 # paper's experiments.
@@ -119,9 +119,10 @@ stress:
 # random racer HDs; the bag cache's walls: warm hits, the row budget on
 # a hit, concurrent identical queries and the snapshot scope; and the
 # executor's abort walls: a cancellation at any context check returns
-# context.Canceled, and the row budget fires inside the join loop.
+# context.Canceled, and the row budget fires inside the join loop; and
+# an aggregate past int64 fails instead of wrapping.
 differential:
-	$(GO) test -race -count=1 -run 'TestDifferential|TestConcurrentIdentical|TestEval|TestServeQuery|TestExecDuplicateRows|TestCanonical|TestStatsConservation|TestRegistryTotalsMonotone|TestStatsValuesGolden|TestAggregateBagColumnOrder|TestBagBuildSkipsNoOpWork|TestExecColumnsIndependentOfIndexSets|TestContractionSolverIndependent|TestContractionProperties|TestServeQueryInlineDuplicateTuples|TestBagCache|TestExecCancel|TestExecRowBudgetInsideJoinLoop' ./internal/query ./internal/join ./internal/dataset ./cmd/htdserve
+	$(GO) test -race -count=1 -run 'TestDifferential|TestConcurrentIdentical|TestEval|TestServeQuery|TestExecDuplicateRows|TestCanonical|TestStatsConservation|TestRegistryTotalsMonotone|TestStatsValuesGolden|TestAggregateBagColumnOrder|TestBagBuildSkipsNoOpWork|TestExecColumnsIndependentOfIndexSets|TestContractionSolverIndependent|TestContractionProperties|TestServeQueryInlineDuplicateTuples|TestBagCache|TestExecCancel|TestExecRowBudgetInsideJoinLoop|TestAggregateOverflow' ./internal/query ./internal/join ./internal/dataset ./cmd/htdserve
 
 # A wall cannot silently lose a test: every alternative of the -run
 # regexes in stress, crash-recovery and differential must match a test

@@ -562,6 +562,7 @@ func (s *server) runQuery(ctx context.Context, a queryAPIRequest, tenant string)
 		switch {
 		case errors.Is(err, htd.ErrNoQueryPlan),
 			errors.Is(err, htd.ErrRowBudget),
+			errors.Is(err, htd.ErrAggregateOverflow),
 			errors.Is(err, context.DeadlineExceeded),
 			errors.Is(err, context.Canceled),
 			errors.Is(err, htd.ErrTenantLimited),

@@ -832,6 +832,22 @@ func TestServeQueryAggregate(t *testing.T) {
 		t.Fatalf("aggregate under the same budget: %+v", agg.Aggregate)
 	}
 
+	// A count past int64 is an answer that fails, like the row budget:
+	// 300^8 answers of the 8-atom star over R = {(i, 0) : i < 300}.
+	var rows300, atoms8 strings.Builder
+	for i := 0; i < 300; i++ {
+		fmt.Fprintf(&rows300, "%d 0\\n", i)
+	}
+	for i := 1; i <= 8; i++ {
+		fmt.Fprintf(&atoms8, "R(x%d,y), ", i)
+	}
+	overflowBody := `{"query":"` + strings.TrimSuffix(atoms8.String(), ", ") + `.",` +
+		`"database":"rel R(c1,c2)\n` + rows300.String() + `end\n","aggregate":"count"}`
+	resp, over, raw := postQuery(t, ts.URL+"/query", overflowBody)
+	if resp.StatusCode != http.StatusOK || over.OK || !strings.Contains(over.Error, "overflows int64") {
+		t.Fatalf("count past int64: status=%d %s", resp.StatusCode, raw)
+	}
+
 	// Grouped head: canonical group columns and sorted groups.
 	_, grouped, _ := postQuery(t, ts.URL+"/query",
 		strings.TrimSuffix(triangleQueryBody, "}")+`,"aggregate":"group x: count"}`)

@@ -251,6 +251,10 @@ type Database = join.Database
 // per-query row budget (QueryRequest.MaxRows).
 var ErrRowBudget = join.ErrRowBudget
 
+// ErrAggregateOverflow is wrapped by aggregate evaluations whose COUNT
+// or SUM, or one of the SUM's partial sums, leaves the int64 range.
+var ErrAggregateOverflow = join.ErrAggregateOverflow
+
 // ErrNoQueryPlan is wrapped when a query's hypertree width exceeds the
 // requested ceiling: no width-bounded plan exists.
 var ErrNoQueryPlan = query.ErrNoPlan

@@ -2,7 +2,10 @@ package join
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/decomp"
@@ -22,6 +25,12 @@ import (
 // every variable has a unique resolution point (the topmost bag that
 // contains it), sibling subtrees share no unresolved variables, and
 // per-branch partial aggregates combine by key-wise products.
+
+// ErrAggregateOverflow is returned (wrapped) when a COUNT or SUM leaves
+// the int64 range, or, for a SUM, one of the partial sums the pushdown
+// adds up does. MIN, MAX and COUNT DISTINCT never overflow, however
+// many answers they fold.
+var ErrAggregateOverflow = errors.New("join: aggregate overflows int64")
 
 // AggKind selects the aggregate operation.
 type AggKind int
@@ -258,7 +267,9 @@ func AggregateRows(rel *Relation, spec AggSpec) (AggResult, error) {
 			dbuf = appendRowKey(dbuf[:0], rel, i, overIdx)
 			a.distinct[string(dbuf)] = struct{}{}
 		case AggSum:
-			a.val += int64(rel.at(i, opIdx))
+			if a.val, err = addInt64(a.val, int64(rel.at(i, opIdx))); err != nil {
+				return AggResult{}, err
+			}
 			a.has = true
 		case AggMin:
 			if v := int64(rel.at(i, opIdx)); !a.has || v < a.val {
@@ -332,8 +343,7 @@ func fillEmptyScalar(r *AggResult, spec AggSpec) {
 // aggCell is one partial-aggregate cell: the aggregate state of every
 // answer extension that agrees with one carried watched-variable key.
 type aggCell struct {
-	key   []int // carried watched-variable values (node state order)
-	count int64 // distinct extensions below, per key
+	count int64 // distinct extensions below, per key, or overflowed
 	val   int64 // running SUM, or MIN/MAX extreme, once the operand resolved
 	has   bool  // operand variable was resolved in this subtree
 }
@@ -342,108 +352,137 @@ type aggCell struct {
 // scopes): extension counts multiply; the operand is resolved in at
 // most one branch (resolution points are unique), whose fold scales by
 // the other branch's count (SUM) or passes through (MIN/MAX).
-func (s AggSpec) mul(a, b aggCell) aggCell {
-	out := aggCell{count: a.count * b.count}
-	switch s.Kind {
-	case AggSum:
-		switch {
-		case a.has:
-			out.val, out.has = a.val*b.count, true
-		case b.has:
-			out.val, out.has = b.val*a.count, true
-		}
-	case AggMin, AggMax:
-		switch {
-		case a.has:
-			out.val, out.has = a.val, true
-		case b.has:
-			out.val, out.has = b.val, true
+func (s AggSpec) mul(a, b aggCell) (aggCell, error) {
+	if b.has {
+		a, b = b, a
+	}
+	out := aggCell{count: countOp(mulInt64, a.count, b.count), val: a.val, has: a.has}
+	var err error
+	if s.Kind == AggSum {
+		out.val, err = scale(a.val, b.count)
+	}
+	return out, err
+}
+
+// add merges two cells of one key: the fold over alternative
+// extensions that carry the same key.
+func (s AggSpec) add(a, c aggCell) (aggCell, error) {
+	out := aggCell{count: countOp(addInt64, a.count, c.count), val: a.val, has: a.has || c.has}
+	var err error
+	switch {
+	case s.Kind == AggSum:
+		out.val, err = addInt64(a.val, c.val)
+	case c.has && (!a.has || s.Kind == AggMin && c.val < a.val || s.Kind == AggMax && c.val > a.val):
+		out.val = c.val
+	}
+	return out, err
+}
+
+// overflowed is the extension count past int64. Counts saturate there
+// rather than fail — they only grow, so an overflowed count stays so —
+// and only the readers of a count fail on it: a COUNT's answer, and a
+// SUM scaling a non-zero value. MIN, MAX and COUNT DISTINCT never read
+// it, so they answer however many extensions there are.
+const overflowed = -1
+
+// countOp is op on two extension counts, saturating at overflowed.
+func countOp(op func(a, b int64) (int64, error), a, b int64) int64 {
+	if c, err := op(a, b); err == nil && a != overflowed && b != overflowed {
+		return c
+	}
+	return overflowed
+}
+
+// scale is a SUM's val counted count times.
+func scale(val, count int64) (int64, error) {
+	if count == overflowed && val != 0 {
+		return 0, fmt.Errorf("%w: %d times a count past int64", ErrAggregateOverflow, val)
+	}
+	return mulInt64(val, count)
+}
+
+// addInt64 and mulInt64 are int64 + and * that fail with
+// ErrAggregateOverflow instead of wrapping.
+func addInt64(a, b int64) (int64, error) {
+	c := a + b
+	if (c > a) != (b > 0) {
+		return 0, fmt.Errorf("%w: %d + %d", ErrAggregateOverflow, a, b)
+	}
+	return c, nil
+}
+
+func mulInt64(a, b int64) (int64, error) {
+	c := a * b
+	if a != 0 && (c/a != b || a == -1 && b == math.MinInt64) {
+		return 0, fmt.Errorf("%w: %d * %d", ErrAggregateOverflow, a, b)
+	}
+	return c, nil
+}
+
+// aggCells is the pushdown state of one join-tree node as flat cell
+// lists, one per owner: a bag row, or a join-key bucket of a bag lifted
+// into its parent. Owner o holds cells[start[o]:start[o+1]]; cell j's
+// key, its values of vars, is keys[j*len(vars):(j+1)*len(vars)]. The
+// keys of one owner are distinct.
+type aggCells struct {
+	vars  []string
+	start []int
+	cells []aggCell
+	keys  []int
+}
+
+func (st *aggCells) key(j int) []int {
+	w := len(st.vars)
+	return st.keys[j*w : (j+1)*w]
+}
+
+// keysOn returns every cell's key projected onto vars, flat like keys.
+func (st *aggCells) keysOn(vars []string) []int {
+	pos := make([]int, len(vars))
+	for i, v := range vars {
+		pos[i] = slices.Index(st.vars, v)
+	}
+	out := make([]int, 0, len(st.cells)*len(vars))
+	for j := range st.cells {
+		k := st.key(j)
+		for _, p := range pos {
+			out = append(out, k[p])
 		}
 	}
 	return out
 }
 
-// addInto merges cell c (same key) into the map slot — the fold over
-// alternative child tuples sharing one lifted key.
-func (s AggSpec) addInto(m map[string]aggCell, k string, c aggCell) {
-	prev, ok := m[k]
-	if !ok {
-		m[k] = c
-		return
-	}
-	out := aggCell{key: prev.key, count: prev.count + c.count, val: prev.val, has: prev.has}
-	switch s.Kind {
-	case AggSum:
-		out.val += c.val
-		out.has = out.has || c.has
-	case AggMin:
-		if c.has && (!out.has || c.val < out.val) {
-			out.val, out.has = c.val, true
-		}
-	case AggMax:
-		if c.has && (!out.has || c.val > out.val) {
-			out.val, out.has = c.val, true
-		}
-	}
-	m[k] = out
+// cellTable finds the cell of a key among those an aggCells gained
+// since its current owner began: an open-addressing table of cell ids
+// + 1, hashed on the owner and the key and sized for every cell the
+// aggCells will hold, so one table serves all its owners.
+type cellTable struct {
+	slots []int32
+	mask  uint64
 }
 
-// aggState is the pushdown state of one join-tree node: per bag tuple,
-// a map from carried watched-variable key to partial aggregate. vars
-// lists the carried variables (sorted): the watched variables resolved
-// strictly below this node's bag.
-type aggState struct {
-	vars  []string
-	cells []map[string]aggCell
+func newCellTable(n int) cellTable {
+	size := tableSize(n)
+	return cellTable{slots: make([]int32, size), mask: uint64(size - 1)}
 }
 
-// sortedUnion merges two sorted, disjoint string slices.
-func sortedUnion(a, b []string) []string {
-	out := make([]string, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] < b[j] {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
+// merge adds c under key to owner o of out, whose cells start at lo:
+// into the cell with an equal key, or as a new cell.
+func (t cellTable) merge(out *aggCells, o, lo int, key []int, c aggCell, spec AggSpec) error {
+	for j := hashMix(hashVals(key), uint64(o)) & t.mask; ; j = (j + 1) & t.mask {
+		id := int(t.slots[j]) - 1
+		if id < 0 {
+			t.slots[j] = int32(len(out.cells)) + 1
+			out.cells = append(out.cells, c)
+			out.keys = append(out.keys, key...)
+			return nil
+		}
+		if id >= lo && slices.Equal(out.key(id), key) {
+			var err error
+			out.cells[id], err = spec.add(out.cells[id], c)
+			return err
 		}
 	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
-}
-
-// keySlots maps each var of union to its source: carried-cell key
-// position (carried[i]) or bag-tuple column (cols[i]), one of which is
-// -1 per slot.
-func keySlots(union, cellVars []string, rel *Relation, liftVars []string) (carried, cols []int, err error) {
-	carried = make([]int, len(union))
-	cols = make([]int, len(union))
-	cellPos := map[string]int{}
-	for i, v := range cellVars {
-		cellPos[v] = i
-	}
-	liftSet := map[string]bool{}
-	for _, v := range liftVars {
-		liftSet[v] = true
-	}
-	for i, v := range union {
-		carried[i], cols[i] = -1, -1
-		if p, ok := cellPos[v]; ok {
-			carried[i] = p
-			continue
-		}
-		if !liftSet[v] {
-			return nil, nil, fmt.Errorf("join: aggregate variable %q has no source at this node", v)
-		}
-		idx, err := rel.attrIndex([]string{v})
-		if err != nil {
-			return nil, nil, err
-		}
-		cols[i] = idx[0]
-	}
-	return carried, cols, nil
 }
 
 // aggregate runs the pushdown DP: bag materialisation, full Yannakakis
@@ -460,309 +499,191 @@ func (e *executor) aggregate(q Query, db Database, d *decomp.Decomp, spec AggSpe
 }
 
 // aggregateTree folds the partial aggregates of a reduced join tree
-// bottom-up into the answer — aggregate's back half.
+// bottom-up into the answer — aggregate's back half. The root is lifted
+// into a parent with no attributes (a nil position map), on an index
+// with no key columns: its one bucket's cells are keyed by every
+// watched variable.
 func (e *executor) aggregateTree(root *bagNode, spec AggSpec) (AggResult, error) {
 	watched := spec.watched()
-	st, err := e.aggNode(root, spec, watched, nil)
+	st, err := e.aggNode(root, spec, watched)
 	if err != nil {
 		return AggResult{}, err
 	}
-	return e.aggFold(root, spec, watched, st)
-}
-
-// aggNode computes the node's partial-aggregate state bottom-up. parent
-// is the parent bag relation (nil at the root); it determines which
-// watched variables — and possibly the operand — resolve when this
-// node's state is lifted into the parent, which happens in the caller
-// via liftChild.
-func (e *executor) aggNode(n *bagNode, spec AggSpec, watched []string, parent *Relation) (aggState, error) {
-	childStates := make([]aggState, len(n.children))
-	for i, c := range n.children {
-		var err error
-		if childStates[i], err = e.aggNode(c, spec, watched, n.rel); err != nil {
-			return aggState{}, err
-		}
-	}
-
-	// Start every bag tuple at the multiplicative unit: one extension
-	// (itself), nothing carried, operand unresolved.
-	state := aggState{cells: make([]map[string]aggCell, n.rel.Size())}
-	for i := range state.cells {
-		state.cells[i] = map[string]aggCell{"": {count: 1}}
-	}
-	for ci, c := range n.children {
-		// One shared-attribute list orders the key on both sides: the
-		// child is indexed and the parent probes in this order, whatever
-		// order either bag lists its columns in.
-		shared := sharedAttrs(n.rel, c.rel)
-		contribIx, contrib, liftedVars, err := e.liftChild(n, c, shared, childStates[ci], spec, watched)
-		if err != nil {
-			return aggState{}, err
-		}
-		union := sortedUnion(state.vars, liftedVars)
-		fromA := make([]int, len(union))
-		fromB := make([]int, len(union))
-		posA, posB := map[string]int{}, map[string]int{}
-		for i, v := range state.vars {
-			posA[v] = i
-		}
-		for i, v := range liftedVars {
-			posB[v] = i
-		}
-		for i, v := range union {
-			fromA[i], fromB[i] = -1, -1
-			if p, ok := posA[v]; ok {
-				fromA[i] = p
-			} else {
-				fromB[i] = posB[v]
-			}
-		}
-
-		nIdx, err := n.rel.attrIndex(shared)
-		if err != nil {
-			return aggState{}, err
-		}
-		kbuf := make([]byte, 0, 8*len(union))
-		for i := 0; i < n.rel.Size(); i++ {
-			if err := e.g.poll(i); err != nil {
-				return aggState{}, err
-			}
-			var m map[string]aggCell
-			if b, ok := contribIx.lookupRow(n.rel, nIdx, i); ok {
-				m = contrib[b]
-			}
-			acc := state.cells[i]
-			next := make(map[string]aggCell, len(acc)*len(m))
-			for _, a := range acc {
-				for _, b := range m {
-					cell := spec.mul(a, b)
-					key := make([]int, len(union))
-					for k := range union {
-						if fromA[k] >= 0 {
-							key[k] = a.key[fromA[k]]
-						} else {
-							key[k] = b.key[fromB[k]]
-						}
-					}
-					cell.key = key
-					kbuf = appendValsKey(kbuf[:0], key)
-					next[string(kbuf)] = cell
-				}
-			}
-			// After full reduction every carried key extends to a real
-			// answer, so a per-tuple state larger than the row budget
-			// means the grouped answer itself would blow the budget.
-			if err := e.g.checkRows(len(next)); err != nil {
-				return aggState{}, err
-			}
-			state.cells[i] = next
-		}
-		state.vars = union
-	}
-	return state, nil
-}
-
-// liftChild folds a child's per-tuple state into per-join-key
-// contribution maps for the parent's probe: each child tuple resolves
-// the watched variables (and the operand) that leave scope at this edge
-// — the variables in the child's bag but not the parent's — and
-// alternative child tuples with one lifted key sum. The result is a
-// hash index of the child on shared (key columns in that order) plus
-// one keyed cell map (over liftedVars) per index bucket; the parent
-// looks its join key up in the index and reads the bucket's map — no
-// join-key strings are built on either side.
-func (e *executor) liftChild(n, c *bagNode, shared []string, st aggState, spec AggSpec, watched []string) (*hashIndex, []map[string]aggCell, []string, error) {
-	parentHas := map[string]bool{}
-	for _, a := range n.rel.Attrs {
-		parentHas[a] = true
-	}
-	childHas := map[string]bool{}
-	for _, a := range c.rel.Attrs {
-		childHas[a] = true
-	}
-	var liftVars []string
-	for _, v := range watched {
-		if childHas[v] && !parentHas[v] {
-			liftVars = append(liftVars, v)
-		}
-	}
-	liftedVars := sortedUnion(st.vars, liftVars)
-	carried, cols, err := keySlots(liftedVars, st.vars, c.rel, liftVars)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-
-	resolveOp := false
-	var opCol int
-	switch spec.Kind {
-	case AggSum, AggMin, AggMax:
-		if childHas[spec.Var] && !parentHas[spec.Var] {
-			idx, err := c.rel.attrIndex([]string{spec.Var})
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			resolveOp, opCol = true, idx[0]
-		}
-	}
-
-	// One fresh index over all of c.rel: bucketOf needs a single index
-	// covering every row, which a maintained multi-layer stack is not.
-	keyCols, err := c.rel.attrIndex(shared)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	ix, err := buildIndexCols(c.rel, keyCols, 0, c.rel.Size(), e.g)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	e.stats.IndexBuilds++
-	contrib := make([]map[string]aggCell, len(ix.first))
-	kbuf := make([]byte, 0, 8*len(liftedVars))
-	for j := 0; j < c.rel.Size(); j++ {
-		if err := e.g.poll(j); err != nil {
-			return nil, nil, nil, err
-		}
-		b := ix.bucketOf(j)
-		m := contrib[b]
-		if m == nil {
-			m = map[string]aggCell{}
-			contrib[b] = m
-		}
-		for _, cell := range st.cells[j] {
-			lifted := cell
-			if resolveOp && !lifted.has {
-				v := int64(c.rel.at(j, opCol))
-				if spec.Kind == AggSum {
-					v *= lifted.count
-				}
-				lifted.val, lifted.has = v, true
-			}
-			key := make([]int, len(liftedVars))
-			for k := range liftedVars {
-				if carried[k] >= 0 {
-					key[k] = cell.key[carried[k]]
-				} else {
-					key[k] = c.rel.at(j, cols[k])
-				}
-			}
-			lifted.key = key
-			kbuf = appendValsKey(kbuf[:0], key)
-			spec.addInto(m, string(kbuf), lifted)
-		}
-	}
-	e.stats.IndexProbes += int64(c.rel.Size())
-	return ix, contrib, liftedVars, nil
-}
-
-// aggFold resolves the watched variables still bound by the root bag,
-// merges every root tuple's cells into the global group map, and shapes
-// the canonical AggResult.
-func (e *executor) aggFold(root *bagNode, spec AggSpec, watched []string, st aggState) (AggResult, error) {
-	rootHas := map[string]bool{}
-	for _, a := range root.rel.Attrs {
-		rootHas[a] = true
-	}
-	var liftVars []string
-	for _, v := range watched {
-		if rootHas[v] {
-			liftVars = append(liftVars, v)
-		}
-	}
-	// watched = st.vars ⊎ liftVars: every watched variable resolves
-	// below the root or in the root bag.
-	carried, cols, err := keySlots(watched, st.vars, root.rel, liftVars)
+	ix, err := buildIndexCols(root.rel, nil, 0, root.rel.Size(), e.g)
 	if err != nil {
 		return AggResult{}, err
 	}
-	resolveOp := false
-	var opCol int
-	switch spec.Kind {
-	case AggSum, AggMin, AggMax:
-		if rootHas[spec.Var] {
-			idx, err := root.rel.attrIndex([]string{spec.Var})
-			if err != nil {
+	if st, err = e.lift(root.rel, st, nil, ix, spec, watched); err != nil {
+		return AggResult{}, err
+	}
+	out := AggResult{GroupVars: spec.groupVars()}
+	g := len(out.GroupVars)
+	groups := st.keysOn(out.GroupVars)
+	if spec.Kind == AggCountDistinct {
+		// Each cell is one distinct projection assignment within its
+		// group: regroup the cells by the group variables, counting.
+		byGroup := aggCells{vars: out.GroupVars, keys: []int{}} // a scalar's group is [], not nil
+		t := newCellTable(len(st.cells))
+		for j := range st.cells {
+			if err := t.merge(&byGroup, 0, 0, groups[j*g:(j+1)*g], aggCell{count: 1}, spec); err != nil {
 				return AggResult{}, err
 			}
-			resolveOp, opCol = true, idx[0]
 		}
+		st, groups = byGroup, byGroup.keys
 	}
-
-	global := map[string]aggCell{}
-	kbuf := make([]byte, 0, 8*len(watched))
-	for i := 0; i < root.rel.Size(); i++ {
-		if err := e.g.poll(i); err != nil {
-			return AggResult{}, err
-		}
-		for _, cell := range st.cells[i] {
-			final := cell
-			if resolveOp && !final.has {
-				v := int64(root.rel.at(i, opCol))
-				if spec.Kind == AggSum {
-					v *= final.count
-				}
-				final.val, final.has = v, true
+	for j, c := range st.cells {
+		v := c.count
+		switch spec.Kind {
+		case AggCount, AggCountDistinct:
+			if v == overflowed {
+				return AggResult{}, fmt.Errorf("%w: %s", ErrAggregateOverflow, spec.Kind)
 			}
-			key := make([]int, len(watched))
-			for k := range watched {
-				if carried[k] >= 0 {
-					key[k] = cell.key[carried[k]]
-				} else {
-					key[k] = root.rel.at(i, cols[k])
-				}
+		case AggSum, AggMin, AggMax:
+			if !c.has {
+				return AggResult{}, fmt.Errorf("join: aggregate operand %q left unresolved (invalid join tree?)", spec.Var)
 			}
-			final.key = key
-			kbuf = appendValsKey(kbuf[:0], key)
-			spec.addInto(global, string(kbuf), final)
+			v = c.val
 		}
-		if err := e.g.checkRows(len(global)); err != nil {
-			return AggResult{}, err
-		}
-	}
-
-	out := AggResult{GroupVars: spec.groupVars()}
-	if spec.Kind == AggCountDistinct {
-		// The global keys range over group ∪ projection variables; each
-		// key is one distinct projection assignment within its group.
-		gPos := make([]int, len(out.GroupVars))
-		for i, v := range out.GroupVars {
-			gPos[i] = sort.SearchStrings(watched, v)
-		}
-		counts := map[string]*aggCell{}
-		for _, cell := range global {
-			gk := make([]int, len(gPos))
-			for i, p := range gPos {
-				gk[i] = cell.key[p]
-			}
-			kbuf = appendValsKey(kbuf[:0], gk)
-			a := counts[string(kbuf)]
-			if a == nil {
-				counts[string(kbuf)] = &aggCell{key: gk, count: 1}
-			} else {
-				a.count++
-			}
-		}
-		for _, a := range counts {
-			out.Groups = append(out.Groups, a.key)
-			out.Values = append(out.Values, a.count)
-		}
-	} else {
-		for _, cell := range global {
-			var v int64
-			switch spec.Kind {
-			case AggCount:
-				v = cell.count
-			default:
-				if !cell.has {
-					return AggResult{}, fmt.Errorf("join: aggregate operand %q left unresolved (invalid join tree?)", spec.Var)
-				}
-				v = cell.val
-			}
-			out.Groups = append(out.Groups, cell.key)
-			out.Values = append(out.Values, v)
-		}
+		out.Groups = append(out.Groups, groups[j*g:(j+1)*g:(j+1)*g])
+		out.Values = append(out.Values, v)
 	}
 	sortAggResult(&out)
 	fillEmptyScalar(&out, spec)
+	return out, nil
+}
+
+// aggNode computes the node's partial-aggregate state bottom-up, one
+// owner per bag row. Every row starts at the multiplicative unit (one
+// extension, itself, with nothing carried); each child is lifted into
+// per-join-key buckets, and a row's cells become the products of its
+// cells with its bucket's. The two sides carry disjoint variables and
+// each side's keys are distinct, so the products need no merge.
+func (e *executor) aggNode(n *bagNode, spec AggSpec, watched []string) (aggCells, error) {
+	size := n.rel.Size()
+	st := aggCells{start: identCols(size + 1), cells: make([]aggCell, size)}
+	for i := range st.cells {
+		st.cells[i] = aggCell{count: 1}
+	}
+	for _, c := range n.children {
+		sub, err := e.aggNode(c, spec, watched)
+		if err != nil {
+			return aggCells{}, err
+		}
+		// One shared-attribute list orders the key on both sides: the
+		// child is indexed and the parent probes in this order, whatever
+		// order either bag lists its columns in. One fresh index over all
+		// of c.rel: the lift needs a single index covering every row,
+		// which a maintained multi-layer stack is not.
+		shared := sharedAttrs(n.rel, c.rel)
+		cIdx, err := c.rel.attrIndex(shared)
+		if err != nil {
+			return aggCells{}, err
+		}
+		ix, err := buildIndexCols(c.rel, cIdx, 0, c.rel.Size(), e.g)
+		if err != nil {
+			return aggCells{}, err
+		}
+		e.stats.IndexBuilds++
+		if sub, err = e.lift(c.rel, sub, n.rel.pos, ix, spec, watched); err != nil {
+			return aggCells{}, err
+		}
+		e.stats.IndexProbes += int64(c.rel.Size())
+		nIdx, err := n.rel.attrIndex(shared)
+		if err != nil {
+			return aggCells{}, err
+		}
+		next := aggCells{vars: slices.Concat(st.vars, sub.vars), start: make([]int, 1, size+1), cells: make([]aggCell, 0, size)}
+		for i := 0; i < size; i++ {
+			if err := e.g.poll(i); err != nil {
+				return aggCells{}, err
+			}
+			if b, ok := ix.lookupRow(n.rel, nIdx, i); ok {
+				for a := st.start[i]; a < st.start[i+1]; a++ {
+					for j := sub.start[b]; j < sub.start[b+1]; j++ {
+						cell, err := spec.mul(st.cells[a], sub.cells[j])
+						if err != nil {
+							return aggCells{}, err
+						}
+						next.cells = append(next.cells, cell)
+						next.keys = append(append(next.keys, st.key(a)...), sub.key(j)...)
+					}
+				}
+			}
+			next.start = append(next.start, len(next.cells))
+			// After full reduction every carried key extends to a real
+			// answer, so a row's state larger than the row budget means
+			// the grouped answer itself would blow the budget.
+			if err := e.g.checkRows(next.start[i+1] - next.start[i]); err != nil {
+				return aggCells{}, err
+			}
+		}
+		st = next
+	}
+	return st, nil
+}
+
+// lift folds the state of bag rel into one owner per bucket of ix, its
+// index on the join key with the parent whose attribute positions are
+// parent: each row resolves the watched variables, and the operand,
+// that leave scope at this edge (those of rel that parent lacks), and
+// the cells of one bucket with equal keys merge. A bucket's cell count is held to the row budget as it grows;
+// at the root it is the group count, and below it never exceeds the
+// state of a parent row that probes the bucket.
+func (e *executor) lift(rel *Relation, st aggCells, parent map[string]int, ix *hashIndex, spec AggSpec, watched []string) (aggCells, error) {
+	leaves := func(v string) (int, bool) {
+		c, ok := rel.pos[v]
+		_, kept := parent[v]
+		return c, ok && !kept
+	}
+	out := aggCells{vars: slices.Clone(st.vars), start: make([]int, 1, len(ix.starts))}
+	var cols []int
+	for _, v := range watched {
+		if c, ok := leaves(v); ok {
+			out.vars = append(out.vars, v)
+			cols = append(cols, c)
+		}
+	}
+	opCol, resolve := -1, false
+	switch spec.Kind {
+	case AggSum, AggMin, AggMax:
+		opCol, resolve = leaves(spec.Var)
+	}
+
+	t := newCellTable(len(st.cells))
+	w := len(st.vars)
+	key := make([]int, len(out.vars))
+	var err error
+	for b := 0; b+1 < len(ix.starts); b++ {
+		lo := len(out.cells)
+		for p := int(ix.starts[b]); p < int(ix.starts[b+1]); p++ {
+			if err = e.g.poll(p); err != nil {
+				return aggCells{}, err
+			}
+			j := int(ix.perm[p])
+			for k, c := range cols {
+				key[w+k] = rel.at(j, c)
+			}
+			for a := st.start[j]; a < st.start[j+1]; a++ {
+				cell := st.cells[a]
+				if resolve && !cell.has {
+					cell.val, cell.has = int64(rel.at(j, opCol)), true
+					if spec.Kind == AggSum {
+						if cell.val, err = scale(cell.val, cell.count); err != nil {
+							return aggCells{}, err
+						}
+					}
+				}
+				copy(key, st.key(a))
+				if err = t.merge(&out, b, lo, key, cell, spec); err != nil {
+					return aggCells{}, err
+				}
+			}
+			if err = e.g.checkRows(len(out.cells) - lo); err != nil {
+				return aggCells{}, err
+			}
+		}
+		out.start = append(out.start, len(out.cells))
+	}
 	return out, nil
 }
 

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"math/big"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -318,6 +320,79 @@ func TestAggregateRowBudget(t *testing.T) {
 		AggSpec{Kind: AggCount, GroupBy: []string{"x", "z"}}, EvalOptions{MaxRows: 50})
 	if !errors.Is(err, ErrRowBudget) {
 		t.Fatalf("900-group aggregate under 50-row budget: got %v, want ErrRowBudget", err)
+	}
+}
+
+// TestAggregateOverflow: a COUNT or SUM past int64 fails with
+// ErrAggregateOverflow instead of wrapping. Over R = {(i, 0) : i < 300}
+// the star R(x1,y), …, R(xk,y) has 300^k answers: 300^8 ≈ 6.6e19 is
+// past int64 and 300^7 = 2.187e17 is not, but SUM(x1) over the 7-atom
+// star, 44,850 · 300^6 ≈ 3.3e19, is. Aggregates that do not read the
+// count past int64 still answer. AggregateRows checks its sums too.
+func TestAggregateOverflow(t *testing.T) {
+	r := NewRelation("c1", "c2")
+	for i := 0; i < 300; i++ {
+		r.Add(i, 0)
+	}
+	db := Database{"R": r}
+	aggregate := func(atoms int, spec AggSpec) (AggResult, error) {
+		var q Query
+		for i := 1; i <= atoms; i++ {
+			q.Atoms = append(q.Atoms, Atom{Relation: "R", Vars: []string{fmt.Sprintf("x%d", i), "y"}})
+		}
+		return AggregateCtx(context.Background(), q, db, decompose(t, q, 1), spec, EvalOptions{})
+	}
+	if res, err := aggregate(8, AggSpec{Kind: AggCount}); !errors.Is(err, ErrAggregateOverflow) {
+		t.Errorf("8-atom count: %+v, %v; want ErrAggregateOverflow", res, err)
+	}
+	res, err := aggregate(7, AggSpec{Kind: AggCount})
+	if v, _ := res.Value(); err != nil || v != 218_700_000_000_000_000 {
+		t.Errorf("7-atom count: %d, %v; want 300^7 = 218700000000000000", v, err)
+	}
+	if res, err := aggregate(7, AggSpec{Kind: AggSum, Var: "x1"}); !errors.Is(err, ErrAggregateOverflow) {
+		t.Errorf("7-atom sum(x1): %+v, %v; want ErrAggregateOverflow", res, err)
+	}
+	// The aggregates that never read the count past int64 still answer:
+	// MIN, MAX, COUNT DISTINCT, and a SUM whose values are all 0.
+	for _, c := range []struct {
+		spec AggSpec
+		want int64
+	}{
+		{AggSpec{Kind: AggMin, Var: "x1"}, 0},
+		{AggSpec{Kind: AggMax, Var: "x1"}, 299},
+		{AggSpec{Kind: AggCountDistinct, Over: []string{"x1"}}, 300},
+		{AggSpec{Kind: AggCountDistinct, Over: []string{"y"}}, 1},
+		{AggSpec{Kind: AggSum, Var: "y"}, 0},
+	} {
+		res, err := aggregate(8, c.spec)
+		if v, ok := res.Value(); err != nil || !ok || v != c.want {
+			t.Errorf("8-atom %s: %+v, %v; want %d", c.spec.Kind, res, err, c.want)
+		}
+	}
+
+	rel := NewRelation("x").Add(math.MaxInt64 / 2).Add(math.MaxInt64/2 + 2)
+	if res, err := AggregateRows(rel, AggSpec{Kind: AggSum, Var: "x"}); !errors.Is(err, ErrAggregateOverflow) {
+		t.Errorf("AggregateRows sum past int64: %+v, %v; want ErrAggregateOverflow", res, err)
+	}
+
+	// The checked operations agree with exact arithmetic at the edges,
+	// negative operands included.
+	edges := []int64{0, 1, -1, 2, -2, 3037000499, 3037000500, -3037000500,
+		math.MaxInt64, math.MinInt64, math.MaxInt64 / 2, math.MinInt64 / 2}
+	for _, a := range edges {
+		for _, b := range edges {
+			for _, op := range []struct {
+				name  string
+				fn    func(a, b int64) (int64, error)
+				exact func(z, x, y *big.Int) *big.Int
+			}{{"+", addInt64, (*big.Int).Add}, {"*", mulInt64, (*big.Int).Mul}} {
+				want := op.exact(new(big.Int), big.NewInt(a), big.NewInt(b))
+				got, err := op.fn(a, b)
+				if fits := want.IsInt64(); fits != (err == nil) || fits && got != want.Int64() {
+					t.Errorf("%d %s %d: got %d, %v; exact %v", a, op.name, b, got, err, want)
+				}
+			}
+		}
 	}
 }
 

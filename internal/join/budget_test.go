@@ -65,7 +65,7 @@ func checkBudget(t *testing.T, name string, got, budget allocSample, tol float64
 }
 
 // optimalPlan is the minimum-width plan the service would run q on.
-func optimalPlan(t *testing.T, q Query) *decomp.Decomp {
+func optimalPlan(t testing.TB, q Query) *decomp.Decomp {
 	t.Helper()
 	h, err := q.Hypergraph()
 	if err != nil {
@@ -177,6 +177,86 @@ func TestExecutorAllocBudget(t *testing.T) {
 				return nil
 			})
 			checkBudget(t, b.name, got, b.budget, execBudgetTolerance)
+		})
+	}
+}
+
+// aggBudgetCase is one row of the aggregate budget: a head over
+// instances of the executor budget.
+type aggBudgetCase struct {
+	name      string
+	instances []budgetInstance
+	spec      AggSpec
+	budget    allocSample
+}
+
+// aggBudgetCases are a scalar count over the 8-atom chains and a count
+// grouped by the centre over the 6-arm stars.
+func aggBudgetCases() []aggBudgetCase {
+	return []aggBudgetCase{
+		{"chain8-count", chainInstances(8, 5, 4000, 8000), AggSpec{Kind: AggCount}, allocSample{741.4, 1647594}},
+		{"star6-group", starInstances(6, 6, 800, 400),
+			AggSpec{Kind: AggCount, GroupBy: []string{"x0"}}, allocSample{640.0, 2619221}},
+	}
+}
+
+// aggregateAll answers c's head on every instance under its plan.
+func aggregateAll(c aggBudgetCase, plans []*decomp.Decomp) error {
+	for i, in := range c.instances {
+		if _, err := AggregateCtx(context.Background(), in.q, in.db, plans[i], c.spec, EvalOptions{}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestAggregateAllocBudget is the aggregate pushdown's allocation
+// budget, in allocs/op and bytes/op per instance of aggBudgetCases.
+// Before measuring, each answer must equal AggregateRows over
+// EvaluateNaive's answer.
+func TestAggregateAllocBudget(t *testing.T) {
+	for _, c := range aggBudgetCases() {
+		t.Run(c.name, func(t *testing.T) {
+			plans := make([]*decomp.Decomp, len(c.instances))
+			for i, in := range c.instances {
+				plans[i] = optimalPlan(t, in.q)
+				got, err := AggregateCtx(context.Background(), in.q, in.db, plans[i], c.spec, EvalOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				rows, err := EvaluateNaive(in.q, in.db)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := AggregateRows(rows, c.spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("instance %d: pushdown %v differs from AggregateRows %v", i, got.Values, want.Values)
+				}
+			}
+			got := measureAllocs(t, len(c.instances), func() error { return aggregateAll(c, plans) })
+			checkBudget(t, c.name, got, c.budget, execBudgetTolerance)
+		})
+	}
+}
+
+// BenchmarkAggregate times the aggregate budget's heads, one op per
+// pass over a case's instances.
+func BenchmarkAggregate(b *testing.B) {
+	for _, c := range aggBudgetCases() {
+		b.Run(c.name, func(b *testing.B) {
+			plans := make([]*decomp.Decomp, len(c.instances))
+			for i, in := range c.instances {
+				plans[i] = optimalPlan(b, in.q)
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				if err := aggregateAll(c, plans); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

@@ -14,7 +14,8 @@
 // optionally GROUP BY a variable subset — during the bottom-up pass,
 // touching per-bag state bounded by the group count instead of the
 // answer count, and agrees exactly with AggregateRows over the
-// materialised answers. Both honour context cancellation and the
+// materialised answers; a COUNT or SUM past int64 fails with
+// ErrAggregateOverflow in both. Both evaluators honour context cancellation and the
 // EvalOptions.MaxRows intermediate-size budget. Parse/FormatQuery and
 // Parse/FormatDocument round-trip the text format defined in
 // docs/QUERY_FORMAT.md.

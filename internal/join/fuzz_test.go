@@ -114,23 +114,36 @@ func FuzzParseQuery(f *testing.F) {
 // opt at width up to the atom count, the executor's answer must have
 // exactly EvaluateNaive's size — the executor deduplicates only at bag
 // projection, so a duplicate answer row fails here — and the same
-// canonical form. The seed corpus is FuzzParseQuery's testdata
-// documents plus shapes with repeated tuples, a two-atom λ-label and a
-// cross product.
+// canonical form. A document with an aggregate head must also get
+// AggregateRows' answer over the naive rows from AggregateCtx on the
+// same plan, unless the document holds a value past ±2^31: within
+// that, sums over at most 2^16 answers stay exact. The seed corpus is
+// FuzzParseQuery's testdata documents plus shapes with repeated
+// tuples, a two-atom λ-label, a cross product, a grouped count
+// distinct and a sum.
 func FuzzEvalDocument(f *testing.F) {
 	addDocumentSeeds(f)
 	f.Add("query R(x,y), S(y,z).\nrel R(a,b)\n1 2\n1 2\n3 2\nend\nrel S(a,b)\n2 9\n2 9\nend\n")
 	f.Add("query R(x,y), R(y,z), R(z,x).\nrel R(a,b)\n1 2\n2 3\n3 1\n1 2\n2 1\nend\n")
 	f.Add("query R(x), S(y), R(z).\nrel R(a)\n1\n1\n2\nend\nrel S(a)\n7\n7\nend\n")
+	f.Add("query R(x,y), S(y,z).\naggregate group y: count distinct(x,z)\n" +
+		"rel R(a,b)\n1 2\n3 2\n1 4\nend\nrel S(a,b)\n2 5\n2 6\n4 5\nend\n")
+	f.Add("query R(x,y), R(y,z), R(z,x).\naggregate sum(x)\nrel R(a,b)\n1 2\n2 3\n3 1\n-4 1\n2 -4\nend\n")
 
 	f.Fuzz(func(t *testing.T, src string) {
 		doc, err := ParseDocument(src)
 		if err != nil || len(doc.Query.Atoms) > 6 {
 			return
 		}
+		small := true // every value within ±2^31
 		for _, rel := range doc.DB {
 			if rel.Size() > 200 {
 				return
+			}
+			for _, row := range rel.Rows() {
+				for _, v := range row {
+					small = small && v <= 1<<31 && v >= -1<<31
+				}
 			}
 		}
 		// EvaluateNaive's left-to-right intermediates are bounded by the
@@ -167,6 +180,20 @@ func FuzzEvalDocument(f *testing.F) {
 		g, w := got.Canonical(), want.Canonical()
 		if !reflect.DeepEqual(g.Attrs, w.Attrs) || !reflect.DeepEqual(g.Rows(), w.Rows()) {
 			t.Fatalf("canonical forms differ:\n%v\nvs\n%v", g, w)
+		}
+		if doc.Aggregate == nil || !small {
+			return
+		}
+		wantAgg, err := AggregateRows(want, *doc.Aggregate)
+		if err != nil {
+			t.Fatalf("AggregateRows: %v", err)
+		}
+		gotAgg, err := AggregateCtx(context.Background(), doc.Query, doc.DB, d, *doc.Aggregate, EvalOptions{})
+		if err != nil {
+			t.Fatalf("AggregateCtx: %v", err)
+		}
+		if !reflect.DeepEqual(gotAgg, wantAgg) {
+			t.Fatalf("%s: pushdown %+v, AggregateRows %+v", FormatAggregate(*doc.Aggregate), gotAgg, wantAgg)
 		}
 	})
 }

@@ -185,13 +185,6 @@ func (ix *hashIndex) probeVals(vals []int) []int32 {
 	return ix.perm[ix.starts[b]:ix.starts[b+1]]
 }
 
-// bucketOf returns the bucket id of one of the indexed relation's own
-// rows (always present).
-func (ix *hashIndex) bucketOf(row int) int32 {
-	b, _ := ix.lookupRow(ix.r, ix.cols, row)
-	return b
-}
-
 // projectFast is Relation.Project deduplicating through projectIdx,
 // with guard polling; first-occurrence order is preserved, like the
 // scan path.
