@@ -119,10 +119,11 @@ stress:
 # random racer HDs; the bag cache's walls: warm hits, the row budget on
 # a hit, concurrent identical queries and the snapshot scope; and the
 # executor's abort walls: a cancellation at any context check returns
-# context.Canceled, and the row budget fires inside the join loop; and
-# an aggregate past int64 fails instead of wrapping.
+# context.Canceled, and the row budget fires inside the join loop; an
+# aggregate past int64 fails instead of wrapping; and no join of a row
+# answer outgrows the answer (TestRowJoinsBoundedByAnswer).
 differential:
-	$(GO) test -race -count=1 -run 'TestDifferential|TestConcurrentIdentical|TestEval|TestServeQuery|TestExecDuplicateRows|TestCanonical|TestStatsConservation|TestRegistryTotalsMonotone|TestStatsValuesGolden|TestAggregateBagColumnOrder|TestBagBuildSkipsNoOpWork|TestExecColumnsIndependentOfIndexSets|TestContractionSolverIndependent|TestContractionProperties|TestServeQueryInlineDuplicateTuples|TestBagCache|TestExecCancel|TestExecRowBudgetInsideJoinLoop|TestAggregateOverflow' ./internal/query ./internal/join ./internal/dataset ./cmd/htdserve
+	$(GO) test -race -count=1 -run 'TestDifferential|TestConcurrentIdentical|TestEval|TestServeQuery|TestExecDuplicateRows|TestCanonical|TestStatsConservation|TestRegistryTotalsMonotone|TestStatsValuesGolden|TestAggregateBagColumnOrder|TestBagBuildSkipsNoOpWork|TestExecColumnsIndependentOfIndexSets|TestContractionSolverIndependent|TestContractionProperties|TestServeQueryInlineDuplicateTuples|TestBagCache|TestExecCancel|TestExecRowBudgetInsideJoinLoop|TestAggregateOverflow|TestRowJoinsBoundedByAnswer' ./internal/query ./internal/join ./internal/dataset ./cmd/htdserve
 
 # A wall cannot silently lose a test: every alternative of the -run
 # regexes in stress, crash-recovery and differential must match a test

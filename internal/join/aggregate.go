@@ -491,8 +491,14 @@ func (t cellTable) merge(out *aggCells, o, lo int, key []int, c aggCell, spec Ag
 // bounded by the answer's group count), then a bottom-up fold of keyed
 // partial aggregates. No answer row is ever materialised.
 func (e *executor) aggregate(q Query, db Database, d *decomp.Decomp, spec AggSpec) (AggResult, error) {
-	root, err := e.reduce(q, db, d)
+	root, err := e.buildTree(q, db, d)
 	if err != nil {
+		return AggResult{}, err
+	}
+	if err := e.up(root, false); err != nil {
+		return AggResult{}, err
+	}
+	if err := e.down(root); err != nil {
 		return AggResult{}, err
 	}
 	return e.aggregateTree(root, spec)

@@ -49,8 +49,10 @@ func indexedDB(db Database) Database {
 // relations that carry an IndexSet, a bag is not semijoined with its
 // own λ-atoms, and a bag whose λ-join is already a set over χ is not
 // projected — so a single-atom leaf bag is the base view itself and the
-// up pass probes its maintained index. Counts, not times, so the wall
-// holds on any host.
+// join pass probes its maintained index. A row answer runs no top-down
+// semijoin pass, and the root skips its semijoin with its first child,
+// so a two-bag plan runs one join and no semijoin at all. Counts, not
+// times, so the wall holds on any host.
 func TestBagBuildSkipsNoOpWork(t *testing.T) {
 	atom := func(rel string, vars ...string) Atom { return Atom{Relation: rel, Vars: vars} }
 	pairs := func(rows ...[2]int) *Relation {
@@ -67,9 +69,10 @@ func TestBagBuildSkipsNoOpWork(t *testing.T) {
 		lambdas   [][]int
 		parents   []int
 		semijoins int64
-		// reuses is the IndexReuses of a repeat evaluation, once the
-		// first one captured its index builds into the IndexSets.
-		reuses int64
+		// reuses and builds are the IndexReuses and IndexBuilds of a
+		// repeat evaluation, once the first one captured its index
+		// builds into the IndexSets.
+		reuses, builds int64
 	}{
 		{
 			// One node λ{R,S}: only T, hosted but outside λ, is
@@ -83,12 +86,14 @@ func TestBagBuildSkipsNoOpWork(t *testing.T) {
 				"T": pairs([2]int{5, 1}, [2]int{6, 4}, [2]int{7, 4}),
 			},
 			lambdas: [][]int{{0, 1}}, parents: []int{-1},
-			semijoins: 1, reuses: 2,
+			semijoins: 1, reuses: 2, builds: 0,
 		},
 		{
-			// λ{R,S} over λ{T,U}: every atom is in its host's λ, so
-			// only the up and down passes semijoin (6 with the λ-atoms).
-			// A repeat reuses the two λ-joins' indexes on S and U.
+			// λ{R,S} over λ{T,U}: every atom is in its host's λ, and the
+			// root skips its one child's semijoin, so nothing is
+			// semijoined (4 with the λ-atoms).
+			// A repeat reuses the two λ-joins' indexes on S and U and
+			// builds one on the fresh child bag for the join.
 			name: "four-cycle",
 			q: Query{Atoms: []Atom{atom("R", "a", "b"), atom("S", "b", "c"),
 				atom("T", "c", "d"), atom("U", "d", "a")}},
@@ -99,18 +104,18 @@ func TestBagBuildSkipsNoOpWork(t *testing.T) {
 				"U": pairs([2]int{6, 1}, [2]int{7, 1}, [2]int{7, 2}),
 			},
 			lambdas: [][]int{{0, 1}, {2, 3}}, parents: []int{-1, 0},
-			semijoins: 2, reuses: 2,
+			semijoins: 0, reuses: 2, builds: 1,
 		},
 		{
-			// λ{R} over λ{S}: the leaf bag is S's base view, so a
-			// repeat's up pass probes the index the first run captured
-			// on S (4 semijoins with the λ-atoms, and a fresh leaf bag
-			// to index).
+			// λ{R} over λ{S}: the leaf bag is S's base view, so the
+			// join probes it directly and a repeat reuses the index the
+			// first run captured on S, building none (2 semijoins with
+			// the λ-atoms).
 			name:    "2-path",
 			q:       Query{Atoms: []Atom{atom("R", "x", "y"), atom("S", "y", "z")}},
 			db:      Database{"R": pairs([2]int{1, 2}, [2]int{1, 3}, [2]int{4, 9}), "S": pairs([2]int{2, 5}, [2]int{3, 6}, [2]int{2, 7})},
 			lambdas: [][]int{{0}, {1}}, parents: []int{-1, 0},
-			semijoins: 2, reuses: 1,
+			semijoins: 0, reuses: 1, builds: 0,
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -134,6 +139,9 @@ func TestBagBuildSkipsNoOpWork(t *testing.T) {
 				}
 				if run == 1 && st.IndexReuses != tc.reuses {
 					t.Errorf("repeat run: %d index reuses, want %d (%+v)", st.IndexReuses, tc.reuses, st)
+				}
+				if run == 1 && st.IndexBuilds != tc.builds {
+					t.Errorf("repeat run: %d index builds, want %d (%+v)", st.IndexBuilds, tc.builds, st)
 				}
 			}
 		})
@@ -162,7 +170,7 @@ func TestAggregateBagColumnOrder(t *testing.T) {
 			}
 			root := &bagNode{rel: parent, children: []*bagNode{{rel: child}}}
 			got, err := runExecutor(context.Background(), EvalOptions{}, func(e *executor) (AggResult, error) {
-				if err := e.up(root); err != nil {
+				if err := e.up(root, false); err != nil {
 					return AggResult{}, err
 				}
 				if err := e.down(root); err != nil {

@@ -1,7 +1,8 @@
 // Package join is a small in-memory relational engine supporting
 // conjunctive query evaluation through hypertree decompositions: bag
-// materialisation, the three semijoin/join passes of Yannakakis'
-// algorithm [26], an aggregate pushdown engine, and a naive join
+// materialisation, Yannakakis' algorithm [26] (for a row answer the
+// bottom-up semijoin pass then a top-down join pass), an aggregate
+// pushdown engine over both semijoin passes, and a naive join
 // baseline for cross-checking. It is the substrate for the paper's
 // motivating application (§1): CQs whose hypergraphs have bounded
 // hypertree width evaluate in polynomial time by reduction to an

@@ -45,8 +45,10 @@ type ExecStats struct {
 const pollEvery = 1024
 
 // executor runs one indexed evaluation, serially: bag materialisation
-// and the three Yannakakis passes over hash indexes. stats counts its
-// effort as it goes.
+// and the Yannakakis passes over hash indexes — the bottom-up semijoin
+// pass and the top-down join pass for a row answer, both semijoin
+// passes for the aggregate pushdown. stats counts its effort as it
+// goes.
 type executor struct {
 	g     *guard
 	bags  *BagCache
@@ -73,10 +75,10 @@ func runExecutor[T any](ctx context.Context, opts EvalOptions, f func(*executor)
 // for a base relation the next mutation's delta maintenance, inherit
 // it. Any other relation gets one fresh index. Reuse across probes of
 // an operator output is the caller's job where it exists — the
-// top-down pass keeps a per-node cache of its parent's indexes (see
-// down) rather than the executor caching globally, so indexes on
-// superseded intermediates don't pin their tuple storage for the whole
-// evaluation.
+// aggregate pushdown's top-down semijoin pass keeps a per-node cache
+// of its parent's indexes (see down) rather than the executor caching
+// globally, so indexes on superseded intermediates don't pin their
+// tuple storage for the whole evaluation.
 //
 // A multi-layer stack covers disjoint ascending row ranges, so probing
 // its layers in order enumerates matches in the row order of one full
@@ -190,8 +192,16 @@ func (e *executor) join(r, s *Relation) (*Relation, error) {
 	return out, nil
 }
 
-// run evaluates the query: the semijoin reduction, then the final join
-// pass. The answer needs no deduplication: every bag is a set (build
+// run evaluates the query: bag materialisation, the bottom-up semijoin
+// pass, then the top-down join pass (collect). No top-down semijoin
+// pass runs: after the up pass every row of a child extends into its
+// own subtree and every root row into every subtree, so each row a
+// join of collect produces extends to an answer and no intermediate
+// outgrows the answer — the bound of input plus output needs only the
+// one semijoin pass. The root skips its semijoin with its first child
+// (see up), whose join collect runs first and drops exactly those rows.
+//
+// The answer needs no deduplication: every bag is a set (build
 // projects through projectFast unless the λ-join already is one),
 // semijoins only filter, and the natural join of two sets is a set —
 // each output row restricts to exactly one row of either input. A
@@ -203,11 +213,14 @@ func (e *executor) join(r, s *Relation) (*Relation, error) {
 // depends on whether the relations carry an IndexSet — never shows in
 // the answer. Row order does not depend on column order.
 func (e *executor) run(q Query, db Database, d *decomp.Decomp) (*Relation, error) {
-	root, err := e.reduce(q, db, d)
+	root, err := e.buildTree(q, db, d)
 	if err != nil {
 		return nil, err
 	}
-	ans, err := e.collect(root)
+	if err := e.up(root, true); err != nil {
+		return nil, err
+	}
+	ans, err := e.collect(root, root.rel)
 	if err != nil {
 		return nil, err
 	}
@@ -233,25 +246,14 @@ func answerAttrs(n *bagNode, out []string) []string {
 	return out
 }
 
-// reduce materialises the bag relations of the execution tree
-// (execTree) and runs the two semijoin passes — the shared front half
-// of run and aggregate.
-func (e *executor) reduce(q Query, db Database, d *decomp.Decomp) (*bagNode, error) {
+// buildTree materialises the bag relations of the execution tree
+// (execTree).
+func (e *executor) buildTree(q Query, db Database, d *decomp.Decomp) (*bagNode, error) {
 	tree, coverOf, err := execTree(q, d)
 	if err != nil {
 		return nil, err
 	}
-	root, err := e.build(q, db, d, coverOf, tree)
-	if err != nil {
-		return nil, err
-	}
-	if err := e.up(root); err != nil {
-		return nil, err
-	}
-	if err := e.down(root); err != nil {
-		return nil, err
-	}
-	return root, nil
+	return e.build(q, db, d, coverOf, tree)
 }
 
 // build materialises the bag relation of n and recurses into the
@@ -377,11 +379,18 @@ func hasExactly(r *Relation, attrs []string) bool {
 }
 
 // up is the bottom-up semijoin pass: each child's subtree reduces, then
-// the node filters against the reduced child.
-func (e *executor) up(n *bagNode) error {
-	for _, c := range n.children {
-		if err := e.up(c); err != nil {
+// the node filters against the reduced child. With skipFirst the node
+// skips its semijoin with its first child — only sound at the root of
+// run's tree, where collect's first join filters the root against that
+// child anyway; a lower node must be fully reduced before its parent
+// filters against it.
+func (e *executor) up(n *bagNode, skipFirst bool) error {
+	for i, c := range n.children {
+		if err := e.up(c, false); err != nil {
 			return err
+		}
+		if i == 0 && skipFirst {
+			continue
 		}
 		red, err := e.semijoin(n.rel, c.rel)
 		if err != nil {
@@ -430,21 +439,23 @@ func (e *executor) down(n *bagNode) error {
 	return nil
 }
 
-// collect is the final bottom-up join pass: each child's subtree result
-// materialises, then the node joins it in, children left to right — the
-// same merge order as the scan reference, so rows come out
-// byte-identical.
-func (e *executor) collect(n *bagNode) (*Relation, error) {
-	acc := n.rel
+// collect is the top-down join pass: acc, the join of n's bag with
+// everything before it in preorder, joins each child of n in turn and
+// then that child's subtree. Every child is probed on its own bag
+// relation, so a bag that is still a base view or a cached bag probes
+// its maintained index. Rows come out lexicographic in preorder — the
+// order of the scan reference's bottom-up join pass, so they are
+// byte-identical to it.
+func (e *executor) collect(n *bagNode, acc *Relation) (*Relation, error) {
 	for _, c := range n.children {
-		sub, err := e.collect(c)
-		if err != nil {
-			return nil, err
-		}
-		if acc, err = e.join(acc, sub); err != nil {
+		var err error
+		if acc, err = e.join(acc, c.rel); err != nil {
 			return nil, err
 		}
 		if err := e.g.check(acc); err != nil {
+			return nil, err
+		}
+		if acc, err = e.collect(c, acc); err != nil {
 			return nil, err
 		}
 	}

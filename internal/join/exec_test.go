@@ -499,3 +499,108 @@ func TestRowBudgetCountsJoinsOnly(t *testing.T) {
 		}
 	}
 }
+
+// acyclicDanglingInstance builds a seeded acyclic CQ — a random tree of
+// binary atoms, each sharing one variable with an earlier atom — over a
+// database whose relations hold the projections of a few random full
+// assignments (so the answer is never empty) plus dangling tuples: each
+// puts a fresh value, found in no other relation, on a variable the
+// atom shares with another atom, and a live value on the other.
+func acyclicDanglingInstance(r *rand.Rand, atoms, cores, dangling, domain int) (Query, Database) {
+	var q Query
+	for i := 0; i < atoms; i++ {
+		fresh := "x" + strconv.Itoa(i+1)
+		vars := []string{"x0", fresh}
+		if i > 0 {
+			prev := q.Atoms[r.Intn(i)].Vars
+			vars[0] = prev[r.Intn(2)]
+		}
+		if r.Intn(2) == 0 {
+			vars[0], vars[1] = vars[1], vars[0]
+		}
+		q.Atoms = append(q.Atoms, Atom{Relation: "R" + strconv.Itoa(i), Vars: vars})
+	}
+	occurs := map[string]int{}
+	var vars []string // in first-occurrence order, so the seed fixes the instance
+	for _, a := range q.Atoms {
+		for _, v := range a.Vars {
+			if occurs[v] == 0 {
+				vars = append(vars, v)
+			}
+			occurs[v]++
+		}
+	}
+	assign := make([]map[string]int, cores)
+	for c := range assign {
+		assign[c] = map[string]int{}
+		for _, v := range vars {
+			assign[c][v] = r.Intn(domain)
+		}
+	}
+	db := Database{}
+	next := domain
+	for _, a := range q.Atoms {
+		rel := NewRelation("a", "b")
+		for _, m := range assign {
+			rel.Add(m[a.Vars[0]], m[a.Vars[1]])
+		}
+		for j := 0; j < dangling; j++ {
+			row := []int{r.Intn(domain), r.Intn(domain)}
+			shared := r.Intn(2)
+			if occurs[a.Vars[shared]] < 2 {
+				shared = 1 - shared
+			}
+			row[shared] = next
+			next++
+			rel.AddRow(row)
+		}
+		db[a.Relation] = rel.Dedup()
+	}
+	return q, db
+}
+
+// TestRowJoinsBoundedByAnswer: after the bottom-up semijoin pass every
+// row of every join of a row answer extends to an answer, so no join
+// result outgrows the answer. On width-1 plans of acyclic queries (no
+// λ-join to count) with dangling tuples in every relation, MaxRows =
+// |answer| must answer and |answer| − 1 must fail with ErrRowBudget,
+// over plain relations and over ones carrying IndexSets.
+func TestRowJoinsBoundedByAnswer(t *testing.T) {
+	for seed := int64(0); seed < 24; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		q, plain := acyclicDanglingInstance(r, 3+int(seed%4), 4, 12, 3)
+		d := decomposeFor(t, q)
+		if w := d.Width(); w != 1 {
+			t.Fatalf("seed %d: plan of width %d, want 1", seed, w)
+		}
+		want, err := EvaluateNaive(q, plain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := want.Size()
+		if n < 2 {
+			t.Fatalf("seed %d: %d answers: the instance checks nothing", seed, n)
+		}
+		for _, a := range q.Atoms {
+			live, err := want.Project(a.Vars...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if live.Size() == plain[a.Relation].Size() {
+				t.Fatalf("seed %d: %s has no dangling tuple: the instance checks nothing", seed, a.Relation)
+			}
+		}
+		for dbName, db := range map[string]Database{"plain": plain, "indexed": indexedDB(plain)} {
+			got, err := EvaluateCtx(context.Background(), q, db, d, EvalOptions{MaxRows: n})
+			if err != nil {
+				t.Fatalf("seed %d %s: MaxRows = |answer| = %d: %v", seed, dbName, n, err)
+			}
+			if !reflect.DeepEqual(sortedRowSet(t, got), sortedRowSet(t, want)) {
+				t.Fatalf("seed %d %s: answer differs from EvaluateNaive", seed, dbName)
+			}
+			if _, err := EvaluateCtx(context.Background(), q, db, d, EvalOptions{MaxRows: n - 1}); !errors.Is(err, ErrRowBudget) {
+				t.Fatalf("seed %d %s: MaxRows = |answer| − 1 = %d: %v, want ErrRowBudget", seed, dbName, n-1, err)
+			}
+		}
+	}
+}

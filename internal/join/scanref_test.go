@@ -14,8 +14,14 @@ import (
 // (joinSchema), same probe order — so the indexed kernel must
 // reproduce its rows in the very same order, byte for byte. It projects
 // every bag to χ order, the answer layout the executor keeps whether or
-// not it skipped a projection. Test-only: the indexed kernel is
-// the one production evaluator; EvaluateNaive is the semantic oracle.
+// not it skipped a projection. It keeps the classic three passes —
+// bottom-up semijoin, top-down semijoin, bottom-up join — on purpose,
+// as a pass structure independent of the executor's (one semijoin
+// pass, then a top-down join): both give rows lexicographic in preorder
+// of the tree, so agreeing byte for byte checks the executor's
+// reduction and join order against a different route to the same
+// answer. Test-only: the indexed kernel is the one production
+// evaluator; EvaluateNaive is the semantic oracle.
 
 // scanRef names the scan reference in execOptsMatrix.
 const scanRef = "scan"

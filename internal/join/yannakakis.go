@@ -24,7 +24,8 @@ var ErrRowBudget = errors.New("join: row budget exceeded")
 // limits.
 type EvalOptions struct {
 	// MaxRows caps the size of every join result — each λ-join
-	// intermediate of a bag build and each join of the final pass — and
+	// intermediate of a bag build and each join of the top-down join
+	// pass — and
 	// of the answer; exceeding it aborts the evaluation with
 	// ErrRowBudget. 0 = no cap. Projections and semijoins never outgrow
 	// their input, and the relations the query reads are the data
@@ -159,9 +160,10 @@ func contract(n *decomp.Node) *decomp.Node {
 }
 
 // Evaluate answers the full conjunctive query using the decomposition:
-// bag materialisation followed by Yannakakis' three passes over hash
-// indexes. The result is the set of all satisfying assignments to the
-// query's variables.
+// bag materialisation, then Yannakakis over hash indexes — the
+// bottom-up semijoin pass and a top-down join pass, no join result of
+// which outgrows the answer. The result is the set of all satisfying
+// assignments to the query's variables.
 func Evaluate(q Query, db Database, d *decomp.Decomp) (*Relation, error) {
 	return EvaluateCtx(context.Background(), q, db, d, EvalOptions{})
 }
