@@ -96,7 +96,9 @@ load-gate:
 # service's counter conservation under a concurrent mix of outcomes,
 # the one solver configuration every job runs, and identical queries
 # sharing one bag cache: TestBagCacheConcurrent with the other bag-cache
-# tests), then the solver's parallel
+# tests, and a refutation stopped on its deadline resuming from the
+# cross-request memo: TestMemoResumesStoppedRefutation), then the
+# solver's parallel
 # split (shared cursor, first-success cancel, early lease return, no
 # tokens once cancelled, per-worker counts folded without loss:
 # TestParallelSplitCancelledTakesNoTokens, TestParallelStatsConservation),
@@ -106,7 +108,7 @@ load-gate:
 # (TestDetKRefutesBagOnce) and its golden answers and witnesses
 # (TestDetKSameDecompositions) at several GOMAXPROCS values.
 stress:
-	$(GO) test -race -count=2 -run 'TestStoreStress|TestCoalescing|TestBatchDuplicates|TestServeCache|TestMemoryConcurrency|TestFlight|TestStatsConservation|TestOneSolverConfiguration|TestBagCache' ./internal/store ./internal/service ./cmd/htdserve ./internal/join ./internal/dataset
+	$(GO) test -race -count=2 -run 'TestStoreStress|TestCoalescing|TestBatchDuplicates|TestServeCache|TestMemoryConcurrency|TestFlight|TestStatsConservation|TestOneSolverConfiguration|TestBagCache|TestMemoResumesStoppedRefutation' ./internal/store ./internal/service ./cmd/htdserve ./internal/join ./internal/dataset
 	$(GO) test -race -count=3 -cpu=1,2,4 -run 'TestParallel|TestNoCacheEquivalence|TestCancelledContext|TestCrossValidationSolvers|TestRace|TestChildPool|TestDetKAllocBudget|TestDetKRefutesBagOnce|TestDetKSameDecompositions' ./internal/logk ./internal/race ./internal/detk
 
 # The query differential suite under the race detector, plus the

@@ -148,8 +148,8 @@ func TestExecutorAllocBudget(t *testing.T) {
 		instances []budgetInstance
 		budget    allocSample
 	}{
-		{"chain8", chainInstances(8, 5, 4000, 8000), allocSample{617.0, 2488723}},
-		{"star6", starInstances(6, 6, 800, 400), allocSample{537.0, 4215459}},
+		{"chain8", chainInstances(8, 5, 4000, 8000), allocSample{503.4, 2231190}},
+		{"star6", starInstances(6, 6, 800, 400), allocSample{461.0, 4040419}},
 	} {
 		t.Run(b.name, func(t *testing.T) {
 			plans := make([]*decomp.Decomp, len(b.instances))

@@ -51,7 +51,9 @@ func indexedDB(db Database) Database {
 // projected — so a single-atom leaf bag is the base view itself and the
 // join pass probes its maintained index. A row answer runs no top-down
 // semijoin pass, and the root skips its semijoin with its first child,
-// so a two-bag plan runs one join and no semijoin at all. Counts, not
+// so a two-bag plan runs one join and no semijoin at all. The join
+// pass probes the index the bottom-up pass built on a reduced child,
+// so a chain's non-leaf bags are indexed once, not twice. Counts, not
 // times, so the wall holds on any host.
 func TestBagBuildSkipsNoOpWork(t *testing.T) {
 	atom := func(rel string, vars ...string) Atom { return Atom{Relation: rel, Vars: vars} }
@@ -69,6 +71,8 @@ func TestBagBuildSkipsNoOpWork(t *testing.T) {
 		lambdas   [][]int
 		parents   []int
 		semijoins int64
+		// firstBuilds is the IndexBuilds of the first evaluation.
+		firstBuilds int64
 		// reuses and builds are the IndexReuses and IndexBuilds of a
 		// repeat evaluation, once the first one captured its index
 		// builds into the IndexSets.
@@ -86,7 +90,7 @@ func TestBagBuildSkipsNoOpWork(t *testing.T) {
 				"T": pairs([2]int{5, 1}, [2]int{6, 4}, [2]int{7, 4}),
 			},
 			lambdas: [][]int{{0, 1}}, parents: []int{-1},
-			semijoins: 1, reuses: 2, builds: 0,
+			semijoins: 1, firstBuilds: 2, reuses: 2, builds: 0,
 		},
 		{
 			// λ{R,S} over λ{T,U}: every atom is in its host's λ, and the
@@ -104,7 +108,7 @@ func TestBagBuildSkipsNoOpWork(t *testing.T) {
 				"U": pairs([2]int{6, 1}, [2]int{7, 1}, [2]int{7, 2}),
 			},
 			lambdas: [][]int{{0, 1}, {2, 3}}, parents: []int{-1, 0},
-			semijoins: 0, reuses: 2, builds: 1,
+			semijoins: 0, firstBuilds: 3, reuses: 2, builds: 1,
 		},
 		{
 			// λ{R} over λ{S}: the leaf bag is S's base view, so the
@@ -115,7 +119,20 @@ func TestBagBuildSkipsNoOpWork(t *testing.T) {
 			q:       Query{Atoms: []Atom{atom("R", "x", "y"), atom("S", "y", "z")}},
 			db:      Database{"R": pairs([2]int{1, 2}, [2]int{1, 3}, [2]int{4, 9}), "S": pairs([2]int{2, 5}, [2]int{3, 6}, [2]int{2, 7})},
 			lambdas: [][]int{{0}, {1}}, parents: []int{-1, 0},
-			semijoins: 0, reuses: 1, builds: 0,
+			semijoins: 0, firstBuilds: 1, reuses: 1, builds: 0,
+		},
+		{
+			// An 8-atom chain rooted at R0: the up pass semijoins 6
+			// times (the root skips R1), indexing R7's base view and
+			// each reduced bag R2..R6; the join pass probes those
+			// indexes again and builds one more, on R1: 7 builds, not
+			// 12. A repeat reuses R7's captured index twice.
+			name:      "8-chain",
+			q:         chainInstances(8, 1, 4000, 8000)[0].q,
+			db:        chainInstances(8, 1, 4000, 8000)[0].db,
+			lambdas:   [][]int{{0}, {1}, {2}, {3}, {4}, {5}, {6}, {7}},
+			parents:   []int{-1, 0, 1, 2, 3, 4, 5, 6},
+			semijoins: 6, firstBuilds: 7, reuses: 2, builds: 6,
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -136,6 +153,9 @@ func TestBagBuildSkipsNoOpWork(t *testing.T) {
 				}
 				if st.Semijoins != tc.semijoins {
 					t.Errorf("run %d: %d semijoins, want %d", run, st.Semijoins, tc.semijoins)
+				}
+				if run == 0 && st.IndexBuilds != tc.firstBuilds {
+					t.Errorf("first run: %d index builds, want %d (%+v)", st.IndexBuilds, tc.firstBuilds, st)
 				}
 				if run == 1 && st.IndexReuses != tc.reuses {
 					t.Errorf("repeat run: %d index reuses, want %d (%+v)", st.IndexReuses, tc.reuses, st)

@@ -150,17 +150,24 @@ func (e *executor) semijoinProbe(r *Relation, shared []string, stack []*hashInde
 }
 
 // join returns the natural join r ⋈ s via a hash index of s on the
-// shared attributes. Output row order matches Relation.Join exactly:
-// probe tuples in r order, matches in s insertion order. The row budget
-// is enforced inside the probe loop, not just on the finished relation.
+// shared attributes.
 func (e *executor) join(r, s *Relation) (*Relation, error) {
-	e.stats.Joins++
 	shared := sharedAttrs(r, s)
-	rIdx, err := r.attrIndex(shared)
+	stack, err := e.probeStack(s, shared)
 	if err != nil {
 		return nil, err
 	}
-	stack, err := e.probeStack(s, shared)
+	return e.joinProbe(r, s, shared, stack)
+}
+
+// joinProbe returns r ⋈ s by probing stack, prebuilt index layers of s
+// on shared — every attribute r and s have in common, in any order.
+// Output row order matches Relation.Join exactly: probe tuples in r
+// order, matches in s insertion order. The row budget is enforced
+// inside the probe loop, not just on the finished relation.
+func (e *executor) joinProbe(r, s *Relation, shared []string, stack []*hashIndex) (*Relation, error) {
+	e.stats.Joins++
+	rIdx, err := r.attrIndex(shared)
 	if err != nil {
 		return nil, err
 	}
@@ -384,6 +391,11 @@ func hasExactly(r *Relation, attrs []string) bool {
 // run's tree, where collect's first join filters the root against that
 // child anyway; a lower node must be fully reduced before its parent
 // filters against it.
+//
+// A reduced child without an IndexSet (a non-leaf child's semijoin
+// output, or any bag not backed by server-resident data) is final once
+// its parent filters against it, so the index built for that semijoin
+// is kept on the child as upIx for collect's join to probe.
 func (e *executor) up(n *bagNode, skipFirst bool) error {
 	for i, c := range n.children {
 		if err := e.up(c, false); err != nil {
@@ -392,7 +404,15 @@ func (e *executor) up(n *bagNode, skipFirst bool) error {
 		if i == 0 && skipFirst {
 			continue
 		}
-		red, err := e.semijoin(n.rel, c.rel)
+		shared := sharedAttrs(n.rel, c.rel)
+		var red *Relation
+		var err error
+		if len(shared) == 0 || c.rel.indexes != nil {
+			red, err = e.semijoin(n.rel, c.rel)
+		} else if c.upIx, err = e.probeStack(c.rel, shared); err == nil {
+			c.upShared = shared
+			red, err = e.semijoinProbe(n.rel, shared, c.upIx)
+		}
 		if err != nil {
 			return err
 		}
@@ -428,7 +448,7 @@ func (e *executor) down(n *bagNode) error {
 		if err != nil {
 			return err
 		}
-		c.rel = red
+		c.rel, c.upIx = red, nil
 		if err := e.g.alive(); err != nil {
 			return err
 		}
@@ -443,13 +463,20 @@ func (e *executor) down(n *bagNode) error {
 // everything before it in preorder, joins each child of n in turn and
 // then that child's subtree. Every child is probed on its own bag
 // relation, so a bag that is still a base view or a cached bag probes
-// its maintained index. Rows come out lexicographic in preorder — the
-// order of the scan reference's bottom-up join pass, so they are
-// byte-identical to it.
+// its maintained index, and any other child up semijoined probes the
+// index up kept: by the join tree's connectedness the attributes acc
+// shares with c are exactly those n shares with it. Rows come out
+// lexicographic in preorder — the order of the scan reference's
+// bottom-up join pass, so they are byte-identical to it.
 func (e *executor) collect(n *bagNode, acc *Relation) (*Relation, error) {
 	for _, c := range n.children {
 		var err error
-		if acc, err = e.join(acc, c.rel); err != nil {
+		if c.upIx != nil {
+			acc, err = e.joinProbe(acc, c.rel, c.upShared, c.upIx)
+		} else {
+			acc, err = e.join(acc, c.rel)
+		}
+		if err != nil {
 			return nil, err
 		}
 		if err := e.g.check(acc); err != nil {

@@ -35,8 +35,12 @@ func addDocumentSeeds(f *testing.F) {
 // FuzzParseQuery fuzzes the query/database text format end to end:
 // ParseDocument must never panic, and for every document it accepts,
 // format → parse must reproduce the document exactly (the parser and
-// formatter agree on the grammar). The seed corpus is the testdata
-// documents plus hand-picked degenerate shapes; CI runs a short -fuzz
+// formatter agree on the grammar). Every input also goes through
+// ParseRelations, the upload parser behind PUT /data and the inline
+// "database" field: a database it accepts holds tuples of its schema's
+// arity and survives FormatDocument → ParseRelations unchanged. The
+// seed corpus is the testdata documents plus hand-picked degenerate
+// shapes and databases; CI runs a short -fuzz
 // smoke alongside FuzzDecomposeCheckHD, and plain `go test` replays the
 // seeds as regression tests.
 func FuzzParseQuery(f *testing.F) {
@@ -53,8 +57,11 @@ func FuzzParseQuery(f *testing.F) {
 	f.Add("query R(x,y).\naggregate group y,x: max(x)\nrel R(a,b)\nend\n")
 	f.Add("query R(x).\naggregate min(q)\n")
 	f.Add("query R(x).\naggregate count\naggregate count\n")
+	f.Add("rel R(a,b)\n1 2\n% note\n-0 +7\nend\n\nrel S(c)\nend\n")
+	f.Add("rel R(a)\n1\nend\nrel R(a)\nend\n")
 
 	f.Fuzz(func(t *testing.T, src string) {
+		checkRelationsRoundTrip(t, src)
 		doc, err := ParseDocument(src)
 		if err != nil {
 			return
@@ -107,6 +114,31 @@ func FuzzParseQuery(f *testing.F) {
 			t.Fatalf("formatting is not canonical:\n%q\nvs\n%q", out, out2)
 		}
 	})
+}
+
+// checkRelationsRoundTrip runs src through ParseRelations: an accepted
+// database must hold tuples of its schema's arity, and formatting it
+// and parsing the text again must give a deeply equal database.
+func checkRelationsRoundTrip(t *testing.T, src string) {
+	db, err := ParseRelations(src)
+	if err != nil {
+		return
+	}
+	for name, rel := range db {
+		for i, tup := range rel.Rows() {
+			if len(tup) != len(rel.Attrs) {
+				t.Fatalf("ParseRelations: relation %q tuple %d has arity %d, schema %d", name, i, len(tup), len(rel.Attrs))
+			}
+		}
+	}
+	out := FormatDocument(Document{DB: db})
+	db2, err := ParseRelations(out)
+	if err != nil {
+		t.Fatalf("ParseRelations rejects its formatted database: %v\nformatted:\n%s", err, out)
+	}
+	if !reflect.DeepEqual(db, db2) {
+		t.Fatalf("database changed across FormatDocument → ParseRelations:\n%s\nvs\n%s", out, FormatDocument(Document{DB: db2}))
+	}
 }
 
 // FuzzEvalDocument fuzzes the executor against the naive join on parsed

@@ -425,14 +425,18 @@ func parseTuples(rel *Relation, lines []string, start int) (int, error) {
 	return 0, fmt.Errorf("join: relation block starting at line %d is not closed with end", start)
 }
 
-// FormatDocument renders a document in the format ParseDocument reads.
-// Relations are emitted in sorted name order so the output is
-// deterministic; tuple order within a relation is preserved.
+// FormatDocument renders a document in the format ParseDocument reads;
+// a document with no query atoms renders as a database alone, in the
+// format ParseRelations reads. Relations are emitted in sorted name
+// order so the output is deterministic; tuple order within a relation
+// is preserved.
 func FormatDocument(doc Document) string {
 	var b strings.Builder
-	b.WriteString("query ")
-	b.WriteString(FormatQuery(doc.Query))
-	b.WriteByte('\n')
+	if len(doc.Query.Atoms) > 0 {
+		b.WriteString("query ")
+		b.WriteString(FormatQuery(doc.Query))
+		b.WriteByte('\n')
+	}
 	if doc.Aggregate != nil {
 		b.WriteString("aggregate ")
 		b.WriteString(FormatAggregate(*doc.Aggregate))

@@ -14,6 +14,10 @@ type bagNode struct {
 	rel      *Relation
 	chi      []string
 	children []*bagNode
+	// upIx, when set, is an index of rel on the attributes upShared,
+	// built by the bottom-up pass (see executor.up).
+	upIx     []*hashIndex
+	upShared []string
 }
 
 // ErrRowBudget is returned (wrapped) when an evaluation exceeds its

@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/decomp"
+	"repro/internal/hyperbench"
 	"repro/internal/hypergraph"
 	"repro/internal/logk"
 	"repro/internal/tenant"
@@ -144,6 +146,72 @@ func TestRefutationSharedAcrossRequests(t *testing.T) {
 	}
 	if st := svc.Stats(); st.MemoGraphs != 2 || st.MemoEntries == 0 {
 		t.Fatalf("memo tables not populated: %+v", st)
+	}
+}
+
+// TestMemoResumesStoppedRefutation: the cross-request negative memo
+// pays where the width-level bound cannot, on a refutation stopped by
+// its deadline and submitted again. syn-cylinder-36 at K=2 is a NO
+// instance on which log-k-decomp searches the root, so the stopped run
+// banks refuted states; at one worker the search order is fixed, so
+// the resumed run must answer NO with strictly fewer candidates than a
+// cold run. A service that gave each job a fresh table would redo the
+// whole search.
+func TestMemoResumesStoppedRefutation(t *testing.T) {
+	var h *hypergraph.Hypergraph
+	for _, in := range hyperbench.Suite(hyperbench.Config{Scale: 4, Seed: 1}) {
+		if strings.HasPrefix(in.Name, "syn-cylinder-36#") {
+			h = in.H
+		}
+	}
+	if h == nil {
+		t.Fatal("syn-cylinder-36 missing from HyperBench-sim {Scale: 4, Seed: 1}")
+	}
+	ctx := context.Background()
+	req := Request{H: h, K: 2, Workers: 1}
+	work := func(r Result) int64 { return r.Stats.Candidates + r.Stats.ParentCands }
+
+	svc := New(Config{MaxConcurrent: 1})
+	start := time.Now()
+	cold := svc.Submit(ctx, req)
+	coldTime := time.Since(start)
+	svc.Close()
+	if cold.Err != nil || cold.OK || cold.CacheShared {
+		t.Fatalf("cold: ok=%v err=%v shared=%v, want a fresh NO", cold.OK, cold.Err, cold.CacheShared)
+	}
+
+	// Stop a run on its deadline after it banked some states: halve
+	// the deadline while the run still finishes, double it while the
+	// run stops before banking anything.
+	deadline := coldTime / 2
+	for attempt := 0; ; attempt++ {
+		if attempt == 8 {
+			t.Fatalf("no deadline in 8 attempts stopped the run after it banked a state (last %v, cold %v)", deadline, coldTime)
+		}
+		svc = New(Config{MaxConcurrent: 1})
+		stopReq := req
+		stopReq.Timeout = deadline
+		stopped := svc.Submit(ctx, stopReq)
+		switch {
+		case stopped.Err == nil:
+			deadline /= 2
+		case !errors.Is(stopped.Err, context.DeadlineExceeded):
+			t.Fatalf("stopped run: %v", stopped.Err)
+		case svc.Stats().MemoEntries == 0:
+			deadline *= 2
+		default:
+			resumed := svc.Submit(ctx, req)
+			svc.Close()
+			if resumed.Err != nil || resumed.OK || !resumed.CacheShared {
+				t.Fatalf("resumed: ok=%v err=%v shared=%v, want NO from a shared memo", resumed.OK, resumed.Err, resumed.CacheShared)
+			}
+			if work(resumed) >= work(cold) {
+				t.Fatalf("resumed run searched %d candidates, cold run %d: the banked states saved nothing", work(resumed), work(cold))
+			}
+			t.Logf("deadline %v of cold %v: resumed work %d of cold %d (%.2f)", deadline, coldTime, work(resumed), work(cold), float64(work(resumed))/float64(work(cold)))
+			return
+		}
+		svc.Close()
 	}
 }
 

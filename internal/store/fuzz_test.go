@@ -11,8 +11,9 @@ import (
 	"testing"
 )
 
-// validSegment writes a few records of every type through a real Log
-// and returns the bytes of the resulting segment file.
+// validSegment writes a few records of every type through a real Log,
+// with one legacy memo summary frame between them, and returns the
+// bytes of the resulting segment file.
 func validSegment(t testing.TB, dir string) []byte {
 	t.Helper()
 	l, err := OpenLog(LogConfig{Dir: dir})
@@ -21,7 +22,13 @@ func validSegment(t testing.TB, dir string) []byte {
 	}
 	l.MergeBounds("va", Bounds{LB: 2})
 	l.PutTree("va", testTree(3))
-	l.MergeRefuted("va", []WidthSummary{{K: 1, States: 4}})
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	appendFrames(t, dir, legacySummaryFrame("va"))
+	if l, err = OpenLog(LogConfig{Dir: dir}); err != nil {
+		t.Fatal(err)
+	}
 	l.PutTree("vb", testTree(2))
 	l.DropTree("vb")
 	l.PutTree("vc", testTree(1))
@@ -101,7 +108,7 @@ func FuzzLogReplay(f *testing.F) {
 			first := l.Hashes()
 			for _, h := range first {
 				l.Bounds(h)
-				l.Refuted(h)
+				l.TreeWidth(h)
 				tr, ok, _ := l.Tree(h)
 				if !ok {
 					continue

@@ -61,22 +61,22 @@ type DiskStats struct {
 // Record type tags. Records are merges, not assignments: replaying any
 // superseded prefix before the current record converges to the same
 // state, which is what makes "compacted segment appended after the
-// originals" crash-safe at every intermediate step.
+// originals" crash-safe at every intermediate step. Replay skips a
+// well-framed record of any other kind (older logs hold "r" records of
+// per-width memo summaries); compaction drops its bytes.
 const (
-	recBounds  = "b" // full merged bounds for a hash
-	recTree    = "t" // witness tree (strictly better than any before it)
-	recDrop    = "d" // tombstone: forget the hash's tree (failed re-validation)
-	recRefuted = "r" // full merged per-width refutation summaries
+	recBounds = "b" // full merged bounds for a hash
+	recTree   = "t" // witness tree (strictly better than any before it)
+	recDrop   = "d" // tombstone: forget the hash's tree (failed re-validation)
 )
 
 // logRecord is the JSON payload of one framed record.
 type logRecord struct {
-	T       string         `json:"t"`
-	Hash    string         `json:"h"`
-	LB      int            `json:"lb,omitempty"`
-	UB      int            `json:"ub,omitempty"`
-	Tree    *Tree          `json:"tree,omitempty"`
-	Refuted []WidthSummary `json:"ref,omitempty"`
+	T    string `json:"t"`
+	Hash string `json:"h"`
+	LB   int    `json:"lb,omitempty"`
+	UB   int    `json:"ub,omitempty"`
+	Tree *Tree  `json:"tree,omitempty"`
 }
 
 // Framing: 4-byte little-endian payload length, 4-byte little-endian
@@ -102,22 +102,21 @@ type segment struct {
 func segName(id int) string { return fmt.Sprintf("seg-%08d.log", id) }
 
 // logEntry is the in-memory index of one hash's live records: bounds
-// and refutation summaries are held directly (small), the witness tree
-// stays on disk and is read back on demand through its frame offset.
+// are held directly (small), the witness tree stays on disk and is
+// read back on demand through its frame offset.
 type logEntry struct {
-	bounds  Bounds
-	refuted []WidthSummary
+	bounds Bounds
 
 	treeSeg *segment // nil = no live tree
 	treeOff int64    // frame start offset of the live tree record
 	treeW   int
 
 	// frame sizes of the live records, for garbage accounting.
-	bBytes, tBytes, rBytes int64
+	bBytes, tBytes int64
 }
 
 // Log is a crash-safe, append-only record log over segment files:
-// bounds / tree / refutation-summary records keyed by content hash,
+// bounds / tree / tombstone records keyed by content hash,
 // length-prefixed and checksummed, fsync'd on a configurable cadence.
 // Opening a log replays every segment into an in-memory index, cutting
 // a torn tail off the last segment (a crash mid-append loses at most
@@ -125,7 +124,7 @@ type logEntry struct {
 // size; compaction rewrites live entries into a fresh segment and
 // drops superseded bounds/trees. Witness trees are indexed by offset
 // and read back (checksum-verified) on demand, so the resident cost of
-// a disk entry is bounds + summaries, not the tree payload.
+// a disk entry is its bounds, not the tree payload.
 //
 // All methods are safe for concurrent use.
 type Log struct {
@@ -253,7 +252,7 @@ func (l *Log) replay(sg *segment, last bool) error {
 // apply folds one valid record into the index. frameLen is the full
 // on-disk footprint (header + payload) for garbage accounting.
 func (l *Log) apply(sg *segment, off, frameLen int64, rec logRecord) {
-	if rec.Hash == "" {
+	if rec.Hash == "" || (rec.T != recBounds && rec.T != recTree && rec.T != recDrop) {
 		return
 	}
 	e := l.index[rec.Hash]
@@ -279,34 +278,7 @@ func (l *Log) apply(sg *segment, off, frameLen int64, rec logRecord) {
 	case recDrop:
 		l.liveBytes -= e.tBytes
 		e.treeSeg, e.treeOff, e.treeW, e.tBytes = nil, 0, 0, 0
-	case recRefuted:
-		mergeSummaries(&e.refuted, rec.Refuted)
-		l.liveBytes += frameLen - e.rBytes
-		e.rBytes = frameLen
 	}
-}
-
-// mergeSummaries folds ws into dst: per width the state count only
-// rises.
-func mergeSummaries(dst *[]WidthSummary, ws []WidthSummary) (changed bool) {
-outer:
-	for _, w := range ws {
-		for i := range *dst {
-			if (*dst)[i].K == w.K {
-				if w.States > (*dst)[i].States {
-					(*dst)[i].States = w.States
-					changed = true
-				}
-				continue outer
-			}
-		}
-		*dst = append(*dst, w)
-		changed = true
-	}
-	if changed {
-		sort.Slice(*dst, func(a, b int) bool { return (*dst)[a].K < (*dst)[b].K })
-	}
-	return changed
 }
 
 // addSegment creates and fsyncs a fresh active segment. Caller must
@@ -582,41 +554,6 @@ func (l *Log) DropTree(hash string) error {
 	return nil
 }
 
-// MergeRefuted merges per-width refutation summaries and appends the
-// merged set when it changed.
-func (l *Log) MergeRefuted(hash string, ws []WidthSummary) error {
-	if hash == "" || len(ws) == 0 {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	e := l.index[hash]
-	if e == nil {
-		e = &logEntry{}
-		l.index[hash] = e
-	}
-	if !mergeSummaries(&e.refuted, ws) {
-		return nil
-	}
-	_, _, n, err := l.append(logRecord{T: recRefuted, Hash: hash, Refuted: e.refuted})
-	if err == nil {
-		l.liveBytes += n - e.rBytes
-		e.rBytes = n
-	}
-	return err
-}
-
-// Refuted returns the live refutation summaries for hash.
-func (l *Log) Refuted(hash string) []WidthSummary {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	e := l.index[hash]
-	if e == nil {
-		return nil
-	}
-	return append([]WidthSummary(nil), e.refuted...)
-}
-
 // Hashes lists every indexed hash in sorted order.
 func (l *Log) Hashes() []string {
 	l.mu.Lock()
@@ -683,16 +620,6 @@ func (l *Log) Compact() error {
 				e.treeSeg, e.treeOff, e.tBytes = sg, off, n
 				live += n
 			}
-		}
-		if len(e.refuted) > 0 {
-			_, _, n, err := l.append(logRecord{T: recRefuted, Hash: hash, Refuted: e.refuted})
-			if err != nil {
-				return err
-			}
-			e.rBytes = n
-			live += n
-		} else {
-			e.rBytes = 0
 		}
 	}
 	// Compaction writes are maintenance, not traffic.

@@ -1,9 +1,13 @@
 package store
 
 import (
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -20,13 +24,59 @@ func testTree(w int) *Tree {
 }
 
 // lastSegment returns the path of the highest-numbered segment file.
-func lastSegment(t *testing.T, dir string) string {
+func lastSegment(t testing.TB, dir string) string {
 	t.Helper()
 	names, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
 	if err != nil || len(names) == 0 {
 		t.Fatalf("no segments in %s (err=%v)", dir, err)
 	}
 	return names[len(names)-1]
+}
+
+// legacySummaryFrame frames, as append does, a per-width memo summary
+// record ("r") in the exact payload older logs wrote for hash. The
+// current log writes no such record and must skip it on replay.
+func legacySummaryFrame(hash string) []byte {
+	payload := []byte(`{"t":"r","h":"` + hash + `","ref":[{"k":1,"states":5},{"k":2,"states":17}]}`)
+	buf := make([]byte, frameHeader+len(payload))
+	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(payload, crcTable))
+	copy(buf[frameHeader:], payload)
+	return buf
+}
+
+// appendFrames appends raw frames to a closed log's last segment.
+func appendFrames(t testing.TB, dir string, frames ...[]byte) {
+	t.Helper()
+	f, err := os.OpenFile(lastSegment(t, dir), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fr := range frames {
+		if _, err := f.Write(fr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// recordKinds lists the type tag of every frame in a well-formed
+// segment, in order.
+func recordKinds(t *testing.T, data []byte) string {
+	t.Helper()
+	var kinds strings.Builder
+	for off := 0; off < len(data); {
+		n := int(binary.LittleEndian.Uint32(data[off:]))
+		var rec logRecord
+		if err := json.Unmarshal(data[off+frameHeader:off+frameHeader+n], &rec); err != nil {
+			t.Fatalf("frame at %d: %v", off, err)
+		}
+		kinds.WriteString(rec.T)
+		off += frameHeader + n
+	}
+	return kinds.String()
 }
 
 func TestLogRoundTrip(t *testing.T) {
@@ -41,9 +91,6 @@ func TestLogRoundTrip(t *testing.T) {
 	if err := l.PutTree("g1", testTree(4)); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.MergeRefuted("g1", []WidthSummary{{K: 2, States: 17}, {K: 1, States: 5}}); err != nil {
-		t.Fatal(err)
-	}
 	if err := l.PutTree("g2", testTree(2)); err != nil {
 		t.Fatal(err)
 	}
@@ -52,6 +99,14 @@ func TestLogRoundTrip(t *testing.T) {
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
+	}
+	// One frame per change, of the three record kinds only.
+	data, err := os.ReadFile(lastSegment(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := recordKinds(t, data); got != "bttd" {
+		t.Fatalf("segment record kinds %q, want %q", got, "bttd")
 	}
 
 	l, err = OpenLog(LogConfig{Dir: dir})
@@ -66,9 +121,6 @@ func TestLogRoundTrip(t *testing.T) {
 	if err != nil || !ok || tr.Width() != 4 || tr.Nodes() != 2 {
 		t.Fatalf("g1 tree w=%d n=%d ok=%v err=%v", tr.Width(), tr.Nodes(), ok, err)
 	}
-	if ws := l.Refuted("g1"); len(ws) != 2 || ws[0].K != 1 || ws[1].States != 17 {
-		t.Fatalf("g1 refuted %+v", ws)
-	}
 	// g2's tombstone must survive the restart; its UB (from the tree)
 	// stays — the witness is gone, the width-level fact is not.
 	if _, ok, _ := l.Tree("g2"); ok {
@@ -80,6 +132,85 @@ func TestLogRoundTrip(t *testing.T) {
 	if n := len(l.Hashes()); n != 2 {
 		t.Fatalf("len=%d, want 2", n)
 	}
+}
+
+// TestLogSkipsLegacySummaryRecords: a directory whose segments hold
+// per-width memo summary records, as older logs wrote them, opens
+// with no corrupt record and no torn tail. A hash that had only
+// summaries gets no entry; every other hash keeps its bounds and tree,
+// records after a legacy frame still replay, and the next compaction
+// drops the legacy bytes.
+func TestLogSkipsLegacySummaryRecords(t *testing.T) {
+	dir := t.TempDir()
+	l, err := OpenLog(LogConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.MergeBounds("g1", Bounds{LB: 3})
+	l.PutTree("g1", testTree(4))
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	appendFrames(t, dir, legacySummaryFrame("g1"), legacySummaryFrame("only-memos"))
+
+	check := func(l *Log, stage string) {
+		t.Helper()
+		if st := l.Stats(); st.CorruptRecords != 0 || st.TruncatedTail != 0 {
+			t.Fatalf("%s: corrupt=%d truncated=%d, want 0", stage, st.CorruptRecords, st.TruncatedTail)
+		}
+		if got := strings.Join(l.Hashes(), ","); got != "g1,g2" {
+			t.Fatalf("%s: hashes %q, want g1,g2 (no entry for a summaries-only hash)", stage, got)
+		}
+		if b, ok := l.Bounds("g1"); !ok || b.LB != 3 || b.UB != 4 {
+			t.Fatalf("%s: g1 bounds %+v ok=%v", stage, b, ok)
+		}
+		if tr, ok, err := l.Tree("g1"); !ok || err != nil || tr.Width() != 4 {
+			t.Fatalf("%s: g1 tree ok=%v err=%v", stage, ok, err)
+		}
+		if tr, ok, err := l.Tree("g2"); !ok || err != nil || tr.Width() != 2 {
+			t.Fatalf("%s: g2 tree ok=%v err=%v", stage, ok, err)
+		}
+	}
+
+	// g2 lands after the legacy frames in the same segment.
+	l, err = OpenLog(LogConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := l.Bounds("only-memos"); ok {
+		t.Fatal("summaries-only hash has bounds")
+	}
+	l.PutTree("g2", testTree(2))
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l, err = OpenLog(LogConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(l, "reopen")
+	if err := l.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	names, _ := filepath.Glob(filepath.Join(dir, "seg-*.log"))
+	for _, name := range names {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := recordKinds(t, data); strings.Contains(got, "r") {
+			t.Fatalf("%s holds record kinds %q after compaction", filepath.Base(name), got)
+		}
+	}
+	l, err = OpenLog(LogConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	check(l, "after compaction")
 }
 
 // TestLogSupersededRecordsDoNotResurrect: merges only tighten across
@@ -435,7 +566,10 @@ func TestLogConcurrency(t *testing.T) {
 					l.Bounds(hash)
 					l.Tree(hash)
 				case 3:
-					l.MergeRefuted(hash, []WidthSummary{{K: i % 3, States: int64(i)}})
+					l.TreeWidth(hash)
+					if i%10 == 0 {
+						l.DropTree(hash)
+					}
 				}
 			}
 		}(g)

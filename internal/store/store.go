@@ -37,7 +37,7 @@ func (b *Bounds) Merge(nw Bounds) bool {
 
 // Memo is one (hypergraph, width) negative-memo table as handed to the
 // solvers: the logk.MemoBackend adapter plus a size probe for stats and
-// the persisted refutation summaries. Implementations must be safe for concurrent use.
+// the /cache listing. Implementations must be safe for concurrent use.
 type Memo interface {
 	logk.MemoBackend
 	// Entries returns the number of memoised dead states.
@@ -111,9 +111,9 @@ type EntryInfo struct {
 	Memos     []WidthSummary `json:"memos,omitempty"`
 }
 
-// WidthSummary summarises one per-width negative-memo table: how many
-// dead states it holds (the table contents themselves are never
-// persisted — only this summary is).
+// WidthSummary summarises one live per-width negative-memo table: how
+// many dead states it holds. Neither the table nor its summary is
+// persisted.
 type WidthSummary struct {
 	K      int   `json:"k"`
 	States int64 `json:"states"`

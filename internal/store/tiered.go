@@ -25,8 +25,8 @@ type TieredConfig struct {
 // and serves the entire history warm.
 //
 // Negative-memo tables live in memory only (they are large and
-// regenerate quickly); their per-width summaries are flushed to the
-// log on Sync, Compact, and Close.
+// regenerate quickly): a restart starts them empty, and nothing about
+// them reaches the log.
 //
 // Disk append failures are counted (Stats().Disk.Errors) but do not
 // fail reads or lose the in-memory state: availability degrades to
@@ -114,42 +114,34 @@ func (t *Tiered) Stats() Stats {
 }
 
 // Info implements Backend: entries come from the disk index (the full
-// durable state, sorted by hash for deterministic listings), with live
-// memo-table summaries merged in from the memory front.
+// durable state, sorted by hash for deterministic listings), each
+// carrying the live memo summaries of its memory-front entry, followed
+// by the memory-front entries the disk has no record for (memo tables
+// created for hashes whose jobs produced no durable fact yet).
 func (t *Tiered) Info(max int) []EntryInfo {
-	hashes := t.log.Hashes()
-	memInfo := make(map[string]EntryInfo)
-	for _, in := range t.mem.Info(0) {
-		memInfo[in.Hash] = in
+	front := t.mem.Info(0)
+	memos := make(map[string][]WidthSummary, len(front))
+	for _, in := range front {
+		memos[in.Hash] = in.Memos
 	}
 	var out []EntryInfo
-	for _, hash := range hashes {
+	for _, hash := range t.log.Hashes() {
 		if max > 0 && len(out) >= max {
 			break
 		}
 		b, _ := t.log.Bounds(hash)
-		in := EntryInfo{Hash: hash, Bounds: b}
+		in := EntryInfo{Hash: hash, Bounds: b, Memos: memos[hash]}
 		if w, ok := t.log.TreeWidth(hash); ok {
 			in.HasTree, in.TreeWidth = true, w
 		}
-		// Durable summaries merged with live ones: an entry promoted
-		// by a read has no memo tables yet, and must not hide what the
-		// log already holds.
-		in.Memos = t.log.Refuted(hash)
-		if mi, ok := memInfo[hash]; ok {
-			mergeSummaries(&in.Memos, mi.Memos)
-			delete(memInfo, hash)
-		}
+		delete(memos, hash)
 		out = append(out, in)
 	}
-	// Memory-front entries the disk has no record for (memo tables
-	// created for hashes whose jobs produced no durable fact yet):
-	// after the overlay pass above, memInfo holds exactly those.
-	for _, in := range t.mem.Info(0) {
+	for _, in := range front {
 		if max > 0 && len(out) >= max {
 			break
 		}
-		if _, memOnly := memInfo[in.Hash]; memOnly {
+		if _, memOnly := memos[in.Hash]; memOnly {
 			out = append(out, in)
 		}
 	}
@@ -163,31 +155,19 @@ func (t *Tiered) Purge() {
 	t.log.Purge()
 }
 
-// flushSummaries appends the memory front's live memo summaries to the
-// log, so restarts keep the refutation bookkeeping.
-func (t *Tiered) flushSummaries() {
-	for _, in := range t.mem.Info(0) {
-		if len(in.Memos) > 0 {
-			t.log.MergeRefuted(in.Hash, in.Memos)
-		}
-	}
-}
-
-// Sync flushes memo summaries and fsyncs the log's unsynced tail.
+// Sync fsyncs the log's unsynced tail.
 func (t *Tiered) Sync() error {
-	t.flushSummaries()
 	return t.log.Sync()
 }
 
-// Compact flushes memo summaries and compacts the log.
+// Compact compacts the log.
 func (t *Tiered) Compact() error {
-	t.flushSummaries()
 	return t.log.Compact()
 }
 
-// Close flushes memo summaries and closes the log. Idempotent: every
-// call returns the first close's error, so both a service that owns
-// the backend and the operator code that built it can close safely.
+// Close closes the log. Idempotent: every call returns the first
+// close's error, so both a service that owns the backend and the
+// operator code that built it can close safely.
 func (t *Tiered) Close() error {
 	t.closeMu.Lock()
 	defer t.closeMu.Unlock()
@@ -195,7 +175,6 @@ func (t *Tiered) Close() error {
 		return t.closeErr
 	}
 	t.closed = true
-	t.flushSummaries()
 	t.closeErr = t.log.Close()
 	return t.closeErr
 }

@@ -86,8 +86,10 @@ func TestTieredEvictionFallsBackToDisk(t *testing.T) {
 	}
 }
 
-// TestTieredSummariesFlushOnClose: memo tables are memory-only but
-// their per-width summaries survive restarts via the flush-on-close.
+// TestTieredSummariesFlushOnClose: memo tables are memory-only, and
+// Close writes nothing about them. Info shows a live table's summary
+// on its disk entry, and, after a restart dropped the table, lists the
+// entry with no summary rather than one for a table that is gone.
 func TestTieredSummariesFlushOnClose(t *testing.T) {
 	dir := t.TempDir()
 	ts := openTiered(t, dir, 32)
@@ -95,31 +97,43 @@ func TestTieredSummariesFlushOnClose(t *testing.T) {
 	m, _ := ts.Memo("g", 2)
 	m.Insert("dead-a")
 	m.Insert("dead-b")
+	m, _ = ts.Memo("mem-only", 1)
+	m.Insert("dead-c")
+	infos := ts.Info(0)
+	if len(infos) != 2 || infos[0].Hash != "g" || infos[1].Hash != "mem-only" {
+		t.Fatalf("live info: %+v", infos)
+	}
+	if got := infos[0].Memos; len(got) != 1 || got[0] != (WidthSummary{K: 2, States: 2}) {
+		t.Fatalf("live memo summary of a disk entry: %+v", got)
+	}
+	if got := infos[1].Memos; len(got) != 1 || got[0] != (WidthSummary{K: 1, States: 1}) {
+		t.Fatalf("live memo summary of a memory-only entry: %+v", got)
+	}
+	appends := ts.Stats().Disk.Appends
 	if err := ts.Close(); err != nil {
 		t.Fatal(err)
+	}
+	data, err := os.ReadFile(lastSegment(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := recordKinds(t, data); got != "b" || appends != 1 {
+		t.Fatalf("closed log holds record kinds %q after %d appends, want one bounds record", got, appends)
 	}
 
 	ts = openTiered(t, dir, 32)
 	defer ts.Close()
-	infos := ts.Info(0)
-	if len(infos) != 1 || infos[0].Hash != "g" {
-		t.Fatalf("info after restart: %+v", infos)
-	}
-	found := false
-	for _, ws := range infos[0].Memos {
-		if ws.K == 2 && ws.States == 2 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("memo summary lost across restart: %+v", infos[0].Memos)
+	infos = ts.Info(0)
+	if len(infos) != 1 || infos[0].Hash != "g" || infos[0].Bounds.LB != 3 || len(infos[0].Memos) != 0 {
+		t.Fatalf("info after restart: %+v, want g with LB 3 and no memo summary", infos)
 	}
 }
 
 // TestTieredExportImport: the export format is the closed log
 // directory itself. A byte copy of it, opened elsewhere, serves the
-// source's bounds, trees and refutation summaries, and keeps accepting
-// durable appends of its own without touching the source.
+// source's bounds and trees, with no memo summary for the source's
+// memory-only tables, and keeps accepting durable appends of its own
+// without touching the source.
 func TestTieredExportImport(t *testing.T) {
 	srcDir := t.TempDir()
 	src := openTiered(t, srcDir, 32)
@@ -143,8 +157,8 @@ func TestTieredExportImport(t *testing.T) {
 	if tr, ok := dst.Decomposition("g2"); !ok || tr.Width() != 2 {
 		t.Fatalf("copied g2 tree missing (ok=%v)", ok)
 	}
-	if got := dst.log.Refuted("g1"); len(got) != 1 || got[0] != (WidthSummary{K: 2, States: 1}) {
-		t.Fatalf("copied g1 refutation summaries %+v", got)
+	if got := dst.Info(0); len(got) != 2 || got[0].Hash != "g1" || len(got[0].Memos) != 0 {
+		t.Fatalf("copied entries %+v, want g1 and g2 with no memo summary", got)
 	}
 	dst.MergeBounds("g3", Bounds{LB: 5})
 	if err := dst.Close(); err != nil {
