@@ -90,3 +90,35 @@ func TestChildPoolRejectsInterfaceOutsideSubproblem(t *testing.T) {
 		t.Fatalf("decomp with conn ⊄ V(H′): ok=%v err=%v, want an internal error", ok, err)
 	}
 }
+
+// TestLogKAllocBudget pins the search core's effort and allocations on
+// syn-cylinder-26 of HyperBench-sim {Scale: 4, Seed: 1} at k = 3 with
+// one worker: the exact λ(c) and λ(p) rank counts, and an allocation
+// budget of the count measured when the test was written, rounded up.
+func TestLogKAllocBudget(t *testing.T) {
+	h := suiteInstance(t, hyperbench.Config{Scale: 4, Seed: 1}, "syn-cylinder-26")
+	const (
+		wantCandidates  = 36_344
+		wantParentCands = 1_130_953
+		maxAllocs       = 460_000
+	)
+	var st Stats
+	allocs := testing.AllocsPerRun(1, func() {
+		s := New(h, Options{K: 3, Workers: 1})
+		d, ok, err := s.Decompose(context.Background())
+		if err != nil || !ok {
+			t.Fatalf("k=3: ok=%v err=%v, want a decomposition", ok, err)
+		}
+		if err := decomp.CheckHD(d); err != nil {
+			t.Fatalf("k=3: invalid HD: %v", err)
+		}
+		st = s.Stats()
+	})
+	t.Logf("k=3, 1 worker: %d candidates, %d parent candidates, %.0f allocations", st.Candidates, st.ParentCands, allocs)
+	if st.Candidates != wantCandidates || st.ParentCands != wantParentCands {
+		t.Errorf("ranks = %d / %d, want exactly %d / %d", st.Candidates, st.ParentCands, wantCandidates, wantParentCands)
+	}
+	if allocs > maxAllocs {
+		t.Errorf("allocated %.0f times, budget %d", allocs, maxAllocs)
+	}
+}
