@@ -90,7 +90,7 @@ import (
 func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
-		budget     = flag.Int("budget", 0, "global extra-worker token budget (0 = GOMAXPROCS-1)")
+		budget     = flag.Int("budget", 0, "global extra-worker token budget (0 = GOMAXPROCS-1, -1 = none)")
 		maxConc    = flag.Int("max-concurrent", 0, "max jobs decomposing at once (0 = GOMAXPROCS)")
 		maxQueue   = flag.Int("max-queue", 0, "max jobs waiting before rejection (0 = 64)")
 		timeout    = flag.Duration("timeout", 30*time.Second, "default per-job timeout (0 = none)")

@@ -94,13 +94,15 @@ func TestChildPoolRejectsInterfaceOutsideSubproblem(t *testing.T) {
 // TestLogKAllocBudget pins the search core's effort and allocations on
 // syn-cylinder-26 of HyperBench-sim {Scale: 4, Seed: 1} at k = 3 with
 // one worker: the exact λ(c) and λ(p) rank counts, and an allocation
-// budget of the count measured when the test was written, rounded up.
+// budget. The run (with CheckHD) allocated 456,199 times while each
+// candidate loop built its own label buffers per call, and 435,950
+// times once both loops kept one enumerator per frame.
 func TestLogKAllocBudget(t *testing.T) {
 	h := suiteInstance(t, hyperbench.Config{Scale: 4, Seed: 1}, "syn-cylinder-26")
 	const (
 		wantCandidates  = 36_344
 		wantParentCands = 1_130_953
-		maxAllocs       = 460_000
+		maxAllocs       = 440_000
 	)
 	var st Stats
 	allocs := testing.AllocsPerRun(1, func() {

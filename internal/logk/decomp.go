@@ -3,26 +3,27 @@ package logk
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/bitset"
 	"repro/internal/comb"
 	"repro/internal/decomp"
 	"repro/internal/detk"
 	"repro/internal/ext"
+	"repro/internal/hypergraph"
 )
 
-// callState is one worker's private state for the ChildLoop of one
-// decomp call. Its parent cache exploits that the [λp]-components of H'
-// depend only on ∪λp — not on the current child candidate — so each
+// parentCache is one worker's cache of parent candidates for the
+// ChildLoop of one decomp call. It exploits that the [λp]-components of
+// H' depend only on ∪λp — not on the current child candidate — so each
 // distinct parent candidate is analysed once per worker and call instead
 // of once per (λc, λp) pair. The cache is never shared, so it takes no
 // lock, and one ∪λp always maps to one *parentInfo, which keeps the
 // pointer-keyed failure dedup in parentLoop sound. Lookups use the
 // no-allocation string(buf) map-lookup form, keeping the
 // multi-million-iteration parent loops cheap.
-type callState struct {
-	parents map[string]*parentInfo
-}
+type parentCache map[string]*parentInfo
 
 // parentInfo is the cached analysis of one ∪λp: the oversized
 // [λp]-component if any, with its vertex set.
@@ -93,65 +94,23 @@ func (s *Solver) decomp(ctx context.Context, w *worker, g *ext.Graph, conn *bits
 // childRange enumerates ranks [lo, hi) of the λ(c) candidate space over
 // pool, the child pool built by searchChild (ChildLoop, lines 11-21), and
 // returns the first success. Recursions get allowed.
-func (s *Solver) childRange(ctx context.Context, w *worker, cs *callState, g *ext.Graph, conn *bitset.Set, pool, allowed []int, depth int, lo, hi int64) (*decomp.Node, bool, error) {
-	// isNew[i] marks pool edges that belong to g.Edges; a candidate must
-	// contain at least one of them (progress condition).
-	fr := w.frame(depth)
-	if cap(fr.childNew) < len(pool) {
-		fr.childNew = make([]bool, len(pool))
-	}
-	isNew := fr.childNew[:len(pool)]
-	for i, e := range pool {
-		isNew[i] = g.ContainsEdge(e)
-	}
-
-	it := comb.NewIter(comb.Space{M: len(pool), K: s.Opts.K}, lo, hi)
-	lambdaC := make([]int, 0, s.Opts.K)
-	unionC := s.H.NewVertexSet()
-	count := 0
-
-	for idxs := it.Next(); idxs != nil; idxs = it.Next() {
-		count++
-		if count&0x3F == 0 {
-			if err := ctx.Err(); err != nil {
-				w.stats.Candidates += int64(count)
-				return nil, false, err
-			}
-		}
-		hasNew := false
-		for _, i := range idxs {
-			if isNew[i] {
-				hasNew = true
-				break
-			}
-		}
-		if !hasNew {
-			continue
-		}
-		lambdaC = lambdaC[:0]
-		unionC.Reset()
-		for _, i := range idxs {
-			e := pool[i]
-			lambdaC = append(lambdaC, e)
-			unionC.InPlaceUnion(s.H.Edge(e))
-		}
-		node, ok, err := s.tryChild(ctx, w, cs, g, conn, allowed, lambdaC, unionC, depth)
-		if err != nil {
-			w.stats.Candidates += int64(count)
-			return nil, false, err
-		}
-		if ok {
-			w.stats.Candidates += int64(count)
-			return node, true, nil
+func (s *Solver) childRange(ctx context.Context, w *worker, parents parentCache, g *ext.Graph, conn *bitset.Set, pool, allowed []int, depth int, lo, hi int64) (*decomp.Node, bool, error) {
+	c := &w.frame(depth).child
+	c.start(g, pool, s.Opts.K, lo, hi)
+	for c.next(ctx) {
+		node, ok, err := s.tryChild(ctx, w, parents, g, conn, allowed, c.lambda, c.union, depth)
+		if ok || err != nil {
+			w.stats.Candidates += c.ranks
+			return node, ok, err
 		}
 	}
-	w.stats.Candidates += int64(count)
-	return nil, false, nil
+	w.stats.Candidates += c.ranks
+	return nil, false, c.err
 }
 
 // tryChild evaluates one λ(c) candidate: the balancedness pre-check, the
 // root-of-fragment case, and the ParentLoop.
-func (s *Solver) tryChild(ctx context.Context, w *worker, cs *callState, g *ext.Graph, conn *bitset.Set, allowed []int, lambdaC []int, unionC *bitset.Set, depth int) (*decomp.Node, bool, error) {
+func (s *Solver) tryChild(ctx context.Context, w *worker, parents parentCache, g *ext.Graph, conn *bitset.Set, allowed []int, lambdaC []int, unionC *bitset.Set, depth int) (*decomp.Node, bool, error) {
 	// Balancedness pre-check (lines 12-14): if ∪λc does not balance H',
 	// then neither does any χc ⊆ ∪λc derived from it.
 	if !w.split.Balanced(g, unionC) {
@@ -164,25 +123,11 @@ func (s *Solver) tryChild(ctx context.Context, w *worker, cs *callState, g *ext.
 	// avoid their forbidden vertices (see ext.Special.Forbidden).
 	if conn.SubsetOf(unionC) && !intersectsForbidden(unionC, g.ForbiddenUnion()) {
 		chiC := unionC.Intersect(g.Vertices())
-		compsC := w.split.Components(g, unionC)
-		children := make([]*decomp.Node, 0, len(compsC))
-		ok := true
-		for _, y := range compsC {
-			connY := y.Vertices().Intersect(chiC)
-			child, childOK, err := s.decomp(ctx, w, y, connY, allowed, depth+1)
-			if err != nil {
-				return nil, false, err
-			}
-			if !childOK {
-				ok = false
-				break
-			}
-			children = append(children, child)
+		children, ok, err := s.below(ctx, w, g, chiC, allowed, depth)
+		if err != nil {
+			return nil, false, err
 		}
 		if ok {
-			for _, sp := range g.SpecialsCoveredBy(chiC) {
-				children = append(children, decomp.NewSpecialLeaf(sp.ID, sp.Vertices))
-			}
 			root := decomp.NewNode(lambdaC, chiC)
 			root.Children = children
 			return root, true, nil
@@ -191,15 +136,36 @@ func (s *Solver) tryChild(ctx context.Context, w *worker, cs *callState, g *ext.
 		// balanced separator with some parent above it.
 	}
 
-	return s.parentLoop(ctx, w, cs, g, conn, allowed, lambdaC, unionC, depth)
+	return s.parentLoop(ctx, w, parents, g, conn, allowed, lambdaC, unionC, depth)
+}
+
+// below decomposes what hangs below a node with bag chi that separates
+// g: it recurses into every [chi]-component of g, each with interface
+// its vertices in chi, and returns their fragments in component order
+// followed by a leaf for each special of g that chi covers. It stops at
+// the first component with no fragment (ok false) or an error.
+func (s *Solver) below(ctx context.Context, w *worker, g *ext.Graph, chi *bitset.Set, allowed []int, depth int) ([]*decomp.Node, bool, error) {
+	comps := w.split.Components(g, chi)
+	children := make([]*decomp.Node, 0, len(comps))
+	for _, y := range comps {
+		child, ok, err := s.decomp(ctx, w, y, y.Vertices().Intersect(chi), allowed, depth+1)
+		if !ok {
+			return nil, false, err
+		}
+		children = append(children, child)
+	}
+	for _, sp := range g.SpecialsCoveredBy(chi) {
+		children = append(children, decomp.NewSpecialLeaf(sp.ID, sp.Vertices))
+	}
+	return children, true, nil
 }
 
 // parentFor returns the worker's cached analysis of one parent
 // candidate ∪λp, computing it on first use.
-func (s *Solver) parentFor(w *worker, cs *callState, g *ext.Graph, unionP *bitset.Set) *parentInfo {
+func (s *Solver) parentFor(w *worker, parents parentCache, g *ext.Graph, unionP *bitset.Set) *parentInfo {
 	if !s.Opts.NoCache {
 		w.keyBuf = unionP.AppendKey(w.keyBuf[:0])
-		if pi := cs.parents[string(w.keyBuf)]; pi != nil { // no-alloc lookup form
+		if pi := parents[string(w.keyBuf)]; pi != nil { // no-alloc lookup form
 			return pi
 		}
 	}
@@ -208,100 +174,49 @@ func (s *Solver) parentFor(w *worker, cs *callState, g *ext.Graph, unionP *bitse
 		pi.vDown = pi.compDown.Vertices()
 	}
 	if !s.Opts.NoCache {
-		if cs.parents == nil {
-			cs.parents = make(map[string]*parentInfo)
-		}
-		cs.parents[string(w.keyBuf)] = pi
+		parents[string(w.keyBuf)] = pi
 	}
 	return pi
 }
 
 // parentLoop searches for a λ(p) compatible with the chosen λ(c)
 // (lines 22-43 of Algorithm 2).
-func (s *Solver) parentLoop(ctx context.Context, w *worker, cs *callState, g *ext.Graph, conn *bitset.Set, allowed []int, lambdaC []int, unionC *bitset.Set, depth int) (*decomp.Node, bool, error) {
+func (s *Solver) parentLoop(ctx context.Context, w *worker, parents parentCache, g *ext.Graph, conn *bitset.Set, allowed []int, lambdaC []int, unionC *bitset.Set, depth int) (*decomp.Node, bool, error) {
 	// Parent candidates: edges sharing a vertex with ∪λc (Appendix C,
 	// "Speeding up the search for parent λ-labels"); completeness is
 	// preserved (Theorem C.1).
 	fr := w.frame(depth)
 	pool := allowed
 	if !s.Opts.NoParentPoolRestriction {
-		pool = fr.parentPool[:0]
-		for _, e := range allowed {
-			if s.H.Edge(e).Intersects(unionC) {
-				pool = append(pool, e)
-			}
-		}
-		fr.parentPool = pool
+		fr.parentPool = s.meeting(fr.parentPool, allowed, unionC)
+		pool = fr.parentPool
 	}
-	if cap(fr.parentNew) < len(pool) {
-		fr.parentNew = make([]bool, len(pool))
-	}
-	isNew := fr.parentNew[:len(pool)]
-	for i, e := range pool {
-		isNew[i] = g.ContainsEdge(e)
-	}
-
-	space := comb.Space{M: len(pool), K: s.Opts.K}
-	it := comb.NewIter(space, 0, space.Total())
-	lambdaP := make([]int, 0, s.Opts.K)
-	unionP := s.H.NewVertexSet()
-	count := 0
+	p := &fr.parent
+	p.start(g, pool, s.Opts.K, 0, math.MaxInt64)
 
 	// Distinct downward components whose recursion already failed for
 	// this λc; different λp producing the same component would repeat
 	// the identical recursion.
 	failed := map[*ext.Graph]bool{}
 
-	for idxs := it.Next(); idxs != nil; idxs = it.Next() {
-		count++
-		if count&0x3F == 0 {
-			if err := ctx.Err(); err != nil {
-				w.stats.ParentCands += int64(count)
-				return nil, false, err
-			}
-		}
-		hasNew := false
-		for _, i := range idxs {
-			if isNew[i] {
-				hasNew = true
-				break
-			}
-		}
-		if !hasNew {
+	for p.next(ctx) {
+		pi := s.parentFor(w, parents, g, p.union)
+		// No oversized [λp]-component: p cannot sit above a balanced
+		// separator child (the root case is handled in tryChild).
+		if pi.compDown == nil || failed[pi.compDown] {
 			continue
 		}
-		lambdaP = lambdaP[:0]
-		unionP.Reset()
-		for _, i := range idxs {
-			e := pool[i]
-			lambdaP = append(lambdaP, e)
-			unionP.InPlaceUnion(s.H.Edge(e))
-		}
-
-		pi := s.parentFor(w, cs, g, unionP)
-		if pi.compDown == nil {
-			// No oversized [λp]-component: p cannot sit above a balanced
-			// separator child (the root case is handled in tryChild).
-			continue
-		}
-		if failed[pi.compDown] {
-			continue
-		}
-		node, ok, rejectedComp, err := s.tryParent(ctx, w, g, conn, allowed, lambdaC, unionC, unionP, pi, depth)
-		if err != nil {
-			w.stats.ParentCands += int64(count)
-			return nil, false, err
-		}
-		if ok {
-			w.stats.ParentCands += int64(count)
-			return node, true, nil
+		node, ok, rejectedComp, err := s.tryParent(ctx, w, g, conn, allowed, lambdaC, unionC, p.union, pi, depth)
+		if ok || err != nil {
+			w.stats.ParentCands += p.ranks
+			return node, ok, err
 		}
 		if rejectedComp {
 			failed[pi.compDown] = true
 		}
 	}
-	w.stats.ParentCands += int64(count)
-	return nil, false, nil
+	w.stats.ParentCands += p.ranks
+	return nil, false, p.err
 }
 
 // tryParent evaluates one (λp, λc) pair (lines 23-43). rejectedComp
@@ -335,19 +250,12 @@ func (s *Solver) tryParent(ctx context.Context, w *worker, g *ext.Graph, conn *b
 	// [χc]-components inside compDown (line 33). By Corollary 3.8 these
 	// coincide with the [λc]-components there, so the balancedness
 	// pre-check in tryChild already bounds their size by total/2.
-	compsC := w.split.Components(compDown, chiC)
-
-	children := make([]*decomp.Node, 0, len(compsC))
-	for _, x := range compsC {
-		connX := x.Vertices().Intersect(chiC)
-		child, ok, err := s.decomp(ctx, w, x, connX, allowed, depth+1)
-		if err != nil {
-			return nil, false, false, err
-		}
-		if !ok {
-			return nil, false, true, nil // reject parent (line 37)
-		}
-		children = append(children, child)
+	children, ok, err := s.below(ctx, w, compDown, chiC, allowed, depth)
+	if err != nil {
+		return nil, false, false, err
+	}
+	if !ok {
+		return nil, false, true, nil // reject parent (line 37)
 	}
 
 	// The part above c: everything outside compDown plus χc as a new
@@ -377,20 +285,17 @@ func (s *Solver) tryParent(ctx context.Context, w *worker, g *ext.Graph, conn *b
 	}
 
 	// Stitch: the fragment above has exactly one leaf for special sid;
-	// replace it in place with node c and hang the downward fragments
-	// plus leaves for compDown's specials covered by χc (App. A).
+	// replace it in place with node c and hang below it the downward
+	// fragments and leaves for compDown's specials covered by χc (App. A).
 	leaf := up.FindSpecialLeaf(sid)
 	if leaf == nil {
 		return nil, false, false, fmt.Errorf("logk: internal error: special leaf %d missing after successful recursion", sid)
 	}
 	leaf.SpecialID = decomp.NoSpecial
-	leaf.Lambda = append([]int(nil), lambdaC...)
-	sortInts(leaf.Lambda)
+	leaf.Lambda = slices.Clone(lambdaC)
+	slices.Sort(leaf.Lambda)
 	leaf.Bag = chiC
 	leaf.Children = children
-	for _, sp := range compDown.SpecialsCoveredBy(chiC) {
-		leaf.Children = append(leaf.Children, decomp.NewSpecialLeaf(sp.ID, sp.Vertices))
-	}
 	return up, true, false, nil
 }
 
@@ -398,10 +303,85 @@ func intersectsForbidden(union, forbidden *bitset.Set) bool {
 	return forbidden != nil && union.Intersects(forbidden)
 }
 
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
+// sortInts sorts a in place (BasicSolver's stitch).
+func sortInts(a []int) { slices.Sort(a) }
+
+// meeting returns the edges of allowed that meet u, in allowed order,
+// in buf's storage: searchChild's λ(c) pool (u = V(H′)) and parentLoop's
+// λ(p) pool (u = ∪λ(c)).
+func (s *Solver) meeting(buf, allowed []int, u *bitset.Set) []int {
+	buf = buf[:0]
+	for _, e := range allowed {
+		if s.H.Edge(e).Intersects(u) {
+			buf = append(buf, e)
 		}
 	}
+	return buf
+}
+
+// labels enumerates the λ-labels of one candidate loop, λ(c)
+// (childRange) or λ(p) (parentLoop): the subsets of 1..k edges of a
+// pool over a rank range, in comb order, skipping those with no edge of
+// the subproblem — a label of only old edges makes no progress (normal
+// form condition 2). Each frame keeps one per loop, so the buffers
+// outlive a call.
+type labels struct {
+	h      *hypergraph.Hypergraph
+	pool   []int
+	isNew  []bool // isNew[i]: pool[i] is an edge of the subproblem
+	it     *comb.Iter
+	lambda []int       // the current label
+	union  *bitset.Set // its vertices, ∪λ
+	// ranks counts the ranks enumerated, skipped ones included; the
+	// caller adds it to Candidates or ParentCands.
+	ranks int64
+	err   error // the context's error, when that stopped the enumeration
+}
+
+// start readies l for ranks [lo, hi) of the labels of at most k edges
+// of pool, for subproblem g.
+func (l *labels) start(g *ext.Graph, pool []int, k int, lo, hi int64) {
+	l.h, l.pool = g.H, pool
+	l.isNew = l.isNew[:0]
+	for _, e := range pool {
+		l.isNew = append(l.isNew, g.ContainsEdge(e))
+	}
+	l.it = comb.NewIter(comb.Space{M: len(pool), K: k}, lo, hi)
+	if l.union == nil {
+		l.union = l.h.NewVertexSet()
+	}
+	l.ranks, l.err = 0, nil
+}
+
+// next moves to the next label with a new edge, leaving it in l.lambda
+// and l.union, and reports whether there is one. Every 64 ranks it polls
+// ctx, and stops with l.err once ctx is done.
+func (l *labels) next(ctx context.Context) bool {
+	for idxs := l.it.Next(); idxs != nil; idxs = l.it.Next() {
+		l.ranks++
+		if l.ranks&0x3F == 0 {
+			if l.err = ctx.Err(); l.err != nil {
+				return false
+			}
+		}
+		hasNew := false
+		for _, i := range idxs {
+			if l.isNew[i] {
+				hasNew = true
+				break
+			}
+		}
+		if !hasNew {
+			continue
+		}
+		l.lambda = l.lambda[:0]
+		l.union.Reset()
+		for _, i := range idxs {
+			e := l.pool[i]
+			l.lambda = append(l.lambda, e)
+			l.union.InPlaceUnion(l.h.Edge(e))
+		}
+		return true
+	}
+	return false
 }

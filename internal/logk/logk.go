@@ -225,26 +225,27 @@ type worker struct {
 	memoBuf []byte
 
 	// frames holds per-recursion-depth scratch: the candidate loops at
-	// depth d keep slices alive across recursive calls at depth d+1, so
-	// scratch must not be shared between depths.
-	frames []frameScratch
+	// depth d keep it alive across recursive calls at depth d+1, so
+	// scratch must not be shared between depths. Each frame is its own
+	// allocation, so a deeper call growing the stack never moves a
+	// frame that a shallower loop still holds.
+	frames []*frameScratch
 }
 
-// frameScratch is reusable loop scratch for one recursion depth.
+// frameScratch is reusable loop scratch for one recursion depth: the
+// two candidate pools and the label enumerators of the two loops.
 type frameScratch struct {
-	childPool  []int
-	childNew   []bool
-	parentPool []int
-	parentNew  []bool
+	childPool, parentPool []int
+	child, parent         labels
 }
 
 // frame returns the scratch for the given depth, growing the stack as
 // needed.
 func (w *worker) frame(depth int) *frameScratch {
 	for len(w.frames) <= depth {
-		w.frames = append(w.frames, frameScratch{})
+		w.frames = append(w.frames, new(frameScratch))
 	}
-	return &w.frames[depth]
+	return w.frames[depth]
 }
 
 func (s *Solver) makeWorker() *worker {

@@ -64,19 +64,14 @@ func (s *Solver) searchChild(ctx context.Context, w *worker, g *ext.Graph, conn 
 		return nil, false, fmt.Errorf("logk: internal error: interface has vertices outside the subproblem at depth %d", depth)
 	}
 	fr := w.frame(depth)
-	pool := fr.childPool[:0]
-	for _, e := range allowed {
-		if s.H.Edge(e).Intersects(verts) {
-			pool = append(pool, e)
-		}
-	}
-	fr.childPool = pool
+	fr.childPool = s.meeting(fr.childPool, allowed, verts)
+	pool := fr.childPool
 
 	total := comb.Space{M: len(pool), K: s.Opts.K}.Total()
 	newRange := func(w *worker) rangeFunc {
-		cs := &callState{}
+		parents := parentCache{}
 		return func(ctx context.Context, lo, hi int64) (*decomp.Node, bool, error) {
-			return s.childRange(ctx, w, cs, g, conn, pool, allowed, depth, lo, hi)
+			return s.childRange(ctx, w, parents, g, conn, pool, allowed, depth, lo, hi)
 		}
 	}
 	if total < minParallelSpace {

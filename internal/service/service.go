@@ -49,8 +49,9 @@ var ErrClosed = errors.New("service: closed")
 // Config sizes the service. The zero value picks sensible defaults.
 type Config struct {
 	// TokenBudget is the number of extra search workers shared by all
-	// jobs (on top of each running job's own goroutine). Default:
-	// GOMAXPROCS-1, minimum 0.
+	// jobs (on top of each running job's own goroutine). 0 means the
+	// default, GOMAXPROCS-1 (minimum 0); negative means none, so every
+	// job searches on its own goroutine alone.
 	TokenBudget int
 	// MaxConcurrent bounds jobs decomposing simultaneously. Default:
 	// GOMAXPROCS, minimum 1.
@@ -102,11 +103,8 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.TokenBudget <= 0 {
-		c.TokenBudget = runtime.GOMAXPROCS(0) - 1
-		if c.TokenBudget < 0 {
-			c.TokenBudget = 0
-		}
+	if c.TokenBudget == 0 {
+		c.TokenBudget = max(runtime.GOMAXPROCS(0)-1, 0)
 	}
 	if c.MaxConcurrent <= 0 {
 		c.MaxConcurrent = runtime.GOMAXPROCS(0)
@@ -239,7 +237,7 @@ type Stats struct {
 	StoreTrees     int64 // cached witness decompositions
 	StoreEvictions int64 // entries dropped by the store's LRU cap
 
-	MemoGraphs  int64 // per-width negative-memo tables cached
+	MemoGraphs  int64 // per-width negative-memo tables holding a state
 	MemoEntries int64 // memoised dead states across all tables
 	CacheReuses int64 // jobs that reused any cross-request state
 

@@ -144,9 +144,86 @@ func TestRefutationSharedAcrossRequests(t *testing.T) {
 	if big := svc.Submit(ctx, Request{H: cycle(80), K: 1}); big.Err != nil || big.OK {
 		t.Fatalf("cycle(80): ok=%v err=%v", big.OK, big.Err)
 	}
-	if st := svc.Stats(); st.MemoGraphs != 2 || st.MemoEntries == 0 {
+	// cycle(12)'s K=1 table holds no state, so only cycle(80)'s counts.
+	if st := svc.Stats(); st.MemoGraphs != 1 || st.MemoEntries == 0 {
 		t.Fatalf("memo tables not populated: %+v", st)
 	}
+}
+
+// TestEmptyMemoTableNotShared: a job stopped before it banked a state
+// leaves an empty memo table behind, and an empty table shares
+// nothing. The resubmitted job must not report CacheShared, and the
+// counters and the store listing must not count the table.
+func TestEmptyMemoTableNotShared(t *testing.T) {
+	svc := New(Config{MaxConcurrent: 1})
+	defer svc.Close()
+	ctx := context.Background()
+	h := cycle(12)
+
+	stopped := svc.Submit(ctx, Request{H: h, K: 1, Timeout: time.Nanosecond})
+	if !errors.Is(stopped.Err, context.DeadlineExceeded) {
+		t.Fatalf("stopped job: ok=%v err=%v, want its deadline", stopped.OK, stopped.Err)
+	}
+	again := svc.Submit(ctx, Request{H: h, K: 1})
+	if again.Err != nil || again.OK {
+		t.Fatalf("resubmitted job: ok=%v err=%v, want NO", again.OK, again.Err)
+	}
+	if again.CacheShared || again.Stats.MemoHits != 0 {
+		t.Fatalf("resubmitted job shared an empty table: shared=%v memo hits=%d", again.CacheShared, again.Stats.MemoHits)
+	}
+	// det-k-decomp, the hybrid's arm, refutes cycle(12) at K=1 whole, so
+	// the table stays empty after the second job too.
+	if st := svc.Stats(); st.MemoGraphs != 0 || st.MemoEntries != 0 || st.CacheReuses != 0 {
+		t.Fatalf("empty table counted: MemoGraphs=%d MemoEntries=%d CacheReuses=%d, want 0 0 0", st.MemoGraphs, st.MemoEntries, st.CacheReuses)
+	}
+	for _, in := range svc.Store().Info(0) {
+		if len(in.Memos) != 0 {
+			t.Fatalf("store lists memo summaries %+v for an empty table", in.Memos)
+		}
+	}
+}
+
+// cylinder36 returns syn-cylinder-36 of HyperBench-sim {Scale: 4,
+// Seed: 1}: a NO instance at K=2 on which log-k-decomp searches the
+// root, so a run stopped on its deadline banks refuted states.
+func cylinder36(t *testing.T) *hypergraph.Hypergraph {
+	t.Helper()
+	for _, in := range hyperbench.Suite(hyperbench.Config{Scale: 4, Seed: 1}) {
+		if strings.HasPrefix(in.Name, "syn-cylinder-36#") {
+			return in.H
+		}
+	}
+	t.Fatal("syn-cylinder-36 missing from HyperBench-sim {Scale: 4, Seed: 1}")
+	return nil
+}
+
+// stopAfterBanking submits req, with a deadline, to fresh services
+// until one stops the job on its deadline after the job banked a memo
+// state, and returns that service and the deadline. Starting from half
+// the cold run's time, it halves the deadline while the run still
+// finishes and doubles it while the run stops before banking anything.
+func stopAfterBanking(t *testing.T, req Request, coldTime time.Duration) (*Service, time.Duration) {
+	t.Helper()
+	deadline := coldTime / 2
+	for attempt := 0; attempt < 8; attempt++ {
+		svc := New(Config{MaxConcurrent: 1})
+		stopReq := req
+		stopReq.Timeout = deadline
+		stopped := svc.Submit(context.Background(), stopReq)
+		switch {
+		case stopped.Err == nil:
+			deadline /= 2
+		case !errors.Is(stopped.Err, context.DeadlineExceeded):
+			t.Fatalf("stopped run: %v", stopped.Err)
+		case svc.Stats().MemoEntries == 0:
+			deadline *= 2
+		default:
+			return svc, deadline
+		}
+		svc.Close()
+	}
+	t.Fatalf("no deadline in 8 attempts stopped the run after it banked a state (last %v, cold %v)", deadline, coldTime)
+	return nil, 0
 }
 
 // TestMemoResumesStoppedRefutation: the cross-request negative memo
@@ -158,17 +235,8 @@ func TestRefutationSharedAcrossRequests(t *testing.T) {
 // cold run. A service that gave each job a fresh table would redo the
 // whole search.
 func TestMemoResumesStoppedRefutation(t *testing.T) {
-	var h *hypergraph.Hypergraph
-	for _, in := range hyperbench.Suite(hyperbench.Config{Scale: 4, Seed: 1}) {
-		if strings.HasPrefix(in.Name, "syn-cylinder-36#") {
-			h = in.H
-		}
-	}
-	if h == nil {
-		t.Fatal("syn-cylinder-36 missing from HyperBench-sim {Scale: 4, Seed: 1}")
-	}
 	ctx := context.Background()
-	req := Request{H: h, K: 2, Workers: 1}
+	req := Request{H: cylinder36(t), K: 2, Workers: 1}
 	work := func(r Result) int64 { return r.Stats.Candidates + r.Stats.ParentCands }
 
 	svc := New(Config{MaxConcurrent: 1})
@@ -180,39 +248,16 @@ func TestMemoResumesStoppedRefutation(t *testing.T) {
 		t.Fatalf("cold: ok=%v err=%v shared=%v, want a fresh NO", cold.OK, cold.Err, cold.CacheShared)
 	}
 
-	// Stop a run on its deadline after it banked some states: halve
-	// the deadline while the run still finishes, double it while the
-	// run stops before banking anything.
-	deadline := coldTime / 2
-	for attempt := 0; ; attempt++ {
-		if attempt == 8 {
-			t.Fatalf("no deadline in 8 attempts stopped the run after it banked a state (last %v, cold %v)", deadline, coldTime)
-		}
-		svc = New(Config{MaxConcurrent: 1})
-		stopReq := req
-		stopReq.Timeout = deadline
-		stopped := svc.Submit(ctx, stopReq)
-		switch {
-		case stopped.Err == nil:
-			deadline /= 2
-		case !errors.Is(stopped.Err, context.DeadlineExceeded):
-			t.Fatalf("stopped run: %v", stopped.Err)
-		case svc.Stats().MemoEntries == 0:
-			deadline *= 2
-		default:
-			resumed := svc.Submit(ctx, req)
-			svc.Close()
-			if resumed.Err != nil || resumed.OK || !resumed.CacheShared {
-				t.Fatalf("resumed: ok=%v err=%v shared=%v, want NO from a shared memo", resumed.OK, resumed.Err, resumed.CacheShared)
-			}
-			if work(resumed) >= work(cold) {
-				t.Fatalf("resumed run searched %d candidates, cold run %d: the banked states saved nothing", work(resumed), work(cold))
-			}
-			t.Logf("deadline %v of cold %v: resumed work %d of cold %d (%.2f)", deadline, coldTime, work(resumed), work(cold), float64(work(resumed))/float64(work(cold)))
-			return
-		}
-		svc.Close()
+	svc, deadline := stopAfterBanking(t, req, coldTime)
+	defer svc.Close()
+	resumed := svc.Submit(ctx, req)
+	if resumed.Err != nil || resumed.OK || !resumed.CacheShared {
+		t.Fatalf("resumed: ok=%v err=%v shared=%v, want NO from a shared memo", resumed.OK, resumed.Err, resumed.CacheShared)
 	}
+	if work(resumed) >= work(cold) {
+		t.Fatalf("resumed run searched %d candidates, cold run %d: the banked states saved nothing", work(resumed), work(cold))
+	}
+	t.Logf("deadline %v of cold %v: resumed work %d of cold %d (%.2f)", deadline, coldTime, work(resumed), work(cold), float64(work(resumed))/float64(work(cold)))
 }
 
 // TestPositiveCacheHit is the acceptance check for the result cache: a
@@ -448,26 +493,35 @@ func TestOptimalRefutationsFeedDecideJobs(t *testing.T) {
 }
 
 // TestMemoTablesSurviveTimeouts: when a job times out (so no
-// width-level bound is banked), its partially filled negative-memo
-// table still exists and is shared with the next request at that
-// width — the state-level cache still matters exactly where the
-// width-level one cannot answer.
+// width-level bound is banked), the states it banked before its
+// deadline stay in its negative-memo table, which is shared with the
+// next request at that width — the state-level cache still matters
+// exactly where the width-level one cannot answer. The first job is
+// stopped only after it banked a state: a table that holds none shares
+// nothing (TestEmptyMemoTableNotShared).
 func TestMemoTablesSurviveTimeouts(t *testing.T) {
-	svc := New(Config{TokenBudget: 1, MaxConcurrent: 2})
-	defer svc.Close()
 	ctx := context.Background()
-	heavy := grid(8)
+	h := cylinder36(t)
+	req := Request{H: h, K: 2, Workers: 1}
 
-	first := svc.Submit(ctx, Request{H: heavy, K: 4, Timeout: 30 * time.Millisecond})
-	if first.Err == nil {
-		t.Skip("heavy instance solved within 30ms; timeout path not exercised")
-	}
-	if _, ok := svc.Store().Bounds(heavy.ContentHash()); ok {
+	cold := New(Config{MaxConcurrent: 1})
+	start := time.Now()
+	cold.Submit(ctx, req)
+	coldTime := time.Since(start)
+	cold.Close()
+
+	svc, deadline := stopAfterBanking(t, req, coldTime)
+	defer svc.Close()
+	if _, ok := svc.Store().Bounds(h.ContentHash()); ok {
 		t.Fatal("a timed-out decide job must not bank width bounds")
 	}
-	second := svc.Submit(ctx, Request{H: heavy, K: 4, Timeout: 30 * time.Millisecond})
-	if !second.CacheShared {
-		t.Fatalf("second job should find the first job's memo table: %+v", second)
+	if st := svc.Stats(); st.MemoEntries == 0 {
+		t.Fatalf("the stopped job banked no state: %+v", st)
+	}
+	second := req
+	second.Timeout = deadline
+	if res := svc.Submit(ctx, second); !res.CacheShared {
+		t.Fatalf("second job should find the first job's memo table: %+v", res)
 	}
 }
 
@@ -772,6 +826,35 @@ func TestTokenBudgetUnit(t *testing.T) {
 		}
 	}()
 	b.Release(1)
+}
+
+// TestNegativeTokenBudgetMeansNone: a negative Config.TokenBudget gives
+// a service with no extra search workers on any host (0 would mean
+// GOMAXPROCS-1), so a job whose root search would split runs alone.
+// cycle(80) at K=1 has 80 root candidates, enough for a split, which a
+// budget of 1 takes.
+func TestNegativeTokenBudgetMeansNone(t *testing.T) {
+	for _, c := range []struct {
+		budget, wantSize int
+		wantSplit        bool
+	}{
+		{budget: 1, wantSize: 1, wantSplit: true},
+		{budget: -1, wantSize: 0, wantSplit: false},
+	} {
+		svc := New(Config{TokenBudget: c.budget, MaxConcurrent: 1})
+		res := svc.Submit(context.Background(), Request{H: cycle(80), K: 1})
+		st := svc.Stats()
+		svc.Close()
+		if res.Err != nil || res.OK {
+			t.Fatalf("budget %d: ok=%v err=%v, want NO", c.budget, res.OK, res.Err)
+		}
+		if st.TokenBudget != int64(c.wantSize) {
+			t.Errorf("budget %d: Stats().TokenBudget = %d, want %d", c.budget, st.TokenBudget, c.wantSize)
+		}
+		if split := res.Stats.TokensGrabbed > 0; split != c.wantSplit {
+			t.Errorf("budget %d: TokensGrabbed = %d, want a split: %v", c.budget, res.Stats.TokensGrabbed, c.wantSplit)
+		}
+	}
 }
 
 // TestStatsConservation: under a concurrent mix of every outcome —

@@ -14,21 +14,22 @@
 //     the solvers through logk.MemoBackend. They live in memory only:
 //     a restart starts them empty, and the log holds nothing of them.
 //
-// All of it sits behind the small pluggable Backend interface. Three
+// All of it sits behind the small pluggable Backend interface. Two
 // implementations ship:
 //
 //   - Memory — in-memory: one mutex over a map and an intrusive LRU
 //     list, holding exactly its cap of entries with O(1) eviction of
 //     the least recently used;
-//   - Log — disk-backed and crash-safe: an append-only log of bounds,
-//     tree and drop-tombstone records (length-prefixed, CRC-32C-
-//     checksummed, fsync cadence configurable down to every append)
-//     with segment rotation, background compaction, and torn-tail
-//     recovery on open;
 //   - Tiered — the composition serving processes actually run: a
 //     Memory front as the LRU working set over a Log as the durable
 //     truth, so every bound and witness persists as it is computed and
 //     a restart (graceful or kill -9) serves the whole history warm.
+//
+// Log, the disk tier Tiered composes, is not a Backend itself: it is
+// disk-backed and crash-safe, an append-only log of bounds, tree and
+// drop-tombstone records (length-prefixed, CRC-32C-checksummed, fsync
+// cadence configurable down to every append) with segment rotation,
+// background compaction, and torn-tail recovery on open.
 //
 // The log is the only persistence format, and its closed directory is
 // the export format: records are merges, so OpenLog replays any set of

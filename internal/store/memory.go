@@ -144,12 +144,16 @@ func (m *Memory) DropDecomposition(hash string) {
 	}
 }
 
-// Memo implements Backend.
+// Memo implements Backend. A table that holds no state yet is handed
+// out again as new: a job that banked nothing shares nothing.
 func (m *Memory) Memo(hash string, k int) (Memo, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	e := m.get(hash, true)
 	if t := e.memos[k]; t != nil {
+		if t.Entries() == 0 {
+			return t, false
+		}
 		m.stats.MemoReuses++
 		return t, true
 	}
@@ -174,9 +178,11 @@ func (m *Memory) Stats() Stats {
 		if e.bounds.Known() {
 			st.BoundsGraphs++
 		}
-		st.MemoTables += int64(len(e.memos))
 		for _, t := range e.memos {
-			st.MemoStates += t.Entries()
+			if n := t.Entries(); n > 0 {
+				st.MemoTables++
+				st.MemoStates += n
+			}
 		}
 	}
 	return st
@@ -197,7 +203,9 @@ func (m *Memory) Info(max int) []EntryInfo {
 func (e *entry) info() EntryInfo {
 	in := EntryInfo{Hash: e.hash, Bounds: e.bounds, HasTree: e.tree != nil, TreeWidth: e.treeW}
 	for k, t := range e.memos {
-		in.Memos = append(in.Memos, WidthSummary{K: k, States: t.Entries()})
+		if n := t.Entries(); n > 0 {
+			in.Memos = append(in.Memos, WidthSummary{K: k, States: n})
+		}
 	}
 	sort.Slice(in.Memos, func(a, b int) bool { return in.Memos[a].K < in.Memos[b].K })
 	return in

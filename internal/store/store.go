@@ -71,7 +71,8 @@ type Backend interface {
 	// memo tables survive). Used when a cached tree fails re-validation.
 	DropDecomposition(hash string)
 	// Memo returns the negative-memo table for (hash, k), creating it if
-	// needed; existed reports that an earlier request already built it.
+	// needed; existed reports that the table already holds at least one
+	// state, banked by an earlier request.
 	Memo(hash string, k int) (m Memo, existed bool)
 	// Stats returns a snapshot of the backend's counters.
 	Stats() Stats
@@ -87,9 +88,9 @@ type Stats struct {
 	Entries      int64 `json:"entries"`       // cached hypergraphs
 	Trees        int64 `json:"trees"`         // cached witness decompositions
 	BoundsGraphs int64 `json:"bounds_graphs"` // entries with non-trivial bounds
-	MemoTables   int64 `json:"memo_tables"`   // per-width negative-memo tables
+	MemoTables   int64 `json:"memo_tables"`   // per-width negative-memo tables holding a state
 	MemoStates   int64 `json:"memo_states"`   // memoised dead states across all tables
-	MemoReuses   int64 `json:"memo_reuses"`   // Memo calls that found an existing table
+	MemoReuses   int64 `json:"memo_reuses"`   // Memo calls that found a table holding a state
 	BoundsHits   int64 `json:"bounds_hits"`   // Bounds calls that found knowledge
 	TreeHits     int64 `json:"tree_hits"`     // Decomposition calls that found a tree
 	Evictions    int64 `json:"evictions"`     // entries dropped by the LRU cap
@@ -111,9 +112,9 @@ type EntryInfo struct {
 	Memos     []WidthSummary `json:"memos,omitempty"`
 }
 
-// WidthSummary summarises one live per-width negative-memo table: how
-// many dead states it holds. Neither the table nor its summary is
-// persisted.
+// WidthSummary summarises one live per-width negative-memo table that
+// holds at least one dead state: how many it holds. Neither the table
+// nor its summary is persisted.
 type WidthSummary struct {
 	K      int   `json:"k"`
 	States int64 `json:"states"`

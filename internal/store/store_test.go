@@ -173,8 +173,10 @@ func TestMemoryExactLRU(t *testing.T) {
 	}
 }
 
-// TestMemoTables: per-width tables are created once, shared afterwards,
-// implement logk.MemoBackend, and honor their state cap.
+// TestMemoTables: per-width tables are created once and implement
+// logk.MemoBackend; a table is shared (existed, MemoReuses, MemoTables,
+// an Info summary) only once it holds a state; tables honor their
+// state cap.
 func TestMemoTables(t *testing.T) {
 	forEachBackend(t, testMemoTables)
 
@@ -188,16 +190,23 @@ func TestMemoTables(t *testing.T) {
 }
 
 func testMemoTables(t *testing.T, s Backend) {
+	summaries := func() []WidthSummary {
+		var out []WidthSummary
+		for _, in := range s.Info(0) {
+			out = append(out, in.Memos...)
+		}
+		return out
+	}
 	m1, existed := s.Memo("g", 2)
 	if existed {
 		t.Fatal("first Memo call cannot find an existing table")
 	}
 	m2, existed := s.Memo("g", 2)
-	if !existed || m1 != m2 {
-		t.Fatal("second Memo call must return the same table")
+	if existed || m1 != m2 {
+		t.Fatal("second Memo call must return the same table, still empty and so not shared")
 	}
-	if _, existed := s.Memo("g", 3); existed {
-		t.Fatal("a different width is a different table")
+	if st := s.Stats(); st.MemoTables != 0 || st.MemoReuses != 0 || len(summaries()) != 0 {
+		t.Fatalf("empty table counted: stats %+v, summaries %+v", st, summaries())
 	}
 
 	var mb logk.MemoBackend = m1
@@ -210,9 +219,19 @@ func testMemoTables(t *testing.T, s Backend) {
 	if m1.Entries() != 2 {
 		t.Fatalf("entries=%d, want 2", m1.Entries())
 	}
+	m3, existed := s.Memo("g", 2)
+	if !existed || m3 != m1 {
+		t.Fatal("a Memo call after an insert must share the same table")
+	}
+	if _, existed := s.Memo("g", 3); existed {
+		t.Fatal("a different width is a different table")
+	}
 	st := s.Stats()
-	if st.MemoTables != 2 || st.MemoStates != 2 || st.MemoReuses != 1 {
+	if st.MemoTables != 1 || st.MemoStates != 2 || st.MemoReuses != 1 {
 		t.Fatalf("stats: %+v", st)
+	}
+	if got := summaries(); len(got) != 1 || got[0] != (WidthSummary{K: 2, States: 2}) {
+		t.Fatalf("summaries %+v, want one for K=2 with 2 states", got)
 	}
 }
 

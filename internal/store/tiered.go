@@ -116,8 +116,8 @@ func (t *Tiered) Stats() Stats {
 // Info implements Backend: entries come from the disk index (the full
 // durable state, sorted by hash for deterministic listings), each
 // carrying the live memo summaries of its memory-front entry, followed
-// by the memory-front entries the disk has no record for (memo tables
-// created for hashes whose jobs produced no durable fact yet).
+// by the memory-front entries the disk has no record for but whose memo
+// tables hold states (hashes whose jobs produced no durable fact yet).
 func (t *Tiered) Info(max int) []EntryInfo {
 	front := t.mem.Info(0)
 	memos := make(map[string][]WidthSummary, len(front))
@@ -141,7 +141,7 @@ func (t *Tiered) Info(max int) []EntryInfo {
 		if max > 0 && len(out) >= max {
 			break
 		}
-		if _, memOnly := memos[in.Hash]; memOnly {
+		if _, memOnly := memos[in.Hash]; memOnly && len(in.Memos) > 0 {
 			out = append(out, in)
 		}
 	}
