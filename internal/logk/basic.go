@@ -3,6 +3,7 @@ package logk
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/bitset"
 	"repro/internal/comb"
@@ -210,7 +211,7 @@ ParentLoop:
 			}
 			leaf.SpecialID = decomp.NoSpecial
 			leaf.Lambda = append([]int(nil), lambdaC...)
-			sortInts(leaf.Lambda)
+			slices.Sort(leaf.Lambda)
 			leaf.Bag = chiC
 			leaf.Children = children
 			for _, sp := range compDown.SpecialsCoveredBy(chiC) {

@@ -303,9 +303,6 @@ func intersectsForbidden(union, forbidden *bitset.Set) bool {
 	return forbidden != nil && union.Intersects(forbidden)
 }
 
-// sortInts sorts a in place (BasicSolver's stitch).
-func sortInts(a []int) { slices.Sort(a) }
-
 // meeting returns the edges of allowed that meet u, in allowed order,
 // in buf's storage: searchChild's λ(c) pool (u = V(H′)) and parentLoop's
 // λ(p) pool (u = ∪λ(c)).
