@@ -103,16 +103,21 @@ load-gate:
 # tokens once cancelled, per-worker counts folded without loss:
 # TestParallelSplitCancelledTakesNoTokens, TestParallelStatsConservation),
 # the racer (drained results banked: TestRaceBooksDrainedResults), the
-# solver cross-check, the child-pool budget, log-k-decomp's golden
-# answers, witnesses and exact rank counts at one worker, pure and
-# hybrid (TestLogKSameDecompositions), its rank counts and allocation
-# budget on syn-cylinder-26 (TestLogKAllocBudget), det-k-decomp's
-# enumeration allocation budget, its one split per refuted bag per
-# search call (TestDetKRefutesBagOnce) and its golden answers and
-# witnesses (TestDetKSameDecompositions) at several GOMAXPROCS values.
+# solver cross-check, the child-pool budget, log-k-decomp's rank counts
+# and allocation budget on syn-cylinder-26 (TestLogKAllocBudget),
+# det-k-decomp's enumeration allocation budget, its one split per
+# refuted bag per search call (TestDetKRefutesBagOnce) and its golden
+# answers and witnesses (TestDetKSameDecompositions) at several
+# GOMAXPROCS values. Last, log-k-decomp's golden answers, witnesses and
+# exact rank counts at one worker, pure and hybrid
+# (TestLogKSameDecompositions), once per GOMAXPROCS value: its search is
+# serial, so a repeat reruns the same path, and at ~40 s a pass under
+# -race three repeats would bring the logk binary near go test's
+# 10-minute default timeout.
 stress:
 	$(GO) test -race -count=2 -run 'TestStoreStress|TestCoalescing|TestBatchDuplicates|TestServeCache|TestMemoryConcurrency|TestFlight|TestStatsConservation|TestOneSolverConfiguration|TestBagCache|TestMemoResumesStoppedRefutation' ./internal/store ./internal/service ./cmd/htdserve ./internal/join ./internal/dataset
-	$(GO) test -race -count=3 -cpu=1,2,4 -run 'TestParallel|TestNoCacheEquivalence|TestCancelledContext|TestCrossValidationSolvers|TestRace|TestChildPool|TestLogKSameDecompositions|TestLogKAllocBudget|TestDetKAllocBudget|TestDetKRefutesBagOnce|TestDetKSameDecompositions' ./internal/logk ./internal/race ./internal/detk
+	$(GO) test -race -count=3 -cpu=1,2,4 -run 'TestParallel|TestNoCacheEquivalence|TestCancelledContext|TestCrossValidationSolvers|TestRace|TestChildPool|TestLogKAllocBudget|TestDetKAllocBudget|TestDetKRefutesBagOnce|TestDetKSameDecompositions' ./internal/logk ./internal/race ./internal/detk
+	$(GO) test -race -count=1 -cpu=1,2,4 -run 'TestLogKSameDecompositions' ./internal/logk
 
 # The query differential suite under the race detector, plus the
 # counters' walls: the planner's counter conservation, the dataset
