@@ -11,9 +11,11 @@ package htd
 //	go test -bench=. -benchmem
 //
 // Expected shapes (absolute numbers depend on the machine; see
-// EXPERIMENTS.md for one recorded run):
+// docs/RESULTS.md for recorded runs and the substitutions behind them):
 //
-//	Table 1:  Hyb# >= LEO# >= DetK# in the Total row
+//	Table 1:  Hyb#, LEO# and DetK# within a few instances in the Total
+//	          row, the hybrid not ahead: 40, 40, 40 of 46 at benchtab
+//	          -scale 1 and 156, 157, 157 of 184 at -scale 4
 //	Figure 1: log-k average runtime decreases with cores
 //	Table 2:  WeightedCount rows solve at least as many as EdgeCount rows
 //	Table 3:  Hyb matches VirtualBest at widths <= 3
@@ -160,27 +162,6 @@ func BenchmarkFigure3SolvedScatter(b *testing.B) {
 			checkResults(b, results)
 			b.Logf("\n%s", tab.Render())
 			b.Logf("scatter CSV: %d bytes (see cmd/benchtab -experiment figure3 for the full data)", len(csv))
-		}
-	}
-}
-
-// BenchmarkAblationOptimisations measures the Appendix C optimisations
-// by disabling them one at a time (DESIGN.md ablation index).
-func BenchmarkAblationOptimisations(b *testing.B) {
-	cfg := benchConfig()
-	// Medium instances with known widths only.
-	var medium []hyperbench.Instance
-	for _, in := range cfg.Suite {
-		if in.KnownHW > 0 && in.Edges() > 10 && in.Edges() <= 60 {
-			medium = append(medium, in)
-		}
-	}
-	cfg.Suite = medium
-	cfg.Timeout = 300 * time.Millisecond
-	for i := 0; i < b.N; i++ {
-		tab := harness.AblationExperiment(context.Background(), cfg)
-		if i == 0 {
-			b.Logf("\n%s", tab.Render())
 		}
 	}
 }

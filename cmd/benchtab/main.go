@@ -9,7 +9,7 @@
 //	benchtab -experiment figure3 -csv scatter.csv
 //
 // Experiments: table1 table2 table3 table4 table5 figure1 figure3
-// ablation depth ghd race all
+// depth ghd race all
 //
 // The race experiment compares the serial k = 1..kmax width ladder
 // against the optimal-width racing service pipeline.
@@ -125,16 +125,6 @@ func main() {
 				}
 				fmt.Printf("scatter data written to %s\n", *csvPath)
 			}
-		case "ablation":
-			var medium []hyperbench.Instance
-			for _, in := range cfg.Suite {
-				if in.KnownHW > 0 && in.Edges() > 10 && in.Edges() <= 60 {
-					medium = append(medium, in)
-				}
-			}
-			acfg := cfg
-			acfg.Suite = medium
-			fmt.Print(harness.AblationExperiment(ctx, acfg).Render())
 		case "race":
 			tab, err := raceExperiment(ctx, cfg, *rounds)
 			if err != nil {
@@ -166,7 +156,7 @@ func main() {
 	names := []string{*experiment}
 	if *experiment == "all" {
 		names = []string{"table1", "table2", "table3", "table4", "table5",
-			"figure1", "figure3", "ablation", "depth", "ghd", "race"}
+			"figure1", "figure3", "depth", "ghd", "race"}
 	}
 	for _, n := range names {
 		if err := run(strings.TrimSpace(n)); err != nil {

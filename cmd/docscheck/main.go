@@ -2,19 +2,23 @@
 // broken intra-repo link: a relative target that does not exist on
 // disk, or a #fragment that names no heading in the target file.
 // External links (http, https, mailto) are ignored — the check gates
-// repo navigability, not the reachability of the wider web. CI runs it
-// on every PR (`make docs-check` is the local mirror):
+// repo navigability, not the reachability of the wider web. It also
+// fails when a Go comment names a *.md file that exists neither
+// relative to the comment's directory nor relative to the root. CI
+// runs it on every PR (`make docs-check` is the local mirror):
 //
 //	docscheck [root]
 //
 // The root defaults to the current directory; .git and testdata trees
-// are skipped. Exit status is non-zero iff any link is broken, with
-// one "file:line: message" diagnostic per violation.
+// are skipped. Exit status is non-zero iff any link or reference is
+// broken, with one "file:line: message" diagnostic per violation.
 package main
 
 import (
 	"bufio"
 	"fmt"
+	"go/scanner"
+	"go/token"
 	"io/fs"
 	"net/url"
 	"os"
@@ -27,19 +31,40 @@ import (
 // ![alt](target) share the suffix and are checked the same way.
 var linkRE = regexp.MustCompile(`\]\(([^)\s]+)(?:\s+"[^"]*")?\)`)
 
+// mdNameRE matches a *.md file name in a Go comment, with any leading
+// directories. A URL matches the first alternative as a whole, so a
+// name inside one (group 1 empty) is not checked.
+var mdNameRE = regexp.MustCompile(`[a-z]+://\S+|((?:\.\.?/)*\w[\w./-]*\.md)\b`)
+
 func main() {
 	root := "."
 	if len(os.Args) > 1 {
 		root = os.Args[1]
 	}
-	files, err := markdownFiles(root)
+	broken, mdFiles, goFiles, err := check(root)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "docscheck:", err)
 		os.Exit(2)
 	}
+	if len(broken) > 0 {
+		for _, b := range broken {
+			fmt.Fprintln(os.Stderr, b)
+		}
+		fmt.Fprintf(os.Stderr, "docscheck: %d broken link(s) or reference(s) in %d Markdown and %d Go file(s)\n", len(broken), mdFiles, goFiles)
+		os.Exit(1)
+	}
+	fmt.Printf("docscheck: %d Markdown and %d Go file(s) clean\n", mdFiles, goFiles)
+}
+
+// check runs both rules over the tree at root and returns one
+// diagnostic per violation and the number of files of each kind read.
+func check(root string) (broken []string, mdFiles, goFiles int, err error) {
+	files, goSrcs, err := walk(root)
+	if err != nil {
+		return nil, 0, 0, err
+	}
 	if len(files) == 0 {
-		fmt.Fprintln(os.Stderr, "docscheck: no Markdown files under", root)
-		os.Exit(2)
+		return nil, 0, 0, fmt.Errorf("no Markdown files under %s", root)
 	}
 
 	// Anchors are collected for every Markdown file up front so a
@@ -48,40 +73,36 @@ func main() {
 	for _, f := range files {
 		a, err := headingAnchors(f)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "docscheck:", err)
-			os.Exit(2)
+			return nil, 0, 0, err
 		}
 		anchors[f] = a
 	}
 
 	absRoot, err := filepath.Abs(root)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "docscheck:", err)
-		os.Exit(2)
+		return nil, 0, 0, err
 	}
 
-	var broken []string
 	for _, f := range files {
 		b, err := checkFile(f, absRoot, anchors)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "docscheck:", err)
-			os.Exit(2)
+			return nil, 0, 0, err
 		}
 		broken = append(broken, b...)
 	}
-	if len(broken) > 0 {
-		for _, b := range broken {
-			fmt.Fprintln(os.Stderr, b)
+	for _, f := range goSrcs {
+		b, err := checkGoComments(f, root)
+		if err != nil {
+			return nil, 0, 0, err
 		}
-		fmt.Fprintf(os.Stderr, "docscheck: %d broken link(s) in %d Markdown file(s)\n", len(broken), len(files))
-		os.Exit(1)
+		broken = append(broken, b...)
 	}
-	fmt.Printf("docscheck: %d Markdown file(s) clean\n", len(files))
+	return broken, len(files), len(goSrcs), nil
 }
 
-func markdownFiles(root string) ([]string, error) {
-	var files []string
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+// walk lists the Markdown and the Go files under root.
+func walk(root string) (md, goSrcs []string, err error) {
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -92,12 +113,52 @@ func markdownFiles(root string) ([]string, error) {
 			}
 			return nil
 		}
-		if strings.EqualFold(filepath.Ext(path), ".md") {
-			files = append(files, path)
+		switch ext := filepath.Ext(path); {
+		case strings.EqualFold(ext, ".md"):
+			md = append(md, path)
+		case ext == ".go":
+			goSrcs = append(goSrcs, path)
 		}
 		return nil
 	})
-	return files, err
+	return md, goSrcs, err
+}
+
+// checkGoComments returns a diagnostic per *.md name in a comment of
+// the Go file path that resolves neither relative to the file's
+// directory nor relative to root.
+func checkGoComments(path, root string) ([]string, error) {
+	src, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	fset := token.NewFileSet()
+	var sc scanner.Scanner
+	sc.Init(fset.AddFile(path, -1, len(src)), src, nil, scanner.ScanComments)
+	var broken []string
+	for {
+		pos, tok, lit := sc.Scan()
+		if tok == token.EOF {
+			return broken, nil
+		}
+		if tok != token.COMMENT {
+			continue
+		}
+		line := fset.Position(pos).Line
+		for _, l := range strings.Split(lit, "\n") {
+			for _, m := range mdNameRE.FindAllStringSubmatch(l, -1) {
+				if name := m[1]; name != "" && !exists(filepath.Dir(path), name) && !exists(root, name) {
+					broken = append(broken, fmt.Sprintf("%s:%d: comment names %q: no such file beside it or at the root", path, line, name))
+				}
+			}
+			line++
+		}
+	}
+}
+
+func exists(dir, name string) bool {
+	_, err := os.Stat(filepath.Join(dir, filepath.FromSlash(name)))
+	return err == nil
 }
 
 // checkFile scans one Markdown file and returns a diagnostic per

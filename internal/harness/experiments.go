@@ -481,51 +481,6 @@ func DepthExperiment(ctx context.Context, sizes []int) *Table {
 	return t
 }
 
-// AblationExperiment measures the Appendix C optimisations by toggling
-// them off one at a time on a medium workload.
-func AblationExperiment(ctx context.Context, cfg Config) *Table {
-	type variant struct {
-		name string
-		opts func(k int) logk.Options
-	}
-	variants := []variant{
-		{"full (Algorithm 2)", func(k int) logk.Options { return logk.Options{K: k} }},
-		{"-allowed-edges", func(k int) logk.Options { return logk.Options{K: k, NoAllowedRestriction: true} }},
-		{"-parent-pool", func(k int) logk.Options { return logk.Options{K: k, NoParentPoolRestriction: true} }},
-		{"-negative-base", func(k int) logk.Options { return logk.Options{K: k, NoNegativeBaseCase: true} }},
-		{"none disabled off", func(k int) logk.Options {
-			return logk.Options{K: k, NoAllowedRestriction: true, NoParentPoolRestriction: true, NoNegativeBaseCase: true}
-		}},
-	}
-	t := &Table{
-		Title:   "Ablation: Appendix C optimisations (medium instances)",
-		Headers: []string{"Variant", "solved", "total-sec", "child-candidates"},
-	}
-	for _, v := range variants {
-		solved := 0
-		var totalTime time.Duration
-		var cands int64
-		for _, in := range cfg.Suite {
-			k := in.KnownHW
-			if k == 0 {
-				continue
-			}
-			runCtx, cancel := context.WithTimeout(ctx, cfg.Timeout)
-			s := logk.New(in.H, v.opts(k))
-			start := time.Now()
-			_, ok, _ := s.Decompose(runCtx)
-			totalTime += time.Since(start)
-			cancel()
-			if ok {
-				solved++
-			}
-			cands += s.Stats().Candidates
-		}
-		t.AddRow(v.name, solved, totalTime.Seconds(), cands)
-	}
-	return t
-}
-
 // GHDComparison reproduces the §5.2 comparison with GHD computation:
 // BalancedGo-style GHD search vs log-k-decomp HDs on the same instances.
 // It reports solved counts and verifies that on commonly solved
@@ -575,8 +530,6 @@ func GHDComparison(ctx context.Context, cfg Config) (*Table, error) {
 // cycleInstance builds a cycle for the depth experiment without going
 // through the suite generator.
 func cycleInstance(n int) hyperbench.Instance {
-	cfg := hyperbench.Config{Scale: 1}
-	_ = cfg
 	var b strings.Builder
 	for i := 0; i < n; i++ {
 		if i > 0 {

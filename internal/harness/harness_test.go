@@ -286,23 +286,6 @@ func TestTable5Smoke(t *testing.T) {
 	}
 }
 
-func TestAblationSmoke(t *testing.T) {
-	var suite []hyperbench.Instance
-	for _, in := range hyperbench.Suite(hyperbench.Config{Scale: 1}) {
-		if in.KnownHW > 0 && in.Edges() > 10 && in.Edges() <= 30 {
-			suite = append(suite, in)
-		}
-		if len(suite) == 3 {
-			break
-		}
-	}
-	cfg := Config{Suite: suite, Timeout: 5 * time.Second, KMax: 3, Workers: 1}
-	tab := AblationExperiment(context.Background(), cfg)
-	if !strings.Contains(tab.Render(), "full (Algorithm 2)") {
-		t.Fatalf("table malformed:\n%s", tab.Render())
-	}
-}
-
 func TestMethodLogKName(t *testing.T) {
 	if MethodLogKHybrid(2, logk.HybridWeightedCount, 0).Name != "log-k-decomp Hybrid" {
 		t.Fatal("unexpected method name")

@@ -25,7 +25,8 @@ func MethodDetK() Method {
 }
 
 // MethodOpt is the HtdLEO [24] stand-in: a direct optimal-width solver
-// with no width parameter (see internal/opt and DESIGN.md §3).
+// with no width parameter (see internal/opt and docs/RESULTS.md,
+// "Substitutions").
 func MethodOpt() Method {
 	return Method{
 		Name: "HtdLEO(sim)",

@@ -83,7 +83,8 @@ type Result struct {
 // Runner executes methods over instances.
 type Runner struct {
 	// Timeout is the per-(instance, width) budget, mirroring the paper's
-	// per-run one-hour limit (scaled down; see DESIGN.md §3).
+	// per-run one-hour limit (scaled down; see docs/RESULTS.md,
+	// "Substitutions").
 	Timeout time.Duration
 	// KMax bounds the width search (the paper used widths 1..10).
 	KMax int

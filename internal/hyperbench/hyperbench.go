@@ -1,7 +1,7 @@
 // Package hyperbench generates the "HyperBench-sim" instance suite, the
 // reproduction's stand-in for the HyperBench benchmark [9] used in the
 // paper's evaluation (the real corpus of 3648 CQ/CSP hypergraphs is not
-// available offline; see DESIGN.md §3).
+// available offline; see docs/RESULTS.md, "Substitutions").
 //
 // The suite mirrors HyperBench's taxonomy: application-derived shapes
 // (join-query chains, stars, snowflakes, cyclic joins, TPC-style
@@ -78,8 +78,8 @@ var BucketOrder = []string{
 // Config scales the generated suite.
 type Config struct {
 	// Scale multiplies the number of instances per family; 1 yields a
-	// small suite (~90 instances) suitable for unit benches, 4 a fuller
-	// one for cmd/benchtab.
+	// small suite (46 instances) suitable for unit benches, 4 a fuller
+	// one (184) for cmd/benchtab.
 	Scale int
 	// Seed derives all per-instance seeds.
 	Seed int64
@@ -147,9 +147,8 @@ func Suite(cfg Config) []Instance {
 		)
 
 		// --- Synthetic CSP-like instances ----------------------------
-		// Cylinders (prism graphs C_n × K_2, hw 3): the family where
-		// balanced separation shines — the probe run behind DESIGN.md
-		// shows hybrid solving cylinder(30) while det-k times out.
+		// Cylinders (prism graphs C_n × K_2, hw 3): a ring of n
+		// 4-cycles, which a balanced separator cuts in half.
 		out = append(out,
 			g.cylinderCSP(8+r%3),
 			g.cylinderCSP(18+r%3),

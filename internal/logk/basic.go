@@ -16,9 +16,8 @@ import (
 // Algorithm 1 from Section 4 of the paper: the main program guesses the
 // root λ-label (RootLoop), and the recursive Decomp guesses parent
 // labels before child labels, with none of the Appendix C optimisations.
-// It exists as a correctness oracle for the optimised solver and as the
-// "no optimisations" arm of the ablation benchmarks; it is far too slow
-// for anything but small instances.
+// It exists as a correctness oracle for the optimised solver; it is far
+// too slow for anything but small instances.
 type BasicSolver struct {
 	H *hypergraph.Hypergraph
 	K int

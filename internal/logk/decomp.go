@@ -52,11 +52,9 @@ func (s *Solver) decomp(ctx context.Context, w *worker, g *ext.Graph, conn *bits
 			sp := g.Specials[0]
 			return decomp.NewSpecialLeaf(sp.ID, sp.Vertices), true, nil
 		}
-		if !s.Opts.NoNegativeBaseCase {
-			// A λ-label of only "old" edges makes no progress (normal
-			// form condition 2), so ≥2 specials cannot be separated.
-			return nil, false, nil
-		}
+		// A λ-label of only "old" edges makes no progress (normal form
+		// condition 2), so ≥2 specials cannot be separated.
+		return nil, false, nil
 	}
 
 	// Hybrid switch (Appendix D.2): small subproblems go to det-k-decomp.
@@ -186,13 +184,9 @@ func (s *Solver) parentLoop(ctx context.Context, w *worker, parents parentCache,
 	// "Speeding up the search for parent λ-labels"); completeness is
 	// preserved (Theorem C.1).
 	fr := w.frame(depth)
-	pool := allowed
-	if !s.Opts.NoParentPoolRestriction {
-		fr.parentPool = s.meeting(fr.parentPool, allowed, unionC)
-		pool = fr.parentPool
-	}
+	fr.parentPool = s.meeting(fr.parentPool, allowed, unionC)
 	p := &fr.parent
-	p.start(g, pool, s.Opts.K, 0, math.MaxInt64)
+	p.start(g, fr.parentPool, s.Opts.K, 0, math.MaxInt64)
 
 	// Distinct downward components whose recursion already failed for
 	// this λc; different λp producing the same component would repeat
@@ -272,10 +266,9 @@ func (s *Solver) tryParent(ctx context.Context, w *worker, g *ext.Graph, conn *b
 	}
 	forbidden.InPlaceDiff(chiC)
 	compUp := g.Subtract(compDown).WithSpecial(ext.Special{ID: sid, Vertices: chiC, Forbidden: forbidden})
-	allowedUp := allowed
-	if !s.Opts.NoAllowedRestriction {
-		allowedUp = ext.DiffSortedInts(allowed, compDown.Edges)
-	}
+	// compDown's edges leave the allowed edges A of the part above
+	// (Algorithm 2, Appendix C).
+	allowedUp := ext.DiffSortedInts(allowed, compDown.Edges)
 	up, ok, err := s.decomp(ctx, w, compUp, conn, allowedUp, depth+1)
 	if err != nil {
 		return nil, false, false, err

@@ -14,7 +14,7 @@
 //     draws λ(c) only from the allowed edges that meet V(H′) (see
 //     searchChild);
 //   - BasicSolver (basic.go): a faithful transliteration of the basic
-//     Algorithm 1, used as a correctness oracle and ablation baseline.
+//     Algorithm 1, used as a correctness oracle.
 //
 // The core recursive step fixes λ-labels for a parent/child node pair
 // (p, c) such that c is a balanced separator of the current extended
@@ -85,19 +85,6 @@ type Options struct {
 	Hybrid          HybridMetric
 	HybridThreshold float64
 
-	// Ablation toggles. All default to false = optimisation enabled;
-	// they are spelled negatively so the zero Options value is the fully
-	// optimised algorithm.
-
-	// NoAllowedRestriction disables the "allowed edges" parameter A of
-	// Algorithm 2 (every recursion searches λ over all edges of H).
-	NoAllowedRestriction bool
-	// NoParentPoolRestriction disables restricting the λ(p) search to
-	// edges intersecting ∪λ(c) (the last optimisation of Appendix C).
-	NoParentPoolRestriction bool
-	// NoNegativeBaseCase disables the "no edges and ≥2 specials" early
-	// rejection.
-	NoNegativeBaseCase bool
 	// NoCache disables the solver-level negative memoisation of failed
 	// (subhypergraph, interface, allowed) states and the per-call reuse
 	// of parent-candidate components.

@@ -238,32 +238,6 @@ func TestHybridUsesDetK(t *testing.T) {
 	}
 }
 
-func TestAblationTogglesStillCorrect(t *testing.T) {
-	h := cycle(10)
-	variants := []Options{
-		{K: 2, NoAllowedRestriction: true},
-		{K: 2, NoParentPoolRestriction: true},
-		{K: 2, NoNegativeBaseCase: true},
-		{K: 2, NoAllowedRestriction: true, NoParentPoolRestriction: true, NoNegativeBaseCase: true},
-	}
-	for i, o := range variants {
-		s := New(h, o)
-		d, ok, err := s.Decompose(context.Background())
-		if err != nil || !ok {
-			t.Fatalf("variant %d: ok=%v err=%v", i, ok, err)
-		}
-		if err := decomp.CheckHD(d); err != nil {
-			t.Fatalf("variant %d: invalid HD: %v", i, err)
-		}
-		sNeg := New(cycle(5), Options{K: o.K, NoAllowedRestriction: o.NoAllowedRestriction,
-			NoParentPoolRestriction: o.NoParentPoolRestriction, NoNegativeBaseCase: o.NoNegativeBaseCase})
-		sNeg.Opts.K = 1
-		if _, ok, err := sNeg.Decompose(context.Background()); err != nil || ok {
-			t.Fatalf("variant %d: k=1 on cycle should reject (ok=%v err=%v)", i, ok, err)
-		}
-	}
-}
-
 func TestCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

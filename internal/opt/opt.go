@@ -1,6 +1,6 @@
 // Package opt provides an exact optimal-width HD solver, standing in for
-// HtdLEO [24] in the reproduction (see DESIGN.md §3: building a
-// competitive SMT solver is out of scope).
+// HtdLEO [24] in the reproduction (see docs/RESULTS.md, "Substitutions":
+// building a competitive SMT solver is out of scope).
 //
 // Like HtdLEO it takes no width parameter and returns the optimal
 // hypertree width directly; like HtdLEO it is strictly single-threaded
@@ -28,8 +28,6 @@ type Solver struct {
 	H *hypergraph.Hypergraph
 	// MaxK bounds the search; Solve reports !ok if hw(H) > MaxK.
 	MaxK int
-	// NoPreprocess disables subsumption removal (for ablation).
-	NoPreprocess bool
 
 	// Stats describes the completed run.
 	Stats struct {
@@ -52,12 +50,8 @@ func New(h *hypergraph.Hypergraph, maxK int) *Solver {
 // HD of that width. ok is false if hw(H) > MaxK. On timeout the
 // context's error is returned.
 func (s *Solver) Solve(ctx context.Context) (width int, d *decomp.Decomp, ok bool, err error) {
-	work := s.H
-	var mapping []int
-	if !s.NoPreprocess {
-		work, mapping = s.H.RemoveSubsumedEdges()
-		s.Stats.RemovedEdges = s.H.NumEdges() - work.NumEdges()
-	}
+	work, mapping := s.H.RemoveSubsumedEdges()
+	s.Stats.RemovedEdges = s.H.NumEdges() - work.NumEdges()
 	for k := 1; k <= s.MaxK; k++ {
 		s.Stats.WidthsTried = k
 		solver := detk.New(work, k)
@@ -68,11 +62,9 @@ func (s *Solver) Solve(ctx context.Context) (width int, d *decomp.Decomp, ok boo
 			return 0, nil, false, err
 		}
 		if found {
-			if !s.NoPreprocess {
-				dd, err = remap(dd, s.H, mapping)
-				if err != nil {
-					return 0, nil, false, err
-				}
+			dd, err = remap(dd, s.H, mapping)
+			if err != nil {
+				return 0, nil, false, err
 			}
 			return k, dd, true, nil
 		}

@@ -27,6 +27,7 @@ func TestOptimalWidthKnownInstances(t *testing.T) {
 		want int
 	}{
 		{"cycle8", cycle(8), 2},
+		{"cycle6", cycle(6), 2},
 		{"cycle3", cycle(3), 2},
 	}
 	// A path has width 1.
@@ -135,18 +136,6 @@ func TestAgreesWithDetKOnRandomInstances(t *testing.T) {
 				t.Fatalf("seed %d: width %d is not optimal", seed, w)
 			}
 		}
-	}
-}
-
-func TestNoPreprocessVariant(t *testing.T) {
-	s := New(cycle(6), 3)
-	s.NoPreprocess = true
-	w, d, ok, err := s.Solve(context.Background())
-	if err != nil || !ok || w != 2 {
-		t.Fatalf("w=%d ok=%v err=%v", w, ok, err)
-	}
-	if err := decomp.CheckHD(d); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -183,6 +183,52 @@ func TestEmptyMemoTableNotShared(t *testing.T) {
 	}
 }
 
+// TestEmptyMemoTableTakesNoSlot: a job stopped before it banks a state
+// must not evict a cached entry. With room for one hypergraph, a
+// grid(8) K=4 job stopped on its deadline leaves cycle(12)'s witness in
+// place, so the repeat cycle(12) request runs no solver. On the tiered
+// backend a witness pushed out of memory is still read back from disk,
+// so there the memory front's eviction count is the witness.
+func TestEmptyMemoTableTakesNoSlot(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		open func(t *testing.T) *Service
+	}{
+		{"memory", func(t *testing.T) *Service { return New(Config{MemoMaxGraphs: 1, MaxConcurrent: 1}) }},
+		{"tiered", func(t *testing.T) *Service {
+			svc, err := Open(Config{StoreDir: t.TempDir(), MemoMaxGraphs: 1, MaxConcurrent: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return svc
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc := tc.open(t)
+			defer svc.Close()
+			ctx := context.Background()
+
+			if first := svc.Submit(ctx, Request{H: cycle(12), K: 2}); first.Err != nil || !first.OK {
+				t.Fatalf("cycle(12): ok=%v err=%v", first.OK, first.Err)
+			}
+			stopped := svc.Submit(ctx, Request{H: grid(8), K: 4, Timeout: time.Nanosecond})
+			if !errors.Is(stopped.Err, context.DeadlineExceeded) {
+				t.Fatalf("stopped job: ok=%v err=%v, want its deadline", stopped.OK, stopped.Err)
+			}
+			again := svc.Submit(ctx, Request{H: cycle(12), K: 2})
+			if again.Err != nil || !again.OK || !again.CacheHit {
+				t.Fatalf("repeat cycle(12): ok=%v hit=%v err=%v, want a cache hit", again.OK, again.CacheHit, again.Err)
+			}
+			if st := svc.Stats(); st.SolverRuns != 2 {
+				t.Fatalf("SolverRuns=%d, want 2: cycle(12) once, the stopped grid(8) once", st.SolverRuns)
+			}
+			if st := svc.Store().Stats(); st.Evictions != 0 || st.Entries != 1 {
+				t.Fatalf("store: evictions=%d entries=%d, want 0 and 1", st.Evictions, st.Entries)
+			}
+		})
+	}
+}
+
 // cylinder36 returns syn-cylinder-36 of HyperBench-sim {Scale: 4,
 // Seed: 1}: a NO instance at K=2 on which log-k-decomp searches the
 // root, so a run stopped on its deadline banks refuted states.

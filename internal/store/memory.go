@@ -16,6 +16,18 @@ type Memory struct {
 	head, tail *entry
 	maxGraphs  int
 	stats      Stats // hit and eviction counters; occupancy is counted by Stats
+
+	// pending holds the memo tables handed out that hold no state yet.
+	// A table joins its hypergraph's entry with its first state (file),
+	// so a job that banks nothing creates no entry and evicts nothing.
+	// Jobs asking for the same table before then still share it.
+	pending map[memoID]*Table
+}
+
+// memoID names one (hypergraph, width) memo table.
+type memoID struct {
+	hash string
+	k    int
 }
 
 // entry is everything the store knows about one hypergraph.
@@ -32,7 +44,7 @@ type entry struct {
 // NewMemory returns a Memory backend holding at most maxGraphs
 // hypergraphs (at least 1).
 func NewMemory(maxGraphs int) *Memory {
-	return &Memory{entries: make(map[string]*entry), maxGraphs: max(maxGraphs, 1)}
+	return &Memory{entries: make(map[string]*entry), pending: make(map[memoID]*Table), maxGraphs: max(maxGraphs, 1)}
 }
 
 // get returns the entry for hash, creating it when create is set, and
@@ -144,25 +156,48 @@ func (m *Memory) DropDecomposition(hash string) {
 	}
 }
 
-// Memo implements Backend. A table that holds no state yet is handed
-// out again as new: a job that banked nothing shares nothing.
+// Memo implements Backend. A table that holds no state yet is pending:
+// it is handed out again as new, and takes no LRU slot until its first
+// state files it under its entry.
 func (m *Memory) Memo(hash string, k int) (Memo, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	e := m.get(hash, true)
-	if t := e.memos[k]; t != nil {
-		if t.Entries() == 0 {
-			return t, false
-		}
+	if e := m.get(hash, false); e != nil && e.memos[k] != nil {
 		m.stats.MemoReuses++
-		return t, true
+		return e.memos[k], true
 	}
+	id := memoID{hash, k}
+	if t := m.pending[id]; t != nil {
+		return t, false
+	}
+	if len(m.pending) >= m.maxGraphs {
+		for old := range m.pending { // forget any one; its jobs keep it
+			delete(m.pending, old)
+			break
+		}
+	}
+	t := NewTable(memoMaxStates)
+	t.onFirst = func() { m.file(id, t) }
+	m.pending[id] = t
+	return t, false
+}
+
+// file moves pending table t, which just banked its first state, under
+// its hypergraph's entry, creating the entry if needed. A table filed
+// first for the same id stays; t then serves only its own jobs.
+func (m *Memory) file(id memoID, t *Table) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.pending[id] == t {
+		delete(m.pending, id)
+	}
+	e := m.get(id.hash, true)
 	if e.memos == nil {
 		e.memos = make(map[int]*Table)
 	}
-	t := NewTable(memoMaxStates)
-	e.memos[k] = t
-	return t, false
+	if e.memos[id.k] == nil {
+		e.memos[id.k] = t
+	}
 }
 
 // Stats implements Backend.
@@ -178,11 +213,9 @@ func (m *Memory) Stats() Stats {
 		if e.bounds.Known() {
 			st.BoundsGraphs++
 		}
+		st.MemoTables += int64(len(e.memos))
 		for _, t := range e.memos {
-			if n := t.Entries(); n > 0 {
-				st.MemoTables++
-				st.MemoStates += n
-			}
+			st.MemoStates += t.Entries()
 		}
 	}
 	return st
@@ -203,9 +236,7 @@ func (m *Memory) Info(max int) []EntryInfo {
 func (e *entry) info() EntryInfo {
 	in := EntryInfo{Hash: e.hash, Bounds: e.bounds, HasTree: e.tree != nil, TreeWidth: e.treeW}
 	for k, t := range e.memos {
-		if n := t.Entries(); n > 0 {
-			in.Memos = append(in.Memos, WidthSummary{K: k, States: n})
-		}
+		in.Memos = append(in.Memos, WidthSummary{K: k, States: t.Entries()})
 	}
 	sort.Slice(in.Memos, func(a, b int) bool { return in.Memos[a].K < in.Memos[b].K })
 	return in
@@ -216,5 +247,6 @@ func (m *Memory) Purge() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.entries = make(map[string]*entry)
+	m.pending = make(map[memoID]*Table)
 	m.head, m.tail = nil, nil
 }

@@ -72,7 +72,8 @@ type Backend interface {
 	DropDecomposition(hash string)
 	// Memo returns the negative-memo table for (hash, k), creating it if
 	// needed; existed reports that the table already holds at least one
-	// state, banked by an earlier request.
+	// state, banked by an earlier request. A table that holds no state
+	// creates no entry, so it evicts nothing.
 	Memo(hash string, k int) (m Memo, existed bool)
 	// Stats returns a snapshot of the backend's counters.
 	Stats() Stats

@@ -19,6 +19,8 @@ type Table struct {
 	memo    logk.ShardedMemo
 	entries atomic.Int64
 	max     int64
+	// onFirst, when set, runs once, right after the first state lands.
+	onFirst func()
 }
 
 // NewTable returns a Table capped at max entries (≤ 0 means unbounded).
@@ -38,8 +40,8 @@ func (t *Table) Insert(key string) {
 	if t.entries.Load() >= t.max {
 		return
 	}
-	if t.memo.Add(key) {
-		t.entries.Add(1)
+	if t.memo.Add(key) && t.entries.Add(1) == 1 && t.onFirst != nil {
+		t.onFirst()
 	}
 }
 
