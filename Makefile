@@ -4,13 +4,12 @@
 #
 # Service performance is measured end to end by perfbench/ against a
 # live htdserve (`bash perfbench/run.sh`, see perfbench/README.md);
-# `make perfbench-smoke` runs it as a correctness wall. The executor's
-# and the dataset layer's allocation budgets and the disk tier's I/O
-# budget are `go test` tests (TestExecutorAllocBudget,
-# TestAggregateAllocBudget, TestMaintenanceAllocBudget in internal/join; TestCanonicalAllocBudget
-# in internal/query; TestQueryEncodeAllocBudget in cmd/htdserve;
-# TestDiskTierIOBudget in internal/service), so `make race` runs them. cmd/benchtab keeps the
-# paper's experiments.
+# `make perfbench-smoke` runs it as a correctness wall. The allocation
+# budgets (every Test*AllocBudget, in whichever package it pins) and the
+# disk tier's I/O budget (TestDiskTierIOBudget) are plain `go test`
+# tests, so `make test` and `make race` run them; list them with
+# `grep -rn 'func Test.*AllocBudget' --include='*_test.go' .`.
+# cmd/benchtab keeps the paper's experiments.
 
 GO ?= go
 # Load-wall report produced by `make load-gate` and uploaded nightly.

@@ -38,7 +38,7 @@ import (
 func main() {
 	var (
 		experiment = flag.String("experiment", "all", "which experiment to run")
-		timeout    = flag.Duration("timeout", 500*time.Millisecond, "per-(instance,width) budget")
+		timeout    = flag.Duration("timeout", 500*time.Millisecond, "budget per width tried for width-parameterised methods (det-k, log-k, hybrid), per instance for optimal ones (HtdLEO stand-in, racer)")
 		scale      = flag.Int("scale", 1, "suite scale factor")
 		seed       = flag.Int64("seed", 2022, "suite seed")
 		kmax       = flag.Int("kmax", 6, "maximum width to try")

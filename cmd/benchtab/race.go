@@ -104,10 +104,16 @@ func serialLadder(ctx context.Context, ins []hyperbench.Instance, cfg harness.Co
 // raceService times the racing pipeline: every instance of the round is
 // submitted concurrently as a ModeOptimal job against one shared
 // service, so probes of different jobs contend for (and share) the same
-// worker budget, memo tables, and width bounds.
+// worker budget, memo tables, and width bounds. A job searches with
+// TokenBudget+1 workers, so a budget of cfg.Workers-1 keeps one job
+// within the serial ladder's cfg.Workers (0 would mean GOMAXPROCS-1).
 func raceService(ctx context.Context, ins []hyperbench.Instance, cfg harness.Config, rounds int) (ms float64, solved int, err error) {
+	budget := cfg.Workers - 1
+	if budget == 0 {
+		budget = -1
+	}
 	svc := htd.NewService(htd.ServiceConfig{
-		TokenBudget:    cfg.Workers,
+		TokenBudget:    budget,
 		MaxConcurrent:  4,
 		MaxQueue:       4 * len(ins),
 		DefaultTimeout: time.Duration(cfg.KMax) * cfg.Timeout,
@@ -125,7 +131,6 @@ func raceService(ctx context.Context, ins []hyperbench.Instance, cfg harness.Con
 				defer wg.Done()
 				res := svc.Submit(ctx, htd.ServiceRequest{
 					H: in.H, K: cfg.KMax, Mode: htd.ModeOptimal,
-					Workers: cfg.Workers,
 				})
 				if res.Err == nil && res.OK {
 					mu.Lock()

@@ -21,9 +21,10 @@ import (
 
 // apiRequest is the JSON body of POST /decompose and one NDJSON line of
 // POST /batch. It selects the problem, not the solver: every job runs
-// the service's one configuration, the paper's hybrid. Like any field
-// it does not know, the decoder ignores a "hybrid" or
-// "hybrid_threshold" an older client still sends.
+// the service's one configuration, the paper's hybrid, with the
+// service's parallelism. Like any field it does not know, the decoder
+// ignores a "hybrid", "hybrid_threshold", "workers" or "max_probes" an
+// older client still sends.
 type apiRequest struct {
 	// Hypergraph in HyperBench syntax: name(v1,v2,...) terms separated
 	// by commas.
@@ -34,11 +35,6 @@ type apiRequest struct {
 	// K is the width bound (required, ≥ 1); the search ceiling in
 	// optimal mode.
 	K int `json:"k"`
-	// MaxProbes bounds concurrent width probes in optimal mode (0 picks
-	// the default ladder width).
-	MaxProbes int `json:"max_probes,omitempty"`
-	// Workers caps this job's search parallelism (0 = service default).
-	Workers int `json:"workers,omitempty"`
 	// TimeoutMS tightens the server's per-job timeout in milliseconds
 	// (it cannot exceed the server's -timeout).
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
@@ -234,11 +230,9 @@ func parseRequest(a apiRequest) (htd.ServiceRequest, error) {
 		return req, fmt.Errorf("parse hypergraph: %w", err)
 	}
 	req = htd.ServiceRequest{
-		H:         h,
-		K:         a.K,
-		MaxProbes: a.MaxProbes,
-		Workers:   a.Workers,
-		Timeout:   timeout,
+		H:       h,
+		K:       a.K,
+		Timeout: timeout,
 	}
 	switch a.Mode {
 	case "", "decide":
@@ -437,9 +431,6 @@ type queryAPIRequest struct {
 	// TimeoutMS bounds the whole query (planning + execution). Unset,
 	// the server's -timeout applies; set, it can only tighten it.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// Workers caps solver parallelism for cold plans (0 = service
-	// default).
-	Workers int `json:"workers,omitempty"`
 	// OmitRows asks for counts and plan metadata only — the answer rows
 	// are computed but not serialised (cheap for large results).
 	OmitRows bool `json:"omit_rows,omitempty"`
@@ -551,7 +542,6 @@ func (s *server) runQuery(ctx context.Context, a queryAPIRequest, tenant string)
 		MaxWidth:  a.MaxWidth,
 		MaxRows:   a.MaxRows,
 		Timeout:   timeout,
-		Workers:   a.Workers,
 		Aggregate: spec,
 		Tenant:    tenant,
 	})

@@ -110,9 +110,9 @@ func prism8() string {
 // TestOneSolverConfiguration: every job runs the paper's hybrid. A
 // decide job, an optimal job and a cold /query plan each raise /stats'
 // Solver.HybridCalls, and a body that still sends the retired
-// "hybrid":"none" gets the same solver. The decompose answers agree,
-// also with a timeout_ms too large to convert to nanoseconds, which the
-// server clamps to its -timeout. Each request gets a fresh server so
+// "hybrid":"none", "workers" or "max_probes" gets the same solver. The
+// decompose answers agree, also with a timeout_ms too large to convert
+// to nanoseconds, which the server clamps to its -timeout. Each request gets a fresh server so
 // none comes from the plan cache.
 func TestOneSolverConfiguration(t *testing.T) {
 	hybridCalls := func(t *testing.T, url string) int64 {
@@ -135,6 +135,8 @@ func TestOneSolverConfiguration(t *testing.T) {
 			{},
 			{"hybrid": "none"},
 			{"mode": "optimal"},
+			{"workers": 1},
+			{"mode": "optimal", "max_probes": 1},
 			{"timeout_ms": int64(76480200929599801)},
 			{"timeout_ms": int64(18446744073710)},
 		} {
@@ -233,18 +235,42 @@ func TestServeOptimalMode(t *testing.T) {
 	}
 }
 
+// TestRetiredWorkersFieldIgnored: a request cannot lower its own search
+// parallelism. A "workers":1 body still searches with the service's
+// TokenBudget+1 workers, so a cold refutation of cycle(80) at k=1 on a
+// server with two spare tokens grabs at least one.
+func TestRetiredWorkersFieldIgnored(t *testing.T) {
+	ts, _ := newTestServer(t)
+	var b strings.Builder
+	for i := 0; i < 80; i++ {
+		fmt.Fprintf(&b, "r%d(x%d,x%d), ", i, i, (i+1)%80)
+	}
+	body, _ := json.Marshal(map[string]any{
+		"hypergraph": strings.TrimSuffix(b.String(), ", ") + ".",
+		"k":          1,
+		"workers":    1,
+	})
+	resp, out := postJSON(t, ts.URL+"/decompose", string(body))
+	if resp.StatusCode != http.StatusOK || out.Error != "" || out.OK || out.Stats == nil {
+		t.Fatalf("status %d %+v, want a NO with stats", resp.StatusCode, out)
+	}
+	if out.Stats.TokensGrabbed < 1 {
+		t.Fatalf("TokensGrabbed=%d: the job searched with fewer workers than the service's", out.Stats.TokensGrabbed)
+	}
+}
+
 func TestServeStatsReportsCancellationsByWidth(t *testing.T) {
 	ts, _ := newTestServer(t)
 
-	// A wide race on an easy instance: probes at widths above the
-	// optimum are launched and then cancelled as moot. Cancellation is
-	// timing-dependent, so drive a few rounds and only require the
-	// stats plumbing (not a specific count) to hold.
+	// A race on an easy instance at the racer's default probe count:
+	// probes at widths above the optimum may be launched and then
+	// cancelled as moot. Cancellation is timing-dependent (a round may
+	// cancel none), so drive a few rounds and only require the stats
+	// plumbing (not a specific count) to hold.
 	line, _ := json.Marshal(map[string]any{
 		"hypergraph": "r1(x0,x1), r2(x1,x2), r3(x2,x3), r4(x3,x4), r5(x4,x5), r6(x5,x0).",
 		"k":          6,
 		"mode":       "optimal",
-		"max_probes": 6,
 	})
 	for i := 0; i < 3; i++ {
 		if _, out := postJSON(t, ts.URL+"/decompose", string(line)); !out.OK || out.Width != 2 {

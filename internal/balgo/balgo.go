@@ -241,7 +241,7 @@ func (s *Solver) tryLambda(g *ext.Graph, conn *bitset.Set, cover *bitset.Set, la
 	if !progress {
 		return nil, false, nil
 	}
-	comps := s.split.Components(g, chi)
+	comps := s.split.ComponentsInto(g, chi, new(ext.ComponentBuf))
 	children := make([]*decomp.Node, 0, len(comps))
 	for _, c := range comps {
 		childConn := c.Vertices().Intersect(chi)

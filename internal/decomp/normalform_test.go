@@ -121,7 +121,7 @@ func CheckNormalForm(d *Decomp, g *ext.Graph) error {
 	var check func(p *Node) error
 	check = func(p *Node) error {
 		if len(p.Children) > 0 {
-			comps := split.Components(g, p.Bag)
+			comps := split.ComponentsInto(g, p.Bag, new(ext.ComponentBuf))
 			// Item bitset per component for comparison.
 			compSets := make([]*bitset.Set, len(comps))
 			for ci, comp := range comps {

@@ -71,7 +71,8 @@ func (s *Splitter) link(ra, rb int32) int32 {
 // so splitting into it allocates nothing. Each call overwrites the
 // graphs of the previous call on the same buffer: a component graph from
 // a buffer lives only until that buffer's next ComponentsInto call, and
-// nothing may keep it (or its Edges and Specials) past that point.
+// nothing may keep it (or its Edges and Specials) past that point. A
+// caller whose components must outlive that passes a fresh buffer.
 type ComponentBuf struct {
 	graphs   []Graph
 	comps    []*Graph
@@ -79,17 +80,12 @@ type ComponentBuf struct {
 	specials []Special
 }
 
-// Components returns the [u]-components of g (Definition 3.2): the
+// ComponentsInto returns the [u]-components of g (Definition 3.2): the
 // maximal subsets of E′ ∪ Sp connected transitively through shared
 // vertices outside u. Items entirely inside u (f ⊆ u) belong to no
 // component. Each returned component is itself a Graph over the same
-// base hypergraph, in storage of its own.
-func (s *Splitter) Components(g *Graph, u *bitset.Set) []*Graph {
-	return s.ComponentsInto(g, u, new(ComponentBuf))
-}
-
-// ComponentsInto is Components with the components carved out of buf;
-// see ComponentBuf for how long they live.
+// base hypergraph, carved out of buf; see ComponentBuf for how long
+// it lives.
 func (s *Splitter) ComponentsInto(g *Graph, u *bitset.Set, buf *ComponentBuf) []*Graph {
 	s.label(g, u)
 
@@ -157,8 +153,8 @@ func (s *Splitter) Balanced(g *Graph, u *bitset.Set) bool {
 
 // Oversized returns the [u]-component of g holding more than half of
 // g's items, or nil when there is none. It builds only that component,
-// which equals the one Components would return at index
-// LargestComponent(Components(g, u), g.Size()).
+// which equals the one ComponentsInto would return at index
+// LargestComponent(ComponentsInto(g, u, buf), g.Size()).
 func (s *Splitter) Oversized(g *Graph, u *bitset.Set) *Graph {
 	root := s.oversizedRoot(g, u)
 	if root < 0 {
@@ -192,7 +188,7 @@ func (s *Splitter) oversizedRoot(g *Graph, u *bitset.Set) int32 {
 	return -1
 }
 
-// label runs the union-find pass shared by Components, Balanced and
+// label runs the union-find pass shared by ComponentsInto, Balanced and
 // Oversized: afterwards hasOutside[i] tells whether item i (edges first,
 // then specials) has a vertex outside u, and find(i) names its
 // component. rootComp is reset to -1 and size and spSize to 0 for every

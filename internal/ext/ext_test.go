@@ -58,7 +58,7 @@ func TestComponentsOfCycle(t *testing.T) {
 	g := Root(h)
 	sp := NewSplitter(h)
 	u := h.Union([]int{0, 5})
-	comps := sp.Components(g, u)
+	comps := sp.ComponentsInto(g, u, new(ComponentBuf))
 	if len(comps) != 2 {
 		t.Fatalf("got %d components, want 2", len(comps))
 	}
@@ -80,7 +80,7 @@ func TestComponentsEmptySeparator(t *testing.T) {
 	h := cycle(6)
 	g := Root(h)
 	sp := NewSplitter(h)
-	comps := sp.Components(g, h.NewVertexSet())
+	comps := sp.ComponentsInto(g, h.NewVertexSet(), new(ComponentBuf))
 	if len(comps) != 1 || comps[0].Size() != 6 {
 		t.Fatalf("cycle under empty separator should be one component, got %d", len(comps))
 	}
@@ -111,7 +111,7 @@ func TestComponentsWithSpecials(t *testing.T) {
 		}
 	}
 	u := setOf(h.NumVertices(), []int{bIdx})
-	comps := sp.Components(g, u)
+	comps := sp.ComponentsInto(g, u, new(ComponentBuf))
 	if len(comps) != 3 {
 		t.Fatalf("got %d components, want 3", len(comps))
 	}
@@ -252,7 +252,7 @@ func TestQuickComponentsPartition(t *testing.T) {
 			}
 		}
 		sp := NewSplitter(h)
-		comps := sp.Components(g, u)
+		comps := sp.ComponentsInto(g, u, new(ComponentBuf))
 
 		seen := map[int]int{} // edge id -> count over components
 		for _, c := range comps {
@@ -300,7 +300,7 @@ func TestQuickComponentsInternallyConnected(t *testing.T) {
 			}
 		}
 		sp := NewSplitter(h)
-		for _, c := range sp.Components(g, u) {
+		for _, c := range sp.ComponentsInto(g, u, new(ComponentBuf)) {
 			if c.Size() < 2 {
 				continue
 			}
@@ -363,8 +363,8 @@ func TestQuickComponentsRestrictSeparator(t *testing.T) {
 		}
 		restricted := u.Intersect(d.Vertices())
 		sp := NewSplitter(h)
-		a := sp.Components(d, u)
-		b := sp.Components(d, restricted)
+		a := sp.ComponentsInto(d, u, new(ComponentBuf))
+		b := sp.ComponentsInto(d, restricted, new(ComponentBuf))
 		if len(a) != len(b) {
 			return false
 		}
@@ -392,24 +392,25 @@ func TestSplitterReuse(t *testing.T) {
 	u1 := h.Union([]int{0})
 	u2 := h.Union([]int{0, 6})
 	for i := 0; i < 50; i++ {
-		c1 := sp.Components(g, u1)
-		c2 := sp.Components(g, u2)
+		c1 := sp.ComponentsInto(g, u1, new(ComponentBuf))
+		c2 := sp.ComponentsInto(g, u2, new(ComponentBuf))
 		if len(c1) != 1 || len(c2) != 2 {
 			t.Fatalf("iteration %d: got %d and %d components", i, len(c1), len(c2))
 		}
 	}
 }
 
-// TestComponentsIntoMatchesComponents: splitting into one reused buffer
-// gives the components Components gives, and a graph carved from the
-// buffer carries no cached vertex set over from its previous use.
-func TestComponentsIntoMatchesComponents(t *testing.T) {
+// TestComponentsIntoReusedMatchesFresh: splitting into one reused
+// buffer gives the components a fresh buffer gives, and a graph carved
+// from the buffer carries no cached vertex set over from its previous
+// use.
+func TestComponentsIntoReusedMatchesFresh(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	var buf ComponentBuf
 	for i := 0; i < 2000; i++ {
 		g, u := randomExtGraph(r)
 		sp := NewSplitter(g.H)
-		want := sp.Components(g, u)
+		want := sp.ComponentsInto(g, u, new(ComponentBuf))
 		got := sp.ComponentsInto(g, u, &buf)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: %d components, want %d", i, len(got), len(want))
@@ -456,7 +457,7 @@ func BenchmarkComponentsCycle64(b *testing.B) {
 	u := h.Union([]int{0, 16, 32, 48})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sp.Components(g, u)
+		sp.ComponentsInto(g, u, new(ComponentBuf))
 	}
 }
 
@@ -508,7 +509,7 @@ func randomExtGraph(r *rand.Rand) (*Graph, *bitset.Set) {
 // Components + LargestComponent reference on one (g, u).
 func checkSizeKernel(t *testing.T, sp *Splitter, g *Graph, u *bitset.Set) {
 	t.Helper()
-	comps := sp.Components(g, u)
+	comps := sp.ComponentsInto(g, u, new(ComponentBuf))
 	want := LargestComponent(comps, g.Size())
 	if got := sp.Balanced(g, u); got != (want < 0) {
 		t.Fatalf("Balanced = %v, LargestComponent = %d\ng=%v specials=%d u=%v", got, want, g.Edges, len(g.Specials), u)
@@ -537,7 +538,7 @@ func checkSizeKernel(t *testing.T, sp *Splitter, g *Graph, u *bitset.Set) {
 }
 
 // TestBalancedOversizedMatchComponents: the size-only kernel agrees with
-// the Components reference, including a component at exactly half the
+// the ComponentsInto reference, including a component at exactly half the
 // items (balanced) and one item more (oversized).
 func TestBalancedOversizedMatchComponents(t *testing.T) {
 	h := cycle(8)

@@ -82,9 +82,13 @@ type Result struct {
 
 // Runner executes methods over instances.
 type Runner struct {
-	// Timeout is the per-(instance, width) budget, mirroring the paper's
-	// per-run one-hour limit (scaled down; see docs/RESULTS.md,
-	// "Substitutions").
+	// Timeout is the budget of one run, mirroring the paper's per-run
+	// one-hour limit (scaled down; see docs/RESULTS.md,
+	// "Substitutions"). A width-parameterised method (runParam: det-k,
+	// log-k, the hybrid) gets one Timeout per width it tries, so up to
+	// KMax per instance; an optimal method (runOptimal: the HtdLEO
+	// stand-in; runRace: the racer) gets one Timeout for its whole
+	// search.
 	Timeout time.Duration
 	// KMax bounds the width search (the paper used widths 1..10).
 	KMax int

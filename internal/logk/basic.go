@@ -64,7 +64,7 @@ RootLoop:
 		}
 		// χ(r) = ∪λ(r) by the special condition; [λr]-components coincide
 		// with [χr]-components (lines 3-4).
-		compsR := b.split.Components(hComp, unionR)
+		compsR := b.split.ComponentsInto(hComp, unionR, new(ext.ComponentBuf))
 		children := make([]*decomp.Node, 0, len(compsR))
 		for _, y := range compsR {
 			connY := y.Vertices().Intersect(unionR)
@@ -128,7 +128,7 @@ ParentLoop:
 			lambdaP = append(lambdaP, i)
 			unionP.InPlaceUnion(b.H.Edge(i))
 		}
-		compsP := b.split.Components(g, unionP) // line 17
+		compsP := b.split.ComponentsInto(g, unionP, new(ext.ComponentBuf)) // line 17
 		di := ext.LargestComponent(compsP, total)
 		if di < 0 {
 			continue ParentLoop // line 21
@@ -167,7 +167,7 @@ ParentLoop:
 			if !vDown.Intersect(unionP).SubsetOf(chiC) {
 				continue ChildLoop // connectedness check, lines 26-27
 			}
-			compsC := b.split.Components(compDown, chiC) // line 28
+			compsC := b.split.ComponentsInto(compDown, chiC, new(ext.ComponentBuf)) // line 28
 			if ext.LargestComponent(compsC, total) >= 0 {
 				continue ChildLoop // lines 29-30
 			}

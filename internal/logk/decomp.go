@@ -141,9 +141,12 @@ func (s *Solver) tryChild(ctx context.Context, w *worker, parents parentCache, g
 // g: it recurses into every [chi]-component of g, each with interface
 // its vertices in chi, and returns their fragments in component order
 // followed by a leaf for each special of g that chi covers. It stops at
-// the first component with no fragment (ok false) or an error.
+// the first component with no fragment (ok false) or an error. The
+// components live in the depth's frame: nothing of them outlives the
+// call, since decomp.NewNode copies λ and a special leaf keeps only the
+// special's own bitsets.
 func (s *Solver) below(ctx context.Context, w *worker, g *ext.Graph, chi *bitset.Set, allowed []int, depth int) ([]*decomp.Node, bool, error) {
-	comps := w.split.Components(g, chi)
+	comps := w.split.ComponentsInto(g, chi, &w.frame(depth).comps)
 	children := make([]*decomp.Node, 0, len(comps))
 	for _, y := range comps {
 		child, ok, err := s.decomp(ctx, w, y, y.Vertices().Intersect(chi), allowed, depth+1)

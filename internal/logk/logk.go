@@ -220,10 +220,12 @@ type worker struct {
 }
 
 // frameScratch is reusable loop scratch for one recursion depth: the
-// two candidate pools and the label enumerators of the two loops.
+// two candidate pools, the label enumerators of the two loops, and the
+// storage below carves that depth's components out of.
 type frameScratch struct {
 	childPool, parentPool []int
 	child, parent         labels
+	comps                 ext.ComponentBuf
 }
 
 // frame returns the scratch for the given depth, growing the stack as

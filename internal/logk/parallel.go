@@ -39,7 +39,7 @@ type rangeFunc func(ctx context.Context, lo, hi int64) (*decomp.Node, bool, erro
 // meaning. Dropping the edges disjoint from V(H′) loses no answer:
 //
 //  1. Every test of λ(c) reads ∪λ(c) only through V(H′) or a subset of
-//     it: Balanced and Components over H′, conn ⊆ ∪λ(c) (conn ⊆ V(H′),
+//     it: Balanced and ComponentsInto over H′, conn ⊆ ∪λ(c) (conn ⊆ V(H′),
 //     checked below), χ(c) = ∪λ(c) ∩ V(H′) or ∩ vDown, and the line-31
 //     test vDown ∩ ∪λ(p) ⊆ ∪λ(c). A label and its restriction to the
 //     pool therefore pass or fail them alike and recurse identically.

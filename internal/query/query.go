@@ -50,9 +50,6 @@ type Request struct {
 	// service's rule (service.Service.WithTimeout): 0 inherits the
 	// service's DefaultTimeout, and larger values are clamped to it.
 	Timeout time.Duration
-	// Workers caps the solver's parallelism for cold plans (0 = service
-	// default).
-	Workers int
 	// Aggregate, when non-nil, answers this aggregate over the query's
 	// result set instead of the rows themselves, pushed down the join
 	// tree: no answer row is ever materialised, so queries whose result
@@ -256,7 +253,6 @@ func (p *Planner) eval(ctx context.Context, req Request) (Result, outcome, error
 		H:              h,
 		Mode:           service.ModeOptimal,
 		K:              maxW,
-		Workers:        req.Workers,
 		Timeout:        req.Timeout,
 		Tenant:         req.Tenant,
 		TenantAdmitted: true,

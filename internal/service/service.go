@@ -132,7 +132,8 @@ func (c Config) withDefaults() Config {
 // answer aggregates and selective joins.
 const DefaultMaxRows = 250_000
 
-// Request is one decomposition job.
+// Request is one decomposition job. It selects the problem, not the
+// search: parallelism and probe count are the service's (see run).
 type Request struct {
 	// H is the hypergraph to decompose (required).
 	H *hypergraph.Hypergraph
@@ -142,12 +143,6 @@ type Request struct {
 	// K is the width bound (required, ≥ 1). In ModeOptimal it is the
 	// search ceiling KMax.
 	K int
-	// MaxProbes bounds concurrent width probes in ModeOptimal (0 picks
-	// the racer default).
-	MaxProbes int
-	// Workers lowers this job's search parallelism; 0 (or anything
-	// above TokenBudget+1) lets one job use the whole shared token pool.
-	Workers int
 	// Timeout tightens the service's DefaultTimeout for this job, by
 	// the rule of WithTimeout.
 	Timeout time.Duration
@@ -357,10 +352,8 @@ func (s *Service) Datasets() *dataset.Registry { return s.datasets }
 // Config returns the effective configuration, with defaults resolved.
 func (s *Service) Config() Config { return s.cfg }
 
-// flightKey identifies interchangeable requests: same structure, same
-// problem. Two requests with equal keys produce equivalent results even
-// if their solver tuning (workers) differs — the leader's tuning wins
-// for a coalesced group.
+// flightKey identifies interchangeable requests: equal keys are the same
+// problem on the same structure, solved the same way.
 func flightKey(hash string, req Request) string {
 	return hash + "/" + req.Mode.String() + "/" + strconv.Itoa(req.K)
 }
@@ -635,25 +628,23 @@ func (s *Service) RowCap(maxRows int) int {
 // run executes an admitted job on the caller's goroutine. Every job
 // runs the paper's headline configuration, log-k-decomp hybridised with
 // det-k-decomp (logk.PaperHybrid at logk.PaperHybridThreshold): decide
-// and optimal jobs alike, hence every query plan too.
+// and optimal jobs alike, hence every query plan too. Every job searches
+// with TokenBudget+1 workers, drawing the extra ones from the shared
+// token pool, and an optimal job runs the racer's default number of
+// concurrent probes.
 func (s *Service) run(ctx context.Context, req Request, hash string) Result {
 	ctx, cancel := s.WithTimeout(ctx, req.Timeout)
 	defer cancel()
 
-	workers := s.budget.Size() + 1
-	if req.Workers > 0 && req.Workers < workers {
-		workers = req.Workers
-	}
-
 	if req.Mode == ModeOptimal {
-		return s.runOptimal(ctx, req, workers, hash)
+		return s.runOptimal(ctx, req, hash)
 	}
 
 	memo, existed := s.store.Memo(hash, req.K)
 	res := Result{CacheShared: existed, ran: true}
 	solver := logk.New(req.H, logk.Options{
 		K:               req.K,
-		Workers:         workers,
+		Workers:         s.budget.Size() + 1,
 		Hybrid:          logk.PaperHybrid,
 		HybridThreshold: logk.PaperHybridThreshold,
 		Tokens:          s.budget,
@@ -685,11 +676,10 @@ func (s *Service) run(ctx context.Context, req Request, hash string) Result {
 // banked twice — state-level in the per-width memo tables, width-level
 // in the store's bounds — so later jobs on the same structure start
 // from tighter bounds whether they decide or optimise.
-func (s *Service) runOptimal(ctx context.Context, req Request, workers int, hash string) Result {
+func (s *Service) runOptimal(ctx context.Context, req Request, hash string) Result {
 	cfg := race.Config{
 		KMax:            req.K,
-		MaxProbes:       req.MaxProbes,
-		Workers:         workers,
+		Workers:         s.budget.Size() + 1,
 		Hybrid:          logk.PaperHybrid,
 		HybridThreshold: logk.PaperHybridThreshold,
 		Tokens:          s.budget,

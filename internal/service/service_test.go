@@ -44,7 +44,7 @@ func grid(m int) *hypergraph.Hypergraph {
 // TestConcurrentSubmissionsBoundedBudget is the central serving-layer
 // test: many concurrent jobs with a small global token budget must all
 // answer correctly, produce valid HDs, and never push the pool past its
-// bound — even though each job asks for far more workers than exist.
+// bound — even though every job may draw on the whole pool.
 func TestConcurrentSubmissionsBoundedBudget(t *testing.T) {
 	const budget = 3
 	svc := New(Config{TokenBudget: budget, MaxConcurrent: 16, MaxQueue: 256})
@@ -59,7 +59,7 @@ func TestConcurrentSubmissionsBoundedBudget(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			results[i] = svc.Submit(context.Background(), Request{
-				H: graphs[i%len(graphs)], K: 2, Workers: 64,
+				H: graphs[i%len(graphs)], K: 2,
 			})
 		}(i)
 	}
@@ -248,11 +248,13 @@ func cylinder36(t *testing.T) *hypergraph.Hypergraph {
 // state, and returns that service and the deadline. Starting from half
 // the cold run's time, it halves the deadline while the run still
 // finishes and doubles it while the run stops before banking anything.
+// Its services, like the cold ones of its callers, have no extra
+// workers (TokenBudget -1), so every run searches in one fixed order.
 func stopAfterBanking(t *testing.T, req Request, coldTime time.Duration) (*Service, time.Duration) {
 	t.Helper()
 	deadline := coldTime / 2
 	for attempt := 0; attempt < 8; attempt++ {
-		svc := New(Config{MaxConcurrent: 1})
+		svc := New(Config{TokenBudget: -1, MaxConcurrent: 1})
 		stopReq := req
 		stopReq.Timeout = deadline
 		stopped := svc.Submit(context.Background(), stopReq)
@@ -276,16 +278,16 @@ func stopAfterBanking(t *testing.T, req Request, coldTime time.Duration) (*Servi
 // pays where the width-level bound cannot, on a refutation stopped by
 // its deadline and submitted again. syn-cylinder-36 at K=2 is a NO
 // instance on which log-k-decomp searches the root, so the stopped run
-// banks refuted states; at one worker the search order is fixed, so
-// the resumed run must answer NO with strictly fewer candidates than a
-// cold run. A service that gave each job a fresh table would redo the
+// banks refuted states; with no extra workers the search order is
+// fixed, so the resumed run must answer NO with strictly fewer
+// candidates than a cold run. A service that gave each job a fresh table would redo the
 // whole search.
 func TestMemoResumesStoppedRefutation(t *testing.T) {
 	ctx := context.Background()
-	req := Request{H: cylinder36(t), K: 2, Workers: 1}
+	req := Request{H: cylinder36(t), K: 2}
 	work := func(r Result) int64 { return r.Stats.Candidates + r.Stats.ParentCands }
 
-	svc := New(Config{MaxConcurrent: 1})
+	svc := New(Config{TokenBudget: -1, MaxConcurrent: 1})
 	start := time.Now()
 	cold := svc.Submit(ctx, req)
 	coldTime := time.Since(start)
@@ -548,9 +550,9 @@ func TestOptimalRefutationsFeedDecideJobs(t *testing.T) {
 func TestMemoTablesSurviveTimeouts(t *testing.T) {
 	ctx := context.Background()
 	h := cylinder36(t)
-	req := Request{H: h, K: 2, Workers: 1}
+	req := Request{H: h, K: 2}
 
-	cold := New(Config{MaxConcurrent: 1})
+	cold := New(Config{TokenBudget: -1, MaxConcurrent: 1})
 	start := time.Now()
 	cold.Submit(ctx, req)
 	coldTime := time.Since(start)
@@ -572,9 +574,10 @@ func TestMemoTablesSurviveTimeouts(t *testing.T) {
 }
 
 // TestOptimalUnderConcurrentLoad: optimal and decide jobs racing
-// together must stay within the global token budget and all answer
-// correctly — the serving-layer guarantee the ISSUE's acceptance
-// criterion checks under -race.
+// together, each free to draw on the whole token pool and the optimal
+// ones running the racer's default probe count, must stay within the
+// global token budget and all answer correctly — the serving-layer
+// guarantee this test checks under -race.
 func TestOptimalUnderConcurrentLoad(t *testing.T) {
 	const budget = 3
 	svc := New(Config{TokenBudget: budget, MaxConcurrent: 8, MaxQueue: 256})
@@ -587,7 +590,7 @@ func TestOptimalUnderConcurrentLoad(t *testing.T) {
 	}
 	jobs := []job{
 		{Request{H: cycle(16), K: 4, Mode: ModeOptimal}, true, 2},
-		{Request{H: cylinderH(8), K: 5, Mode: ModeOptimal, MaxProbes: 4}, true, 3},
+		{Request{H: cylinderH(8), K: 5, Mode: ModeOptimal}, true, 3},
 		{Request{H: grid(3), K: 2}, true, 0},
 		{Request{H: cycle(24), K: 1}, false, 0},
 	}
