@@ -1,6 +1,8 @@
 // Command hgstat prints structural statistics of a hypergraph file:
 // vertex/edge counts, arity and degree distributions, connectivity,
-// GYO α-acyclicity (equivalently hw = 1), and the HyperBench size group.
+// GYO α-acyclicity (equivalently hw = 1), the structural lower bound on
+// hypertree width (hypergraph.WidthLowerBound), and the HyperBench size
+// group.
 //
 // Usage:
 //
@@ -9,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -58,6 +61,10 @@ func report(w io.Writer, stdin io.Reader, path string) error {
 	}
 	st := h.ComputeStats()
 	reduced, _ := h.RemoveSubsumedEdges()
+	lb, err := h.WidthLowerBound(context.Background(), st.Edges)
+	if err != nil {
+		return err
+	}
 
 	fmt.Fprintf(w, "%s:\n", path)
 	fmt.Fprintf(w, "  vertices:        %d\n", st.Vertices)
@@ -66,6 +73,7 @@ func report(w io.Writer, stdin io.Reader, path string) error {
 	fmt.Fprintf(w, "  degree:          min %d, max %d, avg %.2f\n", st.MinDegree, st.MaxDegree, st.AvgDegree)
 	fmt.Fprintf(w, "  connected:       %v\n", st.IsConnected)
 	fmt.Fprintf(w, "  alpha-acyclic:   %v  (hw = 1 iff true)\n", h.IsAcyclic())
+	fmt.Fprintf(w, "  width bound:     %d  (hw >= ghw >= this structural lower bound)\n", lb)
 	fmt.Fprintf(w, "  subsumed edges:  %d\n", st.Edges-reduced.NumEdges())
 	return nil
 }

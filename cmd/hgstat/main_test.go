@@ -30,6 +30,7 @@ func TestReportOnFile(t *testing.T) {
 		"edges:           4  (group: |E| <= 10)",
 		"connected:       true",
 		"alpha-acyclic:   false",
+		"width bound:     2",
 		"subsumed edges:  1", // sub(x,y) ⊆ r1(x,y)
 	} {
 		if !strings.Contains(got, want) {
@@ -44,8 +45,8 @@ func TestReportFromStdin(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := out.String()
-	if !strings.Contains(got, "alpha-acyclic:   true") {
-		t.Fatalf("chain must be acyclic:\n%s", got)
+	if !strings.Contains(got, "alpha-acyclic:   true") || !strings.Contains(got, "width bound:     1") {
+		t.Fatalf("chain must be acyclic, of width bound 1:\n%s", got)
 	}
 	if !strings.Contains(got, "-:") {
 		t.Fatalf("stdin report should be labelled '-':\n%s", got)

@@ -6,7 +6,9 @@ package htd
 // optimised solver (sequential and parallel), det-k-decomp, the GHD
 // solver, and the optimal-width racer: all decisions must agree, every
 // returned decomposition must pass the independent CheckHD / CheckGHD
-// checkers, and the racer's width must equal the serial optimum.
+// checkers, and the racer's width must equal the serial optimum. No
+// valid decomposition, HD or GHD, may be narrower than the structural
+// lower bound (hypergraph.WidthLowerBound), which is at most ghw ≤ hw.
 //
 // CI runs a short `-fuzz` smoke (see Makefile `fuzz`); `go test` alone
 // replays the seed corpus as regression tests.
@@ -52,6 +54,11 @@ func FuzzDecomposeCheckHD(f *testing.F) {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 		defer cancel()
 
+		lb, err := h.WidthLowerBound(ctx, h.NumEdges())
+		if err != nil {
+			t.Fatalf("structural bound errored: %v\ninstance:\n%s", err, h)
+		}
+
 		// Basic Algorithm 1 is the decision oracle at width k.
 		_, want, err := logk.NewBasic(h, k).Decompose(ctx)
 		if err != nil {
@@ -78,6 +85,9 @@ func FuzzDecomposeCheckHD(f *testing.F) {
 			}
 			if verr != nil {
 				t.Fatalf("%s k=%d returned an invalid decomposition: %v\ninstance:\n%s", name, k, verr, h)
+			}
+			if w := d.Width(); w < lb {
+				t.Fatalf("%s k=%d returned a valid decomposition of width %d below the structural bound %d\ninstance:\n%s", name, k, w, lb, h)
 			}
 		}
 
@@ -119,6 +129,9 @@ func FuzzDecomposeCheckHD(f *testing.F) {
 		}
 		if verr := decomp.CheckWidth(res.Decomp, wantW); verr != nil {
 			t.Fatalf("racer witness exceeds optimum: %v\ninstance:\n%s", verr, h)
+		}
+		if wantW < lb {
+			t.Fatalf("optimum %d below the structural bound %d\ninstance:\n%s", wantW, lb, h)
 		}
 
 		// Positive result cache: decompose the same graph twice through a

@@ -36,11 +36,6 @@ func (s *Set) Set(i int) {
 	s.words[i/wordBits] |= 1 << (uint(i) % wordBits)
 }
 
-// Clear removes element i.
-func (s *Set) Clear(i int) {
-	s.words[i/wordBits] &^= 1 << (uint(i) % wordBits)
-}
-
 // Test reports whether element i is present.
 func (s *Set) Test(i int) bool {
 	if i < 0 || i >= s.n {
@@ -228,6 +223,10 @@ func (s *Set) NextDiff(o *Set, i int) int {
 		w = s.words[wi] &^ o.words[wi]
 	}
 }
+
+// Words returns the set's backing words, element i at bit i%64 of word
+// i/64. The slice is shared and must not be mutated.
+func (s *Set) Words() []uint64 { return s.words }
 
 // AppendKey appends a canonical binary encoding of s to dst. Two sets of
 // the same capacity produce equal encodings iff they are equal.

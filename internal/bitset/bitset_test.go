@@ -8,6 +8,11 @@ import (
 	"testing/quick"
 )
 
+// Clear removes element i.
+func (s *Set) Clear(i int) {
+	s.words[i/wordBits] &^= 1 << (uint(i) % wordBits)
+}
+
 // fromSlice returns a set of capacity n containing elems.
 func fromSlice(n int, elems []int) *Set {
 	s := New(n)

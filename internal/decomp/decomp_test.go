@@ -93,8 +93,10 @@ func TestConnectednessViolationDetected(t *testing.T) {
 	d := paperHD(h)
 	// Remove x1 (vertex 0) from a middle bag: x1 occurs above and below.
 	mid := d.Root.Children[0].Children[0]
+	x1 := h.NewVertexSet()
+	x1.Set(0)
 	mid.Bag = mid.Bag.Clone()
-	mid.Bag.Clear(0)
+	mid.Bag.InPlaceDiff(x1)
 	if err := CheckHD(d); err == nil || !strings.Contains(err.Error(), "connectedness") {
 		t.Fatalf("expected connectedness error, got %v", err)
 	}

@@ -1,7 +1,5 @@
 package hypergraph
 
-import "repro/internal/bitset"
-
 // IsAcyclic reports whether the hypergraph is α-acyclic, using the
 // GYO (Graham / Yu–Özsoyoğlu) reduction: repeatedly
 //
@@ -12,83 +10,106 @@ import "repro/internal/bitset"
 //
 // α-acyclicity characterises hypertree width 1 (Gottlob, Leone, Scarcello
 // 2002), which gives the tests an independent oracle for hw(H) = 1.
+//
+// The reduction runs in O(|V| + |E| + Σ|e|) time, in the order Tarjan
+// and Yannakakis's maximum cardinality search picks (SIAM J. Comput.
+// 13(3), 1984): see boundScratch.acyclic.
 func (h *Hypergraph) IsAcyclic() bool {
-	n, m := h.NumVertices(), h.NumEdges()
-	if m == 0 {
+	sc := getScratch()
+	defer putScratch(sc)
+	return sc.acyclic(h)
+}
+
+// acyclic is IsAcyclic over reusable scratch. Maximum cardinality
+// search selects the edges one at a time, always one with the most
+// vertices already seen, and then marks the edge's other vertices seen.
+// Read backwards, that order is a GYO reduction exactly when every
+// edge's seen vertices lie in the earlier edge that first saw the most
+// recently seen of them: the edge's unseen vertices are ears, and the
+// rest is subsumed by that earlier edge. If H is α-acyclic, every
+// maximum cardinality order passes this test, so one order decides.
+// Edges wait in buckets by their count of seen vertices, and counts
+// only grow, so the search is linear in Σ|e|.
+func (sc *boundScratch) acyclic(h *Hypergraph) bool {
+	m, n := h.NumEdges(), h.NumVertices()
+	if m <= 1 {
 		return true
 	}
-	// Working copies of edges (vertex sets) and an "alive" flag per edge.
-	edges := make([]*bitset.Set, m)
-	for i, e := range h.edges {
-		edges[i] = e.Clone()
+	sc.edgeLists(h)
+	maxSize := 0
+	for e := 0; e < m; e++ {
+		maxSize = max(maxSize, sc.start[e+1]-sc.start[e])
 	}
-	alive := make([]bool, m)
-	for i := range alive {
-		alive[i] = true
+	// count[e] is e's number of seen vertices, or -1 once e is
+	// selected; head[c] starts bucket c's doubly linked list.
+	count := grow(sc.count, m)
+	next, prev := grow(sc.next, m), grow(sc.prev, m)
+	head := grow(sc.head, maxSize+1)
+	for c := range head {
+		head[c] = -1
 	}
-	// degree[v] = number of alive edges containing v.
-	degree := make([]int, n)
-	for i := range edges {
-		edges[i].ForEach(func(v int) { degree[v]++ })
+	link := func(e, c int) {
+		prev[e], next[e] = -1, head[c]
+		if head[c] >= 0 {
+			prev[head[c]] = e
+		}
+		head[c] = e
 	}
-
-	changed := true
-	for changed {
-		changed = false
-		// Rule 1: drop vertices of degree 1.
-		for i := range edges {
-			if !alive[i] {
+	unlink := func(e, c int) {
+		if prev[e] >= 0 {
+			next[prev[e]] = next[e]
+		} else {
+			head[c] = next[e]
+		}
+		if next[e] >= 0 {
+			prev[next[e]] = prev[e]
+		}
+	}
+	for e := m - 1; e >= 0; e-- {
+		count[e] = 0
+		link(e, 0)
+	}
+	// seenAt[v] is the position in order of the edge that first saw v.
+	seenAt := grow(sc.seenAt, n)
+	for v := range seenAt {
+		seenAt[v] = -1
+	}
+	order := grow(sc.order, m)
+	top := 0
+	for i := 0; i < m; i++ {
+		for head[top] < 0 {
+			top--
+		}
+		e := head[top]
+		unlink(e, top)
+		count[e] = -1
+		vs := sc.verts[sc.start[e]:sc.start[e+1]]
+		if top > 0 {
+			last := -1
+			for _, v := range vs {
+				last = max(last, seenAt[v])
+			}
+			parent := h.edges[order[last]]
+			for _, v := range vs {
+				if seenAt[v] >= 0 && !parent.Test(v) {
+					return false
+				}
+			}
+		}
+		order[i] = e
+		for _, v := range vs {
+			if seenAt[v] >= 0 {
 				continue
 			}
-			var drop []int
-			edges[i].ForEach(func(v int) {
-				if degree[v] == 1 {
-					drop = append(drop, v)
-				}
-			})
-			for _, v := range drop {
-				edges[i].Clear(v)
-				degree[v] = 0
-				changed = true
-			}
-		}
-		// Rule 2: drop edges subsumed by another alive edge (empty edges
-		// are subsumed by anything alive, and an edge equal to another is
-		// subsumed with the duplicate of higher index removed).
-		for i := range edges {
-			if !alive[i] {
-				continue
-			}
-			for j := range edges {
-				if i == j || !alive[j] {
-					continue
-				}
-				if edges[i].SubsetOf(edges[j]) && (!edges[j].SubsetOf(edges[i]) || i > j) {
-					alive[i] = false
-					edges[i].ForEach(func(v int) { degree[v]-- })
-					changed = true
-					break
+			seenAt[v] = i
+			for _, f := range h.incidence[v] {
+				if c := count[f]; c >= 0 {
+					unlink(f, c)
+					count[f] = c + 1
+					link(f, c+1)
+					top = max(top, c+1)
 				}
 			}
-		}
-		// An empty alive edge with no alive peers left: treat as removable.
-		aliveCount := 0
-		last := -1
-		for i := range alive {
-			if alive[i] {
-				aliveCount++
-				last = i
-			}
-		}
-		if aliveCount == 1 && edges[last].IsEmpty() {
-			alive[last] = false
-			changed = true
-		}
-	}
-
-	for i := range alive {
-		if alive[i] {
-			return false
 		}
 	}
 	return true
