@@ -95,8 +95,10 @@ load-gate:
 # service's counter conservation under a concurrent mix of outcomes,
 # the one solver configuration every job runs, and identical queries
 # sharing one bag cache: TestBagCacheConcurrent with the other bag-cache
-# tests, and a refutation stopped on its deadline resuming from the
-# cross-request memo: TestMemoResumesStoppedRefutation), then the
+# tests, a refutation stopped on its deadline resuming from the
+# cross-request memo: TestMemoResumesStoppedRefutation, and a decide job
+# answered NO by the structural lower bound without a search or a memo
+# table, but not past its deadline: TestStructuralRefutation), then the
 # solver's parallel
 # split (shared cursor, first-success cancel, early lease return, no
 # tokens once cancelled, per-worker counts folded without loss:
@@ -114,7 +116,7 @@ load-gate:
 # -race three repeats would bring the logk binary near go test's
 # 10-minute default timeout.
 stress:
-	$(GO) test -race -count=2 -run 'TestStoreStress|TestCoalescing|TestBatchDuplicates|TestServeCache|TestMemoryConcurrency|TestFlight|TestStatsConservation|TestOneSolverConfiguration|TestBagCache|TestMemoResumesStoppedRefutation' ./internal/store ./internal/service ./cmd/htdserve ./internal/join ./internal/dataset
+	$(GO) test -race -count=2 -run 'TestStoreStress|TestCoalescing|TestBatchDuplicates|TestServeCache|TestMemoryConcurrency|TestFlight|TestStatsConservation|TestOneSolverConfiguration|TestBagCache|TestMemoResumesStoppedRefutation|TestStructuralRefutation' ./internal/store ./internal/service ./cmd/htdserve ./internal/join ./internal/dataset
 	$(GO) test -race -count=3 -cpu=1,2,4 -run 'TestParallel|TestNoCacheEquivalence|TestCancelledContext|TestCrossValidationSolvers|TestRace|TestChildPool|TestLogKAllocBudget|TestDetKAllocBudget|TestDetKRefutesBagOnce|TestDetKSameDecompositions' ./internal/logk ./internal/race ./internal/detk
 	$(GO) test -race -count=1 -cpu=1,2,4 -run 'TestLogKSameDecompositions' ./internal/logk
 

@@ -69,9 +69,11 @@ type apiResponse struct {
 	// responses; batch lines only have this field).
 	RetryAfterMS int64 `json:"retry_after_ms,omitempty"`
 
-	// Optimal-mode fields: the proven lower bound (sound even on
-	// timeouts), where it came from ("probe", "memo", "trivial"), and
-	// the racer's probe accounting.
+	// The proven lower bound (sound even on timeouts) and where it came
+	// from ("structural", "probe", "memo", "trivial"): optimal jobs set
+	// both, and a decide job the structural bound answered NO sets
+	// lower_bound K+1 from "structural". Then the racer's probe
+	// accounting, optimal jobs only.
 	LowerBound      int    `json:"lower_bound,omitempty"`
 	LowerBoundFrom  string `json:"lower_bound_from,omitempty"`
 	ProbesLaunched  int    `json:"probes_launched,omitempty"`

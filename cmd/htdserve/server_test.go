@@ -65,7 +65,7 @@ func TestServeDecomposeEndToEnd(t *testing.T) {
 	if !strings.Contains(out.Rendering, "lambda=") {
 		t.Fatalf("rendering missing: %q", out.Rendering)
 	}
-	if out.Stats == nil || out.Stats.Candidates == 0 {
+	if out.Stats == nil || out.Stats.Candidates+out.Stats.DetKCandidates == 0 {
 		t.Fatalf("solver stats missing: %+v", out.Stats)
 	}
 
@@ -97,12 +97,34 @@ func TestServeDecomposeEndToEnd(t *testing.T) {
 	}
 }
 
-// prism8 is the 8-prism C_8 × K_2 (hw 3) in HyperBench syntax.
+// prism8 is the 8-prism C_8 × K_2 (hw 3) in HyperBench syntax. In this
+// vertex order the structural lower bound is 3: it refutes width 2
+// without a search.
 func prism8() string {
 	var b strings.Builder
 	for i := 0; i < 8; i++ {
 		j := (i + 1) % 8
 		fmt.Fprintf(&b, "ra%d(a%d,a%d), rb%d(b%d,b%d), rr%d(a%d,b%d), ", i, i, j, i, i, j, i, i, i)
+	}
+	return strings.TrimSuffix(strings.TrimSpace(b.String()), ",") + "."
+}
+
+// earedPrism is the n-prism with a private vertex added to rungs 0 and
+// 1 (hw 3). Two three-vertex edges cover the five vertices a bag of the
+// prism needs, and every clique of its primal graph lies in one edge,
+// so its structural lower bound is 2: width 2 is refuted by a search.
+// At k=2 the hybrid hands it to det-k-decomp whole up to n = 13 and
+// searches the root with log-k-decomp from n = 14 on.
+func earedPrism(n int) string {
+	var b strings.Builder
+	for i := 0; i < n; i++ {
+		j := (i + 1) % n
+		fmt.Fprintf(&b, "ra%d(a%d,a%d), rb%d(b%d,b%d), ", i, i, j, i, i, j)
+		if i < 2 {
+			fmt.Fprintf(&b, "rr%d(a%d,b%d,p%d), ", i, i, i, i)
+		} else {
+			fmt.Fprintf(&b, "rr%d(a%d,b%d), ", i, i, i)
+		}
 	}
 	return strings.TrimSuffix(strings.TrimSpace(b.String()), ",") + "."
 }
@@ -113,7 +135,8 @@ func prism8() string {
 // "hybrid":"none", "workers" or "max_probes" gets the same solver. The
 // decompose answers agree, also with a timeout_ms too large to convert
 // to nanoseconds, which the server clamps to its -timeout. Each request gets a fresh server so
-// none comes from the plan cache.
+// none comes from the plan cache. The instance is earedPrism(8), whose
+// width-2 refutation the structural lower bound leaves to the search.
 func TestOneSolverConfiguration(t *testing.T) {
 	hybridCalls := func(t *testing.T, url string) int64 {
 		t.Helper()
@@ -128,7 +151,7 @@ func TestOneSolverConfiguration(t *testing.T) {
 		}
 		return st.Solver.HybridCalls
 	}
-	prism := prism8()
+	prism := earedPrism(8)
 	for _, k := range []int{2, 3} {
 		var answers []apiResponse
 		for _, extra := range []map[string]any{
@@ -182,7 +205,8 @@ func TestServeOptimalMode(t *testing.T) {
 	ts, _ := newTestServer(t)
 
 	// Optimal mode on a width-3 prism (cylinder): exact width, valid
-	// tree, proven lower bound with probe provenance.
+	// tree, and a lower bound the structural bound proves before any
+	// probe runs.
 	body, _ := json.Marshal(map[string]any{
 		"hypergraph": prism8(),
 		"k":          6,
@@ -195,8 +219,8 @@ func TestServeOptimalMode(t *testing.T) {
 	if !out.OK || out.Width != 3 || out.Tree == nil {
 		t.Fatalf("optimal result: %+v", out)
 	}
-	if out.LowerBound != 3 || out.LowerBoundFrom != "probe" {
-		t.Fatalf("lower bound %d from %q, want 3 from probe", out.LowerBound, out.LowerBoundFrom)
+	if out.LowerBound != 3 || out.LowerBoundFrom != "structural" {
+		t.Fatalf("lower bound %d from %q, want 3 from structural", out.LowerBound, out.LowerBoundFrom)
 	}
 	if out.ProbesLaunched < 3 {
 		t.Fatalf("probes launched %d, want >= 3", out.ProbesLaunched)
@@ -237,17 +261,14 @@ func TestServeOptimalMode(t *testing.T) {
 
 // TestRetiredWorkersFieldIgnored: a request cannot lower its own search
 // parallelism. A "workers":1 body still searches with the service's
-// TokenBudget+1 workers, so a cold refutation of cycle(80) at k=1 on a
-// server with two spare tokens grabs at least one.
+// TokenBudget+1 workers, so a cold refutation of earedPrism(20) at k=2
+// (1,830 root candidates) on a server with two spare tokens grabs at
+// least one.
 func TestRetiredWorkersFieldIgnored(t *testing.T) {
 	ts, _ := newTestServer(t)
-	var b strings.Builder
-	for i := 0; i < 80; i++ {
-		fmt.Fprintf(&b, "r%d(x%d,x%d), ", i, i, (i+1)%80)
-	}
 	body, _ := json.Marshal(map[string]any{
-		"hypergraph": strings.TrimSuffix(b.String(), ", ") + ".",
-		"k":          1,
+		"hypergraph": earedPrism(20),
+		"k":          2,
 		"workers":    1,
 	})
 	resp, out := postJSON(t, ts.URL+"/decompose", string(body))
@@ -262,19 +283,29 @@ func TestRetiredWorkersFieldIgnored(t *testing.T) {
 func TestServeStatsReportsCancellationsByWidth(t *testing.T) {
 	ts, _ := newTestServer(t)
 
-	// A race on an easy instance at the racer's default probe count:
+	// Races on easy instances at the racer's default probe count:
 	// probes at widths above the optimum may be launched and then
 	// cancelled as moot. Cancellation is timing-dependent (a round may
 	// cancel none), so drive a few rounds and only require the stats
-	// plumbing (not a specific count) to hold.
-	line, _ := json.Marshal(map[string]any{
-		"hypergraph": "r1(x0,x1), r2(x1,x2), r3(x2,x3), r4(x3,x4), r5(x4,x5), r6(x5,x0).",
-		"k":          6,
-		"mode":       "optimal",
-	})
-	for i := 0; i < 3; i++ {
-		if _, out := postJSON(t, ts.URL+"/decompose", string(line)); !out.OK || out.Width != 2 {
+	// plumbing (not a specific count) to hold. The plan cache keys on
+	// structure, so each round sends a cycle of another length (6, 7
+	// and 8 edges, hw 2) and runs a race of its own.
+	for i, n := range []int{6, 7, 8} {
+		var b strings.Builder
+		for e := 0; e < n; e++ {
+			fmt.Fprintf(&b, "r%d(x%d,x%d), ", e, e, (e+1)%n)
+		}
+		line, _ := json.Marshal(map[string]any{
+			"hypergraph": strings.TrimSuffix(b.String(), ", ") + ".",
+			"k":          6,
+			"mode":       "optimal",
+		})
+		_, out := postJSON(t, ts.URL+"/decompose", string(line))
+		if !out.OK || out.Width != 2 {
 			t.Fatalf("round %d: %+v", i, out)
+		}
+		if out.CacheHit || out.ProbesLaunched == 0 {
+			t.Fatalf("round %d: cache_hit=%v probes_launched=%d, want a race of its own", i, out.CacheHit, out.ProbesLaunched)
 		}
 	}
 	resp, err := http.Get(ts.URL + "/stats")

@@ -30,7 +30,7 @@ func TestStatsValuesGolden(t *testing.T) {
 		{http.MethodPut, "/data/tri", triangleData, http.StatusOK},
 		{http.MethodPost, "/decompose", `{` + cycle5 + `,"k":2}`, http.StatusOK}, // cold
 		{http.MethodPost, "/decompose", `{` + cycle5 + `,"k":2}`, http.StatusOK}, // positive hit
-		{http.MethodPost, "/decompose", `{` + cycle5 + `,"k":1}`, http.StatusOK}, // refuted width
+		{http.MethodPost, "/decompose", `{` + cycle5 + `,"k":1}`, http.StatusOK}, // structural refutation
 		{http.MethodPost, "/decompose", `{` + cycle5 + `,"k":1}`, http.StatusOK}, // negative hit
 		{http.MethodPost, "/query", dsQuery + `}`, http.StatusOK},                // cold plan
 		// The same triangle at the same version reads the cached bag.
@@ -68,7 +68,7 @@ func TestStatsValuesGolden(t *testing.T) {
 	want := map[string]float64{
 		"Submitted": 8, "Completed": 8, "Failed": 0, "Rejected": 0, "Running": 0, "Waiting": 0,
 		"TokenBudget": 1, "TokensInUse": 0,
-		"SolverRuns": 3, "PositiveHits": 4, "NegativeHits": 1, "Coalesced": 0,
+		"SolverRuns": 3, "StructuralRefutations": 1, "PositiveHits": 4, "NegativeHits": 1, "Coalesced": 0,
 		"StoreEntries": 2, "StoreTrees": 2, "StoreEvictions": 0, "CacheReuses": 5,
 		"OptimalJobs": 4, "BoundsGraphs": 2, "BoundsReuses": 3,
 

@@ -40,7 +40,7 @@ func TestWireKeysGolden(t *testing.T) {
 	top := checkKeys(t, "stats", stats, []string{
 		"Submitted", "Completed", "Failed", "Rejected", "Running", "Waiting",
 		"TokenBudget", "TokensInUse", "TokensHighWater",
-		"SolverRuns", "PositiveHits", "NegativeHits", "Coalesced",
+		"SolverRuns", "StructuralRefutations", "PositiveHits", "NegativeHits", "Coalesced",
 		"StoreEntries", "StoreTrees", "StoreEvictions",
 		"MemoGraphs", "MemoEntries", "CacheReuses",
 		"OptimalJobs", "ProbesLaunched", "ProbesCancelled", "BoundsGraphs", "BoundsReuses",
@@ -48,7 +48,7 @@ func TestWireKeysGolden(t *testing.T) {
 		"query", "datasets", "parse_cache",
 	})
 	checkKeys(t, "stats Solver", top["Solver"], []string{
-		"Candidates", "ParentCands", "MaxDepth", "HybridCalls", "TokensGrabbed", "MemoHits",
+		"Candidates", "ParentCands", "MaxDepth", "HybridCalls", "DetKCandidates", "TokensGrabbed", "MemoHits",
 	})
 	checkKeys(t, "stats query", top["query"], []string{
 		"Queries", "Answered", "PlanCacheHits", "PlanCoalesced", "PlanFailures",

@@ -95,8 +95,8 @@ func main() {
 		}
 	}
 	if *stats && solverStats != nil {
-		fmt.Printf("stats: candidates=%d parent-candidates=%d max-recursion-depth=%d hybrid-calls=%d\n",
-			solverStats.Candidates, solverStats.ParentCands, solverStats.MaxDepth, solverStats.HybridCalls)
+		fmt.Printf("stats: candidates=%d parent-candidates=%d max-recursion-depth=%d hybrid-calls=%d detk-candidates=%d\n",
+			solverStats.Candidates, solverStats.ParentCands, solverStats.MaxDepth, solverStats.HybridCalls, solverStats.DetKCandidates)
 	}
 }
 

@@ -43,14 +43,14 @@ const maxClique = 64
 //     primal graph, so one of its bags holds tw+1 vertices, and k edges
 //     cover at most the sizes of the k largest edges;
 //   - for greedy cliques S of the primal graph, one grown from each
-//     vertex, the fewest edges whose traces on S cover S, found by
-//     exact search: every clique lies inside one bag.
+//     vertex that no earlier one holds, the fewest edges whose traces
+//     on S cover S, found by exact search: every clique lies inside
+//     one bag.
 //
 // The primal-graph terms run only when H has at most boundMaxVertices
 // vertices, and they check ctx every boundCheckEvery steps: the error is
-// ctx's when it ends first.
-// The bound takes no part in the solvers; the service uses it to refute
-// widths without a search.
+// ctx's when it ends first. The bound takes no part in the solvers; the
+// service uses it to refute widths without a search.
 func (h *Hypergraph) WidthLowerBound(ctx context.Context, limit int) (int, error) {
 	m, n := h.NumEdges(), h.NumVertices()
 	if m == 0 {
@@ -94,6 +94,7 @@ type boundScratch struct {
 	// One greedy clique: its candidates, members, and edge traces.
 	cand     []uint64
 	members  []int
+	inClique []bool
 	traces   []uint64
 	maximal  []uint64
 	traceOf  []int
@@ -188,21 +189,14 @@ func (sc *boundScratch) primal(h *Hypergraph) {
 	for v := 0; v < n; v++ {
 		row := sc.row(v)
 		row[v/64] &^= 1 << (v % 64)
-		sc.deg[v] = popcount(row)
+		sc.deg[v] = 0
+		for _, x := range row {
+			sc.deg[v] += bits.OnesCount64(x)
+		}
 	}
 }
 
 func (sc *boundScratch) row(v int) []uint64 { return sc.adj[v*sc.w : (v+1)*sc.w] }
-
-func hasBit(s []uint64, i int) bool { return s[i/64]&(1<<(i%64)) != 0 }
-
-func popcount(s []uint64) int {
-	c := 0
-	for _, x := range s {
-		c += bits.OnesCount64(x)
-	}
-	return c
-}
 
 // cliqueTerm raises lb by the greedy cliques' edge covers and returns
 // it, or limit+1 once the bound exceeds limit.
@@ -213,10 +207,13 @@ func (sc *boundScratch) cliqueTerm(ctx context.Context, h *Hypergraph, lb, limit
 	for e := range sc.traceOf {
 		sc.traceOf[e] = -1
 	}
+	sc.inClique = grow(sc.inClique, n)
+	clear(sc.inClique)
 	for s := 0; s < n; s++ {
 		// A clique that needs more than lb edges has more than lb
-		// members, so s has at least lb neighbours.
-		if sc.deg[s] < lb {
+		// members, so s has at least lb neighbours. A vertex of an
+		// earlier greedy clique mostly grows that clique again.
+		if sc.deg[s] < lb || sc.inClique[s] {
 			continue
 		}
 		if (s+1)%boundCheckEvery == 0 {
@@ -225,6 +222,9 @@ func (sc *boundScratch) cliqueTerm(ctx context.Context, h *Hypergraph, lb, limit
 			}
 		}
 		sc.greedyClique(s)
+		for _, v := range sc.members {
+			sc.inClique[v] = true
+		}
 		if len(sc.members) <= lb {
 			continue
 		}
@@ -311,32 +311,12 @@ func (sc *boundScratch) cover(h *Hypergraph, lb, limit int) int {
 		widest = max(widest, bits.OnesCount64(t))
 	}
 	all := ^uint64(0) >> (64 - len(sc.members))
-	greedy := greedyCover(sc.traces, all)
-	if greedy <= lb {
-		return greedy
-	}
-	for j := lb; j < greedy && j <= limit; j++ {
+	for j := lb; j <= limit; j++ {
 		if sc.coverable(all, j, widest) {
 			return j
 		}
 	}
-	return min(greedy, limit+1)
-}
-
-// greedyCover returns the size of a cover of all by traces that takes
-// the trace covering the most uncovered members first.
-func greedyCover(traces []uint64, all uint64) int {
-	n := 0
-	for left := all; left != 0; n++ {
-		best := uint64(0)
-		for _, t := range traces {
-			if bits.OnesCount64(t&left) > bits.OnesCount64(best&left) {
-				best = t
-			}
-		}
-		left &^= best
-	}
-	return n
+	return limit + 1
 }
 
 // coverable reports whether at most j traces cover left; widest is the
@@ -427,7 +407,7 @@ func (sc *boundScratch) contract(v int) {
 				sc.deg[u]--
 				continue
 			}
-			if hasBit(rowU, c) {
+			if rowU[c/64]&(1<<(c%64)) != 0 {
 				sc.deg[c]--
 				continue
 			}

@@ -65,7 +65,7 @@ func (s *Solver) decomp(ctx context.Context, w *worker, g *ext.Graph, conn *bits
 		}
 		before := w.detk.Stats.Candidates
 		node, ok, err := w.detk.DecomposeExt(ctx, g, conn)
-		w.stats.Candidates += w.detk.Stats.Candidates - before
+		w.stats.DetKCandidates += w.detk.Stats.Candidates - before
 		return node, ok, err
 	}
 

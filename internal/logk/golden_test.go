@@ -46,9 +46,9 @@ var goldenSolvers = []struct {
 
 // goldenRun renders one run as the golden records it: a header line
 // with the instance, k, the solver, the decide answer and the exact
-// Candidates and ParentCands, then the witness's Decomp.String(). A
-// witness must pass CheckHD and CheckWidth. ranks is Candidates plus
-// ParentCands.
+// Candidates, DetKCandidates and ParentCands, then the witness's
+// Decomp.String(). A witness must pass CheckHD and CheckWidth. ranks is
+// the sum of the three counts.
 func goldenRun(name string, h *hypergraph.Hypergraph, k int, solver string, hybrid HybridMetric, limit time.Duration) (run string, ranks int64, err error) {
 	ctx, cancel := context.WithTimeout(context.Background(), limit)
 	defer cancel()
@@ -68,11 +68,11 @@ func goldenRun(name string, h *hypergraph.Hypergraph, k int, solver string, hybr
 			return "", 0, fmt.Errorf("%s k=%d %s: %v", name, k, solver, err)
 		}
 	}
-	run = fmt.Sprintf("== %s k=%d %s %s candidates=%d parents=%d\n", name, k, solver, answer, st.Candidates, st.ParentCands)
+	run = fmt.Sprintf("== %s k=%d %s %s candidates=%d detk=%d parents=%d\n", name, k, solver, answer, st.Candidates, st.DetKCandidates, st.ParentCands)
 	if ok {
 		run += d.String()
 	}
-	return run, st.Candidates + st.ParentCands, nil
+	return run, st.Candidates + st.DetKCandidates + st.ParentCands, nil
 }
 
 // recordGolden runs both golden solvers at k = hw - 1 and k = hw on
@@ -197,4 +197,46 @@ func TestLogKSameDecompositions(t *testing.T) {
 		}
 	}
 	t.Logf("%d runs match the golden", len(runs))
+}
+
+// TestDetKCandidatesSplit: Stats.DetKCandidates moved det-k-decomp's
+// λ-labels out of Candidates and changed nothing else. Row by row, the
+// golden's candidates plus detk must equal the candidates recorded
+// before the split (testdata/candidates_before_split.txt, the old
+// golden's run headers), with the same runs, answers and parents.
+func TestDetKCandidatesSplit(t *testing.T) {
+	headers := func(path string) []string {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, line := range strings.Split(string(data), "\n") {
+			if strings.HasPrefix(line, "== ") {
+				out = append(out, line)
+			}
+		}
+		return out
+	}
+	before, after := headers("testdata/candidates_before_split.txt"), headers(goldenPath)
+	if len(before) == 0 || len(before) != len(after) {
+		t.Fatalf("%d runs before the split, %d in the golden", len(before), len(after))
+	}
+	for i := range before {
+		var name, solver, answer string
+		var k int
+		var cands, parents int64
+		if _, err := fmt.Sscanf(before[i], "== %s k=%d %s %s candidates=%d parents=%d", &name, &k, &solver, &answer, &cands, &parents); err != nil {
+			t.Fatalf("bad header %q: %v", before[i], err)
+		}
+		var name2, solver2, answer2 string
+		var k2 int
+		var cands2, detk2, parents2 int64
+		if _, err := fmt.Sscanf(after[i], "== %s k=%d %s %s candidates=%d detk=%d parents=%d", &name2, &k2, &solver2, &answer2, &cands2, &detk2, &parents2); err != nil {
+			t.Fatalf("bad header %q: %v", after[i], err)
+		}
+		if name != name2 || k != k2 || solver != solver2 || answer != answer2 || parents != parents2 || cands != cands2+detk2 {
+			t.Errorf("row %d: %q before the split, %q now", i, before[i], after[i])
+		}
+	}
 }

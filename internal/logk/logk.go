@@ -108,15 +108,13 @@ type Options struct {
 // Stats reports search effort, populated during Decompose. Each worker
 // counts into its own Stats, folded in as each worker finishes.
 type Stats struct {
-	// Candidates counts λ(c) ranks enumerated, incl. those skipped for
-	// lacking a new edge, plus the λ-labels det-k-decomp tries on hybrid
-	// hand-offs.
-	Candidates    int64
-	ParentCands   int64 // λ(p) ranks enumerated, incl. those skipped for lacking a new edge
-	MaxDepth      int64 // deepest Decomp recursion observed
-	HybridCalls   int64 // subproblems delegated to det-k-decomp
-	TokensGrabbed int64 // parallel search-space splits performed
-	MemoHits      int64 // negative-memo hits
+	Candidates     int64 // λ(c) ranks enumerated, incl. those skipped for lacking a new edge
+	ParentCands    int64 // λ(p) ranks enumerated, incl. those skipped for lacking a new edge
+	MaxDepth       int64 // deepest Decomp recursion observed
+	HybridCalls    int64 // subproblems delegated to det-k-decomp
+	DetKCandidates int64 // λ-labels det-k-decomp tried on those hand-offs
+	TokensGrabbed  int64 // parallel search-space splits performed
+	MemoHits       int64 // negative-memo hits
 }
 
 // Add folds o into s: the counters sum, MaxDepth takes the maximum.
@@ -125,6 +123,7 @@ func (s *Stats) Add(o Stats) {
 	s.ParentCands += o.ParentCands
 	s.MaxDepth = max(s.MaxDepth, o.MaxDepth)
 	s.HybridCalls += o.HybridCalls
+	s.DetKCandidates += o.DetKCandidates
 	s.TokensGrabbed += o.TokensGrabbed
 	s.MemoHits += o.MemoHits
 }

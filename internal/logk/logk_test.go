@@ -292,9 +292,10 @@ func randomHypergraph(r *rand.Rand, maxV, maxE int) *hypergraph.Hypergraph {
 }
 
 // TestHybridStatsCountDetK: a hybrid hand-off's search effort shows in
-// Candidates. Where the hand-off happens at the root, the whole search
-// is det-k-decomp's, so Candidates must equal the λ-labels a standalone
-// det-k-decomp run enumerates on the same instance.
+// DetKCandidates, not in log-k's own Candidates. Where the hand-off
+// happens at the root, the whole search is det-k-decomp's, so
+// DetKCandidates must equal the λ-labels a standalone det-k-decomp run
+// enumerates on the same instance, and Candidates must be 0.
 func TestHybridStatsCountDetK(t *testing.T) {
 	ctx := context.Background()
 	var prism hypergraph.Builder
@@ -328,8 +329,9 @@ func TestHybridStatsCountDetK(t *testing.T) {
 		if ok != okDet || st.HybridCalls != 1 {
 			t.Fatalf("%s k=%d: ok=%v detk=%v HybridCalls=%d, want one root hand-off", tc.name, tc.k, ok, okDet, st.HybridCalls)
 		}
-		if st.Candidates == 0 || st.Candidates != dk.Stats.Candidates {
-			t.Fatalf("%s k=%d: Candidates=%d, want det-k-decomp's %d", tc.name, tc.k, st.Candidates, dk.Stats.Candidates)
+		if st.DetKCandidates == 0 || st.DetKCandidates != dk.Stats.Candidates || st.Candidates != 0 {
+			t.Fatalf("%s k=%d: DetKCandidates=%d Candidates=%d, want det-k-decomp's %d and 0",
+				tc.name, tc.k, st.DetKCandidates, st.Candidates, dk.Stats.Candidates)
 		}
 	}
 }

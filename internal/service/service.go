@@ -168,8 +168,8 @@ type Result struct {
 	// timed out or was cancelled, ErrOverloaded that it never ran.
 	Err error
 	// Stats are the solver's effort counters for this job (zero for
-	// cache hits and coalesced jobs: the effort belongs to the run that
-	// actually searched).
+	// cache hits, coalesced jobs and structural refutations: the effort
+	// belongs to the run that actually searched).
 	Stats logk.Stats
 	// Elapsed is wall-clock solve time (excluding queueing).
 	Elapsed time.Duration
@@ -185,17 +185,21 @@ type Result struct {
 	// request's solver run instead of launching its own.
 	Coalesced bool
 
+	// LowerBound is the largest proven bound: all widths < LowerBound
+	// are refuted. ModeOptimal jobs set it, even when they time out; a
+	// ModeDecide job sets it to K+1 when the structural lower bound
+	// answered it NO.
+	LowerBound int
+	// LowerBoundFrom is the provenance of LowerBound: "structural" (the
+	// hypergraph's structural lower bound, computed by this job), "probe"
+	// (refuted by a search during this job), "memo" (cached bounds from
+	// an earlier job) or "trivial" (optimum was width 1).
+	LowerBoundFrom string
+
 	// The fields below are populated by ModeOptimal jobs only.
 
 	// Width is the exact hypertree width when OK.
 	Width int
-	// LowerBound is the largest proven bound: all widths < LowerBound
-	// are refuted. Meaningful even when the job timed out.
-	LowerBound int
-	// LowerBoundFrom is the provenance of the final lower bound:
-	// "probe" (refuted during this job), "memo" (cached bounds from an
-	// earlier job) or "trivial" (optimum was width 1).
-	LowerBoundFrom string
 	// ProbesLaunched and ProbesCancelled count the job's width probes
 	// and how many of them were killed as moot by a sibling's result.
 	ProbesLaunched  int
@@ -203,10 +207,14 @@ type Result struct {
 	// BoundsShared reports that the job started from cached bounds.
 	BoundsShared bool
 
-	// ran marks the job that ran a solver, and cancelledByWidth counts
-	// its probes cancelled per width. Like Stats, both stay zero for
-	// cache hits and coalesced followers; Submit counts them once.
+	// ran marks the job that worked on its own hypergraph in a run
+	// slot, structural the decide job the structural lower bound
+	// answered NO,
+	// and cancelledByWidth counts its probes cancelled per width. Like
+	// Stats, they stay zero for cache hits and coalesced followers;
+	// Submit counts them once.
 	ran              bool
+	structural       bool
 	cancelledByWidth map[int]int64
 }
 
@@ -223,7 +231,14 @@ type Stats struct {
 	TokensInUse     int64 // tokens currently lent out
 	TokensHighWater int64 // max tokens ever simultaneously lent out
 
-	SolverRuns   int64 // jobs that actually ran a solver
+	// SolverRuns counts the jobs that worked on the request's own
+	// hypergraph in a run slot: a search, or the structural lower bound
+	// alone when it answered (StructuralRefutations counts those too).
+	SolverRuns int64
+	// StructuralRefutations counts the decide jobs answered NO by the
+	// structural lower bound, without a search.
+	StructuralRefutations int64
+
 	PositiveHits int64 // jobs answered with a cached, re-validated witness
 	NegativeHits int64 // jobs answered with a cached width-level refutation
 	Coalesced    int64 // jobs that shared a concurrent identical run
@@ -432,6 +447,9 @@ func (s *Service) record(req Request, res Result) {
 	if res.ran {
 		st.SolverRuns++
 	}
+	if res.structural {
+		st.StructuralRefutations++
+	}
 	if req.Mode == ModeOptimal && (res.ran || res.CacheHit || res.Coalesced) {
 		st.OptimalJobs++
 	}
@@ -564,6 +582,7 @@ func (s *Service) adoptShared(ctx context.Context, res Result, req Request, hash
 	res.ProbesCancelled = 0
 	res.Elapsed = 0
 	res.ran = false
+	res.structural = false
 	res.cancelledByWidth = nil
 	return res
 }
@@ -625,23 +644,49 @@ func (s *Service) RowCap(maxRows int) int {
 	return maxRows
 }
 
-// run executes an admitted job on the caller's goroutine. Every job
-// runs the paper's headline configuration, log-k-decomp hybridised with
-// det-k-decomp (logk.PaperHybrid at logk.PaperHybridThreshold): decide
-// and optimal jobs alike, hence every query plan too. Every job searches
-// with TokenBudget+1 workers, drawing the extra ones from the shared
-// token pool, and an optimal job runs the racer's default number of
+// boundStructural is the LowerBoundFrom of a bound that
+// hypergraph.WidthLowerBound proved.
+const boundStructural = "structural"
+
+// run executes an admitted job on the caller's goroutine. It first
+// computes the hypergraph's structural lower bound on hypertree width
+// (hypergraph.WidthLowerBound) under the job's deadline: a decide job
+// with K below it answers NO without a search or a memo table, and an
+// optimal job's race starts at it. Every search runs the paper's
+// headline configuration, log-k-decomp hybridised with det-k-decomp
+// (logk.PaperHybrid at logk.PaperHybridThreshold): decide and optimal
+// jobs alike, hence every query plan too. Every job searches with
+// TokenBudget+1 workers, drawing the extra ones from the shared token
+// pool, and an optimal job runs the racer's default number of
 // concurrent probes.
-func (s *Service) run(ctx context.Context, req Request, hash string) Result {
+func (s *Service) run(ctx context.Context, req Request, hash string) (res Result) {
 	ctx, cancel := s.WithTimeout(ctx, req.Timeout)
 	defer cancel()
+	start := time.Now()
+	defer func() {
+		res.Elapsed = time.Since(start)
+		res.ran = true
+	}()
 
+	lb, err := req.H.WidthLowerBound(ctx, req.K)
+	if err != nil {
+		return Result{Err: err}
+	}
 	if req.Mode == ModeOptimal {
-		return s.runOptimal(ctx, req, hash)
+		return s.runOptimal(ctx, req, hash, lb)
+	}
+	if lb > req.K {
+		// A NO stands only while the job's deadline does, as a
+		// search's would.
+		if err := ctx.Err(); err != nil {
+			return Result{Err: err}
+		}
+		s.store.MergeBounds(hash, store.Bounds{LB: req.K + 1})
+		return Result{structural: true, LowerBound: req.K + 1, LowerBoundFrom: boundStructural}
 	}
 
 	memo, existed := s.store.Memo(hash, req.K)
-	res := Result{CacheShared: existed, ran: true}
+	res.CacheShared = existed
 	solver := logk.New(req.H, logk.Options{
 		K:               req.K,
 		Workers:         s.budget.Size() + 1,
@@ -650,9 +695,7 @@ func (s *Service) run(ctx context.Context, req Request, hash string) Result {
 		Tokens:          s.budget,
 		Memo:            memo,
 	})
-	start := time.Now()
 	d, ok, err := solver.Decompose(ctx)
-	res.Elapsed = time.Since(start)
 	res.Decomp, res.OK, res.Err = d, ok, err
 	res.Stats = solver.Stats()
 
@@ -672,11 +715,13 @@ func (s *Service) run(ctx context.Context, req Request, hash string) Result {
 }
 
 // runOptimal executes an admitted ModeOptimal job: a width race over
-// 1..K sharing the service's worker budget and store. Refutations are
-// banked twice — state-level in the per-width memo tables, width-level
-// in the store's bounds — so later jobs on the same structure start
-// from tighter bounds whether they decide or optimise.
-func (s *Service) runOptimal(ctx context.Context, req Request, hash string) Result {
+// 1..K sharing the service's worker budget and store, starting at the
+// larger of the cached lower bound and lb, the structural one (capped
+// at K+1). Refutations are banked twice — state-level in the per-width
+// memo tables, width-level in the store's bounds — so later jobs on the
+// same structure start from tighter bounds whether they decide or
+// optimise.
+func (s *Service) runOptimal(ctx context.Context, req Request, hash string, lb int) Result {
 	cfg := race.Config{
 		KMax:            req.K,
 		Workers:         s.budget.Size() + 1,
@@ -684,7 +729,7 @@ func (s *Service) runOptimal(ctx context.Context, req Request, hash string) Resu
 		HybridThreshold: logk.PaperHybridThreshold,
 		Tokens:          s.budget,
 	}
-	res := Result{ran: true, cancelledByWidth: make(map[int]int64)}
+	res := Result{cancelledByWidth: make(map[int]int64)}
 	cfg.MemoFor = func(k int) logk.MemoBackend {
 		table, existed := s.store.Memo(hash, k)
 		if existed {
@@ -697,15 +742,20 @@ func (s *Service) runOptimal(ctx context.Context, req Request, hash string) Resu
 		cfg.UpperBoundHint = b.UB
 		res.BoundsShared = true
 	}
+	structural := lb > max(cfg.LowerBound, 1)
+	if structural {
+		cfg.LowerBound = lb
+	}
 
-	start := time.Now()
 	rr, err := race.New(req.H, cfg).Solve(ctx)
-	res.Elapsed = time.Since(start)
 	res.Err = err
 	res.OK = err == nil && rr.Found
 	res.Width = rr.Width
 	res.LowerBound = rr.LowerBound
 	res.LowerBoundFrom = rr.LowerBoundFrom.String()
+	if structural && rr.LowerBoundFrom == race.BoundInitial {
+		res.LowerBoundFrom = boundStructural
+	}
 	res.ProbesLaunched = len(rr.Probes)
 	res.ProbesCancelled = rr.Cancelled
 	if res.OK {

@@ -4,14 +4,12 @@ import (
 	"context"
 	"errors"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/decomp"
-	"repro/internal/hyperbench"
 	"repro/internal/hypergraph"
 	"repro/internal/logk"
 	"repro/internal/tenant"
@@ -37,6 +35,44 @@ func grid(m int) *hypergraph.Hypergraph {
 				b.MustAddEdge("", name(i, j), name(i+1, j))
 			}
 		}
+	}
+	return b.Build()
+}
+
+// earedCylinder is cylinderH(n) with a private vertex added to rungs 0
+// and 1. hw stays 3, but those two three-vertex edges cover the five
+// vertices a bag of the prism needs (its treewidth is 4), and every
+// clique of the primal graph lies in one edge, so the structural lower
+// bound is 2 in any vertex order: a refutation at K=2 is left to the
+// search. At K=2 the hybrid hands it to det-k-decomp whole up to n = 13
+// (|E|·K/avg|e| below PaperHybridThreshold); log-k-decomp searches the
+// root from n = 14 on, and banks refuted states below it on larger
+// cylinders such as n = 36.
+func earedCylinder(n int) *hypergraph.Hypergraph {
+	var b hypergraph.Builder
+	for i := 0; i < n; i++ {
+		s, j := strconv.Itoa(i), strconv.Itoa((i+1)%n)
+		b.MustAddEdge("", "a"+s, "a"+j)
+		b.MustAddEdge("", "b"+s, "b"+j)
+		if i < 2 {
+			b.MustAddEdge("", "a"+s, "b"+s, "p"+s)
+		} else {
+			b.MustAddEdge("", "a"+s, "b"+s)
+		}
+	}
+	return b.Build()
+}
+
+// renamed returns h with every vertex and edge renamed: the same
+// structure, hence the same content hash.
+func renamed(h *hypergraph.Hypergraph) *hypergraph.Hypergraph {
+	var b hypergraph.Builder
+	for e := 0; e < h.NumEdges(); e++ {
+		var names []string
+		for _, v := range h.EdgeVertices(e) {
+			names = append(names, "y"+h.VertexName(v))
+		}
+		b.MustAddEdge("S"+strconv.Itoa(e), names...)
 	}
 	return b.Build()
 }
@@ -98,35 +134,32 @@ func TestRefutationSharedAcrossRequests(t *testing.T) {
 	defer svc.Close()
 	ctx := context.Background()
 
-	// cycle(12) has hw = 2: K=1 exhausts the search space, which raises
-	// the stored lower bound to 2.
-	first := svc.Submit(ctx, Request{H: cycle(12), K: 1})
+	// earedCylinder(8) has hw = 3 and a structural bound of 2: K=2
+	// exhausts the search space, which raises the stored lower bound
+	// to 3.
+	h := earedCylinder(8)
+	first := svc.Submit(ctx, Request{H: h, K: 2})
 	if first.Err != nil || first.OK {
 		t.Fatalf("first: ok=%v err=%v", first.OK, first.Err)
 	}
 	if first.CacheShared || first.CacheHit {
 		t.Fatal("first request cannot reuse cross-request state")
 	}
-	if first.Stats.Candidates == 0 {
+	if first.Stats.Candidates+first.Stats.DetKCandidates == 0 {
 		t.Fatal("first request should have searched")
 	}
 
 	// Same structure under different names: content hash must match and
 	// the stored width bound answers without any search.
-	var b hypergraph.Builder
-	for i := 0; i < 12; i++ {
-		b.MustAddEdge("S"+strconv.Itoa(i), "y"+strconv.Itoa(i), "y"+strconv.Itoa((i+1)%12))
-	}
-	renamed := b.Build()
-	second := svc.Submit(ctx, Request{H: renamed, K: 1})
+	second := svc.Submit(ctx, Request{H: renamed(h), K: 2})
 	if second.Err != nil || second.OK {
 		t.Fatalf("second: ok=%v err=%v", second.OK, second.Err)
 	}
 	if !second.CacheHit || !second.CacheShared {
 		t.Fatalf("second request should be a width-level cache hit: %+v", second)
 	}
-	if second.Stats.Candidates != 0 {
-		t.Fatalf("second request searched %d candidates despite a cached refutation", second.Stats.Candidates)
+	if second.Stats != (logk.Stats{}) {
+		t.Fatalf("second request searched (%+v) despite a cached refutation", second.Stats)
 	}
 
 	st := svc.Stats()
@@ -138,13 +171,14 @@ func TestRefutationSharedAcrossRequests(t *testing.T) {
 	}
 
 	// det-k-decomp, the hybrid's arm, runs that whole refutation and
-	// banks nothing in the memo tables. On cycle(80) at K=1
-	// (|E|·K/avg|e| = 40, not below the threshold) log-k-decomp
-	// searches the root, and its refuted states land in the store.
-	if big := svc.Submit(ctx, Request{H: cycle(80), K: 1}); big.Err != nil || big.OK {
-		t.Fatalf("cycle(80): ok=%v err=%v", big.OK, big.Err)
+	// banks nothing in the memo tables. On earedCylinder(20) at K=2
+	// log-k-decomp searches the root, and its refuted states land in the
+	// store.
+	if big := svc.Submit(ctx, Request{H: earedCylinder(20), K: 2}); big.Err != nil || big.OK {
+		t.Fatalf("earedCylinder(20): ok=%v err=%v", big.OK, big.Err)
 	}
-	// cycle(12)'s K=1 table holds no state, so only cycle(80)'s counts.
+	// earedCylinder(8)'s K=2 table holds no state, so only
+	// earedCylinder(20)'s counts.
 	if st := svc.Stats(); st.MemoGraphs != 1 || st.MemoEntries == 0 {
 		t.Fatalf("memo tables not populated: %+v", st)
 	}
@@ -158,21 +192,21 @@ func TestEmptyMemoTableNotShared(t *testing.T) {
 	svc := New(Config{MaxConcurrent: 1})
 	defer svc.Close()
 	ctx := context.Background()
-	h := cycle(12)
+	h := earedCylinder(8)
 
-	stopped := svc.Submit(ctx, Request{H: h, K: 1, Timeout: time.Nanosecond})
+	stopped := svc.Submit(ctx, Request{H: h, K: 2, Timeout: time.Nanosecond})
 	if !errors.Is(stopped.Err, context.DeadlineExceeded) {
 		t.Fatalf("stopped job: ok=%v err=%v, want its deadline", stopped.OK, stopped.Err)
 	}
-	again := svc.Submit(ctx, Request{H: h, K: 1})
+	again := svc.Submit(ctx, Request{H: h, K: 2})
 	if again.Err != nil || again.OK {
 		t.Fatalf("resubmitted job: ok=%v err=%v, want NO", again.OK, again.Err)
 	}
 	if again.CacheShared || again.Stats.MemoHits != 0 {
 		t.Fatalf("resubmitted job shared an empty table: shared=%v memo hits=%d", again.CacheShared, again.Stats.MemoHits)
 	}
-	// det-k-decomp, the hybrid's arm, refutes cycle(12) at K=1 whole, so
-	// the table stays empty after the second job too.
+	// det-k-decomp, the hybrid's arm, refutes earedCylinder(8) at K=2
+	// whole, so the table stays empty after the second job too.
 	if st := svc.Stats(); st.MemoGraphs != 0 || st.MemoEntries != 0 || st.CacheReuses != 0 {
 		t.Fatalf("empty table counted: MemoGraphs=%d MemoEntries=%d CacheReuses=%d, want 0 0 0", st.MemoGraphs, st.MemoEntries, st.CacheReuses)
 	}
@@ -229,20 +263,6 @@ func TestEmptyMemoTableTakesNoSlot(t *testing.T) {
 	}
 }
 
-// cylinder36 returns syn-cylinder-36 of HyperBench-sim {Scale: 4,
-// Seed: 1}: a NO instance at K=2 on which log-k-decomp searches the
-// root, so a run stopped on its deadline banks refuted states.
-func cylinder36(t *testing.T) *hypergraph.Hypergraph {
-	t.Helper()
-	for _, in := range hyperbench.Suite(hyperbench.Config{Scale: 4, Seed: 1}) {
-		if strings.HasPrefix(in.Name, "syn-cylinder-36#") {
-			return in.H
-		}
-	}
-	t.Fatal("syn-cylinder-36 missing from HyperBench-sim {Scale: 4, Seed: 1}")
-	return nil
-}
-
 // stopAfterBanking submits req, with a deadline, to fresh services
 // until one stops the job on its deadline after the job banked a memo
 // state, and returns that service and the deadline. Starting from half
@@ -276,16 +296,16 @@ func stopAfterBanking(t *testing.T, req Request, coldTime time.Duration) (*Servi
 
 // TestMemoResumesStoppedRefutation: the cross-request negative memo
 // pays where the width-level bound cannot, on a refutation stopped by
-// its deadline and submitted again. syn-cylinder-36 at K=2 is a NO
-// instance on which log-k-decomp searches the root, so the stopped run
-// banks refuted states; with no extra workers the search order is
+// its deadline and submitted again. earedCylinder(36) at K=2 is a NO
+// instance the structural bound leaves to the search, and log-k-decomp
+// searches its root, so the stopped run banks refuted states; with no extra workers the search order is
 // fixed, so the resumed run must answer NO with strictly fewer
 // candidates than a cold run. A service that gave each job a fresh table would redo the
 // whole search.
 func TestMemoResumesStoppedRefutation(t *testing.T) {
 	ctx := context.Background()
-	req := Request{H: cylinder36(t), K: 2}
-	work := func(r Result) int64 { return r.Stats.Candidates + r.Stats.ParentCands }
+	req := Request{H: earedCylinder(36), K: 2}
+	work := func(r Result) int64 { return r.Stats.Candidates + r.Stats.DetKCandidates + r.Stats.ParentCands }
 
 	svc := New(Config{TokenBudget: -1, MaxConcurrent: 1})
 	start := time.Now()
@@ -420,6 +440,90 @@ func cylinderH(n int) *hypergraph.Hypergraph {
 	return b.Build()
 }
 
+// TestStructuralRefutation: a decide job at K below the hypergraph's
+// structural lower bound answers NO without a search. It is a computed
+// run (one SolverRuns, one StructuralRefutations), opens no memo table,
+// reports the bound and banks it, so the repeat is a negative cache
+// hit. A job whose deadline has passed gets its deadline, not NO. An
+// optimal job's race starts at the bound and reports it as the source.
+func TestStructuralRefutation(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		h    *hypergraph.Hypergraph
+		k    int
+	}{
+		{"cycle(12)", cycle(12), 1}, // cyclic: GYO
+		{"clique(5)", clique(5), 2}, // three edges cover the 5-clique
+	} {
+		svc := New(Config{TokenBudget: 1, MaxConcurrent: 2})
+		res := svc.Submit(ctx, Request{H: tc.h, K: tc.k})
+		if res.Err != nil || res.OK || res.CacheHit {
+			t.Fatalf("%s K=%d: ok=%v hit=%v err=%v, want a computed NO", tc.name, tc.k, res.OK, res.CacheHit, res.Err)
+		}
+		if res.Stats != (logk.Stats{}) {
+			t.Fatalf("%s K=%d: searched (%+v)", tc.name, tc.k, res.Stats)
+		}
+		if res.LowerBound != tc.k+1 || res.LowerBoundFrom != "structural" {
+			t.Fatalf("%s K=%d: lower bound %d from %q, want %d from structural", tc.name, tc.k, res.LowerBound, res.LowerBoundFrom, tc.k+1)
+		}
+		st := svc.Stats()
+		if st.SolverRuns != 1 || st.StructuralRefutations != 1 || st.MemoGraphs != 0 {
+			t.Fatalf("%s K=%d: SolverRuns=%d StructuralRefutations=%d MemoGraphs=%d, want 1 1 0",
+				tc.name, tc.k, st.SolverRuns, st.StructuralRefutations, st.MemoGraphs)
+		}
+		for _, in := range svc.Store().Info(0) {
+			if len(in.Memos) != 0 {
+				t.Fatalf("%s K=%d: the store lists memo tables %+v", tc.name, tc.k, in.Memos)
+			}
+		}
+		if b, ok := svc.Store().Bounds(tc.h.ContentHash()); !ok || b.LB != tc.k+1 {
+			t.Fatalf("%s K=%d: banked bounds %+v (%v), want LB %d", tc.name, tc.k, b, ok, tc.k+1)
+		}
+		again := svc.Submit(ctx, Request{H: tc.h, K: tc.k})
+		if again.Err != nil || again.OK || !again.CacheHit {
+			t.Fatalf("%s K=%d repeat: ok=%v hit=%v err=%v, want a negative hit", tc.name, tc.k, again.OK, again.CacheHit, again.Err)
+		}
+		if st := svc.Stats(); st.NegativeHits != 1 || st.SolverRuns != 1 || st.StructuralRefutations != 1 {
+			t.Fatalf("%s K=%d repeat: NegativeHits=%d SolverRuns=%d StructuralRefutations=%d, want 1 1 1",
+				tc.name, tc.k, st.NegativeHits, st.SolverRuns, st.StructuralRefutations)
+		}
+		svc.Close()
+
+		svc = New(Config{TokenBudget: 1, MaxConcurrent: 2})
+		stopped := svc.Submit(ctx, Request{H: tc.h, K: tc.k, Timeout: time.Nanosecond})
+		if !errors.Is(stopped.Err, context.DeadlineExceeded) || stopped.OK {
+			t.Fatalf("%s K=%d past its deadline: ok=%v err=%v, want its deadline", tc.name, tc.k, stopped.OK, stopped.Err)
+		}
+		if _, ok := svc.Store().Bounds(tc.h.ContentHash()); ok || svc.Stats().StructuralRefutations != 0 {
+			t.Fatalf("%s K=%d past its deadline: banked bounds or counted a refutation", tc.name, tc.k)
+		}
+		svc.Close()
+	}
+
+	svc := New(Config{TokenBudget: 1, MaxConcurrent: 2})
+	defer svc.Close()
+	opt := svc.Submit(ctx, Request{H: cycle(12), K: 4, Mode: ModeOptimal})
+	if opt.Err != nil || !opt.OK || opt.Width != 2 {
+		t.Fatalf("optimal cycle(12): ok=%v width=%d err=%v", opt.OK, opt.Width, opt.Err)
+	}
+	if opt.LowerBound != 2 || opt.LowerBoundFrom != "structural" || opt.BoundsShared {
+		t.Fatalf("optimal cycle(12): lower bound %d from %q (shared %v), want 2 from structural",
+			opt.LowerBound, opt.LowerBoundFrom, opt.BoundsShared)
+	}
+	if st := svc.Stats(); st.StructuralRefutations != 0 || st.BoundsReuses != 0 {
+		t.Fatalf("optimal cycle(12): StructuralRefutations=%d BoundsReuses=%d, want 0 0", st.StructuralRefutations, st.BoundsReuses)
+	}
+
+	// The instances the other tests refute by a search stay above the
+	// bound.
+	for _, n := range []int{8, 20, 36} {
+		if lb, err := earedCylinder(n).WidthLowerBound(ctx, 2); err != nil || lb != 2 {
+			t.Fatalf("earedCylinder(%d): structural bound %d (%v), want 2", n, lb, err)
+		}
+	}
+}
+
 // TestOptimalMode: a ModeOptimal job computes the exact width with a
 // valid witness, proves the bound below it, and reports racer effort.
 func TestOptimalMode(t *testing.T) {
@@ -439,11 +543,13 @@ func TestOptimalMode(t *testing.T) {
 	if err := decomp.CheckWidth(res.Decomp, 3); err != nil {
 		t.Fatal(err)
 	}
-	if res.LowerBound != 3 || res.LowerBoundFrom != "probe" {
-		t.Fatalf("lower bound %d from %q, want 3 from probe", res.LowerBound, res.LowerBoundFrom)
+	// The structural bound proves widths 1 and 2 refuted before any
+	// probe runs; the race still needs a witness at 3.
+	if res.LowerBound != 3 || res.LowerBoundFrom != "structural" {
+		t.Fatalf("lower bound %d from %q, want 3 from structural", res.LowerBound, res.LowerBoundFrom)
 	}
 	if res.ProbesLaunched < 3 {
-		t.Fatalf("launched %d probes, want at least one per width 1..3", res.ProbesLaunched)
+		t.Fatalf("launched %d probes, want one per free probe slot", res.ProbesLaunched)
 	}
 	st := svc.Stats()
 	if st.OptimalJobs != 1 || st.ProbesLaunched == 0 {
@@ -466,18 +572,16 @@ func TestOptimalBoundsSharedAcrossRequests(t *testing.T) {
 	if first.Err != nil || !first.OK || first.Width != 2 {
 		t.Fatalf("first: ok=%v width=%d err=%v", first.OK, first.Width, first.Err)
 	}
-	if first.BoundsShared || first.LowerBoundFrom != "probe" {
+	// cycle(12) is cyclic, so its structural bound proves width 1
+	// refuted before any probe runs.
+	if first.BoundsShared || first.LowerBoundFrom != "structural" {
 		t.Fatalf("first job cannot start from cached bounds (shared=%v from=%q)",
 			first.BoundsShared, first.LowerBoundFrom)
 	}
 
 	// Same structure, different names: content hash matches.
-	var b hypergraph.Builder
-	for i := 0; i < 12; i++ {
-		b.MustAddEdge("S"+strconv.Itoa(i), "y"+strconv.Itoa(i), "y"+strconv.Itoa((i+1)%12))
-	}
-	renamed := b.Build()
-	second := svc.Submit(ctx, Request{H: renamed, K: 4, Mode: ModeOptimal})
+	twin := renamed(cycle(12))
+	second := svc.Submit(ctx, Request{H: twin, K: 4, Mode: ModeOptimal})
 	if second.Err != nil || !second.OK || second.Width != 2 {
 		t.Fatalf("second: ok=%v width=%d err=%v", second.OK, second.Width, second.Err)
 	}
@@ -492,7 +596,7 @@ func TestOptimalBoundsSharedAcrossRequests(t *testing.T) {
 	}
 	// The cached witness was rebound onto the renamed hypergraph and
 	// re-validated before being returned.
-	if second.Decomp.H != renamed {
+	if second.Decomp.H != twin {
 		t.Fatal("cached witness not rebound onto the requesting hypergraph")
 	}
 	if err := decomp.CheckHD(second.Decomp); err != nil {
@@ -549,7 +653,7 @@ func TestOptimalRefutationsFeedDecideJobs(t *testing.T) {
 // nothing (TestEmptyMemoTableNotShared).
 func TestMemoTablesSurviveTimeouts(t *testing.T) {
 	ctx := context.Background()
-	h := cylinder36(t)
+	h := earedCylinder(36)
 	req := Request{H: h, K: 2}
 
 	cold := New(Config{TokenBudget: -1, MaxConcurrent: 1})
@@ -880,8 +984,8 @@ func TestTokenBudgetUnit(t *testing.T) {
 // TestNegativeTokenBudgetMeansNone: a negative Config.TokenBudget gives
 // a service with no extra search workers on any host (0 would mean
 // GOMAXPROCS-1), so a job whose root search would split runs alone.
-// cycle(80) at K=1 has 80 root candidates, enough for a split, which a
-// budget of 1 takes.
+// earedCylinder(20) at K=2 has 1,830 root candidates, enough for a
+// split, which a budget of 1 takes.
 func TestNegativeTokenBudgetMeansNone(t *testing.T) {
 	for _, c := range []struct {
 		budget, wantSize int
@@ -891,7 +995,7 @@ func TestNegativeTokenBudgetMeansNone(t *testing.T) {
 		{budget: -1, wantSize: 0, wantSplit: false},
 	} {
 		svc := New(Config{TokenBudget: c.budget, MaxConcurrent: 1})
-		res := svc.Submit(context.Background(), Request{H: cycle(80), K: 1})
+		res := svc.Submit(context.Background(), Request{H: earedCylinder(20), K: 2})
 		st := svc.Stats()
 		svc.Close()
 		if res.Err != nil || res.OK {
