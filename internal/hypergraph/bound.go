@@ -210,16 +210,16 @@ func (sc *boundScratch) cliqueTerm(ctx context.Context, h *Hypergraph, lb, limit
 	sc.inClique = grow(sc.inClique, n)
 	clear(sc.inClique)
 	for s := 0; s < n; s++ {
+		if (s+1)%boundCheckEvery == 0 {
+			if err := ctx.Err(); err != nil {
+				return lb, err
+			}
+		}
 		// A clique that needs more than lb edges has more than lb
 		// members, so s has at least lb neighbours. A vertex of an
 		// earlier greedy clique mostly grows that clique again.
 		if sc.deg[s] < lb || sc.inClique[s] {
 			continue
-		}
-		if (s+1)%boundCheckEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return lb, err
-			}
 		}
 		sc.greedyClique(s)
 		for _, v := range sc.members {

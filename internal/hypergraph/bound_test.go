@@ -2,6 +2,7 @@ package hypergraph_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"strings"
@@ -103,4 +104,43 @@ func goldenWitnesses(t *testing.T, path string) map[string]int {
 	}
 	flush()
 	return least
+}
+
+// TestWidthLowerBoundLimit: the bound capped at limit is the full bound
+// capped at limit+1, for every limit, so a caller asking whether the
+// bound exceeds k learns exactly that; and a context that has ended
+// stops the primal-graph terms with its error.
+func TestWidthLowerBoundLimit(t *testing.T) {
+	ctx := context.Background()
+	for _, in := range hyperbench.Suite(hyperbench.Config{Scale: 1, Seed: 1}) {
+		full := fullBound(t, in.H)
+		for limit := 1; limit <= full+1; limit++ {
+			got, err := in.H.WidthLowerBound(ctx, limit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := min(full, limit+1); got != want {
+				t.Fatalf("%s limit %d: bound %d, want %d (uncapped %d)", in.Name, limit, got, want, full)
+			}
+		}
+	}
+
+	var b hypergraph.Builder
+	name := func(i, j int) string { return fmt.Sprintf("g%d_%d", i, j) }
+	for i := 0; i < 10; i++ {
+		for j := 0; j < 10; j++ {
+			if j+1 < 10 {
+				b.MustAddEdge("", name(i, j), name(i, j+1))
+			}
+			if i+1 < 10 {
+				b.MustAddEdge("", name(i, j), name(i+1, j))
+			}
+		}
+	}
+	grid := b.Build()
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if lb, err := grid.WidthLowerBound(cancelled, 4); !errors.Is(err, context.Canceled) {
+		t.Fatalf("10x10 grid under a cancelled context: bound %d, err %v, want context.Canceled", lb, err)
+	}
 }
