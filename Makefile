@@ -103,8 +103,10 @@ load-gate:
 # split (shared cursor, first-success cancel, early lease return, no
 # tokens once cancelled, per-worker counts folded without loss:
 # TestParallelSplitCancelledTakesNoTokens, TestParallelStatsConservation),
-# the racer (drained results banked: TestRaceBooksDrainedResults), the
-# solver cross-check, the child-pool budget, log-k-decomp's rank counts
+# the optimal-width ladder (TestOptimal*: the serial optimum on known
+# widths and 200 random hypergraphs, a deadline returning every token
+# and keeping the proven bound, injected memo tables), the solver
+# cross-check, the child-pool budget, log-k-decomp's rank counts
 # and allocation budget on syn-cylinder-26 (TestLogKAllocBudget),
 # det-k-decomp's enumeration allocation budget, its one split per
 # refuted bag per search call (TestDetKRefutesBagOnce) and its golden
@@ -117,7 +119,7 @@ load-gate:
 # 10-minute default timeout.
 stress:
 	$(GO) test -race -count=2 -run 'TestStoreStress|TestCoalescing|TestBatchDuplicates|TestServeCache|TestMemoryConcurrency|TestFlight|TestStatsConservation|TestOneSolverConfiguration|TestBagCache|TestMemoResumesStoppedRefutation|TestStructuralRefutation' ./internal/store ./internal/service ./cmd/htdserve ./internal/join ./internal/dataset
-	$(GO) test -race -count=3 -cpu=1,2,4 -run 'TestParallel|TestNoCacheEquivalence|TestCancelledContext|TestCrossValidationSolvers|TestRace|TestChildPool|TestLogKAllocBudget|TestDetKAllocBudget|TestDetKRefutesBagOnce|TestDetKSameDecompositions' ./internal/logk ./internal/race ./internal/detk
+	$(GO) test -race -count=3 -cpu=1,2,4 -run 'TestParallel|TestNoCacheEquivalence|TestCancelledContext|TestCrossValidationSolvers|TestOptimal|TestChildPool|TestLogKAllocBudget|TestDetKAllocBudget|TestDetKRefutesBagOnce|TestDetKSameDecompositions' ./internal/logk ./internal/detk
 	$(GO) test -race -count=1 -cpu=1,2,4 -run 'TestLogKSameDecompositions' ./internal/logk
 
 # The query differential suite under the race detector, plus the

@@ -12,7 +12,7 @@
 // depth ghd race all
 //
 // The race experiment compares the serial k = 1..kmax width ladder
-// against the optimal-width racing service pipeline.
+// against optimal-mode jobs of the service, submitted concurrently.
 //
 // The service's layers are measured end to end by perfbench/ (see
 // perfbench/README.md) against a live htdserve. Their allocation and
@@ -38,7 +38,7 @@ import (
 func main() {
 	var (
 		experiment = flag.String("experiment", "all", "which experiment to run")
-		timeout    = flag.Duration("timeout", 500*time.Millisecond, "budget per width tried for width-parameterised methods (det-k, log-k, hybrid), per instance for optimal ones (HtdLEO stand-in, racer)")
+		timeout    = flag.Duration("timeout", 500*time.Millisecond, "budget per width tried for width-parameterised methods (det-k, log-k, hybrid), per instance for optimal ones (HtdLEO stand-in, width ladder)")
 		scale      = flag.Int("scale", 1, "suite scale factor")
 		seed       = flag.Int64("seed", 2022, "suite seed")
 		kmax       = flag.Int("kmax", 6, "maximum width to try")

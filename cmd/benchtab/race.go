@@ -13,11 +13,11 @@ import (
 )
 
 // raceExperiment compares, per HyperBench-sim size bucket, the serial
-// width ladder (the pre-racer pipeline: decide k = 1, 2, … with the
-// hybrid solver until the first success, one instance after another)
-// against the racing service pipeline (ModeOptimal jobs submitted
-// concurrently to an htd.Service, sharing the worker budget, the
-// negative-memo cache, and the bounds cache). Both sides run `rounds`
+// width ladder (decide k = 1, 2, … with the hybrid solver until the
+// first success, one instance after another) against the service
+// pipeline (ModeOptimal jobs submitted concurrently to an htd.Service,
+// sharing the worker budget, the structural bound, the negative-memo
+// cache, and the bounds cache). Both sides run `rounds`
 // passes over the bucket, modelling repeat traffic: the service banks
 // refutations as width bounds, so later rounds start from tight bounds
 // while the serial ladder re-proves everything from scratch.
@@ -45,7 +45,7 @@ func raceExperiment(ctx context.Context, cfg harness.Config, rounds int) (*harne
 	}
 
 	t := &harness.Table{
-		Title: "Race: serial width ladder vs racing service pipeline",
+		Title: "Race: serial width ladder vs concurrent optimal-mode service jobs",
 		Headers: []string{"Bucket", "N", "Rounds",
 			"serial-ms", "serial-solved", "race-ms", "race-solved", "speedup"},
 	}
@@ -65,12 +65,12 @@ func raceExperiment(ctx context.Context, cfg harness.Config, rounds int) (*harne
 			fmt.Sprintf("%.2fx", serialMS/raceMS))
 	}
 	t.Notes = append(t.Notes,
-		"serial: one decide per width per instance, sequential (the pre-racer pipeline)",
+		"serial: one decide per width per instance, sequential",
 		"race: optimal-mode service jobs under concurrent load; later rounds reuse banked bounds")
 	return t, nil
 }
 
-// serialLadder times the pre-racer optimal pipeline: for each instance,
+// serialLadder times the plain optimal pipeline: for each instance,
 // decide hw ≤ k for k = 1, 2, … until the first success.
 func serialLadder(ctx context.Context, ins []hyperbench.Instance, cfg harness.Config, rounds int) (ms float64, solved int, err error) {
 	start := time.Now()
@@ -101,9 +101,9 @@ func serialLadder(ctx context.Context, ins []hyperbench.Instance, cfg harness.Co
 	return float64(time.Since(start)) / float64(time.Millisecond), solved, nil
 }
 
-// raceService times the racing pipeline: every instance of the round is
+// raceService times the service pipeline: every instance of the round is
 // submitted concurrently as a ModeOptimal job against one shared
-// service, so probes of different jobs contend for (and share) the same
+// service, so the searches of different jobs contend for (and share) the same
 // worker budget, memo tables, and width bounds. A job searches with
 // TokenBudget+1 workers, so a budget of cfg.Workers-1 keeps one job
 // within the serial ladder's cfg.Workers (0 would mean GOMAXPROCS-1).

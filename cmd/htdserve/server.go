@@ -30,7 +30,8 @@ type apiRequest struct {
 	// by commas.
 	Hypergraph string `json:"hypergraph"`
 	// Mode selects the problem: "decide" (default) answers hw ≤ k,
-	// "optimal" computes hw exactly over widths 1..k with the racer.
+	// "optimal" computes hw exactly over widths 1..k with the width
+	// ladder.
 	Mode string `json:"mode,omitempty"`
 	// K is the width bound (required, ≥ 1); the search ceiling in
 	// optimal mode.
@@ -71,14 +72,13 @@ type apiResponse struct {
 
 	// The proven lower bound (sound even on timeouts) and where it came
 	// from ("structural", "probe", "memo", "trivial"): optimal jobs set
-	// both, and a decide job the structural bound answered NO sets
-	// lower_bound K+1 from "structural". Then the racer's probe
-	// accounting, optimal jobs only.
-	LowerBound      int    `json:"lower_bound,omitempty"`
-	LowerBoundFrom  string `json:"lower_bound_from,omitempty"`
-	ProbesLaunched  int    `json:"probes_launched,omitempty"`
-	ProbesCancelled int    `json:"probes_cancelled,omitempty"`
-	BoundsShared    bool   `json:"bounds_shared,omitempty"`
+	// both; a decide job answered NO sets them when the structural
+	// bound (K+1 from "structural") or a cached one (from "memo") gave
+	// the answer. Then the widths an optimal job searched.
+	LowerBound     int    `json:"lower_bound,omitempty"`
+	LowerBoundFrom string `json:"lower_bound_from,omitempty"`
+	ProbesLaunched int    `json:"probes_launched,omitempty"`
+	BoundsShared   bool   `json:"bounds_shared,omitempty"`
 
 	// err keeps the underlying error for status-code mapping; the wire
 	// carries only Error.
@@ -256,17 +256,16 @@ func (s *server) runJob(ctx context.Context, a apiRequest, tenant string) *apiRe
 	req.Tenant = tenant
 	res := s.svc.Submit(ctx, req)
 	resp := &apiResponse{
-		OK:              res.OK,
-		ElapsedMS:       float64(res.Elapsed) / float64(time.Millisecond),
-		CacheShared:     res.CacheShared,
-		CacheHit:        res.CacheHit,
-		Coalesced:       res.Coalesced,
-		Stats:           &res.Stats,
-		LowerBound:      res.LowerBound,
-		LowerBoundFrom:  res.LowerBoundFrom,
-		ProbesLaunched:  res.ProbesLaunched,
-		ProbesCancelled: res.ProbesCancelled,
-		BoundsShared:    res.BoundsShared,
+		OK:             res.OK,
+		ElapsedMS:      float64(res.Elapsed) / float64(time.Millisecond),
+		CacheShared:    res.CacheShared,
+		CacheHit:       res.CacheHit,
+		Coalesced:      res.Coalesced,
+		Stats:          &res.Stats,
+		LowerBound:     res.LowerBound,
+		LowerBoundFrom: res.LowerBoundFrom,
+		ProbesLaunched: res.ProbesLaunched,
+		BoundsShared:   res.BoundsShared,
 	}
 	if res.Err != nil {
 		resp.Error = res.Err.Error()

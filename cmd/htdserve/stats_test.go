@@ -87,7 +87,7 @@ func TestStatsValuesGolden(t *testing.T) {
 	}
 	skip := []string{
 		"TokensHighWater", "Tenants.default.tokens", "Tenants.default.p50_ms", "Tenants.default.p99_ms",
-		"Solver.", "MemoGraphs", "MemoEntries", "ProbesLaunched", "ProbesCancelled", "CancelledByWidth.",
+		"Solver.", "MemoGraphs", "MemoEntries", "ProbesLaunched",
 	}
 	seen := map[string]bool{}
 	var walk func(path string, v any)

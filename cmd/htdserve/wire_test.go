@@ -43,8 +43,8 @@ func TestWireKeysGolden(t *testing.T) {
 		"SolverRuns", "StructuralRefutations", "PositiveHits", "NegativeHits", "Coalesced",
 		"StoreEntries", "StoreTrees", "StoreEvictions",
 		"MemoGraphs", "MemoEntries", "CacheReuses",
-		"OptimalJobs", "ProbesLaunched", "ProbesCancelled", "BoundsGraphs", "BoundsReuses",
-		"CancelledByWidth", "Solver", "Tenants",
+		"OptimalJobs", "ProbesLaunched", "BoundsGraphs", "BoundsReuses",
+		"Solver", "Tenants",
 		"query", "datasets", "parse_cache",
 	})
 	checkKeys(t, "stats Solver", top["Solver"], []string{

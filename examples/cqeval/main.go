@@ -61,8 +61,8 @@ func main() {
 	fmt.Printf("dataset \"paths\" uploaded at version %d\n", version)
 
 	// Query many: requests reference the dataset by name instead of
-	// shipping the data. Cold, the plan is computed by the racing
-	// solver and the executor builds (and captures) the hash indexes.
+	// shipping the data. Cold, the plan is computed by the optimal-width
+	// search and the executor builds (and captures) the hash indexes.
 	eval := func(label string) htd.QueryResult {
 		res, err := planner.Eval(ctx, htd.QueryRequest{Query: q, Dataset: "paths"})
 		if err != nil {

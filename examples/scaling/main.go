@@ -1,9 +1,7 @@
 // scaling: a miniature of the paper's Figure 1 — measure how the
 // log-k-decomp separator search speeds up with the number of workers on
-// a single instance, and how width racing stacks on top: at each worker
-// count the serial k = 1..k ladder is raced against the optimal-width
-// racer, which proves the refutations and finds the witness
-// concurrently instead of one width at a time.
+// a single instance. At each worker count it times the full
+// optimal-width solve, logk.Optimal's width ladder k = 1..k.
 //
 // Run with: go run ./examples/scaling [-n 36] [-k 3]
 package main
@@ -19,7 +17,6 @@ import (
 
 	"repro/internal/hypergraph"
 	"repro/internal/logk"
-	"repro/internal/race"
 )
 
 func main() {
@@ -31,8 +28,7 @@ func main() {
 	fmt.Printf("instance: cylinder(%d) — %d edges, %d vertices, k = %d\n",
 		*n, h.NumEdges(), h.NumVertices(), *k)
 	fmt.Printf("machine: GOMAXPROCS = %d\n\n", runtime.GOMAXPROCS(0))
-	fmt.Printf("%-8s  %-12s  %-8s  %-12s  %s\n",
-		"workers", "serial", "speedup", "racer", "vs-serial")
+	fmt.Printf("%-8s  %-12s  %s\n", "workers", "optimal", "speedup")
 
 	var base time.Duration
 	for _, workers := range []int{1, 2, 4, 8} {
@@ -43,47 +39,27 @@ func main() {
 		// solve: refuting widths 1..k-1 plus finding the width-k HD.
 		// Refutations explore the entire separator search space, which
 		// is where partitioning it across workers pays off. Median of 3.
-		var serialTimes, racerTimes []time.Duration
+		var times []time.Duration
 		for rep := 0; rep < 3; rep++ {
 			start := time.Now()
-			for kk := 1; kk <= *k; kk++ {
-				s := logk.New(h, logk.Options{K: kk, Workers: workers,
-					Hybrid: logk.PaperHybrid, HybridThreshold: logk.PaperHybridThreshold})
-				_, ok, err := s.Decompose(context.Background())
-				if err != nil {
-					log.Fatalf("workers=%d k=%d: %v", workers, kk, err)
-				}
-				if ok != (kk == *k) {
-					log.Fatalf("workers=%d: unexpected verdict at k=%d (ok=%v)", workers, kk, ok)
-				}
-			}
-			serialTimes = append(serialTimes, time.Since(start))
-
-			// The racer does the same work — refute 1..k-1, witness k —
-			// but the probes run concurrently with shared bounds.
-			start = time.Now()
-			res, err := race.New(h, race.Config{
-				KMax: *k, MaxProbes: *k, Workers: workers,
-				Hybrid: logk.PaperHybrid, HybridThreshold: logk.PaperHybridThreshold,
-			}).Solve(context.Background())
+			res, err := logk.Optimal(context.Background(), h, logk.OptimalConfig{
+				Search: logk.Options{Workers: workers,
+					Hybrid: logk.PaperHybrid, HybridThreshold: logk.PaperHybridThreshold},
+				KMax: *k,
+			})
 			if err != nil {
-				log.Fatalf("racer workers=%d: %v", workers, err)
+				log.Fatalf("workers=%d: %v", workers, err)
 			}
 			if !res.Found || res.Width != *k {
-				log.Fatalf("racer workers=%d: found=%v width=%d, want %d",
-					workers, res.Found, res.Width, *k)
+				log.Fatalf("workers=%d: found=%v width=%d, want %d", workers, res.Found, res.Width, *k)
 			}
-			racerTimes = append(racerTimes, time.Since(start))
+			times = append(times, time.Since(start))
 		}
-		serial, racer := median(serialTimes), median(racerTimes)
+		t := median(times)
 		if workers == 1 {
-			base = serial
+			base = t
 		}
-		fmt.Printf("%-8d  %-12v  %-8s  %-12v  %.2fx\n",
-			workers, serial.Round(time.Microsecond),
-			fmt.Sprintf("%.2fx", float64(base)/float64(serial)),
-			racer.Round(time.Microsecond),
-			float64(serial)/float64(racer))
+		fmt.Printf("%-8d  %-12v  %.2fx\n", workers, t.Round(time.Microsecond), float64(base)/float64(t))
 	}
 }
 

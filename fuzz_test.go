@@ -4,9 +4,9 @@ package htd
 // seeded from the deterministic HyperBench-sim corpus. For every parsed
 // hypergraph it cross-checks the basic Algorithm 1 oracle, the
 // optimised solver (sequential and parallel), det-k-decomp, the GHD
-// solver, and the optimal-width racer: all decisions must agree, every
+// solver, and the optimal-width ladder: all decisions must agree, every
 // returned decomposition must pass the independent CheckHD / CheckGHD
-// checkers, and the racer's width must equal the serial optimum. No
+// checkers, and the ladder's width must equal the serial optimum. No
 // valid decomposition, HD or GHD, may be narrower than the structural
 // lower bound (hypergraph.WidthLowerBound), which is at most ghw ≤ hw.
 //
@@ -22,7 +22,6 @@ import (
 	"repro/internal/hyperbench"
 	"repro/internal/logk"
 	"repro/internal/opt"
-	"repro/internal/race"
 )
 
 func FuzzDecomposeCheckHD(f *testing.F) {
@@ -105,30 +104,31 @@ func FuzzDecomposeCheckHD(f *testing.F) {
 		}
 		check("ghd", d, ok, err, true)
 
-		// The racer must agree with the serial optimum exactly.
+		// The width ladder, from the structural bound, must agree with
+		// the serial optimum exactly.
 		const kMax = 4
 		wantW, _, wantFound, err := opt.New(h, kMax).Solve(ctx)
 		if err != nil {
 			t.Fatalf("serial optimal solver errored: %v\ninstance:\n%s", err, h)
 		}
-		res, err := race.New(h, race.Config{KMax: kMax, MaxProbes: 3, Workers: 2}).Solve(ctx)
+		gotW, gotD, found, err := DecomposeOptimal(ctx, h, OptimalOptions{KMax: kMax, Search: Options{Workers: 2}})
 		if err != nil {
-			t.Fatalf("racer errored: %v\ninstance:\n%s", err, h)
+			t.Fatalf("width ladder errored: %v\ninstance:\n%s", err, h)
 		}
-		if res.Found != wantFound {
-			t.Fatalf("racer found=%v, serial optimum found=%v\ninstance:\n%s", res.Found, wantFound, h)
+		if found != wantFound {
+			t.Fatalf("width ladder found=%v, serial optimum found=%v\ninstance:\n%s", found, wantFound, h)
 		}
-		if !res.Found {
+		if !found {
 			return
 		}
-		if res.Width != wantW {
-			t.Fatalf("racer width %d, serial optimum %d\ninstance:\n%s", res.Width, wantW, h)
+		if gotW != wantW {
+			t.Fatalf("width ladder width %d, serial optimum %d\ninstance:\n%s", gotW, wantW, h)
 		}
-		if verr := decomp.CheckHD(res.Decomp); verr != nil {
-			t.Fatalf("racer witness invalid: %v\ninstance:\n%s", verr, h)
+		if verr := decomp.CheckHD(gotD); verr != nil {
+			t.Fatalf("width ladder witness invalid: %v\ninstance:\n%s", verr, h)
 		}
-		if verr := decomp.CheckWidth(res.Decomp, wantW); verr != nil {
-			t.Fatalf("racer witness exceeds optimum: %v\ninstance:\n%s", verr, h)
+		if verr := decomp.CheckWidth(gotD, wantW); verr != nil {
+			t.Fatalf("width ladder witness exceeds optimum: %v\ninstance:\n%s", verr, h)
 		}
 		if wantW < lb {
 			t.Fatalf("optimum %d below the structural bound %d\ninstance:\n%s", wantW, lb, h)

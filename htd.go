@@ -37,7 +37,6 @@ import (
 	"repro/internal/logk"
 	"repro/internal/opt"
 	"repro/internal/query"
-	"repro/internal/race"
 	"repro/internal/service"
 	"repro/internal/store"
 	"repro/internal/tenant"
@@ -117,34 +116,32 @@ func DecomposeGHD(ctx context.Context, h *Hypergraph, k, subedgeOrder int) (*Dec
 
 // OptimalWidth computes hw(H) exactly (searching widths 1..maxK) and a
 // witness decomposition. ok is false when hw(H) > maxK. It probes
-// widths serially with the det-k-style exact solver; DecomposeOptimal
-// is the parallel racing equivalent.
+// widths serially with the det-k-style exact solver, on one thread;
+// DecomposeOptimal is the log-k-decomp equivalent.
 func OptimalWidth(ctx context.Context, h *Hypergraph, maxK int) (int, *Decomposition, bool, error) {
 	return opt.New(h, maxK).Solve(ctx)
 }
 
-// RaceOptions configures DecomposeOptimal / DecomposeOptimalResult; see
-// the field docs of the underlying type. The zero value (plus KMax)
-// races up to three width probes with sequential search inside each.
-type RaceOptions = race.Config
+// OptimalOptions configures DecomposeOptimal: the log-k-decomp search
+// of every width (Search; its K is set per width), the width ceiling
+// KMax, a lower bound the caller has already proven, and per-width memo
+// tables; see the field docs of the underlying type.
+type OptimalOptions = logk.OptimalConfig
 
-// RaceResult is the full outcome of a width race, including the proven
-// lower bound, its provenance, and per-probe reports.
-type RaceResult = race.Result
-
-// DecomposeOptimal computes hw(H) exactly by racing width probes
-// concurrently: probes share a live lower/upper bound pair, probes made
-// moot by a sibling's result are cancelled, and refutations of smaller
-// widths are proven in parallel with the witness search instead of
-// serially before it. ok is false when hw(H) > opts.KMax.
-func DecomposeOptimal(ctx context.Context, h *Hypergraph, opts RaceOptions) (int, *Decomposition, bool, error) {
-	return race.Optimal(ctx, h, opts)
-}
-
-// DecomposeOptimalResult is DecomposeOptimal returning the full race
-// report (bound provenance, per-probe outcomes, cancellation counts).
-func DecomposeOptimalResult(ctx context.Context, h *Hypergraph, opts RaceOptions) (RaceResult, error) {
-	return race.New(h, opts).Solve(ctx)
+// DecomposeOptimal computes hw(H) exactly with log-k-decomp. It raises
+// opts.LowerBound to the hypergraph's structural lower bound
+// (Hypergraph.WidthLowerBound), then decides each width from there up
+// to opts.KMax and stops at the first that admits an HD, so every
+// smaller width is refuted. The parallelism is inside each width's
+// search (opts.Search.Workers). ok is false when hw(H) > opts.KMax.
+func DecomposeOptimal(ctx context.Context, h *Hypergraph, opts OptimalOptions) (int, *Decomposition, bool, error) {
+	lb, err := h.WidthLowerBound(ctx, opts.KMax)
+	if err != nil {
+		return 0, nil, false, err
+	}
+	opts.LowerBound = max(opts.LowerBound, lb)
+	res, err := logk.Optimal(ctx, h, opts)
+	return res.Width, res.Decomp, res.Found, err
 }
 
 // Service runs decompositions as a managed concurrent service: jobs
@@ -181,7 +178,8 @@ const (
 	// ModeDecide answers hw(H) ≤ K (the default).
 	ModeDecide = service.ModeDecide
 	// ModeOptimal computes hw(H) exactly over widths 1..K with the
-	// racing optimal-width pipeline.
+	// width ladder of DecomposeOptimal, from the larger of the
+	// structural and the cached lower bound.
 	ModeOptimal = service.ModeOptimal
 )
 

@@ -101,7 +101,7 @@ func TestBuilderPublic(t *testing.T) {
 
 func TestDecomposeOptimalPublic(t *testing.T) {
 	h, _ := ParseString(triangleSrc)
-	w, d, ok, err := DecomposeOptimal(context.Background(), h, RaceOptions{KMax: 4, MaxProbes: 2})
+	w, d, ok, err := DecomposeOptimal(context.Background(), h, OptimalOptions{KMax: 4, Search: Options{Workers: 2}})
 	if err != nil || !ok {
 		t.Fatalf("ok=%v err=%v", ok, err)
 	}
@@ -115,12 +115,9 @@ func TestDecomposeOptimalPublic(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := DecomposeOptimalResult(context.Background(), h, RaceOptions{KMax: 4})
-	if err != nil || !res.Found || res.Width != 2 {
-		t.Fatalf("found=%v width=%d err=%v", res.Found, res.Width, err)
-	}
-	if res.LowerBound != 2 || res.LowerBoundFrom.String() != "probe" {
-		t.Fatalf("lower bound %d from %v", res.LowerBound, res.LowerBoundFrom)
+	// A ceiling below the structural bound answers no without a search.
+	if _, _, ok, err := DecomposeOptimal(context.Background(), h, OptimalOptions{KMax: 1}); ok || err != nil {
+		t.Fatalf("KMax 1: ok=%v err=%v, want a refutation", ok, err)
 	}
 }
 

@@ -40,17 +40,18 @@ func shortName(m string) string {
 		return "LogK"
 	case "log-k-decomp Hybrid":
 		return "Hyb"
-	case "log-k-decomp Race":
-		return "Race"
+	case "log-k-decomp Ladder":
+		return "Ladder"
 	case "BalancedGo(GHD)":
 		return "BalGo"
 	}
 	return m
 }
 
-// provenanceNote summarises lower-bound provenance over the racing
-// method's solved results ("" when no racing method ran): how many
-// optimality proofs came from fresh probe refutations vs cached bounds.
+// provenanceNote summarises lower-bound provenance over the ladder
+// method's solved results ("" when no ladder method ran): how many
+// optimality proofs rest on the structural bound (hw − 1 refuted
+// without a search) and how many on a probe's refutation.
 func provenanceNote(results []Result) string {
 	counts := map[string]int{}
 	for _, r := range results {
@@ -61,8 +62,8 @@ func provenanceNote(results []Result) string {
 	if len(counts) == 0 {
 		return ""
 	}
-	return fmt.Sprintf("Race lower-bound provenance (solved): probe=%d memo=%d trivial=%d",
-		counts["probe"], counts["memo"], counts["trivial"])
+	return fmt.Sprintf("Ladder lower-bound provenance (solved): structural=%d probe=%d trivial=%d",
+		counts["structural"], counts["probe"], counts["trivial"])
 }
 
 // Table1 reproduces Table 1: solved counts and runtime statistics per
@@ -73,7 +74,7 @@ func Table1(ctx context.Context, cfg Config) (*Table, []Result) {
 		MethodDetK(),
 		MethodOpt(),
 		MethodLogKHybrid(cfg.Workers, logk.PaperHybrid, logk.PaperHybridThreshold),
-		MethodRacer(cfg.Workers, 0),
+		MethodLadder(cfg.Workers),
 	}
 	results := cfg.runner().RunAll(ctx, methods, cfg.Suite, cfg.Progress)
 
@@ -122,7 +123,7 @@ func Table1(ctx context.Context, cfg Config) (*Table, []Result) {
 	}
 	t.AddRow(row...)
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("timeout: %s per width tried for DetK and Hyb (up to %d per instance), %s per instance for LEO and Race; widths 1..%d; runtimes averaged over solved instances only",
+		fmt.Sprintf("timeout: %s per width tried for DetK and Hyb (up to %d per instance), %s per instance for LEO and Ladder; widths 1..%d; runtimes averaged over solved instances only",
 			cfg.Timeout, cfg.KMax, cfg.Timeout, cfg.KMax))
 	if note := provenanceNote(results); note != "" {
 		t.Notes = append(t.Notes, note)
@@ -285,7 +286,7 @@ func Table3(ctx context.Context, cfg Config) (*Table, []Result) {
 		MethodDetK(),
 		MethodOpt(),
 		MethodLogKHybrid(cfg.Workers, logk.PaperHybrid, logk.PaperHybridThreshold),
-		MethodRacer(cfg.Workers, 0),
+		MethodLadder(cfg.Workers),
 	}
 	results := cfg.runner().RunAll(ctx, methods, cfg.Suite, cfg.Progress)
 

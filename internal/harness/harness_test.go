@@ -9,7 +9,6 @@ import (
 	"repro/internal/hyperbench"
 	"repro/internal/hypergraph"
 	"repro/internal/logk"
-	"repro/internal/race"
 )
 
 // tinySuite returns a handful of instances with fast solves.
@@ -56,9 +55,11 @@ func TestRunOptimalMethod(t *testing.T) {
 	}
 }
 
+// TestRunRaceMethod: the optimal-width column, the width ladder from
+// the structural bound, solves and proves cycle(8) with one probe.
 func TestRunRaceMethod(t *testing.T) {
 	r := &Runner{Timeout: 10 * time.Second, KMax: 4}
-	res := r.Run(context.Background(), MethodRacer(2, 3), cycleInstance(8))
+	res := r.Run(context.Background(), MethodLadder(2), cycleInstance(8))
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
@@ -68,22 +69,22 @@ func TestRunRaceMethod(t *testing.T) {
 	if res.Bounds[1] != No || res.Bounds[2] != Yes || res.Bounds[3] != Yes {
 		t.Fatalf("bounds wrong: %v", res.Bounds)
 	}
-	if res.LBSource != "probe" {
-		t.Fatalf("lower-bound provenance %q, want probe", res.LBSource)
+	if res.LBSource != "structural" {
+		t.Fatalf("lower-bound provenance %q, want structural (cycle(8) is cyclic)", res.LBSource)
 	}
 }
 
-// TestRunRaceValidatesBeforeCountingSolved: the racer's claim is not
-// trusted — the harness re-checks the witness with the independent
+// TestRunRaceValidatesBeforeCountingSolved: the width ladder's claim is
+// not trusted — the harness re-checks the witness with the independent
 // checker, exactly like the width-parameterised methods. A method whose
-// racer returns a corrupted report must not count as solved.
+// ladder returns a corrupted report must not count as solved.
 func TestRunRaceValidatesBeforeCountingSolved(t *testing.T) {
 	r := &Runner{Timeout: 10 * time.Second, KMax: 4}
 	in := cycleInstance(8)
 	lying := Method{
-		Name: "lying-racer",
-		SolveRace: func(ctx context.Context, h *hypergraph.Hypergraph, kMax int) (race.Result, error) {
-			res, err := race.New(h, race.Config{KMax: kMax}).Solve(ctx)
+		Name: "lying-ladder",
+		SolveLadder: func(ctx context.Context, h *hypergraph.Hypergraph, kMax int) (logk.OptimalResult, error) {
+			res, err := logk.Optimal(ctx, h, logk.OptimalConfig{KMax: kMax})
 			if err == nil && res.Found {
 				res.Width = 1 // claim a width the witness does not have
 			}
@@ -92,10 +93,10 @@ func TestRunRaceValidatesBeforeCountingSolved(t *testing.T) {
 	}
 	res := r.Run(context.Background(), lying, in)
 	if res.Err == nil {
-		t.Fatal("invalid racer claim must surface as a validation error")
+		t.Fatal("invalid ladder claim must surface as a validation error")
 	}
 	if res.Solved {
-		t.Fatal("invalid racer claim must not count as solved")
+		t.Fatal("invalid ladder claim must not count as solved")
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"repro/internal/hypergraph"
 	"repro/internal/logk"
 	"repro/internal/opt"
-	"repro/internal/race"
 )
 
 // The standard method roster of the evaluation. Names follow the paper.
@@ -59,23 +58,27 @@ func MethodNamed(name string, workers int, metric logk.HybridMetric, threshold f
 	return m
 }
 
-// MethodRacer is the parallel optimal-width pipeline: concurrent width
-// probes with shared bound propagation and moot-probe cancellation
-// (internal/race), hybridised like the paper's headline configuration.
-// Unlike the width-parameterised rosters it needs no external k ladder:
-// one run per instance finds the optimum and refutes everything below
+// MethodLadder is the service's optimal-width search: logk.Optimal's
+// ascending width ladder, hybridised like the paper's headline
+// configuration and started at the structural lower bound
+// (hypergraph.WidthLowerBound), which the paper's columns do not use.
+// One run per instance finds the optimum and refutes everything below
 // it, which is exactly the §5.1 "solved" criterion.
-func MethodRacer(workers, maxProbes int) Method {
+func MethodLadder(workers int) Method {
 	return Method{
-		Name: "log-k-decomp Race",
-		SolveRace: func(ctx context.Context, h *hypergraph.Hypergraph, kMax int) (race.Result, error) {
-			return race.New(h, race.Config{
-				KMax:            kMax,
-				MaxProbes:       maxProbes,
-				Workers:         workers,
-				Hybrid:          logk.PaperHybrid,
-				HybridThreshold: logk.PaperHybridThreshold,
-			}).Solve(ctx)
+		Name: "log-k-decomp Ladder",
+		SolveLadder: func(ctx context.Context, h *hypergraph.Hypergraph, kMax int) (logk.OptimalResult, error) {
+			lb, err := h.WidthLowerBound(ctx, kMax)
+			if err != nil {
+				return logk.OptimalResult{}, err
+			}
+			return logk.Optimal(ctx, h, logk.OptimalConfig{
+				Search: logk.Options{
+					Workers: workers, Hybrid: logk.PaperHybrid, HybridThreshold: logk.PaperHybridThreshold,
+				},
+				KMax:       kMax,
+				LowerBound: lb,
+			})
 		},
 	}
 }

@@ -20,7 +20,7 @@ import (
 	"repro/internal/decomp"
 	"repro/internal/hyperbench"
 	"repro/internal/hypergraph"
-	"repro/internal/race"
+	"repro/internal/logk"
 )
 
 // WidthSolver decides hw(H) ≤ k for a fixed k and materialises an HD.
@@ -29,7 +29,7 @@ type WidthSolver interface {
 }
 
 // Method is one decomposition approach under evaluation. Exactly one of
-// NewParam, SolveOptimal and SolveRace must be set.
+// NewParam, SolveOptimal and SolveLadder must be set.
 type Method struct {
 	Name string
 	// NewParam constructs a width-parameterised solver (det-k, log-k, …).
@@ -37,9 +37,9 @@ type Method struct {
 	// SolveOptimal runs a direct optimal-width solver (the HtdLEO-style
 	// method, which takes no width parameter).
 	SolveOptimal func(ctx context.Context, h *hypergraph.Hypergraph, kMax int) (int, *decomp.Decomp, bool, error)
-	// SolveRace runs the width-racing optimal pipeline and returns the
-	// full race report, including lower-bound provenance.
-	SolveRace func(ctx context.Context, h *hypergraph.Hypergraph, kMax int) (race.Result, error)
+	// SolveLadder runs an optimal-width ladder (logk.Optimal) and returns
+	// its full report, including the lower bound and its provenance.
+	SolveLadder func(ctx context.Context, h *hypergraph.Hypergraph, kMax int) (logk.OptimalResult, error)
 	// GHD marks methods whose output is validated as a generalized
 	// hypertree decomposition (no special condition).
 	GHD bool
@@ -72,9 +72,10 @@ type Result struct {
 	TimedOut bool
 	// Bounds[k] is the decision state for hw ≤ k, k = 1..KMax.
 	Bounds map[int]BoundState
-	// LBSource records how a racing method proved its lower bound:
-	// "probe" (refuted during the run), "memo" (cached bounds) or
-	// "trivial" (optimum was width 1). Empty for non-racing methods.
+	// LBSource records how a ladder method proved its lower bound:
+	// "structural" (hypergraph.WidthLowerBound), "probe" (refuted during
+	// the run) or "trivial" (optimum was width 1). Empty for the other
+	// methods.
 	LBSource string
 	// Err records validation failures or internal errors (never expected).
 	Err error
@@ -87,8 +88,8 @@ type Runner struct {
 	// "Substitutions"). A width-parameterised method (runParam: det-k,
 	// log-k, the hybrid) gets one Timeout per width it tries, so up to
 	// KMax per instance; an optimal method (runOptimal: the HtdLEO
-	// stand-in; runRace: the racer) gets one Timeout for its whole
-	// search.
+	// stand-in; runLadder: the width ladder) gets one Timeout for its
+	// whole search.
 	Timeout time.Duration
 	// KMax bounds the width search (the paper used widths 1..10).
 	KMax int
@@ -96,8 +97,8 @@ type Runner struct {
 
 // Run evaluates one method on one instance.
 func (r *Runner) Run(ctx context.Context, m Method, in hyperbench.Instance) Result {
-	if m.SolveRace != nil {
-		return r.runRace(ctx, m, in)
+	if m.SolveLadder != nil {
+		return r.runLadder(ctx, m, in)
 	}
 	if m.SolveOptimal != nil {
 		return r.runOptimal(ctx, m, in)
@@ -187,52 +188,26 @@ func (r *Runner) runOptimal(ctx context.Context, m Method, in hyperbench.Instanc
 	return res
 }
 
-// runRace evaluates a width-racing optimal method. The racer's own
-// bookkeeping claims a width and a proven lower bound; the harness
-// applies the same rule as for width-parameterised methods and trusts
-// neither until the returned decomposition passes the independent
-// checker. Partial bounds (widths refuted before a timeout) are still
-// banked into Bounds, with provenance recorded in LBSource.
-func (r *Runner) runRace(ctx context.Context, m Method, in hyperbench.Instance) Result {
+// runLadder evaluates a width-ladder method. Widths below the reported
+// lower bound are refuted, even when the run timed out; the claimed
+// optimum counts only once its witness passes the independent checker,
+// as runParam validates before recording Yes.
+func (r *Runner) runLadder(ctx context.Context, m Method, in hyperbench.Instance) Result {
 	res := Result{Instance: in, Method: m.Name, Bounds: map[int]BoundState{}}
 	runCtx, cancel := context.WithTimeout(ctx, r.Timeout)
 	defer cancel()
 	start := time.Now()
-	rr, err := m.SolveRace(runCtx, in.H, r.KMax)
+	lr, err := m.SolveLadder(runCtx, in.H, r.KMax)
 	res.Runtime = time.Since(start)
 
-	// The race report is meaningful even on error: lower bounds proven
-	// before the deadline are sound refutations.
-	for k := 1; k < rr.LowerBound && k <= r.KMax; k++ {
+	for k := 1; k < lr.LowerBound && k <= r.KMax; k++ {
 		res.Bounds[k] = No
 	}
-	// A witness claim is banked only after it passes the independent
-	// checker — the racer's say-so is never trusted, exactly as runParam
-	// validates before recording Yes.
-	witnessValid := false
-	if rr.BestWidth > 0 && rr.Decomp != nil {
-		if verr := validate(rr.Decomp, rr.BestWidth, m.GHD); verr != nil {
-			res.Err = fmt.Errorf("harness: %s on %s: %w", m.Name, in.Name, verr)
-		} else {
-			witnessValid = true
-		}
+	// A ladder method's only initial bound is the structural one.
+	res.LBSource = lr.LowerBoundFrom.String()
+	if lr.LowerBoundFrom == logk.BoundInitial {
+		res.LBSource = "structural"
 	}
-	if witnessValid {
-		for k := rr.BestWidth; k <= r.KMax; k++ {
-			res.Bounds[k] = Yes
-		}
-		res.Width = rr.BestWidth
-	}
-	for k := 1; k <= r.KMax; k++ {
-		if _, ok := res.Bounds[k]; !ok {
-			res.Bounds[k] = Unknown
-		}
-	}
-	res.LBSource = rr.LowerBoundFrom.String()
-	if res.Err != nil {
-		return res
-	}
-
 	switch {
 	case err != nil && runCtx.Err() != nil:
 		res.TimedOut = true
@@ -241,15 +216,15 @@ func (r *Runner) runRace(ctx context.Context, m Method, in hyperbench.Instance) 
 		}
 	case err != nil:
 		res.Err = err
-	case rr.Found:
-		// The witness was validated against BestWidth above; a racer
-		// whose claimed optimum disagrees with its own witness is
-		// rejected here.
-		if !witnessValid || rr.Width != rr.BestWidth {
-			res.Err = fmt.Errorf("harness: %s on %s: racer claims width %d but witness has width %d",
-				m.Name, in.Name, rr.Width, rr.BestWidth)
+	case lr.Found:
+		if verr := validate(lr.Decomp, lr.Width, m.GHD); verr != nil {
+			res.Err = fmt.Errorf("harness: %s on %s: %w", m.Name, in.Name, verr)
 			return res
 		}
+		for k := lr.Width; k <= r.KMax; k++ {
+			res.Bounds[k] = Yes
+		}
+		res.Width = lr.Width
 		res.Solved = true
 	}
 	return res

@@ -50,7 +50,7 @@ func TestBagCacheWarm(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			d := racerPlan(t, q, logk.PaperHybrid)
+			d := ladderPlan(t, q, logk.PaperHybrid)
 			db := bagCacheDB(5)
 			want, err := EvaluateNaive(q, db)
 			if err != nil {
@@ -151,7 +151,7 @@ func TestBagCacheConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := racerPlan(t, q, logk.PaperHybrid)
+	d := ladderPlan(t, q, logk.PaperHybrid)
 	db := bagCacheDB(9)
 	want, err := EvaluateNaive(q, db)
 	if err != nil {

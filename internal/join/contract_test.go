@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/decomp"
 	"repro/internal/logk"
-	"repro/internal/race"
 )
 
 // contractShapes are the query shapes of perfbench's query workloads.
@@ -29,21 +28,22 @@ var contractShapes = []struct {
 	{"star-group", "R(x,y), S(x,z), T(x,w).", "group x: count", false},
 }
 
-// racerPlan is the optimal-width plan the racer finds for q under the
-// given hybrid metric (at the paper's threshold).
-func racerPlan(t *testing.T, q Query, metric logk.HybridMetric) *decomp.Decomp {
+// ladderPlan is the optimal-width plan logk.Optimal finds for q under
+// the given hybrid metric (at the paper's threshold).
+func ladderPlan(t *testing.T, q Query, metric logk.HybridMetric) *decomp.Decomp {
 	t.Helper()
 	h, err := q.Hypergraph()
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, d, ok, err := race.Optimal(context.Background(), h, race.Config{
-		KMax: len(q.Atoms), Hybrid: metric, HybridThreshold: logk.PaperHybridThreshold,
+	res, err := logk.Optimal(context.Background(), h, logk.OptimalConfig{
+		Search: logk.Options{Hybrid: metric, HybridThreshold: logk.PaperHybridThreshold},
+		KMax:   len(q.Atoms),
 	})
-	if err != nil || !ok {
-		t.Fatalf("no plan (ok=%v err=%v)", ok, err)
+	if err != nil || !res.Found {
+		t.Fatalf("no plan (found=%v err=%v)", res.Found, err)
 	}
-	return d
+	return res.Decomp
 }
 
 // countNodes is the number of nodes in the tree rooted at n.
@@ -77,7 +77,7 @@ func TestContractionSolverIndependent(t *testing.T) {
 			}
 			var nodes, builds [2]int64
 			for i, metric := range []logk.HybridMetric{logk.HybridNone, logk.PaperHybrid} {
-				d := racerPlan(t, q, metric)
+				d := ladderPlan(t, q, metric)
 				tree, _, err := execTree(q, d)
 				if err != nil {
 					t.Fatal(err)
@@ -115,7 +115,7 @@ func TestContractionSolverIndependent(t *testing.T) {
 	}
 }
 
-// TestContractionProperties: on random racer HDs, contraction never
+// TestContractionProperties: on random optimal-width HDs, contraction never
 // adds a node, leaves the HD itself untouched (returning its very root
 // when there is nothing to contract), yields a GHD no wider than the HD
 // with every atom hosted at a node covering it, and keeps the answer
@@ -126,7 +126,7 @@ func TestContractionProperties(t *testing.T) {
 		r := rand.New(rand.NewSource(500 + seed))
 		q, db := randomInstanceForExec(r, 2+int(seed%6), 25, 5)
 		for _, metric := range []logk.HybridMetric{logk.HybridNone, logk.PaperHybrid} {
-			d := racerPlan(t, q, metric)
+			d := ladderPlan(t, q, metric)
 			before := d.String()
 			tree, coverOf, err := execTree(q, d)
 			if err != nil {

@@ -50,8 +50,8 @@ type TokenPool struct {
 }
 
 // NewTokenPool returns a pool of n tokens (negative n clamps to 0).
-// Callers that run several Solvers side by side (width-probe racing,
-// ad hoc batch drivers, a serving layer) share one pool.
+// Callers that run several Solvers side by side (ad hoc batch drivers,
+// a serving layer) share one pool.
 func NewTokenPool(n int) *TokenPool {
 	if n < 0 {
 		n = 0

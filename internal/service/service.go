@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"errors"
-	"maps"
 	"runtime"
 	"strconv"
 	"sync"
@@ -14,7 +13,6 @@ import (
 	"repro/internal/decomp"
 	"repro/internal/hypergraph"
 	"repro/internal/logk"
-	"repro/internal/race"
 	"repro/internal/store"
 	"repro/internal/tenant"
 )
@@ -27,8 +25,8 @@ const (
 	// witness on yes — the original service behaviour.
 	ModeDecide Mode = iota
 	// ModeOptimal computes hw(H) exactly (searching widths 1..K) with
-	// the width racer: concurrent probes share live bounds, moot probes
-	// are cancelled, refutations feed the cross-request store.
+	// logk.Optimal's ascending width ladder from the proven lower
+	// bound; its refutations feed the cross-request store.
 	ModeOptimal
 )
 
@@ -200,22 +198,17 @@ type Result struct {
 
 	// Width is the exact hypertree width when OK.
 	Width int
-	// ProbesLaunched and ProbesCancelled count the job's width probes
-	// and how many of them were killed as moot by a sibling's result.
-	ProbesLaunched  int
-	ProbesCancelled int
+	// ProbesLaunched counts the widths the job searched.
+	ProbesLaunched int
 	// BoundsShared reports that the job started from cached bounds.
 	BoundsShared bool
 
 	// ran marks the job that worked on its own hypergraph in a run
 	// slot, structural the decide job the structural lower bound
-	// answered NO,
-	// and cancelledByWidth counts its probes cancelled per width. Like
-	// Stats, they stay zero for cache hits and coalesced followers;
-	// Submit counts them once.
-	ran              bool
-	structural       bool
-	cancelledByWidth map[int]int64
+	// answered NO. Like Stats, they stay zero for cache hits and
+	// coalesced followers; Submit counts them once.
+	ran        bool
+	structural bool
 }
 
 // Stats is a snapshot of service-wide counters.
@@ -251,14 +244,10 @@ type Stats struct {
 	MemoEntries int64 // memoised dead states across all tables
 	CacheReuses int64 // jobs that reused any cross-request state
 
-	OptimalJobs     int64 // ModeOptimal jobs run
-	ProbesLaunched  int64 // width probes launched by optimal jobs
-	ProbesCancelled int64 // probes killed as moot by sibling results
-	BoundsGraphs    int64 // graphs with cached width bounds
-	BoundsReuses    int64 // optimal jobs that started from cached bounds
-	// CancelledByWidth breaks ProbesCancelled down per width bound k
-	// (the /stats payload the operators watch to see racing pay off).
-	CancelledByWidth map[int]int64
+	OptimalJobs    int64 // ModeOptimal jobs run
+	ProbesLaunched int64 // widths searched by optimal jobs
+	BoundsGraphs   int64 // graphs with cached width bounds
+	BoundsReuses   int64 // optimal jobs that started from cached bounds
 
 	// Solver aggregates per-job solver counters over all finished jobs
 	// (sums; MaxDepth is the maximum observed).
@@ -316,7 +305,6 @@ func New(cfg Config) *Service {
 		datasets: dataset.NewRegistry(cfg.Datasets),
 		slots:    make(chan struct{}, cfg.MaxConcurrent),
 	}
-	s.stats.CancelledByWidth = make(map[int]int64)
 	return s
 }
 
@@ -454,10 +442,6 @@ func (s *Service) record(req Request, res Result) {
 		st.OptimalJobs++
 	}
 	st.ProbesLaunched += int64(res.ProbesLaunched)
-	st.ProbesCancelled += int64(res.ProbesCancelled)
-	for k, n := range res.cancelledByWidth {
-		st.CancelledByWidth[k] += n
-	}
 	st.Solver.Add(res.Stats)
 }
 
@@ -511,7 +495,7 @@ func (s *Service) lookup(req Request, hash string) (Result, bool) {
 			// Every width up to the ceiling is already refuted.
 			return Result{
 				CacheHit: true, CacheShared: true, BoundsShared: true,
-				LowerBound: b.LB, LowerBoundFrom: race.BoundInitial.String(),
+				LowerBound: b.LB, LowerBoundFrom: boundMemo,
 			}, true
 		}
 		if b.Exact() && b.UB <= req.K {
@@ -519,7 +503,7 @@ func (s *Service) lookup(req Request, hash string) (Result, bool) {
 				return Result{
 					OK: true, Decomp: d, Width: w,
 					CacheHit: true, CacheShared: true, BoundsShared: true,
-					LowerBound: b.LB, LowerBoundFrom: race.BoundInitial.String(),
+					LowerBound: b.LB, LowerBoundFrom: boundMemo,
 				}, true
 			}
 		}
@@ -527,7 +511,7 @@ func (s *Service) lookup(req Request, hash string) (Result, bool) {
 	}
 	// ModeDecide.
 	if b.LB > req.K {
-		return Result{CacheHit: true, CacheShared: true}, true
+		return Result{CacheHit: true, CacheShared: true, LowerBound: b.LB, LowerBoundFrom: boundMemo}, true
 	}
 	if b.UB > 0 && b.UB <= req.K {
 		if d, _, ok := s.cachedWitness(req.H, hash, req.K); ok {
@@ -579,11 +563,9 @@ func (s *Service) adoptShared(ctx context.Context, res Result, req Request, hash
 	// belongs to the run that actually searched, not to each follower.
 	res.Stats = logk.Stats{}
 	res.ProbesLaunched = 0
-	res.ProbesCancelled = 0
 	res.Elapsed = 0
 	res.ran = false
 	res.structural = false
-	res.cancelledByWidth = nil
 	return res
 }
 
@@ -644,21 +626,24 @@ func (s *Service) RowCap(maxRows int) int {
 	return maxRows
 }
 
-// boundStructural is the LowerBoundFrom of a bound that
-// hypergraph.WidthLowerBound proved.
-const boundStructural = "structural"
+// LowerBoundFrom values of bounds the service itself establishes:
+// boundStructural for hypergraph.WidthLowerBound, boundMemo for the
+// store's cached bounds.
+const (
+	boundStructural = "structural"
+	boundMemo       = "memo"
+)
 
 // run executes an admitted job on the caller's goroutine. It first
 // computes the hypergraph's structural lower bound on hypertree width
 // (hypergraph.WidthLowerBound) under the job's deadline: a decide job
 // with K below it answers NO without a search or a memo table, and an
-// optimal job's race starts at it. Every search runs the paper's
-// headline configuration, log-k-decomp hybridised with det-k-decomp
-// (logk.PaperHybrid at logk.PaperHybridThreshold): decide and optimal
-// jobs alike, hence every query plan too. Every job searches with
-// TokenBudget+1 workers, drawing the extra ones from the shared token
-// pool, and an optimal job runs the racer's default number of
-// concurrent probes.
+// optimal job's width ladder starts at it. Every search runs the
+// paper's headline configuration, log-k-decomp hybridised with
+// det-k-decomp (logk.PaperHybrid at logk.PaperHybridThreshold): decide
+// and optimal jobs alike, hence every query plan too. Every search runs
+// with TokenBudget+1 workers, drawing the extra ones from the shared
+// token pool.
 func (s *Service) run(ctx context.Context, req Request, hash string) (res Result) {
 	ctx, cancel := s.WithTimeout(ctx, req.Timeout)
 	defer cancel()
@@ -687,14 +672,9 @@ func (s *Service) run(ctx context.Context, req Request, hash string) (res Result
 
 	memo, existed := s.store.Memo(hash, req.K)
 	res.CacheShared = existed
-	solver := logk.New(req.H, logk.Options{
-		K:               req.K,
-		Workers:         s.budget.Size() + 1,
-		Hybrid:          logk.PaperHybrid,
-		HybridThreshold: logk.PaperHybridThreshold,
-		Tokens:          s.budget,
-		Memo:            memo,
-	})
+	opts := s.searchOptions()
+	opts.K, opts.Memo = req.K, memo
+	solver := logk.New(req.H, opts)
 	d, ok, err := solver.Decompose(ctx)
 	res.Decomp, res.OK, res.Err = d, ok, err
 	res.Stats = solver.Stats()
@@ -714,32 +694,39 @@ func (s *Service) run(ctx context.Context, req Request, hash string) (res Result
 	return res
 }
 
-// runOptimal executes an admitted ModeOptimal job: a width race over
-// 1..K sharing the service's worker budget and store, starting at the
-// larger of the cached lower bound and lb, the structural one (capped
-// at K+1). Refutations are banked twice — state-level in the per-width
-// memo tables, width-level in the store's bounds — so later jobs on the
-// same structure start from tighter bounds whether they decide or
-// optimise.
-func (s *Service) runOptimal(ctx context.Context, req Request, hash string, lb int) Result {
-	cfg := race.Config{
-		KMax:            req.K,
+// searchOptions is the one search configuration of every job, its
+// width and memo table aside.
+func (s *Service) searchOptions() logk.Options {
+	return logk.Options{
 		Workers:         s.budget.Size() + 1,
 		Hybrid:          logk.PaperHybrid,
 		HybridThreshold: logk.PaperHybridThreshold,
 		Tokens:          s.budget,
 	}
-	res := Result{cancelledByWidth: make(map[int]int64)}
-	cfg.MemoFor = func(k int) logk.MemoBackend {
-		table, existed := s.store.Memo(hash, k)
-		if existed {
-			res.CacheShared = true
-		}
-		return table
+}
+
+// runOptimal executes an admitted ModeOptimal job: logk.Optimal's width
+// ladder over widths up to K under the service's search configuration
+// and store, starting at the larger of the cached lower bound and lb,
+// the structural one (capped at K+1). Refutations are banked twice —
+// state-level in the per-width memo tables, width-level in the store's
+// bounds — so later jobs on the same structure start from tighter
+// bounds whether they decide or optimise.
+func (s *Service) runOptimal(ctx context.Context, req Request, hash string, lb int) Result {
+	var res Result
+	cfg := logk.OptimalConfig{
+		Search: s.searchOptions(),
+		KMax:   req.K,
+		MemoFor: func(k int) logk.MemoBackend {
+			table, existed := s.store.Memo(hash, k)
+			if existed {
+				res.CacheShared = true
+			}
+			return table
+		},
 	}
 	if b, ok := s.store.Bounds(hash); ok {
 		cfg.LowerBound = b.LB
-		cfg.UpperBoundHint = b.UB
 		res.BoundsShared = true
 	}
 	structural := lb > max(cfg.LowerBound, 1)
@@ -747,34 +734,23 @@ func (s *Service) runOptimal(ctx context.Context, req Request, hash string, lb i
 		cfg.LowerBound = lb
 	}
 
-	rr, err := race.New(req.H, cfg).Solve(ctx)
-	res.Err = err
-	res.OK = err == nil && rr.Found
-	res.Width = rr.Width
-	res.LowerBound = rr.LowerBound
-	res.LowerBoundFrom = rr.LowerBoundFrom.String()
-	if structural && rr.LowerBoundFrom == race.BoundInitial {
+	opt, err := logk.Optimal(ctx, req.H, cfg)
+	res.Err, res.OK, res.Width = err, opt.Found, opt.Width
+	res.LowerBound = opt.LowerBound
+	res.LowerBoundFrom = opt.LowerBoundFrom.String()
+	if structural && opt.LowerBoundFrom == logk.BoundInitial {
 		res.LowerBoundFrom = boundStructural
 	}
-	res.ProbesLaunched = len(rr.Probes)
-	res.ProbesCancelled = rr.Cancelled
-	if res.OK {
-		res.Decomp = rr.Decomp
-	}
-
-	for _, p := range rr.Probes {
-		res.Stats.Add(p.Stats)
-		if p.Outcome == race.Cancelled {
-			res.cancelledByWidth[p.K]++
-		}
-	}
+	res.ProbesLaunched = opt.Probes
+	res.Stats = opt.Stats
 
 	// Bank what this job proved, even partially on timeout: the lower
-	// bound is sound regardless, the witnessed width (and its witness
-	// decomposition) only when found.
-	s.store.MergeBounds(hash, store.Bounds{LB: rr.LowerBound, UB: rr.BestWidth})
-	if rr.Decomp != nil {
-		if t := store.EncodeTree(rr.Decomp); t != nil {
+	// bound is sound regardless, the width (and its witness) only when
+	// found.
+	s.store.MergeBounds(hash, store.Bounds{LB: opt.LowerBound, UB: opt.Width})
+	if res.OK {
+		res.Decomp = opt.Decomp
+		if t := store.EncodeTree(opt.Decomp); t != nil {
 			s.store.PutDecomposition(hash, t)
 		}
 	}
@@ -817,7 +793,6 @@ func (s *Service) Stats() Stats {
 	sst := s.store.Stats()
 	s.mu.Lock()
 	st := s.stats
-	st.CancelledByWidth = maps.Clone(s.stats.CancelledByWidth)
 	s.mu.Unlock()
 	st.Running = s.running.Load()
 	st.Waiting = s.waiting.Load()

@@ -445,7 +445,8 @@ func cylinderH(n int) *hypergraph.Hypergraph {
 // run (one SolverRuns, one StructuralRefutations), opens no memo table,
 // reports the bound and banks it, so the repeat is a negative cache
 // hit. A job whose deadline has passed gets its deadline, not NO. An
-// optimal job's race starts at the bound and reports it as the source.
+// optimal job's width ladder starts at the bound and reports it as the
+// source.
 func TestStructuralRefutation(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
@@ -525,7 +526,8 @@ func TestStructuralRefutation(t *testing.T) {
 }
 
 // TestOptimalMode: a ModeOptimal job computes the exact width with a
-// valid witness, proves the bound below it, and reports racer effort.
+// valid witness, proves the bound below it, and reports the ladder's
+// effort.
 func TestOptimalMode(t *testing.T) {
 	svc := New(Config{TokenBudget: 3, MaxConcurrent: 4})
 	defer svc.Close()
@@ -544,12 +546,12 @@ func TestOptimalMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The structural bound proves widths 1 and 2 refuted before any
-	// probe runs; the race still needs a witness at 3.
+	// probe runs, so the ladder's one probe, at 3, finds the witness.
 	if res.LowerBound != 3 || res.LowerBoundFrom != "structural" {
 		t.Fatalf("lower bound %d from %q, want 3 from structural", res.LowerBound, res.LowerBoundFrom)
 	}
-	if res.ProbesLaunched < 3 {
-		t.Fatalf("launched %d probes, want one per free probe slot", res.ProbesLaunched)
+	if res.ProbesLaunched != 1 {
+		t.Fatalf("launched %d probes, want 1 (the bound is tight)", res.ProbesLaunched)
 	}
 	st := svc.Stats()
 	if st.OptimalJobs != 1 || st.ProbesLaunched == 0 {
@@ -608,7 +610,7 @@ func TestOptimalBoundsSharedAcrossRequests(t *testing.T) {
 }
 
 // TestOptimalRefutationsFeedDecideJobs: widths refuted by an optimal
-// race must answer a later plain decide job at that width straight
+// job must answer a later plain decide job at that width straight
 // from the store's bounds — no solver run at all.
 func TestOptimalRefutationsFeedDecideJobs(t *testing.T) {
 	svc := New(Config{TokenBudget: 2, MaxConcurrent: 4})
@@ -619,28 +621,28 @@ func TestOptimalRefutationsFeedDecideJobs(t *testing.T) {
 	if opt.Err != nil || !opt.OK || opt.Width != 2 {
 		t.Fatalf("optimal: ok=%v width=%d err=%v", opt.OK, opt.Width, opt.Err)
 	}
-	// The race refuted width 1 (LB=2): a decide job at K=1 is a
+	// The optimal job banked LB=2: a decide job at K=1 is a
 	// width-level negative hit.
 	dec := svc.Submit(ctx, Request{H: cycle(12), K: 1})
 	if dec.Err != nil || dec.OK {
 		t.Fatalf("decide: ok=%v err=%v", dec.OK, dec.Err)
 	}
 	if !dec.CacheHit || !dec.CacheShared {
-		t.Fatalf("decide job should reuse the race's refutation: %+v", dec)
+		t.Fatalf("decide job should reuse the optimal job's refutation: %+v", dec)
 	}
 	if dec.Stats.Candidates != 0 {
 		t.Fatalf("decide searched %d candidates despite a cached refutation", dec.Stats.Candidates)
 	}
-	// And a decide at K=2 is a positive hit off the race's witness.
+	// And a decide at K=2 is a positive hit off the optimal job's witness.
 	yes := svc.Submit(ctx, Request{H: cycle(12), K: 2})
 	if !yes.OK || !yes.CacheHit {
-		t.Fatalf("decide K=2 should hit the race's cached witness: %+v", yes)
+		t.Fatalf("decide K=2 should hit the optimal job's cached witness: %+v", yes)
 	}
 	if err := decomp.CheckHD(yes.Decomp); err != nil {
 		t.Fatal(err)
 	}
 	if st := svc.Stats(); st.SolverRuns != 1 {
-		t.Fatalf("SolverRuns=%d, want 1 (only the race searched)", st.SolverRuns)
+		t.Fatalf("SolverRuns=%d, want 1 (only the optimal job searched)", st.SolverRuns)
 	}
 }
 
@@ -677,9 +679,8 @@ func TestMemoTablesSurviveTimeouts(t *testing.T) {
 	}
 }
 
-// TestOptimalUnderConcurrentLoad: optimal and decide jobs racing
-// together, each free to draw on the whole token pool and the optimal
-// ones running the racer's default probe count, must stay within the
+// TestOptimalUnderConcurrentLoad: optimal and decide jobs running
+// together, each free to draw on the whole token pool, must stay within the
 // global token budget and all answer correctly — the serving-layer
 // guarantee this test checks under -race.
 func TestOptimalUnderConcurrentLoad(t *testing.T) {
@@ -731,7 +732,7 @@ func TestOptimalUnderConcurrentLoad(t *testing.T) {
 	}
 	st := svc.Stats()
 	if st.TokensHighWater > budget {
-		t.Fatalf("token budget exceeded under racing load: %d > %d", st.TokensHighWater, budget)
+		t.Fatalf("token budget exceeded under concurrent load: %d > %d", st.TokensHighWater, budget)
 	}
 	if st.TokensInUse != 0 {
 		t.Fatalf("tokens leaked: %d in use after drain", st.TokensInUse)

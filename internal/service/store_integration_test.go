@@ -270,7 +270,7 @@ func TestOptimalTimeoutBanksPartialBounds(t *testing.T) {
 
 	b, ok := svc.Store().Bounds(h.ContentHash())
 	if res.Err != nil {
-		// The expected path: timed out mid-race. The widths refuted so
+		// The expected path: timed out mid-ladder. The widths refuted so
 		// far must be banked (width 1 refutes in microseconds, so the
 		// partial lower bound is ≥ 2).
 		if res.LowerBound < 2 {
@@ -282,7 +282,7 @@ func TestOptimalTimeoutBanksPartialBounds(t *testing.T) {
 		}
 		return
 	}
-	// Fast machine: the race finished. The exact bounds must be banked.
+	// Fast machine: the ladder finished. The exact bounds must be banked.
 	if !ok || !b.Exact() || b.UB != res.Width {
 		t.Fatalf("final bounds not banked: width=%d store=%+v ok=%v", res.Width, b, ok)
 	}

@@ -13,8 +13,8 @@ const memoMaxStates = 1 << 20
 // Table is the in-memory Memo implementation: a sharded negative-memo
 // map (logk.ShardedMemo) with an advisory entry cap so a pathological
 // workload cannot grow one table without bound. It is the adapter that
-// banks solver refutations — logk search states and race width probes
-// alike — into the store.
+// banks solver refutations — logk search states of decide jobs and
+// optimal jobs' width probes alike — into the store.
 type Table struct {
 	memo    logk.ShardedMemo
 	entries atomic.Int64
