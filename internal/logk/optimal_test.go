@@ -138,6 +138,22 @@ func TestOptimalUnsolvableWithinKMax(t *testing.T) {
 	}
 }
 
+// TestOptimalOneShot covers a plain call from the trivial bound: a cycle
+// is found at width 2 with a valid witness, and clique(5) is not found
+// at KMax 2.
+func TestOptimalOneShot(t *testing.T) {
+	res, err := Optimal(context.Background(), cycle(10), OptimalConfig{KMax: 4})
+	if err != nil || !res.Found || res.Width != 2 {
+		t.Fatalf("found=%v w=%d err=%v", res.Found, res.Width, err)
+	}
+	if err := decomp.CheckHD(res.Decomp); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := Optimal(context.Background(), clique(5), OptimalConfig{KMax: 2}); err != nil || res.Found {
+		t.Fatalf("clique(5) at KMax 2: found=%v err=%v", res.Found, err)
+	}
+}
+
 // TestOptimalTrustsLowerBound: a caller's lower bound skips the
 // refutation work entirely and is reported as the initial bound.
 func TestOptimalTrustsLowerBound(t *testing.T) {
