@@ -129,7 +129,7 @@ stress:
 # order, answer columns independent of IndexSets, and deduplicated
 # cached inline databases; and the execution tree's walls: contracted
 # plans independent of the solver, and contraction's properties on
-# random racer HDs; the bag cache's walls: warm hits, the row budget on
+# random optimal-width HDs of the width ladder; the bag cache's walls: warm hits, the row budget on
 # a hit, concurrent identical queries and the snapshot scope; and the
 # executor's abort walls: a cancellation at any context check returns
 # context.Canceled, and the row budget fires inside the join loop; an

@@ -118,6 +118,27 @@ func TestServeDecideCachedRefutationReportsBound(t *testing.T) {
 	}
 }
 
+// TestServeDecideSearchRefutationReportsBound: a decide job that a
+// search refutes reports lower_bound K+1 from "probe", as structural and
+// cached refutations report theirs. earedPrism(8) at k=2 is one the
+// structural bound (2) leaves to the search; its repeat is a cache hit
+// with the same bound from "memo".
+func TestServeDecideSearchRefutationReportsBound(t *testing.T) {
+	ts, _ := newTestServer(t)
+	body, _ := json.Marshal(map[string]any{"hypergraph": earedPrism(8), "k": 2})
+	_, first := postJSON(t, ts.URL+"/decompose", string(body))
+	if first.OK || first.Error != "" || first.CacheHit || first.Stats == nil || first.Stats.DetKCandidates+first.Stats.Candidates == 0 {
+		t.Fatalf("earedPrism(8) k=2: %+v, want a NO found by a search", first)
+	}
+	if first.LowerBound != 3 || first.LowerBoundFrom != "probe" {
+		t.Fatalf("earedPrism(8) k=2: lower bound %d from %q, want 3 from probe", first.LowerBound, first.LowerBoundFrom)
+	}
+	_, again := postJSON(t, ts.URL+"/decompose", string(body))
+	if again.OK || !again.CacheHit || again.LowerBound != 3 || again.LowerBoundFrom != "memo" {
+		t.Fatalf("repeat: %+v, want a cached NO with lower bound 3 from memo", again)
+	}
+}
+
 // prism8 is the 8-prism C_8 × K_2 (hw 3) in HyperBench syntax. In this
 // vertex order the structural lower bound is 3: it refutes width 2
 // without a search.

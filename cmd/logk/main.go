@@ -5,42 +5,45 @@
 //	logk -graph query.hg -k 3 [-method hybrid] [-workers 8] [-timeout 1h]
 //
 // The input uses the HyperBench format (name(v1,v2,...) terms separated
-// by commas). With -k 0 the tool searches for the optimal width. Methods:
+// by commas). Methods:
 //
 //	logk    log-k-decomp (default)
 //	hybrid  log-k-decomp with det-k-decomp hybridisation
 //	detk    det-k-decomp
 //	basic   the unoptimised Algorithm 1 (tiny inputs only)
 //	ghd     BalancedGo-style generalized HD search
-//	opt     direct optimal-width solver (ignores -k)
+//
+// With -k 0 the tool computes the optimal width with logk, hybrid or
+// detk: logk.Optimal decides widths 1, 2, … up to -maxk and stops at the
+// first that admits an HD. detk runs as log-k-decomp whose hybrid hands
+// the whole hypergraph to det-k-decomp, which is det-k-decomp itself.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"time"
 
 	"repro/internal/balgo"
 	"repro/internal/decomp"
-	"repro/internal/detk"
 	"repro/internal/hypergraph"
 	"repro/internal/logk"
-	"repro/internal/opt"
 )
 
 func main() {
 	var (
 		graphPath = flag.String("graph", "", "hypergraph file (HyperBench format); '-' for stdin")
 		k         = flag.Int("k", 0, "width bound; 0 searches for the optimal width")
-		method    = flag.String("method", "logk", "logk | hybrid | detk | basic | ghd | opt")
+		method    = flag.String("method", "logk", "logk | hybrid | detk | basic | ghd")
 		workers   = flag.Int("workers", 1, "parallel workers for logk/hybrid")
 		timeout   = flag.Duration("timeout", time.Hour, "solve budget")
 		maxK      = flag.Int("maxk", 10, "width search bound when -k 0")
 		dot       = flag.Bool("dot", false, "emit Graphviz dot instead of the tree rendering")
 		quiet     = flag.Bool("quiet", false, "print only the verdict line")
-		stats     = flag.Bool("stats", false, "print solver statistics (logk/hybrid)")
+		stats     = flag.Bool("stats", false, "print solver statistics (logk/hybrid/detk)")
 	)
 	flag.Parse()
 	if *graphPath == "" {
@@ -112,43 +115,42 @@ func readGraph(path string) (*hypergraph.Hypergraph, error) {
 	return hypergraph.Parse(f)
 }
 
-func solve(ctx context.Context, h *hypergraph.Hypergraph, method string, k, maxK, workers int) (*decomp.Decomp, int, bool, *logk.Stats, error) {
-	if method == "opt" || k == 0 {
-		if method != "opt" && method != "logk" && method != "hybrid" && method != "detk" {
-			return nil, 0, false, nil, fmt.Errorf("width search (-k 0) supports methods opt/logk/hybrid/detk")
-		}
-		if method == "opt" {
-			w, d, ok, err := opt.New(h, maxK).Solve(ctx)
-			return d, w, ok, nil, err
-		}
-		for w := 1; w <= maxK; w++ {
-			d, _, ok, st, err := solve(ctx, h, method, w, maxK, workers)
-			if err != nil || ok {
-				return d, w, ok, st, err
-			}
-		}
-		return nil, 0, false, nil, nil
-	}
-
+// searchOptions returns the log-k-decomp configuration of method, and
+// false for a method that is not one: detk hands the whole hypergraph
+// to det-k-decomp, as no EdgeCount reaches an infinite threshold.
+func searchOptions(method string, workers int) (logk.Options, bool) {
 	switch method {
 	case "logk":
-		s := logk.New(h, logk.Options{K: k, Workers: workers})
-		d, ok, err := s.Decompose(ctx)
-		st := s.Stats()
-		return d, k, ok, &st, err
+		return logk.Options{Workers: workers}, true
 	case "hybrid":
-		s := logk.New(h, logk.Options{K: k, Workers: workers,
-			Hybrid: logk.PaperHybrid, HybridThreshold: logk.PaperHybridThreshold})
+		return logk.Options{Workers: workers, Hybrid: logk.PaperHybrid, HybridThreshold: logk.PaperHybridThreshold}, true
+	case "detk":
+		return logk.Options{Hybrid: logk.HybridEdgeCount, HybridThreshold: math.Inf(1)}, true
+	}
+	return logk.Options{}, false
+}
+
+func solve(ctx context.Context, h *hypergraph.Hypergraph, method string, k, maxK, workers int) (*decomp.Decomp, int, bool, *logk.Stats, error) {
+	opts, isLogK := searchOptions(method, workers)
+	if k == 0 {
+		if !isLogK {
+			return nil, 0, false, nil, fmt.Errorf("width search (-k 0) supports methods logk/hybrid/detk")
+		}
+		res, err := logk.Optimal(ctx, h, logk.OptimalConfig{Search: opts, KMax: maxK})
+		return res.Decomp, res.Width, res.Found, &res.Stats, err
+	}
+
+	switch {
+	case isLogK:
+		opts.K = k
+		s := logk.New(h, opts)
 		d, ok, err := s.Decompose(ctx)
 		st := s.Stats()
 		return d, k, ok, &st, err
-	case "detk":
-		d, ok, err := detk.New(h, k).Decompose(ctx)
-		return d, k, ok, nil, err
-	case "basic":
+	case method == "basic":
 		d, ok, err := logk.NewBasic(h, k).Decompose(ctx)
 		return d, k, ok, nil, err
-	case "ghd":
+	case method == "ghd":
 		d, ok, err := balgo.New(h, balgo.Options{K: k}).Decompose(ctx)
 		return d, k, ok, nil, err
 	default:

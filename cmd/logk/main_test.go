@@ -45,8 +45,8 @@ func TestSolveAllMethods(t *testing.T) {
 func TestSolveWidthSearch(t *testing.T) {
 	h := triangle(t)
 	ctx := context.Background()
-	for _, method := range []string{"opt", "logk", "hybrid", "detk"} {
-		d, width, ok, _, err := solve(ctx, h, method, 0, 5, 1)
+	for _, method := range []string{"logk", "hybrid", "detk"} {
+		d, width, ok, st, err := solve(ctx, h, method, 0, 5, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", method, err)
 		}
@@ -56,6 +56,11 @@ func TestSolveWidthSearch(t *testing.T) {
 		if d == nil {
 			t.Fatalf("%s: no decomposition returned", method)
 		}
+		// detk searches no λ(c) of log-k-decomp's own: every width goes
+		// to det-k-decomp whole.
+		if method == "detk" && (st.Candidates != 0 || st.HybridCalls != 2 || st.DetKCandidates == 0) {
+			t.Fatalf("detk: stats %+v, want both widths handed to det-k-decomp", st)
+		}
 	}
 }
 
@@ -64,8 +69,10 @@ func TestSolveRejectsBadMethod(t *testing.T) {
 	if _, _, _, _, err := solve(context.Background(), h, "nope", 2, 5, 1); err == nil {
 		t.Fatal("unknown method should error")
 	}
-	if _, _, _, _, err := solve(context.Background(), h, "ghd", 0, 5, 1); err == nil {
-		t.Fatal("width search with ghd should error")
+	for _, method := range []string{"ghd", "basic", "opt"} {
+		if _, _, _, _, err := solve(context.Background(), h, method, 0, 5, 1); err == nil {
+			t.Fatalf("width search with %s should error", method)
+		}
 	}
 }
 

@@ -52,8 +52,8 @@ func main() {
 		d.NumNodes(), d.Depth())
 	fmt.Print(d)
 
-	// The exact width, computed directly.
-	w, _, ok, err := htd.OptimalWidth(ctx, h, 5)
+	// The exact width: every width below it refuted, up to width 5.
+	w, _, ok, err := htd.DecomposeOptimal(ctx, h, htd.OptimalOptions{KMax: 5})
 	if err != nil || !ok {
 		log.Fatalf("optimal width: ok=%v err=%v", ok, err)
 	}

@@ -6,7 +6,8 @@ package htd
 // optimised solver (sequential and parallel), det-k-decomp, the GHD
 // solver, and the optimal-width ladder: all decisions must agree, every
 // returned decomposition must pass the independent CheckHD / CheckGHD
-// checkers, and the ladder's width must equal the serial optimum. No
+// checkers, and the ladder's width must equal that of a plain det-k
+// loop (det-k-decomp at k = 1, 2, …). No
 // valid decomposition, HD or GHD, may be narrower than the structural
 // lower bound (hypergraph.WidthLowerBound), which is at most ghw ≤ hw.
 //
@@ -19,9 +20,9 @@ import (
 	"time"
 
 	"repro/internal/decomp"
+	"repro/internal/detk"
 	"repro/internal/hyperbench"
 	"repro/internal/logk"
-	"repro/internal/opt"
 )
 
 func FuzzDecomposeCheckHD(f *testing.F) {
@@ -45,7 +46,7 @@ func FuzzDecomposeCheckHD(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
-		// Keep the exhaustive oracles (Algorithm 1, serial opt) fast.
+		// Keep the exhaustive oracles (Algorithm 1, the det-k loop) fast.
 		if h.NumEdges() == 0 || h.NumEdges() > 8 || h.NumVertices() > 10 {
 			t.Skip()
 		}
@@ -104,25 +105,28 @@ func FuzzDecomposeCheckHD(f *testing.F) {
 		}
 		check("ghd", d, ok, err, true)
 
-		// The width ladder, from the structural bound, must agree with
-		// the serial optimum exactly.
+		// The width ladder, from the structural bound, must agree
+		// exactly with det-k-decomp tried at k = 1, 2, …, kMax.
 		const kMax = 4
-		wantW, _, wantFound, err := opt.New(h, kMax).Solve(ctx)
-		if err != nil {
-			t.Fatalf("serial optimal solver errored: %v\ninstance:\n%s", err, h)
+		wantW, wantFound := 0, false
+		for w := 1; w <= kMax && !wantFound; w++ {
+			if _, wantFound, err = detk.New(h, w).Decompose(ctx); err != nil {
+				t.Fatalf("det-k loop errored: %v\ninstance:\n%s", err, h)
+			}
+			wantW = w
 		}
 		gotW, gotD, found, err := DecomposeOptimal(ctx, h, OptimalOptions{KMax: kMax, Search: Options{Workers: 2}})
 		if err != nil {
 			t.Fatalf("width ladder errored: %v\ninstance:\n%s", err, h)
 		}
 		if found != wantFound {
-			t.Fatalf("width ladder found=%v, serial optimum found=%v\ninstance:\n%s", found, wantFound, h)
+			t.Fatalf("width ladder found=%v, det-k loop found=%v\ninstance:\n%s", found, wantFound, h)
 		}
 		if !found {
 			return
 		}
 		if gotW != wantW {
-			t.Fatalf("width ladder width %d, serial optimum %d\ninstance:\n%s", gotW, wantW, h)
+			t.Fatalf("width ladder width %d, det-k loop %d\ninstance:\n%s", gotW, wantW, h)
 		}
 		if verr := decomp.CheckHD(gotD); verr != nil {
 			t.Fatalf("width ladder witness invalid: %v\ninstance:\n%s", verr, h)

@@ -8,8 +8,8 @@
 //	Depth", PODS 2022 (arXiv:2104.13793),
 //
 // together with the systems that paper evaluates against: det-k-decomp
-// (NewDetKDecomp), a BalancedGo-style GHD solver, and a direct
-// optimal-width solver.
+// (NewDetKDecomp) and a BalancedGo-style GHD solver. DecomposeOptimal
+// computes the exact width by deciding widths in ascending order.
 //
 // # Quick start
 //
@@ -35,7 +35,6 @@ import (
 	"repro/internal/hypergraph"
 	"repro/internal/join"
 	"repro/internal/logk"
-	"repro/internal/opt"
 	"repro/internal/query"
 	"repro/internal/service"
 	"repro/internal/store"
@@ -112,14 +111,6 @@ func DecomposeDetK(ctx context.Context, h *Hypergraph, k int) (*Decomposition, b
 // of the augmentation (0 picks the default of 2).
 func DecomposeGHD(ctx context.Context, h *Hypergraph, k, subedgeOrder int) (*Decomposition, bool, error) {
 	return balgo.New(h, balgo.Options{K: k, SubedgeOrder: subedgeOrder}).Decompose(ctx)
-}
-
-// OptimalWidth computes hw(H) exactly (searching widths 1..maxK) and a
-// witness decomposition. ok is false when hw(H) > maxK. It probes
-// widths serially with the det-k-style exact solver, on one thread;
-// DecomposeOptimal is the log-k-decomp equivalent.
-func OptimalWidth(ctx context.Context, h *Hypergraph, maxK int) (int, *Decomposition, bool, error) {
-	return opt.New(h, maxK).Solve(ctx)
 }
 
 // OptimalOptions configures DecomposeOptimal: the log-k-decomp search

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/logk"
 )
 
 const triangleSrc = "r1(x,y), r2(y,z), r3(z,x)."
@@ -57,14 +59,36 @@ func TestDetKAndGHDBaselines(t *testing.T) {
 	}
 }
 
-func TestOptimalWidthPublic(t *testing.T) {
-	h, _ := ParseString(triangleSrc)
-	w, d, ok, err := OptimalWidth(context.Background(), h, 4)
-	if err != nil || !ok {
-		t.Fatalf("ok=%v err=%v", ok, err)
+// TestNoEdgesAllSolvers: a hypergraph with no edges, which a Builder
+// accepts, gets the same answer from every solver: YES with a valid
+// decomposition, at every width.
+func TestNoEdgesAllSolvers(t *testing.T) {
+	var b Builder
+	h := b.Build()
+	ctx := context.Background()
+	for _, k := range []int{1, 2} {
+		solvers := map[string]func() (*Decomposition, bool, error){
+			"logk":  func() (*Decomposition, bool, error) { return DecomposeK(ctx, h, k) },
+			"basic": func() (*Decomposition, bool, error) { return logk.NewBasic(h, k).Decompose(ctx) },
+			"detk":  func() (*Decomposition, bool, error) { return DecomposeDetK(ctx, h, k) },
+			"ghd":   func() (*Decomposition, bool, error) { return DecomposeGHD(ctx, h, k, 0) },
+		}
+		for name, solve := range solvers {
+			d, ok, err := solve()
+			if err != nil || !ok {
+				t.Fatalf("%s k=%d: ok=%v err=%v, want YES", name, k, ok, err)
+			}
+			if err := Validate(d); err != nil {
+				t.Fatalf("%s k=%d: %v", name, k, err)
+			}
+			if err := ValidateWidth(d, k); err != nil {
+				t.Fatalf("%s k=%d: %v", name, k, err)
+			}
+		}
 	}
-	if w != 2 {
-		t.Fatalf("optimal width = %d, want 2", w)
+	w, d, ok, err := DecomposeOptimal(ctx, h, OptimalOptions{KMax: 2})
+	if err != nil || !ok || w != 1 {
+		t.Fatalf("DecomposeOptimal: width=%d ok=%v err=%v, want width 1", w, ok, err)
 	}
 	if err := Validate(d); err != nil {
 		t.Fatal(err)

@@ -162,12 +162,16 @@ func (s *Solver) rec(g *ext.Graph, conn *bitset.Set) (*decomp.Node, bool, error)
 	if err := s.ctx.Err(); err != nil {
 		return nil, false, err
 	}
-	if len(g.Edges) == 0 && len(g.Specials) == 1 {
-		sp := g.Specials[0]
-		return decomp.NewSpecialLeaf(sp.ID, sp.Vertices), true, nil
-	}
-	if len(g.Edges) == 0 && len(g.Specials) > 1 {
-		return nil, false, nil
+	if len(g.Edges) == 0 {
+		switch len(g.Specials) {
+		case 0: // a hypergraph with no edges: one node with an empty bag
+			return decomp.NewNode(nil, s.H.NewVertexSet()), true, nil
+		case 1:
+			sp := g.Specials[0]
+			return decomp.NewSpecialLeaf(sp.ID, sp.Vertices), true, nil
+		default:
+			return nil, false, nil
+		}
 	}
 
 	key := string(g.KeyStrict(conn, nil))

@@ -103,21 +103,18 @@ func (s *Solver) rec(g *ext.Graph, conn *bitset.Set, depth int) (*decomp.Node, b
 		s.Stats.MaxDepth = depth
 	}
 	// Base cases (mirroring lines 12-15 of Algorithm 1 plus the negative
-	// base case of Appendix C).
-	if len(g.Edges) == 0 {
-		switch len(g.Specials) {
-		case 0:
-			return nil, false, nil // nothing to cover: caller never passes this
-		case 1:
-			sp := g.Specials[0]
-			return decomp.NewSpecialLeaf(sp.ID, sp.Vertices), true, nil
-		default:
-			return nil, false, nil // ≥2 specials need a fresh edge: impossible
-		}
-	}
+	// base case of Appendix C). A hypergraph with no edges gets one node
+	// with an empty bag, as log-k-decomp answers it.
 	if len(g.Edges) <= s.K && len(g.Specials) == 0 {
 		bag := s.H.Union(g.Edges)
 		return decomp.NewNode(g.Edges, bag), true, nil
+	}
+	if len(g.Edges) == 0 {
+		if len(g.Specials) == 1 {
+			sp := g.Specials[0]
+			return decomp.NewSpecialLeaf(sp.ID, sp.Vertices), true, nil
+		}
+		return nil, false, nil // ≥2 specials need a fresh edge: impossible
 	}
 
 	s.keyBuf = g.KeyStrict(conn, s.keyBuf[:0])

@@ -40,7 +40,7 @@ func shortName(m string) string {
 		return "LogK"
 	case "log-k-decomp Hybrid":
 		return "Hyb"
-	case "log-k-decomp Ladder":
+	case ladderName:
 		return "Ladder"
 	case "BalancedGo(GHD)":
 		return "BalGo"
@@ -48,14 +48,15 @@ func shortName(m string) string {
 	return m
 }
 
-// provenanceNote summarises lower-bound provenance over the ladder
-// method's solved results ("" when no ladder method ran): how many
-// optimality proofs rest on the structural bound (hw − 1 refuted
-// without a search) and how many on a probe's refutation.
+// provenanceNote summarises lower-bound provenance over MethodLadder's
+// solved results ("" when it solved none): how many optimality proofs
+// rest on the structural bound (hw − 1 refuted without a search) and
+// how many on a probe's refutation. The HtdLEO stand-in runs a ladder
+// too, but from width 1, so its results are not counted.
 func provenanceNote(results []Result) string {
 	counts := map[string]int{}
 	for _, r := range results {
-		if r.Solved && r.LBSource != "" {
+		if r.Solved && r.Method == ladderName {
 			counts[r.LBSource]++
 		}
 	}

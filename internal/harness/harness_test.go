@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -55,9 +56,9 @@ func TestRunOptimalMethod(t *testing.T) {
 	}
 }
 
-// TestRunRaceMethod: the optimal-width column, the width ladder from
+// TestRunLadderMethod: the optimal-width column, the width ladder from
 // the structural bound, solves and proves cycle(8) with one probe.
-func TestRunRaceMethod(t *testing.T) {
+func TestRunLadderMethod(t *testing.T) {
 	r := &Runner{Timeout: 10 * time.Second, KMax: 4}
 	res := r.Run(context.Background(), MethodLadder(2), cycleInstance(8))
 	if res.Err != nil {
@@ -74,11 +75,11 @@ func TestRunRaceMethod(t *testing.T) {
 	}
 }
 
-// TestRunRaceValidatesBeforeCountingSolved: the width ladder's claim is
+// TestRunLadderValidatesBeforeCountingSolved: the width ladder's claim is
 // not trusted — the harness re-checks the witness with the independent
 // checker, exactly like the width-parameterised methods. A method whose
 // ladder returns a corrupted report must not count as solved.
-func TestRunRaceValidatesBeforeCountingSolved(t *testing.T) {
+func TestRunLadderValidatesBeforeCountingSolved(t *testing.T) {
 	r := &Runner{Timeout: 10 * time.Second, KMax: 4}
 	in := cycleInstance(8)
 	lying := Method{
@@ -173,6 +174,24 @@ func TestTable1SmallSuite(t *testing.T) {
 	out := tab.Render()
 	if !strings.Contains(out, "Hyb#") || !strings.Contains(out, "Total") {
 		t.Fatalf("table malformed:\n%s", out)
+	}
+
+	// The provenance note counts the ladder column's solved results
+	// only, not the HtdLEO stand-in's, which runs a ladder too.
+	var structural, probe, trivial int
+	found := false
+	for _, note := range tab.Notes {
+		if _, err := fmt.Sscanf(note, "Ladder lower-bound provenance (solved): structural=%d probe=%d trivial=%d",
+			&structural, &probe, &trivial); err == nil {
+			found = true
+		}
+	}
+	solved := Aggregate(results, func(r Result) bool { return r.Method == ladderName }).Solved
+	if !found || solved == 0 {
+		t.Fatalf("no provenance note or no ladder solve (solved=%d):\n%s", solved, out)
+	}
+	if sum := structural + probe + trivial; sum != solved {
+		t.Fatalf("provenance note counts %d proofs, the ladder column solved %d:\n%s", sum, solved, out)
 	}
 }
 

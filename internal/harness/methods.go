@@ -2,13 +2,12 @@ package harness
 
 import (
 	"context"
+	"math"
 
 	"repro/internal/balgo"
-	"repro/internal/decomp"
 	"repro/internal/detk"
 	"repro/internal/hypergraph"
 	"repro/internal/logk"
-	"repro/internal/opt"
 )
 
 // The standard method roster of the evaluation. Names follow the paper.
@@ -24,13 +23,21 @@ func MethodDetK() Method {
 }
 
 // MethodOpt is the HtdLEO [24] stand-in: a direct optimal-width solver
-// with no width parameter (see internal/opt and docs/RESULTS.md,
-// "Substitutions").
+// with no width parameter (see docs/RESULTS.md, "Substitutions"). It is
+// logk.Optimal's width ladder from width 1 on one worker, with a search
+// that hands the whole hypergraph to det-k-decomp: no EdgeCount reaches
+// an infinite threshold, so the hybrid switches at the root. That is
+// the ascending det-k search of "A Backtracking-Based Algorithm for
+// Computing Hypertree-Decompositions". Like every paper column, it does
+// not use the structural lower bound.
 func MethodOpt() Method {
 	return Method{
 		Name: "HtdLEO(sim)",
-		SolveOptimal: func(ctx context.Context, h *hypergraph.Hypergraph, kMax int) (int, *decomp.Decomp, bool, error) {
-			return opt.New(h, kMax).Solve(ctx)
+		SolveLadder: func(ctx context.Context, h *hypergraph.Hypergraph, kMax int) (logk.OptimalResult, error) {
+			return logk.Optimal(ctx, h, logk.OptimalConfig{
+				Search: logk.Options{Workers: 1, Hybrid: logk.HybridEdgeCount, HybridThreshold: math.Inf(1)},
+				KMax:   kMax,
+			})
 		},
 	}
 }
@@ -58,6 +65,9 @@ func MethodNamed(name string, workers int, metric logk.HybridMetric, threshold f
 	return m
 }
 
+// ladderName is MethodLadder's name.
+const ladderName = "log-k-decomp Ladder"
+
 // MethodLadder is the service's optimal-width search: logk.Optimal's
 // ascending width ladder, hybridised like the paper's headline
 // configuration and started at the structural lower bound
@@ -66,7 +76,7 @@ func MethodNamed(name string, workers int, metric logk.HybridMetric, threshold f
 // it, which is exactly the §5.1 "solved" criterion.
 func MethodLadder(workers int) Method {
 	return Method{
-		Name: "log-k-decomp Ladder",
+		Name: ladderName,
 		SolveLadder: func(ctx context.Context, h *hypergraph.Hypergraph, kMax int) (logk.OptimalResult, error) {
 			lb, err := h.WidthLowerBound(ctx, kMax)
 			if err != nil {

@@ -29,14 +29,11 @@ type WidthSolver interface {
 }
 
 // Method is one decomposition approach under evaluation. Exactly one of
-// NewParam, SolveOptimal and SolveLadder must be set.
+// NewParam and SolveLadder must be set.
 type Method struct {
 	Name string
 	// NewParam constructs a width-parameterised solver (det-k, log-k, …).
 	NewParam func(h *hypergraph.Hypergraph, k int) WidthSolver
-	// SolveOptimal runs a direct optimal-width solver (the HtdLEO-style
-	// method, which takes no width parameter).
-	SolveOptimal func(ctx context.Context, h *hypergraph.Hypergraph, kMax int) (int, *decomp.Decomp, bool, error)
 	// SolveLadder runs an optimal-width ladder (logk.Optimal) and returns
 	// its full report, including the lower bound and its provenance.
 	SolveLadder func(ctx context.Context, h *hypergraph.Hypergraph, kMax int) (logk.OptimalResult, error)
@@ -74,8 +71,8 @@ type Result struct {
 	Bounds map[int]BoundState
 	// LBSource records how a ladder method proved its lower bound:
 	// "structural" (hypergraph.WidthLowerBound), "probe" (refuted during
-	// the run) or "trivial" (optimum was width 1). Empty for the other
-	// methods.
+	// the run) or "trivial" (optimum was width 1). Empty for the
+	// width-parameterised methods.
 	LBSource string
 	// Err records validation failures or internal errors (never expected).
 	Err error
@@ -87,9 +84,9 @@ type Runner struct {
 	// one-hour limit (scaled down; see docs/RESULTS.md,
 	// "Substitutions"). A width-parameterised method (runParam: det-k,
 	// log-k, the hybrid) gets one Timeout per width it tries, so up to
-	// KMax per instance; an optimal method (runOptimal: the HtdLEO
-	// stand-in; runLadder: the width ladder) gets one Timeout for its
-	// whole search.
+	// KMax per instance; a ladder method (runLadder: the HtdLEO
+	// stand-in and the width ladder) gets one Timeout for its whole
+	// search.
 	Timeout time.Duration
 	// KMax bounds the width search (the paper used widths 1..10).
 	KMax int
@@ -99,9 +96,6 @@ type Runner struct {
 func (r *Runner) Run(ctx context.Context, m Method, in hyperbench.Instance) Result {
 	if m.SolveLadder != nil {
 		return r.runLadder(ctx, m, in)
-	}
-	if m.SolveOptimal != nil {
-		return r.runOptimal(ctx, m, in)
 	}
 	return r.runParam(ctx, m, in)
 }
@@ -144,44 +138,6 @@ func (r *Runner) runParam(ctx context.Context, m Method, in hyperbench.Instance)
 			res.Solved = provenBelow
 			return res
 		default:
-			res.Bounds[k] = No
-		}
-	}
-	return res
-}
-
-func (r *Runner) runOptimal(ctx context.Context, m Method, in hyperbench.Instance) Result {
-	res := Result{Instance: in, Method: m.Name, Bounds: map[int]BoundState{}}
-	runCtx, cancel := context.WithTimeout(ctx, r.Timeout)
-	defer cancel()
-	start := time.Now()
-	w, d, ok, err := m.SolveOptimal(runCtx, in.H, r.KMax)
-	res.Runtime = time.Since(start)
-	switch {
-	case err != nil && runCtx.Err() != nil:
-		res.TimedOut = true
-		if ctx.Err() != nil {
-			res.Err = ctx.Err()
-		}
-	case err != nil:
-		res.Err = err
-	case ok:
-		if verr := validate(d, w, m.GHD); verr != nil {
-			res.Err = fmt.Errorf("harness: %s on %s: %w", m.Name, in.Name, verr)
-			return res
-		}
-		res.Width = w
-		res.Solved = true
-		for k := 1; k <= r.KMax; k++ {
-			if k >= w {
-				res.Bounds[k] = Yes
-			} else {
-				res.Bounds[k] = No
-			}
-		}
-	default:
-		// Width above KMax: every bound up to KMax is refuted.
-		for k := 1; k <= r.KMax; k++ {
 			res.Bounds[k] = No
 		}
 	}

@@ -11,7 +11,8 @@ import (
 	"testing"
 
 	"repro/internal/decomp"
-	"repro/internal/opt"
+	"repro/internal/detk"
+	"repro/internal/hypergraph"
 )
 
 // The allocation budgets are deterministic: the same code makes the
@@ -64,18 +65,30 @@ func checkBudget(t *testing.T, name string, got, budget allocSample, tol float64
 	}
 }
 
-// optimalPlan is the minimum-width plan the service would run q on.
+// optimalPlan is a minimum-width plan of q.
 func optimalPlan(t testing.TB, q Query) *decomp.Decomp {
 	t.Helper()
 	h, err := q.Hypergraph()
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, d, ok, err := opt.New(h, 6).Solve(context.Background())
+	d, ok, err := minWidthPlan(h, 6)
 	if err != nil || !ok {
 		t.Fatalf("no plan of width <= 6 (ok=%v err=%v)", ok, err)
 	}
 	return d
+}
+
+// minWidthPlan runs det-k-decomp at k = 1, 2, …, kMax and returns the
+// HD of the first width that admits one.
+func minWidthPlan(h *hypergraph.Hypergraph, kMax int) (*decomp.Decomp, bool, error) {
+	for k := 1; k <= kMax; k++ {
+		d, ok, err := detk.New(h, k).Decompose(context.Background())
+		if err != nil || ok {
+			return d, ok, err
+		}
+	}
+	return nil, false, nil
 }
 
 // budgetInstance is one query and database of the executor budget.

@@ -10,8 +10,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-
-	"repro/internal/opt"
 )
 
 // addDocumentSeeds adds the testdata/*.cq documents to f's seed corpus.
@@ -198,7 +196,7 @@ func FuzzEvalDocument(f *testing.F) {
 		if err != nil {
 			t.Fatalf("naive evaluation accepted a query without a hypergraph: %v", err)
 		}
-		_, d, ok, err := opt.New(h, len(doc.Query.Atoms)).Solve(context.Background())
+		d, ok, err := minWidthPlan(h, len(doc.Query.Atoms))
 		if err != nil || !ok {
 			t.Fatalf("no plan of width <= %d (ok=%v err=%v)", len(doc.Query.Atoms), ok, err)
 		}

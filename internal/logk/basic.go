@@ -44,6 +44,11 @@ func NewBasic(h *hypergraph.Hypergraph, k int) *BasicSolver {
 func (b *BasicSolver) Decompose(ctx context.Context) (*decomp.Decomp, bool, error) {
 	b.ctx = ctx
 	m := b.H.NumEdges()
+	if m == 0 {
+		// No root λ exists, but nothing needs covering: one node with an
+		// empty bag, as Decomp's base case answers an empty subproblem.
+		return &decomp.Decomp{H: b.H, Root: decomp.NewNode(nil, b.H.NewVertexSet())}, true, nil
+	}
 	space := comb.Space{M: m, K: b.K}
 	it := comb.NewIter(space, 0, space.Total())
 	hComp := ext.Root(b.H)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -47,32 +48,32 @@ var goldenSolvers = []struct {
 // goldenRun renders one run as the golden records it: a header line
 // with the instance, k, the solver, the decide answer and the exact
 // Candidates, DetKCandidates and ParentCands, then the witness's
-// Decomp.String(). A witness must pass CheckHD and CheckWidth. ranks is
-// the sum of the three counts.
-func goldenRun(name string, h *hypergraph.Hypergraph, k int, solver string, hybrid HybridMetric, limit time.Duration) (run string, ranks int64, err error) {
+// Decomp.String(). A witness must pass CheckHD and CheckWidth. st is
+// the run's effort counters.
+func goldenRun(name string, h *hypergraph.Hypergraph, k int, solver string, hybrid HybridMetric, limit time.Duration) (run string, st Stats, err error) {
 	ctx, cancel := context.WithTimeout(context.Background(), limit)
 	defer cancel()
 	s := New(h, Options{K: k, Workers: 1, Hybrid: hybrid, HybridThreshold: PaperHybridThreshold})
 	d, ok, err := s.Decompose(ctx)
 	if err != nil {
-		return "", 0, err
+		return "", st, err
 	}
-	st := s.Stats()
+	st = s.Stats()
 	answer := "no"
 	if ok {
 		answer = "yes"
 		if err := decomp.CheckHD(d); err != nil {
-			return "", 0, fmt.Errorf("%s k=%d %s: invalid witness: %v", name, k, solver, err)
+			return "", st, fmt.Errorf("%s k=%d %s: invalid witness: %v", name, k, solver, err)
 		}
 		if err := decomp.CheckWidth(d, k); err != nil {
-			return "", 0, fmt.Errorf("%s k=%d %s: %v", name, k, solver, err)
+			return "", st, fmt.Errorf("%s k=%d %s: %v", name, k, solver, err)
 		}
 	}
 	run = fmt.Sprintf("== %s k=%d %s %s candidates=%d detk=%d parents=%d\n", name, k, solver, answer, st.Candidates, st.DetKCandidates, st.ParentCands)
 	if ok {
 		run += d.String()
 	}
-	return run, st.Candidates + st.DetKCandidates + st.ParentCands, nil
+	return run, st, nil
 }
 
 // recordGolden runs both golden solvers at k = hw - 1 and k = hw on
@@ -109,7 +110,7 @@ func recordGolden(t *testing.T) string {
 		}
 		for k := max(hw-1, 1); k <= hw; k++ {
 			for _, sv := range goldenSolvers {
-				run, ranks, err := goldenRun(in.Name, in.H, k, sv.name, sv.hybrid, goldenRecordCap)
+				run, st, err := goldenRun(in.Name, in.H, k, sv.name, sv.hybrid, goldenRecordCap)
 				if errors.Is(err, context.DeadlineExceeded) {
 					t.Logf("%s k=%d %s: over %v, left out", in.Name, k, sv.name, goldenRecordCap)
 					continue
@@ -117,7 +118,7 @@ func recordGolden(t *testing.T) string {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if ranks > goldenMaxRanks {
+				if ranks := st.Candidates + st.DetKCandidates + st.ParentCands; ranks > goldenMaxRanks {
 					t.Logf("%s k=%d %s: %d ranks, left out", in.Name, k, sv.name, ranks)
 					continue
 				}
@@ -136,6 +137,13 @@ func recordGolden(t *testing.T) string {
 // components are recursed into or stitched, or to the hybrid hand-off
 // shows up here. Refresh only for an intended change of the search,
 // with `go test ./internal/logk -run SameDecompositions -update`.
+//
+// The pure log-k runs are also Theorem 4.1's wall: their recursion
+// depth stays within ⌈log₂|E|⌉ + 2. That is the halving argument's
+// bound, as TestRecursionDepthLogarithmic derives it: every recursive
+// call at least halves the subproblem, s → ⌈s/2⌉, which takes
+// ⌈log₂|E|⌉ levels to reach a base case, plus the initial call and the
+// base case itself.
 func TestLogKSameDecompositions(t *testing.T) {
 	if *updateGolden {
 		got := recordGolden(t)
@@ -188,9 +196,12 @@ func TestLogKSameDecompositions(t *testing.T) {
 		if !known {
 			t.Fatalf("golden names solver %q, want logk or hybrid", solver)
 		}
-		got, _, err := goldenRun(name, h, k, solver, hybrid, goldenCheckCap)
+		got, st, err := goldenRun(name, h, k, solver, hybrid, goldenCheckCap)
 		if err != nil {
 			t.Fatalf("%s k=%d %s: %v", name, k, solver, err)
+		}
+		if bound := int64(math.Ceil(math.Log2(float64(h.NumEdges())))) + 2; hybrid == HybridNone && st.MaxDepth > bound {
+			t.Errorf("%s k=%d: recursion depth %d exceeds ⌈log₂ %d⌉ + 2 = %d", name, k, st.MaxDepth, h.NumEdges(), bound)
 		}
 		if got != wantRun {
 			t.Errorf("%s k=%d %s diverges from the golden:\n got:\n%s want:\n%s", name, k, solver, got, wantRun)

@@ -9,9 +9,22 @@ import (
 	"time"
 
 	"repro/internal/decomp"
+	"repro/internal/detk"
 	"repro/internal/hypergraph"
-	"repro/internal/opt"
 )
+
+// detkOptimum is the ladder's oracle, written apart from the code under
+// test: det-k-decomp at k = 1, 2, …, kMax, up to the first width that
+// admits an HD. ok is false when none does.
+func detkOptimum(ctx context.Context, h *hypergraph.Hypergraph, kMax int) (width int, ok bool, err error) {
+	for k := 1; k <= kMax; k++ {
+		_, ok, err := detk.New(h, k).Decompose(ctx)
+		if err != nil || ok {
+			return k, ok, err
+		}
+	}
+	return 0, false, nil
+}
 
 // cylinder returns the n-prism: two n-cycles joined by rungs (hw 3 for
 // n ≥ 4).
@@ -28,7 +41,7 @@ func cylinder(n int) *hypergraph.Hypergraph {
 
 // TestOptimalMatchesSerialOptimum is the core correctness test of the
 // width ladder: on instances with known widths, and on seeded random
-// hypergraphs, Optimal must agree with the serial optimal solver and
+// hypergraphs, Optimal must agree with a plain det-k loop and
 // produce a CheckHD-valid witness of exactly that width, at one and at
 // four workers, from the trivial bound and from the structural one.
 func TestOptimalMatchesSerialOptimum(t *testing.T) {
@@ -44,9 +57,9 @@ func TestOptimalMatchesSerialOptimum(t *testing.T) {
 	}
 	ctx := context.Background()
 	for _, tc := range cases {
-		wantW, _, ok, err := opt.New(tc.h, 6).Solve(ctx)
+		wantW, ok, err := detkOptimum(ctx, tc.h, 6)
 		if err != nil || !ok {
-			t.Fatalf("%s: serial oracle failed: ok=%v err=%v", tc.name, ok, err)
+			t.Fatalf("%s: det-k loop failed: ok=%v err=%v", tc.name, ok, err)
 		}
 		if wantW != tc.want {
 			t.Fatalf("%s: oracle width %d, expected %d", tc.name, wantW, tc.want)
@@ -94,19 +107,19 @@ func TestOptimalMatchesSerialOptimum(t *testing.T) {
 	}
 
 	// Seeded random hypergraphs: the ladder must find a witness exactly
-	// when the serial solver does within KMax, at the same width.
+	// when the det-k loop does within KMax, at the same width.
 	for seed := 0; seed < 200; seed++ {
 		h := randomHypergraph(rand.New(rand.NewSource(int64(seed))), 9, 9)
-		wantW, _, wantOK, err := opt.New(h, 3).Solve(ctx)
+		wantW, wantOK, err := detkOptimum(ctx, h, 3)
 		if err != nil {
-			t.Fatalf("seed %d: serial oracle: %v", seed, err)
+			t.Fatalf("seed %d: det-k loop: %v", seed, err)
 		}
 		res, err := Optimal(ctx, h, OptimalConfig{Search: Options{Workers: 4}, KMax: 3})
 		if err != nil {
 			t.Fatalf("seed %d: ladder: %v", seed, err)
 		}
 		if res.Found != wantOK || (wantOK && res.Width != wantW) {
-			t.Fatalf("seed %d: ladder found=%v width=%d, serial found=%v width=%d\n%s",
+			t.Fatalf("seed %d: ladder found=%v width=%d, det-k loop found=%v width=%d\n%s",
 				seed, res.Found, res.Width, wantOK, wantW, h)
 		}
 		if res.Found {

@@ -185,8 +185,8 @@ type Result struct {
 
 	// LowerBound is the largest proven bound: all widths < LowerBound
 	// are refuted. ModeOptimal jobs set it, even when they time out; a
-	// ModeDecide job sets it to K+1 when the structural lower bound
-	// answered it NO.
+	// ModeDecide job sets it to K+1 whenever it answers NO, whether the
+	// structural lower bound, a search or the cached bounds refuted K.
 	LowerBound int
 	// LowerBoundFrom is the provenance of LowerBound: "structural" (the
 	// hypergraph's structural lower bound, computed by this job), "probe"
@@ -681,7 +681,7 @@ func (s *Service) run(ctx context.Context, req Request, hash string) (res Result
 
 	// Bank what this definitive answer proves at the width level: a
 	// witness caps UB (and is cached for repeat submissions), an
-	// exhausted search raises LB to K+1.
+	// exhausted search raises LB to K+1 and reports it.
 	if err == nil {
 		if ok {
 			if t := store.EncodeTree(d); t != nil {
@@ -689,6 +689,7 @@ func (s *Service) run(ctx context.Context, req Request, hash string) (res Result
 			}
 		} else {
 			s.store.MergeBounds(hash, store.Bounds{LB: req.K + 1})
+			res.LowerBound, res.LowerBoundFrom = req.K+1, logk.BoundProbe.String()
 		}
 	}
 	return res
