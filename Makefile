@@ -15,7 +15,7 @@ GO ?= go
 # Load-wall report produced by `make load-gate` and uploaded nightly.
 LOAD_JSON ?= BENCH_PR7.json
 
-.PHONY: all build fmt fmt-check vet lint test race bench perfbench-smoke crash-recovery warm-restart pprof-capture load-gate stress differential walls-check fuzz fuzz-long docs-check serve ci
+.PHONY: all build fmt fmt-check vet lint test race bench perfbench-smoke crash-recovery warm-restart pprof-capture load-gate stress differential walls-check fuzz fuzz-long docs-check examples serve ci
 
 all: build
 
@@ -176,7 +176,15 @@ fuzz-long:
 docs-check:
 	$(GO) run ./cmd/docscheck .
 
+# Runs every example; each checks its own answers and exits non-zero on
+# a wrong one.
+examples:
+	@set -e; for e in quickstart serve cqeval cspsolve; do \
+		echo "$(GO) run ./examples/$$e"; \
+		$(GO) run ./examples/$$e; \
+	done
+
 serve:
 	$(GO) run ./cmd/htdserve
 
-ci: fmt-check vet lint build walls-check race bench perfbench-smoke crash-recovery warm-restart stress differential fuzz docs-check
+ci: fmt-check vet lint build walls-check race bench examples perfbench-smoke crash-recovery warm-restart stress differential fuzz docs-check

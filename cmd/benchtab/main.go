@@ -9,10 +9,7 @@
 //	benchtab -experiment figure3 -csv scatter.csv
 //
 // Experiments: table1 table2 table3 table4 table5 figure1 figure3
-// depth ghd race all
-//
-// The race experiment compares the serial k = 1..kmax width ladder
-// against optimal-mode jobs of the service, submitted concurrently.
+// depth ghd all
 //
 // The service's layers are measured end to end by perfbench/ (see
 // perfbench/README.md) against a live htdserve. Their allocation and
@@ -44,7 +41,6 @@ func main() {
 		kmax       = flag.Int("kmax", 6, "maximum width to try")
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "workers for parallel methods")
 		csvPath    = flag.String("csv", "", "write figure3 scatter CSV here")
-		rounds     = flag.Int("rounds", 3, "traffic rounds for the race experiment")
 		quiet      = flag.Bool("quiet", false, "suppress progress output")
 	)
 	flag.Parse()
@@ -125,12 +121,6 @@ func main() {
 				}
 				fmt.Printf("scatter data written to %s\n", *csvPath)
 			}
-		case "race":
-			tab, err := raceExperiment(ctx, cfg, *rounds)
-			if err != nil {
-				return err
-			}
-			fmt.Print(tab.Render())
 		case "depth":
 			fmt.Print(harness.DepthExperiment(ctx, []int{16, 32, 64, 128, 256, 512}).Render())
 		case "ghd":
@@ -156,7 +146,7 @@ func main() {
 	names := []string{*experiment}
 	if *experiment == "all" {
 		names = []string{"table1", "table2", "table3", "table4", "table5",
-			"figure1", "figure3", "depth", "ghd", "race"}
+			"figure1", "figure3", "depth", "ghd"}
 	}
 	for _, n := range names {
 		if err := run(strings.TrimSpace(n)); err != nil {

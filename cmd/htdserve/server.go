@@ -72,9 +72,10 @@ type apiResponse struct {
 
 	// The proven lower bound (sound even on timeouts) and where it came
 	// from ("structural", "probe", "memo", "trivial"): optimal jobs set
-	// both; a decide job answered NO sets them when the structural
-	// bound (K+1 from "structural") or a cached one (from "memo") gave
-	// the answer. Then the widths an optimal job searched.
+	// both; a decide job answered NO sets them too, to K+1 from
+	// "structural" or "probe" when the structural bound or its search
+	// refuted K, or to the cached bound (K+1 or more) from "memo". Then
+	// the widths an optimal job searched.
 	LowerBound     int    `json:"lower_bound,omitempty"`
 	LowerBoundFrom string `json:"lower_bound_from,omitempty"`
 	ProbesLaunched int    `json:"probes_launched,omitempty"`

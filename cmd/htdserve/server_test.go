@@ -99,22 +99,37 @@ func TestServeDecomposeEndToEnd(t *testing.T) {
 
 // TestServeDecideCachedRefutationReportsBound: a decide job answered NO
 // from the cached bounds reports the bound it was answered with, as an
-// optimal job answered from the cache does. The first triangle at k:1
-// is refuted by the structural bound, which banks LB 2; the repeat is a
-// cache hit with lower_bound 2 from "memo".
+// optimal job answered from the cache does. That is K+1 only when the
+// cached bound is: the first triangle at k:1 is refuted by the
+// structural bound, which banks LB 2, and its repeat is a cache hit
+// with lower_bound 2 from "memo"; an optimal job on the 5-clique banks
+// LB 3, and a decide job at k:1 after it reports 3 from "memo".
 func TestServeDecideCachedRefutationReportsBound(t *testing.T) {
-	ts, _ := newTestServer(t)
-	const body = `{"hypergraph":"r1(x,y), r2(y,z), r3(z,x).","k":1}`
-	_, first := postJSON(t, ts.URL+"/decompose", body)
-	if first.OK || first.CacheHit || first.LowerBound != 2 || first.LowerBoundFrom != "structural" {
-		t.Fatalf("first k=1 triangle: %+v, want a structural NO with lower bound 2", first)
-	}
-	resp, again := postJSON(t, ts.URL+"/decompose", body)
-	if resp.StatusCode != http.StatusOK || again.OK || again.Error != "" || !again.CacheHit {
-		t.Fatalf("repeat k=1 triangle: status=%d %+v, want a cached NO", resp.StatusCode, again)
-	}
-	if again.LowerBound != 2 || again.LowerBoundFrom != "memo" {
-		t.Fatalf("repeat k=1 triangle: lower bound %d from %q, want 2 from memo", again.LowerBound, again.LowerBoundFrom)
+	const (
+		triangle = `"r1(x,y), r2(y,z), r3(z,x)."`
+		clique5  = `"e01(v0,v1), e02(v0,v2), e03(v0,v3), e04(v0,v4), e12(v1,v2), e13(v1,v3), e14(v1,v4), e23(v2,v3), e24(v2,v4), e34(v3,v4)."`
+	)
+	for _, tc := range []struct {
+		name, prime, decide string
+		primeOK             bool   // the prime's answer
+		lb                  int    // the bound the prime banks and the decide job reports
+		primeFrom           string // the prime's lower_bound_from
+	}{
+		{"triangle", `{"hypergraph":` + triangle + `,"k":1}`, `{"hypergraph":` + triangle + `,"k":1}`, false, 2, "structural"},
+		{"clique5-after-optimal", `{"hypergraph":` + clique5 + `,"k":5,"mode":"optimal"}`, `{"hypergraph":` + clique5 + `,"k":1}`, true, 3, "structural"},
+	} {
+		ts, _ := newTestServer(t)
+		_, first := postJSON(t, ts.URL+"/decompose", tc.prime)
+		if first.OK != tc.primeOK || first.CacheHit || first.LowerBound != tc.lb || first.LowerBoundFrom != tc.primeFrom {
+			t.Fatalf("%s: prime %+v, want ok=%v with lower bound %d from %q", tc.name, first, tc.primeOK, tc.lb, tc.primeFrom)
+		}
+		resp, again := postJSON(t, ts.URL+"/decompose", tc.decide)
+		if resp.StatusCode != http.StatusOK || again.OK || again.Error != "" || !again.CacheHit {
+			t.Fatalf("%s: decide status=%d %+v, want a cached NO", tc.name, resp.StatusCode, again)
+		}
+		if again.LowerBound != tc.lb || again.LowerBoundFrom != "memo" {
+			t.Fatalf("%s: decide lower bound %d from %q, want %d from memo", tc.name, again.LowerBound, again.LowerBoundFrom, tc.lb)
+		}
 	}
 }
 

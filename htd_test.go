@@ -61,7 +61,8 @@ func TestDetKAndGHDBaselines(t *testing.T) {
 
 // TestNoEdgesAllSolvers: a hypergraph with no edges, which a Builder
 // accepts, gets the same answer from every solver: YES with a valid
-// decomposition, at every width.
+// decomposition, at every width. Its hypertree width is 0, the width of
+// its one node with an empty λ, and the optimal-width search says so.
 func TestNoEdgesAllSolvers(t *testing.T) {
 	var b Builder
 	h := b.Build()
@@ -87,11 +88,21 @@ func TestNoEdgesAllSolvers(t *testing.T) {
 		}
 	}
 	w, d, ok, err := DecomposeOptimal(ctx, h, OptimalOptions{KMax: 2})
-	if err != nil || !ok || w != 1 {
-		t.Fatalf("DecomposeOptimal: width=%d ok=%v err=%v, want width 1", w, ok, err)
+	if err != nil || !ok || w != 0 {
+		t.Fatalf("DecomposeOptimal: width=%d ok=%v err=%v, want width 0", w, ok, err)
 	}
 	if err := Validate(d); err != nil {
 		t.Fatal(err)
+	}
+	if err := ValidateWidth(d, w); err != nil {
+		t.Fatalf("DecomposeOptimal: %v", err)
+	}
+	res, err := logk.Optimal(ctx, h, logk.OptimalConfig{KMax: 2})
+	if err != nil || !res.Found || res.Width != 0 || res.LowerBound > res.Width {
+		t.Fatalf("logk.Optimal: %+v err=%v, want width 0 with LowerBound ≤ 0", res, err)
+	}
+	if err := ValidateWidth(res.Decomp, res.Width); err != nil {
+		t.Fatalf("logk.Optimal: %v", err)
 	}
 }
 

@@ -88,21 +88,21 @@ type Result struct {
 	// Solutions holds every satisfying assignment, as a relation over
 	// all variables.
 	Solutions *join.Relation
-	// Width is the hypertree width used for evaluation.
+	// Width is the constraint hypergraph's hypertree width, the width
+	// of Decomp.
 	Width int
 	// Decomp is the decomposition that guided evaluation.
 	Decomp *decomp.Decomp
 }
 
-// Solve decomposes the constraint hypergraph (searching widths
-// 1..MaxWidth with log-k-decomp) and evaluates the CSP with Yannakakis'
-// algorithm over the decomposition.
+// Solve decomposes the constraint hypergraph at its hypertree width, as
+// the service plans a query: logk.Optimal's width ladder from the
+// structural lower bound up to MaxWidth, under the paper's hybrid
+// configuration. It then evaluates the CSP with Yannakakis' algorithm
+// over the decomposition.
 func Solve(ctx context.Context, p *Problem, opts SolveOptions) (*Result, error) {
 	if opts.MaxWidth < 1 {
 		opts.MaxWidth = 6
-	}
-	if opts.Workers < 1 {
-		opts.Workers = 1
 	}
 	q, db, err := p.asQuery()
 	if err != nil {
@@ -112,28 +112,27 @@ func Solve(ctx context.Context, p *Problem, opts SolveOptions) (*Result, error) 
 	if err != nil {
 		return nil, err
 	}
-	var d *decomp.Decomp
-	width := 0
-	for k := 1; k <= opts.MaxWidth; k++ {
-		s := logk.New(h, logk.Options{K: k, Workers: opts.Workers,
-			Hybrid: logk.HybridWeightedCount, HybridThreshold: 20})
-		dd, ok, err := s.Decompose(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			d, width = dd, k
-			break
-		}
-	}
-	if d == nil {
-		return nil, fmt.Errorf("csp: hypertree width exceeds %d", opts.MaxWidth)
-	}
-	sols, err := join.Evaluate(q, db, d)
+	lb, err := h.WidthLowerBound(ctx, opts.MaxWidth)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Solutions: sols, Width: width, Decomp: d}, nil
+	opt, err := logk.Optimal(ctx, h, logk.OptimalConfig{
+		Search: logk.Options{Workers: opts.Workers,
+			Hybrid: logk.PaperHybrid, HybridThreshold: logk.PaperHybridThreshold},
+		KMax:       opts.MaxWidth,
+		LowerBound: lb,
+	})
+	if err != nil {
+		return nil, err
+	}
+	if !opt.Found {
+		return nil, fmt.Errorf("csp: hypertree width exceeds %d", opts.MaxWidth)
+	}
+	sols, err := join.Evaluate(q, db, opt.Decomp)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Solutions: sols, Width: opt.Width, Decomp: opt.Decomp}, nil
 }
 
 // SolveBacktrack enumerates all solutions by chronological backtracking

@@ -12,7 +12,7 @@ import (
 type BoundSource int
 
 const (
-	BoundTrivial BoundSource = iota // hw ≥ 1: the optimum was width 1
+	BoundTrivial BoundSource = iota // the optimum was the least width: 1, or 0 without edges
 	BoundInitial                    // the caller's LowerBound was tight
 	BoundProbe                      // a probe refuted width LowerBound-1
 )
@@ -66,13 +66,16 @@ type OptimalResult struct {
 // which is the paper's §5.1 "solved" criterion; the parallelism lives
 // inside each probe's search (Search.Workers, Search.Tokens).
 func Optimal(ctx context.Context, h *hypergraph.Hypergraph, cfg OptimalConfig) (OptimalResult, error) {
-	res := OptimalResult{LowerBound: max(cfg.LowerBound, 1)}
-	if res.LowerBound > 1 {
+	// hw(H) ≥ 1 unless H has no edges: then its one HD is a single node
+	// with an empty λ, of width 0.
+	floor := min(h.NumEdges(), 1)
+	res := OptimalResult{LowerBound: max(cfg.LowerBound, floor)}
+	if res.LowerBound > floor {
 		res.LowerBoundFrom = BoundInitial
 	}
 	for k := res.LowerBound; k <= cfg.KMax; k++ {
 		opts := cfg.Search
-		opts.K = k
+		opts.K = max(k, 1) // New needs K ≥ 1; any K finds the empty node
 		if cfg.MemoFor != nil {
 			opts.Memo = cfg.MemoFor(k)
 		}
@@ -85,7 +88,7 @@ func Optimal(ctx context.Context, h *hypergraph.Hypergraph, cfg OptimalConfig) (
 		}
 		if ok {
 			res.Width, res.Decomp, res.Found = k, d, true
-			if k == 1 {
+			if k == floor {
 				res.LowerBoundFrom = BoundTrivial
 			}
 			return res, nil

@@ -185,13 +185,15 @@ type Result struct {
 
 	// LowerBound is the largest proven bound: all widths < LowerBound
 	// are refuted. ModeOptimal jobs set it, even when they time out; a
-	// ModeDecide job sets it to K+1 whenever it answers NO, whether the
-	// structural lower bound, a search or the cached bounds refuted K.
+	// ModeDecide job sets it whenever it answers NO: to K+1 when the
+	// structural lower bound or a search refuted K, and to the cached
+	// bound, which can exceed K+1, when the store's bounds did.
 	LowerBound int
 	// LowerBoundFrom is the provenance of LowerBound: "structural" (the
 	// hypergraph's structural lower bound, computed by this job), "probe"
 	// (refuted by a search during this job), "memo" (cached bounds from
-	// an earlier job) or "trivial" (optimum was width 1).
+	// an earlier job) or "trivial" (optimum was the least width:
+	// 1, or 0 without edges).
 	LowerBoundFrom string
 
 	// The fields below are populated by ModeOptimal jobs only.
