@@ -80,22 +80,36 @@ func (s *server) handleDataPut(w http.ResponseWriter, r *http.Request, tenant st
 		httpError(w, http.StatusBadRequest, "parse database: "+err.Error())
 		return
 	}
-	version, err := s.svc.Datasets().Put(tenant, r.PathValue("name"), db)
+	name := r.PathValue("name")
+	version, err := s.svc.Datasets().Put(tenant, name, db)
 	if err != nil {
 		httpError(w, datasetStatus(err), err.Error())
 		return
 	}
 	failed = false
-	tuples := 0
-	for _, rel := range db {
-		tuples += rel.Size()
-	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"name":      r.PathValue("name"),
+		"name":      name,
 		"version":   version,
 		"relations": len(db),
-		"tuples":    tuples,
+		"tuples":    s.liveTuples(tenant, name, version, db),
 	})
+}
+
+// liveTuples is the tuple count of the version a PUT of db created:
+// the upload's distinct tuples, as GET reports them. It reads the
+// dataset's own count unless a concurrent write has already moved the
+// dataset past that version.
+func (s *server) liveTuples(tenant, name string, version uint64, db htd.Database) int {
+	if d, ok := s.svc.Datasets().Get(tenant, name); ok {
+		if info := d.Info(); info.Version == version {
+			return info.Tuples
+		}
+	}
+	tuples := 0
+	for _, rel := range db {
+		tuples += rel.Dedup().Size()
+	}
+	return tuples
 }
 
 func (s *server) handleDataGet(w http.ResponseWriter, r *http.Request, tenant string) {

@@ -264,31 +264,26 @@ func TestServeDataLifecycle(t *testing.T) {
 	}
 }
 
-// TestServeQueryInlineParseCache: repeat inline uploads of the same
-// database text hit the content-addressed parse cache.
-func TestServeQueryInlineParseCache(t *testing.T) {
-	ts, svc := newTestServer(t)
-
-	for i := 0; i < 3; i++ {
-		if resp, out, _ := postQuery(t, ts.URL+"/query", triangleQueryBody); resp.StatusCode != http.StatusOK || !out.OK {
-			t.Fatalf("query %d: status=%d %+v", i, resp.StatusCode, out)
-		}
+// TestServeDataPutCountsDistinctTuples: a PUT whose rel blocks repeat
+// tuples reports the tuples the new version holds, duplicates
+// collapsed, as GET of that version does.
+func TestServeDataPutCountsDistinctTuples(t *testing.T) {
+	ts, _ := newTestServer(t)
+	resp, up := doData(t, http.MethodPut, ts.URL+"/data/dup", "", "rel R(a,b)\n1 2\n1 2\n3 4\nend\n")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("put: status=%d %v", resp.StatusCode, up)
 	}
-	st := svc.Datasets().ParseCache().Stats()
-	if st.Misses != 1 || st.Hits < 2 {
-		t.Fatalf("parse cache: %+v, want 1 miss and >= 2 hits", st)
+	_, info := doData(t, http.MethodGet, ts.URL+"/data/dup", "", "")
+	if up["version"] != info["version"] || up["tuples"] != info["tuples"] || info["tuples"].(float64) != 2 {
+		t.Fatalf("put reported %v, get %v: want version 1 with 2 tuples from both", up, info)
 	}
-	_ = htd.DatasetParseCacheStats(st)
 }
 
 // TestServeQueryInlineDuplicateTuples: an inline database whose
-// relations repeat tuples answers over their distinct tuples, both as
-// a parse-cache miss and as a hit, for a row query and for a count.
-// The parse cache must deduplicate before it marks the relations
-// index-carrying: the executor skips the dedup projection of bags
-// joined from such relations alone.
+// relations repeat tuples answers over their distinct tuples, on its
+// first request and on a repeat, for a row query and for a count.
 func TestServeQueryInlineDuplicateTuples(t *testing.T) {
-	ts, svc := newTestServer(t)
+	ts, _ := newTestServer(t)
 	const r = `rel R(c1,c2)\n1 2\n1 2\n3 2\nend\n`
 	const s = `rel S(c1,c2)\n2 5\n2 6\n2 5\nend\n`
 	// R has 2 distinct tuples and S 2, all on y = 2: 4 answers.
@@ -298,15 +293,10 @@ func TestServeQueryInlineDuplicateTuples(t *testing.T) {
 		{"count", s + r, `,"aggregate":"count"`},
 	} {
 		body := `{"query":"R(x,y), S(y,z).","database":"` + tc.db + `"` + tc.head + `}`
-		for _, pass := range []string{"miss", "hit"} {
-			before := svc.Datasets().ParseCache().Stats()
+		for _, pass := range []string{"first", "repeat"} {
 			resp, out, raw := postQuery(t, ts.URL+"/query", body)
 			if resp.StatusCode != http.StatusOK || !out.OK {
 				t.Fatalf("%s %s: status=%d %s", tc.name, pass, resp.StatusCode, raw)
-			}
-			after := svc.Datasets().ParseCache().Stats()
-			if wantMiss := pass == "miss"; (after.Misses > before.Misses) != wantMiss || (after.Hits > before.Hits) == wantMiss {
-				t.Fatalf("%s %s: parse cache went %+v -> %+v", tc.name, pass, before, after)
 			}
 			got := out.RowCount
 			if out.Aggregate != nil && out.Aggregate.Value != nil {

@@ -111,7 +111,6 @@ func main() {
 		dsMax    = flag.Int("dataset-max", 0, "max named datasets across all tenants (0 = 64)")
 		dsTuples = flag.Int("dataset-tuples", 0, "max live tuples per dataset (0 = 2M)")
 		dsRetain = flag.Int("dataset-retain", 0, "dataset versions kept pinnable for at_version reads (0 = 4)")
-		dsParse  = flag.Int("dataset-parse-cache", 0, "parsed inline databases cached (0 = 8)")
 	)
 	flag.Parse()
 
@@ -133,10 +132,9 @@ func main() {
 			GlobalRate:  *globalRate,
 		},
 		Datasets: htd.DatasetConfig{
-			MaxDatasets:    *dsMax,
-			MaxTuples:      *dsTuples,
-			Retain:         *dsRetain,
-			ParseCacheSize: *dsParse,
+			MaxDatasets: *dsMax,
+			MaxTuples:   *dsTuples,
+			Retain:      *dsRetain,
 		},
 	}
 	svc, err := htd.OpenService(cfg)

@@ -2,7 +2,6 @@ package main
 
 import (
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -12,8 +11,7 @@ import (
 // TestPprofMuxServesEndpoints: the dedicated profiling mux answers the
 // standard pprof surface.
 func TestPprofMuxServesEndpoints(t *testing.T) {
-	srv := httptest.NewServer(pprofMux())
-	defer srv.Close()
+	srv := startServer(t, pprofMux())
 	for _, path := range []string{
 		"/debug/pprof/",
 		"/debug/pprof/heap",
@@ -39,8 +37,7 @@ func TestPprofMuxServesEndpoints(t *testing.T) {
 func TestServingHandlerNeverRoutesPprof(t *testing.T) {
 	svc := htd.NewService(htd.ServiceConfig{})
 	defer svc.Close()
-	srv := httptest.NewServer(newHandler(svc, 4, 0))
-	defer srv.Close()
+	srv := startServer(t, newHandler(svc, 4, 0))
 	for _, path := range []string{"/debug/pprof/", "/debug/pprof/heap", "/debug/pprof/profile"} {
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -64,13 +63,13 @@ var wireTimings = regexp.MustCompile(`"(plan_ms|exec_ms)":[-+.eE0-9]+`)
 // writes rows straight from the canonical relation, so this is what
 // holds that writer to the bytes encoding/json gave for the answer's
 // row slices. Every /query runs first, on a one-line-at-a-time server,
-// so the /querybatch lines are plan-cache hits over parse-cached data.
+// so the /querybatch lines are plan-cache hits.
 // Regenerate with -update only for an intended change of the wire.
 func TestServeQueryRowsWireGolden(t *testing.T) {
 	svc := htd.NewService(htd.ServiceConfig{
 		TokenBudget: 1, MaxConcurrent: 1, MaxQueue: 64, DefaultTimeout: 30 * time.Second,
 	})
-	ts := httptest.NewServer(newHandler(svc, 1, 0))
+	ts := startServer(t, newHandler(svc, 1, 0))
 	t.Cleanup(func() {
 		ts.Close()
 		svc.Close()

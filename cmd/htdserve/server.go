@@ -330,6 +330,11 @@ func streamNDJSON[T any](s *server, w http.ResponseWriter, r *http.Request,
 	// sending. Writers that can't do it (HTTP/2 allows it natively) just
 	// keep their default behaviour.
 	http.NewResponseController(w).EnableFullDuplex()
+	// A stream that stops early leaves an unread tail. Closing the body
+	// here reads a bounded tail (net/http drops the connection past
+	// that); left to the server after return, a full-duplex body's read
+	// to EOF starts a background read the next request panics on.
+	defer r.Body.Close()
 	flusher, _ := w.(http.Flusher)
 
 	// pending preserves input order; the writer drains one result
@@ -420,8 +425,7 @@ type queryAPIRequest struct {
 	// the request as rel blocks in the document text format:
 	// "rel R(c1,c2)\n1 2\nend\n...". Relation names and arities must
 	// match the query's atoms. Prefer Dataset for repeat queries —
-	// inline databases are parsed per distinct text (cached and
-	// single-flighted, but still shipped with every request).
+	// an inline database is shipped and parsed with every request.
 	Database string `json:"database,omitempty"`
 	// MaxWidth is the plan's width ceiling (0 = number of atoms, so a
 	// plan always exists).
@@ -520,10 +524,9 @@ func (s *server) runQuery(ctx context.Context, a queryAPIRequest, tenant string)
 		// db stays nil: the planner resolves the named dataset to a
 		// pinned snapshot behind the tenant wall.
 	} else {
-		// Inline path: parse through the registry's content-addressed
-		// cache — repeat uploads of the same text skip parsing, and
-		// concurrent identical uploads coalesce onto one parse.
-		db, err = s.svc.Datasets().ParseCache().Parse(ctx, a.Database)
+		// Inline path: the text is parsed per request, as PUT
+		// /data/{name} parses an upload.
+		db, err = htd.ParseRelations(a.Database)
 		if err != nil {
 			return &queryAPIResponse{Error: "parse database: " + err.Error(), err: errBadRequest}
 		}
@@ -735,10 +738,8 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 type statsResponse struct {
 	htd.ServiceStats
 	Query htd.QueryStats `json:"query"`
-	// Datasets and ParseCache cover the data half: registry totals and
-	// the inline-database parse cache's hit/miss/coalesce counters.
-	Datasets   htd.DatasetStats           `json:"datasets"`
-	ParseCache htd.DatasetParseCacheStats `json:"parse_cache"`
+	// Datasets covers the data half: the dataset registry's totals.
+	Datasets htd.DatasetStats `json:"datasets"`
 }
 
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -746,7 +747,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		ServiceStats: s.svc.Stats(),
 		Query:        s.planner.Stats(),
 		Datasets:     s.svc.Datasets().Stats(),
-		ParseCache:   s.svc.Datasets().ParseCache().Stats(),
 	})
 }
 

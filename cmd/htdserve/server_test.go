@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -17,6 +18,31 @@ import (
 	htd "repro"
 )
 
+// startServer serves h on a loopback test server closed when the test
+// ends. net/http recovers a handler's panic and only logs it, so the
+// server's error log fails the test on any line naming a panic; other
+// lines go to the test log.
+func startServer(t *testing.T, h http.Handler) *httptest.Server {
+	t.Helper()
+	ts := httptest.NewUnstartedServer(h)
+	ts.Config.ErrorLog = log.New(panicFailer{t}, "", 0)
+	ts.Start()
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// panicFailer is a server error log that fails t on a panic line.
+type panicFailer struct{ t *testing.T }
+
+func (p panicFailer) Write(b []byte) (int, error) {
+	if bytes.Contains(b, []byte("panic")) {
+		p.t.Errorf("server logged a panic: %s", b)
+	} else {
+		p.t.Logf("server log: %s", b)
+	}
+	return len(b), nil
+}
+
 func newTestServer(t *testing.T) (*httptest.Server, *htd.Service) {
 	t.Helper()
 	svc := htd.NewService(htd.ServiceConfig{
@@ -25,7 +51,7 @@ func newTestServer(t *testing.T) (*httptest.Server, *htd.Service) {
 		MaxQueue:       64,
 		DefaultTimeout: 30 * time.Second,
 	})
-	ts := httptest.NewServer(newHandler(svc, 4, 0))
+	ts := startServer(t, newHandler(svc, 4, 0))
 	t.Cleanup(func() {
 		ts.Close()
 		svc.Close()
@@ -757,9 +783,6 @@ func TestServeQueryIgnoresParallelism(t *testing.T) {
 		if _, ok := keys["parallelism"]; ok {
 			t.Fatalf("%s: response echoes a parallelism key: %s", field, raw)
 		}
-		// The repeat of the same inline database hits the parse cache, so
-		// this query reuses the first run's captured indexes instead of
-		// building its own.
 		if out.Exec == nil || out.Exec.IndexBuilds+out.Exec.IndexReuses == 0 {
 			t.Fatalf("%s: executor counters missing: %+v", field, out.Exec)
 		}

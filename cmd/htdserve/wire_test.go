@@ -45,7 +45,7 @@ func TestWireKeysGolden(t *testing.T) {
 		"MemoGraphs", "MemoEntries", "CacheReuses",
 		"OptimalJobs", "ProbesLaunched", "BoundsGraphs", "BoundsReuses",
 		"Solver", "Tenants",
-		"query", "datasets", "parse_cache",
+		"query", "datasets",
 	})
 	checkKeys(t, "stats Solver", top["Solver"], []string{
 		"Candidates", "ParentCands", "MaxDepth", "HybridCalls", "DetKCandidates", "TokensGrabbed", "MemoHits",
@@ -57,7 +57,6 @@ func TestWireKeysGolden(t *testing.T) {
 		"ExecIndexProbes", "ExecBagReuses",
 	})
 	checkKeys(t, "stats datasets", top["datasets"], []string{"datasets", "queries", "mutations"})
-	checkKeys(t, "stats parse_cache", top["parse_cache"], []string{"hits", "misses", "coalesced"})
 }
 
 // checkKeys fails unless the JSON object raw has exactly the keys want,

@@ -292,13 +292,12 @@ func NewQueryPlanner(svc *Service) *QueryPlanner { return query.NewPlanner(svc) 
 
 // DatasetConfig bounds the named-dataset registry behind a Service
 // (ServiceConfig.Datasets; reach it with Service.Datasets()): dataset
-// count, per-dataset tuples, retained pinnable versions, and the
-// inline-database parse cache size. Datasets are tenant-namespaced,
-// server-resident, versioned databases whose relations carry
-// delta-maintained hash indexes: upload once, query many times by name
-// (QueryRequest.Dataset) — repeat queries skip parsing and index
-// building — and mutate with tuple deltas that advance the version in
-// O(delta) instead of rebuilding.
+// count, per-dataset tuples and retained pinnable versions. Datasets
+// are tenant-namespaced, server-resident, versioned databases whose
+// relations carry delta-maintained hash indexes: upload once, query
+// many times by name (QueryRequest.Dataset) — repeat queries skip
+// parsing and index building — and mutate with tuple deltas that
+// advance the version in O(delta) instead of rebuilding.
 type DatasetConfig = dataset.Config
 
 // Dataset is one named, versioned database. Mutation batches advance
@@ -316,11 +315,6 @@ func DecodeDatasetBatch(r io.Reader) ([]DatasetMutation, error) { return dataset
 
 // DatasetStats aggregates registry-wide counters (for /stats).
 type DatasetStats = dataset.Stats
-
-// DatasetParseCacheStats counts the outcomes of the registry's
-// inline-database parse cache: concurrent identical inline uploads pay
-// one parse and share captured indexes.
-type DatasetParseCacheStats = dataset.ParseCacheStats
 
 // Dataset sentinel errors.
 var (

@@ -34,8 +34,6 @@ type Config struct {
 	// Retain is how many recent versions stay resolvable for pinned
 	// reads (the current version included).
 	Retain int
-	// ParseCacheSize caps the inline-database parse cache entries.
-	ParseCacheSize int
 }
 
 func (c Config) withDefaults() Config {
@@ -47,9 +45,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Retain <= 0 {
 		c.Retain = 4
-	}
-	if c.ParseCacheSize <= 0 {
-		c.ParseCacheSize = 8
 	}
 	return c
 }
@@ -142,8 +137,7 @@ type Dataset struct {
 
 // Registry is the tenant-namespaced dataset registry one service owns.
 type Registry struct {
-	cfg   Config
-	parse *ParseCache
+	cfg Config
 
 	mu    sync.Mutex
 	byKey map[string]*Dataset
@@ -157,13 +151,9 @@ func NewRegistry(cfg Config) *Registry {
 	cfg = cfg.withDefaults()
 	return &Registry{
 		cfg:   cfg,
-		parse: NewParseCache(cfg.ParseCacheSize),
 		byKey: make(map[string]*Dataset),
 	}
 }
-
-// ParseCache returns the registry's inline-database parse cache.
-func (g *Registry) ParseCache() *ParseCache { return g.parse }
 
 func key(tenant, name string) string { return tenant + "\x00" + name }
 

@@ -1,7 +1,6 @@
 package dataset
 
 import (
-	"context"
 	"errors"
 	"reflect"
 	"runtime"
@@ -279,72 +278,6 @@ func TestValidNames(t *testing.T) {
 		if _, err := g.Put("", bad, mustDB(t, twoRelText)); err == nil {
 			t.Fatalf("name %q accepted", bad)
 		}
-	}
-}
-
-func TestParseCacheHitAndCoalesce(t *testing.T) {
-	p := NewParseCache(2)
-	ctx := context.Background()
-
-	db1, err := p.Parse(ctx, twoRelText)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db2, err := p.Parse(ctx, twoRelText)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Not just equal — the same parsed object, indexes and all.
-	if !reflect.DeepEqual(db1, db2) || db1["R"] != db2["R"] {
-		t.Fatal("repeat parse did not share the cached database")
-	}
-	st := p.Stats()
-	if st.Hits != 1 || st.Misses != 1 {
-		t.Fatalf("stats = %+v, want 1 hit / 1 miss", st)
-	}
-
-	// Errors are returned, not cached.
-	if _, err := p.Parse(ctx, "rel broken(\n"); err == nil {
-		t.Fatal("malformed text parsed")
-	}
-	if _, err := p.Parse(ctx, "rel broken(\n"); err == nil {
-		t.Fatal("malformed text cached as success")
-	}
-
-	// Eviction past capacity.
-	p.Parse(ctx, "rel A(a)\n1\nend\n")
-	p.Parse(ctx, "rel B(a)\n1\nend\n")
-	before := p.Stats().Hits
-	p.Parse(ctx, twoRelText) // evicted by A/B, re-parsed
-	if p.Stats().Hits != before {
-		t.Fatal("evicted entry served as a hit")
-	}
-}
-
-func TestParseCacheConcurrentIdentical(t *testing.T) {
-	p := NewParseCache(4)
-	const n = 16
-	var wg sync.WaitGroup
-	dbs := make([]join.Database, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			db, err := p.Parse(context.Background(), twoRelText)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			dbs[i] = db
-		}(i)
-	}
-	wg.Wait()
-	st := p.Stats()
-	if st.Misses+st.Hits+st.Coalesced < n {
-		t.Fatalf("stats don't cover all calls: %+v", st)
-	}
-	if st.Misses > n/2 {
-		t.Fatalf("%d misses across %d concurrent identical parses — no sharing", st.Misses, n)
 	}
 }
 

@@ -28,8 +28,5 @@
 //
 // The registry is tenant-namespaced: tenants see only their own
 // datasets, and the tenant wall admission-controls mutations like any
-// other request. ParseCache is the inline-database side piece: a
-// single-flight, content-addressed cache of parsed inline databases,
-// so concurrent identical inline uploads pay one parse and share
-// captured indexes.
+// other request.
 package dataset

@@ -33,13 +33,14 @@ func handPlan(t *testing.T, q Query, lambdas [][]int, parents []int) *decomp.Dec
 	return d
 }
 
-// indexedDB marks every relation of db a server-resident set, the way
-// the dataset layer's cached inline databases are.
+// indexedDB marks every relation of db a server-resident set: each
+// gets an empty IndexSet the executor fills as it probes. Unlike an
+// MRel view, it starts with no prebuilt rowset index.
 func indexedDB(db Database) Database {
 	out := make(Database, len(db))
 	for name, rel := range db {
 		rel = rel.Dedup()
-		rel.EnableIndexReuse()
+		rel.indexes = newIndexSet()
 		out[name] = rel
 	}
 	return out

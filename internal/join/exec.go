@@ -22,11 +22,11 @@ type ExecStats struct {
 	// IndexBuilds and IndexProbes count hash indexes built and tuples
 	// probed against them. IndexReuses counts the builds avoided
 	// because a server-resident relation arrived with an index for the
-	// probed column set — a base relation's maintained index (dataset
-	// snapshots, cached inline databases) or one captured on a cached
-	// bag (BagCache) — the unchanged-data fast path. A four-cycle
-	// query's only reuse on a warm snapshot is its cached child bag's
-	// index: both bags are cache hits, so no base relation is probed.
+	// probed column set — a dataset snapshot's maintained index or one
+	// captured on a cached bag (BagCache) — the unchanged-data fast
+	// path. A four-cycle query's only reuse on a warm snapshot is its
+	// cached child bag's index: both bags are cache hits, so no base
+	// relation is probed.
 	IndexBuilds int64 `json:"index_builds"`
 	IndexReuses int64 `json:"index_reuses"`
 	IndexProbes int64 `json:"index_probes"`
@@ -326,7 +326,7 @@ func (e *executor) lambdaBag(q Query, db Database, lambda []int, chi []string) (
 	}
 	// rel is a fresh operator output (λ has two atoms) and a set, which
 	// is what carrying an IndexSet requires.
-	rel.indexes = newIndexSet(maxIndexSets)
+	rel.indexes = newIndexSet()
 	return e.bags.store(key, &cachedBag{rel: rel, peak: peak}).rel, nil
 }
 

@@ -50,18 +50,17 @@ const (
 )
 
 // IndexSet is the maintained-index registry carried by server-resident
-// base relations (dataset snapshot views, cached inline databases).
+// relations: dataset snapshot views and the bags of a BagCache.
 // It maps a column-position set to an immutable stack of index layers.
 // Lookups and capture-on-miss stores run concurrently from query
 // executors; stacks are never mutated once stored.
 type IndexSet struct {
-	mu    sync.Mutex
-	limit int
-	m     map[string][]*hashIndex
+	mu sync.Mutex
+	m  map[string][]*hashIndex
 }
 
-func newIndexSet(limit int) *IndexSet {
-	return &IndexSet{limit: limit, m: make(map[string][]*hashIndex, limit)}
+func newIndexSet() *IndexSet {
+	return &IndexSet{m: make(map[string][]*hashIndex, maxIndexSets)}
 }
 
 // colsKey encodes column positions with the package's injective
@@ -95,7 +94,7 @@ func (s *IndexSet) store(cols []int, stack []*hashIndex) []*hashIndex {
 	if prior, ok := s.m[key]; ok {
 		return prior
 	}
-	if len(s.m) < s.limit {
+	if len(s.m) < maxIndexSets {
 		s.m[key] = stack
 	}
 	return stack
@@ -117,21 +116,6 @@ func (s *IndexSet) entries() []indexEntry {
 		out = append(out, indexEntry{cols: stack[0].cols, stack: stack})
 	}
 	return out
-}
-
-// EnableIndexReuse attaches an empty IndexSet to r, marking it a
-// server-resident base relation whose per-query index builds should be
-// captured and shared. The dataset layer calls this on cached inline
-// databases; MRel views get their IndexSet from the commit path.
-//
-// r must be a set — no repeated tuple — because the executor treats
-// every relation carrying an IndexSet as one and skips the dedup
-// projection of bags built from such relations alone. MRel views are
-// sets (inserts dedupe); other callers deduplicate first (Dedup).
-func (r *Relation) EnableIndexReuse() {
-	if r.indexes == nil {
-		r.indexes = newIndexSet(maxIndexSets)
-	}
 }
 
 // mset is one maintained column set: its layers cover the base's rows
@@ -321,7 +305,7 @@ func (m *MRel) Commit() (compacted bool) {
 			st.layers = append(st.layers, ly)
 		}
 	}
-	is := newIndexSet(maxIndexSets)
+	is := newIndexSet()
 	for _, st := range m.sets {
 		is.store(st.cols, append([]*hashIndex(nil), st.layers...))
 	}

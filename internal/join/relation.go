@@ -36,9 +36,9 @@ type Relation struct {
 	cols []vec
 	n    int
 	mem  *arena
-	// indexes, when non-nil, marks a server-resident relation — a base
-	// relation (a dataset snapshot view or a cached inline database)
-	// or a bag kept in a snapshot's BagCache — carrying hash indexes
+	// indexes, when non-nil, marks a server-resident relation — a
+	// dataset snapshot view (MRel) or a bag kept in a snapshot's
+	// BagCache — carrying hash indexes
 	// the executor reuses instead of rebuilding per query
 	// (maintained.go, bagcache.go). Invariant: a relation carrying an
 	// IndexSet is a set, which lets build skip the dedup projection of

@@ -350,8 +350,7 @@ func (s *Service) Store() store.Backend { return s.store }
 func (s *Service) Tenants() *tenant.Wall { return s.tenants }
 
 // Datasets exposes the named-dataset registry: server-resident,
-// versioned databases with delta-maintained indexes, plus the
-// single-flight parse cache for inline databases.
+// versioned databases with delta-maintained indexes.
 func (s *Service) Datasets() *dataset.Registry { return s.datasets }
 
 // Config returns the effective configuration, with defaults resolved.
