@@ -63,12 +63,13 @@ perfbench-smoke:
 # The crash-recovery wall: kill -9 a child process mid-append, then
 # assert the reopened log serves an intact contiguous prefix (torn
 # tails truncated, never served corrupt), plus the torn-tail/bit-flip
-# recovery table, the service-level warm restart (same directory and a
-# byte copy of it) and the disk tier's exact I/O budget across a
-# reopen.
+# recovery table, the single fsync of a compaction, the record of a
+# call that compacts (served at once and after a reopen), the
+# service-level warm restart (same directory and a byte copy of it)
+# and the disk tier's exact I/O budget across a reopen.
 crash-recovery:
 	$(GO) test -race -count=1 \
-		-run 'TestCrashRecovery|TestLogTornTail|TestLogBitFlip|TestDiskBackedServiceWarmRestart|TestDiskTierIOBudget' \
+		-run 'TestCrashRecovery|TestLogTornTail|TestLogBitFlip|TestLogCompactionFsyncsOnce|TestLogCompactingCallKeepsItsRecord|TestDiskBackedServiceWarmRestart|TestDiskTierIOBudget' \
 		./internal/store ./internal/service
 
 # The two-process warm-restart wall: boot a real htdserve with

@@ -178,9 +178,14 @@ func (g *Registry) Put(tenant, name string, db join.Database) (uint64, error) {
 	if err := validName(name); err != nil {
 		return 0, err
 	}
+	// The cap counts the distinct tuples the dataset will hold, so the
+	// maintained relations (which drop duplicates) are built first.
+	rels := make(map[string]*join.MRel, len(db))
 	total := 0
-	for _, rel := range db {
-		total += rel.Size()
+	for rname, rel := range db {
+		m := join.NewMRel(rel)
+		rels[rname] = m
+		total += m.LiveSize()
 	}
 	if total > g.cfg.MaxTuples {
 		return 0, fmt.Errorf("%w: %d tuples > per-dataset cap %d", ErrLimit, total, g.cfg.MaxTuples)
@@ -206,10 +211,7 @@ func (g *Registry) Put(tenant, name string, db join.Database) (uint64, error) {
 
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.rels = make(map[string]*join.MRel, len(db))
-	for rname, rel := range db {
-		d.rels[rname] = join.NewMRel(rel)
-	}
+	d.rels = rels
 	for _, s := range d.snaps {
 		s.Bags.Retire()
 	}
@@ -379,8 +381,10 @@ func (d *Dataset) Mutate(batch []Mutation) (MutationResult, error) {
 		}
 	}
 	if live+adds > d.maxTuples {
-		return MutationResult{}, fmt.Errorf("%w: %d live + %d inserts > per-dataset cap %d",
-			ErrLimit, live, adds, d.maxTuples)
+		if after := d.liveAfter(live, batch); after > d.maxTuples {
+			return MutationResult{}, fmt.Errorf("%w: %d live after the batch > per-dataset cap %d",
+				ErrLimit, after, d.maxTuples)
+		}
 	}
 
 	var res MutationResult
@@ -422,6 +426,33 @@ func (d *Dataset) Mutate(batch []Mutation) (MutationResult, error) {
 		d.snaps = d.snaps[len(d.snaps)-d.retain:]
 	}
 	return res, nil
+}
+
+// liveAfter counts the dataset's live tuples after batch applies, from
+// live before it: ops run in order with set semantics, so an insert of
+// a live tuple and a delete of an absent one change nothing. Nothing
+// is applied. Caller holds d.mu and has validated the batch.
+func (d *Dataset) liveAfter(live int, batch []Mutation) int {
+	type tuple struct{ rel, vals string }
+	state := make(map[tuple]bool) // tuples the batch touched: live or not
+	for _, op := range batch {
+		m := d.rels[op.Rel]
+		for _, row := range op.Rows {
+			k := tuple{op.Rel, fmt.Sprint(row)}
+			has, seen := state[k]
+			if !seen {
+				has = m.Has(row)
+			}
+			insert := op.Op == "insert"
+			if insert && !has {
+				live++
+			} else if !insert && has {
+				live--
+			}
+			state[k] = insert
+		}
+	}
+	return live
 }
 
 // Info returns the dataset's metadata at its current version.

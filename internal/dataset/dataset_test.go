@@ -272,6 +272,74 @@ func TestRegistryLimits(t *testing.T) {
 	}
 }
 
+// TestRegistryPutCapCountsDistinctTuples: the per-dataset cap counts
+// the distinct tuples a Put stores, not the upload's duplicates.
+func TestRegistryPutCapCountsDistinctTuples(t *testing.T) {
+	g := NewRegistry(Config{MaxTuples: 3})
+	if _, err := g.Put("", "a", mustDB(t, "rel R(a)\n1\n1\n1\n1\nend\n")); err != nil {
+		t.Fatalf("four copies of one tuple under cap 3: %v", err)
+	}
+	d, _ := g.Get("", "a")
+	if n := d.Info().Tuples; n != 1 {
+		t.Fatalf("tuples %d, want 1", n)
+	}
+	if _, err := g.Put("", "a", mustDB(t, "rel R(a)\n1\n2\n2\n3\n4\nend\n")); !errors.Is(err, ErrLimit) {
+		t.Fatalf("four distinct tuples under cap 3 = %v, want ErrLimit", err)
+	}
+}
+
+// TestMutateAtCapAcceptsBatchesThatFit: a dataset at its cap takes any
+// batch whose live total after commit stays within it, counted with
+// set semantics in op order, and refuses the rest untouched.
+func TestMutateAtCapAcceptsBatchesThatFit(t *testing.T) {
+	g := NewRegistry(Config{MaxTuples: 3})
+	if _, err := g.Put("", "a", mustDB(t, "rel R(a)\n1\n2\n3\nend\nrel S(a)\nend\n")); err != nil {
+		t.Fatal(err)
+	}
+	d, _ := g.Get("", "a")
+	ins := func(rel string, rows ...int) Mutation {
+		m := Mutation{Op: "insert", Rel: rel}
+		for _, v := range rows {
+			m.Rows = append(m.Rows, []int{v})
+		}
+		return m
+	}
+	del := func(rel string, rows ...int) Mutation {
+		m := ins(rel, rows...)
+		m.Op = "delete"
+		return m
+	}
+	fits := [][]Mutation{
+		{del("R", 1), ins("R", 4)},                 // swap one tuple
+		{ins("R", 2)},                              // re-insert a live tuple
+		{ins("S", 1), del("R", 2)},                 // insert first, delete later
+		{ins("R", 5, 5), del("S", 1)},              // a repeated insert counts once
+		{del("R", 9), ins("R", 6), del("R", 3, 3)}, // so do misses and repeated deletes
+		{ins("S", 7), ins("S", 7), del("S", 7, 7)}, // a tuple that comes and goes
+	}
+	for i, batch := range fits {
+		if _, err := d.Mutate(batch); err != nil {
+			t.Fatalf("batch %d at cap: %v", i, err)
+		}
+		if n := d.Info().Tuples; n != 3 {
+			t.Fatalf("batch %d: %d live tuples, want 3", i, n)
+		}
+	}
+	version := d.Info().Version
+	for i, batch := range [][]Mutation{
+		{ins("R", 8)},
+		{del("R", 4), ins("R", 8, 9)},
+		{ins("S", 8), del("S", 8), ins("S", 8), ins("R", 9)},
+	} {
+		if _, err := d.Mutate(batch); !errors.Is(err, ErrLimit) {
+			t.Fatalf("over-cap batch %d = %v, want ErrLimit", i, err)
+		}
+	}
+	if info := d.Info(); info.Version != version || info.Tuples != 3 {
+		t.Fatalf("refused batches changed the dataset: %+v", info)
+	}
+}
+
 func TestValidNames(t *testing.T) {
 	g := newTestRegistry()
 	for _, bad := range []string{"", string(make([]byte, 200)), "a\nb", "a\x00b"} {

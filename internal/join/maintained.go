@@ -164,6 +164,10 @@ func (m *MRel) View() *Relation { return m.view }
 // LiveSize returns the live tuple count including uncommitted deltas.
 func (m *MRel) LiveSize() int { return m.base.n - m.deadN }
 
+// Has reports whether vals is a live tuple, counting the in-flight
+// batch's inserts and deletes.
+func (m *MRel) Has(vals []int) bool { return m.liveRow(vals) >= 0 }
+
 // liveRow returns the row id of the live copy of vals, -1 when absent.
 // Committed rows resolve through the rowset layers, rows appended by
 // the in-flight batch through the tail map.

@@ -27,10 +27,11 @@ func TestCrashChildAppend(t *testing.T) {
 	if dir == "" {
 		t.Skip("child entry point; driven by TestCrashRecoveryKillMidAppend")
 	}
-	l, err := OpenLog(LogConfig{Dir: dir, SegmentBytes: 8 << 10})
+	l, err := OpenLog(LogConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
+	l.segmentBytes = 8 << 10
 	for i := 0; ; i++ {
 		hash := fmt.Sprintf("h%06d", i)
 		if err := l.MergeBounds(hash, Bounds{LB: i%5 + 2}); err != nil {

@@ -29,7 +29,8 @@
 // disk-backed and crash-safe, an append-only log of bounds, tree and
 // drop-tombstone records (length-prefixed, CRC-32C-checksummed, fsync
 // cadence configurable down to every append) with segment rotation,
-// background compaction, and torn-tail recovery on open.
+// compaction inline in the append whose rotation finds more than half
+// of the log dead, and torn-tail recovery on open.
 //
 // The log is the only persistence format, and its closed directory is
 // the export format: records are merges, so OpenLog replays any set of

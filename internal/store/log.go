@@ -3,6 +3,7 @@ package store
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -12,35 +13,22 @@ import (
 	"time"
 )
 
-// LogConfig sizes a disk Log. The zero value (plus a Dir) picks
-// defaults.
+// LogConfig configures a disk Log: where it lives and how often it
+// fsyncs. Segments rotate at segmentBytes, and a rotation that finds
+// more than half of the log's bytes dead compacts it in place.
 type LogConfig struct {
 	// Dir is the directory holding the segment files (required; created
 	// if missing). One Log owns the directory exclusively.
 	Dir string
-	// SegmentBytes rotates the active segment once it grows past this
-	// size. Default 4 MiB.
-	SegmentBytes int64
 	// Fsync is the durability cadence: 0 fsyncs the active segment after
 	// every append (every acknowledged record survives a crash), > 0
 	// fsyncs at most that often from a background goroutine (a crash can
 	// lose at most the unsynced tail).
 	Fsync time.Duration
-	// CompactRatio is the garbage fraction (dead bytes / total bytes)
-	// beyond which a segment rotation triggers background compaction.
-	// Default 0.5; negative disables auto-compaction.
-	CompactRatio float64
 }
 
-func (c LogConfig) withDefaults() LogConfig {
-	if c.SegmentBytes <= 0 {
-		c.SegmentBytes = 4 << 20
-	}
-	if c.CompactRatio == 0 {
-		c.CompactRatio = 0.5
-	}
-	return c
-}
+// segmentBytes is the size past which the active segment rotates.
+const segmentBytes = 4 << 20
 
 // DiskStats is the disk tier's corner of Stats.
 type DiskStats struct {
@@ -126,19 +114,25 @@ type logEntry struct {
 // and read back (checksum-verified) on demand, so the resident cost of
 // a disk entry is its bounds, not the tree payload.
 //
+// Every record goes to disk through write and comes back through
+// readFrame. Every change to the index goes through apply, except that
+// compaction re-points live records at their new offsets and Purge
+// empties it.
+//
 // All methods are safe for concurrent use.
 type Log struct {
 	cfg LogConfig
+	// segmentBytes is the rotation size; tests shrink it.
+	segmentBytes int64
 
-	mu             sync.Mutex
-	index          map[string]*logEntry
-	segs           []*segment // ascending id; last is active
-	dirty          bool       // active segment has unsynced appends
-	broken         bool       // an append failed and could not be rolled back
-	compactPending bool       // a background compaction is queued or running
-	inCompact      bool       // Compact is rewriting (suppresses rotation)
-	closed         bool
-	liveBytes      int64
+	mu        sync.Mutex
+	index     map[string]*logEntry
+	segs      []*segment // ascending id; last is active
+	dirty     bool       // active segment has unsynced appends
+	broken    bool       // an append failed and could not be rolled back
+	closed    bool
+	closeErr  error // the first Close's result, returned by every Close
+	liveBytes int64
 
 	// stats holds the counters; Stats fills in the gauges.
 	stats DiskStats
@@ -153,11 +147,10 @@ func OpenLog(cfg LogConfig) (*Log, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("store: LogConfig.Dir is required")
 	}
-	cfg = cfg.withDefaults()
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	l := &Log{cfg: cfg, index: make(map[string]*logEntry), stop: make(chan struct{})}
+	l := &Log{cfg: cfg, segmentBytes: segmentBytes, index: make(map[string]*logEntry), stop: make(chan struct{})}
 
 	names, err := filepath.Glob(filepath.Join(cfg.Dir, "seg-*.log"))
 	if err != nil {
@@ -195,8 +188,8 @@ func OpenLog(cfg LogConfig) (*Log, error) {
 	return l, nil
 }
 
-// replay scans one segment record by record, applying each valid record
-// to the index. The scan stops at the first invalid record: on the last
+// replay scans one segment frame by frame, applying each valid record
+// to the index. The scan stops at the first bad frame: on the last
 // segment the remainder is a torn tail and is truncated so new appends
 // land after valid data; on earlier segments it is bit rot and the
 // remainder is skipped (compaction rewrites the survivors).
@@ -207,33 +200,16 @@ func (l *Log) replay(sg *segment, last bool) error {
 	}
 	size := info.Size()
 	var off int64
-	hdr := make([]byte, frameHeader)
-	var payload []byte
-	for off+frameHeader <= size {
-		if _, err := sg.f.ReadAt(hdr, off); err != nil {
+	for off < size {
+		rec, n, err := readFrame(sg, off, size)
+		if errors.Is(err, errBadFrame) {
+			break
+		}
+		if err != nil {
 			return err
 		}
-		n := int64(binary.LittleEndian.Uint32(hdr[0:4]))
-		crc := binary.LittleEndian.Uint32(hdr[4:8])
-		if n == 0 || n > maxRecordBytes || off+frameHeader+n > size {
-			break
-		}
-		if int64(cap(payload)) < n {
-			payload = make([]byte, n)
-		}
-		payload = payload[:n]
-		if _, err := sg.f.ReadAt(payload, off+frameHeader); err != nil {
-			return err
-		}
-		if crc32.Checksum(payload, crcTable) != crc {
-			break
-		}
-		var rec logRecord
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			break
-		}
-		l.apply(sg, off, frameHeader+n, rec)
-		off += frameHeader + n
+		l.apply(sg, off, n, rec)
+		off += n
 	}
 	if off < size {
 		if last {
@@ -331,15 +307,15 @@ func (l *Log) syncLocked() {
 	l.stats.Syncs++
 }
 
-// append frames, writes, and (per cadence) fsyncs one record into the
-// active segment, returning the segment and frame offset the record
-// landed at. Caller holds l.mu. A failed write is rolled back by
-// truncating to the pre-append offset so a torn record can never sit
-// in front of later good ones; if even that fails the log is marked
-// broken and refuses further appends (reads keep working).
-func (l *Log) append(rec logRecord) (sg *segment, off, frameLen int64, err error) {
+// write frames rec and writes it at the end of the active segment,
+// returning the segment, frame offset and frame length it landed at.
+// Caller holds l.mu. A failed write is rolled back by truncating to
+// the pre-write offset so a torn record can never sit in front of
+// later good ones; if even that fails the log is marked broken and
+// refuses further writes (reads keep working).
+func (l *Log) write(rec logRecord) (sg *segment, off, frameLen int64, err error) {
 	if l.closed {
-		return nil, 0, 0, fmt.Errorf("store: log closed")
+		return nil, 0, 0, errClosed
 	}
 	if l.broken {
 		return nil, 0, 0, fmt.Errorf("store: log broken by earlier write failure")
@@ -363,48 +339,86 @@ func (l *Log) append(rec logRecord) (sg *segment, off, frameLen int64, err error
 		return nil, 0, 0, werr
 	}
 	sg.size += int64(len(buf))
+	return sg, off, int64(len(buf)), nil
+}
+
+// errClosed is returned by every write to a closed log.
+var errClosed = errors.New("store: log closed")
+
+// errBadFrame marks a frame that fails its framing: a short header, a
+// length out of bounds, a checksum mismatch or a payload that is not
+// a record. Replay stops at the first one.
+var errBadFrame = errors.New("store: bad frame")
+
+// readFrame reads and verifies the frame at off, which must end at or
+// before limit, returning its record and its full length. A bad frame
+// returns an error wrapping errBadFrame; a failed read returns the I/O
+// error itself. Caller holds l.mu (or owns the log, as in OpenLog).
+func readFrame(sg *segment, off, limit int64) (logRecord, int64, error) {
+	var rec logRecord
+	if off+frameHeader > limit {
+		return rec, 0, fmt.Errorf("%w: short header at %s:%d", errBadFrame, sg.path, off)
+	}
+	hdr := make([]byte, frameHeader)
+	if _, err := sg.f.ReadAt(hdr, off); err != nil {
+		return rec, 0, err
+	}
+	n := int64(binary.LittleEndian.Uint32(hdr[0:4]))
+	if n == 0 || n > maxRecordBytes || off+frameHeader+n > limit {
+		return rec, 0, fmt.Errorf("%w: length %d at %s:%d", errBadFrame, n, sg.path, off)
+	}
+	payload := make([]byte, n)
+	if _, err := sg.f.ReadAt(payload, off+frameHeader); err != nil {
+		return rec, 0, err
+	}
+	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(hdr[4:8]) {
+		return rec, 0, fmt.Errorf("%w: checksum mismatch at %s:%d", errBadFrame, sg.path, off)
+	}
+	if err := json.Unmarshal(payload, &rec); err != nil {
+		return rec, 0, fmt.Errorf("%w: %v at %s:%d", errBadFrame, err, sg.path, off)
+	}
+	return rec, frameHeader + n, nil
+}
+
+// append writes one record, fsyncs it per cadence, folds it into the
+// index and rotates a full segment. Caller holds l.mu. The index is
+// updated before rotation: a rotation that compacts rewrites the
+// record from the index, so it must already point at it.
+func (l *Log) append(rec logRecord) error {
+	sg, off, n, err := l.write(rec)
+	if err != nil {
+		return err
+	}
 	l.stats.Appends++
 	if l.cfg.Fsync == 0 {
-		if serr := sg.f.Sync(); serr != nil {
+		if err := sg.f.Sync(); err != nil {
 			l.stats.Errors++
-			return nil, 0, 0, serr
+			return err
 		}
 		l.stats.Syncs++
 	} else {
 		l.dirty = true
 	}
-	l.maybeRotate()
-	return sg, off, int64(len(buf)), nil
+	l.apply(sg, off, n, rec)
+	if sg.size >= l.segmentBytes {
+		l.rotate()
+	}
+	return nil
 }
 
-// maybeRotate starts a new segment once the active one is full, and
-// kicks off background compaction when the garbage ratio warrants it.
-// Caller holds l.mu. Rotation is suppressed while Compact itself is
-// writing — a compacted segment larger than SegmentBytes grows in
-// place until the next natural rotation instead of re-triggering
-// compaction in a loop.
-func (l *Log) maybeRotate() {
-	if l.inCompact || l.active().size < l.cfg.SegmentBytes {
+// rotate seals the full active segment. When the log is over two
+// segments in size and more than half of its bytes are dead, it
+// compacts in place; otherwise it opens a fresh segment. Caller holds
+// l.mu. Its I/O failures are counted in DiskStats.Errors; the append
+// that rotated has already succeeded.
+func (l *Log) rotate() {
+	if total := l.totalBytes(); total > 2*l.segmentBytes && 2*(total-l.liveBytes) > total {
+		_ = l.compact()
 		return
 	}
 	l.syncLocked()
 	if err := l.addSegment(l.active().id + 1); err != nil {
 		l.stats.Errors++
-		return
-	}
-	total := l.totalBytes()
-	if l.cfg.CompactRatio >= 0 && !l.compactPending &&
-		total > 2*l.cfg.SegmentBytes &&
-		float64(total-l.liveBytes) > l.cfg.CompactRatio*float64(total) {
-		l.compactPending = true
-		l.wg.Add(1)
-		go func() {
-			defer l.wg.Done()
-			l.Compact()
-			l.mu.Lock()
-			l.compactPending = false
-			l.mu.Unlock()
-		}()
 	}
 }
 
@@ -427,8 +441,8 @@ func (l *Log) Bounds(hash string) (Bounds, bool) {
 	return e.bounds, true
 }
 
-// MergeBounds merges b and appends a record when the merge changed the
-// on-disk state. Appending the post-merge bounds (not the delta) makes
+// MergeBounds appends the merge of b into hash's bounds when it
+// changes them. Appending the post-merge bounds (not the delta) makes
 // every older bounds record for the hash dead weight, which is what
 // compaction reclaims.
 func (l *Log) MergeBounds(hash string, b Bounds) error {
@@ -437,20 +451,14 @@ func (l *Log) MergeBounds(hash string, b Bounds) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	e := l.index[hash]
-	if e == nil {
-		e = &logEntry{}
-		l.index[hash] = e
+	var merged Bounds
+	if e := l.index[hash]; e != nil {
+		merged = e.bounds
 	}
-	if !e.bounds.Merge(b) {
+	if !merged.Merge(b) {
 		return nil
 	}
-	_, _, n, err := l.append(logRecord{T: recBounds, Hash: hash, LB: e.bounds.LB, UB: e.bounds.UB})
-	if err == nil {
-		l.liveBytes += n - e.bBytes
-		e.bBytes = n
-	}
-	return err
+	return l.append(logRecord{T: recBounds, Hash: hash, LB: merged.LB, UB: merged.UB})
 }
 
 // Tree reads the live witness tree for hash back from disk, verifying
@@ -463,11 +471,10 @@ func (l *Log) Tree(hash string) (*Tree, bool, error) {
 	if e == nil || e.treeSeg == nil {
 		return nil, false, nil
 	}
-	rec, err := l.readRecord(e.treeSeg, e.treeOff)
+	rec, _, err := readFrame(e.treeSeg, e.treeOff, e.treeSeg.size)
 	if err != nil || rec.Tree == nil {
 		l.stats.CorruptRecords++
-		l.liveBytes -= e.tBytes
-		e.treeSeg, e.treeOff, e.treeW, e.tBytes = nil, 0, 0, 0
+		l.apply(nil, 0, 0, logRecord{T: recDrop, Hash: hash})
 		return nil, false, err
 	}
 	l.stats.TreeLoads++
@@ -485,33 +492,8 @@ func (l *Log) TreeWidth(hash string) (int, bool) {
 	return e.treeW, true
 }
 
-// readRecord reads and verifies one frame. Caller holds l.mu.
-func (l *Log) readRecord(sg *segment, off int64) (logRecord, error) {
-	var rec logRecord
-	hdr := make([]byte, frameHeader)
-	if _, err := sg.f.ReadAt(hdr, off); err != nil {
-		return rec, err
-	}
-	n := int64(binary.LittleEndian.Uint32(hdr[0:4]))
-	crc := binary.LittleEndian.Uint32(hdr[4:8])
-	if n == 0 || n > maxRecordBytes {
-		return rec, fmt.Errorf("store: corrupt record length %d at %s:%d", n, sg.path, off)
-	}
-	payload := make([]byte, n)
-	if _, err := sg.f.ReadAt(payload, off+frameHeader); err != nil {
-		return rec, err
-	}
-	if crc32.Checksum(payload, crcTable) != crc {
-		return rec, fmt.Errorf("store: checksum mismatch at %s:%d", sg.path, off)
-	}
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return rec, err
-	}
-	return rec, nil
-}
-
 // PutTree appends t when it is strictly better (narrower) than the
-// live tree for hash, and merges its width into the bounds.
+// live tree for hash; its width merges into the bounds.
 func (l *Log) PutTree(hash string, t *Tree) error {
 	w := t.Width()
 	if hash == "" || w == 0 {
@@ -519,22 +501,10 @@ func (l *Log) PutTree(hash string, t *Tree) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	e := l.index[hash]
-	if e == nil {
-		e = &logEntry{}
-		l.index[hash] = e
-	}
-	if e.treeSeg != nil && w >= e.treeW {
+	if e := l.index[hash]; e != nil && e.treeSeg != nil && w >= e.treeW {
 		return nil
 	}
-	sg, off, n, err := l.append(logRecord{T: recTree, Hash: hash, Tree: t})
-	if err != nil {
-		return err
-	}
-	l.liveBytes += n - e.tBytes
-	e.treeSeg, e.treeOff, e.treeW, e.tBytes = sg, off, w, n
-	e.bounds.Merge(Bounds{UB: w})
-	return nil
+	return l.append(logRecord{T: recTree, Hash: hash, Tree: t})
 }
 
 // DropTree appends a tombstone so a tree that failed re-validation
@@ -542,16 +512,10 @@ func (l *Log) PutTree(hash string, t *Tree) error {
 func (l *Log) DropTree(hash string) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	e := l.index[hash]
-	if e == nil || e.treeSeg == nil {
+	if e := l.index[hash]; e == nil || e.treeSeg == nil {
 		return nil
 	}
-	if _, _, _, err := l.append(logRecord{T: recDrop, Hash: hash}); err != nil {
-		return err
-	}
-	l.liveBytes -= e.tBytes
-	e.treeSeg, e.treeOff, e.treeW, e.tBytes = nil, 0, 0, 0
-	return nil
+	return l.append(logRecord{T: recDrop, Hash: hash})
 }
 
 // Hashes lists every indexed hash in sorted order.
@@ -566,17 +530,17 @@ func (l *Log) Hashes() []string {
 	return out
 }
 
-// Compact rewrites every live entry into a fresh segment and removes
-// the older ones. Crash safety: the compacted segment has a higher id
-// than everything it replaces, and records are merges — replaying
-// originals followed by a (possibly partial) compacted segment
-// converges to the same state, so a crash at any point between "start
-// writing" and "old segments removed" recovers cleanly.
-func (l *Log) Compact() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+// compact rewrites every live entry into a fresh segment, fsyncs it
+// once and removes the older ones. Caller holds l.mu. Crash safety:
+// the compacted segment has a higher id than everything it replaces,
+// and records are merges — replaying originals followed by a (possibly
+// partial) compacted segment converges to the same state, so a crash
+// at any point between "start writing" and "old segments removed"
+// recovers cleanly. Its writes are maintenance, not traffic: they
+// count no Appends.
+func (l *Log) compact() error {
 	if l.closed {
-		return fmt.Errorf("store: log closed")
+		return errClosed
 	}
 	l.syncLocked()
 	nOld := len(l.segs)
@@ -584,9 +548,6 @@ func (l *Log) Compact() error {
 		l.stats.Errors++
 		return err
 	}
-	l.inCompact = true
-	defer func() { l.inCompact = false }()
-	appendsBefore := l.stats.Appends
 
 	hashes := make([]string, 0, len(l.index))
 	for h := range l.index {
@@ -598,7 +559,7 @@ func (l *Log) Compact() error {
 	for _, hash := range hashes {
 		e := l.index[hash]
 		if e.bounds.Known() {
-			_, _, n, err := l.append(logRecord{T: recBounds, Hash: hash, LB: e.bounds.LB, UB: e.bounds.UB})
+			_, _, n, err := l.write(logRecord{T: recBounds, Hash: hash, LB: e.bounds.LB, UB: e.bounds.UB})
 			if err != nil {
 				return err
 			}
@@ -607,23 +568,22 @@ func (l *Log) Compact() error {
 		} else {
 			e.bBytes = 0
 		}
-		if e.treeSeg != nil {
-			rec, err := l.readRecord(e.treeSeg, e.treeOff)
-			if err != nil || rec.Tree == nil {
-				l.stats.CorruptRecords++
-				e.treeSeg, e.treeOff, e.treeW, e.tBytes = nil, 0, 0, 0
-			} else {
-				sg, off, n, err := l.append(logRecord{T: recTree, Hash: hash, Tree: rec.Tree})
-				if err != nil {
-					return err
-				}
-				e.treeSeg, e.treeOff, e.tBytes = sg, off, n
-				live += n
-			}
+		if e.treeSeg == nil {
+			continue
 		}
+		rec, _, err := readFrame(e.treeSeg, e.treeOff, e.treeSeg.size)
+		if err != nil || rec.Tree == nil {
+			l.stats.CorruptRecords++
+			e.treeSeg, e.treeOff, e.treeW, e.tBytes = nil, 0, 0, 0
+			continue
+		}
+		sg, off, n, err := l.write(logRecord{T: recTree, Hash: hash, Tree: rec.Tree})
+		if err != nil {
+			return err
+		}
+		e.treeSeg, e.treeOff, e.tBytes = sg, off, n
+		live += n
 	}
-	// Compaction writes are maintenance, not traffic.
-	l.stats.Appends = appendsBefore
 	if err := l.active().f.Sync(); err != nil {
 		l.stats.Errors++
 		return err
@@ -668,7 +628,7 @@ func (l *Log) Purge() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		return fmt.Errorf("store: log closed")
+		return errClosed
 	}
 	next := l.active().id + 1
 	for _, sg := range l.segs {
@@ -681,10 +641,7 @@ func (l *Log) Purge() error {
 	l.index = make(map[string]*logEntry)
 	l.liveBytes = 0
 	l.dirty = false
-	if err := l.addSegment(next); err != nil {
-		return err
-	}
-	return nil
+	return l.addSegment(next)
 }
 
 // Stats snapshots the disk counters.
@@ -704,24 +661,25 @@ func (l *Log) Stats() DiskStats {
 	return st
 }
 
-// Close fsyncs and closes every segment. Idempotent.
+// Close fsyncs and closes every segment. Every call returns the first
+// call's result, so both a service that owns the log and the operator
+// code that built it can close it.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
-		return nil
+		return l.closeErr
 	}
 	l.syncLocked()
-	failed := l.dirty
+	if l.dirty {
+		l.closeErr = fmt.Errorf("store: final fsync failed; unsynced tail may be lost")
+	}
 	l.closed = true
 	close(l.stop)
 	l.closeAll()
 	l.mu.Unlock()
 	l.wg.Wait()
-	if failed {
-		return fmt.Errorf("store: final fsync failed; unsynced tail may be lost")
-	}
-	return nil
+	return l.closeErr
 }
 
 // syncDir fsyncs a directory so a just-created, renamed, or removed

@@ -23,6 +23,13 @@ func testTree(w int) *Tree {
 	return &Tree{Lambda: lam, Bag: bag, Children: []*Tree{{Lambda: []int{0}, Bag: []int{0}}}}
 }
 
+// compactLog compacts l now, under its lock, as Tiered.Compact does.
+func compactLog(l *Log) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.compact()
+}
+
 // lastSegment returns the path of the highest-numbered segment file.
 func lastSegment(t testing.TB, dir string) string {
 	t.Helper()
@@ -189,7 +196,7 @@ func TestLogSkipsLegacySummaryRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(l, "reopen")
-	if err := l.Compact(); err != nil {
+	if err := compactLog(l); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -245,11 +252,13 @@ func TestLogSupersededRecordsDoNotResurrect(t *testing.T) {
 
 func TestLogRotationAndCompaction(t *testing.T) {
 	dir := t.TempDir()
-	// Tiny segments, auto-compaction off: the test drives Compact.
-	l, err := OpenLog(LogConfig{Dir: dir, SegmentBytes: 512, CompactRatio: -1})
+	// Tiny segments: rotation compacts on its own too, and the test
+	// then compacts explicitly.
+	l, err := OpenLog(LogConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
+	l.segmentBytes = 512
 	// Lots of superseded records: the same hashes get ever-better trees.
 	for round := 9; round >= 2; round-- {
 		for i := 0; i < 8; i++ {
@@ -265,9 +274,9 @@ func TestLogRotationAndCompaction(t *testing.T) {
 	if st.LiveBytes >= st.Bytes {
 		t.Fatalf("live=%d total=%d: superseded records must count as garbage", st.LiveBytes, st.Bytes)
 	}
-	preBytes := st.Bytes
+	preBytes, preCompactions := st.Bytes, st.Compactions
 
-	if err := l.Compact(); err != nil {
+	if err := compactLog(l); err != nil {
 		t.Fatal(err)
 	}
 	st = l.Stats()
@@ -277,8 +286,8 @@ func TestLogRotationAndCompaction(t *testing.T) {
 	if st.Bytes >= preBytes {
 		t.Fatalf("bytes %d -> %d: compaction must reclaim garbage", preBytes, st.Bytes)
 	}
-	if st.Compactions != 1 {
-		t.Fatalf("compactions=%d, want 1", st.Compactions)
+	if st.Compactions != preCompactions+1 {
+		t.Fatalf("compactions %d -> %d, want +1", preCompactions, st.Compactions)
 	}
 	// Live state intact, trees readable from the compacted segment.
 	for i := 0; i < 8; i++ {
@@ -305,28 +314,142 @@ func TestLogRotationAndCompaction(t *testing.T) {
 	}
 }
 
-// TestLogAutoCompaction: rotation triggers background compaction once
-// the garbage ratio crosses the threshold.
+// TestLogAutoCompaction: the append whose rotation finds the garbage
+// ratio over the threshold compacts before it returns.
 func TestLogAutoCompaction(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenLog(LogConfig{Dir: dir, SegmentBytes: 256, CompactRatio: 0.5})
+	l, err := OpenLog(LogConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
+	l.segmentBytes = 256
 	// One hash, endlessly superseded: nearly everything is garbage.
 	for w := 60; w >= 2; w-- {
 		l.PutTree("g", testTree(w))
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for l.Stats().Compactions == 0 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
 	if st := l.Stats(); st.Compactions == 0 {
-		t.Fatalf("no background compaction: %+v", st)
+		t.Fatalf("no compaction: %+v", st)
 	}
 	if tr, ok, err := l.Tree("g"); err != nil || !ok || tr.Width() != 2 {
 		t.Fatalf("g after auto-compaction: w=%d ok=%v err=%v", tr.Width(), ok, err)
+	}
+}
+
+// TestLogCompactionFsyncsOnce: under the default per-append fsync, a
+// compaction of N live entries writes them without fsyncing each one:
+// it adds exactly one fsync (of the compacted segment), and its
+// rewrites count as no Appends.
+func TestLogCompactionFsyncsOnce(t *testing.T) {
+	l, err := OpenLog(LogConfig{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	const n = 50
+	for i := 0; i < n; i++ {
+		hash := fmt.Sprintf("g%d", i)
+		l.MergeBounds(hash, Bounds{LB: 2})
+		l.PutTree(hash, testTree(3))
+	}
+	before := l.Stats()
+	if err := compactLog(l); err != nil {
+		t.Fatal(err)
+	}
+	after := l.Stats()
+	if after.Compactions != before.Compactions+1 {
+		t.Fatalf("compactions %d -> %d, want +1", before.Compactions, after.Compactions)
+	}
+	if after.Syncs != before.Syncs+1 || after.Appends != before.Appends {
+		t.Fatalf("compacting %d entries: syncs %d -> %d, appends %d -> %d; want +1 sync, no appends",
+			n, before.Syncs, after.Syncs, before.Appends, after.Appends)
+	}
+	if after.Entries != n || after.Trees != n || after.LiveBytes != after.Bytes {
+		t.Fatalf("after compaction: %+v", after)
+	}
+}
+
+// TestLogCompactingCallKeepsItsRecord: when MergeBounds, PutTree or
+// DropTree itself rotates into a compaction, the compacted segment
+// carries the call's own record, and the index points into it: the
+// record is served right after the call and after a reopen.
+func TestLogCompactingCallKeepsItsRecord(t *testing.T) {
+	cases := []struct {
+		name  string
+		call  func(l *Log) error
+		check func(l *Log) error
+	}{
+		{"MergeBounds", func(l *Log) error { return l.MergeBounds("g", Bounds{LB: 3}) },
+			func(l *Log) error {
+				if b, ok := l.Bounds("g"); !ok || b.LB != 3 || b.UB != 4 {
+					return fmt.Errorf("bounds %+v ok=%v, want LB=3 UB=4", b, ok)
+				}
+				return nil
+			}},
+		{"PutTree", func(l *Log) error { return l.PutTree("g", testTree(2)) },
+			func(l *Log) error {
+				if tr, ok, err := l.Tree("g"); err != nil || !ok || tr.Width() != 2 {
+					return fmt.Errorf("tree ok=%v err=%v, want width 2", ok, err)
+				}
+				if b, _ := l.Bounds("g"); b.UB != 2 {
+					return fmt.Errorf("bounds %+v, want UB=2", b)
+				}
+				return nil
+			}},
+		{"DropTree", func(l *Log) error { return l.DropTree("g") },
+			func(l *Log) error {
+				if _, ok, err := l.Tree("g"); ok || err != nil {
+					return fmt.Errorf("dropped tree served (ok=%v err=%v)", ok, err)
+				}
+				if b, ok := l.Bounds("g"); !ok || b.UB != 4 {
+					return fmt.Errorf("bounds %+v ok=%v, want UB=4", b, ok)
+				}
+				return nil
+			}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			l, err := OpenLog(LogConfig{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := l.PutTree("g", testTree(4)); err != nil {
+				t.Fatal(err)
+			}
+			// A filler hash whose every bounds record supersedes the one
+			// before: nearly all of the log is dead.
+			for lb := 2; lb < 100; lb++ {
+				if err := l.MergeBounds("filler", Bounds{LB: lb}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Shrink the rotation size so the call's own append finds a
+			// full segment in a log over two segments in size.
+			l.segmentBytes = l.Stats().Bytes / 3
+			if err := c.call(l); err != nil {
+				t.Fatal(err)
+			}
+			if st := l.Stats(); st.Compactions != 1 || st.Segments != 1 {
+				t.Fatalf("the call did not compact: %+v", st)
+			}
+			if err := c.check(l); err != nil {
+				t.Fatalf("right after the call: %v", err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if l, err = OpenLog(LogConfig{Dir: dir}); err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			if err := c.check(l); err != nil {
+				t.Fatalf("after reopen: %v", err)
+			}
+			if st := l.Stats(); st.CorruptRecords != 0 || st.TruncatedTail != 0 {
+				t.Fatalf("reopened compacted log: %+v", st)
+			}
+		})
 	}
 }
 
@@ -546,10 +669,11 @@ func TestLogFsyncCadence(t *testing.T) {
 // under the race detector.
 func TestLogConcurrency(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenLog(LogConfig{Dir: dir, SegmentBytes: 2048, CompactRatio: 0.5})
+	l, err := OpenLog(LogConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
+	l.segmentBytes = 2048
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -575,7 +699,7 @@ func TestLogConcurrency(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if err := l.Compact(); err != nil {
+	if err := compactLog(l); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {

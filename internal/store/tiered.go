@@ -1,9 +1,5 @@
 package store
 
-import (
-	"sync"
-)
-
 // TieredConfig sizes a Tiered backend: an in-memory Memory front over
 // a disk Log.
 type TieredConfig struct {
@@ -34,10 +30,6 @@ type TieredConfig struct {
 type Tiered struct {
 	mem *Memory
 	log *Log
-
-	closeMu  sync.Mutex
-	closed   bool
-	closeErr error
 }
 
 // OpenTiered opens (or creates) the disk tier and builds the memory
@@ -160,21 +152,16 @@ func (t *Tiered) Sync() error {
 	return t.log.Sync()
 }
 
-// Compact compacts the log.
+// Compact compacts the log now, under the log's lock.
 func (t *Tiered) Compact() error {
-	return t.log.Compact()
+	t.log.mu.Lock()
+	defer t.log.mu.Unlock()
+	return t.log.compact()
 }
 
-// Close closes the log. Idempotent: every call returns the first
-// close's error, so both a service that owns the backend and the
-// operator code that built it can close safely.
+// Close closes the log. Every call returns the first close's error, so
+// both a service that owns the backend and the operator code that
+// built it can close safely.
 func (t *Tiered) Close() error {
-	t.closeMu.Lock()
-	defer t.closeMu.Unlock()
-	if t.closed {
-		return t.closeErr
-	}
-	t.closed = true
-	t.closeErr = t.log.Close()
-	return t.closeErr
+	return t.log.Close()
 }

@@ -86,11 +86,12 @@ func TestTieredEvictionFallsBackToDisk(t *testing.T) {
 	}
 }
 
-// TestTieredSummariesFlushOnClose: memo tables are memory-only, and
-// Close writes nothing about them. Info shows a live table's summary
-// on its disk entry, and, after a restart dropped the table, lists the
-// entry with no summary rather than one for a table that is gone.
-func TestTieredSummariesFlushOnClose(t *testing.T) {
+// TestTieredMemosNeverReachLog: memo tables are memory-only, and
+// neither their inserts nor Close write anything about them. Info
+// shows a live table's summary on its disk entry, and, after a restart
+// dropped the table, lists the entry with no summary rather than one
+// for a table that is gone.
+func TestTieredMemosNeverReachLog(t *testing.T) {
 	dir := t.TempDir()
 	ts := openTiered(t, dir, 32)
 	ts.MergeBounds("g", Bounds{LB: 3})
