@@ -3,8 +3,10 @@ package htd
 // bench_test.go regenerates every table and figure of the paper's
 // evaluation (§5 and Appendix D) at bench scale. Each benchmark runs one
 // full (scaled-down) experiment per iteration and logs the resulting
-// table on the first iteration; `cmd/benchtab` runs the same experiments
-// at larger scale and timeout.
+// tables on the first iteration; BenchmarkPaperSweep runs the paper's
+// method roster once and logs Tables 1, 3 and 4 and Figure 3 as views
+// of it. `cmd/benchtab` runs the same experiments at larger scale and
+// timeout.
 //
 // Run all of them with:
 //
@@ -13,9 +15,10 @@ package htd
 // Expected shapes (absolute numbers depend on the machine; see
 // docs/RESULTS.md for recorded runs and the substitutions behind them):
 //
-//	Table 1:  Hyb#, LEO# and DetK# within a few instances in the Total
-//	          row, the hybrid not ahead: 40, 40, 40 of 46 at benchtab
-//	          -scale 1 and 156, 157, 157 of 184 at -scale 4
+//	Table 1:  DetK#, LEO#, Hyb# and Ladder# within a few instances in
+//	          the Total row, the hybrid not ahead: 40, 40, 40, 40 of 46
+//	          at benchtab -scale 1 and 157, 157, 155, 158 of 184 at
+//	          -scale 4
 //	Figure 1: log-k average runtime decreases with cores
 //	Table 2:  WeightedCount rows solve at least as many as EdgeCount rows
 //	Table 3:  Hyb matches VirtualBest at widths <= 3
@@ -59,16 +62,23 @@ func checkResults(b *testing.B, results []harness.Result) {
 	}
 }
 
-// BenchmarkTable1SolvedInstances reproduces Table 1: solved counts and
-// runtime statistics per origin × size group for NewDetKDecomp, the
-// HtdLEO stand-in and the log-k-decomp hybrid.
-func BenchmarkTable1SolvedInstances(b *testing.B) {
+// BenchmarkPaperSweep runs the paper's method roster (NewDetKDecomp,
+// the HtdLEO stand-in, the log-k-decomp hybrid and the width ladder)
+// once and logs its views: Table 1 (solved counts and runtimes per
+// origin × size group), Table 3 (optimally solved instances per width,
+// with the Virtual Best), Table 4 (bounds "hw ≤ w" decided per width)
+// and Figure 3 (the solved/unsolved scatter of the three paper methods,
+// as CSV data plus a bucket table).
+func BenchmarkPaperSweep(b *testing.B) {
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
-		tab, results := harness.Table1(context.Background(), cfg)
+		results := harness.PaperSweep(context.Background(), cfg)
 		if i == 0 {
 			checkResults(b, results)
-			b.Logf("\n%s", tab.Render())
+			csv, fig3 := harness.Figure3(results)
+			b.Logf("\n%s\n%s\n%s\n%s", harness.Table1(cfg, results).Render(), harness.Table3(results).Render(),
+				harness.Table4(results, len(cfg.Suite), cfg.KMax).Render(), fig3.Render())
+			b.Logf("scatter CSV: %d bytes (see cmd/benchtab -experiment figure3 for the full data)", len(csv))
 		}
 	}
 }
@@ -104,64 +114,19 @@ func BenchmarkTable2HybridMetrics(b *testing.B) {
 	}
 }
 
-// BenchmarkTable3SolvedByWidth reproduces Table 3: optimally solved
-// instance counts per width, with the Virtual Best aggregate.
-func BenchmarkTable3SolvedByWidth(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		tab, results := harness.Table3(context.Background(), cfg)
-		if i == 0 {
-			checkResults(b, results)
-			b.Logf("\n%s", tab.Render())
-		}
-	}
-}
-
-// BenchmarkTable4UpperBounds reproduces Table 4: how many instances each
-// method can decide "hw ≤ w" for, per width.
-func BenchmarkTable4UpperBounds(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		_, results := harness.Table3(context.Background(), cfg)
-		tab := harness.Table4(results, len(cfg.Suite), 6)
-		if i == 0 {
-			checkResults(b, results)
-			b.Logf("\n%s", tab.Render())
-		}
-	}
-}
-
 // BenchmarkTable5ExtendedTimeout reproduces Table 5 (Appendix D.3): the
-// HtdLEO stand-in with a 10× budget.
+// HtdLEO stand-in with a 10× budget. It runs the stand-in's 1× column
+// itself, at its own 100 ms budget rather than the sweep's.
 func BenchmarkTable5ExtendedTimeout(b *testing.B) {
 	cfg := benchConfig()
 	cfg.Timeout = 100 * time.Millisecond
+	r := harness.Runner{Timeout: cfg.Timeout, KMax: cfg.KMax}
 	for i := 0; i < b.N; i++ {
-		tab, results := harness.Table5(context.Background(), cfg)
+		short := r.RunAll(context.Background(), []harness.Method{harness.MethodOpt()}, cfg.Suite, nil)
+		tab, long := harness.Table5(context.Background(), cfg, short)
 		if i == 0 {
-			checkResults(b, results)
+			checkResults(b, append(short, long...))
 			b.Logf("\n%s", tab.Render())
-		}
-	}
-}
-
-// BenchmarkFigure3SolvedScatter reproduces the solved/unsolved scatter
-// of Appendix D.4 (Figure 3), as per-method CSV data plus a bucket table.
-func BenchmarkFigure3SolvedScatter(b *testing.B) {
-	cfg := benchConfig()
-	methods := []harness.Method{
-		harness.MethodDetK(),
-		harness.MethodOpt(),
-		harness.MethodLogKHybrid(cfg.Workers, logk.PaperHybrid, logk.PaperHybridThreshold),
-	}
-	for i := 0; i < b.N; i++ {
-		r := harness.Runner{Timeout: cfg.Timeout, KMax: cfg.KMax}
-		results := r.RunAll(context.Background(), methods, cfg.Suite, nil)
-		csv, tab := harness.Figure3(results)
-		if i == 0 {
-			checkResults(b, results)
-			b.Logf("\n%s", tab.Render())
-			b.Logf("scatter CSV: %d bytes (see cmd/benchtab -experiment figure3 for the full data)", len(csv))
 		}
 	}
 }

@@ -6,10 +6,13 @@
 // Usage:
 //
 //	benchtab -experiment all -timeout 2s -scale 2 -workers 8
+//	benchtab -experiment table1,table5 -scale 4 -timeout 1s
 //	benchtab -experiment figure3 -csv scatter.csv
 //
 // Experiments: table1 table2 table3 table4 table5 figure1 figure3
-// depth ghd all
+// depth ghd, or all. -experiment takes a comma-separated list; one
+// invocation runs the paper sweep (harness.PaperSweep) behind table1,
+// table3, table4, table5 and figure3 once and prints each view of it.
 //
 // The service's layers are measured end to end by perfbench/ (see
 // perfbench/README.md) against a live htdserve. Their allocation and
@@ -22,28 +25,70 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
 	"repro/internal/harness"
 	"repro/internal/hyperbench"
-	"repro/internal/logk"
 )
 
+// allExperiments is what "-experiment all" runs, in order.
+var allExperiments = []string{"table1", "table2", "table3", "table4", "table5",
+	"figure1", "figure3", "depth", "ghd"}
+
+// sweepExperiments are the views of one harness.PaperSweep.
+var sweepExperiments = []string{"table1", "table3", "table4", "table5", "figure3"}
+
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "benchtab:", err)
+		os.Exit(1)
+	}
+}
+
+// experiments parses the -experiment value: a comma-separated list of
+// experiment names, where "all" stands for every one. It fails on the
+// first unknown name.
+func experiments(spec string) ([]string, error) {
+	var names []string
+	for _, n := range strings.Split(spec, ",") {
+		n = strings.TrimSpace(n)
+		switch {
+		case n == "all":
+			names = append(names, allExperiments...)
+		case slices.Contains(allExperiments, n):
+			names = append(names, n)
+		default:
+			return nil, fmt.Errorf("unknown experiment %q", n)
+		}
+	}
+	return names, nil
+}
+
+// run is benchtab with its arguments, printing the tables to stdout.
+// Every experiment name is checked before the first run starts, and the
+// paper sweep behind sweepExperiments runs at most once.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("benchtab", flag.ExitOnError)
 	var (
-		experiment = flag.String("experiment", "all", "which experiment to run")
-		timeout    = flag.Duration("timeout", 500*time.Millisecond, "budget per width tried for width-parameterised methods (det-k, log-k, hybrid), per instance for optimal ones (HtdLEO stand-in, width ladder)")
-		scale      = flag.Int("scale", 1, "suite scale factor")
-		seed       = flag.Int64("seed", 2022, "suite seed")
-		kmax       = flag.Int("kmax", 6, "maximum width to try")
-		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "workers for parallel methods")
-		csvPath    = flag.String("csv", "", "write figure3 scatter CSV here")
-		quiet      = flag.Bool("quiet", false, "suppress progress output")
+		experiment = fs.String("experiment", "all", "comma-separated experiments to run: "+strings.Join(allExperiments, " ")+", or all")
+		timeout    = fs.Duration("timeout", 500*time.Millisecond, "budget per width tried for width-parameterised methods (det-k, log-k, hybrid), per instance for optimal ones (HtdLEO stand-in, width ladder)")
+		scale      = fs.Int("scale", 1, "suite scale factor")
+		seed       = fs.Int64("seed", 2022, "suite seed")
+		kmax       = fs.Int("kmax", 6, "maximum width to try")
+		workers    = fs.Int("workers", runtime.GOMAXPROCS(0), "workers for parallel methods")
+		csvPath    = fs.String("csv", "", "write figure3 scatter CSV here")
+		quiet      = fs.Bool("quiet", false, "suppress progress output")
 	)
-	flag.Parse()
+	fs.Parse(args)
+	names, err := experiments(*experiment)
+	if err != nil {
+		return err
+	}
 
 	cfg := harness.Config{
 		Suite:   hyperbench.Suite(hyperbench.Config{Scale: *scale, Seed: *seed}),
@@ -63,66 +108,52 @@ func main() {
 	}
 	ctx := context.Background()
 
-	run := func(name string) error {
-		fmt.Printf("\n### %s ###\n\n", name)
-		switch name {
-		case "table1":
-			tab, results := harness.Table1(ctx, cfg)
-			if err := firstErr(results); err != nil {
+	var sweep []harness.Result
+	for _, name := range names {
+		if slices.Contains(sweepExperiments, name) && sweep == nil {
+			sweep = harness.PaperSweep(ctx, cfg)
+			if err := firstErr(sweep); err != nil {
 				return err
 			}
-			fmt.Print(tab.Render())
+		}
+		fmt.Fprintf(stdout, "\n### %s ###\n\n", name)
+		switch name {
+		case "table1":
+			fmt.Fprint(stdout, harness.Table1(cfg, sweep).Render())
+		case "table3":
+			fmt.Fprint(stdout, harness.Table3(sweep).Render())
+		case "table4":
+			fmt.Fprint(stdout, harness.Table4(sweep, len(cfg.Suite), cfg.KMax).Render())
+		case "table5":
+			tab, long := harness.Table5(ctx, cfg, sweep)
+			if err := firstErr(long); err != nil {
+				return err
+			}
+			fmt.Fprint(stdout, tab.Render())
+		case "figure3":
+			csv, tab := harness.Figure3(sweep)
+			fmt.Fprint(stdout, tab.Render())
+			if *csvPath != "" {
+				if err := os.WriteFile(*csvPath, []byte(csv), 0o644); err != nil {
+					return err
+				}
+				fmt.Fprintf(stdout, "scatter data written to %s\n", *csvPath)
+			}
 		case "table2":
 			tab, results := harness.Table2(ctx, cfg)
 			if err := firstErr(results); err != nil {
 				return err
 			}
-			fmt.Print(tab.Render())
-		case "table3":
-			tab, results := harness.Table3(ctx, cfg)
-			if err := firstErr(results); err != nil {
-				return err
-			}
-			fmt.Print(tab.Render())
-		case "table4":
-			_, results := harness.Table3(ctx, cfg)
-			if err := firstErr(results); err != nil {
-				return err
-			}
-			fmt.Print(harness.Table4(results, len(cfg.Suite), cfg.KMax).Render())
-		case "table5":
-			tab, results := harness.Table5(ctx, cfg)
-			if err := firstErr(results); err != nil {
-				return err
-			}
-			fmt.Print(tab.Render())
+			fmt.Fprint(stdout, tab.Render())
 		case "figure1":
 			cores := []int{1, 2, 3, 4, 5, 6}
 			if runtime.GOMAXPROCS(0) < 6 {
 				cores = []int{1, 2}
 			}
 			tab, _ := harness.Figure1(ctx, cfg, cores)
-			fmt.Print(tab.Render())
-		case "figure3":
-			r := harness.Runner{Timeout: cfg.Timeout, KMax: cfg.KMax}
-			methods := []harness.Method{
-				harness.MethodDetK(), harness.MethodOpt(),
-				harness.MethodLogKHybrid(cfg.Workers, logk.PaperHybrid, logk.PaperHybridThreshold),
-			}
-			results := r.RunAll(ctx, methods, cfg.Suite, cfg.Progress)
-			if err := firstErr(results); err != nil {
-				return err
-			}
-			csv, tab := harness.Figure3(results)
-			fmt.Print(tab.Render())
-			if *csvPath != "" {
-				if err := os.WriteFile(*csvPath, []byte(csv), 0o644); err != nil {
-					return err
-				}
-				fmt.Printf("scatter data written to %s\n", *csvPath)
-			}
+			fmt.Fprint(stdout, tab.Render())
 		case "depth":
-			fmt.Print(harness.DepthExperiment(ctx, []int{16, 32, 64, 128, 256, 512}).Render())
+			fmt.Fprint(stdout, harness.DepthExperiment(ctx, []int{16, 32, 64, 128, 256, 512}).Render())
 		case "ghd":
 			var small []hyperbench.Instance
 			for _, in := range cfg.Suite {
@@ -136,24 +167,10 @@ func main() {
 			if err != nil {
 				return err
 			}
-			fmt.Print(tab.Render())
-		default:
-			return fmt.Errorf("unknown experiment %q", name)
-		}
-		return nil
-	}
-
-	names := []string{*experiment}
-	if *experiment == "all" {
-		names = []string{"table1", "table2", "table3", "table4", "table5",
-			"figure1", "figure3", "depth", "ghd"}
-	}
-	for _, n := range names {
-		if err := run(strings.TrimSpace(n)); err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab:", err)
-			os.Exit(1)
+			fmt.Fprint(stdout, tab.Render())
 		}
 	}
+	return nil
 }
 
 func firstErr(results []harness.Result) error {

@@ -34,7 +34,7 @@ func shortName(m string) string {
 	switch m {
 	case "NewDetKDecomp":
 		return "DetK"
-	case "HtdLEO(sim)":
+	case leoName:
 		return "LEO"
 	case "log-k-decomp":
 		return "LogK"
@@ -67,26 +67,45 @@ func provenanceNote(results []Result) string {
 		counts["structural"], counts["probe"], counts["trivial"])
 }
 
-// Table1 reproduces Table 1: solved counts and runtime statistics per
-// origin × size group for NewDetKDecomp, the HtdLEO stand-in, and the
-// log-k-decomp hybrid.
-func Table1(ctx context.Context, cfg Config) (*Table, []Result) {
+// PaperSweep runs the paper's method roster once over cfg.Suite:
+// NewDetKDecomp, the HtdLEO stand-in, the log-k-decomp hybrid and the
+// width ladder. Tables 1, 3 and 4, Figure 3 and Table 5's 1× column are
+// views of its results.
+func PaperSweep(ctx context.Context, cfg Config) []Result {
 	methods := []Method{
 		MethodDetK(),
 		MethodOpt(),
 		MethodLogKHybrid(cfg.Workers, logk.PaperHybrid, logk.PaperHybridThreshold),
 		MethodLadder(cfg.Workers),
 	}
-	results := cfg.runner().RunAll(ctx, methods, cfg.Suite, cfg.Progress)
+	return cfg.runner().RunAll(ctx, methods, cfg.Suite, cfg.Progress)
+}
 
+// methodOrder lists the methods of results in order of first
+// appearance, which for RunAll's results is the roster's order.
+func methodOrder(results []Result) []string {
+	var order []string
+	seen := map[string]bool{}
+	for _, r := range results {
+		if !seen[r.Method] {
+			seen[r.Method] = true
+			order = append(order, r.Method)
+		}
+	}
+	return order
+}
+
+// Table1 reproduces Table 1 from PaperSweep's results over cfg.Suite:
+// solved counts and runtime statistics per origin × size group for
+// each method.
+func Table1(cfg Config, results []Result) *Table {
+	methods := methodOrder(results)
 	t := &Table{
-		Title: "Table 1: solved instances and runtimes (sec) per method",
-		Headers: []string{
-			"Origin", "Size", "N",
-		},
+		Title:   "Table 1: solved instances and runtimes (sec) per method",
+		Headers: []string{"Origin", "Size", "N"},
 	}
 	for _, m := range methods {
-		p := shortName(m.Name)
+		p := shortName(m)
 		t.Headers = append(t.Headers, p+"#", p+"-avg", p+"-max", p+"-std")
 	}
 
@@ -107,7 +126,7 @@ func Table1(ctx context.Context, cfg Config) (*Table, []Result) {
 			}
 			row := []any{origin.String(), bucket, n}
 			for _, m := range methods {
-				st := Aggregate(results, func(r Result) bool { return r.Method == m.Name && inGroup(r) })
+				st := Aggregate(results, func(r Result) bool { return r.Method == m && inGroup(r) })
 				row = append(row, st.Solved, st.AvgSec, st.MaxSec, st.StdevSec)
 			}
 			t.AddRow(row...)
@@ -119,7 +138,7 @@ func Table1(ctx context.Context, cfg Config) (*Table, []Result) {
 	// Total row.
 	row := []any{"Total", "-", len(cfg.Suite)}
 	for _, m := range methods {
-		st := Aggregate(results, func(r Result) bool { return r.Method == m.Name })
+		st := Aggregate(results, func(r Result) bool { return r.Method == m })
 		row = append(row, st.Solved, st.AvgSec, st.MaxSec, st.StdevSec)
 	}
 	t.AddRow(row...)
@@ -129,7 +148,7 @@ func Table1(ctx context.Context, cfg Config) (*Table, []Result) {
 	if note := provenanceNote(results); note != "" {
 		t.Notes = append(t.Notes, note)
 	}
-	return t, results
+	return t
 }
 
 // ScalingPoint is one (cores, seconds) measurement of Figure 1.
@@ -280,103 +299,78 @@ func Table2(ctx context.Context, cfg Config) (*Table, []Result) {
 	return t, all
 }
 
-// Table3 reproduces the per-width solved counts (Appendix D.5, Table 3),
-// including the Virtual Best aggregation.
-func Table3(ctx context.Context, cfg Config) (*Table, []Result) {
-	methods := []Method{
-		MethodDetK(),
-		MethodOpt(),
-		MethodLogKHybrid(cfg.Workers, logk.PaperHybrid, logk.PaperHybridThreshold),
-		MethodLadder(cfg.Workers),
-	}
-	results := cfg.runner().RunAll(ctx, methods, cfg.Suite, cfg.Progress)
-
-	// width -> method -> count of optimally solved instances of that width
-	solvedAt := map[int]map[string]int{}
-	virtual := map[int]map[string]bool{} // width -> instance set
+// Table3 reproduces the per-width solved counts (Appendix D.5, Table 3)
+// from PaperSweep's results, including the Virtual Best aggregation.
+func Table3(results []Result) *Table {
+	maxW := 0
 	for _, r := range results {
-		if !r.Solved {
-			continue
+		if r.Solved {
+			maxW = max(maxW, r.Width)
 		}
-		if solvedAt[r.Width] == nil {
-			solvedAt[r.Width] = map[string]int{}
-		}
-		solvedAt[r.Width][r.Method]++
-		if virtual[r.Width] == nil {
-			virtual[r.Width] = map[string]bool{}
-		}
-		virtual[r.Width][r.Instance.Name] = true
 	}
-	t := &Table{
+	return perWidth(&Table{
 		Title:   "Table 3: instances solved optimally, by width",
 		Headers: []string{"Width", "VirtualBest"},
-	}
-	for _, m := range methods {
-		t.Headers = append(t.Headers, shortName(m.Name))
-	}
-	maxW := 0
-	for w := range virtual {
-		if w > maxW {
-			maxW = w
-		}
-	}
-	for w := 1; w <= maxW; w++ {
-		row := []any{w, len(virtual[w])}
-		for _, m := range methods {
-			row = append(row, solvedAt[w][m.Name])
-		}
-		t.AddRow(row...)
-	}
-	return t, results
+	}, results, maxW, func(w int) any { return w }, func(r Result, w int) bool {
+		return r.Solved && r.Width == w
+	})
 }
 
 // Table4 reproduces the upper-bound determination study (Appendix D.5,
-// Table 4): for each width w, how many instances each method can decide
-// "hw ≤ w?" (either way) within budget. Reuses the results of a prior
-// RunAll (pass them in) to avoid a second sweep.
+// Table 4) from PaperSweep's results: for each width w, how many
+// instances each method can decide "hw ≤ w?" (either way) within
+// budget.
 func Table4(results []Result, suiteSize, maxW int) *Table {
-	methods := []string{}
-	seen := map[string]bool{}
-	for _, r := range results {
-		if !seen[r.Method] {
-			seen[r.Method] = true
-			methods = append(methods, r.Method)
-		}
-	}
-	t := &Table{
+	t := perWidth(&Table{
 		Title:   "Table 4: instances for which 'hw <= w' is decided",
 		Headers: []string{"Problem", "VirtualBest"},
-	}
+	}, results, maxW, func(w int) any { return "hw <= " + strconv.Itoa(w) }, func(r Result, w int) bool {
+		return r.Bounds[w] != Unknown
+	})
+	t.Notes = append(t.Notes, fmt.Sprintf("suite size: %d", suiteSize))
+	return t
+}
+
+// perWidth fills t with one row per width w = 1..maxW: label(w), the
+// number of instances some method's result counts at w (the Virtual
+// Best), then how many results of each method count at w.
+func perWidth(t *Table, results []Result, maxW int, label func(int) any, counts func(Result, int) bool) *Table {
+	methods := methodOrder(results)
 	for _, m := range methods {
 		t.Headers = append(t.Headers, shortName(m))
 	}
 	for w := 1; w <= maxW; w++ {
-		decided := map[string]int{}
-		virtualSet := map[string]bool{}
+		byMethod := map[string]int{}
+		virtual := map[string]bool{}
 		for _, r := range results {
-			if r.Bounds[w] != Unknown {
-				decided[r.Method]++
-				virtualSet[r.Instance.Name] = true
+			if counts(r, w) {
+				byMethod[r.Method]++
+				virtual[r.Instance.Name] = true
 			}
 		}
-		row := []any{"hw <= " + strconv.Itoa(w), len(virtualSet)}
+		row := []any{label(w), len(virtual)}
 		for _, m := range methods {
-			row = append(row, decided[m])
+			row = append(row, byMethod[m])
 		}
 		t.AddRow(row...)
 	}
-	t.Notes = append(t.Notes, fmt.Sprintf("suite size: %d", suiteSize))
 	return t
 }
 
 // Table5 reproduces the extended-timeout study for the HtdLEO stand-in
 // (Appendix D.3, Table 5): solved counts per group at 1× and 10× budget.
-func Table5(ctx context.Context, cfg Config) (*Table, []Result) {
-	short := Runner{Timeout: cfg.Timeout, KMax: cfg.KMax}
+// The 1× column is the HtdLEO stand-in's part of sweep (PaperSweep's
+// results at cfg.Timeout); Table5 runs only the 10× budget and returns
+// those runs.
+func Table5(ctx context.Context, cfg Config, sweep []Result) (*Table, []Result) {
+	var resShort []Result
+	for _, r := range sweep {
+		if r.Method == leoName {
+			resShort = append(resShort, r)
+		}
+	}
 	long := Runner{Timeout: 10 * cfg.Timeout, KMax: cfg.KMax}
-	m := MethodOpt()
-	resShort := short.RunAll(ctx, []Method{m}, cfg.Suite, cfg.Progress)
-	resLong := long.RunAll(ctx, []Method{m}, cfg.Suite, cfg.Progress)
+	resLong := long.RunAll(ctx, []Method{MethodOpt()}, cfg.Suite, cfg.Progress)
 
 	t := &Table{
 		Title:   "Table 5: HtdLEO(sim) with 10x timeout",
@@ -392,12 +386,9 @@ func Table5(ctx context.Context, cfg Config) (*Table, []Result) {
 			if stS.Count == 0 {
 				continue
 			}
-			delta := stL.Solved - stS.Solved
-			sign := "+-0"
-			if delta > 0 {
-				sign = "+" + strconv.Itoa(delta)
-			} else if delta < 0 {
-				sign = strconv.Itoa(delta)
+			sign := fmt.Sprintf("%+d", stL.Solved-stS.Solved)
+			if sign == "+0" {
+				sign = "+-0"
 			}
 			t.AddRow(origin.String(), bucket, stS.Count, stL.Solved, sign)
 		}
@@ -405,58 +396,46 @@ func Table5(ctx context.Context, cfg Config) (*Table, []Result) {
 	stS := Aggregate(resShort, func(Result) bool { return true })
 	stL := Aggregate(resLong, func(Result) bool { return true })
 	t.AddRow("Total", "-", stS.Count, stL.Solved, fmt.Sprintf("%+d", stL.Solved-stS.Solved))
-	return t, append(resShort, resLong...)
+	return t, resLong
 }
 
-// Figure3 emits the solved/unsolved scatter data (Appendix D.4): one CSV
-// block per method with instance coordinates (#edges, #vertices) and the
-// solved flag, plus an aggregate table of the solved frontier.
+// Figure3 emits the solved/unsolved scatter data (Appendix D.4) from
+// PaperSweep's results: one CSV block per paper method with instance
+// coordinates (#edges, #vertices) and the solved flag, plus an
+// aggregate table of the solved frontier. The width ladder is the
+// service's column, not the paper's, so it is left out.
 func Figure3(results []Result) (string, *Table) {
-	var csv strings.Builder
-	csv.WriteString("method,instance,edges,vertices,solved\n")
-	byMethod := map[string][]Result{}
-	var order []string
-	for _, r := range results {
-		if _, ok := byMethod[r.Method]; !ok {
-			order = append(order, r.Method)
-		}
-		byMethod[r.Method] = append(byMethod[r.Method], r)
-	}
-	for _, m := range order {
-		for _, r := range byMethod[m] {
-			fmt.Fprintf(&csv, "%s,%s,%d,%d,%v\n",
-				m, r.Instance.Name, r.Instance.Edges(), r.Instance.H.NumVertices(), r.Solved)
-		}
-	}
-
 	t := &Table{
 		Title:   "Figure 3: solved (s) / unsolved (u) counts by edge-size bucket",
 		Headers: []string{"Size"},
 	}
-	for _, m := range order {
+	var csv strings.Builder
+	csv.WriteString("method,instance,edges,vertices,solved\n")
+	var methods []string
+	for _, m := range methodOrder(results) {
+		if m == ladderName {
+			continue
+		}
+		methods = append(methods, m)
 		t.Headers = append(t.Headers, shortName(m)+"-s", shortName(m)+"-u")
+		for _, r := range results {
+			if r.Method == m {
+				fmt.Fprintf(&csv, "%s,%s,%d,%d,%v\n",
+					m, r.Instance.Name, r.Instance.Edges(), r.Instance.H.NumVertices(), r.Solved)
+			}
+		}
 	}
 	for _, bucket := range hyperbench.BucketOrder {
 		row := []any{bucket}
-		any := false
-		for _, m := range order {
-			s, u := 0, 0
-			for _, r := range byMethod[m] {
-				if hyperbench.SizeBucket(r.Instance.Edges()) != bucket {
-					continue
-				}
-				if r.Solved {
-					s++
-				} else {
-					u++
-				}
-			}
-			if s+u > 0 {
-				any = true
-			}
-			row = append(row, s, u)
+		seen := false
+		for _, m := range methods {
+			st := Aggregate(results, func(r Result) bool {
+				return r.Method == m && hyperbench.SizeBucket(r.Instance.Edges()) == bucket
+			})
+			seen = seen || st.Count > 0
+			row = append(row, st.Solved, st.Count-st.Solved)
 		}
-		if any {
+		if seen {
 			t.AddRow(row...)
 		}
 	}

@@ -3,6 +3,8 @@ package harness
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -165,7 +167,8 @@ func TestTable1SmallSuite(t *testing.T) {
 		KMax:    4,
 		Workers: 2,
 	}
-	tab, results := Table1(context.Background(), cfg)
+	results := PaperSweep(context.Background(), cfg)
+	tab := Table1(cfg, results)
 	for _, r := range results {
 		if r.Err != nil {
 			t.Fatalf("%s on %s: %v", r.Method, r.Instance.Name, r.Err)
@@ -197,7 +200,7 @@ func TestTable1SmallSuite(t *testing.T) {
 
 func TestTable4FromResults(t *testing.T) {
 	cfg := Config{Suite: tinySuite(), Timeout: 3 * time.Second, KMax: 3, Workers: 1}
-	_, results := Table3(context.Background(), cfg)
+	results := PaperSweep(context.Background(), cfg)
 	tab := Table4(results, len(cfg.Suite), 3)
 	out := tab.Render()
 	if !strings.Contains(out, "hw <= 1") || !strings.Contains(out, "VirtualBest") {
@@ -205,20 +208,98 @@ func TestTable4FromResults(t *testing.T) {
 	}
 }
 
+// TestFigure3Data: Figure 3 plots the sweep's three paper methods, one
+// CSV row per result, and leaves the width ladder out.
 func TestFigure3Data(t *testing.T) {
 	cfg := Config{Suite: tinySuite(), Timeout: 3 * time.Second, KMax: 3, Workers: 1}
-	r := cfg.runner()
-	results := r.RunAll(context.Background(), []Method{MethodDetK()}, cfg.Suite, nil)
+	results := PaperSweep(context.Background(), cfg)
 	csv, tab := Figure3(results)
 	if !strings.HasPrefix(csv, "method,instance,edges,vertices,solved") {
 		t.Fatalf("csv header wrong: %q", csv[:50])
 	}
-	if len(strings.Split(strings.TrimSpace(csv), "\n")) != len(results)+1 {
+	paper := 0
+	for _, r := range results {
+		if r.Method != ladderName {
+			paper++
+		}
+	}
+	if paper != 3*len(cfg.Suite) {
+		t.Fatalf("%d paper-method results, want 3 per instance of %d", paper, len(cfg.Suite))
+	}
+	if len(strings.Split(strings.TrimSpace(csv), "\n")) != paper+1 {
 		t.Fatal("csv row count mismatch")
 	}
 	if !strings.Contains(tab.Render(), "DetK-s") {
 		t.Fatalf("figure table malformed:\n%s", tab.Render())
 	}
+	if strings.Contains(csv, ladderName) || strings.Contains(tab.Render(), "Ladder") {
+		t.Fatalf("figure 3 has a ladder column:\n%s", tab.Render())
+	}
+}
+
+// TestSweepViewsAgree: the views of one sweep describe the same runs.
+// Per method, Table 3's counts over all widths add up to Table 1's
+// Total solved count, and Table 5's 1× count is Table 1's LEO Total.
+func TestSweepViewsAgree(t *testing.T) {
+	cfg := Config{Suite: tinySuite(), Timeout: 3 * time.Second, KMax: 4, Workers: 2}
+	results := PaperSweep(context.Background(), cfg)
+	for _, r := range results {
+		if r.Err != nil {
+			t.Fatalf("%s on %s: %v", r.Method, r.Instance.Name, r.Err)
+		}
+	}
+	t1, t3 := Table1(cfg, results), Table3(results)
+	total1 := func(col string) int {
+		t.Helper()
+		return cell(t, t1, rowOf(t, t1, "Total"), col)
+	}
+	for _, m := range methodOrder(results) {
+		p := shortName(m)
+		sum := 0
+		for i := range t3.Rows {
+			sum += cell(t, t3, i, p)
+		}
+		if want := total1(p + "#"); sum != want {
+			t.Errorf("%s: Table 3 counts sum to %d, Table 1 Total reads %d", p, sum, want)
+		}
+	}
+
+	t5, long := Table5(context.Background(), cfg, results)
+	for _, r := range long {
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+	}
+	total := rowOf(t, t5, "Total")
+	if once := cell(t, t5, total, "solved(10x)") - cell(t, t5, total, "delta vs 1x"); once != total1("LEO#") {
+		t.Errorf("Table 5's 1x Total is %d, Table 1's LEO Total %d:\n%s%s", once, total1("LEO#"), t5.Render(), t1.Render())
+	}
+}
+
+// rowOf returns the index of tab's row whose first cell is first.
+func rowOf(t *testing.T, tab *Table, first string) int {
+	t.Helper()
+	for i, row := range tab.Rows {
+		if row[0] == first {
+			return i
+		}
+	}
+	t.Fatalf("no %q row:\n%s", first, tab.Render())
+	return -1
+}
+
+// cell returns the integer in row i under header col.
+func cell(t *testing.T, tab *Table, i int, col string) int {
+	t.Helper()
+	j := slices.Index(tab.Headers, col)
+	if j < 0 {
+		t.Fatalf("no %q column:\n%s", col, tab.Render())
+	}
+	v, err := strconv.Atoi(tab.Rows[i][j])
+	if err != nil {
+		t.Fatalf("%q row %d: %v", col, i, err)
+	}
+	return v
 }
 
 func TestDepthExperiment(t *testing.T) {
@@ -295,8 +376,9 @@ func TestTable2Smoke(t *testing.T) {
 
 func TestTable5Smoke(t *testing.T) {
 	cfg := Config{Suite: tinySuite()[:3], Timeout: 2 * time.Second, KMax: 3, Workers: 1}
-	tab, results := Table5(context.Background(), cfg)
-	for _, r := range results {
+	short := cfg.runner().RunAll(context.Background(), []Method{MethodOpt()}, cfg.Suite, nil)
+	tab, long := Table5(context.Background(), cfg, short)
+	for _, r := range append(short, long...) {
 		if r.Err != nil {
 			t.Fatal(r.Err)
 		}

@@ -22,6 +22,9 @@ func MethodDetK() Method {
 	}
 }
 
+// leoName is MethodOpt's name.
+const leoName = "HtdLEO(sim)"
+
 // MethodOpt is the HtdLEO [24] stand-in: a direct optimal-width solver
 // with no width parameter (see docs/RESULTS.md, "Substitutions"). It is
 // logk.Optimal's width ladder from width 1 on one worker, with a search
@@ -32,7 +35,7 @@ func MethodDetK() Method {
 // not use the structural lower bound.
 func MethodOpt() Method {
 	return Method{
-		Name: "HtdLEO(sim)",
+		Name: leoName,
 		SolveLadder: func(ctx context.Context, h *hypergraph.Hypergraph, kMax int) (logk.OptimalResult, error) {
 			return logk.Optimal(ctx, h, logk.OptimalConfig{
 				Search: logk.Options{Workers: 1, Hybrid: logk.HybridEdgeCount, HybridThreshold: math.Inf(1)},

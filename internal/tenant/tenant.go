@@ -70,12 +70,10 @@ type Config struct {
 	FairShare bool
 	// GlobalRate is the aggregate admission rate the box sustains; the
 	// spare pool refills at GlobalRate minus the known tenants' summed
-	// reserves (when positive). 0 means the pool is fed only by other
-	// tenants' unused refill.
+	// reserves (when positive) and holds at most max(GlobalRate, Burst)
+	// tokens (one second of global headroom). 0 means the pool is fed
+	// only by other tenants' unused refill.
 	GlobalRate float64
-	// GlobalBurst caps the spare pool. Default: GlobalRate (one second
-	// of global headroom), else Burst.
-	GlobalBurst float64
 	// MaxTenants caps tracked tenants; beyond it the least recently
 	// seen fully idle tenant is evicted, so hostile tenant-id
 	// cardinality cannot grow the wall's memory without bound.
@@ -90,12 +88,6 @@ func (c Config) withDefaults() Config {
 		c.Burst = c.Rate
 		if c.Burst < 1 {
 			c.Burst = 1
-		}
-	}
-	if c.GlobalBurst <= 0 {
-		c.GlobalBurst = c.GlobalRate
-		if c.GlobalBurst < c.Burst {
-			c.GlobalBurst = c.Burst
 		}
 	}
 	if c.MaxQueue < 0 {
@@ -310,9 +302,7 @@ func (w *Wall) refillLocked(now time.Time) {
 		if head := w.cfg.GlobalRate - float64(len(w.tenants))*w.cfg.Rate; head > 0 {
 			w.spare += head * dt
 		}
-		if w.spare > w.cfg.GlobalBurst {
-			w.spare = w.cfg.GlobalBurst
-		}
+		w.spare = min(w.spare, max(w.cfg.GlobalRate, w.cfg.Burst))
 	}
 }
 
