@@ -1,12 +1,12 @@
 package htd
 
 // bench_test.go regenerates every table and figure of the paper's
-// evaluation (§5 and Appendix D) at bench scale. Each benchmark runs one
-// full (scaled-down) experiment per iteration and logs the resulting
-// tables on the first iteration; BenchmarkPaperSweep runs the paper's
-// method roster once and logs Tables 1, 3 and 4 and Figure 3 as views
-// of it. `cmd/benchtab` runs the same experiments at larger scale and
-// timeout.
+// evaluation (§5 and Appendix D) at bench scale. Each experiment
+// benchmark runs harness.Run, the experiment driver cmd/benchtab calls,
+// once per iteration at its own budget and logs the resulting tables on
+// the first iteration; BenchmarkPaperSweep lists Tables 1, 3 and 4 and
+// Figure 3, the views of one roster run. `cmd/benchtab` runs the same
+// experiments at larger scale and timeout.
 //
 // Run all of them with:
 //
@@ -19,8 +19,11 @@ package htd
 //	          the Total row, the hybrid not ahead: 40, 40, 40, 40 of 46
 //	          at benchtab -scale 1 and 157, 157, 155, 158 of 184 at
 //	          -scale 4
-//	Figure 1: log-k average runtime decreases with cores
-//	Table 2:  WeightedCount rows solve at least as many as EdgeCount rows
+//	Figure 1: log-k average runtime decreases with cores; no timeout
+//	          count above the instance count
+//	Table 2:  WeightedCount rows solve at least as many as EdgeCount
+//	          rows; the WeightedCount 40, NewDetKDecomp and HtdLEO(sim)
+//	          rows are the roster's columns on HBlarge-sim
 //	Table 3:  Hyb matches VirtualBest at widths <= 3
 //	Table 4:  Hyb decides the most bounds at every width
 //	Table 5:  non-negative solved deltas under 10x timeout
@@ -29,6 +32,7 @@ package htd
 import (
 	"context"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -37,27 +41,28 @@ import (
 	"repro/internal/logk"
 )
 
-// benchSuite returns the instance suite used by the experiment benches:
-// the deterministic Scale-1 HyperBench-sim suite.
-func benchSuite() []hyperbench.Instance {
-	return hyperbench.Suite(hyperbench.Config{Scale: 1, Seed: 2022})
-}
-
-// benchConfig bundles the scaled-down experiment parameters.
-func benchConfig() harness.Config {
+// benchConfig bundles the scaled-down experiment parameters over the
+// deterministic Scale-1 HyperBench-sim suite.
+func benchConfig(timeout time.Duration) harness.Config {
 	return harness.Config{
-		Suite:   benchSuite(),
-		Timeout: 400 * time.Millisecond,
+		Suite:   hyperbench.Suite(hyperbench.Config{Scale: 1, Seed: 2022}),
+		Timeout: timeout,
 		KMax:    5,
 		Workers: runtime.GOMAXPROCS(0),
 	}
 }
 
-func checkResults(b *testing.B, results []harness.Result) {
-	b.Helper()
-	for _, r := range results {
-		if r.Err != nil {
-			b.Fatalf("%s on %s: %v", r.Method, r.Instance.Name, r.Err)
+// benchExperiments runs the experiments spec lists through the driver
+// once per iteration and logs the first iteration's tables.
+func benchExperiments(b *testing.B, timeout time.Duration, spec string) {
+	cfg := benchConfig(timeout)
+	for i := 0; i < b.N; i++ {
+		var out strings.Builder
+		if _, err := harness.Run(context.Background(), cfg, spec, &out); err != nil {
+			b.Fatal(err)
+		}
+		if i == 0 {
+			b.Logf("%s", &out)
 		}
 	}
 }
@@ -67,103 +72,41 @@ func checkResults(b *testing.B, results []harness.Result) {
 // once and logs its views: Table 1 (solved counts and runtimes per
 // origin × size group), Table 3 (optimally solved instances per width,
 // with the Virtual Best), Table 4 (bounds "hw ≤ w" decided per width)
-// and Figure 3 (the solved/unsolved scatter of the three paper methods,
-// as CSV data plus a bucket table).
+// and Figure 3 (the solved/unsolved buckets of the three paper methods).
 func BenchmarkPaperSweep(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		results := harness.PaperSweep(context.Background(), cfg)
-		if i == 0 {
-			checkResults(b, results)
-			csv, fig3 := harness.Figure3(results)
-			b.Logf("\n%s\n%s\n%s\n%s", harness.Table1(cfg, results).Render(), harness.Table3(results).Render(),
-				harness.Table4(results, len(cfg.Suite), cfg.KMax).Render(), fig3.Render())
-			b.Logf("scatter CSV: %d bytes (see cmd/benchtab -experiment figure3 for the full data)", len(csv))
-		}
-	}
+	benchExperiments(b, 400*time.Millisecond, "table1,table3,table4,figure3")
 }
 
 // BenchmarkFigure1ParallelScaling reproduces Figure 1: average runtime
-// on the HBlarge analogue as a function of worker count.
+// on the HBlarge analogue as a function of worker count. Search-bound
+// instances need the longer budget.
 func BenchmarkFigure1ParallelScaling(b *testing.B) {
-	cfg := benchConfig()
-	cfg.Timeout = 1500 * time.Millisecond // search-bound instances need headroom
-	cores := []int{1, 2, 4, 6}
-	if runtime.GOMAXPROCS(0) < 6 {
-		cores = []int{1, 2}
-	}
-	for i := 0; i < b.N; i++ {
-		tab, _ := harness.Figure1(context.Background(), cfg, cores)
-		if i == 0 {
-			b.Logf("\n%s", tab.Render())
-		}
-	}
+	benchExperiments(b, 1500*time.Millisecond, "figure1")
 }
 
 // BenchmarkTable2HybridMetrics reproduces the hybridisation study of
 // Appendix D.2 (Table 2): WeightedCount vs EdgeCount thresholds.
 func BenchmarkTable2HybridMetrics(b *testing.B) {
-	cfg := benchConfig()
-	cfg.Timeout = 300 * time.Millisecond
-	for i := 0; i < b.N; i++ {
-		tab, results := harness.Table2(context.Background(), cfg)
-		if i == 0 {
-			checkResults(b, results)
-			b.Logf("\n%s", tab.Render())
-		}
-	}
+	benchExperiments(b, 300*time.Millisecond, "table2")
 }
 
 // BenchmarkTable5ExtendedTimeout reproduces Table 5 (Appendix D.3): the
-// HtdLEO stand-in with a 10× budget. It runs the stand-in's 1× column
-// itself, at its own 100 ms budget rather than the sweep's.
+// HtdLEO stand-in at 1× and 10× its budget.
 func BenchmarkTable5ExtendedTimeout(b *testing.B) {
-	cfg := benchConfig()
-	cfg.Timeout = 100 * time.Millisecond
-	r := harness.Runner{Timeout: cfg.Timeout, KMax: cfg.KMax}
-	for i := 0; i < b.N; i++ {
-		short := r.RunAll(context.Background(), []harness.Method{harness.MethodOpt()}, cfg.Suite, nil)
-		tab, long := harness.Table5(context.Background(), cfg, short)
-		if i == 0 {
-			checkResults(b, append(short, long...))
-			b.Logf("\n%s", tab.Render())
-		}
-	}
+	benchExperiments(b, 100*time.Millisecond, "table5")
 }
 
 // BenchmarkRecursionDepth verifies Theorem 4.1 at growing sizes:
 // recursion depth stays within ⌈log2 |E|⌉ + 2.
 func BenchmarkRecursionDepth(b *testing.B) {
-	sizes := []int{16, 32, 64, 128, 256}
-	for i := 0; i < b.N; i++ {
-		tab := harness.DepthExperiment(context.Background(), sizes)
-		if i == 0 {
-			b.Logf("\n%s", tab.Render())
-		}
-	}
+	benchExperiments(b, 0, "depth")
 }
 
 // BenchmarkGHDComparison reproduces the §5.2 GHD comparison: the
-// BalancedGo-style solver against the log-k-decomp hybrid.
+// BalancedGo-style solver against the log-k-decomp hybrid, on the
+// instances with at most 30 edges.
 func BenchmarkGHDComparison(b *testing.B) {
-	cfg := benchConfig()
-	// GHD search is exponential in the pool; keep to small instances.
-	var small []hyperbench.Instance
-	for _, in := range cfg.Suite {
-		if in.Edges() <= 30 {
-			small = append(small, in)
-		}
-	}
-	cfg.Suite = small
-	for i := 0; i < b.N; i++ {
-		tab, err := harness.GHDComparison(context.Background(), cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Logf("\n%s", tab.Render())
-		}
-	}
+	benchExperiments(b, 400*time.Millisecond, "ghd")
 }
 
 // --- micro-benchmarks of the core solver ---------------------------------

@@ -17,10 +17,14 @@
 // detk: logk.Optimal decides widths 1, 2, … up to -maxk and stops at the
 // first that admits an HD. detk runs as log-k-decomp whose hybrid hands
 // the whole hypergraph to det-k-decomp, which is det-k-decomp itself.
+// The search answers NO when no width up to -maxk admits one, and
+// UNKNOWN with the lower bound it proved when -timeout runs out first;
+// both exit 1.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -62,15 +66,12 @@ func main() {
 	start := time.Now()
 	d, width, ok, solverStats, err := solve(ctx, h, *method, *k, *maxK, *workers)
 	elapsed := time.Since(start)
-	if err != nil {
-		fatal(fmt.Errorf("solve: %w", err))
-	}
 	if !ok {
-		if *k > 0 {
-			fmt.Printf("NO: hw(%s) > %d  [%s, %v]\n", *graphPath, *k, *method, elapsed)
-		} else {
-			fmt.Printf("UNKNOWN: hw(%s) > %d or budget exhausted  [%s, %v]\n", *graphPath, *maxK, *method, elapsed)
+		line, err := noVerdict(*graphPath, *k, *maxK, width, err)
+		if err != nil {
+			fatal(fmt.Errorf("solve: %w", err))
 		}
+		fmt.Printf("%s  [%s, %v]\n", line, *method, elapsed)
 		os.Exit(1)
 	}
 
@@ -130,6 +131,24 @@ func searchOptions(method string, workers int) (logk.Options, bool) {
 	return logk.Options{}, false
 }
 
+// noVerdict is the answer line of a run that found no decomposition of
+// width at most k, or with k = 0 none up to maxK. A width search that
+// runs out of budget answers UNKNOWN with lb, the lower bound it proved.
+// Any other error is returned as it is.
+func noVerdict(graph string, k, maxK, lb int, err error) (string, error) {
+	if k == 0 && errors.Is(err, context.DeadlineExceeded) {
+		return fmt.Sprintf("UNKNOWN: hw(%s) >= %d, budget exhausted", graph, lb), nil
+	}
+	if k == 0 {
+		k = maxK
+	}
+	return fmt.Sprintf("NO: hw(%s) > %d", graph, k), err
+}
+
+// solve runs method on h at width k, or with k = 0 searches for the
+// optimal width up to maxK. The returned width is the decomposition's
+// when ok; a width search that finds none returns its proven lower
+// bound instead, every smaller width refuted.
 func solve(ctx context.Context, h *hypergraph.Hypergraph, method string, k, maxK, workers int) (*decomp.Decomp, int, bool, *logk.Stats, error) {
 	opts, isLogK := searchOptions(method, workers)
 	if k == 0 {
@@ -137,7 +156,10 @@ func solve(ctx context.Context, h *hypergraph.Hypergraph, method string, k, maxK
 			return nil, 0, false, nil, fmt.Errorf("width search (-k 0) supports methods logk/hybrid/detk")
 		}
 		res, err := logk.Optimal(ctx, h, logk.OptimalConfig{Search: opts, KMax: maxK})
-		return res.Decomp, res.Width, res.Found, &res.Stats, err
+		if !res.Found {
+			return nil, res.LowerBound, false, &res.Stats, err
+		}
+		return res.Decomp, res.Width, true, &res.Stats, err
 	}
 
 	switch {

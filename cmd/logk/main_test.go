@@ -2,6 +2,8 @@ package main
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -84,5 +86,30 @@ func TestSolveNegative(t *testing.T) {
 	}
 	if ok {
 		t.Fatal("triangle at k=1 should be rejected")
+	}
+}
+
+// TestWidthSearchDeadlineKeepsLowerBound: a width search that runs out
+// of budget answers UNKNOWN with the lower bound it proved, where a
+// finished one answers NO above -maxk.
+func TestWidthSearchDeadlineKeepsLowerBound(t *testing.T) {
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	_, lb, ok, _, err := solve(ctx, triangle(t), "logk", 0, 5, 1)
+	if ok || !errors.Is(err, context.DeadlineExceeded) || lb < 1 {
+		t.Fatalf("solve past its deadline: ok=%v lower bound %d err=%v", ok, lb, err)
+	}
+	line, err := noVerdict("g.hg", 0, 5, lb, err)
+	if want := fmt.Sprintf("UNKNOWN: hw(g.hg) >= %d, budget exhausted", lb); err != nil || line != want {
+		t.Fatalf("verdict %q, %v; want %q", line, err, want)
+	}
+
+	// The triangle has hw 2, so a search up to width 1 refutes it.
+	_, lb, ok, _, err = solve(context.Background(), triangle(t), "logk", 0, 1, 1)
+	if ok || err != nil || lb != 2 {
+		t.Fatalf("triangle up to width 1: ok=%v lower bound %d err=%v", ok, lb, err)
+	}
+	if line, err := noVerdict("t.hg", 0, 1, lb, err); err != nil || line != "NO: hw(t.hg) > 1" {
+		t.Fatalf("verdict %q, %v; want NO above maxk", line, err)
 	}
 }

@@ -4,30 +4,14 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"runtime"
 	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/hyperbench"
-	"repro/internal/hypergraph"
 	"repro/internal/logk"
 )
-
-// Config parameterises the experiment reproductions. The defaults in the
-// benches use scaled-down timeouts; cmd/benchtab can raise them.
-type Config struct {
-	Suite   []hyperbench.Instance
-	Timeout time.Duration
-	KMax    int
-	Workers int
-	// Progress, if non-nil, receives completion ticks.
-	Progress func(done, total int)
-}
-
-func (c Config) runner() *Runner {
-	return &Runner{Timeout: c.Timeout, KMax: c.KMax}
-}
 
 // shortName maps method names to compact column prefixes.
 func shortName(m string) string {
@@ -67,22 +51,21 @@ func provenanceNote(results []Result) string {
 		counts["structural"], counts["probe"], counts["trivial"])
 }
 
-// PaperSweep runs the paper's method roster once over cfg.Suite:
+// paperHybrid is the log-k-decomp hybrid of the paper's roster.
+func (s *resultSet) paperHybrid() Method {
+	return MethodLogKHybrid(s.cfg.Workers, logk.PaperHybrid, logk.PaperHybridThreshold)
+}
+
+// roster returns the paper's method roster over cfg.Suite:
 // NewDetKDecomp, the HtdLEO stand-in, the log-k-decomp hybrid and the
-// width ladder. Tables 1, 3 and 4, Figure 3 and Table 5's 1× column are
-// views of its results.
-func PaperSweep(ctx context.Context, cfg Config) []Result {
-	methods := []Method{
-		MethodDetK(),
-		MethodOpt(),
-		MethodLogKHybrid(cfg.Workers, logk.PaperHybrid, logk.PaperHybridThreshold),
-		MethodLadder(cfg.Workers),
-	}
-	return cfg.runner().RunAll(ctx, methods, cfg.Suite, cfg.Progress)
+// width ladder. Tables 1, 3 and 4 and Figure 3 are views of it.
+func (s *resultSet) roster(ctx context.Context) []Result {
+	return s.results(ctx, s.cfg.Timeout, s.cfg.Suite,
+		MethodDetK(), MethodOpt(), s.paperHybrid(), MethodLadder(s.cfg.Workers))
 }
 
 // methodOrder lists the methods of results in order of first
-// appearance, which for RunAll's results is the roster's order.
+// appearance, which for the roster is its order.
 func methodOrder(results []Result) []string {
 	var order []string
 	seen := map[string]bool{}
@@ -95,10 +78,10 @@ func methodOrder(results []Result) []string {
 	return order
 }
 
-// Table1 reproduces Table 1 from PaperSweep's results over cfg.Suite:
-// solved counts and runtime statistics per origin × size group for
-// each method.
-func Table1(cfg Config, results []Result) *Table {
+// table1 reproduces Table 1 from the roster: solved counts and runtime
+// statistics per origin × size group for each method.
+func (s *resultSet) table1(ctx context.Context) *Table {
+	cfg, results := s.cfg, s.roster(ctx)
 	methods := methodOrder(results)
 	t := &Table{
 		Title:   "Table 1: solved instances and runtimes (sec) per method",
@@ -151,135 +134,96 @@ func Table1(cfg Config, results []Result) *Table {
 	return t
 }
 
-// ScalingPoint is one (cores, seconds) measurement of Figure 1.
-type ScalingPoint struct {
-	Cores    int
-	AvgSec   float64
-	Timeouts int
-}
-
-// Figure1 reproduces the core-scaling study of §5.2 on the HBlarge
+// figure1 reproduces the core-scaling study of §5.2 on the HBlarge
 // analogue: average time to find and prove the optimal width as a
 // function of worker count, for log-k-decomp plain and hybrid, with
-// single-core NewDetKDecomp as reference.
-func Figure1(ctx context.Context, cfg Config, coreCounts []int) (*Table, map[string][]ScalingPoint) {
-	large := hyperbench.Large(cfg.Suite, 6)
-	series := map[string][]ScalingPoint{}
-	perMethodTimes := map[string]map[int]map[string]float64{} // method -> cores -> instance -> sec
-	timeouts := map[string]int{}
-
-	run := func(name string, cores int, m Method) {
-		r := cfg.runner()
-		for _, in := range large {
-			res := r.Run(ctx, m, in)
-			if perMethodTimes[name] == nil {
-				perMethodTimes[name] = map[int]map[string]float64{}
-			}
-			if perMethodTimes[name][cores] == nil {
-				perMethodTimes[name][cores] = map[string]float64{}
-			}
-			if res.Solved {
-				perMethodTimes[name][cores][in.Name] = res.Runtime.Seconds()
-			} else {
-				timeouts[name]++
-			}
-		}
+// single-core NewDetKDecomp as reference. It runs at 1–6 workers, or at
+// 1 and 2 on a host with fewer than 6 CPUs. The hybrid at cfg.Workers
+// and det-k are the roster's runs on these instances.
+func (s *resultSet) figure1(ctx context.Context) *Table {
+	large := hyperbench.Large(s.cfg.Suite, 6)
+	cores := []int{1, 2, 3, 4, 5, 6}
+	if runtime.GOMAXPROCS(0) < 6 {
+		cores = []int{1, 2}
 	}
-
-	for _, n := range coreCounts {
-		// The plain log-k series disables the solver-level memo to
-		// isolate the scaling of the partitioned separator search, so
-		// it is not the paper's configuration: the reference log-k-decomp
-		// keeps a cache, reset per width.
-		run("log-k", n, Method{
-			Name: "log-k-decomp",
-			NewParam: func(h *hypergraph.Hypergraph, k int) WidthSolver {
-				return logk.New(h, logk.Options{K: k, Workers: n, NoCache: true})
-			},
-		})
-		run("log-k(Hybrid)", n, MethodLogKHybrid(n, logk.PaperHybrid, logk.PaperHybridThreshold))
+	var logK, hybrid [][]Result
+	for _, n := range cores {
+		logK = append(logK, s.results(ctx, s.cfg.Timeout, large, methodLogKNoCache(n)))
+		hybrid = append(hybrid, s.results(ctx, s.cfg.Timeout, large,
+			MethodLogKHybrid(n, logk.PaperHybrid, logk.PaperHybridThreshold)))
 	}
-	run("NewDetKDecomp", 1, MethodDetK())
-
-	// Average only over instances solved at every core count (the
-	// paper's methodology: avoid decreasing timeouts skewing the data).
-	for name, byCores := range perMethodTimes {
-		var common []string
-		for in := range byCores[coreCountsOrOne(coreCounts, name)[0]] {
-			inAll := true
-			for _, n := range coreCountsOrOne(coreCounts, name) {
-				if _, ok := byCores[n][in]; !ok {
-					inAll = false
-					break
-				}
-			}
-			if inAll {
-				common = append(common, in)
-			}
-		}
-		sort.Strings(common)
-		for _, n := range coreCountsOrOne(coreCounts, name) {
-			sum := 0.0
-			for _, in := range common {
-				sum += byCores[n][in]
-			}
-			avg := 0.0
-			if len(common) > 0 {
-				avg = sum / float64(len(common))
-			}
-			series[name] = append(series[name], ScalingPoint{Cores: n, AvgSec: avg, Timeouts: timeouts[name]})
-		}
-	}
+	detK := s.results(ctx, s.cfg.Timeout, large, MethodDetK())
+	lk, hy, dk := commonAverages(logK), commonAverages(hybrid), commonAverages([][]Result{detK})
 
 	t := &Table{
 		Title:   "Figure 1: average runtime (sec) on HBlarge-sim vs worker count",
-		Headers: []string{"cores", "log-k", "log-k(Hybrid)", "NewDetKDecomp(1core)"},
+		Headers: []string{"cores", "log-k", "log-k(Hybrid)", "NewDetKDecomp(1core)", "log-k timeouts", "log-k(Hybrid) timeouts"},
 	}
-	ref := 0.0
-	if pts := series["NewDetKDecomp"]; len(pts) > 0 {
-		ref = pts[0].AvgSec
+	for i, n := range cores {
+		t.AddRow(n, fmt.Sprintf("%.2f", lk[i]), fmt.Sprintf("%.2f", hy[i]), fmt.Sprintf("%.2f", dk[0]),
+			unsolved(logK[i]), unsolved(hybrid[i]))
 	}
-	for i, n := range coreCounts {
-		lk, hy := "-", "-"
-		if pts := series["log-k"]; i < len(pts) {
-			lk = fmt.Sprintf("%.2f", pts[i].AvgSec)
-		}
-		if pts := series["log-k(Hybrid)"]; i < len(pts) {
-			hy = fmt.Sprintf("%.2f", pts[i].AvgSec)
-		}
-		t.AddRow(n, lk, hy, fmt.Sprintf("%.2f", ref))
-	}
-	t.Notes = append(t.Notes, fmt.Sprintf("instances: %d (HBlarge-sim: >50 edges, known hw <= 6)", len(large)))
-	for _, name := range []string{"log-k(Hybrid)", "log-k", "NewDetKDecomp"} {
-		t.Notes = append(t.Notes, fmt.Sprintf("timeouts %-14s %d", name, timeouts[name]))
-	}
-	return t, series
+	t.Notes = append(t.Notes,
+		fmt.Sprintf("instances: %d (HBlarge-sim: >50 edges, known hw <= 6)", len(large)),
+		fmt.Sprintf("timeouts NewDetKDecomp(1core) %d", unsolved(detK)))
+	return t
 }
 
-func coreCountsOrOne(coreCounts []int, name string) []int {
-	if name == "NewDetKDecomp" {
-		return []int{1}
+// commonAverages returns, per series entry, the average runtime over
+// the instances solved in every entry (the paper's methodology: avoid
+// decreasing timeouts skewing the data).
+func commonAverages(series [][]Result) []float64 {
+	solvedIn := map[string]int{}
+	for _, rs := range series {
+		for _, r := range rs {
+			if r.Solved {
+				solvedIn[r.Instance.Name]++
+			}
+		}
 	}
-	return coreCounts
+	avgs := make([]float64, len(series))
+	for i, rs := range series {
+		sum, n := 0.0, 0
+		for _, r := range rs {
+			if solvedIn[r.Instance.Name] == len(series) {
+				sum += r.Runtime.Seconds()
+				n++
+			}
+		}
+		if n > 0 {
+			avgs[i] = sum / float64(n)
+		}
+	}
+	return avgs
 }
 
-// Table2 reproduces the hybridisation study (Appendix D.2, Table 2):
+// unsolved counts the results that are not solved.
+func unsolved(results []Result) int {
+	st := Aggregate(results, func(Result) bool { return true })
+	return st.Count - st.Solved
+}
+
+// table2 reproduces the hybridisation study (Appendix D.2, Table 2):
 // WeightedCount vs EdgeCount at several thresholds on HBlarge-sim, with
-// NewDetKDecomp and the HtdLEO stand-in as references.
-func Table2(ctx context.Context, cfg Config) (*Table, []Result) {
-	large := hyperbench.Large(cfg.Suite, 6)
-	type entry struct {
+// NewDetKDecomp and the HtdLEO stand-in as references. The threshold
+// that equals the paper's hybrid (WeightedCount 40), det-k and the
+// HtdLEO stand-in are the roster's runs on these instances.
+func (s *resultSet) table2(ctx context.Context) *Table {
+	large := hyperbench.Large(s.cfg.Suite, 6)
+	hybrid := func(metric logk.HybridMetric, threshold float64) Method {
+		return MethodLogKHybrid(s.cfg.Workers, metric, threshold)
+	}
+	entries := []struct {
 		label     string
 		threshold string
 		method    Method
-	}
-	entries := []entry{
-		{"WeightedCount", "20", MethodNamed("W20", cfg.Workers, logk.HybridWeightedCount, 20)},
-		{"WeightedCount", "40", MethodNamed("W40", cfg.Workers, logk.HybridWeightedCount, 40)},
-		{"WeightedCount", "60", MethodNamed("W60", cfg.Workers, logk.HybridWeightedCount, 60)},
-		{"EdgeCount", "8", MethodNamed("E8", cfg.Workers, logk.HybridEdgeCount, 8)},
-		{"EdgeCount", "16", MethodNamed("E16", cfg.Workers, logk.HybridEdgeCount, 16)},
-		{"EdgeCount", "32", MethodNamed("E32", cfg.Workers, logk.HybridEdgeCount, 32)},
+	}{
+		{"WeightedCount", "20", hybrid(logk.HybridWeightedCount, 20)},
+		{"WeightedCount", "40", hybrid(logk.HybridWeightedCount, 40)},
+		{"WeightedCount", "60", hybrid(logk.HybridWeightedCount, 60)},
+		{"EdgeCount", "8", hybrid(logk.HybridEdgeCount, 8)},
+		{"EdgeCount", "16", hybrid(logk.HybridEdgeCount, 16)},
+		{"EdgeCount", "32", hybrid(logk.HybridEdgeCount, 32)},
 		{"NewDetKDecomp", "-", MethodDetK()},
 		{"HtdLEO(sim)", "-", MethodOpt()},
 	}
@@ -287,21 +231,18 @@ func Table2(ctx context.Context, cfg Config) (*Table, []Result) {
 		Title:   "Table 2: hybrid metrics on HBlarge-sim",
 		Headers: []string{"Method", "Threshold", "Solved", "Av.runtime(sec)"},
 	}
-	var all []Result
-	r := cfg.runner()
 	for _, e := range entries {
-		res := r.RunAll(ctx, []Method{e.method}, large, cfg.Progress)
-		all = append(all, res...)
-		st := Aggregate(res, func(Result) bool { return true })
+		st := Aggregate(s.results(ctx, s.cfg.Timeout, large, e.method), func(Result) bool { return true })
 		t.AddRow(e.label, e.threshold, st.Solved, st.AvgSec)
 	}
 	t.Notes = append(t.Notes, fmt.Sprintf("instances: %d; thresholds scaled to suite size (paper: 200-600 / 20-80)", len(large)))
-	return t, all
+	return t
 }
 
-// Table3 reproduces the per-width solved counts (Appendix D.5, Table 3)
-// from PaperSweep's results, including the Virtual Best aggregation.
-func Table3(results []Result) *Table {
+// table3 reproduces the per-width solved counts (Appendix D.5, Table 3)
+// from the roster, including the Virtual Best aggregation.
+func (s *resultSet) table3(ctx context.Context) *Table {
+	results := s.roster(ctx)
 	maxW := 0
 	for _, r := range results {
 		if r.Solved {
@@ -316,18 +257,18 @@ func Table3(results []Result) *Table {
 	})
 }
 
-// Table4 reproduces the upper-bound determination study (Appendix D.5,
-// Table 4) from PaperSweep's results: for each width w, how many
+// table4 reproduces the upper-bound determination study (Appendix D.5,
+// Table 4) from the roster: for each width w ≤ cfg.KMax, how many
 // instances each method can decide "hw ≤ w?" (either way) within
 // budget.
-func Table4(results []Result, suiteSize, maxW int) *Table {
+func (s *resultSet) table4(ctx context.Context) *Table {
 	t := perWidth(&Table{
 		Title:   "Table 4: instances for which 'hw <= w' is decided",
 		Headers: []string{"Problem", "VirtualBest"},
-	}, results, maxW, func(w int) any { return "hw <= " + strconv.Itoa(w) }, func(r Result, w int) bool {
+	}, s.roster(ctx), s.cfg.KMax, func(w int) any { return "hw <= " + strconv.Itoa(w) }, func(r Result, w int) bool {
 		return r.Bounds[w] != Unknown
 	})
-	t.Notes = append(t.Notes, fmt.Sprintf("suite size: %d", suiteSize))
+	t.Notes = append(t.Notes, fmt.Sprintf("suite size: %d", len(s.cfg.Suite)))
 	return t
 }
 
@@ -357,20 +298,12 @@ func perWidth(t *Table, results []Result, maxW int, label func(int) any, counts 
 	return t
 }
 
-// Table5 reproduces the extended-timeout study for the HtdLEO stand-in
+// table5 reproduces the extended-timeout study for the HtdLEO stand-in
 // (Appendix D.3, Table 5): solved counts per group at 1× and 10× budget.
-// The 1× column is the HtdLEO stand-in's part of sweep (PaperSweep's
-// results at cfg.Timeout); Table5 runs only the 10× budget and returns
-// those runs.
-func Table5(ctx context.Context, cfg Config, sweep []Result) (*Table, []Result) {
-	var resShort []Result
-	for _, r := range sweep {
-		if r.Method == leoName {
-			resShort = append(resShort, r)
-		}
-	}
-	long := Runner{Timeout: 10 * cfg.Timeout, KMax: cfg.KMax}
-	resLong := long.RunAll(ctx, []Method{MethodOpt()}, cfg.Suite, cfg.Progress)
+// The 1× column is the roster's HtdLEO column.
+func (s *resultSet) table5(ctx context.Context) *Table {
+	resShort := s.results(ctx, s.cfg.Timeout, s.cfg.Suite, MethodOpt())
+	resLong := s.results(ctx, 10*s.cfg.Timeout, s.cfg.Suite, MethodOpt())
 
 	t := &Table{
 		Title:   "Table 5: HtdLEO(sim) with 10x timeout",
@@ -396,15 +329,16 @@ func Table5(ctx context.Context, cfg Config, sweep []Result) (*Table, []Result) 
 	stS := Aggregate(resShort, func(Result) bool { return true })
 	stL := Aggregate(resLong, func(Result) bool { return true })
 	t.AddRow("Total", "-", stS.Count, stL.Solved, fmt.Sprintf("%+d", stL.Solved-stS.Solved))
-	return t, resLong
+	return t
 }
 
-// Figure3 emits the solved/unsolved scatter data (Appendix D.4) from
-// PaperSweep's results: one CSV block per paper method with instance
-// coordinates (#edges, #vertices) and the solved flag, plus an
+// figure3 emits the solved/unsolved scatter data (Appendix D.4) from
+// the roster: one CSV block per paper method with instance coordinates
+// (#edges, #vertices) and the solved flag, kept as s.csv, plus an
 // aggregate table of the solved frontier. The width ladder is the
 // service's column, not the paper's, so it is left out.
-func Figure3(results []Result) (string, *Table) {
+func (s *resultSet) figure3(ctx context.Context) *Table {
+	results := s.roster(ctx)
 	t := &Table{
 		Title:   "Figure 3: solved (s) / unsolved (u) counts by edge-size bucket",
 		Headers: []string{"Size"},
@@ -439,7 +373,8 @@ func Figure3(results []Result) (string, *Table) {
 			t.AddRow(row...)
 		}
 	}
-	return csv.String(), t
+	s.csv = csv.String()
+	return t
 }
 
 // DepthExperiment verifies Theorem 4.1 empirically: observed recursion
@@ -462,26 +397,24 @@ func DepthExperiment(ctx context.Context, sizes []int) *Table {
 	return t
 }
 
-// GHDComparison reproduces the §5.2 comparison with GHD computation:
-// BalancedGo-style GHD search vs log-k-decomp HDs on the same instances.
-// It reports solved counts and verifies that on commonly solved
-// instances the GHD width never beats the HD width.
-func GHDComparison(ctx context.Context, cfg Config) (*Table, error) {
-	r := cfg.runner()
-	hd := MethodLogKHybrid(cfg.Workers, logk.PaperHybrid, logk.PaperHybridThreshold)
-	ghd := MethodBalancedGo()
+// ghd reproduces the §5.2 comparison with GHD computation:
+// BalancedGo-style GHD search vs the roster's log-k-decomp hybrid HDs,
+// on the instances with at most 30 edges (the GHD search is exponential
+// in the edge pool). It reports solved counts and how often the GHD
+// width beats the HD width on commonly solved instances.
+func (s *resultSet) ghd(ctx context.Context) *Table {
+	var small []hyperbench.Instance
+	for _, in := range s.cfg.Suite {
+		if in.Edges() <= 30 {
+			small = append(small, in)
+		}
+	}
+	results := s.results(ctx, s.cfg.Timeout, small, s.paperHybrid(), MethodBalancedGo())
 
 	hdSolved, ghdSolved, both, lower := 0, 0, 0, 0
 	var hdTime, ghdTime time.Duration
-	for _, in := range cfg.Suite {
-		rh := r.Run(ctx, hd, in)
-		rg := r.Run(ctx, ghd, in)
-		if rh.Err != nil {
-			return nil, rh.Err
-		}
-		if rg.Err != nil {
-			return nil, rg.Err
-		}
+	for i := 0; i+1 < len(results); i += 2 {
+		rh, rg := results[i], results[i+1]
 		if rh.Solved {
 			hdSolved++
 			hdTime += rh.Runtime
@@ -505,7 +438,7 @@ func GHDComparison(ctx context.Context, cfg Config) (*Table, error) {
 	t.AddRow("total-sec(solved)", hdTime.Seconds(), ghdTime.Seconds())
 	t.AddRow("ghw < hw cases", "-", lower)
 	t.Notes = append(t.Notes, fmt.Sprintf("instances solved by both: %d", both))
-	return t, nil
+	return t
 }
 
 // cycleInstance builds a cycle for the depth experiment without going

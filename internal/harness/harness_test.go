@@ -167,12 +167,10 @@ func TestTable1SmallSuite(t *testing.T) {
 		KMax:    4,
 		Workers: 2,
 	}
-	results := PaperSweep(context.Background(), cfg)
-	tab := Table1(cfg, results)
-	for _, r := range results {
-		if r.Err != nil {
-			t.Fatalf("%s on %s: %v", r.Method, r.Instance.Name, r.Err)
-		}
+	s := newResultSet(cfg)
+	results, tab := s.roster(context.Background()), s.table1(context.Background())
+	if s.err != nil {
+		t.Fatal(s.err)
 	}
 	out := tab.Render()
 	if !strings.Contains(out, "Hyb#") || !strings.Contains(out, "Total") {
@@ -200,20 +198,19 @@ func TestTable1SmallSuite(t *testing.T) {
 
 func TestTable4FromResults(t *testing.T) {
 	cfg := Config{Suite: tinySuite(), Timeout: 3 * time.Second, KMax: 3, Workers: 1}
-	results := PaperSweep(context.Background(), cfg)
-	tab := Table4(results, len(cfg.Suite), 3)
-	out := tab.Render()
+	out := newResultSet(cfg).table4(context.Background()).Render()
 	if !strings.Contains(out, "hw <= 1") || !strings.Contains(out, "VirtualBest") {
 		t.Fatalf("table malformed:\n%s", out)
 	}
 }
 
-// TestFigure3Data: Figure 3 plots the sweep's three paper methods, one
+// TestFigure3Data: Figure 3 plots the roster's three paper methods, one
 // CSV row per result, and leaves the width ladder out.
 func TestFigure3Data(t *testing.T) {
 	cfg := Config{Suite: tinySuite(), Timeout: 3 * time.Second, KMax: 3, Workers: 1}
-	results := PaperSweep(context.Background(), cfg)
-	csv, tab := Figure3(results)
+	s := newResultSet(cfg)
+	results, tab := s.roster(context.Background()), s.figure3(context.Background())
+	csv := s.csv
 	if !strings.HasPrefix(csv, "method,instance,edges,vertices,solved") {
 		t.Fatalf("csv header wrong: %q", csv[:50])
 	}
@@ -237,18 +234,18 @@ func TestFigure3Data(t *testing.T) {
 	}
 }
 
-// TestSweepViewsAgree: the views of one sweep describe the same runs.
-// Per method, Table 3's counts over all widths add up to Table 1's
+// TestSweepViewsAgree: the views of one result set describe the same
+// runs. Per method, Table 3's counts over all widths add up to Table 1's
 // Total solved count, and Table 5's 1× count is Table 1's LEO Total.
 func TestSweepViewsAgree(t *testing.T) {
 	cfg := Config{Suite: tinySuite(), Timeout: 3 * time.Second, KMax: 4, Workers: 2}
-	results := PaperSweep(context.Background(), cfg)
-	for _, r := range results {
-		if r.Err != nil {
-			t.Fatalf("%s on %s: %v", r.Method, r.Instance.Name, r.Err)
-		}
+	ctx := context.Background()
+	s := newResultSet(cfg)
+	results := s.roster(ctx)
+	if s.err != nil {
+		t.Fatal(s.err)
 	}
-	t1, t3 := Table1(cfg, results), Table3(results)
+	t1, t3 := s.table1(ctx), s.table3(ctx)
 	total1 := func(col string) int {
 		t.Helper()
 		return cell(t, t1, rowOf(t, t1, "Total"), col)
@@ -264,11 +261,9 @@ func TestSweepViewsAgree(t *testing.T) {
 		}
 	}
 
-	t5, long := Table5(context.Background(), cfg, results)
-	for _, r := range long {
-		if r.Err != nil {
-			t.Fatal(r.Err)
-		}
+	t5 := s.table5(ctx)
+	if s.err != nil {
+		t.Fatal(s.err)
 	}
 	total := rowOf(t, t5, "Total")
 	if once := cell(t, t5, total, "solved(10x)") - cell(t, t5, total, "delta vs 1x"); once != total1("LEO#") {
@@ -313,15 +308,40 @@ func TestDepthExperiment(t *testing.T) {
 	}
 }
 
+// TestGHDComparisonSmall: the GHD comparison runs the hybrid and
+// BalancedGo on the instances with at most 30 edges and leaves a larger
+// one out.
 func TestGHDComparisonSmall(t *testing.T) {
-	cfg := Config{Suite: tinySuite()[:4], Timeout: 3 * time.Second, KMax: 3, Workers: 1}
-	tab, err := GHDComparison(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
+	suite := tinySuite()[:4]
+	var big hyperbench.Instance
+	for _, in := range hyperbench.Suite(hyperbench.Config{Scale: 1}) {
+		if in.Edges() > 30 {
+			big = in
+			break
+		}
 	}
-	out := tab.Render()
+	cfg := Config{Suite: append(suite, big), Timeout: 3 * time.Second, KMax: 3, Workers: 1}
+	s := newResultSet(cfg)
+	run := s.exec
+	ran := map[string]int{}
+	s.exec = func(ctx context.Context, m Method, in hyperbench.Instance, timeout time.Duration) Result {
+		ran[in.Name]++
+		return run(ctx, m, in, timeout)
+	}
+	out := s.ghd(context.Background()).Render()
+	if s.err != nil {
+		t.Fatal(s.err)
+	}
 	if !strings.Contains(out, "ghw < hw cases") {
 		t.Fatalf("comparison table malformed:\n%s", out)
+	}
+	if ran[big.Name] != 0 {
+		t.Fatalf("%s has %d edges, yet the GHD comparison ran it", big.Name, big.Edges())
+	}
+	for _, in := range suite {
+		if ran[in.Name] != 2 {
+			t.Fatalf("%s ran %d times, want the hybrid and BalancedGo once each", in.Name, ran[in.Name])
+		}
 	}
 }
 
@@ -340,17 +360,22 @@ func TestFigure1Smoke(t *testing.T) {
 		t.Fatal("no large known-width instances in suite")
 	}
 	cfg := Config{Suite: suite, Timeout: 5 * time.Second, KMax: 3, Workers: 2}
-	tab, series := Figure1(context.Background(), cfg, []int{1, 2})
+	s := newResultSet(cfg)
+	tab := s.figure1(context.Background())
+	if s.err != nil {
+		t.Fatal(s.err)
+	}
 	out := tab.Render()
 	if !strings.Contains(out, "cores") {
 		t.Fatalf("figure table malformed:\n%s", out)
 	}
-	pts := series["log-k(Hybrid)"]
-	if len(pts) != 2 {
-		t.Fatalf("hybrid series has %d points, want 2", len(pts))
+	if len(tab.Rows) < 2 {
+		t.Fatalf("%d core counts, want at least 2:\n%s", len(tab.Rows), out)
 	}
-	if pts[0].AvgSec <= 0 {
-		t.Fatal("hybrid should solve the instances at this budget")
+	for i := range tab.Rows {
+		if cell(t, tab, i, "log-k(Hybrid) timeouts") != 0 {
+			t.Fatalf("hybrid should solve the instances at this budget:\n%s", out)
+		}
 	}
 }
 
@@ -363,11 +388,10 @@ func TestTable2Smoke(t *testing.T) {
 		}
 	}
 	cfg := Config{Suite: suite, Timeout: 5 * time.Second, KMax: 3, Workers: 2}
-	tab, results := Table2(context.Background(), cfg)
-	for _, r := range results {
-		if r.Err != nil {
-			t.Fatal(r.Err)
-		}
+	s := newResultSet(cfg)
+	tab := s.table2(context.Background())
+	if s.err != nil {
+		t.Fatal(s.err)
 	}
 	if !strings.Contains(tab.Render(), "WeightedCount") {
 		t.Fatalf("table malformed:\n%s", tab.Render())
@@ -376,12 +400,10 @@ func TestTable2Smoke(t *testing.T) {
 
 func TestTable5Smoke(t *testing.T) {
 	cfg := Config{Suite: tinySuite()[:3], Timeout: 2 * time.Second, KMax: 3, Workers: 1}
-	short := cfg.runner().RunAll(context.Background(), []Method{MethodOpt()}, cfg.Suite, nil)
-	tab, long := Table5(context.Background(), cfg, short)
-	for _, r := range append(short, long...) {
-		if r.Err != nil {
-			t.Fatal(r.Err)
-		}
+	s := newResultSet(cfg)
+	tab := s.table5(context.Background())
+	if s.err != nil {
+		t.Fatal(s.err)
 	}
 	if !strings.Contains(tab.Render(), "delta vs 1x") {
 		t.Fatalf("table malformed:\n%s", tab.Render())

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"fmt"
 	"math"
 
 	"repro/internal/balgo"
@@ -15,7 +16,8 @@ import (
 // MethodDetK is NewDetKDecomp [9]: sequential det-k-decomp.
 func MethodDetK() Method {
 	return Method{
-		Name: "NewDetKDecomp",
+		Name:   "NewDetKDecomp",
+		config: "det-k",
 		NewParam: func(h *hypergraph.Hypergraph, k int) WidthSolver {
 			return detk.New(h, k)
 		},
@@ -35,7 +37,8 @@ const leoName = "HtdLEO(sim)"
 // not use the structural lower bound.
 func MethodOpt() Method {
 	return Method{
-		Name: leoName,
+		Name:   leoName,
+		config: "htdleo",
 		SolveLadder: func(ctx context.Context, h *hypergraph.Hypergraph, kMax int) (logk.OptimalResult, error) {
 			return logk.Optimal(ctx, h, logk.OptimalConfig{
 				Search: logk.Options{Workers: 1, Hybrid: logk.HybridEdgeCount, HybridThreshold: math.Inf(1)},
@@ -48,9 +51,9 @@ func MethodOpt() Method {
 // MethodLogKHybrid is the paper's headline configuration: log-k-decomp
 // with det-k-decomp hybridisation (§5.2, Appendix D.2).
 func MethodLogKHybrid(workers int, metric logk.HybridMetric, threshold float64) Method {
-	name := "log-k-decomp Hybrid"
 	return Method{
-		Name: name,
+		Name:   "log-k-decomp Hybrid",
+		config: fmt.Sprintf("log-k workers=%d hybrid=%s/%g", workers, metric, threshold),
 		NewParam: func(h *hypergraph.Hypergraph, k int) WidthSolver {
 			return logk.New(h, logk.Options{
 				K: k, Workers: workers,
@@ -60,12 +63,18 @@ func MethodLogKHybrid(workers int, metric logk.HybridMetric, threshold float64) 
 	}
 }
 
-// MethodNamed wraps MethodLogKHybrid with an explicit display name (used
-// by the Table 2 threshold study).
-func MethodNamed(name string, workers int, metric logk.HybridMetric, threshold float64) Method {
-	m := MethodLogKHybrid(workers, metric, threshold)
-	m.Name = name
-	return m
+// methodLogKNoCache is plain log-k-decomp on workers workers without
+// the solver-level memo, Figure 1's scaling series. It is not the
+// paper's configuration: the reference log-k-decomp keeps a cache, reset
+// per width.
+func methodLogKNoCache(workers int) Method {
+	return Method{
+		Name:   "log-k-decomp",
+		config: fmt.Sprintf("log-k workers=%d no-cache", workers),
+		NewParam: func(h *hypergraph.Hypergraph, k int) WidthSolver {
+			return logk.New(h, logk.Options{K: k, Workers: workers, NoCache: true})
+		},
+	}
 }
 
 // ladderName is MethodLadder's name.
@@ -79,7 +88,8 @@ const ladderName = "log-k-decomp Ladder"
 // it, which is exactly the §5.1 "solved" criterion.
 func MethodLadder(workers int) Method {
 	return Method{
-		Name: ladderName,
+		Name:   ladderName,
+		config: fmt.Sprintf("ladder workers=%d", workers),
 		SolveLadder: func(ctx context.Context, h *hypergraph.Hypergraph, kMax int) (logk.OptimalResult, error) {
 			lb, err := h.WidthLowerBound(ctx, kMax)
 			if err != nil {
@@ -99,7 +109,8 @@ func MethodLadder(workers int) Method {
 // MethodBalancedGo is the GHD comparison system of §5.2.
 func MethodBalancedGo() Method {
 	return Method{
-		Name: "BalancedGo(GHD)",
+		Name:   "BalancedGo(GHD)",
+		config: "balancedgo",
 		NewParam: func(h *hypergraph.Hypergraph, k int) WidthSolver {
 			return balgo.New(h, balgo.Options{K: k})
 		},

@@ -40,6 +40,10 @@ type Method struct {
 	// GHD marks methods whose output is validated as a generalized
 	// hypertree decomposition (no special condition).
 	GHD bool
+	// config names the solver configuration, every parameter included:
+	// two methods with the same config run the same solver, whatever
+	// their Name. The experiment driver keys its runs on it.
+	config string
 }
 
 // BoundState records what a method established about "hw ≤ k".
@@ -195,27 +199,6 @@ func validate(d *decomp.Decomp, k int, ghd bool) error {
 		return err
 	}
 	return decomp.CheckWidth(d, k)
-}
-
-// RunAll evaluates every method on every instance, sequentially (one
-// live solver at a time, as one HTCondor slot would).
-func (r *Runner) RunAll(ctx context.Context, methods []Method, suite []hyperbench.Instance, progress func(done, total int)) []Result {
-	total := len(methods) * len(suite)
-	results := make([]Result, 0, total)
-	done := 0
-	for _, in := range suite {
-		for _, m := range methods {
-			results = append(results, r.Run(ctx, m, in))
-			done++
-			if progress != nil {
-				progress(done, total)
-			}
-			if ctx.Err() != nil {
-				return results
-			}
-		}
-	}
-	return results
 }
 
 // Stat summarises runtimes of solved instances in one group.
