@@ -128,16 +128,18 @@ stress:
 # registry's monotone totals and the pinned /stats values; bag build's
 # walls: its work counts, aggregate pushdown over bags in any column
 # order, answer columns independent of IndexSets, and deduplicated
-# cached inline databases; and the execution tree's walls: contracted
+# inline databases; and the execution tree's walls: contracted
 # plans independent of the solver, and contraction's properties on
 # random optimal-width HDs of the width ladder; the bag cache's walls: warm hits, the row budget on
 # a hit, concurrent identical queries and the snapshot scope; and the
 # executor's abort walls: a cancellation at any context check returns
 # context.Canceled, and the row budget fires inside the join loop; an
-# aggregate past int64 fails instead of wrapping; and no join of a row
-# answer outgrows the answer (TestRowJoinsBoundedByAnswer).
+# aggregate past int64 fails instead of wrapping; no join of a row
+# answer outgrows the answer (TestRowJoinsBoundedByAnswer); and the HTTP
+# edge's status table: the status, Retry-After and error body of every
+# endpoint and error class (TestEdgeStatusTable).
 differential:
-	$(GO) test -race -count=1 -run 'TestDifferential|TestConcurrentIdentical|TestEval|TestServeQuery|TestExecDuplicateRows|TestCanonical|TestStatsConservation|TestRegistryTotalsMonotone|TestStatsValuesGolden|TestAggregateBagColumnOrder|TestBagBuildSkipsNoOpWork|TestExecColumnsIndependentOfIndexSets|TestContractionSolverIndependent|TestContractionProperties|TestServeQueryInlineDuplicateTuples|TestBagCache|TestExecCancel|TestExecRowBudgetInsideJoinLoop|TestAggregateOverflow|TestRowJoinsBoundedByAnswer' ./internal/query ./internal/join ./internal/dataset ./cmd/htdserve
+	$(GO) test -race -count=1 -run 'TestDifferential|TestConcurrentIdentical|TestEval|TestServeQuery|TestExecDuplicateRows|TestCanonical|TestStatsConservation|TestRegistryTotalsMonotone|TestStatsValuesGolden|TestAggregateBagColumnOrder|TestBagBuildSkipsNoOpWork|TestExecColumnsIndependentOfIndexSets|TestContractionSolverIndependent|TestContractionProperties|TestServeQueryInlineDuplicateTuples|TestBagCache|TestExecCancel|TestExecRowBudgetInsideJoinLoop|TestAggregateOverflow|TestRowJoinsBoundedByAnswer|TestEdgeStatusTable' ./internal/query ./internal/join ./internal/dataset ./cmd/htdserve
 
 # A wall cannot silently lose a test: every alternative of the -run
 # regexes in stress, crash-recovery and differential must match a test

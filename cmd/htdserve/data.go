@@ -1,7 +1,7 @@
 package main
 
 import (
-	"errors"
+	"fmt"
 	"io"
 	"net/http"
 
@@ -23,76 +23,52 @@ import (
 // admission wall queries do — a tenant hammering writes is rejected
 // with 429 + Retry-After before it can touch shared state.
 
-// datasetStatus maps a dataset-layer error to its HTTP status.
-func datasetStatus(err error) int {
-	switch {
-	case errors.Is(err, htd.ErrDatasetNotFound):
-		return http.StatusNotFound
-	case errors.Is(err, htd.ErrDatasetVersionGone):
-		return http.StatusGone
-	case errors.Is(err, htd.ErrDatasetLimit):
-		return http.StatusRequestEntityTooLarge
-	case errors.Is(err, htd.ErrTenantLimited):
-		return http.StatusTooManyRequests
-	}
-	return http.StatusBadRequest
-}
-
-// admitWrite passes one dataset write (upload or mutation) through the
-// per-tenant wall. On success the returned release must be called with
-// whether the write failed; on rejection the 429/error has already
-// been written.
-func (s *server) admitWrite(w http.ResponseWriter, r *http.Request, tenant string) (release func(failed bool), ok bool) {
-	lease, err := s.svc.Tenants().Admit(r.Context(), tenant)
-	if err != nil {
-		if errors.Is(err, htd.ErrTenantLimited) {
-			setRetryAfter(w, err)
-			writeJSON(w, http.StatusTooManyRequests,
-				map[string]any{"error": err.Error(), "retry_after_ms": retryAfterMS(err)})
-			return nil, false
+// admitted answers one dataset write (upload or mutation) that passes
+// the per-tenant wall: write's result on success, its error otherwise.
+// A rejection by the wall answers with that error, Retry-After
+// included, before write runs.
+func (s *server) admitted(write func(r *http.Request, tenant string) (any, error)) func(http.ResponseWriter, *http.Request, string) {
+	return func(w http.ResponseWriter, r *http.Request, tenant string) {
+		lease, err := s.svc.Tenants().Admit(r.Context(), tenant)
+		if err != nil {
+			writeError(w, err)
+			return
 		}
-		httpError(w, http.StatusServiceUnavailable, err.Error())
-		return nil, false
+		r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
+		v, err := write(r, tenant)
+		defer lease.Done(err != nil)
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		writeJSON(w, nil, v)
 	}
-	return lease.Done, true
 }
 
 // handleDataPut creates or replaces a named dataset from rel blocks
 // (the same text format the inline /query "database" field uses). A
 // replacement continues the version counter and evicts every prior
 // pinnable version.
-func (s *server) handleDataPut(w http.ResponseWriter, r *http.Request, tenant string) {
-	release, ok := s.admitWrite(w, r, tenant)
-	if !ok {
-		return
-	}
-	failed := true
-	defer func() { release(failed) }()
-
-	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
+func (s *server) handleDataPut(r *http.Request, tenant string) (any, error) {
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
-		httpError(w, bodyErrStatus(err), "read body: "+err.Error())
-		return
+		return nil, fmt.Errorf("read body: %w", err)
 	}
 	db, err := htd.ParseRelations(string(body))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "parse database: "+err.Error())
-		return
+		return nil, fmt.Errorf("parse database: %v", err)
 	}
 	name := r.PathValue("name")
 	version, err := s.svc.Datasets().Put(tenant, name, db)
 	if err != nil {
-		httpError(w, datasetStatus(err), err.Error())
-		return
+		return nil, err
 	}
-	failed = false
-	writeJSON(w, http.StatusOK, map[string]any{
+	return map[string]any{
 		"name":      name,
 		"version":   version,
 		"relations": len(db),
 		"tuples":    s.liveTuples(tenant, name, version, db),
-	})
+	}, nil
 }
 
 // liveTuples is the tuple count of the version a PUT of db created:
@@ -115,22 +91,22 @@ func (s *server) liveTuples(tenant, name string, version uint64, db htd.Database
 func (s *server) handleDataGet(w http.ResponseWriter, r *http.Request, tenant string) {
 	d, ok := s.svc.Datasets().Get(tenant, r.PathValue("name"))
 	if !ok {
-		httpError(w, http.StatusNotFound, htd.ErrDatasetNotFound.Error())
+		writeError(w, htd.ErrDatasetNotFound)
 		return
 	}
-	writeJSON(w, http.StatusOK, d.Info())
+	writeJSON(w, nil, d.Info())
 }
 
 func (s *server) handleDataDelete(w http.ResponseWriter, r *http.Request, tenant string) {
 	if !s.svc.Datasets().Drop(tenant, r.PathValue("name")) {
-		httpError(w, http.StatusNotFound, htd.ErrDatasetNotFound.Error())
+		writeError(w, htd.ErrDatasetNotFound)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"dropped": r.PathValue("name")})
+	writeJSON(w, nil, map[string]any{"dropped": r.PathValue("name")})
 }
 
 func (s *server) handleDataList(w http.ResponseWriter, r *http.Request, tenant string) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	writeJSON(w, nil, map[string]any{
 		"datasets": s.svc.Datasets().List(tenant),
 	})
 }
@@ -141,30 +117,14 @@ func (s *server) handleDataList(w http.ResponseWriter, r *http.Request, tenant s
 // applies: a bad line leaves the dataset untouched. In-flight queries
 // keep reading the snapshot they resolved; only queries arriving after
 // the commit see the new version.
-func (s *server) handleDataMutate(w http.ResponseWriter, r *http.Request, tenant string) {
-	release, ok := s.admitWrite(w, r, tenant)
-	if !ok {
-		return
-	}
-	failed := true
-	defer func() { release(failed) }()
-
+func (s *server) handleDataMutate(r *http.Request, tenant string) (any, error) {
 	d, ok := s.svc.Datasets().Get(tenant, r.PathValue("name"))
 	if !ok {
-		httpError(w, http.StatusNotFound, htd.ErrDatasetNotFound.Error())
-		return
+		return nil, htd.ErrDatasetNotFound
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
 	batch, err := htd.DecodeDatasetBatch(r.Body)
 	if err != nil {
-		httpError(w, bodyErrStatus(err), err.Error())
-		return
+		return nil, err
 	}
-	res, err := d.Mutate(batch)
-	if err != nil {
-		httpError(w, datasetStatus(err), err.Error())
-		return
-	}
-	failed = false
-	writeJSON(w, http.StatusOK, res)
+	return d.Mutate(batch)
 }

@@ -32,7 +32,7 @@ func newEdgeServer(t *testing.T, cfg htd.ServiceConfig, maxBody int64) (*httptes
 		cfg.DefaultTimeout = 30 * time.Second
 	}
 	svc := htd.NewService(cfg)
-	ts := startServer(t, newHandler(svc, 4, maxBody))
+	ts := startServer(t, newHandler(svc, maxBody))
 	t.Cleanup(func() {
 		ts.Close()
 		svc.Close()

@@ -27,6 +27,10 @@
 // calls get 429 with a Retry-After header; /stats reports per-tenant
 // counters and p50/p99 latency.
 //
+// Statuses: every single-shot and /data response takes its status from
+// one table, status in server.go, and its error body from apiError;
+// batch lines carry the same body with no status of their own.
+//
 // Endpoints:
 //
 //	POST /decompose    one job; JSON body {"hypergraph":"r1(x,y), ...","k":2}
@@ -148,9 +152,7 @@ func main() {
 				*storeDir, st.Disk.Entries, st.Disk.Segments, st.Disk.Bytes)
 		}
 	}
-	// The batch limit mirrors the service's effective concurrency so
-	// /batch feeds it at full rate without tripping admission control.
-	handler := newHandler(svc, svc.Config().MaxConcurrent, *maxBody)
+	handler := newHandler(svc, *maxBody)
 	httpSrv := &http.Server{
 		Addr:              *addr,
 		Handler:           handler,

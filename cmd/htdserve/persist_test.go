@@ -24,7 +24,7 @@ func TestServeDiskStoreWarmRestart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return startServer(t, newHandler(svc, 4, 0)), svc
+		return startServer(t, newHandler(svc, 0)), svc
 	}
 	const job = `{"hypergraph":"r1(x,y), r2(y,z), r3(z,x), r4(x,z).","k":2}`
 

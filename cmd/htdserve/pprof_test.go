@@ -37,7 +37,7 @@ func TestPprofMuxServesEndpoints(t *testing.T) {
 func TestServingHandlerNeverRoutesPprof(t *testing.T) {
 	svc := htd.NewService(htd.ServiceConfig{})
 	defer svc.Close()
-	srv := startServer(t, newHandler(svc, 4, 0))
+	srv := startServer(t, newHandler(svc, 0))
 	for _, path := range []string{"/debug/pprof/", "/debug/pprof/heap", "/debug/pprof/profile"} {
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {

@@ -69,7 +69,7 @@ func TestServeQueryRowsWireGolden(t *testing.T) {
 	svc := htd.NewService(htd.ServiceConfig{
 		TokenBudget: 1, MaxConcurrent: 1, MaxQueue: 64, DefaultTimeout: 30 * time.Second,
 	})
-	ts := startServer(t, newHandler(svc, 1, 0))
+	ts := startServer(t, newHandler(svc, 0))
 	t.Cleanup(func() {
 		ts.Close()
 		svc.Close()

@@ -63,12 +63,7 @@ type apiResponse struct {
 	CacheHit    bool             `json:"cache_hit,omitempty"`
 	Coalesced   bool             `json:"coalesced,omitempty"`
 	Stats       *htd.SolverStats `json:"stats,omitempty"`
-	Error       string           `json:"error,omitempty"`
-	TimedOut    bool             `json:"timed_out,omitempty"`
-	// RetryAfterMS carries the tenant wall's backoff hint on 429
-	// rejections (also sent as a Retry-After header on single-shot
-	// responses; batch lines only have this field).
-	RetryAfterMS int64 `json:"retry_after_ms,omitempty"`
+	apiError
 
 	// The proven lower bound (sound even on timeouts) and where it came
 	// from ("structural", "probe", "memo", "trivial"): optimal jobs set
@@ -80,15 +75,92 @@ type apiResponse struct {
 	LowerBoundFrom string `json:"lower_bound_from,omitempty"`
 	ProbesLaunched int    `json:"probes_launched,omitempty"`
 	BoundsShared   bool   `json:"bounds_shared,omitempty"`
-
-	// err keeps the underlying error for status-code mapping; the wire
-	// carries only Error.
-	err error
 }
 
-// errBadRequest marks responses for jobs that never ran because the
-// request itself was invalid.
-var errBadRequest = errors.New("bad request")
+// apiError is the error half of every response body: the message,
+// whether a deadline ended the job, and the tenant wall's backoff hint
+// on 429 rejections (also sent as a Retry-After header on single-shot
+// responses; batch lines only have this field). err keeps the
+// underlying error for status; the wire carries only the fields.
+type apiError struct {
+	Error        string `json:"error,omitempty"`
+	TimedOut     bool   `json:"timed_out,omitempty"`
+	RetryAfterMS int64  `json:"retry_after_ms,omitempty"`
+	err          error
+}
+
+// newAPIError is the error half of a response to a request that
+// failed with err.
+func newAPIError(err error) apiError {
+	e := apiError{Error: err.Error(), TimedOut: errors.Is(err, context.DeadlineExceeded), err: err}
+	var le *htd.TenantLimitError
+	if errors.As(err, &le) {
+		e.RetryAfterMS = max(le.RetryAfter.Milliseconds(), 1)
+	}
+	return e
+}
+
+// status is the HTTP edge's one error table: the status code of every
+// single-shot and /data response, from the error the request ended
+// with (nil on success).
+func status(err error) int {
+	switch {
+	case err == nil:
+		return http.StatusOK
+	case errors.As(err, new(*http.MaxBytesError)), errors.Is(err, htd.ErrDatasetLimit):
+		return http.StatusRequestEntityTooLarge
+	case errors.Is(err, htd.ErrDatasetNotFound):
+		return http.StatusNotFound
+	case errors.Is(err, htd.ErrDatasetVersionGone):
+		// 410, not 404: the version existed and is gone for good —
+		// clients should re-resolve to the current version, not retry.
+		return http.StatusGone
+	case errors.Is(err, htd.ErrTenantLimited), errors.Is(err, htd.ErrOverloaded):
+		return http.StatusTooManyRequests
+	case errors.Is(err, htd.ErrServiceClosed):
+		return http.StatusServiceUnavailable
+	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled),
+		errors.Is(err, htd.ErrNoQueryPlan), errors.Is(err, htd.ErrRowBudget),
+		errors.Is(err, htd.ErrAggregateOverflow):
+		// Answers: the job ran and its verdict is ok:false.
+		return http.StatusOK
+	}
+	// Anything else is a bad request: malformed JSON, a parse error,
+	// an unknown relation or arity mismatch, a future version.
+	return http.StatusBadRequest
+}
+
+// writeHead starts the response to a request that ended with err (nil
+// on success) with the status the table gives err. A tenant-limited
+// 429 carries the Retry-After header (whole seconds, rounded up,
+// minimum 1), so compliant clients back off by the bucket's actual
+// deficit instead of guessing.
+func writeHead(w http.ResponseWriter, err error) {
+	code := status(err)
+	if code == http.StatusTooManyRequests {
+		// Declared here, not above: le escapes, and a success must not
+		// pay for its allocation.
+		var le *htd.TenantLimitError
+		if errors.As(err, &le) {
+			w.Header().Set("Retry-After", strconv.Itoa(max(int(math.Ceil(le.RetryAfter.Seconds())), 1)))
+		}
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+}
+
+// writeJSON writes v as the response to a request that ended with err
+// (nil on success).
+func writeJSON(w http.ResponseWriter, err error, v any) {
+	writeHead(w, err)
+	json.NewEncoder(w).Encode(v)
+}
+
+// writeError answers a request that failed with err before it had a
+// response of its own.
+func writeError(w http.ResponseWriter, err error) {
+	writeJSON(w, err, newAPIError(err))
+}
 
 // tenanted resolves the caller's tenant from the X-Tenant header before
 // h runs. An absent or blank header means the default tenant (mapped
@@ -97,50 +169,11 @@ func tenanted(h func(w http.ResponseWriter, r *http.Request, tenant string)) htt
 	return func(w http.ResponseWriter, r *http.Request) {
 		t := strings.TrimSpace(r.Header.Get("X-Tenant"))
 		if len(t) > maxTenantIDLen {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("X-Tenant exceeds %d bytes", maxTenantIDLen))
+			writeError(w, fmt.Errorf("X-Tenant exceeds %d bytes", maxTenantIDLen))
 			return
 		}
 		h(w, r, t)
 	}
-}
-
-// setRetryAfter adds the Retry-After header (whole seconds, rounded
-// up, minimum 1) for tenant-limited rejections, so compliant clients
-// back off by the bucket's actual deficit instead of guessing.
-func setRetryAfter(w http.ResponseWriter, err error) {
-	var le *htd.TenantLimitError
-	if !errors.As(err, &le) {
-		return
-	}
-	secs := int(math.Ceil(le.RetryAfter.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-}
-
-// retryAfterMS mirrors the Retry-After hint into response bodies, the
-// only channel an NDJSON batch line has for it.
-func retryAfterMS(err error) int64 {
-	var le *htd.TenantLimitError
-	if !errors.As(err, &le) {
-		return 0
-	}
-	ms := le.RetryAfter.Milliseconds()
-	if ms < 1 {
-		ms = 1
-	}
-	return ms
-}
-
-// bodyErrStatus maps a request-body decode error to its status code:
-// 413 when the maxBody cap cut the read short, 400 otherwise.
-func bodyErrStatus(err error) int {
-	var mbe *http.MaxBytesError
-	if errors.As(err, &mbe) {
-		return http.StatusRequestEntityTooLarge
-	}
-	return http.StatusBadRequest
 }
 
 // server wires an htd.Service into HTTP handlers.
@@ -152,8 +185,9 @@ type server struct {
 	// hypergraph is a warm plan for a structurally identical query).
 	planner *htd.QueryPlanner
 	// batchLimit bounds how many lines of one batch are in flight at
-	// once, so a large batch queues inside the handler instead of
-	// tripping the service's admission control.
+	// once: the service's MaxConcurrent, so a large batch feeds it at
+	// full rate and queues inside the handler instead of tripping the
+	// service's admission control.
 	batchLimit int
 	// maxBody bounds every single-shot request body (decompose, query,
 	// dataset uploads); one oversized POST must never balloon
@@ -171,17 +205,14 @@ const maxBatchLine = 16 * 1024 * 1024
 // arbitrarily large.
 const maxTenantIDLen = 128
 
-func newHandler(svc *htd.Service, batchLimit int, maxBody int64) *server {
-	if batchLimit < 1 {
-		batchLimit = 1
-	}
+func newHandler(svc *htd.Service, maxBody int64) *server {
 	if maxBody <= 0 {
 		maxBody = 8 * 1024 * 1024
 	}
 	s := &server{
 		svc:        svc,
 		planner:    htd.NewQueryPlanner(svc),
-		batchLimit: batchLimit,
+		batchLimit: svc.Config().MaxConcurrent,
 		maxBody:    maxBody,
 		started:    time.Now(),
 	}
@@ -191,10 +222,10 @@ func newHandler(svc *htd.Service, batchLimit int, maxBody int64) *server {
 	mux.HandleFunc("POST /query", tenanted(s.handleQuery))
 	mux.HandleFunc("POST /querybatch", tenanted(s.handleQueryBatch))
 	mux.HandleFunc("GET /data", tenanted(s.handleDataList))
-	mux.HandleFunc("PUT /data/{name}", tenanted(s.handleDataPut))
+	mux.HandleFunc("PUT /data/{name}", tenanted(s.admitted(s.handleDataPut)))
 	mux.HandleFunc("GET /data/{name}", tenanted(s.handleDataGet))
 	mux.HandleFunc("DELETE /data/{name}", tenanted(s.handleDataDelete))
-	mux.HandleFunc("POST /data/{name}/mutate", tenanted(s.handleDataMutate))
+	mux.HandleFunc("POST /data/{name}/mutate", tenanted(s.admitted(s.handleDataMutate)))
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /stats", s.handleStats)
 	mux.HandleFunc("GET /cache", s.handleCache)
@@ -252,7 +283,7 @@ func parseRequest(a apiRequest) (htd.ServiceRequest, error) {
 func (s *server) runJob(ctx context.Context, a apiRequest, tenant string) *apiResponse {
 	req, err := parseRequest(a)
 	if err != nil {
-		return &apiResponse{Error: err.Error(), err: errBadRequest}
+		return &apiResponse{apiError: newAPIError(err)}
 	}
 	req.Tenant = tenant
 	res := s.svc.Submit(ctx, req)
@@ -269,10 +300,7 @@ func (s *server) runJob(ctx context.Context, a apiRequest, tenant string) *apiRe
 		BoundsShared:   res.BoundsShared,
 	}
 	if res.Err != nil {
-		resp.Error = res.Err.Error()
-		resp.err = res.Err
-		resp.TimedOut = errors.Is(res.Err, context.DeadlineExceeded)
-		resp.RetryAfterMS = retryAfterMS(res.Err)
+		resp.apiError = newAPIError(res.Err)
 		return resp
 	}
 	if res.OK {
@@ -302,11 +330,11 @@ func (s *server) handleDecompose(w http.ResponseWriter, r *http.Request, tenant 
 	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
 	var a apiRequest
 	if err := json.NewDecoder(r.Body).Decode(&a); err != nil {
-		httpError(w, bodyErrStatus(err), "invalid JSON: "+err.Error())
+		writeError(w, fmt.Errorf("invalid JSON: %w", err))
 		return
 	}
 	resp := s.runJob(r.Context(), a, tenant)
-	writeJSON(w, errStatus(w, resp.err), resp)
+	writeJSON(w, resp.err, resp)
 }
 
 // streamNDJSON reads NDJSON request lines and streams NDJSON responses
@@ -400,7 +428,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request, tenant stri
 	streamNDJSON(s, w, r, func(line []byte) *apiResponse {
 		var a apiRequest
 		if err := json.Unmarshal(line, &a); err != nil {
-			return &apiResponse{Error: "invalid JSON: " + err.Error()}
+			return &apiResponse{apiError: newAPIError(fmt.Errorf("invalid JSON: %w", err))}
 		}
 		return s.runJob(r.Context(), a, tenant)
 	}, writeJSONLine)
@@ -475,14 +503,8 @@ type queryAPIResponse struct {
 	// Aggregate is the answer of an aggregate request; rows are never
 	// serialised for aggregates (RowCount stays 0).
 	Aggregate *aggWire `json:"aggregate,omitempty"`
-	Error     string   `json:"error,omitempty"`
-	TimedOut  bool     `json:"timed_out,omitempty"`
-	// RetryAfterMS carries the tenant wall's backoff hint on 429
-	// rejections (batch lines have no headers, so the body carries it).
-	RetryAfterMS int64 `json:"retry_after_ms,omitempty"`
+	apiError
 
-	// err keeps the underlying error for status-code mapping.
-	err error
 	// answer is the canonical answer whose rows go on the wire; nil
 	// for errors, aggregates and omit_rows.
 	answer *htd.Relation
@@ -505,21 +527,22 @@ type aggWire struct {
 // runQuery answers one parsed query request and shapes the result for
 // the wire.
 func (s *server) runQuery(ctx context.Context, a queryAPIRequest, tenant string) *queryAPIResponse {
+	fail := func(err error) *queryAPIResponse { return &queryAPIResponse{apiError: newAPIError(err)} }
 	if strings.TrimSpace(a.Query) == "" {
-		return &queryAPIResponse{Error: "missing \"query\"", err: errBadRequest}
+		return fail(errors.New("missing \"query\""))
 	}
 	timeout, err := requestTimeout(a.TimeoutMS)
 	if err != nil {
-		return &queryAPIResponse{Error: err.Error(), err: errBadRequest}
+		return fail(err)
 	}
 	q, err := htd.ParseCQ(a.Query)
 	if err != nil {
-		return &queryAPIResponse{Error: "parse query: " + err.Error(), err: errBadRequest}
+		return fail(fmt.Errorf("parse query: %v", err))
 	}
 	var db htd.Database
 	if a.Dataset != "" {
 		if a.Database != "" {
-			return &queryAPIResponse{Error: "set exactly one of \"dataset\" or \"database\"", err: errBadRequest}
+			return fail(errors.New("set exactly one of \"dataset\" or \"database\""))
 		}
 		// db stays nil: the planner resolves the named dataset to a
 		// pinned snapshot behind the tenant wall.
@@ -528,14 +551,14 @@ func (s *server) runQuery(ctx context.Context, a queryAPIRequest, tenant string)
 		// /data/{name} parses an upload.
 		db, err = htd.ParseRelations(a.Database)
 		if err != nil {
-			return &queryAPIResponse{Error: "parse database: " + err.Error(), err: errBadRequest}
+			return fail(fmt.Errorf("parse database: %v", err))
 		}
 	}
 	var spec *htd.AggregateSpec
 	if strings.TrimSpace(a.Aggregate) != "" {
 		parsed, err := htd.ParseAggregate(a.Aggregate)
 		if err != nil {
-			return &queryAPIResponse{Error: "parse aggregate: " + err.Error(), err: errBadRequest}
+			return fail(fmt.Errorf("parse aggregate: %v", err))
 		}
 		spec = &parsed
 	}
@@ -551,28 +574,7 @@ func (s *server) runQuery(ctx context.Context, a queryAPIRequest, tenant string)
 		Tenant:    tenant,
 	})
 	if err != nil {
-		resp := &queryAPIResponse{Error: err.Error(), err: err}
-		resp.TimedOut = errors.Is(err, context.DeadlineExceeded)
-		resp.RetryAfterMS = retryAfterMS(err)
-		switch {
-		case errors.Is(err, htd.ErrNoQueryPlan),
-			errors.Is(err, htd.ErrRowBudget),
-			errors.Is(err, htd.ErrAggregateOverflow),
-			errors.Is(err, context.DeadlineExceeded),
-			errors.Is(err, context.Canceled),
-			errors.Is(err, htd.ErrTenantLimited),
-			errors.Is(err, htd.ErrOverloaded),
-			errors.Is(err, htd.ErrServiceClosed),
-			errors.Is(err, htd.ErrDatasetNotFound),
-			errors.Is(err, htd.ErrDatasetVersionGone),
-			errors.Is(err, htd.ErrDatasetFutureVersion):
-			// Definitive or operational failures keep their own mapping.
-		default:
-			// Anything else is a malformed query/database combination
-			// (unknown relation, arity mismatch): the client's fault.
-			resp.err = errBadRequest
-		}
-		return resp
+		return fail(err)
 	}
 	resp := &queryAPIResponse{
 		OK:             true,
@@ -605,41 +607,15 @@ func (s *server) runQuery(ctx context.Context, a queryAPIRequest, tenant string)
 	return resp
 }
 
-// errStatus maps the error of a single-shot /decompose or /query
-// response to its status code, adding Retry-After to a tenant-limited
-// rejection. Errors not mapped here are answers (timeouts, no plan,
-// row budget) and keep 200.
-func errStatus(w http.ResponseWriter, err error) int {
-	switch {
-	case errors.Is(err, errBadRequest), errors.Is(err, htd.ErrDatasetFutureVersion):
-		return http.StatusBadRequest
-	case errors.Is(err, htd.ErrDatasetNotFound):
-		return http.StatusNotFound
-	case errors.Is(err, htd.ErrDatasetVersionGone):
-		// 410, not 404: the version existed and is gone for good —
-		// clients should re-resolve to the current version, not retry.
-		return http.StatusGone
-	case errors.Is(err, htd.ErrTenantLimited):
-		setRetryAfter(w, err)
-		return http.StatusTooManyRequests
-	case errors.Is(err, htd.ErrOverloaded):
-		return http.StatusTooManyRequests
-	case errors.Is(err, htd.ErrServiceClosed):
-		return http.StatusServiceUnavailable
-	}
-	return http.StatusOK
-}
-
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request, tenant string) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
 	var a queryAPIRequest
 	if err := json.NewDecoder(r.Body).Decode(&a); err != nil {
-		httpError(w, bodyErrStatus(err), "invalid JSON: "+err.Error())
+		writeError(w, fmt.Errorf("invalid JSON: %w", err))
 		return
 	}
 	resp := s.runQuery(r.Context(), a, tenant)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(errStatus(w, resp.err))
+	writeHead(w, resp.err)
 	writeQueryResponse(w, resp)
 }
 
@@ -688,7 +664,7 @@ func (s *server) handleQueryBatch(w http.ResponseWriter, r *http.Request, tenant
 	streamNDJSON(s, w, r, func(line []byte) *queryAPIResponse {
 		var a queryAPIRequest
 		if err := json.Unmarshal(line, &a); err != nil {
-			return &queryAPIResponse{Error: "invalid JSON: " + err.Error()}
+			return &queryAPIResponse{apiError: newAPIError(fmt.Errorf("invalid JSON: %w", err))}
 		}
 		return s.runQuery(r.Context(), a, tenant)
 	}, writeQueryResponse)
@@ -701,7 +677,7 @@ func (s *server) handleCache(w http.ResponseWriter, r *http.Request) {
 	if q := r.URL.Query().Get("max"); q != "" {
 		n, err := strconv.Atoi(q)
 		if err != nil || n < 0 {
-			httpError(w, http.StatusBadRequest, "invalid max")
+			writeError(w, errors.New("invalid max"))
 			return
 		}
 		max = n
@@ -713,7 +689,7 @@ func (s *server) handleCache(w http.ResponseWriter, r *http.Request) {
 		// which an HTTP query must never request implicitly.
 		entries = st.Info(max)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	writeJSON(w, nil, map[string]any{
 		"store":   st.Stats(),
 		"entries": entries,
 	})
@@ -722,11 +698,11 @@ func (s *server) handleCache(w http.ResponseWriter, r *http.Request) {
 func (s *server) handleCachePurge(w http.ResponseWriter, r *http.Request) {
 	before := s.svc.Store().Stats().Entries
 	s.svc.Store().Purge()
-	writeJSON(w, http.StatusOK, map[string]any{"purged": before})
+	writeJSON(w, nil, map[string]any{"purged": before})
 }
 
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	writeJSON(w, nil, map[string]any{
 		"status":         "ok",
 		"uptime_seconds": time.Since(s.started).Seconds(),
 	})
@@ -743,24 +719,14 @@ type statsResponse struct {
 }
 
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, statsResponse{
+	writeJSON(w, nil, statsResponse{
 		ServiceStats: s.svc.Stats(),
 		Query:        s.planner.Stats(),
 		Datasets:     s.svc.Datasets().Stats(),
 	})
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
 // writeJSONLine writes v as one line of JSON.
 func writeJSONLine[T any](w io.Writer, v T) error {
 	return json.NewEncoder(w).Encode(v)
-}
-
-func httpError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
 }

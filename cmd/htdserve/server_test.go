@@ -51,7 +51,7 @@ func newTestServer(t *testing.T) (*httptest.Server, *htd.Service) {
 		MaxQueue:       64,
 		DefaultTimeout: 30 * time.Second,
 	})
-	ts := startServer(t, newHandler(svc, 4, 0))
+	ts := startServer(t, newHandler(svc, 0))
 	t.Cleanup(func() {
 		ts.Close()
 		svc.Close()

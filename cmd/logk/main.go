@@ -18,8 +18,9 @@
 // first that admits an HD. detk runs as log-k-decomp whose hybrid hands
 // the whole hypergraph to det-k-decomp, which is det-k-decomp itself.
 // The search answers NO when no width up to -maxk admits one, and
-// UNKNOWN with the lower bound it proved when -timeout runs out first;
-// both exit 1.
+// UNKNOWN with the lower bound it proved when -timeout runs out first.
+// A run at -k K > 0 that -timeout stops answers UNKNOWN for width K.
+// NO and UNKNOWN exit 1.
 package main
 
 import (
@@ -132,14 +133,17 @@ func searchOptions(method string, workers int) (logk.Options, bool) {
 }
 
 // noVerdict is the answer line of a run that found no decomposition of
-// width at most k, or with k = 0 none up to maxK. A width search that
-// runs out of budget answers UNKNOWN with lb, the lower bound it proved.
-// Any other error is returned as it is.
+// width at most k, or with k = 0 none up to maxK. A run that runs out of
+// budget answers UNKNOWN: a width search with lb, the lower bound it
+// proved, a decide run with the width it left undecided. Any other
+// error is returned as it is.
 func noVerdict(graph string, k, maxK, lb int, err error) (string, error) {
-	if k == 0 && errors.Is(err, context.DeadlineExceeded) {
+	switch {
+	case k == 0 && errors.Is(err, context.DeadlineExceeded):
 		return fmt.Sprintf("UNKNOWN: hw(%s) >= %d, budget exhausted", graph, lb), nil
-	}
-	if k == 0 {
+	case errors.Is(err, context.DeadlineExceeded):
+		return fmt.Sprintf("UNKNOWN: hw(%s) <= %d not decided, budget exhausted", graph, k), nil
+	case k == 0:
 		k = maxK
 	}
 	return fmt.Sprintf("NO: hw(%s) > %d", graph, k), err

@@ -113,3 +113,19 @@ func TestWidthSearchDeadlineKeepsLowerBound(t *testing.T) {
 		t.Fatalf("verdict %q, %v; want NO above maxk", line, err)
 	}
 }
+
+// TestDecideDeadlineIsUnknown: a decide run (k > 0) that runs out of
+// budget answers UNKNOWN for its width rather than failing without a
+// verdict.
+func TestDecideDeadlineIsUnknown(t *testing.T) {
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	_, width, ok, _, err := solve(ctx, triangle(t), "logk", 2, 5, 1)
+	if ok || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("solve past its deadline: ok=%v err=%v", ok, err)
+	}
+	line, err := noVerdict("g.hg", 2, 5, width, err)
+	if want := "UNKNOWN: hw(g.hg) <= 2 not decided, budget exhausted"; err != nil || line != want {
+		t.Fatalf("verdict %q, %v; want %q", line, err, want)
+	}
+}

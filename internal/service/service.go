@@ -605,10 +605,7 @@ func (s *Service) admitAndRun(ctx context.Context, req Request, hash string) Res
 // could opt out of it and pin a run slot indefinitely. Decomposition
 // jobs and whole queries (planning and execution) both run under it.
 func (s *Service) WithTimeout(ctx context.Context, timeout time.Duration) (context.Context, context.CancelFunc) {
-	if timeout <= 0 || (s.cfg.DefaultTimeout > 0 && timeout > s.cfg.DefaultTimeout) {
-		timeout = s.cfg.DefaultTimeout
-	}
-	if timeout <= 0 {
+	if timeout = tighten(timeout, s.cfg.DefaultTimeout); timeout == 0 {
 		return ctx, func() {}
 	}
 	return context.WithTimeout(ctx, timeout)
@@ -619,12 +616,18 @@ func (s *Service) WithTimeout(ctx context.Context, timeout time.Duration) (conte
 // values are clamped to it, so a request can only tighten the
 // operator's ceiling — otherwise any caller could opt out of it and
 // materialise an answer that exhausts the process's memory.
-func (s *Service) RowCap(maxRows int) int {
-	ceiling := max(s.cfg.MaxRows, 0) // negative: no ceiling
-	if maxRows <= 0 || (ceiling > 0 && maxRows > ceiling) {
+func (s *Service) RowCap(maxRows int) int { return tighten(maxRows, s.cfg.MaxRows) }
+
+// tighten is the rule WithTimeout and RowCap share: the value a request
+// asking for req runs with under the operator's ceiling. An unset
+// request (≤ 0) inherits the ceiling and a larger one is clamped to it;
+// a ceiling ≤ 0 means none. 0 is the answer for "no limit".
+func tighten[T int | time.Duration](req, ceiling T) T {
+	ceiling = max(ceiling, 0)
+	if req <= 0 || (ceiling > 0 && req > ceiling) {
 		return ceiling
 	}
-	return maxRows
+	return req
 }
 
 // LowerBoundFrom values of bounds the service itself establishes:

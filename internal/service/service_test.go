@@ -1107,3 +1107,21 @@ func TestStatsConservation(t *testing.T) {
 		t.Errorf("idle service reports Running %d, Waiting %d", st.Running, st.Waiting)
 	}
 }
+
+// TestTighten pins the rule WithTimeout and RowCap share: an unset
+// request inherits the ceiling, a larger one is clamped to it, a
+// smaller one stands, and a ceiling ≤ 0 leaves the request as it is
+// (0, no limit, when it too is unset).
+func TestTighten(t *testing.T) {
+	for _, tc := range []struct{ req, ceiling, want int }{
+		{0, 100, 100}, {-5, 100, 100}, {500, 100, 100}, {40, 100, 40},
+		{0, 0, 0}, {0, -1, 0}, {-5, -1, 0}, {40, 0, 40}, {40, -1, 40},
+	} {
+		if got := tighten(tc.req, tc.ceiling); got != tc.want {
+			t.Errorf("tighten(%d, %d) = %d, want %d", tc.req, tc.ceiling, got, tc.want)
+		}
+		if got := tighten(time.Duration(tc.req), time.Duration(tc.ceiling)); got != time.Duration(tc.want) {
+			t.Errorf("tighten(%v, %v) = %v, want %v", time.Duration(tc.req), time.Duration(tc.ceiling), got, time.Duration(tc.want))
+		}
+	}
+}
