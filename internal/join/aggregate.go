@@ -80,7 +80,7 @@ func (k AggKind) String() string {
 //	group g1,g2: <any above>  — the same, per assignment to g1,g2
 //
 // Answers are the distinct satisfying assignments of the full CQ (the
-// same set Evaluate enumerates), so every aggregate here agrees with
+// same set EvaluateCtx enumerates), so every aggregate here agrees with
 // materialise-then-fold — just without the materialisation.
 type AggSpec struct {
 	Kind AggKind
@@ -212,7 +212,7 @@ func (r AggResult) Value() (int64, bool) {
 // definitional semantics every pushdown answer must reproduce, and the
 // naive baseline of the differential wall. rel must be a full answer
 // relation (distinct rows over all query variables), as produced by
-// Evaluate or EvaluateNaive.
+// EvaluateCtx or EvaluateNaive.
 func AggregateRows(rel *Relation, spec AggSpec) (AggResult, error) {
 	gVars := spec.groupVars()
 	gIdx, err := rel.attrIndex(gVars)

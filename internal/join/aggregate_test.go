@@ -53,7 +53,7 @@ func aggSpecs(q Query) []AggSpec {
 func checkAggAgainstNaive(t *testing.T, q Query, db Database, spec AggSpec) {
 	t.Helper()
 	d := decompose(t, q, len(q.Atoms))
-	rows, err := Evaluate(q, db, d)
+	rows, err := EvaluateCtx(context.Background(), q, db, d, EvalOptions{})
 	if err != nil {
 		t.Fatalf("%s: evaluate: %v", FormatAggregate(spec), err)
 	}

@@ -165,7 +165,7 @@ func TestContractionProperties(t *testing.T) {
 			if hosted != len(q.Atoms) {
 				t.Fatalf("seed %d: %d of %d atoms hosted", seed, hosted, len(q.Atoms))
 			}
-			got, err := Evaluate(q, db, d)
+			got, err := EvaluateCtx(context.Background(), q, db, d, EvalOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,7 +8,7 @@
 // hypertree width evaluate in polynomial time by reduction to an
 // acyclic instance.
 //
-// Contract: Evaluate/EvaluateCtx return the answer set — no row
+// Contract: EvaluateCtx returns the answer set — no row
 // twice — in a deterministic row order, and Relation.Canonical puts
 // it in canonical form (columns sorted by variable name, rows sorted);
 // AggregateCtx folds COUNT / COUNT DISTINCT / SUM / MIN / MAX —

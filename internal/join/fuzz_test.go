@@ -200,7 +200,7 @@ func FuzzEvalDocument(f *testing.F) {
 		if err != nil || !ok {
 			t.Fatalf("no plan of width <= %d (ok=%v err=%v)", len(doc.Query.Atoms), ok, err)
 		}
-		got, err := Evaluate(doc.Query, doc.DB, d)
+		got, err := EvaluateCtx(context.Background(), doc.Query, doc.DB, d, EvalOptions{})
 		if err != nil {
 			t.Fatalf("executor: %v", err)
 		}

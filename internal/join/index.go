@@ -185,9 +185,9 @@ func (ix *hashIndex) probeVals(vals []int) []int32 {
 	return ix.perm[ix.starts[b]:ix.starts[b+1]]
 }
 
-// projectFast is Relation.Project deduplicating through projectIdx,
-// with guard polling; first-occurrence order is preserved, like the
-// scan path.
+// projectFast returns the projection of r onto attrs, duplicates
+// removed through projectIdx, with guard polling; first-occurrence
+// order is preserved, like the scan path.
 func projectFast(r *Relation, attrs []string, g *guard) (*Relation, error) {
 	idx, err := r.attrIndex(attrs)
 	if err != nil {

@@ -124,7 +124,7 @@ func decompose(t *testing.T, q Query, k int) *decomp.Decomp {
 func TestEvaluateTriangle(t *testing.T) {
 	q, db := triangleFixture()
 	d := decompose(t, q, 2)
-	got, err := Evaluate(q, db, d)
+	got, err := EvaluateCtx(context.Background(), q, db, d, EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestEvaluateChainQuery(t *testing.T) {
 			Vars: []string{"x" + strconv.Itoa(i), "x" + strconv.Itoa(i+1)}})
 	}
 	d := decompose(t, q, 1)
-	got, err := Evaluate(q, db, d)
+	got, err := EvaluateCtx(context.Background(), q, db, d, EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestEvaluateRandomQueriesAgainstNaive(t *testing.T) {
 		if d == nil {
 			t.Fatalf("seed %d: no decomposition of width <= 4", seed)
 		}
-		got, err := Evaluate(q, db, d)
+		got, err := EvaluateCtx(context.Background(), q, db, d, EvalOptions{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -314,10 +314,7 @@ func TestBuildJoinTreeEdgeCountMismatch(t *testing.T) {
 		t.Fatal("buildJoinTree should reject a decomposition with fewer edges than the query has atoms")
 	}
 
-	// Evaluate and EvaluateCtx surface the same guard.
-	if _, err := Evaluate(short, db, d); err == nil {
-		t.Fatal("Evaluate should propagate the edge-count mismatch")
-	}
+	// EvaluateCtx surfaces the same guard.
 	if _, err := EvaluateCtx(context.Background(), short, db, d, EvalOptions{}); err == nil {
 		t.Fatal("EvaluateCtx should propagate the edge-count mismatch")
 	}
@@ -334,7 +331,7 @@ func TestEvaluateCtxBudgets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Evaluate(q, db, d)
+	want, err := EvaluateCtx(context.Background(), q, db, d, EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,10 +19,10 @@ import (
 // allocations rather than one slice header per tuple, and frees as one
 // unit. Values are ints (dictionary-encode externally if needed).
 // Tuples are not deduplicated on construction, so a relation built
-// with Add may hold duplicates. Project, Dedup and Canonical return
-// sets; Join adds no duplicates (the natural join of two sets is a
-// set), which is why the executor's answer is a set once every bag is
-// one (build projects a bag unless its λ-join already is a set).
+// with Add may hold duplicates. Dedup and Canonical return sets; Join
+// adds no duplicates (the natural join of two sets is a set), which is
+// why the executor's answer is a set once every bag is one (build
+// projects a bag unless its λ-join already is a set).
 //
 // Relations are append-only while being built and immutable once an
 // operator has consumed them — no operator mutates an input — which is
@@ -288,27 +288,6 @@ func appendKeyVal(dst []byte, v uint64) []byte {
 	return append(dst,
 		byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
 		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-}
-
-// Project returns the projection onto attrs, with duplicates removed
-// (first occurrence wins).
-func (r *Relation) Project(attrs ...string) (*Relation, error) {
-	idx, err := r.attrIndex(attrs)
-	if err != nil {
-		return nil, err
-	}
-	out := NewRelation(attrs...)
-	seen := make(map[string]struct{}, r.n)
-	buf := make([]byte, 0, 8*len(idx))
-	for i := 0; i < r.n; i++ {
-		buf = appendRowKey(buf[:0], r, i, idx)
-		if _, dup := seen[string(buf)]; dup {
-			continue
-		}
-		seen[string(buf)] = struct{}{}
-		out.appendProjected(r, i, idx)
-	}
-	return out, nil
 }
 
 // joinSchema derives a natural join's output schema: r's attrs followed

@@ -245,3 +245,24 @@ func (r *Relation) Semijoin(s *Relation) (*Relation, error) {
 	}
 	return out, nil
 }
+
+// Project returns the projection onto attrs, with duplicates removed
+// (first occurrence wins).
+func (r *Relation) Project(attrs ...string) (*Relation, error) {
+	idx, err := r.attrIndex(attrs)
+	if err != nil {
+		return nil, err
+	}
+	out := NewRelation(attrs...)
+	seen := make(map[string]struct{}, r.n)
+	buf := make([]byte, 0, 8*len(idx))
+	for i := 0; i < r.n; i++ {
+		buf = appendRowKey(buf[:0], r, i, idx)
+		if _, dup := seen[string(buf)]; dup {
+			continue
+		}
+		seen[string(buf)] = struct{}{}
+		out.appendProjected(r, i, idx)
+	}
+	return out, nil
+}

@@ -163,20 +163,14 @@ func contract(n *decomp.Node) *decomp.Node {
 	return &decomp.Node{Lambda: lambda, SpecialID: decomp.NoSpecial, Bag: bag, Children: kids}
 }
 
-// Evaluate answers the full conjunctive query using the decomposition:
-// bag materialisation, then Yannakakis over hash indexes — the
-// bottom-up semijoin pass and a top-down join pass, no join result of
-// which outgrows the answer. The result is the set of all satisfying
-// assignments to the query's variables.
-func Evaluate(q Query, db Database, d *decomp.Decomp) (*Relation, error) {
-	return EvaluateCtx(context.Background(), q, db, d, EvalOptions{})
-}
-
-// EvaluateCtx is Evaluate under a context, per-query limits, and an
-// executor configuration: the evaluation is aborted when the context is
-// cancelled (deadline = the query's time budget) or when any
-// intermediate or final relation exceeds opts.MaxRows (ErrRowBudget),
-// both checked inside the probe loops.
+// EvaluateCtx answers the full conjunctive query using the
+// decomposition: bag materialisation, then Yannakakis over hash
+// indexes — the bottom-up semijoin pass and a top-down join pass, no
+// join result of which outgrows the answer. The result is the set of
+// all satisfying assignments to the query's variables. The evaluation
+// is aborted when the context is cancelled (deadline = the query's
+// time budget) or when any intermediate or final relation exceeds
+// opts.MaxRows (ErrRowBudget), both checked inside the probe loops.
 func EvaluateCtx(ctx context.Context, q Query, db Database, d *decomp.Decomp, opts EvalOptions) (*Relation, error) {
 	return runExecutor(ctx, opts, func(e *executor) (*Relation, error) {
 		return e.run(q, db, d)

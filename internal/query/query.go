@@ -308,6 +308,18 @@ func validate(req Request) error {
 	if req.MaxRows < 0 {
 		return errors.New("query: MaxRows must be >= 0")
 	}
+	// The executor names each atom's columns by its variables, so R(x,x)
+	// cannot run; refuse it before it costs a solver run. A nested loop,
+	// as atoms are short, keeps the check allocation-free.
+	for i, a := range req.Query.Atoms {
+		for j, v := range a.Vars {
+			for _, w := range a.Vars[:j] {
+				if v == w {
+					return fmt.Errorf("query: atom %d: repeated variable %q in %s", i, v, a.Relation)
+				}
+			}
+		}
+	}
 	if req.Dataset != "" {
 		if req.DB != nil {
 			return errors.New("query: set exactly one of Dataset or DB, not both")

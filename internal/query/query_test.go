@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/detk"
 	"repro/internal/join"
 	"repro/internal/service"
 	"repro/internal/tenant"
@@ -323,9 +324,18 @@ func TestConcurrentIdenticalQueries(t *testing.T) {
 }
 
 func TestEvalValidation(t *testing.T) {
-	p, _ := newTestPlanner(t)
+	p, svc := newTestPlanner(t)
 	ctx := context.Background()
 	db := join.Database{"R": join.NewRelation("a", "b").Add(1, 2)}
+	if _, err := svc.Datasets().Put("", "d", db); err != nil {
+		t.Fatal(err)
+	}
+	// A cyclic query whose first atom repeats a variable: without the
+	// shape check it would be planned (a solver run) before failing.
+	repeated, err := join.ParseQuery("R(x,x), R(x,y), R(y,z), R(z,x).")
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	cases := map[string]Request{
 		"empty query":      {DB: db},
@@ -333,6 +343,8 @@ func TestEvalValidation(t *testing.T) {
 		"arity mismatch":   {Query: join.Query{Atoms: []join.Atom{{Relation: "R", Vars: []string{"x"}}}}, DB: db},
 		"negative budget": {Query: join.Query{Atoms: []join.Atom{{Relation: "R", Vars: []string{"x", "y"}}}},
 			DB: db, MaxRows: -1},
+		"repeated variable":                {Query: repeated, DB: db},
+		"repeated variable over a dataset": {Query: repeated, Dataset: "d"},
 	}
 	for name, req := range cases {
 		if _, err := p.Eval(ctx, req); err == nil {
@@ -341,6 +353,10 @@ func TestEvalValidation(t *testing.T) {
 	}
 	if st := p.Stats(); st.PlanFailures != int64(len(cases)) {
 		t.Fatalf("validation failures not counted: %+v", st)
+	}
+	// Every case fails before planning: no solver ran for any of them.
+	if st := svc.Stats(); st.SolverRuns != 0 {
+		t.Fatalf("validation failures ran the solver: %+v", st)
 	}
 }
 
@@ -369,6 +385,117 @@ func TestEvalWidthCeiling(t *testing.T) {
 	}
 	if !reflect.DeepEqual(res.Rows.Attrs, []string{"x", "y", "z"}) {
 		t.Fatalf("canonical attrs: %v", res.Rows.Attrs)
+	}
+}
+
+// coloringCSP poses the k-colouring of a graph, given as vertex-name
+// pairs, as a CQ: one atom neq(u,v) per edge, all over one relation
+// holding every pair of distinct colours.
+func coloringCSP(edges [][2]string, colors int) (join.Query, join.Database) {
+	neq := join.NewRelation("c1", "c2")
+	for a := 0; a < colors; a++ {
+		for b := 0; b < colors; b++ {
+			if a != b {
+				neq.Add(a, b)
+			}
+		}
+	}
+	var q join.Query
+	for _, e := range edges {
+		q.Atoms = append(q.Atoms, join.Atom{Relation: "neq", Vars: []string{e[0], e[1]}})
+	}
+	return q, join.Database{"neq": neq}
+}
+
+// prismEdges returns the edges of the n-prism: two n-cycles a0..a(n-1)
+// and b0..b(n-1) joined by rungs (hw 3 for n ≥ 4), the graph
+// examples/cspsolve colours.
+func prismEdges(n int) [][2]string {
+	var edges [][2]string
+	for i := 0; i < n; i++ {
+		j := (i + 1) % n
+		edges = append(edges,
+			[2]string{"a" + strconv.Itoa(i), "a" + strconv.Itoa(j)},
+			[2]string{"b" + strconv.Itoa(i), "b" + strconv.Itoa(j)},
+			[2]string{"a" + strconv.Itoa(i), "b" + strconv.Itoa(i)},
+		)
+	}
+	return edges
+}
+
+// TestEvalColoringCSPs: a CSP is a CQ with self-joins, so the planner
+// solves k-colouring. On every instance, inline and over a dataset, the
+// rows equal the naive join's, the count aggregate equals the row
+// count, an unsatisfiable CSP is an empty answer rather than an error,
+// and the plan's width is the hypertree width: the first width a plain
+// det-k loop (k = 1, 2, …) accepts.
+func TestEvalColoringCSPs(t *testing.T) {
+	square := [][2]string{{"a", "b"}, {"b", "c"}, {"c", "d"}, {"d", "a"}}
+	triangle := [][2]string{{"a", "b"}, {"b", "c"}, {"c", "a"}}
+	cases := []struct {
+		name   string
+		edges  [][2]string
+		colors int
+		rows   int
+	}{
+		{"square-2", square, 2, 2},
+		{"triangle-2", triangle, 2, 0},
+		{"triangle-3", triangle, 3, 6},
+		{"prism8-3", prismEdges(8), 3, 7074},
+	}
+	p, svc := newTestPlanner(t)
+	ctx := context.Background()
+	count := &join.AggSpec{Kind: join.AggCount}
+	for _, tc := range cases {
+		q, db := coloringCSP(tc.edges, tc.colors)
+		want, err := naiveCanonical(q, db)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if want.Size() != tc.rows {
+			t.Fatalf("%s: naive join has %d rows, want %d", tc.name, want.Size(), tc.rows)
+		}
+		h, err := q.Hypergraph()
+		if err != nil {
+			t.Fatal(err)
+		}
+		hw := 0
+		for k := 1; hw == 0; k++ {
+			_, ok, err := detk.New(h, k).Decompose(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok {
+				hw = k
+			}
+		}
+		if _, err := svc.Datasets().Put("", tc.name, db); err != nil {
+			t.Fatal(err)
+		}
+		for _, req := range []Request{{Query: q, DB: db}, {Query: q, Dataset: tc.name}} {
+			src := "inline"
+			if req.Dataset != "" {
+				src = "dataset"
+			}
+			res, err := p.Eval(ctx, req)
+			if err != nil {
+				t.Fatalf("%s %s: %v", tc.name, src, err)
+			}
+			if !reflect.DeepEqual(res.Rows.Attrs, want.Attrs) || !reflect.DeepEqual(res.Rows.Rows(), want.Rows()) {
+				t.Fatalf("%s %s: %d rows disagree with the naive join's %d", tc.name, src, res.Rows.Size(), want.Size())
+			}
+			if res.Width != hw {
+				t.Fatalf("%s %s: plan width %d, det-k loop %d", tc.name, src, res.Width, hw)
+			}
+			req.Aggregate = count
+			agg, err := p.Eval(ctx, req)
+			if err != nil {
+				t.Fatalf("%s %s count: %v", tc.name, src, err)
+			}
+			if v, ok := agg.Agg.Value(); !ok || v != int64(tc.rows) {
+				t.Fatalf("%s %s: count = %d (ok %v), want %d", tc.name, src, v, ok, tc.rows)
+			}
+		}
 	}
 }
 
