@@ -1,14 +1,19 @@
-package csp
+// Package csp_test checks CSP solving end to end through the public API,
+// the path examples/cspsolve takes. A CSP is a conjunctive query: each
+// constraint table is a relation and each scope an atom over it, so
+// htd.EvalQuery (decompose at the optimal width, then Yannakakis)
+// enumerates its solutions and htd.EvalQueryNaive is the oracle. The
+// directory holds tests only; there is no CSP-specific solver.
+package csp_test
 
 import (
 	"context"
-	"fmt"
-	"sort"
+	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 
-	"repro/internal/decomp"
-	"repro/internal/detk"
+	htd "repro"
 )
 
 // square and triangle are the constraint graphs of the coloring tests:
@@ -18,25 +23,59 @@ var (
 	triangle = [][2]string{{"a", "b"}, {"b", "c"}, {"c", "a"}}
 )
 
+// csp is a CSP posed as a CQ over its constraint tables.
+type csp struct {
+	q  htd.CQ
+	db htd.Database
+}
+
+// coloring poses the k-coloring of a graph, given as vertex-name pairs,
+// as a CQ: one atom neq(u,v) per edge over a relation holding every
+// pair of distinct colors 0..colors-1.
+func coloring(t *testing.T, edges [][2]string, colors int) csp {
+	t.Helper()
+	neq := htd.NewRelation("c1", "c2")
+	for a := 0; a < colors; a++ {
+		for b := 0; b < colors; b++ {
+			if a != b {
+				neq.Add(a, b)
+			}
+		}
+	}
+	atoms := make([]string, len(edges))
+	for i, e := range edges {
+		atoms[i] = "neq(" + e[0] + "," + e[1] + ")"
+	}
+	q, err := htd.ParseCQ(strings.Join(atoms, ", ") + ".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return csp{q, htd.Database{"neq": neq}}
+}
+
 // ternaryChain is a chain of four ternary parity constraints over
 // x0..x5, each sharing two variables with the next.
-func ternaryChain() *Problem {
-	var p Problem
-	for i := 0; i < 4; i++ {
-		vars := []string{"x" + strconv.Itoa(i), "x" + strconv.Itoa(i+1), "x" + strconv.Itoa(i+2)}
-		var rows [][]int
-		for a := 0; a < 3; a++ {
-			for b := 0; b < 3; b++ {
-				for c := 0; c < 3; c++ {
-					if (a+b+c)%2 == 0 {
-						rows = append(rows, []int{a, b, c})
-					}
+func ternaryChain(t *testing.T) csp {
+	t.Helper()
+	par := htd.NewRelation("p1", "p2", "p3")
+	for a := 0; a < 3; a++ {
+		for b := 0; b < 3; b++ {
+			for c := 0; c < 3; c++ {
+				if (a+b+c)%2 == 0 {
+					par.Add(a, b, c)
 				}
 			}
 		}
-		p.AddConstraint(vars, rows)
 	}
-	return &p
+	atoms := make([]string, 4)
+	for i := range atoms {
+		atoms[i] = "par(x" + strconv.Itoa(i) + ",x" + strconv.Itoa(i+1) + ",x" + strconv.Itoa(i+2) + ")"
+	}
+	q, err := htd.ParseCQ(strings.Join(atoms, ", ") + ".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return csp{q, htd.Database{"par": par}}
 }
 
 // prism returns the edges of the n-prism: two n-cycles a0..a(n-1) and
@@ -55,15 +94,22 @@ func prism(n int) [][2]string {
 	return edges
 }
 
+// solve answers p through a fresh service's query planner.
+func solve(t *testing.T, p csp, maxWidth int) (htd.QueryResult, error) {
+	t.Helper()
+	svc := htd.NewService(htd.ServiceConfig{})
+	t.Cleanup(func() { svc.Close() })
+	return htd.EvalQuery(context.Background(), svc, htd.QueryRequest{Query: p.q, DB: p.db, MaxWidth: maxWidth})
+}
+
 func TestColoringCycleEven(t *testing.T) {
 	// An even cycle is 2-colorable: exactly 2 solutions.
-	p := Coloring(square, 2)
-	res, err := Solve(context.Background(), p, SolveOptions{})
+	res, err := solve(t, coloring(t, square, 2), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Solutions.Size() != 2 {
-		t.Fatalf("even cycle 2-coloring: %d solutions, want 2", res.Solutions.Size())
+	if res.Rows.Size() != 2 {
+		t.Fatalf("even cycle 2-coloring: %d solutions, want 2", res.Rows.Size())
 	}
 	if res.Width != 2 {
 		t.Fatalf("cycle constraint graph width = %d, want 2", res.Width)
@@ -71,152 +117,107 @@ func TestColoringCycleEven(t *testing.T) {
 }
 
 func TestColoringCycleOddUnsat(t *testing.T) {
-	// An odd cycle is not 2-colorable.
-	p := Coloring(triangle, 2)
-	res, err := Solve(context.Background(), p, SolveOptions{})
+	// An odd cycle is not 2-colorable: an empty answer, not an error.
+	res, err := solve(t, coloring(t, triangle, 2), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Solutions.Size() != 0 {
-		t.Fatalf("odd cycle 2-coloring: %d solutions, want 0", res.Solutions.Size())
+	if res.Rows.Size() != 0 {
+		t.Fatalf("odd cycle 2-coloring: %d solutions, want 0", res.Rows.Size())
 	}
 }
 
 func TestColoringTriangleThreeColors(t *testing.T) {
-	p := Coloring(triangle, 3)
-	res, err := Solve(context.Background(), p, SolveOptions{})
+	res, err := solve(t, coloring(t, triangle, 3), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Solutions.Size() != 6 {
-		t.Fatalf("triangle 3-coloring: %d solutions, want 6 (=3!)", res.Solutions.Size())
+	if res.Rows.Size() != 6 {
+		t.Fatalf("triangle 3-coloring: %d solutions, want 6 (=3!)", res.Rows.Size())
 	}
 }
 
+// TestSolveMatchesBacktrack: on a chain of ternary constraints the
+// decomposition's solutions are exactly the oracle's, the naive
+// left-to-right join of every constraint table.
 func TestSolveMatchesBacktrack(t *testing.T) {
-	// Random-ish structured CSP: a chain of ternary constraints.
-	p := ternaryChain()
-	res, err := Solve(context.Background(), p, SolveOptions{})
+	p := ternaryChain(t)
+	res, err := solve(t, p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bt, err := SolveBacktrack(p)
+	naive, err := htd.EvalQueryNaive(p.q, p.db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Solutions.Size() != len(bt) {
-		t.Fatalf("decomposition solver found %d solutions, backtracking %d",
-			res.Solutions.Size(), len(bt))
-	}
-	// Compare the actual assignment sets.
-	vars := p.Variables()
-	fromBT := map[string]bool{}
-	for _, sol := range bt {
-		fromBT[assignmentKey(sol, vars)] = true
-	}
-	proj, err := res.Solutions.Project(vars...)
+	want, err := htd.CanonicalRows(naive)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tup := range proj.Sorted() {
-		sol := map[string]int{}
-		for i, v := range vars {
-			sol[v] = tup[i]
-		}
-		if !fromBT[assignmentKey(sol, vars)] {
-			t.Fatalf("decomposition solver produced spurious solution %v", sol)
-		}
+	if want.Size() == 0 {
+		t.Fatal("ternary chain has no solutions; the comparison would be vacuous")
+	}
+	if !reflect.DeepEqual(res.Rows.Attrs, want.Attrs) || !reflect.DeepEqual(res.Rows.Rows(), want.Rows()) {
+		t.Fatalf("decomposition found %d solutions, naive join %d, or the sets differ",
+			res.Rows.Size(), want.Size())
 	}
 }
 
-// TestSolveWidthIsOptimal: Solve decomposes at the constraint
+// TestSolveWidthIsOptimal: a CSP is decomposed at its constraint
 // hypergraph's hypertree width, the first width a plain det-k loop
-// (k = 1, 2, …) accepts, and its decomposition is a valid HD of that
-// width.
+// (k = 1, 2, …) accepts, and that loop's decomposition is a valid HD of
+// that width.
 func TestSolveWidthIsOptimal(t *testing.T) {
 	cases := []struct {
 		name string
-		p    *Problem
+		p    csp
 	}{
-		{"square-2", Coloring(square, 2)},
-		{"triangle-2", Coloring(triangle, 2)},
-		{"triangle-3", Coloring(triangle, 3)},
-		{"ternary-chain", ternaryChain()},
-		{"prism-8", Coloring(prism(8), 3)},
+		{"square-2", coloring(t, square, 2)},
+		{"triangle-2", coloring(t, triangle, 2)},
+		{"triangle-3", coloring(t, triangle, 3)},
+		{"ternary-chain", ternaryChain(t)},
+		{"prism-8", coloring(t, prism(8), 3)},
 	}
 	ctx := context.Background()
 	for _, tc := range cases {
-		res, err := Solve(ctx, tc.p, SolveOptions{MaxWidth: 4, Workers: 2})
+		res, err := solve(t, tc.p, 4)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if err := decomp.CheckHD(res.Decomp); err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if err := decomp.CheckWidth(res.Decomp, res.Width); err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		q, _, err := tc.p.asQuery()
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, err := q.Hypergraph()
+		h, err := tc.p.q.Hypergraph()
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := 0
 		for k := 1; want == 0; k++ {
-			_, ok, err := detk.New(h, k).Decompose(ctx)
+			d, ok, err := htd.DecomposeDetK(ctx, h, k)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if ok {
 				want = k
+				if err := htd.Validate(d); err != nil {
+					t.Fatalf("%s: %v", tc.name, err)
+				}
+				if err := htd.ValidateWidth(d, k); err != nil {
+					t.Fatalf("%s: %v", tc.name, err)
+				}
 			}
 		}
 		if res.Width != want {
-			t.Fatalf("%s: Solve width %d, det-k loop %d", tc.name, res.Width, want)
+			t.Fatalf("%s: plan width %d, det-k loop %d", tc.name, res.Width, want)
 		}
-	}
-}
-
-func assignmentKey(sol map[string]int, vars []string) string {
-	s := ""
-	for _, v := range vars {
-		s += fmt.Sprintf("%s=%d;", v, sol[v])
-	}
-	return s
-}
-
-func TestBacktrackSimple(t *testing.T) {
-	var p Problem
-	p.AddConstraint([]string{"x", "y"}, [][]int{{0, 1}, {1, 0}})
-	sols, err := SolveBacktrack(&p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sols) != 2 {
-		t.Fatalf("got %d solutions, want 2", len(sols))
-	}
-}
-
-func TestVariablesSorted(t *testing.T) {
-	var p Problem
-	p.AddConstraint([]string{"z", "a"}, [][]int{{0, 0}})
-	p.AddConstraint([]string{"m"}, [][]int{{1}})
-	vars := p.Variables()
-	if !sort.StringsAreSorted(vars) || len(vars) != 3 {
-		t.Fatalf("Variables = %v", vars)
 	}
 }
 
 func TestSolveErrors(t *testing.T) {
-	var empty Problem
-	if _, err := Solve(context.Background(), &empty, SolveOptions{}); err == nil {
+	// The empty CSP, no constraints at all, is an error both ways.
+	empty := csp{db: htd.Database{}}
+	if _, err := solve(t, empty, 0); err == nil {
 		t.Fatal("empty problem should error")
 	}
-	if _, err := SolveBacktrack(&empty); err == nil {
-		t.Fatal("empty problem should error in backtracking too")
+	if _, err := htd.EvalQueryNaive(empty.q, empty.db); err == nil {
+		t.Fatal("empty problem should error in the naive join too")
 	}
 }
 
@@ -228,8 +229,7 @@ func TestWidthBoundExceeded(t *testing.T) {
 			edges = append(edges, [2]string{"v" + strconv.Itoa(i), "v" + strconv.Itoa(j)})
 		}
 	}
-	p := Coloring(edges, 3)
-	if _, err := Solve(context.Background(), p, SolveOptions{MaxWidth: 1}); err == nil {
+	if _, err := solve(t, coloring(t, edges, 3), 1); err == nil {
 		t.Fatal("width bound 1 on a clique should error")
 	}
 }
