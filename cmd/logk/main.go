@@ -11,7 +11,8 @@
 //	hybrid  log-k-decomp with det-k-decomp hybridisation
 //	detk    det-k-decomp
 //	basic   the unoptimised Algorithm 1 (tiny inputs only)
-//	ghd     BalancedGo-style generalized HD search
+//	ghd     generalized HD search: det-k-decomp on the hypergraph
+//	        augmented with the pairwise intersections of its edges
 //
 // With -k 0 the tool computes the optimal width with logk, hybrid or
 // detk: logk.Optimal decides widths 1, 2, … up to -maxk and stops at the
@@ -32,8 +33,8 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/balgo"
 	"repro/internal/decomp"
+	"repro/internal/detk"
 	"repro/internal/hypergraph"
 	"repro/internal/logk"
 )
@@ -177,7 +178,7 @@ func solve(ctx context.Context, h *hypergraph.Hypergraph, method string, k, maxK
 		d, ok, err := logk.NewBasic(h, k).Decompose(ctx)
 		return d, k, ok, nil, err
 	case method == "ghd":
-		d, ok, err := balgo.New(h, balgo.Options{K: k}).Decompose(ctx)
+		d, ok, err := detk.NewGHD(h, k).Decompose(ctx)
 		return d, k, ok, nil, err
 	default:
 		return nil, 0, false, nil, fmt.Errorf("unknown method %q", method)

@@ -99,7 +99,7 @@ func FuzzDecomposeCheckHD(f *testing.F) {
 		check("detk", d, ok, err, false)
 		// ghw ≤ hw, so the GHD solver must succeed whenever the oracle
 		// does; its output is validated as a GHD (no special condition).
-		d, ok, err = DecomposeGHD(ctx, h, k, 0)
+		d, ok, err = DecomposeGHD(ctx, h, k)
 		if want && !ok && err == nil {
 			t.Fatalf("ghd k=%d rejected but hw <= %d holds\ninstance:\n%s", k, k, h)
 		}

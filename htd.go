@@ -28,7 +28,6 @@ import (
 	"context"
 	"io"
 
-	"repro/internal/balgo"
 	"repro/internal/dataset"
 	"repro/internal/decomp"
 	"repro/internal/detk"
@@ -106,11 +105,11 @@ func DecomposeDetK(ctx context.Context, h *Hypergraph, k int) (*Decomposition, b
 }
 
 // DecomposeGHD searches for a generalized hypertree decomposition of
-// width ≤ k using balanced-separator search over the subedge-augmented
-// pool (BalancedGo style). subedgeOrder bounds the intersection depth
-// of the augmentation (0 picks the default of 2).
-func DecomposeGHD(ctx context.Context, h *Hypergraph, k, subedgeOrder int) (*Decomposition, bool, error) {
-	return balgo.New(h, balgo.Options{K: k, SubedgeOrder: subedgeOrder}).Decompose(ctx)
+// width ≤ k: det-k-decomp on the hypergraph augmented with the pairwise
+// intersections of its edges, with each subedge in a λ-label charged
+// back to the edge it was cut from.
+func DecomposeGHD(ctx context.Context, h *Hypergraph, k int) (*Decomposition, bool, error) {
+	return detk.NewGHD(h, k).Decompose(ctx)
 }
 
 // OptimalOptions configures DecomposeOptimal: the log-k-decomp search

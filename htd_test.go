@@ -50,7 +50,7 @@ func TestDetKAndGHDBaselines(t *testing.T) {
 	if err := Validate(d1); err != nil {
 		t.Fatal(err)
 	}
-	d2, ok, err := DecomposeGHD(ctx, h, 2, 0)
+	d2, ok, err := DecomposeGHD(ctx, h, 2)
 	if err != nil || !ok {
 		t.Fatalf("ghd: ok=%v err=%v", ok, err)
 	}
@@ -72,7 +72,7 @@ func TestNoEdgesAllSolvers(t *testing.T) {
 			"logk":  func() (*Decomposition, bool, error) { return DecomposeK(ctx, h, k) },
 			"basic": func() (*Decomposition, bool, error) { return logk.NewBasic(h, k).Decompose(ctx) },
 			"detk":  func() (*Decomposition, bool, error) { return DecomposeDetK(ctx, h, k) },
-			"ghd":   func() (*Decomposition, bool, error) { return DecomposeGHD(ctx, h, k, 0) },
+			"ghd":   func() (*Decomposition, bool, error) { return DecomposeGHD(ctx, h, k) },
 		}
 		for name, solve := range solvers {
 			d, ok, err := solve()

@@ -111,13 +111,6 @@ func (s *Set) UnionOf(a, b *Set) {
 	}
 }
 
-// Union returns s ∪ o as a new set.
-func (s *Set) Union(o *Set) *Set {
-	c := s.Clone()
-	c.InPlaceUnion(o)
-	return c
-}
-
 // Intersect returns s ∩ o as a new set.
 func (s *Set) Intersect(o *Set) *Set {
 	c := s.Clone()
@@ -163,19 +156,6 @@ func (s *Set) SubsetOfUnion(a, b *Set) bool {
 	aw, bw := a.words[:len(s.words)], b.words[:len(s.words)]
 	for i, w := range s.words {
 		if w&^(aw[i]|bw[i]) != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Equal reports whether s and o contain exactly the same elements.
-func (s *Set) Equal(o *Set) bool {
-	if s.n != o.n {
-		return false
-	}
-	for i, w := range s.words {
-		if w != o.words[i] {
 			return false
 		}
 	}

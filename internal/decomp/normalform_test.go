@@ -138,7 +138,7 @@ func CheckNormalForm(d *Decomp, g *ext.Graph) error {
 				cov := covTree[c]
 				matched := -1
 				for ci, cs := range compSets {
-					if cs.Equal(cov) {
+					if cs.SubsetOf(cov) && cov.SubsetOf(cs) {
 						matched = ci
 						break
 					}
@@ -173,7 +173,7 @@ func CheckNormalForm(d *Decomp, g *ext.Graph) error {
 						lamUnion.InPlaceUnion(d.H.Edge(e))
 					}
 					want := lamUnion.Intersect(comp.Vertices())
-					if !c.Bag.Equal(want) {
+					if !c.Bag.SubsetOf(want) || !want.SubsetOf(c.Bag) {
 						return fmt.Errorf("decomp: normal form (3): χ(c) = %s, minimal choice is %s at child with λ=%v",
 							c.Bag, want, c.Lambda)
 					}

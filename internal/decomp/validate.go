@@ -202,7 +202,7 @@ func CheckExtended(d *Decomp, g *ext.Graph, conn *bitset.Set) error {
 				err = fmt.Errorf("decomp: node references unknown special #%d", n.SpecialID)
 				return false
 			}
-			if !n.Bag.Equal(s) {
+			if !n.Bag.SubsetOf(s) || !s.SubsetOf(n.Bag) {
 				err = fmt.Errorf("decomp: special leaf #%d bag differs from special edge", n.SpecialID)
 				return false
 			}

@@ -165,13 +165,6 @@ func TestRandomInstancesProduceValidHDs(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // TestDetKAllocBudget pins the enumeration kernel's allocation budget on
 // a det-k-decomp refutation: the λ-label count is exact (the search and
 // its order are fixed), while the covers, the bag scope, the bag, the

@@ -5,12 +5,13 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/balgo"
+	"repro/internal/bitset"
 	"repro/internal/decomp"
 	"repro/internal/hyperbench"
 	"repro/internal/hypergraph"
@@ -32,7 +33,7 @@ const (
 func ghdDecide(h *hypergraph.Hypergraph, k int) (bool, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), ghdRunCap)
 	defer cancel()
-	d, ok, err := balgo.New(h, balgo.Options{K: k}).Decompose(ctx)
+	d, ok, err := NewGHD(h, k).Decompose(ctx)
 	if err != nil || !ok {
 		return false, err
 	}
@@ -130,4 +131,163 @@ func TestGHDVerdicts(t *testing.T) {
 		t.Fatalf("golden has %d lines, got %d", len(wantLines), len(gotLines))
 	}
 	t.Logf("%d verdicts match the golden", strings.Count(got, "\n")-1)
+}
+
+func TestCycleGHD(t *testing.T) {
+	ctx := context.Background()
+	h := cycle(8)
+	if _, ok, err := NewGHD(h, 1).Decompose(ctx); err != nil || ok {
+		t.Fatalf("cycle k=1: ok=%v err=%v, want rejection", ok, err)
+	}
+	d, ok, err := NewGHD(h, 2).Decompose(ctx)
+	if err != nil || !ok {
+		t.Fatalf("cycle k=2: ok=%v err=%v", ok, err)
+	}
+	if err := decomp.CheckGHD(d); err != nil {
+		t.Fatalf("invalid GHD: %v\n%s", err, d)
+	}
+	if err := decomp.CheckWidth(d, 2); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// sameSet reports whether a and b hold the same vertices.
+func sameSet(a, b *bitset.Set) bool { return a.SubsetOf(b) && b.SubsetOf(a) }
+
+// checkAugment checks H⁺ against h: h's edges come first with their
+// ids, each non-empty pairwise intersection of h's edges is an edge of
+// H⁺, an added edge equals no earlier edge, and each added edge is
+// charged to an edge it was cut from.
+func checkAugment(t *testing.T, name string, h *hypergraph.Hypergraph) {
+	t.Helper()
+	hPlus, parent := subedgeAugment(h)
+	m := h.NumEdges()
+	if len(parent) != hPlus.NumEdges() {
+		t.Fatalf("%s: %d charges for %d edges of H⁺", name, len(parent), hPlus.NumEdges())
+	}
+	for e := range m {
+		if !sameSet(hPlus.Edge(e), h.Edge(e)) || parent[e] != e {
+			t.Fatalf("%s: edge %d of H⁺ is not edge %d of H", name, e, e)
+		}
+	}
+	for e := m; e < hPlus.NumEdges(); e++ {
+		for f := range e {
+			if sameSet(hPlus.Edge(e), hPlus.Edge(f)) {
+				t.Fatalf("%s: added edge %d equals edge %d", name, e, f)
+			}
+		}
+		p := parent[e]
+		cut := false
+		for q := range m {
+			cut = cut || q != p && sameSet(hPlus.Edge(e), h.Edge(p).Intersect(h.Edge(q)))
+		}
+		if !cut {
+			t.Fatalf("%s: added edge %d is charged to edge %d, which it was not cut from", name, e, p)
+		}
+	}
+	for i := range m {
+		for j := i + 1; j < m; j++ {
+			sub := h.Edge(i).Intersect(h.Edge(j))
+			found := sub.IsEmpty()
+			for e := range hPlus.NumEdges() {
+				found = found || sameSet(hPlus.Edge(e), sub)
+			}
+			if !found {
+				t.Fatalf("%s: the intersection of edges %d and %d is missing from H⁺", name, i, j)
+			}
+		}
+	}
+}
+
+func TestPoolContainsSubedges(t *testing.T) {
+	// Two overlapping ternary edges add their intersection {b, c}.
+	var b hypergraph.Builder
+	b.MustAddEdge("e1", "a", "b", "c")
+	b.MustAddEdge("e2", "b", "c", "d")
+	h := b.Build()
+	hPlus, parent := subedgeAugment(h)
+	if hPlus.NumEdges() != 3 || !slices.Equal(hPlus.EdgeVertices(2), []int{1, 2}) || parent[2] != 0 {
+		t.Fatalf("H⁺ = %s with charges %v, want the subedge {b, c} charged to e1", hPlus, parent)
+	}
+	checkAugment(t, "e1-e2", h)
+	for seed := range ghdSeeded {
+		checkAugment(t, "seeded-"+strconv.Itoa(seed), seededHypergraph(seed))
+	}
+}
+
+// TestSubedgeAugmentKeepsIDs: the GHD reuses det-k's bags on H as they
+// are, so H⁺ must keep every vertex id and the ids of H's edges.
+func TestSubedgeAugmentKeepsIDs(t *testing.T) {
+	for _, in := range hyperbench.Suite(hyperbench.Config{Scale: 1, Seed: 2022}) {
+		h := in.H
+		hPlus, _ := subedgeAugment(h)
+		if hPlus.NumVertices() != h.NumVertices() {
+			t.Fatalf("%s: H⁺ has %d vertices, H %d", in.Name, hPlus.NumVertices(), h.NumVertices())
+		}
+		for v := range h.NumVertices() {
+			if id, ok := hPlus.VertexID(h.VertexName(v)); !ok || id != v {
+				t.Fatalf("%s: vertex %s has id %d in H⁺, %d in H", in.Name, h.VertexName(v), id, v)
+			}
+		}
+		for e := range h.NumEdges() {
+			if !sameSet(hPlus.Edge(e), h.Edge(e)) || hPlus.EdgeName(e) != h.EdgeName(e) {
+				t.Fatalf("%s: edge %d of H⁺ is not edge %d of H", in.Name, e, e)
+			}
+		}
+	}
+}
+
+// TestGHDAtMostHD: ghw ≤ hw and H⁺ holds every edge of H, so the GHD
+// search must succeed whenever det-k-decomp does.
+func TestGHDAtMostHD(t *testing.T) {
+	ctx := context.Background()
+	for seed := 0; seed < 25; seed++ {
+		r := rand.New(rand.NewSource(int64(seed)))
+		var b hypergraph.Builder
+		nv := 3 + r.Intn(6)
+		ne := 2 + r.Intn(7)
+		for e := 0; e < ne; e++ {
+			arity := 1 + r.Intn(min(3, nv))
+			seen := map[int]bool{}
+			var names []string
+			for len(names) < arity {
+				v := r.Intn(nv)
+				if !seen[v] {
+					seen[v] = true
+					names = append(names, "v"+strconv.Itoa(v))
+				}
+			}
+			b.MustAddEdge("", names...)
+		}
+		h := b.Build()
+		for k := 1; k <= 3; k++ {
+			_, hdOK, err := New(h, k).Decompose(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dG, ghdOK, err := NewGHD(h, k).Decompose(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hdOK && !ghdOK {
+				t.Fatalf("seed %d k=%d: HD exists but GHD search failed\n%s", seed, k, h)
+			}
+			if ghdOK {
+				if err := decomp.CheckGHD(dG); err != nil {
+					t.Fatalf("seed %d k=%d: invalid GHD: %v", seed, k, err)
+				}
+				if err := decomp.CheckWidth(dG, k); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
+func TestCancelledContextGHD(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := NewGHD(cycle(24), 2).Decompose(ctx); err == nil {
+		t.Fatal("cancelled context should surface an error")
+	}
 }

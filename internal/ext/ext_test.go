@@ -427,7 +427,7 @@ func TestComponentsIntoReusedMatchesFresh(t *testing.T) {
 						i, j, k, c.Specials[k].ID, w.Specials[k].ID)
 				}
 			}
-			if !c.Vertices().Equal(w.Vertices()) {
+			if cv, wv := c.Vertices(), w.Vertices(); !cv.SubsetOf(wv) || !wv.SubsetOf(cv) {
 				t.Fatalf("trial %d component %d: V = %v, want %v", i, j, c.Vertices(), w.Vertices())
 			}
 		}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/balgo"
 	"repro/internal/detk"
 	"repro/internal/hypergraph"
 	"repro/internal/logk"
@@ -112,7 +111,7 @@ func MethodBalancedGo() Method {
 		Name:   "BalancedGo(GHD)",
 		config: "balancedgo",
 		NewParam: func(h *hypergraph.Hypergraph, k int) WidthSolver {
-			return balgo.New(h, balgo.Options{K: k})
+			return detk.NewGHD(h, k)
 		},
 		GHD: true,
 	}

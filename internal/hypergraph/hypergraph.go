@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -88,7 +89,6 @@ func (b *Builder) Build() *Hypergraph {
 		vertexIndex: make(map[string]int, n),
 		edgeNames:   append([]string(nil), b.edgeNames...),
 		edges:       make([]*bitset.Set, len(b.edgeVerts)),
-		incidence:   make([][]int, n),
 	}
 	for i, name := range h.vertexNames {
 		h.vertexIndex[name] = i
@@ -99,11 +99,37 @@ func (b *Builder) Build() *Hypergraph {
 			e.Set(v)
 		}
 		h.edges[i] = e
+	}
+	h.index()
+	return h
+}
+
+// WithEdges returns the hypergraph over h's vertices whose edges are
+// h's edges followed by extra, named as Builder names unnamed edges.
+// Every vertex id and edge id of h is kept. Each extra set must have
+// capacity NumVertices and must not change afterwards.
+func (h *Hypergraph) WithEdges(extra []*bitset.Set) *Hypergraph {
+	g := &Hypergraph{
+		vertexNames: h.vertexNames,
+		vertexIndex: h.vertexIndex,
+		edgeNames:   slices.Clip(h.edgeNames),
+		edges:       append(slices.Clip(h.edges), extra...),
+	}
+	for i := len(h.edges); i < len(g.edges); i++ {
+		g.edgeNames = append(g.edgeNames, fmt.Sprintf("E%d", i+1))
+	}
+	g.index()
+	return g
+}
+
+// index fills the incidence lists from the edges.
+func (h *Hypergraph) index() {
+	h.incidence = make([][]int, len(h.vertexNames))
+	for i, e := range h.edges {
 		e.ForEach(func(v int) {
 			h.incidence[v] = append(h.incidence[v], i)
 		})
 	}
-	return h
 }
 
 // NumVertices returns |V(H)|.
