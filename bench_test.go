@@ -102,8 +102,9 @@ func BenchmarkRecursionDepth(b *testing.B) {
 	benchExperiments(b, 0, "depth")
 }
 
-// BenchmarkGHDComparison reproduces the §5.2 GHD comparison: the
-// BalancedGo-style solver against the log-k-decomp hybrid, on the
+// BenchmarkGHDComparison reproduces the §5.2 GHD comparison: the GHD
+// baseline standing in for BalancedGo, det-k-decomp on the
+// subedge-augmented hypergraph, against the log-k-decomp hybrid, on the
 // instances with at most 30 edges.
 func BenchmarkGHDComparison(b *testing.B) {
 	benchExperiments(b, 400*time.Millisecond, "ghd")

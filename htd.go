@@ -8,8 +8,9 @@
 //	Depth", PODS 2022 (arXiv:2104.13793),
 //
 // together with the systems that paper evaluates against: det-k-decomp
-// (NewDetKDecomp) and a BalancedGo-style GHD solver. DecomposeOptimal
-// computes the exact width by deciding widths in ascending order.
+// (NewDetKDecomp) and a GHD solver standing in for BalancedGo.
+// DecomposeOptimal computes the exact width by deciding widths in
+// ascending order.
 //
 // # Quick start
 //

@@ -53,8 +53,11 @@ func subedgeAugment(h *hypergraph.Hypergraph) (*hypergraph.Hypergraph, []int) {
 	for i := range m {
 		for j := i + 1; j < m; j++ {
 			sub := h.Edge(i).Intersect(h.Edge(j))
+			if sub.IsEmpty() {
+				continue
+			}
 			key := string(sub.AppendKey(nil))
-			if sub.IsEmpty() || seen[key] {
+			if seen[key] {
 				continue
 			}
 			seen[key] = true

@@ -397,11 +397,12 @@ func DepthExperiment(ctx context.Context, sizes []int) *Table {
 	return t
 }
 
-// ghd reproduces the §5.2 comparison with GHD computation:
-// BalancedGo-style GHD search vs the roster's log-k-decomp hybrid HDs,
-// on the instances with at most 30 edges (the GHD search is exponential
-// in the edge pool). It reports solved counts and how often the GHD
-// width beats the HD width on commonly solved instances.
+// ghd reproduces the §5.2 comparison with GHD computation: the
+// BalancedGo stand-in (MethodBalancedGo) vs the roster's log-k-decomp
+// hybrid HDs, on the instances with at most 30 edges (the subedge
+// augmentation grows quadratically in |E|). It reports solved counts
+// and how often the GHD width beats the HD width on commonly solved
+// instances.
 func (s *resultSet) ghd(ctx context.Context) *Table {
 	var small []hyperbench.Instance
 	for _, in := range s.cfg.Suite {

@@ -105,7 +105,9 @@ func MethodLadder(workers int) Method {
 	}
 }
 
-// MethodBalancedGo is the GHD comparison system of §5.2.
+// MethodBalancedGo is the GHD comparison system of §5.2, BalancedGo.
+// Its stand-in is det-k-decomp on the hypergraph augmented with the
+// pairwise intersections of its edges (detk.NewGHD).
 func MethodBalancedGo() Method {
 	return Method{
 		Name:   "BalancedGo(GHD)",
