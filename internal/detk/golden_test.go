@@ -16,7 +16,7 @@ import (
 	"repro/internal/hypergraph"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite det-k's golden decompositions")
+var updateGolden = flag.Bool("update", false, "rewrite the package's golden files")
 
 const (
 	goldenPath = "testdata/decomp_scale1_seed2022.golden"
