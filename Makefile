@@ -104,13 +104,16 @@ load-gate:
 # split (shared cursor, first-success cancel, early lease return, no
 # tokens once cancelled, per-worker counts folded without loss:
 # TestParallelSplitCancelledTakesNoTokens, TestParallelStatsConservation),
-# the optimal-width ladder (TestOptimal*: the serial optimum on known
-# widths and 200 random hypergraphs, a deadline returning every token
-# and keeping the proven bound, injected memo tables), the solver
-# cross-check, the child-pool budget, log-k-decomp's rank counts
-# and allocation budget on syn-cylinder-26 (TestLogKAllocBudget),
-# det-k-decomp's enumeration allocation budget, its one split per
-# refuted bag per search call (TestDetKRefutesBagOnce) and its golden
+# the memoised solver's answers against Algorithm 1's cache-free oracle
+# (TestMemoMatchesBasicSolver), the optimal-width ladder (TestOptimal*:
+# the serial optimum on known widths and 200 random hypergraphs, a
+# deadline returning every token and keeping the proven bound, injected
+# memo tables), the solver cross-check, the child-pool budget,
+# log-k-decomp's rank counts and allocation budget on syn-cylinder-26
+# (TestLogKAllocBudget), det-k-decomp's allocation budgets, its one
+# split per refuted bag per search call (TestDetKRefutesBagOnce), its
+# refutations shared across special-edge IDs
+# (TestDetKRefutationIgnoresSpecialIDs) and its golden
 # answers and witnesses (TestDetKSameDecompositions) at several
 # GOMAXPROCS values. Last, log-k-decomp's golden answers, witnesses and
 # exact rank counts at one worker, pure and hybrid
@@ -120,7 +123,7 @@ load-gate:
 # 10-minute default timeout.
 stress:
 	$(GO) test -race -count=2 -run 'TestStoreStress|TestCoalescing|TestBatchDuplicates|TestServeCache|TestMemoryConcurrency|TestFlight|TestStatsConservation|TestOneSolverConfiguration|TestBagCache|TestMemoResumesStoppedRefutation|TestStructuralRefutation' ./internal/store ./internal/service ./cmd/htdserve ./internal/join ./internal/dataset
-	$(GO) test -race -count=3 -cpu=1,2,4 -run 'TestParallel|TestNoCacheEquivalence|TestCancelledContext|TestCrossValidationSolvers|TestOptimal|TestChildPool|TestLogKAllocBudget|TestDetKAllocBudget|TestDetKRefutesBagOnce|TestDetKSameDecompositions' ./internal/logk ./internal/detk
+	$(GO) test -race -count=3 -cpu=1,2,4 -run 'TestParallel|TestMemoMatchesBasicSolver|TestCancelledContext|TestCrossValidationSolvers|TestOptimal|TestChildPool|TestLogKAllocBudget|TestDetKAllocBudget|TestDetKRefutesBagOnce|TestDetKRefutationIgnoresSpecialIDs|TestDetKSameDecompositions' ./internal/logk ./internal/detk
 	$(GO) test -race -count=1 -cpu=1,2,4 -run 'TestLogKSameDecompositions' ./internal/logk
 
 # The query differential suite under the race detector, plus the

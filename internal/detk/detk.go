@@ -7,9 +7,11 @@
 // and the connector Conn to the already-built part above, it guesses a
 // λ-label covering Conn that makes progress (covers at least one edge of
 // C), derives the bag χ(u) = ∪λ ∩ (V(C) ∪ Conn), and recurses into the
-// [χ(u)]-components. Its performance relies on memoising failed and
-// successful (component, connector) states — the caching that the paper
-// identifies as the obstacle to parallelising it.
+// [χ(u)]-components. Its performance relies on memoising failed
+// (component, connector) states — the caching that the paper identifies
+// as the obstacle to parallelising it. Refutations are keyed by content
+// (ext.Graph.MemoKey with no allowed list), as log-k-decomp keys its
+// own; successful fragments are not cached.
 //
 // One search call does only the work a label needs, without changing
 // which label it accepts. All its labels share the component and the
@@ -44,7 +46,6 @@ type Solver struct {
 
 	split    *ext.Splitter
 	negCache map[string]struct{}
-	posCache map[string]*decomp.Node
 	keyBuf   []byte   // cache-key scratch, reused by every rec call
 	frames   []*frame // per-depth search scratch, see frame
 
@@ -71,7 +72,6 @@ func New(h *hypergraph.Hypergraph, k int) *Solver {
 		K:        k,
 		split:    ext.NewSplitter(h),
 		negCache: make(map[string]struct{}),
-		posCache: make(map[string]*decomp.Node),
 	}
 }
 
@@ -117,28 +117,21 @@ func (s *Solver) rec(g *ext.Graph, conn *bitset.Set, depth int) (*decomp.Node, b
 		return nil, false, nil // ≥2 specials need a fresh edge: impossible
 	}
 
-	s.keyBuf = g.KeyStrict(conn, s.keyBuf[:0])
+	// A refutation depends on the specials' vertices and forbidden sets,
+	// not on their IDs, so the content key serves every branch.
+	s.keyBuf = g.MemoKey(conn, nil, s.keyBuf[:0])
 	if _, bad := s.negCache[string(s.keyBuf)]; bad {
 		s.Stats.CacheHits++
 		return nil, false, nil
-	}
-	if n, ok := s.posCache[string(s.keyBuf)]; ok {
-		s.Stats.CacheHits++
-		return cloneNode(n), true, nil
 	}
 	s.Stats.CacheMiss++
 	key := string(s.keyBuf) // materialise before the search reuses the buffer
 
 	node, ok, err := s.search(g, conn, depth)
-	if err != nil {
-		return nil, false, err
+	if err == nil && !ok {
+		s.negCache[key] = struct{}{}
 	}
-	if ok {
-		s.posCache[key] = cloneNode(node)
-		return node, true, nil
-	}
-	s.negCache[key] = struct{}{}
-	return nil, false, nil
+	return node, ok, err
 }
 
 // frame is the state of one search call: the subproblem, its candidate
@@ -165,8 +158,7 @@ type frame struct {
 	children  []*decomp.Node
 	// comps holds the [χ]-components of the label in tryLambda. A
 	// component lives until that tryLambda returns: the child frames
-	// only read it, and the caches keep only key strings and cloned
-	// nodes.
+	// only read it, and the caches keep only key strings.
 	comps ext.ComponentBuf
 	// refuted holds the keys of the bags this search call has refuted,
 	// and chiKey is the key of chi.
@@ -371,18 +363,4 @@ func (s *Solver) tryLambda(f *frame, cover *bitset.Set) (*decomp.Node, bool, err
 	node := decomp.NewNode(f.lambda, chi.Clone())
 	node.Children = append([]*decomp.Node(nil), f.children...)
 	return node, true, nil
-}
-
-// cloneNode deep-copies a fragment so cached positives can be grafted
-// into multiple trees without aliasing.
-func cloneNode(n *decomp.Node) *decomp.Node {
-	c := &decomp.Node{
-		Lambda:    append([]int(nil), n.Lambda...),
-		SpecialID: n.SpecialID,
-		Bag:       n.Bag.Clone(),
-	}
-	for _, ch := range n.Children {
-		c.Children = append(c.Children, cloneNode(ch))
-	}
-	return c
 }

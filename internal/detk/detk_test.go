@@ -60,15 +60,15 @@ func TestAcyclicWidthOne(t *testing.T) {
 	}
 }
 
+// TestCacheIsUsed: a refutation that meets a refuted state again
+// answers it from the negative cache.
 func TestCacheIsUsed(t *testing.T) {
-	h := cycle(14)
-	s := New(h, 2)
-	_, ok, err := s.Decompose(context.Background())
-	if err != nil || !ok {
-		t.Fatalf("ok=%v err=%v", ok, err)
+	s := New(scale3Instance(t, "app-clique-5#"), 2)
+	if _, ok, err := s.Decompose(context.Background()); err != nil || ok {
+		t.Fatalf("k=2: ok=%v err=%v, want refutation", ok, err)
 	}
-	if s.Stats.CacheHits == 0 && s.Stats.CacheMiss == 0 {
-		t.Fatal("cache counters never moved")
+	if s.Stats.CacheHits == 0 {
+		t.Fatalf("k=2 refutation made no cache hits: %+v", s.Stats)
 	}
 }
 
@@ -98,6 +98,35 @@ func TestDecomposeExtWithSpecial(t *testing.T) {
 	d := &decomp.Decomp{H: h, Root: node}
 	if err := decomp.CheckExtended(d, g, conn); err != nil {
 		t.Fatalf("invalid extended HD: %v\n%s", err, d)
+	}
+}
+
+// TestDetKRefutationIgnoresSpecialIDs: a refutation depends on what a
+// special edge holds, not on its ID, so the same extended subhypergraph
+// with a renumbered special is answered from the negative cache.
+func TestDetKRefutationIgnoresSpecialIDs(t *testing.T) {
+	h := cycle(10)
+	n := h.NumVertices()
+	withSpecial := func(id int) *ext.Graph {
+		sp := ext.Special{ID: id, Vertices: setOf(n, []int{0, 5, 6})}
+		return &ext.Graph{H: h, Edges: []int{2, 3, 4}, Specials: []ext.Special{sp}}
+	}
+	conn := setOf(n, []int{0, 2})
+	ctx := context.Background()
+
+	s := New(h, 1)
+	if _, ok, err := s.DecomposeExt(ctx, withSpecial(77), conn); err != nil || ok {
+		t.Fatalf("special 77: ok=%v err=%v, want refutation", ok, err)
+	}
+	first := s.Stats
+	if first.Candidates == 0 {
+		t.Fatalf("special 77: refuted without forming a label: %+v", first)
+	}
+	if _, ok, err := s.DecomposeExt(ctx, withSpecial(78), conn); err != nil || ok {
+		t.Fatalf("special 78: ok=%v err=%v, want refutation", ok, err)
+	}
+	if s.Stats.CacheHits != first.CacheHits+1 || s.Stats.Candidates != first.Candidates {
+		t.Fatalf("special 78 searched again: stats %+v after %+v", s.Stats, first)
 	}
 }
 
@@ -173,7 +202,9 @@ func TestRandomInstancesProduceValidHDs(t *testing.T) {
 // about 246k allocations here). A label's last edge is drawn only from
 // the edges holding a connector vertex the other edges miss, so labels
 // that leave that vertex uncovered are not counted. The witness at
-// k = 3 must still be a valid HD.
+// k = 3 must still be a valid HD, and its search, whose successful
+// fragments are not cached, has a budget of its own (caching and
+// cloning every fragment cost 1,501 allocations).
 func TestDetKAllocBudget(t *testing.T) {
 	h := scale3Instance(t, "syn-cylinder-10#")
 	ctx := context.Background()
@@ -181,6 +212,9 @@ func TestDetKAllocBudget(t *testing.T) {
 	const (
 		wantLabels = 29423
 		maxAllocs  = 2816
+
+		wantWitnessLabels = 1298
+		maxWitnessAllocs  = 740
 	)
 	var s *Solver
 	allocs := testing.AllocsPerRun(1, func() {
@@ -197,9 +231,22 @@ func TestDetKAllocBudget(t *testing.T) {
 		t.Errorf("k=2 refutation allocated %.0f times, budget %d", allocs, maxAllocs)
 	}
 
-	d, ok, err := New(h, 3).Decompose(ctx)
-	if err != nil || !ok {
-		t.Fatalf("k=3: ok=%v err=%v, want a witness", ok, err)
+	var d *decomp.Decomp
+	allocs = testing.AllocsPerRun(1, func() {
+		var ok bool
+		var err error
+		s = New(h, 3)
+		d, ok, err = s.Decompose(ctx)
+		if err != nil || !ok {
+			t.Fatalf("k=3: ok=%v err=%v, want a witness", ok, err)
+		}
+	})
+	t.Logf("k=3 witness: %d λ-labels, %.0f allocations", s.Stats.Candidates, allocs)
+	if s.Stats.Candidates != wantWitnessLabels {
+		t.Errorf("k=3 enumerated %d λ-labels, want exactly %d", s.Stats.Candidates, wantWitnessLabels)
+	}
+	if allocs > maxWitnessAllocs {
+		t.Errorf("k=3 witness allocated %.0f times, budget %d", allocs, maxWitnessAllocs)
 	}
 	if err := decomp.CheckHD(d); err != nil {
 		t.Fatalf("k=3 witness invalid: %v", err)

@@ -157,33 +157,15 @@ func DiffSortedInts(a, b []int) []int {
 	return out
 }
 
-// KeyStrict appends a canonical encoding of (g, conn) to dst, for
-// memoisation. It distinguishes special edges by vertex content and by
-// ID: solvers that cache constructed fragments (which embed special-leaf
-// IDs) must use this key, or a cache hit could graft a fragment
-// referring to specials of a different recursion branch.
-func (g *Graph) KeyStrict(conn *bitset.Set, dst []byte) []byte {
-	dst = g.appendEdgeKey(dst, g.Edges)
-	spKeys := make([]string, len(g.Specials))
-	for i, s := range g.Specials {
-		k := s.Vertices.AppendKey(nil)
-		id := s.ID
-		spKeys[i] = string(append(k, byte(id), byte(id>>8), byte(id>>16), byte(id>>24)))
-	}
-	sort.Strings(spKeys)
-	for _, k := range spKeys {
-		dst = append(dst, k...)
-	}
-	dst = append(dst, 0xFF)
-	return conn.AppendKey(dst)
-}
-
 // MemoKey appends a purely content-based encoding of (g, conn, allowed)
 // to dst: edge set, special edges by vertex and forbidden content (IDs
 // ignored), the interface, and the allowed-edge list. Two states with
 // equal MemoKeys are interchangeable for the *decision* problem, so the
 // key is safe for negative memoisation (positive results embed special
-// IDs and must not be shared this way).
+// IDs and must not be shared this way). Both solvers key their
+// refutations with it: log-k-decomp with its allowed list, det-k-decomp,
+// which has none, with a nil one. A nil list encodes like an empty one,
+// so the two solvers' keys must not share a table.
 func (g *Graph) MemoKey(conn *bitset.Set, allowed []int, dst []byte) []byte {
 	dst = g.appendEdgeKey(dst, g.Edges)
 	spKeys := make([]string, len(g.Specials))

@@ -597,10 +597,11 @@ func TestEdgeKeyMatchesBitset(t *testing.T) {
 			if got := g.appendEdgeKey(nil, edges); string(got) != string(want.AppendKey(nil)) {
 				t.Fatalf("n=%d: edge key %x, want %x", n, got, want.AppendKey(nil))
 			}
-			wantStrict := append(want.AppendKey(nil), 0xFF)
-			wantStrict = conn.AppendKey(wantStrict)
-			if got := g.KeyStrict(conn, nil); string(got) != string(wantStrict) {
-				t.Fatalf("n=%d: KeyStrict %x, want %x", n, got, wantStrict)
+			wantMemo := append(want.AppendKey(nil), 0xFF)
+			wantMemo = conn.AppendKey(wantMemo)
+			wantMemo = bitset.New(h.NumEdges()).AppendKey(wantMemo)
+			if got := g.MemoKey(conn, nil, nil); string(got) != string(wantMemo) {
+				t.Fatalf("n=%d: MemoKey %x, want %x", n, got, wantMemo)
 			}
 		}
 	}
@@ -609,7 +610,7 @@ func TestEdgeKeyMatchesBitset(t *testing.T) {
 	conn := h.NewVertexSet()
 	buf := make([]byte, 0, 1024)
 	if a := testing.AllocsPerRun(100, func() {
-		buf = g.KeyStrict(conn, buf[:0])
+		buf = g.MemoKey(conn, nil, buf[:0])
 		buf = g.MemoKey(conn, g.Edges, buf[:0])
 	}); a != 0 {
 		t.Fatalf("building keys allocated %.0f times, want 0", a)

@@ -148,7 +148,7 @@ func (s *resultSet) figure1(ctx context.Context) *Table {
 	}
 	var logK, hybrid [][]Result
 	for _, n := range cores {
-		logK = append(logK, s.results(ctx, s.cfg.Timeout, large, methodLogKNoCache(n)))
+		logK = append(logK, s.results(ctx, s.cfg.Timeout, large, MethodLogKHybrid(n, logk.HybridNone, 0)))
 		hybrid = append(hybrid, s.results(ctx, s.cfg.Timeout, large,
 			MethodLogKHybrid(n, logk.PaperHybrid, logk.PaperHybridThreshold)))
 	}

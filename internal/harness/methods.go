@@ -48,7 +48,9 @@ func MethodOpt() Method {
 }
 
 // MethodLogKHybrid is the paper's headline configuration: log-k-decomp
-// with det-k-decomp hybridisation (§5.2, Appendix D.2).
+// with det-k-decomp hybridisation (§5.2, Appendix D.2). With
+// logk.HybridNone it is plain log-k-decomp, memo included, as the
+// reference implementation runs it.
 func MethodLogKHybrid(workers int, metric logk.HybridMetric, threshold float64) Method {
 	return Method{
 		Name:   "log-k-decomp Hybrid",
@@ -58,20 +60,6 @@ func MethodLogKHybrid(workers int, metric logk.HybridMetric, threshold float64) 
 				K: k, Workers: workers,
 				Hybrid: metric, HybridThreshold: threshold,
 			})
-		},
-	}
-}
-
-// methodLogKNoCache is plain log-k-decomp on workers workers without
-// the solver-level memo, Figure 1's scaling series. It is not the
-// paper's configuration: the reference log-k-decomp keeps a cache, reset
-// per width.
-func methodLogKNoCache(workers int) Method {
-	return Method{
-		Name:   "log-k-decomp",
-		config: fmt.Sprintf("log-k workers=%d no-cache", workers),
-		NewParam: func(h *hypergraph.Hypergraph, k int) WidthSolver {
-			return logk.New(h, logk.Options{K: k, Workers: workers, NoCache: true})
 		},
 	}
 }

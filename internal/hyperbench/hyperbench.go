@@ -427,10 +427,3 @@ func (g *gen) randomCSP(nv, ne, maxArity int) Instance {
 	}
 	return Instance{Name: g.name("syn-random", nv, ne), Origin: Synthetic, H: b.Build()}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -6,28 +6,28 @@ import (
 	"testing"
 
 	"repro/internal/decomp"
+	"repro/internal/hyperbench"
 )
 
-// TestNoCacheEquivalence: the negative memo and parent-candidate cache
-// are pure accelerations — decisions must be identical with and without
-// them, and both variants must produce valid HDs.
-func TestNoCacheEquivalence(t *testing.T) {
+// TestMemoMatchesBasicSolver: the negative memo and parent-candidate
+// cache are pure accelerations — decisions must be those of Algorithm 1
+// (NewBasic, which caches nothing), and both solvers must produce valid
+// HDs.
+func TestMemoMatchesBasicSolver(t *testing.T) {
 	ctx := context.Background()
 	for seed := 0; seed < 40; seed++ {
 		r := rand.New(rand.NewSource(int64(5000 + seed)))
 		h := randomHypergraph(r, 9, 9)
 		for k := 1; k <= 3; k++ {
-			cached := New(h, Options{K: k})
-			plain := New(h, Options{K: k, NoCache: true})
-			dC, okC, errC := cached.Decompose(ctx)
-			dP, okP, errP := plain.Decompose(ctx)
-			if errC != nil || errP != nil {
-				t.Fatalf("seed %d k=%d: errs %v %v", seed, k, errC, errP)
+			dC, okC, errC := New(h, Options{K: k}).Decompose(ctx)
+			dB, okB, errB := NewBasic(h, k).Decompose(ctx)
+			if errC != nil || errB != nil {
+				t.Fatalf("seed %d k=%d: errs %v %v", seed, k, errC, errB)
 			}
-			if okC != okP {
-				t.Fatalf("seed %d k=%d: cached=%v nocache=%v\n%s", seed, k, okC, okP, h)
+			if okC != okB {
+				t.Fatalf("seed %d k=%d: memo=%v basic=%v\n%s", seed, k, okC, okB, h)
 			}
-			for name, d := range map[string]*decomp.Decomp{"cached": dC, "nocache": dP} {
+			for name, d := range map[string]*decomp.Decomp{"memo": dC, "basic": dB} {
 				if d == nil {
 					continue
 				}
@@ -39,16 +39,21 @@ func TestNoCacheEquivalence(t *testing.T) {
 	}
 }
 
-// TestMemoHitsAccumulate: on a structured instance the memo must
-// actually fire (guards against key drift silently disabling it).
+// TestMemoHitsAccumulate: on refutations that revisit states the memo
+// must actually fire (guards against key drift silently disabling it).
+// Pure log-k-decomp at one worker answers both instances NO at k = 2
+// with 160 and 6,815 memo hits.
 func TestMemoHitsAccumulate(t *testing.T) {
-	h := grid(3)
-	s := New(h, Options{K: 2})
-	if _, ok, err := s.Decompose(context.Background()); err != nil || !ok {
-		t.Fatalf("ok=%v err=%v", ok, err)
-	}
-	if s.Stats().MemoHits == 0 {
-		t.Skip("no memo hits on this instance; acceptable but unusual")
+	cfg := hyperbench.Config{Scale: 1, Seed: 2022}
+	for _, name := range []string{"app-clique-5", "app-cliquechain-3-5"} {
+		s := New(suiteInstance(t, cfg, name), Options{K: 2, Workers: 1})
+		if _, ok, err := s.Decompose(context.Background()); err != nil || ok {
+			t.Fatalf("%s k=2: ok=%v err=%v, want refutation", name, ok, err)
+		}
+		t.Logf("%s k=2: %d memo hits", name, s.Stats().MemoHits)
+		if s.Stats().MemoHits == 0 {
+			t.Fatalf("%s k=2: no memo hits", name)
+		}
 	}
 }
 

@@ -71,18 +71,15 @@ func (s *Solver) decomp(ctx context.Context, w *worker, g *ext.Graph, conn *bits
 
 	// Negative memo: a content-identical state that previously exhausted
 	// its search space cannot succeed now.
-	var memoKey string
-	if !s.Opts.NoCache {
-		w.memoBuf = g.MemoKey(conn, allowed, w.memoBuf[:0])
-		if s.memo.Lookup(w.memoBuf) {
-			w.stats.MemoHits++
-			return nil, false, nil
-		}
-		memoKey = string(w.memoBuf) // materialise before recursion reuses the buffer
+	w.memoBuf = g.MemoKey(conn, allowed, w.memoBuf[:0])
+	if s.memo.Lookup(w.memoBuf) {
+		w.stats.MemoHits++
+		return nil, false, nil
 	}
+	memoKey := string(w.memoBuf) // materialise before recursion reuses the buffer
 
 	node, ok, err := s.searchChild(ctx, w, g, conn, allowed, depth)
-	if err == nil && !ok && !s.Opts.NoCache {
+	if err == nil && !ok {
 		// The search space was exhausted cleanly; remember the failure.
 		s.memo.Insert(memoKey)
 	}
@@ -164,19 +161,15 @@ func (s *Solver) below(ctx context.Context, w *worker, g *ext.Graph, chi *bitset
 // parentFor returns the worker's cached analysis of one parent
 // candidate ∪λp, computing it on first use.
 func (s *Solver) parentFor(w *worker, parents parentCache, g *ext.Graph, unionP *bitset.Set) *parentInfo {
-	if !s.Opts.NoCache {
-		w.keyBuf = unionP.AppendKey(w.keyBuf[:0])
-		if pi := parents[string(w.keyBuf)]; pi != nil { // no-alloc lookup form
-			return pi
-		}
+	w.keyBuf = unionP.AppendKey(w.keyBuf[:0])
+	if pi := parents[string(w.keyBuf)]; pi != nil { // no-alloc lookup form
+		return pi
 	}
 	pi := &parentInfo{compDown: w.split.Oversized(g, unionP)}
 	if pi.compDown != nil {
 		pi.vDown = pi.compDown.Vertices()
 	}
-	if !s.Opts.NoCache {
-		parents[string(w.keyBuf)] = pi
-	}
+	parents[string(w.keyBuf)] = pi
 	return pi
 }
 

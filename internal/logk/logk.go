@@ -70,7 +70,10 @@ const (
 	PaperHybridThreshold = 40
 )
 
-// Options configures a Solver.
+// Options configures a Solver. Every Solver memoises the states it
+// refutes (see Memo), as the reference log-k-decomp keeps one cache,
+// reset per width. The zero Hybrid, HybridNone, is plain log-k-decomp:
+// no subproblem is handed to det-k-decomp.
 type Options struct {
 	// K is the width bound (required, ≥ 1).
 	K int
@@ -85,11 +88,6 @@ type Options struct {
 	Hybrid          HybridMetric
 	HybridThreshold float64
 
-	// NoCache disables the solver-level negative memoisation of failed
-	// (subhypergraph, interface, allowed) states and the per-call reuse
-	// of parent-candidate components.
-	NoCache bool
-
 	// Tokens, when non-nil, replaces the Solver's private worker-token
 	// pool: parallel search splits draw extra workers from it instead.
 	// Inject a shared budget to bound total parallelism across many
@@ -100,8 +98,7 @@ type Options struct {
 	// Memo, when non-nil, replaces the Solver's private negative memo.
 	// Keys are pure content (ext.Graph.MemoKey), so a backend may be
 	// shared by all Solvers running the same hypergraph with the same K —
-	// the basis for cross-request caching in the service layer. Ignored
-	// when NoCache is set.
+	// the basis for cross-request caching in the service layer.
 	Memo MemoBackend
 }
 

@@ -372,10 +372,9 @@ func TestCrossValidationSolvers(t *testing.T) {
 			}
 			hds := map[string]*decomp.Decomp{"logk": dOpt, "basic": dBas, "detk": dDet}
 			for name, o := range map[string]Options{
-				"logk-par":     {K: k, Workers: 8},
-				"logk-hyb":     {K: k, Hybrid: HybridWeightedCount, HybridThreshold: 10},
-				"logk-nocache": {K: k, NoCache: true},
-				"logk-paper":   {K: k, Workers: 8, Hybrid: PaperHybrid, HybridThreshold: PaperHybridThreshold},
+				"logk-par":   {K: k, Workers: 8},
+				"logk-hyb":   {K: k, Hybrid: HybridWeightedCount, HybridThreshold: 10},
+				"logk-paper": {K: k, Workers: 8, Hybrid: PaperHybrid, HybridThreshold: PaperHybridThreshold},
 			} {
 				d, ok, err := New(h, o).Decompose(ctx)
 				if err != nil {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/decomp"
+	"repro/internal/detk"
 	"repro/internal/hypergraph"
 	"repro/internal/logk"
 	"repro/internal/tenant"
@@ -369,7 +370,8 @@ func TestPositiveCacheHit(t *testing.T) {
 
 // TestMemoSharingUnderConcurrency: many jobs hammering the same two
 // instances concurrently — shared tables must stay race-free and the
-// decisions must match a fresh, cache-free solver.
+// decisions must match a fresh det-k-decomp solver, which shares no
+// memo with them.
 func TestMemoSharingUnderConcurrency(t *testing.T) {
 	svc := New(Config{TokenBudget: 4, MaxConcurrent: 8, MaxQueue: 256})
 	defer svc.Close()
@@ -386,9 +388,9 @@ func TestMemoSharingUnderConcurrency(t *testing.T) {
 		{grid(3), 1, false},
 		{grid(3), 2, true},
 	}
-	// Verify expectations against direct cache-free solvers first.
+	// Verify expectations against direct det-k-decomp solvers first.
 	for i, j := range jobs {
-		_, ok, err := logk.New(j.h, logk.Options{K: j.k, NoCache: true}).Decompose(ctx)
+		_, ok, err := detk.New(j.h, j.k).Decompose(ctx)
 		if err != nil || ok != j.want {
 			t.Fatalf("job template %d: direct ok=%v err=%v want=%v", i, ok, err, j.want)
 		}
