@@ -10,7 +10,7 @@
 //	htdserve -addr :8080 [-budget 8] [-max-concurrent 8] [-timeout 30s]
 //	         [-max-rows 250000]
 //	         [-store-dir cache.d] [-store-fsync 100ms]
-//	         [-tenant-rate 50] [-tenant-inflight 4] [-fair-share]
+//	         [-tenant-rate 50] [-tenant-inflight 4] [-fair-share=false]
 //	         [-pprof-addr localhost:6060]
 //
 // Profiling: -pprof-addr exposes the standard net/http/pprof endpoints
@@ -21,11 +21,12 @@
 // Multi-tenant admission: every request may carry an X-Tenant header
 // (absent = the default tenant). The -tenant-* flags arm a per-tenant
 // load wall in front of the global admission control — token-bucket
-// rate limiting, an in-flight cap with a bounded FIFO queue — and
-// -fair-share lets unused per-tenant budget flow to a shared spare pool
-// so one tenant on an idle box still gets full throughput. Over-limit
-// calls get 429 with a Retry-After header; /stats reports per-tenant
-// counters and p50/p99 latency.
+// rate limiting, an in-flight cap with a bounded FIFO queue — and fair
+// share (on by default; -fair-share=false turns it off) lets unused
+// per-tenant budget flow to a shared spare pool so one tenant on an
+// idle box still gets full throughput. Over-limit calls get 429 with a
+// Retry-After header; /stats reports per-tenant counters and p50/p99
+// latency.
 //
 // Statuses: every single-shot and /data response takes its status from
 // one table, status in server.go, and its error body from apiError;

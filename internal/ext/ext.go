@@ -11,6 +11,7 @@
 package ext
 
 import (
+	"bytes"
 	"encoding/binary"
 	"sort"
 
@@ -159,27 +160,34 @@ func DiffSortedInts(a, b []int) []int {
 
 // MemoKey appends a purely content-based encoding of (g, conn, allowed)
 // to dst: edge set, special edges by vertex and forbidden content (IDs
-// ignored), the interface, and the allowed-edge list. Two states with
-// equal MemoKeys are interchangeable for the *decision* problem, so the
-// key is safe for negative memoisation (positive results embed special
-// IDs and must not be shared this way). Both solvers key their
-// refutations with it: log-k-decomp with its allowed list, det-k-decomp,
-// which has none, with a nil one. A nil list encodes like an empty one,
-// so the two solvers' keys must not share a table.
+// ignored, sorted, a nil Forbidden as the empty set), the interface,
+// and the allowed-edge list. Every part has a length fixed by g.H, so
+// the key is self-delimiting, and it is built in place in dst. Two
+// states with equal MemoKeys are interchangeable for the *decision*
+// problem, so the key is safe for negative memoisation (positive
+// results embed special IDs and must not be shared this way). Both
+// solvers key their refutations with it: log-k-decomp with its allowed
+// list, det-k-decomp, which has none, with a nil one. A nil list
+// encodes like an empty one, so the two solvers' keys must not share a
+// table.
 func (g *Graph) MemoKey(conn *bitset.Set, allowed []int, dst []byte) []byte {
 	dst = g.appendEdgeKey(dst, g.Edges)
-	spKeys := make([]string, len(g.Specials))
-	for i, s := range g.Specials {
-		k := s.Vertices.AppendKey(nil)
-		k = append(k, 0xFE)
+	half := 8 * ((g.H.NumVertices() + 63) / 64)
+	seg, start := 2*half, len(dst)
+	for _, s := range g.Specials {
+		dst = s.Vertices.AppendKey(dst)
 		if s.Forbidden != nil {
-			k = s.Forbidden.AppendKey(k)
+			dst = s.Forbidden.AppendKey(dst)
+		} else {
+			dst = append(dst, make([]byte, half)...)
 		}
-		spKeys[i] = string(k)
-	}
-	sort.Strings(spKeys)
-	for _, k := range spKeys {
-		dst = append(dst, k...)
+		// Insertion sort: sink the new segment below every larger one.
+		for j := len(dst) - seg; j > start && bytes.Compare(dst[j-seg:j], dst[j:j+seg]) > 0; j -= seg {
+			a, b := dst[j-seg:j], dst[j:j+seg]
+			for i := range a {
+				a[i], b[i] = b[i], a[i]
+			}
+		}
 	}
 	dst = append(dst, 0xFF)
 	dst = conn.AppendKey(dst)

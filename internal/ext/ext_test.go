@@ -197,6 +197,61 @@ func TestKeyDistinguishesStates(t *testing.T) {
 	}
 }
 
+// TestMemoKeySelfDelimiting: a nil Forbidden must not shorten its
+// special's segment. With variable-length segments these two graphs
+// over cycle(64), one vertex word per set, concatenate to the same
+// bytes: F2's last byte is 0xFE and V2′ is 0xFE followed by F2's first
+// seven bytes.
+func TestMemoKeySelfDelimiting(t *testing.T) {
+	h := cycle(64)
+	n := h.NumVertices()
+	v1, v2 := setOf(n, []int{0}), setOf(n, []int{1})
+	f2 := setOf(n, []int{8, 57, 58, 59, 60, 61, 62, 63})
+	v2p := setOf(n, []int{1, 2, 3, 4, 5, 6, 7, 16})
+	conn := h.NewVertexSet()
+	gA := newGraph(h, []int{0}, []Special{{ID: 1, Vertices: v1}, {ID: 2, Vertices: v2, Forbidden: f2}})
+	gB := newGraph(h, []int{0}, []Special{{ID: 1, Vertices: v1, Forbidden: v2}, {ID: 2, Vertices: v2p}})
+	if string(gA.MemoKey(conn, nil, nil)) == string(gB.MemoKey(conn, nil, nil)) {
+		t.Fatal("graphs with different specials share a key")
+	}
+	// A nil Forbidden is no constraint: it keys like the empty set.
+	gC := newGraph(h, []int{0}, []Special{{ID: 1, Vertices: v1, Forbidden: h.NewVertexSet()}, {ID: 2, Vertices: v2, Forbidden: f2}})
+	if string(gA.MemoKey(conn, nil, nil)) != string(gC.MemoKey(conn, nil, nil)) {
+		t.Fatal("a nil Forbidden keys unlike the empty set")
+	}
+}
+
+// TestMemoKeySpecialOrder: the key is the same whatever the order and
+// IDs of the specials, and building a two-special key into a large
+// enough buffer allocates nothing.
+func TestMemoKeySpecialOrder(t *testing.T) {
+	h := cycle(100)
+	n := h.NumVertices()
+	sp := []Special{
+		{ID: 1, Vertices: setOf(n, []int{70, 71}), Forbidden: setOf(n, []int{3})},
+		{ID: 2, Vertices: setOf(n, []int{5, 6}), Forbidden: setOf(n, []int{90, 91})},
+		{ID: 3, Vertices: setOf(n, []int{5, 6}), Forbidden: setOf(n, []int{80})},
+	}
+	conn := setOf(n, []int{5, 71})
+	want := string(newGraph(h, []int{4, 80}, sp).MemoKey(conn, nil, nil))
+	r := rand.New(rand.NewSource(1))
+	for round := 0; round < 20; round++ {
+		perm := slices.Clone(sp)
+		r.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+		for i := range perm {
+			perm[i].ID = r.Intn(1000)
+		}
+		if got := string(newGraph(h, []int{4, 80}, perm).MemoKey(conn, nil, nil)); got != want {
+			t.Fatalf("specials %v key %x, want %x", perm, got, want)
+		}
+	}
+	g := newGraph(h, []int{4, 80}, sp[:2])
+	buf := make([]byte, 0, 1024)
+	if a := testing.AllocsPerRun(100, func() { buf = g.MemoKey(conn, g.Edges, buf[:0]) }); a != 0 {
+		t.Fatalf("a two-special key allocated %.0f times, want 0", a)
+	}
+}
+
 func TestLargestComponentAndBalance(t *testing.T) {
 	h := cycle(8)
 	a := newGraph(h, []int{0, 1, 2, 3, 4}, nil)

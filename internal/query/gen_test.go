@@ -10,7 +10,7 @@ import (
 
 // GenConfig sizes RandomInstance. The zero value picks defaults small
 // enough that the naive cross-join baseline stays tractable, which is
-// what the differential suite and the bench harness both need.
+// what the differential suite needs.
 type GenConfig struct {
 	MaxAtoms  int // atoms per query, 2..MaxAtoms (default 5)
 	MaxVars   int // variable pool size (default 6)
@@ -47,8 +47,8 @@ func (c GenConfig) withDefaults() GenConfig {
 // random database, deterministically from r. Queries are connected
 // (every atom after the first reuses at least one earlier variable),
 // may be cyclic, and may contain self-joins (the same relation in two
-// atoms). Used by the differential test suite and by benchtab's query
-// experiment, so both drive the pipeline with the same workload shape.
+// atoms). The differential, incremental and tenant tests draw their
+// workloads from it.
 func RandomInstance(r *rand.Rand, cfg GenConfig) (join.Query, join.Database) {
 	cfg = cfg.withDefaults()
 	nAtoms := 2 + r.Intn(cfg.MaxAtoms-1)

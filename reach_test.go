@@ -30,6 +30,7 @@ var reachAllowlist = map[string]string{
 	"repro/internal/decomp.computeSubtreeCov":     "helper of the Definition 3.9 oracles above",
 	"repro/internal/join.ParseDocument":           "entry point of FuzzParseQuery, FuzzEvalDocument and the parser and aggregate tests",
 	"repro/internal/join.FormatDocument":          "inverse of ParseDocument and ParseRelations; FuzzParseQuery round-trips every accepted input through it",
+	"repro/internal/join.FormatQuery":             "the query half of FormatDocument; the query tests print failing queries with it",
 	"repro/internal/store.Log.Sync":               "durability flush: makes every appended record survive a crash",
 	"repro/internal/store.Tiered.Sync":            "durability flush of the disk tier's log",
 	"repro/internal/join.BagCache.Usage":          "TestBagCacheSnapshotScope bounds a snapshot's cached rows by its live tuples; nothing else shows them",

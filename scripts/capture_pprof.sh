@@ -3,8 +3,10 @@
 #
 # Boots a real htdserve with the -pprof-addr listener enabled, warms it
 # up, then captures heap, allocs, goroutine, and CPU profiles from the
-# profiling endpoint while loadgen drives steady query traffic — so the
+# profiling endpoint while a curl loop drives steady traffic (/query
+# over an uploaded dataset, every tenth request a /decompose) — so the
 # CPU profile shows the executor under load, not an idle accept loop.
+# The capture fails when the loop got no request answered.
 # Profiles land in the directory given as $1 (default /tmp/htd-pprof);
 # nightly CI uploads that directory as an artifact, giving every night
 # a browsable `go tool pprof` snapshot of the columnar executor.
@@ -23,11 +25,12 @@ SECONDS_CPU="${PPROF_SECONDS:-10}"
 
 mkdir -p "$OUT"
 BIN="$(mktemp -d)"
-trap 'kill "$SRV_PID" 2>/dev/null || true; wait "$SRV_PID" 2>/dev/null || true; rm -rf "$BIN"' EXIT INT TERM
+SRV_PID=
+LOAD_PID=
+trap 'kill $LOAD_PID $SRV_PID 2>/dev/null || true; wait 2>/dev/null || true; rm -rf "$BIN"' EXIT INT TERM
 
-echo "capture_pprof: building htdserve and loadgen"
+echo "capture_pprof: building htdserve"
 go build -o "$BIN/htdserve" ./cmd/htdserve
-go build -o "$BIN/loadgen" ./cmd/loadgen
 
 echo "capture_pprof: starting htdserve on $ADDR (pprof on $PPROF_ADDR)"
 "$BIN/htdserve" -addr "$ADDR" -pprof-addr "$PPROF_ADDR" >/dev/null 2>&1 &
@@ -44,11 +47,29 @@ until curl -sf "$URL/healthz" >/dev/null 2>&1; do
   sleep 0.1
 done
 
-# Drive steady traffic in the background for the whole capture window.
+# The triangle over one uploaded dataset is the /query traffic; a
+# 5-cycle at width 2 is the /decompose traffic.
+printf 'rel R(c1,c2)\n1 2\n1 3\n4 2\nend\nrel S(c1,c2)\n2 5\n3 6\n2 7\nend\nrel T(c1,c2)\n5 1\n6 4\n7 4\nend\n' >"$BIN/tri.db"
+curl -sf -X PUT --data-binary @"$BIN/tri.db" "$URL/data/tri" >/dev/null
+QUERY='{"query":"R(x,y), S(y,z), T(z,x).","dataset":"tri"}'
+DECOMPOSE='{"hypergraph":"r1(a,b), r2(b,c), r3(c,d), r4(d,e), r5(e,a).","k":2}'
+
+# Drive steady traffic in the background for the whole capture window,
+# one status code per line of $BIN/codes.
 LOAD_SECONDS=$((SECONDS_CPU + 5))
 echo "capture_pprof: driving load for ${LOAD_SECONDS}s"
-"$BIN/loadgen" -url "$URL" -duration "${LOAD_SECONDS}s" \
-  -tenant "profile:50:uniform" -out "$OUT/load.json" >/dev/null 2>&1 &
+(
+  end=$(($(date +%s) + LOAD_SECONDS))
+  n=0
+  while [ "$(date +%s)" -lt "$end" ]; do
+    n=$((n + 1))
+    if [ $((n % 10)) -eq 0 ]; then
+      curl -s -o /dev/null -w '%{http_code}\n' "$URL/decompose" -d "$DECOMPOSE" || true
+    else
+      curl -s -o /dev/null -w '%{http_code}\n' "$URL/query" -d "$QUERY" || true
+    fi
+  done
+) >"$BIN/codes" &
 LOAD_PID=$!
 
 sleep 2 # let traffic ramp before the snapshots
@@ -58,7 +79,14 @@ curl -sf "$PPROF_URL/debug/pprof/allocs" -o "$OUT/allocs.pb.gz"
 curl -sf "$PPROF_URL/debug/pprof/goroutine" -o "$OUT/goroutine.pb.gz"
 curl -sf "$PPROF_URL/debug/pprof/profile?seconds=$SECONDS_CPU" -o "$OUT/cpu.pb.gz"
 
-wait "$LOAD_PID" 2>/dev/null || true
+wait "$LOAD_PID"
+LOAD_PID=
+SENT=$(wc -l <"$BIN/codes")
+ANSWERED=$(grep -c '^200$' "$BIN/codes" || true)
+if [ "$ANSWERED" -eq 0 ]; then
+  echo "capture_pprof: FAIL: none of $SENT requests answered: the profiles show an idle server" >&2
+  exit 1
+fi
 
 # A capture that produced empty files is a broken capture.
 for f in heap allocs goroutine cpu; do
@@ -67,4 +95,4 @@ for f in heap allocs goroutine cpu; do
     exit 1
   fi
 done
-echo "capture_pprof: PASS (profiles in $OUT: heap, allocs, goroutine, cpu@${SECONDS_CPU}s)"
+echo "capture_pprof: PASS ($ANSWERED of $SENT requests answered; profiles in $OUT: heap, allocs, goroutine, cpu@${SECONDS_CPU}s)"
