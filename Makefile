@@ -9,11 +9,16 @@
 # disk tier's I/O budget (TestDiskTierIOBudget) are plain `go test`
 # tests, so `make test` and `make race` run them; list them with
 # `grep -rn 'func Test.*AllocBudget' --include='*_test.go' .`.
+# The walls check (TestWallsSelectExistingTests in the root package) is
+# a plain test too: every alternative of each `-run '...'` regex below
+# must match a test in that command's packages, and FUZZ_TARGETS must
+# list exactly the module's Fuzz functions, so a renamed test cannot
+# silently drop out of a wall.
 # cmd/benchtab keeps the paper's experiments.
 
 GO ?= go
 
-.PHONY: all build fmt fmt-check vet lint test race bench perfbench-smoke crash-recovery warm-restart pprof-capture stress differential walls-check fuzz fuzz-long docs-check examples serve ci
+.PHONY: all build fmt fmt-check vet lint test race bench perfbench-smoke crash-recovery pprof-capture stress differential fuzz fuzz-long docs-check examples serve ci
 
 all: build
 
@@ -63,18 +68,16 @@ perfbench-smoke:
 # tails truncated, never served corrupt), plus the torn-tail/bit-flip
 # recovery table, the single fsync of a compaction, the record of a
 # call that compacts (served at once and after a reopen), the
-# service-level warm restart (same directory and a byte copy of it)
-# and the disk tier's exact I/O budget across a reopen.
+# service-level warm restart (same directory and a byte copy of it),
+# the disk tier's exact I/O budget across a reopen, and the two-process
+# warm restart: a real htdserve main() with -store-dir, killed with
+# SIGKILL and rebooted on the same directory, answers every repeat
+# request from the cache with zero solver runs
+# (TestServeDiskStoreWarmRestart).
 crash-recovery:
 	$(GO) test -race -count=1 \
-		-run 'TestCrashRecovery|TestLogTornTail|TestLogBitFlip|TestLogCompactionFsyncsOnce|TestLogCompactingCallKeepsItsRecord|TestDiskBackedServiceWarmRestart|TestDiskTierIOBudget' \
-		./internal/store ./internal/service
-
-# The two-process warm-restart wall: boot a real htdserve with
-# -store-dir, feed it jobs, kill -9, reboot on the same directory, and
-# assert every repeat request is a cache hit with SolverRuns == 0.
-warm-restart:
-	./scripts/warm_restart.sh
+		-run 'TestCrashRecovery|TestLogTornTail|TestLogBitFlip|TestLogCompactionFsyncsOnce|TestLogCompactingCallKeepsItsRecord|TestDiskBackedServiceWarmRestart|TestDiskTierIOBudget|TestServeDiskStoreWarmRestart' \
+		./internal/store ./internal/service ./cmd/htdserve
 
 # Capture heap/allocs/CPU profiles from a live htdserve under load via
 # the -pprof-addr listener; writes them under $(PPROF_DIR) (default
@@ -137,16 +140,10 @@ stress:
 differential:
 	$(GO) test -race -count=1 -run 'TestDifferential|TestConcurrentIdentical|TestEval|TestServeQuery|TestExecDuplicateRows|TestCanonical|TestStatsConservation|TestRegistryTotalsMonotone|TestStatsValuesGolden|TestAggregateBagColumnOrder|TestBagBuildSkipsNoOpWork|TestExecColumnsIndependentOfIndexSets|TestContractionSolverIndependent|TestContractionProperties|TestServeQueryInlineDuplicateTuples|TestBagCache|TestExecCancel|TestExecRowBudgetInsideJoinLoop|TestAggregateOverflow|TestRowJoinsBoundedByAnswer|TestEdgeStatusTable' ./internal/query ./internal/join ./internal/dataset ./cmd/htdserve
 
-# A wall cannot silently lose a test: every alternative of the -run
-# regexes in stress, crash-recovery and differential must match a test
-# that `go test -list` finds in that command's packages.
-walls-check:
-	./scripts/check_walls.sh
-
 # Every fuzz target, as package:Function. `make fuzz` (the CI smoke)
 # and `make fuzz-long` (nightly) run each of them in turn, and
-# `make walls-check` fails when a Fuzz function is missing here or a
-# listed one no longer exists.
+# TestWallsSelectExistingTests fails when a Fuzz function is missing
+# here or a listed one no longer exists.
 FUZZ_TARGETS = \
 	.:FuzzDecomposeCheckHD \
 	./internal/join:FuzzParseQuery \
@@ -187,4 +184,4 @@ examples:
 serve:
 	$(GO) run ./cmd/htdserve
 
-ci: fmt-check vet lint build walls-check race bench examples perfbench-smoke crash-recovery warm-restart stress differential fuzz docs-check
+ci: fmt-check vet lint build race bench examples perfbench-smoke crash-recovery stress differential fuzz docs-check

@@ -1,28 +1,17 @@
-// Serve example: the decomposition service from both sides.
-//
-// Standalone it drives htd.Service directly — concurrent submissions
-// over a shared worker budget, a batch, and the cross-request memo
-// cache paying off on a repeated hypergraph:
+// Serve example: the decomposition service as a library. It drives
+// htd.Service directly — concurrent submissions over a shared worker
+// budget, a batch, and the cross-request cache paying off on a
+// repeated hypergraph — and exits non-zero on a wrong answer:
 //
 //	go run ./examples/serve
 //
-// Pointed at a running htdserve it exercises the HTTP API instead —
-// /decompose, an NDJSON /batch stream, and /stats:
-//
-//	go run ./cmd/htdserve -addr :8080 &
-//	go run ./examples/serve -addr http://localhost:8080
+// cmd/htdserve serves the same Service over HTTP.
 package main
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
-	"flag"
 	"fmt"
 	"log"
-	"net/http"
-	"strings"
 	"sync"
 	"time"
 
@@ -30,17 +19,6 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", "", "base URL of a running htdserve (empty = use the library in-process)")
-	flag.Parse()
-	if *addr != "" {
-		runHTTPClient(strings.TrimRight(*addr, "/"))
-		return
-	}
-	runLibrary()
-}
-
-// runLibrary shows the htd.Service API without any HTTP in between.
-func runLibrary() {
 	svc := htd.NewService(htd.ServiceConfig{
 		TokenBudget:    4,
 		MaxConcurrent:  4,
@@ -50,8 +28,8 @@ func runLibrary() {
 	ctx := context.Background()
 
 	// The paper's cyclic 10-relation query (hw = 2), submitted 8 times
-	// concurrently: all jobs share the 4-token worker budget, and after
-	// the first one the rest reuse its memo table.
+	// concurrently: all jobs share the 4-token worker budget, and one
+	// solver runs: the other seven share its result.
 	cyclic, err := htd.ParseString(`
 		R1(x1,x2), R2(x2,x3), R3(x3,x4), R4(x4,x5), R5(x5,x6),
 		R6(x6,x7), R7(x7,x8), R8(x8,x9), R9(x9,x10), R10(x10,x1).`)
@@ -68,94 +46,48 @@ func runLibrary() {
 		}(i)
 	}
 	wg.Wait()
+	shared := 0
 	for i, r := range results {
 		if r.Err != nil || !r.OK {
 			log.Fatalf("job %d: ok=%v err=%v", i, r.OK, r.Err)
 		}
+		if r.CacheShared {
+			shared++
+		}
 		fmt.Printf("job %d: width=%d nodes=%d cache_shared=%v elapsed=%v\n",
 			i, r.Decomp.Width(), r.Decomp.NumNodes(), r.CacheShared, r.Elapsed.Round(time.Microsecond))
 	}
+	if runs := svc.Stats().SolverRuns; runs != 1 || shared != len(results)-1 {
+		log.Fatalf("%d concurrent submissions: %d solver runs and %d cache_shared, want 1 and %d",
+			len(results), runs, shared, len(results)-1)
+	}
 
 	// A mixed batch, results in request order.
-	triangle, _ := htd.ParseString("r1(x,y), r2(y,z), r3(z,x).")
+	triangle, err := htd.ParseString("r1(x,y), r2(y,z), r3(z,x).")
+	if err != nil {
+		log.Fatal(err)
+	}
 	batch := svc.Batch(ctx, []htd.ServiceRequest{
 		{H: triangle, K: 2},
 		{H: triangle, K: 1}, // definitive NO
-		{H: cyclic, K: 2},   // memo table already warm
+		{H: cyclic, K: 2},   // answered from the cache
 	})
 	fmt.Println("\nbatch:")
 	for i, r := range batch {
-		fmt.Printf("  [%d] ok=%v cache_shared=%v err=%v\n", i, r.OK, r.CacheShared, r.Err)
+		fmt.Printf("  [%d] ok=%v cache_hit=%v lower_bound=%d err=%v\n", i, r.OK, r.CacheHit, r.LowerBound, r.Err)
+	}
+	if r := batch[0]; !r.OK || r.Err != nil {
+		log.Fatalf("triangle k=2: ok=%v err=%v, want YES", r.OK, r.Err)
+	}
+	if r := batch[1]; r.OK || r.Err != nil || r.LowerBound != 2 {
+		log.Fatalf("triangle k=1: ok=%v err=%v lower_bound=%d, want NO with lower bound 2", r.OK, r.Err, r.LowerBound)
+	}
+	if r := batch[2]; !r.OK || !r.CacheHit {
+		log.Fatalf("repeated cyclic query: ok=%v cache_hit=%v, want a cache hit", r.OK, r.CacheHit)
 	}
 
 	st := svc.Stats()
-	fmt.Printf("\nservice stats: submitted=%d completed=%d cache_reuses=%d memo_graphs=%d memo_entries=%d tokens_high_water=%d/%d\n",
-		st.Submitted, st.Completed, st.CacheReuses, st.MemoGraphs, st.MemoEntries,
+	fmt.Printf("\nservice stats: submitted=%d completed=%d solver_runs=%d cache_reuses=%d memo_graphs=%d memo_entries=%d tokens_high_water=%d/%d\n",
+		st.Submitted, st.Completed, st.SolverRuns, st.CacheReuses, st.MemoGraphs, st.MemoEntries,
 		st.TokensHighWater, st.TokenBudget)
-}
-
-// runHTTPClient drives the same flows through htdserve's HTTP API.
-func runHTTPClient(base string) {
-	// One job with the rendered tree.
-	body, _ := json.Marshal(map[string]any{
-		"hypergraph": `R1(x1,x2), R2(x2,x3), R3(x3,x4), R4(x4,x5), R5(x5,x6),
-			R6(x6,x7), R7(x7,x8), R8(x8,x9), R9(x9,x10), R10(x10,x1).`,
-		"k": 2, "render": true,
-	})
-	resp, err := http.Post(base+"/decompose", "application/json", bytes.NewReader(body))
-	if err != nil {
-		log.Fatal(err)
-	}
-	var result map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&result); err != nil {
-		log.Fatal(err)
-	}
-	resp.Body.Close()
-	fmt.Printf("POST /decompose: ok=%v width=%v elapsed=%vms\n",
-		result["ok"], result["width"], result["elapsed_ms"])
-	if rendering, _ := result["rendering"].(string); rendering != "" {
-		fmt.Println(rendering)
-	}
-
-	// An NDJSON batch, streamed back in order; the repeated first line
-	// demonstrates the cross-request memo cache.
-	lines := []string{
-		`{"hypergraph":"r1(x,y), r2(y,z), r3(z,x).","k":2}`,
-		`{"hypergraph":"r1(x,y), r2(y,z), r3(z,x).","k":1}`,
-		`{"hypergraph":"r1(x,y), r2(y,z), r3(z,x).","k":2}`,
-		`{"hypergraph":"p1(a,b), p2(b,c), p3(c,d).","k":1}`,
-	}
-	resp, err = http.Post(base+"/batch", "application/x-ndjson",
-		strings.NewReader(strings.Join(lines, "\n")+"\n"))
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("\nPOST /batch:")
-	sc := bufio.NewScanner(resp.Body)
-	for i := 0; sc.Scan(); i++ {
-		var r map[string]any
-		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("  line %d: ok=%v width=%v cache_shared=%v\n",
-			i, r["ok"], r["width"], r["cache_shared"])
-	}
-	resp.Body.Close()
-	if err := sc.Err(); err != nil {
-		log.Fatal(err)
-	}
-
-	// Service-wide counters.
-	resp, err = http.Get(base + "/stats")
-	if err != nil {
-		log.Fatal(err)
-	}
-	var stats htd.ServiceStats
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		log.Fatal(err)
-	}
-	resp.Body.Close()
-	fmt.Printf("\nGET /stats: submitted=%d completed=%d cache_reuses=%d memo_entries=%d tokens_high_water=%d/%d\n",
-		stats.Submitted, stats.Completed, stats.CacheReuses, stats.MemoEntries,
-		stats.TokensHighWater, stats.TokenBudget)
 }

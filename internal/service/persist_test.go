@@ -12,7 +12,7 @@ import (
 	"repro/internal/store"
 )
 
-// TestDiskBackedServiceWarmRestart is the service-level warm-restart
+// TestDiskBackedServiceWarmRestart is the service-level warm restart
 // contract: submit through a StoreDir-backed service, close it, reopen
 // on the same directory, and every repeat submission must be a cache
 // hit — zero solver runs, the witness re-validated from disk. The

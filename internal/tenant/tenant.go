@@ -218,6 +218,9 @@ func (w *Wall) Admit(ctx context.Context, id string) (*Lease, error) {
 				// cancelling. Pass it on (or free it) before leaving.
 				w.releaseSlotLocked(st)
 			}
+			// It passed the rate gate and was queued, so it counts as
+			// admitted, and as failed since it never ran.
+			st.stats.Admitted++
 			st.stats.Failed++
 			w.mu.Unlock()
 			return nil, ctx.Err()

@@ -221,8 +221,18 @@ func TestQueuedCancellation(t *testing.T) {
 	// The held slot is unaffected; releasing it must not panic or
 	// double-promote.
 	l1.Done(false)
-	if st := w.Stats()["a"]; st.InFlight != 0 {
+	st = w.Stats()["a"]
+	if st.InFlight != 0 {
 		t.Fatalf("in-flight not released: %+v", st)
+	}
+	// Both requests passed the rate gate: the cancelled waiter counts
+	// as admitted and failed, so every request sent has one admission
+	// outcome and every admitted one a settled outcome.
+	if got := st.Admitted + st.RateRejected + st.LoadRejected; got != 2 {
+		t.Errorf("admitted+rate_rejected+load_rejected = %d, want the 2 requests sent: %+v", got, st)
+	}
+	if st.Completed+st.Failed != st.Admitted {
+		t.Errorf("completed+failed = %d, want admitted %d: %+v", st.Completed+st.Failed, st.Admitted, st)
 	}
 }
 

@@ -214,15 +214,9 @@ func (l *reachLoader) load(path string) (*reachPkg, error) {
 // interface the standard library declares (flag.Value, fmt.Stringer,
 // error, ...).
 func reachScan(root, frozen string) (map[string]bool, error) {
-	gomod, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	module, bps, err := modulePackages(root)
 	if err != nil {
 		return nil, err
-	}
-	var module string
-	for _, line := range strings.Split(string(gomod), "\n") {
-		if f := strings.Fields(line); len(f) == 2 && f[0] == "module" {
-			module = f[1]
-		}
 	}
 	l := &reachLoader{root: root, module: module, fset: token.NewFileSet(), pkgs: map[string]*reachPkg{}}
 	var paths []string
@@ -234,33 +228,10 @@ func reachScan(root, frozen string) (map[string]bool, error) {
 			}
 		}
 	}
-	err = filepath.WalkDir(root, func(dir string, d os.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		if dir != root {
-			if n := d.Name(); n == "testdata" || strings.HasPrefix(n, ".") || strings.HasPrefix(n, "_") {
-				return filepath.SkipDir
-			}
-			if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-				return filepath.SkipDir
-			}
-		}
-		bp, err := build.ImportDir(dir, 0)
-		if err != nil {
-			var noGo *build.NoGoError
-			if errors.As(err, &noGo) {
-				return nil
-			}
-			return err
-		}
+	for _, bp := range bps {
 		addImports(bp)
-		rel, _ := filepath.Rel(root, dir)
+		rel, _ := filepath.Rel(root, bp.Dir)
 		paths = append(paths, strings.TrimSuffix(module+"/"+filepath.ToSlash(rel), "/."))
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	bp, err := build.ImportDir(filepath.Join(root, frozen), 0)
 	if err != nil {
@@ -451,6 +422,47 @@ func reachScan(root, frozen string) (map[string]bool, error) {
 		found[d.name] = d.reached
 	}
 	return found, nil
+}
+
+// modulePackages reads the module path from root/go.mod and returns it
+// with go/build's view of every package directory of the module: not
+// testdata, dot or underscore directories, and not nested modules.
+func modulePackages(root string) (string, []*build.Package, error) {
+	gomod, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	if err != nil {
+		return "", nil, err
+	}
+	var module string
+	for _, line := range strings.Split(string(gomod), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && f[0] == "module" {
+			module = f[1]
+		}
+	}
+	var pkgs []*build.Package
+	err = filepath.WalkDir(root, func(dir string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if dir != root {
+			if n := d.Name(); n == "testdata" || strings.HasPrefix(n, ".") || strings.HasPrefix(n, "_") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
+		}
+		bp, err := build.ImportDir(dir, 0)
+		if err != nil {
+			var noGo *build.NoGoError
+			if errors.As(err, &noGo) {
+				return nil
+			}
+			return err
+		}
+		pkgs = append(pkgs, bp)
+		return nil
+	})
+	return module, pkgs, err
 }
 
 // stdImporter imports the given standard-library packages, and their

@@ -6,7 +6,9 @@
 # profiling endpoint while a curl loop drives steady traffic (/query
 # over an uploaded dataset, every tenth request a /decompose) — so the
 # CPU profile shows the executor under load, not an idle accept loop.
-# The capture fails when the loop got no request answered.
+# The capture fails when the loop got no request answered: a request
+# counts only when its body reads "ok":true, since the server answers
+# deadlines, missing plans and row-budget errors with 200 and "ok":false.
 # Profiles land in the directory given as $1 (default /tmp/htd-pprof);
 # nightly CI uploads that directory as an artifact, giving every night
 # a browsable `go tool pprof` snapshot of the columnar executor.
@@ -55,7 +57,8 @@ QUERY='{"query":"R(x,y), S(y,z), T(z,x).","dataset":"tri"}'
 DECOMPOSE='{"hypergraph":"r1(a,b), r2(b,c), r3(c,d), r4(d,e), r5(e,a).","k":2}'
 
 # Drive steady traffic in the background for the whole capture window,
-# one status code per line of $BIN/codes.
+# one line per request in $BIN/outcomes: "ok" when its body reads
+# "ok":true, "failed" otherwise.
 LOAD_SECONDS=$((SECONDS_CPU + 5))
 echo "capture_pprof: driving load for ${LOAD_SECONDS}s"
 (
@@ -64,12 +67,17 @@ echo "capture_pprof: driving load for ${LOAD_SECONDS}s"
   while [ "$(date +%s)" -lt "$end" ]; do
     n=$((n + 1))
     if [ $((n % 10)) -eq 0 ]; then
-      curl -s -o /dev/null -w '%{http_code}\n' "$URL/decompose" -d "$DECOMPOSE" || true
+      path=decompose body="$DECOMPOSE"
     else
-      curl -s -o /dev/null -w '%{http_code}\n' "$URL/query" -d "$QUERY" || true
+      path=query body="$QUERY"
+    fi
+    if curl -s "$URL/$path" -d "$body" | grep -q '"ok":true'; then
+      echo ok
+    else
+      echo failed
     fi
   done
-) >"$BIN/codes" &
+) >"$BIN/outcomes" &
 LOAD_PID=$!
 
 sleep 2 # let traffic ramp before the snapshots
@@ -81,8 +89,8 @@ curl -sf "$PPROF_URL/debug/pprof/profile?seconds=$SECONDS_CPU" -o "$OUT/cpu.pb.g
 
 wait "$LOAD_PID"
 LOAD_PID=
-SENT=$(wc -l <"$BIN/codes")
-ANSWERED=$(grep -c '^200$' "$BIN/codes" || true)
+SENT=$(wc -l <"$BIN/outcomes")
+ANSWERED=$(grep -c '^ok$' "$BIN/outcomes" || true)
 if [ "$ANSWERED" -eq 0 ]; then
   echo "capture_pprof: FAIL: none of $SENT requests answered: the profiles show an idle server" >&2
   exit 1
