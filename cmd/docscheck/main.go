@@ -4,8 +4,9 @@
 // External links (http, https, mailto) are ignored — the check gates
 // repo navigability, not the reachability of the wider web. It also
 // fails when a Go comment names a *.md file that exists neither
-// relative to the comment's directory nor relative to the root. CI
-// runs it on every PR (`make docs-check` is the local mirror):
+// relative to the comment's directory nor relative to the root.
+// TestRepositoryDocs runs it over the repository, so `go test ./...`
+// fails on a broken link or reference. By hand:
 //
 //	docscheck [root]
 //

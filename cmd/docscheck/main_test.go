@@ -27,3 +27,17 @@ func TestGoCommentReferences(t *testing.T) {
 		t.Fatalf("diagnostics:\n%q\nwant:\n%q", broken, want)
 	}
 }
+
+// TestRepositoryDocs runs both rules over the repository itself, so a
+// broken intra-repo link or anchor, or a Go comment naming a missing
+// *.md file, fails `go test ./...` with one line per diagnostic.
+func TestRepositoryDocs(t *testing.T) {
+	broken, mdFiles, goFiles, err := check(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range broken {
+		t.Error(b)
+	}
+	t.Logf("%d Markdown and %d Go file(s) read", mdFiles, goFiles)
+}

@@ -15,13 +15,13 @@ import (
 )
 
 // TestWallsSelectExistingTests holds the Makefile to the tests that
-// exist. `make stress`, `make crash-recovery` and `make differential`
-// select their tests with `go test -run 'A|B|C' ./pkg...`, and a renamed
-// or deleted test drops out of such a selection without any failure, so
-// every alternative of every such regex must match a Test, Fuzz or
-// Example function declared in those packages' _test.go files. And
-// FUZZ_TARGETS, the one list `make fuzz`, `make fuzz-long`, CI and the
-// nightly run, must name exactly the module's Fuzz functions.
+// exist. `make stress` selects its tests with `go test -run 'A|B|C'
+// ./pkg...`, and a renamed or deleted test drops out of such a
+// selection without any failure, so every alternative of every such
+// regex must match a Test, Fuzz or Example function declared in those
+// packages' _test.go files. And FUZZ_TARGETS, the one list `make fuzz`,
+// `make fuzz-long`, CI and the nightly run, must name exactly the
+// module's Fuzz functions.
 func TestWallsSelectExistingTests(t *testing.T) {
 	for _, p := range wallsProblems(t, ".") {
 		t.Error(p)
@@ -32,15 +32,11 @@ func TestWallsSelectExistingTests(t *testing.T) {
 // returns one line per problem.
 func wallsProblems(t *testing.T, root string) []string {
 	t.Helper()
-	raw, err := os.ReadFile(filepath.Join(root, "Makefile"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	fset := token.NewFileSet()
 	var problems []string
 	var fuzzListed []string
 	walls := 0
-	for _, line := range strings.Split(strings.ReplaceAll(string(raw), "\\\n", ""), "\n") {
+	for _, line := range makefileLines(t, root) {
 		if name, value, ok := strings.Cut(line, "="); ok && strings.TrimSpace(name) == "FUZZ_TARGETS" {
 			fuzzListed = strings.Fields(value)
 			continue
@@ -104,6 +100,99 @@ func wallsProblems(t *testing.T, root string) []string {
 		}
 	}
 	return problems
+}
+
+// TestMakeTargetsExist holds CI and the Makefile to the Makefile's
+// targets: every `make X` that a workflow under .github/workflows runs
+// (or names in backquotes in a comment), every prerequisite of `ci` and
+// every .PHONY entry must name a target the Makefile defines, so a
+// deleted target cannot leave CI, `make ci` or .PHONY pointing at
+// nothing.
+func TestMakeTargetsExist(t *testing.T) {
+	for _, p := range targetProblems(t, ".") {
+		t.Error(p)
+	}
+}
+
+var (
+	// makeRuleRE matches a rule line: the target, then its prerequisites.
+	makeRuleRE = regexp.MustCompile(`^([\w.-]+)\s*:($|[^=].*)`)
+	// makeRunRE matches a make call in a workflow command, and
+	// makeQuotedRE one quoted in a workflow comment, where a bare
+	// "make" is an English word.
+	makeRunRE    = regexp.MustCompile(`(?:^|\s)make\s+([\w.-]+)`)
+	makeQuotedRE = regexp.MustCompile("`make ([\\w.-]+)")
+)
+
+// targetProblems checks the Makefile and the workflows of the module
+// rooted at root and returns one line per problem.
+func targetProblems(t *testing.T, root string) []string {
+	t.Helper()
+	targets := map[string]bool{}
+	lists := map[string][]string{} // the prerequisites of ci and .PHONY
+	for _, line := range makefileLines(t, root) {
+		m := makeRuleRE.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		if m[1] == "ci" || m[1] == ".PHONY" {
+			lists[m[1]] = strings.Fields(m[2])
+		}
+		if m[1] != ".PHONY" {
+			targets[m[1]] = true
+		}
+	}
+	var problems []string
+	for _, list := range []string{"ci", ".PHONY"} {
+		if len(lists[list]) == 0 {
+			problems = append(problems, fmt.Sprintf("walls: Makefile: found no %s rule with prerequisites", list))
+		}
+		for _, name := range lists[list] {
+			if !targets[name] {
+				problems = append(problems, fmt.Sprintf("walls: Makefile: %s lists %s, which is no target", list, name))
+			}
+		}
+	}
+
+	workflows, err := filepath.Glob(filepath.Join(root, ".github", "workflows", "*.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	for _, wf := range workflows {
+		raw, err := os.ReadFile(wf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(raw), "\n") {
+			re := makeRunRE
+			if strings.HasPrefix(strings.TrimSpace(line), "#") {
+				re = makeQuotedRE
+			}
+			for _, m := range re.FindAllStringSubmatch(line, -1) {
+				calls++
+				if !targets[m[1]] {
+					problems = append(problems, fmt.Sprintf("walls: %s:%d: make %s names no Makefile target", wf, i+1, m[1]))
+				}
+			}
+		}
+	}
+	if calls == 0 {
+		problems = append(problems, "walls: found no make command in .github/workflows")
+	}
+	t.Logf("%d Makefile targets, %d make calls in %d workflows", len(targets), calls, len(workflows))
+	return problems
+}
+
+// makefileLines returns the Makefile of the module rooted at root as
+// logical lines: a backslash-newline continues a line.
+func makefileLines(t *testing.T, root string) []string {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(root, "Makefile"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return strings.Split(strings.ReplaceAll(string(raw), "\\\n", ""), "\n")
 }
 
 // testFuncs returns the names of the Test, Fuzz and Example functions
