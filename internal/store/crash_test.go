@@ -31,7 +31,7 @@ func TestCrashChildAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.segmentBytes = 8 << 10
+	l.seg.segmentBytes = 8 << 10
 	for i := 0; ; i++ {
 		hash := fmt.Sprintf("h%06d", i)
 		if err := l.MergeBounds(hash, Bounds{LB: i%5 + 2}); err != nil {

@@ -46,7 +46,7 @@ func formatScript(t *testing.T, dir string) {
 	must(l.PutTree("b", testTree(4)))
 	must(l.DropTree("b"))
 	// The next append fills the segment and rotates without compacting.
-	l.segmentBytes = l.Stats().Bytes
+	l.seg.segmentBytes = l.Stats().Bytes
 	must(l.MergeBounds("c", Bounds{LB: 2}))
 	must(l.PutTree("c", testTree(2)))
 	must(l.MergeBounds("a", Bounds{LB: 3}))
@@ -60,7 +60,7 @@ func formatScript(t *testing.T, dir string) {
 	appendFrames(t, dir, legacySummaryFrame("a"))
 	l = open()
 	must(l.PutTree("d", testTree(1)))
-	l.segmentBytes = l.Stats().Bytes
+	l.seg.segmentBytes = l.Stats().Bytes
 	must(l.MergeBounds("e", Bounds{LB: 4}))
 	must(l.PutTree("e", testTree(5)))
 	if st := l.Stats(); st.Segments != 2 || st.Compactions != 0 {

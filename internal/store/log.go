@@ -1,13 +1,9 @@
 package store
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
@@ -27,9 +23,6 @@ type LogConfig struct {
 	Fsync time.Duration
 }
 
-// segmentBytes is the size past which the active segment rotates.
-const segmentBytes = 4 << 20
-
 // DiskStats is the disk tier's corner of Stats.
 type DiskStats struct {
 	Entries        int64 `json:"entries"`         // hypergraphs in the disk index
@@ -48,10 +41,9 @@ type DiskStats struct {
 
 // Record type tags. Records are merges, not assignments: replaying any
 // superseded prefix before the current record converges to the same
-// state, which is what makes "compacted segment appended after the
-// originals" crash-safe at every intermediate step. Replay skips a
-// well-framed record of any other kind (older logs hold "r" records of
-// per-width memo summaries); compaction drops its bytes.
+// state, which makes compaction crash-safe at every step. Replay skips
+// a record of any other kind (older logs hold "r" records of per-width
+// memo summaries); compaction drops its bytes.
 const (
 	recBounds = "b" // full merged bounds for a hash
 	recTree   = "t" // witness tree (strictly better than any before it)
@@ -67,167 +59,56 @@ type logRecord struct {
 	Tree *Tree  `json:"tree,omitempty"`
 }
 
-// Framing: 4-byte little-endian payload length, 4-byte little-endian
-// CRC-32C (Castagnoli) of the payload, payload bytes. The CRC guards
-// both torn tails (a partial record fails the check) and bit rot (a
-// flipped payload bit fails it too).
-const frameHeader = 8
-
-// maxRecordBytes rejects absurd lengths during recovery so a corrupted
-// length field cannot make the scanner allocate gigabytes.
-const maxRecordBytes = 64 << 20
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// segment is one append-only file. The highest id is the active one.
-type segment struct {
-	id   int
-	path string
-	f    *os.File
-	size int64
+// decodeRecord parses a payload; one that is no record is a bad frame.
+func decodeRecord(payload []byte) (logRecord, error) {
+	var rec logRecord
+	if err := json.Unmarshal(payload, &rec); err != nil {
+		return logRecord{}, fmt.Errorf("%w: %v", errBadFrame, err)
+	}
+	return rec, nil
 }
 
-func segName(id int) string { return fmt.Sprintf("seg-%08d.log", id) }
-
-// logEntry is the in-memory index of one hash's live records: bounds
-// are held directly (small), the witness tree stays on disk and is
-// read back on demand through its frame offset.
+// logEntry indexes one hash's live records.
 type logEntry struct {
 	bounds Bounds
-
-	treeSeg *segment // nil = no live tree
-	treeOff int64    // frame start offset of the live tree record
-	treeW   int
-
-	// frame sizes of the live records, for garbage accounting.
-	bBytes, tBytes int64
+	b      at // the live bounds record
+	tree   at // the live tree record; zero when there is none
+	treeW  int
 }
 
-// Log is a crash-safe, append-only record log over segment files:
-// bounds / tree / tombstone records keyed by content hash,
-// length-prefixed and checksummed, fsync'd on a configurable cadence.
-// Opening a log replays every segment into an in-memory index, cutting
-// a torn tail off the last segment (a crash mid-append loses at most
-// the unsynced suffix, never earlier records). Rotation bounds segment
-// size; compaction rewrites live entries into a fresh segment and
-// drops superseded bounds/trees. Witness trees are indexed by offset
-// and read back (checksum-verified) on demand, so the resident cost of
-// a disk entry is its bounds, not the tree payload.
-//
-// Every record goes to disk through write and comes back through
-// readFrame. Every change to the index goes through apply, except that
-// compaction re-points live records at their new offsets and Purge
-// empties it.
-//
-// All methods are safe for concurrent use.
+// Log is the plan store's disk tier: bounds, tree and tombstone records
+// keyed by content hash in a segLog, indexed in memory. A witness tree
+// is indexed by its frame and read back on demand, so an entry's
+// resident cost is its bounds. Every change to the index goes through
+// apply, except that compaction re-points live records at their copies
+// and Purge empties it. All methods are safe for concurrent use.
 type Log struct {
-	cfg LogConfig
-	// segmentBytes is the rotation size; tests shrink it.
-	segmentBytes int64
-
-	mu        sync.Mutex
+	mu        sync.Mutex // guards the index and seg
+	seg       *segLog
 	index     map[string]*logEntry
-	segs      []*segment // ascending id; last is active
-	dirty     bool       // active segment has unsynced appends
-	broken    bool       // an append failed and could not be rolled back
-	closed    bool
-	closeErr  error // the first Close's result, returned by every Close
 	liveBytes int64
-
-	// stats holds the counters; Stats fills in the gauges.
-	stats DiskStats
-
-	stop chan struct{}
-	wg   sync.WaitGroup
 }
 
-// OpenLog opens (or creates) the log in cfg.Dir, replaying existing
-// segments and truncating a torn tail on the last one.
+// OpenLog opens (or creates) the log in cfg.Dir and replays it.
 func OpenLog(cfg LogConfig) (*Log, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("store: LogConfig.Dir is required")
 	}
-	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
-		return nil, err
-	}
-	l := &Log{cfg: cfg, segmentBytes: segmentBytes, index: make(map[string]*logEntry), stop: make(chan struct{})}
-
-	names, err := filepath.Glob(filepath.Join(cfg.Dir, "seg-*.log"))
+	l := &Log{index: make(map[string]*logEntry)}
+	seg, err := openSegLog(cfg.Dir, cfg.Fsync, &l.mu, func(a at, payload []byte) error {
+		rec, err := decodeRecord(payload)
+		l.apply(a, rec) // a zero rec is ignored
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	sort.Strings(names)
-	for _, path := range names {
-		var id int
-		base := filepath.Base(path)
-		if _, err := fmt.Sscanf(base, "seg-%08d.log", &id); err != nil || segName(id) != base {
-			continue // foreign file; never touch it
-		}
-		f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-		if err != nil {
-			l.closeAll()
-			return nil, err
-		}
-		l.segs = append(l.segs, &segment{id: id, path: path, f: f})
-	}
-	for i, sg := range l.segs {
-		if err := l.replay(sg, i == len(l.segs)-1); err != nil {
-			l.closeAll()
-			return nil, err
-		}
-	}
-	if len(l.segs) == 0 {
-		if err := l.addSegment(1); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.Fsync > 0 {
-		l.wg.Add(1)
-		go l.syncLoop()
-	}
+	l.seg = seg
 	return l, nil
 }
 
-// replay scans one segment frame by frame, applying each valid record
-// to the index. The scan stops at the first bad frame: on the last
-// segment the remainder is a torn tail and is truncated so new appends
-// land after valid data; on earlier segments it is bit rot and the
-// remainder is skipped (compaction rewrites the survivors).
-func (l *Log) replay(sg *segment, last bool) error {
-	info, err := sg.f.Stat()
-	if err != nil {
-		return err
-	}
-	size := info.Size()
-	var off int64
-	for off < size {
-		rec, n, err := readFrame(sg, off, size)
-		if errors.Is(err, errBadFrame) {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		l.apply(sg, off, n, rec)
-		off += n
-	}
-	if off < size {
-		if last {
-			if err := sg.f.Truncate(off); err != nil {
-				return err
-			}
-			l.stats.TruncatedTail += size - off
-		} else {
-			l.stats.CorruptRecords++
-		}
-	}
-	sg.size = off
-	return nil
-}
-
-// apply folds one valid record into the index. frameLen is the full
-// on-disk footprint (header + payload) for garbage accounting.
-func (l *Log) apply(sg *segment, off, frameLen int64, rec logRecord) {
+// apply folds one valid record, framed at a, into the index.
+func (l *Log) apply(a at, rec logRecord) {
 	if rec.Hash == "" || (rec.T != recBounds && rec.T != recTree && rec.T != recDrop) {
 		return
 	}
@@ -239,195 +120,47 @@ func (l *Log) apply(sg *segment, off, frameLen int64, rec logRecord) {
 	switch rec.T {
 	case recBounds:
 		e.bounds.Merge(Bounds{LB: rec.LB, UB: rec.UB})
-		l.liveBytes += frameLen - e.bBytes
-		e.bBytes = frameLen
+		l.liveBytes += a.n - e.b.n
+		e.b = a
 	case recTree:
 		w := rec.Tree.Width()
 		if w == 0 {
 			return
 		}
-		if e.treeSeg == nil || w < e.treeW {
-			l.liveBytes += frameLen - e.tBytes
-			e.treeSeg, e.treeOff, e.treeW, e.tBytes = sg, off, w, frameLen
+		if e.tree.sg == nil || w < e.treeW {
+			l.liveBytes += a.n - e.tree.n
+			e.tree, e.treeW = a, w
 		}
 		e.bounds.Merge(Bounds{UB: w})
 	case recDrop:
-		l.liveBytes -= e.tBytes
-		e.treeSeg, e.treeOff, e.treeW, e.tBytes = nil, 0, 0, 0
+		l.liveBytes -= e.tree.n
+		e.tree, e.treeW = at{}, 0
 	}
 }
 
-// addSegment creates and fsyncs a fresh active segment. Caller must
-// hold l.mu (or own the log exclusively, as in OpenLog).
-func (l *Log) addSegment(id int) error {
-	path := filepath.Join(l.cfg.Dir, segName(id))
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		return err
-	}
-	l.segs = append(l.segs, &segment{id: id, path: path, f: f})
-	return syncDir(l.cfg.Dir)
-}
-
-func (l *Log) active() *segment { return l.segs[len(l.segs)-1] }
-
-func (l *Log) closeAll() {
-	for _, sg := range l.segs {
-		sg.f.Close()
-	}
-}
-
-// syncLoop is the background fsync cadence for Fsync > 0.
-func (l *Log) syncLoop() {
-	defer l.wg.Done()
-	t := time.NewTicker(l.cfg.Fsync)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			l.mu.Lock()
-			l.syncLocked()
-			l.mu.Unlock()
-		case <-l.stop:
-			return
-		}
-	}
-}
-
-// syncLocked fsyncs the active segment if dirty. Caller holds l.mu.
-func (l *Log) syncLocked() {
-	if !l.dirty || l.closed {
-		return
-	}
-	if err := l.active().f.Sync(); err != nil {
-		l.stats.Errors++
-		return
-	}
-	l.dirty = false
-	l.stats.Syncs++
-}
-
-// write frames rec and writes it at the end of the active segment,
-// returning the segment, frame offset and frame length it landed at.
-// Caller holds l.mu. A failed write is rolled back by truncating to
-// the pre-write offset so a torn record can never sit in front of
-// later good ones; if even that fails the log is marked broken and
-// refuses further writes (reads keep working).
-func (l *Log) write(rec logRecord) (sg *segment, off, frameLen int64, err error) {
-	if l.closed {
-		return nil, 0, 0, errClosed
-	}
-	if l.broken {
-		return nil, 0, 0, fmt.Errorf("store: log broken by earlier write failure")
-	}
+// append writes one record and folds it into the index; then a full
+// segment rotates, by compaction when the log is over two segments in
+// size and more than half dead. The index is updated first, since a
+// compaction rewrites the record from it. Caller holds l.mu.
+func (l *Log) append(rec logRecord) error {
 	payload, err := json.Marshal(rec)
 	if err != nil {
-		return nil, 0, 0, err
+		return err
 	}
-	buf := make([]byte, frameHeader+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(payload, crcTable))
-	copy(buf[frameHeader:], payload)
-
-	sg = l.active()
-	off = sg.size
-	if _, werr := sg.f.WriteAt(buf, off); werr != nil {
-		l.stats.Errors++
-		if terr := sg.f.Truncate(off); terr != nil {
-			l.broken = true
-		}
-		return nil, 0, 0, werr
-	}
-	sg.size += int64(len(buf))
-	return sg, off, int64(len(buf)), nil
-}
-
-// errClosed is returned by every write to a closed log.
-var errClosed = errors.New("store: log closed")
-
-// errBadFrame marks a frame that fails its framing: a short header, a
-// length out of bounds, a checksum mismatch or a payload that is not
-// a record. Replay stops at the first one.
-var errBadFrame = errors.New("store: bad frame")
-
-// readFrame reads and verifies the frame at off, which must end at or
-// before limit, returning its record and its full length. A bad frame
-// returns an error wrapping errBadFrame; a failed read returns the I/O
-// error itself. Caller holds l.mu (or owns the log, as in OpenLog).
-func readFrame(sg *segment, off, limit int64) (logRecord, int64, error) {
-	var rec logRecord
-	if off+frameHeader > limit {
-		return rec, 0, fmt.Errorf("%w: short header at %s:%d", errBadFrame, sg.path, off)
-	}
-	hdr := make([]byte, frameHeader)
-	if _, err := sg.f.ReadAt(hdr, off); err != nil {
-		return rec, 0, err
-	}
-	n := int64(binary.LittleEndian.Uint32(hdr[0:4]))
-	if n == 0 || n > maxRecordBytes || off+frameHeader+n > limit {
-		return rec, 0, fmt.Errorf("%w: length %d at %s:%d", errBadFrame, n, sg.path, off)
-	}
-	payload := make([]byte, n)
-	if _, err := sg.f.ReadAt(payload, off+frameHeader); err != nil {
-		return rec, 0, err
-	}
-	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(hdr[4:8]) {
-		return rec, 0, fmt.Errorf("%w: checksum mismatch at %s:%d", errBadFrame, sg.path, off)
-	}
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return rec, 0, fmt.Errorf("%w: %v at %s:%d", errBadFrame, err, sg.path, off)
-	}
-	return rec, frameHeader + n, nil
-}
-
-// append writes one record, fsyncs it per cadence, folds it into the
-// index and rotates a full segment. Caller holds l.mu. The index is
-// updated before rotation: a rotation that compacts rewrites the
-// record from the index, so it must already point at it.
-func (l *Log) append(rec logRecord) error {
-	sg, off, n, err := l.write(rec)
+	a, full, err := l.seg.append(payload)
 	if err != nil {
 		return err
 	}
-	l.stats.Appends++
-	if l.cfg.Fsync == 0 {
-		if err := sg.f.Sync(); err != nil {
-			l.stats.Errors++
-			return err
-		}
-		l.stats.Syncs++
-	} else {
-		l.dirty = true
+	l.apply(a, rec)
+	if !full {
+		return nil
 	}
-	l.apply(sg, off, n, rec)
-	if sg.size >= l.segmentBytes {
-		l.rotate()
+	if total := l.seg.snapshot().Bytes; total > 2*l.seg.segmentBytes && 2*(total-l.liveBytes) > total {
+		_ = l.compact()
+	} else {
+		l.seg.rotate()
 	}
 	return nil
-}
-
-// rotate seals the full active segment. When the log is over two
-// segments in size and more than half of its bytes are dead, it
-// compacts in place; otherwise it opens a fresh segment. Caller holds
-// l.mu. Its I/O failures are counted in DiskStats.Errors; the append
-// that rotated has already succeeded.
-func (l *Log) rotate() {
-	if total := l.totalBytes(); total > 2*l.segmentBytes && 2*(total-l.liveBytes) > total {
-		_ = l.compact()
-		return
-	}
-	l.syncLocked()
-	if err := l.addSegment(l.active().id + 1); err != nil {
-		l.stats.Errors++
-	}
-}
-
-func (l *Log) totalBytes() int64 {
-	var n int64
-	for _, sg := range l.segs {
-		n += sg.size
-	}
-	return n
 }
 
 // Bounds returns the cached bounds for hash.
@@ -442,9 +175,8 @@ func (l *Log) Bounds(hash string) (Bounds, bool) {
 }
 
 // MergeBounds appends the merge of b into hash's bounds when it
-// changes them. Appending the post-merge bounds (not the delta) makes
-// every older bounds record for the hash dead weight, which is what
-// compaction reclaims.
+// changes them; the post-merge bounds make every older bounds record
+// for the hash dead weight.
 func (l *Log) MergeBounds(hash string, b Bounds) error {
 	if hash == "" || !b.Known() {
 		return nil
@@ -461,24 +193,32 @@ func (l *Log) MergeBounds(hash string, b Bounds) error {
 	return l.append(logRecord{T: recBounds, Hash: hash, LB: merged.LB, UB: merged.UB})
 }
 
-// Tree reads the live witness tree for hash back from disk, verifying
-// its checksum. A record that fails verification (bit rot after open)
-// is dropped from the index and reported as a miss.
+// Tree reads the live witness tree for hash back from disk. A record
+// that fails verification is dropped from the index and is a miss; a
+// failed read is a miss that keeps the tree indexed.
 func (l *Log) Tree(hash string) (*Tree, bool, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	e := l.index[hash]
-	if e == nil || e.treeSeg == nil {
+	if e == nil || e.tree.sg == nil {
 		return nil, false, nil
 	}
-	rec, _, err := readFrame(e.treeSeg, e.treeOff, e.treeSeg.size)
-	if err != nil || rec.Tree == nil {
-		l.stats.CorruptRecords++
-		l.apply(nil, 0, 0, logRecord{T: recDrop, Hash: hash})
-		return nil, false, err
+	payload, err := l.seg.read(e.tree)
+	var rec logRecord
+	if err == nil {
+		rec, err = decodeRecord(payload)
 	}
-	l.stats.TreeLoads++
-	return rec.Tree, true, nil
+	switch {
+	case err != nil && !errors.Is(err, errBadFrame):
+		l.seg.stats.Errors++
+	case err != nil || rec.Tree == nil:
+		l.seg.stats.CorruptRecords++
+		l.apply(at{}, logRecord{T: recDrop, Hash: hash})
+	default:
+		l.seg.stats.TreeLoads++
+		return rec.Tree, true, nil
+	}
+	return nil, false, err
 }
 
 // TreeWidth reports the width of the live tree without reading it.
@@ -486,7 +226,7 @@ func (l *Log) TreeWidth(hash string) (int, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	e := l.index[hash]
-	if e == nil || e.treeSeg == nil {
+	if e == nil || e.tree.sg == nil {
 		return 0, false
 	}
 	return e.treeW, true
@@ -501,7 +241,7 @@ func (l *Log) PutTree(hash string, t *Tree) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if e := l.index[hash]; e != nil && e.treeSeg != nil && w >= e.treeW {
+	if e := l.index[hash]; e != nil && e.tree.sg != nil && w >= e.treeW {
 		return nil
 	}
 	return l.append(logRecord{T: recTree, Hash: hash, Tree: t})
@@ -512,7 +252,7 @@ func (l *Log) PutTree(hash string, t *Tree) error {
 func (l *Log) DropTree(hash string) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if e := l.index[hash]; e == nil || e.treeSeg == nil {
+	if e := l.index[hash]; e == nil || e.tree.sg == nil {
 		return nil
 	}
 	return l.append(logRecord{T: recDrop, Hash: hash})
@@ -522,6 +262,10 @@ func (l *Log) DropTree(hash string) error {
 func (l *Log) Hashes() []string {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	return l.hashes()
+}
+
+func (l *Log) hashes() []string {
 	out := make([]string, 0, len(l.index))
 	for h := range l.index {
 		out = append(out, h)
@@ -530,81 +274,53 @@ func (l *Log) Hashes() []string {
 	return out
 }
 
-// compact rewrites every live entry into a fresh segment, fsyncs it
-// once and removes the older ones. Caller holds l.mu. Crash safety:
-// the compacted segment has a higher id than everything it replaces,
-// and records are merges — replaying originals followed by a (possibly
-// partial) compacted segment converges to the same state, so a crash
-// at any point between "start writing" and "old segments removed"
-// recovers cleanly. Its writes are maintenance, not traffic: they
-// count no Appends.
+// Compact rewrites the live records into a fresh segment now.
+func (l *Log) Compact() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.compact()
+}
+
+// compact hands the segment log every live record in hash order: the
+// merged bounds re-encoded, each live tree's payload as read back and
+// checksum-verified. A tree whose frame is bad is dropped; a failed
+// read aborts, keeping the old segments. Caller holds l.mu.
 func (l *Log) compact() error {
-	if l.closed {
-		return errClosed
-	}
-	l.syncLocked()
-	nOld := len(l.segs)
-	if err := l.addSegment(l.active().id + 1); err != nil {
-		l.stats.Errors++
-		return err
-	}
-
-	hashes := make([]string, 0, len(l.index))
-	for h := range l.index {
-		hashes = append(hashes, h)
-	}
-	sort.Strings(hashes)
-
-	var live int64
-	for _, hash := range hashes {
+	var payloads [][]byte
+	var live []*at // where each payload's record is indexed
+	for _, hash := range l.hashes() {
 		e := l.index[hash]
 		if e.bounds.Known() {
-			_, _, n, err := l.write(logRecord{T: recBounds, Hash: hash, LB: e.bounds.LB, UB: e.bounds.UB})
-			if err != nil {
-				return err
-			}
-			e.bBytes = n
-			live += n
-		} else {
-			e.bBytes = 0
+			p, _ := json.Marshal(logRecord{T: recBounds, Hash: hash, LB: e.bounds.LB, UB: e.bounds.UB})
+			payloads, live = append(payloads, p), append(live, &e.b)
 		}
-		if e.treeSeg == nil {
+		if e.tree.sg == nil {
 			continue
 		}
-		rec, _, err := readFrame(e.treeSeg, e.treeOff, e.treeSeg.size)
-		if err != nil || rec.Tree == nil {
-			l.stats.CorruptRecords++
-			e.treeSeg, e.treeOff, e.treeW, e.tBytes = nil, 0, 0, 0
-			continue
-		}
-		sg, off, n, err := l.write(logRecord{T: recTree, Hash: hash, Tree: rec.Tree})
-		if err != nil {
+		p, err := l.seg.read(e.tree)
+		if errors.Is(err, errBadFrame) {
+			l.seg.stats.CorruptRecords++
+			l.apply(at{}, logRecord{T: recDrop, Hash: hash})
+		} else if err != nil {
+			l.seg.stats.Errors++
 			return err
+		} else {
+			payloads, live = append(payloads, p), append(live, &e.tree)
 		}
-		e.treeSeg, e.treeOff, e.tBytes = sg, off, n
-		live += n
 	}
-	if err := l.active().f.Sync(); err != nil {
-		l.stats.Errors++
+	ats, err := l.seg.compact(payloads)
+	if err != nil {
 		return err
 	}
-	l.dirty = false
-	l.stats.Syncs++
-
-	// The compacted state is durable; the originals are now redundant.
-	old := l.segs[:nOld]
-	l.segs = append([]*segment(nil), l.segs[nOld:]...)
-	for _, sg := range old {
-		sg.f.Close()
-		if err := os.Remove(sg.path); err != nil {
-			l.stats.Errors++
-		}
+	l.seg.stats.Compactions++
+	l.liveBytes = 0
+	for _, e := range l.index {
+		e.b = at{}
 	}
-	if err := syncDir(l.cfg.Dir); err != nil {
-		l.stats.Errors++
+	for i, a := range ats {
+		*live[i] = a
+		l.liveBytes += a.n
 	}
-	l.liveBytes = live
-	l.stats.Compactions++
 	return nil
 }
 
@@ -612,49 +328,28 @@ func (l *Log) compact() error {
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return nil
-	}
-	before := l.stats.Errors
-	l.syncLocked()
-	if l.stats.Errors > before {
-		return fmt.Errorf("store: fsync failed")
-	}
-	return nil
+	return l.seg.sync()
 }
 
 // Purge removes every segment and starts the log empty.
 func (l *Log) Purge() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return errClosed
+	if _, err := l.seg.compact(nil); err != nil {
+		return err
 	}
-	next := l.active().id + 1
-	for _, sg := range l.segs {
-		sg.f.Close()
-		if err := os.Remove(sg.path); err != nil {
-			l.stats.Errors++
-		}
-	}
-	l.segs = nil
-	l.index = make(map[string]*logEntry)
-	l.liveBytes = 0
-	l.dirty = false
-	return l.addSegment(next)
+	l.index, l.liveBytes = make(map[string]*logEntry), 0
+	return nil
 }
 
 // Stats snapshots the disk counters.
 func (l *Log) Stats() DiskStats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	st := l.stats
-	st.Entries = int64(len(l.index))
-	st.Segments = int64(len(l.segs))
-	st.Bytes = l.totalBytes()
-	st.LiveBytes = l.liveBytes
+	st := l.seg.snapshot()
+	st.Entries, st.LiveBytes = int64(len(l.index)), l.liveBytes
 	for _, e := range l.index {
-		if e.treeSeg != nil {
+		if e.tree.sg != nil {
 			st.Trees++
 		}
 	}
@@ -662,36 +357,11 @@ func (l *Log) Stats() DiskStats {
 }
 
 // Close fsyncs and closes every segment. Every call returns the first
-// call's result, so both a service that owns the log and the operator
-// code that built it can close it.
+// call's result, so both the log's owner and its builder can close it.
 func (l *Log) Close() error {
 	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return l.closeErr
-	}
-	l.syncLocked()
-	if l.dirty {
-		l.closeErr = fmt.Errorf("store: final fsync failed; unsynced tail may be lost")
-	}
-	l.closed = true
-	close(l.stop)
-	l.closeAll()
+	err := l.seg.close()
 	l.mu.Unlock()
-	l.wg.Wait()
-	return l.closeErr
-}
-
-// syncDir fsyncs a directory so a just-created, renamed, or removed
-// entry inside it survives a crash.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return err
-	}
-	return d.Close()
+	l.seg.wg.Wait()
+	return err
 }

@@ -258,7 +258,7 @@ func TestLogRotationAndCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.segmentBytes = 512
+	l.seg.segmentBytes = 512
 	// Lots of superseded records: the same hashes get ever-better trees.
 	for round := 9; round >= 2; round-- {
 		for i := 0; i < 8; i++ {
@@ -323,7 +323,7 @@ func TestLogAutoCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	l.segmentBytes = 256
+	l.seg.segmentBytes = 256
 	// One hash, endlessly superseded: nearly everything is garbage.
 	for w := 60; w >= 2; w-- {
 		l.PutTree("g", testTree(w))
@@ -426,7 +426,7 @@ func TestLogCompactingCallKeepsItsRecord(t *testing.T) {
 			}
 			// Shrink the rotation size so the call's own append finds a
 			// full segment in a log over two segments in size.
-			l.segmentBytes = l.Stats().Bytes / 3
+			l.seg.segmentBytes = l.Stats().Bytes / 3
 			if err := c.call(l); err != nil {
 				t.Fatal(err)
 			}
@@ -530,7 +530,7 @@ func TestLogTornTailEveryOffset(t *testing.T) {
 		if err := l.PutTree(hash, testTree(2)); err != nil {
 			t.Fatal(err)
 		}
-		marks = append(marks, mark{hash, l.active().size})
+		marks = append(marks, mark{hash, l.seg.active().size})
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -574,7 +574,7 @@ func TestLogBitFlipRecovery(t *testing.T) {
 	}
 	var offsets []int64
 	for i := 0; i < 6; i++ {
-		offsets = append(offsets, l.active().size)
+		offsets = append(offsets, l.seg.active().size)
 		if err := l.PutTree(fmt.Sprintf("g%d", i), testTree(2)); err != nil {
 			t.Fatal(err)
 		}
@@ -673,7 +673,7 @@ func TestLogConcurrency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.segmentBytes = 2048
+	l.seg.segmentBytes = 2048
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -712,5 +712,40 @@ func TestLogConcurrency(t *testing.T) {
 	defer l.Close()
 	if st := l.Stats(); st.Entries == 0 || st.CorruptRecords != 0 {
 		t.Fatalf("after concurrent traffic: %+v", st)
+	}
+}
+
+// TestLogAppendAllocBudget bounds the allocations of a state-changing
+// append at Fsync 0 by those of the log that framed each record into a
+// fresh buffer: 3 for a MergeBounds and 4 for a PutTree of a new hash.
+// The segment log frames into its scratch buffer, so it measures 2 and
+// 3 (the race detector adds one to the PutTree).
+func TestLogAppendAllocBudget(t *testing.T) {
+	l, err := OpenLog(LogConfig{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	lb := 1
+	merge := testing.AllocsPerRun(100, func() {
+		lb++
+		if err := l.MergeBounds("g", Bounds{LB: lb}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	hashes := make([]string, 101)
+	for i := range hashes {
+		hashes[i] = fmt.Sprintf("t%d", i)
+	}
+	tr, i := testTree(3), 0
+	put := testing.AllocsPerRun(100, func() {
+		if err := l.PutTree(hashes[i], tr); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	t.Logf("allocs: MergeBounds %v, PutTree of a new hash %v", merge, put)
+	if merge > 3 || put > 4 {
+		t.Fatalf("allocs: MergeBounds %v (budget 3), PutTree %v (budget 4)", merge, put)
 	}
 }

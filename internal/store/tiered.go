@@ -1,39 +1,30 @@
 package store
 
-// TieredConfig sizes a Tiered backend: an in-memory Memory front over
-// a disk Log.
+// TieredConfig sizes a Tiered backend: a Memory front over a disk Log.
 type TieredConfig struct {
-	// MaxGraphs caps the memory front (the read-through / write-behind
-	// LRU working set); see NewMemory.
+	// MaxGraphs caps the memory front's LRU working set; see NewMemory.
 	MaxGraphs int
 	// Log configures the disk tier; Log.Dir is required.
 	Log LogConfig
 }
 
-// Tiered is the disk-backed Backend: the Memory in-memory store is
-// the front (every read is answered from memory when possible, every
-// promotion lands there), the append-only Log is the truth (every
-// bounds / tree / drop mutation is appended before the call returns,
-// with durability governed by the log's fsync cadence). The memory
-// front is LRU-capped; the disk tier never evicts, so an entry pushed
-// out of memory by hotter traffic is still a cache hit — it is read
-// back from disk and re-promoted. A process restart reopens the log
-// and serves the entire history warm.
+// Tiered is the disk-backed Backend: the Memory front answers every
+// read it can and takes every promotion; the Log is the truth, and
+// every bounds, tree or drop mutation is appended before the call
+// returns, as durable as the log's fsync cadence. The disk tier never
+// evicts, so an entry the LRU front dropped is still a hit, read back
+// and re-promoted, and a restart serves the whole history warm.
+// Negative-memo tables live in memory only.
 //
-// Negative-memo tables live in memory only (they are large and
-// regenerate quickly): a restart starts them empty, and nothing about
-// them reaches the log.
-//
-// Disk append failures are counted (Stats().Disk.Errors) but do not
-// fail reads or lose the in-memory state: availability degrades to
-// the in-memory contract, not to an outage.
+// A disk failure is counted in Stats().Disk.Errors and fails no call:
+// a log broken by a failed fsync takes no writes until the process
+// reopens it, and the memory front keeps serving.
 type Tiered struct {
 	mem *Memory
 	log *Log
 }
 
-// OpenTiered opens (or creates) the disk tier and builds the memory
-// front over it.
+// OpenTiered opens (or creates) the disk tier under a memory front.
 func OpenTiered(cfg TieredConfig) (*Tiered, error) {
 	l, err := OpenLog(cfg.Log)
 	if err != nil {
@@ -42,8 +33,7 @@ func OpenTiered(cfg TieredConfig) (*Tiered, error) {
 	return &Tiered{mem: NewMemory(cfg.MaxGraphs), log: l}, nil
 }
 
-// Bounds implements Backend: memory first, disk on miss (with
-// promotion into the memory front).
+// Bounds implements Backend: memory first, then disk, promoting a hit.
 func (t *Tiered) Bounds(hash string) (Bounds, bool) {
 	if b, ok := t.mem.Bounds(hash); ok {
 		return b, true
@@ -56,16 +46,15 @@ func (t *Tiered) Bounds(hash string) (Bounds, bool) {
 	return b, true
 }
 
-// MergeBounds implements Backend: write-through to both tiers. The
-// log appends only when the merge changed its state, so repeat merges
-// of known facts cost a map lookup, not disk traffic.
+// MergeBounds implements Backend, writing through to both tiers; the
+// log appends only a merge that changes its state.
 func (t *Tiered) MergeBounds(hash string, b Bounds) {
 	t.mem.MergeBounds(hash, b)
 	t.log.MergeBounds(hash, b) // error counted in DiskStats.Errors
 }
 
-// Decomposition implements Backend: memory first; on miss the witness
-// is read back from the log (checksum-verified) and promoted.
+// Decomposition implements Backend: memory first, then disk, promoting
+// a hit.
 func (t *Tiered) Decomposition(hash string) (*Tree, bool) {
 	if tr, ok := t.mem.Decomposition(hash); ok {
 		return tr, true
@@ -105,11 +94,9 @@ func (t *Tiered) Stats() Stats {
 	return st
 }
 
-// Info implements Backend: entries come from the disk index (the full
-// durable state, sorted by hash for deterministic listings), each
-// carrying the live memo summaries of its memory-front entry, followed
-// by the memory-front entries the disk has no record for but whose memo
-// tables hold states (hashes whose jobs produced no durable fact yet).
+// Info implements Backend: the disk index's entries in hash order, each
+// with its memory-front entry's memo summaries, then the memory-front
+// entries with memo states that the disk has no record for.
 func (t *Tiered) Info(max int) []EntryInfo {
 	front := t.mem.Info(0)
 	memos := make(map[string][]WidthSummary, len(front))
@@ -140,8 +127,7 @@ func (t *Tiered) Info(max int) []EntryInfo {
 	return out
 }
 
-// Purge implements Backend: both tiers forget everything, including
-// the on-disk history.
+// Purge implements Backend: both tiers forget everything.
 func (t *Tiered) Purge() {
 	t.mem.Purge()
 	t.log.Purge()
@@ -152,16 +138,12 @@ func (t *Tiered) Sync() error {
 	return t.log.Sync()
 }
 
-// Compact compacts the log now, under the log's lock.
+// Compact compacts the log now.
 func (t *Tiered) Compact() error {
-	t.log.mu.Lock()
-	defer t.log.mu.Unlock()
-	return t.log.compact()
+	return t.log.Compact()
 }
 
-// Close closes the log. Every call returns the first close's error, so
-// both a service that owns the backend and the operator code that
-// built it can close safely.
+// Close closes the log; every call returns the first close's error.
 func (t *Tiered) Close() error {
 	return t.log.Close()
 }

@@ -36,6 +36,7 @@ var reachAllowlist = map[string]string{
 	"repro/internal/join.BagCache.Usage":          "TestBagCacheSnapshotScope bounds a snapshot's cached rows by its live tuples; nothing else shows them",
 	"repro/internal/store.Flight.Waiting":         "TestFlightCoalesces waits on it until every follower blocks; nothing else shows a blocked follower",
 	"repro/internal/store.Tiered.Compact":         "TestStoreStress compacts the disk tier mid-traffic with it; nothing else compacts on demand",
+	"repro/internal/store.Log.Compact":            "Tiered.Compact's callee, so TestStoreStress compacts through it; a full segment compacts through Log.compact",
 }
 
 // TestEveryDeclarationReached fails on any function, method, type, var or
