@@ -12,7 +12,7 @@
 //	detk    det-k-decomp
 //	basic   the unoptimised Algorithm 1 (tiny inputs only)
 //	ghd     generalized HD search: det-k-decomp on the hypergraph
-//	        augmented with the pairwise intersections of its edges
+//	        augmented with its subedges e ∩ (e₁ ∪ … ∪ e_j), j ≤ k
 //
 // With -k 0 the tool computes the optimal width with logk, hybrid or
 // detk: logk.Optimal decides widths 1, 2, … up to -maxk and stops at the

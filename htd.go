@@ -106,9 +106,9 @@ func DecomposeDetK(ctx context.Context, h *Hypergraph, k int) (*Decomposition, b
 }
 
 // DecomposeGHD searches for a generalized hypertree decomposition of
-// width ≤ k: det-k-decomp on the hypergraph augmented with the pairwise
-// intersections of its edges, with each subedge in a λ-label charged
-// back to the edge it was cut from.
+// width ≤ k: det-k-decomp on the hypergraph augmented with its subedges
+// e ∩ (e₁ ∪ … ∪ e_j) for j ≤ k, with each subedge in a λ-label charged
+// back to the edge e it was cut from.
 func DecomposeGHD(ctx context.Context, h *Hypergraph, k int) (*Decomposition, bool, error) {
 	return detk.NewGHD(h, k).Decompose(ctx)
 }

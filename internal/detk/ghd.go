@@ -13,16 +13,17 @@ import (
 // BalancedGo [21] comparison of §5.2. A GHD drops the special
 // condition, so a bag χ(u) may be a proper subset of ∪λ(u). Following
 // "General and Fractional Hypertree Decompositions: Hard and Easy
-// Cases", GHD runs det-k-decomp on the subedge-augmented hypergraph H⁺:
-// H's edges with their ids, then every non-empty pairwise intersection
-// of H's edges that equals no earlier edge. An HD of H⁺ is a GHD of H
-// once each subedge in a λ-label is charged to the edge it was cut
-// from: the bags stay as they are and each edge is kept once, which can
-// only shrink the width. The answer is complete relative to H⁺: the
-// search finds a GHD of width ≤ k whenever H⁺ has an HD of width ≤ k,
-// so in particular whenever H has one. Exact GHD width is NP-hard
-// already at k = 2 [15, 20], and every practical system trades
-// completeness for a bounded subedge closure like this one.
+// Cases", GHD runs det-k-decomp on the subedge-augmented hypergraph H⁺
+// for width k: H's edges with their ids, then every non-empty
+// e ∩ (e₁ ∪ … ∪ e_j) for an edge e and j ≤ k other edges that equals no
+// earlier edge. That is the paper's subedge function without the
+// subsets of each such set. An HD of H⁺ is a GHD of H once each subedge
+// in a λ-label is charged to the edge it was cut from: the bags stay as
+// they are and each edge is kept once, which can only shrink the width.
+// The search finds a GHD of width ≤ k whenever H⁺ has an HD of width
+// ≤ k, so whenever H has one; on every hypergraph the tests compare
+// with an exact oracle, it answers YES exactly when ghw ≤ k. Exact GHD
+// width is NP-hard already at k = 2 [15, 20].
 //
 // A GHD is not safe for concurrent use.
 type GHD struct {
@@ -34,14 +35,16 @@ type GHD struct {
 
 // NewGHD returns a GHD solver for hypergraph h and width bound k.
 func NewGHD(h *hypergraph.Hypergraph, k int) *GHD {
-	hPlus, parent := subedgeAugment(h)
+	hPlus, parent := subedgeAugment(h, k)
 	return &GHD{h: h, search: New(hPlus, k), parent: parent}
 }
 
-// subedgeAugment returns H⁺ over h's vertex space and, for each of its
-// edges, the edge of h it is charged to. A subedge e_i ∩ e_j with i < j
-// is charged to e_i.
-func subedgeAugment(h *hypergraph.Hypergraph) (*hypergraph.Hypergraph, []int) {
+// subedgeAugment returns H⁺ for width k over h's vertex space and, for
+// each of its edges, the edge of h it is charged to. A subedge
+// e ∩ (e₁ ∪ … ∪ e_j) is charged to e. The subedges of e are the unions
+// of at most k of its cuts e ∩ f, built one cut at a time: a union that
+// needs j + 1 cuts extends one that needs j.
+func subedgeAugment(h *hypergraph.Hypergraph, k int) (*hypergraph.Hypergraph, []int) {
 	m := h.NumEdges()
 	parent := make([]int, m)
 	seen := make(map[string]bool, m)
@@ -50,19 +53,41 @@ func subedgeAugment(h *hypergraph.Hypergraph) (*hypergraph.Hypergraph, []int) {
 		seen[string(h.Edge(e).AppendKey(nil))] = true
 	}
 	var extra []*bitset.Set
-	for i := range m {
-		for j := i + 1; j < m; j++ {
-			sub := h.Edge(i).Intersect(h.Edge(j))
-			if sub.IsEmpty() {
-				continue
-			}
+	for e := range m {
+		var cuts []*bitset.Set
+		unions := map[string]bool{} // e's subedges so far, added or not
+		keep := func(sub *bitset.Set) bool {
 			key := string(sub.AppendKey(nil))
-			if seen[key] {
-				continue
+			if sub.IsEmpty() || unions[key] {
+				return false
 			}
-			seen[key] = true
-			extra = append(extra, sub)
-			parent = append(parent, i)
+			unions[key] = true
+			if !seen[key] {
+				seen[key] = true
+				extra = append(extra, sub)
+				parent = append(parent, e)
+			}
+			return true
+		}
+		for f := range m {
+			if sub := h.Edge(e).Intersect(h.Edge(f)); f != e && keep(sub) {
+				cuts = append(cuts, sub)
+			}
+		}
+		for level, j := cuts, 1; j < k && len(level) > 0; j++ {
+			var next []*bitset.Set
+			for _, u := range level {
+				for _, c := range cuts {
+					if c.SubsetOf(u) {
+						continue
+					}
+					sub := u.Clone()
+					if sub.InPlaceUnion(c); keep(sub) {
+						next = append(next, sub)
+					}
+				}
+			}
+			level = next
 		}
 	}
 	return h.WithEdges(extra), parent

@@ -154,13 +154,14 @@ func TestCycleGHD(t *testing.T) {
 // sameSet reports whether a and b hold the same vertices.
 func sameSet(a, b *bitset.Set) bool { return a.SubsetOf(b) && b.SubsetOf(a) }
 
-// checkAugment checks H⁺ against h: h's edges come first with their
-// ids, each non-empty pairwise intersection of h's edges is an edge of
-// H⁺, an added edge equals no earlier edge, and each added edge is
-// charged to an edge it was cut from.
-func checkAugment(t *testing.T, name string, h *hypergraph.Hypergraph) {
+// checkAugment checks H⁺ for width k against h: h's edges come first
+// with their ids, every non-empty e ∩ (e₁ ∪ … ∪ e_j) for an edge e and
+// j ≤ k other edges is an edge of H⁺, an added edge equals no earlier
+// edge, and each added edge is charged to an edge it was cut from. The
+// subedges are enumerated here over every set of j ≤ k other edges.
+func checkAugment(t *testing.T, name string, h *hypergraph.Hypergraph, k int) {
 	t.Helper()
-	hPlus, parent := subedgeAugment(h)
+	hPlus, parent := subedgeAugment(h, k)
 	m := h.NumEdges()
 	if len(parent) != hPlus.NumEdges() {
 		t.Fatalf("%s: %d charges for %d edges of H⁺", name, len(parent), hPlus.NumEdges())
@@ -170,30 +171,43 @@ func checkAugment(t *testing.T, name string, h *hypergraph.Hypergraph) {
 			t.Fatalf("%s: edge %d of H⁺ is not edge %d of H", name, e, e)
 		}
 	}
-	for e := m; e < hPlus.NumEdges(); e++ {
-		for f := range e {
-			if sameSet(hPlus.Edge(e), hPlus.Edge(f)) {
-				t.Fatalf("%s: added edge %d equals edge %d", name, e, f)
+	// cut[e] holds the key of every non-empty subedge cut from e.
+	cut := make([]map[string]bool, m)
+	for e := range m {
+		cut[e] = map[string]bool{}
+		var walk func(from int, union *bitset.Set, j int)
+		walk = func(from int, union *bitset.Set, j int) {
+			for f := from; f < m; f++ {
+				if f == e {
+					continue
+				}
+				u := union.Clone()
+				u.InPlaceUnion(h.Edge(f))
+				if sub := h.Edge(e).Intersect(u); !sub.IsEmpty() {
+					cut[e][string(sub.AppendKey(nil))] = true
+				}
+				if j+1 < k {
+					walk(f+1, u, j+1)
+				}
 			}
 		}
-		p := parent[e]
-		cut := false
-		for q := range m {
-			cut = cut || q != p && sameSet(hPlus.Edge(e), h.Edge(p).Intersect(h.Edge(q)))
-		}
-		if !cut {
-			t.Fatalf("%s: added edge %d is charged to edge %d, which it was not cut from", name, e, p)
-		}
+		walk(0, h.NewVertexSet(), 0)
 	}
-	for i := range m {
-		for j := i + 1; j < m; j++ {
-			sub := h.Edge(i).Intersect(h.Edge(j))
-			found := sub.IsEmpty()
-			for e := range hPlus.NumEdges() {
-				found = found || sameSet(hPlus.Edge(e), sub)
-			}
-			if !found {
-				t.Fatalf("%s: the intersection of edges %d and %d is missing from H⁺", name, i, j)
+	have := map[string]bool{}
+	for e := range hPlus.NumEdges() {
+		key := string(hPlus.Edge(e).AppendKey(nil))
+		if e >= m && have[key] {
+			t.Fatalf("%s: added edge %d equals an earlier edge", name, e)
+		}
+		if e >= m && !cut[parent[e]][key] {
+			t.Fatalf("%s: added edge %d is charged to edge %d, which it was not cut from", name, e, parent[e])
+		}
+		have[key] = true
+	}
+	for e := range m {
+		for key := range cut[e] {
+			if !have[key] {
+				t.Fatalf("%s k=%d: a subedge cut from edge %d is missing from H⁺", name, k, e)
 			}
 		}
 	}
@@ -205,13 +219,29 @@ func TestPoolContainsSubedges(t *testing.T) {
 	b.MustAddEdge("e1", "a", "b", "c")
 	b.MustAddEdge("e2", "b", "c", "d")
 	h := b.Build()
-	hPlus, parent := subedgeAugment(h)
+	hPlus, parent := subedgeAugment(h, 1)
 	if hPlus.NumEdges() != 3 || !slices.Equal(hPlus.EdgeVertices(2), []int{1, 2}) || parent[2] != 0 {
 		t.Fatalf("H⁺ = %s with charges %v, want the subedge {b, c} charged to e1", hPlus, parent)
 	}
-	checkAugment(t, "e1-e2", h)
-	for seed := range ghdSeeded {
-		checkAugment(t, "seeded-"+strconv.Itoa(seed), seededHypergraph(seed))
+	// {a, b} = e ∩ (f ∪ g) is no intersection of e with one edge, so only
+	// the closure for width 2 holds it, charged to e.
+	b = hypergraph.Builder{}
+	b.MustAddEdge("e", "a", "b", "c", "d")
+	b.MustAddEdge("f", "a", "x")
+	b.MustAddEdge("g", "b", "y")
+	h = b.Build()
+	if hPlus, _ := subedgeAugment(h, 1); hPlus.NumEdges() != 5 {
+		t.Fatalf("k=1: H⁺ = %s, want the subedges {a} and {b} only", hPlus)
+	}
+	hPlus, parent = subedgeAugment(h, 2)
+	if last := hPlus.NumEdges() - 1; last != 5 || !slices.Equal(hPlus.EdgeVertices(last), []int{0, 1}) || parent[last] != 0 {
+		t.Fatalf("k=2: H⁺ = %s with charges %v, want {a, b} added and charged to e", hPlus, parent)
+	}
+	for k := 1; k <= 3; k++ {
+		checkAugment(t, "e-f-g", h, k)
+		for seed := range ghdSeeded {
+			checkAugment(t, "seeded-"+strconv.Itoa(seed), seededHypergraph(seed), k)
+		}
 	}
 }
 
@@ -220,7 +250,7 @@ func TestPoolContainsSubedges(t *testing.T) {
 func TestSubedgeAugmentKeepsIDs(t *testing.T) {
 	for _, in := range hyperbench.Suite(hyperbench.Config{Scale: 1, Seed: 2022}) {
 		h := in.H
-		hPlus, _ := subedgeAugment(h)
+		hPlus, _ := subedgeAugment(h, 3)
 		if hPlus.NumVertices() != h.NumVertices() {
 			t.Fatalf("%s: H⁺ has %d vertices, H %d", in.Name, hPlus.NumVertices(), h.NumVertices())
 		}

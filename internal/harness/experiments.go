@@ -437,7 +437,7 @@ func (s *resultSet) ghd(ctx context.Context) *Table {
 	}
 	t.AddRow("solved", hdSolved, ghdSolved)
 	t.AddRow("total-sec(solved)", hdTime.Seconds(), ghdTime.Seconds())
-	t.AddRow("ghw < hw cases", "-", lower)
+	t.AddRow("GHD width < HD width", "-", lower)
 	t.Notes = append(t.Notes, fmt.Sprintf("instances solved by both: %d", both))
 	return t
 }

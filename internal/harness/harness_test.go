@@ -332,7 +332,7 @@ func TestGHDComparisonSmall(t *testing.T) {
 	if s.err != nil {
 		t.Fatal(s.err)
 	}
-	if !strings.Contains(out, "ghw < hw cases") {
+	if !strings.Contains(out, "GHD width < HD width") {
 		t.Fatalf("comparison table malformed:\n%s", out)
 	}
 	if ran[big.Name] != 0 {

@@ -94,8 +94,8 @@ func MethodLadder(workers int) Method {
 }
 
 // MethodBalancedGo is the GHD comparison system of §5.2, BalancedGo.
-// Its stand-in is det-k-decomp on the hypergraph augmented with the
-// pairwise intersections of its edges (detk.NewGHD).
+// Its stand-in is det-k-decomp on the hypergraph augmented with its
+// subedges for the width asked (detk.NewGHD).
 func MethodBalancedGo() Method {
 	return Method{
 		Name:   "BalancedGo(GHD)",
