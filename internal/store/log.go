@@ -141,7 +141,8 @@ func (l *Log) apply(a at, rec logRecord) {
 // append writes one record and folds it into the index; then a full
 // segment rotates, by compaction when the log is over two segments in
 // size and more than half dead. The index is updated first, since a
-// compaction rewrites the record from it. Caller holds l.mu.
+// compaction rewrites the record from it. A failed compaction, counted
+// in Errors, rotates instead. Caller holds l.mu.
 func (l *Log) append(rec logRecord) error {
 	payload, err := json.Marshal(rec)
 	if err != nil {
@@ -155,9 +156,7 @@ func (l *Log) append(rec logRecord) error {
 	if !full {
 		return nil
 	}
-	if total := l.seg.snapshot().Bytes; total > 2*l.seg.segmentBytes && 2*(total-l.liveBytes) > total {
-		_ = l.compact()
-	} else {
+	if total := l.seg.snapshot().Bytes; total <= 2*l.seg.segmentBytes || 2*(total-l.liveBytes) <= total || l.compact() != nil {
 		l.seg.rotate()
 	}
 	return nil

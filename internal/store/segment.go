@@ -80,7 +80,7 @@ type segLog struct {
 	dirty        bool       // active segment has unsynced appends
 	broken       error      // why writes fail until reopen
 	closed       bool
-	stats        DiskStats // counters; the owner fills in the gauges
+	stats        DiskStats // counters, the owner's included; it fills in the gauges
 	stop         chan struct{}
 	wg           sync.WaitGroup
 }
@@ -214,7 +214,7 @@ func (s *segLog) syncLoop() {
 		select {
 		case <-t.C:
 			s.mu.Lock()
-			s.sync()
+			s.sync() // a failure is counted and breaks the log
 			s.mu.Unlock()
 		case <-s.stop:
 			return
@@ -343,7 +343,7 @@ func (s *segLog) snapshot() DiskStats {
 // broke, if it did. The owner waits on wg after releasing *mu.
 func (s *segLog) close() error {
 	if !s.closed {
-		s.sync()
+		s.sync() // a failure lands in s.broken
 		s.closed = true
 		close(s.stop)
 		s.closeAll()
