@@ -1,7 +1,9 @@
 package detk
 
 import (
+	"context"
 	"math/bits"
+	"math/rand"
 	"strconv"
 	"testing"
 
@@ -153,5 +155,47 @@ func TestGHDMatchesExactGHW(t *testing.T) {
 	}
 	for seed := range ghdSeeded {
 		check("seeded-"+strconv.Itoa(seed), seededHypergraph(seed))
+	}
+}
+
+// TestStructuralBoundBelowExactGHW: the structural lower bound never
+// exceeds the oracle's ghw, on the two hypergraphs of ghwBelowHW, the
+// seeded hypergraphs and as many again with 13 to 16 vertices. The
+// service answers NO below the bound without a search, so a bound above
+// ghw would refute a width that has a GHD.
+func TestStructuralBoundBelowExactGHW(t *testing.T) {
+	check := func(name string, h *hypergraph.Hypergraph) {
+		t.Helper()
+		lb, err := h.WidthLowerBound(context.Background(), h.NumEdges())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if ghw, _ := exactGHW(t, h); lb > ghw {
+			t.Errorf("%s: the structural bound %d exceeds the exact ghw %d", name, lb, ghw)
+		}
+	}
+	for i, src := range ghwBelowHW {
+		h, err := hypergraph.ParseString(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("ghwBelowHW["+strconv.Itoa(i)+"]", h)
+	}
+	for seed := range ghdSeeded {
+		check("seeded-"+strconv.Itoa(seed), seededHypergraph(seed))
+	}
+	for seed := range ghdSeeded {
+		r := rand.New(rand.NewSource(int64(seed)))
+		nv := 13 + r.Intn(4)
+		var b hypergraph.Builder
+		for e := range nv - 3 + r.Intn(8) {
+			vs := r.Perm(nv)[:2+r.Intn(5)]
+			names := make([]string, len(vs))
+			for i, v := range vs {
+				names[i] = "v" + strconv.Itoa(v)
+			}
+			b.MustAddEdge("E"+strconv.Itoa(e), names...)
+		}
+		check("large-"+strconv.Itoa(seed), b.Build())
 	}
 }

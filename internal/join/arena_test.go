@@ -1,12 +1,15 @@
 package join
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
+	"strconv"
 	"testing"
 )
 
@@ -144,21 +147,28 @@ func canonicalReference(t testing.TB, r *Relation) ([]string, [][]int) {
 	return attrs, want
 }
 
-// packsOneWord reports whether Canonical sorts r as packed row keys
-// rather than with its comparator.
-func packsOneWord(r *Relation) bool {
+// canonicalSort names the sort Canonical runs on r: "radix" or
+// "pdqsort" over packed row keys, or "comparator".
+func canonicalSort(r *Relation) string {
 	attrs := append([]string(nil), r.Attrs...)
 	sort.Strings(attrs)
 	src := make([]*vec, len(attrs))
 	for k, a := range attrs {
 		src[k] = &r.cols[r.pos[a]]
 	}
-	return canonicalPacked(attrs, src, r.n) != nil
+	switch out, radix := canonicalPacked(attrs, src, r.n); {
+	case out == nil:
+		return "comparator"
+	case radix:
+		return "radix"
+	}
+	return "pdqsort"
 }
 
 // TestCanonical checks Relation.Canonical against canonicalReference,
-// on both sides of the one-word boundary of its packed row keys: the
-// path taken is asserted too. The input must stay untouched.
+// on both sides of the one-word boundary of its packed row keys and of
+// radixMinKeys, and across several chunks: the sort that runs is
+// asserted too. The input must stay untouched.
 func TestCanonical(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	span := NewRelation("a", "b")
@@ -212,24 +222,51 @@ func TestCanonical(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		noAttrs.Add()
 	}
+	// equal holds rows copies of one row.
+	equal := func(rows int) *Relation {
+		r := NewRelation("b", "a", "c")
+		for range rows {
+			r.Add(-3, 1<<40, math.MinInt64)
+		}
+		return r
+	}
+	// gappy's 32-bit key has a middle radix digit (bits 11–21) that is
+	// zero in every key, so that pass is skipped.
+	gappy := NewRelation("g")
+	for range radixMinKeys + 1 {
+		gappy.Add(rng.Intn(4)<<30 | rng.Intn(1<<8))
+	}
+	gappy.Add(0).Add(3<<30 | 255)
+	three13 := []uint{13, 13, 13} // 39 bits: four digits of 10 bits, the top one 9
 	for _, c := range []struct {
-		name   string
-		r      *Relation
-		packed bool
+		name string
+		r    *Relation
+		sort string
 	}{
-		{"chunk-span-duplicates", span, true},
-		{"attrs-out-of-order", unsorted, true},
-		{"promoted-int64", wide, true},
-		{"empty", NewRelation("b", "a"), true},
-		{"widths-sum-64", spanning([]string{"b", "a"}, []int{-5, math.MinInt32 + 9}, []uint{32, 32}, 500), true},
-		{"widths-sum-64-one-column", spanning([]string{"a", "z"}, []int{math.MinInt64, 4}, []uint{64, 0}, 300), true},
-		{"widths-sum-65", spanning([]string{"b", "a"}, []int{-5, math.MinInt32 + 9}, []uint{33, 32}, 500), false},
-		{"three-columns-of-2^31", spanning([]string{"c", "a", "b"}, []int{0, -1 << 30, 1 << 40}, []uint{31, 31, 31}, 500), false},
-		{"min-and-max-int64", limits, true},
-		{"min-and-max-int64-beside-a-column", limitsPair, false},
-		{"all-equal-columns", constant, true},
-		{"one-row", NewRelation("y", "x").Add(math.MinInt64+1, 42), true},
-		{"no-attributes", noAttrs, true},
+		{"chunk-span-duplicates", span, "radix"},
+		{"attrs-out-of-order", unsorted, "pdqsort"},
+		{"promoted-int64", wide, "pdqsort"},
+		{"empty", NewRelation("b", "a"), "pdqsort"},
+		{"widths-sum-64", spanning([]string{"b", "a"}, []int{-5, math.MinInt32 + 9}, []uint{32, 32}, 500), "pdqsort"},
+		{"widths-sum-64-one-column", spanning([]string{"a", "z"}, []int{math.MinInt64, 4}, []uint{64, 0}, 300), "pdqsort"},
+		{"widths-sum-65", spanning([]string{"b", "a"}, []int{-5, math.MinInt32 + 9}, []uint{33, 32}, 500), "comparator"},
+		{"three-columns-of-2^31", spanning([]string{"c", "a", "b"}, []int{0, -1 << 30, 1 << 40}, []uint{31, 31, 31}, 500), "comparator"},
+		{"min-and-max-int64", limits, "pdqsort"},
+		{"min-and-max-int64-beside-a-column", limitsPair, "comparator"},
+		{"all-equal-columns", constant, "pdqsort"},
+		{"one-row", NewRelation("y", "x").Add(math.MinInt64+1, 42), "pdqsort"},
+		{"no-attributes", noAttrs, "pdqsort"},
+		{"below-the-crossover", spanning([]string{"z", "x", "y"}, []int{0, 0, 0}, three13, radixMinKeys-1), "pdqsort"},
+		{"at-the-crossover", spanning([]string{"z", "x", "y"}, []int{0, 0, 0}, three13, radixMinKeys), "radix"},
+		{"39-bit-keys-several-chunks", spanning([]string{"z", "x", "y"}, []int{-7, 1 << 33, 0}, three13, 3*chunkSize+17), "radix"},
+		{"widths-sum-64-above-the-crossover", spanning([]string{"b", "a"}, []int{-5, math.MinInt32 + 9}, []uint{32, 32}, radixMinKeys+1), "radix"},
+		{"widths-sum-64-several-chunks", spanning([]string{"c", "a", "b"}, []int{3, -1 << 50, 0}, []uint{20, 20, 24}, 3*chunkSize+5), "radix"},
+		{"64-bit-one-column-key", spanning([]string{"k"}, []int{math.MinInt64}, []uint{64}, radixMinKeys+1), "radix"},
+		{"64-bit-one-column-key-several-chunks", spanning([]string{"k"}, []int{math.MinInt64}, []uint{64}, 2*chunkSize+1), "radix"},
+		{"zero-width-column", spanning([]string{"c", "b", "a"}, []int{9, -4, 0}, []uint{17, 0, 22}, radixMinKeys+1), "radix"},
+		{"skipped-middle-digit", gappy, "radix"},
+		{"all-rows-equal", equal(radixMinKeys + 1), "radix"},
+		{"all-rows-equal-several-chunks", equal(2*chunkSize + 3), "radix"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			before := c.r.Rows()
@@ -237,8 +274,8 @@ func TestCanonical(t *testing.T) {
 			if c.r.Size() > 0 && len(c.r.Attrs) == 0 && len(want) != 1 {
 				t.Fatalf("reference kept %d rows of a relation with no attributes, want 1", len(want))
 			}
-			if got := packsOneWord(c.r); got != c.packed {
-				t.Fatalf("packed row keys = %v, want %v", got, c.packed)
+			if got := canonicalSort(c.r); got != c.sort {
+				t.Fatalf("Canonical sorts with %s, want %s", got, c.sort)
 			}
 			got := c.r.Canonical()
 			if !reflect.DeepEqual(got.Attrs, attrs) {
@@ -254,26 +291,46 @@ func TestCanonical(t *testing.T) {
 	}
 }
 
-// BenchmarkCanonical canonicalises a 4,947 × 3 answer, the size of a
-// path-rows answer, in two shapes: "packed", whose rows fit one word
-// and sort as packed keys, and "wide", whose three columns each span
-// 2⁴⁰ and so take the comparator.
+// TestAppendInt holds WriteJSON's integer writer to strconv.AppendInt
+// on 0, ±1, each power of ten and its neighbours up to 10¹⁸, and both
+// int64 limits, after a prefix in a buffer grown by maxIntLen.
+func TestAppendInt(t *testing.T) {
+	vals := []int64{0, 1, -1, math.MinInt64, math.MinInt64 + 1, math.MaxInt64, math.MaxInt64 - 1}
+	for p := int64(10); p <= 1e18; p *= 10 {
+		vals = append(vals, p-1, p, p+1, -p+1, -p, -p-1)
+	}
+	for _, x := range vals {
+		buf := slices.Grow([]byte("[7,"), maxIntLen)
+		want := strconv.AppendInt([]byte("[7,"), x, 10)
+		if got := appendInt(buf, x); !bytes.Equal(got, want) {
+			t.Errorf("appendInt(%d) = %q, want %q", x, got, want)
+		}
+	}
+}
+
+// BenchmarkCanonical canonicalises 3-column answers of 64, 256, 1,024
+// and 4,947 rows (the size of a path-rows answer) in two shapes:
+// "packed", whose rows fit one word and sort as packed keys (by pdqsort
+// below radixMinKeys, by radix sort from it), and "wide", whose three
+// columns each span 2⁴⁰ and so take the comparator.
 func BenchmarkCanonical(b *testing.B) {
 	for _, c := range []struct {
 		name string
 		span int64
 	}{{"packed", 5000}, {"wide", 1 << 40}} {
-		rng := rand.New(rand.NewSource(31))
-		r := NewRelation("z", "x", "y")
-		for i := 0; i < 4947; i++ {
-			r.Add(int(rng.Int63n(c.span)), int(rng.Int63n(c.span)), int(rng.Int63n(c.span)))
-		}
-		b.Run(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for b.Loop() {
-				r.Canonical()
+		for _, rows := range []int{64, 256, 1024, 4947} {
+			rng := rand.New(rand.NewSource(31))
+			r := NewRelation("z", "x", "y")
+			for i := 0; i < rows; i++ {
+				r.Add(int(rng.Int63n(c.span)), int(rng.Int63n(c.span)), int(rng.Int63n(c.span)))
 			}
-		})
+			b.Run(c.name+"/"+strconv.Itoa(rows), func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					r.Canonical()
+				}
+			})
+		}
 	}
 }
 

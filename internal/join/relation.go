@@ -7,7 +7,6 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -127,10 +126,13 @@ func (r *Relation) WriteJSON(w io.Writer, buf []byte) ([]byte, error) {
 	if r.n == 0 {
 		return append(buf, "null"...), nil
 	}
+	// A row is at most `,[` plus its values, commas and `]`.
+	rowMax := 3 + len(r.cols)*(maxIntLen+1)
 	buf = append(buf, '[')
 	for base := 0; base < r.n; base += chunkSize {
 		ci := base >> chunkShift
 		for j := range min(chunkSize, r.n-base) {
+			buf = slices.Grow(buf, rowMax)
 			if base+j > 0 {
 				buf = append(buf, ',')
 			}
@@ -140,9 +142,9 @@ func (r *Relation) WriteJSON(w io.Writer, buf []byte) ([]byte, error) {
 					buf = append(buf, ',')
 				}
 				if v := &r.cols[c]; v.wide {
-					buf = strconv.AppendInt(buf, v.c64[ci][j], 10)
+					buf = appendInt(buf, v.c64[ci][j])
 				} else {
-					buf = strconv.AppendInt(buf, int64(v.c32[ci][j]), 10)
+					buf = appendInt(buf, int64(v.c32[ci][j]))
 				}
 			}
 			buf = append(buf, ']')
@@ -155,6 +157,60 @@ func (r *Relation) WriteJSON(w io.Writer, buf []byte) ([]byte, error) {
 		}
 	}
 	return append(buf, ']'), nil
+}
+
+// maxIntLen is the longest decimal int64, "-9223372036854775808".
+const maxIntLen = 20
+
+// digitPairs holds "00" through "99", two bytes each.
+const digitPairs = "00010203040506070809" +
+	"10111213141516171819" +
+	"20212223242526272829" +
+	"30313233343536373839" +
+	"40414243444546474849" +
+	"50515253545556575859" +
+	"60616263646566676869" +
+	"70717273747576777879" +
+	"80818283848586878889" +
+	"90919293949596979899"
+
+// pow10 holds 10⁰ through 10¹⁹.
+var pow10 = [...]uint64{
+	1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19,
+}
+
+// appendInt appends x in decimal, the bytes strconv.AppendInt(buf, x,
+// 10) appends, writing two digits at a time from the back into buf's
+// spare capacity: the caller has grown buf by maxIntLen.
+func appendInt(buf []byte, x int64) []byte {
+	u := uint64(x)
+	if x < 0 {
+		buf = append(buf, '-')
+		u = -u // exact for math.MinInt64 too: 1<<63 as a uint64
+	}
+	// bits.Len64·1233>>12 is ⌊log₁₀ 2^len⌋, one below or at the digit
+	// count.
+	n := bits.Len64(u) * 1233 >> 12
+	if u >= pow10[n] {
+		n++
+	}
+	n = max(n, 1)
+	end := len(buf) + n
+	b := buf[len(buf):end]
+	for u >= 100 {
+		q := u / 100
+		d := 2 * (u - q*100)
+		n -= 2
+		b[n], b[n+1] = digitPairs[d], digitPairs[d+1]
+		u = q
+	}
+	if u >= 10 {
+		b[0], b[1] = digitPairs[2*u], digitPairs[2*u+1]
+	} else {
+		b[0] = byte('0' + u)
+	}
+	return buf[:end]
 }
 
 // alias returns an O(1) view sharing r's storage, safe because
@@ -390,11 +446,12 @@ func (r *Relation) Sorted() [][]int {
 // When a row fits one machine word — each column offset by its minimum
 // and given just the bits of its span, first attribute most
 // significant — the rows become uint64 keys whose order is row order:
-// Canonical sorts the keys, drops adjacent equal ones and unpacks each
-// kept key straight into the output columns. Wider rows (values near
-// both int64 limits, or several columns each spanning 2³¹) sort row
-// offsets with a column-by-column comparator instead, then copy each
-// kept row once.
+// Canonical sorts the keys (radix-sorting over the key width from
+// radixMinKeys keys up, pdqsort below), drops adjacent equal ones and
+// unpacks each kept key straight into the output columns. Wider rows
+// (values near both int64 limits, or several columns each spanning
+// 2³¹) sort row offsets with a column-by-column comparator instead,
+// then copy each kept row once.
 func (r *Relation) Canonical() *Relation {
 	attrs := append([]string(nil), r.Attrs...)
 	sort.Strings(attrs)
@@ -402,7 +459,7 @@ func (r *Relation) Canonical() *Relation {
 	for k, a := range attrs {
 		src[k] = &r.cols[r.pos[a]]
 	}
-	if out := canonicalPacked(attrs, src, r.n); out != nil {
+	if out, _ := canonicalPacked(attrs, src, r.n); out != nil {
 		return out
 	}
 	order := func(i, j int32) int {
@@ -432,8 +489,9 @@ func (r *Relation) Canonical() *Relation {
 }
 
 // canonicalPacked is Canonical over the first n rows of the columns
-// src when their bit widths sum to at most 64, and nil otherwise.
-func canonicalPacked(attrs []string, src []*vec, n int) *Relation {
+// src when their bit widths sum to at most 64, and nil otherwise; radix
+// reports whether the keys were radix-sorted rather than pdqsorted.
+func canonicalPacked(attrs []string, src []*vec, n int) (out *Relation, radix bool) {
 	type packed struct {
 		lo, hi       int64
 		width, shift uint
@@ -449,26 +507,28 @@ func canonicalPacked(attrs []string, src []*vec, n int) *Relation {
 		// The span is exact in uint64 even where hi-lo overflows int64.
 		width := uint(bits.Len64(uint64(hi) - uint64(lo)))
 		if total += width; total > 64 {
-			return nil
+			return nil, false
 		}
 		cols = append(cols, packed{lo: lo, hi: hi, width: width})
 	}
-	keys := make([]uint64, n)
+	width := total
+	b := getSortBufs(n)
+	defer putSortBufs(b)
 	for c, v := range src {
 		total -= cols[c].width
 		cols[c].shift = total
 		if cols[c].width > 0 {
-			v.pack(keys, cols[c].lo, total)
+			v.pack(b.keys, cols[c].lo, total)
 		}
 	}
-	slices.Sort(keys)
-	keys = slices.Compact(keys)
-	out := newRelation(attrs)
+	radix = b.sortKeys(width)
+	keys := slices.Compact(b.keys)
+	out = newRelation(attrs)
 	out.n = len(keys)
 	for c, p := range cols {
 		out.cols[c].unpack(out.mem, keys, p.lo, p.hi, p.shift, p.width)
 	}
-	return out
+	return out, radix
 }
 
 // String renders the relation for debugging.

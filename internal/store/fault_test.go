@@ -72,7 +72,8 @@ func injectFaults(t *testing.T) *faults {
 }
 
 // TestLogFaultRules: a failed fsync breaks the log, so every later write
-// fails and appends nothing until a reopen, and a reopen recovers every
+// fails and appends nothing until a reopen, and Stats reads Broken from
+// the failed fsync until the reopen. A reopen recovers every
 // acknowledged record and nothing that was never attempted. A failed
 // read is a miss, not corruption: neither Tree nor a compaction drops
 // the tree it could not read.
@@ -102,6 +103,9 @@ func TestLogFaultRules(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			if l.Stats().Broken {
+				t.Fatal("Stats of a healthy log: Broken = true")
+			}
 			fs.failNextSync()
 			if fsync == 0 {
 				// The append's own fsync fails, and the call says so.
@@ -117,6 +121,9 @@ func TestLogFaultRules(t *testing.T) {
 				for l.Stats().Errors == 0 && time.Now().Before(deadline) {
 					time.Sleep(time.Millisecond)
 				}
+			}
+			if st := l.Stats(); !st.Broken {
+				t.Fatalf("Stats after the failed fsync: Broken = false (%+v)", st)
 			}
 			if err := l.Sync(); !errors.Is(err, errInjected) {
 				t.Fatalf("Sync on a broken log returned %v, want the fsync's error", err)
@@ -137,6 +144,9 @@ func TestLogFaultRules(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer l.Close()
+			if st := l.Stats(); st.Broken {
+				t.Fatalf("Stats after the reopen: Broken = true (%+v)", st)
+			}
 			for _, hash := range acked {
 				if b, ok := l.Bounds(hash); !ok || b != attempted[hash] {
 					t.Fatalf("acknowledged %s recovered as %+v ok=%v, want %+v", hash, b, ok, attempted[hash])

@@ -37,6 +37,7 @@ type DiskStats struct {
 	CorruptRecords int64 `json:"corrupt_records"` // records rejected by checksum/framing
 	TreeLoads      int64 `json:"tree_loads"`      // witness trees read back from disk
 	Errors         int64 `json:"errors"`          // I/O failures (appends kept best-effort)
+	Broken         bool  `json:"broken"`          // a failed fsync refuses every write until reopen
 }
 
 // Record type tags. Records are merges, not assignments: replaying any

@@ -329,10 +329,11 @@ func (s *segLog) compact(payloads [][]byte) ([]at, error) {
 	return ats, nil
 }
 
-// snapshot returns the counters with Segments and Bytes filled in.
+// snapshot returns the counters with Segments, Bytes and Broken filled
+// in.
 func (s *segLog) snapshot() DiskStats {
 	st := s.stats
-	st.Segments = int64(len(s.segs))
+	st.Segments, st.Broken = int64(len(s.segs)), s.broken != nil
 	for _, sg := range s.segs {
 		st.Bytes += sg.size
 	}

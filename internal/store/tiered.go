@@ -18,7 +18,8 @@ type TieredConfig struct {
 //
 // A disk failure is counted in Stats().Disk.Errors and fails no call:
 // a log broken by a failed fsync takes no writes until the process
-// reopens it, and the memory front keeps serving.
+// reopens it, which Stats().Disk.Broken shows meanwhile, and the memory
+// front keeps serving.
 type Tiered struct {
 	mem *Memory
 	log *Log
