@@ -100,7 +100,8 @@ FUZZ_TARGETS = \
 	./internal/join:FuzzEvalDocument \
 	./internal/store:FuzzLogReplay \
 	./internal/dataset:FuzzMutateBatch \
-	./internal/join:FuzzAnswerEncode
+	./internal/join:FuzzAnswerEncode \
+	./internal/hypergraph:FuzzTreewidthThree
 
 # $(call fuzz-each,TIME) fuzzes every target for TIME.
 define fuzz-each

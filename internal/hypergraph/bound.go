@@ -8,9 +8,9 @@ import (
 )
 
 // boundMaxVertices is the largest vertex count on which WidthLowerBound
-// runs its primal-graph terms. Both are polynomial (about |V|³/64 word
-// operations at worst), and this keeps them to about a millisecond on a
-// large request; above it the bound is the acyclicity term alone.
+// runs its primal-graph terms. All three are polynomial (about |V|³/64
+// word operations at worst), and this keeps them to about a millisecond
+// on a large request; above it the bound is the acyclicity term alone.
 const boundMaxVertices = 256
 
 // boundMaxCoverNodes caps the exact-cover search nodes of one bound.
@@ -18,10 +18,10 @@ const boundMaxVertices = 256
 // bound.
 const boundMaxCoverNodes = 1 << 16
 
-// boundCheckEvery is how many start vertices or contractions the
-// primal-graph terms take between checks of the context. Each takes at
-// most about boundMaxVertices²/16 word operations, so a check comes
-// well within a millisecond.
+// boundCheckEvery is how many start vertices, contractions or
+// reduction tries the primal-graph terms take between checks of the
+// context. Each takes at most about boundMaxVertices²/16 word
+// operations, so a check comes well within a millisecond.
 const boundCheckEvery = 64
 
 // maxClique caps a greedy clique at one machine word of members. Every
@@ -32,7 +32,7 @@ const maxClique = 64
 // width ghw(H), and so on hw(H) ≥ ghw(H), capped at limit+1: a result
 // above limit says only that the bound exceeds limit, and the
 // computation stops as soon as it does. The bound is the largest of
-// three terms, each a width no GHD of H can go below:
+// four terms, each a width no GHD of H can go below:
 //
 //   - 1 if H is α-acyclic (then ghw = hw = 1 and the bound is exact),
 //     otherwise 2 (GYO, IsAcyclic);
@@ -45,7 +45,15 @@ const maxClique = 64
 //   - for greedy cliques S of the primal graph, one grown from each
 //     vertex that no earlier one holds, the fewest edges whose traces
 //     on S cover S, found by exact search: every clique lies inside
-//     one bag.
+//     one bag;
+//   - the fewest edges that cover 5 vertices, when the primal graph has
+//     treewidth at least 4, decided exactly by the Arnborg–Proskurowski
+//     reduction rules (treewidthAtMostThree). MMD+ breaks ties by
+//     vertex id, so it proves tw ≥ 4 on a renumbered cylinder C_n × K_2
+//     only by chance; this term proves it in every vertex order. It
+//     runs only when it would raise the bound, and in MMD+'s place
+//     where tw ≥ 4 is the most MMD+ could show before the bound
+//     passes limit.
 //
 // The primal-graph terms run only when H has at most boundMaxVertices
 // vertices, and they check ctx every boundCheckEvery steps: the error is
@@ -76,7 +84,28 @@ func (h *Hypergraph) WidthLowerBound(ctx context.Context, limit int) (int, error
 	if err != nil || lb > limit {
 		return lb, err
 	}
-	return sc.minorMinWidthTerm(ctx, lb, limit)
+	// tw ≥ 4 puts 5 vertices in one bag.
+	tw4 := sc.edgesFor(5)
+	if tw4 <= lb {
+		return sc.minorMinWidthTerm(ctx, lb, limit)
+	}
+	// MMD+ raises lb only by proving tw ≥ d for d+1 vertices that lb
+	// edges cannot cover. When lb edges cover 4 vertices and 5 need
+	// more than limit, all it can prove is tw ≥ 4, which the tw ≤ 3
+	// term decides exactly, so only that term runs, on adj. Otherwise
+	// MMD+ contracts adj, and the term reduces a copy.
+	if tw4 > limit && sc.caps[lb] >= 4 {
+		sc.red, sc.adj = sc.adj, sc.red
+	} else {
+		sc.red = append(sc.red[:0], sc.adj...)
+		if lb, err = sc.minorMinWidthTerm(ctx, lb, limit); err != nil || lb >= tw4 {
+			return lb, err
+		}
+	}
+	if atMost3, err := sc.treewidthAtMostThree(ctx); err != nil || atMost3 {
+		return lb, err
+	}
+	return tw4, nil
 }
 
 // boundScratch is the reusable working memory of IsAcyclic and
@@ -93,6 +122,12 @@ type boundScratch struct {
 	adj  []uint64
 	deg  []int
 	live []int
+	// The tw ≤ 3 term's copy of the primal graph, its degrees (-1 once
+	// a vertex is removed) and its stack of vertices to try.
+	red    []uint64
+	rdeg   []int
+	stack  []int
+	queued []bool
 	// One greedy clique: its candidates, members, and edge traces.
 	cand     []uint64
 	members  []int
