@@ -101,7 +101,8 @@ FUZZ_TARGETS = \
 	./internal/store:FuzzLogReplay \
 	./internal/dataset:FuzzMutateBatch \
 	./internal/join:FuzzAnswerEncode \
-	./internal/hypergraph:FuzzTreewidthThree
+	./internal/hypergraph:FuzzTreewidthThree \
+	./internal/detk:FuzzGHDMatchesExactGHW
 
 # $(call fuzz-each,TIME) fuzzes every target for TIME.
 define fuzz-each

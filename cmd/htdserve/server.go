@@ -66,7 +66,8 @@ type apiResponse struct {
 	apiError
 
 	// The proven lower bound (sound even on timeouts) and where it came
-	// from ("structural", "probe", "memo", "trivial"): optimal jobs set
+	// from, a logk.BoundSource name ("structural", "probe", "memo",
+	// "trivial"): optimal jobs set
 	// both; a decide job answered NO sets them too, to K+1 from
 	// "structural" or "probe" when the structural bound or its search
 	// refuted K, or to the cached bound (K+1 or more) from "memo". Then

@@ -126,12 +126,7 @@ type OptimalOptions = logk.OptimalConfig
 // smaller width is refuted. The parallelism is inside each width's
 // search (opts.Search.Workers). ok is false when hw(H) > opts.KMax.
 func DecomposeOptimal(ctx context.Context, h *Hypergraph, opts OptimalOptions) (int, *Decomposition, bool, error) {
-	lb, err := h.WidthLowerBound(ctx, opts.KMax)
-	if err != nil {
-		return 0, nil, false, err
-	}
-	opts.LowerBound = max(opts.LowerBound, lb)
-	res, err := logk.Optimal(ctx, h, opts)
+	res, err := logk.OptimalFromBound(ctx, h, opts)
 	return res.Width, res.Decomp, res.Found, err
 }
 

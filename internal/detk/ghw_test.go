@@ -121,68 +121,94 @@ var ghwBelowHW = []string{
 	 E13(v2,v11,v8,v6).`,
 }
 
-// TestGHDMatchesExactGHW: the GHD solver answers YES at width k exactly
-// when the oracle's ghw is at most k, for k = 1..3, on the two
-// hypergraphs of ghwBelowHW and on the seeded hypergraphs. Every YES
+// boundTermWalls holds, for two of the structural bound's four terms, a
+// hypergraph of ghw 3 on which WidthLowerBound reaches 3 only through
+// that term: without it the bound is 2.
+var boundTermWalls = []struct{ term, src string }{
+	// Every edge holds at most 3 vertices, so 2 edges cover at most 6
+	// and 5 need 2: only a bag of 7 vertices, which the minor-min-width
+	// term (MMD+) proves with a minor of least degree 6, needs 3. No
+	// clique of the primal graph needs 3 edges.
+	{"minor-min-width", `E1(v0,v1), E2(v2,v3), E3(v1,v4,v5), E4(v0,v6,v7),
+	 E5(v5,v6), E6(v3,v4), E7(v1,v2,v8), E8(v3,v5,v9), E9(v1,v7),
+	 E10(v7,v8,v9), E11(v2,v4,v7), E12(v0,v4,v9), E13(v1,v4,v7),
+	 E14(v0,v2,v6).`},
+	// Two edges of 5 vertices cover all 8, so no treewidth bound asks
+	// for 3 edges; the clique cover term finds a clique whose edge
+	// traces need 3.
+	{"clique cover", `E1(v0,v1,v2,v3), E2(v2,v3,v4,v5,v6), E3(v0,v2,v4,v7),
+	 E4(v0,v3,v5,v6,v7), E5(v1,v4), E6(v1,v5,v6,v7), E7(v1,v5,v6),
+	 E8(v3,v4).`},
+}
+
+// checkGHDExact fails t unless the GHD solver answers YES at width k
+// exactly when the oracle's ghw is at most k, for k = 1..3. Every YES
 // passes CheckGHD and CheckWidth (ghdDecide), and so does the oracle's
 // own GHD.
-func TestGHDMatchesExactGHW(t *testing.T) {
-	check := func(name string, h *hypergraph.Hypergraph) {
-		t.Helper()
-		ghw, d := exactGHW(t, h)
-		if err := decomp.CheckGHD(d); err != nil {
-			t.Fatalf("%s: the oracle's GHD is invalid: %v\n%s", name, err, d)
+func checkGHDExact(t *testing.T, name string, h *hypergraph.Hypergraph) {
+	t.Helper()
+	ghw, d := exactGHW(t, h)
+	if err := decomp.CheckGHD(d); err != nil {
+		t.Fatalf("%s: the oracle's GHD is invalid: %v\n%s", name, err, d)
+	}
+	if w := d.Width(); w != ghw {
+		t.Fatalf("%s: the oracle's GHD has width %d, its ghw %d", name, w, ghw)
+	}
+	for k := 1; k <= 3; k++ {
+		ok, err := ghdDecide(h, k)
+		if err != nil {
+			t.Fatalf("%s k=%d: %v", name, k, err)
 		}
-		if w := d.Width(); w != ghw {
-			t.Fatalf("%s: the oracle's GHD has width %d, its ghw %d", name, w, ghw)
-		}
-		for k := 1; k <= 3; k++ {
-			ok, err := ghdDecide(h, k)
-			if err != nil {
-				t.Fatalf("%s k=%d: %v", name, k, err)
-			}
-			if ok != (ghw <= k) {
-				t.Errorf("%s k=%d: the GHD solver answers %v, the exact ghw is %d", name, k, ok, ghw)
-			}
+		if ok != (ghw <= k) {
+			t.Errorf("%s k=%d: the GHD solver answers %v, the exact ghw is %d", name, k, ok, ghw)
 		}
 	}
+}
+
+// structuralBound returns WidthLowerBound at limit |E| and the oracle's
+// ghw, failing t when the bound exceeds it: the service answers NO
+// below the bound without a search, so a bound above ghw would refute a
+// width that has a GHD.
+func structuralBound(t *testing.T, name string, h *hypergraph.Hypergraph) (lb, ghw int) {
+	t.Helper()
+	lb, err := h.WidthLowerBound(context.Background(), h.NumEdges())
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if ghw, _ = exactGHW(t, h); lb > ghw {
+		t.Errorf("%s: the structural bound %d exceeds the exact ghw %d", name, lb, ghw)
+	}
+	return lb, ghw
+}
+
+// TestGHDMatchesExactGHW: checkGHDExact on the two hypergraphs of
+// ghwBelowHW and on the seeded hypergraphs.
+func TestGHDMatchesExactGHW(t *testing.T) {
 	for i, src := range ghwBelowHW {
 		h, err := hypergraph.ParseString(src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		check("ghwBelowHW["+strconv.Itoa(i)+"]", h)
+		checkGHDExact(t, "ghwBelowHW["+strconv.Itoa(i)+"]", h)
 	}
 	for seed := range ghdSeeded {
-		check("seeded-"+strconv.Itoa(seed), seededHypergraph(seed))
+		checkGHDExact(t, "seeded-"+strconv.Itoa(seed), seededHypergraph(seed))
 	}
 }
 
 // TestStructuralBoundBelowExactGHW: the structural lower bound never
 // exceeds the oracle's ghw, on the two hypergraphs of ghwBelowHW, the
-// seeded hypergraphs and as many again with 13 to 16 vertices. The
-// service answers NO below the bound without a search, so a bound above
-// ghw would refute a width that has a GHD.
+// seeded hypergraphs and as many again with 13 to 16 vertices.
 func TestStructuralBoundBelowExactGHW(t *testing.T) {
-	check := func(name string, h *hypergraph.Hypergraph) {
-		t.Helper()
-		lb, err := h.WidthLowerBound(context.Background(), h.NumEdges())
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if ghw, _ := exactGHW(t, h); lb > ghw {
-			t.Errorf("%s: the structural bound %d exceeds the exact ghw %d", name, lb, ghw)
-		}
-	}
 	for i, src := range ghwBelowHW {
 		h, err := hypergraph.ParseString(src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		check("ghwBelowHW["+strconv.Itoa(i)+"]", h)
+		structuralBound(t, "ghwBelowHW["+strconv.Itoa(i)+"]", h)
 	}
 	for seed := range ghdSeeded {
-		check("seeded-"+strconv.Itoa(seed), seededHypergraph(seed))
+		structuralBound(t, "seeded-"+strconv.Itoa(seed), seededHypergraph(seed))
 	}
 	for seed := range ghdSeeded {
 		r := rand.New(rand.NewSource(int64(seed)))
@@ -196,6 +222,78 @@ func TestStructuralBoundBelowExactGHW(t *testing.T) {
 			}
 			b.MustAddEdge("E"+strconv.Itoa(e), names...)
 		}
-		check("large-"+strconv.Itoa(seed), b.Build())
+		structuralBound(t, "large-"+strconv.Itoa(seed), b.Build())
 	}
+}
+
+// TestStructuralBoundTermWalls: on each hypergraph of boundTermWalls
+// the structural bound reaches the exact ghw, at or below it, so a
+// bound without that term fails here.
+func TestStructuralBoundTermWalls(t *testing.T) {
+	for _, w := range boundTermWalls {
+		h, err := hypergraph.ParseString(w.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lb, ghw := structuralBound(t, w.term, h); lb != ghw {
+			t.Errorf("%s: the structural bound is %d, the exact ghw %d", w.term, lb, ghw)
+		}
+	}
+}
+
+// FuzzGHDMatchesExactGHW: on any hypergraph of at most 10 vertices and
+// 12 edges, checkGHDExact holds and the structural bound stays at or
+// below the exact ghw. The first byte sets the vertex count; each later
+// pair of bytes is an edge's vertex mask, low byte first.
+func FuzzGHDMatchesExactGHW(f *testing.F) {
+	const maxVertices, maxEdges = 10, 12
+	encode := func(h *hypergraph.Hypergraph) []byte {
+		out := []byte{byte(h.NumVertices() - 1)}
+		for e := range h.NumEdges() {
+			var mask uint16
+			for _, v := range h.EdgeVertices(e) {
+				mask |= 1 << v
+			}
+			out = append(out, byte(mask), byte(mask>>8))
+		}
+		return out
+	}
+	for _, w := range boundTermWalls {
+		h, err := hypergraph.ParseString(w.src)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(encode(h))
+	}
+	for seed := range 20 {
+		if h := seededHypergraph(seed); h.NumVertices() <= maxVertices && h.NumEdges() <= maxEdges {
+			f.Add(encode(h))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		n := 1 + int(data[0])%maxVertices
+		var b hypergraph.Builder
+		for i, e := 1, 0; i+1 < len(data) && e < maxEdges; i += 2 {
+			mask := (int(data[i]) | int(data[i+1])<<8) & (1<<n - 1)
+			var names []string
+			for v := range n {
+				if mask>>v&1 == 1 {
+					names = append(names, "v"+strconv.Itoa(v))
+				}
+			}
+			if len(names) > 0 {
+				b.MustAddEdge("E"+strconv.Itoa(e), names...)
+				e++
+			}
+		}
+		h := b.Build()
+		if h.NumEdges() == 0 {
+			return
+		}
+		checkGHDExact(t, h.String(), h)
+		structuralBound(t, h.String(), h)
+	})
 }

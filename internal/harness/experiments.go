@@ -47,8 +47,8 @@ func provenanceNote(results []Result) string {
 	if len(counts) == 0 {
 		return ""
 	}
-	return fmt.Sprintf("Ladder lower-bound provenance (solved): structural=%d probe=%d trivial=%d",
-		counts["structural"], counts["probe"], counts["trivial"])
+	s, p, t := logk.BoundStructural.String(), logk.BoundProbe.String(), logk.BoundTrivial.String()
+	return fmt.Sprintf("Ladder lower-bound provenance (solved): %s=%d %s=%d %s=%d", s, counts[s], p, counts[p], t, counts[t])
 }
 
 // paperHybrid is the log-k-decomp hybrid of the paper's roster.

@@ -70,7 +70,7 @@ const ladderName = "log-k-decomp Ladder"
 // MethodLadder is the service's optimal-width search: logk.Optimal's
 // ascending width ladder, hybridised like the paper's headline
 // configuration and started at the structural lower bound
-// (hypergraph.WidthLowerBound), which the paper's columns do not use.
+// (logk.OptimalFromBound), which the paper's columns do not use.
 // One run per instance finds the optimum and refutes everything below
 // it, which is exactly the §5.1 "solved" criterion.
 func MethodLadder(workers int) Method {
@@ -78,16 +78,11 @@ func MethodLadder(workers int) Method {
 		Name:   ladderName,
 		config: fmt.Sprintf("ladder workers=%d", workers),
 		SolveLadder: func(ctx context.Context, h *hypergraph.Hypergraph, kMax int) (logk.OptimalResult, error) {
-			lb, err := h.WidthLowerBound(ctx, kMax)
-			if err != nil {
-				return logk.OptimalResult{}, err
-			}
-			return logk.Optimal(ctx, h, logk.OptimalConfig{
+			return logk.OptimalFromBound(ctx, h, logk.OptimalConfig{
 				Search: logk.Options{
 					Workers: workers, Hybrid: logk.PaperHybrid, HybridThreshold: logk.PaperHybridThreshold,
 				},
-				KMax:       kMax,
-				LowerBound: lb,
+				KMax: kMax,
 			})
 		},
 	}

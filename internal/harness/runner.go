@@ -73,9 +73,8 @@ type Result struct {
 	TimedOut bool
 	// Bounds[k] is the decision state for hw ≤ k, k = 1..KMax.
 	Bounds map[int]BoundState
-	// LBSource records how a ladder method proved its lower bound:
-	// "structural" (hypergraph.WidthLowerBound), "probe" (refuted during
-	// the run) or "trivial" (optimum was width 1). Empty for the
+	// LBSource is the logk.BoundSource name of a ladder method's lower
+	// bound: "structural", "probe" or "trivial". Empty for the
 	// width-parameterised methods.
 	LBSource string
 	// Err records validation failures or internal errors (never expected).
@@ -163,11 +162,7 @@ func (r *Runner) runLadder(ctx context.Context, m Method, in hyperbench.Instance
 	for k := 1; k < lr.LowerBound && k <= r.KMax; k++ {
 		res.Bounds[k] = No
 	}
-	// A ladder method's only initial bound is the structural one.
 	res.LBSource = lr.LowerBoundFrom.String()
-	if lr.LowerBoundFrom == logk.BoundInitial {
-		res.LBSource = "structural"
-	}
 	switch {
 	case err != nil && runCtx.Err() != nil:
 		res.TimedOut = true

@@ -57,10 +57,9 @@ const maxClique = 64
 //
 // The primal-graph terms run only when H has at most boundMaxVertices
 // vertices, and they check ctx every boundCheckEvery steps: the error is
-// ctx's when it ends first. The bound takes no part in the solvers: the
-// service uses it to refute widths without a search, and the callers of
-// logk.Optimal (the service, htd.DecomposeOptimal, the harness's ladder
-// column) start the width ladder at it.
+// ctx's when it ends first. The bound takes no part in the searches: the
+// service's decide jobs use it to refute widths without a search, and
+// logk.OptimalFromBound starts the width ladder at it.
 func (h *Hypergraph) WidthLowerBound(ctx context.Context, limit int) (int, error) {
 	m, n := h.NumEdges(), h.NumVertices()
 	if m == 0 {

@@ -274,14 +274,15 @@ func decomposeColdInstance(t testing.TB, r *rand.Rand, name string) *hypergraph.
 	return nil
 }
 
-// TestWidthLowerBoundAllocBudget: a bound works in pooled scratch, so
-// its allocations do not grow with the hypergraph or with the terms
-// that run; a renumbered syn-cylinder-10 runs all four at k = 2.
+// TestWidthLowerBoundAllocBudget: a bound and an acyclicity test work
+// in pooled scratch that keeps every slice it grows, so once warm they
+// allocate nothing, whatever the hypergraph or the terms that run; a
+// renumbered syn-cylinder-10 runs all four at k = 2.
 func TestWidthLowerBoundAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled scratch at random")
 	}
-	const budget = 6
+	const budget = 0
 	ctx := context.Background()
 	r := rand.New(rand.NewSource(1))
 	for _, name := range []string{"syn-cylinder-10", "app-cycle-44"} {
@@ -296,6 +297,15 @@ func TestWidthLowerBoundAllocBudget(t *testing.T) {
 			if allocs > budget {
 				t.Fatalf("%s k=%d: %.1f allocations per bound, budget %d", name, k, allocs, budget)
 			}
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if h.IsAcyclic() {
+				t.Fatalf("%s: acyclic", name)
+			}
+		})
+		t.Logf("%s IsAcyclic: %.1f allocations per call", name, allocs)
+		if allocs > budget {
+			t.Fatalf("%s IsAcyclic: %.1f allocations per call, budget %d", name, allocs, budget)
 		}
 	}
 }

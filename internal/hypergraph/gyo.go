@@ -42,9 +42,9 @@ func (sc *boundScratch) acyclic(h *Hypergraph) bool {
 	}
 	// count[e] is e's number of seen vertices, or -1 once e is
 	// selected; head[c] starts bucket c's doubly linked list.
-	count := grow(sc.count, m)
-	next, prev := grow(sc.next, m), grow(sc.prev, m)
-	head := grow(sc.head, maxSize+1)
+	sc.count, sc.next, sc.prev = grow(sc.count, m), grow(sc.next, m), grow(sc.prev, m)
+	sc.head = grow(sc.head, maxSize+1)
+	count, next, prev, head := sc.count, sc.next, sc.prev, sc.head
 	for c := range head {
 		head[c] = -1
 	}
@@ -70,11 +70,13 @@ func (sc *boundScratch) acyclic(h *Hypergraph) bool {
 		link(e, 0)
 	}
 	// seenAt[v] is the position in order of the edge that first saw v.
-	seenAt := grow(sc.seenAt, n)
+	sc.seenAt = grow(sc.seenAt, n)
+	seenAt := sc.seenAt
 	for v := range seenAt {
 		seenAt[v] = -1
 	}
-	order := grow(sc.order, m)
+	sc.order = grow(sc.order, m)
+	order := sc.order
 	top := 0
 	for i := 0; i < m; i++ {
 		for head[top] < 0 {

@@ -7,14 +7,16 @@ import (
 	"repro/internal/hypergraph"
 )
 
-// BoundSource says how Optimal's final lower bound was established —
-// the provenance behind a "proven optimal" claim.
+// BoundSource says how a lower bound on hypertree width was
+// established; its String is the one name of each provenance, which
+// the service's lower_bound_from and the harness's ladder note print.
 type BoundSource int
 
 const (
-	BoundTrivial BoundSource = iota // the optimum was the least width: 1, or 0 without edges
-	BoundInitial                    // the caller's LowerBound was tight
-	BoundProbe                      // a probe refuted width LowerBound-1
+	BoundTrivial    BoundSource = iota // the optimum was the least width: 1, or 0 without edges
+	BoundInitial                       // the caller's LowerBound was tight (cached bounds: "memo")
+	BoundProbe                         // a probe refuted width LowerBound-1
+	BoundStructural                    // hypergraph.WidthLowerBound was tight
 )
 
 func (b BoundSource) String() string {
@@ -23,6 +25,8 @@ func (b BoundSource) String() string {
 		return "memo"
 	case BoundProbe:
 		return "probe"
+	case BoundStructural:
+		return "structural"
 	}
 	return "trivial"
 }
@@ -35,8 +39,8 @@ type OptimalConfig struct {
 	// hw(H) ≤ KMax and reports Found=false otherwise.
 	KMax int
 	// LowerBound, when > 1, asserts that every width below it is
-	// refuted (a structural bound, or cached bounds of earlier runs).
-	// Optimal trusts it and probes from there.
+	// refuted (cached bounds of earlier runs). Optimal trusts it and
+	// probes from there.
 	LowerBound int
 	// MemoFor, when non-nil, supplies the negative-memo backend of the
 	// probe at width k, replacing Search.Memo; a serving layer injects
@@ -66,12 +70,34 @@ type OptimalResult struct {
 // which is the paper's §5.1 "solved" criterion; the parallelism lives
 // inside each probe's search (Search.Workers, Search.Tokens).
 func Optimal(ctx context.Context, h *hypergraph.Hypergraph, cfg OptimalConfig) (OptimalResult, error) {
+	return optimalFrom(ctx, h, cfg, BoundInitial)
+}
+
+// OptimalFromBound is Optimal started at the larger of cfg.LowerBound
+// and the structural bound, hypergraph.WidthLowerBound up to KMax,
+// which it reports as BoundStructural when that set the start and was
+// tight. If the bound's computation ends on ctx, it returns the zero
+// OptimalResult (no probes) and ctx's error.
+func OptimalFromBound(ctx context.Context, h *hypergraph.Hypergraph, cfg OptimalConfig) (OptimalResult, error) {
+	lb, err := h.WidthLowerBound(ctx, cfg.KMax)
+	if err != nil {
+		return OptimalResult{}, err
+	}
+	from := BoundInitial
+	if lb > max(cfg.LowerBound, 1) {
+		cfg.LowerBound, from = lb, BoundStructural
+	}
+	return optimalFrom(ctx, h, cfg, from)
+}
+
+// optimalFrom is Optimal with from as cfg.LowerBound's provenance.
+func optimalFrom(ctx context.Context, h *hypergraph.Hypergraph, cfg OptimalConfig, from BoundSource) (OptimalResult, error) {
 	// hw(H) ≥ 1 unless H has no edges: then its one HD is a single node
 	// with an empty λ, of width 0.
 	floor := min(h.NumEdges(), 1)
 	res := OptimalResult{LowerBound: max(cfg.LowerBound, floor)}
 	if res.LowerBound > floor {
-		res.LowerBoundFrom = BoundInitial
+		res.LowerBoundFrom = from
 	}
 	for k := res.LowerBound; k <= cfg.KMax; k++ {
 		opts := cfg.Search

@@ -189,11 +189,10 @@ type Result struct {
 	// structural lower bound or a search refuted K, and to the cached
 	// bound, which can exceed K+1, when the store's bounds did.
 	LowerBound int
-	// LowerBoundFrom is the provenance of LowerBound: "structural" (the
-	// hypergraph's structural lower bound, computed by this job), "probe"
-	// (refuted by a search during this job), "memo" (cached bounds from
-	// an earlier job) or "trivial" (optimum was the least width:
-	// 1, or 0 without edges).
+	// LowerBoundFrom is the provenance of LowerBound, named by
+	// logk.BoundSource: "structural" (the structural bound, computed by
+	// this job), "probe" (refuted by this job's search), "memo" (an
+	// earlier job's cached bounds) or "trivial" (the least width).
 	LowerBoundFrom string
 
 	// The fields below are populated by ModeOptimal jobs only.
@@ -496,7 +495,7 @@ func (s *Service) lookup(req Request, hash string) (Result, bool) {
 			// Every width up to the ceiling is already refuted.
 			return Result{
 				CacheHit: true, CacheShared: true, BoundsShared: true,
-				LowerBound: b.LB, LowerBoundFrom: boundMemo,
+				LowerBound: b.LB, LowerBoundFrom: logk.BoundInitial.String(),
 			}, true
 		}
 		if b.Exact() && b.UB <= req.K {
@@ -504,7 +503,7 @@ func (s *Service) lookup(req Request, hash string) (Result, bool) {
 				return Result{
 					OK: true, Decomp: d, Width: w,
 					CacheHit: true, CacheShared: true, BoundsShared: true,
-					LowerBound: b.LB, LowerBoundFrom: boundMemo,
+					LowerBound: b.LB, LowerBoundFrom: logk.BoundInitial.String(),
 				}, true
 			}
 		}
@@ -512,7 +511,7 @@ func (s *Service) lookup(req Request, hash string) (Result, bool) {
 	}
 	// ModeDecide.
 	if b.LB > req.K {
-		return Result{CacheHit: true, CacheShared: true, LowerBound: b.LB, LowerBoundFrom: boundMemo}, true
+		return Result{CacheHit: true, CacheShared: true, LowerBound: b.LB, LowerBoundFrom: logk.BoundInitial.String()}, true
 	}
 	if b.UB > 0 && b.UB <= req.K {
 		if d, _, ok := s.cachedWitness(req.H, hash, req.K); ok {
@@ -630,24 +629,15 @@ func tighten[T int | time.Duration](req, ceiling T) T {
 	return req
 }
 
-// LowerBoundFrom values of bounds the service itself establishes:
-// boundStructural for hypergraph.WidthLowerBound, boundMemo for the
-// store's cached bounds.
-const (
-	boundStructural = "structural"
-	boundMemo       = "memo"
-)
-
-// run executes an admitted job on the caller's goroutine. It first
-// computes the hypergraph's structural lower bound on hypertree width
-// (hypergraph.WidthLowerBound) under the job's deadline: a decide job
-// with K below it answers NO without a search or a memo table, and an
-// optimal job's width ladder starts at it. Every search runs the
-// paper's headline configuration, log-k-decomp hybridised with
-// det-k-decomp (logk.PaperHybrid at logk.PaperHybridThreshold): decide
-// and optimal jobs alike, hence every query plan too. Every search runs
-// with TokenBudget+1 workers, drawing the extra ones from the shared
-// token pool.
+// run executes an admitted job on the caller's goroutine. A decide job
+// first computes the hypergraph's structural lower bound on hypertree
+// width (hypergraph.WidthLowerBound) under the job's deadline, and with
+// K below it answers NO without a search or a memo table. Every search,
+// an optimal job's included, runs the paper's headline configuration,
+// log-k-decomp hybridised with det-k-decomp (logk.PaperHybrid at
+// logk.PaperHybridThreshold), hence every query plan too, with
+// TokenBudget+1 workers, drawing the extra ones from the shared token
+// pool.
 func (s *Service) run(ctx context.Context, req Request, hash string) (res Result) {
 	ctx, cancel := s.WithTimeout(ctx, req.Timeout)
 	defer cancel()
@@ -657,12 +647,12 @@ func (s *Service) run(ctx context.Context, req Request, hash string) (res Result
 		res.ran = true
 	}()
 
+	if req.Mode == ModeOptimal {
+		return s.runOptimal(ctx, req, hash)
+	}
 	lb, err := req.H.WidthLowerBound(ctx, req.K)
 	if err != nil {
 		return Result{Err: err}
-	}
-	if req.Mode == ModeOptimal {
-		return s.runOptimal(ctx, req, hash, lb)
 	}
 	if lb > req.K {
 		// A NO stands only while the job's deadline does, as a
@@ -671,7 +661,7 @@ func (s *Service) run(ctx context.Context, req Request, hash string) (res Result
 			return Result{Err: err}
 		}
 		s.store.MergeBounds(hash, store.Bounds{LB: req.K + 1})
-		return Result{structural: true, LowerBound: req.K + 1, LowerBoundFrom: boundStructural}
+		return Result{structural: true, LowerBound: req.K + 1, LowerBoundFrom: logk.BoundStructural.String()}
 	}
 
 	memo, existed := s.store.Memo(hash, req.K)
@@ -710,14 +700,14 @@ func (s *Service) searchOptions() logk.Options {
 	}
 }
 
-// runOptimal executes an admitted ModeOptimal job: logk.Optimal's width
-// ladder over widths up to K under the service's search configuration
-// and store, starting at the larger of the cached lower bound and lb,
-// the structural one (capped at K+1). Refutations are banked twice —
+// runOptimal executes an admitted ModeOptimal job: logk.OptimalFromBound's
+// width ladder over widths up to K under the service's search
+// configuration and store, starting at the larger of the cached and the
+// structural lower bound. Refutations are banked twice —
 // state-level in the per-width memo tables, width-level in the store's
 // bounds — so later jobs on the same structure start from tighter
 // bounds whether they decide or optimise.
-func (s *Service) runOptimal(ctx context.Context, req Request, hash string, lb int) Result {
+func (s *Service) runOptimal(ctx context.Context, req Request, hash string) Result {
 	var res Result
 	cfg := logk.OptimalConfig{
 		Search: s.searchOptions(),
@@ -734,18 +724,15 @@ func (s *Service) runOptimal(ctx context.Context, req Request, hash string, lb i
 		cfg.LowerBound = b.LB
 		res.BoundsShared = true
 	}
-	structural := lb > max(cfg.LowerBound, 1)
-	if structural {
-		cfg.LowerBound = lb
-	}
 
-	opt, err := logk.Optimal(ctx, req.H, cfg)
+	opt, err := logk.OptimalFromBound(ctx, req.H, cfg)
+	if err != nil && opt.Probes == 0 {
+		// The structural bound ended on the deadline: nothing started.
+		return Result{Err: err}
+	}
 	res.Err, res.OK, res.Width = err, opt.Found, opt.Width
 	res.LowerBound = opt.LowerBound
 	res.LowerBoundFrom = opt.LowerBoundFrom.String()
-	if structural && opt.LowerBoundFrom == logk.BoundInitial {
-		res.LowerBoundFrom = boundStructural
-	}
 	res.ProbesLaunched = opt.Probes
 	res.Stats = opt.Stats
 
