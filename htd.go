@@ -55,7 +55,7 @@ type Decomposition = decomp.Decomp
 type Node = decomp.Node
 
 // Options configures the log-k-decomp solver; see the field docs in the
-// underlying type for the parallelism, hybridisation and memo knobs.
+// underlying type for the parallelism and hybridisation knobs.
 type Options = logk.Options
 
 // HybridMetric selects the subproblem metric for the hybrid solver.

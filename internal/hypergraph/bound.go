@@ -57,9 +57,10 @@ const maxClique = 64
 //
 // The primal-graph terms run only when H has at most boundMaxVertices
 // vertices, and they check ctx every boundCheckEvery steps: the error is
-// ctx's when it ends first. The bound takes no part in the searches: the
-// service's decide jobs use it to refute widths without a search, and
-// logk.OptimalFromBound starts the width ladder at it.
+// ctx's when it ends first. The bound takes no part in the searches:
+// logk.OptimalFromBound starts the width ladder at it, so a ladder whose
+// ceiling lies below it, such as the service's one-rung decide job,
+// refutes without a search.
 func (h *Hypergraph) WidthLowerBound(ctx context.Context, limit int) (int, error) {
 	m, n := h.NumEdges(), h.NumVertices()
 	if m == 0 {

@@ -71,9 +71,9 @@ const (
 )
 
 // Options configures a Solver. Every Solver memoises the states it
-// refutes (see Memo), as the reference log-k-decomp keeps one cache,
-// reset per width. The zero Hybrid, HybridNone, is plain log-k-decomp:
-// no subproblem is handed to det-k-decomp.
+// refutes in a table of its width alone, as the reference log-k-decomp
+// resets its cache per width. The zero Hybrid, HybridNone, is plain
+// log-k-decomp: no subproblem is handed to det-k-decomp.
 type Options struct {
 	// K is the width bound (required, ≥ 1).
 	K int
@@ -94,12 +94,6 @@ type Options struct {
 	// concurrent Solvers. Workers still caps how many extra tokens one
 	// split requests.
 	Tokens TokenSource
-
-	// Memo, when non-nil, replaces the Solver's private negative memo.
-	// Keys are pure content (ext.Graph.MemoKey), so a backend may be
-	// shared by all Solvers running the same hypergraph with the same K —
-	// the basis for cross-request caching in the service layer.
-	Memo MemoBackend
 }
 
 // Stats reports search effort, populated during Decompose. Each worker
@@ -135,8 +129,9 @@ type Solver struct {
 	specialID atomic.Int64
 
 	// memo records content-keyed states whose search space was exhausted
-	// without success; see ext.Graph.MemoKey. The default is a private
-	// ShardedMemo; Options.Memo swaps in a shared backend.
+	// without success at width Opts.K; see ext.Graph.MemoKey. New makes
+	// a private ShardedMemo; optimalFrom passes the width's shared table
+	// from OptimalConfig.MemoFor instead.
 	memo MemoBackend
 
 	mu    sync.Mutex // guards stats
@@ -146,19 +141,21 @@ type Solver struct {
 }
 
 // New returns a Solver for h with the given options.
-func New(h *hypergraph.Hypergraph, opts Options) *Solver {
+func New(h *hypergraph.Hypergraph, opts Options) *Solver { return newSolver(h, opts, nil) }
+
+// newSolver is New with memo, when non-nil, in place of a private
+// negative memo; it must hold refutations at width opts.K only.
+func newSolver(h *hypergraph.Hypergraph, opts Options, memo MemoBackend) *Solver {
 	if opts.K < 1 {
 		panic("logk: width bound K must be >= 1")
 	}
 	if opts.Workers < 1 {
 		opts.Workers = 1
 	}
-	s := &Solver{H: h, Opts: opts}
-	s.tokens = opts.Tokens
+	s := &Solver{H: h, Opts: opts, tokens: opts.Tokens, memo: memo}
 	if s.tokens == nil {
 		s.tokens = NewTokenPool(opts.Workers - 1)
 	}
-	s.memo = opts.Memo
 	if s.memo == nil {
 		s.memo = new(ShardedMemo)
 	}

@@ -38,13 +38,15 @@ type OptimalConfig struct {
 	// KMax bounds the width search: Optimal decides hw(H) exactly when
 	// hw(H) ≤ KMax and reports Found=false otherwise.
 	KMax int
-	// LowerBound, when > 1, asserts that every width below it is
-	// refuted (cached bounds of earlier runs). Optimal trusts it and
-	// probes from there.
+	// LowerBound, when > 1, is where Optimal starts probing; it
+	// reports every width below as refuted. An optimal caller passes a
+	// proven bound (cached bounds of earlier runs). A decide caller
+	// passes K with KMax = K, an unproven start for a one-rung ladder,
+	// and banks only a witness or a NO (as the bound K+1).
 	LowerBound int
-	// MemoFor, when non-nil, supplies the negative-memo backend of the
-	// probe at width k, replacing Search.Memo; a serving layer injects
-	// its cross-request tables here.
+	// MemoFor, when non-nil, supplies the negative-memo table of the
+	// probe at width k, holding refutations at width k only; a serving
+	// layer injects its cross-request tables here.
 	MemoFor func(k int) MemoBackend
 }
 
@@ -102,10 +104,11 @@ func optimalFrom(ctx context.Context, h *hypergraph.Hypergraph, cfg OptimalConfi
 	for k := res.LowerBound; k <= cfg.KMax; k++ {
 		opts := cfg.Search
 		opts.K = max(k, 1) // New needs K ≥ 1; any K finds the empty node
+		var memo MemoBackend
 		if cfg.MemoFor != nil {
-			opts.Memo = cfg.MemoFor(k)
+			memo = cfg.MemoFor(k)
 		}
-		s := New(h, opts)
+		s := newSolver(h, opts, memo)
 		d, ok, err := s.Decompose(ctx)
 		res.Probes++
 		res.Stats.Add(s.Stats())

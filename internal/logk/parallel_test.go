@@ -240,7 +240,7 @@ func TestParallelStatsConservation(t *testing.T) {
 	h := suiteInstance(t, hyperbench.Config{Scale: 3, Seed: 1}, "syn-cylinder-18")
 	memo := &countingMemo{}
 	tokens := &countingPool{TokenPool: NewTokenPool(3)}
-	s := New(h, Options{K: 2, Workers: 4, Memo: memo, Tokens: tokens})
+	s := newSolver(h, Options{K: 2, Workers: 4, Tokens: tokens}, memo)
 	if _, ok, err := s.Decompose(context.Background()); ok || err != nil {
 		t.Fatalf("k=2: ok=%v err=%v, want a refutation", ok, err)
 	}

@@ -629,12 +629,14 @@ func tighten[T int | time.Duration](req, ceiling T) T {
 	return req
 }
 
-// run executes an admitted job on the caller's goroutine. A decide job
-// first computes the hypergraph's structural lower bound on hypertree
-// width (hypergraph.WidthLowerBound) under the job's deadline, and with
-// K below it answers NO without a search or a memo table. Every search,
-// an optimal job's included, runs the paper's headline configuration,
-// log-k-decomp hybridised with det-k-decomp (logk.PaperHybrid at
+// run executes an admitted job on the caller's goroutine. Every job
+// is a width ladder run by logk.OptimalFromBound: an optimal job's
+// from the cached lower bound up to K, a decide job's one rung at K.
+// The ladder first computes the hypergraph's structural lower bound
+// under the job's deadline; a bound above K leaves no rung, so a
+// decide job answers NO without a search or a memo table. Every
+// search runs the paper's headline configuration, log-k-decomp
+// hybridised with det-k-decomp (logk.PaperHybrid at
 // logk.PaperHybridThreshold), hence every query plan too, with
 // TokenBudget+1 workers, drawing the extra ones from the shared token
 // pool.
@@ -650,82 +652,65 @@ func (s *Service) run(ctx context.Context, req Request, hash string) (res Result
 	if req.Mode == ModeOptimal {
 		return s.runOptimal(ctx, req, hash)
 	}
-	lb, err := req.H.WidthLowerBound(ctx, req.K)
-	if err != nil {
-		return Result{Err: err}
-	}
-	if lb > req.K {
+	opt, err := logk.OptimalFromBound(ctx, req.H, s.ladder(hash, req.K, req.K, &res))
+	if err == nil && opt.Probes == 0 {
 		// A NO stands only while the job's deadline does, as a
 		// search's would.
-		if err := ctx.Err(); err != nil {
-			return Result{Err: err}
-		}
-		s.store.MergeBounds(hash, store.Bounds{LB: req.K + 1})
-		return Result{structural: true, LowerBound: req.K + 1, LowerBoundFrom: logk.BoundStructural.String()}
+		err = ctx.Err()
+	}
+	res.Err, res.OK, res.Stats = err, opt.Found, opt.Stats
+	if err != nil {
+		return res
 	}
 
-	memo, existed := s.store.Memo(hash, req.K)
-	res.CacheShared = existed
-	opts := s.searchOptions()
-	opts.K, opts.Memo = req.K, memo
-	solver := logk.New(req.H, opts)
-	d, ok, err := solver.Decompose(ctx)
-	res.Decomp, res.OK, res.Err = d, ok, err
-	res.Stats = solver.Stats()
-
-	// Bank what this definitive answer proves at the width level: a
-	// witness caps UB (and is cached for repeat submissions), an
-	// exhausted search raises LB to K+1 and reports it.
-	if err == nil {
-		if ok {
-			if t := store.EncodeTree(d); t != nil {
-				s.store.PutDecomposition(hash, t)
-			}
-		} else {
-			s.store.MergeBounds(hash, store.Bounds{LB: req.K + 1})
-			res.LowerBound, res.LowerBoundFrom = req.K+1, logk.BoundProbe.String()
+	// The start K is the request's, not a proof: bank only what this
+	// answer proves. A witness caps UB (and is cached for repeat
+	// submissions); a NO raises LB to K+1 and reports it.
+	if res.OK {
+		res.Decomp = opt.Decomp
+		if t := store.EncodeTree(opt.Decomp); t != nil {
+			s.store.PutDecomposition(hash, t)
 		}
+	} else {
+		s.store.MergeBounds(hash, store.Bounds{LB: req.K + 1})
+		res.LowerBound, res.LowerBoundFrom = req.K+1, opt.LowerBoundFrom.String()
+		res.structural = opt.Probes == 0
 	}
 	return res
 }
 
-// searchOptions is the one search configuration of every job, its
-// width and memo table aside.
-func (s *Service) searchOptions() logk.Options {
-	return logk.Options{
-		Workers:         s.budget.Size() + 1,
-		Hybrid:          logk.PaperHybrid,
-		HybridThreshold: logk.PaperHybridThreshold,
-		Tokens:          s.budget,
-	}
-}
-
-// runOptimal executes an admitted ModeOptimal job: logk.OptimalFromBound's
-// width ladder over widths up to K under the service's search
-// configuration and store, starting at the larger of the cached and the
-// structural lower bound. Refutations are banked twice —
-// state-level in the per-width memo tables, width-level in the store's
-// bounds — so later jobs on the same structure start from tighter
-// bounds whether they decide or optimise.
-func (s *Service) runOptimal(ctx context.Context, req Request, hash string) Result {
-	var res Result
-	cfg := logk.OptimalConfig{
-		Search: s.searchOptions(),
-		KMax:   req.K,
+// ladder configures a job's width ladder from lb to kMax: the one
+// search configuration of every job, and each width's memo table from
+// the store. A table that already held states sets res.CacheShared.
+func (s *Service) ladder(hash string, lb, kMax int, res *Result) logk.OptimalConfig {
+	return logk.OptimalConfig{
+		Search: logk.Options{
+			Workers:         s.budget.Size() + 1,
+			Hybrid:          logk.PaperHybrid,
+			HybridThreshold: logk.PaperHybridThreshold,
+			Tokens:          s.budget,
+		},
+		KMax:       kMax,
+		LowerBound: lb,
 		MemoFor: func(k int) logk.MemoBackend {
 			table, existed := s.store.Memo(hash, k)
-			if existed {
-				res.CacheShared = true
-			}
+			res.CacheShared = res.CacheShared || existed
 			return table
 		},
 	}
-	if b, ok := s.store.Bounds(hash); ok {
-		cfg.LowerBound = b.LB
-		res.BoundsShared = true
-	}
+}
 
-	opt, err := logk.OptimalFromBound(ctx, req.H, cfg)
+// runOptimal executes an admitted ModeOptimal job: the width ladder
+// over widths up to K, starting at the larger of the cached and the
+// structural lower bound. Refutations are banked twice — state-level
+// in the per-width memo tables, width-level in the store's bounds — so
+// later jobs on the same structure start from tighter bounds whether
+// they decide or optimise.
+func (s *Service) runOptimal(ctx context.Context, req Request, hash string) Result {
+	var res Result
+	b, ok := s.store.Bounds(hash)
+	res.BoundsShared = ok
+	opt, err := logk.OptimalFromBound(ctx, req.H, s.ladder(hash, b.LB, req.K, &res))
 	if err != nil && opt.Probes == 0 {
 		// The structural bound ended on the deadline: nothing started.
 		return Result{Err: err}

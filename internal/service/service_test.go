@@ -527,6 +527,58 @@ func TestStructuralRefutation(t *testing.T) {
 	}
 }
 
+// TestDecideSearchesWidthKAlone: a decide job asks about width K and
+// searches K alone, even where the structural bound lies below K and a
+// ladder from the bound would find a narrower witness first. Its
+// effort equals one direct search at K under the service's options,
+// it launches no probe, and its witness has width at most K. The
+// search is serial (TokenBudget -1), so the counts are deterministic.
+func TestDecideSearchesWidthKAlone(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		h    *hypergraph.Hypergraph
+		k    int
+	}{
+		{"cycle(12)", cycle(12), 3},
+		{"cycle(12)", cycle(12), 4},
+		{"grid(4)", grid(4), 4},
+		{"earedCylinder(20)", earedCylinder(20), 4},
+	} {
+		if lb, err := tc.h.WidthLowerBound(ctx, tc.k); err != nil || lb >= tc.k {
+			t.Fatalf("%s K=%d: structural bound %d (%v), want below K", tc.name, tc.k, lb, err)
+		}
+		svc := New(Config{TokenBudget: -1, MaxConcurrent: 1})
+		res := svc.Submit(ctx, Request{H: tc.h, K: tc.k})
+		svc.Close()
+		if res.Err != nil || !res.OK || res.CacheHit {
+			t.Fatalf("%s K=%d: ok=%v hit=%v err=%v, want a computed YES", tc.name, tc.k, res.OK, res.CacheHit, res.Err)
+		}
+
+		direct := logk.New(tc.h, logk.Options{
+			K:               tc.k,
+			Workers:         1,
+			Hybrid:          logk.PaperHybrid,
+			HybridThreshold: logk.PaperHybridThreshold,
+		})
+		if _, ok, err := direct.Decompose(ctx); err != nil || !ok {
+			t.Fatalf("%s K=%d: direct search ok=%v err=%v", tc.name, tc.k, ok, err)
+		}
+		if res.Stats != direct.Stats() {
+			t.Errorf("%s K=%d: job Stats %+v, one search at K %+v", tc.name, tc.k, res.Stats, direct.Stats())
+		}
+		if res.ProbesLaunched != 0 {
+			t.Errorf("%s K=%d: ProbesLaunched = %d, want 0", tc.name, tc.k, res.ProbesLaunched)
+		}
+		if err := decomp.CheckHD(res.Decomp); err != nil {
+			t.Errorf("%s K=%d: witness: %v", tc.name, tc.k, err)
+		}
+		if err := decomp.CheckWidth(res.Decomp, tc.k); err != nil {
+			t.Errorf("%s K=%d: witness: %v", tc.name, tc.k, err)
+		}
+	}
+}
+
 // TestOptimalMode: a ModeOptimal job computes the exact width with a
 // valid witness, proves the bound below it, and reports the ladder's
 // effort.
