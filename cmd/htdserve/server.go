@@ -21,8 +21,9 @@ import (
 
 // apiRequest is the JSON body of POST /decompose and one NDJSON line of
 // POST /batch. It selects the problem, not the solver: every job runs
-// the service's one configuration, the paper's hybrid, with the
-// service's parallelism. Like any field it does not know, the decoder
+// the service's one rule (det-k-decomp on a label budget, then the
+// paper's hybrid) with the service's parallelism. Like any field it
+// does not know, the decoder
 // ignores a "hybrid", "hybrid_threshold", "workers" or "max_probes" an
 // older client still sends.
 type apiRequest struct {

@@ -212,16 +212,21 @@ func earedPrism(n int) string {
 	return strings.TrimSuffix(strings.TrimSpace(b.String()), ",") + "."
 }
 
-// TestOneSolverConfiguration: every job runs the paper's hybrid. A
-// decide job, an optimal job and a cold /query plan each raise /stats'
-// Solver.HybridCalls, and a body that still sends the retired
-// "hybrid":"none", "workers" or "max_probes" gets the same solver. The
+// TestOneSolverConfiguration: every job follows one rule. Each rung
+// runs det-k-decomp first on a fixed label budget and falls back to the
+// paper's hybrid only when that runs out. earedPrism(8), whose width-2
+// refutation the structural lower bound leaves to the search, is
+// decided by det-k at k = 2 and 3: a decide job, an optimal job and a
+// cold /query plan each raise /stats' Solver.DetKCandidates and run no
+// log-k search (Candidates and HybridCalls stay 0). earedPrism(20)'s
+// width-2 refutation outlasts the budget, so its jobs fall back and
+// report log-k Candidates. A body that still sends the retired
+// "hybrid":"none", "workers" or "max_probes" gets the same rule. The
 // decompose answers agree, also with a timeout_ms too large to convert
-// to nanoseconds, which the server clamps to its -timeout. Each request gets a fresh server so
-// none comes from the plan cache. The instance is earedPrism(8), whose
-// width-2 refutation the structural lower bound leaves to the search.
+// to nanoseconds, which the server clamps to its -timeout. Each request
+// gets a fresh server so none comes from the plan cache.
 func TestOneSolverConfiguration(t *testing.T) {
-	hybridCalls := func(t *testing.T, url string) int64 {
+	solverStats := func(t *testing.T, url string) htd.SolverStats {
 		t.Helper()
 		resp, err := http.Get(url + "/stats")
 		if err != nil {
@@ -232,10 +237,17 @@ func TestOneSolverConfiguration(t *testing.T) {
 		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 			t.Fatal(err)
 		}
-		return st.Solver.HybridCalls
+		return st.Solver
 	}
-	prism := earedPrism(8)
-	for _, k := range []int{2, 3} {
+	const armBudget = 1 << 16 // det-k's label budget per rung
+	// detkOnly reports whether st is the effort of rungs det-k decided.
+	detkOnly := func(st htd.SolverStats) bool {
+		return st.DetKCandidates > 0 && st.HybridCalls == 0 && st.Candidates == 0 && st.ParentCands == 0
+	}
+	for _, tc := range []struct {
+		n, k     int
+		fallback bool
+	}{{8, 2, false}, {8, 3, false}, {20, 2, true}} {
 		var answers []apiResponse
 		for _, extra := range []map[string]any{
 			{},
@@ -246,7 +258,7 @@ func TestOneSolverConfiguration(t *testing.T) {
 			{"timeout_ms": int64(76480200929599801)},
 			{"timeout_ms": int64(18446744073710)},
 		} {
-			req := map[string]any{"hypergraph": prism, "k": k}
+			req := map[string]any{"hypergraph": earedPrism(tc.n), "k": tc.k}
 			for key, v := range extra {
 				req[key] = v
 			}
@@ -254,24 +266,33 @@ func TestOneSolverConfiguration(t *testing.T) {
 			ts, _ := newTestServer(t)
 			resp, out := postJSON(t, ts.URL+"/decompose", string(body))
 			if resp.StatusCode != http.StatusOK || out.Error != "" || out.CacheHit || out.Stats == nil {
-				t.Fatalf("k=%d %v: status %d %+v", k, extra, resp.StatusCode, out)
+				t.Fatalf("n=%d k=%d %v: status %d %+v", tc.n, tc.k, extra, resp.StatusCode, out)
 			}
-			if out.Stats.HybridCalls < 1 {
-				t.Fatalf("k=%d %v: job ran no hybrid hand-off: %+v", k, extra, out.Stats)
-			}
-			if got := hybridCalls(t, ts.URL); got < 1 {
-				t.Fatalf("k=%d %v: /stats Solver.HybridCalls=%d", k, extra, got)
+			if tc.fallback {
+				if out.Stats.DetKCandidates <= armBudget || out.Stats.Candidates == 0 {
+					t.Fatalf("n=%d k=%d %v: job did not fall back to log-k: %+v", tc.n, tc.k, extra, out.Stats)
+				}
+				if got := solverStats(t, ts.URL); got.Candidates == 0 {
+					t.Fatalf("n=%d k=%d %v: /stats Solver %+v, want log-k candidates", tc.n, tc.k, extra, got)
+				}
+			} else {
+				if !detkOnly(*out.Stats) {
+					t.Fatalf("n=%d k=%d %v: job was not decided by det-k alone: %+v", tc.n, tc.k, extra, out.Stats)
+				}
+				if got := solverStats(t, ts.URL); !detkOnly(got) {
+					t.Fatalf("n=%d k=%d %v: /stats Solver %+v", tc.n, tc.k, extra, got)
+				}
 			}
 			answers = append(answers, out)
 		}
 		for _, a := range answers[1:] {
 			if a.OK != answers[0].OK || a.Width != answers[0].Width {
-				t.Fatalf("k=%d: answers disagree: ok/width %v/%d vs %v/%d",
-					k, answers[0].OK, answers[0].Width, a.OK, a.Width)
+				t.Fatalf("n=%d k=%d: answers disagree: ok/width %v/%d vs %v/%d",
+					tc.n, tc.k, answers[0].OK, answers[0].Width, a.OK, a.Width)
 			}
 		}
-		if want := k == 3; answers[0].OK != want || (want && answers[0].Width != 3) {
-			t.Fatalf("k=%d: ok=%v width=%d, want ok=%v width 3", k, answers[0].OK, answers[0].Width, want)
+		if want := tc.k == 3; answers[0].OK != want || (want && answers[0].Width != 3) {
+			t.Fatalf("n=%d k=%d: ok=%v width=%d, want ok=%v width 3", tc.n, tc.k, answers[0].OK, answers[0].Width, want)
 		}
 	}
 
@@ -279,8 +300,8 @@ func TestOneSolverConfiguration(t *testing.T) {
 	if resp, out, raw := postQuery(t, ts.URL+"/query", triangleQueryBody); resp.StatusCode != http.StatusOK || out.PlanCacheHit {
 		t.Fatalf("cold /query: status %d %s", resp.StatusCode, raw)
 	}
-	if got := hybridCalls(t, ts.URL); got < 1 {
-		t.Fatalf("cold /query plan: /stats Solver.HybridCalls=%d", got)
+	if got := solverStats(t, ts.URL); !detkOnly(got) {
+		t.Fatalf("cold /query plan: /stats Solver %+v", got)
 	}
 }
 

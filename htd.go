@@ -115,8 +115,8 @@ func DecomposeGHD(ctx context.Context, h *Hypergraph, k int) (*Decomposition, bo
 
 // OptimalOptions configures DecomposeOptimal: the log-k-decomp search
 // of every width (Search; its K is set per width), the width ceiling
-// KMax, a lower bound the caller has already proven, and per-width memo
-// tables; see the field docs of the underlying type.
+// KMax and a lower bound the caller has already proven; see the field
+// docs of the underlying type.
 type OptimalOptions = logk.OptimalConfig
 
 // DecomposeOptimal computes hw(H) exactly with log-k-decomp. It raises

@@ -31,6 +31,7 @@ package detk
 
 import (
 	"context"
+	"errors"
 
 	"repro/internal/bitset"
 	"repro/internal/decomp"
@@ -49,12 +50,21 @@ type Solver struct {
 	keyBuf   []byte   // cache-key scratch, reused by every rec call
 	frames   []*frame // per-depth search scratch, see frame
 
+	// Budget, when > 0, bounds Stats.Candidates: forming label
+	// Budget+1 stops the search with ErrBudget. A stopped search banks
+	// no refutation of the states it was still searching.
+	Budget int64
+
 	// Stats are populated during Decompose for instrumentation.
 	Stats Stats
 
 	ctx      context.Context
 	ctxCheck int
 }
+
+// ErrBudget stops a search at its label Solver.Budget+1, before it
+// found an HD or refuted the width.
+var ErrBudget = errors.New("detk: label budget exhausted")
 
 // Stats reports search effort counters.
 type Stats struct {
@@ -295,10 +305,13 @@ func (s *Solver) tryLast(f *frame, e int, cover, next *bitset.Set) (*decomp.Node
 	return node, ok, err
 }
 
-// countLabel counts one formed λ-label and polls the context every 1024
-// labels.
+// countLabel counts one formed λ-label, stops the search past the
+// label budget and polls the context every 1024 labels.
 func (s *Solver) countLabel() error {
 	s.Stats.Candidates++
+	if s.Budget > 0 && s.Stats.Candidates > s.Budget {
+		return ErrBudget
+	}
 	s.ctxCheck++
 	if s.ctxCheck&0x3FF == 0 {
 		return s.ctx.Err()

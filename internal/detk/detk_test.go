@@ -2,6 +2,7 @@ package detk
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -266,6 +267,54 @@ func scale3Instance(t testing.TB, prefix string) *hypergraph.Hypergraph {
 	}
 	t.Fatalf("%s missing from HyperBench-sim {Scale: 3, Seed: 1}", prefix)
 	return nil
+}
+
+// TestDetKBudget: a label budget stops a search at exactly label
+// Budget+1 with ErrBudget, and a budget the search stays within changes
+// nothing: syn-cylinder-10's k = 3 witness (1,298 labels) comes out
+// byte for byte as without a budget, and its k = 2 refutation (29,423
+// labels) still refutes. A stopped search banks no refutation it did
+// not finish, so the same Solver resumed without a budget gives the
+// unbudgeted answer.
+func TestDetKBudget(t *testing.T) {
+	h := scale3Instance(t, "syn-cylinder-10#")
+	ctx := context.Background()
+	for _, tc := range []struct {
+		k      int
+		labels int64
+	}{{3, 1298}, {2, 29423}} {
+		free := New(h, tc.k)
+		want, wantOK, err := free.Decompose(ctx)
+		if err != nil || free.Stats.Candidates != tc.labels {
+			t.Fatalf("k=%d unbudgeted: %d labels, err %v; want %d", tc.k, free.Stats.Candidates, err, tc.labels)
+		}
+		for _, budget := range []int64{tc.labels, tc.labels + 1, 1 << 16} {
+			s := New(h, tc.k)
+			s.Budget = budget
+			d, ok, err := s.Decompose(ctx)
+			if err != nil || ok != wantOK || s.Stats.Candidates != tc.labels {
+				t.Fatalf("k=%d budget %d: ok=%v err=%v, %d labels; want ok=%v in %d labels",
+					tc.k, budget, ok, err, s.Stats.Candidates, wantOK, tc.labels)
+			}
+			if ok && d.String() != want.String() {
+				t.Fatalf("k=%d budget %d: witness differs from the unbudgeted one", tc.k, budget)
+			}
+		}
+		for _, budget := range []int64{1, tc.labels / 2, tc.labels - 1} {
+			s := New(h, tc.k)
+			s.Budget = budget
+			d, ok, err := s.Decompose(ctx)
+			if !errors.Is(err, ErrBudget) || ok || d != nil || s.Stats.Candidates != budget+1 {
+				t.Fatalf("k=%d budget %d: ok=%v err=%v, %d labels; want ErrBudget at %d",
+					tc.k, budget, ok, err, s.Stats.Candidates, budget+1)
+			}
+			s.Budget = 0
+			d, ok, err = s.Decompose(ctx)
+			if err != nil || ok != wantOK || (ok && d.String() != want.String()) {
+				t.Fatalf("k=%d resumed after a stop at %d: ok=%v err=%v, want the unbudgeted answer", tc.k, budget, ok, err)
+			}
+		}
+	}
 }
 
 // TestDetKRefutesBagOnce pins how many bags det-k-decomp splits into

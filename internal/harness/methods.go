@@ -68,22 +68,23 @@ func MethodLogKHybrid(workers int, metric logk.HybridMetric, threshold float64) 
 const ladderName = "log-k-decomp Ladder"
 
 // MethodLadder is the service's optimal-width search: logk.Optimal's
-// ascending width ladder, hybridised like the paper's headline
-// configuration and started at the structural lower bound
-// (logk.OptimalFromBound), which the paper's columns do not use.
-// One run per instance finds the optimum and refutes everything below
-// it, which is exactly the §5.1 "solved" criterion.
+// ascending width ladder started at the structural lower bound, which
+// the paper's columns do not use, with the service's rule on every rung
+// (logk.ServeLadder): det-k-decomp on a fixed label budget first, and
+// the paper's headline hybrid only when that budget runs out. One run
+// per instance finds the optimum and refutes everything below it,
+// which is exactly the §5.1 "solved" criterion.
 func MethodLadder(workers int) Method {
 	return Method{
 		Name:   ladderName,
 		config: fmt.Sprintf("ladder workers=%d", workers),
 		SolveLadder: func(ctx context.Context, h *hypergraph.Hypergraph, kMax int) (logk.OptimalResult, error) {
-			return logk.OptimalFromBound(ctx, h, logk.OptimalConfig{
+			return logk.ServeLadder(ctx, h, logk.OptimalConfig{
 				Search: logk.Options{
 					Workers: workers, Hybrid: logk.PaperHybrid, HybridThreshold: logk.PaperHybridThreshold,
 				},
 				KMax: kMax,
-			})
+			}, nil)
 		},
 	}
 }

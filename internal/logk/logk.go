@@ -130,8 +130,8 @@ type Solver struct {
 
 	// memo records content-keyed states whose search space was exhausted
 	// without success at width Opts.K; see ext.Graph.MemoKey. New makes
-	// a private ShardedMemo; optimalFrom passes the width's shared table
-	// from OptimalConfig.MemoFor instead.
+	// a private ShardedMemo; a ServeLadder rung that falls back to the
+	// search passes the width's shared table instead.
 	memo MemoBackend
 
 	mu    sync.Mutex // guards stats

@@ -234,21 +234,22 @@ func (m *insertCountingMemo) Insert(key string) {
 func TestOptimalMemoInjection(t *testing.T) {
 	h := cycle(16) // hw 2
 	tables := map[int]*insertCountingMemo{}
-	cfg := OptimalConfig{KMax: 4, MemoFor: func(k int) MemoBackend {
+	cfg := OptimalConfig{KMax: 4}
+	r := rule{memoFor: func(k int) MemoBackend {
 		if tables[k] == nil {
 			tables[k] = new(insertCountingMemo)
 		}
 		return tables[k]
 	}}
 	ctx := context.Background()
-	res, err := Optimal(ctx, h, cfg)
+	res, err := optimalFrom(ctx, h, cfg, BoundInitial, r)
 	if err != nil || !res.Found || res.Width != 2 {
 		t.Fatalf("first run: err=%v found=%v width=%d", err, res.Found, res.Width)
 	}
 	if tables[1] == nil || tables[1].added.Load() == 0 {
 		t.Fatal("refuting width 1 should have populated the width-1 memo table")
 	}
-	second, err := Optimal(ctx, h, cfg)
+	second, err := optimalFrom(ctx, h, cfg, BoundInitial, r)
 	if err != nil || !second.Found || second.Width != 2 {
 		t.Fatalf("second run: err=%v found=%v width=%d", err, second.Found, second.Width)
 	}

@@ -630,16 +630,16 @@ func tighten[T int | time.Duration](req, ceiling T) T {
 }
 
 // run executes an admitted job on the caller's goroutine. Every job
-// is a width ladder run by logk.OptimalFromBound: an optimal job's
-// from the cached lower bound up to K, a decide job's one rung at K.
-// The ladder first computes the hypergraph's structural lower bound
-// under the job's deadline; a bound above K leaves no rung, so a
-// decide job answers NO without a search or a memo table. Every
-// search runs the paper's headline configuration, log-k-decomp
-// hybridised with det-k-decomp (logk.PaperHybrid at
-// logk.PaperHybridThreshold), hence every query plan too, with
-// TokenBudget+1 workers, drawing the extra ones from the shared token
-// pool.
+// is a width ladder run by Service.ladder: an optimal job's from the
+// cached lower bound up to K, a decide job's one rung at K. The ladder
+// first computes the hypergraph's structural lower bound under the
+// job's deadline; a bound above K leaves no rung, so a decide job
+// answers NO without a search or a memo table. Every rung, hence every
+// query plan too, follows one rule (logk.ServeLadder): det-k-decomp
+// first on a fixed label budget, and only when that neither finds an
+// HD nor refutes the width, the paper's hybrid (logk.PaperHybrid at
+// logk.PaperHybridThreshold) with TokenBudget+1 workers, drawing the
+// extra ones from the shared token pool.
 func (s *Service) run(ctx context.Context, req Request, hash string) (res Result) {
 	ctx, cancel := s.WithTimeout(ctx, req.Timeout)
 	defer cancel()
@@ -652,7 +652,7 @@ func (s *Service) run(ctx context.Context, req Request, hash string) (res Result
 	if req.Mode == ModeOptimal {
 		return s.runOptimal(ctx, req, hash)
 	}
-	opt, err := logk.OptimalFromBound(ctx, req.H, s.ladder(hash, req.K, req.K, &res))
+	opt, err := s.ladder(ctx, req.H, hash, req.K, req.K, &res)
 	if err == nil && opt.Probes == 0 {
 		// A NO stands only while the job's deadline does, as a
 		// search's would.
@@ -679,11 +679,12 @@ func (s *Service) run(ctx context.Context, req Request, hash string) (res Result
 	return res
 }
 
-// ladder configures a job's width ladder from lb to kMax: the one
-// search configuration of every job, and each width's memo table from
-// the store. A table that already held states sets res.CacheShared.
-func (s *Service) ladder(hash string, lb, kMax int, res *Result) logk.OptimalConfig {
-	return logk.OptimalConfig{
+// ladder runs a job's width ladder on h from lb to kMax: the one search
+// configuration of every job, and each width's memo table from the
+// store for the rungs that fall back to the hybrid. A table that
+// already held states sets res.CacheShared.
+func (s *Service) ladder(ctx context.Context, h *hypergraph.Hypergraph, hash string, lb, kMax int, res *Result) (logk.OptimalResult, error) {
+	cfg := logk.OptimalConfig{
 		Search: logk.Options{
 			Workers:         s.budget.Size() + 1,
 			Hybrid:          logk.PaperHybrid,
@@ -692,12 +693,12 @@ func (s *Service) ladder(hash string, lb, kMax int, res *Result) logk.OptimalCon
 		},
 		KMax:       kMax,
 		LowerBound: lb,
-		MemoFor: func(k int) logk.MemoBackend {
-			table, existed := s.store.Memo(hash, k)
-			res.CacheShared = res.CacheShared || existed
-			return table
-		},
 	}
+	return logk.ServeLadder(ctx, h, cfg, func(k int) logk.MemoBackend {
+		table, existed := s.store.Memo(hash, k)
+		res.CacheShared = res.CacheShared || existed
+		return table
+	})
 }
 
 // runOptimal executes an admitted ModeOptimal job: the width ladder
@@ -710,7 +711,7 @@ func (s *Service) runOptimal(ctx context.Context, req Request, hash string) Resu
 	var res Result
 	b, ok := s.store.Bounds(hash)
 	res.BoundsShared = ok
-	opt, err := logk.OptimalFromBound(ctx, req.H, s.ladder(hash, b.LB, req.K, &res))
+	opt, err := s.ladder(ctx, req.H, hash, b.LB, req.K, &res)
 	if err != nil && opt.Probes == 0 {
 		// The structural bound ended on the deadline: nothing started.
 		return Result{Err: err}

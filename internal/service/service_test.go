@@ -530,9 +530,10 @@ func TestStructuralRefutation(t *testing.T) {
 // TestDecideSearchesWidthKAlone: a decide job asks about width K and
 // searches K alone, even where the structural bound lies below K and a
 // ladder from the bound would find a narrower witness first. Its
-// effort equals one direct search at K under the service's options,
-// it launches no probe, and its witness has width at most K. The
-// search is serial (TokenBudget -1), so the counts are deterministic.
+// effort equals one rung of the service's rule at K (logk.ServeLadder
+// from K to K) under the service's options, it launches no probe, and
+// its witness has width at most K. The search is serial (TokenBudget
+// -1), so the counts are deterministic.
 func TestDecideSearchesWidthKAlone(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
@@ -555,17 +556,16 @@ func TestDecideSearchesWidthKAlone(t *testing.T) {
 			t.Fatalf("%s K=%d: ok=%v hit=%v err=%v, want a computed YES", tc.name, tc.k, res.OK, res.CacheHit, res.Err)
 		}
 
-		direct := logk.New(tc.h, logk.Options{
-			K:               tc.k,
-			Workers:         1,
-			Hybrid:          logk.PaperHybrid,
-			HybridThreshold: logk.PaperHybridThreshold,
-		})
-		if _, ok, err := direct.Decompose(ctx); err != nil || !ok {
-			t.Fatalf("%s K=%d: direct search ok=%v err=%v", tc.name, tc.k, ok, err)
+		direct, err := logk.ServeLadder(ctx, tc.h, logk.OptimalConfig{
+			Search:     logk.Options{Workers: 1, Hybrid: logk.PaperHybrid, HybridThreshold: logk.PaperHybridThreshold},
+			KMax:       tc.k,
+			LowerBound: tc.k,
+		}, nil)
+		if err != nil || !direct.Found || direct.Probes != 1 {
+			t.Fatalf("%s K=%d: direct rung found=%v probes=%d err=%v", tc.name, tc.k, direct.Found, direct.Probes, err)
 		}
-		if res.Stats != direct.Stats() {
-			t.Errorf("%s K=%d: job Stats %+v, one search at K %+v", tc.name, tc.k, res.Stats, direct.Stats())
+		if res.Stats != direct.Stats {
+			t.Errorf("%s K=%d: job Stats %+v, one rung at K %+v", tc.name, tc.k, res.Stats, direct.Stats)
 		}
 		if res.ProbesLaunched != 0 {
 			t.Errorf("%s K=%d: ProbesLaunched = %d, want 0", tc.name, tc.k, res.ProbesLaunched)
