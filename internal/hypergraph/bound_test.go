@@ -24,28 +24,26 @@ func fullBound(t *testing.T, h *hypergraph.Hypergraph) int {
 	return lb
 }
 
-// TestStructuralBoundSound: the structural lower bound never exceeds a
-// width some decomposition reaches. It must be at most KnownHW on every
-// HyperBench-sim instance at scales 1–4, and at most the width of every
-// witness in log-k-decomp's and det-k-decomp's goldens. The test logs
-// how often the bound is exact.
+// TestStructuralBoundSound: the structural lower bound is sound and, on
+// the suite, exact. It equals KnownHW on every one of the 27·scale
+// HyperBench-sim instances of known width at scales 1–4, so a term that
+// overshoots or weakens fails here, and it is at most the width of
+// every witness in log-k-decomp's and det-k-decomp's goldens.
 func TestStructuralBoundSound(t *testing.T) {
 	for scale := 1; scale <= 4; scale++ {
-		known, exact := 0, 0
+		known := 0
 		for _, in := range hyperbench.Suite(hyperbench.Config{Scale: scale, Seed: 1}) {
 			if in.KnownHW == 0 {
 				continue
 			}
 			known++
-			lb := fullBound(t, in.H)
-			if lb > in.KnownHW {
-				t.Fatalf("scale %d %s: bound %d above KnownHW %d", scale, in.Name, lb, in.KnownHW)
-			}
-			if lb == in.KnownHW {
-				exact++
+			if lb := fullBound(t, in.H); lb != in.KnownHW {
+				t.Fatalf("scale %d %s: bound %d, KnownHW %d", scale, in.Name, lb, in.KnownHW)
 			}
 		}
-		t.Logf("scale %d: bound equals hw on %d of %d instances of known width", scale, exact, known)
+		if known != 27*scale {
+			t.Fatalf("scale %d: %d instances of known width, want %d", scale, known, 27*scale)
+		}
 	}
 
 	byName := map[string]*hypergraph.Hypergraph{}
@@ -158,7 +156,7 @@ func cylinders(scale int) []hyperbench.Instance {
 // cylinder at scales 1–4 it is 3 = hw (its treewidth 4 needs a
 // 5-vertex bag, which takes 3 binary edges); and on 50 of every
 // instance of known width in decompose-cold's suite (scale 3, seed 1)
-// it stays at most KnownHW.
+// it equals KnownHW.
 func TestStructuralBoundPermutationInvariant(t *testing.T) {
 	const renumberings = 50
 	for scale := 1; scale <= 4; scale++ {
@@ -177,8 +175,8 @@ func TestStructuralBoundPermutationInvariant(t *testing.T) {
 		}
 		r := rand.New(rand.NewSource(int64(i)))
 		for j := 0; j < renumberings; j++ {
-			if lb := fullBound(t, renumber(t, r, in.H)); lb > in.KnownHW {
-				t.Fatalf("%s renumbering %d: bound %d above KnownHW %d", in.Name, j, lb, in.KnownHW)
+			if lb := fullBound(t, renumber(t, r, in.H)); lb != in.KnownHW {
+				t.Fatalf("%s renumbering %d: bound %d, KnownHW %d", in.Name, j, lb, in.KnownHW)
 			}
 		}
 	}
