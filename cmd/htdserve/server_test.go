@@ -194,8 +194,8 @@ func prism8() string {
 
 // earedPrism is the n-prism with a private vertex added to rungs 0 and
 // 1 (hw 3). Two three-vertex edges cover the five vertices a bag of the
-// prism needs, and every clique of its primal graph lies in one edge,
-// so its structural lower bound is 2: width 2 is refuted by a search.
+// prism needs, so its structural lower bound is 2: width 2 is refuted
+// by a search.
 // At k=2 the hybrid hands it to det-k-decomp whole up to n = 13 and
 // searches the root with log-k-decomp from n = 14 on.
 func earedPrism(n int) string {

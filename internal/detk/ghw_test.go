@@ -121,25 +121,26 @@ var ghwBelowHW = []string{
 	 E13(v2,v11,v8,v6).`,
 }
 
-// boundTermWalls holds, for two of the structural bound's four terms, a
+// boundTermWalls holds, for a term of the structural bound, a
 // hypergraph of ghw 3 on which WidthLowerBound reaches 3 only through
 // that term: without it the bound is 2.
 var boundTermWalls = []struct{ term, src string }{
 	// Every edge holds at most 3 vertices, so 2 edges cover at most 6
 	// and 5 need 2: only a bag of 7 vertices, which the minor-min-width
-	// term (MMD+) proves with a minor of least degree 6, needs 3. No
-	// clique of the primal graph needs 3 edges.
+	// term (MMD+) proves with a minor of least degree 6, needs 3.
 	{"minor-min-width", `E1(v0,v1), E2(v2,v3), E3(v1,v4,v5), E4(v0,v6,v7),
 	 E5(v5,v6), E6(v3,v4), E7(v1,v2,v8), E8(v3,v5,v9), E9(v1,v7),
 	 E10(v7,v8,v9), E11(v2,v4,v7), E12(v0,v4,v9), E13(v1,v4,v7),
 	 E14(v0,v2,v6).`},
-	// Two edges of 5 vertices cover all 8, so no treewidth bound asks
-	// for 3 edges; the clique cover term finds a clique whose edge
-	// traces need 3.
-	{"clique cover", `E1(v0,v1,v2,v3), E2(v2,v3,v4,v5,v6), E3(v0,v2,v4,v7),
-	 E4(v0,v3,v5,v6,v7), E5(v1,v4), E6(v1,v5,v6,v7), E7(v1,v5,v6),
-	 E8(v3,v4).`},
 }
+
+// cliqueCoverGHW3 has ghw 3 and structural bound 2: two edges of 5
+// vertices cover all 8, so no treewidth bound asks for 3 edges, yet
+// one clique of its primal graph needs 3 edges to cover it.
+// FuzzGHDMatchesExactGHW seeds its corpus with it.
+const cliqueCoverGHW3 = `E1(v0,v1,v2,v3), E2(v2,v3,v4,v5,v6), E3(v0,v2,v4,v7),
+	 E4(v0,v3,v5,v6,v7), E5(v1,v4), E6(v1,v5,v6,v7), E7(v1,v5,v6),
+	 E8(v3,v4).`
 
 // checkGHDExact fails t unless the GHD solver answers YES at width k
 // exactly when the oracle's ghw is at most k, for k = 1..3. Every YES
@@ -258,8 +259,12 @@ func FuzzGHDMatchesExactGHW(f *testing.F) {
 		}
 		return out
 	}
+	var srcs []string
 	for _, w := range boundTermWalls {
-		h, err := hypergraph.ParseString(w.src)
+		srcs = append(srcs, w.src)
+	}
+	for _, src := range append(srcs, cliqueCoverGHW3) {
+		h, err := hypergraph.ParseString(src)
 		if err != nil {
 			f.Fatal(err)
 		}

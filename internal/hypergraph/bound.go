@@ -3,36 +3,26 @@ package hypergraph
 import (
 	"context"
 	"math/bits"
-	"slices"
 	"sync"
 )
 
 // boundMaxVertices is the largest vertex count on which WidthLowerBound
-// runs its primal-graph terms. All three are polynomial (about |V|³/64
-// word operations at worst), and this keeps them to about a millisecond
-// on a large request; above it the bound is the acyclicity term alone.
+// runs its primal-graph terms. Both are polynomial (about |V|³/64 word
+// operations at worst), and this keeps them to about a millisecond on a
+// large request; above it the bound is the acyclicity term alone.
 const boundMaxVertices = 256
 
-// boundMaxCoverNodes caps the exact-cover search nodes of one bound.
-// Past it the clique term proves nothing more, which only weakens the
-// bound.
-const boundMaxCoverNodes = 1 << 16
-
-// boundCheckEvery is how many start vertices, contractions or
-// reduction tries the primal-graph terms take between checks of the
-// context. Each takes at most about boundMaxVertices²/16 word
-// operations, so a check comes well within a millisecond.
+// boundCheckEvery is how many contractions or reduction tries the
+// primal-graph terms take between checks of the context. Each takes at
+// most about boundMaxVertices²/16 word operations, so a check comes
+// well within a millisecond.
 const boundCheckEvery = 64
-
-// maxClique caps a greedy clique at one machine word of members. Every
-// subset of a clique is a clique, so the cap keeps the term sound.
-const maxClique = 64
 
 // WidthLowerBound returns a lower bound on the generalized hypertree
 // width ghw(H), and so on hw(H) ≥ ghw(H), capped at limit+1: a result
 // above limit says only that the bound exceeds limit, and the
 // computation stops as soon as it does. The bound is the largest of
-// four terms, each a width no GHD of H can go below:
+// three terms, each a width no GHD of H can go below:
 //
 //   - 1 if H is α-acyclic (then ghw = hw = 1 and the bound is exact),
 //     otherwise 2 (GYO, IsAcyclic);
@@ -42,10 +32,6 @@ const maxClique = 64
 //     graph, mapped to edges: a GHD is a tree decomposition of the
 //     primal graph, so one of its bags holds tw+1 vertices, and k edges
 //     cover at most the sizes of the k largest edges;
-//   - for greedy cliques S of the primal graph, one grown from each
-//     vertex that no earlier one holds, the fewest edges whose traces
-//     on S cover S, found by exact search: every clique lies inside
-//     one bag;
 //   - the fewest edges that cover 5 vertices, when the primal graph has
 //     treewidth at least 4, decided exactly by the Arnborg–Proskurowski
 //     reduction rules (treewidthAtMostThree). MMD+ breaks ties by
@@ -79,11 +65,6 @@ func (h *Hypergraph) WidthLowerBound(ctx context.Context, limit int) (int, error
 	}
 	sc.edgeCaps(h, limit)
 	sc.primal(h)
-	sc.coverOps = 0
-	lb, err := sc.cliqueTerm(ctx, h, lb, limit)
-	if err != nil || lb > limit {
-		return lb, err
-	}
 	// tw ≥ 4 puts 5 vertices in one bag.
 	tw4 := sc.edgesFor(5)
 	if tw4 <= lb {
@@ -98,6 +79,7 @@ func (h *Hypergraph) WidthLowerBound(ctx context.Context, limit int) (int, error
 		sc.red, sc.adj = sc.adj, sc.red
 	} else {
 		sc.red = append(sc.red[:0], sc.adj...)
+		var err error
 		if lb, err = sc.minorMinWidthTerm(ctx, lb, limit); err != nil || lb >= tw4 {
 			return lb, err
 		}
@@ -128,15 +110,6 @@ type boundScratch struct {
 	rdeg   []int
 	stack  []int
 	queued []bool
-	// One greedy clique: its candidates, members, and edge traces.
-	cand     []uint64
-	members  []int
-	inClique []bool
-	traces   []uint64
-	maximal  []uint64
-	traceOf  []int
-	touched  []int
-	coverOps int
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(boundScratch) }}
@@ -234,149 +207,6 @@ func (sc *boundScratch) primal(h *Hypergraph) {
 }
 
 func (sc *boundScratch) row(v int) []uint64 { return sc.adj[v*sc.w : (v+1)*sc.w] }
-
-// cliqueTerm raises lb by the greedy cliques' edge covers and returns
-// it, or limit+1 once the bound exceeds limit.
-func (sc *boundScratch) cliqueTerm(ctx context.Context, h *Hypergraph, lb, limit int) (int, error) {
-	n := h.NumVertices()
-	sc.cand = grow(sc.cand, sc.w)
-	sc.traceOf = grow(sc.traceOf, h.NumEdges())
-	for e := range sc.traceOf {
-		sc.traceOf[e] = -1
-	}
-	sc.inClique = grow(sc.inClique, n)
-	clear(sc.inClique)
-	for s := 0; s < n; s++ {
-		if (s+1)%boundCheckEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return lb, err
-			}
-		}
-		// A clique that needs more than lb edges has more than lb
-		// members, so s has at least lb neighbours. A vertex of an
-		// earlier greedy clique mostly grows that clique again.
-		if sc.deg[s] < lb || sc.inClique[s] {
-			continue
-		}
-		sc.greedyClique(s)
-		for _, v := range sc.members {
-			sc.inClique[v] = true
-		}
-		if len(sc.members) <= lb {
-			continue
-		}
-		if rho := sc.cover(h, lb, limit); rho > lb {
-			lb = rho
-			if lb > limit {
-				return lb, nil
-			}
-		}
-	}
-	return lb, nil
-}
-
-// greedyClique grows a clique from s into members, adding the candidate
-// adjacent to the most other candidates first.
-func (sc *boundScratch) greedyClique(s int) {
-	cand := sc.cand
-	copy(cand, sc.row(s))
-	sc.members = append(sc.members[:0], s)
-	for len(sc.members) < maxClique {
-		best, bestDeg := -1, -1
-		for i, x := range cand {
-			for x != 0 {
-				u := i*64 + bits.TrailingZeros64(x)
-				x &= x - 1
-				d := 0
-				for j, y := range sc.row(u) {
-					d += bits.OnesCount64(y & cand[j])
-				}
-				if d > bestDeg {
-					best, bestDeg = u, d
-				}
-			}
-		}
-		if best < 0 {
-			return
-		}
-		sc.members = append(sc.members, best)
-		for j, y := range sc.row(best) {
-			cand[j] &= y
-		}
-	}
-}
-
-// cover returns the fewest edges whose traces cover the clique in
-// members when that is more than lb, capped at limit+1; otherwise it
-// returns at most lb.
-func (sc *boundScratch) cover(h *Hypergraph, lb, limit int) int {
-	sc.traces, sc.touched = sc.traces[:0], sc.touched[:0]
-	for i, v := range sc.members {
-		for _, e := range h.incidence[v] {
-			t := sc.traceOf[e]
-			if t < 0 {
-				t = len(sc.traces)
-				sc.traceOf[e] = t
-				sc.touched = append(sc.touched, e)
-				sc.traces = append(sc.traces, 0)
-			}
-			sc.traces[t] |= 1 << i
-		}
-	}
-	for _, e := range sc.touched {
-		sc.traceOf[e] = -1
-	}
-	// Only the maximal traces matter to a cover.
-	slices.Sort(sc.traces)
-	sc.traces = slices.Compact(sc.traces)
-	maximal := sc.maximal[:0]
-	for i, t := range sc.traces {
-		dominated := false
-		for j, u := range sc.traces {
-			if j != i && t&^u == 0 {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			maximal = append(maximal, t)
-		}
-	}
-	sc.traces, sc.maximal = maximal, sc.traces
-	widest := 0
-	for _, t := range sc.traces {
-		widest = max(widest, bits.OnesCount64(t))
-	}
-	all := ^uint64(0) >> (64 - len(sc.members))
-	for j := lb; j <= limit; j++ {
-		if sc.coverable(all, j, widest) {
-			return j
-		}
-	}
-	return limit + 1
-}
-
-// coverable reports whether at most j traces cover left; widest is the
-// largest trace. A search past boundMaxCoverNodes answers true, which
-// proves nothing and so keeps the bound sound.
-func (sc *boundScratch) coverable(left uint64, j, widest int) bool {
-	if left == 0 {
-		return true
-	}
-	if bits.OnesCount64(left) > j*widest {
-		return false
-	}
-	if sc.coverOps++; sc.coverOps > boundMaxCoverNodes {
-		return true
-	}
-	bit := left & -left
-	for _, t := range sc.traces {
-		if t&bit != 0 && sc.coverable(left&^t, j-1, widest) {
-			return true
-		}
-	}
-	return false
-}
 
 // minorMinWidthTerm raises lb by MMD+ and returns it, or limit+1 once
 // the bound exceeds limit. It contracts the primal graph in place.

@@ -235,8 +235,9 @@ func TestWidthLowerBoundLimit(t *testing.T) {
 	if lb, err := grid.WidthLowerBound(cancelled, 4); !errors.Is(err, context.Canceled) {
 		t.Fatalf("10x10 grid under a cancelled context: bound %d, err %v, want context.Canceled", lb, err)
 	}
-	// A 40-cycle is too small for the clique and MMD+ terms to reach a
-	// check, so at limit 2 only the tw ≤ 3 term sees the context.
+	// At limit 2 a 40-cycle runs only the tw ≤ 3 term: two binary edges
+	// cover 4 vertices and 5 need 3, so tw ≥ 4 is all MMD+ could prove.
+	// That term alone sees the context.
 	var c hypergraph.Builder
 	for i := 0; i < 40; i++ {
 		c.MustAddEdge("", fmt.Sprintf("c%d", i), fmt.Sprintf("c%d", (i+1)%40))
@@ -274,8 +275,10 @@ func decomposeColdInstance(t testing.TB, r *rand.Rand, name string) *hypergraph.
 
 // TestWidthLowerBoundAllocBudget: a bound and an acyclicity test work
 // in pooled scratch that keeps every slice it grows, so once warm they
-// allocate nothing, whatever the hypergraph or the terms that run; a
-// renumbered syn-cylinder-10 runs all four at k = 2.
+// allocate nothing, whatever the hypergraph or the terms that run. A
+// renumbered syn-cylinder-10 runs all three at k = 3; the tw ≤ 3 term
+// refutes app-clique-5 and app-cliquechain-3-5 at k = 2, and MMD+
+// reaches the chain's width at k = 3.
 func TestWidthLowerBoundAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled scratch at random")
@@ -283,9 +286,16 @@ func TestWidthLowerBoundAllocBudget(t *testing.T) {
 	const budget = 0
 	ctx := context.Background()
 	r := rand.New(rand.NewSource(1))
-	for _, name := range []string{"syn-cylinder-10", "app-cycle-44"} {
+	for _, c := range []struct {
+		name string
+		ks   []int
+	}{
+		{"syn-cylinder-10", []int{2, 3}}, {"app-cycle-44", []int{2, 3}},
+		{"app-clique-5", []int{2}}, {"app-cliquechain-3-5", []int{2, 3}},
+	} {
+		name := c.name
 		h := decomposeColdInstance(t, r, name)
-		for _, k := range []int{2, 3} {
+		for _, k := range c.ks {
 			allocs := testing.AllocsPerRun(100, func() {
 				if _, err := h.WidthLowerBound(ctx, k); err != nil {
 					t.Fatal(err)

@@ -42,10 +42,9 @@ func grid(m int) *hypergraph.Hypergraph {
 
 // earedCylinder is cylinderH(n) with a private vertex added to rungs 0
 // and 1. hw stays 3, but those two three-vertex edges cover the five
-// vertices a bag of the prism needs (its treewidth is 4), and every
-// clique of the primal graph lies in one edge, so the structural lower
-// bound is 2 in any vertex order: a refutation at K=2 is left to the
-// search. At K=2 the hybrid hands it to det-k-decomp whole up to n = 13
+// vertices a bag of the prism needs (its treewidth is 4), so the
+// structural lower bound is 2 in any vertex order: a refutation at K=2
+// is left to the search. At K=2 the hybrid hands it to det-k-decomp whole up to n = 13
 // (|E|·K/avg|e| below PaperHybridThreshold); log-k-decomp searches the
 // root from n = 14 on, and banks refuted states below it on larger
 // cylinders such as n = 36.
