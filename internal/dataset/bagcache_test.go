@@ -3,9 +3,12 @@ package dataset
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/decomp"
@@ -197,6 +200,10 @@ func FuzzMutateBatch(f *testing.F) {
 		`{"op":"insert","rel":"R","rows":[[1,2,3]]}`,
 		`{"op":"insert","rel":"R","rows":[[1,1],[1,2],[1,3],[1,4],[1,5],[1,6],[1,7],[1,8],[1,9],[2,2],[2,3],[2,4],[2,5],[2,6],[2,7],[2,8]]}`,
 		`{"op":"insert","rel":"R","rows":[[1,`,
+		`{"op":"insert","rel":"R","rows":[[2,5],[4,2]]}` + "\n" + `{"op":"delete","rel":"R","rows":[[4,2]]}`,
+		`{"op":"delete","rel":"S","rows":[[2,5],[1,3]]}`,
+		`{"op":"delete","rel":"S","rows":[[2,5],[1,3]]}` + "\n" + `{"op":"insert","rel":"S","rows":[[2,5],[1,5]]}`,
+		`{"op":"delete","rel":"R","rows":[[7,7],[2,9]]}` + "\n" + `{"op":"delete","rel":"S","rows":[[9,2]]}`,
 		``,
 		`[]`,
 	} {
@@ -268,4 +275,291 @@ func FuzzMutateBatch(f *testing.F) {
 			t.Fatalf("the superseded version's cache holds %d bags, %d rows", b, r)
 		}
 	})
+}
+
+// forcedNode is one node of a hand-written plan: λ as atom indexes and
+// χ as variable names.
+type forcedNode struct {
+	lambda []int
+	chi    []string
+	kids   []forcedNode
+}
+
+// forcedPlan builds the plan of src that spec describes and checks that
+// it is a hypertree decomposition.
+func forcedPlan(t testing.TB, src string, spec forcedNode) (join.Query, *decomp.Decomp) {
+	t.Helper()
+	q, err := join.ParseQuery(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := q.Hypergraph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var node func(s forcedNode) *decomp.Node
+	node = func(s forcedNode) *decomp.Node {
+		chi := h.NewVertexSet()
+		for _, v := range s.chi {
+			id, ok := h.VertexID(v)
+			if !ok {
+				t.Fatalf("%s: no variable %q", src, v)
+			}
+			chi.Set(id)
+		}
+		n := decomp.NewNode(s.lambda, chi)
+		for _, k := range s.kids {
+			n.Children = append(n.Children, node(k))
+		}
+		return n
+	}
+	d := &decomp.Decomp{H: h, Root: node(spec)}
+	if err := decomp.CheckHD(d); err != nil {
+		t.Fatalf("%s: %v", src, err)
+	}
+	return q, d
+}
+
+// acrossVersionsPlans are the forced plans of TestBagCacheAcrossVersions:
+// the triangle, four-cycle and bowtie with two-atom unprojected bags,
+// and a triangle with a tail U(x,w) whose child bag λ{T,U} is projected
+// to χ{x,w}.
+func acrossVersionsPlans(t testing.TB) []struct {
+	name        string
+	q           join.Query
+	d           *decomp.Decomp
+	unprojected bool
+} {
+	xyz := forcedNode{lambda: []int{0, 1}, chi: []string{"x", "y", "z"}}
+	rs := func(kids ...forcedNode) forcedNode { n := xyz; n.kids = kids; return n }
+	var plans []struct {
+		name        string
+		q           join.Query
+		d           *decomp.Decomp
+		unprojected bool
+	}
+	add := func(name, src string, spec forcedNode, unprojected bool) {
+		q, d := forcedPlan(t, src, spec)
+		plans = append(plans, struct {
+			name        string
+			q           join.Query
+			d           *decomp.Decomp
+			unprojected bool
+		}{name, q, d, unprojected})
+	}
+	add("triangle", "R(x,y), S(y,z), T(z,x).", rs(), true)
+	add("four-cycle", "R(x,y), S(y,z), T(z,w), U(w,x).",
+		rs(forcedNode{lambda: []int{2, 3}, chi: []string{"z", "w", "x"}}), true)
+	add("bowtie", "R(x,y), S(y,z), T(z,x), U(x,w), V(w,u).",
+		rs(forcedNode{lambda: []int{3, 4}, chi: []string{"x", "w", "u"}}), true)
+	add("triangle-tail-projected", "R(x,y), S(y,z), T(z,x), U(x,w).",
+		rs(forcedNode{lambda: []int{2, 3}, chi: []string{"x", "w"}}), false)
+	return plans
+}
+
+// acrossVersionsBatch draws one batch shaped like perfbench's query-rw
+// writes: fresh-looking inserts and deletes of live tuples spread over
+// two of R..U. Version-specific cases ride along: an insert and delete
+// of the same tuple, deletes of absent tuples, and S emptied and then
+// refilled.
+func acrossVersionsBatch(r *rand.Rand, model mirror, version int) []Mutation {
+	const domain = 60
+	names := []string{"R", "S", "T", "U"}
+	a, b := names[r.Intn(len(names))], names[r.Intn(len(names))]
+	ins := map[string][][]int{}
+	del := map[string][][]int{}
+	for i := 0; i < 6; i++ {
+		rel := a
+		if i%2 == 1 {
+			rel = b
+		}
+		ins[rel] = append(ins[rel], []int{r.Intn(domain), r.Intn(domain)})
+	}
+	for i := 0; i < 4; i++ {
+		rel := b
+		if i%2 == 1 {
+			rel = a
+		}
+		if live := model.sorted(rel); len(live) > 0 {
+			del[rel] = append(del[rel], live[r.Intn(len(live))])
+		}
+	}
+	var batch []Mutation
+	for _, rel := range names {
+		if rows := ins[rel]; len(rows) > 0 {
+			batch = append(batch, Mutation{Op: "insert", Rel: rel, Rows: rows})
+		}
+	}
+	for _, rel := range names {
+		if rows := del[rel]; len(rows) > 0 {
+			batch = append(batch, Mutation{Op: "delete", Rel: rel, Rows: rows})
+		}
+	}
+	switch version {
+	case 3: // insert and delete of one tuple in one batch
+		t := [][]int{{domain + 1, domain + 2}}
+		batch = append(batch, Mutation{Op: "insert", Rel: a, Rows: t}, Mutation{Op: "delete", Rel: a, Rows: t})
+	case 5: // deletes of absent tuples
+		batch = append(batch, Mutation{Op: "delete", Rel: b, Rows: [][]int{{domain + 3, 0}, {0, domain + 4}}})
+	case 7: // empty S
+		batch = append(batch, Mutation{Op: "delete", Rel: "S", Rows: model.sorted("S")})
+	case 8: // refill S
+		var rows [][]int
+		for i := 0; i < 30; i++ {
+			rows = append(rows, []int{r.Intn(domain), r.Intn(domain)})
+		}
+		batch = append(batch, Mutation{Op: "insert", Rel: "S", Rows: rows})
+	}
+	return batch
+}
+
+// sorted lists rel's tuples in key order.
+func (m mirror) sorted(rel string) [][]int {
+	keys := make([]string, 0, len(m[rel]))
+	for k := range m[rel] {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	out := make([][]int, len(keys))
+	for i, k := range keys {
+		out[i] = m[rel][k]
+	}
+	return out
+}
+
+// apply replays batch on the mirror with plain map operations.
+func (m mirror) apply(batch []Mutation) {
+	for _, op := range batch {
+		for _, row := range op.Rows {
+			if op.Op == "insert" {
+				m[op.Rel][fmt.Sprint(row)] = append([]int(nil), row...)
+			} else {
+				delete(m[op.Rel], fmt.Sprint(row))
+			}
+		}
+	}
+}
+
+// TestBagCacheAcrossVersions drives seeded query-rw-shaped batches
+// through Dataset.Mutate and, at every version, evaluates forced plans
+// over the snapshot with its bag cache: the triangle, four-cycle and
+// bowtie, whose bags are two-atom unprojected λ-joins, and a four-cycle
+// with a projected bag. Rows and the count, sum and group aggregates
+// must equal EvaluateNaive over a map-of-sets mirror; a run through the
+// cache must fail MaxRows exactly when a cold run at that version does;
+// and the cache never holds more rows than the version's live tuples.
+func TestBagCacheAcrossVersions(t *testing.T) {
+	r := rand.New(rand.NewSource(70))
+	var text strings.Builder
+	model := mirror{}
+	for _, rel := range []string{"R", "S", "T", "U", "V"} {
+		model[rel] = map[string][]int{}
+		fmt.Fprintf(&text, "rel %s(c1,c2)\n", rel)
+		for len(model[rel]) < 40 {
+			row := []int{r.Intn(60), r.Intn(60)}
+			if _, ok := model[rel][fmt.Sprint(row)]; !ok {
+				model[rel][fmt.Sprint(row)] = row
+				fmt.Fprintf(&text, "%d %d\n", row[0], row[1])
+			}
+		}
+		text.WriteString("end\n")
+	}
+	base := mustDB(t, text.String())
+	g := NewRegistry(Config{Retain: 2})
+	if _, err := g.Put("", "d", base); err != nil {
+		t.Fatal(err)
+	}
+	d, _ := g.Get("", "d")
+	plans := acrossVersionsPlans(t)
+	var specs []join.AggSpec
+	for _, src := range []string{"count", "sum(z)", "group x: count"} {
+		spec, err := join.ParseAggregate(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, spec)
+	}
+	ctx := context.Background()
+
+	for version := 1; version <= 12; version++ {
+		snap, err := g.Resolve("", "d", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.Version != uint64(version) {
+			t.Fatalf("snapshot v%d, want v%d", snap.Version, version)
+		}
+		want := model.database(base)
+		for _, p := range plans {
+			naive, err := join.EvaluateNaive(p.q, want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var st join.ExecStats
+			got, err := join.EvaluateCtx(ctx, p.q, snap.DB, p.d, join.EvalOptions{Stats: &st, Bags: snap.Bags})
+			if err != nil {
+				t.Fatalf("v%d %s: %v", version, p.name, err)
+			}
+			if !reflect.DeepEqual(got.Canonical().Rows(), naive.Canonical().Rows()) {
+				t.Fatalf("v%d %s: %d rows, naive %d", version, p.name, got.Size(), naive.Size())
+			}
+			for _, spec := range specs {
+				res, err := join.AggregateCtx(ctx, p.q, snap.DB, p.d, spec, join.EvalOptions{Bags: snap.Bags})
+				if err != nil {
+					t.Fatalf("v%d %s %s: %v", version, p.name, join.FormatAggregate(spec), err)
+				}
+				ref, err := join.AggregateRows(naive, spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(res, ref) {
+					t.Fatalf("v%d %s %s: %+v, naive %+v", version, p.name, join.FormatAggregate(spec), res, ref)
+				}
+			}
+			// MaxRows just below and at each λ-join's size: a run through
+			// the cache fails exactly when a cold run does.
+			for _, limit := range lambdaJoinSizes(t, p.q, p.d, want) {
+				for _, maxRows := range []int{limit - 1, limit} {
+					if maxRows < 1 {
+						continue
+					}
+					_, hot := join.EvaluateCtx(ctx, p.q, snap.DB, p.d, join.EvalOptions{MaxRows: maxRows, Bags: snap.Bags})
+					_, cold := join.EvaluateCtx(ctx, p.q, snap.DB, p.d, join.EvalOptions{MaxRows: maxRows})
+					if errors.Is(hot, join.ErrRowBudget) != errors.Is(cold, join.ErrRowBudget) {
+						t.Fatalf("v%d %s MaxRows %d: cached run %v, cold run %v", version, p.name, maxRows, hot, cold)
+					}
+				}
+			}
+		}
+		if _, rows := snap.Bags.Usage(); rows > liveTuples(snap) {
+			t.Fatalf("v%d: the cache holds %d rows, the snapshot %d live tuples", version, rows, liveTuples(snap))
+		}
+		batch := acrossVersionsBatch(r, model, version)
+		if _, err := d.Mutate(batch); err != nil {
+			t.Fatal(err)
+		}
+		model.apply(batch)
+	}
+}
+
+// lambdaJoinSizes returns the size of every λ-join of two or more
+// atoms in d, evaluated naively over db.
+func lambdaJoinSizes(t testing.TB, q join.Query, d *decomp.Decomp, db join.Database) []int {
+	t.Helper()
+	var sizes []int
+	d.Root.Walk(func(n *decomp.Node) bool {
+		if len(n.Lambda) >= 2 {
+			var sub join.Query
+			for _, e := range n.Lambda {
+				sub.Atoms = append(sub.Atoms, q.Atoms[e])
+			}
+			rel, err := join.EvaluateNaive(sub, db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sizes = append(sizes, rel.Size())
+		}
+		return true
+	})
+	return sizes
 }

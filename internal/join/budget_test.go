@@ -288,12 +288,15 @@ func sortedRowSet(t *testing.T, r *Relation) [][]int {
 }
 
 // TestMaintenanceAllocBudget is the delta-maintenance allocation
-// budget: allocations and bytes per batch of MRel Insert + Commit over
-// two 30k-tuple relations whose query indexes are maintained, for
-// sequences of 8 batches of 1 and of 100 inserted tuples. The same
-// batches replayed with every maintained layer dropped before each
-// Commit, so that every index is rebuilt from scratch, must allocate at
-// least four times the bytes: the gap the layered indexes exist for.
+// budget: allocations and bytes per batch of MRel Insert, Delete and
+// Commit over two 30k-tuple relations whose query indexes are
+// maintained, for sequences of 8 batches of 1 and of 100 inserted
+// tuples, and of 8 mixed batches of 60 inserts and 40 deletes of live
+// tuples (query-rw's write shape, which compacts both relations). The
+// insert-only batches replayed with every maintained layer dropped
+// before each Commit, so that every index is rebuilt from scratch, must
+// allocate at least four times the bytes: the gap the layered indexes
+// exist for.
 func TestMaintenanceAllocBudget(t *testing.T) {
 	const base, domain, batches = 30000, 30000, 8
 	r := rand.New(rand.NewSource(10))
@@ -305,20 +308,24 @@ func TestMaintenanceAllocBudget(t *testing.T) {
 	plan := optimalPlan(t, q)
 
 	for _, b := range []struct {
-		delta  int
-		budget allocSample
+		inserts, deletes int
+		budget           allocSample
 	}{
-		{1, allocSample{27, 12146}},
-		{100, allocSample{473, 346250}},
+		{1, 0, allocSample{27, 12146}},
+		{100, 0, allocSample{473, 346250}},
+		{60, 40, allocSample{413, 4735502}},
 	} {
-		name := fmt.Sprintf("delta%d", b.delta)
+		name := fmt.Sprintf("delta%d", b.inserts)
+		if b.deletes > 0 {
+			name = fmt.Sprintf("mixed%d+%d", b.inserts, b.deletes)
+		}
 		t.Run(name, func(t *testing.T) {
-			deltas := insertBatches(rand.New(rand.NewSource(int64(100+b.delta))), b.delta, batches, domain)
+			deltas := maintBatches(rand.New(rand.NewSource(int64(100+b.inserts+b.deletes))), b.inserts, b.deletes, batches, domain, baseR, baseS)
 			maint := replayBatches(t, q, plan, baseR, baseS, deltas, false)
 			rebuild := replayBatches(t, q, plan, baseR, baseS, deltas, true)
 			checkBudget(t, name+" maint", maint, b.budget, maintBudgetTolerance)
 			t.Logf("%s rebuild: %.1f allocs/op, %.0f B/op", name, rebuild.allocs, rebuild.bytes)
-			if maint.bytes >= rebuild.bytes/4 {
+			if b.deletes == 0 && maint.bytes >= rebuild.bytes/4 {
 				t.Errorf("%s: maintenance allocates %.0f B/batch, not below a quarter of the full rebuild's %.0f",
 					name, maint.bytes, rebuild.bytes)
 			}
@@ -326,16 +333,44 @@ func TestMaintenanceAllocBudget(t *testing.T) {
 	}
 }
 
-// insertBatches draws n insert batches of size tuples split between R
-// and S; a one-tuple batch alternates between them.
-func insertBatches(r *rand.Rand, size, n, domain int) []map[string][][]int {
-	out := make([]map[string][][]int, n)
-	for i := range out {
+// maintBatch is one batch of TestMaintenanceAllocBudget: the tuples it
+// inserts into and deletes from each relation.
+type maintBatch struct{ ins, del map[string][][]int }
+
+// maintBatches draws n batches of inserts inserted tuples and deletes
+// deleted ones split between R and S, whose starting tuples are baseR
+// and baseS; a one-tuple batch alternates between them. A delete names
+// a tuple live when its batch runs, as query-rw's do.
+func maintBatches(r *rand.Rand, inserts, deletes, n, domain int, baseR, baseS [][]int) []maintBatch {
+	live := map[string][][]int{
+		"R": append([][]int(nil), baseR...),
+		"S": append([][]int(nil), baseS...),
+	}
+	split := func(size, i int) int {
 		nR := size / 2
 		if size%2 == 1 && i%2 == 0 {
 			nR++
 		}
-		out[i] = map[string][][]int{"R": randRows(r, nR, domain), "S": randRows(r, size-nR, domain)}
+		return nR
+	}
+	out := make([]maintBatch, n)
+	for i := range out {
+		nR := split(inserts, i)
+		b := maintBatch{
+			ins: map[string][][]int{"R": randRows(r, nR, domain), "S": randRows(r, inserts-nR, domain)},
+			del: map[string][][]int{},
+		}
+		dR := split(deletes, i)
+		for name, k := range map[string]int{"R": dR, "S": deletes - dR} {
+			live[name] = append(live[name], b.ins[name]...)
+			for ; k > 0; k-- {
+				j := r.Intn(len(live[name]))
+				b.del[name] = append(b.del[name], live[name][j])
+				live[name][j] = live[name][len(live[name])-1]
+				live[name] = live[name][:len(live[name])-1]
+			}
+		}
+		out[i] = b
 	}
 	return out
 }
@@ -346,7 +381,7 @@ func insertBatches(r *rand.Rand, size, n, domain int) []map[string][][]int {
 // maintained sets. With rebuild, every maintained layer of a mutated
 // relation is dropped before its Commit.
 func replayBatches(t *testing.T, q Query, plan *decomp.Decomp, baseR, baseS [][]int,
-	batches []map[string][][]int, rebuild bool) allocSample {
+	batches []maintBatch, rebuild bool) allocSample {
 	t.Helper()
 	ms := map[string]*MRel{"R": NewMRel(relFromRows(baseR)), "S": NewMRel(relFromRows(baseS))}
 	if _, err := EvaluateCtx(context.Background(), q, viewDB(ms), plan, EvalOptions{}); err != nil {
@@ -358,11 +393,14 @@ func replayBatches(t *testing.T, q Query, plan *decomp.Decomp, baseR, baseS [][]
 	return measureAllocs(t, len(batches), func() error {
 		for _, batch := range batches {
 			for _, name := range [2]string{"R", "S"} {
-				if len(batch[name]) == 0 {
+				if len(batch.ins[name]) == 0 && len(batch.del[name]) == 0 {
 					continue
 				}
 				m := ms[name]
-				if _, _, err := m.Insert(batch[name]); err != nil {
+				if _, _, err := m.Insert(batch.ins[name]); err != nil {
+					return err
+				}
+				if _, _, err := m.Delete(batch.del[name]); err != nil {
 					return err
 				}
 				if rebuild {

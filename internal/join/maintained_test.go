@@ -351,3 +351,97 @@ func TestMaintainedValueWidths(t *testing.T) {
 		t.Fatalf("rows = %v, want [[1]]", got)
 	}
 }
+
+// TestCompactionRemapMatchesRebuild: after every random batch of
+// inserts and deletes, each maintained column set's layer stack must
+// return, for every key, the row list an index built from scratch over
+// the compacted rows returns, and a key whose every tuple was deleted
+// must miss every layer. Column sets beyond the rowset are registered
+// the way queries register them: captured into a view's IndexSet.
+func TestCompactionRemapMatchesRebuild(t *testing.T) {
+	for seed := int64(0); seed < 6; seed++ {
+		r := rand.New(rand.NewSource(300 + seed))
+		const domain = 12
+		base := NewRelation("a", "b", "c")
+		for i := 0; i < 200; i++ {
+			base.Add(r.Intn(domain), r.Intn(domain), r.Intn(domain))
+		}
+		m := NewMRel(base)
+		for _, cols := range [][]int{{0}, {1}, {2, 0}} {
+			ly, err := buildIndexCols(m.View(), cols, 0, m.View().Size(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.View().indexes.store(cols, []*hashIndex{ly})
+		}
+		for round := 0; round < 12; round++ {
+			var ins, del [][]int
+			for k := 0; k < r.Intn(30); k++ {
+				ins = append(ins, []int{r.Intn(domain), r.Intn(domain), r.Intn(domain)})
+			}
+			for k := 0; k < r.Intn(40); k++ {
+				del = append(del, []int{r.Intn(domain), r.Intn(domain), r.Intn(domain)})
+			}
+			// Every fourth round also deletes every tuple with a == 0, so
+			// the keys that start with it lose all their rows.
+			if round%4 == 3 {
+				for _, row := range m.View().Rows() {
+					if row[0] == 0 {
+						del = append(del, row)
+					}
+				}
+			}
+			if _, _, err := m.Insert(ins); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := m.Delete(del); err != nil {
+				t.Fatal(err)
+			}
+			m.Commit()
+			view := m.View()
+			if len(m.sets) != 4 {
+				t.Fatalf("seed %d round %d: %d maintained sets, want 4", seed, round, len(m.sets))
+			}
+			for _, st := range m.sets {
+				full, err := buildIndexCols(view, st.cols, 0, view.Size(), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, ly := range st.layers {
+					if ly.r.Size() < ly.hi {
+						t.Fatalf("seed %d round %d cols %v: layer [%d,%d) over a %d-row relation",
+							seed, round, st.cols, ly.lo, ly.hi, ly.r.Size())
+					}
+				}
+				// Every key of the domain: live keys must list the full
+				// index's rows, absent ones (deleted keys among them) none.
+				key := make([]int, len(st.cols))
+				var walk func(k int)
+				walk = func(k int) {
+					if k < len(key) {
+						for v := 0; v < domain; v++ {
+							key[k] = v
+							walk(k + 1)
+						}
+						return
+					}
+					var got []int32
+					for _, ly := range st.layers {
+						rows := ly.probeVals(key)
+						if _, ok := ly.lookupVals(key); ok && len(rows) == 0 {
+							t.Fatalf("seed %d round %d cols %v key %v: an emptied bucket still matches",
+								seed, round, st.cols, key)
+						}
+						got = append(got, rows...)
+					}
+					want := full.probeVals(key)
+					if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, append([]int32(nil), want...))) {
+						t.Fatalf("seed %d round %d cols %v key %v: layered rows %v, rebuilt rows %v",
+							seed, round, st.cols, key, got, want)
+					}
+				}
+				walk(0)
+			}
+		}
+	}
+}
