@@ -71,8 +71,10 @@ pprof-capture:
 # Repetition under the race detector, which `make race` runs once.
 # Twice each: store/service concurrency (concurrent Submit/Batch, log
 # Compact + Sync, coalescing, counter conservation, identical queries
-# sharing one bag cache, a stopped refutation resuming from the memo,
-# structural refutations) and the tenant load wall
+# sharing one bag cache, readers of a version's bags while a mutation
+# carries them into the next, a stopped refutation resuming from the
+# memo, structural refutations), maintained relations (pinned queries
+# beside a writer's commits, TestMaintained*) and the tenant load wall
 # (TestTenantIsolationUnderLoad). Three times at each of -cpu=1,2,4:
 # the solver's parallel split, the memoised solver against Algorithm
 # 1's cache-free oracle (TestMemoMatchesBasicSolver), the optimal-width
@@ -86,7 +88,7 @@ pprof-capture:
 # -race three repeats would bring the logk binary near go test's
 # 10-minute default timeout.
 stress:
-	$(GO) test -race -count=2 -run 'TestStoreStress|TestCoalescing|TestBatchDuplicates|TestServeCache|TestMemoryConcurrency|TestFlight|TestStatsConservation|TestOneSolverConfiguration|TestBagCache|TestMemoResumesStoppedRefutation|TestStructuralRefutation|TestDecideSearchesWidthKAlone|TestTenantIsolationUnderLoad|TestLogConcurrency|TestTieredConcurrency|TestLogFaultRules' ./internal/store ./internal/service ./cmd/htdserve ./internal/join ./internal/dataset
+	$(GO) test -race -count=2 -run 'TestStoreStress|TestCoalescing|TestBatchDuplicates|TestServeCache|TestMemoryConcurrency|TestFlight|TestStatsConservation|TestOneSolverConfiguration|TestBagCache|TestMaintained|TestMemoResumesStoppedRefutation|TestStructuralRefutation|TestDecideSearchesWidthKAlone|TestTenantIsolationUnderLoad|TestLogConcurrency|TestTieredConcurrency|TestLogFaultRules' ./internal/store ./internal/service ./cmd/htdserve ./internal/join ./internal/dataset
 	$(GO) test -race -count=3 -cpu=1,2,4 -run 'TestParallel|TestMemoMatchesBasicSolver|TestCancelledContext|TestCrossValidationSolvers|TestOptimal|TestChildPool|TestLogKAllocBudget|TestDetKAllocBudget|TestDetKRefutesBagOnce|TestDetKRefutationIgnoresSpecialIDs|TestDetKSameDecompositions|TestDetKBudget|TestArmBudgetCounts|TestServeRungMemoOnFallback' ./internal/logk ./internal/detk
 	$(GO) test -race -count=1 -cpu=1,2,4 -run 'TestLogKSameDecompositions' ./internal/logk
 

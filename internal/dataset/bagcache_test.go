@@ -7,9 +7,13 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/decomp"
 	"repro/internal/join"
@@ -64,8 +68,10 @@ func liveTuples(snap Snapshot) int {
 	return n
 }
 
-// TestBagCacheSnapshotScope: a bag cache belongs to one snapshot. A new
-// version's cache starts empty, publishing a version (by mutation or
+// TestBagCacheSnapshotScope: a bag cache belongs to one snapshot. A
+// mutation carries the previous version's bags into the new version's
+// own cache, maintained by the batch, while they fit its bound; a
+// replacement starts it empty. Publishing a version (by mutation or
 // replacement) retires the previous cache, which then keeps nothing —
 // not even after a pinned read of its version — and a snapshot's cached
 // rows never exceed its live tuples: a bag past the bound answers its
@@ -99,14 +105,15 @@ func TestBagCacheSnapshotScope(t *testing.T) {
 		t.Fatalf("v1 repeat: %d bag reuses, want 1", st.BagReuses)
 	}
 
-	// v2: a new, empty cache; v1's is retired and stays empty under a
-	// pinned read, which runs uncached.
+	// v2: a cache of its own, starting with the bag maintained through
+	// the insert — 6 rows, as many as the live tuples; v1's is retired
+	// and stays empty under a pinned read, which runs uncached.
 	if _, err := d.Mutate([]Mutation{{Op: "insert", Rel: "R", Rows: [][]int{{4, 2}}}}); err != nil {
 		t.Fatal(err)
 	}
 	s2 := current()
-	if s2.Bags == s1.Bags || usage(s2) != "0 bags, 0 rows" {
-		t.Fatalf("v2 starts with %s (shared with v1: %v)", usage(s2), s2.Bags == s1.Bags)
+	if s2.Bags == s1.Bags || usage(s2) != "1 bags, 6 rows" {
+		t.Fatalf("v2 starts with %s (shared with v1: %v), want 1 bags, 6 rows", usage(s2), s2.Bags == s1.Bags)
 	}
 	if got := usage(s1); got != "0 bags, 0 rows" {
 		t.Fatalf("retired v1 cache holds %s", got)
@@ -118,16 +125,22 @@ func TestBagCacheSnapshotScope(t *testing.T) {
 	if st := evalSnapshot(t, pinned, s1.DB); st.BagReuses != 0 || usage(s1) != "0 bags, 0 rows" {
 		t.Fatalf("pinned v1 read: %d bag reuses, cache %s; want 0 and empty", st.BagReuses, usage(s1))
 	}
-	evalSnapshot(t, s2, s2.DB)
+	if st := evalSnapshot(t, s2, s2.DB); st.BagReuses != 1 {
+		t.Fatalf("v2's first query: %d bag reuses, want the carried bag's 1", st.BagReuses)
+	}
 	if got := usage(s2); got != "1 bags, 6 rows" {
 		t.Fatalf("v2 after a query: %s, want 1 bags, 6 rows (6 live tuples)", got)
 	}
 
-	// v3: the λ-join has 10 rows, over the 8 live tuples — used, not kept.
+	// v3: the λ-join has 10 rows, over the 8 live tuples — neither
+	// carried nor kept, only used.
 	if _, err := d.Mutate([]Mutation{{Op: "insert", Rel: "R", Rows: [][]int{{5, 2}, {6, 2}}}}); err != nil {
 		t.Fatal(err)
 	}
 	s3 := current()
+	if got := usage(s3); got != "0 bags, 0 rows" {
+		t.Fatalf("v3 starts with %s, want the over-bound bag dropped", got)
+	}
 	evalSnapshot(t, s3, s3.DB)
 	if _, rows := s3.Bags.Usage(); rows > liveTuples(s3) || usage(s3) != "0 bags, 0 rows" {
 		t.Fatalf("v3 (%d live tuples) after a query: %s, want empty", liveTuples(s3), usage(s3))
@@ -320,32 +333,28 @@ func forcedPlan(t testing.TB, src string, spec forcedNode) (join.Query, *decomp.
 	return q, d
 }
 
+// acrossPlan is one forced plan of TestBagCacheAcrossVersions; a
+// maintained plan's bags all carry across batches.
+type acrossPlan struct {
+	name       string
+	q          join.Query
+	d          *decomp.Decomp
+	maintained bool
+}
+
 // acrossVersionsPlans are the forced plans of TestBagCacheAcrossVersions:
-// the triangle, four-cycle and bowtie with two-atom unprojected bags,
-// and a triangle with a tail U(x,w) whose child bag λ{T,U} is projected
-// to χ{x,w}.
-func acrossVersionsPlans(t testing.TB) []struct {
-	name        string
-	q           join.Query
-	d           *decomp.Decomp
-	unprojected bool
-} {
+// the triangle, four-cycle and bowtie, whose bags are two-atom
+// unprojected λ-joins and so maintained across batches, and three whose
+// changed bags are dropped and rebuilt: a triangle with a tail U(x,w)
+// whose child bag λ{T,U} is projected to χ{x,w}, a triangle whose bag
+// joins R with itself, and one whose bag joins all three atoms.
+func acrossVersionsPlans(t testing.TB) []acrossPlan {
 	xyz := forcedNode{lambda: []int{0, 1}, chi: []string{"x", "y", "z"}}
 	rs := func(kids ...forcedNode) forcedNode { n := xyz; n.kids = kids; return n }
-	var plans []struct {
-		name        string
-		q           join.Query
-		d           *decomp.Decomp
-		unprojected bool
-	}
-	add := func(name, src string, spec forcedNode, unprojected bool) {
+	var plans []acrossPlan
+	add := func(name, src string, spec forcedNode, maintained bool) {
 		q, d := forcedPlan(t, src, spec)
-		plans = append(plans, struct {
-			name        string
-			q           join.Query
-			d           *decomp.Decomp
-			unprojected bool
-		}{name, q, d, unprojected})
+		plans = append(plans, acrossPlan{name, q, d, maintained})
 	}
 	add("triangle", "R(x,y), S(y,z), T(z,x).", rs(), true)
 	add("four-cycle", "R(x,y), S(y,z), T(z,w), U(w,x).",
@@ -354,14 +363,17 @@ func acrossVersionsPlans(t testing.TB) []struct {
 		rs(forcedNode{lambda: []int{3, 4}, chi: []string{"x", "w", "u"}}), true)
 	add("triangle-tail-projected", "R(x,y), S(y,z), T(z,x), U(x,w).",
 		rs(forcedNode{lambda: []int{2, 3}, chi: []string{"x", "w"}}), false)
+	add("triangle-self-join", "R(x,y), R(y,z), T(z,x).", xyz, false)
+	add("triangle-three-atoms", "R(x,y), S(y,z), T(z,x).",
+		forcedNode{lambda: []int{0, 1, 2}, chi: []string{"x", "y", "z"}}, false)
 	return plans
 }
 
 // acrossVersionsBatch draws one batch shaped like perfbench's query-rw
 // writes: fresh-looking inserts and deletes of live tuples spread over
 // two of R..U. Version-specific cases ride along: an insert and delete
-// of the same tuple, deletes of absent tuples, and S emptied and then
-// refilled.
+// of the same tuple, deletes of absent tuples, S emptied and then
+// refilled, and inserts into R and S that join each other.
 func acrossVersionsBatch(r *rand.Rand, model mirror, version int) []Mutation {
 	const domain = 60
 	names := []string{"R", "S", "T", "U"}
@@ -409,6 +421,9 @@ func acrossVersionsBatch(r *rand.Rand, model mirror, version int) []Mutation {
 			rows = append(rows, []int{r.Intn(domain), r.Intn(domain)})
 		}
 		batch = append(batch, Mutation{Op: "insert", Rel: "S", Rows: rows})
+	case 9: // an inserted R tuple that joins an inserted S tuple
+		batch = append(batch, Mutation{Op: "insert", Rel: "R", Rows: [][]int{{1, domain + 5}}},
+			Mutation{Op: "insert", Rel: "S", Rows: [][]int{{domain + 5, 1}}})
 	}
 	return batch
 }
@@ -445,7 +460,9 @@ func (m mirror) apply(batch []Mutation) {
 // over the snapshot with its bag cache: the triangle, four-cycle and
 // bowtie, whose bags are two-atom unprojected λ-joins, and a four-cycle
 // with a projected bag. Rows and the count, sum and group aggregates
-// must equal EvaluateNaive over a map-of-sets mirror; a run through the
+// must equal EvaluateNaive over a map-of-sets mirror; the first query of
+// each unprojected plan after a batch serves every bag from the cache,
+// carried or maintained from the previous version; a run through the
 // cache must fail MaxRows exactly when a cold run at that version does;
 // and the cache never holds more rows than the version's live tuples.
 func TestBagCacheAcrossVersions(t *testing.T) {
@@ -502,6 +519,11 @@ func TestBagCacheAcrossVersions(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got.Canonical().Rows(), naive.Canonical().Rows()) {
 				t.Fatalf("v%d %s: %d rows, naive %d", version, p.name, got.Size(), naive.Size())
+			}
+			// After a batch, every bag of a maintained plan was carried or
+			// maintained from the last version into this one's cache.
+			if bags := int64(len(lambdaJoinSizes(t, p.q, p.d, want))); version > 1 && p.maintained && st.BagReuses != bags {
+				t.Fatalf("v%d %s: first query reused %d bags, want %d", version, p.name, st.BagReuses, bags)
 			}
 			for _, spec := range specs {
 				res, err := join.AggregateCtx(ctx, p.q, snap.DB, p.d, spec, join.EvalOptions{Bags: snap.Bags})
@@ -562,4 +584,97 @@ func lambdaJoinSizes(t testing.TB, q join.Query, d *decomp.Decomp, db join.Datab
 		return true
 	})
 	return sizes
+}
+
+// TestBagCacheCarryRace: readers evaluate the current version's plans
+// through its bag cache — bags carried or maintained from the version
+// before — while a writer's Mutate maintains those same bags into the
+// next version. Every answer must equal EvaluateNaive over the
+// snapshot the reader resolved. Run it under -race (make stress): the
+// maintained bag's writer appends past the rows of the view readers
+// probe and builds every new index beside the old ones.
+func TestBagCacheCarryRace(t *testing.T) {
+	r := rand.New(rand.NewSource(71))
+	model := mirror{}
+	var text strings.Builder
+	for _, rel := range []string{"R", "S", "T", "U", "V"} {
+		model[rel] = map[string][]int{}
+		fmt.Fprintf(&text, "rel %s(c1,c2)\n", rel)
+		for len(model[rel]) < 40 {
+			row := []int{r.Intn(60), r.Intn(60)}
+			if _, ok := model[rel][fmt.Sprint(row)]; !ok {
+				model[rel][fmt.Sprint(row)] = row
+				fmt.Fprintf(&text, "%d %d\n", row[0], row[1])
+			}
+		}
+		text.WriteString("end\n")
+	}
+	g := NewRegistry(Config{Retain: 2})
+	if _, err := g.Put("", "d", mustDB(t, text.String())); err != nil {
+		t.Fatal(err)
+	}
+	d, _ := g.Get("", "d")
+	plans := acrossVersionsPlans(t)
+	const batches = 30
+	done := make(chan struct{})
+	// reads and reuses count the readers' evaluations and cache hits;
+	// the writer lets a few evaluations run between its batches.
+	var reads, reuses atomic.Int64
+	go func() {
+		defer close(done)
+		for v := 1; v <= batches; v++ {
+			// A reader that failed stops reading: wait a second at most.
+			deadline := time.Now().Add(time.Second)
+			for seen := reads.Load(); reads.Load() < seen+4 && time.Now().Before(deadline); {
+				runtime.Gosched()
+			}
+			batch := acrossVersionsBatch(r, model, v)
+			if _, err := d.Mutate(batch); err != nil {
+				t.Error(err)
+				return
+			}
+			model.apply(batch)
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				snap, err := g.Resolve("", "d", 0)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				p := plans[(w+i)%len(plans)]
+				var st join.ExecStats
+				got, err := join.EvaluateCtx(context.Background(), p.q, snap.DB, p.d, join.EvalOptions{Stats: &st, Bags: snap.Bags})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				reads.Add(1)
+				reuses.Add(st.BagReuses)
+				want, err := join.EvaluateNaive(p.q, snap.DB)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(got.Canonical().Rows(), want.Canonical().Rows()) {
+					t.Errorf("v%d %s: %d rows, naive %d", snap.Version, p.name, got.Size(), want.Size())
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if reuses.Load() == 0 {
+		t.Errorf("%d evaluations served no bag from a cache", reads.Load())
+	}
 }

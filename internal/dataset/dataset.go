@@ -92,8 +92,10 @@ type MutationResult struct {
 // Snapshot is one immutable published version: queries evaluate over
 // DB while writers advance the dataset past it. Bags is the version's
 // own bag cache (join.EvalOptions.Bags): it keeps at most as many rows
-// as the version has live tuples, and is retired when the next version
-// is published, so pinned reads of older versions run uncached.
+// as the version has live tuples. A mutation carries its bags into the
+// next version's cache (join.BagCache.Carry) and then retires it, so
+// pinned reads of older versions run uncached; a replacement starts
+// the new version's cache empty.
 type Snapshot struct {
 	Version uint64
 	DB      join.Database
@@ -216,7 +218,7 @@ func (g *Registry) Put(tenant, name string, db join.Database) (uint64, error) {
 		s.Bags.Retire()
 	}
 	d.version++
-	d.snaps = []Snapshot{d.publishLocked()}
+	d.snaps = []Snapshot{d.publishLocked(nil, nil)}
 	return d.version, nil
 }
 
@@ -313,14 +315,19 @@ func (g *Registry) Stats() Stats {
 }
 
 // publishLocked builds the current version's snapshot from the current
-// views, with an empty bag cache bounded by its live tuple count.
-// Caller holds d.mu.
-func (d *Dataset) publishLocked() Snapshot {
+// views. Its bag cache, bounded by its live tuple count, is carried from
+// prev, the previous version's, by the commits' deltas, or starts empty
+// when prev is nil. Caller holds d.mu.
+func (d *Dataset) publishLocked(prev *join.BagCache, deltas map[string]join.Delta) Snapshot {
 	db := make(join.Database, len(d.rels))
 	for name, m := range d.rels {
 		db[name] = m.View()
 	}
-	return Snapshot{Version: d.version, DB: db, Bags: join.NewBagCache(db)}
+	bags := join.NewBagCache(db)
+	if prev != nil {
+		bags = prev.Carry(db, deltas)
+	}
+	return Snapshot{Version: d.version, DB: db, Bags: bags}
 }
 
 // atLocked resolves version (0 = current) to its snapshot. Evicted
@@ -409,19 +416,25 @@ func (d *Dataset) Mutate(batch []Mutation) (MutationResult, error) {
 			}
 		}
 	}
-	for _, m := range touched {
+	deltas := make(map[string]join.Delta, len(touched))
+	for name, m := range touched {
 		if m.Commit() {
 			res.Compacted = true
 		}
+		deltas[name] = m.LastDelta()
 	}
+	var prev *join.BagCache
 	if n := len(d.snaps); n > 0 {
 		// A concurrent first Put may not have published yet.
-		d.snaps[n-1].Bags.Retire()
+		prev = d.snaps[n-1].Bags
 	}
 	d.version++
 	d.mutations++
 	res.Version = d.version
-	d.snaps = append(d.snaps, d.publishLocked())
+	d.snaps = append(d.snaps, d.publishLocked(prev, deltas))
+	if prev != nil {
+		prev.Retire()
+	}
 	if len(d.snaps) > d.retain {
 		d.snaps = d.snaps[len(d.snaps)-d.retain:]
 	}

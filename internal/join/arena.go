@@ -79,13 +79,21 @@ func (v *vec) at(i int) int {
 }
 
 // push appends x as row n (the owning relation tracks the row count).
+// A last chunk shorter than chunkSize (a canonical answer's, see
+// unpack) is first copied into a full one.
 func (v *vec) push(a *arena, n, x int) {
 	if !v.wide {
 		if int64(int32(x)) == int64(x) {
 			if n&chunkMask == 0 {
 				v.c32 = append(v.c32, a.chunk32())
 			}
-			v.c32[n>>chunkShift][n&chunkMask] = int32(x)
+			c := v.c32[n>>chunkShift]
+			if n&chunkMask >= len(c) {
+				c = a.chunk32()
+				copy(c, v.c32[n>>chunkShift])
+				v.c32[n>>chunkShift] = c
+			}
+			c[n&chunkMask] = int32(x)
 			return
 		}
 		v.widen(a)
@@ -93,7 +101,13 @@ func (v *vec) push(a *arena, n, x int) {
 	if n&chunkMask == 0 {
 		v.c64 = append(v.c64, a.chunk64())
 	}
-	v.c64[n>>chunkShift][n&chunkMask] = int64(x)
+	c := v.c64[n>>chunkShift]
+	if n&chunkMask >= len(c) {
+		c = a.chunk64()
+		copy(c, v.c64[n>>chunkShift])
+		v.c64[n>>chunkShift] = c
+	}
+	c[n&chunkMask] = int64(x)
 }
 
 // widen promotes every chunk to 64-bit. Slack beyond the filled rows
@@ -109,6 +123,65 @@ func (v *vec) widen(a *arena) {
 		v.c64[ci] = w
 	}
 	v.c32, v.wide = nil, true
+}
+
+// compacted returns r without the rows dead lists (ascending), the
+// live ones in order, in storage sized for exactly them: one slab per
+// value width, each column keeping its width. Rows appended later take
+// fresh chunks from the result's arena as usual.
+func (r *Relation) compacted(dead []int32, live int) *Relation {
+	out := newRelation(r.Attrs)
+	out.n = live
+	nc := (live + chunkMask) >> chunkShift
+	wide := 0
+	for c := range r.cols {
+		if r.cols[c].wide {
+			wide++
+		}
+	}
+	slab32 := make([]int32, (len(r.cols)-wide)*nc*chunkSize)
+	slab64 := make([]int64, wide*nc*chunkSize)
+	for c := range r.cols {
+		src, dst := &r.cols[c], &out.cols[c]
+		if src.wide {
+			dst.c64, slab64 = carveChunks(slab64, nc)
+			dst.wide = true
+			compactChunks(dst.c64, src.c64, dead, r.n)
+		} else {
+			dst.c32, slab32 = carveChunks(slab32, nc)
+			compactChunks(dst.c32, src.c32, dead, r.n)
+		}
+	}
+	return out
+}
+
+// carveChunks cuts the first n chunks off slab.
+func carveChunks[T int32 | int64](slab []T, n int) (chunks [][]T, rest []T) {
+	chunks = make([][]T, n)
+	for i := range chunks {
+		chunks[i] = slab[:chunkSize:chunkSize]
+		slab = slab[chunkSize:]
+	}
+	return chunks, slab
+}
+
+// compactChunks copies src's first n values but those at the ascending
+// rows dead into dst, in order, one run between dead rows at a time.
+func compactChunks[T int32 | int64](dst, src [][]T, dead []int32, n int) {
+	w, from := 0, 0
+	for k := 0; k <= len(dead); k++ {
+		to := n
+		if k < len(dead) {
+			to = int(dead[k])
+		}
+		for from < to {
+			run := min(to-from, chunkSize-from&chunkMask, chunkSize-w&chunkMask)
+			copy(dst[w>>chunkShift][w&chunkMask:], src[from>>chunkShift][from&chunkMask:from&chunkMask+run])
+			w += run
+			from += run
+		}
+		from = to + 1
+	}
 }
 
 // minMax returns the least and greatest of v's first n values (0, 0
@@ -158,23 +231,38 @@ func packChunks[T int32 | int64](keys []uint64, chunks [][]T, lo int64, shift ui
 
 // unpack fills the empty v with one value per key — the width bits at
 // shift, plus lo — in 32-bit chunks when [lo, hi] allows, as push
-// would have chosen for the same values.
-func (v *vec) unpack(a *arena, keys []uint64, lo, hi int64, shift, width uint) {
+// would have chosen for the same values. Full chunks come from a; a
+// partial last chunk is cut, exactly as long as its rows, from the
+// front of tail32 or tail64: a canonical answer is final, so its last
+// chunk needs no room to grow (push lengthens it if a caller appends
+// anyway).
+func (v *vec) unpack(a *arena, keys []uint64, lo, hi int64, shift, width uint, tail32 *[]int32, tail64 *[]int64) {
 	mask := uint64(1)<<width - 1
-	nc := (len(keys) + chunkMask) >> chunkShift
-	if lo >= math.MinInt32 && hi <= math.MaxInt32 {
-		for range nc {
+	full, rem := len(keys)>>chunkShift, len(keys)&chunkMask
+	if fits32(lo, hi) {
+		for range full {
 			v.c32 = append(v.c32, a.chunk32())
+		}
+		if rem > 0 {
+			v.c32 = append(v.c32, (*tail32)[:rem:rem])
+			*tail32 = (*tail32)[rem:]
 		}
 		unpackChunks(v.c32, keys, lo, shift, mask)
 		return
 	}
-	for range nc {
+	for range full {
 		v.c64 = append(v.c64, a.chunk64())
+	}
+	if rem > 0 {
+		v.c64 = append(v.c64, (*tail64)[:rem:rem])
+		*tail64 = (*tail64)[rem:]
 	}
 	v.wide = true
 	unpackChunks(v.c64, keys, lo, shift, mask)
 }
+
+// fits32 reports whether values in [lo, hi] fit 32-bit chunks.
+func fits32(lo, hi int64) bool { return lo >= math.MinInt32 && hi <= math.MaxInt32 }
 
 func unpackChunks[T int32 | int64](chunks [][]T, keys []uint64, lo int64, shift uint, mask uint64) {
 	for _, c := range chunks {

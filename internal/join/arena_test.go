@@ -373,3 +373,27 @@ func TestExecBudgetAbortAtChunkBoundary(t *testing.T) {
 		}
 	}
 }
+
+// TestCanonicalAppend: a canonical answer's last chunk is only as long
+// as its rows, and appending to it still works — within the chunk, past
+// it, and across a width promotion.
+func TestCanonicalAppend(t *testing.T) {
+	for _, wide := range []int{0, 1 << 40} {
+		r := NewRelation("b", "a")
+		r.Add(2, 1).Add(1, wide).Add(2, 1)
+		c := r.Canonical()
+		if got := len(c.cols[0].c32) + len(c.cols[0].c64); got != 1 {
+			t.Fatalf("wide %d: %d chunks, want 1", wide, got)
+		}
+		want := c.Rows()
+		for i := 0; i < chunkSize+3; i++ {
+			c.Add(i, -i)
+			want = append(want, []int{i, -i})
+		}
+		c.Add(1<<41, 5)
+		want = append(want, []int{1 << 41, 5})
+		if !reflect.DeepEqual(c.Rows(), want) {
+			t.Fatalf("wide %d: rows after appends differ", wide)
+		}
+	}
+}

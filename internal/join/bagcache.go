@@ -1,6 +1,9 @@
 package join
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // BagCache keeps the bags of one immutable database — one dataset
 // snapshot — across evaluations: for a node whose λ holds two or more
@@ -20,8 +23,12 @@ import "sync"
 // each linear in the bag's rows, as a base view's is. A bag can be
 // wider than the relations it joins, so the cache can hold more cells
 // than the data by the ratio of the widths (a χ of three variables over
-// binary relations: 1.5 times). Retire empties the cache for good once
-// its database is superseded.
+// binary relations: 1.5 times).
+//
+// A cache outlives its database's version through Carry: the next
+// version's cache starts from this one's bags, each carried as is,
+// maintained by the batch's delta or dropped. Retire then empties the
+// superseded cache for good.
 //
 // A BagCache is safe for concurrent use by any number of executors.
 type BagCache struct {
@@ -38,6 +45,11 @@ type cachedBag struct {
 	// peak is the largest λ-join result of the cold build, so a hit
 	// fails a row budget exactly when the cold build would have.
 	peak int
+	// lambda is λ's atoms, in λ order.
+	lambda []Atom
+	// m maintains rel across versions once a batch changed one of its
+	// relations (Carry); nil until then.
+	m *MRel
 }
 
 // NewBagCache returns an empty cache for db's bags that keeps at most
@@ -90,6 +102,156 @@ func (c *BagCache) Usage() (bags, rows int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.m), c.rows
+}
+
+// Carry returns the bag cache of db, the version that follows c's
+// database by one MRel.Commit of each relation deltas names (a relation
+// it does not name is unchanged). The caller runs it under the lock
+// that serialises the database's writes, before publishing db, and
+// retires c afterwards. Each of c's bags is
+//
+//   - carried as is, the same relation and IndexSet, when no relation
+//     of its λ changed;
+//   - maintained when it is exactly the λ-join of two distinct
+//     relations (χ = vars(λ), so no projection): it becomes an MRel,
+//     the mechanism of a base relation, and takes the delta of
+//     B = R ⋈ S: the rows whose R-part is in R⁻ or whose S-part is in
+//     S⁻ go, and R⁺ ⋈ S' and (R' − R⁺) ⋈ S⁺ come in. Its peak is its
+//     new size, the size of the one join a cold build runs;
+//   - dropped otherwise — a projected bag (a delete would need counts),
+//     a self-join or a λ of three or more atoms — for the next query
+//     to build.
+//
+// The new cache's row limit is db's live tuple count, and bags are
+// carried in key order while they fit it.
+func (c *BagCache) Carry(db Database, deltas map[string]Delta) *BagCache {
+	next := NewBagCache(db)
+	c.mu.Lock()
+	keys := make([]string, 0, len(c.m))
+	for key := range c.m {
+		keys = append(keys, key)
+	}
+	bags := make([]*cachedBag, len(keys))
+	slices.Sort(keys)
+	for i, key := range keys {
+		bags[i] = c.m[key]
+	}
+	c.mu.Unlock()
+	for i, b := range bags {
+		changed := false
+		for _, a := range b.lambda {
+			changed = changed || !deltas[a.Relation].Empty()
+		}
+		if changed {
+			if b = b.maintain(db, deltas); b == nil {
+				continue
+			}
+		}
+		next.store(keys[i], b)
+	}
+	return next
+}
+
+// maintain returns b brought to db by the delta rule, or nil when b is
+// not exactly the λ-join of two distinct relations.
+func (b *cachedBag) maintain(db Database, deltas map[string]Delta) *cachedBag {
+	if len(b.lambda) != 2 || b.lambda[0].Relation == b.lambda[1].Relation {
+		return nil
+	}
+	var side [2]struct {
+		old, new *Relation
+		d        Delta
+		shared   []int // columns of the join variables, paired across sides
+	}
+	for k, a := range b.lambda {
+		d := deltas[a.Relation]
+		side[k].old, side[k].new, side[k].d = db[a.Relation], db[a.Relation], d
+		if d.old != nil {
+			side[k].old = d.old
+		}
+	}
+	r, s := b.lambda[0], b.lambda[1]
+	for i, v := range r.Vars {
+		if j := slices.Index(s.Vars, v); j >= 0 {
+			side[0].shared = append(side[0].shared, i)
+			side[1].shared = append(side[1].shared, j)
+		}
+	}
+	// A bag's columns are χ ⊆ vars(λ); as many as vars(λ), they are an
+	// unprojected λ-join, each column read from one side's.
+	if len(b.rel.Attrs) != len(r.Vars)+len(s.Vars)-len(side[0].shared) {
+		return nil
+	}
+	from := make([][2]int, len(b.rel.Attrs))
+	for c, v := range b.rel.Attrs {
+		if i := slices.Index(r.Vars, v); i >= 0 {
+			from[c] = [2]int{0, i}
+		} else {
+			from[c] = [2]int{1, slices.Index(s.Vars, v)}
+		}
+	}
+	// rows appends the bag tuple of every pair of rel[k] row i and a
+	// row of rel[1-k] whose join columns match it, among those below
+	// limit (all when limit < 0).
+	rows := func(out [][]int, k int, rels [2]*Relation, i, limit int) [][]int {
+		o := 1 - k
+		for _, ly := range stackOn(rels[o], side[o].shared) {
+			for _, j := range ly.probeRow(rels[k], side[k].shared, i) {
+				if limit >= 0 && int(j) >= limit {
+					continue
+				}
+				row := [2]int{}
+				row[k], row[o] = i, int(j)
+				vals := make([]int, len(from))
+				for c, f := range from {
+					vals[c] = rels[f[0]].at(row[f[0]], f[1])
+				}
+				out = append(out, vals)
+			}
+		}
+		return out
+	}
+	old := [2]*Relation{side[0].old, side[1].old}
+	cur := [2]*Relation{side[0].new, side[1].new}
+	var del, ins [][]int
+	for k := range side {
+		for _, i := range side[k].d.minus {
+			del = rows(del, k, old, int(i), -1)
+		}
+	}
+	// R⁺ ⋈ S', then (R' − R⁺) ⋈ S⁺: the inserted rows are each
+	// relation's last ones.
+	rPlus := cur[0].n - side[0].d.plus
+	for i := rPlus; i < cur[0].n; i++ {
+		ins = rows(ins, 0, cur, i, -1)
+	}
+	for j := cur[1].n - side[1].d.plus; j < cur[1].n; j++ {
+		ins = rows(ins, 1, cur, j, rPlus)
+	}
+	m := b.m
+	if m == nil {
+		m = maintainedBag(b.rel)
+	}
+	// Arity is right by construction, so neither call can fail.
+	m.Delete(del)
+	m.Insert(ins)
+	m.Commit()
+	// No one reads a bag's own delta; dropping it frees the bag's
+	// previous view.
+	m.delta = Delta{}
+	return &cachedBag{rel: m.View(), peak: m.View().Size(), lambda: b.lambda, m: m}
+}
+
+// stackOn returns the index layers of rel, a dataset view, on cols: its
+// IndexSet's, or one fresh index captured into the IndexSet, so that
+// the view's next commit maintains it.
+func stackOn(rel *Relation, cols []int) []*hashIndex {
+	if stack := rel.indexes.lookup(cols); stack != nil {
+		return stack
+	}
+	// A nil guard cannot fail buildIndexCols.
+	ix, _ := buildIndexCols(rel, cols, 0, rel.n, nil)
+	return rel.indexes.store(cols, []*hashIndex{ix})
 }
 
 // bagKey encodes λ's atoms, in λ order, and χ injectively: every name

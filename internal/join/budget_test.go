@@ -313,7 +313,7 @@ func TestMaintenanceAllocBudget(t *testing.T) {
 	}{
 		{1, 0, allocSample{27, 12146}},
 		{100, 0, allocSample{473, 346250}},
-		{60, 40, allocSample{413, 4735502}},
+		{60, 40, allocSample{360, 2068944}},
 	} {
 		name := fmt.Sprintf("delta%d", b.inserts)
 		if b.deletes > 0 {

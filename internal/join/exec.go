@@ -327,7 +327,11 @@ func (e *executor) lambdaBag(q Query, db Database, lambda []int, chi []string) (
 	// rel is a fresh operator output (λ has two atoms) and a set, which
 	// is what carrying an IndexSet requires.
 	rel.indexes = newIndexSet()
-	return e.bags.store(key, &cachedBag{rel: rel, peak: peak}).rel, nil
+	atoms := make([]Atom, len(lambda))
+	for i, eid := range lambda {
+		atoms[i] = q.Atoms[eid]
+	}
+	return e.bags.store(key, &cachedBag{rel: rel, peak: peak, lambda: atoms}).rel, nil
 }
 
 // joinLambda joins the λ atom relations left to right and projects the

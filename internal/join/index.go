@@ -1,5 +1,11 @@
 package join
 
+import (
+	"cmp"
+	"slices"
+	"sort"
+)
+
 // Build-once hash indexes over columnar relations, the storage half of
 // the indexed Yannakakis executor (exec.go). An index groups a
 // relation's row offsets by their key on one column set — the shared
@@ -27,13 +33,17 @@ type hashIndex struct {
 	// slots is the open-addressing table: bucket id + 1, 0 = empty.
 	slots []int32
 	mask  uint64
-	// first maps bucket id → a representative row, for key equality.
-	first []int32
 	// starts/perm are the CSR payload: bucket b's rows are
-	// perm[starts[b]:starts[b+1]], in the relation's row order.
+	// perm[starts[b]:starts[b+1]], in the relation's row order, so its
+	// first row perm[starts[b]] is the representative a probe compares
+	// keys against. A bucket remap emptied keeps its id with no rows
+	// and is absent from slots.
 	starts []int32
 	perm   []int32
 }
+
+// rep returns bucket b's representative row: its first.
+func (ix *hashIndex) rep(b int32) int { return int(ix.perm[ix.starts[b]]) }
 
 // tableSize returns the open-addressing table size for n keys: the
 // next power of two ≥ 2n, so load stays ≤ ~0.5 and probes short.
@@ -76,6 +86,8 @@ func buildIndexCols(r *Relation, cols []int, lo, hi int, g *guard) (*hashIndex, 
 		mask:  uint64(size - 1),
 	}
 	rowBucket := make([]int32, n)
+	// reps holds each bucket's first row while perm does not exist yet.
+	var reps []int32
 	for i := lo; i < hi; i++ {
 		if err := g.poll(i - lo); err != nil {
 			return nil, err
@@ -84,10 +96,10 @@ func buildIndexCols(r *Relation, cols []int, lo, hi int, g *guard) (*hashIndex, 
 		for {
 			b := ix.slots[j]
 			if b == 0 {
-				b = int32(len(ix.first)) + 1
+				b = int32(len(reps)) + 1
 				ix.slots[j] = b
-				ix.first = append(ix.first, int32(i))
-			} else if !rowsEqualOn(r, cols, int(ix.first[b-1]), r, cols, i) {
+				reps = append(reps, int32(i))
+			} else if !rowsEqualOn(r, cols, int(reps[b-1]), r, cols, i) {
 				j = (j + 1) & ix.mask
 				continue
 			}
@@ -95,22 +107,179 @@ func buildIndexCols(r *Relation, cols []int, lo, hi int, g *guard) (*hashIndex, 
 			break
 		}
 	}
-	// CSR fill: counts → prefix sums → offsets in row order.
-	ix.starts = make([]int32, len(ix.first)+1)
+	// CSR fill: counts → prefix sums → offsets in row order, placed
+	// through cursors that reuse reps, which is done with.
+	ix.starts = make([]int32, len(reps)+1)
 	for _, b := range rowBucket {
 		ix.starts[b+1]++
 	}
-	for b := 0; b < len(ix.first); b++ {
+	for b := range reps {
 		ix.starts[b+1] += ix.starts[b]
 	}
 	ix.perm = make([]int32, n)
-	cursor := append([]int32(nil), ix.starts[:len(ix.first)]...)
+	cursor := append(reps[:0], ix.starts[:len(reps)]...)
 	for i := lo; i < hi; i++ {
 		b := rowBucket[i-lo]
 		ix.perm[cursor[b]] = int32(i)
 		cursor[b]++
 	}
 	return ix, nil
+}
+
+// remap returns an index over rows [0, hi) of r derived from ix, an
+// index over rows [0, ix.hi) of an earlier version of the same
+// relation, without hashing those rows again. newID maps each row ix
+// covers to its row in r, -1 for a row compaction dropped; nil keeps
+// every row in place. The rows of r past those ix covers are hashed in.
+// Compaction keeps the live rows in order, so each bucket's rows stay
+// ascending and the result lists, for every key, the rows a fresh
+// buildIndexCols over r lists.
+//
+// Bucket ids carry over and the table is copied: one pass over the old
+// perm renumbers it, the hashed rows join their key's bucket or open
+// one, and a bucket left without rows keeps its id with an empty range
+// but leaves the table by backward-shift deletion, so a probe never
+// meets an empty bucket and its loop needs no branch for one. Once the
+// table is out of proportion to the rows — under twice them, or over
+// eight times — or emptied ids outnumber the rows, the index is built
+// afresh instead. ix itself is not modified: published views keep
+// probing it.
+func (ix *hashIndex) remap(r *Relation, newID []int32, hi int) *hashIndex {
+	oldB := int32(len(ix.starts) - 1)
+	if size := tableSize(hi); len(ix.slots) < size || len(ix.slots) > 4*size || int(oldB) > 2*hi {
+		// A nil guard cannot fail buildIndexCols.
+		fresh, _ := buildIndexCols(r, ix.cols, 0, hi, nil)
+		return fresh
+	}
+	// kept is the live rows ix covers: they are rows [0, kept) of r.
+	kept := ix.hi
+	if newID != nil {
+		kept = 0
+		for i := ix.hi - 1; i >= 0; i-- {
+			if newID[i] >= 0 {
+				kept = int(newID[i]) + 1
+				break
+			}
+		}
+	}
+	out := &hashIndex{r: r, cols: ix.cols, hi: hi, slots: slices.Clone(ix.slots), mask: ix.mask}
+	// The rows past the old cover join their key's bucket or open one;
+	// an old bucket's key is compared on its old representative. order
+	// lists them by bucket, each bucket's in row order.
+	var reps []int32 // first rows of the buckets opened here
+	bucket := make([]int32, hi-kept)
+	order := make([]int32, hi-kept)
+	for i := kept; i < hi; i++ {
+		j := hashRow(r, out.cols, i) & out.mask
+		for {
+			b := out.slots[j]
+			if b == 0 {
+				reps = append(reps, int32(i))
+				b = oldB + int32(len(reps))
+				out.slots[j] = b
+			} else if b > oldB {
+				if !rowsEqualOn(r, out.cols, int(reps[b-1-oldB]), r, out.cols, i) {
+					j = (j + 1) & out.mask
+					continue
+				}
+			} else if !rowsEqualOn(ix.r, ix.cols, ix.rep(b-1), r, out.cols, i) {
+				j = (j + 1) & out.mask
+				continue
+			}
+			bucket[i-kept] = b - 1
+			order[i-kept] = int32(i - kept)
+			break
+		}
+	}
+	slices.SortStableFunc(order, func(x, y int32) int { return cmp.Compare(bucket[x], bucket[y]) })
+	// perm: one pass over the old perm, renumbering the live rows and
+	// noting the positions of the dropped ones, with each bucket's
+	// hashed rows after its old range and the opened buckets' last.
+	out.perm = make([]int32, hi)
+	var w, k int32
+	var dropped []int32
+	emit := func(upTo int32) {
+		if newID == nil {
+			w += int32(copy(out.perm[w:], ix.perm[k:upTo]))
+			k = upTo
+			return
+		}
+		for ; k < upTo; k++ {
+			if j := newID[ix.perm[k]]; j >= 0 {
+				out.perm[w] = j
+				w++
+			} else {
+				dropped = append(dropped, k)
+			}
+		}
+	}
+	for a := 0; a < len(order); {
+		b := bucket[order[a]]
+		emit(ix.starts[min(b, oldB-1)+1])
+		for ; a < len(order) && bucket[order[a]] == b; a++ {
+			out.perm[w] = int32(kept) + order[a]
+			w++
+		}
+	}
+	emit(int32(len(ix.perm)))
+	// starts: a bucket starts where its old range did, less the dropped
+	// rows and plus the hashed rows before it.
+	nb := oldB + int32(len(reps))
+	out.starts = make([]int32, nb+1)
+	d, a := 0, 0
+	for b := range nb {
+		pos := ix.starts[min(b, oldB)]
+		for d < len(dropped) && dropped[d] < pos {
+			d++
+		}
+		for a < len(order) && bucket[order[a]] < b {
+			a++
+		}
+		out.starts[b] = pos - int32(d) + int32(a)
+	}
+	out.starts[nb] = int32(hi)
+	// A bucket whose rows were all dropped leaves the table.
+	last := int32(-1)
+	for _, p := range dropped {
+		b := int32(sort.Search(int(oldB), func(b int) bool { return ix.starts[b+1] > p }))
+		if b != last && out.starts[b] == out.starts[b+1] {
+			out.deleteSlot(b+1, ix, reps)
+		}
+		last = b
+	}
+	return out
+}
+
+// deleteSlot removes bucket id v from the table of a remap of old that
+// kept old's ids, by backward-shift deletion: each later entry of the
+// probe run moves into the hole unless its home slot lies cyclically
+// after the hole, so every remaining key stays reachable from its home
+// without tombstones. An old id's key is hashed on old's
+// representative, an id remap opened on its row in reps.
+func (ix *hashIndex) deleteSlot(v int32, old *hashIndex, reps []int32) {
+	oldB := int32(len(old.starts) - 1)
+	home := func(v int32) uint64 {
+		if v > oldB {
+			return hashRow(ix.r, ix.cols, int(reps[v-1-oldB])) & ix.mask
+		}
+		return hashRow(old.r, old.cols, old.rep(v-1)) & ix.mask
+	}
+	i := home(v)
+	for ix.slots[i] != v {
+		i = (i + 1) & ix.mask
+	}
+	for j := i; ; {
+		j = (j + 1) & ix.mask
+		w := ix.slots[j]
+		if w == 0 {
+			ix.slots[i] = 0
+			return
+		}
+		if (j-home(w))&ix.mask >= (j-i)&ix.mask {
+			ix.slots[i] = w
+			i = j
+		}
+	}
 }
 
 // lookupRow finds the bucket whose key equals row `row` of s on sCols.
@@ -121,7 +290,7 @@ func (ix *hashIndex) lookupRow(s *Relation, sCols []int, row int) (int32, bool) 
 		if b == 0 {
 			return 0, false
 		}
-		if rowsEqualOn(ix.r, ix.cols, int(ix.first[b-1]), s, sCols, row) {
+		if rowsEqualOn(ix.r, ix.cols, ix.rep(b-1), s, sCols, row) {
 			return b - 1, true
 		}
 		j = (j + 1) & ix.mask
@@ -169,7 +338,7 @@ func (ix *hashIndex) lookupVals(vals []int) (int32, bool) {
 		if b == 0 {
 			return 0, false
 		}
-		if valsEqualOn(ix.r, ix.cols, int(ix.first[b-1]), vals) {
+		if valsEqualOn(ix.r, ix.cols, ix.rep(b-1), vals) {
 			return b - 1, true
 		}
 		j = (j + 1) & ix.mask

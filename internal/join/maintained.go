@@ -2,6 +2,7 @@ package join
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -138,7 +139,12 @@ type MRel struct {
 	// by any layer), keyed by full-tuple encoding, until Commit extends
 	// the layers over them.
 	tail map[string][]int32
-	view *Relation
+	// deleted lists the rows the in-flight batch tombstoned.
+	deleted []int32
+	view    *Relation
+	delta   Delta
+	// ids is compaction's old→new row map, kept for the next one.
+	ids []int32
 }
 
 // NewMRel takes ownership of r's tuples as a maintained relation.
@@ -154,6 +160,27 @@ func NewMRel(r *Relation) *MRel {
 		sets: []*mset{{cols: identCols(len(base.cols))}},
 	}
 	m.Commit()
+	return m
+}
+
+// maintainedBag wraps a cached bag, a set carrying its IndexSet, as a
+// maintained relation whose current view is rel itself: the writer
+// appends past rel's rows into storage rel's readers never read, and
+// the first Commit adopts the indexes queries captured on rel. The
+// rowset index is rel's own when a query captured one.
+func maintainedBag(rel *Relation) *MRel {
+	rowset := identCols(len(rel.cols))
+	m := &MRel{
+		base: rel.cow(),
+		dead: make([]bool, rel.n),
+		sets: []*mset{{cols: rowset, layers: rel.indexes.lookup(rowset)}},
+		view: rel,
+	}
+	if m.sets[0].layers == nil {
+		// A nil guard cannot fail buildIndexCols.
+		ly, _ := buildIndexCols(rel, rowset, 0, rel.n, nil)
+		m.sets[0].layers = []*hashIndex{ly}
+	}
 	return m
 }
 
@@ -227,6 +254,7 @@ func (m *MRel) Delete(rows [][]int) (deleted, missed int, err error) {
 		if i := m.liveRow(vals); i >= 0 {
 			m.dead[i] = true
 			m.deadN++
+			m.deleted = append(m.deleted, int32(i))
 			deleted++
 		} else {
 			missed++
@@ -268,44 +296,48 @@ func (m *MRel) adoptCaptured() {
 // view and brings every registered index set up to date:
 //
 //   - insert-only batches append one O(delta) index layer per set;
-//   - batches with effective deletes compact the live rows into fresh
-//     storage (O(live)) and rebuild each set as one full layer;
-//   - stacks past maxIndexLayers collapse into one full layer.
+//   - batches with effective deletes compact the live rows, in order,
+//     into fresh storage and remap each set's first layer onto the
+//     compacted rows (hashIndex.remap), hashing only the rows past it;
+//   - stacks past maxIndexLayers collapse the same way, with every row
+//     kept in place.
 //
-// It reports whether a compaction ran. Layers always reference the
-// immutable view published at their build time — never the writable
-// base — so later widen/append activity on the base cannot race
-// concurrent probes of old layers.
+// It reports whether a compaction ran, and records the batch's net
+// change for LastDelta. Layers always reference the immutable view
+// published at their build time — never the writable base — so later
+// widen/append activity on the base cannot race concurrent probes of
+// old layers.
 func (m *MRel) Commit() (compacted bool) {
 	m.adoptCaptured()
+	prev := m.view
+	committed := 0
+	if prev != nil {
+		committed = prev.n
+	}
+	minus := make([]int32, 0, len(m.deleted))
+	for _, i := range m.deleted {
+		if int(i) < committed {
+			minus = append(minus, i)
+		}
+	}
+	plus := m.base.n - committed - (len(m.deleted) - len(minus))
+	var newID []int32
 	if m.deadN > 0 {
-		nb := newRelation(m.base.Attrs)
-		for i := 0; i < m.base.n; i++ {
-			if !m.dead[i] {
-				nb.appendFrom(m.base, i)
-			}
-		}
-		m.base = nb
-		m.dead = make([]bool, nb.n)
-		m.deadN = 0
-		for _, st := range m.sets {
-			st.layers = nil
-		}
+		newID = m.compact()
 		compacted = true
 	}
 	view := m.cowView()
 	for _, st := range m.sets {
-		if len(st.layers) >= maxIndexLayers {
-			st.layers = nil
-		}
-		lo := 0
-		if k := len(st.layers); k > 0 {
-			lo = st.layers[k-1].hi
-		}
-		if lo < view.n || len(st.layers) == 0 {
+		switch k := len(st.layers); {
+		case k == 0:
 			// A nil guard cannot fail buildIndexCols: maintenance runs
 			// under the dataset lock, not a query deadline.
-			ly, _ := buildIndexCols(view, st.cols, lo, view.n, nil)
+			ly, _ := buildIndexCols(view, st.cols, 0, view.n, nil)
+			st.layers = []*hashIndex{ly}
+		case compacted || k >= maxIndexLayers:
+			st.layers = []*hashIndex{st.layers[0].remap(view, newID, view.n)}
+		case st.layers[k-1].hi < view.n:
+			ly, _ := buildIndexCols(view, st.cols, st.layers[k-1].hi, view.n, nil)
 			st.layers = append(st.layers, ly)
 		}
 	}
@@ -316,25 +348,72 @@ func (m *MRel) Commit() (compacted bool) {
 	view.indexes = is
 	m.view = view
 	m.tail = nil
+	m.deleted = m.deleted[:0]
+	m.delta = Delta{old: prev, new: view, minus: minus, plus: plus}
 	return compacted
 }
+
+// compact moves the live rows, in order, into fresh storage sized for
+// exactly them, and returns each old row's new row id, -1 for a dead
+// row. The map lives in a buffer the next compaction reuses.
+func (m *MRel) compact() []int32 {
+	old := m.base
+	slices.Sort(m.deleted)
+	m.ids = slices.Grow(m.ids[:0], old.n)[:old.n]
+	prev := int32(0)
+	for k, d := range append(m.deleted, int32(old.n)) {
+		for i := prev; i < d; i++ {
+			m.ids[i] = i - int32(k)
+		}
+		if int(d) < old.n {
+			m.ids[d] = -1
+		}
+		prev = d + 1
+	}
+	m.base = old.compacted(m.deleted, old.n-len(m.deleted))
+	m.dead = m.dead[:m.base.n]
+	clear(m.dead)
+	m.deadN = 0
+	return m.ids
+}
+
+// LastDelta returns the net change the last Commit published.
+func (m *MRel) LastDelta() Delta { return m.delta }
+
+// Delta is the net change one MRel.Commit published: the rows of the
+// previous view the batch deleted, and the rows it inserted, which the
+// new view holds last, in insertion order. A tuple inserted and deleted
+// by the same batch is in neither; one deleted and inserted again is
+// in both, as a deleted row and an inserted one.
+type Delta struct {
+	old, new *Relation
+	minus    []int32 // row ids in old
+	plus     int     // the last plus rows of new
+}
+
+// Empty reports whether the commit changed no tuple.
+func (d Delta) Empty() bool { return len(d.minus) == 0 && d.plus == 0 }
 
 // cowView clones the chunk-pointer headers of every column — sharing
 // the value chunks — frozen at the current row count. The writer's
 // later appends land at rows ≥ view.n (fresh tails of shared chunks or
 // brand-new chunks), and a width promotion allocates fresh 64-bit
 // chunks on the writer's side only, so the view is immutable.
-func (m *MRel) cowView() *Relation {
-	src := m.base
+func (m *MRel) cowView() *Relation { return m.base.cow() }
+
+// cow returns a relation sharing r's value chunks through cloned
+// chunk-pointer headers, frozen at r's row count, with its own arena
+// and no IndexSet: appends to either side land past the shared rows.
+func (r *Relation) cow() *Relation {
 	v := &Relation{
-		Attrs: src.Attrs,
-		pos:   src.pos,
-		cols:  make([]vec, len(src.cols)),
-		n:     src.n,
+		Attrs: r.Attrs,
+		pos:   r.pos,
+		cols:  make([]vec, len(r.cols)),
+		n:     r.n,
 		mem:   &arena{},
 	}
-	for c := range src.cols {
-		sc := &src.cols[c]
+	for c := range r.cols {
+		sc := &r.cols[c]
 		if sc.wide {
 			v.cols[c] = vec{c64: append([][]int64(nil), sc.c64...), wide: true}
 		} else {

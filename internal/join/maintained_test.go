@@ -412,6 +412,19 @@ func TestCompactionRemapMatchesRebuild(t *testing.T) {
 						t.Fatalf("seed %d round %d cols %v: layer [%d,%d) over a %d-row relation",
 							seed, round, st.cols, ly.lo, ly.hi, ly.r.Size())
 					}
+					// The table holds exactly the buckets that have rows.
+					inTable := map[int32]bool{}
+					for _, v := range ly.slots {
+						if v != 0 {
+							inTable[v-1] = true
+						}
+					}
+					for b := 0; b+1 < len(ly.starts); b++ {
+						if rows := ly.starts[b+1] > ly.starts[b]; rows != inTable[int32(b)] {
+							t.Fatalf("seed %d round %d cols %v: bucket %d has rows %v, in the table %v",
+								seed, round, st.cols, b, rows, inTable[int32(b)])
+						}
+					}
 				}
 				// Every key of the domain: live keys must list the full
 				// index's rows, absent ones (deleted keys among them) none.

@@ -525,8 +525,17 @@ func canonicalPacked(attrs []string, src []*vec, n int) (out *Relation, radix bo
 	keys := slices.Compact(b.keys)
 	out = newRelation(attrs)
 	out.n = len(keys)
+	// The partial last chunks of all columns share one slab per width.
+	narrow := 0
+	for _, p := range cols {
+		if fits32(p.lo, p.hi) {
+			narrow++
+		}
+	}
+	rem := len(keys) & chunkMask
+	tail32, tail64 := make([]int32, narrow*rem), make([]int64, (len(cols)-narrow)*rem)
 	for c, p := range cols {
-		out.cols[c].unpack(out.mem, keys, p.lo, p.hi, p.shift, p.width)
+		out.cols[c].unpack(out.mem, keys, p.lo, p.hi, p.shift, p.width, &tail32, &tail64)
 	}
 	return out, radix
 }
