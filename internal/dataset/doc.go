@@ -17,9 +17,11 @@
 //     resolvable; pinning an evicted or future version is a clear
 //     error (ErrVersionGone / ErrFutureVersion), never wrong rows.
 //   - One bag cache per snapshot: each published version owns a
-//     join.BagCache for the executor, empty at publication, holding at
-//     most the version's live tuple count in rows, and retired (emptied
-//     for good) when the next version is published.
+//     join.BagCache for the executor, holding at most the version's
+//     live tuple count in rows. A mutation starts the new version's
+//     cache from the previous one's bags — carried, maintained by the
+//     batch's delta, or dropped — and then retires the previous cache
+//     (empties it for good); a replacement starts it empty.
 //   - Incremental ≡ from-scratch: evaluating any query over a snapshot
 //     equals evaluating it over a database freshly built from the
 //     snapshot's materialised rows — byte-identical; the differential

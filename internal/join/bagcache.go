@@ -1,6 +1,7 @@
 package join
 
 import (
+	"maps"
 	"slices"
 	"sync"
 )
@@ -32,6 +33,7 @@ import (
 //
 // A BagCache is safe for concurrent use by any number of executors.
 type BagCache struct {
+	db      Database
 	mu      sync.Mutex
 	limit   int
 	rows    int
@@ -55,7 +57,7 @@ type cachedBag struct {
 // NewBagCache returns an empty cache for db's bags that keeps at most
 // as many rows as db's relations hold.
 func NewBagCache(db Database) *BagCache {
-	c := &BagCache{m: map[string]*cachedBag{}}
+	c := &BagCache{db: db, m: map[string]*cachedBag{}}
 	for _, rel := range db {
 		c.limit += rel.Size()
 	}
@@ -127,34 +129,29 @@ func (c *BagCache) Usage() (bags, rows int) {
 func (c *BagCache) Carry(db Database, deltas map[string]Delta) *BagCache {
 	next := NewBagCache(db)
 	c.mu.Lock()
-	keys := make([]string, 0, len(c.m))
-	for key := range c.m {
-		keys = append(keys, key)
-	}
+	keys := slices.Sorted(maps.Keys(c.m))
 	bags := make([]*cachedBag, len(keys))
-	slices.Sort(keys)
 	for i, key := range keys {
 		bags[i] = c.m[key]
 	}
 	c.mu.Unlock()
 	for i, b := range bags {
-		changed := false
 		for _, a := range b.lambda {
-			changed = changed || !deltas[a.Relation].Empty()
-		}
-		if changed {
-			if b = b.maintain(db, deltas); b == nil {
-				continue
+			if !deltas[a.Relation].Empty() {
+				b = b.maintain(c.db, db, deltas)
+				break
 			}
 		}
-		next.store(keys[i], b)
+		if b != nil {
+			next.store(keys[i], b)
+		}
 	}
 	return next
 }
 
-// maintain returns b brought to db by the delta rule, or nil when b is
-// not exactly the λ-join of two distinct relations.
-func (b *cachedBag) maintain(db Database, deltas map[string]Delta) *cachedBag {
+// maintain returns b, a bag over old, brought to db by the delta rule,
+// or nil when b is not exactly the λ-join of two distinct relations.
+func (b *cachedBag) maintain(old, db Database, deltas map[string]Delta) *cachedBag {
 	if len(b.lambda) != 2 || b.lambda[0].Relation == b.lambda[1].Relation {
 		return nil
 	}
@@ -164,11 +161,7 @@ func (b *cachedBag) maintain(db Database, deltas map[string]Delta) *cachedBag {
 		shared   []int // columns of the join variables, paired across sides
 	}
 	for k, a := range b.lambda {
-		d := deltas[a.Relation]
-		side[k].old, side[k].new, side[k].d = db[a.Relation], db[a.Relation], d
-		if d.old != nil {
-			side[k].old = d.old
-		}
+		side[k].old, side[k].new, side[k].d = old[a.Relation], db[a.Relation], deltas[a.Relation]
 	}
 	r, s := b.lambda[0], b.lambda[1]
 	for i, v := range r.Vars {
@@ -211,12 +204,12 @@ func (b *cachedBag) maintain(db Database, deltas map[string]Delta) *cachedBag {
 		}
 		return out
 	}
-	old := [2]*Relation{side[0].old, side[1].old}
+	prev := [2]*Relation{side[0].old, side[1].old}
 	cur := [2]*Relation{side[0].new, side[1].new}
 	var del, ins [][]int
 	for k := range side {
 		for _, i := range side[k].d.minus {
-			del = rows(del, k, old, int(i), -1)
+			del = rows(del, k, prev, int(i), -1)
 		}
 	}
 	// R⁺ ⋈ S', then (R' − R⁺) ⋈ S⁺: the inserted rows are each
@@ -236,9 +229,6 @@ func (b *cachedBag) maintain(db Database, deltas map[string]Delta) *cachedBag {
 	m.Delete(del)
 	m.Insert(ins)
 	m.Commit()
-	// No one reads a bag's own delta; dropping it frees the bag's
-	// previous view.
-	m.delta = Delta{}
 	return &cachedBag{rel: m.View(), peak: m.View().Size(), lambda: b.lambda, m: m}
 }
 

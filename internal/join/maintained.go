@@ -166,22 +166,17 @@ func NewMRel(r *Relation) *MRel {
 // maintainedBag wraps a cached bag, a set carrying its IndexSet, as a
 // maintained relation whose current view is rel itself: the writer
 // appends past rel's rows into storage rel's readers never read, and
-// the first Commit adopts the indexes queries captured on rel. The
-// rowset index is rel's own when a query captured one.
+// the first Commit adopts the indexes queries captured on rel.
 func maintainedBag(rel *Relation) *MRel {
 	rowset := identCols(len(rel.cols))
-	m := &MRel{
+	// A nil guard cannot fail buildIndexCols.
+	ly, _ := buildIndexCols(rel, rowset, 0, rel.n, nil)
+	return &MRel{
 		base: rel.cow(),
 		dead: make([]bool, rel.n),
-		sets: []*mset{{cols: rowset, layers: rel.indexes.lookup(rowset)}},
+		sets: []*mset{{cols: rowset, layers: []*hashIndex{ly}}},
 		view: rel,
 	}
-	if m.sets[0].layers == nil {
-		// A nil guard cannot fail buildIndexCols.
-		ly, _ := buildIndexCols(rel, rowset, 0, rel.n, nil)
-		m.sets[0].layers = []*hashIndex{ly}
-	}
-	return m
 }
 
 // View returns the current published snapshot view: immutable, dense
@@ -309,10 +304,9 @@ func (m *MRel) adoptCaptured() {
 // old layers.
 func (m *MRel) Commit() (compacted bool) {
 	m.adoptCaptured()
-	prev := m.view
 	committed := 0
-	if prev != nil {
-		committed = prev.n
+	if m.view != nil {
+		committed = m.view.n
 	}
 	minus := make([]int32, 0, len(m.deleted))
 	for _, i := range m.deleted {
@@ -320,7 +314,7 @@ func (m *MRel) Commit() (compacted bool) {
 			minus = append(minus, i)
 		}
 	}
-	plus := m.base.n - committed - (len(m.deleted) - len(minus))
+	m.delta = Delta{minus: minus, plus: m.base.n - committed - (len(m.deleted) - len(minus))}
 	var newID []int32
 	if m.deadN > 0 {
 		newID = m.compact()
@@ -349,7 +343,6 @@ func (m *MRel) Commit() (compacted bool) {
 	m.view = view
 	m.tail = nil
 	m.deleted = m.deleted[:0]
-	m.delta = Delta{old: prev, new: view, minus: minus, plus: plus}
 	return compacted
 }
 
@@ -386,9 +379,8 @@ func (m *MRel) LastDelta() Delta { return m.delta }
 // by the same batch is in neither; one deleted and inserted again is
 // in both, as a deleted row and an inserted one.
 type Delta struct {
-	old, new *Relation
-	minus    []int32 // row ids in old
-	plus     int     // the last plus rows of new
+	minus []int32 // row ids in the previous view
+	plus  int     // the new view's last plus rows
 }
 
 // Empty reports whether the commit changed no tuple.
