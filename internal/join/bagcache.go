@@ -137,7 +137,7 @@ func (c *BagCache) Carry(db Database, deltas map[string]Delta) *BagCache {
 	c.mu.Unlock()
 	for i, b := range bags {
 		for _, a := range b.lambda {
-			if !deltas[a.Relation].Empty() {
+			if !deltas[a.Relation].empty() {
 				b = b.maintain(c.db, db, deltas)
 				break
 			}

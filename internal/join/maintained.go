@@ -320,7 +320,7 @@ func (m *MRel) Commit() (compacted bool) {
 		newID = m.compact()
 		compacted = true
 	}
-	view := m.cowView()
+	view := m.base.cow()
 	for _, st := range m.sets {
 		switch k := len(st.layers); {
 		case k == 0:
@@ -383,19 +383,16 @@ type Delta struct {
 	plus  int     // the new view's last plus rows
 }
 
-// Empty reports whether the commit changed no tuple.
-func (d Delta) Empty() bool { return len(d.minus) == 0 && d.plus == 0 }
-
-// cowView clones the chunk-pointer headers of every column — sharing
-// the value chunks — frozen at the current row count. The writer's
-// later appends land at rows ≥ view.n (fresh tails of shared chunks or
-// brand-new chunks), and a width promotion allocates fresh 64-bit
-// chunks on the writer's side only, so the view is immutable.
-func (m *MRel) cowView() *Relation { return m.base.cow() }
+// empty reports whether the commit changed no tuple.
+func (d Delta) empty() bool { return len(d.minus) == 0 && d.plus == 0 }
 
 // cow returns a relation sharing r's value chunks through cloned
 // chunk-pointer headers, frozen at r's row count, with its own arena
-// and no IndexSet: appends to either side land past the shared rows.
+// and no IndexSet: a commit's view of the base, or a maintained bag's
+// base over its cached view. The writer's later appends land at rows ≥
+// the frozen count (fresh tails of shared chunks or brand-new chunks),
+// and a width promotion allocates fresh 64-bit chunks on the writer's
+// side only, so the frozen side is immutable.
 func (r *Relation) cow() *Relation {
 	v := &Relation{
 		Attrs: r.Attrs,
