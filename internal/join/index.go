@@ -36,10 +36,12 @@ type hashIndex struct {
 	// starts/perm are the CSR payload: bucket b's rows are
 	// perm[starts[b]:starts[b+1]], in the relation's row order, so its
 	// first row perm[starts[b]] is the representative a probe compares
-	// keys against. A bucket remap emptied keeps its id with no rows
-	// and is absent from slots.
+	// keys against.
 	starts []int32
 	perm   []int32
+	// empty counts the bucket ids remap left without rows; they keep
+	// their place in starts and are absent from slots.
+	empty int
 }
 
 // rep returns bucket b's representative row: its first.
@@ -141,12 +143,12 @@ func buildIndexCols(r *Relation, cols []int, lo, hi int, g *guard) (*hashIndex, 
 // but leaves the table by backward-shift deletion, so a probe never
 // meets an empty bucket and its loop needs no branch for one. Once the
 // table is out of proportion to the rows — under twice them, or over
-// eight times — or emptied ids outnumber the rows, the index is built
-// afresh instead. ix itself is not modified: published views keep
-// probing it.
+// eight times — or emptied ids are more than an eighth of all, the
+// index is built afresh instead. ix itself is not modified: published
+// views keep probing it.
 func (ix *hashIndex) remap(r *Relation, newID []int32, hi int) *hashIndex {
 	oldB := int32(len(ix.starts) - 1)
-	if size := tableSize(hi); len(ix.slots) < size || len(ix.slots) > 4*size || int(oldB) > 2*hi {
+	if size := tableSize(hi); len(ix.slots) < size || len(ix.slots) > 4*size || 8*ix.empty > int(oldB) {
 		// A nil guard cannot fail buildIndexCols.
 		fresh, _ := buildIndexCols(r, ix.cols, 0, hi, nil)
 		return fresh
@@ -239,11 +241,13 @@ func (ix *hashIndex) remap(r *Relation, newID []int32, hi int) *hashIndex {
 	}
 	out.starts[nb] = int32(hi)
 	// A bucket whose rows were all dropped leaves the table.
+	out.empty = ix.empty
 	last := int32(-1)
 	for _, p := range dropped {
 		b := int32(sort.Search(int(oldB), func(b int) bool { return ix.starts[b+1] > p }))
 		if b != last && out.starts[b] == out.starts[b+1] {
 			out.deleteSlot(b+1, ix, reps)
+			out.empty++
 		}
 		last = b
 	}
