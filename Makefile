@@ -88,7 +88,7 @@ pprof-capture:
 # -race three repeats would bring the logk binary near go test's
 # 10-minute default timeout.
 stress:
-	$(GO) test -race -count=2 -run 'TestStoreStress|TestCoalescing|TestBatchDuplicates|TestServeCache|TestMemoryConcurrency|TestFlight|TestStatsConservation|TestOneSolverConfiguration|TestBagCache|TestMaintained|TestMemoResumesStoppedRefutation|TestStructuralRefutation|TestDecideSearchesWidthKAlone|TestTenantIsolationUnderLoad|TestLogConcurrency|TestTieredConcurrency|TestLogFaultRules' ./internal/store ./internal/service ./cmd/htdserve ./internal/join ./internal/dataset
+	$(GO) test -race -count=2 -run 'TestStoreStress|TestCoalescing|TestAggregateIndexCounts|TestAggregateFoldRace|TestBatchDuplicates|TestServeCache|TestMemoryConcurrency|TestFlight|TestStatsConservation|TestOneSolverConfiguration|TestBagCache|TestMaintained|TestMemoResumesStoppedRefutation|TestStructuralRefutation|TestDecideSearchesWidthKAlone|TestTenantIsolationUnderLoad|TestLogConcurrency|TestTieredConcurrency|TestLogFaultRules' ./internal/store ./internal/service ./cmd/htdserve ./internal/join ./internal/dataset
 	$(GO) test -race -count=3 -cpu=1,2,4 -run 'TestParallel|TestMemoMatchesBasicSolver|TestCancelledContext|TestCrossValidationSolvers|TestOptimal|TestChildPool|TestLogKAllocBudget|TestDetKAllocBudget|TestDetKRefutesBagOnce|TestDetKRefutationIgnoresSpecialIDs|TestDetKSameDecompositions|TestDetKBudget|TestArmBudgetCounts|TestServeRungMemoOnFallback' ./internal/logk ./internal/detk
 	$(GO) test -race -count=1 -cpu=1,2,4 -run 'TestLogKSameDecompositions' ./internal/logk
 

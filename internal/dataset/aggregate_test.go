@@ -2,8 +2,10 @@ package dataset
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/decomp"
@@ -52,27 +54,26 @@ func aggShapes(t testing.TB) []aggShape {
 	return out
 }
 
-// Sizes of perfbench's query dataset: R..U of aggRelRows tuples and V
-// of aggVRows, over a domain of aggDomain values.
-const (
-	aggRelRows = 5000
-	aggVRows   = 150
-	aggDomain  = 5000
-)
+// aggSizes are the sizes of a dataset of R..U and V: rows tuples in
+// each of R..U, vRows in V, over a domain of domain values.
+type aggSizes struct{ rows, vRows, domain int }
 
-// aggDatabase is a seeded dataset of perfbench's query sizes.
-func aggDatabase(seed int64) join.Database {
+// perfbenchSizes are perfbench's query dataset sizes.
+var perfbenchSizes = aggSizes{rows: 5000, vRows: 150, domain: 5000}
+
+// aggDatabase is a seeded dataset of the given sizes.
+func aggDatabase(seed int64, size aggSizes) join.Database {
 	r := rand.New(rand.NewSource(seed))
 	db := join.Database{}
 	for _, name := range []string{"R", "S", "T", "U", "V"} {
-		n := aggRelRows
+		n := size.rows
 		if name == "V" {
-			n = aggVRows
+			n = size.vRows
 		}
 		rel := join.NewRelation("c1", "c2")
 		seen := map[[2]int]bool{}
 		for len(seen) < n {
-			t := [2]int{r.Intn(aggDomain), r.Intn(aggDomain)}
+			t := [2]int{r.Intn(size.domain), r.Intn(size.domain)}
 			if !seen[t] {
 				seen[t] = true
 				rel.Add(t[0], t[1])
@@ -88,12 +89,12 @@ func aggDatabase(seed int64) join.Database {
 // is query-rw's 60 inserts and 40 deletes; it compacts R and S, so each
 // of their maintained indexes is one layer again. An insert-only batch
 // leaves each of them two layers.
-func aggBatch(r *rand.Rand, snap Snapshot, inserts, deletes int) []Mutation {
+func aggBatch(r *rand.Rand, snap Snapshot, domain, inserts, deletes int) []Mutation {
 	var batch []Mutation
 	for k, name := range []string{"R", "S"} {
 		var ins [][]int
 		for i := k; i < inserts; i += 2 {
-			ins = append(ins, []int{r.Intn(aggDomain), r.Intn(aggDomain)})
+			ins = append(ins, []int{r.Intn(domain), r.Intn(domain)})
 		}
 		batch = append(batch, Mutation{Op: "insert", Rel: name, Rows: ins})
 	}
@@ -112,23 +113,32 @@ func aggBatch(r *rand.Rand, snap Snapshot, inserts, deletes int) []Mutation {
 // fails unless the answer equals AggregateRows over EvaluateNaive.
 func aggregateSnapshot(t testing.TB, s aggShape, snap Snapshot) join.ExecStats {
 	t.Helper()
+	st, err := checkAggregate(s, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// checkAggregate is aggregateSnapshot's check, reported as an error.
+func checkAggregate(s aggShape, snap Snapshot) (join.ExecStats, error) {
 	var st join.ExecStats
 	got, err := join.AggregateCtx(context.Background(), s.q, snap.DB, s.d, s.spec, join.EvalOptions{Stats: &st, Bags: snap.Bags})
 	if err != nil {
-		t.Fatalf("%s v%d: %v", s.name, snap.Version, err)
+		return st, fmt.Errorf("%s v%d: %w", s.name, snap.Version, err)
 	}
 	rows, err := join.EvaluateNaive(s.q, snap.DB)
 	if err != nil {
-		t.Fatal(err)
+		return st, err
 	}
 	want, err := join.AggregateRows(rows, s.spec)
 	if err != nil {
-		t.Fatal(err)
+		return st, err
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s v%d: pushdown %+v, naive %+v", s.name, snap.Version, got, want)
+		return st, fmt.Errorf("%s v%d: pushdown %+v, naive %+v", s.name, snap.Version, got, want)
 	}
-	return st
+	return st, nil
 }
 
 // aggCounts is the effort of one aggregate query.
@@ -149,16 +159,16 @@ func countsOf(st join.ExecStats) aggCounts {
 // EvaluateNaive. Counts, not times, so the wall holds on any host.
 func TestAggregateIndexCounts(t *testing.T) {
 	want := map[string][3]aggCounts{ // warm, after the mixed batch, after the inserts
-		"triangle-sum":     {{0, 1, 1, 5002}, {0, 1, 1, 5022}, {0, 1, 1, 5056}},
-		"bowtie-count":     {{2, 2, 3, 5194}, {2, 2, 3, 5213}, {2, 2, 3, 5247}},
-		"four-cycle-group": {{2, 1, 2, 10029}, {2, 1, 2, 10040}, {2, 1, 2, 10101}},
-		"path-count":       {{5, 1, 4, 22333}, {5, 1, 4, 22372}, {5, 1, 4, 22488}},
-		"star-group":       {{3, 2, 4, 22124}, {3, 2, 4, 22163}, {3, 2, 4, 22271}},
+		"triangle-sum":     {{0, 1, 0, 5002}, {0, 1, 0, 5022}, {0, 1, 0, 5056}},
+		"bowtie-count":     {{0, 2, 0, 5005}, {0, 2, 0, 5024}, {0, 2, 0, 5058}},
+		"four-cycle-group": {{0, 1, 0, 4974}, {0, 1, 0, 4985}, {0, 1, 0, 5046}},
+		"path-count":       {{0, 2, 0, 8111}, {0, 2, 0, 8127}, {1, 2, 0, 8185}},
+		"star-group":       {{0, 2, 0, 8151}, {0, 2, 0, 8158}, {1, 2, 0, 8215}},
 	}
 	for _, s := range aggShapes(t) {
 		t.Run(s.name, func(t *testing.T) {
 			g := NewRegistry(Config{Retain: 2})
-			if _, err := g.Put("", "d", aggDatabase(1)); err != nil {
+			if _, err := g.Put("", "d", aggDatabase(1, perfbenchSizes)); err != nil {
 				t.Fatal(err)
 			}
 			d, _ := g.Get("", "d")
@@ -174,7 +184,7 @@ func TestAggregateIndexCounts(t *testing.T) {
 			aggregateSnapshot(t, s, current())
 			got[0] = countsOf(aggregateSnapshot(t, s, current()))
 			for i, deletes := range []int{40, 0} {
-				if _, err := d.Mutate(aggBatch(r, current(), 60, deletes)); err != nil {
+				if _, err := d.Mutate(aggBatch(r, current(), perfbenchSizes.domain, 60, deletes)); err != nil {
 					t.Fatal(err)
 				}
 				got[i+1] = countsOf(aggregateSnapshot(t, s, current()))
@@ -183,5 +193,92 @@ func TestAggregateIndexCounts(t *testing.T) {
 				t.Errorf("builds/reuses/semijoins/probes %v, want %v", got, want[s.name])
 			}
 		})
+	}
+}
+
+// BenchmarkAggregate times warm aggregate queries of perfbench's five
+// aggregate shapes over a snapshot of perfbench's data sizes, through
+// the snapshot's bag cache, one query per op.
+func BenchmarkAggregate(b *testing.B) {
+	for _, s := range aggShapes(b) {
+		b.Run(s.name, func(b *testing.B) {
+			g := NewRegistry(Config{})
+			if _, err := g.Put("", "d", aggDatabase(1, perfbenchSizes)); err != nil {
+				b.Fatal(err)
+			}
+			snap, err := g.Resolve("", "d", 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			aggregateSnapshot(b, s, snap)
+			opts := join.EvalOptions{Bags: snap.Bags}
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := join.AggregateCtx(context.Background(), s.q, snap.DB, s.d, s.spec, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestAggregateFoldRace: readers answer the five shapes concurrently
+// over a fresh snapshot, so their first queries race to capture the
+// indexes they fold over into the snapshot's shared IndexSets, while a
+// writer's mixed batch publishes the next version; then readers race
+// over that successor, whose carried bags and maintained indexes the
+// writer built. Every answer must equal AggregateRows over
+// EvaluateNaive over the snapshot the reader holds. Run it under -race
+// (make stress).
+func TestAggregateFoldRace(t *testing.T) {
+	const readers = 4
+	size := aggSizes{rows: 600, vRows: 40, domain: 80}
+	g := NewRegistry(Config{Retain: 2})
+	if _, err := g.Put("", "d", aggDatabase(3, size)); err != nil {
+		t.Fatal(err)
+	}
+	d, _ := g.Get("", "d")
+	shapes := aggShapes(t)
+	s1, err := g.Resolve("", "d", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := aggBatch(rand.New(rand.NewSource(4)), s1, size.domain, 60, 40)
+
+	var wg sync.WaitGroup
+	errs := make(chan error, 2*readers*2*len(shapes)+1)
+	read := func(snap Snapshot, first int) {
+		defer wg.Done()
+		for i := range 2 * len(shapes) {
+			if _, err := checkAggregate(shapes[(first+i)%len(shapes)], snap); err != nil {
+				errs <- err
+			}
+		}
+	}
+	for i := range readers {
+		wg.Add(1)
+		go read(s1, i)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if _, err := d.Mutate(batch); err != nil {
+			errs <- err
+			return
+		}
+		s2, err := g.Resolve("", "d", 0)
+		if err != nil {
+			errs <- err
+			return
+		}
+		for i := range readers {
+			wg.Add(1)
+			go read(s2, i)
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

@@ -304,19 +304,8 @@ func AggregateRows(rel *Relation, spec AggSpec) (AggResult, error) {
 // sortAggResult orders groups lexicographically by key, keeping Values
 // aligned — the canonical form shared by pushdown and naive folds.
 func sortAggResult(r *AggResult) {
-	ord := make([]int, len(r.Groups))
-	for i := range ord {
-		ord[i] = i
-	}
-	sort.Slice(ord, func(a, b int) bool {
-		ta, tb := r.Groups[ord[a]], r.Groups[ord[b]]
-		for k := range ta {
-			if ta[k] != tb[k] {
-				return ta[k] < tb[k]
-			}
-		}
-		return false
-	})
+	ord := identCols(len(r.Groups))
+	slices.SortFunc(ord, func(a, b int) int { return slices.Compare(r.Groups[a], r.Groups[b]) })
 	groups := make([][]int, len(ord))
 	values := make([]int64, len(ord))
 	for i, j := range ord {
@@ -466,6 +455,18 @@ func newCellTable(n int) cellTable {
 	return cellTable{slots: make([]int32, size), mask: uint64(size - 1)}
 }
 
+// grow doubles a table whose cells all belong to owner 0 of out.
+func (t *cellTable) grow(out *aggCells) {
+	*t = newCellTable(len(t.slots))
+	for id := range out.cells {
+		j := hashMix(hashVals(out.key(id)), 0) & t.mask
+		for t.slots[j] != 0 {
+			j = (j + 1) & t.mask
+		}
+		t.slots[j] = int32(id) + 1
+	}
+}
+
 // merge adds c under key to owner o of out, whose cells start at lo:
 // into the cell with an equal key, or as a new cell.
 func (t cellTable) merge(out *aggCells, o, lo int, key []int, c aggCell, spec AggSpec) error {
@@ -485,14 +486,55 @@ func (t cellTable) merge(out *aggCells, o, lo int, key []int, c aggCell, spec Ag
 	}
 }
 
-// aggregate runs the pushdown DP: bag materialisation, full Yannakakis
-// reduction (both semijoin passes, so every surviving tuple and carried
-// key belongs to at least one real answer and partial states stay
-// bounded by the answer's group count), then a bottom-up fold of keyed
-// partial aggregates. No answer row is ever materialised.
+// aggregate runs the pushdown DP over the bags of the plan's join tree.
+// No answer row is ever materialised.
+//
+// A keyless plan folds top-down: every watched variable lies in the
+// root bag, and every bag is server-resident (it carries an IndexSet: a
+// base view, or a cached or carried bag). Then no cell below the root
+// carries a key, so a child's state is one cell per bucket of an index
+// the snapshot already holds, and fold probes those indexes from the
+// root down, folding each bucket the first time a row reaches it. Only
+// rows that join their way up to the root are touched, which is the
+// reduction the semijoin passes would buy, with no copy and no index
+// built. The atoms hosted at a bag are probed per row the same way
+// (build defers them under deferHosted).
+//
+// Every other plan takes the reduced route: the deferred semijoins,
+// both semijoin passes (so every surviving tuple and carried key
+// belongs to at least one real answer and partial states stay bounded
+// by the answer's group count), then a bottom-up fold of keyed partial
+// aggregates (aggregateTree). Both routes hold the same states against
+// MaxRows: one cell per row or bucket below the root, and at the root
+// the answer's groups.
 func (e *executor) aggregate(q Query, db Database, d *decomp.Decomp, spec AggSpec) (AggResult, error) {
-	root, err := e.buildTree(q, db, d)
+	tree, coverOf, err := execTree(q, d)
 	if err != nil {
+		return AggResult{}, err
+	}
+	watched := spec.watched()
+	e.deferHosted = true
+	for _, v := range watched {
+		if id, ok := d.H.VertexID(v); !ok || !tree.Bag.Test(id) {
+			e.deferHosted = false
+		}
+	}
+	root, err := e.build(q, db, d, coverOf, tree)
+	if err != nil {
+		return AggResult{}, err
+	}
+	if e.deferHosted && resident(root) {
+		f, err := e.foldTree(root, nil, spec)
+		if err != nil {
+			return AggResult{}, err
+		}
+		st, err := e.foldRoot(f, spec, watched)
+		if err != nil {
+			return AggResult{}, err
+		}
+		return answer(st, spec)
+	}
+	if err := e.semijoinHosted(root); err != nil {
 		return AggResult{}, err
 	}
 	if err := e.up(root, false); err != nil {
@@ -504,11 +546,223 @@ func (e *executor) aggregate(q Query, db Database, d *decomp.Decomp, spec AggSpe
 	return e.aggregateTree(root, spec)
 }
 
+// resident reports whether every bag of n's subtree carries an IndexSet.
+func resident(n *bagNode) bool {
+	if n.rel.indexes == nil {
+		return false
+	}
+	for _, c := range n.children {
+		if !resident(c) {
+			return false
+		}
+	}
+	return true
+}
+
+// semijoinHosted semijoins into each bag of n's subtree the atoms build
+// deferred, in build's order.
+func (e *executor) semijoinHosted(n *bagNode) error {
+	for _, r := range n.hosted {
+		var err error
+		if n.rel, err = e.semijoin(n.rel, r); err != nil {
+			return err
+		}
+	}
+	n.hosted = nil
+	for _, c := range n.children {
+		if err := e.semijoinHosted(c); err != nil {
+			return err
+		}
+	}
+	return e.g.alive()
+}
+
+// foldNode is one bag of the top-down fold. Below the root it holds the
+// index its parent probes it through, on the key columns they share,
+// and the cells of the buckets probed so far.
+type foldNode struct {
+	rel    *Relation
+	hosted []hostedProbe
+	kids   []*foldNode
+	// opCol is the column of the operand of a SUM, MIN or MAX when it
+	// leaves scope at this bag, else -1.
+	opCol int
+	ix    *hashIndex
+	pCols []int // the parent's columns of ix's key
+	// memo holds, per bucket id of ix, 1 + the index of the bucket's
+	// cell in cells, or 0 while no row has probed the bucket.
+	memo  []int32
+	cells []aggCell
+}
+
+// hostedProbe is a hosted atom's index stack and the bag columns that
+// probe it.
+type hostedProbe struct {
+	cols  []int
+	stack []*hashIndex
+}
+
+// foldTree prepares n's subtree for the fold; parent holds the parent
+// bag's attribute positions, nil at the root. Each child is probed through the
+// index probeStack returns — the child's own maintained or captured
+// index, or one built and captured on a miss. A stack of several layers
+// numbers its buckets per layer, so the child gets one fresh index over
+// all its rows instead.
+func (e *executor) foldTree(n *bagNode, parent map[string]int, spec AggSpec) (*foldNode, error) {
+	f := &foldNode{rel: n.rel, opCol: -1}
+	switch spec.Kind {
+	case AggSum, AggMin, AggMax:
+		c, ok := n.rel.pos[spec.Var]
+		if _, kept := parent[spec.Var]; ok && !kept {
+			f.opCol = c
+		}
+	}
+	for _, r := range n.hosted {
+		shared := sharedAttrs(n.rel, r)
+		stack, err := e.probeStack(r, shared)
+		if err != nil {
+			return nil, err
+		}
+		cols, err := n.rel.attrIndex(shared)
+		if err != nil {
+			return nil, err
+		}
+		f.hosted = append(f.hosted, hostedProbe{cols: cols, stack: stack})
+	}
+	for _, c := range n.children {
+		k, err := e.foldTree(c, n.rel.pos, spec)
+		if err != nil {
+			return nil, err
+		}
+		shared := sharedAttrs(n.rel, c.rel)
+		stack, err := e.probeStack(c.rel, shared)
+		if err != nil {
+			return nil, err
+		}
+		k.ix = stack[0]
+		if len(stack) > 1 {
+			if k.ix, err = buildIndexCols(c.rel, stack[0].cols, 0, c.rel.Size(), e.g); err != nil {
+				return nil, err
+			}
+			e.stats.IndexBuilds++
+		}
+		if k.pCols, err = n.rel.attrIndex(shared); err != nil {
+			return nil, err
+		}
+		k.memo = make([]int32, len(k.ix.starts)-1)
+		f.kids = append(f.kids, k)
+	}
+	return f, nil
+}
+
+// foldRoot folds the root's rows by their key on watched, every one of
+// which is a root column: one cell per group, held to the row budget as
+// the groups grow.
+func (e *executor) foldRoot(f *foldNode, spec AggSpec, watched []string) (aggCells, error) {
+	cols, err := f.rel.attrIndex(watched)
+	if err != nil {
+		return aggCells{}, err
+	}
+	out := aggCells{vars: watched, keys: []int{}} // a scalar's group is [], not nil
+	t := newCellTable(1)
+	key := make([]int, len(cols))
+	for i := 0; i < f.rel.Size(); i++ {
+		if err := e.g.poll(i); err != nil {
+			return aggCells{}, err
+		}
+		c, err := e.rowCell(f, i, spec)
+		if err != nil {
+			return aggCells{}, err
+		}
+		if c.count == 0 {
+			continue
+		}
+		for k, col := range cols {
+			key[k] = f.rel.at(i, col)
+		}
+		if err := t.merge(&out, 0, 0, key, c, spec); err != nil {
+			return aggCells{}, err
+		}
+		if err := e.g.checkRows(len(out.cells)); err != nil {
+			return aggCells{}, err
+		}
+		if 2*len(out.cells) > len(t.slots) {
+			t.grow(&out)
+		}
+	}
+	return out, nil
+}
+
+// rowCell is the cell of row j of f's bag: the product of the cells of
+// the child buckets it joins, with the operand resolved when it leaves
+// scope here. A zero count means the row extends to no answer: a
+// hosted atom or a child has no row it joins.
+func (e *executor) rowCell(f *foldNode, j int, spec AggSpec) (aggCell, error) {
+	for _, h := range f.hosted {
+		e.stats.IndexProbes++
+		if !slices.ContainsFunc(h.stack, func(ix *hashIndex) bool {
+			_, ok := ix.lookupRow(f.rel, h.cols, j)
+			return ok
+		}) {
+			return aggCell{}, nil
+		}
+	}
+	cell := aggCell{count: 1}
+	for _, k := range f.kids {
+		e.stats.IndexProbes++
+		b, ok := k.ix.lookupRow(f.rel, k.pCols, j)
+		if !ok {
+			return aggCell{}, nil
+		}
+		kc, err := e.bucketCell(k, b, spec)
+		if err != nil || kc.count == 0 {
+			return aggCell{}, err
+		}
+		if cell, err = spec.mul(cell, kc); err != nil {
+			return aggCell{}, err
+		}
+	}
+	if f.opCol >= 0 {
+		cell.val, cell.has = int64(f.rel.at(j, f.opCol)), true
+		if spec.Kind == AggSum {
+			var err error
+			if cell.val, err = scale(cell.val, cell.count); err != nil {
+				return aggCell{}, err
+			}
+		}
+	}
+	return cell, nil
+}
+
+// bucketCell is the cell of bucket b of k's index: the sum of its rows'
+// cells, folded on the first call and memoised.
+func (e *executor) bucketCell(k *foldNode, b int32, spec AggSpec) (aggCell, error) {
+	if m := k.memo[b]; m > 0 {
+		return k.cells[m-1], nil
+	}
+	var sum aggCell
+	for p := k.ix.starts[b]; p < k.ix.starts[b+1]; p++ {
+		if err := e.g.poll(int(p)); err != nil {
+			return aggCell{}, err
+		}
+		c, err := e.rowCell(k, int(k.ix.perm[p]), spec)
+		if err == nil && c.count != 0 {
+			sum, err = spec.add(sum, c)
+		}
+		if err != nil {
+			return aggCell{}, err
+		}
+	}
+	k.cells = append(k.cells, sum)
+	k.memo[b] = int32(len(k.cells))
+	return sum, nil
+}
+
 // aggregateTree folds the partial aggregates of a reduced join tree
-// bottom-up into the answer — aggregate's back half. The root is lifted
-// into a parent with no attributes (a nil position map), on an index
-// with no key columns: its one bucket's cells are keyed by every
-// watched variable.
+// bottom-up into the answer — the reduced route's back half. The root
+// is lifted into a parent with no attributes (a nil position map), on
+// an index with no key columns: its one bucket's cells are keyed by
+// every watched variable.
 func (e *executor) aggregateTree(root *bagNode, spec AggSpec) (AggResult, error) {
 	watched := spec.watched()
 	st, err := e.aggNode(root, spec, watched)
@@ -522,6 +776,12 @@ func (e *executor) aggregateTree(root *bagNode, spec AggSpec) (AggResult, error)
 	if st, err = e.lift(root.rel, st, nil, ix, spec, watched); err != nil {
 		return AggResult{}, err
 	}
+	return answer(st, spec)
+}
+
+// answer turns the root's state — one cell per distinct key on the
+// watched variables — into the canonical result.
+func answer(st aggCells, spec AggSpec) (AggResult, error) {
 	out := AggResult{GroupVars: spec.groupVars()}
 	g := len(out.GroupVars)
 	groups := st.keysOn(out.GroupVars)

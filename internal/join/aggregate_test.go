@@ -4,12 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"math/big"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/decomp"
 )
 
 // aggSpecs is the operator matrix every differential-style aggregate
@@ -211,6 +215,72 @@ func TestAggregateAgainstNaiveRandom(t *testing.T) {
 	}
 }
 
+// TestAggregateFoldAgainstNaive is the differential wall of the
+// top-down fold: the random instances of TestAggregateAgainstNaiveRandom
+// over maintained views with a bag cache, so that every bag is
+// server-resident and each head whose watched variables lie in the root
+// bag folds top-down. Every head must equal the naive fold under the
+// minimum-width plan and the one of width |atoms|: cold, warm, after an
+// insert-only batch (two-layer index stacks) and after a mixed one
+// (remapped indexes, carried bags).
+func TestAggregateFoldAgainstNaive(t *testing.T) {
+	for seed := 0; seed < 40; seed++ {
+		r := rand.New(rand.NewSource(int64(seed)))
+		q, db := randomAggInstance(r)
+		plans := []*decomp.Decomp{decomposeFor(t, q), decompose(t, q, len(q.Atoms))}
+		ms, views := mrelDB(db)
+		bags := NewBagCache(views)
+		for round := 0; round < 4; round++ {
+			if round >= 2 {
+				deltas := map[string]Delta{}
+				for _, name := range slices.Sorted(maps.Keys(ms)) {
+					m, arity := ms[name], len(views[name].Attrs)
+					var ins [][]int
+					for k := 0; k < 1+r.Intn(4); k++ {
+						row := make([]int, arity)
+						for j := range row {
+							row[j] = r.Intn(5)
+						}
+						ins = append(ins, row)
+					}
+					if _, _, err := m.Insert(ins); err != nil {
+						t.Fatal(err)
+					}
+					if live := views[name].Rows(); round == 3 && len(live) > 0 {
+						if _, _, err := m.Delete([][]int{live[r.Intn(len(live))]}); err != nil {
+							t.Fatal(err)
+						}
+					}
+					m.Commit()
+					deltas[name] = m.LastDelta()
+				}
+				views = viewDB(ms)
+				bags = bags.Carry(views, deltas)
+			}
+			rows, err := EvaluateNaive(q, plainDB(views))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range plans {
+				for _, spec := range aggSpecs(q) {
+					want, err := AggregateRows(rows, spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := AggregateCtx(context.Background(), q, views, d, spec, EvalOptions{Bags: bags})
+					if err != nil {
+						t.Fatalf("seed %d round %d %s: %v", seed, round, FormatAggregate(spec), err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("seed %d round %d %s: pushdown %+v, naive %+v\nquery: %s\nplan:\n%s",
+							seed, round, FormatAggregate(spec), got, want, FormatQuery(q), d)
+					}
+				}
+			}
+		}
+	}
+}
+
 // randomAggInstance is a compact local generator (internal/query's
 // RandomInstance would be an import cycle): connected 2..4-atom queries
 // over a small domain, arity ≤ 3, with self-joins possible.
@@ -286,7 +356,9 @@ func TestCountCancellation(t *testing.T) {
 
 // TestAggregateRowBudget: the DP's state is bounded by the group count,
 // so a huge answer set with few groups fits a small budget — and a
-// grouped aggregate with more groups than the budget aborts.
+// grouped aggregate with more groups than the budget aborts, at the
+// same threshold whether it folds top-down over a snapshot or takes
+// the reduced route.
 func TestAggregateRowBudget(t *testing.T) {
 	q, err := ParseQuery("R(x,y), S(y,z)")
 	if err != nil {
@@ -320,6 +392,31 @@ func TestAggregateRowBudget(t *testing.T) {
 		AggSpec{Kind: AggCount, GroupBy: []string{"x", "z"}}, EvalOptions{MaxRows: 50})
 	if !errors.Is(err, ErrRowBudget) {
 		t.Fatalf("900-group aggregate under 50-row budget: got %v, want ErrRowBudget", err)
+	}
+
+	// Over maintained views the plan λ{R} over λ{S} is snapshot-backed.
+	// Grouped by x, a root variable, the head folds top-down, and its
+	// state is the answer's 30 groups: it fails just below 30 and
+	// answers at 30, as over the inline relations. Grouped by z, which
+	// resolves below the root, the head takes the reduced route: the
+	// same threshold, and today's two semijoins.
+	hand := handPlan(t, q, [][]int{{0}, {1}}, []int{-1, 0})
+	_, views := mrelDB(db)
+	for _, group := range []string{"x", "z"} {
+		spec := AggSpec{Kind: AggCount, GroupBy: []string{group}}
+		for name, over := range map[string]Database{"inline": db, "snapshot": views} {
+			var st ExecStats
+			if _, err := AggregateCtx(context.Background(), q, over, hand, spec, EvalOptions{MaxRows: 29}); !errors.Is(err, ErrRowBudget) {
+				t.Errorf("%s group %s under 29 rows: %v, want ErrRowBudget", name, group, err)
+			}
+			res, err := AggregateCtx(context.Background(), q, over, hand, spec, EvalOptions{MaxRows: 30, Stats: &st})
+			if err != nil || len(res.Groups) != 30 {
+				t.Errorf("%s group %s under 30 rows: %d groups, %v; want 30", name, group, len(res.Groups), err)
+			}
+			if name == "snapshot" && group == "z" && st.Semijoins != 2 {
+				t.Errorf("snapshot group z: %d semijoins, want 2", st.Semijoins)
+			}
+		}
 	}
 }
 

@@ -53,6 +53,10 @@ type executor struct {
 	g     *guard
 	bags  *BagCache
 	stats ExecStats
+	// deferHosted makes build leave the atoms hosted at a
+	// server-resident bag in bagNode.hosted instead of semijoining them
+	// in, so the aggregate fold can probe them per row (see aggregate).
+	deferHosted bool
 }
 
 // runExecutor runs f on a fresh executor configured by opts — the
@@ -269,7 +273,9 @@ func (e *executor) buildTree(q Query, db Database, d *decomp.Decomp) (*bagNode, 
 // the atoms hosted at n enforced by semijoins — but hosted atoms in
 // λ(u) itself are not semijoined in: every bag tuple restricts a tuple
 // s of ⋈λ(u), and s restricted to vars(e) lies in R_e, so the semijoin
-// would remove nothing — with or without duplicate base rows.
+// would remove nothing — with or without duplicate base rows. Under
+// deferHosted, a server-resident bag keeps its rows and lists its
+// hosted atoms in hosted instead.
 func (e *executor) build(q Query, db Database, d *decomp.Decomp, coverOf map[*decomp.Node][]int, n *decomp.Node) (*bagNode, error) {
 	var bagAttrs []string
 	n.Bag.ForEach(func(v int) { bagAttrs = append(bagAttrs, d.H.VertexName(v)) })
@@ -277,6 +283,8 @@ func (e *executor) build(q Query, db Database, d *decomp.Decomp, coverOf map[*de
 	if err != nil {
 		return nil, err
 	}
+	bn := &bagNode{chi: bagAttrs, children: make([]*bagNode, len(n.Children))}
+	deferred := e.deferHosted && proj.indexes != nil
 	for _, eid := range coverOf[n] {
 		if slices.Contains(n.Lambda, eid) {
 			continue
@@ -285,15 +293,16 @@ func (e *executor) build(q Query, db Database, d *decomp.Decomp, coverOf map[*de
 		if err != nil {
 			return nil, err
 		}
-		proj, err = e.semijoin(proj, r)
-		if err != nil {
+		if deferred {
+			bn.hosted = append(bn.hosted, r)
+		} else if proj, err = e.semijoin(proj, r); err != nil {
 			return nil, err
 		}
 	}
 	if err := e.g.alive(); err != nil {
 		return nil, err
 	}
-	bn := &bagNode{rel: proj, chi: bagAttrs, children: make([]*bagNode, len(n.Children))}
+	bn.rel = proj
 	for i, c := range n.Children {
 		if bn.children[i], err = e.build(q, db, d, coverOf, c); err != nil {
 			return nil, err

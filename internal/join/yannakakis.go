@@ -18,6 +18,10 @@ type bagNode struct {
 	// built by the bottom-up pass (see executor.up).
 	upIx     []*hashIndex
 	upShared []string
+	// hosted lists the relations of atoms hosted here that build left
+	// for the aggregate fold to probe rather than semijoining them into
+	// rel (see executor.deferHosted).
+	hosted []*Relation
 }
 
 // ErrRowBudget is returned (wrapped) when an evaluation exceeds its

@@ -167,7 +167,10 @@ func aggSweep(q join.Query) []join.AggSpec {
 // answered through the planner must exactly equal the naive
 // materialise-then-fold of the independently computed cross-join
 // baseline, with a repeat of each spec required to agree and to reuse
-// the plan.
+// the plan. Each instance is also uploaded as a named dataset, whose
+// bags are server-resident, so heads that fold top-down over the
+// snapshot's own indexes are swept too: every spec over the dataset,
+// and again after one seeded mutation batch.
 func TestDifferentialAggregates(t *testing.T) {
 	const queries = 50
 	p, svc := newTestPlanner(t)
@@ -222,6 +225,46 @@ func TestDifferentialAggregates(t *testing.T) {
 				}
 				if !again.PlanCacheHit && !again.PlanCoalesced {
 					t.Errorf("seed %d %s: aggregate repeat did not reuse the plan", seed, join.FormatAggregate(spec))
+				}
+			}
+
+			// The same sweep over a named dataset, then after one batch.
+			name := fmt.Sprintf("agg-%d", seed)
+			if _, err := svc.Datasets().Put("", name, db); err != nil {
+				errs <- fmt.Errorf("seed %d put: %w", seed, err)
+				return
+			}
+			d, _ := svc.Datasets().Get("", name)
+			mirror := newMirror(db)
+			for round := 0; round < 2; round++ {
+				if round == 1 {
+					batch := randomBatch(r, db, mirror, GenConfig{}.withDefaults().Domain)
+					if _, err := d.Mutate(batch); err != nil {
+						errs <- fmt.Errorf("seed %d mutate: %w", seed, err)
+						return
+					}
+					mirror.apply(batch)
+					if rows, err = naiveCanonical(q, mirror.materialise(db)); err != nil {
+						errs <- err
+						return
+					}
+				}
+				for _, spec := range aggSweep(q) {
+					want, err := join.AggregateRows(rows, spec)
+					if err != nil {
+						errs <- fmt.Errorf("seed %d %s: naive fold: %w", seed, join.FormatAggregate(spec), err)
+						return
+					}
+					res, err := p.Eval(ctx, Request{Query: q, Dataset: name, Aggregate: &spec})
+					if err != nil {
+						errs <- fmt.Errorf("seed %d round %d %s over the dataset: %w", seed, round, join.FormatAggregate(spec), err)
+						return
+					}
+					if res.Agg == nil || !reflect.DeepEqual(*res.Agg, want) {
+						t.Errorf("seed %d round %d %s over the dataset: pushdown %+v, naive %+v\nquery: %s",
+							seed, round, join.FormatAggregate(spec), res.Agg, want, join.FormatQuery(q))
+						return
+					}
 				}
 			}
 		}(seed)
