@@ -341,7 +341,7 @@ type aggCell struct {
 // scopes): extension counts multiply; the operand is resolved in at
 // most one branch (resolution points are unique), whose fold scales by
 // the other branch's count (SUM) or passes through (MIN/MAX).
-func (s AggSpec) mul(a, b aggCell) (aggCell, error) {
+func (s *AggSpec) mul(a, b aggCell) (aggCell, error) {
 	if b.has {
 		a, b = b, a
 	}
@@ -355,7 +355,7 @@ func (s AggSpec) mul(a, b aggCell) (aggCell, error) {
 
 // add merges two cells of one key: the fold over alternative
 // extensions that carry the same key.
-func (s AggSpec) add(a, c aggCell) (aggCell, error) {
+func (s *AggSpec) add(a, c aggCell) (aggCell, error) {
 	out := aggCell{count: countOp(addInt64, a.count, c.count), val: a.val, has: a.has || c.has}
 	var err error
 	switch {
@@ -469,7 +469,7 @@ func (t *cellTable) grow(out *aggCells) {
 
 // merge adds c under key to owner o of out, whose cells start at lo:
 // into the cell with an equal key, or as a new cell.
-func (t cellTable) merge(out *aggCells, o, lo int, key []int, c aggCell, spec AggSpec) error {
+func (t cellTable) merge(out *aggCells, o, lo int, key []int, c aggCell, spec *AggSpec) error {
 	for j := hashMix(hashVals(key), uint64(o)) & t.mask; ; j = (j + 1) & t.mask {
 		id := int(t.slots[j]) - 1
 		if id < 0 {
@@ -504,9 +504,11 @@ func (t cellTable) merge(out *aggCells, o, lo int, key []int, c aggCell, spec Ag
 // both semijoin passes (so every surviving tuple and carried key
 // belongs to at least one real answer and partial states stay bounded
 // by the answer's group count), then a bottom-up fold of keyed partial
-// aggregates (aggregateTree). Both routes hold the same states against
-// MaxRows: one cell per row or bucket below the root, and at the root
-// the answer's groups.
+// aggregates (aggregateTree). On a keyless plan the two routes build
+// the same bags and hold the same states against MaxRows — at most one
+// cell per row or bucket below the root, and the answer's groups at
+// the root — so the fold fails the budget exactly where the reduced
+// route does.
 func (e *executor) aggregate(q Query, db Database, d *decomp.Decomp, spec AggSpec) (AggResult, error) {
 	tree, coverOf, err := execTree(q, d)
 	if err != nil {
@@ -602,6 +604,16 @@ type hostedProbe struct {
 	stack []*hashIndex
 }
 
+// hit reports whether row j of r has a match in any layer.
+func (h *hostedProbe) hit(r *Relation, j int) (ok bool) {
+	for _, ix := range h.stack {
+		if _, ok = ix.lookupRow(r, h.cols, j); ok {
+			break
+		}
+	}
+	return ok
+}
+
 // foldTree prepares n's subtree for the fold; parent holds the parent
 // bag's attribute positions, nil at the root. Each child is probed through the
 // index probeStack returns — the child's own maintained or captured
@@ -670,7 +682,7 @@ func (e *executor) foldRoot(f *foldNode, spec AggSpec, watched []string) (aggCel
 		if err := e.g.poll(i); err != nil {
 			return aggCells{}, err
 		}
-		c, err := e.rowCell(f, i, spec)
+		c, err := e.rowCell(f, i, &spec)
 		if err != nil {
 			return aggCells{}, err
 		}
@@ -680,7 +692,7 @@ func (e *executor) foldRoot(f *foldNode, spec AggSpec, watched []string) (aggCel
 		for k, col := range cols {
 			key[k] = f.rel.at(i, col)
 		}
-		if err := t.merge(&out, 0, 0, key, c, spec); err != nil {
+		if err := t.merge(&out, 0, 0, key, c, &spec); err != nil {
 			return aggCells{}, err
 		}
 		if err := e.g.checkRows(len(out.cells)); err != nil {
@@ -697,13 +709,10 @@ func (e *executor) foldRoot(f *foldNode, spec AggSpec, watched []string) (aggCel
 // the child buckets it joins, with the operand resolved when it leaves
 // scope here. A zero count means the row extends to no answer: a
 // hosted atom or a child has no row it joins.
-func (e *executor) rowCell(f *foldNode, j int, spec AggSpec) (aggCell, error) {
-	for _, h := range f.hosted {
+func (e *executor) rowCell(f *foldNode, j int, spec *AggSpec) (aggCell, error) {
+	for h := range f.hosted {
 		e.stats.IndexProbes++
-		if !slices.ContainsFunc(h.stack, func(ix *hashIndex) bool {
-			_, ok := ix.lookupRow(f.rel, h.cols, j)
-			return ok
-		}) {
+		if !f.hosted[h].hit(f.rel, j) {
 			return aggCell{}, nil
 		}
 	}
@@ -736,7 +745,7 @@ func (e *executor) rowCell(f *foldNode, j int, spec AggSpec) (aggCell, error) {
 
 // bucketCell is the cell of bucket b of k's index: the sum of its rows'
 // cells, folded on the first call and memoised.
-func (e *executor) bucketCell(k *foldNode, b int32, spec AggSpec) (aggCell, error) {
+func (e *executor) bucketCell(k *foldNode, b int32, spec *AggSpec) (aggCell, error) {
 	if m := k.memo[b]; m > 0 {
 		return k.cells[m-1], nil
 	}
@@ -791,7 +800,7 @@ func answer(st aggCells, spec AggSpec) (AggResult, error) {
 		byGroup := aggCells{vars: out.GroupVars, keys: []int{}} // a scalar's group is [], not nil
 		t := newCellTable(len(st.cells))
 		for j := range st.cells {
-			if err := t.merge(&byGroup, 0, 0, groups[j*g:(j+1)*g], aggCell{count: 1}, spec); err != nil {
+			if err := t.merge(&byGroup, 0, 0, groups[j*g:(j+1)*g], aggCell{count: 1}, &spec); err != nil {
 				return AggResult{}, err
 			}
 		}
@@ -818,12 +827,13 @@ func answer(st aggCells, spec AggSpec) (AggResult, error) {
 	return out, nil
 }
 
-// aggNode computes the node's partial-aggregate state bottom-up, one
-// owner per bag row. Every row starts at the multiplicative unit (one
-// extension, itself, with nothing carried); each child is lifted into
-// per-join-key buckets, and a row's cells become the products of its
-// cells with its bucket's. The two sides carry disjoint variables and
-// each side's keys are distinct, so the products need no merge.
+// aggNode computes the node's partial-aggregate state bottom-up over a
+// reduced join tree, one owner per bag row — the reduced route's fold.
+// Every row starts at the multiplicative unit (one extension, itself,
+// with nothing carried); each child is lifted into per-join-key
+// buckets, and a row's cells become the products of its cells with its
+// bucket's. The two sides carry disjoint variables and each side's keys
+// are distinct, so the products need no merge.
 func (e *executor) aggNode(n *bagNode, spec AggSpec, watched []string) (aggCells, error) {
 	size := n.rel.Size()
 	st := aggCells{start: identCols(size + 1), cells: make([]aggCell, size)}
@@ -837,9 +847,9 @@ func (e *executor) aggNode(n *bagNode, spec AggSpec, watched []string) (aggCells
 		}
 		// One shared-attribute list orders the key on both sides: the
 		// child is indexed and the parent probes in this order, whatever
-		// order either bag lists its columns in. One fresh index over all
-		// of c.rel: the lift needs a single index covering every row,
-		// which a maintained multi-layer stack is not.
+		// order either bag lists its columns in. The index is built
+		// fresh: the down pass left c.rel a semijoin output, which
+		// nothing has indexed.
 		shared := sharedAttrs(n.rel, c.rel)
 		cIdx, err := c.rel.attrIndex(shared)
 		if err != nil {
@@ -940,7 +950,7 @@ func (e *executor) lift(rel *Relation, st aggCells, parent map[string]int, ix *h
 					}
 				}
 				copy(key, st.key(a))
-				if err = t.merge(&out, b, lo, key, cell, spec); err != nil {
+				if err = t.merge(&out, b, lo, key, cell, &spec); err != nil {
 					return aggCells{}, err
 				}
 			}
@@ -956,8 +966,8 @@ func (e *executor) lift(rel *Relation, st aggCells, parent map[string]int, ix *h
 // AggregateCtx answers an aggregate head over the full conjunctive query
 // by pushdown over the decomposition's join tree, under a context and
 // per-query limits, on the budgeted indexed kernel: bag materialisation
-// and the two semijoin passes honour ctx cancellation and the row
-// budget exactly like EvaluateCtx, and the partial
+// and the fold honour ctx cancellation and the row budget exactly like
+// EvaluateCtx, and the partial
 // aggregate states count against MaxRows through the group cardinality
 // (a grouped answer larger than the budget aborts with ErrRowBudget —
 // but a huge *answer set* folded into a few groups does not, which is

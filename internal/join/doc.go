@@ -2,8 +2,9 @@
 // conjunctive query evaluation through hypertree decompositions: bag
 // materialisation, Yannakakis' algorithm [26] (for a row answer the
 // bottom-up semijoin pass then a top-down join pass), an aggregate
-// pushdown engine over both semijoin passes, and a naive join
-// baseline for cross-checking. It is the substrate for the paper's
+// pushdown engine (over both semijoin passes, or top-down over a
+// snapshot's own indexes when no key is carried below the root), and
+// a naive join baseline for cross-checking. It is the substrate for the paper's
 // motivating application (§1): CQs whose hypergraphs have bounded
 // hypertree width evaluate in polynomial time by reduction to an
 // acyclic instance.
@@ -12,7 +13,7 @@
 // twice — in a deterministic row order, and Relation.Canonical puts
 // it in canonical form (columns sorted by variable name, rows sorted);
 // AggregateCtx folds COUNT / COUNT DISTINCT / SUM / MIN / MAX —
-// optionally GROUP BY a variable subset — during the bottom-up pass,
+// optionally GROUP BY a variable subset — over the join tree,
 // touching per-bag state bounded by the group count instead of the
 // answer count, and agrees exactly with AggregateRows over the
 // materialised answers; a COUNT or SUM past int64 fails with
