@@ -104,7 +104,9 @@ func aggBatch(r *rand.Rand, snap Snapshot, domain, inserts, deletes int) []Mutat
 		for i := k; i < deletes; i += 2 {
 			del = append(del, rows[r.Intn(len(rows))])
 		}
-		batch = append(batch, Mutation{Op: "delete", Rel: name, Rows: del})
+		if len(del) > 0 {
+			batch = append(batch, Mutation{Op: "delete", Rel: name, Rows: del})
+		}
 	}
 	return batch
 }

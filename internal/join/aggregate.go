@@ -493,8 +493,9 @@ func (t cellTable) merge(out *aggCells, o, lo int, key []int, c aggCell, spec *A
 // root bag, and every bag is server-resident (it carries an IndexSet: a
 // base view, or a cached or carried bag). Then no cell below the root
 // carries a key, so a child's state is one cell per bucket of an index
-// the snapshot already holds, and fold probes those indexes from the
-// root down, folding each bucket the first time a row reaches it. Only
+// the snapshot already holds, and the fold (foldTree, foldRoot) probes
+// those indexes from the root down, folding each bucket the first time
+// a row reaches it. Only
 // rows that join their way up to the root are touched, which is the
 // reduction the semijoin passes would buy, with no copy and no index
 // built. The atoms hosted at a bag are probed per row the same way
@@ -604,22 +605,12 @@ type hostedProbe struct {
 	stack []*hashIndex
 }
 
-// hit reports whether row j of r has a match in any layer.
-func (h *hostedProbe) hit(r *Relation, j int) (ok bool) {
-	for _, ix := range h.stack {
-		if _, ok = ix.lookupRow(r, h.cols, j); ok {
-			break
-		}
-	}
-	return ok
-}
-
 // foldTree prepares n's subtree for the fold; parent holds the parent
-// bag's attribute positions, nil at the root. Each child is probed through the
-// index probeStack returns — the child's own maintained or captured
-// index, or one built and captured on a miss. A stack of several layers
-// numbers its buckets per layer, so the child gets one fresh index over
-// all its rows instead.
+// bag's attribute positions, nil at the root. Each child is probed
+// through the index probeStack returns — the child's own maintained or
+// captured index, or one built and captured on a miss. A stack of
+// several layers numbers its buckets per layer, so the child gets one
+// fresh index over all its rows instead.
 func (e *executor) foldTree(n *bagNode, parent map[string]int, spec AggSpec) (*foldNode, error) {
 	f := &foldNode{rel: n.rel, opCol: -1}
 	switch spec.Kind {
@@ -712,7 +703,7 @@ func (e *executor) foldRoot(f *foldNode, spec AggSpec, watched []string) (aggCel
 func (e *executor) rowCell(f *foldNode, j int, spec *AggSpec) (aggCell, error) {
 	for h := range f.hosted {
 		e.stats.IndexProbes++
-		if !f.hosted[h].hit(f.rel, j) {
+		if !stackHit(f.hosted[h].stack, f.rel, f.hosted[h].cols, j) {
 			return aggCell{}, nil
 		}
 	}

@@ -47,8 +47,8 @@ const pollEvery = 1024
 // executor runs one indexed evaluation, serially: bag materialisation
 // and the Yannakakis passes over hash indexes — the bottom-up semijoin
 // pass and the top-down join pass for a row answer, both semijoin
-// passes for the aggregate pushdown. stats counts its effort as it
-// goes.
+// passes or the top-down fold for the aggregate pushdown. stats counts
+// its effort as it goes.
 type executor struct {
 	g     *guard
 	bags  *BagCache
@@ -142,15 +142,23 @@ func (e *executor) semijoinProbe(r *Relation, shared []string, stack []*hashInde
 		if err := e.g.poll(i); err != nil {
 			return nil, err
 		}
-		for _, ix := range stack {
-			if _, ok := ix.lookupRow(r, rIdx, i); ok {
-				out.appendFrom(r, i)
-				break
-			}
+		if stackHit(stack, r, rIdx, i) {
+			out.appendFrom(r, i)
 		}
 	}
 	e.stats.IndexProbes += int64(r.Size())
 	return out, nil
+}
+
+// stackHit reports whether row i of r, keyed on cols, has a match in
+// any layer of stack.
+func stackHit(stack []*hashIndex, r *Relation, cols []int, i int) (ok bool) {
+	for _, ix := range stack {
+		if _, ok = ix.lookupRow(r, cols, i); ok {
+			break
+		}
+	}
+	return ok
 }
 
 // join returns the natural join r ⋈ s via a hash index of s on the
