@@ -304,8 +304,19 @@ func AggregateRows(rel *Relation, spec AggSpec) (AggResult, error) {
 // sortAggResult orders groups lexicographically by key, keeping Values
 // aligned — the canonical form shared by pushdown and naive folds.
 func sortAggResult(r *AggResult) {
-	ord := identCols(len(r.Groups))
-	slices.SortFunc(ord, func(a, b int) int { return slices.Compare(r.Groups[a], r.Groups[b]) })
+	ord := make([]int, len(r.Groups))
+	for i := range ord {
+		ord[i] = i
+	}
+	sort.Slice(ord, func(a, b int) bool {
+		ta, tb := r.Groups[ord[a]], r.Groups[ord[b]]
+		for k := range ta {
+			if ta[k] != tb[k] {
+				return ta[k] < tb[k]
+			}
+		}
+		return false
+	})
 	groups := make([][]int, len(ord))
 	values := make([]int64, len(ord))
 	for i, j := range ord {
@@ -489,27 +500,36 @@ func (t cellTable) merge(out *aggCells, o, lo int, key []int, c aggCell, spec *A
 // aggregate runs the pushdown DP over the bags of the plan's join tree.
 // No answer row is ever materialised.
 //
-// A keyless plan folds top-down: every watched variable lies in the
-// root bag, and every bag is server-resident (it carries an IndexSet: a
-// base view, or a cached or carried bag). Then no cell below the root
-// carries a key, so a child's state is one cell per bucket of an index
-// the snapshot already holds, and the fold (foldTree, foldRoot) probes
-// those indexes from the root down, folding each bucket the first time
-// a row reaches it. Only
-// rows that join their way up to the root are touched, which is the
-// reduction the semijoin passes would buy, with no copy and no index
-// built. The atoms hosted at a bag are probed per row the same way
-// (build defers them under deferHosted).
+// A keyless plan — every watched variable lies in the root bag — folds
+// top-down. No cell below the root carries a key, so a child's state is
+// one cell per bucket of its index on the key it shares with its
+// parent, and the fold (foldTree, foldRoot) probes those indexes from
+// the root down, folding each bucket the first time a row reaches it.
+// Only rows that join their way up to the root are touched, which is
+// the reduction the semijoin passes would buy, with no copy. A
+// server-resident bag (one carrying an IndexSet: a base view, or a
+// cached or carried bag) is probed through the index the snapshot
+// already holds; any other bag gets one index built. The atoms hosted
+// at a bag are probed per row the same way (build defers them under
+// deferHosted).
 //
-// Every other plan takes the reduced route: the deferred semijoins,
-// both semijoin passes (so every surviving tuple and carried key
-// belongs to at least one real answer and partial states stay bounded
-// by the answer's group count), then a bottom-up fold of keyed partial
-// aggregates (aggregateTree). On a keyless plan the two routes build
-// the same bags and hold the same states against MaxRows — at most one
-// cell per row or bucket below the root, and the answer's groups at
-// the root — so the fold fails the budget exactly where the reduced
-// route does.
+// The fold may add up a bucket no answer reaches: one probed by a row
+// whose own probes all hit, but which an empty bucket of another child,
+// its own or an ancestor's, rules out afterwards. Counts saturate and
+// only the answer reads them, so COUNT, COUNT DISTINCT, MIN and MAX
+// answer as the reduced route would; but a SUM's partial sum in such a
+// bucket is checked too, and can fail the query with
+// ErrAggregateOverflow where the reduced route, which never adds it up,
+// answers (TestAggregateFoldSumOverflowScope).
+//
+// A keyed plan takes the reduced route: both semijoin passes (so every
+// surviving tuple and carried key belongs to at least one real answer
+// and partial states stay bounded by the answer's group count), then a
+// bottom-up fold of keyed partial aggregates (aggregateTree). A keyless
+// plan would hold the same states against MaxRows on that route — at
+// most one cell per row or bucket below the root, and the answer's
+// groups at the root — so the fold fails the budget exactly where the
+// reduced route would.
 func (e *executor) aggregate(q Query, db Database, d *decomp.Decomp, spec AggSpec) (AggResult, error) {
 	tree, coverOf, err := execTree(q, d)
 	if err != nil {
@@ -526,7 +546,7 @@ func (e *executor) aggregate(q Query, db Database, d *decomp.Decomp, spec AggSpe
 	if err != nil {
 		return AggResult{}, err
 	}
-	if e.deferHosted && resident(root) {
+	if e.deferHosted {
 		f, err := e.foldTree(root, nil, spec)
 		if err != nil {
 			return AggResult{}, err
@@ -537,9 +557,6 @@ func (e *executor) aggregate(q Query, db Database, d *decomp.Decomp, spec AggSpe
 		}
 		return answer(st, spec)
 	}
-	if err := e.semijoinHosted(root); err != nil {
-		return AggResult{}, err
-	}
 	if err := e.up(root, false); err != nil {
 		return AggResult{}, err
 	}
@@ -547,37 +564,6 @@ func (e *executor) aggregate(q Query, db Database, d *decomp.Decomp, spec AggSpe
 		return AggResult{}, err
 	}
 	return e.aggregateTree(root, spec)
-}
-
-// resident reports whether every bag of n's subtree carries an IndexSet.
-func resident(n *bagNode) bool {
-	if n.rel.indexes == nil {
-		return false
-	}
-	for _, c := range n.children {
-		if !resident(c) {
-			return false
-		}
-	}
-	return true
-}
-
-// semijoinHosted semijoins into each bag of n's subtree the atoms build
-// deferred, in build's order.
-func (e *executor) semijoinHosted(n *bagNode) error {
-	for _, r := range n.hosted {
-		var err error
-		if n.rel, err = e.semijoin(n.rel, r); err != nil {
-			return err
-		}
-	}
-	n.hosted = nil
-	for _, c := range n.children {
-		if err := e.semijoinHosted(c); err != nil {
-			return err
-		}
-	}
-	return e.g.alive()
 }
 
 // foldNode is one bag of the top-down fold. Below the root it holds the
@@ -596,6 +582,9 @@ type foldNode struct {
 	// cell in cells, or 0 while no row has probed the bucket.
 	memo  []int32
 	cells []aggCell
+	// bkt is rowCell's scratch: per kid, the bucket the current row
+	// probes.
+	bkt []int32
 }
 
 // hostedProbe is a hosted atom's index stack and the bag columns that
@@ -608,9 +597,9 @@ type hostedProbe struct {
 // foldTree prepares n's subtree for the fold; parent holds the parent
 // bag's attribute positions, nil at the root. Each child is probed
 // through the index probeStack returns — the child's own maintained or
-// captured index, or one built and captured on a miss. A stack of
-// several layers numbers its buckets per layer, so the child gets one
-// fresh index over all its rows instead.
+// captured index, or one built (and captured, for a server-resident
+// bag) on a miss. A stack of several layers numbers its buckets per
+// layer, so the child gets one fresh index over all its rows instead.
 func (e *executor) foldTree(n *bagNode, parent map[string]int, spec AggSpec) (*foldNode, error) {
 	f := &foldNode{rel: n.rel, opCol: -1}
 	switch spec.Kind {
@@ -655,6 +644,7 @@ func (e *executor) foldTree(n *bagNode, parent map[string]int, spec AggSpec) (*f
 		k.memo = make([]int32, len(k.ix.starts)-1)
 		f.kids = append(f.kids, k)
 	}
+	f.bkt = make([]int32, len(f.kids))
 	return f, nil
 }
 
@@ -699,7 +689,11 @@ func (e *executor) foldRoot(f *foldNode, spec AggSpec, watched []string) (aggCel
 // rowCell is the cell of row j of f's bag: the product of the cells of
 // the child buckets it joins, with the operand resolved when it leaves
 // scope here. A zero count means the row extends to no answer: a
-// hosted atom or a child has no row it joins.
+// hosted atom or a child has no row it joins. Every probe of the row
+// runs before any bucket is folded, and a product's overflow fails the
+// row only once every bucket is known to be live, so a row that a
+// probe or an empty bucket rules out fails nothing of its own (see
+// aggregate on what a SUM may still add up).
 func (e *executor) rowCell(f *foldNode, j int, spec *AggSpec) (aggCell, error) {
 	for h := range f.hosted {
 		e.stats.IndexProbes++
@@ -707,20 +701,27 @@ func (e *executor) rowCell(f *foldNode, j int, spec *AggSpec) (aggCell, error) {
 			return aggCell{}, nil
 		}
 	}
-	cell := aggCell{count: 1}
-	for _, k := range f.kids {
+	for i, k := range f.kids {
 		e.stats.IndexProbes++
 		b, ok := k.ix.lookupRow(f.rel, k.pCols, j)
 		if !ok {
 			return aggCell{}, nil
 		}
-		kc, err := e.bucketCell(k, b, spec)
+		f.bkt[i] = b
+	}
+	cell := aggCell{count: 1}
+	var mulErr error
+	for i, k := range f.kids {
+		kc, err := e.bucketCell(k, f.bkt[i], spec)
 		if err != nil || kc.count == 0 {
 			return aggCell{}, err
 		}
-		if cell, err = spec.mul(cell, kc); err != nil {
-			return aggCell{}, err
+		if mulErr == nil {
+			cell, mulErr = spec.mul(cell, kc)
 		}
+	}
+	if mulErr != nil {
+		return aggCell{}, mulErr
 	}
 	if f.opCol >= 0 {
 		cell.val, cell.has = int64(f.rel.at(j, f.opCol)), true

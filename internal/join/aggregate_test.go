@@ -216,13 +216,14 @@ func TestAggregateAgainstNaiveRandom(t *testing.T) {
 }
 
 // TestAggregateFoldAgainstNaive is the differential wall of the
-// top-down fold: the random instances of TestAggregateAgainstNaiveRandom
-// over maintained views with a bag cache, so that every bag is
-// server-resident and each head whose watched variables lie in the root
-// bag folds top-down. Every head must equal the naive fold under the
-// minimum-width plan and the one of width |atoms|: cold, warm, after an
-// insert-only batch (two-layer index stacks) and after a mixed one
-// (remapped indexes, carried bags).
+// top-down fold over a snapshot: the random instances of
+// TestAggregateAgainstNaiveRandom over maintained views with a bag
+// cache, so that every bag is server-resident and each head whose
+// watched variables lie in the root bag folds over the indexes the
+// views maintain and the bags capture. Every head must equal the naive
+// fold under the minimum-width plan and the one of width |atoms|: cold,
+// warm, after an insert-only batch (two-layer index stacks) and after a
+// mixed one (remapped indexes, carried bags).
 func TestAggregateFoldAgainstNaive(t *testing.T) {
 	for seed := 0; seed < 40; seed++ {
 		r := rand.New(rand.NewSource(int64(seed)))
@@ -357,8 +358,7 @@ func TestCountCancellation(t *testing.T) {
 // TestAggregateRowBudget: the DP's state is bounded by the group count,
 // so a huge answer set with few groups fits a small budget — and a
 // grouped aggregate with more groups than the budget aborts, at the
-// same threshold whether it folds top-down over a snapshot or takes
-// the reduced route.
+// same threshold whether it folds top-down or takes the reduced route.
 func TestAggregateRowBudget(t *testing.T) {
 	q, err := ParseQuery("R(x,y), S(y,z)")
 	if err != nil {
@@ -394,12 +394,13 @@ func TestAggregateRowBudget(t *testing.T) {
 		t.Fatalf("900-group aggregate under 50-row budget: got %v, want ErrRowBudget", err)
 	}
 
-	// Over maintained views the plan λ{R} over λ{S} is snapshot-backed.
-	// Grouped by x, a root variable, the head folds top-down, with no
-	// semijoin, and its state is the answer's 30 groups: it fails just
-	// below 30 and answers at 30, as over the inline relations. Grouped
-	// by z, which resolves below the root, the head takes the reduced
-	// route: the same threshold, and its two semijoins.
+	// The plan λ{R} over λ{S}, over the inline relations and over
+	// maintained views, where it is snapshot-backed. Grouped by x, a
+	// root variable, the head folds top-down, with no semijoin, and its
+	// state is the answer's 30 groups: it fails just below 30 and
+	// answers at 30. Grouped by z, which resolves below the root, the
+	// head takes the reduced route: the same threshold, and its two
+	// semijoins.
 	hand := handPlan(t, q, [][]int{{0}, {1}}, []int{-1, 0})
 	_, views := mrelDB(db)
 	for group, semijoins := range map[string]int64{"x": 0, "z": 2} {
@@ -413,8 +414,8 @@ func TestAggregateRowBudget(t *testing.T) {
 			if err != nil || len(res.Groups) != 30 {
 				t.Errorf("%s group %s under 30 rows: %d groups, %v; want 30", name, group, len(res.Groups), err)
 			}
-			if name == "snapshot" && st.Semijoins != semijoins {
-				t.Errorf("snapshot group %s: %d semijoins, want %d", group, st.Semijoins, semijoins)
+			if st.Semijoins != semijoins {
+				t.Errorf("%s group %s: %d semijoins, want %d", name, group, st.Semijoins, semijoins)
 			}
 		}
 	}
@@ -489,6 +490,49 @@ func TestAggregateOverflow(t *testing.T) {
 					t.Errorf("%d %s %d: got %d, %v; exact %v", a, op.name, b, got, err, want)
 				}
 			}
+		}
+	}
+}
+
+// TestAggregateFoldSumOverflowScope pins which partial sums the
+// top-down fold adds up. The root row R(0,0) joins A's bucket y=0,
+// whose two values sum past int64, and B's bucket y=0. A row's probes
+// all run before any bucket is folded, so when B has no y=0 row the
+// fold never adds up A's bucket and answers 0, as AggregateRows does.
+// When B's y=0 row is ruled out only below B, by C, A's bucket (the
+// first child) is folded before B's bucket reads empty: the fold fails
+// with ErrAggregateOverflow although no answer reaches that sum.
+func TestAggregateFoldSumOverflowScope(t *testing.T) {
+	q, err := ParseQuery("R(x,y), A(y,v), B(y,z), C(z,w)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := handPlan(t, q, [][]int{{0}, {1}, {2}, {3}}, []int{-1, 0, 0, 2})
+	spec := AggSpec{Kind: AggSum, Var: "v"}
+	a := NewRelation("c1", "c2").Add(0, math.MaxInt64/2).Add(0, math.MaxInt64/2+2)
+	for _, c := range []struct {
+		name     string
+		b        *Relation
+		overflow bool
+	}{
+		{"B misses y=0", NewRelation("c1", "c2").Add(1, 0), false},
+		{"C misses B's z=0", NewRelation("c1", "c2").Add(0, 0), true},
+	} {
+		db := Database{"R": NewRelation("c1", "c2").Add(0, 0), "A": a, "B": c.b, "C": NewRelation("c1", "c2").Add(1, 1)}
+		rows, err := EvaluateNaive(q, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, err := AggregateRows(rows, spec); err != nil || want.Values[0] != 0 {
+			t.Fatalf("%s: AggregateRows = %+v, %v; want 0", c.name, want, err)
+		}
+		res, err := AggregateCtx(context.Background(), q, db, d, spec, EvalOptions{})
+		if c.overflow {
+			if !errors.Is(err, ErrAggregateOverflow) {
+				t.Errorf("%s: %+v, %v; want ErrAggregateOverflow", c.name, res, err)
+			}
+		} else if v, _ := res.Value(); err != nil || v != 0 {
+			t.Errorf("%s: %d, %v; want 0", c.name, v, err)
 		}
 	}
 }

@@ -209,7 +209,7 @@ func aggBudgetCases() []aggBudgetCase {
 	return []aggBudgetCase{
 		{"chain8-count", chainInstances(8, 5, 4000, 8000), AggSpec{Kind: AggCount}, allocSample{741.4, 1647594}},
 		{"star6-group", starInstances(6, 6, 800, 400),
-			AggSpec{Kind: AggCount, GroupBy: []string{"x0"}}, allocSample{640.0, 2619221}},
+			AggSpec{Kind: AggCount, GroupBy: []string{"x0"}}, allocSample{388.0, 1063339}},
 	}
 }
 

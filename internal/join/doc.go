@@ -2,9 +2,9 @@
 // conjunctive query evaluation through hypertree decompositions: bag
 // materialisation, Yannakakis' algorithm [26] (for a row answer the
 // bottom-up semijoin pass then a top-down join pass), an aggregate
-// pushdown engine (over both semijoin passes, or top-down over a
-// snapshot's own indexes when no key is carried below the root), and
-// a naive join baseline for cross-checking. It is the substrate for the paper's
+// pushdown engine (top-down over the bags' indexes when no key is
+// carried below the root, else over both semijoin passes), and a naive
+// join baseline for cross-checking. It is the substrate for the paper's
 // motivating application (§1): CQs whose hypergraphs have bounded
 // hypertree width evaluate in polynomial time by reduction to an
 // acyclic instance.

@@ -53,9 +53,9 @@ type executor struct {
 	g     *guard
 	bags  *BagCache
 	stats ExecStats
-	// deferHosted makes build leave the atoms hosted at a
-	// server-resident bag in bagNode.hosted instead of semijoining them
-	// in, so the aggregate fold can probe them per row (see aggregate).
+	// deferHosted makes build leave the atoms hosted at a bag in
+	// bagNode.hosted instead of semijoining them in, so the aggregate
+	// fold can probe them per row (see aggregate).
 	deferHosted bool
 }
 
@@ -282,8 +282,8 @@ func (e *executor) buildTree(q Query, db Database, d *decomp.Decomp) (*bagNode, 
 // λ(u) itself are not semijoined in: every bag tuple restricts a tuple
 // s of ⋈λ(u), and s restricted to vars(e) lies in R_e, so the semijoin
 // would remove nothing — with or without duplicate base rows. Under
-// deferHosted, a server-resident bag keeps its rows and lists its
-// hosted atoms in hosted instead.
+// deferHosted, the bag keeps its rows and lists its hosted atoms in
+// hosted instead.
 func (e *executor) build(q Query, db Database, d *decomp.Decomp, coverOf map[*decomp.Node][]int, n *decomp.Node) (*bagNode, error) {
 	var bagAttrs []string
 	n.Bag.ForEach(func(v int) { bagAttrs = append(bagAttrs, d.H.VertexName(v)) })
@@ -292,7 +292,6 @@ func (e *executor) build(q Query, db Database, d *decomp.Decomp, coverOf map[*de
 		return nil, err
 	}
 	bn := &bagNode{chi: bagAttrs, children: make([]*bagNode, len(n.Children))}
-	deferred := e.deferHosted && proj.indexes != nil
 	for _, eid := range coverOf[n] {
 		if slices.Contains(n.Lambda, eid) {
 			continue
@@ -301,7 +300,7 @@ func (e *executor) build(q Query, db Database, d *decomp.Decomp, coverOf map[*de
 		if err != nil {
 			return nil, err
 		}
-		if deferred {
+		if e.deferHosted {
 			bn.hosted = append(bn.hosted, r)
 		} else if proj, err = e.semijoin(proj, r); err != nil {
 			return nil, err
